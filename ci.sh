@@ -52,9 +52,18 @@ cargo test -q -p polymix-runtime --features order-check,fault-inject \
 # Static certification gate: every (kernel, variant) artifact the
 # sweeps measure — the transformed program and its emitted source —
 # must certify (schedule legality, annotation safety, source protocol
-# lint) before anything is compiled or executed.
+# lint) before anything is compiled or executed. The audit ends with a
+# census of the kernel_rt calls it saw; each of the four constructs must
+# still have traffic, or an emitter path has silently gone dead.
 echo "== static verify gate =="
-cargo run --release -q -p polymix-bench --bin verify -- --dataset mini > /dev/null
+VERIFY_OUT=$(cargo run --release -q -p polymix-bench --bin verify -- --dataset mini) \
+    || { echo "$VERIFY_OUT" | grep -v '^ok'; exit 1; }
+CENSUS=$(echo "$VERIFY_OUT" | grep '^regions: ') \
+    || { echo "static audit printed no region census"; exit 1; }
+echo "$CENSUS"
+echo "$CENSUS" | grep -Eq \
+    '^regions: doall [1-9][0-9]* reduction [1-9][0-9]* pipeline [1-9][0-9]* wavefront [1-9][0-9]*$' \
+    || { echo "a parallel construct lost all its traffic"; exit 1; }
 
 # Bytecode certification gate: every (kernel, variant) cell the vm
 # backend could measure is lowered at mini and run through the bytecode

@@ -3,10 +3,9 @@
 //! The paper's iterative column enumerates three fixed fusion
 //! structures; this module closes the loop properly: a measured-feedback
 //! search over *fusion structure × tile sizes × unroll factors ×
-//! runtime knobs* (pipeline publish batch, dynamic-schedule grain,
-//! taskgraph-vs-wavefront lowering), driven through the crash-safe sweep
-//! executor so every measured cell is cached, timed out, retried, and
-//! appended to the resumable JSONL log.
+//! runtime knobs* (pipeline publish batch, dynamic-schedule grain),
+//! driven through the crash-safe sweep executor so every measured cell is
+//! cached, timed out, retried, and appended to the resumable JSONL log.
 //!
 //! The search is budgeted in *measured cells*, so candidate triage
 //! happens before anything is compiled:
@@ -138,8 +137,6 @@ pub struct Candidate {
     pub pipeline_batch: Option<i64>,
     /// Dynamic-schedule chunk grain override (`None` = automatic).
     pub dyn_grain: Option<i64>,
-    /// Lower wavefront nests through the counter-graph runtime.
-    pub taskgraph: bool,
 }
 
 impl Candidate {
@@ -153,13 +150,12 @@ impl Candidate {
             .dyn_grain
             .map_or("auto".to_string(), |g| g.to_string());
         format!(
-            "tune:{kernel}:{dataset}:{}:t{}:tt{}:u{}x{}:pb{pb}:dg{dg}:tg{}",
+            "tune:{kernel}:{dataset}:{}:t{}:tt{}:u{}x{}:pb{pb}:dg{dg}",
             self.opt.name(),
             self.tile,
             self.time_tile,
             self.unroll.0,
             self.unroll.1,
-            u8::from(self.taskgraph),
         )
     }
 
@@ -168,15 +164,19 @@ impl Candidate {
         EmitKnobs {
             pipeline_batch: self.pipeline_batch,
             dyn_grain: self.dyn_grain,
-            taskgraph: self.taskgraph,
             vect: false,
         }
     }
 
-    /// The structure key: candidates sharing it run the *same* program
-    /// and differ only in runtime knobs, so they share one simulation.
-    fn structure(&self) -> (OptFamily, i64, i64, (i64, i64)) {
-        (self.opt, self.tile, self.time_tile, self.unroll)
+    /// This candidate with automatic runtime knobs. Candidates sharing
+    /// a structure run the *same* program and differ only in runtime
+    /// knobs, so they share one simulation.
+    fn structure(&self) -> Candidate {
+        Candidate {
+            pipeline_batch: None,
+            dyn_grain: None,
+            ..*self
+        }
     }
 }
 
@@ -249,7 +249,6 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
                         unroll,
                         pipeline_batch: None,
                         dyn_grain: None,
-                        taskgraph: false,
                     };
                     out.extend(runtime_expansions(&base, group));
                 }
@@ -273,17 +272,6 @@ fn runtime_expansions(base: &Candidate, group: Group) -> Vec<Candidate> {
             pipeline_batch: Some(8),
             ..*base
         });
-        // The counter-graph lowering only applies to the wavefront nests
-        // the Pluto families produce for time-tiled stencils.
-        if matches!(
-            base.opt,
-            OptFamily::PlutoPocc | OptFamily::PlutoMaxFuse | OptFamily::PlutoNoFuse
-        ) {
-            out.push(Candidate {
-                taskgraph: true,
-                ..*base
-            });
-        }
     }
     out.push(Candidate {
         dyn_grain: Some(4),
@@ -399,7 +387,7 @@ impl TunedConfig {
         }
         format!(
             "{{\"kernel\":\"{}\",\"dataset\":\"{}\",\"threads\":{},\"opt\":\"{}\",\
-             \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}]{knobs},\"taskgraph\":{},\
+             \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}]{knobs},\
              \"pool\":\"auto\",\"time_s\":{:e},\"gflops\":{:e},\"native_time_s\":{:e},\
              \"speedup_vs_native\":{:e},\"beats_native\":{}}}",
             sweep::json_escape(&self.kernel),
@@ -410,7 +398,6 @@ impl TunedConfig {
             self.candidate.time_tile,
             self.candidate.unroll.0,
             self.candidate.unroll.1,
-            u8::from(self.candidate.taskgraph),
             self.time_s,
             self.gflops,
             self.native_time_s,
@@ -420,6 +407,7 @@ impl TunedConfig {
     }
 
     /// Parses [`TunedConfig::to_json`] output; `None` on any violation.
+    /// Unknown keys — the retired `taskgraph` of older files — are ignored.
     pub fn from_json(line: &str) -> Option<TunedConfig> {
         let rec = sweep::parse_record(line)?;
         let unroll = rec.arr_field("unroll")?;
@@ -433,7 +421,6 @@ impl TunedConfig {
             unroll: (unroll[0] as i64, unroll[1] as i64),
             pipeline_batch: rec.num_field("pipeline_batch").map(|b| b as i64),
             dyn_grain: rec.num_field("dyn_grain").map(|g| g as i64),
-            taskgraph: rec.num_field("taskgraph") == Some(1.0),
         };
         let speedup_vs_native = rec.num_field("speedup_vs_native")?;
         Some(TunedConfig {
@@ -533,25 +520,16 @@ pub fn autotune_kernel(
     let total_candidates = space.len();
 
     // --- Stage 1: simulate each distinct *structure* once at mini. ---
-    let mut structures: Vec<(OptFamily, i64, i64, (i64, i64))> = Vec::new();
+    let mut structures: Vec<Candidate> = Vec::new();
     for c in &space {
         if !structures.contains(&c.structure()) {
             structures.push(c.structure());
         }
     }
-    let mut progs: Vec<Option<Program>> = Vec::with_capacity(structures.len());
-    for &(opt, tile, time_tile, unroll) in &structures {
-        let c = Candidate {
-            opt,
-            tile,
-            time_tile,
-            unroll,
-            pipeline_batch: None,
-            dyn_grain: None,
-            taskgraph: false,
-        };
-        progs.push(build_candidate(&kernel, &c, machine).ok());
-    }
+    let progs: Vec<Option<Program>> = structures
+        .iter()
+        .map(|c| build_candidate(&kernel, c, machine).ok())
+        .collect();
     let built: Vec<&Program> = progs.iter().flatten().collect();
     let configs = [CacheConfig::l1_nehalem(), CacheConfig::l2_nehalem()];
     let costs = batch_weighted_cost(&built, &mini, &configs, &LEVEL_COSTS);
@@ -579,17 +557,7 @@ pub fn autotune_kernel(
             pruned += 1;
             continue;
         }
-        let (opt, tile, time_tile, unroll) = structures[si];
-        let c = Candidate {
-            opt,
-            tile,
-            time_tile,
-            unroll,
-            pipeline_batch: None,
-            dyn_grain: None,
-            taskgraph: false,
-        };
-        let f = features(prog, &c, *cost);
+        let f = features(prog, &structures[si], *cost);
         ranked.push((si, score(&f, min_cost)));
     }
     // Stable sort: ties keep enumeration order, keeping the search
@@ -600,17 +568,7 @@ pub fn autotune_kernel(
     let budget = budget.max(1);
     let mut chosen: Vec<Candidate> = Vec::new();
     'fill: for &(si, _) in &ranked {
-        let (opt, tile, time_tile, unroll) = structures[si];
-        let base = Candidate {
-            opt,
-            tile,
-            time_tile,
-            unroll,
-            pipeline_batch: None,
-            dyn_grain: None,
-            taskgraph: false,
-        };
-        for c in runtime_expansions(&base, kernel.group) {
+        for c in runtime_expansions(&structures[si], kernel.group) {
             if chosen.len() >= budget {
                 break 'fill;
             }
@@ -637,7 +595,7 @@ pub fn autotune_kernel(
                     unmodeled_knobs: crate::backend::vm_unmodeled_tags(&c.knobs()),
                     run: Box::new(move || {
                         let prog = build_candidate(&kc, &cc, &mc)?;
-                        vm_measure(&kc, &prog, &pc, cc.opt.name(), threads, reps, cc.knobs())
+                        vm_measure(&kc, &prog, &pc, cc.opt.name(), threads, reps)
                     }),
                 },
             }
@@ -800,7 +758,6 @@ mod tests {
             unroll: (2, 2),
             pipeline_batch: Some(8),
             dyn_grain: None,
-            taskgraph: true,
         }
     }
 
@@ -810,7 +767,7 @@ mod tests {
         let id = c.id("jacobi-2d-imper", "small");
         assert_eq!(
             id,
-            "tune:jacobi-2d-imper:small:polyast-fuse:t32:tt5:u2x2:pb8:dgauto:tg1"
+            "tune:jacobi-2d-imper:small:polyast-fuse:t32:tt5:u2x2:pb8:dgauto"
         );
         // Two candidates differing only in a runtime knob get distinct
         // ids — the resume log must never alias them.
@@ -840,12 +797,10 @@ mod tests {
         // None knobs are omitted keys and round-trip as None.
         let mut cfg2 = cfg.clone();
         cfg2.candidate.pipeline_batch = None;
-        cfg2.candidate.taskgraph = false;
         let line2 = cfg2.to_json();
         assert!(!line2.contains("pipeline_batch"), "{line2}");
         let back2 = TunedConfig::from_json(&line2).expect("parses");
         assert_eq!(back2.candidate.pipeline_batch, None);
-        assert!(!back2.candidate.taskgraph);
     }
 
     #[test]
@@ -907,7 +862,8 @@ mod tests {
     }
 
     /// Pre-marker config lines (no `beats_native` key) derive the flag
-    /// from the recorded speedup.
+    /// from the recorded speedup, and the retired `taskgraph` key of the
+    /// committed `results/tuned/*.json` is ignored.
     #[test]
     fn legacy_configs_derive_beats_native_from_speedup() {
         let cfg = TunedConfig {
@@ -930,6 +886,16 @@ mod tests {
             .replace("\"speedup_vs_native\":3.4e-1", "\"speedup_vs_native\":2.5e0");
         let back2 = TunedConfig::from_json(&line2).expect("parses");
         assert!(back2.beats_native, "2.5x must derive as beating");
+        let line3 = cfg.to_json().replace(",\"pool\"", ",\"taskgraph\":0,\"pool\"");
+        assert!(line3.contains("\"taskgraph\":0"), "{line3}");
+        assert_eq!(TunedConfig::from_json(&line3), Some(cfg));
+        for committed in [
+            include_str!("../../../results/tuned/2mm.json"),
+            include_str!("../../../results/tuned/gemm.json"),
+            include_str!("../../../results/tuned/jacobi-2d-imper.json"),
+        ] {
+            assert!(TunedConfig::from_json(committed.trim_end()).is_some(), "{committed}");
+        }
     }
 
     #[test]
@@ -937,12 +903,11 @@ mod tests {
         let a = candidate_space(Group::Doall);
         let b = candidate_space(Group::Doall);
         assert_eq!(a, b, "enumeration must be stable for the resume log");
-        // Pipeline-group spaces add time tiles, batches and taskgraph.
+        // Pipeline-group spaces add time tiles and publish batches.
         let p = candidate_space(Group::Pipeline);
         assert!(p.len() > a.len());
-        assert!(p.iter().any(|c| c.taskgraph));
         assert!(p.iter().any(|c| c.pipeline_batch == Some(8)));
-        assert!(a.iter().all(|c| !c.taskgraph), "doall: no wavefronts to lower");
+        assert!(a.iter().all(|c| c.pipeline_batch.is_none()), "doall: nothing to batch");
         // Ids are unique across the space.
         let mut ids: Vec<String> = p.iter().map(|c| c.id("k", "d")).collect();
         ids.sort();

@@ -110,7 +110,7 @@ impl Backend for VmBackend {
         JobWork::InProcess {
             run: Box::new(move || {
                 let prog = build()?;
-                vm_measure(&kernel, &prog, &params, &label, threads, reps, knobs)
+                vm_measure(&kernel, &prog, &params, &label, threads, reps)
             }),
             unmodeled_knobs: vm_unmodeled_tags(&knobs),
         }
@@ -153,9 +153,8 @@ pub fn vm_measure(
     label: &str,
     threads: usize,
     reps: usize,
-    knobs: EmitKnobs,
 ) -> Result<RunResult, PolymixError> {
-    vm_measure_opts(kernel, prog, params, label, threads, reps, knobs, true)
+    vm_measure_opts(kernel, prog, params, label, threads, reps, true)
 }
 
 /// [`vm_measure`] with the bounds checks forced back on: the
@@ -170,12 +169,10 @@ pub fn vm_measure_checked(
     label: &str,
     threads: usize,
     reps: usize,
-    knobs: EmitKnobs,
 ) -> Result<RunResult, PolymixError> {
-    vm_measure_opts(kernel, prog, params, label, threads, reps, knobs, false)
+    vm_measure_opts(kernel, prog, params, label, threads, reps, false)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn vm_measure_opts(
     kernel: &Kernel,
     prog: &Program,
@@ -183,7 +180,6 @@ fn vm_measure_opts(
     label: &str,
     threads: usize,
     reps: usize,
-    knobs: EmitKnobs,
     elide: bool,
 ) -> Result<RunResult, PolymixError> {
     let mut vm = lower(prog, params)
@@ -197,7 +193,7 @@ fn vm_measure_opts(
     let mut arrays = kernel.fresh_arrays(&prog.scop, params);
     let opts = VmOptions {
         threads,
-        taskgraph: knobs.taskgraph,
+        taskgraph: false,
         elide,
     };
     let mut best = f64::INFINITY;
@@ -278,7 +274,7 @@ mod tests {
         let params = k.dataset("mini").params;
         let machine = Machine::host();
         let prog = build_variant(&k, Variant::Native, &machine).expect("native");
-        let r = vm_measure(&k, &prog, &params, "native", 1, 1, EmitKnobs::default())
+        let r = vm_measure(&k, &prog, &params, "native", 1, 1)
             .expect("vm measure");
         // Reference: run the kernel's sequential reference on fresh
         // buffers and reduce with the same checksum.

@@ -89,7 +89,6 @@ fn main() {
             variant.name(),
             runner.threads,
             runner.reps,
-            EmitKnobs::default(),
         ) {
             Ok(r) => r,
             Err(e) => {
@@ -238,7 +237,6 @@ fn main() {
                 variant.name(),
                 runner.threads,
                 e_reps,
-                EmitKnobs::default(),
             ) {
                 Ok(r) => {
                     if checked.as_ref().is_none_or(|b| r.gflops > b.gflops) {
@@ -257,7 +255,6 @@ fn main() {
                 variant.name(),
                 runner.threads,
                 e_reps,
-                EmitKnobs::default(),
             ) {
                 Ok(r) => {
                     if elided.as_ref().is_none_or(|b| r.gflops > b.gflops) {

@@ -68,7 +68,7 @@ fn main() {
                 );
                 println!(
                     "  winner: {} tile {} time_tile {} unroll {}x{} pipeline_batch {} \
-                     dyn_grain {} taskgraph {}",
+                     dyn_grain {}",
                     c.candidate.opt.name(),
                     c.candidate.tile,
                     c.candidate.time_tile,
@@ -80,7 +80,6 @@ fn main() {
                     c.candidate
                         .dyn_grain
                         .map_or("auto".into(), |g| g.to_string()),
-                    c.candidate.taskgraph,
                 );
                 println!(
                     "  {:.4} GFLOP/s ({:.3e}s), {:.2}x vs native{}",

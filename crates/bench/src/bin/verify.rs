@@ -17,6 +17,10 @@
 //!   post-pass enabled, so the lint audits real `// vect region`
 //!   emissions; the total region count is printed at the end (a smoke
 //!   run can assert it is nonzero);
+//! * without `--vect`/`--backend vm` the emitted sources are the
+//!   four-thread ones and a census of their runtime calls is printed at
+//!   the end (`regions: doall N reduction N pipeline N wavefront N`): a
+//!   construct whose count drops to zero has lost all its traffic;
 //! * `--backend vm` audits the *lowered bytecode* instead of the
 //!   emitted source: each cell is lowered at the dataset's parameters
 //!   and run through the bytecode certifier (bounds proofs plus
@@ -98,6 +102,7 @@ fn main() {
 
     let mut failures = 0usize;
     let mut vect_regions = 0usize;
+    let mut census = [0usize; 4];
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
 
@@ -193,6 +198,9 @@ fn main() {
                 emit_source(&k, &prog, &params, 4, 1)
             };
             vect_regions += src.matches("// vect region ").count();
+            for (calls, kind) in census.iter_mut().zip(polymix_verify::lint::KINDS) {
+                *calls += src.matches(&format!("kernel_rt::{kind}(")).count();
+            }
             audit(
                 &format!("{label} (emitted source)"),
                 &verify_source(k.name, &src),
@@ -206,6 +214,10 @@ fn main() {
     }
     if vm_audit {
         println!("vm accesses proven: {vm_proven}/{vm_total}");
+    }
+    if !vect && !vm_audit {
+        let [d, r, p, w] = census;
+        println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
     }
     if failures > 0 {
         println!("verify: {failures} artifact(s) failed");

@@ -165,17 +165,14 @@ impl Runner {
 
 /// Runtime-level knobs threaded from a tuned configuration into the
 /// emitted standalone program. `Default` reproduces [`emit_source`]'s
-/// behavior exactly (automatic batch, automatic grain, barrier
-/// wavefronts), so existing sweeps are unaffected.
+/// behavior exactly (automatic batch, automatic grain), so existing
+/// sweeps are unaffected.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EmitKnobs {
     /// Pipeline publish batch (`None` = emitter's automatic choice).
     pub pipeline_batch: Option<i64>,
     /// Dynamic-schedule chunk grain for doall regions (`None` = auto).
     pub dyn_grain: Option<i64>,
-    /// Lower wavefront nests to the counter-graph runtime instead of
-    /// diagonal barriers.
-    pub taskgraph: bool,
     /// Apply the explicit intra-tile vectorization post-pass: innermost
     /// certified-doall loops are emitted as unrolled strided groups
     /// (width 4) with a scalar remainder. Eligible loops are computed by
@@ -217,7 +214,6 @@ pub fn emit_source_with(
         reps,
         pipeline_batch: knobs.pipeline_batch,
         dyn_grain: knobs.dyn_grain,
-        taskgraph: knobs.taskgraph,
         vect: if knobs.vect {
             Some(polymix_verify::vectorizable_inner_vars(prog))
         } else {

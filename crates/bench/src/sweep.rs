@@ -741,12 +741,16 @@ impl Parser<'_> {
                         _ => return None,
                     }
                 }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                lead => {
+                    // Consume one UTF-8 scalar (multi-byte safe). Only the
+                    // scalar's own bytes are decoded: validating the whole
+                    // rest of the line here made long strings (a served
+                    // kernel source) quadratic to parse. A lead byte's
+                    // leading ones are the scalar's length (none: ASCII).
+                    let len = (lead.leading_ones() as usize).max(1);
+                    let scalar = self.bytes.get(self.pos..self.pos + len)?;
+                    out.push(std::str::from_utf8(scalar).ok()?.chars().next()?);
+                    self.pos += len;
                 }
             }
         }
@@ -947,5 +951,8 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         let rec = parse_record("{\"k\":\"a\\u0041\\\"b\"}").unwrap();
         assert_eq!(rec.str_field("k"), Some("aA\"b"));
+        // Unescaped scalars of every UTF-8 width pass through whole.
+        let rec = parse_record("{\"k\":\"aé−𝛼z\"}").unwrap();
+        assert_eq!(rec.str_field("k"), Some("aé−𝛼z"));
     }
 }

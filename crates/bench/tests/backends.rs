@@ -77,7 +77,7 @@ fn vm_agrees_with_sequential_reference_across_the_suite() {
             // Checked fidelity is the differential baseline: every
             // dynamic bounds check stays on, so the vm itself is the
             // safety net being compared against.
-            let r = match vm_measure_checked(&k, &prog, &params, v.name(), 1, 1, EmitKnobs::default())
+            let r = match vm_measure_checked(&k, &prog, &params, v.name(), 1, 1)
             {
                 Ok(r) => r,
                 Err(e) => {
@@ -100,7 +100,7 @@ fn vm_agrees_with_sequential_reference_across_the_suite() {
             // The proof-elided fast path must be bit-identical: same
             // instructions, same order — elision only skips checks the
             // certifier discharged statically.
-            let elided = vm_measure(&k, &prog, &params, v.name(), 1, 1, EmitKnobs::default())
+            let elided = vm_measure(&k, &prog, &params, v.name(), 1, 1)
                 .expect("a cell that ran checked must also run elided");
             assert!(
                 elided.checksum == r.checksum,
@@ -135,7 +135,7 @@ fn vm_and_rustc_backends_agree_on_gemm() {
     let flags: Vec<String> = vec![]; // no -O: mini data, sub-second compile
     for v in [Variant::Native, Variant::Pocc, Variant::PolyAst] {
         let prog = build_variant(&k, v, &machine).expect("gemm variant builds");
-        let vm = vm_measure(&k, &prog, &params, v.name(), 1, 1, EmitKnobs::default())
+        let vm = vm_measure(&k, &prog, &params, v.name(), 1, 1)
             .expect("vm executes gemm");
         let src = emit_source_with(&k, &prog, &params, 1, 1, EmitKnobs::default());
         let rustc = compile_and_run(&src, &dir, &flags, v.name()).expect("rustc cell runs");

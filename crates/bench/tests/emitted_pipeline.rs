@@ -1,6 +1,7 @@
 //! End-to-end check of the emitted pipeline protocol. The generated
-//! kernel uses cache-line-padded progress cells, batched publishes, and
-//! the flush-on-block await; a protocol bug shows up here as either a
+//! kernel calls the pasted `kernel_rt` runtime (cache-line-padded
+//! progress cells, batched publishes, flush-on-block awaits), compiled
+//! here by rustc as the sweeps do; a protocol bug shows up as either a
 //! wrong checksum (a dependence violated) or a run timeout (a deadlock
 //! between mutually waiting neighbors). On a small machine the spin
 //! budget exhausts constantly, so the flush path is exercised for real.
@@ -43,6 +44,37 @@ fn seidel_pipeline() -> Program {
     prog
 }
 
+/// The fused-stencil shape no PolyBench kernel produces today: two
+/// sibling sweeps under one pipelined time loop. `B[t][j]` reads
+/// `A[t][j+1]` — the right neighbor's previous phase — so both await
+/// directions and the sibling clamping are exercised.
+fn fused_sibling_pipeline() -> Program {
+    let mut b = ScopBuilder::new("fused", &["N"], &[64]);
+    let a = b.array("A", &["N", "N"]);
+    let bb = b.array("B", &["N", "N"]);
+    b.enter("t", con(1), par("N"));
+    b.enter("i", con(1), par("N"));
+    let up = IExpr::mul(IExpr::Const(0.5), b.rd(a, &[ix("t") - con(1), ix("i")]));
+    let left = IExpr::mul(IExpr::Const(0.25), b.rd(a, &[ix("t"), ix("i") - con(1)]));
+    b.stmt("S1", a, &[ix("t"), ix("i")], IExpr::add(up, left));
+    b.exit();
+    b.enter("j", con(1), par("N") - con(1));
+    let up = IExpr::mul(IExpr::Const(0.5), b.rd(bb, &[ix("t") - con(1), ix("j")]));
+    let left = IExpr::mul(IExpr::Const(0.25), b.rd(bb, &[ix("t"), ix("j") - con(1)]));
+    let right = IExpr::mul(IExpr::Const(0.125), b.rd(a, &[ix("t"), ix("j") + con(1)]));
+    b.stmt("S2", bb, &[ix("t"), ix("j")], IExpr::add(IExpr::add(up, left), right));
+    b.exit();
+    b.exit();
+    let mut prog =
+        original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
+    let mut outer = true;
+    prog.body.visit_loops_mut(&mut |l| {
+        l.par = if outer { Par::Pipeline } else { Par::Seq };
+        outer = false;
+    });
+    prog
+}
+
 fn run(prog: &Program, threads: usize, batch: Option<i64>, dir: &PathBuf) -> f64 {
     let src = emit_rust(
         prog,
@@ -55,7 +87,7 @@ fn run(prog: &Program, threads: usize, batch: Option<i64>, dir: &PathBuf) -> f64
             ..Default::default()
         },
     );
-    let label = format!("t{threads}b{}", batch.unwrap_or(0));
+    let label = format!("{}t{threads}b{}", prog.scop.name, batch.unwrap_or(0));
     compile_and_run(&src, dir, &[], &label)
         .unwrap_or_else(|e| panic!("emitted pipeline ({label}) failed: {e}"))
         .checksum
@@ -122,34 +154,44 @@ fn dynamic_doall_checksum_matches_sequential() {
 #[test]
 fn pipelined_checksums_match_sequential_for_every_batch() {
     let dir = tmp_dir("batch");
-    let prog = seidel_pipeline();
-    let reference = run(&prog, 1, None, &dir);
-    for batch in [None, Some(1), Some(3)] {
-        let got = run(&prog, 4, batch, &dir);
-        assert_eq!(
-            got.to_bits(),
-            reference.to_bits(),
-            "threads=4 batch={batch:?} diverged from sequential: {got} vs {reference}"
-        );
+    for (prog, shape) in [
+        (seidel_pipeline(), "(phases 1,"),
+        (fused_sibling_pipeline(), "(phases 2,"),
+    ] {
+        let opts = EmitOptions {
+            params: vec![64],
+            threads: 4,
+            ..Default::default()
+        };
+        assert!(emit_rust(&prog, &opts).contains(shape), "{}", prog.scop.name);
+        let reference = run(&prog, 1, None, &dir);
+        for batch in [None, Some(1), Some(3)] {
+            let got = run(&prog, 4, batch, &dir);
+            assert_eq!(
+                got.to_bits(),
+                reference.to_bits(),
+                "{} threads=4 batch={batch:?} diverged from sequential: {got} vs {reference}",
+                prog.scop.name
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// End-to-end check of the emitted counter-graph protocol: the same
-/// dependent sweep annotated `Wavefront`, lowered both ways. A protocol
-/// bug shows up as a wrong checksum (tile ran before its counter
-/// drained) or a run timeout (a claim/decrement mismatch deadlocking
-/// the cursor loop).
+/// End-to-end check of the emitted wavefront: the same dependent sweep
+/// annotated `Wavefront`. A protocol bug shows up as a wrong checksum
+/// (tile ran before its counter drained) or a run timeout (a
+/// claim/decrement mismatch deadlocking the cursor loop).
 #[test]
-fn taskgraph_checksums_match_wavefront_and_sequential() {
-    let dir = tmp_dir("tg");
+fn wavefront_checksum_matches_sequential() {
+    let dir = tmp_dir("wf");
     let mut prog = seidel_pipeline();
     prog.body.visit_loops_mut(&mut |l| {
         if l.par == Par::Pipeline {
             l.par = Par::Wavefront;
         }
     });
-    let emit = |threads: usize, taskgraph: bool| {
+    let emit = |threads: usize| {
         emit_rust(
             &prog,
             &EmitOptions {
@@ -157,34 +199,25 @@ fn taskgraph_checksums_match_wavefront_and_sequential() {
                 flops: 2 * 63 * 63,
                 threads,
                 reps: 1,
-                taskgraph,
                 ..Default::default()
             },
         )
     };
-    let tg_src = emit(4, true);
+    let wf_src = emit(4);
     assert!(
-        tg_src.contains("// taskgraph region"),
-        "knob must lower the wavefront to the counter graph: {tg_src}"
+        wf_src.contains("// wavefront region"),
+        "annotation must reach the emitter: {wf_src}"
     );
-    let reference = compile_and_run(&emit(1, false), &dir, &[], "seq")
+    let reference = compile_and_run(&emit(1), &dir, &[], "seq")
         .expect("sequential run")
         .checksum;
-    let wavefront = compile_and_run(&emit(4, false), &dir, &[], "wf")
+    let wavefront = compile_and_run(&wf_src, &dir, &[], "wf")
         .expect("wavefront run")
-        .checksum;
-    let taskgraph = compile_and_run(&tg_src, &dir, &[], "tg")
-        .expect("taskgraph run")
         .checksum;
     assert_eq!(
         wavefront.to_bits(),
         reference.to_bits(),
         "wavefront diverged from sequential: {wavefront} vs {reference}"
-    );
-    assert_eq!(
-        taskgraph.to_bits(),
-        reference.to_bits(),
-        "taskgraph diverged from sequential: {taskgraph} vs {reference}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,20 +4,29 @@
 //! The emitted file contains the parameter constants, array allocation and
 //! (kernel-specific or default) initialization, the kernel itself, timing,
 //! a checksum over every written array, and a GFLOP/s line computed from
-//! the caller-supplied FLOP count. Parallel annotations map to inlined
-//! runtime constructs (the Sec. IV-D extensions):
+//! the caller-supplied FLOP count. With more than one thread, each
+//! parallel annotation (the Sec. IV-D extensions) becomes one call into
+//! the kernel runtime, `crates/runtime/src/kernel_rt.rs`, with the loop
+//! body as a closure; the runtime file is pasted verbatim into the
+//! emitted source (see [`KERNEL_RT`]), so the result still compiles
+//! standalone:
 //!
-//! * [`Par::Doall`] — chunked `std::thread::scope` workers;
-//! * [`Par::Reduction`] — thread-private copies of the reduced arrays,
-//!   combined additively after the join;
-//! * [`Par::Pipeline`] — column-block decomposition of the next-inner
-//!   loop with point-to-point progress counters (`AtomicI64` + spin),
-//!   the OpenMP `await source(i-1,j) source(i,j-1)` analogue.
+//! * [`Par::Doall`] — `kernel_rt::doall`, static blocks or dynamic chunk
+//!   claiming;
+//! * [`Par::Reduction`] — `kernel_rt::reduction`, thread-private copies
+//!   of the reduced arrays, combined additively after the join;
+//! * [`Par::Pipeline`] — `kernel_rt::pipeline`, column blocks of the
+//!   next-inner loop(s) with point-to-point progress counters, the
+//!   OpenMP `await source(i-1,j) source(i,j-1)` analogue;
+//! * [`Par::Wavefront`] — `kernel_rt::wavefront`, tiles in
+//!   weighted-diagonal order.
 //!
-//! Kernel array accesses go through raw pointers (as OpenMP-generated C
-//! does); the sequential and parallel variants share the same accessors so
-//! compiler-side differences between variants come only from loop
-//! structure — the property the paper's comparison depends on.
+//! Sequential kernels (one thread, or no parallel loop) carry none of
+//! this. Kernel array accesses go through raw pointers (as
+//! OpenMP-generated C does); the sequential and parallel variants share
+//! the same accessors so compiler-side differences between variants come
+//! only from loop structure — the property the paper's comparison
+//! depends on.
 
 use polymix_ast::tree::{Bound, LinExpr, Loop, Node, Par, Program};
 use polymix_ir::expr::{Expr, UnOp};
@@ -49,15 +58,6 @@ pub struct EmitOptions {
     /// derives the grain at runtime from the span (targeting ~8 chunks
     /// per worker, the same policy as `polymix-runtime`).
     pub dyn_grain: Option<i64>,
-    /// Lower wavefront-annotated nests to the tile task-graph protocol
-    /// (per-tile dependence counters claimed from a topological cursor
-    /// inside one thread scope) instead of the diagonal-barrier loop
-    /// (a fresh scope joined per diagonal). Same execution order —
-    /// every tile still waits for the whole previous weighted diagonal
-    /// — but workers flow across diagonal boundaries without a gang
-    /// barrier, which pays off on triangular/skewed spaces whose
-    /// diagonals are too short to amortize a spawn/join each.
-    pub taskgraph: bool,
     /// The explicit intra-tile vectorization post-pass (the paper's
     /// `vect` configuration made explicit): loop variables listed here
     /// have their loops — when innermost, stride-1, and not themselves a
@@ -86,11 +86,16 @@ impl Default for EmitOptions {
             reps: 1,
             pipeline_batch: None,
             dyn_grain: None,
-            taskgraph: false,
             vect: None,
         }
     }
 }
+
+/// The kernel runtime, pasted verbatim into every emitted kernel that
+/// has a parallel region. Pasted text rather than a linked crate: served
+/// and cached sources stay compilable with plain `rustc`, and callers
+/// keep full control of the rustc flags.
+pub const KERNEL_RT: &str = include_str!("../../runtime/src/kernel_rt.rs");
 
 struct Emitter<'a> {
     prog: &'a Program,
@@ -99,13 +104,15 @@ struct Emitter<'a> {
     indent: usize,
     names: HashMap<usize, String>,
     region: usize,
+    /// Whether any loop is emitted as a `kernel_rt` region.
+    parallel: bool,
 }
 
 /// Emits the standalone Rust program.
 pub fn emit_rust(prog: &Program, opts: &EmitOptions) -> String {
     assert_eq!(opts.params.len(), prog.scop.params.len());
-    let mut names = HashMap::new();
-    collect_loop_names(&prog.body, &mut names);
+    let (mut names, mut parallel) = (HashMap::new(), false);
+    scan_loops(&prog.body, &mut names, &mut parallel);
     let mut e = Emitter {
         prog,
         opts,
@@ -113,17 +120,21 @@ pub fn emit_rust(prog: &Program, opts: &EmitOptions) -> String {
         indent: 0,
         names,
         region: 0,
+        parallel: parallel && opts.threads > 1,
     };
     e.header();
     e.main();
     e.out
 }
 
-fn collect_loop_names(node: &Node, names: &mut HashMap<usize, String>) {
+/// One walk over every loop: assigns the emitted variable names and
+/// notes whether any loop carries a parallel annotation.
+fn scan_loops(node: &Node, names: &mut HashMap<usize, String>, parallel: &mut bool) {
     match node {
-        Node::Seq(xs) => xs.iter().for_each(|x| collect_loop_names(x, names)),
-        Node::Guard(_, b) => collect_loop_names(b, names),
+        Node::Seq(xs) => xs.iter().for_each(|x| scan_loops(x, names, parallel)),
+        Node::Guard(_, b) => scan_loops(b, names, parallel),
         Node::Loop(l) => {
+            *parallel |= l.par != Par::Seq;
             let base = sanitize(&l.name);
             let mut name = format!("v_{base}");
             let mut k = 0;
@@ -132,7 +143,7 @@ fn collect_loop_names(node: &Node, names: &mut HashMap<usize, String>) {
                 name = format!("v_{base}_{k}");
             }
             names.insert(l.var, name);
-            collect_loop_names(&l.body, names);
+            scan_loops(&l.body, names, parallel);
         }
         Node::Stmt(_) => {}
     }
@@ -256,7 +267,6 @@ impl Emitter<'_> {
         self.line("#![allow(unused_mut, unused_variables, unused_parens, dead_code, unused_imports, unused_unsafe)]");
         self.line("#![allow(clippy::all)]");
         self.line("use std::time::Instant;");
-        self.line("use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};");
         self.line("");
         for (p, &v) in self.opts.params.iter().enumerate() {
             let c = self.param_const(p);
@@ -266,107 +276,10 @@ impl Emitter<'_> {
         self.line("");
         self.line("#[inline(always)] fn cdiv(a: i64, b: i64) -> i64 { -((-a).div_euclid(b)) }");
         self.line("#[inline(always)] fn fdiv(a: i64, b: i64) -> i64 { a.div_euclid(b) }");
-        // Poisonable progress protocol (same as polymix-runtime): a
-        // panicking worker floods POISON through the progress counters
-        // and raises POISONED, so no waiter spins forever on a dead
-        // neighbor; main() then exits 101 with a runtime_error line
-        // instead of printing a checksum from a half-computed kernel.
-        self.line("const POISON: i64 = i64::MAX;");
-        self.line("static POISONED: AtomicBool = AtomicBool::new(false);");
-        // Progress counters (and dynamic-schedule claim cursors) live on
-        // their own cache lines: the neighbor-polled fetch_max publish is
-        // the hottest cross-thread store in a pipelined kernel, and
-        // unpadded Vec<AtomicI64> counters put eight of them on one line.
-        self.line("#[repr(align(64))] struct Pad(AtomicI64);");
-        self.line("#[allow(dead_code)]");
-        self.line("fn poison(progress: &[Pad], what: &str) {");
-        self.line("    POISONED.store(true, Ordering::Release);");
-        self.line("    for c in progress { c.0.store(POISON, Ordering::Release); }");
-        self.line("    eprintln!(\"runtime_error: {what}\");");
-        self.line("}");
-        // Worker wrapper: catches unwinds at the worker boundary and
-        // poisons the run (the closure returns false when it exited
-        // early because someone else poisoned it).
-        self.line("#[allow(dead_code)]");
-        self.line("fn contained<F: FnOnce() -> bool>(progress: &[Pad], f: F) {");
-        self.line("    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {");
-        self.line("        Ok(_) => {}");
-        self.line("        Err(p) => {");
-        self.line("            let msg = if let Some(s) = p.downcast_ref::<&str>() { (*s).to_string() }");
-        self.line("                else if let Some(s) = p.downcast_ref::<String>() { s.clone() }");
-        self.line("                else { \"worker panic\".to_string() };");
-        self.line("            poison(progress, &msg);");
-        self.line("        }");
-        self.line("    }");
-        self.line("}");
-        // Spin budget before a waiter starts yielding; POLYMIX_SPIN_LIMIT
-        // overrides (0 is valid: skip straight to yielding).
-        self.line("#[allow(dead_code)]");
-        self.line("fn spin_limit() -> u32 {");
-        self.line("    static LIMIT: std::sync::OnceLock<u32> = std::sync::OnceLock::new();");
-        self.line("    *LIMIT.get_or_init(|| std::env::var(\"POLYMIX_SPIN_LIMIT\").ok()");
-        self.line("        .and_then(|s| s.trim().parse::<u32>().ok()).unwrap_or(1024))");
-        self.line("}");
-        // Pipeline wait: bounded spin then yield, so oversubscribed
-        // waiters cannot starve the producing thread (same policy as
-        // polymix-runtime's pipeline_2d). Returns false when the run
-        // was poisoned — the waiting worker must bail out.
-        //
-        // Flush-on-block: progress publishes are batched (every
-        // PIPE_BATCH steps), and the emitted pipelines await in *both*
-        // directions, so a blocked waiter publishes its own completed
-        // progress once before settling into the yield loop. That makes
-        // the blocked-waiter graph follow the true data dependences
-        // (acyclic), so batching can never deadlock a pair of workers
-        // each sitting on an unpublished batch the other needs.
-        self.line("#[allow(dead_code)]");
-        self.line("#[inline] fn await_progress(cell: &AtomicI64, target: i64, own: &AtomicI64, own_done: i64) -> bool {");
-        self.line("    let mut spins = 0u32;");
-        self.line("    let limit = spin_limit();");
-        self.line("    let mut flushed = false;");
-        self.line("    loop {");
-        self.line("        let v = cell.load(Ordering::Acquire);");
-        self.line("        if v == POISON { return false; }");
-        self.line("        if v >= target { return true; }");
-        self.line("        if spins < limit { spins += 1; std::hint::spin_loop(); }");
-        self.line("        else if POISONED.load(Ordering::Acquire) { return false; }");
-        self.line("        else {");
-        self.line("            if !flushed { own.fetch_max(own_done, Ordering::AcqRel); flushed = true; }");
-        self.line("            std::thread::yield_now();");
-        self.line("        }");
-        self.line("    }");
-        self.line("}");
-        // Task-graph wait: a tile's dependence counter drains to zero
-        // when every predecessor tile completed. POISON (i64::MAX) is
-        // flooded through the counters on failure, so the first load
-        // must distinguish it from a genuine pending count; a waiter
-        // whose spin budget runs out checks the POISONED flag before
-        // settling into the yield loop. Deadlock-free by construction:
-        // tiles are claimed from the cursor in topological order, so
-        // the lowest unfinished claimed tile always has every
-        // predecessor finished.
-        self.line("#[allow(dead_code)]");
-        self.line("#[inline] fn await_zero(cell: &AtomicI64) -> bool {");
-        self.line("    let mut spins = 0u32;");
-        self.line("    let limit = spin_limit();");
-        self.line("    loop {");
-        self.line("        let v = cell.load(Ordering::Acquire);");
-        self.line("        if v == POISON { return false; }");
-        self.line("        if v <= 0 { return true; }");
-        self.line("        if spins < limit { spins += 1; std::hint::spin_loop(); }");
-        self.line("        else if POISONED.load(Ordering::Acquire) { return false; }");
-        self.line("        else { std::thread::yield_now(); }");
-        self.line("    }");
-        self.line("}");
-        self.line("#[derive(Clone, Copy)] struct P(*mut f64);");
-        self.line("unsafe impl Send for P {}");
-        self.line("unsafe impl Sync for P {}");
-        self.line("impl P {");
-        self.line("    // Method receiver forces whole-struct closure capture under");
-        self.line("    // edition-2021 disjoint capture (field access would capture the");
-        self.line("    // raw pointer itself, which is not Send).");
-        self.line("    #[inline(always)] fn get(self) -> *mut f64 { self.0 }");
-        self.line("}");
+        if self.parallel {
+            let (begin, end) = ("// polymix kernel_rt begin", "// polymix kernel_rt end");
+            let _ = writeln!(self.out, "{begin}\nmod kernel_rt {{\n{KERNEL_RT}}}\n{end}");
+        }
         self.line("");
     }
 
@@ -406,6 +319,9 @@ impl Emitter<'_> {
             let n = self.arr_name(ai);
             let p = self.ptr_name(ai);
             self.line(&format!("let {p}: *mut f64 = {n}.as_mut_ptr();"));
+            if self.parallel {
+                self.line(&format!("let s_{p} = kernel_rt::P({p});"));
+            }
         }
         self.line("let mut best = f64::INFINITY;");
         self.line(&format!("for _rep in 0..{} {{", self.opts.reps.max(1)));
@@ -417,17 +333,18 @@ impl Emitter<'_> {
         self.node(&body);
         self.indent -= 1;
         self.line("}");
-        self.line("if POISONED.load(Ordering::Acquire) { break; }");
-        self.line("let dt = t0.elapsed().as_secs_f64();");
-        self.line("if dt < best { best = dt; }");
-        self.indent -= 1;
-        self.line("}");
         // A poisoned run must not report a checksum computed from a
         // half-executed kernel: exit non-zero so the bench runner sees a
         // kernel failure (and can degrade to a sequential re-run).
-        self.line("if POISONED.load(Ordering::Acquire) {");
-        self.line("    eprintln!(\"runtime_error: kernel poisoned; results discarded\");");
-        self.line("    std::process::exit(101);");
+        if self.parallel {
+            self.line("if kernel_rt::poisoned() {");
+            self.line("    eprintln!(\"runtime_error: kernel poisoned; results discarded\");");
+            self.line("    std::process::exit(101);");
+            self.line("}");
+        }
+        self.line("let dt = t0.elapsed().as_secs_f64();");
+        self.line("if dt < best { best = dt; }");
+        self.indent -= 1;
         self.line("}");
         // Checksum over written arrays.
         let mut written: Vec<usize> = Vec::new();
@@ -516,7 +433,6 @@ impl Emitter<'_> {
                     Par::Doall => self.doall(l),
                     Par::Reduction => self.reduction(l),
                     Par::Pipeline => self.pipeline(l),
-                    Par::Wavefront if self.opts.taskgraph => self.taskgraph(l),
                     Par::Wavefront => self.wavefront(l),
                     Par::Seq => self.seq_loop(l),
                 }
@@ -526,6 +442,11 @@ impl Emitter<'_> {
     }
 
     fn seq_loop(&mut self, l: &Loop) {
+        self.seq_loop_around(l, |e| e.node(&l.body));
+    }
+
+    /// `l` as a plain loop around whatever `body` emits.
+    fn seq_loop_around(&mut self, l: &Loop, body: impl FnOnce(&mut Self)) {
         let v = self.var_name(l.var);
         let lo = self.bound(&l.lo, true);
         let hi = self.bound(&l.hi, false);
@@ -533,7 +454,7 @@ impl Emitter<'_> {
         self.line(&format!("let {v}_hi: i64 = {hi};"));
         self.line(&format!("while {v} <= {v}_hi {{"));
         self.indent += 1;
-        self.node(&l.body);
+        body(self);
         self.line(&format!("{v} += {};", l.step));
         self.indent -= 1;
         self.line("}");
@@ -565,10 +486,8 @@ impl Emitter<'_> {
     /// Emits one vect region: a group loop advancing [`VECT_WIDTH`] at a
     /// time whose body is `VECT_WIDTH` shadowed lane blocks, then a
     /// scalar remainder loop. The `// vect region` / `// vect end`
-    /// markers delimit the region for the kernel lint; they are *nested*
-    /// markers — `vect` is deliberately not one of the lint's
-    /// region-splitting kinds, so an enclosing doall/pipeline/taskgraph
-    /// region keeps auditing its full line span.
+    /// markers delimit the region for the kernel lint; they nest inside
+    /// the closure of whichever `kernel_rt` region owns the loop.
     fn vect_loop(&mut self, l: &Loop) {
         let region = self.region;
         self.region += 1;
@@ -611,109 +530,56 @@ impl Emitter<'_> {
         self.line(&format!("// vect end {region}"));
     }
 
-    /// Scoped-thread doall: static blocks for rectangular nests, atomic
-    /// chunk claiming for non-rectangular ones (per-iteration work that
-    /// varies with the parallel variable would load-imbalance a static
-    /// partition by design).
-    fn doall(&mut self, l: &Loop) {
-        let region = self.region;
+    /// Emits one `kernel_rt` region: the marker line, then the call, whose
+    /// closure (`closure` is its head, `move |params|`) first rebinds
+    /// every array pointer (raw pointers cannot be captured by a `Sync`
+    /// closure; the `s_*` wrappers declared in `main` can) and then runs
+    /// whatever `body` emits.
+    fn runtime_call(
+        &mut self,
+        kind: &str,
+        note: &str,
+        args: &str,
+        closure: &str,
+        body: impl FnOnce(&mut Self),
+    ) {
+        self.line(&format!("// {kind} region {}{note}", self.region));
         self.region += 1;
-        let dynamic = nest_is_nonrectangular(l);
+        self.line(&format!(
+            "kernel_rt::{kind}(THREADS, {args}, {closure} unsafe {{"
+        ));
+        self.indent += 1;
+        for a in 0..self.prog.scop.arrays.len() {
+            let p = self.ptr_name(a);
+            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
+        }
+        body(self);
+        self.indent -= 1;
+        self.line("});");
+    }
+
+    /// Doall: static blocks for rectangular nests, dynamic chunk claiming
+    /// for non-rectangular ones (per-iteration work that varies with the
+    /// parallel variable would load-imbalance a static partition by
+    /// design).
+    fn doall(&mut self, l: &Loop) {
+        let (kind, grain) = if nest_is_nonrectangular(l) {
+            // 0 lets the runtime derive the grain from the trip count.
+            let g = self.opts.dyn_grain.map_or(0, |g| g.max(1));
+            ("dynamic", format!("Some({g})"))
+        } else {
+            ("static", "None".to_string())
+        };
         let v = self.var_name(l.var);
         let lo = self.bound(&l.lo, true);
         let hi = self.bound(&l.hi, false);
-        let arrays = self.all_array_ptrs();
-        let kind = if dynamic { "dynamic" } else { "static" };
-        self.line(&format!("// doall region {region} ({kind} schedule)"));
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("let r_lo: i64 = {lo};"));
-        self.line(&format!("let r_hi: i64 = {hi};"));
-        self.line(&format!(
-            "let iters: i64 = if r_hi >= r_lo {{ (r_hi - r_lo) / {} + 1 }} else {{ 0 }};",
-            l.step
-        ));
-        self.line("let nthr: usize = THREADS.min(iters.max(1) as usize);");
-        self.line("if iters > 0 {");
-        self.indent += 1;
-        if dynamic {
-            // Grain: explicit override, else ~8 chunks per worker — fine
-            // enough to rebalance a triangular nest, coarse enough that
-            // the claim cursor stays off the profile.
-            match self.opts.dyn_grain {
-                Some(g) => self.line(&format!("let grain: i64 = {};", g.max(1))),
-                None => self.line("let grain: i64 = (iters / (nthr as i64 * 8)).max(1);"),
-            }
-            self.line("let cursor = Pad(AtomicI64::new(0));");
-            self.line("let cursor = &cursor;");
-        }
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
-        }
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        self.line("for t in 0..nthr {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(&[], || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        if dynamic {
-            // Claims are offsets into the iteration sequence, converted
-            // to loop values on the loop's own stride grid.
-            self.line("loop {");
-            self.indent += 1;
-            self.line("let off = cursor.0.fetch_add(grain, Ordering::Relaxed);");
-            self.line("if off >= iters { break; }");
-            self.line("let c_hi = (off + grain).min(iters);");
-            self.line(&format!("let mut {v}: i64 = r_lo + off * {};", l.step));
-            self.line(&format!(
-                "let t_hi: i64 = r_lo + (c_hi - 1) * {};",
-                l.step
-            ));
-            self.line(&format!("while {v} <= t_hi {{"));
-            self.indent += 1;
-            self.node(&l.body);
-            self.line(&format!("{v} += {};", l.step));
-            self.indent -= 1;
-            self.line("}");
-            self.indent -= 1;
-            self.line("}");
-        } else {
-            self.line("let chunk = (iters + nthr as i64 - 1) / nthr as i64;");
-            self.line(&format!(
-                "let mut {v}: i64 = r_lo + (t as i64) * chunk * {};",
-                l.step
-            ));
-            self.line(&format!(
-                "let t_hi: i64 = (r_lo + ((t as i64 + 1) * chunk - 1) * {}).min(r_hi);",
-                l.step
-            ));
-            self.line(&format!("while {v} <= t_hi {{"));
-            self.indent += 1;
-            self.node(&l.body);
-            self.line(&format!("{v} += {};", l.step));
-            self.indent -= 1;
-            self.line("}");
-        }
-        self.line("true");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
+        self.runtime_call(
+            "doall",
+            &format!(" ({kind} schedule)"),
+            &format!("{lo}, {hi}, {}, {grain}", l.step),
+            &format!("move |{v}: i64|"),
+            |e| e.node(&l.body),
+        );
     }
 
     /// Array-reduction execution with thread-private accumulators.
@@ -732,8 +598,6 @@ impl Emitter<'_> {
     /// Anything else (mixed shapes, reads of partial reductions) falls
     /// back to sequential execution of the loop — correctness first.
     fn reduction(&mut self, l: &Loop) {
-        let region = self.region;
-        self.region += 1;
         // ---- classification ----
         let mut stmts: Vec<polymix_ast::tree::StmtNode> = Vec::new();
         l.body.visit_stmts(&mut |s| stmts.push(s.clone()));
@@ -809,544 +673,51 @@ impl Emitter<'_> {
             }
         }
         if !ok {
-            let mut seq = l.clone();
-            seq.par = Par::Seq;
             self.line(&format!(
-                "// reduction region {region}: shape not parallelizable, sequential fallback"
+                "// reduction region {}: shape not parallelizable, sequential fallback",
+                self.region
             ));
-            self.seq_loop(&seq);
+            self.region += 1;
+            self.seq_loop(l);
             return;
         }
         reduced.sort();
-        let arrays = self.all_array_ptrs();
         let v = self.var_name(l.var);
         let lo = self.bound(&l.lo, true);
         let hi = self.bound(&l.hi, false);
-        self.line(&format!(
-            "// reduction region {region} (reduced {reduced:?}, owner-indexed {owned:?})"
-        ));
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("let r_lo: i64 = {lo};"));
-        self.line(&format!("let r_hi: i64 = {hi};"));
-        self.line(&format!(
-            "let iters: i64 = if r_hi >= r_lo {{ (r_hi - r_lo) / {} + 1 }} else {{ 0 }};",
-            l.step
-        ));
-        self.line("let nthr: usize = THREADS.min(iters.max(1) as usize);");
-        self.line("if iters > 0 {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
-        }
-        for a in &reduced {
-            let n = self.arr_name(*a);
-            let len = self.extent_product(*a);
-            self.line(&format!(
-                "let mut locals_{n}: Vec<Vec<f64>> = (0..nthr).map(|_| vec![0.0f64; ({len}).max(1) as usize]).collect();"
-            ));
-        }
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        let local_iters = reduced
+        let privatized: Vec<String> = reduced
             .iter()
-            .map(|a| format!("locals_{}.iter_mut()", self.arr_name(*a)))
-            .collect::<Vec<_>>();
-        if reduced.is_empty() {
-            self.line("for t in 0..nthr {");
-            self.indent += 1;
-            self.line("let tt = t as i64;");
-        } else {
-            let zip_expr = local_iters
-                .clone()
-                .into_iter()
-                .reduce(|acc, x| format!("{acc}.zip({x})"))
-                .unwrap_or_default();
-            self.line("let mut t = 0usize;");
-            self.line(&format!("for locs in {zip_expr} {{"));
-            self.indent += 1;
-            self.line("let tt = t as i64; t += 1;");
-        }
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(&[], || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        // Rebind reduced pointers to the locals.
-        if reduced.len() == 1 {
-            let p = self.ptr_name(reduced[0]);
-            self.line(&format!("let {p}: *mut f64 = locs.as_mut_ptr();"));
-        } else if reduced.len() > 1 {
-            let mut pat = "l0_0".to_string();
-            for i in 1..reduced.len() {
-                pat = format!("({pat}, l0_{i})");
-            }
-            self.line(&format!("let {pat} = locs;"));
-            for (i, a) in reduced.iter().enumerate() {
-                let p = self.ptr_name(*a);
-                self.line(&format!("let {p}: *mut f64 = l0_{i}.as_mut_ptr();"));
-            }
-        }
-        self.line("let chunk = (iters + nthr as i64 - 1) / nthr as i64;");
-        self.line(&format!(
-            "let mut {v}: i64 = r_lo + tt * chunk * {};",
-            l.step
-        ));
-        self.line(&format!(
-            "let t_hi: i64 = (r_lo + ((tt + 1) * chunk - 1) * {}).min(r_hi);",
-            l.step
-        ));
-        self.line(&format!("while {v} <= t_hi {{"));
-        self.indent += 1;
-        self.node(&l.body);
-        self.line(&format!("{v} += {};", l.step));
-        self.indent -= 1;
-        self.line("}");
-        self.line("true");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        // Combine.
-        for a in &reduced {
-            let n = self.arr_name(*a);
-            let p = self.ptr_name(*a);
-            self.line(&format!("for loc in &locals_{n} {{"));
-            self.indent += 1;
-            self.line(&format!(
-                "for (k, &x) in loc.iter().enumerate() {{ *{p}.add(k) += x; }}"
-            ));
-            self.indent -= 1;
-            self.line("}");
-        }
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
+            .map(|&a| {
+                let len = self.extent_product(a);
+                format!("(s_{}, ({len}).max(1) as usize)", self.ptr_name(a))
+            })
+            .collect();
+        self.runtime_call(
+            "reduction",
+            &format!(" (reduced {reduced:?}, owner-indexed {owned:?})"),
+            &format!("{lo}, {hi}, {}, &[{}]", l.step, privatized.join(", ")),
+            &format!("move |{v}: i64, copies: &[kernel_rt::P]|"),
+            |e| {
+                // Rebind reduced pointers to this worker's private copies.
+                for (i, &a) in reduced.iter().enumerate() {
+                    let p = e.ptr_name(a);
+                    e.line(&format!("let {p}: *mut f64 = copies[{i}].get();"));
+                }
+                e.node(&l.body);
+            },
+        );
     }
 
-    /// Point-to-point pipeline over (this loop, next inner loop): the
+    /// Point-to-point pipeline over this loop and its inner loop — or
+    /// its sequence of sibling inner loops, the fused-stencil shape: the
     /// inner dimension is split into column blocks across threads; each
-    /// thread sweeps the outer dimension, awaiting its left neighbor.
+    /// thread sweeps the outer dimension, running every sibling clamped
+    /// to its block.
     fn pipeline(&mut self, l: &Loop) {
-        let inner = match &l.body {
-            Node::Loop(inner) => inner,
-            Node::Seq(xs)
-                if !xs.is_empty()
-                    && xs.iter().all(|x| matches!(x, Node::Loop(_))) =>
-            {
-                self.pipeline_seq(l, xs);
-                return;
-            }
-            _ => {
-                // No inner loop structure to pipeline across: sequential.
-                let mut seq = l.clone();
-                seq.par = Par::Seq;
-                self.seq_loop(&seq);
-                return;
-            }
+        let siblings: &[Node] = match &l.body {
+            Node::Seq(xs) => xs,
+            single => std::slice::from_ref(single),
         };
-        let region = self.region;
-        self.region += 1;
-        let arrays = self.all_array_ptrs();
-        let vo = self.var_name(l.var);
-        let vi = self.var_name(inner.var);
-        let o_lo = self.bound(&l.lo, true);
-        let o_hi = self.bound(&l.hi, false);
-        // Hull of the inner bounds over the outer range: affine in the
-        // outer variable, so extremes sit at the endpoints.
-        self.line(&format!("// pipeline region {region}"));
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("let o_lo: i64 = {o_lo};"));
-        self.line(&format!("let o_hi: i64 = {o_hi};"));
-        self.line("if o_hi >= o_lo {");
-        self.indent += 1;
-        // Bind the outer var to both endpoints to evaluate hull bounds.
-        // Blocks are assigned in *offset* space (inner value minus the
-        // step's own lower bound): offsets are step-invariant up to a
-        // monotone leftward drift of at most one grid step per outer
-        // step, which the right-neighbor await covers. The span is the
-        // maximum extent over the outer range (affine bounds peak at the
-        // endpoints).
-        self.line(&format!("let span: i64 = {{ let {vo} = o_lo; let a = ({hi1}) - ({lo1}) + 1; let {vo} = o_hi; let b = ({hi1}) - ({lo1}) + 1; a.max(b).max(0) }};",
-            lo1 = self.bound(&inner.lo, true),
-            hi1 = self.bound(&inner.hi, false)));
-        // Block width must exceed the per-step point-ownership jitter of
-        // skewed tile grids (bounded by the inner step), so cross-step
-        // dependences cross at most one block boundary per step.
-        self.line(&format!(
-            "let nthr: usize = THREADS.min((span / {}).max(1) as usize);",
-            inner.step
-        ));
-        self.line(&format!(
-            "let progress: Vec<Pad> = (0..nthr).map(|_| Pad(AtomicI64::new(o_lo - {}))).collect();",
-            l.step
-        ));
-        self.line("let progress = &progress;");
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
-        }
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        self.line("for t in 0..nthr {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(progress, || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        // Chunk rounded up to the grid step so that sibling grids with
-        // small relative shifts quantize into the same thread.
-        self.line(&format!(
-            "let chunk = (((span + nthr as i64 - 1) / nthr as i64) + {st} - 1) / {st} * {st};",
-            st = inner.step
-        ));
-        let batch = self
-            .opts
-            .pipeline_batch
-            .unwrap_or(8 / l.step.max(1))
-            .clamp(1, 8);
-        self.line("let off_lo = (t as i64) * chunk;");
-        self.line("let off_hi = (t as i64 + 1) * chunk - 1;");
-        self.line(&format!("let mut {vo}: i64 = o_lo;"));
-        if batch > 1 {
-            self.line("let mut step_n: i64 = 0;");
-        }
-        self.line(&format!("while {vo} <= o_hi {{"));
-        self.indent += 1;
-        self.line("if POISONED.load(Ordering::Acquire) { return false; }");
-        self.line("// await source(outer, block-1): left neighbor finished this step;");
-        self.line("// await source(outer-1, block+1): right neighbor finished the previous");
-        self.line("// step (covers leftward ownership migration of skewed tile grids).");
-        self.line("// Waiters pass their own counter + completed step so a blocked");
-        self.line("// worker can flush its batched progress (see await_progress).");
-        self.line(&format!(
-            "if t > 0 && !await_progress(&progress[t - 1].0, {vo}, &progress[t].0, {vo} - {st}) {{ return false; }}",
-            st = l.step
-        ));
-        self.line(&format!(
-            "if t + 1 < nthr && !await_progress(&progress[t + 1].0, {vo} - {st}, &progress[t].0, {vo} - {st}) {{ return false; }}",
-            st = l.step
-        ));
-        // Start on the loop's own stride grid (blocks cut by value; the
-        // grid origin may differ per outer step).
-        self.line(&format!("let g0: i64 = {};", self.bound(&inner.lo, true)));
-        self.line(&format!(
-            "let mut {vi}: i64 = g0 + cdiv(off_lo.max(0), {st}) * {st};",
-            st = inner.step
-        ));
-        self.line(&format!(
-            "let b_hi: i64 = ({}).min(g0 + off_hi);",
-            self.bound(&inner.hi, false)
-        ));
-        self.line(&format!("while {vi} <= b_hi {{"));
-        self.indent += 1;
-        self.node(&inner.body);
-        self.line(&format!("{vi} += {};", inner.step));
-        self.indent -= 1;
-        self.line("}");
-        // Batched publish: every PIPE_BATCH outer steps plus the final
-        // one. The loop step encodes the tile size, so tiled pipelines
-        // (large steps, per-step sync already amortized over a tile row)
-        // publish every step while untiled ones batch several rows.
-        // fetch_max never overwrites a flooded POISON value.
-        if batch > 1 {
-            self.line("step_n += 1;");
-            self.line(&format!(
-                "if step_n % {batch} == 0 || {vo} + {st} > o_hi {{ progress[t].0.fetch_max({vo}, Ordering::AcqRel); }} // PIPE_BATCH = {batch}",
-                st = l.step
-            ));
-        } else {
-            self.line(&format!(
-                "progress[t].0.fetch_max({vo}, Ordering::AcqRel); // PIPE_BATCH = 1"
-            ));
-        }
-        self.line(&format!("{vo} += {};", l.step));
-        self.indent -= 1;
-        self.line("}");
-        self.line("true");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-    }
-
-    /// Diagonal-by-value wavefront over this loop and its immediate inner
-    /// loop: collect every (u, v) pair at runtime, group by `u + v`, run
-    /// each diagonal's cells across threads with an implicit barrier
-    /// between diagonals (scope join) — the Fig. 6 "wavefront doall".
-    fn wavefront(&mut self, l: &Loop) {
-        let Node::Loop(inner) = &l.body else {
-            let mut seq = l.clone();
-            seq.par = Par::Seq;
-            self.seq_loop(&seq);
-            return;
-        };
-        let region = self.region;
-        self.region += 1;
-        let arrays = self.all_array_ptrs();
-        let vo = self.var_name(l.var);
-        let vi = self.var_name(inner.var);
-        self.line(&format!("// wavefront region {region}"));
-        self.line("{");
-        self.indent += 1;
-        // Enumerate tile origins.
-        self.line("let mut pairs: Vec<(i64, i64)> = Vec::new();");
-        self.line(&format!("let mut {vo}: i64 = {};", self.bound(&l.lo, true)));
-        self.line(&format!("let {vo}_hi: i64 = {};", self.bound(&l.hi, false)));
-        self.line(&format!("while {vo} <= {vo}_hi {{"));
-        self.indent += 1;
-        self.line(&format!("let mut {vi}: i64 = {};", self.bound(&inner.lo, true)));
-        self.line(&format!("let {vi}_hi: i64 = {};", self.bound(&inner.hi, false)));
-        self.line(&format!("while {vi} <= {vi}_hi {{"));
-        self.indent += 1;
-        self.line(&format!("pairs.push(({vo}, {vi}));"));
-        self.line(&format!("{vi} += {};", inner.step));
-        self.indent -= 1;
-        self.line("}");
-        self.line(&format!("{vo} += {};", l.step));
-        self.indent -= 1;
-        self.line("}");
-        // Diagonal weight: skewed tile grids shift their inner origin by
-        // up to (inner step − 1) per outer step, so the plain u+v diagonal
-        // can order dependent tiles backwards. Weighting u by
-        // (inner_step / outer_step + 2) restores strict forward progress.
-        let weight = inner.step / l.step.max(1) + 2;
-        self.line(&format!(
-            "pairs.sort_by_key(|&(u, v)| ({weight} * u + v, u));"
-        ));
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
-        }
-        self.line("let mut d0 = 0usize;");
-        self.line("while d0 < pairs.len() {");
-        self.indent += 1;
-        self.line(&format!("let w = {weight} * pairs[d0].0 + pairs[d0].1;"));
-        self.line("let mut d1 = d0;");
-        self.line(&format!(
-            "while d1 < pairs.len() && {weight} * pairs[d1].0 + pairs[d1].1 == w {{ d1 += 1; }}"
-        ));
-        self.line("let diag = &pairs[d0..d1];");
-        self.line("let nthr = THREADS.min(diag.len().max(1));");
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        self.line("for t in 0..nthr {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(&[], || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        self.line("let chunk = (diag.len() + nthr - 1) / nthr;");
-        // Both ends clamped: ceil-div chunks overshoot the tail (e.g. 5
-        // tiles over 4 threads gives chunk 2, so t=3 starts at 6) and a
-        // bare `diag[lo..]` would panic the worker.
-        self.line("let lo = (t * chunk).min(diag.len());");
-        self.line("let hi = ((t + 1) * chunk).min(diag.len());");
-        self.line("for &(u, v) in &diag[lo..hi] {");
-        self.indent += 1;
-        self.line(&format!("let {vo}: i64 = u;"));
-        self.line(&format!("let {vi}: i64 = v;"));
-        self.node(&inner.body.clone());
-        self.indent -= 1;
-        self.line("}");
-        self.line("true");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        // The barrier must not release into diagonal w+1 after a
-        // poisoned diagonal w.
-        self.line("if POISONED.load(Ordering::Acquire) { break; }");
-        self.line("d0 = d1;");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-    }
-
-    /// Counter-graph lowering of the same wavefront: one tile per
-    /// (u, v) pair, one dependence counter per tile initialized to the
-    /// size of the previous weighted diagonal, one thread scope for the
-    /// whole region. Workers claim tiles from a shared cursor in
-    /// topological (diagonal-sorted) order, await the tile's counter,
-    /// run it, then decrement every counter of the next diagonal.
-    /// Claiming in topological order makes the waits deadlock-free: the
-    /// lowest claimed unfinished tile always has every predecessor
-    /// finished. On panic, `contained(pending, ..)` floods the counters
-    /// with POISON so every waiter unblocks and returns.
-    fn taskgraph(&mut self, l: &Loop) {
-        let Node::Loop(inner) = &l.body else {
-            let mut seq = l.clone();
-            seq.par = Par::Seq;
-            self.seq_loop(&seq);
-            return;
-        };
-        let region = self.region;
-        self.region += 1;
-        let arrays = self.all_array_ptrs();
-        let vo = self.var_name(l.var);
-        let vi = self.var_name(inner.var);
-        self.line(&format!(
-            "// taskgraph region {region} (counter graph over weighted diagonals)"
-        ));
-        self.line("{");
-        self.indent += 1;
-        // Enumerate tile origins — identical to the wavefront lowering.
-        self.line("let mut pairs: Vec<(i64, i64)> = Vec::new();");
-        self.line(&format!("let mut {vo}: i64 = {};", self.bound(&l.lo, true)));
-        self.line(&format!("let {vo}_hi: i64 = {};", self.bound(&l.hi, false)));
-        self.line(&format!("while {vo} <= {vo}_hi {{"));
-        self.indent += 1;
-        self.line(&format!("let mut {vi}: i64 = {};", self.bound(&inner.lo, true)));
-        self.line(&format!("let {vi}_hi: i64 = {};", self.bound(&inner.hi, false)));
-        self.line(&format!("while {vi} <= {vi}_hi {{"));
-        self.indent += 1;
-        self.line(&format!("pairs.push(({vo}, {vi}));"));
-        self.line(&format!("{vi} += {};", inner.step));
-        self.indent -= 1;
-        self.line("}");
-        self.line(&format!("{vo} += {};", l.step));
-        self.indent -= 1;
-        self.line("}");
-        // Same skew-safe diagonal weight as the wavefront lowering: the
-        // sort order is the topological order the cursor claims in.
-        let weight = inner.step / l.step.max(1) + 2;
-        self.line(&format!(
-            "pairs.sort_by_key(|&(u, v)| ({weight} * u + v, u));"
-        ));
-        self.line("let n_tiles = pairs.len();");
-        // Diagonal boundaries: diag d spans diag_start[d]..diag_start[d+1].
-        self.line("let mut diag_start: Vec<usize> = vec![0];");
-        self.line("let mut b = 0usize;");
-        self.line("while b < n_tiles {");
-        self.indent += 1;
-        self.line(&format!("let w = {weight} * pairs[b].0 + pairs[b].1;"));
-        self.line(&format!(
-            "while b < n_tiles && {weight} * pairs[b].0 + pairs[b].1 == w {{ b += 1; }}"
-        ));
-        self.line("diag_start.push(b);");
-        self.indent -= 1;
-        self.line("}");
-        self.line("let mut diag_of: Vec<u32> = vec![0; n_tiles];");
-        self.line("for d in 0..diag_start.len() - 1 {");
-        self.indent += 1;
-        self.line("for k in diag_start[d]..diag_start[d + 1] { diag_of[k] = d as u32; }");
-        self.indent -= 1;
-        self.line("}");
-        // Dependence counters: a tile in diagonal d waits for every tile
-        // of diagonal d-1 (the full-cone graph, which covers any forward
-        // inter-tile dependence the wavefront annotation admits).
-        self.line("let pending: Vec<Pad> = (0..n_tiles).map(|_| Pad(AtomicI64::new(0))).collect();");
-        self.line("for d in 1..diag_start.len() - 1 {");
-        self.indent += 1;
-        self.line("let preds = (diag_start[d] - diag_start[d - 1]) as i64;");
-        self.line("for k in diag_start[d]..diag_start[d + 1] {");
-        self.indent += 1;
-        self.line("pending[k].0.store(preds, Ordering::Relaxed);");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        self.line("let pending = &pending;");
-        self.line("let pairs = &pairs;");
-        self.line("let diag_start = &diag_start;");
-        self.line("let diag_of = &diag_of;");
-        self.line("let cursor = Pad(AtomicI64::new(0));");
-        self.line("let cursor = &cursor;");
-        self.line("let nthr = THREADS.min(n_tiles.max(1));");
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
-        }
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        self.line("for _t in 0..nthr {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(pending, || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        self.line("loop {");
-        self.indent += 1;
-        self.line("let k = cursor.0.fetch_add(1, Ordering::Relaxed) as usize;");
-        self.line("if k >= n_tiles { return true; }");
-        self.line("if POISONED.load(Ordering::Acquire) { return false; }");
-        self.line("if !await_zero(&pending[k].0) { return false; }");
-        self.line(&format!("let {vo}: i64 = pairs[k].0;"));
-        self.line(&format!("let {vi}: i64 = pairs[k].1;"));
-        self.node(&inner.body.clone());
-        self.line("let dk = diag_of[k] as usize;");
-        self.line("if dk + 2 < diag_start.len() {");
-        self.indent += 1;
-        self.line("for s in diag_start[dk + 1]..diag_start[dk + 2] {");
-        self.indent += 1;
-        self.line("pending[s].0.fetch_sub(1, Ordering::AcqRel);");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        self.indent -= 1;
-        self.line("}");
-    }
-
-    /// Pipeline over an outer loop whose body is a sequence of sibling
-    /// sub-loops (the fused-stencil shape): column blocks are carved out
-    /// of the hull of every sibling's range; each thread sweeps the outer
-    /// variable, awaits its left neighbor, runs every sibling clamped to
-    /// its block, then publishes progress.
-    fn pipeline_seq(&mut self, l: &Loop, siblings: &[Node]) {
-        let region = self.region;
-        self.region += 1;
-        let arrays = self.all_array_ptrs();
-        let vo = self.var_name(l.var);
-        let o_lo = self.bound(&l.lo, true);
-        let o_hi = self.bound(&l.hi, false);
-        // The caller only passes all-loop sibling lists; anything else is
-        // silently skipped (it cannot be pipelined anyway).
         let subs: Vec<&Loop> = siblings
             .iter()
             .filter_map(|x| match x {
@@ -1354,144 +725,114 @@ impl Emitter<'_> {
                 _ => None,
             })
             .collect();
-        self.line(&format!("// pipeline region {region} (fused siblings)"));
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("let o_lo: i64 = {o_lo};"));
-        self.line(&format!("let o_hi: i64 = {o_hi};"));
-        self.line("if o_hi >= o_lo {");
-        self.indent += 1;
-        // Hull over all siblings and both outer endpoints.
-        let mut span_parts = Vec::new();
-        for il in &subs {
-            span_parts.push(format!(
-                "{{ let {vo} = o_lo; let a = ({hi}) - ({lo}) + 1; let {vo} = o_hi; let b = ({hi}) - ({lo}) + 1; a.max(b) }}",
-                lo = self.bound(&il.lo, true),
-                hi = self.bound(&il.hi, false)
-            ));
+        if subs.is_empty() || subs.len() != siblings.len() {
+            // No inner loop structure to pipeline across: sequential.
+            self.seq_loop(l);
+            return;
         }
-        self.line(&format!(
-            "let span: i64 = [{}].iter().copied().max().unwrap().max(0);",
-            span_parts.join(", ")
-        ));
-        // Block width must exceed the per-step point-ownership jitter of
-        // skewed tile grids (bounded by the largest sibling step).
-        let max_step = subs.iter().map(|il| il.step).max().unwrap_or(1);
-        self.line(&format!(
-            "let nthr: usize = THREADS.min((span / {max_step}).max(1) as usize);"
-        ));
-        // Progress counts completed (outer step, sibling) *phases* so the
-        // right-neighbor lookahead is one sibling phase, covering the
-        // one-tile leftward shifts between sibling grids.
-        self.line(&format!(
-            "let nsib: i64 = {};",
-            subs.len()
-        ));
-        self.line("let progress: Vec<Pad> = (0..nthr).map(|_| Pad(AtomicI64::new(-1))).collect();");
-        self.line("let progress = &progress;");
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = P({p});"));
+        let vo = self.var_name(l.var);
+        let los: Vec<String> = subs.iter().map(|il| self.bound(&il.lo, true)).collect();
+        let his: Vec<String> = subs.iter().map(|il| self.bound(&il.hi, false)).collect();
+        let (o_lo, o_hi) = (self.bound(&l.lo, true), self.bound(&l.hi, false));
+        // Widest sibling extent over the outer range: the bounds are
+        // affine in the outer variable, so extremes sit at its endpoints.
+        let mut span = "0i64".to_string();
+        for (lo, hi) in los.iter().zip(&his) {
+            let _ = write!(
+                span,
+                ".max({{ let {vo}: i64 = {o_lo}; let a = ({hi}) - ({lo}) + 1; \
+                 let {vo}: i64 = {o_hi}; let b = ({hi}) - ({lo}) + 1; a.max(b) }})"
+            );
         }
-        self.line("std::thread::scope(|sc| {");
-        self.indent += 1;
-        self.line("for t in 0..nthr {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let s_{p} = s_{p};"));
-        }
-        self.line("sc.spawn(move || contained(progress, || unsafe {");
-        self.indent += 1;
-        for a in &arrays {
-            let p = self.ptr_name(*a);
-            self.line(&format!("let {p}: *mut f64 = s_{p}.get();"));
-        }
-        // Chunk rounded up to the grid step so that sibling grids with
-        // small relative shifts quantize into the same thread.
-        self.line(&format!(
-            "let chunk = (((span + nthr as i64 - 1) / nthr as i64) + {st} - 1) / {st} * {st};",
-            st = max_step
-        ));
-        self.line("let off_lo = (t as i64) * chunk;");
-        self.line("let off_hi = (t as i64 + 1) * chunk - 1;");
-        // Publish batching: suppress all-but-every-`batch`-th outer
-        // step's publishes. Safe for the same reason as the non-fused
-        // pipeline — `await_progress` flushes the waiter's own counter
-        // on block, so a batched thread can never wedge its neighbors.
-        // The final outer step always publishes (the `> o_hi` arm), so
-        // trailing phases are never withheld.
-        let batch = self.opts.pipeline_batch.unwrap_or(1).clamp(1, 8);
-        self.line(&format!("let mut {vo}: i64 = o_lo;"));
-        self.line("let mut step_idx: i64 = 0;");
-        self.line(&format!("while {vo} <= o_hi {{"));
-        self.indent += 1;
-        self.line("if POISONED.load(Ordering::Acquire) { return false; }");
-        // Common grid origin: siblings' grids are shifted copies of each
-        // other; quantizing all of them against the minimum lower bound
-        // keeps block assignment consistent across siblings.
-        let g0_parts: Vec<String> = subs
-            .iter()
-            .map(|il| format!("({})", self.bound(&il.lo, true)))
-            .collect();
-        self.line(&format!(
-            "let g0c: i64 = [{}].iter().copied().min().unwrap();",
-            g0_parts.join(", ")
-        ));
-        for (sib, il) in subs.iter().enumerate() {
-            self.line(&format!("let ph: i64 = step_idx * nsib + {sib};"));
-            self.line("if t > 0 && !await_progress(&progress[t - 1].0, ph, &progress[t].0, ph - 1) { return false; }");
-            self.line("if t + 1 < nthr && !await_progress(&progress[t + 1].0, ph - 1, &progress[t].0, ph - 1) { return false; }");
-            let vi = self.var_name(il.var);
-            self.line("{");
-            self.indent += 1;
-            self.line(&format!("let g0: i64 = {};", self.bound(&il.lo, true)));
-            self.line(&format!(
-                "let mut {vi}: i64 = g0 + cdiv((g0c + off_lo - g0).max(0), {st}) * {st};",
-                st = il.step
-            ));
-            self.line(&format!(
-                "let b_hi: i64 = ({}).min(g0c + off_hi);",
-                self.bound(&il.hi, false)
-            ));
-            self.line(&format!("while {vi} <= b_hi {{"));
-            self.indent += 1;
-            self.node(&il.body.clone());
-            self.line(&format!("{vi} += {};", il.step));
-            self.indent -= 1;
-            self.line("}");
-            self.indent -= 1;
-            self.line("}");
-            if batch > 1 {
-                self.line(&format!(
-                    "if (step_idx + 1) % {batch} == 0 || {vo} + {st} > o_hi {{ progress[t].0.fetch_max(ph, Ordering::AcqRel); }} // PIPE_BATCH = {batch}",
-                    st = l.step
-                ));
-            } else {
-                self.line(&format!(
-                    "progress[t].0.fetch_max(ph, Ordering::AcqRel); // PIPE_BATCH = {batch}"
-                ));
-            }
-        }
-        self.line("step_idx += 1;");
-        self.line(&format!("{vo} += {};", l.step));
-        self.indent -= 1;
-        self.line("}");
-        self.line("true");
-        self.indent -= 1;
-        self.line("}));");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("});");
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
+        let grid = subs.iter().map(|il| il.step).max().unwrap_or(1);
+        // The loop step encodes the tile size, so tiled pipelines (large
+        // steps, per-step sync already amortized over a tile row) publish
+        // every step while untiled ones batch several rows.
+        let batch = self
+            .opts
+            .pipeline_batch
+            .unwrap_or(8 / l.step.max(1))
+            .clamp(1, 8);
+        self.runtime_call(
+            "pipeline",
+            &format!(" (phases {}, PIPE_BATCH = {batch})", subs.len()),
+            &format!(
+                "{o_lo}, {o_hi}, {}, {}, {span}, {grid}, {batch}",
+                l.step,
+                subs.len()
+            ),
+            // The body is a whole block of tiles with deep loop nests:
+            // compiled out of line it keeps the registers it would
+            // otherwise share with the runtime's await/publish loop
+            // (seidel-2d: 5-10 % faster).
+            &format!("#[inline(never)] move |{vo}: i64, phase: i64, off_lo: i64, off_hi: i64|"),
+            |e| {
+                // Common grid origin: siblings' grids are shifted copies of
+                // each other; cutting all of them against the minimum lower
+                // bound keeps block assignment consistent across siblings.
+                let g0c = los[1..]
+                    .iter()
+                    .fold(los[0].clone(), |acc, lo| format!("{acc}.min({lo})"));
+                e.line(&format!("let g0c: i64 = {g0c};"));
+                for (phase, il) in subs.iter().enumerate() {
+                    let vi = e.var_name(il.var);
+                    let st = il.step;
+                    e.line(&format!("if phase == {phase} {{"));
+                    e.indent += 1;
+                    // Start on the sibling's own stride grid (blocks are cut
+                    // by value; the grid origin may differ per outer step).
+                    e.line(&format!("let g0: i64 = {};", los[phase]));
+                    e.line(&format!(
+                        "let mut {vi}: i64 = g0 + cdiv((g0c + off_lo - g0).max(0), {st}) * {st};"
+                    ));
+                    e.line(&format!(
+                        "let b_hi: i64 = ({}).min(g0c + off_hi);",
+                        his[phase]
+                    ));
+                    e.line(&format!("while {vi} <= b_hi {{"));
+                    e.indent += 1;
+                    e.node(&il.body);
+                    e.line(&format!("{vi} += {st};"));
+                    e.indent -= 1;
+                    e.line("}");
+                    e.indent -= 1;
+                    e.line("}");
+                }
+            },
+        );
     }
 
-    fn all_array_ptrs(&self) -> Vec<usize> {
-        (0..self.prog.scop.arrays.len()).collect()
+    /// Wavefront doall over this loop and its immediate inner loop (the
+    /// Fig. 6 baseline): collect every tile origin `(u, v)` at runtime
+    /// and hand them to the runtime, which runs them in weighted-diagonal
+    /// order.
+    fn wavefront(&mut self, l: &Loop) {
+        let Node::Loop(inner) = &l.body else {
+            self.seq_loop(l);
+            return;
+        };
+        let vo = self.var_name(l.var);
+        let vi = self.var_name(inner.var);
+        self.line("{");
+        self.indent += 1;
+        self.line("let mut tiles: Vec<(i64, i64)> = Vec::new();");
+        self.seq_loop_around(l, |e| {
+            e.seq_loop_around(inner, |e| e.line(&format!("tiles.push(({vo}, {vi}));")))
+        });
+        // Diagonal weight: skewed tile grids shift their inner origin by
+        // up to (inner step − 1) per outer step, so the plain u+v diagonal
+        // can order dependent tiles backwards. Weighting u by
+        // (inner_step / outer_step + 2) restores strict forward progress.
+        let weight = inner.step / l.step.max(1) + 2;
+        self.runtime_call(
+            "wavefront",
+            "",
+            &format!("{weight}, tiles"),
+            &format!("move |{vo}: i64, {vi}: i64|"),
+            |e| e.node(&inner.body),
+        );
+        self.indent -= 1;
+        self.line("}");
     }
 
     fn stmt(&mut self, s: &polymix_ast::tree::StmtNode) {
@@ -1616,18 +957,34 @@ mod tests {
         original_program(&b.finish().expect("well-formed SCoP")).expect("original program")
     }
 
+    /// `simple_prog` with every loop annotated `par`.
+    fn annotated(par: Par) -> Program {
+        let mut prog = simple_prog();
+        prog.body.visit_loops_mut(&mut |l| l.par = par);
+        prog
+    }
+
+    fn opts(threads: usize) -> EmitOptions {
+        EmitOptions {
+            params: vec![16],
+            flops: 32,
+            threads,
+            ..Default::default()
+        }
+    }
+
+    /// The line right after the (unique) line containing `marker`.
+    fn line_after<'a>(src: &'a str, marker: &str) -> &'a str {
+        let mut lines = src.lines();
+        lines
+            .find(|l| l.contains(marker))
+            .unwrap_or_else(|| panic!("no `{marker}` in:\n{src}"));
+        lines.next().unwrap_or("").trim()
+    }
+
     #[test]
     fn emits_compilable_looking_source() {
-        let prog = simple_prog();
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let src = emit_rust(&simple_prog(), &opts(2));
         assert!(src.contains("fn main()"), "{src}");
         assert!(src.contains("const P_N: i64 = 16;"));
         assert!(src.contains("checksum"));
@@ -1637,47 +994,65 @@ mod tests {
     }
 
     #[test]
-    fn doall_annotation_produces_thread_scope() {
-        let mut prog = simple_prog();
-        prog.body.visit_loops_mut(&mut |l| l.par = Par::Doall);
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+    fn sequential_kernels_carry_no_protocol() {
+        // One thread, or several threads with nothing to run on them: no
+        // runtime block, no poison checks, no atomics.
+        for src in [
+            emit_rust(&annotated(Par::Doall), &opts(1)),
+            emit_rust(&simple_prog(), &opts(4)),
+        ] {
+            for token in ["kernel_rt", "POISON", "atomic", "exit(101)"] {
+                assert!(
+                    !src.contains(token),
+                    "`{token}` in sequential kernel:\n{src}"
+                );
+            }
+            assert!(src.contains("fn cdiv("), "{src}");
+        }
+    }
+
+    #[test]
+    fn parallel_kernels_paste_the_runtime_verbatim() {
+        let src = emit_rust(&annotated(Par::Doall), &opts(4));
+        let block = format!(
+            "// polymix kernel_rt begin\nmod kernel_rt {{\n{KERNEL_RT}}}\n// polymix kernel_rt end\n"
         );
-        assert!(src.contains("std::thread::scope"), "{src}");
-        assert!(src.contains("doall region 0"));
+        assert!(src.contains(&block), "{src}");
+        // A poisoned run exits 101 before printing a checksum.
+        let gate = src.find("if kernel_rt::poisoned() {\n").expect("gate");
+        assert!(src[gate..].contains("std::process::exit(101)"), "{src}");
+        assert!(gate < src.rfind("checksum").expect("checksum"), "{src}");
+    }
+
+    #[test]
+    fn doall_annotation_becomes_a_runtime_call() {
+        let src = emit_rust(&annotated(Par::Doall), &opts(4));
+        assert_eq!(
+            line_after(&src, "// doall region 0 (static schedule)"),
+            "kernel_rt::doall(THREADS, (0), (P_N - 1), 1, None, move |v_c1: i64| unsafe {"
+        );
+        // Raw pointers are rebound inside the closure from Sync wrappers.
+        assert!(src.contains("let s_p_y = kernel_rt::P(p_y);"), "{src}");
+        assert!(src.contains("let p_y: *mut f64 = s_p_y.get();"), "{src}");
     }
 
     #[test]
     fn reduction_annotation_classifies_owner_indexed_writes() {
         // y[i] += … under a parallel i is owner-indexed: threads write the
         // global array directly, no private copies.
-        let mut prog = simple_prog();
-        prog.body.visit_loops_mut(&mut |l| l.par = Par::Reduction);
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+        let src = emit_rust(&annotated(Par::Reduction), &opts(4));
+        let call = line_after(
+            &src,
+            "// reduction region 0 (reduced [], owner-indexed [1])",
         );
-        assert!(!src.contains("locals_a_y"), "{src}");
-        assert!(src.contains("owner-indexed [1]"), "{src}");
+        assert!(call.starts_with("kernel_rt::reduction(THREADS, "), "{src}");
+        assert!(call.contains(", &[], move |v_c1: i64, copies"), "{src}");
     }
 
     #[test]
-    fn reduction_annotation_produces_locals_for_true_reductions() {
+    fn reduction_annotation_privatizes_true_reductions() {
         // acc[0] += x[i]: the write address is invariant in the parallel
         // variable, so thread-private accumulators are required.
-        use polymix_ir::builder::{con, ix, par, ScopBuilder};
-        use polymix_ir::BinOp;
         let mut b = ScopBuilder::new("sum", &["N"], &[16]);
         let x = b.array("X", &["N"]);
         let acc = b.array("ACC", &[]);
@@ -1685,341 +1060,106 @@ mod tests {
         let rhs = b.rd(x, &[ix("i")]);
         b.stmt_update("S", acc, &[], BinOp::Add, rhs);
         b.exit();
-        let mut prog = crate::from_poly::original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
+        let mut prog =
+            original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
         prog.body.visit_loops_mut(&mut |l| l.par = Par::Reduction);
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 16,
-                threads: 4,
-                ..Default::default()
-            },
+        let src = emit_rust(&prog, &opts(4));
+        let call = line_after(
+            &src,
+            "// reduction region 0 (reduced [1], owner-indexed [])",
         );
-        assert!(src.contains("locals_a_acc"), "{src}");
-        assert!(src.contains("+= x"), "{src}");
-    }
-
-    #[test]
-    fn parallel_kernels_adopt_the_poisonable_protocol() {
-        let mut prog = simple_prog();
-        prog.body.visit_loops_mut(&mut |l| l.par = Par::Doall);
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+        assert!(call.contains("&[(s_p_acc, (1).max(1) as usize)]"), "{src}");
+        assert!(
+            src.contains("let p_acc: *mut f64 = copies[0].get();"),
+            "{src}"
         );
-        // Workers run inside the contained() unwind boundary, and a
-        // poisoned run exits 101 before printing a checksum.
-        assert!(src.contains("sc.spawn(move || contained(&[], || unsafe {"), "{src}");
-        assert!(src.contains("static POISONED: AtomicBool"), "{src}");
-        assert!(src.contains("std::process::exit(101)"), "{src}");
-        let poisoned_gate = src.find("if POISONED.load(Ordering::Acquire) {").expect("gate");
-        let checksum = src.find("checksum").expect("checksum");
-        assert!(poisoned_gate < checksum, "exit gate must precede checksum printing");
-    }
-
-    #[test]
-    fn pipeline_awaits_are_poison_aware() {
-        // A 2-deep nest with a carried stencil dependence: annotate the
-        // outer loop as Pipeline and check the emitted protocol.
-        use polymix_ir::builder::{con, ix, par, ScopBuilder};
-        let mut b = ScopBuilder::new("stencil", &["N"], &[16]);
-        let a = b.array("A", &["N", "N"]);
-        b.enter("t", con(1), par("N"));
-        b.enter("i", con(1), par("N"));
-        let rhs = b.rd(a, &[ix("t"), ix("i")]);
-        b.stmt("S", a, &[ix("t"), ix("i")], rhs);
-        b.exit();
-        b.exit();
-        let mut prog = crate::from_poly::original_program(&b.finish().expect("well-formed SCoP"))
-            .expect("original program");
-        let mut outer = true;
-        prog.body.visit_loops_mut(&mut |l| {
-            l.par = if outer { Par::Pipeline } else { Par::Seq };
-            outer = false;
-        });
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(src.contains("sc.spawn(move || contained(progress, || unsafe {"), "{src}");
-        assert!(src.contains("!await_progress(&progress[t - 1]"), "{src}");
-        assert!(src.contains("{ return false; }"), "{src}");
-        assert!(src.contains("fetch_max"), "{src}");
-        assert!(!src.contains("progress[t].store("), "stores must be fetch_max: {src}");
     }
 
     #[test]
     fn custom_init_is_inlined() {
-        let prog = simple_prog();
         let src = emit_rust(
-            &prog,
+            &simple_prog(),
             &EmitOptions {
-                params: vec![16],
-                flops: 0,
-                threads: 1,
                 init_rust: Some("for k in 0..a_x.len() { a_x[k] = 1.0; }".into()),
                 reps: 3,
-                ..Default::default()
+                ..opts(1)
             },
         );
         assert!(src.contains("a_x[k] = 1.0"), "{src}");
         assert!(src.contains("for _rep in 0..3"), "{src}");
     }
 
-    fn pipeline_prog() -> Program {
-        use polymix_ir::builder::{con, ix, par, ScopBuilder};
+    /// A time loop over one inner loop per entry of `arrays`, the time
+    /// loop annotated `par`.
+    fn stencil_prog(arrays: &[&str], par_kind: Par) -> Program {
         let mut b = ScopBuilder::new("stencil", &["N"], &[16]);
-        let a = b.array("A", &["N", "N"]);
         b.enter("t", con(1), par("N"));
-        b.enter("i", con(1), par("N"));
-        let rhs = b.rd(a, &[ix("t"), ix("i")]);
-        b.stmt("S", a, &[ix("t"), ix("i")], rhs);
+        for name in arrays {
+            let a = b.array(name, &["N", "N"]);
+            b.enter("i", con(1), par("N"));
+            let rhs = b.rd(a, &[ix("t"), ix("i")]);
+            b.stmt("S", a, &[ix("t"), ix("i")], rhs);
+            b.exit();
+        }
         b.exit();
-        b.exit();
-        let mut prog = crate::from_poly::original_program(&b.finish().expect("well-formed SCoP"))
-            .expect("original program");
+        let mut prog =
+            original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
         let mut outer = true;
         prog.body.visit_loops_mut(&mut |l| {
-            l.par = if outer { Par::Pipeline } else { Par::Seq };
+            l.par = if outer { par_kind } else { Par::Seq };
             outer = false;
         });
         prog
     }
 
     #[test]
-    fn emitted_synchronization_is_cache_line_padded() {
-        let src = emit_rust(
-            &pipeline_prog(),
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+    fn pipeline_passes_phases_and_batch_to_the_runtime() {
+        let single = stencil_prog(&["A"], Par::Pipeline);
+        // Unit-step loop, no override: the batch derives from the step.
+        let src = emit_rust(&single, &opts(4));
+        let call = line_after(&src, "// pipeline region 0 (phases 1, PIPE_BATCH = 8)");
+        assert!(
+            call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 1, 1, 0i64.max({ let ")
+                && call.contains(" }), 1, 8, #[inline(never)] move |v_c1: i64, phase: i64, "),
+            "{src}"
         );
-        assert!(src.contains("#[repr(align(64))]"), "{src}");
-        assert!(src.contains("struct Pad(AtomicI64);"), "{src}");
-        assert!(src.contains("let progress: Vec<Pad>"), "{src}");
-        // Both neighbor awaits and publishes go through the padded cell.
-        assert!(src.contains("&progress[t - 1].0"), "{src}");
-        assert!(src.contains("progress[t].0.fetch_max("), "{src}");
-    }
-
-    #[test]
-    fn pipeline_publishes_in_batches() {
-        let prog = pipeline_prog();
-        // Unit-step loop, no override: auto batch is 8, amortized by a
-        // local counter that only hits the shared cell every 8 rows.
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(src.contains("// PIPE_BATCH = 8"), "{src}");
-        assert!(src.contains("step_n += 1;"), "{src}");
-        assert!(src.contains("if step_n % 8 == 0 ||"), "{src}");
-        // Explicit batch of 1 degenerates to the per-row publish with no
-        // dead counter left behind.
         let src1 = emit_rust(
-            &prog,
+            &single,
             &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
                 pipeline_batch: Some(1),
-                ..Default::default()
+                ..opts(4)
             },
         );
-        assert!(src1.contains("// PIPE_BATCH = 1"), "{src1}");
-        assert!(!src1.contains("step_n"), "{src1}");
-    }
-
-    fn fused_pipeline_prog() -> Program {
-        use polymix_ir::builder::{con, ix, par, ScopBuilder};
-        let mut b = ScopBuilder::new("fused", &["N"], &[16]);
-        let a = b.array("A", &["N", "N"]);
-        let c = b.array("C", &["N", "N"]);
-        b.enter("t", con(1), par("N"));
-        b.enter("i", con(1), par("N"));
-        let rhs = b.rd(a, &[ix("t"), ix("i")]);
-        b.stmt("S1", a, &[ix("t"), ix("i")], rhs);
-        b.exit();
-        b.enter("j", con(1), par("N"));
-        let rhs2 = b.rd(c, &[ix("t"), ix("j")]);
-        b.stmt("S2", c, &[ix("t"), ix("j")], rhs2);
-        b.exit();
-        b.exit();
-        let mut prog = crate::from_poly::original_program(&b.finish().expect("well-formed SCoP"))
-            .expect("original program");
-        let mut outer = true;
-        prog.body.visit_loops_mut(&mut |l| {
-            l.par = if outer { Par::Pipeline } else { Par::Seq };
-            outer = false;
-        });
-        prog
-    }
-
-    #[test]
-    fn fused_sibling_pipeline_honors_batch_knob() {
-        // Regression: pipeline_seq used to publish every sibling phase
-        // unconditionally, silently dropping a tuned pipeline_batch.
-        let prog = fused_pipeline_prog();
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+        assert!(
+            src1.contains("// pipeline region 0 (phases 1, PIPE_BATCH = 1)"),
+            "{src1}"
         );
-        assert!(src.contains("(fused siblings)"), "{src}");
-        // Default stays the per-phase publish protocol.
-        assert!(src.contains("// PIPE_BATCH = 1"), "{src}");
-        assert!(!src.contains("if (step_idx + 1) %"), "{src}");
-        let src4 = emit_rust(
-            &prog,
+        // Fused siblings are the same call with one phase per sibling
+        // (regression: they once dropped a tuned pipeline_batch).
+        let src2 = emit_rust(
+            &stencil_prog(&["A", "C"], Par::Pipeline),
             &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
                 pipeline_batch: Some(4),
-                ..Default::default()
+                ..opts(4)
             },
         );
-        // Batched: publishes gated on every 4th outer step, with the
-        // final-step arm so trailing phases are never withheld.
-        assert!(src4.contains("// PIPE_BATCH = 4"), "{src4}");
+        let call = line_after(&src2, "// pipeline region 0 (phases 2, PIPE_BATCH = 4)");
         assert!(
-            src4.contains("if (step_idx + 1) % 4 == 0 || v_c1 + 1 > o_hi {"),
-            "{src4}"
+            call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 1, 2, 0i64.max({ let ")
+                && call.contains(" }), 1, 4, #[inline(never)] move |v_c1: i64, phase: i64, "),
+            "{src2}"
         );
-        assert!(!src4.contains("fetch_max(ph, Ordering::AcqRel); // PIPE_BATCH = 1"), "{src4}");
+        assert!(src2.contains("if phase == 1 {"), "{src2}");
     }
 
     #[test]
-    fn blocked_awaits_flush_own_progress() {
-        // The emitted await helper must publish the waiter's own
-        // completed progress when its spin budget runs out; otherwise
-        // batched publishes can deadlock two mutually waiting neighbors.
-        let src = emit_rust(
-            &pipeline_prog(),
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
+    fn wavefront_hands_its_tiles_to_the_runtime() {
+        let src = emit_rust(&stencil_prog(&["A"], Par::Wavefront), &opts(4));
+        assert!(src.contains("tiles.push((v_c1, v_c2));"), "{src}");
+        assert_eq!(
+            line_after(&src, "// wavefront region 0"),
+            "kernel_rt::wavefront(THREADS, 3, tiles, move |v_c1: i64, v_c2: i64| unsafe {"
         );
-        assert!(
-            src.contains("own.fetch_max(own_done, Ordering::AcqRel);"),
-            "{src}"
-        );
-        assert!(src.contains("let mut flushed = false;"), "{src}");
-    }
-
-    fn wavefront_prog() -> Program {
-        let mut prog = pipeline_prog();
-        prog.body.visit_loops_mut(&mut |l| {
-            if l.par == Par::Pipeline {
-                l.par = Par::Wavefront;
-            }
-        });
-        prog
-    }
-
-    #[test]
-    fn taskgraph_knob_lowers_wavefront_to_counter_graph() {
-        let prog = wavefront_prog();
-        // Knob off (default): the diagonal-barrier lowering, untouched.
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(src.contains("// wavefront region"), "{src}");
-        assert!(!src.contains("// taskgraph region"), "{src}");
-        // Knob on: the counter-graph protocol replaces it.
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                taskgraph: true,
-                ..Default::default()
-            },
-        );
-        assert!(src.contains("// taskgraph region"), "{src}");
-        assert!(!src.contains("// wavefront region"), "{src}");
-        // Tiles are claimed from the topological cursor, awaited through
-        // per-tile dependence counters inside the poison boundary, and
-        // published by decrementing the next diagonal's counters.
-        assert!(
-            src.contains("let k = cursor.0.fetch_add(1, Ordering::Relaxed) as usize;"),
-            "{src}"
-        );
-        assert!(
-            src.contains("if !await_zero(&pending[k].0) { return false; }"),
-            "{src}"
-        );
-        assert!(
-            src.contains("pending[s].0.fetch_sub(1, Ordering::AcqRel);"),
-            "{src}"
-        );
-        assert!(
-            src.contains("sc.spawn(move || contained(pending, || unsafe {"),
-            "{src}"
-        );
-        // One thread scope for the whole region — no per-diagonal joins.
-        assert_eq!(src.matches("std::thread::scope(|sc| {").count(), 1, "{src}");
-    }
-
-    #[test]
-    fn taskgraph_region_gates_poison_before_counter_awaits() {
-        let src = emit_rust(
-            &wavefront_prog(),
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                taskgraph: true,
-                ..Default::default()
-            },
-        );
-        // Within the region, a worker must observe the POISONED flag
-        // before settling into a counter wait, and an abandoned await
-        // must abandon the worker.
-        let region = src.find("// taskgraph region").expect("region marker");
-        let gate = src[region..]
-            .find("if POISONED.load(Ordering::Acquire) { return false; }")
-            .expect("poison gate in region");
-        let wait = src[region..]
-            .find("await_zero(&pending[")
-            .expect("counter await in region");
-        assert!(gate < wait, "poison gate must precede the counter await");
-        // The emitted helper distinguishes POISON from a genuine count.
-        assert!(src.contains("fn await_zero(cell: &AtomicI64) -> bool {"), "{src}");
-        assert!(src.contains("if v == POISON { return false; }"), "{src}");
     }
 
     #[test]
@@ -2028,11 +1168,8 @@ mod tests {
         let src = emit_rust(
             &prog,
             &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 1,
                 vect: Some(vec![0]),
-                ..Default::default()
+                ..opts(1)
             },
         );
         assert!(
@@ -2047,33 +1184,20 @@ mod tests {
         // Exactly VECT_WIDTH lane blocks shadow the loop variable.
         assert_eq!(src.matches("let v_c1 = v_c1").count(), 4, "{src}");
         // An unlisted variable keeps the plain sequential emission.
-        let plain = emit_rust(
-            &prog,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let plain = emit_rust(&prog, &opts(1));
         assert!(!plain.contains("// vect"), "{plain}");
     }
 
     #[test]
     fn vect_never_swallows_a_parallel_region() {
-        // A multi-thread doall loop listed for vect keeps its thread
-        // scope: the post-pass targets the sequential innermost loops
+        // A multi-thread doall loop listed for vect keeps its runtime
+        // call: the post-pass targets the sequential innermost loops
         // inside parallel regions, never the regions themselves.
-        let mut prog = simple_prog();
-        prog.body.visit_loops_mut(&mut |l| l.par = Par::Doall);
         let src = emit_rust(
-            &prog,
+            &annotated(Par::Doall),
             &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
                 vect: Some(vec![0]),
-                ..Default::default()
+                ..opts(4)
             },
         );
         assert!(src.contains("// doall region 0"), "{src}");
@@ -2082,7 +1206,6 @@ mod tests {
 
     #[test]
     fn triangular_doall_claims_dynamic_chunks() {
-        use polymix_ir::builder::{con, ix, par, ScopBuilder};
         let mut b = ScopBuilder::new("tri", &["N"], &[16]);
         let a = b.array("A", &["N"]);
         b.enter("i", con(0), par("N"));
@@ -2091,37 +1214,25 @@ mod tests {
         b.stmt_update("S", a, &[ix("i")], BinOp::Add, rhs);
         b.exit();
         b.exit();
-        let mut prog = crate::from_poly::original_program(&b.finish().expect("well-formed SCoP"))
-            .expect("original program");
+        let mut prog =
+            original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
         let mut outer = true;
         prog.body.visit_loops_mut(&mut |l| {
             l.par = if outer { Par::Doall } else { Par::Seq };
             outer = false;
         });
-        let src = emit_rust(
+        // Automatic grain, then the tuner's override.
+        let auto = emit_rust(&prog, &opts(4));
+        let call = line_after(&auto, "// doall region 0 (dynamic schedule)");
+        assert!(call.contains(", 1, Some(0), move |"), "{auto}");
+        let tuned = emit_rust(
             &prog,
             &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
+                dyn_grain: Some(4),
+                ..opts(4)
             },
         );
-        assert!(src.contains("(dynamic schedule)"), "{src}");
-        assert!(src.contains("cursor.0.fetch_add(grain, Ordering::Relaxed)"), "{src}");
-        // Rectangular nests keep the zero-overhead static split.
-        let mut rect = simple_prog();
-        rect.body.visit_loops_mut(&mut |l| l.par = Par::Doall);
-        let rect_src = emit_rust(
-            &rect,
-            &EmitOptions {
-                params: vec![16],
-                flops: 32,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(rect_src.contains("(static schedule)"), "{rect_src}");
-        assert!(!rect_src.contains("cursor"), "{rect_src}");
+        let call = line_after(&tuned, "// doall region 0 (dynamic schedule)");
+        assert!(call.contains(", 1, Some(4), move |"), "{tuned}");
     }
 }

@@ -44,9 +44,17 @@
 //! * `order-check` — a dynamic dependence-order checker
 //!   ([`order_check`]) asserting each executed cell observed its
 //!   `(i-1, j)`/`(i, j-1)` sources.
+//!
+//! ## Emitted kernels
+//!
+//! Standalone programs emitted by `polymix-codegen` cannot link this
+//! crate (they must compile with plain `rustc`). They carry
+//! [`kernel_rt`] instead: one self-contained file, compiled and tested
+//! here, pasted verbatim there.
 
 pub mod doall;
 pub mod error;
+pub mod kernel_rt;
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
 pub mod order_check;

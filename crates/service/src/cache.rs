@@ -32,8 +32,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Current entry-format version. Bumping it quarantines (not deletes)
-/// every older entry on reload.
-pub const CACHE_VERSION: u32 = 2;
+/// every older entry on reload. Version 3: emitted sources call the
+/// pasted `kernel_rt` runtime; version-2 entries hold inline-protocol
+/// sources the kernel lint no longer accepts, so they are re-optimized
+/// rather than replayed.
+pub const CACHE_VERSION: u32 = 3;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

@@ -101,7 +101,9 @@ fn corrupt_entries_are_quarantined_and_requests_reoptimize() {
     let version_victim = &files[2];
     let text = String::from_utf8(std::fs::read(version_victim).expect("read entry"))
         .expect("entry is utf-8");
-    std::fs::write(version_victim, text.replace("polymix-cache v2", "polymix-cache v1"))
+    let current = format!("polymix-cache v{}", polymix_service::cache::CACHE_VERSION);
+    assert!(text.contains(&current), "entry header lost its version");
+    std::fs::write(version_victim, text.replace(&current, "polymix-cache v2"))
         .expect("version rewrite");
 
     // Restart: every corrupt entry is refused and moved aside.

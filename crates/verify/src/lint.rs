@@ -1,132 +1,103 @@
 //! Certificate 3: structural audit of emitted kernel source.
 //!
-//! The Rust emitter (`polymix-codegen`) labels every parallel construct
-//! with a `// <kind> region N ...` comment and follows a fixed
-//! progress/poison protocol. This lint re-checks that protocol from the
-//! *source text alone* — independent of the emitter's internal state —
-//! so a cached or hand-edited kernel can be audited before it is
-//! compiled and run:
+//! The Rust emitter (`polymix-codegen`) expresses every parallel
+//! construct as one call into the kernel runtime
+//! (`crates/runtime/src/kernel_rt.rs`, compiled and unit-tested as
+//! `polymix_runtime::kernel_rt`), which it pastes verbatim into the
+//! emitted file. The progress/poison protocol therefore lives in real
+//! Rust, not in emitted text, and this lint only has to establish — from
+//! the *source text alone*, so a cached or hand-edited kernel can be
+//! audited before it is compiled and run — that the kernel really runs
+//! that runtime and nothing else:
 //!
-//! * every worker closure runs inside the `contained(...)` unwind
-//!   boundary (`sc.spawn` must never take a bare closure);
-//! * progress cells are published monotonically (`fetch_max`), never
-//!   raw-stored (a plain `store` could travel backwards past a flooded
-//!   `POISON` value);
-//! * `.fetch_add` is reserved for the dynamic-schedule `cursor`;
-//! * pipeline/wavefront regions that publish progress must also await
-//!   it, gate on `POISONED` before the first await, bail out of the
-//!   worker when an await fails, and (pipelines) await the left
-//!   neighbor;
-//! * doall regions are progress-free by construction;
-//! * reduction regions either privatize (`reduced [...]`) or fall back
-//!   to sequential code, stated in the region header;
+//! * the block between `// polymix kernel_rt begin` / `end` is
+//!   byte-identical to the in-repo runtime file;
+//! * outside that block there is no threading or synchronization of the
+//!   kernel's own: none of the `FORBIDDEN` tokens appears;
+//! * every `// <kind> region N ...` marker is directly followed by the
+//!   matching `kernel_rt::<kind>(` call, and no such call appears without
+//!   its marker (a pipeline cannot be relabeled a doall) or without the
+//!   runtime block;
+//! * a reduction marker that declares the `sequential fallback` (a shape
+//!   that cannot be privatized) is followed by plain loops instead;
 //! * vect regions (the explicit-vectorization post-pass, nested inside
 //!   the construct that owns the loop) declare doall certification,
 //!   stop a full lane group before the bound, advance by the lane
 //!   width, and carry a scalar remainder loop plus an end marker.
 //!
 //! Findings use [`ViolationKind::KernelLint`] with the region label in
-//! `loop_name`. The lint is purely syntactic: it cannot prove the
-//! protocol *sufficient* (that is certificates 1–2 plus the dynamic
-//! order checker), only that no emitted or edited kernel silently drops
-//! a protocol obligation.
+//! `loop_name`. The lint is purely syntactic: that the *annotation* a
+//! region was emitted from is safe is certificates 1–2; that the runtime
+//! honors the annotation is what `kernel_rt`'s own tests check.
 
 use crate::violation::{Certificate, Violation, ViolationKind};
 
-/// One labeled parallel region of the emitted source.
-struct Region<'a> {
-    /// Region label, e.g. `pipeline region 2 (fused siblings)`.
-    label: String,
-    /// Construct kind: `doall` / `reduction` / `pipeline` / `wavefront`.
-    kind: &'a str,
-    /// Lines from the marker (inclusive) to the next marker (exclusive).
-    lines: Vec<&'a str>,
-}
+/// The kernel runtime as `polymix-codegen` pastes it (same file, read
+/// independently: the lint shares no state with the emitter).
+const KERNEL_RT: &str = include_str!("../../runtime/src/kernel_rt.rs");
+const BLOCK_BEGIN: &str = "// polymix kernel_rt begin\n";
+const BLOCK_END: &str = "// polymix kernel_rt end\n";
 
-const KINDS: [&str; 5] = ["doall", "reduction", "pipeline", "wavefront", "taskgraph"];
+/// The runtime's entry points, one per parallel construct.
+pub const KINDS: [&str; 4] = ["doall", "reduction", "pipeline", "wavefront"];
+
+/// Tokens that may only occur inside the runtime block: anything that
+/// starts a thread, touches an atomic, or catches an unwind.
+const FORBIDDEN: [&str; 6] = [
+    "spawn",
+    "Atomic",
+    "fetch_",
+    ".store(",
+    "catch_unwind",
+    "thread::scope",
+];
 
 /// Parses `// <kind> region N ...` markers; returns the marker's kind
 /// and label when the line is one.
-fn marker(line: &str) -> Option<(&'static str, String)> {
-    let t = line.trim();
-    let body = t.strip_prefix("// ")?;
-    for k in KINDS {
-        if let Some(rest) = body.strip_prefix(k) {
-            if rest.trim_start().starts_with("region") {
-                return Some((k, body.trim().to_string()));
-            }
-        }
-    }
-    None
+fn marker(line: &str) -> Option<(&'static str, &str)> {
+    let body = line.trim().strip_prefix("// ")?;
+    let kind = KINDS.into_iter().find(|k| {
+        body.strip_prefix(k)
+            .is_some_and(|rest| rest.trim_start().starts_with("region"))
+    })?;
+    Some((kind, body))
 }
 
-fn split_regions(source: &str) -> Vec<Region<'_>> {
-    let mut out: Vec<Region<'_>> = Vec::new();
-    for line in source.lines() {
-        if let Some((kind, label)) = marker(line) {
-            out.push(Region {
-                label,
-                kind,
-                lines: vec![line],
-            });
-        } else if let Some(r) = out.last_mut() {
-            r.lines.push(line);
-        }
-    }
-    out
+/// The runtime entry point a line calls, if any.
+fn runtime_call(line: &str) -> Option<&'static str> {
+    line.match_indices("kernel_rt::").find_map(|(at, path)| {
+        let name = &line[at + path.len()..];
+        KINDS.into_iter().find(|k| {
+            name.strip_prefix(k)
+                .is_some_and(|rest| rest.starts_with('('))
+        })
+    })
 }
 
-/// One explicit-vectorization region of the emitted source, delimited
-/// `// vect region N (...)` … `// vect end N`.
-///
-/// Vect markers are deliberately **not** one of the region-splitting
-/// [`KINDS`]: a vect rewrite lives *inside* a doall/pipeline/taskgraph
-/// region, and splitting on it would truncate the enclosing region's
-/// line span mid-body (e.g. a taskgraph region's trailing `fetch_sub`
-/// lines would fall out of its audit and falsely fire "never decrements
-/// successor counters"). They are collected separately as nested spans.
-struct VectRegion<'a> {
-    /// Marker label, e.g. `vect region 0 (width 4, doall-certified)`.
-    label: String,
-    /// Lines from the open marker to the matching end marker, or up to
-    /// end-of-source when unterminated.
-    lines: Vec<&'a str>,
-    /// Whether the matching `// vect end N` marker was found.
-    terminated: bool,
-}
-
-fn collect_vect_regions(source: &str) -> Vec<VectRegion<'_>> {
+/// Every explicit-vectorization region of the emitted source, delimited
+/// `// vect region N (...)` … `// vect end N`: its label (e.g. `vect
+/// region 0 (width 4, doall-certified)`) and its text, markers included
+/// — `None` when the end marker is missing before the next vect region
+/// or the end of the source. A vect rewrite lives *inside* the closure
+/// of whichever `kernel_rt` region owns the loop (or in plain sequential
+/// code), so these spans are independent of the [`KINDS`] markers.
+fn vect_regions(source: &str) -> Vec<(String, Option<String>)> {
+    let lines: Vec<&str> = source.lines().map(str::trim).collect();
     let mut out = Vec::new();
-    let mut open: Option<(VectRegion<'_>, String)> = None;
-    for line in source.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("// vect region ") {
-            let n = rest.split_whitespace().next().unwrap_or("");
-            if let Some((r, _)) = open.take() {
-                out.push(r); // previous region never closed
-            }
-            open = Some((
-                VectRegion {
-                    label: format!("vect region {rest}"),
-                    lines: vec![line],
-                    terminated: false,
-                },
-                format!("// vect end {n}"),
-            ));
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.strip_prefix("// vect region ") else {
             continue;
-        }
-        if let Some((mut r, end)) = open.take() {
-            r.lines.push(line);
-            if t == end {
-                r.terminated = true;
-                out.push(r);
-            } else {
-                open = Some((r, end));
-            }
-        }
-    }
-    if let Some((r, _)) = open {
-        out.push(r);
+        };
+        let end = format!(
+            "// vect end {}",
+            rest.split_whitespace().next().unwrap_or("")
+        );
+        let text = lines[i + 1..]
+            .iter()
+            .position(|l| *l == end || l.starts_with("// vect region "))
+            .filter(|&k| lines[i + 1 + k] == end)
+            .map(|k| lines[i..=i + 1 + k].join("\n"));
+        out.push((format!("vect region {rest}"), text));
     }
     out
 }
@@ -135,9 +106,8 @@ fn collect_vect_regions(source: &str) -> Vec<VectRegion<'_>> {
 /// rewrite may only be applied to certified-doall loops, the group loop
 /// must stop a full lane group before the bound and advance by the full
 /// lane width, and a scalar remainder loop must cover the tail.
-fn lint_vect_region(region: &VectRegion<'_>, violations: &mut Vec<Violation>) {
-    let label = region.label.as_str();
-    if !region.terminated {
+fn lint_vect_region(label: &str, text: Option<&str>, violations: &mut Vec<Violation>) {
+    let Some(text) = text else {
         violations.push(lint_violation(
             label,
             "vect region has no matching `// vect end` marker".to_string(),
@@ -145,8 +115,7 @@ fn lint_vect_region(region: &VectRegion<'_>, violations: &mut Vec<Violation>) {
              region with its end marker",
         ));
         return;
-    }
-    let text = region.lines.join("\n");
+    };
     if !label.contains("doall-certified") {
         violations.push(lint_violation(
             label,
@@ -198,102 +167,89 @@ fn lint_violation(label: &str, detail: String, fix: &str) -> Violation {
 pub fn verify_source(kernel: &str, source: &str) -> Certificate {
     let mut violations = Vec::new();
 
-    // Global invariants, independent of region structure.
-    for (n, line) in source.lines().enumerate() {
+    // The pasted runtime block: check it, then skip its lines below. A
+    // block without its end marker cannot match and runs to the end.
+    let mut block_lines = 0..0;
+    if let Some(b) = source.find(BLOCK_BEGIN) {
+        let inner = b + BLOCK_BEGIN.len();
+        let len = source[inner..].find(BLOCK_END);
+        let pasted = len.and_then(|len| {
+            let block = source[inner..inner + len].strip_prefix("mod kernel_rt {\n")?;
+            block.strip_suffix("}\n")
+        });
+        if pasted != Some(KERNEL_RT) {
+            violations.push(lint_violation(
+                "",
+                "kernel_rt block is not crates/runtime/src/kernel_rt.rs (edited, or its end \
+                 marker is missing)"
+                    .to_string(),
+                "the progress/poison protocol is only as tested if the pasted runtime is \
+                 byte-identical to the in-repo file; re-emit the kernel",
+            ));
+        }
+        let line_of = |at: usize| source[..at].matches('\n').count();
+        let after = len.map_or(usize::MAX, |len| line_of(inner + len + BLOCK_END.len()));
+        block_lines = line_of(b)..after;
+    } else if source.contains("kernel_rt::") {
+        violations.push(lint_violation(
+            "",
+            "kernel calls kernel_rt but carries no kernel_rt block".to_string(),
+            "a region can only run on the pasted runtime; without the block the call \
+             resolves to unaudited code (or nothing); re-emit the kernel",
+        ));
+    }
+
+    // A marker awaiting its call on the next line: (kind, label, line).
+    let mut marked: Option<(&str, &str, usize)> = None;
+    // The empty sentinel line flushes a marker on the last line.
+    for (n, line) in source.lines().chain([""]).enumerate() {
+        if block_lines.contains(&n) {
+            continue;
+        }
         let ln = n + 1;
-        if line.contains("sc.spawn") && !line.contains("contained(") {
-            violations.push(lint_violation(
+        for token in FORBIDDEN {
+            if line.contains(token) {
+                violations.push(lint_violation(
+                    "",
+                    format!("line {ln}: `{token}` outside the kernel_rt block"),
+                    "emitted kernels synchronize only through the pasted runtime: a \
+                     hand-rolled thread, atomic or unwind boundary bypasses the tested \
+                     poison protocol; express the region as a kernel_rt call",
+                ));
+            }
+        }
+        match (marked.take(), runtime_call(line)) {
+            (Some((kind, _, _)), Some(called)) if kind == called => {}
+            (Some((kind, label, at)), _) => violations.push(lint_violation(
+                label,
+                format!(
+                    "line {at}: {kind} region marker is not followed by its kernel_rt::{kind} call"
+                ),
+                "the marker states the certified annotation and the next line must hand \
+                 the loop to the matching runtime entry point; a different (or no) call \
+                 means the region was relabeled or its synchronization dropped",
+            )),
+            (None, Some(called)) => violations.push(lint_violation(
                 "",
                 format!(
-                    "line {ln}: worker spawned outside the `contained` unwind boundary"
+                    "line {ln}: kernel_rt::{called} call without a `// {called} region` marker"
                 ),
-                "a panic in a bare closure aborts the scope instead of poisoning the \
-                 progress grid; wrap the closure in contained(...)",
-            ));
+                "every runtime call is emitted directly under the marker naming its \
+                 certified annotation; re-emit the region",
+            )),
+            (None, None) => {}
         }
-        if line.contains("progress[") && line.contains(".store(") {
-            violations.push(lint_violation(
-                "",
-                format!("line {ln}: raw store on a progress cell"),
-                "publishes must be monotonic fetch_max so they can never move a cell \
-                 backwards past a flooded POISON value",
-            ));
-        }
-        if line.contains(".fetch_add(") && !line.contains("cursor") {
-            violations.push(lint_violation(
-                "",
-                format!("line {ln}: fetch_add on something other than the work cursor"),
-                "only the dynamic-schedule cursor is incremented; progress cells use \
-                 fetch_max",
-            ));
-        }
-        if line.contains(".fetch_sub(") && !line.contains("pending") {
-            violations.push(lint_violation(
-                "",
-                format!(
-                    "line {ln}: fetch_sub on something other than a taskgraph pending \
-                     counter"
-                ),
-                "only the task graph's dependence counters are decremented; progress \
-                 cells are monotonic and use fetch_max",
-            ));
-        }
-    }
-    if source.contains("await_progress(&") && !source.contains("static POISONED: AtomicBool") {
-        violations.push(lint_violation(
-            "",
-            "kernel awaits progress but declares no POISONED flag".to_string(),
-            "without the poison flag a waiter whose neighbor died spins forever; \
-             emit the static POISONED declaration and store it on panic",
-        ));
-    }
-    if source.contains("await_zero(&") && !source.contains("static POISONED: AtomicBool") {
-        violations.push(lint_violation(
-            "",
-            "kernel awaits dependence counters but declares no POISONED flag".to_string(),
-            "without the poison flag a waiter whose predecessor died spins forever on \
-             a counter that will never reach zero",
-        ));
+        // A reduction whose shape cannot be privatized declares the
+        // sequential fallback: plain loops follow, no runtime call.
+        marked = marker(line)
+            .filter(|(kind, label)| {
+                !(*kind == "reduction" && label.contains("sequential fallback"))
+            })
+            .map(|(kind, label)| (kind, label, ln));
     }
 
-    for region in split_regions(source) {
-        let text = region.lines.join("\n");
-        let label = region.label.as_str();
-        match region.kind {
-            "doall" => {
-                if text.contains("progress[") {
-                    violations.push(lint_violation(
-                        label,
-                        "doall region touches the progress grid".to_string(),
-                        "doall iterations are independent by certificate; progress \
-                         cells indicate a mislabeled pipeline",
-                    ));
-                }
-            }
-            "reduction" => {
-                if !label.contains("sequential fallback") && !label.contains("reduced [") {
-                    violations.push(lint_violation(
-                        label,
-                        "reduction region neither privatizes an accumulator nor \
-                         declares the sequential fallback"
-                            .to_string(),
-                        "shared-accumulator updates without privatization race; \
-                         re-emit the region",
-                    ));
-                }
-            }
-            "pipeline" | "wavefront" => {
-                lint_sync_region(&region, &text, &mut violations);
-            }
-            "taskgraph" => {
-                lint_taskgraph_region(&region, &text, &mut violations);
-            }
-            _ => {}
-        }
-    }
-
-    for vect in collect_vect_regions(source) {
-        lint_vect_region(&vect, &mut violations);
+    for (label, text) in vect_regions(source) {
+        lint_vect_region(&label, text.as_deref(), &mut violations);
     }
 
     violations.sort_by_key(|v| !v.kind.is_error());
@@ -305,149 +261,33 @@ pub fn verify_source(kernel: &str, source: &str) -> Certificate {
     }
 }
 
-/// Checks the publish/await/poison obligations of one pipeline or
-/// wavefront region.
-fn lint_sync_region(region: &Region<'_>, text: &str, violations: &mut Vec<Violation>) {
-    let label = region.label.as_str();
-    let publishes = text.contains(".fetch_max(");
-    let awaits = text.contains("await_progress(");
-    if region.kind == "pipeline" {
-        if publishes && !awaits {
-            violations.push(lint_violation(
-                label,
-                "pipeline region publishes progress that no worker awaits".to_string(),
-                "without a matching await the dependence the pipeline exists for is \
-                 unsynchronized; re-emit the region",
-            ));
-        }
-        if awaits && !text.contains("progress[t - 1]") {
-            violations.push(lint_violation(
-                label,
-                "pipeline region never awaits its left neighbor".to_string(),
-                "the await cone requires source (i-1, j): the left-neighbor await \
-                 `progress[t - 1]` must be present",
-            ));
-        }
-    }
-    if awaits {
-        let first_await = text.find("await_progress(").unwrap_or(0);
-        let gate = text.find("POISONED.load");
-        if !matches!(gate, Some(g) if g < first_await) {
-            violations.push(lint_violation(
-                label,
-                "no POISONED gate before the first await".to_string(),
-                "a worker entering its await loop after a sibling died must observe \
-                 the poison flag first or it can publish past a flooded cell",
-            ));
-        }
-        for line in &region.lines {
-            if line.contains("!await_progress(") && !line.contains("{ return false; }") {
-                violations.push(lint_violation(
-                    label,
-                    format!(
-                        "await does not abandon the worker on failure: `{}`",
-                        line.trim()
-                    ),
-                    "a failed await means the grid is poisoned; the worker must \
-                     return immediately instead of running on stale data",
-                ));
-            }
-        }
-    }
-}
-
-/// Checks the counter-graph obligations of one taskgraph region: tiles
-/// are claimed from the topological cursor, every claim awaits its
-/// dependence counter (POISON-aware, gated on the POISONED flag, bailing
-/// out of the worker on failure), and completions decrement successor
-/// counters.
-fn lint_taskgraph_region(region: &Region<'_>, text: &str, violations: &mut Vec<Violation>) {
-    let label = region.label.as_str();
-    if !text.contains("cursor") || !text.contains(".fetch_add(") {
-        violations.push(lint_violation(
-            label,
-            "taskgraph region never claims tiles from the topological cursor".to_string(),
-            "tiles are claimed with cursor.fetch_add in topological order — the order \
-             that makes counter waits deadlock-free; re-emit the region",
-        ));
-    }
-    let awaits = text.contains("await_zero(&pending[");
-    if !awaits {
-        violations.push(lint_violation(
-            label,
-            "taskgraph region never awaits a tile's dependence counter".to_string(),
-            "a claimed tile must await_zero its pending counter before running; \
-             without it the inter-tile dependences are unsynchronized",
-        ));
-    }
-    if !text.contains(".fetch_sub(1") {
-        violations.push(lint_violation(
-            label,
-            "taskgraph region never decrements successor counters".to_string(),
-            "a completed tile must fetch_sub each successor's pending counter or \
-             every successor waits forever",
-        ));
-    }
-    if awaits {
-        let first_await = text.find("await_zero(&pending[").unwrap_or(0);
-        let gate = text.find("POISONED.load");
-        if !matches!(gate, Some(g) if g < first_await) {
-            violations.push(lint_violation(
-                label,
-                "no POISONED gate before the first counter await".to_string(),
-                "a worker claiming tiles after a sibling died must observe the poison \
-                 flag before waiting on a counter that will never drain",
-            ));
-        }
-        for line in &region.lines {
-            if line.contains("!await_zero(") && !line.contains("{ return false; }") {
-                violations.push(lint_violation(
-                    label,
-                    format!(
-                        "counter await does not abandon the worker on failure: `{}`",
-                        line.trim()
-                    ),
-                    "a failed await_zero means the graph is poisoned; the worker must \
-                     return immediately instead of running the tile",
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const GOOD: &str = r#"
-static POISONED: AtomicBool = AtomicBool::new(false);
-#[inline] fn await_progress(cell: &AtomicI64, target: i64, own: &AtomicI64, own_done: i64) -> bool {
-    loop { if POISONED.load(Ordering::Acquire) { return false; } }
-}
+    /// A well-formed kernel: the runtime block, one region of every
+    /// kind, a sequential-fallback reduction, and a vect span nested in
+    /// the wavefront closure.
+    fn good() -> String {
+        format!(
+            "{BLOCK_BEGIN}mod kernel_rt {{\n{KERNEL_RT}}}\n{BLOCK_END}{}",
+            r#"
+fn main() {
+let s_p_a = kernel_rt::P(p_a);
 // doall region 0 (dynamic schedule)
-sc.spawn(move || contained(&[], || unsafe {
-let off = cursor.0.fetch_add(grain, Ordering::Relaxed);
-}));
-// pipeline region 1
-sc.spawn(move || contained(progress, || unsafe {
-if POISONED.load(Ordering::Acquire) { return false; }
-if t > 0 && !await_progress(&progress[t - 1].0, v, &progress[t].0, v - 1) { return false; }
-if t + 1 < nthr && !await_progress(&progress[t + 1].0, v - 1, &progress[t].0, v - 1) { return false; }
-progress[t].0.fetch_max(v, Ordering::AcqRel);
-}));
+kernel_rt::doall(THREADS, (0), (P_N - 1), 1, Some(0), move |v_c1: i64| unsafe {
+});
+// pipeline region 1 (phases 1, PIPE_BATCH = 8)
+kernel_rt::pipeline(THREADS, o_lo, o_hi, 1, 1, span, 1, 8, move |v_c1: i64, phase: i64, off_lo: i64, off_hi: i64| unsafe {
+});
 // reduction region 2 (reduced [0], owner-indexed [])
-sc.spawn(move || contained(&[], || unsafe {
-}));
-// taskgraph region 3 (tiles 4 x 3, cone [(1, 0), (0, 1)])
-#[inline] fn await_zero(cell: &AtomicI64) -> bool {
-    loop { if POISONED.load(Ordering::Acquire) { return false; } }
-}
-sc.spawn(move || contained(&[], || unsafe {
-loop {
-let k = cursor.0.fetch_add(1, Ordering::Relaxed) as usize;
-if k >= n_tiles { return true; }
-if !await_zero(&pending[k]) { return false; }
-// vect region 4 (width 4, doall-certified)
+kernel_rt::reduction(THREADS, (0), (P_N - 1), 1, &[(s_p_a, 4)], move |v_c1: i64, copies: &[kernel_rt::P]| unsafe {
+});
+// reduction region 3: shape not parallelizable, sequential fallback
+let mut v_c1: i64 = 0;
+// wavefront region 4
+kernel_rt::wavefront(THREADS, 3, tiles, move |v_c1: i64, v_c2: i64| unsafe {
+// vect region 5 (width 4, doall-certified)
 {
 let mut v_c1 = lo; let v_c1_hi = hi;
 while v_c1 + 3 <= v_c1_hi {
@@ -460,175 +300,134 @@ v_c1 += 4;
 // vect remainder
 while v_c1 <= v_c1_hi { body(v_c1); v_c1 += 1; }
 }
-// vect end 4
-for &s in succs[k] { pending[s].fetch_sub(1, Ordering::AcqRel); }
+// vect end 5
+});
+if kernel_rt::poisoned() { std::process::exit(101); }
 }
-}));
-"#;
+"#
+        )
+    }
+
+    /// Asserts `source` is rejected with a finding mentioning `needle`.
+    fn assert_flags(source: &str, needle: &str) {
+        let cert = verify_source("k", source);
+        assert!(
+            cert.violations
+                .iter()
+                .any(|v| v.kind == ViolationKind::KernelLint && v.detail.contains(needle)),
+            "expected a finding containing `{needle}`, got {:?}",
+            cert.violations
+        );
+    }
 
     #[test]
     fn well_formed_kernel_is_clean() {
-        let cert = verify_source("k", GOOD);
+        let cert = verify_source("k", &good());
+        assert!(cert.is_complete(), "{:?}", cert.violations);
+        // So is a sequential kernel: no block, no regions.
+        let cert = verify_source("k", "fn main() {\nlet mut v_c1: i64 = 0;\n}\n");
         assert!(cert.is_complete(), "{:?}", cert.violations);
     }
 
     #[test]
-    fn raw_store_and_bare_spawn_flagged() {
-        let bad = GOOD
-            .replace(
-                "progress[t].0.fetch_max(v, Ordering::AcqRel);",
-                "progress[t].0.store(v, Ordering::Release);",
-            )
-            .replace(
-                "sc.spawn(move || contained(&[], || unsafe {",
-                "sc.spawn(move || unsafe {",
-            );
-        let cert = verify_source("k", &bad);
-        assert!(cert
-            .violations
-            .iter()
-            .any(|v| v.detail.contains("raw store")));
-        assert!(cert
-            .violations
-            .iter()
-            .any(|v| v.detail.contains("unwind boundary")));
-    }
-
-    #[test]
-    fn taskgraph_dropped_decrement_flagged() {
-        let bad = GOOD.replace(
-            "for &s in succs[k] { pending[s].fetch_sub(1, Ordering::AcqRel); }\n",
-            "",
-        );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("never decrements successor counters")),
-            "{:?}",
-            cert.violations
+    fn edited_or_unterminated_block_is_flagged() {
+        // A dropped await, a raw progress store, an uncontained worker:
+        // any edit of the pasted protocol is an edit of the block.
+        let bad = good().replacen("v >= ph - 1", "v >= ph - 2", 1);
+        assert_ne!(bad, good());
+        assert_flags(&bad, "is not crates/runtime/src/kernel_rt.rs");
+        assert_flags(
+            &good().replace(BLOCK_END, ""),
+            "is not crates/runtime/src/kernel_rt.rs",
         );
     }
 
     #[test]
-    fn taskgraph_unguarded_await_flagged() {
-        let bad = GOOD.replace(
-            "if !await_zero(&pending[k]) { return false; }",
-            "if !await_zero(&pending[k]) { continue; }",
+    fn threading_outside_the_block_is_flagged() {
+        let bare_spawn = good().replace(
+            "let mut v_c1: i64 = 0;",
+            "std::thread::spawn(move || unsafe { body(0) });",
         );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("does not abandon the worker")),
-            "{:?}",
-            cert.violations
+        assert_flags(&bare_spawn, "`spawn` outside the kernel_rt block");
+        let raw_store = good().replace(
+            "let mut v_c1: i64 = 0;",
+            "progress[t].0.store(v, Ordering::Release);",
+        );
+        assert_flags(&raw_store, "`.store(` outside the kernel_rt block");
+    }
+
+    #[test]
+    fn relabeled_region_is_flagged() {
+        // A pipeline marker over a doall call: the carried dependences
+        // the marker promises to synchronize would run unsynchronized.
+        let bad = good().replace(
+            "kernel_rt::pipeline(THREADS, o_lo, o_hi, 1, 1, span, 1, 8, move |v_c1: i64, phase: i64, off_lo: i64, off_hi: i64|",
+            "kernel_rt::doall(THREADS, o_lo, o_hi, 1, None, move |v_c1: i64|",
+        );
+        assert_flags(
+            &bad,
+            "pipeline region marker is not followed by its kernel_rt::pipeline call",
+        );
+        // The converse: a call whose marker was stripped.
+        let bad = good().replace("// wavefront region 4\n", "");
+        assert_flags(
+            &bad,
+            "kernel_rt::wavefront call without a `// wavefront region` marker",
         );
     }
 
     #[test]
-    fn stray_fetch_sub_flagged_globally() {
-        let bad = GOOD.replace(
-            "progress[t].0.fetch_max(v, Ordering::AcqRel);",
-            "progress[t].0.fetch_sub(1, Ordering::AcqRel);",
-        );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("fetch_sub on something other")),
-            "{:?}",
-            cert.violations
-        );
+    fn region_without_the_block_is_flagged() {
+        let src = good();
+        let own = &src[src.find(BLOCK_END).expect("end marker") + BLOCK_END.len()..];
+        assert_flags(own, "no kernel_rt block");
     }
 
     #[test]
-    fn vect_region_nesting_does_not_truncate_enclosing_region() {
-        // The vect span in GOOD sits inside the taskgraph region *before*
-        // its successor decrement; the taskgraph audit must still see the
-        // fetch_sub line past the nested markers.
-        let cert = verify_source("k", GOOD);
-        assert!(
-            !cert
-                .violations
-                .iter()
-                .any(|v| v.detail.contains("never decrements")),
-            "{:?}",
-            cert.violations
+    fn unprivatized_reduction_is_flagged() {
+        // A reduction region that runs plain loops without declaring the
+        // fallback, and one whose marker is the last line of the source.
+        let bad = good().replace(": shape not parallelizable, sequential fallback", "");
+        assert_flags(
+            &bad,
+            "reduction region marker is not followed by its kernel_rt::reduction",
         );
+        let bad = format!(
+            "{}// reduction region 9 (reduced [0], owner-indexed [])",
+            good()
+        );
+        assert_flags(&bad, "reduction region marker is not followed");
     }
 
     #[test]
     fn vect_missing_remainder_flagged() {
-        let bad = GOOD.replace(
+        let bad = good().replace(
             "// vect remainder\nwhile v_c1 <= v_c1_hi { body(v_c1); v_c1 += 1; }\n",
             "",
         );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("no scalar remainder loop")),
-            "{:?}",
-            cert.violations
-        );
+        assert_flags(&bad, "no scalar remainder loop");
     }
 
     #[test]
     fn vect_uncertified_label_flagged() {
-        let bad = GOOD.replace(
-            "// vect region 4 (width 4, doall-certified)",
-            "// vect region 4 (width 4)",
+        let bad = good().replace(
+            "// vect region 5 (width 4, doall-certified)",
+            "// vect region 5 (width 4)",
         );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("does not declare doall certification")),
-            "{:?}",
-            cert.violations
-        );
+        assert_flags(&bad, "does not declare doall certification");
     }
 
     #[test]
     fn vect_partial_group_bound_flagged() {
-        let bad = GOOD.replace("while v_c1 + 3 <= v_c1_hi {", "while v_c1 <= v_c1_hi + 0 {");
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("full lane group before the bound")),
-            "{:?}",
-            cert.violations
-        );
+        let bad = good().replace("while v_c1 + 3 <= v_c1_hi {", "while v_c1 <= v_c1_hi + 0 {");
+        assert_flags(&bad, "full lane group before the bound");
     }
 
     #[test]
     fn vect_unterminated_region_flagged() {
-        let bad = GOOD.replace("// vect end 4\n", "");
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("no matching `// vect end`")),
-            "{:?}",
-            cert.violations
-        );
-    }
-
-    #[test]
-    fn dropped_await_flagged() {
-        let bad = GOOD.replace(
-            "if t > 0 && !await_progress(&progress[t - 1].0, v, &progress[t].0, v - 1) { return false; }\n",
-            "",
-        );
-        let cert = verify_source("k", &bad);
-        assert!(
-            cert.violations
-                .iter()
-                .any(|v| v.detail.contains("left neighbor")),
-            "{:?}",
-            cert.violations
+        assert_flags(
+            &good().replace("// vect end 5\n", ""),
+            "no matching `// vect end`",
         );
     }
 }

@@ -117,94 +117,101 @@ fn pipeline_relabeled_doall_is_rejected() {
     assert_rejects(&prog, ViolationKind::DoallCarriesDep, "forged doall");
 }
 
-/// Await drop: stripping the `await_progress` calls from an emitted
-/// pipeline kernel leaves published progress nobody waits on — the
-/// source lint must flag the region.
-#[test]
-fn dropped_await_is_rejected_by_source_lint() {
+/// Emits `prog` for seidel-2d at four threads and checks that the
+/// source lints clean while every tampering in `mutations` (a label and
+/// a source rewrite) is rejected as a `KernelLint`.
+fn assert_lint_rejects_tampering(prog: &Program, mutations: &[(&str, &dyn Fn(&str) -> String)]) {
     let k = kernel_by_name("seidel-2d").expect("kernel");
-    let prog = poly_ast_program("seidel-2d");
     let opts = EmitOptions {
         params: k.dataset("mini").params,
         threads: 4,
         ..Default::default()
     };
-    let src = emit_rust(&prog, &opts);
-    assert!(
-        src.contains("await_progress("),
-        "emitted seidel-2d kernel has no pipeline synchronization to drop"
-    );
-    assert!(
-        verify_source("seidel-2d", &src).is_certified(),
-        "unmutated source must lint clean"
-    );
-    let broken: String = src
-        .lines()
-        .filter(|l| !l.contains("await_progress("))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let cert = verify_source("seidel-2d", &broken);
-    assert!(
-        cert.violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::KernelLint),
-        "await drop: expected a KernelLint violation, got:\n{}",
+    let src = emit_rust(prog, &opts);
+    let render = |cert: &polymix_verify::Certificate| {
         cert.violations
             .iter()
             .map(|v| format!("  {v}"))
             .collect::<Vec<_>>()
             .join("\n")
+    };
+    let clean = verify_source("seidel-2d", &src);
+    assert!(
+        clean.is_certified(),
+        "unmutated source must lint clean:\n{}",
+        render(&clean)
+    );
+    for (label, mutate) in mutations {
+        let broken = mutate(&src);
+        assert_ne!(broken, src, "{label}: mutation did not apply");
+        let cert = verify_source("seidel-2d", &broken);
+        assert!(
+            cert.violations
+                .iter()
+                .any(|v| v.kind == ViolationKind::KernelLint),
+            "{label}: expected a KernelLint violation, got:\n{}",
+            render(&cert)
+        );
+    }
+}
+
+/// The synchronization of an emitted pipeline kernel lives in the pasted
+/// `kernel_rt` block; the source lint must reject every way of getting
+/// around it: editing the block (a dropped await, a raw progress store,
+/// an uncontained worker are all edits of it), threading or atomics of
+/// the kernel's own, a region handed to the wrong entry point, and a
+/// block that is cut short or missing.
+#[test]
+fn tampered_pipeline_kernel_is_rejected_by_source_lint() {
+    let end = "// polymix kernel_rt end\n";
+    assert_lint_rejects_tampering(
+        &poly_ast_program("seidel-2d"),
+        &[
+            ("dropped await", &|s| {
+                s.lines()
+                    .filter(|l| !l.contains("wait(&progress[t - 1]"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            }),
+            ("one byte in the block", &|s| {
+                s.replacen("fetch_max(ph, Ordering::AcqRel)", "fetch_max(ph, Ordering::Relaxed)", 1)
+            }),
+            ("bare spawn", &|s| {
+                s.replacen("fn main() {", "fn main() {\nstd::thread::spawn(|| ());", 1)
+            }),
+            ("raw progress store", &|s| {
+                s.replacen(
+                    "fn main() {",
+                    "fn main() {\nkernel_rt::POISONED.store(false, std::sync::atomic::Ordering::Release);",
+                    1,
+                )
+            }),
+            ("pipeline relabeled doall", &|s| {
+                s.replacen("kernel_rt::pipeline(", "kernel_rt::doall(", 1)
+            }),
+            ("missing end marker", &|s| s.replacen(end, "", 1)),
+            ("no block at all", &|s| {
+                let at = s.find(end).expect("end marker") + end.len();
+                s[at..].to_string()
+            }),
+        ],
     );
 }
 
-/// Counter-graph lowering: with the `taskgraph` knob on, the wavefront
-/// tiles of seidel-2d come out as a counter-graph region that the
-/// source lint certifies; stripping the successor decrements (tiles
-/// complete but never release their dependents — the kernel would hang)
-/// must be flagged.
+/// The wavefront tiles of Pluto's seidel-2d come out as a
+/// `kernel_rt::wavefront` region that the source lint certifies; handing
+/// them to the doall entry point instead (no diagonal order at all) must
+/// be flagged.
 #[test]
-fn emitted_taskgraph_kernel_lints_clean_and_tampering_is_caught() {
+fn tampered_wavefront_kernel_is_rejected_by_source_lint() {
     use polymix_pluto::{optimize_pluto, PlutoOptions};
     let k = kernel_by_name("seidel-2d").expect("kernel");
-    let scop = (k.build)();
-    let prog = optimize_pluto(&scop, &PlutoOptions::default()).expect("optimize");
-    let opts = EmitOptions {
-        params: k.dataset("mini").params,
-        threads: 4,
-        taskgraph: true,
-        ..Default::default()
-    };
-    let src = emit_rust(&prog, &opts);
-    assert!(
-        src.contains("// taskgraph region"),
-        "taskgraph knob must lower the wavefront tiles to a counter graph"
-    );
-    assert!(
-        verify_source("seidel-2d", &src).is_certified(),
-        "unmutated taskgraph source must lint clean:\n{}",
-        verify_source("seidel-2d", &src)
-            .violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let broken: String = src
-        .lines()
-        .filter(|l| !l.contains(".fetch_sub(1"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let cert = verify_source("seidel-2d", &broken);
-    assert!(
-        cert.violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::KernelLint),
-        "decrement drop: expected a KernelLint violation, got:\n{}",
-        cert.violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
+    let prog = optimize_pluto(&(k.build)(), &PlutoOptions::default()).expect("optimize");
+    assert_lint_rejects_tampering(
+        &prog,
+        &[("wavefront relabeled doall", &|s| {
+            s.replacen("kernel_rt::wavefront(", "kernel_rt::doall(", 1)
+        })],
     );
 }
 
