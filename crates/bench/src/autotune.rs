@@ -164,7 +164,6 @@ impl Candidate {
         EmitKnobs {
             pipeline_batch: self.pipeline_batch,
             dyn_grain: self.dyn_grain,
-            vect: false,
         }
     }
 

@@ -11,7 +11,7 @@ use crate::runner::{emit_source_with, EmitKnobs, RunResult};
 use crate::sweep::JobWork;
 use polymix_ast::tree::Program;
 use polymix_ir::PolymixError;
-use polymix_polybench::Kernel;
+use polymix_polybench::{checksum, Kernel};
 use polymix_vm::{certify_and_apply, lower, run_opts, VmOptions};
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,9 +125,6 @@ impl Backend for VmBackend {
 /// rustc confirm pass.
 pub fn vm_unmodeled_tags(knobs: &EmitKnobs) -> Vec<&'static str> {
     let mut tags = Vec::new();
-    if knobs.vect && polymix_vm::UNMODELED_KNOBS.contains(&"vect") {
-        tags.push("vect");
-    }
     if knobs.pipeline_batch.is_some() && polymix_vm::UNMODELED_KNOBS.contains(&"pipeline_batch") {
         tags.push("pipeline_batch");
     }
@@ -143,9 +140,9 @@ pub fn vm_unmodeled_tags(knobs: &EmitKnobs) -> Vec<&'static str> {
 /// ([`Kernel::fresh_arrays`], the same policy `init_rust` emits), the
 /// kernel runs `reps` times on those same buffers with best-of timing
 /// (stencils keep relaxing across reps in both backends), and the
-/// checksum reduces every written array with the emitted
-/// `x * ((k % 31) + 1)` weighting — so a vm cell and a rustc cell of
-/// the same job must agree to FP-reordering tolerance.
+/// checksum is [`polymix_polybench::checksum`], the formula the emitted
+/// program prints — so a vm cell and a rustc cell of the same job must
+/// agree to FP-reordering tolerance.
 pub fn vm_measure(
     kernel: &Kernel,
     prog: &Program,
@@ -161,7 +158,7 @@ pub fn vm_measure(
 /// certification gate still applies (uncertified bytecode is never
 /// measured), but every access keeps its dynamic check. Differential
 /// runs use this so the checks stay the safety net being compared
-/// against; `backend_bench` measures both fidelities side by side.
+/// against.
 pub fn vm_measure_checked(
     kernel: &Kernel,
     prog: &Program,
@@ -206,21 +203,8 @@ fn vm_measure_opts(
             best = dt;
         }
     }
-    let mut written: Vec<usize> = Vec::new();
-    for st in &prog.scop.statements {
-        if !written.contains(&st.write.array.0) {
-            written.push(st.write.array.0);
-        }
-    }
-    written.sort_unstable();
-    let mut checksum = 0.0f64;
-    for ai in written {
-        for (k, &x) in arrays[ai].iter().enumerate() {
-            checksum += x * ((k % 31) as f64 + 1.0);
-        }
-    }
     Ok(RunResult {
-        checksum,
+        checksum: checksum(&prog.scop, &arrays),
         time_s: best,
         gflops: (kernel.flops)(params) as f64 / best / 1e9,
     })
@@ -281,19 +265,7 @@ mod tests {
         let scop = (k.build)();
         let mut arrays = k.fresh_arrays(&scop, &params);
         (k.reference)(&params, &mut arrays);
-        let mut written: Vec<usize> = Vec::new();
-        for st in &scop.statements {
-            if !written.contains(&st.write.array.0) {
-                written.push(st.write.array.0);
-            }
-        }
-        written.sort_unstable();
-        let mut want = 0.0f64;
-        for ai in written {
-            for (j, &x) in arrays[ai].iter().enumerate() {
-                want += x * ((j % 31) as f64 + 1.0);
-            }
-        }
+        let want = checksum(&scop, &arrays);
         let rel = (r.checksum - want).abs() / want.abs().max(1.0);
         assert!(rel < 1e-9, "vm checksum {} vs reference {}", r.checksum, want);
         assert!(r.gflops > 0.0 && r.time_s > 0.0);

@@ -5,7 +5,7 @@
 //! sweeps measure.
 //!
 //! ```text
-//! verify [--dataset D] [--strict] [--variant NAME] [--vect] [--backend vm] [kernel ... | file.rs ...]
+//! verify [--dataset D] [--strict] [--variant NAME] [--backend vm] [kernel ... | file.rs ...]
 //! ```
 //!
 //! * positional kernel names restrict the sweep (default: all 22);
@@ -13,13 +13,9 @@
 //!   only — the transformed AST is not recoverable from source);
 //! * `--variant` restricts to one variant display name (e.g. `pocc`);
 //! * `--strict` additionally fails on `unsupported` coverage notes;
-//! * `--vect` emits single-threaded with the explicit-vectorization
-//!   post-pass enabled, so the lint audits real `// vect region`
-//!   emissions; the total region count is printed at the end (a smoke
-//!   run can assert it is nonzero);
-//! * without `--vect`/`--backend vm` the emitted sources are the
-//!   four-thread ones and a census of their runtime calls is printed at
-//!   the end (`regions: doall N reduction N pipeline N wavefront N`): a
+//! * without `--backend vm` the emitted sources are the four-thread
+//!   ones and a census of their runtime calls is printed at the end
+//!   (`regions: doall N reduction N pipeline N wavefront N`): a
 //!   construct whose count drops to zero has lost all its traffic;
 //! * `--backend vm` audits the *lowered bytecode* instead of the
 //!   emitted source: each cell is lowered at the dataset's parameters
@@ -30,7 +26,7 @@
 //!   run should assert it is nonzero;
 //! * exit status is nonzero iff any audited artifact fails.
 
-use polymix_bench::runner::{emit_source, emit_source_with, EmitKnobs};
+use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::all_kernels;
@@ -74,8 +70,12 @@ fn main() {
     };
     let dataset = grab("--dataset").unwrap_or_else(|| "mini".into());
     let strict = args.iter().any(|a| a == "--strict");
-    let vect = args.iter().any(|a| a == "--vect");
-    let variant_filter = grab("--variant");
+    let variant_filter = grab("--variant").map(|name| {
+        Variant::parse(&name).unwrap_or_else(|| {
+            eprintln!("verify: unknown --variant {name}");
+            std::process::exit(2);
+        })
+    });
     let backend = grab("--backend").unwrap_or_else(|| "rustc".into());
     if backend != "rustc" && backend != "vm" {
         eprintln!("verify: unknown --backend {backend} (expected rustc or vm)");
@@ -84,7 +84,7 @@ fn main() {
     let vm_audit = backend == "vm";
     let mut positional: Vec<&String> = Vec::new();
     let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
+    for a in &args {
         if skip {
             skip = false;
             continue;
@@ -93,15 +93,19 @@ fn main() {
             skip = true;
             continue;
         }
-        if a == "--strict" || a == "--vect" {
+        if a == "--strict" {
             continue;
         }
-        let _ = i;
+        // A retired or mistyped option must not be read as a kernel name
+        // (which would audit nothing and exit 0).
+        if a.starts_with("--") {
+            eprintln!("verify: unknown option {a}");
+            std::process::exit(2);
+        }
         positional.push(a);
     }
 
     let mut failures = 0usize;
-    let mut vect_regions = 0usize;
     let mut census = [0usize; 4];
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
@@ -123,26 +127,14 @@ fn main() {
     }
 
     let machine = Machine::host();
-    let variants = [
-        Variant::Native,
-        Variant::Pocc,
-        Variant::PoccVect,
-        Variant::IterativeMax,
-        Variant::IterativeNo,
-        Variant::PolyAst,
-        Variant::PolyAstDoallOnly,
-        Variant::PlutoMaxFuse,
-    ];
     for k in all_kernels() {
         if !names.is_empty() && !names.iter().any(|n| **n == k.name) {
             continue;
         }
         let params = k.dataset(&dataset).params;
-        for v in variants {
-            if let Some(f) = &variant_filter {
-                if v.name() != f {
-                    continue;
-                }
+        for v in Variant::ALL {
+            if variant_filter.is_some_and(|f| f != v) {
+                continue;
             }
             let label = format!("{} [{}]", k.name, v.name());
             let prog = match build_variant(&k, v, &machine) {
@@ -182,22 +174,7 @@ fn main() {
             // re-derived from the final program.
             audit(&label, &verify_program(&prog), strict, &mut failures);
             // Certificate 3: protocol lint over the emitted source.
-            // `--vect` emits single-threaded so the post-pass applies to
-            // sequential innermost loops too, maximizing lint coverage
-            // of the `// vect region` emission shape.
-            let src = if vect {
-                emit_source_with(
-                    &k,
-                    &prog,
-                    &params,
-                    1,
-                    1,
-                    EmitKnobs { vect: true, ..EmitKnobs::default() },
-                )
-            } else {
-                emit_source(&k, &prog, &params, 4, 1)
-            };
-            vect_regions += src.matches("// vect region ").count();
+            let src = emit_source(&k, &prog, &params, 4, 1);
             for (calls, kind) in census.iter_mut().zip(polymix_verify::lint::KINDS) {
                 *calls += src.matches(&format!("kernel_rt::{kind}(")).count();
             }
@@ -209,13 +186,9 @@ fn main() {
             );
         }
     }
-    if vect {
-        println!("vect regions audited: {vect_regions}");
-    }
     if vm_audit {
         println!("vm accesses proven: {vm_proven}/{vm_total}");
-    }
-    if !vect && !vm_audit {
+    } else {
         let [d, r, p, w] = census;
         println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
     }

@@ -37,7 +37,6 @@
 pub mod autotune;
 pub mod backend;
 pub mod figures;
-pub mod microbench;
 pub mod report;
 pub mod runner;
 pub mod sweep;

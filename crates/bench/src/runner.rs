@@ -173,12 +173,6 @@ pub struct EmitKnobs {
     pub pipeline_batch: Option<i64>,
     /// Dynamic-schedule chunk grain for doall regions (`None` = auto).
     pub dyn_grain: Option<i64>,
-    /// Apply the explicit intra-tile vectorization post-pass: innermost
-    /// certified-doall loops are emitted as unrolled strided groups
-    /// (width 4) with a scalar remainder. Eligible loops are computed by
-    /// `polymix_verify::vectorizable_inner_vars`, so the rewrite is only
-    /// ever applied to dependence-free loops.
-    pub vect: bool,
 }
 
 /// Emits the standalone measurement program for `kernel`/`prog` at
@@ -214,11 +208,6 @@ pub fn emit_source_with(
         reps,
         pipeline_batch: knobs.pipeline_batch,
         dyn_grain: knobs.dyn_grain,
-        vect: if knobs.vect {
-            Some(polymix_verify::vectorizable_inner_vars(prog))
-        } else {
-            None
-        },
     };
     emit_rust(prog, &opts)
 }
@@ -645,6 +634,25 @@ mod tests {
             cache_key("fn main() {}", &["-Cx".into()]),
             "flag boundaries must feed the key"
         );
+    }
+
+    /// The knob set is exactly these two fields — written out without
+    /// `..`, so a third knob cannot come back without touching this test
+    /// — and leaving both automatic is `emit_source`, byte for byte.
+    #[test]
+    fn automatic_knobs_are_emit_source() {
+        let knobs = EmitKnobs {
+            pipeline_batch: None,
+            dyn_grain: None,
+        };
+        let k = kernel_by_name("gemm").unwrap();
+        let params = k.dataset("mini").params;
+        let prog = build_variant(&k, Variant::PolyAst, &Machine::host()).expect("poly+ast variant");
+        for threads in [1, 4] {
+            let src = emit_source_with(&k, &prog, &params, threads, 1, knobs);
+            assert_eq!(src, emit_source(&k, &prog, &params, threads, 1));
+            assert!(!src.contains("// vect"), "{src}");
+        }
     }
 
     /// End-to-end smoke test: gemm through native and poly+ast must

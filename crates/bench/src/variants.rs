@@ -5,6 +5,7 @@ use polymix_codegen::from_poly::original_program;
 use polymix_core::error::PolymixError;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
+use polymix_ir::Scop;
 use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::{Group, Kernel};
 
@@ -33,6 +34,18 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// Every variant, in the order the audits walk them.
+    pub const ALL: [Variant; 8] = [
+        Variant::Native,
+        Variant::Pocc,
+        Variant::PoccVect,
+        Variant::IterativeMax,
+        Variant::IterativeNo,
+        Variant::PolyAst,
+        Variant::PolyAstDoallOnly,
+        Variant::PlutoMaxFuse,
+    ];
+
     /// Display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -45,6 +58,12 @@ impl Variant {
             Variant::PolyAstDoallOnly => "poly+ast(doall)",
             Variant::PlutoMaxFuse => "pluto-maxfuse",
         }
+    }
+
+    /// The variant whose [`Variant::name`] is `label` (the service's wire
+    /// spelling and the bins' `--variant` argument).
+    pub fn parse(label: &str) -> Option<Variant> {
+        Variant::ALL.into_iter().find(|v| v.name() == label)
     }
 }
 
@@ -61,12 +80,14 @@ pub fn variant_list() -> Vec<Variant> {
     ]
 }
 
-/// Builds the optimized program for `kernel` under `variant`.
-///
-/// Tile sizes follow the paper: 32 everywhere, 5 for the outer time tile
-/// of the pipeline group; register tiling (2, 2) is applied by the `vect`
-/// and `poly+ast` configurations (the harness sweeps more factors in the
-/// `ablation_unroll` experiment).
+/// Builds the optimized program for `kernel` under `variant` with the
+/// paper's knob settings: tile 32 everywhere, 5 for the outer time tile
+/// of the pipeline group; register tiling (2, 2) for the `vect`
+/// configuration and none for `poly+ast` (the paper tunes unroll-and-jam
+/// factors empirically over {1,2,4,6,8}; on this reproduction's LLVM
+/// backend the guarded source-level unroll defeats auto-vectorization,
+/// so the tuned best is no unrolling — see the `ablation_unroll`
+/// experiment and EXPERIMENTS.md).
 ///
 /// Both optimizers degrade gracefully inside (fusion fallback chain,
 /// best-effort AST stages); an `Err` means the kernel could not be
@@ -76,51 +97,50 @@ pub fn build_variant(
     variant: Variant,
     machine: &Machine,
 ) -> Result<Program, PolymixError> {
-    let scop = (kernel.build)();
     let time_tile = if kernel.group == Group::Pipeline { 5 } else { 32 };
+    let unroll = if variant == Variant::PoccVect { (2, 2) } else { (1, 1) };
+    build_with(&(kernel.build)(), variant, 32, time_tile, unroll, machine)
+}
+
+/// The one mapping from a [`Variant`] to optimizer options, with the
+/// tile and unroll knobs explicit: [`build_variant`] passes the paper's
+/// defaults, the optimization service whatever the request resolved to.
+pub fn build_with(
+    scop: &Scop,
+    variant: Variant,
+    tile: i64,
+    time_tile: i64,
+    unroll: (i64, i64),
+    machine: &Machine,
+) -> Result<Program, PolymixError> {
+    let pluto = |pv: PlutoVariant| {
+        optimize_pluto(
+            scop,
+            &PlutoOptions {
+                variant: pv,
+                tile,
+                time_tile,
+                tiling: true,
+                unroll,
+            },
+        )
+    };
     match variant {
-        Variant::Native => original_program(&scop),
-        Variant::Pocc
-        | Variant::PoccVect
-        | Variant::IterativeMax
-        | Variant::IterativeNo
-        | Variant::PlutoMaxFuse => {
-            let pv = match variant {
-                Variant::PoccVect => PlutoVariant::PoccVect,
-                Variant::IterativeMax | Variant::PlutoMaxFuse => PlutoVariant::MaxFuse,
-                Variant::IterativeNo => PlutoVariant::NoFuse,
-                _ => PlutoVariant::Pocc,
-            };
-            optimize_pluto(
-                &scop,
-                &PlutoOptions {
-                    variant: pv,
-                    tile: 32,
-                    time_tile,
-                    tiling: true,
-                    unroll: if variant == Variant::PoccVect {
-                        (2, 2)
-                    } else {
-                        (1, 1)
-                    },
-                },
-            )
-        }
+        Variant::Native => original_program(scop),
+        Variant::Pocc => pluto(PlutoVariant::Pocc),
+        Variant::PoccVect => pluto(PlutoVariant::PoccVect),
+        Variant::IterativeMax | Variant::PlutoMaxFuse => pluto(PlutoVariant::MaxFuse),
+        Variant::IterativeNo => pluto(PlutoVariant::NoFuse),
         Variant::PolyAst | Variant::PolyAstDoallOnly => optimize_poly_ast(
-            &scop,
+            scop,
             &PolyAstOptions {
                 machine: machine.clone(),
-                tile: 32,
+                tile,
                 time_tile,
                 tiling: true,
                 parallelize: true,
                 doall_only: variant == Variant::PolyAstDoallOnly,
-                // The paper tunes unroll-and-jam factors empirically over
-                // {1,2,4,6,8}; on this reproduction's LLVM backend the
-                // guarded source-level unroll defeats auto-vectorization,
-                // so the tuned best is no unrolling (see the
-                // `ablation_unroll` experiment and EXPERIMENTS.md).
-                unroll: (1, 1),
+                unroll,
                 fusion: true,
             },
         ),
@@ -141,16 +161,7 @@ mod tests {
         let mut expected = k.fresh_arrays(&scop, &params);
         (k.reference)(&params, &mut expected);
         let m = Machine::host();
-        for v in [
-            Variant::Native,
-            Variant::Pocc,
-            Variant::PoccVect,
-            Variant::IterativeMax,
-            Variant::IterativeNo,
-            Variant::PolyAst,
-            Variant::PolyAstDoallOnly,
-            Variant::PlutoMaxFuse,
-        ] {
+        for v in Variant::ALL {
             let prog = build_variant(&k, v, &m).expect("variant builds");
             let mut actual = k.fresh_arrays(&scop, &params);
             execute(&prog, &params, &mut actual);
@@ -163,5 +174,13 @@ mod tests {
         assert_eq!(Variant::Pocc.name(), "pocc");
         assert_eq!(Variant::PolyAst.name(), "poly+ast");
         assert_eq!(variant_list().len(), 6);
+    }
+
+    #[test]
+    fn every_variant_name_parses_back() {
+        for v in Variant::ALL {
+            assert_eq!(Variant::parse(v.name()), Some(v));
+        }
+        assert_eq!(Variant::parse("pluto9000"), None);
     }
 }

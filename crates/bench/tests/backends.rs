@@ -12,7 +12,7 @@ use polymix_bench::backend::{vm_measure, vm_measure_checked};
 use polymix_bench::runner::{compile_and_run, emit_source_with, EmitKnobs};
 use polymix_bench::variants::{build_variant, variant_list, Variant};
 use polymix_dl::Machine;
-use polymix_polybench::kernel_by_name;
+use polymix_polybench::{checksum, kernel_by_name};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -23,26 +23,12 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// The emitted checksum convention, applied to the sequential reference
-/// implementation: first-appearance-deduped written arrays, reduced with
-/// `x * ((k % 31) + 1)`.
+/// implementation.
 fn reference_checksum(k: &polymix_polybench::Kernel, params: &[i64]) -> f64 {
     let scop = (k.build)();
     let mut arrays = k.fresh_arrays(&scop, params);
     (k.reference)(params, &mut arrays);
-    let mut written: Vec<usize> = Vec::new();
-    for st in &scop.statements {
-        if !written.contains(&st.write.array.0) {
-            written.push(st.write.array.0);
-        }
-    }
-    written.sort_unstable();
-    let mut sum = 0.0f64;
-    for ai in written {
-        for (j, &x) in arrays[ai].iter().enumerate() {
-            sum += x * ((j % 31) as f64 + 1.0);
-        }
-    }
-    sum
+    checksum(&scop, &arrays)
 }
 
 /// Every kernel × variant cell the vm can lower must reproduce the

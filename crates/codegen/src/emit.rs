@@ -58,23 +58,7 @@ pub struct EmitOptions {
     /// derives the grain at runtime from the span (targeting ~8 chunks
     /// per worker, the same policy as `polymix-runtime`).
     pub dyn_grain: Option<i64>,
-    /// The explicit intra-tile vectorization post-pass (the paper's
-    /// `vect` configuration made explicit): loop variables listed here
-    /// have their loops — when innermost, stride-1, and not themselves a
-    /// multi-thread parallel region — emitted as an unrolled strided
-    /// group of [`VECT_WIDTH`] independent lane blocks plus a scalar
-    /// remainder loop, a shape LLVM's auto-vectorizer packs without any
-    /// nightly `std::simd`. Callers are expected to pass only
-    /// doall-certified loop variables (`polymix-verify`'s
-    /// `vectorizable_inner_vars`); the emission itself preserves lane
-    /// order, so a miscertified variable degrades to a plain unroll
-    /// rather than a miscompile.
-    pub vect: Option<Vec<usize>>,
 }
-
-/// Lane count of the explicit vectorization post-pass (f64 lanes of one
-/// 256-bit vector register).
-pub const VECT_WIDTH: i64 = 4;
 
 impl Default for EmitOptions {
     fn default() -> Self {
@@ -86,7 +70,6 @@ impl Default for EmitOptions {
             reps: 1,
             pipeline_batch: None,
             dyn_grain: None,
-            vect: None,
         }
     }
 }
@@ -415,13 +398,6 @@ impl Emitter<'_> {
                 self.line("}");
             }
             Node::Loop(l) => {
-                // The vect post-pass claims eligible innermost loops
-                // before any parallel dispatch; it never swallows a
-                // multi-thread parallel region (see `vect_applies`).
-                if self.vect_applies(l) {
-                    self.vect_loop(l);
-                    return;
-                }
                 // With a single worker the parallel scaffolding (thread
                 // scope, pointer laundering, progress atomics) costs real
                 // performance and changes nothing: emit plain loops.
@@ -458,76 +434,6 @@ impl Emitter<'_> {
         self.line(&format!("{v} += {};", l.step));
         self.indent -= 1;
         self.line("}");
-    }
-
-    /// Whether the vect post-pass applies to `l`: the caller listed its
-    /// variable, it is stride-1 and innermost (loop-free body), and it is
-    /// not itself a multi-thread parallel region (vectorizing one would
-    /// serialize it; the intra-tile loops the pass targets are the
-    /// sequential innermost loops *inside* parallel regions).
-    fn vect_applies(&self, l: &Loop) -> bool {
-        fn loop_free(n: &Node) -> bool {
-            match n {
-                Node::Seq(xs) => xs.iter().all(loop_free),
-                Node::Guard(_, b) => loop_free(b),
-                Node::Loop(_) => false,
-                Node::Stmt(_) => true,
-            }
-        }
-        let Some(vs) = &self.opts.vect else {
-            return false;
-        };
-        vs.contains(&l.var)
-            && l.step == 1
-            && loop_free(&l.body)
-            && (l.par == Par::Seq || self.opts.threads <= 1)
-    }
-
-    /// Emits one vect region: a group loop advancing [`VECT_WIDTH`] at a
-    /// time whose body is `VECT_WIDTH` shadowed lane blocks, then a
-    /// scalar remainder loop. The `// vect region` / `// vect end`
-    /// markers delimit the region for the kernel lint; they nest inside
-    /// the closure of whichever `kernel_rt` region owns the loop.
-    fn vect_loop(&mut self, l: &Loop) {
-        let region = self.region;
-        self.region += 1;
-        let v = self.var_name(l.var);
-        let lo = self.bound(&l.lo, true);
-        let hi = self.bound(&l.hi, false);
-        self.line(&format!(
-            "// vect region {region} (width {VECT_WIDTH}, doall-certified)"
-        ));
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("let mut {v}: i64 = {lo};"));
-        self.line(&format!("let {v}_hi: i64 = {hi};"));
-        self.line(&format!("while {v} + {} <= {v}_hi {{", VECT_WIDTH - 1));
-        self.indent += 1;
-        for lane in 0..VECT_WIDTH {
-            self.line("{");
-            self.indent += 1;
-            if lane == 0 {
-                self.line(&format!("let {v} = {v};"));
-            } else {
-                self.line(&format!("let {v} = {v} + {lane};"));
-            }
-            self.node(&l.body);
-            self.indent -= 1;
-            self.line("}");
-        }
-        self.line(&format!("{v} += {VECT_WIDTH};"));
-        self.indent -= 1;
-        self.line("}");
-        self.line("// vect remainder");
-        self.line(&format!("while {v} <= {v}_hi {{"));
-        self.indent += 1;
-        self.node(&l.body);
-        self.line(&format!("{v} += 1;"));
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        self.line(&format!("// vect end {region}"));
     }
 
     /// Emits one `kernel_rt` region: the marker line, then the call, whose
@@ -1160,48 +1066,6 @@ mod tests {
             line_after(&src, "// wavefront region 0"),
             "kernel_rt::wavefront(THREADS, 3, tiles, move |v_c1: i64, v_c2: i64| unsafe {"
         );
-    }
-
-    #[test]
-    fn vect_post_pass_emits_group_lanes_and_remainder() {
-        let prog = simple_prog();
-        let src = emit_rust(
-            &prog,
-            &EmitOptions {
-                vect: Some(vec![0]),
-                ..opts(1)
-            },
-        );
-        assert!(
-            src.contains("// vect region 0 (width 4, doall-certified)"),
-            "{src}"
-        );
-        assert!(src.contains("while v_c1 + 3 <= v_c1_hi {"), "{src}");
-        assert!(src.contains("let v_c1 = v_c1 + 3;"), "{src}");
-        assert!(src.contains("v_c1 += 4;"), "{src}");
-        assert!(src.contains("// vect remainder"), "{src}");
-        assert!(src.contains("// vect end 0"), "{src}");
-        // Exactly VECT_WIDTH lane blocks shadow the loop variable.
-        assert_eq!(src.matches("let v_c1 = v_c1").count(), 4, "{src}");
-        // An unlisted variable keeps the plain sequential emission.
-        let plain = emit_rust(&prog, &opts(1));
-        assert!(!plain.contains("// vect"), "{plain}");
-    }
-
-    #[test]
-    fn vect_never_swallows_a_parallel_region() {
-        // A multi-thread doall loop listed for vect keeps its runtime
-        // call: the post-pass targets the sequential innermost loops
-        // inside parallel regions, never the regions themselves.
-        let src = emit_rust(
-            &annotated(Par::Doall),
-            &EmitOptions {
-                vect: Some(vec![0]),
-                ..opts(4)
-            },
-        );
-        assert!(src.contains("// doall region 0"), "{src}");
-        assert!(!src.contains("// vect region"), "{src}");
     }
 
     #[test]

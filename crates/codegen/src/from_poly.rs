@@ -178,7 +178,13 @@ impl Gen<'_> {
             // Project the transformed domain onto levels 0..=k (+ params)
             // and drop redundant rows — every surviving bound becomes a
             // max/min term in the generated loop header.
-            let proj = it.tdom.project_keep(k + 1, it.dim).simplify();
+            let proj = it
+                .tdom
+                .project_keep(k + 1, it.dim)
+                .map_err(|e| {
+                    PolymixError::codegen(&self.scop.name, format!("loop bounds at level {k}: {e}"))
+                })?
+                .simplify();
             let b = proj.bounds(k, it.dim);
             let conv = |e: &polymix_math::AffineExpr| -> Result<BoundExpr, PolymixError> {
                 Ok(BoundExpr {

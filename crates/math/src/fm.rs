@@ -13,12 +13,48 @@
 //!    but may over-approximate the integer projection. All sets produced by
 //!    this workspace have unit coefficients on the eliminated dimensions,
 //!    so the elimination is exact in practice.
+//!
+//! Both phases multiply rows by coefficients of other rows. The products
+//! are computed in checked `i64` arithmetic and an overflow fails the
+//! whole step with [`Overflow`] — never a wrapped row, which would
+//! describe a different set.
 
 use crate::poly::{CmpOp, Constraint};
+use std::fmt;
+
+/// A coefficient of an eliminated row left the `i64` range. The caller
+/// must treat the elimination as not performed: a wrapped coefficient
+/// would describe a different set, and an emptiness test run on it could
+/// "prove" a non-empty set empty.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Overflow;
+
+impl fmt::Display for Overflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Fourier–Motzkin coefficient overflows i64")
+    }
+}
+
+/// The row `x·l + y·u` with column `d` (where the two terms cancel by
+/// construction) set to zero.
+fn combine(x: i64, l: &[i64], y: i64, u: &[i64], d: usize) -> Result<Vec<i64>, Overflow> {
+    let mut row = Vec::with_capacity(l.len());
+    for (k, (&lk, &uk)) in l.iter().zip(u).enumerate() {
+        row.push(if k == d {
+            0
+        } else {
+            x.checked_mul(lk)
+                .zip(y.checked_mul(uk))
+                .and_then(|(p, q)| p.checked_add(q))
+                .ok_or(Overflow)?
+        });
+    }
+    Ok(row)
+}
 
 /// Eliminates dimension `d` from the system, returning rows that no longer
 /// mention it. The dimension count (row width) is preserved.
-pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Vec<Constraint> {
+pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Result<Vec<Constraint>, Overflow> {
     // Phase 1: equality substitution. Among the equalities mentioning
     // `d`, prefer the one with the smallest |coefficient| — a unit
     // coefficient makes the substitution exact over the integers.
@@ -26,7 +62,7 @@ pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Vec<Constraint> {
         .iter()
         .enumerate()
         .filter(|(_, c)| c.op == CmpOp::Eq && c.mentions(d))
-        .min_by_key(|(_, c)| c.coeff(d).abs())
+        .min_by_key(|(_, c)| c.coeff(d).unsigned_abs())
         .map(|(i, _)| i)
     {
         let eq = &constraints[eq_idx];
@@ -43,23 +79,16 @@ pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Vec<Constraint> {
             }
             // c: b * x_d + g OP 0. Multiply by |a| (positive: preserves OP)
             // then replace b*|a|*x_d = -sgn(a)*b*f.
-            let s = a.signum();
-            let row: Vec<i64> = c
-                .row
-                .iter()
-                .zip(&eq.row)
-                .enumerate()
-                .map(|(k, (&ck, &ek))| {
-                    if k == d {
-                        0
-                    } else {
-                        a.abs() * ck - s * b * ek
-                    }
-                })
-                .collect();
-            out.push(Constraint { row, op: c.op });
+            let (abs_a, sb) = a
+                .checked_abs()
+                .zip(b.checked_mul(-a.signum()))
+                .ok_or(Overflow)?;
+            out.push(Constraint {
+                row: combine(abs_a, &c.row, sb, &eq.row, d)?,
+                op: c.op,
+            });
         }
-        return out;
+        return Ok(out);
     }
 
     // Phase 2: inequality combination.
@@ -80,18 +109,12 @@ pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Vec<Constraint> {
     for lo in &lowers {
         let a = lo.coeff(d);
         for up in &uppers {
-            let b = -up.coeff(d);
+            let b = up.coeff(d).checked_neg().ok_or(Overflow)?;
             // b*lo + a*up : coefficient on d becomes b*a - a*b = 0.
-            let row: Vec<i64> = lo
-                .row
-                .iter()
-                .zip(&up.row)
-                .map(|(&l, &u)| b * l + a * u)
-                .collect();
-            keep.push(Constraint::ge(row));
+            keep.push(Constraint::ge(combine(b, &lo.row, a, &up.row, d)?));
         }
     }
-    keep
+    Ok(keep)
 }
 
 #[cfg(test)]
@@ -107,7 +130,7 @@ mod tests {
             Constraint::ge(vec![1, 0, 0]),
             Constraint::ge(vec![-1, 0, 10]),
         ];
-        let rows = eliminate_dim(&cs, 0);
+        let rows = eliminate_dim(&cs, 0).expect("no overflow");
         let mut p = Polyhedron::universe(2);
         for r in rows {
             p.add(r);
@@ -125,7 +148,7 @@ mod tests {
             Constraint::eq(vec![-1, 1, 1]),
             Constraint::ge(vec![-1, 0, 5]),
         ];
-        let rows = eliminate_dim(&cs, 0);
+        let rows = eliminate_dim(&cs, 0).expect("no overflow");
         let mut p = Polyhedron::universe(2);
         for r in rows {
             p.add(r);
@@ -142,7 +165,7 @@ mod tests {
             Constraint::ge(vec![-1, 1, 0]),
             Constraint::ge(vec![0, -1, 3]),
         ];
-        let rows = eliminate_dim(&cs, 0);
+        let rows = eliminate_dim(&cs, 0).expect("no overflow");
         let mut p = Polyhedron::universe(2);
         for r in rows {
             p.add(r);
@@ -155,13 +178,13 @@ mod tests {
     #[test]
     fn elimination_preserves_row_width() {
         let cs = vec![Constraint::ge(vec![1, 1, 1, 0])];
-        let rows = eliminate_dim(&cs, 1);
+        let rows = eliminate_dim(&cs, 1).expect("no overflow");
         assert!(rows.is_empty()); // only a lower bound: drops away
         let cs = vec![
             Constraint::ge(vec![0, 1, 0, 0]),
             Constraint::ge(vec![1, -1, 0, 5]),
         ];
-        let rows = eliminate_dim(&cs, 1);
+        let rows = eliminate_dim(&cs, 1).expect("no overflow");
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].row.len(), 4);
     }

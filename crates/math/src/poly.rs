@@ -267,27 +267,28 @@ impl Polyhedron {
     /// Eliminates dimension `d` by exact equality substitution where
     /// possible and Fourier–Motzkin combination otherwise. The resulting
     /// polyhedron still has `n_dims` dimensions but no constraint mentions
-    /// `d` (its projection along `d`).
-    pub fn eliminate(&self, d: usize) -> Polyhedron {
+    /// `d` (its projection along `d`). `Err` when a combined coefficient
+    /// does not fit `i64`; nothing can be concluded from such a step.
+    pub fn eliminate(&self, d: usize) -> Result<Polyhedron, fm::Overflow> {
         assert!(d < self.n_dims, "eliminate: dimension out of range");
-        let rows = fm::eliminate_dim(&self.constraints, d);
+        let rows = fm::eliminate_dim(&self.constraints, d)?;
         let mut out = Polyhedron::universe(self.n_dims);
         for c in rows {
             out.add(c);
         }
-        out
+        Ok(out)
     }
 
     /// Projects onto the first `k` dimensions by eliminating all others
     /// (dimension count is preserved; eliminated columns become zero).
     /// Dimensions at or beyond `keep_from` (e.g. parameters placed at the
     /// tail of the space) can be retained by passing their start index.
-    pub fn project_keep(&self, k: usize, keep_from: usize) -> Polyhedron {
+    pub fn project_keep(&self, k: usize, keep_from: usize) -> Result<Polyhedron, fm::Overflow> {
         let mut p = self.clone();
         for d in (k..keep_from).rev() {
-            p = p.eliminate(d);
+            p = p.eliminate(d)?;
         }
-        p
+        Ok(p)
     }
 
     /// Rational (hence integer-conservative) emptiness test: eliminates
@@ -316,8 +317,9 @@ impl Polyhedron {
     /// and hull-implied drops are equivalence-preserving, so the shadow
     /// is unchanged by them). The result is the rational shadow — a
     /// sound over-approximation of the integer projection. When row
-    /// growth exceeds the internal cap, remaining dimensions are
-    /// dropped *unconstrained* (still a sound over-approximation).
+    /// growth exceeds the internal cap, or a combined coefficient does
+    /// not fit `i64`, remaining dimensions are dropped *unconstrained*
+    /// (still a sound over-approximation).
     pub fn eliminate_many(&self, dims: &[usize]) -> Polyhedron {
         let mut p = self.clone();
         // Interval-hull fast path: propagation alone often refutes the
@@ -342,8 +344,11 @@ impl Polyhedron {
                 .map(|(i, &d)| (i, p.elimination_cost(d)))
                 .min_by_key(|&(_, cost)| cost)
                 .expect("non-empty remaining");
-            let d = remaining.swap_remove(pos);
-            p = p.eliminate(d);
+            let Ok(next) = p.eliminate(remaining[pos]) else {
+                return p.unconstrain(&remaining);
+            };
+            remaining.swap_remove(pos);
+            p = next;
             p.prune_dominated();
             if p.has_false_constant() {
                 return Polyhedron::contradiction(self.n_dims);
@@ -355,16 +360,22 @@ impl Polyhedron {
                 return Polyhedron::contradiction(self.n_dims);
             }
             if p.constraints.len() > 4000 {
-                // Row growth is out of hand; drop the remaining
-                // dimensions unconstrained. Sound: the result is a
-                // (wider) over-approximation of the shadow, and for
-                // emptiness tests it reads as "not proven empty".
-                p.constraints
-                    .retain(|c| remaining.iter().all(|&d| !c.mentions(d)));
-                return p;
+                return p.unconstrain(&remaining);
             }
         }
         p
+    }
+
+    /// The exit [`Polyhedron::eliminate_many`] takes when it cannot go
+    /// on (a coefficient overflowed, or row growth is out of hand):
+    /// every row mentioning one of `dims` is dropped, leaving those
+    /// dimensions unconstrained. Sound: the result is a (wider)
+    /// over-approximation of the shadow, and for emptiness tests it
+    /// reads as "not proven empty".
+    fn unconstrain(mut self, dims: &[usize]) -> Polyhedron {
+        self.constraints
+            .retain(|c| dims.iter().all(|&d| !c.mentions(d)));
+        self
     }
 
     /// The canonical empty polyhedron: a single explicitly false row.
@@ -810,7 +821,7 @@ impl Polyhedron {
             p = p.fix(k, v);
         }
         for inner in (d + 1..self.n_dims).rev() {
-            p = p.eliminate(inner);
+            p = p.eliminate(inner).expect("enumerate: coefficient overflow");
         }
         if p.has_false_constant() {
             return;
@@ -843,8 +854,9 @@ impl Polyhedron {
         point[d] = 0;
     }
 
-    /// Returns some integer point of the polyhedron, or `None` if it is
-    /// empty (bounded sets only; used by tests).
+    /// Returns some integer point of the polyhedron, or `None` if none
+    /// was found: the set is empty, unbounded, or its projections
+    /// overflow `i64`. A witness search, never an emptiness proof.
     pub fn sample(&self) -> Option<Vec<i64>> {
         let mut point = vec![0i64; self.n_dims];
         if self.sample_rec(0, &mut point) {
@@ -863,7 +875,11 @@ impl Polyhedron {
             p = p.fix(k, v);
         }
         for inner in (d + 1..self.n_dims).rev() {
-            p = p.eliminate(inner);
+            // No witness is found through an overflowing projection.
+            let Ok(next) = p.eliminate(inner) else {
+                return false;
+            };
+            p = next;
         }
         if p.has_false_constant() {
             return false;
@@ -965,7 +981,7 @@ mod tests {
     #[test]
     fn projection_of_triangle_onto_i() {
         let t = triangle();
-        let p = t.eliminate(1);
+        let p = t.eliminate(1).expect("no overflow");
         // After eliminating j the projection is 0 <= i <= 3.
         assert!(p.contains(&[0, 99]));
         assert!(p.contains(&[3, -7]));
@@ -1000,6 +1016,44 @@ mod tests {
         let mut empty = triangle();
         empty.add(Constraint::ge(vec![-1, 0, -1])); // i <= -1
         assert!(empty.sample().is_none());
+    }
+
+    /// Two rows with coprime coefficients near 2^40 through the known
+    /// point (3, 5): eliminating `x` multiplies them pairwise (≈ 2^80).
+    /// Wrapped to `i64`, the combined row of either system reads
+    /// `w·y + k >= 0` with `w, k < 0`, contradicting `y >= 0` — a false
+    /// emptiness proof. With the first row an inequality the overflow is
+    /// in the pairwise combination, with an equality in the substitution.
+    #[test]
+    fn coefficient_overflow_is_not_an_emptiness_proof() {
+        let cases = [
+            (
+                CmpOp::Ge,
+                [1099511570161, -1099512463429, 2199027607244],
+                [-1099512630455, 1099510857907, -2199016398024],
+            ),
+            (
+                CmpOp::Eq,
+                [1099512676043, -1099512596537, 2199024954556],
+                [-1099512669827, 1099510759759, -2199015788802],
+            ),
+        ];
+        for (op, first, second) in cases {
+            let mut p = Polyhedron::universe(2);
+            p.bound_const(0, 0, 11);
+            p.bound_const(1, 0, 11);
+            p.add(Constraint {
+                row: first.to_vec(),
+                op,
+            });
+            p.add(Constraint::ge(second.to_vec()));
+            assert!(p.contains(&[3, 5]));
+            assert!(!p.is_empty(), "{op:?}: overflow read as a proof");
+            assert_eq!(p.eliminate(0), Err(fm::Overflow));
+            assert_eq!(p.project_keep(0, 1), Err(fm::Overflow));
+            // The witness search may give up, but never invents a point.
+            assert!(p.sample().is_none_or(|pt| p.contains(&pt)));
+        }
     }
 
     #[test]

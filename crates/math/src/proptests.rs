@@ -63,7 +63,7 @@ proptest! {
     /// eliminated coordinate is ignored (soundness of FM elimination).
     #[test]
     fn fm_projection_is_sound(p in small_poly_2d()) {
-        let proj = p.eliminate(1);
+        let proj = p.eliminate(1).expect("no overflow");
         for pt in p.enumerate() {
             prop_assert!(proj.contains(&pt), "projection rejected {pt:?} of {p:?}");
         }

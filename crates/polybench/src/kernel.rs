@@ -174,6 +174,24 @@ impl Kernel {
     }
 }
 
+/// The checksum every emitted kernel prints (`polymix-codegen`'s `emit`
+/// writes the same formula as text): each array some statement writes,
+/// in declaration order, reduced with `x * ((k % 31) + 1)` into one
+/// running sum. Together with the init policy above this is the
+/// measurement contract all executors of a program are compared under.
+pub fn checksum(scop: &Scop, arrays: &[Vec<f64>]) -> f64 {
+    let mut written: Vec<usize> = scop.statements.iter().map(|st| st.write.array.0).collect();
+    written.sort_unstable();
+    written.dedup();
+    let mut sum = 0.0f64;
+    for ai in written {
+        for (k, &x) in arrays[ai].iter().enumerate() {
+            sum += x * ((k % 31) as f64 + 1.0);
+        }
+    }
+    sum
+}
+
 /// The generic init value for element `k` of array `ai`.
 pub fn generic_value(ai: usize, k: usize) -> f64 {
     (((k as i64) * 7 + 13 * ai as i64) % 1024 + 1) as f64 / 1024.0

@@ -28,5 +28,5 @@ pub mod kernels_stat;
 pub mod kernels_stencil;
 pub mod suite;
 
-pub use kernel::{Dataset, Group, InitSpec, Kernel};
+pub use kernel::{checksum, Dataset, Group, InitSpec, Kernel};
 pub use suite::{all_kernels, extended_kernels, kernel_by_name};

@@ -5,12 +5,10 @@
 use crate::fault::Fault;
 use crate::proto::OptimizeRequest;
 use polymix_bench::runner::{emit_source_with, EmitKnobs};
-use polymix_bench::variants::Variant;
+use polymix_bench::variants::{build_with, Variant};
 use polymix_codegen::from_poly::original_program;
-use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
-use polymix_ir::{PolymixError, Scop};
-use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
+use polymix_ir::Scop;
 use polymix_polybench::{Group, Kernel};
 use std::time::Instant;
 
@@ -31,28 +29,12 @@ pub struct ResolvedKnobs {
     pub params: Vec<i64>,
 }
 
-/// Parses a wire variant label into the bench [`Variant`].
-pub fn parse_variant(label: &str) -> Option<Variant> {
-    [
-        Variant::Native,
-        Variant::Pocc,
-        Variant::PoccVect,
-        Variant::IterativeMax,
-        Variant::IterativeNo,
-        Variant::PolyAst,
-        Variant::PolyAstDoallOnly,
-        Variant::PlutoMaxFuse,
-    ]
-    .into_iter()
-    .find(|&v| v.name() == label)
-}
-
 /// Resolves a request's knobs against the paper defaults (tile 32, time
 /// tile 5 for the pipeline group, unroll (2,2) for `pocc+vect`). `Err`
 /// is a client-facing 400 detail.
 pub fn resolve_knobs(req: &OptimizeRequest, kernel: &Kernel, scop: &Scop) -> Result<ResolvedKnobs, String> {
     let variant =
-        parse_variant(&req.variant).ok_or_else(|| format!("unknown variant {:?}", req.variant))?;
+        Variant::parse(&req.variant).ok_or_else(|| format!("unknown variant {:?}", req.variant))?;
     let params = if req.params.is_empty() {
         kernel
             .try_dataset(&req.dataset)
@@ -149,7 +131,15 @@ pub fn optimize(
     if cancelled() {
         return Err(OptError::cancelled("scheduling"));
     }
-    let prog = build_program(scop, knobs).map_err(|e| OptError {
+    let prog = build_with(
+        scop,
+        knobs.variant,
+        knobs.tile,
+        knobs.time_tile,
+        knobs.unroll,
+        &Machine::host(),
+    )
+    .map_err(|e| OptError {
         detail: e.to_string(),
         cancelled: false,
     })?;
@@ -176,50 +166,6 @@ pub fn optimize(
         source: src,
         sched_s: t0.elapsed().as_secs_f64(),
     })
-}
-
-/// Builds the transformed program for one variant (mirrors the bench
-/// harness' `build_variant`, with the tile/unroll knobs threaded through
-/// instead of pinned to the paper's defaults).
-fn build_program(scop: &Scop, knobs: &ResolvedKnobs) -> Result<polymix_ast::tree::Program, PolymixError> {
-    match knobs.variant {
-        Variant::Native => original_program(scop),
-        Variant::Pocc
-        | Variant::PoccVect
-        | Variant::IterativeMax
-        | Variant::IterativeNo
-        | Variant::PlutoMaxFuse => {
-            let pv = match knobs.variant {
-                Variant::PoccVect => PlutoVariant::PoccVect,
-                Variant::IterativeMax | Variant::PlutoMaxFuse => PlutoVariant::MaxFuse,
-                Variant::IterativeNo => PlutoVariant::NoFuse,
-                _ => PlutoVariant::Pocc,
-            };
-            optimize_pluto(
-                scop,
-                &PlutoOptions {
-                    variant: pv,
-                    tile: knobs.tile,
-                    time_tile: knobs.time_tile,
-                    tiling: true,
-                    unroll: knobs.unroll,
-                },
-            )
-        }
-        Variant::PolyAst | Variant::PolyAstDoallOnly => optimize_poly_ast(
-            scop,
-            &PolyAstOptions {
-                machine: Machine::host(),
-                tile: knobs.tile,
-                time_tile: knobs.time_tile,
-                tiling: true,
-                parallelize: true,
-                doall_only: knobs.variant == Variant::PolyAstDoallOnly,
-                unroll: knobs.unroll,
-                fusion: true,
-            },
-        ),
-    }
 }
 
 /// The identity-schedule fallback: the SCoP under its original textual

@@ -112,124 +112,6 @@ pub fn certify(prog: &Program) -> Result<Certificate, PolymixError> {
     verify_program(prog).into_result()
 }
 
-/// Loop variables of innermost, stride-1 loops that certify as `doall`
-/// — the eligible set for the emitter's explicit vectorization
-/// post-pass (`EmitOptions::vect` in `polymix-codegen`).
-///
-/// Computed by *probing*: every candidate loop (innermost, stride 1,
-/// annotated `Seq` or already `Doall`) is promoted to `Doall` in a
-/// clone of the program and the full certifier re-runs on the clone.
-/// Attribution has to be exact — emitted loop display names repeat
-/// across sibling nests (two nests both containing a `c2`) — so the
-/// probe also renames each candidate to a unique `vprobe<k>` marker and
-/// excludes exactly the candidates named by resulting error violations.
-/// The function stays conservative where attribution fails: a new error
-/// the probe cannot pin on any candidate empties the whole set, and a
-/// variable shared with an innermost loop under a non-doall annotation
-/// (pipeline/wavefront/reduction) is dropped too, since the emitter's
-/// structural gate alone cannot tell those loops apart by variable.
-pub fn vectorizable_inner_vars(prog: &Program) -> Vec<usize> {
-    fn innermost(n: &Node) -> bool {
-        match n {
-            Node::Seq(xs) => xs.iter().all(innermost),
-            Node::Guard(_, b) => innermost(b),
-            Node::Loop(_) => false,
-            Node::Stmt(_) => true,
-        }
-    }
-    let mut probe = prog.clone();
-    let mut cand_vars: Vec<usize> = Vec::new(); // indexed by probe id
-    let mut non_doall_inner: Vec<usize> = Vec::new();
-    probe.body.visit_loops_mut(&mut |l| {
-        if !(innermost(&l.body) && l.step == 1) {
-            return;
-        }
-        match l.par {
-            Par::Seq | Par::Doall => {
-                l.name = format!("vprobe{}", cand_vars.len());
-                l.par = Par::Doall;
-                cand_vars.push(l.var);
-            }
-            _ => non_doall_inner.push(l.var),
-        }
-    });
-    if cand_vars.is_empty() {
-        return Vec::new();
-    }
-    type ErrKey = (ViolationKind, String, String, usize, String);
-    fn err_keys(cert: &Certificate) -> HashSet<ErrKey> {
-        cert.violations
-            .iter()
-            .filter(|v| v.kind.is_error())
-            .map(|v| {
-                (
-                    v.kind,
-                    v.src.clone(),
-                    v.dst.clone(),
-                    v.level,
-                    v.loop_name.clone(),
-                )
-            })
-            .collect()
-    }
-    let baseline = err_keys(&verify_program(prog));
-    let probed = err_keys(&verify_program(&probe));
-    let mut dirty = vec![false; cand_vars.len()];
-    for key @ (_, _, _, _, name) in &probed {
-        if let Some(k) = name
-            .strip_prefix("vprobe")
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            if k < dirty.len() {
-                dirty[k] = true;
-                continue;
-            }
-        }
-        // An error on an untouched loop: pre-existing noise is fine, but
-        // a *new* one the probe cannot attribute means nothing is safely
-        // vectorizable.
-        if !baseline.contains(key) {
-            return Vec::new();
-        }
-    }
-    let bad_vars: HashSet<usize> = cand_vars
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| dirty[k])
-        .map(|(_, &v)| v)
-        .chain(non_doall_inner.iter().copied())
-        .collect();
-    let mut vars: Vec<usize> = cand_vars
-        .iter()
-        .copied()
-        .filter(|v| !bad_vars.contains(v))
-        .collect();
-    vars.sort_unstable();
-    vars.dedup();
-    vars
-}
-
-/// Certifies that every loop variable in `vars` is in the eligible set
-/// of [`vectorizable_inner_vars`] — the contract a caller must hold
-/// before asking the emitter for an explicit-vect rewrite. A variable
-/// outside the set (a dependence-carrying loop, a non-innermost or
-/// strided loop, an ambiguous name) is a legality error, never a silent
-/// skip.
-pub fn certify_vect(prog: &Program, vars: &[usize]) -> Result<(), PolymixError> {
-    let ok = vectorizable_inner_vars(prog);
-    let bad: Vec<usize> = vars.iter().copied().filter(|v| !ok.contains(v)).collect();
-    if bad.is_empty() {
-        return Ok(());
-    }
-    Err(PolymixError::Legality {
-        kernel: prog.scop.name.clone(),
-        detail: format!(
-            "vect post-pass requested for loop variable(s) {bad:?}, which are not \
-             certified-doall innermost stride-1 loops (eligible: {ok:?})"
-        ),
-    })
-}
-
 /// Drops repeated findings (same kind, statement pair, level and loop)
 /// and orders errors before [`ViolationKind::Unsupported`] notes.
 fn dedup(violations: &mut Vec<Violation>) {

@@ -19,11 +19,7 @@
 //!   its marker (a pipeline cannot be relabeled a doall) or without the
 //!   runtime block;
 //! * a reduction marker that declares the `sequential fallback` (a shape
-//!   that cannot be privatized) is followed by plain loops instead;
-//! * vect regions (the explicit-vectorization post-pass, nested inside
-//!   the construct that owns the loop) declare doall certification,
-//!   stop a full lane group before the bound, advance by the lane
-//!   width, and carry a scalar remainder loop plus an end marker.
+//!   that cannot be privatized) is followed by plain loops instead.
 //!
 //! Findings use [`ViolationKind::KernelLint`] with the region label in
 //! `loop_name`. The lint is purely syntactic: that the *annotation* a
@@ -72,82 +68,6 @@ fn runtime_call(line: &str) -> Option<&'static str> {
                 .is_some_and(|rest| rest.starts_with('('))
         })
     })
-}
-
-/// Every explicit-vectorization region of the emitted source, delimited
-/// `// vect region N (...)` … `// vect end N`: its label (e.g. `vect
-/// region 0 (width 4, doall-certified)`) and its text, markers included
-/// — `None` when the end marker is missing before the next vect region
-/// or the end of the source. A vect rewrite lives *inside* the closure
-/// of whichever `kernel_rt` region owns the loop (or in plain sequential
-/// code), so these spans are independent of the [`KINDS`] markers.
-fn vect_regions(source: &str) -> Vec<(String, Option<String>)> {
-    let lines: Vec<&str> = source.lines().map(str::trim).collect();
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let Some(rest) = line.strip_prefix("// vect region ") else {
-            continue;
-        };
-        let end = format!(
-            "// vect end {}",
-            rest.split_whitespace().next().unwrap_or("")
-        );
-        let text = lines[i + 1..]
-            .iter()
-            .position(|l| *l == end || l.starts_with("// vect region "))
-            .filter(|&k| lines[i + 1 + k] == end)
-            .map(|k| lines[i..=i + 1 + k].join("\n"));
-        out.push((format!("vect region {rest}"), text));
-    }
-    out
-}
-
-/// Checks the obligations of one explicit-vectorization region: the
-/// rewrite may only be applied to certified-doall loops, the group loop
-/// must stop a full lane group before the bound and advance by the full
-/// lane width, and a scalar remainder loop must cover the tail.
-fn lint_vect_region(label: &str, text: Option<&str>, violations: &mut Vec<Violation>) {
-    let Some(text) = text else {
-        violations.push(lint_violation(
-            label,
-            "vect region has no matching `// vect end` marker".to_string(),
-            "an unterminated vect span cannot be audited as a unit; re-emit the \
-             region with its end marker",
-        ));
-        return;
-    };
-    if !label.contains("doall-certified") {
-        violations.push(lint_violation(
-            label,
-            "vect region does not declare doall certification".to_string(),
-            "the explicit-vect rewrite is only legal on loops the certifier proved \
-             dependence-free; the marker must carry `doall-certified`",
-        ));
-    }
-    if !text.contains("+ 3 <=") {
-        violations.push(lint_violation(
-            label,
-            "vect group loop does not stop a full lane group before the bound".to_string(),
-            "the grouped loop must test `v + (W-1) <= hi` so no lane reads past the \
-             iteration space; re-emit the region",
-        ));
-    }
-    if !text.contains("+= 4;") {
-        violations.push(lint_violation(
-            label,
-            "vect group loop does not advance by the full lane width".to_string(),
-            "the grouped loop must step by W after executing W lanes or lanes repeat; \
-             re-emit the region",
-        ));
-    }
-    if !text.contains("// vect remainder") {
-        violations.push(lint_violation(
-            label,
-            "vect region has no scalar remainder loop".to_string(),
-            "trip counts not divisible by the lane width drop their tail iterations \
-             without the remainder loop; re-emit the region",
-        ));
-    }
 }
 
 fn lint_violation(label: &str, detail: String, fix: &str) -> Violation {
@@ -248,10 +168,6 @@ pub fn verify_source(kernel: &str, source: &str) -> Certificate {
             .map(|(kind, label)| (kind, label, ln));
     }
 
-    for (label, text) in vect_regions(source) {
-        lint_vect_region(&label, text.as_deref(), &mut violations);
-    }
-
     violations.sort_by_key(|v| !v.kind.is_error());
     Certificate {
         kernel: kernel.to_string(),
@@ -266,8 +182,7 @@ mod tests {
     use super::*;
 
     /// A well-formed kernel: the runtime block, one region of every
-    /// kind, a sequential-fallback reduction, and a vect span nested in
-    /// the wavefront closure.
+    /// kind, and a sequential-fallback reduction.
     fn good() -> String {
         format!(
             "{BLOCK_BEGIN}mod kernel_rt {{\n{KERNEL_RT}}}\n{BLOCK_END}{}",
@@ -287,20 +202,6 @@ kernel_rt::reduction(THREADS, (0), (P_N - 1), 1, &[(s_p_a, 4)], move |v_c1: i64,
 let mut v_c1: i64 = 0;
 // wavefront region 4
 kernel_rt::wavefront(THREADS, 3, tiles, move |v_c1: i64, v_c2: i64| unsafe {
-// vect region 5 (width 4, doall-certified)
-{
-let mut v_c1 = lo; let v_c1_hi = hi;
-while v_c1 + 3 <= v_c1_hi {
-{ let v_c1 = v_c1; body(v_c1); }
-{ let v_c1 = v_c1 + 1; body(v_c1); }
-{ let v_c1 = v_c1 + 2; body(v_c1); }
-{ let v_c1 = v_c1 + 3; body(v_c1); }
-v_c1 += 4;
-}
-// vect remainder
-while v_c1 <= v_c1_hi { body(v_c1); v_c1 += 1; }
-}
-// vect end 5
 });
 if kernel_rt::poisoned() { std::process::exit(101); }
 }
@@ -397,37 +298,5 @@ if kernel_rt::poisoned() { std::process::exit(101); }
             good()
         );
         assert_flags(&bad, "reduction region marker is not followed");
-    }
-
-    #[test]
-    fn vect_missing_remainder_flagged() {
-        let bad = good().replace(
-            "// vect remainder\nwhile v_c1 <= v_c1_hi { body(v_c1); v_c1 += 1; }\n",
-            "",
-        );
-        assert_flags(&bad, "no scalar remainder loop");
-    }
-
-    #[test]
-    fn vect_uncertified_label_flagged() {
-        let bad = good().replace(
-            "// vect region 5 (width 4, doall-certified)",
-            "// vect region 5 (width 4)",
-        );
-        assert_flags(&bad, "does not declare doall certification");
-    }
-
-    #[test]
-    fn vect_partial_group_bound_flagged() {
-        let bad = good().replace("while v_c1 + 3 <= v_c1_hi {", "while v_c1 <= v_c1_hi + 0 {");
-        assert_flags(&bad, "full lane group before the bound");
-    }
-
-    #[test]
-    fn vect_unterminated_region_flagged() {
-        assert_flags(
-            &good().replace("// vect end 5\n", ""),
-            "no matching `// vect end`",
-        );
     }
 }

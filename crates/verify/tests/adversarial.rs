@@ -214,49 +214,3 @@ fn tampered_wavefront_kernel_is_rejected_by_source_lint() {
         })],
     );
 }
-
-/// The explicit-vect eligibility probe: jacobi-1d's two space loops are
-/// innermost, stride-1 and dependence-free at fixed `t`, so both are
-/// eligible — even though the emitter names them both `c2` (attribution
-/// must not be fooled by duplicate display names across sibling nests).
-#[test]
-fn vect_eligibility_spans_duplicate_loop_names() {
-    let prog = identity_program("jacobi-1d-imper");
-    let vars = polymix_verify::vectorizable_inner_vars(&prog);
-    assert_eq!(vars, vec![1, 2], "both space loops must be eligible");
-    polymix_verify::certify_vect(&prog, &vars).expect("eligible vars certify");
-}
-
-/// Adversarial: requesting the vect rewrite on a dependence-carrying
-/// innermost loop (seidel-2d's in-place sweep reads the value its left
-/// neighbor just wrote) must be rejected as a legality error, never
-/// silently accepted.
-#[test]
-fn vect_on_dependence_carrying_loop_is_rejected() {
-    let prog = identity_program("seidel-2d");
-    assert!(
-        polymix_verify::vectorizable_inner_vars(&prog).is_empty(),
-        "seidel-2d identity has no vectorizable innermost loop"
-    );
-    let innermost_var = 2; // the j loop of the (t, i, j) nest
-    let err = polymix_verify::certify_vect(&prog, &[innermost_var])
-        .expect_err("carried dependence must reject the vect request");
-    assert!(
-        err.to_string().contains("not"),
-        "error should say the variable is not certified: {err}"
-    );
-}
-
-/// Adversarial: the k loop of gemm is an accumulation — its carried
-/// reduction dependence disqualifies it from lane-grouped execution
-/// (the emitter's rewrite is certified doall-only).
-#[test]
-fn vect_on_reduction_loop_is_rejected() {
-    let prog = identity_program("gemm");
-    let err = polymix_verify::certify_vect(&prog, &[2])
-        .expect_err("the accumulation loop must not certify for vect");
-    let polymix_ir::PolymixError::Legality { kernel, .. } = &err else {
-        panic!("expected a Legality error, got {err:?}");
-    };
-    assert_eq!(kernel, "gemm");
-}

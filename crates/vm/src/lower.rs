@@ -235,14 +235,12 @@ pub struct CLoop {
 /// blind to them, which is why the autotuner's rustc-confirm union is
 /// load-bearing (DESIGN.md §12).
 ///
-/// * `vect` — the explicit-SIMD emission post-pass; the interpreter has
-///   no vector ISA.
 /// * `pipeline_batch` / `dyn_grain` — runtime dispatch granularity of
 ///   the emitted kernels; [`crate::VmOptions`] carries no equivalent.
 /// * `unroll` — unrolling is structural (the vm executes the unrolled
 ///   tree), but its *payoff* is LLVM back-end vectorization of the
 ///   emitted source, which the interpreter cannot reproduce.
-pub const UNMODELED_KNOBS: &[&str] = &["vect", "pipeline_batch", "dyn_grain", "unroll"];
+pub const UNMODELED_KNOBS: &[&str] = &["pipeline_batch", "dyn_grain", "unroll"];
 
 /// A lowered program: bytecode statement table plus compiled control
 /// tree, specialized to one parameter vector.
