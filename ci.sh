@@ -72,6 +72,20 @@ echo "$CENSUS"
 echo "$CENSUS" | grep -Eq \
     '^regions: doall [1-9][0-9]* reduction [1-9][0-9]* pipeline [1-9][0-9]* wavefront [1-9][0-9]*$' \
     || { echo "a parallel construct lost all its traffic"; exit 1; }
+# The audit above only ever exits 0; its other two exits are gated here.
+# A kernel name that matches nothing is a usage error (2), not an audit
+# of nothing. And `--strict` on the two kernels with coverage notes
+# fails (1) with four notes on each poly+ast row — the only place real
+# kernels print a dependence vector, which the certifier classifies
+# only once a violation is being built.
+RC=0; cargo run --release -q -p polymix-bench --bin verify -- --dataset mini nosuchkernel \
+    > /dev/null 2>&1 || RC=$?
+[ "$RC" -eq 2 ] || { echo "verify: unknown kernel name exited $RC, expected 2"; exit 1; }
+RC=0; STRICT_OUT=$(cargo run --release -q -p polymix-bench --bin verify -- \
+    --dataset mini --strict cholesky trisolv) || RC=$?
+[ "$RC" -eq 1 ] && [ "$(echo "$STRICT_OUT" | grep -c '\[poly+ast\] .* notes 4$')" -eq 2 ] \
+    && [ "$(echo "$STRICT_OUT" | grep -c '^ *\[unsupported\] .* vector \[')" -eq 8 ] \
+    || { echo "$STRICT_OUT" | grep -v '^ok'; echo "strict audit: exit $RC, expected 1 with 2x4 notes"; exit 1; }
 
 # Bytecode certification gate: every (kernel, variant) cell the vm
 # backend could measure is lowered at mini and run through the bytecode

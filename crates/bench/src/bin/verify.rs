@@ -8,7 +8,8 @@
 //! verify [--dataset D] [--strict] [--variant NAME] [--backend vm] [kernel ... | file.rs ...]
 //! ```
 //!
-//! * positional kernel names restrict the sweep (default: all 22);
+//! * positional kernel names restrict the sweep (default: all 22); a
+//!   name that is no kernel's exits 2 before anything is audited;
 //! * positional `.rs` paths are audited as cached kernel sources (lint
 //!   only — the transformed AST is not recoverable from source);
 //! * `--variant` restricts to one variant display name (e.g. `pocc`);
@@ -24,7 +25,8 @@
 //!   the total proven-access count is printed at the end — zero means
 //!   the elided measurement fast path would never engage, so a smoke
 //!   run should assert it is nonzero;
-//! * exit status is nonzero iff any audited artifact fails.
+//! * exit status is 1 iff any audited artifact fails, 2 on a usage
+//!   error.
 
 use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
@@ -110,9 +112,17 @@ fn main() {
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
 
-    // Cached kernel sources: lint-only audit.
     let (files, names): (Vec<&String>, Vec<&String>) =
         positional.iter().partition(|a| a.ends_with(".rs"));
+    // A name that matches no kernel would audit nothing and exit 0.
+    let kernels = all_kernels();
+    for n in &names {
+        if !kernels.iter().any(|k| k.name == **n) {
+            eprintln!("verify: unknown kernel {n}");
+            std::process::exit(2);
+        }
+    }
+    // Cached kernel sources: lint-only audit.
     for f in &files {
         match std::fs::read_to_string(f) {
             Ok(src) => audit(f, &verify_source(f, &src), strict, &mut failures),
@@ -127,7 +137,7 @@ fn main() {
     }
 
     let machine = Machine::host();
-    for k in all_kernels() {
+    for k in kernels {
         if !names.is_empty() && !names.iter().any(|n| **n == k.name) {
             continue;
         }

@@ -14,9 +14,7 @@
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::all_kernels;
-use polymix_vm::{
-    certify, lower, CLoop, CNode, VmProgram, VmViolationKind,
-};
+use polymix_vm::{certify, lower, AccessSite, CLoop, CNode, VmProgram, VmViolationKind};
 
 const FAMILIES: [Variant; 3] = [Variant::Native, Variant::Pocc, Variant::PolyAst];
 
@@ -129,6 +127,39 @@ fn mutation_skewed_address_is_rejected() {
                 .iter()
                 .any(|v| v.kind == VmViolationKind::OutOfBounds),
             "skew {skew}: {:?}",
+            cert.violations
+        );
+    }
+}
+
+/// A store coefficient at the edge of `i64` has no negation, and no
+/// product with a loop bound that fits: the obligation rows it cannot
+/// be written into are dropped, the store stays unproven and is
+/// reported, and nothing aborts — with overflow checks (`cargo test`)
+/// or with wrapping arithmetic (`cargo test --release`).
+#[test]
+fn mutation_extreme_coefficient_is_rejected_without_aborting() {
+    for k in [i64::MIN, i64::MIN + 1, i64::MAX] {
+        let mut vm = lowered("gemm", Variant::Native, "mini");
+        vm.stmts[0].store_addr.terms[0].1 = k;
+        let cert = certify(&vm);
+        assert!(!cert.is_certified(), "coefficient {k}: certified");
+        let store = cert
+            .accesses
+            .iter()
+            .find(|a| a.stmt == 0 && a.site == AccessSite::Store)
+            .expect("the store is audited");
+        assert!(!store.proven, "coefficient {k}: store proven in bounds");
+        assert!(
+            cert.violations.iter().any(|v| {
+                v.stmt == Some(0)
+                    && v.detail.starts_with("store")
+                    && matches!(
+                        v.kind,
+                        VmViolationKind::OutOfBounds | VmViolationKind::BoundsUnproven
+                    )
+            }),
+            "coefficient {k}: {:?}",
             cert.violations
         );
     }

@@ -14,7 +14,7 @@
 use polymix_ast::tree::{Bound, BoundExpr, LinExpr, Loop, Node, Par, Program, StmtNode};
 use polymix_ir::error::PolymixError;
 use polymix_ir::{Schedule, Scop};
-use polymix_math::{Constraint, Polyhedron};
+use polymix_math::Polyhedron;
 
 /// Generates the loop AST implementing `schedules` (one per statement, in
 /// statement order) for `scop`. Schedules outside the generator's
@@ -385,23 +385,14 @@ impl Gen<'_> {
             e_row[d + p] += c;
         }
         e_row[n] += be.expr.c;
-        // Violation system: q·y_k < e (lower) / q·y_k > e (upper).
-        let mut viol = it.tdom.clone();
-        let mut row = vec![0i64; n + 1];
-        if lower {
-            // q·y_k <= e - 1  ⇔  e - q·y_k - 1 >= 0
-            row.clone_from_slice(&e_row);
-            row[k] -= be.denom;
-            row[n] -= 1;
+        // Violation system: q·y_k < e (lower) / q·y_k > e (upper), i.e.
+        // e - q·y_k >= 1 / <= -1.
+        e_row[k] -= be.denom;
+        let viol = if lower {
+            it.tdom.and_ge(&e_row, 1)
         } else {
-            // q·y_k >= e + 1  ⇔  q·y_k - e - 1 >= 0
-            for (dst, &src) in row.iter_mut().zip(&e_row) {
-                *dst = -src;
-            }
-            row[k] += be.denom;
-            row[n] -= 1;
-        }
-        viol.add(Constraint::ge(row));
+            it.tdom.and_le(&e_row, -1)
+        };
         viol.is_empty()
     }
 

@@ -242,10 +242,7 @@ fn deps_for_pair(
             let row_d = lift_row(&sched_loop_row(sch_dst, k, p), ds, dr, false);
             let diff: Vec<i64> = row_d.iter().zip(&row_s).map(|(d, s)| d - s).collect();
             // Branch: strictly less at this loop level (diff >= 1).
-            let mut strict = prefix.clone();
-            let mut strict_row = diff.clone();
-            strict_row[n] -= 1; // diff - 1 >= 0
-            strict.add(Constraint::ge(strict_row));
+            let strict = prefix.and_ge(&diff, 1);
             if !strict.is_empty() {
                 out.push(Dep {
                     src,
@@ -258,10 +255,7 @@ fn deps_for_pair(
                 });
             }
             // Continue with equality at this level.
-            prefix.add(Constraint {
-                row: diff,
-                op: CmpOp::Eq,
-            });
+            prefix = prefix.and_eq0(&diff);
             if prefix.is_empty() {
                 return out;
             }

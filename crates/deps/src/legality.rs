@@ -13,7 +13,7 @@
 //!   level, which deeper levels must order).
 
 use crate::depgraph::Dep;
-use polymix_math::{CmpOp, Constraint, Polyhedron};
+use polymix_math::Polyhedron;
 
 /// Mutable satisfaction state of one dependence edge during scheduling.
 #[derive(Clone, Debug)]
@@ -61,26 +61,14 @@ pub fn apply_loop_row(
         return RowEffect::Satisfied;
     }
     let diff = dep.diff_row(row_src, row_dst); // θ_dst - θ_src over dep space
-    let n = diff.len() - 1;
 
     // Violation: exists remaining pair with diff <= -1.
-    let mut viol = state.remaining.clone();
-    let neg: Vec<i64> = diff
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| if i == n { -v - 1 } else { -v })
-        .collect(); // -diff - 1 >= 0  ⇔  diff <= -1
-    viol.add(Constraint::ge(neg));
-    if !viol.is_empty() {
+    if !state.remaining.and_le(&diff, -1).is_empty() {
         return RowEffect::Violated;
     }
 
     // Satisfaction: are any pairs left with diff == 0?
-    let mut eq = state.remaining.clone();
-    eq.add(Constraint {
-        row: diff,
-        op: CmpOp::Eq,
-    });
+    let eq = state.remaining.and_eq0(&diff);
     if eq.is_empty() {
         state.satisfied = true;
         RowEffect::Satisfied

@@ -8,7 +8,7 @@
 
 use crate::depgraph::Dep;
 use polymix_ir::Schedule;
-use polymix_math::{Constraint, Polyhedron};
+use polymix_math::Polyhedron;
 
 /// One element of a dependence vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,28 +50,6 @@ impl DepElem {
     }
 }
 
-/// True when `row <= bound` holds for every point of `poly`
-/// (checked as emptiness of `poly ∧ row >= bound + 1`).
-fn always_le(poly: &Polyhedron, row: &[i64], bound: i64) -> bool {
-    let n = row.len() - 1;
-    let mut p = poly.clone();
-    let mut r = row.to_vec();
-    r[n] -= bound + 1; // row - bound - 1 >= 0
-    p.add(Constraint::ge(r));
-    p.is_empty()
-}
-
-/// True when `row >= bound` holds for every point of `poly`.
-fn always_ge(poly: &Polyhedron, row: &[i64], bound: i64) -> bool {
-    let neg: Vec<i64> = row.iter().map(|&x| -x).collect();
-    always_le(poly, &neg, -bound)
-}
-
-/// True when `row == c` for every point of `poly`.
-fn always_eq(poly: &Polyhedron, row: &[i64], c: i64) -> bool {
-    always_le(poly, row, c) && always_ge(poly, row, c)
-}
-
 /// Classifies the affine form `row` (dependence space, trailing constant
 /// column) over the dependence polyhedron, using `sample_params` to find a
 /// candidate constant distance.
@@ -89,14 +67,16 @@ pub fn classify(poly: &Polyhedron, row: &[i64], sample_params: &[i64]) -> DepEle
             .map(|(a, x)| a * x)
             .sum::<i64>()
             + row[poly.n_dims()];
-        if always_eq(poly, row, val) {
+        // `row == val` everywhere: nothing above it, nothing below it.
+        if poly.and_ge(row, val + 1).is_empty() && poly.and_le(row, val - 1).is_empty() {
             return DepElem::Const(val);
         }
     }
-    let ge1 = always_ge(poly, row, 1);
-    let ge0 = ge1 || always_ge(poly, row, 0);
-    let le_neg1 = !ge0 && always_le(poly, row, -1);
-    let le0 = le_neg1 || always_le(poly, row, 0);
+    // `row >= b` everywhere iff `poly ∧ row <= b - 1` is empty, and dually.
+    let ge1 = poly.and_le(row, 0).is_empty();
+    let ge0 = ge1 || poly.and_le(row, -1).is_empty();
+    let le_neg1 = !ge0 && poly.and_ge(row, 0).is_empty();
+    let le0 = le_neg1 || poly.and_ge(row, 1).is_empty();
     match (ge1, ge0, le_neg1, le0) {
         (true, _, _, _) => DepElem::Plus,
         (false, true, _, _) => DepElem::NonNeg,

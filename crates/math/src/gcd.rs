@@ -1,14 +1,19 @@
 //! Greatest-common-divisor utilities used across the polyhedral machinery.
 
 /// Euclidean GCD on `i64`, always non-negative. `gcd(0, 0) == 0`.
+///
+/// One gcd does not fit: `2^63`, of `i64::MIN` with itself or with 0.
+/// `2^62`, the largest common divisor that does, is returned instead —
+/// every caller only divides by the result, and a row normalized by a
+/// smaller common divisor describes the same integer set.
 pub fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    i64::try_from(a).unwrap_or(1 << 62)
 }
 
 /// Least common multiple on `i64`, always non-negative. `lcm(0, x) == 0`.
@@ -96,6 +101,10 @@ mod tests {
         assert_eq!(gcd(-12, 18), 6);
         assert_eq!(gcd(0, 7), 7);
         assert_eq!(gcd(0, 0), 0);
+        // The extremes neither abort nor report a non-divisor.
+        assert_eq!(gcd(i64::MIN, 0), 1 << 62);
+        assert_eq!(gcd(i64::MIN, 6), 2);
+        assert_eq!(gcd(i64::MAX, i64::MIN + 1), i64::MAX);
     }
 
     #[test]

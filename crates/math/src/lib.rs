@@ -36,5 +36,5 @@ pub use matrix::{IntMat, RatMat};
 pub use poly::{AffineExpr, CmpOp, Constraint, Polyhedron};
 pub use ratio::Ratio;
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -55,15 +55,15 @@ impl Constraint {
         self.row.len() - 1
     }
 
-    /// Evaluates `coeffs · point + c`.
+    /// Evaluates `coeffs · point + c`, clamped to `i64`: computed in
+    /// `i128`, so the sign and zero-ness [`Constraint::holds`] reads
+    /// survive coefficients at the edge of `i64`.
     pub fn eval(&self, point: &[i64]) -> i64 {
         assert_eq!(point.len(), self.n_dims(), "point arity mismatch");
-        self.row[..self.n_dims()]
-            .iter()
-            .zip(point)
-            .map(|(a, x)| a * x)
-            .sum::<i64>()
-            + self.constant()
+        let products = self.row.iter().zip(point);
+        let products = products.map(|(&a, &x)| i128::from(a) * i128::from(x));
+        let v = products.sum::<i128>() + i128::from(self.constant());
+        v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
     }
 
     /// True iff `point` satisfies the constraint.
@@ -142,25 +142,26 @@ impl AffineExpr {
         AffineExpr { row, denom: 1 }
     }
 
-    /// Evaluates with floor division.
-    pub fn eval_floor(&self, point: &[i64]) -> i64 {
-        self.raw_eval(point).div_euclid(self.denom)
+    /// Evaluates with floor division; `None` when the value does not
+    /// fit `i64`.
+    pub fn eval_floor(&self, point: &[i64]) -> Option<i64> {
+        Some(self.raw_eval(point)?.div_euclid(self.denom))
     }
 
-    /// Evaluates with ceiling division.
-    pub fn eval_ceil(&self, point: &[i64]) -> i64 {
-        -((-self.raw_eval(point)).div_euclid(self.denom))
+    /// Evaluates with ceiling division; `None` when the value does not
+    /// fit `i64`.
+    pub fn eval_ceil(&self, point: &[i64]) -> Option<i64> {
+        let neg = self.raw_eval(point)?.checked_neg()?;
+        neg.div_euclid(self.denom).checked_neg()
     }
 
-    fn raw_eval(&self, point: &[i64]) -> i64 {
+    fn raw_eval(&self, point: &[i64]) -> Option<i64> {
         let n = self.row.len() - 1;
         assert_eq!(point.len(), n, "point arity mismatch");
-        self.row[..n]
-            .iter()
-            .zip(point)
-            .map(|(a, x)| a * x)
-            .sum::<i64>()
-            + self.row[n]
+        let mut products = self.row[..n].iter().zip(point);
+        products.try_fold(self.row[n], |acc, (a, x)| {
+            acc.checked_add(a.checked_mul(*x)?)
+        })
     }
 
     /// True when the expression is a plain constant.
@@ -239,14 +240,9 @@ impl Polyhedron {
     /// Adds `x_d >= lo` and `x_d <= hi - 1`, i.e. the half-open interval
     /// `lo <= x_d < hi` with constant bounds. Convenience for tests.
     pub fn bound_const(&mut self, d: usize, lo: i64, hi: i64) {
-        let mut low = vec![0; self.n_dims + 1];
-        low[d] = 1;
-        low[self.n_dims] = -lo;
-        self.add(Constraint::ge(low));
-        let mut up = vec![0; self.n_dims + 1];
-        up[d] = -1;
-        up[self.n_dims] = hi - 1;
-        self.add(Constraint::ge(up));
+        let mut x_d = vec![0; self.n_dims + 1];
+        x_d[d] = 1;
+        *self = self.and_ge(&x_d, lo).and_le(&x_d, hi - 1);
     }
 
     /// Intersection of two polyhedra over the same space.
@@ -257,6 +253,48 @@ impl Polyhedron {
             out.add(c.clone());
         }
         out
+    }
+
+    /// `self ∧ row ≥ bound`, with `row` an affine form over this space
+    /// (`n_dims` coefficients, then the constant).
+    ///
+    /// With [`Polyhedron::and_le`] and [`Polyhedron::and_eq0`] this is
+    /// the vocabulary every certifier phrases its obligations in: build
+    /// the set of counter-examples, then ask [`Polyhedron::is_empty`].
+    /// The arithmetic is checked; a row that does not fit `i64` is
+    /// *dropped*, leaving a superset of the intended set, whose
+    /// emptiness therefore still proves the obligation and whose
+    /// non-emptiness reads as "not proven" — the same exit
+    /// [`Polyhedron::eliminate_many`] takes on overflow.
+    pub fn and_ge(&self, row: &[i64], bound: i64) -> Polyhedron {
+        let (k, coeffs) = row.split_last().expect("empty constraint row");
+        let r = k.checked_sub(bound).map(|k| [coeffs, &[k]].concat());
+        self.and(r, CmpOp::Ge)
+    }
+
+    /// `self ∧ row ≤ bound`; see [`Polyhedron::and_ge`].
+    pub fn and_le(&self, row: &[i64], bound: i64) -> Polyhedron {
+        let (k, coeffs) = row.split_last().expect("empty constraint row");
+        let r = bound.checked_sub(*k).and_then(|k| {
+            let negated = coeffs.iter().map(|a| a.checked_neg());
+            negated.chain([Some(k)]).collect::<Option<Vec<i64>>>()
+        });
+        self.and(r, CmpOp::Ge)
+    }
+
+    /// `self ∧ row = 0`; see [`Polyhedron::and_ge`].
+    pub fn and_eq0(&self, row: &[i64]) -> Polyhedron {
+        self.and(Some(row.to_vec()), CmpOp::Eq)
+    }
+
+    /// A copy with `row OP 0` added — or without it, when building the
+    /// row overflowed.
+    fn and(&self, row: Option<Vec<i64>>, op: CmpOp) -> Polyhedron {
+        let mut p = self.clone();
+        if let Some(row) = row {
+            p.add(Constraint { row, op });
+        }
+        p
     }
 
     /// True iff the integer point satisfies every constraint.
@@ -462,8 +500,9 @@ impl Polyhedron {
                     }
                     // Saturated magnitudes carry no information (and would
                     // cascade overflows); treat them as unbounded.
-                    const HUGE: i64 = i64::MAX / 4;
-                    if rhs.abs() >= HUGE {
+                    // `unsigned_abs`: a saturated `i64::MIN` has no `abs`.
+                    const HUGE: u64 = i64::MAX as u64 / 4;
+                    if rhs.unsigned_abs() >= HUGE {
                         continue;
                     }
                     if a > 0 {
@@ -583,7 +622,12 @@ impl Polyhedron {
                 if c.op != CmpOp::Eq {
                     continue;
                 }
-                let m = c.row[..n].iter().map(|a| a.abs()).max().unwrap_or(0);
+                // A dominant coefficient of `i64::MIN` has no `abs`; such
+                // a row is left unsplit.
+                let m = c.row[..n].iter().map(|a| a.unsigned_abs()).max();
+                let Ok(m) = i64::try_from(m.unwrap_or(0)) else {
+                    continue;
+                };
                 if m <= 1 {
                     continue;
                 }
@@ -770,7 +814,7 @@ impl Polyhedron {
             .collect();
         for (i, c) in ineqs.iter().enumerate() {
             // System: all equalities + other (not yet dropped) inequalities
-            // + ¬c  (i.e. -row - 1 >= 0). If empty, c is implied.
+            // + ¬c  (i.e. row <= -1). If empty, c is implied.
             let mut sys = Polyhedron::universe(self.n_dims);
             for k in &kept {
                 sys.add(k.clone());
@@ -780,14 +824,7 @@ impl Polyhedron {
                     sys.add(o.clone());
                 }
             }
-            let neg: Vec<i64> = c
-                .row
-                .iter()
-                .enumerate()
-                .map(|(k, &v)| if k == self.n_dims { -v - 1 } else { -v })
-                .collect();
-            sys.add(Constraint::ge(neg));
-            if !sys.is_empty() {
+            if !sys.and_le(&c.row, -1).is_empty() {
                 kept.push(c.clone());
             }
         }
@@ -835,16 +872,17 @@ impl Polyhedron {
             }
             v
         };
+        let fits = "enumerate: bound overflows i64";
         let lo = b
             .lower
             .iter()
-            .map(|e| e.eval_ceil(&prefix))
+            .map(|e| e.eval_ceil(&prefix).expect(fits))
             .max()
             .expect("enumerate: dimension unbounded below");
         let hi = b
             .upper
             .iter()
-            .map(|e| e.eval_floor(&prefix))
+            .map(|e| e.eval_floor(&prefix).expect(fits))
             .min()
             .expect("enumerate: dimension unbounded above");
         for v in lo..=hi {
@@ -858,6 +896,10 @@ impl Polyhedron {
     /// was found: the set is empty, unbounded, or its projections
     /// overflow `i64`. A witness search, never an emptiness proof.
     pub fn sample(&self) -> Option<Vec<i64>> {
+        // Reading a bound off a row negates it; `i64::MIN` cannot be.
+        if self.constraints.iter().any(|c| c.row.contains(&i64::MIN)) {
+            return None;
+        }
         let mut point = vec![0i64; self.n_dims];
         if self.sample_rec(0, &mut point) {
             Some(point)
@@ -892,11 +934,19 @@ impl Polyhedron {
             }
             v
         };
-        let lo = b.lower.iter().map(|e| e.eval_ceil(&prefix)).max();
-        let hi = b.upper.iter().map(|e| e.eval_floor(&prefix)).min();
+        // `None` from an evaluation: the bound does not fit `i64`, and
+        // no witness is found through it either.
+        let lo: Option<Vec<i64>> = b.lower.iter().map(|e| e.eval_ceil(&prefix)).collect();
+        let hi: Option<Vec<i64>> = b.upper.iter().map(|e| e.eval_floor(&prefix)).collect();
+        let lo = lo.and_then(|v| v.into_iter().max());
+        let hi = hi.and_then(|v| v.into_iter().min());
         let (Some(lo), Some(hi)) = (lo, hi) else {
             return false; // Unbounded: refuse rather than loop forever.
         };
+        // So is a dimension only corrupted input makes this wide.
+        if hi.checked_sub(lo).is_none_or(|width| width > 1 << 32) {
+            return false;
+        }
         for v in lo..=hi {
             point[d] = v;
             if self.sample_rec(d + 1, point) {
@@ -996,8 +1046,8 @@ mod tests {
         let b = t.bounds(1, 2);
         assert_eq!(b.lower.len(), 1);
         assert_eq!(b.upper.len(), 1);
-        assert_eq!(b.lower[0].eval_ceil(&[2, 0]), 0);
-        assert_eq!(b.upper[0].eval_floor(&[2, 0]), 2);
+        assert_eq!(b.lower[0].eval_ceil(&[2, 0]), Some(0));
+        assert_eq!(b.upper[0].eval_floor(&[2, 0]), Some(2));
     }
 
     #[test]
@@ -1056,6 +1106,56 @@ mod tests {
         }
     }
 
+    /// Each obligation constructor adds exactly the row one would build
+    /// by hand, and means what it says.
+    #[test]
+    fn obligation_constructors_equal_the_hand_built_rows() {
+        let t = triangle();
+        let row = [2, -1, 3]; // 2i - j + 3
+        let with = |c: Constraint| {
+            let mut p = t.clone();
+            p.add(c);
+            p
+        };
+        assert_eq!(t.and_ge(&row, 5), with(Constraint::ge(vec![2, -1, -2])));
+        assert_eq!(t.and_le(&row, 5), with(Constraint::ge(vec![-2, 1, 2])));
+        assert_eq!(t.and_eq0(&row), with(Constraint::eq(vec![2, -1, 3])));
+        let value = |p: &[i64]| 2 * p[0] - p[1] + 3;
+        let points = t.enumerate();
+        let such_that = |keep: &dyn Fn(i64) -> bool| -> Vec<Vec<i64>> {
+            points.iter().filter(|p| keep(value(p))).cloned().collect()
+        };
+        assert_eq!(t.and_ge(&row, 5).enumerate(), such_that(&|v| v >= 5));
+        assert_eq!(t.and_le(&row, 5).enumerate(), such_that(&|v| v <= 5));
+        assert_eq!(t.and_eq0(&[1, -2, 0]).enumerate(), [[0, 0], [2, 1]]);
+    }
+
+    /// An obligation whose row does not fit `i64` is dropped: the result
+    /// is a superset of the intended set, never proven empty. The first
+    /// case is true everywhere (`i64::MIN <= 0`), and its hand-built row
+    /// `-row >= 0` wraps to the explicitly false `i64::MIN >= 0`.
+    #[test]
+    fn obligation_that_overflows_is_a_superset_not_a_proof() {
+        let t = triangle();
+        for p in [
+            t.and_le(&[0, 0, i64::MIN], 0),  // 0 - MIN
+            t.and_le(&[i64::MIN, 0, 0], -1), // -MIN
+            t.and_ge(&[1, 0, i64::MIN], 1),  // MIN - 1
+            t.and_ge(&[1, 0, 0], i64::MIN).and_le(&[1, 0, 0], i64::MAX),
+        ] {
+            assert!(p.contains(&[3, 3]) && p.contains(&[0, 0]));
+            assert!(!p.is_empty());
+        }
+        // Extreme coefficients that do fit are kept, and survive the
+        // emptiness test and the witness search without aborting.
+        let kept = t.and_ge(&[i64::MIN, 1, 0], 0);
+        let kept = kept.and_eq0(&[i64::MAX, i64::MIN, 0]);
+        assert_eq!(kept.constraints().len(), t.constraints().len() + 2);
+        assert!(kept.contains(&[0, 0]) && !kept.contains(&[1, 0]));
+        assert!(!kept.is_empty());
+        assert!(kept.sample().is_none_or(|pt| kept.contains(&pt)));
+    }
+
     #[test]
     fn intersect_is_conjunction() {
         let t = triangle();
@@ -1106,7 +1206,7 @@ mod tests {
         p.add(Constraint::ge(vec![1, -1, 3])); // x <= t + 3
         assert_eq!(p.enumerate().len(), 16);
         let b = p.bounds(1, 2);
-        assert_eq!(b.lower[0].eval_ceil(&[2, 0]), 2);
-        assert_eq!(b.upper[0].eval_floor(&[2, 0]), 5);
+        assert_eq!(b.lower[0].eval_ceil(&[2, 0]), Some(2));
+        assert_eq!(b.upper[0].eval_floor(&[2, 0]), Some(5));
     }
 }

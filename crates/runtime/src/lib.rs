@@ -55,7 +55,7 @@
 pub mod doall;
 pub mod error;
 pub mod kernel_rt;
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;
 pub mod order_check;
 pub mod pipeline;

@@ -59,12 +59,11 @@ pub fn certify_for_cache(
     Ok(cert)
 }
 
-use occurrence::{Occurrence, PStep};
-use polymix_ast::tree::{Node, Par, Program};
+use occurrence::{LoopMeta, Occurrence, PStep};
+use polymix_ast::tree::{Par, Program};
 use polymix_deps::build_podg;
 use polymix_ir::{PolymixError, Scop};
-use polymix_math::poly::Constraint;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use walk::PairWalk;
 
 /// Re-derives the dependence relation of `prog.scop` and certifies that
@@ -96,7 +95,7 @@ pub fn verify_program(prog: &Program) -> Certificate {
             }
         }
     }
-    reduction_alias_pass(scop, &prog.body, &occs, &mut violations);
+    reduction_alias_pass(scop, &occs, &mut violations);
     dedup(&mut violations);
     Certificate {
         kernel: scop.name.clone(),
@@ -143,54 +142,24 @@ fn subscript_coeff(row: &[i64], occ: &Occurrence, v: usize) -> i64 {
 /// is actually carried) must not be touched by any other access — the
 /// emitter privatizes it per worker, so even same-iteration reads of the
 /// global array would observe partial sums.
-fn reduction_alias_pass(
-    scop: &Scop,
-    body: &Node,
-    occs: &[Occurrence],
-    out: &mut Vec<Violation>,
-) {
-    // Occurrences under a loop are those whose path contains its id.
-    let under = |loop_id: usize| -> Vec<&Occurrence> {
-        occs.iter()
-            .filter(|o| {
-                o.path
-                    .iter()
-                    .any(|s| matches!(s, PStep::Loop(l) if l.id == loop_id))
-            })
-            .collect()
-    };
-    // Reuse the occurrence walk's pre-order ids: re-number identically
-    // (Seq and Loop nodes consume one id each, in the same order).
-    fn number(
-        node: &Node,
-        depth: usize,
-        next_id: &mut usize,
-        out: &mut Vec<(usize, usize, String, usize)>,
-    ) {
-        match node {
-            Node::Seq(xs) => {
-                *next_id += 1;
-                for x in xs {
-                    number(x, depth, next_id, out);
-                }
+fn reduction_alias_pass(scop: &Scop, occs: &[Occurrence], out: &mut Vec<Violation>) {
+    // Reduction loops by the pre-order id `occurrence::collect` gave
+    // them, each with its nesting depth and the occurrences under it.
+    let mut loops: BTreeMap<usize, (&LoopMeta, usize, Vec<&Occurrence>)> = BTreeMap::new();
+    for o in occs {
+        let enclosing = o.path.iter().filter_map(|s| match s {
+            PStep::Loop(l) => Some(l),
+            _ => None,
+        });
+        for (depth, l) in enclosing.enumerate() {
+            if l.par == Par::Reduction {
+                let entry = loops.entry(l.id).or_insert((l, depth, Vec::new()));
+                entry.2.push(o);
             }
-            Node::Loop(l) => {
-                let id = *next_id;
-                *next_id += 1;
-                if l.par == Par::Reduction {
-                    out.push((id, l.var, l.name.clone(), depth));
-                }
-                number(&l.body, depth + 1, next_id, out);
-            }
-            Node::Guard(_, b) => number(b, depth, next_id, out),
-            Node::Stmt(_) => {}
         }
     }
-    let mut metas: Vec<(usize, usize, String, usize)> = Vec::new(); // (id, var, name, depth)
-    let mut next_id = 0usize;
-    number(body, 0, &mut next_id, &mut metas);
-    for (loop_id, var, loop_name, depth) in metas {
-        let members = under(loop_id);
+    for (l, depth, members) in loops.into_values() {
+        let (var, loop_name) = (l.var, &l.name);
         // Accumulators: reduction-update writes invariant in the loop var.
         let mut accums: Vec<(polymix_ir::ArrayId, String)> = Vec::new();
         for o in &members {
@@ -236,11 +205,11 @@ fn reduction_alias_pass(
                     && acc.array == stmt.write.array
                     && acc.map.len() == stmt.write.map.len()
                 {
-                    let mut coincide = stmt.domain.clone();
-                    for (r1, r2) in acc.map.iter().zip(&stmt.write.map) {
+                    let rows = acc.map.iter().zip(&stmt.write.map);
+                    let coincide = rows.fold(stmt.domain.clone(), |p, (r1, r2)| {
                         let diff: Vec<i64> = r1.iter().zip(r2).map(|(a, b)| a - b).collect();
-                        coincide.add(Constraint::eq(diff));
-                    }
+                        p.and_eq0(&diff)
+                    });
                     if coincide.is_empty() {
                         continue;
                     }

@@ -35,39 +35,17 @@ use crate::occurrence::{LoopMeta, Occurrence, PStep};
 use crate::violation::{Violation, ViolationKind};
 use polymix_ast::tree::Par;
 use polymix_deps::vectors::classify;
-use polymix_deps::{Dep, DepElem};
+use polymix_deps::Dep;
 use polymix_ir::Scop;
 use polymix_math::poly::{Constraint, Polyhedron};
 
-/// `poly AND row >= bound` (row carries its constant column).
-fn with_ge(poly: &Polyhedron, row: &[i64], bound: i64) -> Polyhedron {
-    let mut r = row.to_vec();
-    let n = r.len();
-    r[n - 1] -= bound;
-    let mut p = poly.clone();
-    p.add(Constraint::ge(r));
-    p
-}
-
-/// `poly AND row <= bound`.
-fn with_le(poly: &Polyhedron, row: &[i64], bound: i64) -> Polyhedron {
-    let mut r: Vec<i64> = row.iter().map(|x| -x).collect();
-    let n = r.len();
-    r[n - 1] += bound;
-    let mut p = poly.clone();
-    p.add(Constraint::ge(r));
-    p
-}
-
-/// `poly AND row == 0`.
-fn with_eq0(poly: &Polyhedron, row: &[i64]) -> Polyhedron {
-    let mut p = poly.clone();
-    p.add(Constraint::eq(row.to_vec()));
-    p
-}
-
 fn add_rows(a: &[i64], b: &[i64]) -> Vec<i64> {
     a.iter().zip(b).map(|(x, y)| x + y).collect()
+}
+
+/// The row `level(dst) - level(src)` of one level.
+fn delta(dst: &[i64], src: &[i64]) -> Vec<i64> {
+    dst.iter().zip(src).map(|(d, s)| d - s).collect()
 }
 
 /// What happened at one common level.
@@ -86,8 +64,10 @@ pub(crate) struct PairWalk<'a> {
     pub occ_s: &'a Occurrence,
     pub occ_d: &'a Occurrence,
     pub sample: &'a [i64],
-    /// Transformed-space dependence vector accumulated along the walk.
-    vector: Vec<DepElem>,
+    /// Per walked level, the remainder the level saw and its row
+    /// `level(dst) - level(src)`: what a violation's transformed-space
+    /// dependence vector is classified from, if one has to be built.
+    trail: Vec<(Polyhedron, Vec<i64>)>,
     level: usize,
     remaining: Polyhedron,
 }
@@ -106,7 +86,7 @@ impl<'a> PairWalk<'a> {
             occ_s,
             occ_d,
             sample,
-            vector: Vec::new(),
+            trail: Vec::new(),
             level: 0,
             remaining: dep.poly.clone(),
         }
@@ -125,7 +105,11 @@ impl<'a> PairWalk<'a> {
             kind,
             src: self.stmt_name(self.occ_s.stmt),
             dst: self.stmt_name(self.occ_d.stmt),
-            vector: self.vector.clone(),
+            vector: self
+                .trail
+                .iter()
+                .map(|(remaining, r)| classify(remaining, r, self.sample))
+                .collect(),
             level: self.level,
             loop_name: loop_name.to_string(),
             detail,
@@ -238,18 +222,11 @@ impl<'a> PairWalk<'a> {
         if self.remaining.is_empty() {
             return;
         }
-        let steps_s: Vec<&PStep> = self
-            .occ_s
-            .path
-            .iter()
-            .filter(|s| !matches!(s, PStep::Guard { .. }))
-            .collect();
-        let steps_d: Vec<&PStep> = self
-            .occ_d
-            .path
-            .iter()
-            .filter(|s| !matches!(s, PStep::Guard { .. }))
-            .collect();
+        let unguarded = |occ: &'a Occurrence| -> Vec<&'a PStep> {
+            let is_guard = |s: &&PStep| matches!(s, PStep::Guard { .. });
+            occ.path.iter().filter(|s| !is_guard(s)).collect()
+        };
+        let (steps_s, steps_d) = (unguarded(self.occ_s), unguarded(self.occ_d));
         let mut k = 0usize;
         loop {
             match (steps_s.get(k), steps_d.get(k)) {
@@ -325,18 +302,12 @@ impl<'a> PairWalk<'a> {
             .lifted(l.var, true)
             .zip(self.lifted(l.var, false));
         let (r, lattice, coarse_span) = match fine {
-            Some((rs, rd)) => {
-                let r: Vec<i64> = rd.iter().zip(&rs).map(|(d, s)| d - s).collect();
-                (r, l.step, None)
-            }
+            Some((rs, rd)) => (delta(&rd, &rs), l.step, None),
             None => {
                 let ps = self.proxy_row(rest_s, l.var, true);
                 let pd = self.proxy_row(rest_d, l.var, false);
                 match ps.zip(pd) {
-                    Some(((rs, f, _), (rd, _, _))) => {
-                        let r: Vec<i64> = rd.iter().zip(&rs).map(|(d, s)| d - s).collect();
-                        (r, f, Some(l.step))
-                    }
+                    Some(((rs, f, _), (rd, _, _))) => (delta(&rd, &rs), f, Some(l.step)),
                     None => {
                         out.push(self.violation(
                             ViolationKind::Unsupported,
@@ -352,15 +323,14 @@ impl<'a> PairWalk<'a> {
             }
         };
 
-        self.vector
-            .push(classify(&self.remaining, &r, self.sample));
+        self.trail.push((self.remaining.clone(), r.clone()));
 
         // Certificate 1: no dependent pair may run backward at this
         // level. Real pairs sit on the loop's (or proxy loop's) value
         // lattice, so "backward" means at least one lattice step; the
         // polyhedron's off-lattice points in `(-lattice, 0)` are not
         // executions.
-        if !with_le(&self.remaining, &r, -lattice.max(1)).is_empty() {
+        if !self.remaining.and_le(&r, -lattice.max(1)).is_empty() {
             out.push(self.violation(
                 ViolationKind::IllegalOrder,
                 &l.name,
@@ -392,8 +362,8 @@ impl<'a> PairWalk<'a> {
 
         // Shrink: keep the tied pairs, discharge the strictly ordered.
         self.remaining = match coarse_span {
-            None => with_eq0(&self.remaining, &r),
-            Some(m) => with_le(&with_ge(&self.remaining, &r, 0), &r, m - 1),
+            None => self.remaining.and_eq0(&r),
+            Some(m) => self.remaining.and_ge(&r, 0).and_le(&r, m - 1),
         };
         if self.remaining.is_empty() {
             LevelOutcome::Satisfied
@@ -403,7 +373,7 @@ impl<'a> PairWalk<'a> {
     }
 
     fn check_doall(&self, l: &LoopMeta, r: &[i64], carried: i64, out: &mut Vec<Violation>) -> bool {
-        if with_ge(&self.remaining, r, carried).is_empty() {
+        if self.remaining.and_ge(r, carried).is_empty() {
             return true;
         }
         out.push(self.violation(
@@ -425,7 +395,7 @@ impl<'a> PairWalk<'a> {
     ) -> bool {
         // Reduction self-updates were discharged above; anything still
         // here must not be carried in either direction.
-        if with_ge(&self.remaining, r, carried).is_empty() {
+        if self.remaining.and_ge(r, carried).is_empty() {
             return true;
         }
         out.push(self.violation(
@@ -481,7 +451,7 @@ impl<'a> PairWalk<'a> {
                 return true;
             }
         };
-        if sib_d < sib_s && !with_eq0(&self.remaining, r).is_empty() {
+        if sib_d < sib_s && !self.remaining.and_eq0(r).is_empty() {
             out.push(self.violation(
                 ViolationKind::PipelineConeUncovered,
                 &l.name,
@@ -530,7 +500,7 @@ impl<'a> PairWalk<'a> {
             ));
             return true;
         };
-        let rc: Vec<i64> = cd.iter().zip(&cs).map(|(d, s)| d - s).collect();
+        let rc = delta(&cd, &cs);
         let step = l.step.max(1);
         let max_step = fs.max(fd).max(hs).max(hd).max(1);
         let margin = if hs == 0 && hd == 0 {
@@ -550,8 +520,9 @@ impl<'a> PairWalk<'a> {
             .collect();
         // Real pairs never run backward at a passed level; drop the
         // off-lattice negative-`r` points before testing the cone.
-        let fwd = with_ge(&self.remaining, r, 0);
-        if with_le(&fwd, &w, -step * (max_step * dsib + margin)).is_empty() {
+        let fwd = self.remaining.and_ge(r, 0);
+        let uncovered = fwd.and_le(&w, -step * (max_step * dsib + margin));
+        if uncovered.is_empty() {
             return true;
         }
         out.push(self.violation(
@@ -594,9 +565,9 @@ impl<'a> PairWalk<'a> {
             ));
             return true;
         };
-        let rc: Vec<i64> = cd.iter().zip(&cs).map(|(d, s)| d - s).collect();
+        let rc = delta(&cd, &cs);
         let diag = add_rows(r, &rc);
-        if !with_le(&self.remaining, &diag, -1).is_empty() {
+        if !self.remaining.and_le(&diag, -1).is_empty() {
             out.push(self.violation(
                 ViolationKind::WavefrontUnsafe,
                 &l.name,
@@ -608,7 +579,7 @@ impl<'a> PairWalk<'a> {
             ));
             return false;
         }
-        if !with_le(&self.remaining, &rc, -1).is_empty() {
+        if !self.remaining.and_le(&rc, -1).is_empty() {
             out.push(self.violation(
                 ViolationKind::WavefrontUnsafe,
                 &l.name,

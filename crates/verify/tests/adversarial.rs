@@ -58,6 +58,24 @@ fn assert_rejects(prog: &Program, kind: ViolationKind, label: &str) {
     );
 }
 
+/// [`assert_rejects`], and the violations of `kind` print exactly
+/// `expected` — kind, statement pair, level, loop, dependence vector,
+/// detail and fix. The vector is only classified once a violation is
+/// being built; this pins that it still names every walked level.
+fn assert_rejects_printing(prog: &Program, kind: ViolationKind, expected: &[&str], label: &str) {
+    assert_rejects(prog, kind, label);
+    let printed: Vec<String> = verify_program(prog)
+        .violations
+        .iter()
+        .filter(|v| v.kind == kind)
+        .map(|v| v.to_string())
+        .collect();
+    assert_eq!(printed, expected, "{label}");
+}
+
+const BACKWARD_FIX: &str = "(fix: the composed transformation reverses this dependence at this \
+     level; reject the schedule or re-skew the nest)";
+
 /// Row swap: exchanging the two outer rows of the inverse schedule is a
 /// loop interchange. jacobi-1d carries `(1, -1)` dependences, so the
 /// interchange runs some targets before their sources.
@@ -70,7 +88,44 @@ fn illegal_interchange_is_rejected() {
             s.iter_exprs.swap(0, 1);
         }
     });
-    assert_rejects(&prog, ViolationKind::IllegalOrder, "row swap");
+    assert_rejects_printing(
+        &prog,
+        ViolationKind::IllegalOrder,
+        &[
+            &format!(
+                "[illegal-order] S0 -> S1 at level 0 (c1) vector [Const(-1)]: dependence runs \
+                 backward at loop `c1` (target precedes source) {BACKWARD_FIX}"
+            ),
+            "[illegal-order] S1 -> S0 vector [Const(0)]: target occurs textually before source \
+             while every shared loop level is tied (fix: reorder the statements or re-run \
+             scheduling; the transformed program inverts this dependence)",
+            &format!(
+                "[illegal-order] S1 -> S0 at level 0 (c1) vector [Const(-1)]: dependence runs \
+                 backward at loop `c1` (target precedes source) {BACKWARD_FIX}"
+            ),
+        ],
+        "row swap",
+    );
+}
+
+/// Reversing the innermost loop of seidel-2d turns its `(0, 0, 1)`
+/// dependence backward two levels down: the violation's vector names
+/// the two tied levels above the failing one, in order.
+#[test]
+fn reversed_inner_loop_reports_every_walked_level() {
+    let mut prog = identity_program("seidel-2d");
+    mutate_stmts(&mut prog.body, &mut |s| {
+        s.iter_exprs[2] = s.iter_exprs[2].scale(-1);
+    });
+    assert_rejects_printing(
+        &prog,
+        ViolationKind::IllegalOrder,
+        &[&format!(
+            "[illegal-order] S0 -> S0 at level 2 (c3) vector [Const(0), Const(0), Const(-1)]: \
+             dependence runs backward at loop `c3` (target precedes source) {BACKWARD_FIX}"
+        )],
+        "inner reversal",
+    );
 }
 
 /// Sign flip: negating the time row of the inverse schedule makes the
@@ -114,7 +169,14 @@ fn pipeline_relabeled_doall_is_rejected() {
         }
     });
     assert!(flipped, "seidel-2d lost its pipeline loop");
-    assert_rejects(&prog, ViolationKind::DoallCarriesDep, "forged doall");
+    assert_rejects_printing(
+        &prog,
+        ViolationKind::DoallCarriesDep,
+        &["[doall-carries-dep] S0 -> S0 at level 0 (u0t) vector [Plus]: doall loop `u0t` carries \
+           this dependence (fix: demote the loop to sequential, or to reduction/pipeline if the \
+           carried dependences qualify)"],
+        "forged doall",
+    );
 }
 
 /// Emits `prog` for seidel-2d at four threads and checks that the

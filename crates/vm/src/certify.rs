@@ -12,22 +12,24 @@
 //! schedule). The certifier re-derives everything it claims from
 //! [`VmProgram`] alone:
 //!
-//! 1. **Bounds.** Each loop contributes exact rows to a context
-//!    polyhedron (`v >= ceil(e/d)` ⟺ `d·v − e ≥ 0` for integer `v` and
-//!    `d > 0`; guards contribute `g ≥ 0`). An access with address `a`
-//!    into an array of `len` cells is proven in-bounds when both
-//!    `ctx ∧ a ≤ −1` and `ctx ∧ a ≥ len` are empty by Fourier–Motzkin
-//!    elimination. Loops with `step > 1` are over-approximated by their
-//!    bound interval, which is sound for in-bounds proofs (the executed
-//!    lattice is a subset of the interval).
+//! 1. **Bounds.** One walk of the compiled tree turns every access into
+//!    a site under the polyhedron of its enclosing loops and guards
+//!    (`v >= ceil(e/d)` ⟺ `e − d·v ≤ 0` for integer `v` and `d > 0`;
+//!    guards contribute `g ≥ 0`). An access with address `a` into an
+//!    array of `len` cells is proven in-bounds when both escape sets,
+//!    `ctx ∧ a ≤ −1` and `ctx ∧ a ≥ len`, are empty by Fourier–Motzkin
+//!    elimination; the two emptiness proofs are the certificate. Loops
+//!    with `step > 1` are over-approximated by their bound interval,
+//!    which is sound for in-bounds proofs (the executed lattice is a
+//!    subset of the interval).
 //! 2. **Effects.** For every loop the executor would dispatch in
-//!    parallel, cross-iteration conflicts are re-derived from the
-//!    bytecode footprints: two distinct iterations (their distance on
-//!    the loop's step lattice encoded exactly through an existential
-//!    multiplier) must not touch one address with at least one write —
-//!    modulo the privatized accumulator of a reduction loop, whose
-//!    additive self-update shape is re-checked instruction by
-//!    instruction against the loop's recorded `reduction_array`.
+//!    parallel, one race query over the sites under it: two iterations
+//!    the dispatch leaves unordered (their distance a point of a lattice
+//!    cone, encoded exactly through one existential multiplier per axis)
+//!    must not touch one address with at least one write — modulo the
+//!    privatized accumulator of a reduction loop, whose additive
+//!    self-update shape is re-checked instruction by instruction
+//!    against the loop's recorded `reduction_array`.
 //! 3. **Elision.** A passing certificate can be [`VmCertificate::apply`]ed
 //!    back onto the program, flipping the per-access `proven` flags that
 //!    let [`crate::run_opts`] skip dynamic bounds checks when
@@ -35,13 +37,18 @@
 //!
 //! Everything the analysis cannot prove stays a structured violation —
 //! the certifier never guesses, and an unproven access is never elided.
+//! That includes arithmetic: obligations are phrased through
+//! `Polyhedron::{and_ge, and_le, and_eq0}`, and a row that does not fit
+//! `i64` is dropped, which widens the set and reads as "not proven".
 
-use crate::lower::{AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram};
+use crate::lower::{AffExpr, CLoop, CNode, CompiledStmt, Instr, VmProgram};
 use crate::VmError;
 use polymix_ir::expr::BinOp;
 use polymix_math::poly::{Constraint, Polyhedron};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// What a [`VmViolation`] breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -131,10 +138,6 @@ pub struct AccessProof {
     pub array: u32,
     /// In-bounds in *every* context the access executes from.
     pub proven: bool,
-    /// Abstract address interval (exact affine min/max over the context
-    /// polyhedron, joined across contexts); `None` when unbounded or
-    /// when no context reaches the access.
-    pub range: Option<(i64, i64)>,
 }
 
 /// The result of [`certify`]: per-access proofs plus every failed
@@ -220,34 +223,36 @@ pub fn certify(vm: &VmProgram) -> VmCertificate {
             ..VmCertificate::default()
         };
     }
+    let n = vm.n_vars.max(1);
     let mut c = Certifier {
         vm,
-        n: vm.n_vars.max(1),
-        ctx: Vec::new(),
+        n,
         bound_vars: Vec::new(),
-        proofs: BTreeMap::new(),
-        violations: Vec::new(),
-        loops_checked: 0,
-        pairs_checked: 0,
+        sites: Vec::new(),
+        regions: Vec::new(),
+        cert: VmCertificate::default(),
     };
-    c.node(&vm.body, true);
-    let accesses = c
-        .proofs
+    c.walk(&vm.body, &Some(Rc::new(Polyhedron::universe(n))), true);
+    let (sites, regions) = (std::mem::take(&mut c.sites), std::mem::take(&mut c.regions));
+    // `(stmt, site) → (array, in bounds in every context it executes from)`.
+    let mut proofs: BTreeMap<(u32, AccessSite), (u32, bool)> = BTreeMap::new();
+    for s in &sites {
+        let proven = c.in_bounds(s);
+        proofs.entry((s.stmt, s.site)).or_insert((s.array, true)).1 &= proven;
+    }
+    for r in &regions {
+        c.check_region(r, &sites[r.sites.clone()]);
+    }
+    c.cert.accesses = proofs
         .into_iter()
-        .map(|((stmt, site), (array, proven, range))| AccessProof {
+        .map(|((stmt, site), (array, proven))| AccessProof {
             stmt,
             site,
             array,
             proven,
-            range,
         })
         .collect();
-    VmCertificate {
-        accesses,
-        violations: c.violations,
-        loops_checked: c.loops_checked,
-        pairs_checked: c.pairs_checked,
-    }
+    c.cert
 }
 
 /// Convenience for the measurement path: certify, then apply the proofs
@@ -259,74 +264,148 @@ pub fn certify_and_apply(vm: &mut VmProgram) -> Result<VmCertificate, VmError> {
     Ok(cert)
 }
 
-/// One access occurrence inside a parallel region, with the full row
-/// context (root → site) it executes under.
-struct Acc {
+/// One access occurrence and the context it executes under: the
+/// polyhedron of its enclosing loops and guards, root → site, shared by
+/// the accesses of one statement occurrence. `None` below a shadowed
+/// loop variable, where nothing is modelled.
+struct Site<'a> {
     stmt: u32,
     site: AccessSite,
     array: u32,
-    addr: AffExpr,
-    ctx: Vec<Vec<i64>>,
+    addr: &'a AffExpr,
+    ctx: Option<Rc<Polyhedron>>,
 }
 
-impl Acc {
+impl Site<'_> {
     fn is_write(&self) -> bool {
         matches!(self.site, AccessSite::Store)
     }
 }
 
+/// A loop the executor would dispatch in parallel.
+struct Region<'a> {
+    l: &'a CLoop,
+    dispatch: Dispatch,
+    /// Loop variables bound *above* the loop (equated across the two
+    /// iteration copies of a race query).
+    outer: Vec<usize>,
+    /// The sites under the loop, as a range of the walk's site list.
+    sites: Range<usize>,
+}
+
+/// One generator `(var, step, dir)` of the lattice cone two unordered
+/// iterations of a region may differ by: along `var` by `step·k`, with
+/// `dir·k ≥ 1`.
+type Axis = (usize, i64, i64);
+
 struct Certifier<'a> {
     vm: &'a VmProgram,
     /// Loop-variable frame width (polyhedron dimensionality).
     n: usize,
-    /// Context rows over `n` dims + constant, all `>= 0`.
-    ctx: Vec<Vec<i64>>,
     /// Loop variables bound on the current path, outermost first.
     bound_vars: Vec<usize>,
-    /// `(stmt, site) → (array, proven-in-all-contexts, joined range)`.
-    proofs: BTreeMap<(u32, AccessSite), (u32, bool, Option<(i64, i64)>)>,
-    violations: Vec<VmViolation>,
-    loops_checked: usize,
-    pairs_checked: usize,
+    sites: Vec<Site<'a>>,
+    regions: Vec<Region<'a>>,
+    cert: VmCertificate,
 }
 
-/// `e` as a constraint row over `n` dims (+ constant column).
-fn aff_row(e: &AffExpr, n: usize) -> Vec<i64> {
+/// `e` as a row over `n` dims (+ constant column); `None` when two
+/// terms on one variable do not sum in `i64`.
+fn aff_row(e: &AffExpr, n: usize) -> Option<Vec<i64>> {
     let mut row = vec![0i64; n + 1];
     for &(v, k) in &e.terms {
-        row[v as usize] += k;
+        row[v as usize] = row[v as usize].checked_add(k)?;
     }
-    row[n] += e.c;
-    row
+    row[n] = e.c;
+    Some(row)
 }
 
-/// Rows of `lo <= v <= hi` under the exact `max`-of-ceil / `min`-of-floor
+/// `ctx ∧ lo ≤ v ≤ hi` under the exact `max`-of-ceil / `min`-of-floor
 /// semantics of [`CBound::eval_lower`] / [`CBound::eval_upper`]: for an
-/// integer `v` and `d > 0`, `v >= ceil(e/d)` ⟺ `d·v - e >= 0` and
-/// `v <= floor(f/d)` ⟺ `f - d·v >= 0`.
-fn bound_rows(var: usize, lo: &CBound, hi: &CBound, n: usize) -> Vec<Vec<i64>> {
-    let mut rows = Vec::with_capacity(lo.exprs.len() + hi.exprs.len());
-    for (e, d) in &lo.exprs {
-        let mut row: Vec<i64> = aff_row(e, n).iter().map(|&x| -x).collect();
-        row[var] += d;
-        rows.push(row);
+/// integer `v` and `d > 0`, `v ≥ ceil(e/d)` ⟺ `e − d·v ≤ 0` and
+/// `v ≤ floor(f/d)` ⟺ `f − d·v ≥ 0`. A bound whose row does not fit
+/// `i64` is left out, which only widens the context.
+///
+/// [`CBound::eval_lower`]: crate::lower::CBound::eval_lower
+/// [`CBound::eval_upper`]: crate::lower::CBound::eval_upper
+fn loop_ctx(ctx: &Polyhedron, l: &CLoop, n: usize) -> Polyhedron {
+    let minus_dv = |(e, d): &(AffExpr, i64)| {
+        let mut row = aff_row(e, n)?;
+        row[l.var] = row[l.var].checked_sub(*d)?;
+        Some(row)
+    };
+    let mut p = ctx.clone();
+    for row in l.lo.exprs.iter().filter_map(minus_dv) {
+        p = p.and_le(&row, 0);
     }
-    for (e, d) in &hi.exprs {
-        let mut row = aff_row(e, n);
-        row[var] -= d;
-        rows.push(row);
+    for row in l.hi.exprs.iter().filter_map(minus_dv) {
+        p = p.and_ge(&row, 0);
     }
-    rows
+    p
 }
 
 /// Lifts a row over `n` dims into a `dims`-dim space at `shift`.
 fn lift(row: &[i64], n: usize, dims: usize, shift: usize) -> Vec<i64> {
     let mut out = vec![0i64; dims + 1];
-    for (i, &c) in row[..n].iter().enumerate() {
-        out[shift + i] = c;
-    }
+    out[shift..shift + n].copy_from_slice(&row[..n]);
     out[dims] = row[n];
     out
+}
+
+/// The two-copy system of a race query: `x` runs in a source iteration
+/// (dims `0..n`), `y` in a destination iteration (dims `n..2n`) of the
+/// same region, the `outer` variables are equal, the copies differ by a
+/// lattice point of `cone` (one existential multiplier per axis, dims
+/// `2n..`, which keeps the step lattice exact), and both touch the same
+/// address. A row that does not fit `i64` is left out, so the system
+/// only ever grows and a race is never missed.
+fn two_copy(
+    n: usize,
+    (x, x_ctx): (&Site, &Polyhedron),
+    (y, y_ctx): (&Site, &Polyhedron),
+    outer: &[usize],
+    cone: &[Axis],
+) -> Polyhedron {
+    let dims = 2 * n + cone.len();
+    let mut p = Polyhedron::universe(dims);
+    for (ctx, at) in [(x_ctx, 0), (y_ctx, n)] {
+        for c in ctx.constraints() {
+            p.add(Constraint {
+                row: lift(&c.row, n, dims, at),
+                op: c.op,
+            });
+        }
+    }
+    let form = |terms: &[(usize, i64)]| {
+        let mut row = vec![0i64; dims + 1];
+        for &(d, k) in terms {
+            row[d] = k;
+        }
+        row
+    };
+    for &w in outer {
+        p = p.and_eq0(&form(&[(w, 1), (n + w, -1)]));
+    }
+    for (k, &(var, step, dir)) in cone.iter().enumerate() {
+        let k = 2 * n + k;
+        // y_v − x_v = step·k, dir·k ≥ 1 (`step > 0`: validated).
+        p = p.and_eq0(&form(&[(n + var, 1), (var, -1), (k, -step)]));
+        p = p.and_ge(&form(&[(k, dir)]), 1);
+    }
+    // addr_x(src) − addr_y(dst) = 0.
+    let same_address = || {
+        let (xr, yr) = (aff_row(x.addr, n)?, aff_row(y.addr, n)?);
+        let mut row = lift(&xr, n, dims, 0);
+        for (d, c) in yr[..n].iter().enumerate() {
+            row[n + d] = c.checked_neg()?;
+        }
+        row[dims] = xr[n].checked_sub(yr[n])?;
+        Some(row)
+    };
+    match same_address() {
+        Some(row) => p.and_eq0(&row),
+        None => p,
+    }
 }
 
 /// How the executor would dispatch this loop when `threads > 1` —
@@ -381,37 +460,47 @@ fn additive_self_update(s: &CompiledStmt, acc: u32) -> bool {
         == 1
 }
 
-fn stmt_indices(node: &CNode, out: &mut Vec<u32>) {
-    match node {
-        CNode::Seq(xs) => xs.iter().for_each(|x| stmt_indices(x, out)),
-        CNode::Loop(l) => stmt_indices(&l.body, out),
-        CNode::Guard(_, b) => stmt_indices(b, out),
-        CNode::Stmt(k) => out.push(*k),
-    }
-}
-
-impl Certifier<'_> {
+impl<'a> Certifier<'a> {
     fn violation(&mut self, kind: VmViolationKind, stmt: Option<u32>, detail: String) {
-        self.violations.push(VmViolation { kind, stmt, detail });
+        let violation = VmViolation { kind, stmt, detail };
+        self.cert.violations.push(violation);
     }
 
-    /// `dispatch` is true only outside any parallel-dispatched region,
-    /// mirroring the executor's `par` flag.
-    fn node(&mut self, node: &CNode, dispatch: bool) {
+    /// The one walk of the compiled tree: every access becomes a
+    /// [`Site`] under the context of its enclosing loops and guards,
+    /// every loop the executor would dispatch a [`Region`] over the
+    /// sites below it. `dispatch` is true only outside any
+    /// parallel-dispatched region, mirroring the executor's `par` flag.
+    fn walk(&mut self, node: &'a CNode, ctx: &Option<Rc<Polyhedron>>, dispatch: bool) {
         match node {
-            CNode::Seq(xs) => xs.iter().for_each(|x| self.node(x, dispatch)),
+            CNode::Seq(xs) => xs.iter().for_each(|x| self.walk(x, ctx, dispatch)),
             CNode::Guard(gs, b) => {
-                let pushed = gs.len();
-                for g in gs {
-                    let row = aff_row(g, self.n);
-                    self.ctx.push(row);
-                }
-                self.node(b, dispatch);
-                self.ctx.truncate(self.ctx.len() - pushed);
+                let guarded = ctx.as_deref().map(|c| {
+                    let rows = gs.iter().filter_map(|g| aff_row(g, self.n));
+                    Rc::new(rows.fold(c.clone(), |p, row| p.and_ge(&row, 0)))
+                });
+                self.walk(b, &guarded, dispatch);
             }
-            CNode::Stmt(k) => self.check_stmt(*k),
+            CNode::Stmt(k) => {
+                // In range: `certify` validated the program up front.
+                let s = &self.vm.stmts[*k as usize];
+                let loads = s.code.iter().enumerate().filter_map(|(pos, i)| match i {
+                    Instr::Load { array, addr, .. } => Some((AccessSite::Load(pos), *array, addr)),
+                    _ => None,
+                });
+                let store = (AccessSite::Store, s.store_array, &s.store_addr);
+                let site = |(site, array, addr)| Site {
+                    stmt: *k,
+                    site,
+                    array,
+                    addr,
+                    ctx: ctx.clone(),
+                };
+                self.sites.extend(loads.chain([store]).map(site));
+            }
             CNode::Loop(l) => {
-                if self.bound_vars.contains(&l.var) {
+                let shadows = self.bound_vars.contains(&l.var);
+                if shadows {
                     self.violation(
                         VmViolationKind::Unsupported,
                         None,
@@ -420,177 +509,88 @@ impl Certifier<'_> {
                             l.var
                         ),
                     );
-                    self.mark_unproven(&l.body);
-                    return;
                 }
-                let outer = self.bound_vars.clone();
-                let rows = bound_rows(l.var, &l.lo, &l.hi, self.n);
-                let pushed = rows.len();
-                self.ctx.extend(rows);
+                let inner = match ctx {
+                    Some(c) if !shadows => Some(Rc::new(loop_ctx(c, l, self.n))),
+                    _ => None,
+                };
+                let dispatched = if dispatch { dispatchable(l) } else { None };
+                let first = self.sites.len();
                 self.bound_vars.push(l.var);
-                let dispatched = dispatch && dispatchable(l).is_some();
-                if dispatched {
-                    self.check_parallel(l, &outer);
-                }
-                self.node(&l.body, dispatch && !dispatched);
+                self.walk(&l.body, &inner, dispatch && dispatched.is_none());
                 self.bound_vars.pop();
-                self.ctx.truncate(self.ctx.len() - pushed);
-            }
-        }
-    }
-
-    /// Records that every access under `node` is unproven (used when a
-    /// subtree falls outside the model, so elision can never apply).
-    fn mark_unproven(&mut self, node: &CNode) {
-        let mut sites = Vec::new();
-        stmt_indices(node, &mut sites);
-        let vm = self.vm;
-        for k in sites {
-            if let Some(s) = vm.stmts.get(k as usize) {
-                for (pos, i) in s.code.iter().enumerate() {
-                    if let Instr::Load { array, .. } = i {
-                        let e = self
-                            .proofs
-                            .entry((k, AccessSite::Load(pos)))
-                            .or_insert((*array, false, None));
-                        e.1 = false;
-                    }
+                if let Some(dispatch) = dispatched {
+                    self.regions.push(Region {
+                        l,
+                        dispatch,
+                        outer: self.bound_vars.clone(),
+                        sites: first..self.sites.len(),
+                    });
                 }
-                let e = self
-                    .proofs
-                    .entry((k, AccessSite::Store))
-                    .or_insert((s.store_array, false, None));
-                e.1 = false;
             }
         }
     }
 
-    fn check_stmt(&mut self, k: u32) {
-        // In range: `certify` validated the program up front.
-        let vm = self.vm;
-        let s = &vm.stmts[k as usize];
-        for (pos, i) in s.code.iter().enumerate() {
-            if let Instr::Load { array, addr, .. } = i {
-                self.check_access(k, AccessSite::Load(pos), *array, addr);
-            }
-        }
-        self.check_access(k, AccessSite::Store, s.store_array, &s.store_addr);
-    }
-
-    fn ctx_poly(&self) -> Polyhedron {
-        let mut p = Polyhedron::universe(self.n);
-        for row in &self.ctx {
-            p.add(Constraint::ge(row.clone()));
-        }
-        p
-    }
-
-    fn check_access(&mut self, stmt: u32, site: AccessSite, array: u32, addr: &AffExpr) {
+    /// The bounds obligation of one site: both escape sets,
+    /// `ctx ∧ addr ≤ −1` and `ctx ∧ addr ≥ len`, are empty. An escape
+    /// that is not comes back as a violation, with a witness frame when
+    /// one is found.
+    fn in_bounds(&mut self, s: &Site) -> bool {
+        // Below a shadowed loop: already reported, never proven.
+        let Some(ctx) = s.ctx.as_deref() else {
+            return false;
+        };
+        let (array, addr) = (s.array, s.addr);
         let len = self.vm.array_lens[array as usize] as i64;
+        // No row (the address does not fit `i64`), no proof.
         let row = aff_row(addr, self.n);
-
-        // `ctx ∧ addr <= -1` must be empty...
-        let mut low = self.ctx_poly();
-        let mut neg: Vec<i64> = row.iter().map(|&x| -x).collect();
-        neg[self.n] -= 1;
-        low.add(Constraint::ge(neg));
-        // ...and so must `ctx ∧ addr >= len`.
-        let mut high = self.ctx_poly();
-        let mut over = row.clone();
-        over[self.n] -= len;
-        high.add(Constraint::ge(over));
-
-        let low_ok = low.is_empty();
-        let high_ok = high.is_empty();
-        let proven = low_ok && high_ok;
-        if !proven {
-            let what = match site {
-                AccessSite::Store => "store".to_string(),
-                AccessSite::Load(pos) => format!("load (instr {pos})"),
-            };
-            // Dimensions the context never mentions are unconstrained;
-            // pin them to zero so the escape set stays bounded and
-            // sampleable (they cannot affect the violated constraint).
-            let mut escape = if !low_ok { low } else { high };
+        let escapes = |r: &Vec<i64>| [ctx.and_le(r, -1), ctx.and_ge(r, len)];
+        let escape = row.iter().flat_map(escapes).find(|e| !e.is_empty());
+        if row.is_some() && escape.is_none() {
+            return true;
+        }
+        // Dimensions the context never mentions are unconstrained; pin
+        // them to zero so the escape set stays bounded and sampleable
+        // (they cannot affect the violated constraint).
+        let witness = escape.and_then(|mut escape| {
             for d in 0..self.n {
                 if !escape.constraints().iter().any(|c| c.mentions(d)) {
                     escape = escape.fix(d, 0);
                 }
             }
-            let witness = escape.sample();
-            match witness {
-                Some(frame) => {
-                    let off = addr.eval(&frame);
-                    self.violation(
-                        VmViolationKind::OutOfBounds,
-                        Some(stmt),
-                        format!(
-                            "{what} into array {array} (len {len}) can reach offset {off} \
-                             at frame {frame:?}"
-                        ),
-                    );
-                }
-                None => self.violation(
-                    VmViolationKind::BoundsUnproven,
-                    Some(stmt),
-                    format!(
-                        "{what} into array {array} (len {len}): address not bounded by the \
-                         enclosing loop polyhedron"
-                    ),
-                ),
-            }
-        }
-        let range = self.abstract_range(addr);
-        let entry = self
-            .proofs
-            .entry((stmt, site))
-            .or_insert((array, proven, range));
-        entry.1 &= proven;
-        entry.2 = match (entry.2, range) {
-            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-            (None, r) | (r, None) => r,
+            let frame = escape.sample()?;
+            let off = addr.terms.iter().try_fold(addr.c, |acc, &(v, k)| {
+                acc.checked_add(k.checked_mul(frame[v as usize])?)
+            })?;
+            Some((off, frame))
+        });
+        let what = match s.site {
+            AccessSite::Store => "store".to_string(),
+            AccessSite::Load(pos) => format!("load (instr {pos})"),
         };
+        let (kind, found) = match witness {
+            Some((off, frame)) => (
+                VmViolationKind::OutOfBounds,
+                format!(" can reach offset {off} at frame {frame:?}"),
+            ),
+            None => (
+                VmViolationKind::BoundsUnproven,
+                ": address not bounded by the enclosing loop polyhedron".to_string(),
+            ),
+        };
+        let detail = format!("{what} into array {array} (len {len}){found}");
+        self.violation(kind, Some(s.stmt), detail);
+        false
     }
 
-    /// Exact affine min/max of `addr` over the context: project the
-    /// augmented polyhedron `ctx ∧ a = addr` onto `a` and read the
-    /// constant bounds. `None` when unbounded (or no context reaches the
-    /// access, in which case there is nothing to claim).
-    fn abstract_range(&self, addr: &AffExpr) -> Option<(i64, i64)> {
-        let n = self.n;
-        let mut p = Polyhedron::universe(n + 1);
-        for row in &self.ctx {
-            p.add(Constraint::ge(lift(row, n, n + 1, 0)));
-        }
-        let mut eq = vec![0i64; n + 2];
-        eq[n] = 1;
-        for &(v, k) in &addr.terms {
-            eq[v as usize] -= k;
-        }
-        eq[n + 1] = -addr.c;
-        p.add(Constraint::eq(eq));
-        let dims: Vec<usize> = (0..n).collect();
-        let q = p.eliminate_many(&dims);
-        if q.is_empty() {
-            return None;
-        }
-        let b = q.bounds(n, n + 1);
-        let zeros = vec![0i64; n + 1];
-        let lo = b.lower.iter().map(|e| e.eval_ceil(&zeros)).max()?;
-        let hi = b.upper.iter().map(|e| e.eval_floor(&zeros)).min()?;
-        Some((lo, hi))
-    }
-
-    /// Effect-summary check of one parallel-dispatchable loop. `outer`
-    /// holds the loop variables bound *above* the loop (equated across
-    /// the two iteration copies); `self.ctx` already includes the loop's
-    /// own bounds.
-    fn check_parallel(&mut self, l: &CLoop, outer: &[usize]) {
-        self.loops_checked += 1;
-        let mut accs = Vec::new();
-        let mut seen = self.bound_vars.clone();
-        let mut sub_ctx = self.ctx.clone();
-        if !self.collect(&l.body, &mut sub_ctx, &mut seen, &mut accs) {
+    /// Effect-summary check of one parallel-dispatchable loop over the
+    /// sites under it.
+    fn check_region(&mut self, r: &Region, sites: &[Site]) {
+        self.cert.loops_checked += 1;
+        let l = r.l;
+        let modelled: Option<Vec<(&Site, &Polyhedron)>> =
+            sites.iter().map(|s| Some((s, s.ctx.as_deref()?))).collect();
+        let Some(sites) = modelled else {
             self.violation(
                 VmViolationKind::Unsupported,
                 None,
@@ -601,22 +601,18 @@ impl Certifier<'_> {
                 ),
             );
             return;
-        }
-        match dispatchable(l) {
-            Some(Dispatch::Doall) => {
-                self.conflicts(l, outer, &accs, None, VmViolationKind::DoallCarriesDep);
-            }
-            Some(Dispatch::Reduction(acc)) => {
-                let mut sites = Vec::new();
-                stmt_indices(&l.body, &mut sites);
-                let vm = self.vm;
-                for k in sites {
+        };
+        let forward = (l.var, l.step, 1);
+        let (cone, skip_array, kind) = match r.dispatch {
+            Dispatch::Doall => (vec![forward], None, VmViolationKind::DoallCarriesDep),
+            Dispatch::Reduction(acc) => {
+                // One store per statement occurrence under the loop.
+                for (s, _) in sites.iter().filter(|(s, _)| s.is_write()) {
                     // In range: validated up front.
-                    let s = &vm.stmts[k as usize];
-                    if !additive_self_update(s, acc) {
+                    if !additive_self_update(&self.vm.stmts[s.stmt as usize], acc) {
                         self.violation(
                             VmViolationKind::ReductionUnsafe,
-                            Some(k),
+                            Some(s.stmt),
                             format!(
                                 "bytecode is not an additive self-update of the recorded \
                                  accumulator array {acc}"
@@ -627,228 +623,69 @@ impl Certifier<'_> {
                 // The accumulator is privatized (zero-init + additive
                 // merge), so only the *other* arrays must be conflict-free
                 // across iterations.
-                self.conflicts(l, outer, &accs, Some(acc), VmViolationKind::ReductionUnsafe);
+                (vec![forward], Some(acc), VmViolationKind::ReductionUnsafe)
             }
-            Some(Dispatch::Grid) => self.grid_conflicts(l, outer, &accs),
-            None => {}
-        }
+            // A rectangular 2-level grid (pipeline / wavefront /
+            // taskgraph) guarantees that cell `(i, j)` runs after every
+            // `(i' <= i, j' <= j)`: the only unordered pairs are
+            // `di >= 1 ∧ dj <= -1`, so a conflict inside that cone is a
+            // race.
+            Dispatch::Grid => match &l.body {
+                CNode::Loop(inner) => {
+                    let cone = vec![forward, (inner.var, inner.step, -1)];
+                    (cone, None, VmViolationKind::GridUncovered)
+                }
+                _ => {
+                    let detail = "rect_grid loop lost its inner loop".to_string();
+                    return self.violation(VmViolationKind::Malformed, None, detail);
+                }
+            },
+        };
+        self.races(r, &sites, &cone, skip_array, kind);
     }
 
-    /// Collects every access under `node` with its full context rows.
-    /// Returns false when a shadowed loop variable makes the subtree
-    /// unanalyzable.
-    fn collect(
-        &self,
-        node: &CNode,
-        ctx: &mut Vec<Vec<i64>>,
-        seen: &mut Vec<usize>,
-        out: &mut Vec<Acc>,
-    ) -> bool {
-        match node {
-            CNode::Seq(xs) => xs.iter().all(|x| self.collect(x, ctx, seen, out)),
-            CNode::Guard(gs, b) => {
-                for g in gs {
-                    ctx.push(aff_row(g, self.n));
-                }
-                let ok = self.collect(b, ctx, seen, out);
-                ctx.truncate(ctx.len() - gs.len());
-                ok
-            }
-            CNode::Loop(l) => {
-                if seen.contains(&l.var) {
-                    return false;
-                }
-                let rows = bound_rows(l.var, &l.lo, &l.hi, self.n);
-                let pushed = rows.len();
-                ctx.extend(rows);
-                seen.push(l.var);
-                let ok = self.collect(&l.body, ctx, seen, out);
-                seen.pop();
-                ctx.truncate(ctx.len() - pushed);
-                ok
-            }
-            CNode::Stmt(k) => {
-                // In range: validated up front.
-                let s = &self.vm.stmts[*k as usize];
-                for (pos, i) in s.code.iter().enumerate() {
-                    if let Instr::Load { array, addr, .. } = i {
-                        out.push(Acc {
-                            stmt: *k,
-                            site: AccessSite::Load(pos),
-                            array: *array,
-                            addr: addr.clone(),
-                            ctx: ctx.clone(),
-                        });
-                    }
-                }
-                out.push(Acc {
-                    stmt: *k,
-                    site: AccessSite::Store,
-                    array: s.store_array,
-                    addr: s.store_addr.clone(),
-                    ctx: ctx.clone(),
-                });
-                true
-            }
-        }
-    }
-
-    /// Two-copy conflict test: is there a pair of *distinct* iterations
-    /// of `l` (distance a positive multiple of `step`, outer variables
-    /// equal) whose accesses `x` (earlier copy) and `y` (later copy) hit
-    /// the same address with at least one write? Exact on the loop's
-    /// step lattice through the existential multiplier dimension.
-    fn conflicts(
+    /// The one race query: is there a pair of iterations of the region,
+    /// differing by a point of `cone`, whose accesses `x` (source copy)
+    /// and `y` (destination copy) hit the same address with at least
+    /// one write? `skip_array` is a privatized accumulator.
+    fn races(
         &mut self,
-        l: &CLoop,
-        outer: &[usize],
-        accs: &[Acc],
+        r: &Region,
+        sites: &[(&Site, &Polyhedron)],
+        cone: &[Axis],
         skip_array: Option<u32>,
         kind: VmViolationKind,
     ) {
         let n = self.n;
-        let dims = 2 * n + 1; // src copy, dst copy, lattice multiplier k
-        for x in accs {
-            for y in accs {
-                if x.array != y.array || (!x.is_write() && !y.is_write()) {
-                    continue;
-                }
-                if skip_array == Some(x.array) {
-                    continue;
-                }
-                self.pairs_checked += 1;
-                let mut p = Polyhedron::universe(dims);
-                for row in &x.ctx {
-                    p.add(Constraint::ge(lift(row, n, dims, 0)));
-                }
-                for row in &y.ctx {
-                    p.add(Constraint::ge(lift(row, n, dims, n)));
-                }
-                for &w in outer {
-                    let mut eq = vec![0i64; dims + 1];
-                    eq[w] = 1;
-                    eq[n + w] = -1;
-                    p.add(Constraint::eq(eq));
-                }
-                // y_v - x_v = step·k, k >= 1.
-                let mut lat = vec![0i64; dims + 1];
-                lat[n + l.var] += 1;
-                lat[l.var] -= 1;
-                lat[2 * n] = -l.step;
-                p.add(Constraint::eq(lat));
-                let mut kpos = vec![0i64; dims + 1];
-                kpos[2 * n] = 1;
-                kpos[dims] = -1;
-                p.add(Constraint::ge(kpos));
-                // addr_x(src) = addr_y(dst).
-                let xr = aff_row(&x.addr, n);
-                let yr = aff_row(&y.addr, n);
-                let mut eq = lift(&xr, n, dims, 0);
-                let ylift = lift(&yr, n, dims, n);
-                for (a, b) in eq.iter_mut().zip(&ylift) {
-                    *a -= b;
-                }
-                p.add(Constraint::eq(eq));
-                if !p.is_empty() {
-                    let w = p.sample();
-                    self.violation(
-                        kind,
-                        Some(x.stmt),
-                        format!(
-                            "distinct iterations of the loop over variable {} conflict on \
-                             array {} (stmt {} {:?} vs stmt {} {:?}){}",
-                            l.var,
-                            x.array,
-                            x.stmt,
-                            x.site,
-                            y.stmt,
-                            y.site,
-                            match w {
-                                Some(pt) => format!("; witness frames {:?} / {:?}",
-                                    &pt[..n], &pt[n..2 * n]),
-                                None => String::new(),
-                            }
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Conflict test for a rectangular 2-level grid dispatch
-    /// (pipeline / wavefront / taskgraph, all guaranteeing that cell
-    /// `(i, j)` runs after every `(i' <= i, j' <= j)`): the only
-    /// unordered pairs are `di >= 1 ∧ dj <= -1`, so a conflict inside
-    /// that cone is a race.
-    fn grid_conflicts(&mut self, l: &CLoop, outer: &[usize], accs: &[Acc]) {
-        let CNode::Loop(inner) = &l.body else {
-            self.violation(
-                VmViolationKind::Malformed,
-                None,
-                "rect_grid loop lost its inner loop".to_string(),
-            );
-            return;
+        let what = match cone {
+            [_] => format!("distinct iterations of the loop over variable {}", r.l.var),
+            _ => "grid cells outside the {(1,0),(0,1)} order cone".to_string(),
         };
-        let n = self.n;
-        let dims = 2 * n + 2; // two copies + two lattice multipliers
-        for x in accs {
-            for y in accs {
-                if x.array != y.array || (!x.is_write() && !y.is_write()) {
+        for &(x, x_ctx) in sites {
+            for &(y, y_ctx) in sites {
+                if x.array != y.array
+                    || (!x.is_write() && !y.is_write())
+                    || skip_array == Some(x.array)
+                {
                     continue;
                 }
-                self.pairs_checked += 1;
-                let mut p = Polyhedron::universe(dims);
-                for row in &x.ctx {
-                    p.add(Constraint::ge(lift(row, n, dims, 0)));
+                self.cert.pairs_checked += 1;
+                let p = two_copy(n, (x, x_ctx), (y, y_ctx), &r.outer, cone);
+                if p.is_empty() {
+                    continue;
                 }
-                for row in &y.ctx {
-                    p.add(Constraint::ge(lift(row, n, dims, n)));
-                }
-                for &w in outer {
-                    let mut eq = vec![0i64; dims + 1];
-                    eq[w] = 1;
-                    eq[n + w] = -1;
-                    p.add(Constraint::eq(eq));
-                }
-                // di = step_o·k1, k1 >= 1; dj = step_i·k2, k2 <= -1.
-                let mut lat_o = vec![0i64; dims + 1];
-                lat_o[n + l.var] += 1;
-                lat_o[l.var] -= 1;
-                lat_o[2 * n] = -l.step;
-                p.add(Constraint::eq(lat_o));
-                let mut k1 = vec![0i64; dims + 1];
-                k1[2 * n] = 1;
-                k1[dims] = -1;
-                p.add(Constraint::ge(k1));
-                let mut lat_i = vec![0i64; dims + 1];
-                lat_i[n + inner.var] += 1;
-                lat_i[inner.var] -= 1;
-                lat_i[2 * n + 1] = -inner.step;
-                p.add(Constraint::eq(lat_i));
-                let mut k2 = vec![0i64; dims + 1];
-                k2[2 * n + 1] = -1;
-                k2[dims] = -1;
-                p.add(Constraint::ge(k2));
-                // Same address.
-                let xr = aff_row(&x.addr, n);
-                let yr = aff_row(&y.addr, n);
-                let mut eq = lift(&xr, n, dims, 0);
-                let ylift = lift(&yr, n, dims, n);
-                for (a, b) in eq.iter_mut().zip(&ylift) {
-                    *a -= b;
-                }
-                p.add(Constraint::eq(eq));
-                if !p.is_empty() {
-                    self.violation(
-                        VmViolationKind::GridUncovered,
-                        Some(x.stmt),
-                        format!(
-                            "grid cells outside the {{(1,0),(0,1)}} order cone conflict on \
-                             array {} (stmt {} {:?} vs stmt {} {:?})",
-                            x.array, x.stmt, x.site, y.stmt, y.site
-                        ),
-                    );
-                }
+                let witness = match p.sample() {
+                    Some(pt) => format!("; witness frames {:?} / {:?}", &pt[..n], &pt[n..2 * n]),
+                    None => String::new(),
+                };
+                self.violation(
+                    kind,
+                    Some(x.stmt),
+                    format!(
+                        "{what} conflict on array {} (stmt {} {:?} vs stmt {} {:?}){witness}",
+                        x.array, x.stmt, x.site, y.stmt, y.site
+                    ),
+                );
             }
         }
     }

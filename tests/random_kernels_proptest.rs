@@ -1,4 +1,3 @@
-#![cfg(feature = "proptest")]
 //! Property-based end-to-end testing: randomly generated two-statement
 //! producer/consumer kernels (with random stencil offsets, loop extents
 //! and coupling) must survive both optimizers bit-for-bit. This hunts for

@@ -1,4 +1,3 @@
-#![cfg(feature = "proptest")]
 // proptest-regressions are intentionally not persisted for this fuzz target.
 //! Schedule fuzzing: random `2d+1` schedules (signed permutations with
 //! retiming and β interleavings) are generated for a two-statement
