@@ -87,6 +87,18 @@ RC=0; STRICT_OUT=$(cargo run --release -q -p polymix-bench --bin verify -- \
     && [ "$(echo "$STRICT_OUT" | grep -c '^ *\[unsupported\] .* vector \[')" -eq 8 ] \
     || { echo "$STRICT_OUT" | grep -v '^ok'; echo "strict audit: exit $RC, expected 1 with 2x4 notes"; exit 1; }
 
+# Oracle memo gate, in both profiles. The certifiers above trust
+# `is_empty`/`sample` answers served from the call-scoped memo, so its
+# invisibility tests must hold with and without debug assertions; the
+# `classify` overflow is an abort in debug and a wrap in release; and
+# the pinned distinct-question counts must not depend on the debug-only
+# certify hook inside the optimizers.
+echo "== oracle memo tests (debug + release) =="
+for profile in "" --release; do
+    cargo test -q $profile -p polymix-math -p polymix-deps -p polymix \
+        --test memo --test classify_overflow --test oracle_memo_counts
+done
+
 # Bytecode certification gate: every (kernel, variant) cell the vm
 # backend could measure is lowered at mini and run through the bytecode
 # certifier (bounds proofs + effect-summary cross-check). The audit must

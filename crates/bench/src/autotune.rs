@@ -525,10 +525,13 @@ pub fn autotune_kernel(
             structures.push(c.structure());
         }
     }
-    let progs: Vec<Option<Program>> = structures
-        .iter()
-        .map(|c| build_candidate(&kernel, c, machine).ok())
-        .collect();
+    let progs: Vec<Option<Program>> = {
+        // Every structure is built from the same SCoP and asks about the
+        // same dependence polyhedra.
+        let _memo = polymix_math::memo::scope();
+        let build = |c| build_candidate(&kernel, c, machine).ok();
+        structures.iter().map(build).collect()
+    };
     let built: Vec<&Program> = progs.iter().flatten().collect();
     let configs = [CacheConfig::l1_nehalem(), CacheConfig::l2_nehalem()];
     let costs = batch_weighted_cost(&built, &mini, &configs, &LEVEL_COSTS);

@@ -12,7 +12,7 @@
 //! (skewing happens later, syntactically), and the permutation objective
 //! is the DL memory cost rather than minimal reuse distance.
 
-use polymix_deps::legality::{apply_loop_row, DepState, RowEffect};
+use polymix_deps::legality::{apply_loop_row, violates, DepState, RowEffect};
 use polymix_deps::vectors::classify;
 use polymix_deps::{build_podg, sccs, DepElem, Podg};
 use polymix_dl::{fusion_profitable, permutation_priority, Machine, RefInfo};
@@ -37,6 +37,7 @@ pub fn affine_stage_with(
     machine: &Machine,
     enable_fusion: bool,
 ) -> Result<Vec<Schedule>, PolymixError> {
+    let _memo = polymix_math::memo::scope();
     let podg = build_podg(scop);
     // DL permutation priority per statement (original iterators,
     // outermost-profitable first).
@@ -174,12 +175,12 @@ impl Affine<'_> {
                             .collect();
                         let ok = !comp.iter().all(|&s| self.exhausted(s))
                             && path_safe(&members, cand, &others, &reach)
-                            && self.fusion_conditions(&group, comp, level)
+                            && self.fusion_conditions(&group, comp)
                             && {
                                 let mut m = group.clone();
                                 m.extend(comp.iter().copied());
                                 m.sort();
-                                self.find_picks_top(&m, level).is_some()
+                                self.find_picks_top(&m).is_some()
                             };
                         if ok {
                             group.extend(comp.iter().copied());
@@ -247,7 +248,7 @@ impl Affine<'_> {
             let picks = if group.iter().all(|&s| self.exhausted(s)) {
                 None
             } else {
-                match self.find_picks(group, level) {
+                match self.find_picks(group) {
                     Some(p) => Some(p),
                     None => {
                         return Err(PolymixError::scheduling(
@@ -323,7 +324,7 @@ impl Affine<'_> {
     /// Algorithm 5's fusion conditions (1), (2), (3) and (5); condition
     /// (4) — a legal reversal/retiming combination exists — is checked by
     /// the caller through `find_picks` on the merged group.
-    fn fusion_conditions(&self, a: &[StmtId], b: &[StmtId], level: usize) -> bool {
+    fn fusion_conditions(&self, a: &[StmtId], b: &[StmtId]) -> bool {
         // (1) direct predecessor/successor or no dependences at all.
         //     (The SCC topological order already guarantees b never
         //     precedes a; any edge between them makes them adjacent.)
@@ -351,8 +352,7 @@ impl Affine<'_> {
         }
         // (5) fusion must not kill outermost parallelism: if both groups
         //     are doall at this level, the merged one must be too.
-        let doall = |g: &[StmtId]| self.group_is_doall(g, level);
-        if doall(a) && doall(b) && !self.merged_is_doall(a, b, level) {
+        if self.group_is_doall(a) && self.group_is_doall(b) && !self.merged_is_doall(a, b) {
             return false;
         }
         true
@@ -426,19 +426,19 @@ impl Affine<'_> {
     }
 
     /// True when no unsatisfied internal dependence of the group is
-    /// carried by any legal level-`level` row (approximated: by the
-    /// group's first legal pick).
-    fn group_is_doall(&self, g: &[StmtId], level: usize) -> bool {
-        let Some(picks) = self.find_picks(g, level) else {
+    /// carried by any legal row at the current level (approximated: by
+    /// the group's first legal pick).
+    fn group_is_doall(&self, g: &[StmtId]) -> bool {
+        let Some(picks) = self.find_picks(g) else {
             return false;
         };
         self.picks_are_doall(g, &picks)
     }
 
-    fn merged_is_doall(&self, a: &[StmtId], b: &[StmtId], level: usize) -> bool {
+    fn merged_is_doall(&self, a: &[StmtId], b: &[StmtId]) -> bool {
         let mut merged = a.to_vec();
         merged.extend(b.iter().copied());
-        let Some(picks) = self.find_picks(&merged, level) else {
+        let Some(picks) = self.find_picks(&merged) else {
             return false;
         };
         self.picks_are_doall(&merged, &picks)
@@ -468,8 +468,7 @@ impl Affine<'_> {
     /// Fusion probe: only the all-top-DL-priority combination is tried —
     /// fusion must not derail the DL permutation choice (it would trade
     /// the very locality the model asked for).
-    fn find_picks_top(&self, group: &[StmtId], level: usize) -> Option<Vec<Pick>> {
-        let _ = level;
+    fn find_picks_top(&self, group: &[StmtId]) -> Option<Vec<Pick>> {
         let iters: Option<Vec<usize>> = group
             .iter()
             .map(|&s| {
@@ -498,8 +497,7 @@ impl Affine<'_> {
 
     /// Algorithm 4: search permutation combinations in DL-priority order,
     /// legalizing with retiming and reversal.
-    fn find_picks(&self, group: &[StmtId], level: usize) -> Option<Vec<Pick>> {
-        let _ = level;
+    fn find_picks(&self, group: &[StmtId]) -> Option<Vec<Pick>> {
         // Remaining iterators per statement, in DL priority order.
         let cands: Vec<Vec<usize>> = group
             .iter()
@@ -571,8 +569,7 @@ impl Affine<'_> {
                 };
                 let row_src = self.pick_row(d.src, &picks[si]);
                 let row_dst = self.pick_row(d.dst, &picks[di]);
-                let mut probe = st.clone();
-                if apply_loop_row(d, &mut probe, &row_src, &row_dst) == RowEffect::Violated {
+                if violates(d, st, &row_src, &row_dst) {
                     violated = true;
                     if si == di {
                         return None; // self-dep: retiming can't fix
@@ -646,8 +643,7 @@ impl Affine<'_> {
             };
             let row_src = self.pick_row(d.src, &picks[si]);
             let row_dst = self.pick_row(d.dst, &picks[di]);
-            let mut probe = st.clone();
-            if apply_loop_row(d, &mut probe, &row_src, &row_dst) == RowEffect::Violated {
+            if violates(d, st, &row_src, &row_dst) {
                 return false;
             }
         }

@@ -61,6 +61,7 @@ impl Default for PolyAstOptions {
 /// best-effort (a failed transform keeps the last legal tree), so an
 /// `Err` here means even the identity program could not be generated.
 pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, PolymixError> {
+    let _memo = polymix_math::memo::scope();
     // Stage 1: fusion & permutation with DL (polyhedral).
     let staged = affine_stage_with(scop, &opts.machine, opts.fusion)
         .and_then(|s| generate(scop, &s).map(|p| (s, p)));

@@ -48,9 +48,24 @@ pub enum RowEffect {
     Continue,
 }
 
-/// Applies the loop-level rows `row_src` / `row_dst` (statement-local
-/// layout `[iters | params | 1]`) to the edge. On [`RowEffect::Continue`]
-/// the state's remaining polyhedron is shrunk by the equality.
+/// True iff the loop-level rows `row_src` / `row_dst` (statement-local
+/// layout `[iters | params | 1]`) would order some remaining pair of the
+/// edge target-before-source. The legality probe of the schedulers:
+/// [`apply_loop_row`] without the state change, and without the
+/// satisfaction query a probe has no use for.
+pub fn violates(dep: &Dep, state: &DepState, row_src: &[i64], row_dst: &[i64]) -> bool {
+    if state.satisfied {
+        return false;
+    }
+    // θ_dst - θ_src over the dependence space: is there a remaining pair
+    // with diff <= -1?
+    let diff = dep.diff_row(row_src, row_dst);
+    !state.remaining.and_le(&diff, -1).is_empty()
+}
+
+/// Applies the loop-level rows `row_src` / `row_dst` to the edge. On
+/// [`RowEffect::Continue`] the state's remaining polyhedron is shrunk by
+/// the equality.
 pub fn apply_loop_row(
     dep: &Dep,
     state: &mut DepState,
@@ -60,15 +75,12 @@ pub fn apply_loop_row(
     if state.satisfied {
         return RowEffect::Satisfied;
     }
-    let diff = dep.diff_row(row_src, row_dst); // θ_dst - θ_src over dep space
-
-    // Violation: exists remaining pair with diff <= -1.
-    if !state.remaining.and_le(&diff, -1).is_empty() {
+    if violates(dep, state, row_src, row_dst) {
         return RowEffect::Violated;
     }
 
     // Satisfaction: are any pairs left with diff == 0?
-    let eq = state.remaining.and_eq0(&diff);
+    let eq = state.remaining.and_eq0(&dep.diff_row(row_src, row_dst));
     if eq.is_empty() {
         state.satisfied = true;
         RowEffect::Satisfied

@@ -60,15 +60,19 @@ pub fn classify(poly: &Polyhedron, row: &[i64], sample_params: &[i64]) -> DepEle
     for (k, &v) in sample_params.iter().enumerate() {
         pinned = pinned.fix(n_vars + k, v);
     }
-    if let Some(pt) = pinned.sample() {
-        let val: i64 = row[..poly.n_dims()]
-            .iter()
-            .zip(&pt)
-            .map(|(a, x)| a * x)
-            .sum::<i64>()
-            + row[poly.n_dims()];
+    // A value (or neighbour) that does not fit `i64` is no candidate, and
+    // the direction queries below decide.
+    let candidate = pinned.sample().and_then(|pt| {
+        let mut terms = row.iter().zip(pt.iter().chain(&[1]));
+        let val = terms.try_fold(0i128, |acc, (&a, &x)| {
+            acc.checked_add(i128::from(a) * i128::from(x))
+        })?;
+        let val = i64::try_from(val).ok()?;
+        Some((val, val.checked_add(1)?, val.checked_sub(1)?))
+    });
+    if let Some((val, above, below)) = candidate {
         // `row == val` everywhere: nothing above it, nothing below it.
-        if poly.and_ge(row, val + 1).is_empty() && poly.and_le(row, val - 1).is_empty() {
+        if poly.and_ge(row, above).is_empty() && poly.and_le(row, below).is_empty() {
             return DepElem::Const(val);
         }
     }

@@ -14,7 +14,9 @@
 //!   of dimensions plus a constant column,
 //! * [`Polyhedron`] — conjunctions of affine constraints with
 //!   Fourier–Motzkin elimination, projection, emptiness tests, bound
-//!   extraction for code generation, and point sampling for tests.
+//!   extraction for code generation, and point sampling for tests,
+//! * [`memo`] — a call-scoped memo for the emptiness and sampling
+//!   oracles, so one optimizer or certifier call asks each question once.
 //!
 //! All PolyBench static control parts have loop bounds and subscripts with
 //! coefficients in a tiny range, so exact-shadow Fourier–Motzkin (with a
@@ -27,6 +29,7 @@
 pub mod fm;
 pub mod gcd;
 pub mod matrix;
+pub mod memo;
 pub mod poly;
 pub mod ratio;
 

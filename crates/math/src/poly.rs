@@ -9,6 +9,7 @@
 
 use crate::fm;
 use crate::gcd::{normalize_eq_row, normalize_row};
+use crate::memo;
 use std::fmt;
 
 /// Constraint comparison operator, interpreted as `coeffs · x + c OP 0`.
@@ -186,7 +187,7 @@ impl fmt::Debug for AffineExpr {
 
 /// A (possibly unbounded) convex integer polyhedron: the conjunction of a
 /// set of affine constraints over `n_dims` dimensions.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Polyhedron {
     n_dims: usize,
     constraints: Vec<Constraint>,
@@ -337,7 +338,13 @@ impl Polyhedron {
     /// `N·i + j`), the test is exact on all sets built from
     /// PolyBench-style programs, including two-copy conflict systems
     /// over linearized addresses.
+    ///
+    /// Asked once per distinct system while a [`memo::scope`] is alive.
     pub fn is_empty(&self) -> bool {
+        memo::is_empty(self, || self.compute_is_empty())
+    }
+
+    fn compute_is_empty(&self) -> bool {
         // Fast path: an explicitly false constraint.
         if self.has_false_constant() {
             return true;
@@ -895,7 +902,13 @@ impl Polyhedron {
     /// Returns some integer point of the polyhedron, or `None` if none
     /// was found: the set is empty, unbounded, or its projections
     /// overflow `i64`. A witness search, never an emptiness proof.
+    ///
+    /// Asked once per distinct system while a [`memo::scope`] is alive.
     pub fn sample(&self) -> Option<Vec<i64>> {
+        memo::sample(self, || self.compute_sample())
+    }
+
+    fn compute_sample(&self) -> Option<Vec<i64>> {
         // Reading a bound off a row negates it; `i64::MIN` cannot be.
         if self.constraints.iter().any(|c| c.row.contains(&i64::MIN)) {
             return None;

@@ -61,6 +61,7 @@ impl Default for PlutoOptions {
 /// code generation can fail here; a [`PolymixError::Codegen`] means no
 /// legal program could be produced at all.
 pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, PolymixError> {
+    let _memo = polymix_math::memo::scope();
     let fusion = match opts.variant {
         PlutoVariant::MaxFuse => Fusion::Max,
         PlutoVariant::NoFuse => Fusion::None,

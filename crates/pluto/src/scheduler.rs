@@ -9,7 +9,7 @@
 //! combinations it picks the one **minimizing the estimated reuse
 //! distance**, Pluto's objective.
 
-use polymix_deps::legality::{apply_loop_row, DepState, RowEffect};
+use polymix_deps::legality::{apply_loop_row, violates, DepState, RowEffect};
 use polymix_deps::vectors::classify;
 use polymix_deps::{build_podg, sccs, DepElem, Podg};
 use polymix_ir::error::PolymixError;
@@ -33,6 +33,7 @@ pub enum Fusion {
 /// combination (even after band breaking) under the requested fusion
 /// heuristic; see [`schedule_with_fallback`] for the graceful chain.
 pub fn schedule_pluto(scop: &Scop, fusion: Fusion) -> Result<Vec<Schedule>, PolymixError> {
+    let _memo = polymix_math::memo::scope();
     let podg = build_podg(scop);
     let mut sched = Sched {
         scop,
@@ -445,10 +446,9 @@ impl Sched<'_> {
             ) else {
                 continue;
             };
-            let mut probe = st.clone();
             let row_src = self.full_row(d.src, &rows[si]);
             let row_dst = self.full_row(d.dst, &rows[di]);
-            if apply_loop_row(d, &mut probe, &row_src, &row_dst) == RowEffect::Violated {
+            if violates(d, st, &row_src, &row_dst) {
                 return false;
             }
         }

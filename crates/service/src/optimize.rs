@@ -131,6 +131,9 @@ pub fn optimize(
     if cancelled() {
         return Err(OptError::cancelled("scheduling"));
     }
+    // One table from here to the end of the flight: the certifier's
+    // re-derived dependence graph hits what the optimizer already asked.
+    let _memo = polymix_math::memo::scope();
     let prog = build_with(
         scop,
         knobs.variant,

@@ -72,6 +72,7 @@ use walk::PairWalk;
 /// annotation. Never panics; unmodeled shapes surface as
 /// [`ViolationKind::Unsupported`].
 pub fn verify_program(prog: &Program) -> Certificate {
+    let _memo = polymix_math::memo::scope();
     let scop = &prog.scop;
     let podg = build_podg(scop);
     let occs = occurrence::collect(prog, scop.n_params());

@@ -213,6 +213,7 @@ impl VmCertificate {
 
 /// Certifies a lowered program; see the module docs for what is proved.
 pub fn certify(vm: &VmProgram) -> VmCertificate {
+    let _memo = polymix_math::memo::scope();
     if let Err(d) = vm.validate() {
         return VmCertificate {
             violations: vec![VmViolation {

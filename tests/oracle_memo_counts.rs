@@ -1,0 +1,43 @@
+//! Redundancy cannot creep back unnoticed: the number of *distinct*
+//! polyhedral questions one cell asks repeats exactly from run to run, so
+//! a change that makes probes build new systems (or stops a stage from
+//! re-using what an earlier stage asked) fails a count here, not a
+//! timing somewhere else.
+//!
+//! A cell is `build_variant` then `verify_program` under one outer
+//! scope — what the service's `optimize` does. Only `computed` is pinned:
+//! debug builds certify inside the optimizers as well, which asks more
+//! and computes nothing new.
+
+use polymix_bench::variants::{build_variant, Variant};
+use polymix_dl::Machine;
+use polymix_math::memo::{self, Stats};
+use polymix_polybench::kernel_by_name;
+use polymix_verify::verify_program;
+
+fn cell(kernel: &str, variant: Variant) -> Stats {
+    let memo = memo::scope();
+    let kernel = kernel_by_name(kernel).expect("kernel");
+    let prog = build_variant(&kernel, variant, &Machine::nehalem()).expect("builds");
+    assert!(verify_program(&prog).into_result().is_ok());
+    memo.stats()
+}
+
+#[test]
+fn adi_poly_ast_asks_each_question_once() {
+    let s = cell("adi", Variant::PolyAst);
+    assert_eq!(
+        (s.is_empty.computed, s.sample.computed),
+        (3357, 105),
+        "{s:?}"
+    );
+    assert!(s.is_empty.asked >= 10 * s.is_empty.computed, "{s:?}");
+    assert!(s.sample.asked >= 10 * s.sample.computed, "{s:?}");
+}
+
+#[test]
+fn two_mm_pocc_asks_each_question_once() {
+    let s = cell("2mm", Variant::Pocc);
+    assert_eq!((s.is_empty.computed, s.sample.computed), (322, 5), "{s:?}");
+    assert!(s.is_empty.asked > s.is_empty.computed, "{s:?}");
+}
