@@ -385,58 +385,6 @@ pub fn wavefront(l: &Loop) -> Option<Node> {
     }))
 }
 
-/// Walks the tree and tiles every maximal perfect band of depth ≥ 2 with
-/// the given tile size (same size per dimension, the paper's setup), then
-/// recurses into the point-loop bodies. Bands of depth 1 are left alone.
-pub fn tile_all(prog: &mut Program, node: Node, tile: i64) -> Result<Node, PolymixError> {
-    match node {
-        Node::Seq(xs) => Ok(Node::Seq(
-            xs.into_iter()
-                .map(|x| tile_all(prog, x, tile))
-                .collect::<Result<_, _>>()?,
-        )),
-        Node::Guard(g, b) => Ok(Node::Guard(g, Box::new(tile_all(prog, *b, tile)?))),
-        Node::Stmt(s) => Ok(Node::Stmt(s)),
-        Node::Loop(l) => {
-            let node = Node::Loop(l);
-            let depth = band_depth(&node);
-            if depth >= 2 {
-                let sizes = vec![tile; depth];
-                let tiled = tile_band(prog, node, &sizes)?;
-                // Recurse into the innermost body (below 2k loops).
-                descend_and_recurse(prog, tiled, 2 * depth, tile)
-            } else {
-                // Single loop: recurse into body.
-                match node {
-                    Node::Loop(mut l) => {
-                        l.body = tile_all(prog, l.body, tile)?;
-                        Ok(Node::Loop(l))
-                    }
-                    other => Ok(other),
-                }
-            }
-        }
-    }
-}
-
-fn descend_and_recurse(
-    prog: &mut Program,
-    node: Node,
-    levels: usize,
-    tile: i64,
-) -> Result<Node, PolymixError> {
-    if levels == 0 {
-        return tile_all(prog, node, tile);
-    }
-    match node {
-        Node::Loop(mut l) => {
-            l.body = descend_and_recurse(prog, l.body, levels - 1, tile)?;
-            Ok(Node::Loop(l))
-        }
-        other => tile_all(prog, other, tile),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,27 +560,6 @@ mod tests {
                     panic!();
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tile_all_handles_nested_seq_structures() {
-        // Two grid nests in sequence; both get tiled.
-        let n = 6;
-        let p1 = grid_program(n);
-        let mut p = p1.clone();
-        p.body = Node::Seq(vec![p1.body.clone(), p1.body.clone()]);
-        let body = p.body.clone();
-        p.body = tile_all(&mut p, body, 4).expect("tile_all");
-        // Each grid increments once → value 2 everywhere.
-        let out = run_all_ones(&p, n);
-        assert_eq!(out, vec![2.0; (n * n) as usize]);
-        // Structure: Seq of two tiled nests (4 loops deep each).
-        if let Node::Seq(xs) = &p.body {
-            assert_eq!(xs.len(), 2);
-            assert_eq!(band_depth(&xs[0]), 4);
-        } else {
-            panic!();
         }
     }
 }
@@ -962,225 +889,5 @@ mod imperfect_tests {
             _ => panic!("expected tile loop"),
         }
         p.body = new;
-    }
-}
-
-/// Fully unrolls a loop whose trip count is a compile-time constant
-/// (constant bounds and step): the body is replicated once per iteration
-/// with the variable substituted by its value. Returns `None` when the
-/// bounds are not constant or the trip count exceeds `limit`.
-pub fn full_unroll(l: &Loop, limit: i64) -> Option<Node> {
-    let lo = l.lo.is_const()?;
-    let hi = l.hi.is_const()?;
-    if hi < lo {
-        return Some(Node::Seq(vec![]));
-    }
-    let trips = (hi - lo) / l.step + 1;
-    if trips > limit {
-        return None;
-    }
-    let mut out = Vec::with_capacity(trips as usize);
-    let mut v = lo;
-    while v <= hi {
-        let mut b = l.body.clone();
-        b.subst_var(l.var, &LinExpr::con(v));
-        out.push(b);
-        v += l.step;
-    }
-    Some(Node::Seq(out))
-}
-
-/// Distributes a loop over the members of its `Seq` body:
-/// `for v { A; B }` becomes `for v { A }; for v { B }` (each clone gets a
-/// fresh variable). **Legality** (no backward dependence from a later
-/// member to an earlier one carried by this loop) is the caller's
-/// responsibility. Returns `None` when the body is not a `Seq`.
-pub fn distribute(prog: &mut Program, l: &Loop) -> Option<Node> {
-    let Node::Seq(members) = &l.body else {
-        return None;
-    };
-    let out = members
-        .iter()
-        .map(|m| {
-            let var = prog.fresh_var();
-            let mut body = m.clone();
-            body.subst_var(l.var, &LinExpr::var(var));
-            Node::loop_(Loop {
-                var,
-                name: l.name.clone(),
-                lo: l.lo.clone(),
-                hi: l.hi.clone(),
-                step: l.step,
-                par: l.par,
-                body,
-            })
-        })
-        .collect();
-    Some(Node::Seq(out))
-}
-
-/// Fuses two adjacent loops with identical bounds and step:
-/// `for u { A }; for v { B }` becomes `for u { A; B[v := u] }`.
-/// **Legality** (no dependence from the second loop's earlier iterations
-/// to the first loop's later ones) is the caller's responsibility.
-/// Returns `None` when bounds or steps differ.
-pub fn fuse(a: &Loop, b: &Loop) -> Option<Node> {
-    if a.lo != b.lo || a.hi != b.hi || a.step != b.step {
-        return None;
-    }
-    let mut b_body = b.body.clone();
-    b_body.subst_var(b.var, &LinExpr::var(a.var));
-    let body = match a.body.clone() {
-        Node::Seq(mut xs) => {
-            xs.push(b_body);
-            Node::Seq(xs)
-        }
-        other => Node::Seq(vec![other, b_body]),
-    };
-    Some(Node::loop_(Loop {
-        var: a.var,
-        name: a.name.clone(),
-        lo: a.lo.clone(),
-        hi: a.hi.clone(),
-        step: a.step,
-        par: Par::Seq,
-        body,
-    }))
-}
-
-#[cfg(test)]
-mod structure_tests {
-    use super::*;
-    use crate::interp::{alloc_arrays, execute};
-    use crate::tree::{Program, StmtNode};
-    use polymix_ir::builder::{con, ix, par, ScopBuilder};
-    use polymix_ir::Expr;
-
-    /// Two independent statements over the same range, as one fused loop.
-    fn two_stmt_loop(n: i64) -> Program {
-        let mut b = ScopBuilder::new("ts", &["N"], &[n]);
-        let x = b.array("X", &["N"]);
-        let y = b.array("Y", &["N"]);
-        b.enter("i", con(0), par("N"));
-        b.stmt("S0", x, &[ix("i")], Expr::Iter(0));
-        let body = Expr::mul(b.rd(x, &[ix("i")]), Expr::Const(2.0));
-        b.stmt("S1", y, &[ix("i")], body);
-        b.exit();
-        let scop = b.finish().expect("well-formed SCoP");
-        let mk = |idx: usize| {
-            Node::Stmt(StmtNode {
-                stmt_idx: idx,
-                iter_exprs: vec![LinExpr::var(0)],
-            })
-        };
-        Program {
-            scop,
-            body: Node::loop_(Loop {
-                var: 0,
-                name: "i".into(),
-                lo: Bound::con(0),
-                hi: Bound::of(LinExpr::param(0).plus(-1)),
-                step: 1,
-                par: Par::Seq,
-                body: Node::Seq(vec![mk(0), mk(1)]),
-            }),
-            n_vars: 1,
-        }
-    }
-
-    fn outputs(p: &Program, n: i64) -> Vec<Vec<f64>> {
-        let mut arrays = alloc_arrays(&p.scop, &[n]);
-        execute(p, &[n], &mut arrays);
-        arrays
-    }
-
-    #[test]
-    fn distribute_preserves_independent_statements() {
-        let n = 9;
-        let base = two_stmt_loop(n);
-        let expected = outputs(&base, n);
-        let mut p = two_stmt_loop(n);
-        let l = match &p.body {
-            Node::Loop(l) => l.as_ref().clone(),
-            _ => panic!(),
-        };
-        p.body = distribute(&mut p, &l).expect("distributable");
-        assert_eq!(outputs(&p, n), expected);
-        // Two top-level loops now.
-        match &p.body {
-            Node::Seq(xs) => assert_eq!(xs.len(), 2),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn fuse_inverts_distribute() {
-        let n = 7;
-        let base = two_stmt_loop(n);
-        let expected = outputs(&base, n);
-        let mut p = two_stmt_loop(n);
-        let l = match &p.body {
-            Node::Loop(l) => l.as_ref().clone(),
-            _ => panic!(),
-        };
-        let distributed = distribute(&mut p, &l).unwrap();
-        let (a, b) = match &distributed {
-            Node::Seq(xs) => match (&xs[0], &xs[1]) {
-                (Node::Loop(a), Node::Loop(b)) => (a.as_ref().clone(), b.as_ref().clone()),
-                _ => panic!(),
-            },
-            _ => panic!(),
-        };
-        p.body = fuse(&a, &b).expect("fusable");
-        assert_eq!(outputs(&p, n), expected);
-    }
-
-    #[test]
-    fn fuse_rejects_mismatched_bounds() {
-        let mut p = two_stmt_loop(5);
-        let l = match &p.body {
-            Node::Loop(l) => l.as_ref().clone(),
-            _ => panic!(),
-        };
-        let d = distribute(&mut p, &l).unwrap();
-        let Node::Seq(xs) = d else { panic!() };
-        let (Node::Loop(a), Node::Loop(b)) = (xs[0].clone(), xs[1].clone()) else {
-            panic!()
-        };
-        let mut shorter = *b;
-        shorter.hi = Bound::con(3);
-        assert!(fuse(&a, &shorter).is_none());
-        let mut stepped = a.as_ref().clone();
-        stepped.step = 2;
-        assert!(fuse(&stepped, &a).is_none());
-    }
-
-    #[test]
-    fn full_unroll_replicates_constant_trip_loops() {
-        let n = 4;
-        let base = two_stmt_loop(n);
-        let expected = outputs(&base, n);
-        let mut p = two_stmt_loop(n);
-        // Pin the loop to constant bounds (N = 4).
-        if let Node::Loop(l) = &mut p.body {
-            l.hi = Bound::con(3);
-            let unrolled = full_unroll(l, 16).expect("constant trip");
-            p.body = unrolled;
-        }
-        assert_eq!(outputs(&p, n), expected);
-        assert_eq!(p.body.count_stmts(), 8); // 4 iterations × 2 statements
-    }
-
-    #[test]
-    fn full_unroll_refuses_large_or_dynamic_loops() {
-        let p = two_stmt_loop(5);
-        if let Node::Loop(l) = &p.body {
-            assert!(full_unroll(l, 16).is_none(), "parametric bound");
-            let mut c = l.as_ref().clone();
-            c.hi = Bound::con(99);
-            assert!(full_unroll(&c, 16).is_none(), "trip over limit");
-            c.hi = Bound::con(-1);
-            assert!(matches!(full_unroll(&c, 16), Some(Node::Seq(v)) if v.is_empty()));
-        }
     }
 }

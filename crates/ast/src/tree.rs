@@ -122,11 +122,6 @@ impl LinExpr {
             + self.c
     }
 
-    /// True when the expression uses no loop variables.
-    pub fn is_loop_invariant(&self) -> bool {
-        self.var_coeffs.is_empty()
-    }
-
     fn normalize(&mut self) {
         self.var_coeffs.sort_by_key(|&(v, _)| v);
         self.var_coeffs.dedup_by(|b, a| {

@@ -373,9 +373,7 @@ pub struct TunedConfig {
 
 impl TunedConfig {
     /// One-line JSON. Option knobs are *omitted* when `None` (absent key
-    /// = automatic), `pool` is recorded for schema completeness —
-    /// emitted standalone kernels always use scoped spawning, so the
-    /// search holds it at `auto`.
+    /// = automatic).
     pub fn to_json(&self) -> String {
         let mut knobs = String::new();
         if let Some(b) = self.candidate.pipeline_batch {
@@ -387,7 +385,7 @@ impl TunedConfig {
         format!(
             "{{\"kernel\":\"{}\",\"dataset\":\"{}\",\"threads\":{},\"opt\":\"{}\",\
              \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}]{knobs},\
-             \"pool\":\"auto\",\"time_s\":{:e},\"gflops\":{:e},\"native_time_s\":{:e},\
+             \"time_s\":{:e},\"gflops\":{:e},\"native_time_s\":{:e},\
              \"speedup_vs_native\":{:e},\"beats_native\":{}}}",
             sweep::json_escape(&self.kernel),
             sweep::json_escape(&self.dataset),
@@ -864,8 +862,8 @@ mod tests {
     }
 
     /// Pre-marker config lines (no `beats_native` key) derive the flag
-    /// from the recorded speedup, and the retired `taskgraph` key of the
-    /// committed `results/tuned/*.json` is ignored.
+    /// from the recorded speedup, and the retired `taskgraph` and `pool`
+    /// keys of the committed `results/tuned/*.json` are ignored.
     #[test]
     fn legacy_configs_derive_beats_native_from_speedup() {
         let cfg = TunedConfig {
@@ -888,8 +886,10 @@ mod tests {
             .replace("\"speedup_vs_native\":3.4e-1", "\"speedup_vs_native\":2.5e0");
         let back2 = TunedConfig::from_json(&line2).expect("parses");
         assert!(back2.beats_native, "2.5x must derive as beating");
-        let line3 = cfg.to_json().replace(",\"pool\"", ",\"taskgraph\":0,\"pool\"");
-        assert!(line3.contains("\"taskgraph\":0"), "{line3}");
+        let line3 = cfg
+            .to_json()
+            .replace(",\"time_s\"", ",\"taskgraph\":0,\"pool\":\"auto\",\"time_s\"");
+        assert!(line3.contains("\"taskgraph\":0,\"pool\":\"auto\""), "{line3}");
         assert_eq!(TunedConfig::from_json(&line3), Some(cfg));
         for committed in [
             include_str!("../../../results/tuned/2mm.json"),

@@ -40,15 +40,6 @@ impl CacheConfig {
         }
     }
 
-    /// A 64-entry, 4-way, 4 KB-page DTLB.
-    pub fn dtlb() -> CacheConfig {
-        CacheConfig {
-            line_bytes: 4096,
-            capacity_bytes: 64 * 4096,
-            ways: 4,
-        }
-    }
-
     fn n_sets(&self) -> usize {
         let lines = self.capacity_bytes / self.line_bytes;
         let ways = self.ways.min(lines.max(1));

@@ -53,11 +53,17 @@ pub fn generate(scop: &Scop, schedules: &[Schedule]) -> Result<Program, PolymixE
                 ),
             ));
         }
+        let tdom = sched.transformed_domain(&stmt.domain, p).ok_or_else(|| {
+            PolymixError::codegen(
+                &scop.name,
+                format!("schedule of {} has no integer inverse", stmt.name),
+            )
+        })?;
         items.push(GenItem {
             stmt_idx: idx,
             dim: stmt.dim,
             sched: sched.clone(),
-            tdom: sched.transformed_domain(&stmt.domain, p),
+            tdom,
             guards: Vec::new(),
         });
     }
@@ -410,7 +416,12 @@ impl Gen<'_> {
         let iter_exprs: Vec<LinExpr> = if d == 0 {
             Vec::new()
         } else {
-            let ainv = it.sched.alpha.inverse_unimodular();
+            let ainv = it.sched.alpha.inverse_unimodular().ok_or_else(|| {
+                PolymixError::codegen(
+                    &self.scop.name,
+                    format!("schedule of statement {} has no integer inverse", it.stmt_idx),
+                )
+            })?;
             (0..d)
                 .map(|i| {
                     let mut e = LinExpr::con(0);

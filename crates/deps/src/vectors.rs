@@ -91,9 +91,10 @@ pub fn classify(poly: &Polyhedron, row: &[i64], sample_params: &[i64]) -> DepEle
 }
 
 /// Dependence vector of the edge under the (final) schedules, one element
-/// per common loop level `0..depth`. `sample_params` supplies concrete
-/// parameter values used only to *guess* constant distances (the guess is
-/// then verified parametrically).
+/// per common loop level `0..depth`: [`dep_vector_transformed`] under the
+/// identity transform. `sample_params` supplies concrete parameter values
+/// used only to *guess* constant distances (the guess is then verified
+/// parametrically).
 pub fn dep_vector(
     dep: &Dep,
     sched_src: &Schedule,
@@ -101,21 +102,10 @@ pub fn dep_vector(
     depth: usize,
     sample_params: &[i64],
 ) -> Vec<DepElem> {
-    // Each element is classified over the FULL dependence polyhedron —
-    // the classical distance/direction vector. (No peeling of pairs
-    // already separated at outer levels: tiling legality needs the
-    // complete vector, and the parallelism detector filters on zero
-    // prefixes itself.)
-    (0..depth)
-        .map(|k| {
-            if k >= sched_src.dim() || k >= sched_dst.dim() {
-                DepElem::Const(0)
-            } else {
-                let diff = dep.diff_row(&sched_src.loop_row(k), &sched_dst.loop_row(k));
-                classify(&dep.poly, &diff, sample_params)
-            }
-        })
-        .collect()
+    let identity: Vec<Vec<i64>> = (0..depth)
+        .map(|k| (0..depth).map(|j| i64::from(j == k)).collect())
+        .collect();
+    dep_vector_transformed(dep, sched_src, sched_dst, &identity, sample_params)
 }
 
 #[cfg(test)]
@@ -231,8 +221,16 @@ mod tests {
 /// matrix `cmat` (one row per target level; `cmat[k][j]` is the
 /// coefficient of original schedule level `j` in new level `k`). This is
 /// how AST-level skewing is modeled exactly: new level `k` computes
-/// `Σ_j cmat[k][j] · θ_j`, and each element is re-classified over the
-/// full dependence polyhedron.
+/// `Σ_j cmat[k][j] · θ_j`, and each element is classified over the FULL
+/// dependence polyhedron — the classical distance/direction vector. (No
+/// peeling of pairs already separated at outer levels: tiling legality
+/// needs the complete vector, and the parallelism detector filters on
+/// zero prefixes itself.)
+///
+/// A level neither schedule has contributes nothing; an element with no
+/// contribution at all is `Const(0)`. An element whose combined row does
+/// not fit `i64` is `Star`: unknown sign, so skewing and tiling stay
+/// conservative instead of reading a wrapped distance.
 pub fn dep_vector_transformed(
     dep: &Dep,
     sched_src: &Schedule,
@@ -240,26 +238,29 @@ pub fn dep_vector_transformed(
     cmat: &[Vec<i64>],
     sample_params: &[i64],
 ) -> Vec<DepElem> {
-    let base: Vec<Vec<i64>> = (0..cmat.len())
-        .map(|j| {
-            if j < sched_src.dim() && j < sched_dst.dim() {
-                dep.diff_row(&sched_src.loop_row(j), &sched_dst.loop_row(j))
-            } else {
-                vec![0; dep.poly.n_dims() + 1]
-            }
-        })
+    let levels = sched_src.dim().min(sched_dst.dim());
+    let base: Vec<Vec<i64>> = (0..cmat.len().min(levels))
+        .map(|j| dep.diff_row(&sched_src.loop_row(j), &sched_dst.loop_row(j)))
         .collect();
     cmat.iter()
         .map(|row| {
-            let mut diff = vec![0i64; dep.poly.n_dims() + 1];
-            for (j, &c) in row.iter().enumerate() {
+            let mut wide = vec![0i128; dep.poly.n_dims() + 1];
+            let mut any = false;
+            for (&c, b) in row.iter().zip(&base) {
                 if c != 0 {
-                    for (d, &b) in diff.iter_mut().zip(&base[j]) {
-                        *d += c * b;
+                    any = true;
+                    for (d, &b) in wide.iter_mut().zip(b) {
+                        *d += i128::from(c) * i128::from(b);
                     }
                 }
             }
-            classify(&dep.poly, &diff, sample_params)
+            if !any {
+                return DepElem::Const(0);
+            }
+            let diff: Option<Vec<i64>> = wide.iter().map(|&d| i64::try_from(d).ok()).collect();
+            diff.map_or(DepElem::Star, |diff| {
+                classify(&dep.poly, &diff, sample_params)
+            })
         })
         .collect()
 }

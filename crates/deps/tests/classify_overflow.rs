@@ -28,3 +28,43 @@ fn a_constant_at_the_edge_of_i64_has_no_neighbour_to_compare_with() {
     assert_eq!(classify(&segment(), &[0, i64::MAX], &[]), DepElem::Plus);
     assert_eq!(classify(&segment(), &[0, i64::MIN], &[]), DepElem::Minus);
 }
+
+/// `for i in 1..N: A[i] = A[i-1]`, destination retimed by 2, then the one
+/// level scaled by `i64::MAX`: the combined distance row does not fit
+/// `i64`. Plain `i64` accumulation aborted here in debug and, in release,
+/// wrapped to a small positive constant — a wrong distance that reads as
+/// "carried forward". It must be the unknown direction instead.
+#[test]
+fn an_overflowing_transformed_distance_row_is_star() {
+    use polymix_deps::depgraph::{build_podg, DepKind};
+    use polymix_deps::vectors::dep_vector_transformed;
+    use polymix_ir::builder::{con, ix, par, ScopBuilder};
+
+    let mut b = ScopBuilder::new("chain", &["N"], &[6]);
+    b.assume_params_at_least(3);
+    let a = b.array("A", &["N"]);
+    b.enter("i", con(1), par("N"));
+    let body = b.rd(a, &[ix("i") - con(1)]);
+    b.stmt("S", a, &[ix("i")], body);
+    b.exit();
+    let scop = b.finish().expect("well-formed SCoP");
+    let g = build_podg(&scop);
+    let flow = g
+        .deps
+        .iter()
+        .find(|d| d.kind == DepKind::Flow)
+        .expect("the chain carries a flow dependence");
+    let src = scop.statements[0].schedule.clone();
+    let mut dst = src.clone();
+    dst.shift_level(0, &[0], 2);
+    // Distance 1 + 2 = 3 under the identity transform ...
+    assert_eq!(
+        dep_vector_transformed(flow, &src, &dst, &[vec![1]], &[6]),
+        vec![DepElem::Const(3)]
+    );
+    // ... and 3 * i64::MAX, which no `i64` holds, under the scaled one.
+    assert_eq!(
+        dep_vector_transformed(flow, &src, &dst, &[vec![i64::MAX]], &[6]),
+        vec![DepElem::Star]
+    );
+}

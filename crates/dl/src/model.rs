@@ -47,7 +47,11 @@ impl RefInfo {
             .map
             .iter()
             .map(|row| {
-                let t = schedule.transformed_access_row(row, n_params);
+                // A schedule that cannot be inverted is costed as if
+                // untransformed: this feeds a heuristic, never legality.
+                let t = schedule
+                    .transformed_access_row(row, n_params)
+                    .unwrap_or_else(|| row.clone());
                 let mut c = t[..d.min(depth)].to_vec();
                 c.resize(depth, 0);
                 c

@@ -130,14 +130,14 @@ impl Schedule {
 
     /// Applies the schedule to an iteration domain: returns the domain of
     /// the *new* loop variables `y = α·x + γ(n)` as a polyhedron over
-    /// `[y | params]`. Requires unimodular `α`.
-    pub fn transformed_domain(&self, domain: &Polyhedron, p: usize) -> Polyhedron {
+    /// `[y | params]`; `None` unless `α` has an integer inverse.
+    pub fn transformed_domain(&self, domain: &Polyhedron, p: usize) -> Option<Polyhedron> {
         let d = self.dim();
         assert_eq!(domain.n_dims(), d + p, "domain arity mismatch");
         if d == 0 {
-            return domain.clone();
+            return Some(domain.clone());
         }
-        let ainv = self.alpha.inverse_unimodular();
+        let ainv = self.alpha.inverse_unimodular()?;
         // x = ainv · (y - γ(n)).
         let mut out = Polyhedron::universe(d + p);
         for c in domain.constraints() {
@@ -160,20 +160,21 @@ impl Schedule {
             }
             out.add(Constraint { row, op: c.op });
         }
-        out
+        Some(out)
     }
 
     /// Re-expresses an access row (layout `[iters | params | 1]`) in the
     /// new loop variables: `f(x) = f(α⁻¹(y - γ))`. This is the `f·Θ⁻¹`
     /// operation the paper uses to reason about post-transformation access
-    /// patterns without generating code (Sec. III-A).
-    pub fn transformed_access_row(&self, row: &[i64], p: usize) -> Vec<i64> {
+    /// patterns without generating code (Sec. III-A). `None` unless `α`
+    /// has an integer inverse.
+    pub fn transformed_access_row(&self, row: &[i64], p: usize) -> Option<Vec<i64>> {
         let d = self.dim();
         assert_eq!(row.len(), d + p + 1, "access row arity mismatch");
         if d == 0 {
-            return row.to_vec();
+            return Some(row.to_vec());
         }
-        let ainv = self.alpha.inverse_unimodular();
+        let ainv = self.alpha.inverse_unimodular()?;
         let fx = &row[..d];
         let mut out = vec![0i64; d + p + 1];
         for j in 0..d {
@@ -187,7 +188,7 @@ impl Schedule {
             .sum();
             *item = row[d + pj] - shift;
         }
-        out
+        Some(out)
     }
 
     /// Builds the pure-permutation schedule sending original iterator
@@ -309,7 +310,7 @@ mod tests {
         dom.add(Constraint::ge(vec![-1, 0, 1, -1])); // i <= N-1
         dom.bound_const(1, 0, 4);
         let s = Schedule::from_permutation(&[1, 0], 1);
-        let t = s.transformed_domain(&dom, 1);
+        let t = s.transformed_domain(&dom, 1).expect("permutations invert");
         // New space (y0, y1) = (j, i): y0 in [0,4), y1 in [0,N).
         assert!(t.contains(&[3, 0, 10]));
         assert!(t.contains(&[0, 9, 10]));
@@ -325,7 +326,7 @@ mod tests {
         dom.bound_const(1, 0, 4);
         let mut s = Schedule::identity(2, 0);
         s.skew(1, 0, 1);
-        let t = s.transformed_domain(&dom, 0);
+        let t = s.transformed_domain(&dom, 0).expect("skews invert");
         // Points (y0, y1) valid iff 0 <= y0 < 4 and y0 <= y1 < y0 + 4.
         assert!(t.contains(&[2, 2]));
         assert!(t.contains(&[2, 5]));
@@ -340,7 +341,7 @@ mod tests {
         let mut s = Schedule::identity(1, 0);
         s.shift_level(0, &[], 1);
         let row = s.transformed_access_row(&[1, 0], 0);
-        assert_eq!(row, vec![1, -1]);
+        assert_eq!(row, Some(vec![1, -1]));
     }
 
     #[test]
@@ -350,8 +351,8 @@ mod tests {
         let s = Schedule::from_permutation(&[2, 1, 0], 0);
         let row_k = s.transformed_access_row(&[0, 0, 1, 0], 0);
         let row_j = s.transformed_access_row(&[0, 1, 0, 0], 0);
-        assert_eq!(row_k, vec![1, 0, 0, 0]);
-        assert_eq!(row_j, vec![0, 1, 0, 0]);
+        assert_eq!(row_k, Some(vec![1, 0, 0, 0]));
+        assert_eq!(row_j, Some(vec![0, 1, 0, 0]));
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl Access {
             })
             .collect()
     }
-
-    /// The iterator-coefficient sub-matrix (one row per array dimension,
-    /// one column per statement iterator).
-    pub fn iter_coeffs(&self, d: usize) -> Vec<Vec<i64>> {
-        self.map.iter().map(|r| r[..d].to_vec()).collect()
-    }
 }
 
 /// One statement of a SCoP: an assignment `write = body` executed at every
@@ -205,30 +199,9 @@ impl Scop {
         self.params.len()
     }
 
-    /// Looks up an array id by name.
-    pub fn array_by_name(&self, name: &str) -> Option<ArrayId> {
-        self.arrays
-            .iter()
-            .position(|a| a.name == name)
-            .map(ArrayId)
-    }
-
-    /// Looks up a statement id by name.
-    pub fn stmt_by_name(&self, name: &str) -> Option<StmtId> {
-        self.statements
-            .iter()
-            .position(|s| s.name == name)
-            .map(StmtId)
-    }
-
     /// Borrow a statement by id.
     pub fn stmt(&self, id: StmtId) -> &Statement {
         &self.statements[id.0]
-    }
-
-    /// Maximum statement dimensionality in the SCoP.
-    pub fn max_dim(&self) -> usize {
-        self.statements.iter().map(|s| s.dim).max().unwrap_or(0)
     }
 
     /// Total floating point operations for concrete parameters, obtained

@@ -1,15 +1,14 @@
 //! # polymix-math
 //!
-//! Exact integer / rational linear algebra and affine integer set machinery
+//! Exact integer linear algebra and affine integer set machinery
 //! for the polymix polyhedral compiler.
 //!
 //! This crate is the "thin ISL" substrate of the workspace: instead of
 //! binding to the Integer Set Library, we reimplement the slice of
 //! polyhedral arithmetic the rest of the stack needs:
 //!
-//! * [`Ratio`] — exact `i64`-backed rationals (overflow-checked through
-//!   `i128` intermediates),
-//! * [`IntMat`] / [`RatMat`] — dense matrices with rank / solve / inverse,
+//! * [`IntMat`] — dense integer matrices with fraction-free rank,
+//!   determinant and (unimodular) inverse in checked `i128`,
 //! * [`AffineExpr`] and [`Constraint`] — affine forms over an ordered list
 //!   of dimensions plus a constant column,
 //! * [`Polyhedron`] — conjunctions of affine constraints with
@@ -31,13 +30,11 @@ pub mod gcd;
 pub mod matrix;
 pub mod memo;
 pub mod poly;
-pub mod ratio;
 
 pub use fm::eliminate_dim;
 pub use gcd::{gcd, gcd_slice, lcm, normalize_row};
-pub use matrix::{IntMat, RatMat};
+pub use matrix::IntMat;
 pub use poly::{AffineExpr, CmpOp, Constraint, Polyhedron};
-pub use ratio::Ratio;
 
 #[cfg(test)]
 mod proptests;

@@ -1,12 +1,13 @@
-//! Dense integer and rational matrices.
+//! Dense integer matrices.
 //!
 //! These back the `2d+1` scheduling matrices, access functions and the
 //! unimodular transformation algebra of the compiler. The dimensions in
 //! play are tiny (a handful of loop iterators), so a straightforward dense
-//! row-major representation with exact rational Gaussian elimination is the
-//! right tool.
+//! row-major representation is the right tool. Rank, determinant and
+//! inverse come from one fraction-free (Bareiss) elimination in checked
+//! `i128`: exact, integer-only, and an entry that does not fit is an
+//! answer (`None`), not an abort.
 
-use crate::ratio::Ratio;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -64,11 +65,6 @@ impl IntMat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrows row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [i64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Appends a row. Panics if the width differs.
     pub fn push_row(&mut self, row: &[i64]) {
         if self.rows == 0 && self.cols == 0 {
@@ -116,29 +112,82 @@ impl IntMat {
         out
     }
 
-    /// Converts to a rational matrix.
-    pub fn to_rat(&self) -> RatMat {
-        RatMat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| Ratio::int(x)).collect(),
+    /// Fraction-free (Bareiss) elimination to row echelon form: every
+    /// intermediate entry is a minor of `self`, so all divisions are exact
+    /// and the arithmetic stays in integers. With `jordan`, the identity is
+    /// carried along on the right and rows *above* each pivot are
+    /// eliminated too, which leaves `[p·I | p·self⁻¹]` for an invertible
+    /// square matrix with last pivot `p`. `None` when an intermediate does
+    /// not fit `i128`.
+    fn bareiss(&self, jordan: bool) -> Option<Echelon> {
+        let (n, cols) = (self.rows, self.cols);
+        let width = if jordan { cols + n } else { cols };
+        let mut m = vec![0i128; n * width];
+        for r in 0..n {
+            for (c, &x) in self.row(r).iter().enumerate() {
+                m[r * width + c] = i128::from(x);
+            }
+            if jordan {
+                m[r * width + cols + r] = 1;
+            }
         }
+        let (mut rank, mut pivot, mut negated) = (0, 1i128, false);
+        for col in 0..cols {
+            if rank == n {
+                break;
+            }
+            let Some(p) = (rank..n).find(|&r| m[r * width + col] != 0) else {
+                continue;
+            };
+            if p != rank {
+                for c in 0..width {
+                    m.swap(rank * width + c, p * width + c);
+                }
+                negated = !negated;
+            }
+            let prev = std::mem::replace(&mut pivot, m[rank * width + col]);
+            for r in if jordan { 0 } else { rank + 1 }..n {
+                if r == rank {
+                    continue;
+                }
+                let f = m[r * width + col];
+                for c in 0..width {
+                    let kept = pivot.checked_mul(m[r * width + c])?;
+                    let gone = f.checked_mul(m[rank * width + c])?;
+                    m[r * width + c] = kept.checked_sub(gone)? / prev;
+                }
+            }
+            rank += 1;
+        }
+        Some(Echelon {
+            m,
+            width,
+            rank,
+            pivot,
+            negated,
+        })
     }
 
-    /// Rank over the rationals.
-    pub fn rank(&self) -> usize {
-        self.to_rat().rank()
+    /// Rank over the rationals; `None` on `i128` overflow.
+    pub fn rank(&self) -> Option<usize> {
+        Some(self.bareiss(false)?.rank)
     }
 
-    /// Determinant (square matrices only), computed exactly.
-    pub fn det(&self) -> i64 {
-        let d = self.to_rat().det();
-        d.to_int()
+    /// Determinant (square matrices only), computed exactly; `None` when
+    /// it, or an intermediate, does not fit.
+    pub fn det(&self) -> Option<i64> {
+        assert_eq!(self.rows, self.cols, "det of non-square matrix");
+        let e = self.bareiss(false)?;
+        if e.rank < self.rows {
+            return Some(0);
+        }
+        i64::try_from(if e.negated { e.pivot.checked_neg()? } else { e.pivot }).ok()
     }
 
-    /// True iff the matrix is square with determinant ±1.
+    /// True iff the matrix is square with determinant ±1 (false when the
+    /// determinant cannot be computed without overflow).
     pub fn is_unimodular(&self) -> bool {
-        self.rows == self.cols && self.rows > 0 && self.det().abs() == 1
+        self.rows == self.cols && self.rows > 0 && matches!(self.det(), Some(1 | -1))
     }
 
     /// True iff the matrix is square and a *signed permutation*: exactly one
@@ -171,22 +220,43 @@ impl IntMat {
         true
     }
 
-    /// Exact inverse, panicking unless the matrix is square, invertible and
-    /// has an *integer* inverse (e.g. unimodular). For general invertible
-    /// matrices use [`IntMat::to_rat`] and [`RatMat::inverse`].
-    pub fn inverse_unimodular(&self) -> IntMat {
-        let inv = self
-            .to_rat()
-            .inverse()
-            .expect("inverse_unimodular on a singular matrix");
-        let mut out = IntMat::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(i, j)] = inv[(i, j)].to_int();
+    /// Exact inverse of a matrix whose inverse is *integer* (e.g. a
+    /// unimodular one); `None` when the matrix is not square, is singular,
+    /// has a fractional inverse, or overflows on the way.
+    pub fn inverse_unimodular(&self) -> Option<IntMat> {
+        let n = self.rows;
+        if n != self.cols {
+            return None;
+        }
+        let e = self.bareiss(true)?;
+        if e.rank < n {
+            return None;
+        }
+        let mut out = IntMat::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let scaled = e.m[i * e.width + n + j];
+                if scaled % e.pivot != 0 {
+                    return None;
+                }
+                out[(i, j)] = i64::try_from(scaled / e.pivot).ok()?;
             }
         }
-        out
+        Some(out)
     }
+}
+
+/// What [`IntMat::bareiss`] leaves behind.
+struct Echelon {
+    /// The eliminated matrix, row-major, `width` columns.
+    m: Vec<i128>,
+    width: usize,
+    rank: usize,
+    /// The last pivot (1 for rank 0): for a full-rank square matrix, its
+    /// determinant up to `negated`.
+    pivot: i128,
+    /// Whether an odd number of row swaps happened.
+    negated: bool,
 }
 
 impl Index<(usize, usize)> for IntMat {
@@ -209,181 +279,6 @@ impl fmt::Debug for IntMat {
         writeln!(f, "IntMat {}x{} [", self.rows, self.cols)?;
         for i in 0..self.rows {
             writeln!(f, "  {:?}", self.row(i))?;
-        }
-        write!(f, "]")
-    }
-}
-
-/// A dense row-major matrix of exact rationals.
-#[derive(Clone, PartialEq, Eq)]
-pub struct RatMat {
-    rows: usize,
-    cols: usize,
-    data: Vec<Ratio>,
-}
-
-impl RatMat {
-    /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> RatMat {
-        RatMat {
-            rows,
-            cols,
-            data: vec![Ratio::ZERO; rows * cols],
-        }
-    }
-
-    /// The `n`×`n` identity.
-    pub fn identity(n: usize) -> RatMat {
-        let mut m = RatMat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Ratio::ONE;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Rank by exact Gaussian elimination.
-    pub fn rank(&self) -> usize {
-        let mut m = self.clone();
-        let mut rank = 0;
-        for col in 0..m.cols {
-            if rank == m.rows {
-                break;
-            }
-            // Find pivot.
-            let Some(p) = (rank..m.rows).find(|&r| !m[(r, col)].is_zero()) else {
-                continue;
-            };
-            m.swap_rows(rank, p);
-            let pivot = m[(rank, col)];
-            for r in 0..m.rows {
-                if r != rank && !m[(r, col)].is_zero() {
-                    let f = m[(r, col)] / pivot;
-                    for c in col..m.cols {
-                        let sub = m[(rank, c)] * f;
-                        m[(r, c)] = m[(r, c)] - sub;
-                    }
-                }
-            }
-            rank += 1;
-        }
-        rank
-    }
-
-    /// Determinant of a square matrix, exactly.
-    pub fn det(&self) -> Ratio {
-        assert_eq!(self.rows, self.cols, "det of non-square matrix");
-        let mut m = self.clone();
-        let mut det = Ratio::ONE;
-        for col in 0..m.cols {
-            let Some(p) = (col..m.rows).find(|&r| !m[(r, col)].is_zero()) else {
-                return Ratio::ZERO;
-            };
-            if p != col {
-                m.swap_rows(col, p);
-                det = -det;
-            }
-            let pivot = m[(col, col)];
-            det = det * pivot;
-            for r in col + 1..m.rows {
-                if !m[(r, col)].is_zero() {
-                    let f = m[(r, col)] / pivot;
-                    for c in col..m.cols {
-                        let sub = m[(col, c)] * f;
-                        m[(r, c)] = m[(r, c)] - sub;
-                    }
-                }
-            }
-        }
-        det
-    }
-
-    /// Exact inverse by Gauss–Jordan; `None` if singular.
-    pub fn inverse(&self) -> Option<RatMat> {
-        assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
-        let n = self.rows;
-        let mut m = self.clone();
-        let mut inv = RatMat::identity(n);
-        for col in 0..n {
-            let p = (col..n).find(|&r| !m[(r, col)].is_zero())?;
-            m.swap_rows(col, p);
-            inv.swap_rows(col, p);
-            let pivot = m[(col, col)];
-            for c in 0..n {
-                m[(col, c)] = m[(col, c)] / pivot;
-                inv[(col, c)] = inv[(col, c)] / pivot;
-            }
-            for r in 0..n {
-                if r != col && !m[(r, col)].is_zero() {
-                    let f = m[(r, col)];
-                    for c in 0..n {
-                        let s1 = m[(col, c)] * f;
-                        m[(r, c)] = m[(r, c)] - s1;
-                        let s2 = inv[(col, c)] * f;
-                        inv[(r, c)] = inv[(r, c)] - s2;
-                    }
-                }
-            }
-        }
-        Some(inv)
-    }
-
-    /// Solves `self · x = b` exactly; `None` if the system is singular or
-    /// inconsistent. Requires a square matrix.
-    pub fn solve(&self, b: &[Ratio]) -> Option<Vec<Ratio>> {
-        let inv = self.inverse()?;
-        assert_eq!(b.len(), self.rows);
-        Some(
-            (0..inv.rows)
-                .map(|i| {
-                    (0..inv.cols)
-                        .map(|j| inv[(i, j)] * b[j])
-                        .fold(Ratio::ZERO, |a, x| a + x)
-                })
-                .collect(),
-        )
-    }
-
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
-}
-
-impl Index<(usize, usize)> for RatMat {
-    type Output = Ratio;
-    fn index(&self, (r, c): (usize, usize)) -> &Ratio {
-        assert!(r < self.rows && c < self.cols, "RatMat index out of range");
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for RatMat {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Ratio {
-        assert!(r < self.rows && c < self.cols, "RatMat index out of range");
-        &mut self.data[r * self.cols + c]
-    }
-}
-
-impl fmt::Debug for RatMat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "RatMat {}x{} [", self.rows, self.cols)?;
-        for i in 0..self.rows {
-            let row: Vec<String> = (0..self.cols).map(|j| self[(i, j)].to_string()).collect();
-            writeln!(f, "  [{}]", row.join(", "))?;
         }
         write!(f, "]")
     }
@@ -415,13 +310,19 @@ mod tests {
     #[test]
     fn det_and_unimodularity() {
         let skew = IntMat::from_rows(&[vec![1, 0], vec![1, 1]]);
-        assert_eq!(skew.det(), 1);
+        assert_eq!(skew.det(), Some(1));
         assert!(skew.is_unimodular());
         let scale = IntMat::from_rows(&[vec![2, 0], vec![0, 1]]);
-        assert_eq!(scale.det(), 2);
+        assert_eq!(scale.det(), Some(2));
         assert!(!scale.is_unimodular());
         let singular = IntMat::from_rows(&[vec![1, 2], vec![2, 4]]);
-        assert_eq!(singular.det(), 0);
+        assert_eq!(singular.det(), Some(0));
+        // A row swap flips the sign; a zero leading entry forces one.
+        let swap = IntMat::from_rows(&[vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]]);
+        assert_eq!(swap.det(), Some(-1));
+        assert!(swap.is_unimodular());
+        let dense = IntMat::from_rows(&[vec![2, -1, 3], vec![4, 0, -2], vec![-1, 5, 1]]);
+        assert_eq!(dense.det(), Some(82));
     }
 
     #[test]
@@ -436,43 +337,68 @@ mod tests {
 
     #[test]
     fn unimodular_inverse_roundtrip() {
-        let skew = IntMat::from_rows(&[vec![1, 0, 0], vec![1, 1, 0], vec![0, 2, 1]]);
-        let inv = skew.inverse_unimodular();
-        assert_eq!(skew.mul(&inv), IntMat::identity(3));
-        assert_eq!(inv.mul(&skew), IntMat::identity(3));
-    }
-
-    #[test]
-    fn rational_inverse_and_solve() {
-        let m = IntMat::from_rows(&[vec![2, 1], vec![1, 1]]).to_rat();
-        let inv = m.inverse().unwrap();
-        let b = vec![Ratio::int(3), Ratio::int(2)];
-        let x = m.solve(&b).unwrap();
-        assert_eq!(x, vec![Ratio::int(1), Ratio::int(1)]);
-        // inv * m == I
-        let mut prod = RatMat::zeros(2, 2);
-        for i in 0..2 {
-            for j in 0..2 {
-                for k in 0..2 {
-                    let t = inv[(i, k)] * m[(k, j)];
-                    prod[(i, j)] = prod[(i, j)] + t;
-                }
-            }
+        for m in [
+            IntMat::from_rows(&[vec![1, 0, 0], vec![1, 1, 0], vec![0, 2, 1]]),
+            // Needs a row swap, and eliminates above the pivot.
+            IntMat::from_rows(&[vec![0, 1, 3], vec![1, 2, 0], vec![0, 0, -1]]),
+            IntMat::from_rows(&[
+                vec![1, 2, 0, 0],
+                vec![0, 1, 0, 3],
+                vec![0, 0, 1, 0],
+                vec![1, 2, 0, 1],
+            ]),
+        ] {
+            let inv = m.inverse_unimodular().expect("unimodular");
+            let n = m.rows();
+            assert_eq!(m.mul(&inv), IntMat::identity(n), "{m:?}");
+            assert_eq!(inv.mul(&m), IntMat::identity(n), "{m:?}");
         }
-        assert_eq!(prod, RatMat::identity(2));
     }
 
     #[test]
     fn singular_inverse_is_none() {
-        let m = IntMat::from_rows(&[vec![1, 2], vec![2, 4]]).to_rat();
-        assert!(m.inverse().is_none());
+        let singular = IntMat::from_rows(&[vec![1, 2], vec![2, 4]]);
+        assert_eq!(singular.inverse_unimodular(), None);
+        // Invertible over the rationals, but the inverse is fractional.
+        let scale = IntMat::from_rows(&[vec![2, 0], vec![0, 1]]);
+        assert_eq!(scale.inverse_unimodular(), None);
+        assert_eq!(IntMat::zeros(2, 3).inverse_unimodular(), None);
+    }
+
+    #[test]
+    fn entries_at_the_edge_of_i64_are_answered_or_refused_never_wrapped() {
+        let big = i64::MAX;
+        // Products of two entries fit `i128`; the determinant does not fit
+        // `i64`, and says so.
+        let m = IntMat::from_rows(&[vec![big, 1], vec![1, big]]);
+        assert_eq!(m.rank(), Some(2));
+        assert_eq!(m.det(), None);
+        assert!(!m.is_unimodular());
+        assert_eq!(m.inverse_unimodular(), None);
+        // Unimodular with a huge entry: exact inverse.
+        let skew = IntMat::from_rows(&[vec![1, 0], vec![big, 1]]);
+        assert_eq!(skew.det(), Some(1));
+        assert_eq!(
+            skew.inverse_unimodular(),
+            Some(IntMat::from_rows(&[vec![1, 0], vec![-big, 1]]))
+        );
+        // Three-deep products leave `i128`: no answer, no abort.
+        let cube = IntMat::from_rows(&[vec![big, 1, 1], vec![1, big, 1], vec![1, 1, big]]);
+        assert_eq!(cube.rank(), None);
+        assert_eq!(cube.det(), None);
+        assert_eq!(cube.inverse_unimodular(), None);
     }
 
     #[test]
     fn rank_of_rectangular() {
         let m = IntMat::from_rows(&[vec![1, 2, 3], vec![2, 4, 6], vec![0, 1, 1]]);
-        assert_eq!(m.rank(), 2);
-        assert_eq!(IntMat::zeros(3, 4).rank(), 0);
-        assert_eq!(IntMat::identity(4).rank(), 4);
+        assert_eq!(m.rank(), Some(2));
+        assert_eq!(IntMat::zeros(3, 4).rank(), Some(0));
+        assert_eq!(IntMat::identity(4).rank(), Some(4));
+        // A pivot-free column in the middle, then more pivots.
+        let gap = IntMat::from_rows(&[vec![1, 2, 0, 1], vec![2, 4, 1, 0], vec![3, 6, 1, 1]]);
+        assert_eq!(gap.rank(), Some(2));
+        let wide = IntMat::from_rows(&[vec![1, 2, 0, 1], vec![2, 4, 1, 0], vec![0, 0, 0, 5]]);
+        assert_eq!(wide.rank(), Some(3));
     }
 }

@@ -164,12 +164,6 @@ impl AffineExpr {
             acc.checked_add(a.checked_mul(*x)?)
         })
     }
-
-    /// True when the expression is a plain constant.
-    pub fn is_constant(&self) -> bool {
-        let n = self.row.len() - 1;
-        self.row[..n].iter().all(|&a| a == 0)
-    }
 }
 
 impl fmt::Debug for AffineExpr {

@@ -1,39 +1,46 @@
 //! Property-based tests for the polyhedral math substrate.
 
+use crate::matrix::IntMat;
 use crate::poly::{Constraint, Polyhedron};
-use crate::ratio::Ratio;
 use proptest::prelude::*;
 
-fn small_ratio() -> impl Strategy<Value = Ratio> {
-    (-50i64..=50, 1i64..=12).prop_map(|(n, d)| Ratio::new(n, d))
+/// A product of elementary row operations (swap, negate, add a small
+/// multiple of one row to another) applied to the identity: unimodular
+/// by construction, with entries that grow with the number of factors.
+fn unimodular() -> impl Strategy<Value = IntMat> {
+    let op = (0usize..3, 0usize..5, 0usize..5, -3i64..=3);
+    (2usize..6, prop::collection::vec(op, 0..10)).prop_map(|(n, ops)| {
+        let mut m = IntMat::identity(n);
+        for (kind, a, b, f) in ops {
+            let (a, b) = (a % n, b % n);
+            for c in 0..n {
+                match kind {
+                    0 => {
+                        let (x, y) = (m[(a, c)], m[(b, c)]);
+                        m[(a, c)] = y;
+                        m[(b, c)] = x;
+                    }
+                    1 => m[(a, c)] = -m[(a, c)],
+                    _ if a != b => m[(a, c)] += f * m[(b, c)],
+                    _ => {}
+                }
+            }
+        }
+        m
+    })
 }
 
 proptest! {
+    /// The fraction-free inverse of a unimodular matrix is its two-sided
+    /// integer inverse, and rank and determinant agree with it.
     #[test]
-    fn ratio_add_commutes(a in small_ratio(), b in small_ratio()) {
-        prop_assert_eq!(a + b, b + a);
-    }
-
-    #[test]
-    fn ratio_mul_distributes(a in small_ratio(), b in small_ratio(), c in small_ratio()) {
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-    }
-
-    #[test]
-    fn ratio_floor_ceil_bracket(a in small_ratio()) {
-        let f = a.floor();
-        let c = a.ceil();
-        prop_assert!(Ratio::int(f) <= a);
-        prop_assert!(a <= Ratio::int(c));
-        prop_assert!(c - f <= 1);
-    }
-
-    #[test]
-    fn ratio_ordering_total(a in small_ratio(), b in small_ratio()) {
-        let lt = a < b;
-        let gt = a > b;
-        let eq = a == b;
-        prop_assert_eq!(lt as u8 + gt as u8 + eq as u8, 1);
+    fn unimodular_inverse_is_two_sided(m in unimodular()) {
+        let n = m.rows();
+        prop_assert_eq!(m.rank(), Some(n));
+        prop_assert!(m.is_unimodular(), "det {:?} of {m:?}", m.det());
+        let inv = m.inverse_unimodular().expect("unimodular matrices invert");
+        prop_assert_eq!(m.mul(&inv), IntMat::identity(n));
+        prop_assert_eq!(inv.mul(&m), IntMat::identity(n));
     }
 }
 

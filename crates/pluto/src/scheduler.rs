@@ -332,7 +332,8 @@ impl Sched<'_> {
             }
             let base = m.rank();
             m.push_row(r);
-            m.rank() > base
+            // An overflowing rank proves nothing: not a candidate.
+            matches!((base, m.rank()), (Some(base), Some(with_r)) if with_r > base)
         };
         let mut out: Vec<Vec<i64>> = Vec::new();
         for i in 0..d {

@@ -1,11 +1,6 @@
-//! Doall execution over the persistent worker pool.
-//!
-//! Scheduling is the caller's choice via [`RuntimeOptions::schedule`]:
-//! static blocks by default, atomic chunk-claiming
-//! ([`Schedule::Dynamic`](crate::schedule::Schedule)) for spaces where
-//! static blocks load-imbalance. Workers come from the process-wide
-//! persistent pool (see [`crate::pool`]) unless
-//! [`RuntimeOptions::pool`] says otherwise.
+//! Doall execution over the persistent worker pool: one contiguous
+//! block of the range per worker (the `schedule(static)` OpenMP
+//! analogue; see [`crate::schedule::partition`]).
 //!
 //! Worker panics are contained at the worker boundary: the failing
 //! worker records a [`RuntimeError::WorkerPanic`] (first failure wins)
@@ -13,15 +8,15 @@
 //! workers never wait on each other, so no poison broadcast is needed —
 //! the surviving workers simply finish their bounded spans.
 
-use crate::error::{RunStats, RuntimeError, RuntimeOptions};
+use crate::error::{RunStats, RuntimeError};
 use crate::pool;
-use crate::schedule::WorkPlan;
+use crate::schedule::{partition, Partition};
 use crate::sync::{payload_text, Fabric};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs `body(i)` for every `i` in `lo..hi` across `threads` workers with
-/// a static block distribution (the `schedule(static)` OpenMP analogue).
+/// a static block distribution.
 ///
 /// `body` only receives disjoint indices, so it may mutate shared state
 /// partitioned by `i`; Rust-level sharing is the caller's problem — the
@@ -30,32 +25,16 @@ pub fn par_for<F>(lo: i64, hi: i64, threads: usize, body: F) -> Result<RunStats,
 where
     F: Fn(i64) + Sync,
 {
-    par_for_opts(lo, hi, threads, RuntimeOptions::default(), body)
-}
-
-/// [`par_for`] with explicit [`RuntimeOptions`] (scheduling policy and
-/// pool provisioning).
-pub fn par_for_opts<F>(
-    lo: i64,
-    hi: i64,
-    threads: usize,
-    opts: RuntimeOptions,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    F: Fn(i64) + Sync,
-{
-    doall_cells(lo, hi, threads, opts, |i| (i, 0), body)
+    doall_cells(lo, hi, threads, |i| (i, 0), body)
 }
 
 /// [`par_for`] generalized with a mapping from the flat index to the
-/// logical grid cell reported in diagnostics (and targeted by fault
-/// injection) — the wavefront executor runs diagonals through this.
+/// logical grid cell reported in diagnostics — the wavefront executor
+/// runs diagonals through this.
 pub(crate) fn doall_cells<C, F>(
     lo: i64,
     hi: i64,
     threads: usize,
-    opts: RuntimeOptions,
     cell_of: C,
     body: F,
 ) -> Result<RunStats, RuntimeError>
@@ -79,46 +58,34 @@ where
         .min(usize::MAX as u64) as usize;
     let threads = threads.clamp(1, cap);
     let fabric = Fabric::new(false, threads);
-    let plan = WorkPlan::new(lo, hi, n, threads, opts.schedule);
-    let pooled = if threads == 1 {
-        span_worker(0, &plan, &cell_of, &body, &fabric);
-        false
+    let part = partition(lo, hi, threads);
+    if threads == 1 {
+        span_worker(0, &part, &cell_of, &body, &fabric);
     } else {
-        pool::execute(threads, opts.pool, &|t| {
-            span_worker(t, &plan, &cell_of, &body, &fabric)
-        })
-    };
+        pool::execute(threads, &|t| span_worker(t, &part, &cell_of, &body, &fabric));
+    }
     match fabric.into_failure() {
         Some(err) => Err(err),
         None => Ok(RunStats {
             cells: n as u64,
             workers: threads,
-            pooled,
-            order_check_disarmed: false,
-            pipeline_batch: None,
-            dyn_grain: opts.schedule.resolved_grain(),
         }),
     }
 }
 
-/// Executes every span the plan hands worker `t`, catching unwinds at
-/// the worker boundary and recording which cell was live when the panic
-/// unwound.
-fn span_worker<C, F>(worker: usize, plan: &WorkPlan, cell_of: &C, body: &F, fabric: &Fabric)
+/// Executes `worker`'s block, catching unwinds at the worker boundary
+/// and recording which cell was live when the panic unwound.
+fn span_worker<C, F>(worker: usize, part: &Partition, cell_of: &C, body: &F, fabric: &Fabric)
 where
     C: Fn(i64) -> (i64, i64) + Sync,
     F: Fn(i64) + Sync,
 {
     let current: Cell<Option<(i64, i64)>> = Cell::new(None);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut spans = plan.spans(worker);
-        while let Some((a, b)) = spans.next() {
-            for i in a..b {
-                let (ci, cj) = cell_of(i);
-                current.set(Some((ci, cj)));
-                crate::fault_inject::before_cell(ci, cj);
-                body(i);
-            }
+        let (a, b) = part.span(worker);
+        for i in a..b {
+            current.set(Some(cell_of(i)));
+            body(i);
         }
     }));
     if let Err(payload) = outcome {
@@ -133,93 +100,10 @@ where
     }
 }
 
-/// Runs `body(span_lo, span_hi)` for every span of a partition of
-/// `lo..hi`: once per worker under the static schedule, once per claimed
-/// chunk under a dynamic one. Empty ranges run nothing. Worker panics
-/// are contained like [`par_for`]'s, but reported with `cell: None` —
-/// the span body is opaque, so the failing index is unknown.
-pub fn par_for_chunked<F>(
-    lo: i64,
-    hi: i64,
-    threads: usize,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    F: Fn(i64, i64) + Sync,
-{
-    par_for_chunked_opts(lo, hi, threads, RuntimeOptions::default(), body)
-}
-
-/// [`par_for_chunked`] with explicit [`RuntimeOptions`].
-pub fn par_for_chunked_opts<F>(
-    lo: i64,
-    hi: i64,
-    threads: usize,
-    opts: RuntimeOptions,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    F: Fn(i64, i64) + Sync,
-{
-    let n = match hi.checked_sub(lo) {
-        Some(n) => n,
-        None => {
-            return Err(RuntimeError::Misuse(format!(
-                "index range [{lo}, {hi}) overflows i64 arithmetic"
-            )))
-        }
-    };
-    if n <= 0 {
-        return Ok(RunStats::default());
-    }
-    let cap = u64::try_from(n)
-        .unwrap_or(u64::MAX)
-        .min(usize::MAX as u64) as usize;
-    let threads = threads.clamp(1, cap);
-    let fabric = Fabric::new(false, threads);
-    let plan = WorkPlan::new(lo, hi, n, threads, opts.schedule);
-    let chunk_worker = |worker: usize| {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-            let mut spans = plan.spans(worker);
-            while let Some((a, b)) = spans.next() {
-                body(a, b);
-            }
-        })) {
-            fabric.poison(
-                RuntimeError::WorkerPanic {
-                    worker,
-                    cell: None,
-                    payload: payload_text(payload.as_ref()),
-                },
-                &[],
-            );
-        }
-    };
-    let pooled = if threads == 1 {
-        chunk_worker(0);
-        false
-    } else {
-        pool::execute(threads, opts.pool, &chunk_worker)
-    };
-    match fabric.into_failure() {
-        Some(err) => Err(err),
-        None => Ok(RunStats {
-            cells: n as u64,
-            workers: threads,
-            pooled,
-            order_check_disarmed: false,
-            pipeline_batch: None,
-            dyn_grain: opts.schedule.resolved_grain(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PoolPolicy;
-    use crate::schedule::Schedule;
-    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn covers_every_index_exactly_once() {
@@ -231,61 +115,6 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(stats.cells, 100);
         assert_eq!(stats.workers, 7);
-    }
-
-    #[test]
-    fn dynamic_schedule_covers_every_index_exactly_once() {
-        let opts = RuntimeOptions {
-            schedule: Schedule::Dynamic { grain: 3 },
-            ..RuntimeOptions::default()
-        };
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let stats = par_for_opts(0, 100, 7, opts, |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        })
-        .expect("clean run");
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(stats.dyn_grain, Some(3), "requested grain must round-trip");
-        assert_eq!(stats.pipeline_batch, None, "doalls publish nothing");
-    }
-
-    #[test]
-    fn requested_knobs_round_trip_into_stats() {
-        // A config naming `dyn_grain` must see exactly that grain in the
-        // stats (clamped to the executable floor of 1), and the static
-        // default must report no grain at all.
-        let dynamic = RuntimeOptions {
-            schedule: Schedule::Dynamic { grain: -5 },
-            ..RuntimeOptions::default()
-        };
-        let stats = par_for_opts(0, 32, 4, dynamic, |_| {}).expect("clean run");
-        assert_eq!(stats.dyn_grain, Some(1), "grain clamps to 1, not dropped");
-        let stats = par_for(0, 32, 4, |_| {}).expect("clean run");
-        assert_eq!(stats.dyn_grain, None);
-        // The chunked entry point threads the same schedule through.
-        let chunked = RuntimeOptions {
-            schedule: Schedule::Dynamic { grain: 7 },
-            ..RuntimeOptions::default()
-        };
-        let stats = par_for_chunked_opts(0, 64, 4, chunked, |_, _| {}).expect("clean run");
-        assert_eq!(stats.dyn_grain, Some(7));
-    }
-
-    #[test]
-    fn pooled_and_spawned_paths_agree() {
-        for policy in [PoolPolicy::Persistent, PoolPolicy::SpawnPerCall] {
-            let opts = RuntimeOptions {
-                pool: policy,
-                ..RuntimeOptions::default()
-            };
-            let sum = AtomicI64::new(0);
-            let stats = par_for_opts(1, 101, 4, opts, |i| {
-                sum.fetch_add(i, Ordering::Relaxed);
-            })
-            .expect("clean run");
-            assert_eq!(sum.load(Ordering::Relaxed), 5050);
-            assert_eq!(stats.pooled, policy == PoolPolicy::Persistent);
-        }
     }
 
     #[test]
@@ -314,28 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_partitions_are_disjoint_and_complete() {
-        let total = AtomicI64::new(0);
-        par_for_chunked(10, 1000, 8, |a, b| {
-            assert!(a < b);
-            total.fetch_add(b - a, Ordering::Relaxed);
-        })
-        .expect("clean run");
-        assert_eq!(total.load(Ordering::Relaxed), 990);
-    }
-
-    #[test]
-    fn single_thread_gets_whole_range() {
-        let seen = AtomicI64::new(-1);
-        par_for_chunked(0, 4, 1, |a, b| {
-            assert_eq!((a, b), (0, 4));
-            seen.store(b - a, Ordering::Relaxed);
-        })
-        .expect("clean run");
-        assert_eq!(seen.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn worker_panic_is_contained_with_cell() {
         let err = par_for(0, 100, 4, |i| {
             if i == 42 {
@@ -349,22 +156,6 @@ mod tests {
             } => {
                 assert_eq!(cell, Some((42, 0)));
                 assert!(payload.contains("doall boom"), "{payload}");
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chunked_panic_reports_no_cell() {
-        let err = par_for_chunked(0, 16, 4, |a, _| {
-            if a == 0 {
-                panic!("chunk boom");
-            }
-        })
-        .expect_err("panic must surface");
-        match err {
-            RuntimeError::WorkerPanic { cell, .. } => {
-                assert_eq!(cell, None);
             }
             other => panic!("unexpected: {other:?}"),
         }

@@ -9,9 +9,7 @@
 //! [`RuntimeOptions::watchdog`]) is converted into a diagnostic
 //! [`RuntimeError::Stalled`] listing the cells that never advanced.
 
-use crate::schedule::Schedule;
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Why a parallel primitive failed. All variants are *contained*
@@ -82,95 +80,27 @@ pub struct RunStats {
     pub cells: u64,
     /// Worker threads that carried them.
     pub workers: usize,
-    /// Whether the persistent worker pool carried the run (`false` for
-    /// sequential runs and the spawn-per-call fallback).
-    pub pooled: bool,
-    /// Whether a requested dynamic order check silently stood down
-    /// (`order-check` builds only: the grid exceeded the shadow budget,
-    /// so *no* dependence-order assertions ran). Always `false` when the
-    /// feature is off or the checker was armed — a clean run with this
-    /// flag set certifies nothing.
-    pub order_check_disarmed: bool,
-    /// The publish batch the pipeline executor resolved for this run
-    /// (explicit option / environment / automatic choice), `None` for
-    /// primitives with no point-to-point publishes. Tuned configurations
-    /// assert on this to catch silently-dropped knob overrides.
-    pub pipeline_batch: Option<i64>,
-    /// The chunk-claiming grain the dynamic schedule resolved for this
-    /// run, `None` under the static schedule. Same round-trip contract
-    /// as [`RunStats::pipeline_batch`].
-    pub dyn_grain: Option<i64>,
 }
 
-/// Whether parallel primitives run on the persistent worker pool or on
-/// freshly spawned scoped threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PoolPolicy {
-    /// Use the pool unless the `POLYMIX_POOL=spawn` environment override
-    /// is set (read once per process). The default.
-    #[default]
-    Auto,
-    /// Always try the pool (still falls back to spawning if the pool
-    /// cannot field enough workers).
-    Persistent,
-    /// Always spawn fresh scoped threads — the pre-pool behavior, kept
-    /// for A/B benchmarking and as a hard escape hatch.
-    SpawnPerCall,
-}
-
-impl PoolPolicy {
-    /// Whether this policy wants the pooled path.
-    pub(crate) fn use_pool(self) -> bool {
-        match self {
-            PoolPolicy::Persistent => true,
-            PoolPolicy::SpawnPerCall => false,
-            PoolPolicy::Auto => {
-                static ENV: OnceLock<bool> = OnceLock::new();
-                *ENV.get_or_init(|| {
-                    !std::env::var("POLYMIX_POOL")
-                        .map(|v| v.trim().eq_ignore_ascii_case("spawn"))
-                        .unwrap_or(false)
-                })
-            }
-        }
-    }
-}
-
-/// Execution policy knobs shared by the parallel primitives.
-///
-/// The default keeps every safety net that costs anything on the hot
-/// path *off*; tests and benches turn the watchdog on.
+/// The one setting of the primitives that can wait (`pipeline_2d_opts`,
+/// `taskgraph_2d_opts`, `TileGraph::run`): a safety net, not a tuning
+/// choice. Off by default, so correct runs never pay for it; tests turn
+/// it on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuntimeOptions {
     /// Global-progress deadline: when set, a waiter that observes no
     /// progress anywhere in the grid (a monotonic epoch counter is
     /// bumped on every publish) for this long poisons the run and the
-    /// primitive returns [`RuntimeError::Stalled`]. `None` (default)
-    /// disables the watchdog — correct runs never pay for it.
+    /// primitive returns [`RuntimeError::Stalled`].
     pub watchdog: Option<Duration>,
-    /// How doall-style ranges are divided among workers. The static
-    /// default is right for rectangular spaces; pass
-    /// [`Schedule::Dynamic`] (or [`Schedule::dynamic_for`]) for
-    /// triangular/skewed spaces where static blocks load-imbalance.
-    pub schedule: Schedule,
-    /// Pipeline progress is published/awaited every this-many rows
-    /// instead of every row, cutting cross-thread synchronization
-    /// traffic by the same factor. `None` (default) picks a batch from
-    /// the grid shape; `Some(b)` forces `b` (clamped to at least 1).
-    /// The `POLYMIX_PIPE_BATCH` environment variable overrides the
-    /// automatic choice when this is `None`.
-    pub pipeline_batch: Option<i64>,
-    /// Worker provisioning: persistent pool vs spawn-per-call.
-    pub pool: PoolPolicy,
 }
 
 impl RuntimeOptions {
-    /// The policy used by tests and benches: a watchdog generous enough
-    /// to never fire on a healthy run, tight enough to fail fast.
+    /// The policy used by tests: a watchdog generous enough to never
+    /// fire on a healthy run, tight enough to fail fast.
     pub fn watched() -> RuntimeOptions {
         RuntimeOptions {
             watchdog: Some(Duration::from_secs(30)),
-            ..RuntimeOptions::default()
         }
     }
 }

@@ -1,25 +1,29 @@
-//! Deterministic fault injection for the runtime primitives (feature
-//! `fault-inject`; test/CI only).
+//! Deterministic fault injection as a *body adapter*.
 //!
-//! A [`FaultPlan`] installed through [`install`] makes the primitives
-//! misbehave on purpose: seeded per-cell delays and adversarial yields
-//! (to shake out ordering assumptions), a finite stall at one chosen
-//! cell (to exercise the watchdog), and a panic at one chosen cell (to
-//! exercise poison containment). Everything is keyed off a splitmix-
-//! style hash of `(seed, i, j)`, so a failing schedule replays exactly
-//! from its seed — no wall-clock or OS randomness is consulted.
+//! A [`FaultPlan`] is a value: [`FaultPlan::wrap`] turns a cell body
+//! into the same body preceded by seeded misbehaviour — a per-cell
+//! delay and an adversarial yield (to shake out ordering assumptions),
+//! a finite stall at one chosen cell (to exercise the watchdog), a
+//! panic at one chosen cell (to exercise poison containment). Every
+//! decision is a splitmix-style hash of `(seed, i, j)`, so a failing
+//! schedule replays exactly from its seed — no wall-clock or OS
+//! randomness is consulted — and because the adapter only needs a cell
+//! coordinate it works over any executor: the library primitives,
+//! [`kernel_rt`](crate::kernel_rt), or a plain loop.
 //!
-//! Plans are process-global; [`install`] returns a [`FaultGuard`] that
-//! holds an exclusive gate (serializing concurrent tests) and clears
-//! the plan on drop. Injected stalls are always finite: the runtime
-//! joins its workers via `std::thread::scope`, so an infinite injected
-//! sleep would turn a contained error into a real hang.
+//! A plan holds no process state and owns its own trace, so any number
+//! of plans run side by side in one process. What an adapter cannot do
+//! is reach *inside* an executor (perturb a wait loop, delay a worker's
+//! start); delays and yields in front of cell bodies are what moves
+//! workers relative to each other. Injected stalls are always finite:
+//! the executors join their workers, so an infinite injected sleep
+//! would turn a contained error into a real hang.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// What to inject, and where. `Default` injects nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Seed for every per-cell pseudo-random decision.
     pub seed: u64,
@@ -31,63 +35,24 @@ pub struct FaultPlan {
     /// Upper bound (exclusive) on a seeded per-cell delay in
     /// microseconds; 0 disables delays.
     pub delay_us_max: u64,
-    /// Percentage of cells that yield their time slice before running,
-    /// plus extra yields inside wait loops; 0 disables.
+    /// Percentage of cells that yield their time slice before running;
+    /// 0 disables.
     pub yield_pct: u8,
+    /// The decisions drawn so far by bodies this plan wrapped; drain it
+    /// with [`FaultPlan::take_trace`].
+    pub trace: Mutex<Vec<TraceEvent>>,
 }
 
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static GATE: Mutex<()> = Mutex::new(());
-static TRACE: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-/// One recorded injection decision. Every decision is a pure function
-/// of `(seed, coordinates)`, so two runs that execute the same cells on
-/// the same worker count produce the same *set* of events regardless of
-/// interleaving or pool policy — compare traces sorted.
+/// One recorded injection decision: cell `(i, j)` ran, and the seeded
+/// delay and yield decision it drew. A pure function of `(seed, i, j)`,
+/// so two runs that execute the same cells produce the same *set* of
+/// events regardless of interleaving — compare traces sorted.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceEvent {
-    /// Worker `slot` started a job; the seeded start delay it was dealt.
-    WorkerStart { slot: usize, delay_us: u64 },
-    /// Cell `(i, j)` ran; the seeded delay and yield decision it drew.
-    Cell {
-        i: i64,
-        j: i64,
-        delay_us: u64,
-        yielded: bool,
-    },
-}
-
-fn record(event: TraceEvent) {
-    TRACE.lock().unwrap_or_else(|e| e.into_inner()).push(event);
-}
-
-/// Drains the injection trace recorded since the plan was installed (or
-/// since the last drain). Sort before comparing across runs — recording
-/// order is scheduling-dependent, the event set is not.
-pub fn take_trace() -> Vec<TraceEvent> {
-    std::mem::take(&mut *TRACE.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// Clears the installed plan when dropped, releasing the gate that
-/// keeps concurrent fault-injection tests from trampling each other.
-pub struct FaultGuard {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// Installs `plan` process-wide until the returned guard drops. Clears
-/// any stale injection trace from a prior plan.
-#[must_use = "the plan is cleared as soon as the guard drops"]
-pub fn install(plan: FaultPlan) -> FaultGuard {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    TRACE.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    FaultGuard { _gate: gate }
+pub struct TraceEvent {
+    pub i: i64,
+    pub j: i64,
+    pub delay_us: u64,
+    pub yielded: bool,
 }
 
 /// splitmix64-style mix of the seed and a cell coordinate.
@@ -100,74 +65,64 @@ fn mix(seed: u64, i: i64, j: i64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn current_plan() -> Option<FaultPlan> {
-    PLAN.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Hook the primitives call immediately before executing cell `(i, j)`
-/// (1-D primitives pass `(i, 0)`). Ordering: delay, then yield, then
-/// stall, then panic — so a panic cell can also be delayed first.
-pub fn before_cell(i: i64, j: i64) {
-    let Some(plan) = current_plan() else { return };
-    let us = if plan.delay_us_max > 0 {
-        mix(plan.seed, i, j) % plan.delay_us_max
-    } else {
-        0
-    };
-    let yielded =
-        plan.yield_pct > 0 && mix(plan.seed ^ 0xA5A5_A5A5, i, j) % 100 < u64::from(plan.yield_pct);
-    record(TraceEvent::Cell {
-        i,
-        j,
-        delay_us: us,
-        yielded,
-    });
-    if us > 0 {
-        std::thread::sleep(Duration::from_micros(us));
-    }
-    if yielded {
-        std::thread::yield_now();
-    }
-    if let Some(((si, sj), ms)) = plan.stall_ms_at {
-        if (si, sj) == (i, j) {
-            std::thread::sleep(Duration::from_millis(ms));
+impl FaultPlan {
+    /// `body` preceded by this plan's decisions for the cell.
+    pub fn wrap<'a, F>(&'a self, body: F) -> impl Fn(i64, i64) + Sync + 'a
+    where
+        F: Fn(i64, i64) + Sync + 'a,
+    {
+        move |i, j| {
+            self.before_cell(i, j);
+            body(i, j)
         }
     }
-    if plan.panic_at == Some((i, j)) {
-        #[allow(clippy::panic)] // the whole point of this module
-        {
-            panic!("fault-inject: seeded panic at cell ({i}, {j})");
+
+    /// What [`FaultPlan::wrap`] runs in front of cell `(i, j)`, for
+    /// bodies of another shape (1-D bodies pass `(i, 0)`). Ordering:
+    /// delay, then yield, then stall, then panic — so a panic cell can
+    /// also be delayed first.
+    pub fn before_cell(&self, i: i64, j: i64) {
+        let delay_us = if self.delay_us_max > 0 {
+            mix(self.seed, i, j) % self.delay_us_max
+        } else {
+            0
+        };
+        let yielded = self.yield_pct > 0
+            && mix(self.seed ^ 0xA5A5_A5A5, i, j) % 100 < u64::from(self.yield_pct);
+        self.trace
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(TraceEvent {
+                i,
+                j,
+                delay_us,
+                yielded,
+            });
+        if delay_us > 0 {
+            std::thread::sleep(Duration::from_micros(delay_us));
+        }
+        if yielded {
+            std::thread::yield_now();
+        }
+        if let Some((cell, ms)) = self.stall_ms_at {
+            if cell == (i, j) {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+        }
+        if self.panic_at == Some((i, j)) {
+            #[allow(clippy::panic)] // the whole point of this module
+            {
+                panic!("fault-inject: seeded panic at cell ({i}, {j})");
+            }
         }
     }
-}
 
-/// Hook called from the slow path of runtime wait loops; under an
-/// adversarial plan it surrenders the time slice to perturb scheduling.
-/// Not traced: the number of wait-loop turns is scheduling-dependent.
-pub fn on_wait() {
-    if current_plan().is_some_and(|p| p.yield_pct > 0) {
-        std::thread::yield_now();
-    }
-}
-
-/// Hook the pool calls as worker `slot` starts a job — on *both* the
-/// persistent-worker and spawn-per-call paths, so the seeded start
-/// perturbation (and therefore the whole injection schedule) is
-/// identical under either [`crate::PoolPolicy`]. Threading the seed
-/// through only the pooled path made `POLYMIX_POOL=spawn` runs diverge.
-pub fn before_worker(slot: usize) {
-    let Some(plan) = current_plan() else { return };
-    let us = if plan.delay_us_max > 0 {
-        mix(plan.seed ^ 0x5EED_B00F, slot as i64, -1) % plan.delay_us_max
-    } else {
-        0
-    };
-    record(TraceEvent::WorkerStart {
-        slot,
-        delay_us: us,
-    });
-    if us > 0 {
-        std::thread::sleep(Duration::from_micros(us));
+    /// Drains the trace, sorted — recording order is
+    /// scheduling-dependent, the event set is not.
+    pub fn take_trace(&self) -> Vec<TraceEvent> {
+        let mut trace = std::mem::take(&mut *self.trace.lock().unwrap_or_else(|e| e.into_inner()));
+        trace.sort();
+        trace
     }
 }
 
@@ -183,50 +138,40 @@ mod tests {
     }
 
     #[test]
-    fn guard_clears_plan() {
-        {
-            let _g = install(FaultPlan {
-                seed: 1,
-                ..FaultPlan::default()
-            });
-            assert!(current_plan().is_some());
-        }
-        assert!(current_plan().is_none());
-    }
-
-    #[test]
-    fn before_cell_panics_only_at_the_chosen_cell() {
-        let _g = install(FaultPlan {
+    fn wrapped_body_panics_only_at_the_chosen_cell() {
+        let plan = FaultPlan {
             panic_at: Some((2, 3)),
             ..FaultPlan::default()
-        });
-        before_cell(0, 0);
-        before_cell(3, 2);
-        let caught = std::panic::catch_unwind(|| before_cell(2, 3));
+        };
+        let ran = Mutex::new(Vec::new());
+        let cell = plan.wrap(|i, j| ran.lock().unwrap().push((i, j)));
+        cell(0, 0);
+        cell(3, 2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell(2, 3)));
         assert!(caught.is_err());
+        assert_eq!(*ran.lock().unwrap(), vec![(0, 0), (3, 2)]);
     }
 
     #[test]
     fn trace_records_seeded_decisions_and_drains() {
-        let _g = install(FaultPlan {
+        let plan = FaultPlan {
             seed: 99,
             delay_us_max: 5,
             yield_pct: 50,
             ..FaultPlan::default()
-        });
-        before_worker(0);
-        before_cell(1, 2);
-        before_cell(3, 4);
-        let mut a = take_trace();
-        assert_eq!(a.len(), 3, "{a:?}");
-        assert!(take_trace().is_empty(), "drain must clear the trace");
+        };
+        plan.before_cell(1, 2);
+        plan.before_cell(3, 4);
+        let a = plan.take_trace();
+        assert_eq!(a.len(), 2, "{a:?}");
+        assert!(plan.take_trace().is_empty(), "drain must clear the trace");
         // Re-running the same cells yields the same decisions.
-        before_worker(0);
-        before_cell(3, 4);
-        before_cell(1, 2);
-        let mut b = take_trace();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "injection decisions must be seed-deterministic");
+        plan.before_cell(3, 4);
+        plan.before_cell(1, 2);
+        assert_eq!(
+            a,
+            plan.take_trace(),
+            "injection decisions must be seed-deterministic"
+        );
     }
 }

@@ -1,203 +1,130 @@
-//! Dynamic dependence-order checking (feature `order-check`): a
-//! lightweight race detector asserting that every executed cell
-//! `(i, j)` observed its `(i-1, j)` and `(i, j-1)` sources first.
+//! Dynamic dependence-order checking as a *body adapter*: a lightweight
+//! race detector asserting that every executed cell `(i, j)` observed
+//! its sources `(i - di, j - dj)` first, for the dependence vectors
+//! `(di, dj)` the checker was built with.
 //!
-//! The real checker only exists with the feature on; the primitives
-//! embed a [`DepChecker`] wrapper that compiles to nothing otherwise,
-//! so release/hot paths carry zero cost. Violations are collected, not
-//! panicked on, and surface as a `RuntimeError::Misuse` after the run —
+//! [`OrderChecker::wrap`] turns a cell body into the same body between
+//! a source check and a completion mark, so the checker shadows any
+//! executor that runs cells — the library primitives,
+//! [`kernel_rt`](crate::kernel_rt), or a deliberately wrong one.
+//! Violations are collected, not panicked on, and surface from
+//! [`OrderChecker::finish`] as a `RuntimeError::Misuse` after the run —
 //! panicking inside a worker would be reported as a `WorkerPanic` and
 //! hide the actual diagnosis.
 
 use crate::error::RuntimeError;
 use crate::pipeline::GridSweep;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
-#[cfg(feature = "order-check")]
-mod imp {
-    use super::GridSweep;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+/// Largest grid (in cells) the checker will shadow; beyond this it
+/// refuses rather than allocate gigabytes in a test.
+const MAX_SHADOW_CELLS: u64 = 1 << 24;
 
-    /// Largest grid (in cells) the checker will shadow; beyond this the
-    /// checker opts out rather than allocate gigabytes in a test build.
-    const MAX_SHADOW_CELLS: u64 = 1 << 24;
-
-    /// One executed-cell shadow bit per grid cell plus a violation log.
-    pub struct OrderChecker {
-        grid: GridSweep,
-        nj: usize,
-        done: Vec<AtomicBool>,
-        /// (cell_i, cell_j, src_i, src_j) for every missed source.
-        violations: Mutex<Vec<(i64, i64, i64, i64)>>,
-    }
-
-    impl OrderChecker {
-        /// `None` when the grid is degenerate, overflowing, or too big
-        /// to shadow.
-        pub fn try_new(grid: GridSweep) -> Option<OrderChecker> {
-            let cells = grid.cells_checked().ok()?;
-            if cells == 0 || cells > MAX_SHADOW_CELLS {
-                return None;
-            }
-            let nj = (grid.j_hi - grid.j_lo) as usize;
-            let done = (0..cells).map(|_| AtomicBool::new(false)).collect();
-            Some(OrderChecker {
-                grid,
-                nj,
-                done,
-                violations: Mutex::new(Vec::new()),
-            })
-        }
-
-        fn idx(&self, i: i64, j: i64) -> usize {
-            (i - self.grid.i_lo) as usize * self.nj + (j - self.grid.j_lo) as usize
-        }
-
-        /// Records a violation for every in-grid source of `(i, j)` that
-        /// has not completed yet.
-        pub fn check_sources(&self, i: i64, j: i64) {
-            let mut missed: Vec<(i64, i64)> = Vec::new();
-            if i > self.grid.i_lo && !self.done[self.idx(i - 1, j)].load(Ordering::Acquire) {
-                missed.push((i - 1, j));
-            }
-            if j > self.grid.j_lo && !self.done[self.idx(i, j - 1)].load(Ordering::Acquire) {
-                missed.push((i, j - 1));
-            }
-            if !missed.is_empty() {
-                let mut log = self.violations.lock().unwrap_or_else(|e| e.into_inner());
-                for (si, sj) in missed {
-                    log.push((i, j, si, sj));
-                }
-            }
-        }
-
-        /// Marks `(i, j)` complete.
-        pub fn mark_done(&self, i: i64, j: i64) {
-            self.done[self.idx(i, j)].store(true, Ordering::Release);
-        }
-
-        /// Drains the violation log.
-        pub fn violations(&self) -> Vec<(i64, i64, i64, i64)> {
-            std::mem::take(&mut *self.violations.lock().unwrap_or_else(|e| e.into_inner()))
-        }
-    }
+/// One executed-cell shadow bit per grid cell plus a violation log.
+pub struct OrderChecker {
+    grid: GridSweep,
+    nj: usize,
+    sources: Vec<(i64, i64)>,
+    done: Vec<AtomicBool>,
+    /// (cell_i, cell_j, src_i, src_j) for every missed source.
+    violations: Mutex<Vec<(i64, i64, i64, i64)>>,
 }
 
-#[cfg(feature = "order-check")]
-pub use imp::OrderChecker;
-
-/// The one-time disarm warning, shared process-wide by *every*
-/// primitive (a mixed doall/pipeline/taskgraph stress run used to warn
-/// once per primitive-local flag; now the whole process warns once).
-#[cfg(feature = "order-check")]
-pub(crate) fn warn_order_check_disarmed(detail: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "order-check: {detail}; dependence-order checking is DISARMED for this run \
-             (RunStats::order_check_disarmed is set)"
-        );
-    });
-}
-
-/// The wrapper the primitives embed: forwards to [`OrderChecker`] when
-/// `order-check` is enabled, compiles to a no-op otherwise.
-pub(crate) struct DepChecker {
-    #[cfg(feature = "order-check")]
-    inner: Option<OrderChecker>,
-}
-
-impl DepChecker {
-    pub(crate) fn new(grid: GridSweep) -> DepChecker {
-        #[cfg(not(feature = "order-check"))]
-        let _ = grid;
-        let checker = DepChecker {
-            #[cfg(feature = "order-check")]
-            inner: OrderChecker::try_new(grid),
-        };
-        #[cfg(feature = "order-check")]
-        if checker.disarmed() {
-            warn_order_check_disarmed(&format!(
-                "grid [{}, {}) x [{}, {}) exceeds the shadow budget",
+impl OrderChecker {
+    /// A checker for `grid` under the dependence vectors `sources`
+    /// (`&[(1, 0), (0, 1)]` is the pipeline's await cone).
+    /// [`RuntimeError::Misuse`] when the grid overflows or is too big
+    /// to shadow — a checker that silently checked nothing would make a
+    /// clean run meaningless.
+    pub fn new(grid: GridSweep, sources: &[(i64, i64)]) -> Result<OrderChecker, RuntimeError> {
+        let cells = grid.cells_checked()?;
+        if cells > MAX_SHADOW_CELLS {
+            return Err(RuntimeError::Misuse(format!(
+                "grid [{}, {}) x [{}, {}) exceeds the order checker's shadow budget",
                 grid.i_lo, grid.i_hi, grid.j_lo, grid.j_hi
-            ));
+            )));
         }
-        checker
+        Ok(OrderChecker {
+            grid,
+            nj: (grid.j_hi - grid.j_lo).max(0) as usize,
+            sources: sources.to_vec(),
+            done: (0..cells).map(|_| AtomicBool::new(false)).collect(),
+            violations: Mutex::new(Vec::new()),
+        })
     }
 
-    /// A checker for runs whose dependence relation is *not* the
-    /// standard `(i-1, j)`/`(i, j-1)` cone (an explicit task DAG, or a
-    /// tile graph over a different vector set): under `order-check` it
-    /// stands down — asserting the wrong relation would report phantom
-    /// violations — and reports [`DepChecker::disarmed`] so
-    /// `RunStats::order_check_disarmed` surfaces the gap consistently.
-    pub(crate) fn unmodeled(what: &str) -> DepChecker {
-        #[cfg(not(feature = "order-check"))]
-        let _ = what;
-        #[cfg(feature = "order-check")]
-        warn_order_check_disarmed(&format!(
-            "{what} is outside the checker's (i-1, j)/(i, j-1) source model"
-        ));
-        DepChecker {
-            #[cfg(feature = "order-check")]
-            inner: None,
+    fn idx(&self, i: i64, j: i64) -> usize {
+        (i - self.grid.i_lo) as usize * self.nj + (j - self.grid.j_lo) as usize
+    }
+
+    /// `body` between [`OrderChecker::check_sources`] and
+    /// [`OrderChecker::mark_done`].
+    pub fn wrap<'a, F>(&'a self, body: F) -> impl Fn(i64, i64) + Sync + 'a
+    where
+        F: Fn(i64, i64) + Sync + 'a,
+    {
+        move |i, j| {
+            self.check_sources(i, j);
+            body(i, j);
+            self.mark_done(i, j);
         }
     }
 
-    /// True when this build checks order but this grid was too large to
-    /// shadow: the run is *not* covered by the dynamic checker.
-    pub(crate) fn disarmed(&self) -> bool {
-        #[cfg(feature = "order-check")]
-        {
-            self.inner.is_none()
+    /// Records a violation for every in-grid source of `(i, j)` that
+    /// has not completed yet.
+    pub fn check_sources(&self, i: i64, j: i64) {
+        let g = self.grid;
+        for &(di, dj) in &self.sources {
+            let (Some(si), Some(sj)) = (i.checked_sub(di), j.checked_sub(dj)) else {
+                continue;
+            };
+            let in_grid = si >= g.i_lo && si < g.i_hi && sj >= g.j_lo && sj < g.j_hi;
+            if in_grid && !self.done[self.idx(si, sj)].load(Ordering::Acquire) {
+                self.violations
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push((i, j, si, sj));
+            }
         }
-        #[cfg(not(feature = "order-check"))]
-        false
     }
 
-    /// Call immediately before a cell body runs.
-    #[inline(always)]
-    pub(crate) fn before(&self, i: i64, j: i64) {
-        #[cfg(feature = "order-check")]
-        if let Some(c) = &self.inner {
-            c.check_sources(i, j);
-        }
-        #[cfg(not(feature = "order-check"))]
-        let _ = (i, j);
+    /// Marks `(i, j)` complete.
+    pub fn mark_done(&self, i: i64, j: i64) {
+        self.done[self.idx(i, j)].store(true, Ordering::Release);
     }
 
-    /// Call immediately after a cell body returns.
-    #[inline(always)]
-    pub(crate) fn after(&self, i: i64, j: i64) {
-        #[cfg(feature = "order-check")]
-        if let Some(c) = &self.inner {
-            c.mark_done(i, j);
-        }
-        #[cfg(not(feature = "order-check"))]
-        let _ = (i, j);
+    /// The violations recorded so far, as `(cell_i, cell_j, src_i, src_j)`.
+    pub fn violations(&self) -> Vec<(i64, i64, i64, i64)> {
+        self.violations
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Converts any recorded violations into a diagnostic error. Call
-    /// after all workers joined, on otherwise-successful runs.
-    pub(crate) fn finish(self) -> Result<(), RuntimeError> {
-        #[cfg(feature = "order-check")]
-        if let Some(c) = &self.inner {
-            let violations = c.violations();
-            if let Some(&(i, j, si, sj)) = violations.first() {
-                return Err(RuntimeError::Misuse(format!(
-                    "dependence order violated: cell ({i}, {j}) ran before its source \
-                     ({si}, {sj}) completed ({} violation(s) total)",
-                    violations.len()
-                )));
-            }
+    /// after the run returned.
+    pub fn finish(self) -> Result<(), RuntimeError> {
+        let violations = self
+            .violations
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
+        match violations.first() {
+            None => Ok(()),
+            Some(&(i, j, si, sj)) => Err(RuntimeError::Misuse(format!(
+                "dependence order violated: cell ({i}, {j}) ran before its source \
+                 ({si}, {sj}) completed ({} violation(s) total)",
+                violations.len()
+            ))),
         }
-        Ok(())
     }
 }
 
-#[cfg(all(test, feature = "order-check"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    const CONE: [(i64, i64); 2] = [(1, 0), (0, 1)];
 
     fn grid(ni: i64, nj: i64) -> GridSweep {
         GridSweep {
@@ -210,11 +137,11 @@ mod tests {
 
     #[test]
     fn clean_sweep_has_no_violations() {
-        let c = OrderChecker::try_new(grid(3, 4)).expect("shadow fits");
+        let c = OrderChecker::new(grid(3, 4), &CONE).expect("shadow fits");
+        let cell = c.wrap(|_, _| {});
         for i in 0..3 {
             for j in 0..4 {
-                c.check_sources(i, j);
-                c.mark_done(i, j);
+                cell(i, j);
             }
         }
         assert!(c.violations().is_empty());
@@ -222,7 +149,7 @@ mod tests {
 
     #[test]
     fn skipped_source_is_reported() {
-        let c = OrderChecker::try_new(grid(2, 2)).expect("shadow fits");
+        let c = OrderChecker::new(grid(2, 2), &CONE).expect("shadow fits");
         c.check_sources(0, 0);
         c.mark_done(0, 0);
         // (1, 1) runs before either of its sources finished.
@@ -234,30 +161,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_grids_opt_out() {
-        assert!(OrderChecker::try_new(grid(1 << 20, 1 << 20)).is_none());
-        assert!(OrderChecker::try_new(grid(0, 5)).is_none());
+    fn only_the_given_vectors_are_checked() {
+        // Under (1, -1) alone, (1, 0) needs (0, 1) and nothing else.
+        let c = OrderChecker::new(grid(2, 2), &[(1, -1)]).expect("shadow fits");
+        c.check_sources(1, 1); // its source (0, 2) is outside the grid
+        assert!(c.violations().is_empty());
+        c.check_sources(1, 0);
+        assert_eq!(c.violations(), vec![(1, 0, 0, 1)]);
     }
 
     #[test]
-    fn oversized_grid_disarms_dep_checker() {
-        let big = DepChecker::new(grid(1 << 20, 1 << 20));
-        assert!(big.disarmed(), "shadow budget exceeded, must stand down");
-        big.finish().expect("a disarmed checker asserts nothing");
-        assert!(!DepChecker::new(grid(8, 8)).disarmed());
-    }
-
-    #[test]
-    fn unmodeled_relation_disarms_dep_checker() {
-        let c = DepChecker::unmodeled("explicit task DAG");
-        assert!(c.disarmed(), "unmodeled relations must stand down");
-        c.finish().expect("a disarmed checker asserts nothing");
+    fn oversized_grids_are_refused() {
+        let err = OrderChecker::new(grid(1 << 20, 1 << 20), &CONE).err();
+        assert!(matches!(err, Some(RuntimeError::Misuse(_))), "{err:?}");
     }
 
     #[test]
     fn finish_surfaces_misuse() {
-        let checker = DepChecker::new(grid(2, 2));
-        checker.before(1, 1); // sources never ran
+        let checker = OrderChecker::new(grid(2, 2), &CONE).expect("shadow fits");
+        checker.check_sources(1, 1); // sources never ran
         let err = checker.finish().expect_err("must flag");
         match err {
             RuntimeError::Misuse(msg) => assert!(msg.contains("dependence order"), "{msg}"),

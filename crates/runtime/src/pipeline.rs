@@ -21,13 +21,12 @@
 //! counter the right neighbor polls, so batching divides the hottest
 //! cross-thread traffic in the runtime by `B`. Waiting on "neighbor
 //! finished row `i`" with delayed publishes only ever *delays* a start,
-//! never permits an early one, so the dependence order is untouched (the
-//! `order-check` feature verifies this). Waits flow strictly leftward
-//! (worker 0 never waits), so delayed publishes cannot deadlock: by
-//! induction worker `t-1` always eventually reaches its next publish
-//! row. `B` comes from [`RuntimeOptions::pipeline_batch`], the
-//! `POLYMIX_PIPE_BATCH` environment variable, or an automatic choice
-//! from the grid shape.
+//! never permits an early one, so the dependence order is untouched (an
+//! [`OrderChecker`](crate::order_check::OrderChecker) around the body
+//! verifies this). Waits flow strictly leftward (worker 0 never waits),
+//! so delayed publishes cannot deadlock: by induction worker `t-1`
+//! always eventually reaches its next publish row. `B` is chosen from
+//! the grid shape (`auto_batch`).
 //!
 //! Both are fault-tolerant: a worker panic is caught at the worker
 //! boundary and broadcast as [`POISON`](crate::sync::POISON) through
@@ -39,14 +38,12 @@
 
 use crate::doall::doall_cells;
 use crate::error::{RunStats, RuntimeError, RuntimeOptions};
-use crate::order_check::DepChecker;
 use crate::pool;
 use crate::schedule::{partition, Partition};
 use crate::sync::{await_progress, payload_text, CachePadded, Fabric, Wait, POISON};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::OnceLock;
 
 /// A half-open 2-D iteration grid `[i_lo, i_hi) × [j_lo, j_hi)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,28 +83,10 @@ impl GridSweep {
     }
 }
 
-/// Cached `POLYMIX_PIPE_BATCH` override (values below 1 are ignored).
-fn env_batch() -> Option<i64> {
-    static BATCH: OnceLock<Option<i64>> = OnceLock::new();
-    *BATCH.get_or_init(|| {
-        std::env::var("POLYMIX_PIPE_BATCH")
-            .ok()
-            .and_then(|s| s.trim().parse::<i64>().ok())
-            .filter(|b| *b >= 1)
-    })
-}
-
-/// The publish batch for a run: explicit option, else environment, else
-/// an automatic choice — deep grids afford coarser batches, but the
-/// batch is capped so the pipeline fill delay (`(nthr - 1) × B` rows)
-/// stays small against the sweep depth.
-fn resolve_batch(opts: &RuntimeOptions, ni: i64, nthr: usize) -> i64 {
-    if let Some(b) = opts.pipeline_batch {
-        return b.max(1);
-    }
-    if let Some(b) = env_batch() {
-        return b;
-    }
+/// The publish batch for a run: deep grids afford coarser batches, but
+/// the batch is capped so the pipeline fill delay (`(nthr - 1) × B`
+/// rows) stays small against the sweep depth.
+fn auto_batch(ni: i64, nthr: usize) -> i64 {
     (ni / (nthr as i64 * 4)).clamp(1, 8)
 }
 
@@ -122,8 +101,7 @@ where
     pipeline_2d_opts(grid, threads, RuntimeOptions::default(), body)
 }
 
-/// [`pipeline_2d`] with explicit [`RuntimeOptions`] (watchdog policy,
-/// publish batch, pool provisioning).
+/// [`pipeline_2d`] with a watchdog deadline ([`RuntimeOptions`]).
 pub fn pipeline_2d_opts<F>(
     grid: GridSweep,
     threads: usize,
@@ -139,34 +117,18 @@ where
     }
     let span = grid.j_hi - grid.j_lo; // in-range: cells_checked passed
     let nthr = threads.clamp(1, span.min(isize::MAX as i64) as usize);
-    let batch = resolve_batch(&opts, grid.i_hi - grid.i_lo, nthr);
-    let checker = DepChecker::new(grid);
     if nthr == 1 {
         let current: Cell<Option<(i64, i64)>> = Cell::new(None);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             for i in grid.i_lo..grid.i_hi {
                 for j in grid.j_lo..grid.j_hi {
                     current.set(Some((i, j)));
-                    crate::fault_inject::before_cell(i, j);
-                    checker.before(i, j);
                     body(i, j);
-                    checker.after(i, j);
                 }
             }
         }));
         return match outcome {
-            Ok(()) => {
-                let order_check_disarmed = checker.disarmed();
-                checker.finish()?;
-                Ok(RunStats {
-                    cells,
-                    workers: 1,
-                    pooled: false,
-                    order_check_disarmed,
-                    pipeline_batch: Some(batch),
-                    dyn_grain: None,
-                })
-            }
+            Ok(()) => Ok(RunStats { cells, workers: 1 }),
             Err(payload) => Err(RuntimeError::WorkerPanic {
                 worker: 0,
                 cell: current.get(),
@@ -175,6 +137,7 @@ where
         };
     }
 
+    let batch = auto_batch(grid.i_hi - grid.i_lo, nthr);
     let progress: Vec<CachePadded<AtomicI64>> = (0..nthr)
         .map(|_| CachePadded::new(AtomicI64::new(i64::MIN)))
         .collect();
@@ -198,10 +161,7 @@ where
                 }
                 for j in blk_lo..blk_hi {
                     current.set(Some((i, j)));
-                    crate::fault_inject::before_cell(i, j);
-                    checker.before(i, j);
                     body(i, j);
-                    checker.after(i, j);
                 }
                 current.set(None);
                 // Publish every `batch` rows (and always the last row):
@@ -233,21 +193,13 @@ where
             }
         }
     };
-    let pooled = pool::execute(nthr, opts.pool, &worker);
+    pool::execute(nthr, &worker);
     match fabric.into_failure() {
         Some(err) => Err(err),
-        None => {
-            let order_check_disarmed = checker.disarmed();
-            checker.finish()?;
-            Ok(RunStats {
-                cells,
-                workers: nthr,
-                pooled,
-                order_check_disarmed,
-                pipeline_batch: Some(batch),
-                dyn_grain: None,
-            })
-        }
+        None => Ok(RunStats {
+            cells,
+            workers: nthr,
+        }),
     }
 }
 
@@ -287,21 +239,6 @@ pub fn wavefront_2d<F>(grid: GridSweep, threads: usize, body: F) -> Result<RunSt
 where
     F: Fn(i64, i64) + Sync,
 {
-    wavefront_2d_opts(grid, threads, RuntimeOptions::default(), body)
-}
-
-/// [`wavefront_2d`] with explicit [`RuntimeOptions`]: the schedule and
-/// pool policy govern each diagonal's doall (the wavefront has no
-/// point-to-point waits, so the watchdog has nothing to arm).
-pub fn wavefront_2d_opts<F>(
-    grid: GridSweep,
-    threads: usize,
-    opts: RuntimeOptions,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    F: Fn(i64, i64) + Sync,
-{
     let cells = grid.cells_checked()?;
     if cells == 0 {
         return Ok(RunStats::default());
@@ -314,9 +251,6 @@ where
     };
     let w_lo = grid.i_lo.checked_add(grid.j_lo).ok_or_else(misuse)?;
     let w_hi = (grid.i_hi - 1).checked_add(grid.j_hi - 1).ok_or_else(misuse)?;
-    let checker = DepChecker::new(grid);
-    let workers = threads.max(1);
-    let mut pooled = false;
     for w in w_lo..=w_hi {
         // Diagonal bounds in i128 to dodge intermediate overflow; the
         // max/min clamps make saturation exact.
@@ -326,27 +260,13 @@ where
         let j_hi = grid
             .j_hi
             .min(clamp_i64(w as i128 - grid.i_lo as i128 + 1)); // exclusive
-        let checker = &checker;
-        let body = &body;
-        let stats = doall_cells(j_lo, j_hi, threads, opts, |j| (w - j, j), |j| {
-            let (ci, cj) = (w - j, j);
-            checker.before(ci, cj);
-            body(ci, cj);
-            checker.after(ci, cj);
-        })?;
-        pooled |= stats.pooled;
         // doall_cells joins all workers (the inter-diagonal barrier) and
         // `?` stops before diagonal w + 1 if anything on w failed.
+        doall_cells(j_lo, j_hi, threads, |j| (w - j, j), |j| body(w - j, j))?;
     }
-    let order_check_disarmed = checker.disarmed();
-    checker.finish()?;
     Ok(RunStats {
         cells,
-        workers,
-        pooled,
-        order_check_disarmed,
-        pipeline_batch: None,
-        dyn_grain: opts.schedule.resolved_grain(),
+        workers: threads.max(1),
     })
 }
 
@@ -363,7 +283,6 @@ fn clamp_i64(v: i128) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PoolPolicy;
     use std::collections::HashSet;
     use std::sync::Mutex;
 
@@ -408,59 +327,18 @@ mod tests {
 
     #[test]
     fn pipeline_respects_dependences_across_batch_sizes() {
-        for batch in [1, 2, 3, 8, 64] {
-            let opts = RuntimeOptions {
-                pipeline_batch: Some(batch),
-                ..RuntimeOptions::default()
-            };
+        // Depths chosen so the automatic batch at 4 workers takes every
+        // interesting value, including one that does not divide the
+        // depth (the final-row publish matters then).
+        for (ni, batch) in [(17, 1), (32, 2), (50, 3), (130, 8)] {
+            assert_eq!(auto_batch(ni, 4), batch);
             let log = Mutex::new(Vec::new());
-            let stats = pipeline_2d_opts(grid(17, 11), 4, opts, |i, j| {
+            pipeline_2d(grid(ni, 11), 4, |i, j| {
                 log.lock().unwrap().push((i, j));
             })
             .expect("clean run");
-            check_order(&log.into_inner().unwrap(), 17, 11);
-            assert_eq!(
-                stats.pipeline_batch,
-                Some(batch),
-                "requested batch must round-trip into the stats"
-            );
+            check_order(&log.into_inner().unwrap(), ni, 11);
         }
-    }
-
-    #[test]
-    fn pipeline_batch_round_trips_on_every_path() {
-        // Single-thread path: the resolved batch is still reported, so a
-        // tuned config can be verified even when the grid degenerates.
-        let opts = RuntimeOptions {
-            pipeline_batch: Some(5),
-            ..RuntimeOptions::default()
-        };
-        let stats = pipeline_2d_opts(grid(6, 1), 4, opts, |_, _| {}).expect("clean run");
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.pipeline_batch, Some(5));
-        // No explicit batch: the automatic choice is reported (never a
-        // silent None), clamped to [1, 8].
-        let stats = pipeline_2d(grid(64, 16), 2, |_, _| {}).expect("clean run");
-        let auto = stats.pipeline_batch.expect("auto batch reported");
-        assert!((1..=8).contains(&auto), "auto batch {auto} out of range");
-        // A non-positive explicit batch clamps to the floor of 1.
-        let opts = RuntimeOptions {
-            pipeline_batch: Some(0),
-            ..RuntimeOptions::default()
-        };
-        let stats = pipeline_2d_opts(grid(8, 8), 2, opts, |_, _| {}).expect("clean run");
-        assert_eq!(stats.pipeline_batch, Some(1));
-    }
-
-    #[test]
-    fn wavefront_reports_schedule_grain_not_batch() {
-        let opts = RuntimeOptions {
-            schedule: crate::schedule::Schedule::Dynamic { grain: 2 },
-            ..RuntimeOptions::default()
-        };
-        let stats = wavefront_2d_opts(grid(6, 6), 4, opts, |_, _| {}).expect("clean run");
-        assert_eq!(stats.dyn_grain, Some(2));
-        assert_eq!(stats.pipeline_batch, None, "wavefronts have no publishes");
     }
 
     #[test]
@@ -514,29 +392,6 @@ mod tests {
             assert_eq!(run(threads, true), seq, "pipeline threads={threads}");
             assert_eq!(run(threads, false), seq, "wavefront threads={threads}");
         }
-    }
-
-    #[test]
-    fn pooled_and_spawned_pipelines_agree() {
-        let run = |policy: PoolPolicy| -> (Vec<(i64, i64)>, bool) {
-            let opts = RuntimeOptions {
-                pool: policy,
-                ..RuntimeOptions::default()
-            };
-            let log = Mutex::new(Vec::new());
-            let stats = pipeline_2d_opts(grid(9, 12), 3, opts, |i, j| {
-                log.lock().unwrap().push((i, j));
-            })
-            .expect("clean run");
-            let mut cells = log.into_inner().unwrap();
-            cells.sort_unstable();
-            (cells, stats.pooled)
-        };
-        let (pooled_cells, was_pooled) = run(PoolPolicy::Persistent);
-        let (spawned_cells, was_spawned_pooled) = run(PoolPolicy::SpawnPerCall);
-        assert!(was_pooled);
-        assert!(!was_spawned_pooled);
-        assert_eq!(pooled_cells, spawned_cells);
     }
 
     #[test]

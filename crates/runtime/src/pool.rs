@@ -11,9 +11,10 @@
 //! `k` workers must all run concurrently — a task queue that ran 3 of 4
 //! pipeline workers would deadlock. Reservation is therefore
 //! all-or-nothing: [`execute`] atomically reserves `k` idle workers
-//! (growing the pool up to [`MAX_POOL_THREADS`]) or falls back to the
-//! old spawn-per-call `std::thread::scope` path. No partial holds means
-//! no reservation deadlock between concurrent invocations.
+//! (growing the pool up to [`MAX_POOL_THREADS`]) or, when the pool
+//! cannot field the gang, runs it on scoped threads spawned for the
+//! call. No partial holds means no reservation deadlock between
+//! concurrent invocations.
 //!
 //! ## Safety of scoped closures on persistent threads
 //!
@@ -33,14 +34,13 @@
 //! (The primitives additionally contain panics *inside* their tasks to
 //! record the failing cell — this boundary is the backstop.)
 
-use crate::error::PoolPolicy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Process-global job-lifecycle heartbeat: bumped when a worker picks a
 /// job out of its mailbox, when it finishes one, and when a
-/// spawn-per-call worker starts or ends. The watchdog
+/// fallback (scoped-spawn) worker starts or ends. The watchdog
 /// ([`crate::sync::StallWatch`]) consults it while an invocation's gang
 /// is still coming online, so workers parked between jobs (or threads
 /// still being spawned) read as start-up latency instead of a stall.
@@ -57,7 +57,7 @@ pub(crate) fn bump_heartbeat() {
 }
 
 /// Hard ceiling on pool threads; requests beyond it (or past a failed
-/// thread spawn) use the spawn-per-call fallback. Generous because the
+/// thread spawn) use the scoped-spawn fallback. Generous because the
 /// fault-tolerance suite deliberately oversubscribes (128 workers on a
 /// single core) and parked threads cost only stack address space.
 const MAX_POOL_THREADS: usize = 256;
@@ -184,8 +184,7 @@ fn worker_loop(mailbox: Arc<Mailbox>, pool: Arc<PoolInner>) {
 impl WorkerPool {
     /// Reserves `k` workers all-or-nothing and runs `task(0..k)` on
     /// them, blocking until every worker finished. Returns `false`
-    /// (running nothing) if the pool cannot field `k` workers — the
-    /// caller should use the spawn path.
+    /// (running nothing) if the pool cannot field `k` workers.
     fn try_run(&self, k: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
         let mut got: Vec<Arc<Mailbox>> = {
             let mut idle = self.inner.idle.lock().unwrap_or_else(|e| e.into_inner());
@@ -245,34 +244,24 @@ impl WorkerPool {
     }
 }
 
-/// Runs `task(t)` for every `t in 0..k` concurrently — on the
-/// persistent pool when `policy` allows and capacity exists, otherwise
-/// on freshly spawned scoped threads. Returns `true` when the pooled
-/// path ran. `task` must contain its own panics (the primitives do);
-/// the pool adds a backstop `catch_unwind` either way.
-///
-/// Both paths run the seeded per-worker fault-injection hook before the
-/// task, so `fault-inject` schedules replay identically under
-/// [`PoolPolicy::Persistent`] and [`PoolPolicy::SpawnPerCall`].
-pub(crate) fn execute(k: usize, policy: PoolPolicy, task: &(dyn Fn(usize) + Sync)) -> bool {
-    let seeded = |t: usize| {
-        crate::fault_inject::before_worker(t);
-        task(t)
-    };
-    if policy.use_pool() && global().try_run(k, &seeded) {
-        return true;
+/// Runs `task(t)` for every `t in 0..k` concurrently: on the
+/// persistent pool, or — only when the pool cannot field `k` workers
+/// (cap reached, or the OS refused a thread) — on scoped threads spawned
+/// for this call. `task` must contain its own panics (the primitives
+/// do); the pool adds a backstop `catch_unwind`.
+pub(crate) fn execute(k: usize, task: &(dyn Fn(usize) + Sync)) {
+    if global().try_run(k, task) {
+        return;
     }
-    let seeded = &seeded;
     std::thread::scope(|s| {
         for t in 0..k {
             s.spawn(move || {
                 bump_heartbeat();
-                seeded(t);
+                task(t);
                 bump_heartbeat();
             });
         }
     });
-    false
 }
 
 #[cfg(test)]
@@ -311,22 +300,15 @@ mod tests {
     }
 
     #[test]
-    fn spawn_policy_bypasses_pool() {
-        let count = AtomicU64::new(0);
-        let pooled = execute(3, PoolPolicy::SpawnPerCall, &|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(!pooled);
-        assert_eq!(count.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
     fn oversized_requests_fall_back() {
-        let count = AtomicU64::new(0);
-        let pooled = execute(MAX_POOL_THREADS + 1, PoolPolicy::Persistent, &|_| {
-            count.fetch_add(1, Ordering::Relaxed);
+        // More workers than the cap leaves: the pool refuses the gang
+        // whole, and `execute` still runs every slot on scoped threads.
+        let k = MAX_POOL_THREADS + 1;
+        assert!(!global().try_run(k, &|_| {}), "past the cap the pool must refuse");
+        let hits: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
+        execute(k, &|t| {
+            hits[t].fetch_add(1, Ordering::Relaxed);
         });
-        assert!(!pooled, "past the cap the spawn path must serve");
-        assert_eq!(count.load(Ordering::Relaxed), (MAX_POOL_THREADS + 1) as u64);
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

@@ -5,7 +5,7 @@
 //! the extreme ends of `i64` where the old copy-pasted `lo + t * chunk`
 //! arithmetic could overflow.
 
-use crate::schedule::{partition, Schedule, WorkPlan};
+use crate::schedule::partition;
 use proptest::prelude::*;
 
 /// `i64` values biased toward the overflow-prone regions: near the two
@@ -56,33 +56,5 @@ proptest! {
         let p = partition(0, n, threads);
         let t = threads as i64;
         prop_assert_eq!(p.chunk(), n / t + i64::from(n % t != 0));
-    }
-
-    #[test]
-    fn dynamic_plan_claims_each_index_once(
-        lo in -1000i64..1000,
-        n in 0i64..500,
-        threads in 1usize..8,
-        grain in 1i64..40,
-    ) {
-        let plan = WorkPlan::new(lo, lo + n, n, threads, Schedule::Dynamic { grain });
-        let mut seen = vec![false; n as usize];
-        let mut sources: Vec<_> = (0..threads).map(|t| plan.spans(t)).collect();
-        let mut live = true;
-        while live {
-            live = false;
-            for s in &mut sources {
-                if let Some((a, b)) = s.next() {
-                    live = true;
-                    prop_assert!(a >= lo && b <= lo + n, "claim ({a}, {b}) out of range");
-                    for i in a..b {
-                        let k = (i - lo) as usize;
-                        prop_assert!(!seen[k], "index {i} claimed twice");
-                        seen[k] = true;
-                    }
-                }
-            }
-        }
-        prop_assert!(seen.iter().all(|&x| x), "indices left unclaimed");
     }
 }

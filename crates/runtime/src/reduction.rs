@@ -1,9 +1,9 @@
 //! Array reductions with thread-private accumulators — the C array-
 //! reduction OpenMP extension of Sec. IV-D.
 
-use crate::error::{RunStats, RuntimeError, RuntimeOptions};
+use crate::error::{RunStats, RuntimeError};
 use crate::pool;
-use crate::schedule::WorkPlan;
+use crate::schedule::partition;
 use crate::sync::{payload_text, CachePadded, Fabric};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,23 +29,6 @@ pub fn reduce_array<F>(
 where
     F: Fn(i64, &mut [f64]) + Sync,
 {
-    reduce_array_opts(target, lo, hi, threads, RuntimeOptions::default(), body)
-}
-
-/// [`reduce_array`] with explicit [`RuntimeOptions`]. The private copy
-/// is allocated once per *worker* (not per claimed chunk), so a dynamic
-/// schedule costs no extra allocation or merging.
-pub fn reduce_array_opts<F>(
-    target: &mut [f64],
-    lo: i64,
-    hi: i64,
-    threads: usize,
-    opts: RuntimeOptions,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    F: Fn(i64, &mut [f64]) + Sync,
-{
     let n = match hi.checked_sub(lo) {
         Some(n) => n,
         None => {
@@ -64,7 +47,7 @@ where
     let len = target.len();
     let global = Mutex::new(target);
     let fabric = Fabric::new(false, threads);
-    let plan = WorkPlan::new(lo, hi, n, threads, opts.schedule);
+    let part = partition(lo, hi, threads);
     let worker = |t: usize| {
         // The accumulator header sits on its own cache line; the heap
         // buffer behind it is per-worker anyway, so no two workers write
@@ -72,13 +55,10 @@ where
         let mut local: CachePadded<Vec<f64>> = CachePadded::new(vec![0.0f64; len]);
         let current: Cell<Option<i64>> = Cell::new(None);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut spans = plan.spans(t);
-            while let Some((a, b)) = spans.next() {
-                for i in a..b {
-                    current.set(Some(i));
-                    crate::fault_inject::before_cell(i, 0);
-                    body(i, &mut local);
-                }
+            let (a, b) = part.span(t);
+            for i in a..b {
+                current.set(Some(i));
+                body(i, &mut local);
             }
         }));
         match outcome {
@@ -102,21 +82,16 @@ where
             }
         }
     };
-    let pooled = if threads == 1 {
+    if threads == 1 {
         worker(0);
-        false
     } else {
-        pool::execute(threads, opts.pool, &worker)
-    };
+        pool::execute(threads, &worker);
+    }
     match fabric.into_failure() {
         Some(err) => Err(err),
         None => Ok(RunStats {
             cells: n as u64,
             workers: threads,
-            pooled,
-            order_check_disarmed: false,
-            pipeline_batch: None,
-            dyn_grain: opts.schedule.resolved_grain(),
         }),
     }
 }
@@ -124,7 +99,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
 
     #[test]
     fn column_sum_matches_sequential() {
@@ -146,18 +120,6 @@ mod tests {
             }
         }
         assert_eq!(s_par, s_seq);
-    }
-
-    #[test]
-    fn dynamic_schedule_matches_static() {
-        let opts = RuntimeOptions {
-            schedule: Schedule::Dynamic { grain: 5 },
-            ..RuntimeOptions::default()
-        };
-        let mut acc = vec![0.0];
-        reduce_array_opts(&mut acc, 1, 101, 4, opts, |i, local| local[0] += i as f64)
-            .expect("clean run");
-        assert_eq!(acc[0], 5050.0);
     }
 
     #[test]

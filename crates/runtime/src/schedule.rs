@@ -1,67 +1,9 @@
-//! Doall scheduling policies and the shared partition arithmetic.
-//!
-//! Two schedules, in the spirit of the hybrid static/dynamic mix of
-//! Jin et al. ("Hybrid Static/Dynamic Schedules for Tiled Polyhedral
-//! Programs"):
-//!
-//! * [`Schedule::Static`] — one contiguous block per worker, the
-//!   `schedule(static)` OpenMP analogue. Zero coordination; right for
-//!   rectangular spaces where every index costs the same.
-//! * [`Schedule::Dynamic`] — workers claim `grain`-sized chunks from a
-//!   shared cache-padded cursor (`schedule(dynamic, grain)`). One
-//!   `fetch_add` per chunk; right for triangular/skewed spaces — the
-//!   shapes our own skewing pass emits — where a static block partition
-//!   load-imbalances by design.
-//!
-//! [`partition`] is the single home of the ceil-div block arithmetic
-//! that used to be copy-pasted across `doall.rs` and `pipeline.rs`,
-//! hardened against the `lo + t * chunk` overflows of extreme `i64`
-//! ranges (saturation only ever produces empty, skipped spans).
-
-use crate::sync::CachePadded;
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// How a doall-style index range is divided among workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// One contiguous ceil-div block per worker (default).
-    Static,
-    /// Workers repeatedly claim `grain` indices from a shared atomic
-    /// cursor until the range is exhausted. `grain < 1` is treated as 1.
-    Dynamic {
-        /// Indices claimed per `fetch_add`; the load-balance vs
-        /// contention knob (one RMW on a shared line per chunk).
-        grain: i64,
-    },
-}
-
-impl Default for Schedule {
-    fn default() -> Schedule {
-        Schedule::Static
-    }
-}
-
-impl Schedule {
-    /// A dynamic schedule whose grain targets ~8 chunks per worker:
-    /// fine enough to rebalance a triangular space, coarse enough that
-    /// the claim cursor stays off the profile. Callers that know better
-    /// (e.g. a tile size from the DL model) should pass their own grain.
-    pub fn dynamic_for(n: i64, threads: usize) -> Schedule {
-        let grain = (n / (threads.max(1) as i64 * 8)).max(1);
-        Schedule::Dynamic { grain }
-    }
-
-    /// The chunk grain this schedule will actually claim with (`None`
-    /// for the static schedule). This is the value reported back in
-    /// [`RunStats::dyn_grain`](crate::error::RunStats), so callers that
-    /// requested a grain can verify it was not silently dropped.
-    pub fn resolved_grain(self) -> Option<i64> {
-        match self {
-            Schedule::Static => None,
-            Schedule::Dynamic { grain } => Some(grain.max(1)),
-        }
-    }
-}
+//! The shared partition arithmetic: [`partition`] is the single home of
+//! the ceil-div block split — one contiguous block per worker, the
+//! `schedule(static)` OpenMP analogue — that the doall, the reduction
+//! and the pipeline's column blocks all use, hardened against the
+//! `lo + t * chunk` overflows of extreme `i64` ranges (saturation only
+//! ever produces empty, skipped spans).
 
 /// A static ceil-div block partition of the half-open range `[lo, hi)`
 /// into `threads` spans: the one shared implementation of the
@@ -102,104 +44,6 @@ impl Partition {
     }
 }
 
-/// The shared state of one doall invocation's schedule: a static
-/// partition, plus a claim cursor used only by the dynamic mode. The
-/// cursor holds an *offset* from `lo` so claims can be bounds-checked
-/// against `n` without `lo + grain` overflow concerns.
-pub(crate) struct WorkPlan {
-    lo: i64,
-    n: i64,
-    part: Partition,
-    sched: Schedule,
-    cursor: CachePadded<AtomicI64>,
-}
-
-impl WorkPlan {
-    /// `n` must equal `hi - lo` (already checked by the caller).
-    pub(crate) fn new(lo: i64, hi: i64, n: i64, threads: usize, sched: Schedule) -> WorkPlan {
-        // The dynamic cursor can overrun `n` by at most `threads *
-        // grain` (one overshooting claim per worker). Ranges long
-        // enough for that sum to wrap i64 could mis-claim, so they fall
-        // back to the static partition — executing ~2^63 iterations is
-        // unreachable anyway, but the schedule must not be the bug.
-        let sched = match sched {
-            Schedule::Dynamic { grain } => {
-                let grain = grain.max(1);
-                let slack = (threads.max(1) as i64).saturating_mul(grain);
-                if n > i64::MAX - slack {
-                    Schedule::Static
-                } else {
-                    Schedule::Dynamic { grain }
-                }
-            }
-            Schedule::Static => Schedule::Static,
-        };
-        WorkPlan {
-            lo,
-            n,
-            part: partition(lo, hi, threads),
-            sched,
-            cursor: CachePadded::new(AtomicI64::new(0)),
-        }
-    }
-
-    /// Worker `t`'s span source.
-    pub(crate) fn spans(&self, t: usize) -> SpanSource<'_> {
-        match self.sched {
-            Schedule::Static => SpanSource::Static {
-                span: Some(self.part.span(t)),
-            },
-            Schedule::Dynamic { grain } => SpanSource::Dynamic {
-                lo: self.lo,
-                n: self.n,
-                grain,
-                cursor: &self.cursor,
-            },
-        }
-    }
-}
-
-/// Iterator-like source of `[a, b)` spans for one worker. Static mode
-/// yields the worker's single block; dynamic mode claims chunks from
-/// the shared cursor until the range is exhausted.
-pub(crate) enum SpanSource<'a> {
-    Static {
-        span: Option<(i64, i64)>,
-    },
-    Dynamic {
-        lo: i64,
-        n: i64,
-        grain: i64,
-        cursor: &'a CachePadded<AtomicI64>,
-    },
-}
-
-impl SpanSource<'_> {
-    /// The next non-empty span, or `None` when this worker is done.
-    pub(crate) fn next(&mut self) -> Option<(i64, i64)> {
-        match self {
-            SpanSource::Static { span } => {
-                let (a, b) = span.take()?;
-                (a < b).then_some((a, b))
-            }
-            SpanSource::Dynamic {
-                lo,
-                n,
-                grain,
-                cursor,
-            } => {
-                let off = cursor.fetch_add(*grain, Ordering::Relaxed);
-                if off >= *n {
-                    return None;
-                }
-                let len = (*n - off).min(*grain);
-                let a = *lo + off;
-                Some((a, a + len))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,108 +78,6 @@ mod tests {
                 prev_end = b;
             }
             assert_eq!(covered, (hi - lo).max(0), "incomplete for {lo}..{hi}x{t}");
-        }
-    }
-
-    #[test]
-    fn dynamic_spans_cover_exactly_once() {
-        let plan = WorkPlan::new(10, 110, 100, 4, Schedule::Dynamic { grain: 7 });
-        let mut seen = vec![false; 100];
-        // Drain from several simulated workers interleaved.
-        let mut sources: Vec<SpanSource> = (0..4).map(|t| plan.spans(t)).collect();
-        let mut live = true;
-        while live {
-            live = false;
-            for s in &mut sources {
-                if let Some((a, b)) = s.next() {
-                    live = true;
-                    for i in a..b {
-                        let k = (i - 10) as usize;
-                        assert!(!seen[k], "index {i} claimed twice");
-                        seen[k] = true;
-                    }
-                }
-            }
-        }
-        assert!(seen.iter().all(|&x| x), "indices left unclaimed");
-    }
-
-    #[test]
-    fn dynamic_near_overflow_falls_back_to_static() {
-        let plan = WorkPlan::new(0, i64::MAX, i64::MAX, 8, Schedule::Dynamic { grain: 1 << 40 });
-        // A static fallback yields exactly one span per worker.
-        let mut s = plan.spans(0);
-        assert!(s.next().is_some());
-        assert!(s.next().is_none(), "static fallback has a single span");
-    }
-
-    #[test]
-    fn dynamic_grain_floor_is_one() {
-        let plan = WorkPlan::new(0, 5, 5, 2, Schedule::Dynamic { grain: -3 });
-        let mut total = 0;
-        let mut s = plan.spans(0);
-        while let Some((a, b)) = s.next() {
-            assert_eq!(b - a, 1, "grain clamps to 1");
-            total += b - a;
-        }
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn triangular_load_dynamic_spread_is_tighter_than_static() {
-        // Regression for the motivating load-imbalance case: a
-        // triangular space where iteration i costs i+1 units (the inner
-        // loop `for j in 0..=i`). A static block partition concentrates
-        // the expensive tail in the last worker; dynamic chunk-claiming
-        // (drained round-robin, the fair-interleaving schedule) must
-        // spread the work strictly tighter.
-        let (n, threads) = (256i64, 4usize);
-        let cost = |i: i64| i + 1;
-        let spread = |work: &[i64]| work.iter().max().unwrap() - work.iter().min().unwrap();
-
-        let part = partition(0, n, threads);
-        let mut static_work = vec![0i64; threads];
-        for (t, w) in static_work.iter_mut().enumerate() {
-            let (a, b) = part.span(t);
-            *w = (a..b).map(cost).sum();
-        }
-
-        let plan = WorkPlan::new(0, n, n, threads, Schedule::dynamic_for(n, threads));
-        let mut dyn_work = vec![0i64; threads];
-        let mut sources: Vec<SpanSource> = (0..threads).map(|t| plan.spans(t)).collect();
-        let mut live = true;
-        while live {
-            live = false;
-            for (t, s) in sources.iter_mut().enumerate() {
-                if let Some((a, b)) = s.next() {
-                    live = true;
-                    dyn_work[t] += (a..b).map(cost).sum::<i64>();
-                }
-            }
-        }
-
-        assert_eq!(
-            static_work.iter().sum::<i64>(),
-            dyn_work.iter().sum::<i64>(),
-            "both schedules must cover the whole triangle"
-        );
-        assert!(
-            spread(&dyn_work) < spread(&static_work),
-            "dynamic spread {} must beat static spread {} (work: {dyn_work:?} vs {static_work:?})",
-            spread(&dyn_work),
-            spread(&static_work),
-        );
-    }
-
-    #[test]
-    fn dynamic_for_targets_eight_chunks_per_worker() {
-        match Schedule::dynamic_for(6400, 8) {
-            Schedule::Dynamic { grain } => assert_eq!(grain, 100),
-            other => panic!("unexpected: {other:?}"),
-        }
-        match Schedule::dynamic_for(3, 8) {
-            Schedule::Dynamic { grain } => assert_eq!(grain, 1, "grain floors at 1"),
-            other => panic!("unexpected: {other:?}"),
         }
     }
 }

@@ -26,7 +26,7 @@
 use crate::error::RuntimeError;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Sentinel flooded into every progress counter when a run fails. It is
@@ -37,7 +37,7 @@ pub const POISON: i64 = i64::MAX;
 
 /// Pads and aligns `T` to a 64-byte cache line so neighboring values in
 /// an array never share a line. Used for per-worker progress counters,
-/// the [`Fabric`]'s shared flags, dynamic-schedule claim cursors, and
+/// the [`Fabric`]'s shared flags, task-graph counters and deques, and
 /// reduction accumulator headers — everything two workers touch at once.
 #[derive(Debug, Default)]
 #[repr(align(64))]
@@ -72,11 +72,10 @@ impl<T> DerefMut for CachePadded<T> {
     }
 }
 
-/// Spin iterations before a waiter starts yielding, unless overridden by
-/// the `POLYMIX_SPIN_LIMIT` environment variable (read once per
-/// process). Pure spinning livelocks when workers outnumber cores; a
-/// bounded spin keeps the fast path cheap.
-const DEFAULT_SPIN_LIMIT: u32 = 1 << 10;
+/// Spin iterations before a waiter starts yielding (the number
+/// `kernel_rt` uses too). Pure spinning livelocks when workers outnumber
+/// cores; a bounded spin keeps the fast path cheap.
+pub(crate) const SPIN_LIMIT: u32 = 1 << 10;
 
 /// Yields between the spin phase and the parking phase.
 const YIELD_LIMIT: u32 = 64;
@@ -84,20 +83,6 @@ const YIELD_LIMIT: u32 = 64;
 /// First and maximum `park_timeout` intervals of the exponential tail.
 const PARK_START: Duration = Duration::from_micros(50);
 const PARK_CAP: Duration = Duration::from_millis(2);
-
-/// Cached `POLYMIX_SPIN_LIMIT` (or the default).
-pub(crate) fn spin_limit() -> u32 {
-    static LIMIT: OnceLock<u32> = OnceLock::new();
-    *LIMIT.get_or_init(|| parse_spin_limit(std::env::var("POLYMIX_SPIN_LIMIT").ok().as_deref()))
-}
-
-/// Parses a `POLYMIX_SPIN_LIMIT` value; anything unparseable falls back
-/// to the default (misconfiguration must not change semantics). `0` is
-/// a *valid* setting: it disables the spin phase entirely.
-fn parse_spin_limit(raw: Option<&str>) -> u32 {
-    raw.and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(DEFAULT_SPIN_LIMIT)
-}
 
 /// The spin → yield → park backoff ladder, one per wait. Each phase has
 /// a budget; `spin()` consumes the spin budget and reports whether the
@@ -325,11 +310,11 @@ pub(crate) fn await_progress(
     fabric: &Fabric,
     deadline: Option<Duration>,
 ) -> Wait {
-    await_progress_with_limit(cell, target, fabric, deadline, spin_limit())
+    await_progress_with_limit(cell, target, fabric, deadline, SPIN_LIMIT)
 }
 
-/// [`await_progress`] with an explicit spin budget (testable without
-/// mutating process environment).
+/// [`await_progress`] with an explicit spin budget, so tests reach the
+/// slow path without burning the whole budget first.
 pub(crate) fn await_progress_with_limit(
     cell: &AtomicI64,
     target: i64,
@@ -354,7 +339,6 @@ pub(crate) fn await_progress_with_limit(
         if fabric.is_poisoned() {
             return Wait::Poisoned;
         }
-        crate::fault_inject::on_wait();
         if watch.stalled(fabric) {
             return Wait::Stalled;
         }
@@ -367,18 +351,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spin_limit_parsing() {
-        assert_eq!(parse_spin_limit(None), DEFAULT_SPIN_LIMIT);
-        assert_eq!(parse_spin_limit(Some("64")), 64);
-        assert_eq!(parse_spin_limit(Some(" 8 ")), 8);
-        assert_eq!(parse_spin_limit(Some("0")), 0);
-        assert_eq!(parse_spin_limit(Some("not-a-number")), DEFAULT_SPIN_LIMIT);
-        assert_eq!(parse_spin_limit(Some("-3")), DEFAULT_SPIN_LIMIT);
-    }
-
-    #[test]
     fn zero_spin_limit_skips_straight_to_yield_phase() {
-        // The regression this pins: a zero POLYMIX_SPIN_LIMIT must mean
+        // The regression this pins: a zero spin budget must mean
         // "no spin phase at all" — the first spin() is refused without
         // touching the (unsigned) budget, so it can never underflow into
         // a ~2^32-iteration spin.

@@ -38,14 +38,12 @@
 //! progress (tile completions, workers coming online, or — until the
 //! gang is fully online — pool job-lifecycle heartbeats) for the whole
 //! deadline reports [`RuntimeError::Stalled`] with the ready-but-stuck
-//! frontier tiles. Fault injection targets tiles through the same
-//! `before_cell` hook as every other primitive.
+//! frontier tiles.
 
 use crate::error::{RunStats, RuntimeError, RuntimeOptions};
-use crate::order_check::DepChecker;
 use crate::pipeline::GridSweep;
 use crate::pool;
-use crate::sync::{payload_text, spin_limit, Backoff, CachePadded, Fabric, StallWatch, Wait};
+use crate::sync::{payload_text, Backoff, CachePadded, Fabric, StallWatch, Wait, SPIN_LIMIT};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,14 +77,8 @@ pub struct TileGraph {
     indeg: Vec<i64>,
     /// Diagnostic tile coordinate per node: the tile's `(i, j)` for
     /// grid graphs, the caller-supplied cell or `(id, 0)` for explicit
-    /// graphs. Reported in errors and targeted by fault injection.
+    /// graphs. Reported in errors and handed to the body.
     cells: Vec<(i64, i64)>,
-    /// The tile grid this graph was derived from, when there is one.
-    grid: Option<GridSweep>,
-    /// Whether the graph orders each tile after its `(i-1, j)` and
-    /// `(i, j-1)` neighbors — the relation the dynamic `order-check`
-    /// shadow can cross-validate.
-    covers_standard_cone: bool,
 }
 
 impl TileGraph {
@@ -124,7 +116,6 @@ impl TileGraph {
         }
         let n = cells_u as usize;
         let nj = grid.j_hi.saturating_sub(grid.j_lo).max(0);
-        let ni = grid.i_hi.saturating_sub(grid.i_lo).max(0);
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut indeg = vec![0i64; n];
         let mut cells = Vec::with_capacity(n);
@@ -155,16 +146,10 @@ impl TileGraph {
                 }
             }
         }
-        // Conservative: membership, not transitive closure. Sufficient
-        // for the standard and widened cones the emitter produces.
-        let covers_standard_cone = (ni <= 1 || vectors.contains(&(1, 0)))
-            && (nj <= 1 || vectors.contains(&(0, 1)));
         Ok(TileGraph {
             succs,
             indeg,
             cells,
-            grid: Some(grid),
-            covers_standard_cone,
         })
     }
 
@@ -186,7 +171,6 @@ impl TileGraph {
             )));
         }
         let n = cells_u as usize;
-        let nj = grid.j_hi.saturating_sub(grid.j_lo).max(0);
         let mut cells = Vec::with_capacity(n);
         for i in grid.i_lo..grid.i_hi {
             for j in grid.j_lo..grid.j_hi {
@@ -222,13 +206,10 @@ impl TileGraph {
                 }
             }
         }
-        let _ = nj;
         Ok(TileGraph {
             succs,
             indeg,
             cells,
-            grid: Some(grid),
-            covers_standard_cone: true,
         })
     }
 
@@ -308,8 +289,6 @@ impl TileGraph {
             succs,
             indeg,
             cells,
-            grid: None,
-            covers_standard_cone: false,
         })
     }
 
@@ -340,7 +319,7 @@ impl TileGraph {
     /// node (its id plus its diagnostic tile coordinate), never before
     /// all of the node's predecessors completed. Tiles are claimed
     /// dynamically from per-worker stealing deques; workers come from
-    /// the persistent pool under [`RuntimeOptions::pool`].
+    /// the persistent pool.
     pub fn run<F>(
         &self,
         threads: usize,
@@ -355,10 +334,6 @@ impl TileGraph {
             return Ok(RunStats::default());
         }
         let nthr = threads.clamp(1, n);
-        let checker = match (self.covers_standard_cone, self.grid) {
-            (true, Some(grid)) => DepChecker::new(grid),
-            _ => DepChecker::unmodeled("task-graph dependence set"),
-        };
         let pending: Vec<CachePadded<AtomicI64>> = self
             .indeg
             .iter()
@@ -387,7 +362,7 @@ impl TileGraph {
             fabric.worker_online();
             let current: Cell<Option<(i64, i64)>> = Cell::new(None);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut backoff = Backoff::new(spin_limit());
+                let mut backoff = Backoff::new(SPIN_LIMIT);
                 let mut watch = StallWatch::new(opts.watchdog);
                 loop {
                     if fabric.is_poisoned() {
@@ -400,7 +375,6 @@ impl TileGraph {
                         // Idle: nothing ready anywhere yet. Back off,
                         // and under a watchdog watch for a global
                         // freeze (tile completions bump the epoch).
-                        crate::fault_inject::on_wait();
                         if watch.stalled(&fabric) {
                             return Wait::Stalled;
                         }
@@ -409,15 +383,12 @@ impl TileGraph {
                         }
                         continue;
                     };
-                    backoff = Backoff::new(spin_limit());
+                    backoff = Backoff::new(SPIN_LIMIT);
                     watch = StallWatch::new(opts.watchdog);
                     let ku = k as usize;
                     let (ci, cj) = self.cells[ku];
                     current.set(Some((ci, cj)));
-                    crate::fault_inject::before_cell(ci, cj);
-                    checker.before(ci, cj);
                     body(ku, ci, cj);
-                    checker.after(ci, cj);
                     current.set(None);
                     // Completion protocol: mark this node done (-1
                     // distinguishes "done" from "ready" for the stall
@@ -459,26 +430,17 @@ impl TileGraph {
                 }
             }
         };
-        let pooled = if nthr == 1 {
+        if nthr == 1 {
             worker(0);
-            false
         } else {
-            pool::execute(nthr, opts.pool, &worker)
-        };
+            pool::execute(nthr, &worker);
+        }
         match fabric.into_failure() {
             Some(err) => Err(err),
-            None => {
-                let order_check_disarmed = checker.disarmed();
-                checker.finish()?;
-                Ok(RunStats {
-                    cells: n as u64,
-                    workers: nthr,
-                    pooled,
-                    order_check_disarmed,
-                    pipeline_batch: None,
-                    dyn_grain: None,
-                })
-            }
+            None => Ok(RunStats {
+                cells: n as u64,
+                workers: nthr,
+            }),
         }
     }
 
@@ -547,9 +509,7 @@ where
     taskgraph_2d_opts(grid, threads, RuntimeOptions::default(), deps, body)
 }
 
-/// [`taskgraph_2d`] with explicit [`RuntimeOptions`] (watchdog, pool
-/// provisioning; the schedule knob is unused — tile scheduling is
-/// always dynamic between tiles).
+/// [`taskgraph_2d`] with a watchdog deadline ([`RuntimeOptions`]).
 pub fn taskgraph_2d_opts<F>(
     grid: GridSweep,
     threads: usize,
@@ -567,7 +527,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PoolPolicy;
     use std::collections::{HashMap, HashSet};
     use std::sync::Mutex;
 
@@ -829,29 +788,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pooled_and_spawned_runs_agree() {
-        let run = |policy: PoolPolicy| -> (Vec<(i64, i64)>, bool) {
-            let opts = RuntimeOptions {
-                pool: policy,
-                ..RuntimeOptions::default()
-            };
-            let log = Mutex::new(Vec::new());
-            let stats = taskgraph_2d_opts(grid(9, 12), 3, opts, &[(1, 0), (0, 1)], |i, j| {
-                log.lock().unwrap().push((i, j));
-            })
-            .expect("clean run");
-            let mut cells = log.into_inner().unwrap();
-            cells.sort_unstable();
-            (cells, stats.pooled)
-        };
-        let (pooled_cells, was_pooled) = run(PoolPolicy::Persistent);
-        let (spawned_cells, was_spawned_pooled) = run(PoolPolicy::SpawnPerCall);
-        assert!(was_pooled);
-        assert!(!was_spawned_pooled);
-        assert_eq!(pooled_cells, spawned_cells);
     }
 
     #[test]

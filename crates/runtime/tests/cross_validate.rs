@@ -1,5 +1,5 @@
 //! Cross-validation of the static certifier against the dynamic order
-//! checker (`--features fault-inject`, which implies `order-check`).
+//! checker.
 //!
 //! The two tools claim the same contract from opposite ends: the
 //! certifier proves every carried dependence of a `Pipeline` loop lies
@@ -8,23 +8,24 @@
 //! sources. This harness checks both directions on real compiler
 //! output:
 //!
-//! * programs the certifier accepts run clean through `pipeline_2d` —
-//!   with adversarial seeded delays and yields injected — and the
-//!   checker stays armed (`RunStats::order_check_disarmed == false`);
+//! * programs the certifier accepts run clean through `pipeline_2d`
+//!   under an armed checker, with adversarial seeded delays and yields
+//!   injected;
 //! * the mislabeling the certifier rejects (`Pipeline` relabeled
 //!   `Doall`) really races: executing the same grid as an unsynchronized
 //!   doall trips the order checker.
 
-#![cfg(all(feature = "order-check", feature = "fault-inject"))]
-
 use polymix_ast::tree::Par;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_polybench::kernel_by_name;
-use polymix_runtime::fault_inject::{install, FaultPlan};
+use polymix_runtime::fault_inject::FaultPlan;
 use polymix_runtime::order_check::OrderChecker;
 use polymix_runtime::{par_for, pipeline_2d, GridSweep, RuntimeError};
 use polymix_verify::{verify_program, ViolationKind};
 use std::sync::Mutex;
+
+/// The pipeline's await cone as dependence vectors.
+const CONE: [(i64, i64); 2] = [(1, 0), (0, 1)];
 
 fn grid(ni: i64, nj: i64) -> GridSweep {
     GridSweep {
@@ -79,13 +80,14 @@ fn certified_pipelines_run_clean_under_fault_injection() {
         let _prog = certified_pipeline_program(name);
         let (ni, nj) = (24usize, 64usize);
         let table: Vec<Mutex<f64>> = (0..ni * nj).map(|_| Mutex::new(0.0)).collect();
-        let _guard = install(FaultPlan {
+        let plan = FaultPlan {
             seed: 0xC0FFEE ^ name.len() as u64,
             delay_us_max: 40,
             yield_pct: 25,
             ..Default::default()
-        });
-        let stats = pipeline_2d(grid(ni as i64, nj as i64), 4, |i, j| {
+        };
+        let checker = OrderChecker::new(grid(ni as i64, nj as i64), &CONE).expect("shadow fits");
+        let body = plan.wrap(checker.wrap(|i, j| {
             let (i, j) = (i as usize, j as usize);
             let up = if i > 0 {
                 *table[(i - 1) * nj + j].lock().unwrap()
@@ -98,12 +100,12 @@ fn certified_pipelines_run_clean_under_fault_injection() {
                 0.0
             };
             *table[i * nj + j].lock().unwrap() = up + left;
-        })
-        .unwrap_or_else(|e| panic!("{name}: certified pipeline failed dynamically: {e}"));
-        assert!(
-            !stats.order_check_disarmed,
-            "{name}: a clean run with a disarmed checker certifies nothing"
-        );
+        }));
+        pipeline_2d(grid(ni as i64, nj as i64), 4, body)
+            .unwrap_or_else(|e| panic!("{name}: certified pipeline failed dynamically: {e}"));
+        checker
+            .finish()
+            .unwrap_or_else(|e| panic!("{name}: certified pipeline ran out of order: {e}"));
         let expected = prefix_reference(ni, nj);
         for (k, cell) in table.iter().enumerate() {
             assert_eq!(*cell.lock().unwrap(), expected[k], "{name}: cell {k}");
@@ -141,18 +143,14 @@ fn statically_rejected_doall_races_dynamically() {
     // checker. Thread 0 is stalled at cell (0, 0), so the other chunks
     // start with every up-neighbor still pending.
     let (ni, nj) = (8i64, 32i64);
-    let checker = OrderChecker::try_new(grid(ni, nj)).expect("shadow fits");
-    let _guard = install(FaultPlan {
+    let checker = OrderChecker::new(grid(ni, nj), &CONE).expect("shadow fits");
+    let plan = FaultPlan {
         stall_ms_at: Some(((0, 0), 100)),
         ..Default::default()
-    });
-    let checker_ref = &checker;
-    par_for(0, ni * nj, 4, move |flat| {
-        let (i, j) = (flat / nj, flat % nj);
-        checker_ref.check_sources(i, j);
-        checker_ref.mark_done(i, j);
-    })
-    .expect("the doall itself runs; only the order is wrong");
+    };
+    let cell = plan.wrap(checker.wrap(|_, _| {}));
+    par_for(0, ni * nj, 4, |flat| cell(flat / nj, flat % nj))
+        .expect("the doall itself runs; only the order is wrong");
     let violations = checker.violations();
     assert!(
         !violations.is_empty(),
@@ -160,23 +158,17 @@ fn statically_rejected_doall_races_dynamically() {
     );
     // Sanity: the violations are real cone misses, reported as
     // (cell, missed source) with the source lexicographically earlier.
-    for (i, j, si, sj) in violations {
+    for &(i, j, si, sj) in &violations {
         assert!((si, sj) < (i, j), "({si},{sj}) is not a source of ({i},{j})");
     }
-}
-
-/// The satellite contract for oversized grids: the checker stands down
-/// and the run reports it, instead of silently "passing".
-#[test]
-fn oversized_grid_reports_disarmed_checker() {
-    // 2^13 x 2^12 = 2^25 cells: one past the 2^24 shadow budget.
-    let big = grid(1 << 13, 1 << 12);
-    assert!(OrderChecker::try_new(big).is_none());
-    let stats = pipeline_2d(big, 2, |_i, _j| {}).expect("run");
-    assert!(
-        stats.order_check_disarmed,
-        "an unshadowed order-check run must say so in RunStats"
-    );
+    // Asked for its verdict, the checker reports the run as misuse.
+    drop(cell);
+    match checker.finish() {
+        Err(RuntimeError::Misuse(msg)) => {
+            assert!(msg.starts_with("dependence order violated: "), "{msg}")
+        }
+        other => panic!("mislabelled doall must be reported, got {other:?}"),
+    }
 }
 
 /// Watchdogged fault-injection runs that do violate the cone surface as
@@ -185,11 +177,11 @@ fn oversized_grid_reports_disarmed_checker() {
 #[test]
 fn injected_panic_is_contained_not_hung() {
     let _prog = certified_pipeline_program("seidel-2d");
-    let _guard = install(FaultPlan {
+    let plan = FaultPlan {
         panic_at: Some((3, 7)),
         ..Default::default()
-    });
-    let err = pipeline_2d(grid(8, 16), 4, |_i, _j| {}).expect_err("panic must surface");
+    };
+    let err = pipeline_2d(grid(8, 16), 4, plan.wrap(|_i, _j| {})).expect_err("panic must surface");
     match err {
         RuntimeError::WorkerPanic { cell, .. } => assert_eq!(cell, Some((3, 7))),
         other => panic!("unexpected failure mode: {other}"),

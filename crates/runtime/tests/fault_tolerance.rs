@@ -1,7 +1,7 @@
 //! Fault-tolerance stress suite for the parallel runtime: oversubscribed
 //! schedules, worker panics at adversarial positions, watchdog stall
-//! detection, and (with `--features fault-inject`) the seeded
-//! fault-injection matrix plus degraded sequential re-runs.
+//! detection, and the seeded fault-injection matrix plus degraded
+//! sequential re-runs.
 //!
 //! Every test asserts *prompt* error return — a contained failure must
 //! surface as `Err(..)`, never as a hang.
@@ -215,10 +215,10 @@ fn degraded_sequential_rerun_matches_reference() {
     assert_eq!(got, reference);
 }
 
-#[cfg(feature = "fault-inject")]
 mod injected {
     use super::*;
-    use polymix_runtime::fault_inject::{install, FaultPlan};
+    use polymix_runtime::fault_inject::FaultPlan;
+    use polymix_runtime::order_check::OrderChecker;
 
     #[test]
     fn seeded_panic_matrix_across_primitives() {
@@ -226,14 +226,19 @@ mod injected {
         for (pi, pj) in positions(ni, nj) {
             // pipeline_2d
             {
-                let _g = install(FaultPlan {
+                let plan = FaultPlan {
                     seed: 42,
                     panic_at: Some((pi, pj)),
                     ..FaultPlan::default()
-                });
+                };
                 let err = within(Duration::from_secs(60), || {
-                    pipeline_2d_opts(grid(ni, nj), 4, RuntimeOptions::watched(), |_, _| {})
-                        .expect_err("injected panic must surface")
+                    pipeline_2d_opts(
+                        grid(ni, nj),
+                        4,
+                        RuntimeOptions::watched(),
+                        plan.wrap(|_, _| {}),
+                    )
+                    .expect_err("injected panic must surface")
                 });
                 match &err {
                     RuntimeError::WorkerPanic { cell, payload, .. } => {
@@ -245,13 +250,13 @@ mod injected {
             }
             // wavefront_2d
             {
-                let _g = install(FaultPlan {
+                let plan = FaultPlan {
                     seed: 43,
                     panic_at: Some((pi, pj)),
                     ..FaultPlan::default()
-                });
+                };
                 let err = within(Duration::from_secs(60), || {
-                    wavefront_2d(grid(ni, nj), 4, |_, _| {})
+                    wavefront_2d(grid(ni, nj), 4, plan.wrap(|_, _| {}))
                         .expect_err("injected panic must surface")
                 });
                 assert!(
@@ -263,30 +268,28 @@ mod injected {
             // first column positions.
             if pj == 0 || pi == pj {
                 let target = (pi, 0);
-                let _g = install(FaultPlan {
+                let plan = FaultPlan {
                     seed: 44,
                     panic_at: Some(target),
                     ..FaultPlan::default()
-                });
+                };
                 let err = within(Duration::from_secs(60), || {
-                    par_for(0, ni, 4, |_| {}).expect_err("injected panic must surface")
+                    par_for(0, ni, 4, |i| plan.before_cell(i, 0))
+                        .expect_err("injected panic must surface")
                 });
                 assert!(
                     matches!(&err, RuntimeError::WorkerPanic { cell, .. } if *cell == Some(target)),
                     "{err:?}"
                 );
                 // reduction shares the (i, 0) keying.
-                let _g2 = {
-                    drop(_g);
-                    install(FaultPlan {
-                        seed: 45,
-                        panic_at: Some(target),
-                        ..FaultPlan::default()
-                    })
+                let plan = FaultPlan {
+                    seed: 45,
+                    panic_at: Some(target),
+                    ..FaultPlan::default()
                 };
                 let mut acc = vec![0.0];
                 let err = within(Duration::from_secs(60), || {
-                    reduce_array(&mut acc, 0, ni, 4, |_, _| {})
+                    reduce_array(&mut acc, 0, ni, 4, |i, _| plan.before_cell(i, 0))
                         .expect_err("injected panic must surface")
                 });
                 assert!(matches!(&err, RuntimeError::WorkerPanic { .. }), "{err:?}");
@@ -300,17 +303,16 @@ mod injected {
         // watchdog must report Stalled long before the sleep ends
         // naturally — and the stalled frontier must name worker 0's
         // block.
-        let _g = install(FaultPlan {
+        let plan = FaultPlan {
             seed: 7,
             stall_ms_at: Some(((0, 0), 400)),
             ..FaultPlan::default()
-        });
+        };
         let opts = RuntimeOptions {
             watchdog: Some(Duration::from_millis(50)),
-            ..RuntimeOptions::default()
         };
         let err = within(Duration::from_secs(30), || {
-            pipeline_2d_opts(grid(32, 32), 4, opts, |_, _| {})
+            pipeline_2d_opts(grid(32, 32), 4, opts, plan.wrap(|_, _| {}))
                 .expect_err("stall must be detected")
         });
         match err {
@@ -327,27 +329,30 @@ mod injected {
     #[test]
     fn adversarial_schedule_preserves_correctness() {
         // Seeded delays + yield storms perturb the interleaving; the
-        // dependence protocol (checked by order-check, which
-        // fault-inject implies) must still produce exact results.
+        // dependence protocol (watched by an order checker) must still
+        // produce exact results.
         let (ni, nj) = (24usize, 24usize);
         let reference = prefix_reference(ni, nj);
         for seed in [1u64, 2, 3] {
-            let _g = install(FaultPlan {
+            let plan = FaultPlan {
                 seed,
                 delay_us_max: 50,
                 yield_pct: 25,
                 ..FaultPlan::default()
-            });
+            };
+            let g = grid(ni as i64, nj as i64);
+            let checker = OrderChecker::new(g, &[(1, 0), (0, 1)]).expect("shadow fits");
             let table: Vec<Mutex<f64>> = (0..ni * nj).map(|_| Mutex::new(0.0)).collect();
             within(Duration::from_secs(120), || {
                 pipeline_2d_opts(
-                    grid(ni as i64, nj as i64),
+                    g,
                     6,
                     RuntimeOptions::watched(),
-                    prefix_body(&table, nj),
+                    plan.wrap(checker.wrap(prefix_body(&table, nj))),
                 )
                 .expect("adversarial but legal schedule")
             });
+            checker.finish().expect("await cone kept");
             let got: Vec<f64> = table.into_iter().map(|m| m.into_inner().unwrap()).collect();
             assert_eq!(got, reference, "seed={seed}");
         }
@@ -356,27 +361,27 @@ mod injected {
     #[test]
     fn injected_failure_then_degraded_rerun() {
         // Acceptance scenario: injected panic in a worker, then the
-        // sequential degraded re-run (plan cleared) matches reference.
+        // sequential degraded re-run (no plan) matches reference.
         let (ni, nj) = (16usize, 16usize);
         let reference = prefix_reference(ni, nj);
         {
-            let _g = install(FaultPlan {
+            let plan = FaultPlan {
                 seed: 99,
                 panic_at: Some((8, 8)),
                 ..FaultPlan::default()
-            });
+            };
             let table: Vec<Mutex<f64>> = (0..ni * nj).map(|_| Mutex::new(0.0)).collect();
             let err = within(Duration::from_secs(60), || {
                 pipeline_2d_opts(
                     grid(ni as i64, nj as i64),
                     4,
                     RuntimeOptions::watched(),
-                    prefix_body(&table, nj),
+                    plan.wrap(prefix_body(&table, nj)),
                 )
                 .expect_err("injected panic must surface")
             });
             assert!(matches!(err, RuntimeError::WorkerPanic { .. }), "{err:?}");
-        } // guard dropped: plan cleared, degrade cleanly
+        }
         let table: Vec<Mutex<f64>> = (0..ni * nj).map(|_| Mutex::new(0.0)).collect();
         pipeline_2d(grid(ni as i64, nj as i64), 1, prefix_body(&table, nj))
             .expect("degraded sequential re-run");

@@ -1,23 +1,14 @@
-//! Injection-schedule determinism across pool policies (`fault-inject`).
-//!
-//! The regression this binary pins: the seeded per-worker start
-//! perturbation (`fault_inject::before_worker`) was threaded through the
-//! persistent-pool path only, so `PoolPolicy::SpawnPerCall` runs drew a
-//! *different* injection schedule from `PoolPolicy::Persistent` runs of
-//! the same seed — a failing schedule found under one policy did not
-//! replay under the other. Both paths now run the hook identically, and
-//! these tests assert the recorded traces are equal event-for-event.
-//!
-//! This lives in its own integration binary on purpose: the injection
-//! trace is process-global, and sibling tests exercising the runtime
-//! while a plan is installed would interleave their own events into it.
+//! Fault plans are values: a plan's injection trace is a pure function
+//! of its seed and the cells its wrapped bodies ran, whatever else the
+//! process is doing — including another plan, differently seeded,
+//! driving another executor at the same time. (The plans this replaced
+//! were one process-global slot; two of them could not coexist, and a
+//! test that injected nothing ran under whichever plan a sibling test
+//! had installed.)
 
-#![cfg(feature = "fault-inject")]
-
-use polymix_runtime::fault_inject::{install, take_trace, FaultPlan, TraceEvent};
-use polymix_runtime::{
-    pipeline_2d_opts, taskgraph_2d_opts, GridSweep, PoolPolicy, RuntimeOptions,
-};
+use polymix_runtime::fault_inject::{FaultPlan, TraceEvent};
+use polymix_runtime::{pipeline_2d, taskgraph_2d, GridSweep};
+use std::sync::Barrier;
 
 fn grid(ni: i64, nj: i64) -> GridSweep {
     GridSweep {
@@ -37,62 +28,46 @@ fn adversarial_plan(seed: u64) -> FaultPlan {
     }
 }
 
-/// Runs one pipeline sweep under `policy` with `plan` installed and
-/// returns the sorted injection trace (recording order is
-/// scheduling-dependent; the decision *set* must not be).
-fn pipeline_trace(policy: PoolPolicy, seed: u64) -> Vec<TraceEvent> {
-    let _guard = install(adversarial_plan(seed));
-    let opts = RuntimeOptions {
-        pool: policy,
-        ..RuntimeOptions::default()
-    };
-    pipeline_2d_opts(grid(13, 11), 3, opts, |_, _| {}).expect("sweep under faults");
-    let mut trace = take_trace();
-    trace.sort();
-    trace
+fn pipeline_trace(seed: u64) -> Vec<TraceEvent> {
+    let plan = adversarial_plan(seed);
+    pipeline_2d(grid(13, 11), 3, plan.wrap(|_, _| {})).expect("sweep under faults");
+    plan.take_trace()
+}
+
+fn taskgraph_trace(seed: u64) -> Vec<TraceEvent> {
+    let plan = adversarial_plan(seed);
+    taskgraph_2d(grid(9, 10), 3, &[(1, 0), (0, 1)], plan.wrap(|_, _| {}))
+        .expect("taskgraph under faults");
+    plan.take_trace()
 }
 
 #[test]
-fn pipeline_injection_traces_agree_across_pool_policies() {
-    let pooled = pipeline_trace(PoolPolicy::Persistent, 0xDECAF);
-    let spawned = pipeline_trace(PoolPolicy::SpawnPerCall, 0xDECAF);
-    assert!(
-        pooled.iter().any(|e| matches!(e, TraceEvent::WorkerStart { .. })),
-        "the pooled path must draw seeded worker-start perturbations"
-    );
-    assert!(
-        spawned.iter().any(|e| matches!(e, TraceEvent::WorkerStart { .. })),
-        "the spawn path must draw seeded worker-start perturbations"
-    );
-    assert_eq!(
-        pooled, spawned,
-        "the same seed must produce the same injection schedule under both policies"
-    );
-    // And a different seed really changes the schedule (the comparison
-    // above is not vacuous).
-    assert_ne!(pooled, pipeline_trace(PoolPolicy::Persistent, 0xBEEF));
-}
+fn concurrent_plans_replay_their_own_solo_traces() {
+    let solo_pipeline = pipeline_trace(0xDECAF);
+    let solo_taskgraph = taskgraph_trace(0x7A5C);
+    assert_eq!(solo_pipeline.len(), 13 * 11, "one decision per cell");
+    assert_eq!(solo_taskgraph.len(), 9 * 10, "one decision per tile");
+    // A different seed really changes the schedule (the comparisons
+    // below are not vacuous).
+    assert_ne!(solo_pipeline, pipeline_trace(0xBEEF));
 
-#[test]
-fn taskgraph_injection_traces_agree_across_pool_policies() {
-    let run = |policy: PoolPolicy| -> Vec<TraceEvent> {
-        let _guard = install(adversarial_plan(0x7A5C));
-        let opts = RuntimeOptions {
-            pool: policy,
-            ..RuntimeOptions::default()
-        };
-        taskgraph_2d_opts(grid(9, 10), 3, opts, &[(1, 0), (0, 1)], |_, _| {})
-            .expect("taskgraph under faults");
-        let mut trace = take_trace();
-        trace.sort();
-        trace
-    };
-    let pooled = run(PoolPolicy::Persistent);
-    let spawned = run(PoolPolicy::SpawnPerCall);
-    let cells = pooled
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Cell { .. }))
-        .count();
-    assert_eq!(cells, 9 * 10, "every tile draws exactly one cell decision");
-    assert_eq!(pooled, spawned);
+    // The barrier makes the two runs overlap instead of happening to
+    // run one after the other.
+    let start = Barrier::new(2);
+    let (pipeline, taskgraph) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            pipeline_trace(0xDECAF)
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            taskgraph_trace(0x7A5C)
+        });
+        (
+            a.join().expect("pipeline thread"),
+            b.join().expect("taskgraph thread"),
+        )
+    });
+    assert_eq!(pipeline, solo_pipeline);
+    assert_eq!(taskgraph, solo_taskgraph);
 }

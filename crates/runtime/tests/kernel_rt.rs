@@ -2,9 +2,15 @@
 //! file `polymix-codegen` pastes into parallel kernels): every entry
 //! point against a sequential oracle, no rustc involved. The poison
 //! paths live in `kernel_rt_poison.rs` — `POISONED` is process-wide, so
-//! they need a process of their own.
+//! they need a process of their own. The last two tests put the
+//! crate's instruments on this runtime: a seeded adversarial
+//! [`FaultPlan`] perturbs the schedule while an [`OrderChecker`] shadows
+//! the synchronization the doc comments promise.
 
+use polymix_runtime::fault_inject::FaultPlan;
 use polymix_runtime::kernel_rt::{doall, pipeline, reduction, wavefront, P};
+use polymix_runtime::order_check::OrderChecker;
+use polymix_runtime::GridSweep;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 #[test]
@@ -158,6 +164,15 @@ impl Sweep {
     }
 }
 
+fn adversarial_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        delay_us_max: 30,
+        yield_pct: 25,
+        ..FaultPlan::default()
+    }
+}
+
 #[test]
 fn pipeline_equals_the_sequential_sweep() {
     // Width 37 over up to 4 workers: ragged last block; 19 steps: not a
@@ -176,6 +191,89 @@ fn pipeline_equals_the_sequential_sweep() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn pipeline_keeps_its_await_cone_under_an_adversarial_schedule() {
+    // One checker cell per block call: row = phase counted across outer
+    // steps, column = worker block. The runtime promises each block
+    // runs after its left neighbor's same phase, its right neighbor's
+    // previous phase, and (sweep order) its own previous phase.
+    let (steps, width) = (19i64, 37i64);
+    for phases in [1, 2] {
+        let reference = Sweep::new(steps, width, phases).sequential();
+        for threads in 2..=4usize {
+            for batch in [1, 8] {
+                let mut sweep = Sweep::new(steps, width, phases);
+                let chunk = (width + threads as i64 - 1) / threads as i64;
+                let blocks = GridSweep {
+                    i_lo: 0,
+                    i_hi: steps * phases,
+                    j_lo: 0,
+                    j_hi: threads as i64,
+                };
+                let plan = adversarial_plan(0xC0FFEE + threads as u64);
+                let checker =
+                    OrderChecker::new(blocks, &[(1, 0), (0, 1), (1, -1)]).expect("shadow fits");
+                let (a, b) = (P(sweep.a.as_mut_ptr()), P(sweep.b.as_mut_ptr()));
+                let this = &sweep;
+                // SAFETY: as in `Sweep::run`.
+                let block = plan.wrap(checker.wrap(move |ph, blk| unsafe {
+                    let (lo, hi) = (blk * chunk, (blk + 1) * chunk - 1);
+                    this.block(a, b, 1 + ph / phases, ph % phases, lo, hi)
+                }));
+                pipeline(
+                    threads,
+                    1,
+                    steps,
+                    1,
+                    phases,
+                    width,
+                    1,
+                    batch,
+                    |i, phase, off_lo, off_hi| {
+                        assert_eq!(off_hi - off_lo + 1, chunk, "block width");
+                        block((i - 1) * phases + phase, off_lo / chunk)
+                    },
+                );
+                drop(block);
+                let what = format!("phases {phases} threads {threads} batch {batch}");
+                checker.finish().unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(plan.take_trace().len() as i64, steps * phases * threads as i64);
+                sweep.a.append(&mut sweep.b);
+                assert!(
+                    sweep
+                        .a
+                        .iter()
+                        .zip(&reference)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{what} diverged"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn wavefront_keeps_diagonal_order_under_an_adversarial_schedule() {
+    // Every tile after its neighbors on the previous diagonal, (u-1, v)
+    // and (u, v-1), and after (u-1, v-1) two diagonals back.
+    let grid = GridSweep {
+        i_lo: 0,
+        i_hi: 6,
+        j_lo: 0,
+        j_hi: 7,
+    };
+    let tiles: Vec<(i64, i64)> = (0..6).flat_map(|u| (0..7).map(move |v| (u, v))).collect();
+    for threads in 2..=4usize {
+        let plan = adversarial_plan(0xD1A6 + threads as u64);
+        let checker = OrderChecker::new(grid, &[(1, 0), (0, 1), (1, 1)]).expect("shadow fits");
+        wavefront(threads, 1, tiles.clone(), plan.wrap(checker.wrap(|_, _| {})));
+        checker
+            .finish()
+            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+        assert_eq!(plan.take_trace().len(), tiles.len(), "every tile ran once");
     }
 }
 

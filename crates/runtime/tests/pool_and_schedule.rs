@@ -1,32 +1,27 @@
 //! Integration tests for the persistent worker pool: reuse across
-//! back-to-back jobs, recovery after a panicking job, and — under the
-//! adversarial `fault-inject` schedules — bit-exact agreement between
-//! the pooled and spawn-per-call execution paths. The last test is the
-//! CI pool smoke: a scheduling bug in the pool (lost wakeup, stale
-//! mailbox, worker running the wrong slot) shows up as a checksum
-//! mismatch or a hang, not a silent pass.
+//! back-to-back jobs, recovery after a panicking job, bit-exact
+//! agreement with the sequential sweep — plain and under adversarial
+//! seeded schedules with the order checker armed, at grid depths that
+//! exercise every automatic publish batch. A scheduling bug in the pool
+//! (lost wakeup, stale mailbox, worker running the wrong slot) shows up
+//! as a checksum mismatch or a hang, not a silent pass.
 
+use polymix_runtime::fault_inject::FaultPlan;
+use polymix_runtime::order_check::OrderChecker;
 use polymix_runtime::{
-    par_for_opts, pipeline_2d_opts, GridSweep, PoolPolicy, RuntimeError, RuntimeOptions,
+    par_for, pipeline_2d_opts, GridSweep, RuntimeError, RuntimeOptions,
 };
 use std::sync::atomic::{AtomicI64, Ordering};
-
-fn pooled_opts() -> RuntimeOptions {
-    RuntimeOptions {
-        pool: PoolPolicy::Persistent,
-        ..RuntimeOptions::default()
-    }
-}
 
 #[test]
 fn pool_survives_a_panicking_job_mid_stress_sequence() {
     // 50 back-to-back jobs on the persistent pool; job 25 panics. The
     // panic must surface as WorkerPanic for that job only, and every
-    // later job must still run to completion on the pooled path.
+    // later job must still run to completion.
     let n = 64i64;
     for round in 0..50 {
         let hits: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
-        let result = par_for_opts(0, n, 4, pooled_opts(), |i| {
+        let result = par_for(0, n, 4, |i| {
             if round == 25 && i == 40 {
                 std::panic::panic_any("stress boom");
             }
@@ -40,65 +35,67 @@ fn pool_survives_a_panicking_job_mid_stress_sequence() {
             );
         } else {
             let stats = result.expect("healthy rounds succeed");
-            assert!(stats.pooled, "round {round} should run on the pool");
             assert_eq!(stats.cells, n as u64);
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
     }
 }
 
-/// Seidel-style dependent sweep over `field`; returns the final values.
+fn seidel_field(ni: usize, nj: usize) -> Vec<f64> {
+    (0..ni * nj).map(|k| (k % 17) as f64).collect()
+}
+
+/// The Seidel-style dependent update of one interior cell of `field`.
+fn seidel_cell(field: &mut [f64], nj: usize) -> impl Fn(i64, i64) + Sync {
+    let ptr = field.as_mut_ptr() as usize;
+    move |i, j| {
+        let p = ptr as *mut f64;
+        let (i, j) = (i as usize, j as usize);
+        // SAFETY: each interior cell is written once, after its (i-1, j)
+        // and (i, j-1) sources — exactly the order the pipeline enforces
+        // — and `field` outlives the sweep that calls this.
+        unsafe {
+            let v =
+                0.2 * (*p.add(i * nj + j) + *p.add((i - 1) * nj + j) + *p.add(i * nj + j - 1));
+            *p.add(i * nj + j) = v;
+        }
+    }
+}
+
+fn interior(ni: usize, nj: usize) -> GridSweep {
+    GridSweep {
+        i_lo: 1,
+        i_hi: ni as i64,
+        j_lo: 1,
+        j_hi: nj as i64,
+    }
+}
+
+/// Sweeps a fresh field; returns the final values.
 fn seidel_sweep(
     ni: usize,
     nj: usize,
     threads: usize,
     opts: RuntimeOptions,
 ) -> Result<Vec<f64>, RuntimeError> {
-    let mut field: Vec<f64> = (0..ni * nj).map(|k| (k % 17) as f64).collect();
-    let grid = GridSweep {
-        i_lo: 1,
-        i_hi: ni as i64,
-        j_lo: 1,
-        j_hi: nj as i64,
-    };
-    let ptr = field.as_mut_ptr() as usize;
-    pipeline_2d_opts(grid, threads, opts, move |i, j| {
-        let p = ptr as *mut f64;
-        let (i, j) = (i as usize, j as usize);
-        // SAFETY: each interior cell is written once, after its (i-1, j)
-        // and (i, j-1) sources — exactly the order the pipeline enforces.
-        unsafe {
-            let v =
-                0.2 * (*p.add(i * nj + j) + *p.add((i - 1) * nj + j) + *p.add(i * nj + j - 1));
-            *p.add(i * nj + j) = v;
-        }
-    })?;
+    let mut field = seidel_field(ni, nj);
+    pipeline_2d_opts(interior(ni, nj), threads, opts, seidel_cell(&mut field, nj))?;
     Ok(field)
 }
 
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[test]
-fn pooled_and_spawned_sweeps_agree_bit_for_bit() {
-    let reference = seidel_sweep(
-        33,
-        29,
-        4,
-        RuntimeOptions {
-            pool: PoolPolicy::SpawnPerCall,
-            ..RuntimeOptions::default()
-        },
-    )
-    .expect("spawned sweep");
+fn repeated_pooled_sweeps_agree_with_the_sequential_sweep_bit_for_bit() {
+    let opts = RuntimeOptions::default();
+    let reference = seidel_sweep(33, 29, 1, opts).expect("sequential sweep");
     // Repeat invocations on the pool: the many-invocations-small-grid
-    // shape the pool exists for, each compared against the spawn path.
+    // shape the pool exists for.
     for _ in 0..8 {
-        let pooled = seidel_sweep(33, 29, 4, pooled_opts()).expect("pooled sweep");
-        assert!(
-            pooled
-                .iter()
-                .zip(&reference)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "pooled sweep diverged from spawn-per-call sweep"
-        );
+        let pooled = seidel_sweep(33, 29, 4, opts).expect("pooled sweep");
+        assert!(bits_equal(&pooled, &reference), "pooled sweep diverged");
     }
 }
 
@@ -114,9 +111,7 @@ fn watchdog_tolerates_workers_parked_between_pooled_jobs() {
     // back-to-back pooled jobs under a tight deadline must all pass,
     // including after idle gaps longer than the deadline itself.
     let opts = RuntimeOptions {
-        pool: PoolPolicy::Persistent,
         watchdog: Some(std::time::Duration::from_millis(75)),
-        ..RuntimeOptions::default()
     };
     for round in 0..12 {
         let field = seidel_sweep(17, 19, 4, opts)
@@ -130,47 +125,34 @@ fn watchdog_tolerates_workers_parked_between_pooled_jobs() {
     }
 }
 
-/// The CI pool smoke: the same pooled-vs-spawn agreement, but under an
-/// adversarial seeded schedule (per-cell delays + yields) and with the
-/// dynamic dependence-order checker armed via the `order-check` feature.
-#[cfg(feature = "fault-inject")]
+/// Pipeline grids of depth 12 / 36 / 200 at 3 workers publish every
+/// 1 / 3 / 8 rows (the automatic batch at its floor, in the middle, at
+/// its cap). Under an adversarial seeded schedule (per-cell delays +
+/// yields) each must equal the sequential sweep and keep the await cone.
 #[test]
-fn pool_smoke_pooled_matches_spawn_under_adversarial_schedule() {
-    use polymix_runtime::fault_inject::{install, FaultPlan};
-    let _guard = install(FaultPlan {
-        seed: 0xC0FFEE,
-        delay_us_max: 40,
-        yield_pct: 25,
-        ..FaultPlan::default()
-    });
-    let reference = seidel_sweep(
-        24,
-        21,
-        4,
-        RuntimeOptions {
-            pool: PoolPolicy::SpawnPerCall,
-            ..RuntimeOptions::default()
-        },
-    )
-    .expect("spawned sweep under faults");
-    for batch in [None, Some(1), Some(3)] {
-        let pooled = seidel_sweep(
-            24,
-            21,
-            4,
-            RuntimeOptions {
-                pool: PoolPolicy::Persistent,
-                pipeline_batch: batch,
-                ..RuntimeOptions::default()
-            },
-        )
-        .expect("pooled sweep under faults");
+fn every_automatic_batch_survives_an_adversarial_schedule() {
+    let nj = 21usize;
+    for ni in [13usize, 37, 201] {
+        let opts = RuntimeOptions::watched();
+        let reference = seidel_sweep(ni, nj, 1, opts).expect("sequential sweep");
+        let plan = FaultPlan {
+            seed: 0xC0FFEE,
+            delay_us_max: 40,
+            yield_pct: 25,
+            ..FaultPlan::default()
+        };
+        let checker =
+            OrderChecker::new(interior(ni, nj), &[(1, 0), (0, 1)]).expect("shadow fits");
+        let mut got = seidel_field(ni, nj);
+        let body = plan.wrap(checker.wrap(seidel_cell(&mut got, nj)));
+        pipeline_2d_opts(interior(ni, nj), 3, opts, body).expect("sweep under faults");
+        checker
+            .finish()
+            .unwrap_or_else(|e| panic!("depth {}: {e}", ni - 1));
         assert!(
-            pooled
-                .iter()
-                .zip(&reference)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "pooled (batch {batch:?}) diverged under the adversarial schedule"
+            bits_equal(&got, &reference),
+            "depth {} diverged under the adversarial schedule",
+            ni - 1
         );
     }
 }

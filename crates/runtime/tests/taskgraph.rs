@@ -1,10 +1,12 @@
 //! Adversarial integration suite for the tile task-graph runtime:
-//! seeded fault injection through the same hooks as every other
+//! seeded fault injection through the same body adapter as every other
 //! primitive, cross-validation against the dynamic order checker, and
 //! cross-validation against `polymix-verify`'s counter-graph coverage
 //! certificate (the static and dynamic tools audit the same edge set
 //! from opposite ends).
 
+use polymix_runtime::fault_inject::FaultPlan;
+use polymix_runtime::order_check::OrderChecker;
 use polymix_runtime::{
     taskgraph_2d, taskgraph_2d_opts, GridSweep, RuntimeError, RuntimeOptions, TileGraph,
 };
@@ -78,66 +80,63 @@ fn mutated_graph_dropping_an_edge_is_rejected() {
         .any(|v| v.kind == polymix_verify::ViolationKind::TaskGraphUncovered));
 }
 
-#[cfg(feature = "order-check")]
 #[test]
 fn order_checker_cross_validates_certified_taskgraph_run() {
     // Static certificate + dynamic shadow on the same run: the counter
-    // graph certifies, and the armed order checker observes every cell
-    // seeing its (i-1, j)/(i, j-1) sources first.
-    let deps = [(1i64, 0i64), (0, 1)];
-    let graph = TileGraph::from_grid_deps(grid(12, 9), &deps).expect("build");
-    let cert = polymix_verify::certify_tile_graph("cross", 12, 9, &deps, &graph.edges());
-    assert!(cert.is_certified(), "{:?}", cert.violations);
-    let stats = graph
-        .run(4, RuntimeOptions::default(), |_, _, _| {})
-        .expect("certified graph runs clean");
-    assert!(
-        !stats.order_check_disarmed,
-        "standard-cone graphs keep the dynamic checker armed"
-    );
-    // A *widened* cone that still contains the standard vectors keeps
-    // the checker armed: the (i-1, j)/(i, j-1) sources remain ordered,
-    // and extra edges cannot create phantom violations.
-    let skew = TileGraph::from_grid_deps(grid(6, 6), &[(1, 0), (0, 1), (1, -1)]).expect("build");
-    let stats = skew
-        .run(4, RuntimeOptions::default(), |_, _, _| {})
-        .expect("skewed graph runs clean");
-    assert!(!stats.order_check_disarmed);
-    // A cone that does NOT order the (i, j-1) source stands the checker
-    // down — asserting the standard relation would report phantom
-    // violations — and says so through RunStats, not silently.
-    let narrow = TileGraph::from_grid_deps(grid(6, 6), &[(1, 0)]).expect("build");
-    let stats = narrow
-        .run(4, RuntimeOptions::default(), |_, _, _| {})
-        .expect("narrow graph runs clean");
-    assert!(stats.order_check_disarmed);
-    // Explicit DAGs have no grid relation at all: also disarmed.
-    let dag = TileGraph::from_edges(4, None, &[(0, 1), (1, 2), (2, 3)]).expect("build");
-    let stats = dag
-        .run(2, RuntimeOptions::default(), |_, _, _| {})
-        .expect("dag runs clean");
-    assert!(stats.order_check_disarmed);
+    // graph certifies, and the order checker — built from the graph's
+    // own vector set, whatever it is — observes every tile seeing each
+    // of its sources first.
+    for deps in [
+        vec![(1i64, 0i64), (0, 1)],
+        // The anti-diagonal vector no fixed-shape primitive expresses:
+        // all three relations are checked, not just the standard cone.
+        vec![(1, 0), (0, 1), (1, -1)],
+        // A cone that does not order the (i, j-1) source: checked
+        // against (1, 0) alone, so no phantom violations.
+        vec![(1, 0)],
+    ] {
+        let g = grid(12, 9);
+        let graph = TileGraph::from_grid_deps(g, &deps).expect("build");
+        let cert = polymix_verify::certify_tile_graph("cross", 12, 9, &deps, &graph.edges());
+        assert!(cert.is_certified(), "{deps:?}: {:?}", cert.violations);
+        let checker = OrderChecker::new(g, &deps).expect("shadow fits");
+        taskgraph_2d(g, 4, &deps, checker.wrap(|_, _| {})).expect("certified graph runs clean");
+        checker
+            .finish()
+            .unwrap_or_else(|e| panic!("{deps:?}: {e}"));
+    }
+    // The check is not vacuous: a graph built for (1, 0) alone does not
+    // keep the full three-vector relation, and the checker says so
+    // (row 0 has no sources under (1, 0), so it runs before its
+    // (0, 1)-neighbours finish once they are stalled).
+    let g = grid(2, 8);
+    let plan = FaultPlan {
+        stall_ms_at: Some(((0, 0), 100)),
+        ..FaultPlan::default()
+    };
+    let checker = OrderChecker::new(g, &[(1, 0), (0, 1), (1, -1)]).expect("shadow fits");
+    taskgraph_2d(g, 4, &[(1, 0)], plan.wrap(checker.wrap(|_, _| {}))).expect("the run itself");
+    assert!(matches!(checker.finish(), Err(RuntimeError::Misuse(_))));
 }
 
-#[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
-    use polymix_runtime::fault_inject::{install, FaultPlan};
 
     #[test]
     fn seeded_panic_mid_tile_poisons_transitive_successors() {
-        let _guard = install(FaultPlan {
+        let plan = FaultPlan {
             seed: 0xBAD,
             delay_us_max: 25,
             yield_pct: 20,
             panic_at: Some((3, 3)),
             ..FaultPlan::default()
-        });
+        };
         let ran: Mutex<HashSet<(i64, i64)>> = Mutex::new(HashSet::new());
-        let err = taskgraph_2d(grid(10, 10), 4, &[(1, 0), (0, 1)], |i, j| {
+        let body = plan.wrap(|i, j| {
             ran.lock().unwrap().insert((i, j));
-        })
-        .expect_err("injected panic must surface");
+        });
+        let err = taskgraph_2d(grid(10, 10), 4, &[(1, 0), (0, 1)], body)
+            .expect_err("injected panic must surface");
         match err {
             RuntimeError::WorkerPanic { cell, payload, .. } => {
                 assert_eq!(cell, Some((3, 3)));
@@ -159,20 +158,19 @@ mod faults {
 
     #[test]
     fn injected_stall_trips_the_watchdog() {
-        let _guard = install(FaultPlan {
+        let plan = FaultPlan {
             seed: 7,
             stall_ms_at: Some(((2, 2), 600)),
             ..FaultPlan::default()
-        });
+        };
         let err = taskgraph_2d_opts(
             grid(8, 8),
             4,
             RuntimeOptions {
                 watchdog: Some(std::time::Duration::from_millis(60)),
-                ..RuntimeOptions::default()
             },
             &[(1, 0), (0, 1)],
-            |_, _| {},
+            plan.wrap(|_, _| {}),
         )
         .expect_err("finite injected stall must be reported");
         match err {
@@ -187,8 +185,7 @@ mod faults {
     fn adversarial_schedules_preserve_order_sensitive_results() {
         // Seeded delays + yields across several seeds: the task graph
         // must still produce the sequential prefix-sum table, with the
-        // order checker armed the whole time (fault-inject implies
-        // order-check).
+        // order checker armed the whole time.
         let ni = 11usize;
         let nj = 13usize;
         let reference = {
@@ -203,18 +200,20 @@ mod faults {
             table
         };
         for seed in [1u64, 0xFEED, 0x1234_5678] {
-            let _guard = install(FaultPlan {
+            let plan = FaultPlan {
                 seed,
                 delay_us_max: 40,
                 yield_pct: 30,
                 ..FaultPlan::default()
-            });
+            };
+            let g = grid(ni as i64, nj as i64);
+            let checker = OrderChecker::new(g, &[(1, 0), (0, 1)]).expect("shadow fits");
             let table: Vec<Mutex<f64>> = (0..ni * nj).map(|_| Mutex::new(0.0)).collect();
-            let stats = taskgraph_2d(
-                grid(ni as i64, nj as i64),
+            taskgraph_2d(
+                g,
                 4,
                 &[(1, 0), (0, 1)],
-                |i, j| {
+                plan.wrap(checker.wrap(|i, j| {
                     let (i, j) = (i as usize, j as usize);
                     let up = if i > 0 {
                         *table[(i - 1) * nj + j].lock().unwrap()
@@ -227,10 +226,10 @@ mod faults {
                         0.0
                     };
                     *table[i * nj + j].lock().unwrap() = up + left;
-                },
+                })),
             )
             .expect("adversarial schedule still correct");
-            assert!(!stats.order_check_disarmed);
+            checker.finish().expect("dependence cone kept");
             let got: Vec<f64> = table.iter().map(|m| *m.lock().unwrap()).collect();
             assert_eq!(got, reference, "seed {seed:#x} diverged");
         }
@@ -242,7 +241,6 @@ mod faults {
         // independent branch's already-published nodes from having run,
         // but must keep all downstream nodes of the failed branch
         // unexecuted.
-        let _guard = install(FaultPlan::default());
         // chain A: 0 -> 1 -> 2 ; chain B: 3 -> 4 ; join: {2, 4} -> 5
         let edges = [(0, 1), (1, 2), (3, 4), (2, 5), (4, 5)];
         let graph = TileGraph::from_edges(6, None, &edges).expect("build");

@@ -28,7 +28,7 @@ fn adi_poly_ast_asks_each_question_once() {
     let s = cell("adi", Variant::PolyAst);
     assert_eq!(
         (s.is_empty.computed, s.sample.computed),
-        (3357, 105),
+        (3322, 105),
         "{s:?}"
     );
     assert!(s.is_empty.asked >= 10 * s.is_empty.computed, "{s:?}");
