@@ -73,24 +73,31 @@ RC=0; STRICT_OUT=$(cargo run --release -q -p polymix-bench --bin verify -- \
 # invisibility tests must hold with and without debug assertions; the
 # `classify` overflow is an abort in debug and a wrap in release; and
 # the pinned distinct-question counts must not depend on the debug-only
-# certify hook inside the optimizers.
-echo "== oracle memo tests (debug + release) =="
+# certify hook inside the optimizers. The emptiness kernel under all of
+# them saturates and checks its arithmetic, and its overflow exits differ
+# between the profiles too: its unit and property tests (never a false
+# proof; the certifier systems that must be proven) and the emitted-byte
+# digest of the 41 `compile` cells run in both.
+echo "== oracle tests (debug + release) =="
 for profile in "" --release; do
+    cargo test -q $profile -p polymix-math --lib
     cargo test -q $profile -p polymix-math -p polymix-deps -p polymix \
-        --test memo --test classify_overflow --test oracle_memo_counts
+        --test memo --test classify_overflow --test oracle_memo_counts \
+        --test emitted_digest
 done
 
 # Bytecode certification gate: every (kernel, variant) cell the vm
 # backend could measure is lowered at mini and run through the bytecode
 # certifier (bounds proofs + effect-summary cross-check). The audit must
-# certify every artifact AND prove a nonzero number of accesses — an
-# all-skip or all-unproven run would pass vacuously and the elided fast
-# path would never engage.
+# certify every artifact AND prove every access it reached, of a nonzero
+# number — an all-skip run would pass vacuously, and an access left
+# unproven keeps its dynamic check on the elided fast path.
 echo "== bytecode certification gate =="
 VM_OUT=$(cargo run --release -q -p polymix-bench --bin verify -- \
     --dataset mini --backend vm)
-echo "$VM_OUT" | grep -Eq 'vm accesses proven: [1-9][0-9]*/' \
-    || { echo "bytecode audit proved no accesses"; exit 1; }
+PROVEN=$(echo "$VM_OUT" | sed -n 's|^vm accesses proven: \([1-9][0-9]*\)/\([0-9]*\)$|\1 \2|p')
+[ -n "$PROVEN" ] && [ "${PROVEN% *}" -eq "${PROVEN#* }" ] \
+    || { echo "bytecode audit left accesses unproven: '$PROVEN'"; exit 1; }
 
 # Fast end-to-end sweep smoke test: one kernel through the parallel
 # executor (2 jobs, tmpdir cache, JSONL log), then the same invocation

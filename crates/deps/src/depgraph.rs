@@ -173,13 +173,13 @@ fn deps_for_pair(
     let mut base = Polyhedron::universe(n);
     for c in s_src.domain.constraints() {
         base.add(Constraint {
-            row: lift_row(&c.row, dr, ds, true),
+            row: lift_row(c.row, dr, ds, true),
             op: c.op,
         });
     }
     for c in s_dst.domain.constraints() {
         base.add(Constraint {
-            row: lift_row(&c.row, ds, dr, false),
+            row: lift_row(c.row, ds, dr, false),
             op: c.op,
         });
     }

@@ -19,7 +19,7 @@
 //! whole step with [`Overflow`] — never a wrapped row, which would
 //! describe a different set.
 
-use crate::poly::{CmpOp, Constraint};
+use crate::poly::{CmpOp, Polyhedron};
 use std::fmt;
 
 /// A coefficient of an eliminated row left the `i64` range. The caller
@@ -35,46 +35,40 @@ impl fmt::Display for Overflow {
     }
 }
 
-/// The row `x·l + y·u` with column `d` (where the two terms cancel by
-/// construction) set to zero.
-fn combine(x: i64, l: &[i64], y: i64, u: &[i64], d: usize) -> Result<Vec<i64>, Overflow> {
-    let mut row = Vec::with_capacity(l.len());
-    for (k, (&lk, &uk)) in l.iter().zip(u).enumerate() {
-        row.push(if k == d {
-            0
-        } else {
-            x.checked_mul(lk)
-                .zip(y.checked_mul(uk))
-                .and_then(|(p, q)| p.checked_add(q))
-                .ok_or(Overflow)?
-        });
+/// Writes the row `x·l + y·u` into `out`, with column `d` (where the two
+/// terms cancel by construction) set to zero.
+fn combine(x: i64, l: &[i64], y: i64, u: &[i64], d: usize, out: &mut [i64]) -> Option<()> {
+    for (k, ((&lk, &uk), o)) in l.iter().zip(u).zip(out).enumerate() {
+        if k != d {
+            *o = x.checked_mul(lk)?.checked_add(y.checked_mul(uk)?)?;
+        }
     }
-    Ok(row)
+    Some(())
 }
 
-/// Eliminates dimension `d` from the system, returning rows that no longer
-/// mention it. The dimension count (row width) is preserved.
-pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Result<Vec<Constraint>, Overflow> {
+/// Eliminates dimension `d` from `src` into `out` (emptied first): rows
+/// that no longer mention it, normalized and without repeats like every
+/// row of a [`Polyhedron`]. The dimension count (row width) is preserved.
+pub(crate) fn eliminate_dim(
+    src: &Polyhedron,
+    d: usize,
+    out: &mut Polyhedron,
+) -> Result<(), Overflow> {
+    out.truncate(0);
     // Phase 1: equality substitution. Among the equalities mentioning
     // `d`, prefer the one with the smallest |coefficient| — a unit
     // coefficient makes the substitution exact over the integers.
-    if let Some(eq_idx) = constraints
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.op == CmpOp::Eq && c.mentions(d))
-        .min_by_key(|(_, c)| c.coeff(d).unsigned_abs())
-        .map(|(i, _)| i)
-    {
-        let eq = &constraints[eq_idx];
+    let eqs = src.constraints().enumerate();
+    let eqs = eqs.filter(|(_, c)| c.op == CmpOp::Eq && c.mentions(d));
+    if let Some((eq_idx, eq)) = eqs.min_by_key(|(_, c)| c.coeff(d).unsigned_abs()) {
         let a = eq.coeff(d); // a * x_d + f == 0
-        let mut out = Vec::with_capacity(constraints.len() - 1);
-        for (i, c) in constraints.iter().enumerate() {
+        for (i, c) in src.constraints().enumerate() {
             if i == eq_idx {
                 continue;
             }
             let b = c.coeff(d);
             if b == 0 {
-                out.push(c.clone());
+                out.push_copy(c.row, c.op);
                 continue;
             }
             // c: b * x_d + g OP 0. Multiply by |a| (positive: preserves OP)
@@ -83,58 +77,53 @@ pub fn eliminate_dim(constraints: &[Constraint], d: usize) -> Result<Vec<Constra
                 .checked_abs()
                 .zip(b.checked_mul(-a.signum()))
                 .ok_or(Overflow)?;
-            out.push(Constraint {
-                row: combine(abs_a, &c.row, sb, &eq.row, d)?,
-                op: c.op,
-            });
+            out.push_row(c.op, |r| combine(abs_a, c.row, sb, eq.row, d, r))
+                .ok_or(Overflow)?;
         }
-        return Ok(out);
+        return Ok(());
     }
 
-    // Phase 2: inequality combination.
-    let mut lowers = Vec::new(); // coeff > 0
-    let mut uppers = Vec::new(); // coeff < 0
-    let mut keep = Vec::new();
-    for c in constraints {
-        debug_assert!(c.op == CmpOp::Ge || !c.mentions(d));
-        let a = c.coeff(d);
-        if a > 0 {
-            lowers.push(c);
-        } else if a < 0 {
-            uppers.push(c);
-        } else {
-            keep.push(c.clone());
-        }
+    // Phase 2: inequality combination. No equality mentions `d` here, so
+    // a positive coefficient is a lower bound and a negative one an upper.
+    for c in src.constraints().filter(|c| !c.mentions(d)) {
+        out.push_copy(c.row, c.op);
     }
-    for lo in &lowers {
+    for lo in src.constraints().filter(|c| c.coeff(d) > 0) {
         let a = lo.coeff(d);
-        for up in &uppers {
+        for up in src.constraints().filter(|c| c.coeff(d) < 0) {
             let b = up.coeff(d).checked_neg().ok_or(Overflow)?;
             // b*lo + a*up : coefficient on d becomes b*a - a*b = 0.
-            keep.push(Constraint::ge(combine(b, &lo.row, a, &up.row, d)?));
+            out.push_row(CmpOp::Ge, |r| combine(b, lo.row, a, up.row, d, r))
+                .ok_or(Overflow)?;
         }
     }
-    Ok(keep)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::Polyhedron;
+    use crate::poly::Constraint;
+
+    fn eliminated(cs: Vec<Constraint>, d: usize) -> Polyhedron {
+        let mut p = Polyhedron::universe(cs[0].row.len() - 1);
+        cs.into_iter().for_each(|c| p.add(c));
+        let mut out = Polyhedron::universe(p.n_dims());
+        eliminate_dim(&p, d, &mut out).expect("no overflow");
+        out
+    }
 
     #[test]
     fn eliminate_with_equality_is_exact() {
         // { x = 2y, 0 <= x <= 10 } project out x -> 0 <= 2y <= 10.
-        let cs = vec![
-            Constraint::eq(vec![1, -2, 0]),
-            Constraint::ge(vec![1, 0, 0]),
-            Constraint::ge(vec![-1, 0, 10]),
-        ];
-        let rows = eliminate_dim(&cs, 0).expect("no overflow");
-        let mut p = Polyhedron::universe(2);
-        for r in rows {
-            p.add(r);
-        }
+        let p = eliminated(
+            vec![
+                Constraint::eq(vec![1, -2, 0]),
+                Constraint::ge(vec![1, 0, 0]),
+                Constraint::ge(vec![-1, 0, 10]),
+            ],
+            0,
+        );
         assert!(p.contains(&[99, 0]));
         assert!(p.contains(&[99, 5]));
         assert!(!p.contains(&[99, 6]));
@@ -144,15 +133,13 @@ mod tests {
     #[test]
     fn eliminate_negative_coefficient_equality() {
         // { -x + y + 1 == 0 (x = y+1), x <= 5 } -> y <= 4.
-        let cs = vec![
-            Constraint::eq(vec![-1, 1, 1]),
-            Constraint::ge(vec![-1, 0, 5]),
-        ];
-        let rows = eliminate_dim(&cs, 0).expect("no overflow");
-        let mut p = Polyhedron::universe(2);
-        for r in rows {
-            p.add(r);
-        }
+        let p = eliminated(
+            vec![
+                Constraint::eq(vec![-1, 1, 1]),
+                Constraint::ge(vec![-1, 0, 5]),
+            ],
+            0,
+        );
         assert!(p.contains(&[0, 4]));
         assert!(!p.contains(&[0, 5]));
     }
@@ -160,16 +147,14 @@ mod tests {
     #[test]
     fn inequality_combination_projects_band() {
         // { 0 <= x, x <= y, y <= 3 } eliminate x -> { 0 <= y <= 3 }.
-        let cs = vec![
-            Constraint::ge(vec![1, 0, 0]),
-            Constraint::ge(vec![-1, 1, 0]),
-            Constraint::ge(vec![0, -1, 3]),
-        ];
-        let rows = eliminate_dim(&cs, 0).expect("no overflow");
-        let mut p = Polyhedron::universe(2);
-        for r in rows {
-            p.add(r);
-        }
+        let p = eliminated(
+            vec![
+                Constraint::ge(vec![1, 0, 0]),
+                Constraint::ge(vec![-1, 1, 0]),
+                Constraint::ge(vec![0, -1, 3]),
+            ],
+            0,
+        );
         assert!(p.contains(&[42, 0]));
         assert!(p.contains(&[42, 3]));
         assert!(!p.contains(&[42, -1]));
@@ -177,14 +162,16 @@ mod tests {
 
     #[test]
     fn elimination_preserves_row_width() {
-        let cs = vec![Constraint::ge(vec![1, 1, 1, 0])];
-        let rows = eliminate_dim(&cs, 1).expect("no overflow");
-        assert!(rows.is_empty()); // only a lower bound: drops away
-        let cs = vec![
-            Constraint::ge(vec![0, 1, 0, 0]),
-            Constraint::ge(vec![1, -1, 0, 5]),
-        ];
-        let rows = eliminate_dim(&cs, 1).expect("no overflow");
+        let p = eliminated(vec![Constraint::ge(vec![1, 1, 1, 0])], 1);
+        assert_eq!(p.constraints().len(), 0); // only a lower bound: drops away
+        let p = eliminated(
+            vec![
+                Constraint::ge(vec![0, 1, 0, 0]),
+                Constraint::ge(vec![1, -1, 0, 5]),
+            ],
+            1,
+        );
+        let rows: Vec<_> = p.constraints().collect();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].row.len(), 4);
     }

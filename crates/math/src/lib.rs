@@ -31,10 +31,9 @@ pub mod matrix;
 pub mod memo;
 pub mod poly;
 
-pub use fm::eliminate_dim;
 pub use gcd::{gcd, gcd_slice, lcm, normalize_row};
 pub use matrix::IntMat;
-pub use poly::{AffineExpr, CmpOp, Constraint, Polyhedron};
+pub use poly::{AffineExpr, CmpOp, Constraint, ConstraintRef, Polyhedron};
 
 #[cfg(test)]
 mod proptests;

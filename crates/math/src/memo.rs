@@ -81,13 +81,12 @@ impl Scope {
     /// this thread was opened. The counts repeat exactly from run to
     /// run, so a test can pin them.
     pub fn stats(&self) -> Stats {
+        // A live `Scope` keeps the table; without one nothing was asked.
         TABLE.with(|t| {
-            let t = t.borrow();
-            let table = t.as_ref().expect("a live Scope keeps the table");
-            Stats {
+            t.borrow().as_ref().map_or(Stats::default(), |table| Stats {
                 is_empty: table.is_empty.tally,
                 sample: table.sample.tally,
-            }
+            })
         })
     }
 }

@@ -21,7 +21,9 @@ pub enum CmpOp {
     Eq,
 }
 
-/// A single affine constraint `coeffs[..n] · x + coeffs[n] OP 0`.
+/// A single affine constraint `coeffs[..n] · x + coeffs[n] OP 0`, owned:
+/// what [`Polyhedron::add`] takes. A polyhedron hands its rows back as
+/// borrowed [`ConstraintRef`]s.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
     /// `n_dims` coefficients followed by the constant term.
@@ -40,7 +42,25 @@ impl Constraint {
     pub fn eq(row: Vec<i64>) -> Constraint {
         Constraint { row, op: CmpOp::Eq }
     }
+}
 
+impl fmt::Debug for Constraint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (row, op) = (&self.row[..], self.op);
+        ConstraintRef { row, op }.fmt(f)
+    }
+}
+
+/// One constraint of a [`Polyhedron`], borrowed from its storage.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ConstraintRef<'a> {
+    /// `n_dims` coefficients followed by the constant term.
+    pub row: &'a [i64],
+    /// Comparison against zero.
+    pub op: CmpOp,
+}
+
+impl ConstraintRef<'_> {
     /// Coefficient of dimension `d`.
     pub fn coeff(&self, d: usize) -> i64 {
         self.row[d]
@@ -48,16 +68,16 @@ impl Constraint {
 
     /// The constant term.
     pub fn constant(&self) -> i64 {
-        *self.row.last().expect("empty constraint row")
+        self.row.last().copied().unwrap_or(0)
     }
 
     /// Number of dimensions the constraint spans.
     pub fn n_dims(&self) -> usize {
-        self.row.len() - 1
+        self.row.len().saturating_sub(1)
     }
 
     /// Evaluates `coeffs · point + c`, clamped to `i64`: computed in
-    /// `i128`, so the sign and zero-ness [`Constraint::holds`] reads
+    /// `i128`, so the sign and zero-ness [`ConstraintRef::holds`] reads
     /// survive coefficients at the edge of `i64`.
     pub fn eval(&self, point: &[i64]) -> i64 {
         assert_eq!(point.len(), self.n_dims(), "point arity mismatch");
@@ -80,9 +100,20 @@ impl Constraint {
     pub fn mentions(&self, d: usize) -> bool {
         self.row[d] != 0
     }
+
+    /// An explicitly false row: no coefficient, and a constant the
+    /// comparison rejects.
+    fn is_false_constant(&self) -> bool {
+        let n = self.n_dims();
+        self.row[..n].iter().all(|&a| a == 0)
+            && match self.op {
+                CmpOp::Ge => self.constant() < 0,
+                CmpOp::Eq => self.constant() != 0,
+            }
+    }
 }
 
-impl fmt::Debug for Constraint {
+impl fmt::Debug for ConstraintRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let n = self.n_dims();
         let mut first = true;
@@ -168,8 +199,11 @@ impl AffineExpr {
 
 impl fmt::Debug for AffineExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let fake = Constraint::ge(self.row.clone());
-        let body = format!("{fake:?}");
+        let form = ConstraintRef {
+            row: &self.row,
+            op: CmpOp::Ge,
+        };
+        let body = format!("{form:?}");
         let body = body.trim_end_matches(" >= 0");
         if self.denom == 1 {
             write!(f, "{body}")
@@ -181,10 +215,16 @@ impl fmt::Debug for AffineExpr {
 
 /// A (possibly unbounded) convex integer polyhedron: the conjunction of a
 /// set of affine constraints over `n_dims` dimensions.
+///
+/// The rows sit side by side in one buffer (`n_dims + 1` entries each)
+/// with their operators beside it, so a copy is two `memcpy`s and
+/// comparing or hashing a system — the [`memo`] key — walks two slices.
+/// Every row is gcd-normalized and no row is stored twice.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Polyhedron {
     n_dims: usize,
-    constraints: Vec<Constraint>,
+    rows: Vec<i64>,
+    ops: Vec<CmpOp>,
 }
 
 impl Polyhedron {
@@ -192,7 +232,8 @@ impl Polyhedron {
     pub fn universe(n_dims: usize) -> Polyhedron {
         Polyhedron {
             n_dims,
-            constraints: Vec::new(),
+            rows: Vec::new(),
+            ops: Vec::new(),
         }
     }
 
@@ -201,35 +242,80 @@ impl Polyhedron {
         self.n_dims
     }
 
-    /// Borrows the constraint list.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    /// The constraints, in the order they were added.
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = ConstraintRef<'_>> + Clone {
+        let rows = self.rows.chunks_exact(self.n_dims + 1).zip(&self.ops);
+        rows.map(|(row, &op)| ConstraintRef { row, op })
+    }
+
+    fn row(&self, i: usize) -> &[i64] {
+        let stride = self.n_dims + 1;
+        &self.rows[i * stride..(i + 1) * stride]
+    }
+
+    /// Moves row `from` down to slot `to <= from`; with
+    /// [`Polyhedron::truncate`], an in-place `retain`.
+    fn move_row(&mut self, from: usize, to: usize) {
+        let stride = self.n_dims + 1;
+        self.rows
+            .copy_within(from * stride..(from + 1) * stride, to * stride);
+        self.ops[to] = self.ops[from];
+    }
+
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.rows.truncate(len * (self.n_dims + 1));
+        self.ops.truncate(len);
+    }
+
+    /// Appends the row `fill` writes over zeroes, unless `fill` gives up
+    /// (`None`: nothing is added). Every row enters here: it is
+    /// normalized (gcd tightening), and a row the system already holds is
+    /// not added again. An integrally infeasible equality is recorded as
+    /// an explicitly false row, so emptiness tests succeed fast.
+    pub(crate) fn push_row(
+        &mut self,
+        mut op: CmpOp,
+        fill: impl FnOnce(&mut [i64]) -> Option<()>,
+    ) -> Option<()> {
+        let (n, at) = (self.n_dims, self.rows.len());
+        self.rows.resize(at + n + 1, 0);
+        let (held, new) = self.rows.split_at_mut(at);
+        let filled = fill(new);
+        let keep = filled.is_some()
+            && match op {
+                CmpOp::Eq if !normalize_eq_row(new) => {
+                    new.fill(0);
+                    new[n] = -1;
+                    op = CmpOp::Ge;
+                    true
+                }
+                _ => {
+                    if op == CmpOp::Ge {
+                        normalize_row(new);
+                    }
+                    let mut held = held.chunks_exact(n + 1).zip(&self.ops);
+                    !held.any(|(row, &o)| o == op && row == new)
+                }
+            };
+        if keep {
+            self.ops.push(op);
+        } else {
+            self.rows.truncate(at);
+        }
+        filled
+    }
+
+    pub(crate) fn push_copy(&mut self, row: &[i64], op: CmpOp) {
+        assert_eq!(row.len(), self.n_dims + 1, "constraint arity mismatch");
+        let _ = self.push_row(op, |r| {
+            r.copy_from_slice(row);
+            Some(())
+        });
     }
 
     /// Adds one constraint (with normalization / gcd tightening).
-    pub fn add(&mut self, mut c: Constraint) {
-        assert_eq!(c.n_dims(), self.n_dims, "constraint arity mismatch");
-        match c.op {
-            CmpOp::Ge => {
-                normalize_row(&mut c.row);
-            }
-            CmpOp::Eq => {
-                if !normalize_eq_row(&mut c.row) {
-                    // Integrally infeasible equality: record an explicitly
-                    // false constraint so emptiness tests succeed fast.
-                    self.constraints.push(Constraint::ge(
-                        std::iter::repeat(0)
-                            .take(self.n_dims)
-                            .chain(std::iter::once(-1))
-                            .collect(),
-                    ));
-                    return;
-                }
-            }
-        }
-        if !self.constraints.contains(&c) {
-            self.constraints.push(c);
-        }
+    pub fn add(&mut self, c: Constraint) {
+        self.push_copy(&c.row, c.op);
     }
 
     /// Adds `x_d >= lo` and `x_d <= hi - 1`, i.e. the half-open interval
@@ -237,15 +323,16 @@ impl Polyhedron {
     pub fn bound_const(&mut self, d: usize, lo: i64, hi: i64) {
         let mut x_d = vec![0; self.n_dims + 1];
         x_d[d] = 1;
-        *self = self.and_ge(&x_d, lo).and_le(&x_d, hi - 1);
+        self.add_ge(&x_d, lo);
+        self.add_le(&x_d, hi - 1);
     }
 
     /// Intersection of two polyhedra over the same space.
     pub fn intersect(&self, other: &Polyhedron) -> Polyhedron {
         assert_eq!(self.n_dims, other.n_dims, "space mismatch in intersect");
         let mut out = self.clone();
-        for c in &other.constraints {
-            out.add(c.clone());
+        for c in other.constraints() {
+            out.push_copy(c.row, c.op);
         }
         out
     }
@@ -253,48 +340,69 @@ impl Polyhedron {
     /// `self ∧ row ≥ bound`, with `row` an affine form over this space
     /// (`n_dims` coefficients, then the constant).
     ///
-    /// With [`Polyhedron::and_le`] and [`Polyhedron::and_eq0`] this is
-    /// the vocabulary every certifier phrases its obligations in: build
-    /// the set of counter-examples, then ask [`Polyhedron::is_empty`].
-    /// The arithmetic is checked; a row that does not fit `i64` is
-    /// *dropped*, leaving a superset of the intended set, whose
-    /// emptiness therefore still proves the obligation and whose
-    /// non-emptiness reads as "not proven" — the same exit
-    /// [`Polyhedron::eliminate_many`] takes on overflow.
+    /// With [`Polyhedron::and_le`] and [`Polyhedron::and_eq0`] (and the
+    /// in-place [`Polyhedron::add_ge`] / [`Polyhedron::add_le`] /
+    /// [`Polyhedron::add_eq0`], for building a system row by row) this
+    /// is the vocabulary every certifier phrases its obligations in:
+    /// build the set of counter-examples, then ask
+    /// [`Polyhedron::is_empty`]. The arithmetic is checked; a row that
+    /// does not fit `i64` is *dropped*, leaving a superset of the
+    /// intended set, whose emptiness therefore still proves the
+    /// obligation and whose non-emptiness reads as "not proven" — the
+    /// same exit [`Polyhedron::is_empty`] takes when an elimination
+    /// step overflows.
     pub fn and_ge(&self, row: &[i64], bound: i64) -> Polyhedron {
-        let (k, coeffs) = row.split_last().expect("empty constraint row");
-        let r = k.checked_sub(bound).map(|k| [coeffs, &[k]].concat());
-        self.and(r, CmpOp::Ge)
+        let mut p = self.clone();
+        p.add_ge(row, bound);
+        p
     }
 
     /// `self ∧ row ≤ bound`; see [`Polyhedron::and_ge`].
     pub fn and_le(&self, row: &[i64], bound: i64) -> Polyhedron {
-        let (k, coeffs) = row.split_last().expect("empty constraint row");
-        let r = bound.checked_sub(*k).and_then(|k| {
-            let negated = coeffs.iter().map(|a| a.checked_neg());
-            negated.chain([Some(k)]).collect::<Option<Vec<i64>>>()
-        });
-        self.and(r, CmpOp::Ge)
+        let mut p = self.clone();
+        p.add_le(row, bound);
+        p
     }
 
     /// `self ∧ row = 0`; see [`Polyhedron::and_ge`].
     pub fn and_eq0(&self, row: &[i64]) -> Polyhedron {
-        self.and(Some(row.to_vec()), CmpOp::Eq)
+        let mut p = self.clone();
+        p.add_eq0(row);
+        p
     }
 
-    /// A copy with `row OP 0` added — or without it, when building the
-    /// row overflowed.
-    fn and(&self, row: Option<Vec<i64>>, op: CmpOp) -> Polyhedron {
-        let mut p = self.clone();
-        if let Some(row) = row {
-            p.add(Constraint { row, op });
-        }
-        p
+    /// Adds `row ≥ bound` in place; see [`Polyhedron::and_ge`].
+    pub fn add_ge(&mut self, row: &[i64], bound: i64) {
+        let n = self.n_dims;
+        assert_eq!(row.len(), n + 1, "constraint arity mismatch");
+        let _ = self.push_row(CmpOp::Ge, |r| {
+            r[..n].copy_from_slice(&row[..n]);
+            r[n] = row[n].checked_sub(bound)?;
+            Some(())
+        });
+    }
+
+    /// Adds `row ≤ bound` in place; see [`Polyhedron::and_ge`].
+    pub fn add_le(&mut self, row: &[i64], bound: i64) {
+        let n = self.n_dims;
+        assert_eq!(row.len(), n + 1, "constraint arity mismatch");
+        let _ = self.push_row(CmpOp::Ge, |r| {
+            for (out, a) in r[..n].iter_mut().zip(row) {
+                *out = a.checked_neg()?;
+            }
+            r[n] = bound.checked_sub(row[n])?;
+            Some(())
+        });
+    }
+
+    /// Adds `row = 0` in place; see [`Polyhedron::and_ge`].
+    pub fn add_eq0(&mut self, row: &[i64]) {
+        self.push_copy(row, CmpOp::Eq);
     }
 
     /// True iff the integer point satisfies every constraint.
     pub fn contains(&self, point: &[i64]) -> bool {
-        self.constraints.iter().all(|c| c.holds(point))
+        self.constraints().all(|c| c.holds(point))
     }
 
     /// Eliminates dimension `d` by exact equality substitution where
@@ -304,11 +412,8 @@ impl Polyhedron {
     /// does not fit `i64`; nothing can be concluded from such a step.
     pub fn eliminate(&self, d: usize) -> Result<Polyhedron, fm::Overflow> {
         assert!(d < self.n_dims, "eliminate: dimension out of range");
-        let rows = fm::eliminate_dim(&self.constraints, d)?;
         let mut out = Polyhedron::universe(self.n_dims);
-        for c in rows {
-            out.add(c);
-        }
+        fm::eliminate_dim(self, d, &mut out)?;
         Ok(out)
     }
 
@@ -318,8 +423,10 @@ impl Polyhedron {
     /// tail of the space) can be retained by passing their start index.
     pub fn project_keep(&self, k: usize, keep_from: usize) -> Result<Polyhedron, fm::Overflow> {
         let mut p = self.clone();
+        let mut next = Polyhedron::universe(self.n_dims);
         for d in (k..keep_from).rev() {
-            p = p.eliminate(d)?;
+            fm::eliminate_dim(&p, d, &mut next)?;
+            std::mem::swap(&mut p, &mut next);
         }
         Ok(p)
     }
@@ -338,197 +445,132 @@ impl Polyhedron {
         memo::is_empty(self, || self.compute_is_empty())
     }
 
+    /// Split, then hull, then greedy Fourier–Motzkin with a hull
+    /// reduction between steps. The interval hull is computed once per
+    /// state of the system: the box the split ends on is the one the
+    /// first reduction uses, and each later reduction tightens the box
+    /// the previous one left.
     fn compute_is_empty(&self) -> bool {
         // Fast path: an explicitly false constraint.
         if self.has_false_constant() {
             return true;
         }
         let mut p = self.clone();
-        p.split_stratified_equalities();
-        let dims: Vec<usize> = (0..self.n_dims).collect();
-        p = p.eliminate_many(&dims);
-        p.has_false_constant()
+        let mut directed = Directed::default();
+        let hull = p.split_stratified_equalities(&mut directed);
+        let hull = hull.unwrap_or_else(|| p.interval_hull(&mut directed));
+        p.eliminate_many(hull, &mut directed)
     }
 
-    /// Eliminates every dimension in `dims`, returning the shadow over
-    /// the remaining ones. Same greedy order, dominated-row pruning and
-    /// interval-hull reduction as [`Polyhedron::is_empty`] (hull rows
-    /// and hull-implied drops are equivalence-preserving, so the shadow
-    /// is unchanged by them). The result is the rational shadow — a
-    /// sound over-approximation of the integer projection. When row
-    /// growth exceeds the internal cap, or a combined coefficient does
-    /// not fit `i64`, remaining dimensions are dropped *unconstrained*
-    /// (still a sound over-approximation).
-    pub fn eliminate_many(&self, dims: &[usize]) -> Polyhedron {
-        let mut p = self.clone();
-        // Interval-hull fast path: propagation alone often refutes the
-        // system (or proves most rows redundant) long before
-        // Fourier–Motzkin would, and on densely coupled systems — e.g.
-        // skewed wavefront remappings — FM row growth is explosive
-        // without this pre-pass.
-        if p.hull_reduce() {
-            return Polyhedron::contradiction(self.n_dims);
+    /// Eliminates every dimension; `true` when a contradiction shows on
+    /// the way, which proves the set empty. `hull` is the interval hull
+    /// of `self`.
+    ///
+    /// Interval propagation alone often refutes the system (or proves
+    /// most rows redundant) long before Fourier–Motzkin would, and on
+    /// densely coupled systems — e.g. skewed wavefront remappings — FM
+    /// row growth is explosive without it, so the system is reduced over
+    /// its hull before the first step and after every one. When row
+    /// growth exceeds the cap, or a combined coefficient does not fit
+    /// `i64`, nothing is concluded: "not proven empty".
+    fn eliminate_many(mut self, mut hull: Hull, directed: &mut Directed) -> bool {
+        if self.hull_reduce(&hull) {
+            return true;
         }
-        let mut remaining: Vec<usize> = dims.to_vec();
-        while !remaining.is_empty() {
+        let n = self.n_dims;
+        let mut next = Polyhedron::universe(n);
+        let mut remaining: Vec<usize> = (0..n).collect();
+        let mut uses = vec![Uses::default(); n];
+        // Rows change only in an elimination step and in the reduction
+        // after it, which leaves no dominated row behind.
+        let mut pruned = false;
+        loop {
             // Greedy elimination order: substitution steps (a dimension
             // pinned by an equality) are free, then the dimension whose
             // lower×upper product grows the system least. Any order is
             // sound for Fourier–Motzkin; a bad fixed order can square
             // the constraint count at every step on the wide two-copy
             // systems the certifier builds.
-            let (pos, _) = remaining
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| (i, p.elimination_cost(d)))
-                .min_by_key(|&(_, cost)| cost)
-                .expect("non-empty remaining");
-            let Ok(next) = p.eliminate(remaining[pos]) else {
-                return p.unconstrain(&remaining);
+            self.count_uses(&mut uses);
+            let costs = remaining.iter().map(|&d| uses[d].elimination_cost());
+            let Some((pos, _)) = costs.enumerate().min_by_key(|&(_, cost)| cost) else {
+                // Every dimension is gone and no contradiction showed.
+                return false;
             };
+            let d = remaining[pos];
+            // A dimension no row mentions is eliminated already: the
+            // system stays what it is.
+            let mentioned = uses[d].mentioned();
+            if mentioned {
+                if fm::eliminate_dim(&self, d, &mut next).is_err() {
+                    return false;
+                }
+                std::mem::swap(&mut self, &mut next);
+                pruned = false;
+            }
             remaining.swap_remove(pos);
-            p = next;
-            p.prune_dominated();
-            if p.has_false_constant() {
-                return Polyhedron::contradiction(self.n_dims);
-            }
-            // Re-tighten between steps: combined rows often become
-            // hull-refutable or hull-redundant long before further
-            // elimination would expose the contradiction.
-            if p.hull_reduce() {
-                return Polyhedron::contradiction(self.n_dims);
-            }
-            if p.constraints.len() > 4000 {
-                return p.unconstrain(&remaining);
-            }
-        }
-        p
-    }
-
-    /// The exit [`Polyhedron::eliminate_many`] takes when it cannot go
-    /// on (a coefficient overflowed, or row growth is out of hand):
-    /// every row mentioning one of `dims` is dropped, leaving those
-    /// dimensions unconstrained. Sound: the result is a (wider)
-    /// over-approximation of the shadow, and for emptiness tests it
-    /// reads as "not proven empty".
-    fn unconstrain(mut self, dims: &[usize]) -> Polyhedron {
-        self.constraints
-            .retain(|c| dims.iter().all(|&d| !c.mentions(d)));
-        self
-    }
-
-    /// The canonical empty polyhedron: a single explicitly false row.
-    fn contradiction(n_dims: usize) -> Polyhedron {
-        let mut row = vec![0i64; n_dims + 1];
-        row[n_dims] = -1;
-        Polyhedron {
-            n_dims,
-            constraints: vec![Constraint::ge(row)],
-        }
-    }
-
-    /// How much eliminating dimension `d` can grow the system: 0 for a
-    /// dimension handled by equality substitution or absent entirely,
-    /// otherwise the number of lower×upper combinations minus the rows
-    /// removed.
-    fn elimination_cost(&self, d: usize) -> i64 {
-        let mut lowers = 0i64;
-        let mut uppers = 0i64;
-        for c in &self.constraints {
-            let a = c.coeff(d);
-            if a == 0 {
-                continue;
-            }
-            if c.op == CmpOp::Eq {
-                return 0;
-            }
-            if a > 0 {
-                lowers += 1;
-            } else {
-                uppers += 1;
-            }
-        }
-        lowers * uppers - lowers - uppers
-    }
-
-    /// Per-dimension interval hull by bounds propagation: for each row
-    /// and each variable it mentions, solve the row for that variable
-    /// using the current intervals of the others, and tighten. Iterates
-    /// to a fixpoint (with a cap, since strict convergence can be slow
-    /// on nearly-redundant chains). Sound — every returned interval
-    /// contains the true projection — but not exact.
-    fn interval_hull(&self) -> Vec<(Option<i64>, Option<i64>)> {
-        let n = self.n_dims;
-        let mut lo: Vec<Option<i64>> = vec![None; n];
-        let mut hi: Vec<Option<i64>> = vec![None; n];
-        // One directed row per inequality; equalities contribute both
-        // directions.
-        let mut rows: Vec<Vec<i64>> = Vec::new();
-        for c in &self.constraints {
-            rows.push(c.row.clone());
-            if c.op == CmpOp::Eq {
-                rows.push(c.row.iter().map(|&x| x.saturating_neg()).collect());
-            }
-        }
-        for _ in 0..(2 * n + 4) {
-            let mut changed = false;
-            for row in &rows {
-                // row: Σ a_v·x_v + k >= 0, so for each v with a_v != 0:
-                //   a_v·x_v >= -k - Σ_{u≠v} a_u·x_u >= -k - Σ_{u≠v} max(a_u·x_u).
-                for v in 0..n {
-                    let a = row[v];
-                    if a == 0 {
-                        continue;
-                    }
-                    let mut rhs: i64 = row[n].saturating_neg();
-                    let mut bounded = true;
-                    for u in 0..n {
-                        if u == v || row[u] == 0 {
-                            continue;
-                        }
-                        // Maximum of a_u·x_u over the current interval.
-                        let m = if row[u] > 0 { hi[u] } else { lo[u] };
-                        match m {
-                            Some(x) => rhs = rhs.saturating_sub(row[u].saturating_mul(x)),
-                            None => {
-                                bounded = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !bounded {
-                        continue;
-                    }
-                    // Saturated magnitudes carry no information (and would
-                    // cascade overflows); treat them as unbounded.
-                    // `unsigned_abs`: a saturated `i64::MIN` has no `abs`.
-                    const HUGE: u64 = i64::MAX as u64 / 4;
-                    if rhs.unsigned_abs() >= HUGE {
-                        continue;
-                    }
-                    if a > 0 {
-                        let b = rhs.div_euclid(a) + i64::from(rhs.rem_euclid(a) != 0);
-                        if lo[v].is_none_or(|cur| b > cur) {
-                            lo[v] = Some(b);
-                            changed = true;
-                        }
-                    } else {
-                        let b = rhs.div_euclid(a);
-                        if hi[v].is_none_or(|cur| b < cur) {
-                            hi[v] = Some(b);
-                            changed = true;
-                        }
-                    }
+            if !pruned {
+                self.prune_dominated();
+                pruned = true;
+                if self.has_false_constant() {
+                    return true;
                 }
             }
-            if !changed {
-                break;
+            if mentioned || !hull.settled {
+                // Re-tighten between steps: combined rows often become
+                // hull-refutable or hull-redundant long before further
+                // elimination would expose the contradiction. A box
+                // that settled is carried over: every bound in it is an
+                // explicit row that survives a projection along `d`
+                // (pruning only trades it for a tighter one), so it is
+                // still valid, and propagation resumes from it to the
+                // fixpoint a fresh start would reach. A box that ran
+                // into the sweep cap has no fixpoint to agree on: it
+                // starts afresh at every step (DESIGN §18).
+                let carried = if hull.settled { d..d + 1 } else { 0..n };
+                hull.lo[carried.clone()].fill(None);
+                hull.hi[carried].fill(None);
+                directed.tighten(&self, &mut hull);
+                if self.hull_reduce(&hull) {
+                    return true;
+                }
+            }
+            if self.ops.len() > 4000 {
+                return false;
             }
         }
-        lo.into_iter().zip(hi).collect()
     }
 
-    /// Interval-hull reduction. Returns `true` when propagation alone
+    /// Per dimension, how the rows use it; see [`Uses`].
+    fn count_uses(&self, uses: &mut [Uses]) {
+        uses.fill(Uses::default());
+        for c in self.constraints() {
+            for (u, &a) in uses.iter_mut().zip(c.row) {
+                if a == 0 {
+                    continue;
+                }
+                match c.op {
+                    CmpOp::Eq => u.eq = true,
+                    CmpOp::Ge if a > 0 => u.lowers += 1,
+                    CmpOp::Ge => u.uppers += 1,
+                }
+            }
+        }
+    }
+
+    /// Per-dimension interval hull by bounds propagation from the
+    /// unbounded box; see [`Directed::tighten`].
+    fn interval_hull(&self, directed: &mut Directed) -> Hull {
+        let mut hull = Hull {
+            lo: vec![None; self.n_dims],
+            hi: vec![None; self.n_dims],
+            settled: false,
+        };
+        directed.tighten(self, &mut hull);
+        hull
+    }
+
+    /// Interval-hull reduction. Returns `true` when the hull alone
     /// refutes the system (a row infeasible over the hull, or an empty
     /// per-dimension interval). Otherwise materializes the hull as
     /// explicit interval rows and drops every original row the hull
@@ -537,65 +579,44 @@ impl Polyhedron {
     /// on the hull adds nothing once the hull is explicit) that
     /// typically collapses densely coupled systems to a small core
     /// before Fourier–Motzkin runs.
-    fn hull_reduce(&mut self) -> bool {
+    fn hull_reduce(&mut self, hull: &Hull) -> bool {
         let n = self.n_dims;
-        let hull = self.interval_hull();
-        for &(lo, hi) in &hull {
-            if let (Some(lo), Some(hi)) = (lo, hi) {
-                if lo > hi {
-                    return true;
-                }
-            }
+        if (0..n).any(|v| hull.lo[v].zip(hull.hi[v]).is_some_and(|(lo, hi)| lo > hi)) {
+            return true;
         }
-        // Row extremes over the hull: min (for redundancy) and max (for
-        // refutation); `None` when some mentioned dimension is unbounded
-        // on the relevant side.
-        let extreme = |row: &[i64], want_max: bool| -> Option<i64> {
-            let mut acc = row[n];
-            for v in 0..n {
-                let a = row[v];
-                if a == 0 {
-                    continue;
-                }
-                let pick = if (a > 0) == want_max { hull[v].1 } else { hull[v].0 };
-                acc = acc.saturating_add(a.saturating_mul(pick?));
-            }
-            Some(acc)
-        };
-        let mut kept = Vec::with_capacity(self.constraints.len());
-        for c in std::mem::take(&mut self.constraints) {
-            match c.op {
+        let mut kept = 0;
+        for i in 0..self.ops.len() {
+            let row = self.row(i);
+            match self.ops[i] {
                 CmpOp::Ge => {
-                    if extreme(&c.row, true).is_some_and(|mx| mx < 0) {
+                    if hull.extreme(row, true).is_some_and(|mx| mx < 0) {
                         return true;
                     }
-                    if extreme(&c.row, false).is_some_and(|mn| mn >= 0) {
+                    if hull.extreme(row, false).is_some_and(|mn| mn >= 0) {
                         continue; // implied by the hull rows added below
                     }
                 }
                 CmpOp::Eq => {
-                    if extreme(&c.row, true).is_some_and(|mx| mx < 0)
-                        || extreme(&c.row, false).is_some_and(|mn| mn > 0)
+                    if hull.extreme(row, true).is_some_and(|mx| mx < 0)
+                        || hull.extreme(row, false).is_some_and(|mn| mn > 0)
                     {
                         return true;
                     }
                 }
             }
-            kept.push(c);
+            self.move_row(i, kept);
+            kept += 1;
         }
-        self.constraints = kept;
-        for (v, &(lo, hi)) in hull.iter().enumerate() {
-            if let Some(lo) = lo {
-                let mut row = vec![0i64; n + 1];
-                row[v] = 1;
-                row[n] = -lo;
-                self.add(Constraint::ge(row));
-            }
-            if let Some(hi) = hi {
-                let mut row = vec![0i64; n + 1];
-                row[v] = -1;
-                row[n] = hi;
-                self.add(Constraint::ge(row));
+        self.truncate(kept);
+        for v in 0..n {
+            for (sign, bound) in [(1, hull.lo[v].map(|lo| -lo)), (-1, hull.hi[v])] {
+                if let Some(k) = bound {
+                    let _ = self.push_row(CmpOp::Ge, |r| {
+                        r[v] = sign;
+                        r[n] = k;
+                        Some(())
+                    });
+                }
             }
         }
         false
@@ -613,123 +634,106 @@ impl Polyhedron {
     /// feasible even when no integer conflict exists. Applied to a
     /// fixpoint so multi-level linearizations (`N²·i + N·j + k`) peel
     /// one stratum per round.
-    fn split_stratified_equalities(&mut self) {
+    ///
+    /// A round pays for an interval hull only when some equality has two
+    /// strata to split. Returns the hull of the system it leaves when
+    /// the last round computed one and split nothing.
+    fn split_stratified_equalities(&mut self, directed: &mut Directed) -> Option<Hull> {
         let n = self.n_dims;
         for _ in 0..8 {
-            let hull = self.interval_hull();
-            let mut extra: Vec<Constraint> = Vec::new();
-            let mut drop: Vec<usize> = Vec::new();
-            for (i, c) in self.constraints.iter().enumerate() {
-                if c.op != CmpOp::Eq {
-                    continue;
-                }
-                // A dominant coefficient of `i64::MIN` has no `abs`; such
-                // a row is left unsplit.
-                let m = c.row[..n].iter().map(|a| a.unsigned_abs()).max();
-                let Ok(m) = i64::try_from(m.unwrap_or(0)) else {
-                    continue;
+            if !self.constraints().any(|c| strata(c).is_some()) {
+                return None;
+            }
+            let hull = self.interval_hull(directed);
+            // The two halves of every row split this round, side by side.
+            let mut halves: Vec<i64> = Vec::new();
+            let mut kept = 0;
+            for i in 0..self.ops.len() {
+                let c = ConstraintRef {
+                    row: self.row(i),
+                    op: self.ops[i],
                 };
-                if m <= 1 {
-                    continue;
-                }
-                let low: Vec<usize> = (0..n)
-                    .filter(|&v| c.row[v] != 0 && c.row[v] % m != 0)
-                    .collect();
-                if low.is_empty() {
-                    continue;
-                }
-                // Bound L = Σ_low a_v·x_v + k over the interval hull.
-                let (mut l_lo, mut l_hi) = (c.row[n], c.row[n]);
-                let mut bounded = true;
-                for &v in &low {
-                    let a = c.row[v];
-                    let (vlo, vhi) = hull[v];
-                    let (Some(vlo), Some(vhi)) = (vlo, vhi) else {
-                        bounded = false;
-                        break;
-                    };
-                    let (t1, t2) = (a.saturating_mul(vlo), a.saturating_mul(vhi));
-                    l_lo = l_lo.saturating_add(t1.min(t2));
-                    l_hi = l_hi.saturating_add(t1.max(t2));
-                }
-                if !bounded || l_lo <= -m || l_hi >= m {
-                    continue;
-                }
-                // Split: the high-order stratum (divided by m) and the
-                // low-order remainder must each vanish.
-                let mut high_row = vec![0i64; n + 1];
-                let mut low_row = vec![0i64; n + 1];
-                for v in 0..n {
-                    if c.row[v] % m == 0 {
-                        high_row[v] = c.row[v] / m;
-                    } else {
-                        low_row[v] = c.row[v];
+                // Split when the low-order remainder stays inside (-m, m)
+                // over the hull: it and the high-order stratum (divided
+                // by m) must then each vanish.
+                let splits = strata(c).is_some_and(|m| {
+                    let at = halves.len();
+                    let is_high = |a: &i64| a % m == 0;
+                    let high = c.row[..n].iter();
+                    halves.extend(high.map(|a| if is_high(a) { a / m } else { 0 }));
+                    halves.push(0);
+                    let low = c.row[..n].iter();
+                    halves.extend(low.map(|a| if is_high(a) { 0 } else { *a }));
+                    halves.push(c.row[n]);
+                    let l = hull.range(&halves[at + n + 1..]);
+                    let splits = l.is_some_and(|(l_lo, l_hi)| l_lo > -m && l_hi < m);
+                    if !splits {
+                        halves.truncate(at);
                     }
+                    splits
+                });
+                if !splits {
+                    self.move_row(i, kept);
+                    kept += 1;
                 }
-                low_row[n] = c.row[n];
-                extra.push(Constraint::eq(high_row));
-                extra.push(Constraint::eq(low_row));
-                drop.push(i);
             }
-            if extra.is_empty() {
-                return;
+            if halves.is_empty() {
+                return Some(hull);
             }
-            for &i in drop.iter().rev() {
-                self.constraints.remove(i);
-            }
-            for c in extra {
-                self.add(c);
+            self.truncate(kept);
+            for half in halves.chunks_exact(n + 1) {
+                self.push_copy(half, CmpOp::Eq);
             }
         }
+        None
     }
 
     /// Drops inequality rows dominated by another row with identical
-    /// coefficients and a constant at least as tight. Rows are already
-    /// gcd-normalized by [`Polyhedron::add`], so syntactic comparison of
-    /// the coefficient vector is enough. Keeps Fourier–Motzkin blowup in
-    /// check between eliminations.
+    /// coefficients and a tighter constant. Rows are already
+    /// gcd-normalized by [`Polyhedron::push_row`], so syntactic
+    /// comparison of the coefficient vector is enough. Keeps
+    /// Fourier–Motzkin blowup in check between eliminations.
     fn prune_dominated(&mut self) {
-        use std::collections::HashMap;
         let n = self.n_dims;
-        let mut best: HashMap<Vec<i64>, i64> = HashMap::new();
-        for c in &self.constraints {
-            if c.op != CmpOp::Ge {
+        let mut kept = 0;
+        for i in 0..self.ops.len() {
+            // `coeffs·x + k >= 0`: the smaller constant is the tighter
+            // row. The tightest row of a direction is never dropped, so
+            // it is among the rows kept so far or those still to come.
+            let row = self.row(i);
+            let tighter = |j: usize| {
+                let other = self.row(j);
+                self.ops[j] == CmpOp::Ge && other[n] < row[n] && other[..n] == row[..n]
+            };
+            let others = (0..kept).chain(i + 1..self.ops.len());
+            if self.ops[i] == CmpOp::Ge && others.into_iter().any(tighter) {
                 continue;
             }
-            let e = best.entry(c.row[..n].to_vec()).or_insert(c.constant());
-            // `coeffs·x + k >= 0`: the smaller constant is the tighter row.
-            *e = (*e).min(c.constant());
+            self.move_row(i, kept);
+            kept += 1;
         }
-        let mut kept = Vec::with_capacity(self.constraints.len());
-        for c in std::mem::take(&mut self.constraints) {
-            if c.op == CmpOp::Ge && best.get(&c.row[..n]) != Some(&c.constant()) {
-                continue;
-            }
-            kept.push(c);
-        }
-        self.constraints = kept;
+        self.truncate(kept);
     }
 
     fn has_false_constant(&self) -> bool {
-        self.constraints.iter().any(|c| {
-            let n = c.n_dims();
-            c.row[..n].iter().all(|&a| a == 0)
-                && match c.op {
-                    CmpOp::Ge => c.constant() < 0,
-                    CmpOp::Eq => c.constant() != 0,
-                }
-        })
+        self.constraints().any(|c| c.is_false_constant())
     }
 
     /// Substitutes the fixed integer `value` for dimension `d`; the
     /// dimension remains in the space but is pinned by an equality.
     pub fn fix(&self, d: usize, value: i64) -> Polyhedron {
         let mut out = self.clone();
-        let mut row = vec![0; self.n_dims + 1];
-        row[d] = 1;
-        row[self.n_dims] = -value;
-        out.add(Constraint::eq(row));
+        out.pin(d, value);
         out
+    }
+
+    fn pin(&mut self, d: usize, value: i64) {
+        let n = self.n_dims;
+        let _ = self.push_row(CmpOp::Eq, |r| {
+            r[d] = 1;
+            r[n] = -value;
+            Some(())
+        });
     }
 
     /// Lower and upper bound expressions for dimension `d`, read off the
@@ -743,7 +747,7 @@ impl Polyhedron {
     pub fn bounds(&self, d: usize, inner_from: usize) -> DimBounds {
         let mut lower = Vec::new();
         let mut upper = Vec::new();
-        for c in &self.constraints {
+        for c in self.constraints() {
             let a = c.coeff(d);
             if a == 0 {
                 continue;
@@ -755,7 +759,7 @@ impl Polyhedron {
                 );
             }
             // a * x_d + rest OP 0.
-            let mut rest = c.row.clone();
+            let mut rest = c.row.to_vec();
             rest[d] = 0;
             match c.op {
                 CmpOp::Ge if a > 0 => {
@@ -801,38 +805,24 @@ impl Polyhedron {
     /// rows — worthwhile before extracting loop bounds, where every
     /// surviving row becomes a `max`/`min` term in generated code.
     pub fn simplify(&self) -> Polyhedron {
-        let mut kept: Vec<Constraint> = self
-            .constraints
-            .iter()
-            .filter(|c| c.op == CmpOp::Eq)
-            .cloned()
-            .collect();
-        let ineqs: Vec<Constraint> = self
-            .constraints
-            .iter()
-            .filter(|c| c.op == CmpOp::Ge)
-            .cloned()
-            .collect();
-        for (i, c) in ineqs.iter().enumerate() {
+        let of = |op: CmpOp| self.constraints().filter(move |c| c.op == op);
+        let mut kept = Polyhedron::universe(self.n_dims);
+        for c in of(CmpOp::Eq) {
+            kept.push_copy(c.row, c.op);
+        }
+        for (i, c) in of(CmpOp::Ge).enumerate() {
             // System: all equalities + other (not yet dropped) inequalities
             // + ¬c  (i.e. row <= -1). If empty, c is implied.
-            let mut sys = Polyhedron::universe(self.n_dims);
-            for k in &kept {
-                sys.add(k.clone());
+            let mut sys = kept.clone();
+            for o in of(CmpOp::Ge).skip(i + 1) {
+                sys.push_copy(o.row, o.op);
             }
-            for (j, o) in ineqs.iter().enumerate() {
-                if j > i {
-                    sys.add(o.clone());
-                }
-            }
-            if !sys.and_le(&c.row, -1).is_empty() {
-                kept.push(c.clone());
+            sys.add_le(c.row, -1);
+            if !sys.is_empty() {
+                kept.push_copy(c.row, c.op);
             }
         }
-        Polyhedron {
-            n_dims: self.n_dims,
-            constraints: kept,
-        }
+        kept
     }
 
     /// Enumerates every integer point of a *bounded* polyhedron in
@@ -846,6 +836,16 @@ impl Polyhedron {
         out
     }
 
+    /// `self` with `point[..d]` substituted and every dimension after
+    /// `d` projected away: what bounds dimension `d` given the prefix.
+    fn slice_at(&self, d: usize, point: &[i64]) -> Result<Polyhedron, fm::Overflow> {
+        let mut p = self.clone();
+        for (k, &v) in point[..d].iter().enumerate() {
+            p.pin(k, v);
+        }
+        p.project_keep(d + 1, self.n_dims)
+    }
+
     fn enum_rec(&self, d: usize, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
         if d == self.n_dims {
             if self.contains(point) {
@@ -853,14 +853,9 @@ impl Polyhedron {
             }
             return;
         }
-        // Project away dims > d to get bounds on d given point[..d].
-        let mut p = self.clone();
-        for (k, &v) in point[..d].iter().enumerate() {
-            p = p.fix(k, v);
-        }
-        for inner in (d + 1..self.n_dims).rev() {
-            p = p.eliminate(inner).expect("enumerate: coefficient overflow");
-        }
+        let p = self
+            .slice_at(d, point)
+            .expect("enumerate: coefficient overflow");
         if p.has_false_constant() {
             return;
         }
@@ -904,7 +899,7 @@ impl Polyhedron {
 
     fn compute_sample(&self) -> Option<Vec<i64>> {
         // Reading a bound off a row negates it; `i64::MIN` cannot be.
-        if self.constraints.iter().any(|c| c.row.contains(&i64::MIN)) {
+        if self.rows.contains(&i64::MIN) {
             return None;
         }
         let mut point = vec![0i64; self.n_dims];
@@ -919,17 +914,10 @@ impl Polyhedron {
         if d == self.n_dims {
             return self.contains(point);
         }
-        let mut p = self.clone();
-        for (k, &v) in point[..d].iter().enumerate() {
-            p = p.fix(k, v);
-        }
-        for inner in (d + 1..self.n_dims).rev() {
-            // No witness is found through an overflowing projection.
-            let Ok(next) = p.eliminate(inner) else {
-                return false;
-            };
-            p = next;
-        }
+        // No witness is found through an overflowing projection.
+        let Ok(p) = self.slice_at(d, point) else {
+            return false;
+        };
         if p.has_false_constant() {
             return false;
         }
@@ -965,10 +953,182 @@ impl Polyhedron {
     }
 }
 
+/// The dominant coefficient `m` of an equality with two strata: some
+/// terms are multiples of `m > 1` and some are not. Only such a row can
+/// be split by [`Polyhedron::split_stratified_equalities`].
+fn strata(c: ConstraintRef<'_>) -> Option<i64> {
+    if c.op != CmpOp::Eq {
+        return None;
+    }
+    let coeffs = &c.row[..c.n_dims()];
+    // A dominant coefficient of `i64::MIN` has no `abs`; such a row is
+    // left unsplit.
+    let m = coeffs.iter().map(|a| a.unsigned_abs()).max()?;
+    let m = i64::try_from(m).ok().filter(|&m| m > 1)?;
+    coeffs.iter().any(|a| a % m != 0).then_some(m)
+}
+
+/// How the rows of a system use one dimension.
+#[derive(Clone, Copy, Default)]
+struct Uses {
+    /// Inequalities bounding it from below (positive coefficient).
+    lowers: i64,
+    /// Inequalities bounding it from above.
+    uppers: i64,
+    /// Some equality mentions it.
+    eq: bool,
+}
+
+impl Uses {
+    fn mentioned(&self) -> bool {
+        self.eq || self.lowers + self.uppers > 0
+    }
+
+    /// How much eliminating the dimension can grow the system: 0 for one
+    /// handled by equality substitution or absent entirely, otherwise
+    /// the number of lower×upper combinations minus the rows removed.
+    fn elimination_cost(&self) -> i64 {
+        if self.eq {
+            return 0;
+        }
+        self.lowers * self.uppers - self.lowers - self.uppers
+    }
+}
+
+/// A per-dimension interval box; `None` is unbounded on that side.
+struct Hull {
+    lo: Vec<Option<i64>>,
+    hi: Vec<Option<i64>>,
+    /// Propagation reached a fixpoint, not the sweep cap.
+    settled: bool,
+}
+
+impl Hull {
+    /// The maximum (or minimum) of `row` over the box; `None` when some
+    /// mentioned dimension is unbounded on the relevant side.
+    fn extreme(&self, row: &[i64], want_max: bool) -> Option<i64> {
+        let n = self.lo.len();
+        let mut acc = row[n];
+        for (v, &a) in row[..n].iter().enumerate() {
+            if a != 0 {
+                let side = if (a > 0) == want_max {
+                    &self.hi
+                } else {
+                    &self.lo
+                };
+                acc = acc.saturating_add(a.saturating_mul(side[v]?));
+            }
+        }
+        Some(acc)
+    }
+
+    /// The range of `row` over the box; `None` unless every dimension it
+    /// mentions is bounded on both sides.
+    fn range(&self, row: &[i64]) -> Option<(i64, i64)> {
+        let n = self.lo.len();
+        let mut range = (row[n], row[n]);
+        for (v, &a) in row[..n].iter().enumerate() {
+            if a != 0 {
+                let (t1, t2) = (a.saturating_mul(self.lo[v]?), a.saturating_mul(self.hi[v]?));
+                range.0 = range.0.saturating_add(t1.min(t2));
+                range.1 = range.1.saturating_add(t1.max(t2));
+            }
+        }
+        Some(range)
+    }
+}
+
+/// A system as interval propagation reads it: one directed row
+/// `Σ a_v·x_v + k >= 0` per inequality and two per equality, holding
+/// the non-zero terms only — the rows of loop nests and access
+/// functions mention two or three dimensions of ten or twenty. The
+/// buffers are reused from one state of an emptiness proof to the next.
+#[derive(Default)]
+struct Directed {
+    /// `(v, a_v)`, row after row.
+    terms: Vec<(usize, i64)>,
+    /// Per row: where its terms end, and `k`.
+    rows: Vec<(usize, i64)>,
+}
+
+impl Directed {
+    /// Tightens `hull`, a box that contains `p`, by bounds propagation:
+    /// for each row and each variable it mentions, solve the row for
+    /// that variable using the current intervals of the others, and
+    /// tighten. Iterates to a fixpoint (with a cap, since strict
+    /// convergence can be slow on nearly-redundant chains). Sound —
+    /// every interval still contains the true projection — but not
+    /// exact.
+    fn tighten(&mut self, p: &Polyhedron, hull: &mut Hull) {
+        let n = p.n_dims;
+        self.terms.clear();
+        self.rows.clear();
+        for c in p.constraints() {
+            let from = self.terms.len();
+            let terms = c.row[..n].iter().enumerate().filter(|t| *t.1 != 0);
+            self.terms.extend(terms.map(|(v, &a)| (v, a)));
+            let to = self.terms.len();
+            self.rows.push((to, c.row[n]));
+            if c.op == CmpOp::Eq {
+                for i in from..to {
+                    let (v, a) = self.terms[i];
+                    self.terms.push((v, a.saturating_neg()));
+                }
+                let k = c.row[n].saturating_neg();
+                self.rows.push((self.terms.len(), k));
+            }
+        }
+        let (lo, hi) = (&mut hull.lo, &mut hull.hi);
+        hull.settled = false;
+        for _ in 0..(2 * n + 4) {
+            let mut changed = false;
+            let mut from = 0;
+            for &(to, k) in &self.rows {
+                let row = &self.terms[from..to];
+                from = to;
+                // row: Σ a_v·x_v + k >= 0, so for each v with a_v != 0:
+                //   a_v·x_v >= -k - Σ_{u≠v} a_u·x_u >= -k - Σ_{u≠v} max(a_u·x_u).
+                for &(v, a) in row {
+                    let mut others = row.iter().filter(|t| t.0 != v);
+                    let rhs = others.try_fold(k.saturating_neg(), |rhs, &(u, a_u)| {
+                        // Maximum of a_u·x_u over the current interval.
+                        let x = if a_u > 0 { hi[u] } else { lo[u] }?;
+                        Some(rhs.saturating_sub(a_u.saturating_mul(x)))
+                    });
+                    // Saturated magnitudes carry no information (and would
+                    // cascade overflows); treat them as unbounded.
+                    // `unsigned_abs`: a saturated `i64::MIN` has no `abs`.
+                    const HUGE: u64 = i64::MAX as u64 / 4;
+                    let Some(rhs) = rhs.filter(|r| r.unsigned_abs() < HUGE) else {
+                        continue;
+                    };
+                    if a > 0 {
+                        let b = rhs.div_euclid(a) + i64::from(rhs.rem_euclid(a) != 0);
+                        if lo[v].is_none_or(|cur| b > cur) {
+                            lo[v] = Some(b);
+                            changed = true;
+                        }
+                    } else {
+                        let b = rhs.div_euclid(a);
+                        if hi[v].is_none_or(|cur| b < cur) {
+                            hi[v] = Some(b);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                hull.settled = true;
+                break;
+            }
+        }
+    }
+}
+
 impl fmt::Debug for Polyhedron {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Polyhedron({} dims) {{", self.n_dims)?;
-        for c in &self.constraints {
+        for c in self.constraints() {
             writeln!(f, "  {c:?}")?;
         }
         write!(f, "}}")
@@ -1163,6 +1323,47 @@ mod tests {
         assert!(kept.sample().is_none_or(|pt| kept.contains(&pt)));
     }
 
+    /// What callers see of the storage: systems compare and hash row by
+    /// row in insertion order (the memo key), a row already held is not
+    /// added again, an integrally infeasible equality becomes an
+    /// explicitly false row, and an in-place obligation that overflows
+    /// adds nothing.
+    #[test]
+    fn storage_keeps_insertion_order_and_no_duplicate() {
+        use std::collections::HashSet;
+        let rows = |p: &Polyhedron| -> Vec<(Vec<i64>, CmpOp)> {
+            p.constraints().map(|c| (c.row.to_vec(), c.op)).collect()
+        };
+        let t = triangle();
+        let mut again = triangle();
+        again.add(Constraint::ge(vec![3, 0, 2])); // 3i + 2 >= 0 tightens to i >= 0
+        again.add_ge(&[-1, 0, 0], -3); // i <= 3, held
+        assert_eq!(again, t);
+        assert_eq!(rows(&again).len(), 4);
+        let mut reordered = Polyhedron::universe(2);
+        for (row, op) in rows(&t).into_iter().rev() {
+            reordered.add(Constraint { row, op });
+        }
+        assert_ne!(reordered, t);
+        let seen: HashSet<Polyhedron> = [t.clone(), again, reordered].into();
+        assert_eq!(seen.len(), 2);
+        // An equality is not the inequality with the same row.
+        let eq = t.and_eq0(&[1, -1, 0]);
+        assert_eq!(rows(&eq).len(), 5);
+        assert_eq!(rows(&eq.and_eq0(&[2, -2, 0])).len(), 5);
+        // 2i = 2j + 1 has no integer solution: an explicitly false row,
+        // which is recorded each time it is found.
+        let odd = t.and_eq0(&[2, -2, -1]);
+        assert_eq!(rows(&odd)[4], (vec![0, 0, -1], CmpOp::Ge));
+        assert!(odd.is_empty());
+        assert_eq!(rows(&odd.and_eq0(&[4, -4, 2])).len(), 6);
+        let mut dropped = t.clone();
+        dropped.add_le(&[0, 0, i64::MIN], 0);
+        dropped.add_ge(&[1, 0, i64::MIN], 1);
+        dropped.add_le(&[i64::MIN, 0, 0], -1);
+        assert_eq!(dropped, t);
+    }
+
     #[test]
     fn intersect_is_conjunction() {
         let t = triangle();
@@ -1200,7 +1401,7 @@ mod tests {
         p.add(Constraint::eq(vec![1, -1, 0])); // x == y
         p.bound_const(0, 0, 5);
         let sp = p.simplify();
-        assert!(sp.constraints().iter().any(|c| c.op == CmpOp::Eq));
+        assert!(sp.constraints().any(|c| c.op == CmpOp::Eq));
         assert_eq!(sp.enumerate(), p.enumerate());
     }
 

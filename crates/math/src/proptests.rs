@@ -111,3 +111,107 @@ proptest! {
         prop_assert_eq!(fixed, filtered);
     }
 }
+
+/// `lo <= x_d <= hi` for every `(lo, hi)` in `boxes`, one dimension each.
+fn boxed(boxes: &[(i64, i64)]) -> Polyhedron {
+    let mut p = Polyhedron::universe(boxes.len());
+    for (d, &(lo, hi)) in boxes.iter().enumerate() {
+        p.bound_const(d, lo, hi + 1);
+    }
+    p
+}
+
+/// Up to two extra half-planes over `n` dimensions, coefficients in
+/// {-2..2}: what makes two systems of one shape differ.
+fn half_planes(n: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
+    let coeffs = prop::collection::vec(-2i64..=2, n..n + 1);
+    let row = (coeffs, -4i64..=4).prop_map(|(mut row, k)| {
+        row.push(k);
+        row
+    });
+    prop::collection::vec(row, 0..3)
+}
+
+/// Two cells `(i, j)`, `(i', j')` of an `M × N` array at one linearised
+/// address, `N·i + j = N·i' + j'` — the shape whose rational relaxation
+/// mixes the strata — cut by random half-planes.
+fn one_linearised_address() -> impl Strategy<Value = Polyhedron> {
+    (2i64..5, 2i64..6, half_planes(4)).prop_map(|(m, n, extra)| {
+        let mut p = boxed(&[(0, m - 1), (0, n - 1), (0, m - 1), (0, n - 1)]);
+        p.add_eq0(&[n, 1, -n, -1, 0]);
+        extra.iter().for_each(|row| p.add_ge(row, 0));
+        p
+    })
+}
+
+/// The race query of a strided loop: `x` and `y` are two iterations
+/// `s·k` apart along the first dimension (`k >= 1`) whose accesses
+/// `a·v0 + b·v1 + c` meet, with 3 to 5 dimensions in all.
+fn two_copies() -> impl Strategy<Value = Polyhedron> {
+    let access = (-3i64..=3, -3i64..=3, -2i64..=2);
+    (1i64..4, 0usize..3, access, half_planes(5)).prop_map(|(s, inner, (a, b, c), extra)| {
+        // Dimensions: x0, y0, k, then `inner` of x1, y1.
+        let n = 3 + inner.min(2);
+        let mut p = boxed(&[(0, 5), (0, 5), (1, 5), (0, 3), (0, 3)][..n]);
+        let row = |terms: &[(usize, i64)], k: i64| {
+            let mut row = vec![0; n + 1];
+            terms
+                .iter()
+                .filter(|t| t.0 < n)
+                .for_each(|&(d, a)| row[d] = a);
+            row[n] = k;
+            row
+        };
+        p.add_eq0(&row(&[(1, 1), (0, -1), (2, -s)], 0));
+        p.add_eq0(&row(&[(0, a), (1, -a), (3, b), (4, -b)], c));
+        for half_plane in &extra {
+            let terms: Vec<_> = half_plane[..5].iter().copied().enumerate().collect();
+            p.add_ge(&row(&terms, half_plane[5]), 0);
+        }
+        p
+    })
+}
+
+proptest! {
+    /// Never a false proof, on the shapes the certifiers build: a set
+    /// proven empty has no integer point.
+    #[test]
+    fn no_false_proof_over_a_linearised_address(p in one_linearised_address()) {
+        prop_assert!(!p.is_empty() || p.enumerate().is_empty(), "is_empty lied for {p:?}");
+    }
+
+    #[test]
+    fn no_false_proof_over_two_copies(p in two_copies()) {
+        prop_assert!(!p.is_empty() || p.enumerate().is_empty(), "is_empty lied for {p:?}");
+    }
+}
+
+/// Systems the certifiers depend on being *proven* empty: the rational
+/// relaxation of each is feasible, and each needs a different part of
+/// the kernel to see that no integer point is.
+#[test]
+fn certifier_systems_are_proven_empty() {
+    let n = 7;
+    // gemm, doall over `i`: can iterations `i < i'` both touch
+    // `C[N·i + j]`? One stratified-equality split.
+    let mut gemm = boxed(&[(0, 5), (0, n - 1), (0, 5), (0, n - 1), (1, 5)]);
+    gemm.add_eq0(&[-1, 0, 1, 0, -1, 0]); // i' - i = k
+    gemm.add_eq0(&[n, 1, -n, -1, 0, 0]);
+    // Three levels, `N²·i + N·j + k`: one stratum peeled per round.
+    let digits = [(0, n - 1); 6];
+    let mut cube = boxed(&digits);
+    cube.add_eq0(&[n * n, n, 1, -n * n, -n, -1, 0]);
+    cube.add_ge(&[-1, 0, 0, 1, 0, 0, 0], 1); // i' >= i + 1
+                                             // A time-skewed stencil on a pipeline grid: cell `(t', s')` with
+                                             // `t' > t` and `s' < s` is unordered with `(t, s)`; it reads
+                                             // `A[s' - 2t' + 1]` where the other writes `A[s - 2t]`.
+                                             // Dimensions: t, s, t', s', k1, k2.
+    let mut cone = boxed(&[(0, 9), (0, 40), (0, 9), (0, 40), (1, 9), (1, 40)]);
+    cone.add_eq0(&[-1, 0, 1, 0, -1, 0, 0]); // t' - t = k1
+    cone.add_eq0(&[0, -1, 0, 1, 0, 1, 0]); // s' - s = -k2
+    cone.add_eq0(&[-2, 1, 2, -1, 0, 0, -1]); // (s - 2t) - (s' - 2t' + 1) = 0
+    for (name, p) in [("gemm", gemm), ("cube", cube), ("cone", cone)] {
+        assert!(p.is_empty(), "{name} not proven empty: {p:?}");
+        assert!(p.sample().is_none(), "{name}");
+    }
+}

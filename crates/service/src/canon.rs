@@ -78,96 +78,137 @@ pub fn canonical_key(scop: &Scop) -> CanonicalKey {
 /// over all parameter-column permutations (identity only above
 /// [`MAX_PERM_PARAMS`]). Exposed for tests; production callers want
 /// [`canonical_key`].
+///
+/// Under every permutation the rendering is the same sequence of
+/// segments, and a segment's renderings differ only in their numbers,
+/// each followed by a separator, so none is a proper prefix of another:
+/// the smallest whole is found by keeping, segment by segment, the
+/// permutations whose segment is smallest. Usually the first array or
+/// two leave a single one, and a statement is rendered once, not `p!`
+/// times; permutations that survive every segment render identically.
 pub fn canonical_form(scop: &Scop) -> String {
     let p = scop.params.len();
-    let mut best: Option<String> = None;
-    let mut perm: Vec<usize> = (0..p).collect();
-    if p <= MAX_PERM_PARAMS {
-        permute_min(scop, &mut perm, 0, &mut best);
+    // Every permutation of `0..k` with `k` inserted at every place; above
+    // the cap only at the end, which grows the identity alone.
+    let mut candidates: Vec<Vec<usize>> = vec![Vec::new()];
+    for k in 0..p {
+        let first = if p <= MAX_PERM_PARAMS { 0 } else { k };
+        let grown = |perm: &Vec<usize>| {
+            let perm = perm.clone();
+            (first..=k).map(move |at| [&perm[..at], &[k], &perm[at..]].concat())
+        };
+        candidates = candidates.iter().flat_map(grown).collect();
     }
-    match best {
-        Some(s) => s,
-        None => serialize(scop, &perm),
-    }
-}
-
-/// Heap's-style recursive enumeration of parameter permutations, keeping
-/// the minimal serialization.
-fn permute_min(scop: &Scop, perm: &mut Vec<usize>, k: usize, best: &mut Option<String>) {
-    if k == perm.len() {
-        let s = serialize(scop, perm);
-        if best.as_ref().is_none_or(|b| s < *b) {
-            *best = Some(s);
+    let (mut best, mut segment) = (String::new(), String::new());
+    for k in 0..segments(scop) {
+        if candidates.len() == 1 {
+            break;
         }
-        return;
+        let mut smallest = Vec::new();
+        for perm in candidates {
+            segment.clear();
+            push_segment(&mut segment, scop, &perm, k);
+            if smallest.is_empty() || segment < best {
+                smallest.clear();
+                std::mem::swap(&mut best, &mut segment);
+            } else if segment != best {
+                continue;
+            }
+            smallest.push(perm);
+        }
+        candidates = smallest;
     }
-    for i in k..perm.len() {
-        perm.swap(k, i);
-        permute_min(scop, perm, k + 1, best);
-        perm.swap(k, i);
-    }
+    serialize(scop, &candidates[0])
 }
 
 /// Serializes the SCoP structure with parameter columns reordered by
 /// `perm` (`perm[j]` = the original parameter shown in column `j`).
 /// Names never enter the output.
 fn serialize(scop: &Scop, perm: &[usize]) -> String {
-    let p = perm.len();
     let mut out = String::with_capacity(1024);
-    let _ = write!(out, "scop p={p};");
-    // Parameter lower bounds travel with their column.
-    for &orig in perm {
-        let lb = scop.param_lower_bounds.get(orig).copied().unwrap_or(1);
-        let _ = write!(out, "lb{lb};");
-    }
-    for a in &scop.arrays {
-        out.push_str("arr");
-        for dim in &a.dims {
-            push_param_row(&mut out, dim, perm);
-        }
-        let _ = write!(out, "b{};", a.elem_bytes);
-    }
-    for st in &scop.statements {
-        let d = st.dim;
-        let _ = write!(out, "stmt d={d};dom");
-        // Constraint order is not structural: normalize by sorting the
-        // permuted renderings.
-        let mut rows: Vec<String> = st
-            .domain
-            .constraints()
-            .iter()
-            .map(|c| {
-                let mut r = String::new();
-                let _ = write!(r, "{:?}", c.op);
-                push_stmt_row(&mut r, &c.row, d, perm);
-                r
-            })
-            .collect();
-        rows.sort();
-        for r in rows {
-            out.push_str(&r);
-        }
-        let _ = write!(out, "w{}", st.write.array.0);
-        for row in &st.write.map {
-            push_stmt_row(&mut out, row, d, perm);
-        }
-        out.push_str(";body");
-        push_expr(&mut out, &st.body, d, perm);
-        out.push_str(";sch b");
-        for b in &st.schedule.beta {
-            let _ = write!(out, "{b},");
-        }
-        out.push('a');
-        for r in 0..st.schedule.alpha.rows() {
-            push_plain_row(&mut out, st.schedule.alpha.row(r));
-        }
-        out.push('g');
-        for row in &st.schedule.gamma {
-            push_param_row(&mut out, row, perm);
-        }
-        out.push(';');
+    for k in 0..segments(scop) {
+        push_segment(&mut out, scop, perm, k);
     }
     out
+}
+
+/// How many segments [`push_segment`] renders: the header, one per
+/// array, four per statement.
+fn segments(scop: &Scop) -> usize {
+    1 + scop.arrays.len() + 4 * scop.statements.len()
+}
+
+/// Segment `k` of the serialization under `perm`. Each ends in a
+/// separator.
+fn push_segment(out: &mut String, scop: &Scop, perm: &[usize], k: usize) {
+    let Some(k) = k.checked_sub(1) else {
+        let _ = write!(out, "scop p={};", perm.len());
+        // Parameter lower bounds travel with their column.
+        for &orig in perm {
+            let lb = scop.param_lower_bounds.get(orig).copied().unwrap_or(1);
+            let _ = write!(out, "lb{lb};");
+        }
+        return;
+    };
+    let Some(k) = k.checked_sub(scop.arrays.len()) else {
+        let a = &scop.arrays[k];
+        out.push_str("arr");
+        for dim in &a.dims {
+            push_param_row(out, dim, perm);
+        }
+        let _ = write!(out, "b{};", a.elem_bytes);
+        return;
+    };
+    let st = &scop.statements[k / 4];
+    let d = st.dim;
+    match k % 4 {
+        0 => {
+            let _ = write!(out, "stmt d={d};dom");
+            // Constraint order is not structural: normalize by sorting the
+            // permuted renderings.
+            let mut rows: Vec<String> = st
+                .domain
+                .constraints()
+                .map(|c| {
+                    let mut r = String::new();
+                    let _ = write!(r, "{:?}", c.op);
+                    push_stmt_row(&mut r, c.row, d, perm);
+                    r
+                })
+                .collect();
+            rows.sort();
+            for r in rows {
+                out.push_str(&r);
+            }
+        }
+        1 => {
+            let _ = write!(out, "w{}", st.write.array.0);
+            for row in &st.write.map {
+                push_stmt_row(out, row, d, perm);
+            }
+            out.push(';');
+        }
+        2 => {
+            out.push_str("body");
+            push_expr(out, &st.body, d, perm);
+            out.push(';');
+        }
+        _ => {
+            out.push_str("sch b");
+            for b in &st.schedule.beta {
+                let _ = write!(out, "{b},");
+            }
+            out.push('a');
+            for r in 0..st.schedule.alpha.rows() {
+                push_plain_row(out, st.schedule.alpha.row(r));
+            }
+            out.push('g');
+            for row in &st.schedule.gamma {
+                push_param_row(out, row, perm);
+            }
+            out.push(';');
+        }
+    }
 }
 
 /// A row laid out `[params | 1]`: permute the parameter segment.
@@ -277,6 +318,36 @@ mod tests {
     use super::*;
     use polymix_ir::{con, ix, par, ScopBuilder};
     use polymix_polybench::all_kernels;
+
+    /// The definition, by enumeration: every permutation serialized in
+    /// full, the smallest string kept.
+    fn permute_min(scop: &Scop, perm: &mut Vec<usize>, k: usize, best: &mut Option<String>) {
+        if k == perm.len() {
+            let s = serialize(scop, perm);
+            if best.as_ref().is_none_or(|b| s < *b) {
+                *best = Some(s);
+            }
+            return;
+        }
+        for i in k..perm.len() {
+            perm.swap(k, i);
+            permute_min(scop, perm, k + 1, best);
+            perm.swap(k, i);
+        }
+    }
+
+    #[test]
+    fn canonical_form_is_the_brute_force_minimum() {
+        let orders = [[0, 1, 2], [2, 0, 1], [1, 2, 0]];
+        let gemms = orders.map(|o| gemm_like(["NI", "NJ", "NK"], o));
+        let suite = all_kernels().into_iter().map(|k| (k.build)());
+        for scop in suite.chain(gemms) {
+            let mut best = None;
+            let mut perm: Vec<usize> = (0..scop.params.len()).collect();
+            permute_min(&scop, &mut perm, 0, &mut best);
+            assert_eq!(Some(canonical_form(&scop)), best, "{}", scop.name);
+        }
+    }
 
     /// `C[i][j] += A[i][k] * B[k][j]` over (rows, cols, inner) with the
     /// given parameter names and declaration order.

@@ -337,10 +337,10 @@ fn loop_ctx(ctx: &Polyhedron, l: &CLoop, n: usize) -> Polyhedron {
     };
     let mut p = ctx.clone();
     for row in l.lo.exprs.iter().filter_map(minus_dv) {
-        p = p.and_le(&row, 0);
+        p.add_le(&row, 0);
     }
     for row in l.hi.exprs.iter().filter_map(minus_dv) {
-        p = p.and_ge(&row, 0);
+        p.add_ge(&row, 0);
     }
     p
 }
@@ -372,7 +372,7 @@ fn two_copy(
     for (ctx, at) in [(x_ctx, 0), (y_ctx, n)] {
         for c in ctx.constraints() {
             p.add(Constraint {
-                row: lift(&c.row, n, dims, at),
+                row: lift(c.row, n, dims, at),
                 op: c.op,
             });
         }
@@ -385,13 +385,13 @@ fn two_copy(
         row
     };
     for &w in outer {
-        p = p.and_eq0(&form(&[(w, 1), (n + w, -1)]));
+        p.add_eq0(&form(&[(w, 1), (n + w, -1)]));
     }
     for (k, &(var, step, dir)) in cone.iter().enumerate() {
         let k = 2 * n + k;
         // y_v − x_v = step·k, dir·k ≥ 1 (`step > 0`: validated).
-        p = p.and_eq0(&form(&[(n + var, 1), (var, -1), (k, -step)]));
-        p = p.and_ge(&form(&[(k, dir)]), 1);
+        p.add_eq0(&form(&[(n + var, 1), (var, -1), (k, -step)]));
+        p.add_ge(&form(&[(k, dir)]), 1);
     }
     // addr_x(src) − addr_y(dst) = 0.
     let same_address = || {
@@ -403,10 +403,10 @@ fn two_copy(
         row[dims] = xr[n].checked_sub(yr[n])?;
         Some(row)
     };
-    match same_address() {
-        Some(row) => p.and_eq0(&row),
-        None => p,
+    if let Some(row) = same_address() {
+        p.add_eq0(&row);
     }
+    p
 }
 
 /// How the executor would dispatch this loop when `threads > 1` —
@@ -477,8 +477,11 @@ impl<'a> Certifier<'a> {
             CNode::Seq(xs) => xs.iter().for_each(|x| self.walk(x, ctx, dispatch)),
             CNode::Guard(gs, b) => {
                 let guarded = ctx.as_deref().map(|c| {
-                    let rows = gs.iter().filter_map(|g| aff_row(g, self.n));
-                    Rc::new(rows.fold(c.clone(), |p, row| p.and_ge(&row, 0)))
+                    let mut p = c.clone();
+                    for row in gs.iter().filter_map(|g| aff_row(g, self.n)) {
+                        p.add_ge(&row, 0);
+                    }
+                    Rc::new(p)
                 });
                 self.walk(b, &guarded, dispatch);
             }
@@ -555,7 +558,7 @@ impl<'a> Certifier<'a> {
         // (they cannot affect the violated constraint).
         let witness = escape.and_then(|mut escape| {
             for d in 0..self.n {
-                if !escape.constraints().iter().any(|c| c.mentions(d)) {
+                if !escape.constraints().any(|c| c.mentions(d)) {
                     escape = escape.fix(d, 0);
                 }
             }
@@ -662,8 +665,25 @@ impl<'a> Certifier<'a> {
             [_] => format!("distinct iterations of the loop over variable {}", r.l.var),
             _ => "grid cells outside the {(1,0),(0,1)} order cone".to_string(),
         };
-        for &(x, x_ctx) in sites {
-            for &(y, y_ctx) in sites {
+        // The two-copy system of a pair is a function of the two
+        // addresses and the two contexts; array and direction only
+        // decide whether the pair is asked. So sites with the same
+        // address and context form a class, and a pair is answered once
+        // per pair of classes: `None` for no race, else the witness.
+        let mut classes: Vec<(&Site, &Polyhedron)> = Vec::new();
+        let class_of: Vec<usize> = sites
+            .iter()
+            .map(|&(s, ctx)| {
+                let same = |&(t, t_ctx): &(&Site, &Polyhedron)| t.addr == s.addr && t_ctx == ctx;
+                classes.iter().position(same).unwrap_or_else(|| {
+                    classes.push((s, ctx));
+                    classes.len() - 1
+                })
+            })
+            .collect();
+        let mut answers: Vec<Option<Option<String>>> = vec![None; classes.len().pow(2)];
+        for (&(x, x_ctx), &cx) in sites.iter().zip(&class_of) {
+            for (&(y, y_ctx), &cy) in sites.iter().zip(&class_of) {
                 if x.array != y.array
                     || (!x.is_write() && !y.is_write())
                     || skip_array == Some(x.array)
@@ -671,13 +691,20 @@ impl<'a> Certifier<'a> {
                     continue;
                 }
                 self.cert.pairs_checked += 1;
-                let p = two_copy(n, (x, x_ctx), (y, y_ctx), &r.outer, cone);
-                if p.is_empty() {
+                let answer = answers[cx * classes.len() + cy].get_or_insert_with(|| {
+                    let p = two_copy(n, (x, x_ctx), (y, y_ctx), &r.outer, cone);
+                    if p.is_empty() {
+                        return None;
+                    }
+                    Some(match p.sample() {
+                        Some(pt) => {
+                            format!("; witness frames {:?} / {:?}", &pt[..n], &pt[n..2 * n])
+                        }
+                        None => String::new(),
+                    })
+                });
+                let Some(witness) = answer.clone() else {
                     continue;
-                }
-                let witness = match p.sample() {
-                    Some(pt) => format!("; witness frames {:?} / {:?}", &pt[..n], &pt[n..2 * n]),
-                    None => String::new(),
                 };
                 self.violation(
                     kind,
