@@ -53,6 +53,19 @@ echo "$CENSUS"
 echo "$CENSUS" | grep -Eq \
     '^regions: doall [1-9][0-9]* reduction [1-9][0-9]* pipeline [1-9][0-9]* wavefront [1-9][0-9]*$' \
     || { echo "a parallel construct lost all its traffic"; exit 1; }
+# Same idea for the tiling stage: the audit sums what `tile_nest` reported
+# for every nest it tiled. Each of its three forms must still be taken
+# somewhere, and the number of statements left under a loop that was not
+# strip-mined must not rise above the committed one (341 since ISSUE 21;
+# 459 before the sunk form) — lower it here when a change tiles more.
+TILING=$(echo "$VERIFY_OUT" | grep '^tiling: ') \
+    || { echo "static audit printed no tiling census"; exit 1; }
+echo "$TILING"
+echo "$TILING" | grep -Eq \
+    '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* untiled-levels [0-9]+$' \
+    || { echo "a tiling form lost all its traffic"; exit 1; }
+[ "${TILING##* }" -le 341 ] \
+    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 341"; exit 1; }
 # The audit above only ever exits 0; its other two exits are gated here.
 # A kernel name that matches nothing is a usage error (2), not an audit
 # of nothing. And `--strict` on the two kernels with coverage notes

@@ -194,6 +194,7 @@ mod tests {
             scop,
             body,
             n_vars: 1,
+            tiling: Vec::new(),
         }
     }
 

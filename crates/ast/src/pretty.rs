@@ -169,6 +169,7 @@ mod tests {
                 }),
             }),
             n_vars: 1,
+            tiling: Vec::new(),
         };
         let s = render(&prog);
         assert_eq!(s, "parfor i = 0 .. N - 1:\n  S(i)\n");
@@ -212,6 +213,7 @@ mod tests {
                 ),
             }),
             n_vars: 1,
+            tiling: Vec::new(),
         };
         let s = render(&prog);
         assert!(s.contains("max(0, ceil(N - 8, 2))"), "{s}");

@@ -46,43 +46,124 @@ pub fn skew(node: &mut Node, inner_var: usize, outer_var: usize, factor: i64) ->
     }
 }
 
-/// Relaxes a bound expression for use in a *tile* loop: every reference to
-/// a point variable of an outer tiled loop is replaced by the tile-extreme
-/// value that makes the bound cover all point iterations.
-/// `point_to_tile` maps point variable → (tile variable, tile size).
-fn relax_bound(
-    b: &Bound,
-    point_to_tile: &[(usize, usize, i64)],
-    lower: bool,
-) -> Bound {
-    Bound {
-        exprs: b
-            .exprs
-            .iter()
-            .map(|be| {
-                let mut e = be.expr.clone();
-                for &(pv, tv, ts) in point_to_tile {
-                    let c = e.coeff_of(pv);
-                    if c == 0 {
-                        continue;
-                    }
-                    // Lower bounds must be minimized (cover from below);
-                    // upper bounds maximized.
-                    let use_low_end = (c > 0) == lower;
-                    let repl = if use_low_end {
-                        LinExpr::var(tv)
-                    } else {
-                        LinExpr::var(tv).plus(ts - 1)
-                    };
-                    e = e.subst(pv, &repl);
-                }
-                BoundExpr {
-                    expr: e,
-                    denom: be.denom,
-                }
-            })
-            .collect(),
+/// A point loop that a tile loop is hoisted above, as the tile loop's
+/// bounds see it: its variable, and the range to assume for it there.
+#[derive(Clone, Debug)]
+pub struct Crossed {
+    var: usize,
+    lo: Bound,
+    hi: Bound,
+}
+
+impl Crossed {
+    /// The point loop of `tile_var`, somewhere in `[tile_var, tile_var +
+    /// size - 1]`: all that is known of a loop being strip-mined along
+    /// with the one that crosses it.
+    pub fn tile_box(var: usize, tile_var: usize, size: i64) -> Crossed {
+        Crossed {
+            var,
+            lo: Bound::of(LinExpr::var(tile_var)),
+            hi: Bound::of(LinExpr::var(tile_var).plus(size - 1)),
+        }
     }
+
+    /// An existing point loop with its own (clamped) bounds, which say
+    /// more than the box when the loop covers only part of its tile — a
+    /// skewed space loop under a time tile. Falls back to the box when a
+    /// bound is a quotient.
+    pub fn point_loop(l: &Loop, tile_var: usize, size: i64) -> Crossed {
+        let whole = |b: &Bound| b.exprs.iter().all(|be| be.denom == 1);
+        if whole(&l.lo) && whole(&l.hi) {
+            Crossed {
+                var: l.var,
+                lo: l.lo.clone(),
+                hi: l.hi.clone(),
+            }
+        } else {
+            Crossed::tile_box(l.var, tile_var, size)
+        }
+    }
+}
+
+/// Relaxes a bound for use in a *tile* loop: every reference to the
+/// variable of a crossed point loop (outermost first in `crossed`) is
+/// replaced by that loop's extreme values, so the bound covers all point
+/// iterations — a `max` of lower ends or a `min` of upper ends, which is
+/// what a [`Bound`] is.
+fn relax_bound(b: &Bound, crossed: &[Crossed], lower: bool) -> Bound {
+    let mut exprs = b.exprs.clone();
+    // Innermost first: an inner loop's range may mention an outer one.
+    for c in crossed.iter().rev() {
+        exprs = exprs
+            .into_iter()
+            .flat_map(|be| {
+                let k = be.expr.coeff_of(c.var);
+                // Lower bounds must be minimized (cover from below);
+                // upper bounds maximized.
+                let ends = match (k, (k > 0) == lower) {
+                    (0, _) => return vec![be],
+                    (_, true) => &c.lo,
+                    (_, false) => &c.hi,
+                };
+                ends.exprs
+                    .iter()
+                    .map(|end| BoundExpr {
+                        expr: be.expr.subst(c.var, &end.expr),
+                        denom: be.denom,
+                    })
+                    .collect()
+            })
+            .collect();
+    }
+    Bound { exprs }
+}
+
+/// Strip-mines one loop header (its `body` is ignored): returns the tile
+/// loop, which steps by `size` iterations, takes the loop's annotation
+/// and has its bounds relaxed through `crossed`, and the point loop,
+/// clamped to `[tile, tile + size - 1]` and sequential. Both come back
+/// with an empty body for [`nest_under`].
+///
+/// `crossed` lists, outermost first, every point loop the caller will
+/// place *between* the two — the loops the tile loop is hoisted above,
+/// whose variables its bounds may no longer mention.
+pub fn strip_mine(prog: &mut Program, l: &Loop, size: i64, crossed: &[Crossed]) -> (Loop, Loop) {
+    let tv = prog.fresh_var();
+    let tile = Loop {
+        var: tv,
+        name: format!("{}t", l.name),
+        lo: relax_bound(&l.lo, crossed, true),
+        hi: relax_bound(&l.hi, crossed, false),
+        step: size * l.step,
+        par: l.par,
+        body: Node::Seq(vec![]),
+    };
+    let mut lo = l.lo.clone();
+    lo.exprs.push(BoundExpr {
+        expr: LinExpr::var(tv),
+        denom: 1,
+    });
+    let mut hi = l.hi.clone();
+    hi.exprs.push(BoundExpr {
+        expr: LinExpr::var(tv).plus(size - 1),
+        denom: 1,
+    });
+    let point = Loop {
+        var: l.var,
+        name: l.name.clone(),
+        lo,
+        hi,
+        step: l.step,
+        par: Par::Seq,
+        body: Node::Seq(vec![]),
+    };
+    (tile, point)
+}
+
+/// Nests `body` under `headers`, outermost first (each header's own
+/// `body` is replaced).
+pub fn nest_under(headers: impl IntoIterator<Item = Loop, IntoIter: DoubleEndedIterator>, body: Node) -> Node {
+    headers.into_iter().rev().fold(body, |body, l| Node::loop_(Loop { body, ..l }))
 }
 
 /// Tiles the perfect band of `sizes.len()` loops rooted at `node`
@@ -114,84 +195,26 @@ pub fn tile_band(prog: &mut Program, node: Node, sizes: &[i64]) -> Result<Node, 
             format!("band depth {depth} < requested {k}"),
         ));
     }
-    // Collect the k loops.
-    let mut loops: Vec<Loop> = Vec::with_capacity(k);
+    // Strip-mine the k loops outermost first: tile loop j is hoisted
+    // above the point loops of 0..j.
+    let mut crossed: Vec<Crossed> = Vec::with_capacity(k);
+    let (mut tiles, mut points) = (Vec::with_capacity(k), Vec::with_capacity(k));
     let mut cur = node;
-    for _ in 0..k {
-        match cur {
-            Node::Loop(l) => {
-                let l = *l;
-                cur = l.body.clone();
-                loops.push(Loop {
-                    body: Node::Seq(vec![]),
-                    ..l
-                });
-            }
-            // band_depth(node) >= k guarantees k nested loops.
-            _ => {
-                return Err(PolymixError::transform(
-                    "tile_band",
-                    "band ended early at a non-loop node",
-                ))
-            }
-        }
+    for &ts in sizes {
+        // band_depth(node) >= k guarantees k nested loops.
+        let Node::Loop(mut l) = cur else {
+            return Err(PolymixError::transform(
+                "tile_band",
+                "band ended early at a non-loop node",
+            ));
+        };
+        cur = std::mem::replace(&mut l.body, Node::Seq(vec![]));
+        let (tile, point) = strip_mine(prog, &l, ts, &crossed);
+        crossed.push(Crossed::tile_box(l.var, tile.var, ts));
+        tiles.push(tile);
+        points.push(point);
     }
-    let innermost_body = cur;
-
-    // Allocate tile variables.
-    let tile_vars: Vec<usize> = (0..k).map(|_| prog.fresh_var()).collect();
-    let map: Vec<(usize, usize, i64)> = loops
-        .iter()
-        .zip(&tile_vars)
-        .zip(sizes)
-        .map(|((l, &tv), &ts)| (l.var, tv, ts))
-        .collect();
-
-    // Point loops, innermost first.
-    let mut body = innermost_body;
-    for j in (0..k).rev() {
-        let l = &loops[j];
-        let (_, tv, ts) = map[j];
-        let mut lo = l.lo.clone();
-        lo.exprs.push(BoundExpr {
-            expr: LinExpr::var(tv),
-            denom: 1,
-        });
-        let mut hi = l.hi.clone();
-        hi.exprs.push(BoundExpr {
-            expr: LinExpr::var(tv).plus(ts - 1),
-            denom: 1,
-        });
-        body = Node::loop_(Loop {
-            var: l.var,
-            name: l.name.clone(),
-            lo,
-            hi,
-            step: l.step,
-            par: Par::Seq,
-            body,
-        });
-    }
-
-    // Tile loops, innermost first. Bounds of tile loop j may reference the
-    // point variables of loops 0..j: relax them through all outer tiles.
-    for j in (0..k).rev() {
-        let l = &loops[j];
-        let (_, tv, ts) = map[j];
-        let outer_map = &map[..j];
-        let lo = relax_bound(&l.lo, outer_map, true);
-        let hi = relax_bound(&l.hi, outer_map, false);
-        body = Node::loop_(Loop {
-            var: tv,
-            name: format!("{}t", l.name),
-            lo,
-            hi,
-            step: ts * l.step,
-            par: l.par,
-            body,
-        });
-    }
-    Ok(body)
+    Ok(nest_under(tiles, nest_under(points, cur)))
 }
 
 /// Unrolls `loop_node` (a `Loop` with step 1) by `factor` using the
@@ -428,6 +451,7 @@ mod tests {
             scop,
             body,
             n_vars: 2,
+            tiling: Vec::new(),
         }
     }
 
@@ -653,11 +677,11 @@ pub fn tile_imperfect(prog: &mut Program, node: Node, sizes: &[i64]) -> Option<N
     let reps: Vec<(Bound, Bound)> = reps_acc;
     // Map from the unique chain vars to their tile vars for relaxation.
     let tile_vars: Vec<usize> = (0..m).map(|_| prog.fresh_var()).collect();
-    let chain_map: Vec<(usize, usize, i64)> = levels[..m]
+    let chain_map: Vec<Crossed> = levels[..m]
         .iter()
         .enumerate()
         .filter(|(_, lvl)| lvl.len() == 1)
-        .map(|(k, lvl)| (lvl[0].var, tile_vars[k], sizes[k]))
+        .map(|(k, lvl)| Crossed::tile_box(lvl[0].var, tile_vars[k], sizes[k]))
         .collect();
 
     // Clamp every level-k loop in the body.
@@ -809,6 +833,7 @@ mod imperfect_tests {
             scop,
             body,
             n_vars: 3,
+            tiling: Vec::new(),
         }
     }
 
@@ -889,5 +914,175 @@ mod imperfect_tests {
             _ => panic!("expected tile loop"),
         }
         p.body = new;
+    }
+}
+
+#[cfg(test)]
+mod sunk_tests {
+    //! `strip_mine` + `nest_under` composed the way
+    //! `polymix_codegen::opt::tile_nest`'s sunk form composes them: tile
+    //! loops shared, point loops copied into every child and sunk under
+    //! the child's own tile loops.
+    use super::*;
+    use crate::interp::{alloc_arrays, execute};
+    use crate::tree::{Program, StmtNode};
+    use polymix_ir::builder::{ix, par, ScopBuilder};
+    use polymix_ir::Expr;
+
+    fn header(var: usize, name: &str, hi_param: usize) -> Loop {
+        Loop {
+            var,
+            name: name.into(),
+            lo: Bound::con(0),
+            hi: Bound::of(LinExpr::param(hi_param).plus(-1)),
+            step: 1,
+            par: Par::Seq,
+            body: Node::Seq(vec![]),
+        }
+    }
+
+    fn stmt(stmt_idx: usize, vars: &[usize]) -> Node {
+        Node::Stmt(StmtNode {
+            stmt_idx,
+            iter_exprs: vars.iter().map(|&v| LinExpr::var(v)).collect(),
+        })
+    }
+
+    /// The syrk shape, `for i, j { S1: C[i][j] += 1; for k { S2: C[i][j]
+    /// += A[k] } }`: a shallow statement beside a deep one. Any point run
+    /// twice or not at all changes `C`.
+    fn shallow_beside_deep(n: i64, k: i64) -> Program {
+        let mut b = ScopBuilder::new("sbd", &["N", "K"], &[n, k]);
+        let c = b.array("C", &["N", "N"]);
+        let a = b.array("A", &["K"]);
+        b.enter("i", polymix_ir::builder::con(0), par("N"));
+        b.enter("j", polymix_ir::builder::con(0), par("N"));
+        let body = Expr::add(b.rd(c, &[ix("i"), ix("j")]), Expr::Const(1.0));
+        b.stmt("S1", c, &[ix("i"), ix("j")], body);
+        b.enter("k", polymix_ir::builder::con(0), par("K"));
+        let body = Expr::add(b.rd(c, &[ix("i"), ix("j")]), b.rd(a, &[ix("k")]));
+        b.stmt("S2", c, &[ix("i"), ix("j")], body);
+        b.exit();
+        b.exit();
+        b.exit();
+        let scop = b.finish().expect("well-formed SCoP");
+        let deep = nest_under([header(2, "k", 1)], stmt(1, &[0, 1, 2]));
+        let body = nest_under(
+            [header(0, "i", 0), header(1, "j", 0)],
+            Node::Seq(vec![stmt(0, &[0, 1]), deep]),
+        );
+        Program {
+            scop,
+            body,
+            n_vars: 3,
+            tiling: Vec::new(),
+        }
+    }
+
+    fn run(p: &Program, params: &[i64]) -> Vec<Vec<f64>> {
+        let mut arrays = alloc_arrays(&p.scop, params);
+        for (k, x) in arrays[1].iter_mut().enumerate() {
+            *x = (k + 1) as f64;
+        }
+        execute(p, params, &mut arrays);
+        arrays
+    }
+
+    #[test]
+    fn shallow_statement_beside_a_deep_one_runs_once_per_point() {
+        for (n, k) in [(1i64, 1i64), (5, 3), (9, 7), (8, 8)] {
+            let expected = run(&shallow_beside_deep(n, k), &[n, k]);
+            let mut p = shallow_beside_deep(n, k);
+            // i and j strip-mined where they stand; k's tile loop hoisted
+            // above both point loops, in the deep child only.
+            let (it, ip) = strip_mine(&mut p, &header(0, "i", 0), 4, &[]);
+            let (jt, jp) = strip_mine(&mut p, &header(1, "j", 0), 4, &[]);
+            let crossed = [Crossed::tile_box(0, it.var, 4), Crossed::tile_box(1, jt.var, 4)];
+            let (kt, kp) = strip_mine(&mut p, &header(2, "k", 1), 4, &crossed);
+            let shallow = nest_under([ip.clone(), jp.clone()], stmt(0, &[0, 1]));
+            let deep = nest_under([kt, ip, jp, kp], stmt(1, &[0, 1, 2]));
+            p.body = nest_under([it, jt], Node::Seq(vec![shallow, deep]));
+            assert_eq!(run(&p, &[n, k]), expected, "n={n} k={k}");
+            let first = 1.0 + (1..=k).sum::<i64>() as f64;
+            assert_eq!(expected[0][0], first);
+        }
+    }
+
+    #[test]
+    fn hoisted_tile_loop_relaxes_a_triangular_bound_through_the_crossed_point_loop() {
+        // for i { S1; for k in 0..=i { S2 } }: k's tile loop, hoisted above
+        // the point loop of i, must cover every i of the tile.
+        for n in [1i64, 6, 9] {
+            let tri = |p: &mut Program| {
+                if let Node::Loop(i) = &mut p.body {
+                    if let Node::Loop(j) = &mut i.body {
+                        if let Node::Seq(xs) = &mut j.body {
+                            if let Node::Loop(k) = &mut xs[1] {
+                                k.hi = Bound::of(LinExpr::var(0));
+                            }
+                        }
+                    }
+                }
+            };
+            let mut base = shallow_beside_deep(n, n);
+            tri(&mut base);
+            let expected = run(&base, &[n, n]);
+            let mut p = shallow_beside_deep(n, n);
+            let (it, ip) = strip_mine(&mut p, &header(0, "i", 0), 4, &[]);
+            let mut k = header(2, "k", 1);
+            k.hi = Bound::of(LinExpr::var(0));
+            let (kt, kp) = strip_mine(&mut p, &k, 4, &[Crossed::tile_box(0, it.var, 4)]);
+            assert_eq!(kt.hi, Bound::of(LinExpr::var(it.var).plus(3)));
+            let j = header(1, "j", 0);
+            let shallow = nest_under([ip.clone(), j.clone()], stmt(0, &[0, 1]));
+            let deep = nest_under([kt, ip, j, kp], stmt(1, &[0, 1, 2]));
+            p.body = nest_under([it], Node::Seq(vec![shallow, deep]));
+            assert_eq!(run(&p, &[n, n]), expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_crossed_point_loop_lends_the_tile_loop_its_own_range() {
+        // j = max(2t + 1, u) .. min(2t + N - 2, u + 31): a skewed space
+        // loop under a time tile covers part of its box only. k = j + 1 ..
+        // j + N - 2, strip-mined above it, starts where j starts.
+        let (t, u, j, k) = (0, 1, 2, 3);
+        let be = |expr| BoundExpr { expr, denom: 1 };
+        let skew = LinExpr::var(t).scale(2);
+        let mut jl = header(j, "j", 0);
+        jl.lo = Bound {
+            exprs: vec![be(skew.plus(1)), be(LinExpr::var(u))],
+        };
+        jl.hi = Bound {
+            exprs: vec![be(skew.add(&LinExpr::param(0)).plus(-2)), be(LinExpr::var(u).plus(31))],
+        };
+        let mut kl = header(k, "k", 0);
+        kl.lo = Bound::of(LinExpr::var(j).plus(1));
+        kl.hi = Bound::of(LinExpr::var(j).add(&LinExpr::param(0)).plus(-2));
+        let mut p = shallow_beside_deep(4, 4);
+        p.n_vars = 4;
+        let (kt, _) = strip_mine(&mut p, &kl, 32, &[Crossed::point_loop(&jl, u, 32)]);
+        assert_eq!(kt.lo.exprs, [be(skew.plus(2)), be(LinExpr::var(u).plus(1))]);
+        let n2 = LinExpr::param(0).scale(2);
+        assert_eq!(
+            kt.hi.exprs,
+            [be(skew.add(&n2).plus(-4)), be(LinExpr::var(u).add(&LinExpr::param(0)).plus(29))]
+        );
+        // A quotient in the crossed loop's bounds: only the box is known.
+        jl.lo.exprs[0].denom = 2;
+        let (kt, _) = strip_mine(&mut p, &kl, 32, &[Crossed::point_loop(&jl, u, 32)]);
+        assert_eq!(kt.lo, Bound::of(LinExpr::var(u).plus(1)));
+        assert_eq!(kt.hi, Bound::of(LinExpr::var(u).add(&LinExpr::param(0)).plus(29)));
+    }
+
+    #[test]
+    fn strip_mined_tile_loop_takes_the_mark_and_the_point_loop_is_sequential() {
+        let mut p = shallow_beside_deep(6, 6);
+        let mut i = header(0, "i", 0);
+        i.par = Par::Doall;
+        let (tile, point) = strip_mine(&mut p, &i, 4, &[]);
+        assert_eq!((tile.par, tile.step, tile.name.as_str()), (Par::Doall, 4, "it"));
+        assert_eq!((point.par, point.step, point.var), (Par::Seq, 1, 0));
+        assert_eq!(p.n_vars, 4);
     }
 }

@@ -363,9 +363,51 @@ pub struct Program {
     pub body: Node,
     /// Number of loop-variable slots allocated (ids are `0..n_vars`).
     pub n_vars: usize,
+    /// What the tiling stage did, one entry per top-level nest it saw
+    /// (empty for a program that never went through it). A record of
+    /// the optimizer's decision: nothing executes or emits from it.
+    pub tiling: Vec<TileReport>,
+}
+
+/// The form the tiling stage gave one top-level nest
+/// (`polymix_codegen::opt::tile_nest` explains them).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TileForm {
+    /// No loop of the nest was strip-mined.
+    None,
+    /// Perfect chains strip-mined where they stand.
+    Chains,
+    /// A shared outer band tiled jointly by clamping, possibly with
+    /// chains below it.
+    Joint,
+    /// Shared loops strip-mined, their point loops distributed over the
+    /// fused children and sunk under each child's own tile loops.
+    Sunk,
+}
+
+/// Per-nest outcome of the tiling stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TileReport {
+    /// Which form the nest took.
+    pub form: TileForm,
+    /// Statements of the nest left with a loop around them that was not
+    /// strip-mined.
+    pub untiled: usize,
 }
 
 impl Program {
+    /// The same SCoP and variable slots around another loop tree, with
+    /// no tiling record: how a stage asks the certifier about one nest
+    /// of a program it is still building.
+    pub fn with_body(&self, body: Node) -> Program {
+        Program {
+            scop: self.scop.clone(),
+            body,
+            n_vars: self.n_vars,
+            tiling: Vec::new(),
+        }
+    }
+
     /// Allocates a fresh loop-variable slot.
     pub fn fresh_var(&mut self) -> usize {
         self.n_vars += 1;

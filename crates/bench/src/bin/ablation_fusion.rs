@@ -1,8 +1,15 @@
 //! Fusion ablation: the poly+AST flow with Algorithm 5's DL-guided fusion
 //! enabled vs disabled (per-SCC distribution only). Fusion's payoff is
-//! producer–consumer locality (2mm's tmp, 3mm's intermediates), at the
-//! cost of larger per-tile footprints — the trade the DL fusion
-//! profitability test (Sec. III-B2) arbitrates.
+//! producer–consumer locality (2mm's tmp, 3mm's intermediates) and one
+//! parallel region per nest. It used to cost the fused statements a tile
+//! dimension — the shared outer loop was in no band, and `unfused` read
+//! 2× faster on 2mm — until the tiling stage learned to strip-mine shared
+//! loops and sink their point loops into every child (`tile_nest`'s sunk
+//! form, DESIGN §19); what the two columns compare now is the fusion
+//! choice itself, which the DL profitability test (Sec. III-B2)
+//! arbitrates. syrk and fdtd-2d are here for that history: syrk's 1.6×
+//! came from the same tiling gap in both columns, and `fusion: false` on
+//! fdtd-2d once returned a program the certifier rejects.
 
 use polymix_bench::report::{gf, Cli, Table};
 use polymix_bench::runner::{emit_source, Runner};
@@ -17,7 +24,9 @@ fn main() {
     let runner = Runner::new(cli.threads);
     println!("== Fusion ablation (poly+AST with/without Algorithm 5 fusion) ==");
     let mut t = Table::new(&["kernel", "fused GF/s", "unfused GF/s"]);
-    let names = ["2mm", "3mm", "gemm", "gesummv", "atax", "correlation"];
+    let names = [
+        "2mm", "3mm", "gemm", "syrk", "gesummv", "atax", "correlation", "fdtd-2d",
+    ];
     // Both the variant build and the measurement run on sweep workers;
     // per-configuration failures become error cells and the sweep
     // continues with the remaining configurations.

@@ -17,7 +17,12 @@
 //! * without `--backend vm` the emitted sources are the four-thread
 //!   ones and a census of their runtime calls is printed at the end
 //!   (`regions: doall N reduction N pipeline N wavefront N`): a
-//!   construct whose count drops to zero has lost all its traffic;
+//!   construct whose count drops to zero has lost all its traffic; after
+//!   it, a census of what the tiling stage reported for every nest
+//!   (`tiling: joint N chains N sunk N untiled-levels N`, the last being
+//!   the statements left with a loop around them that was not
+//!   strip-mined): a form at zero is a dead path of `tile_nest`, and
+//!   `untiled-levels` going up means statements lost tile coverage;
 //! * `--backend vm` audits the *lowered bytecode* instead of the
 //!   emitted source: each cell is lowered at the dataset's parameters
 //!   and run through the bytecode certifier (bounds proofs plus
@@ -28,6 +33,7 @@
 //! * exit status is 1 iff any audited artifact fails, 2 on a usage
 //!   error.
 
+use polymix_ast::tree::TileForm;
 use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
@@ -109,6 +115,8 @@ fn main() {
 
     let mut failures = 0usize;
     let mut census = [0usize; 4];
+    // Nests per tiling form (joint, chains, sunk), then untiled statements.
+    let mut tiling = [0usize; 4];
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
 
@@ -183,6 +191,15 @@ fn main() {
             // Certificates 1-2: schedule legality and annotation safety
             // re-derived from the final program.
             audit(&label, &verify_program(&prog), strict, &mut failures);
+            for r in &prog.tiling {
+                match r.form {
+                    TileForm::Joint => tiling[0] += 1,
+                    TileForm::Chains => tiling[1] += 1,
+                    TileForm::Sunk => tiling[2] += 1,
+                    TileForm::None => {}
+                }
+                tiling[3] += r.untiled;
+            }
             // Certificate 3: protocol lint over the emitted source.
             let src = emit_source(&k, &prog, &params, 4, 1);
             for (calls, kind) in census.iter_mut().zip(polymix_verify::lint::KINDS) {
@@ -201,6 +218,8 @@ fn main() {
     } else {
         let [d, r, p, w] = census;
         println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
+        let [joint, chains, sunk, untiled] = tiling;
+        println!("tiling: joint {joint} chains {chains} sunk {sunk} untiled-levels {untiled}");
     }
     if failures > 0 {
         println!("verify: {failures} artifact(s) failed");

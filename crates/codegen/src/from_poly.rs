@@ -77,6 +77,7 @@ pub fn generate(scop: &Scop, schedules: &[Schedule]) -> Result<Program, PolymixE
         scop: scop.clone(),
         body: seq_or_single(nodes),
         n_vars: gen.next_var,
+        tiling: Vec::new(),
     })
 }
 

@@ -4,8 +4,8 @@
 //! marking (Sec. IV-A).
 
 use polymix_ast::parallel::{outermost_parallel, LoopParallelism};
-use polymix_ast::transforms;
-use polymix_ast::tree::{Node, Par, Program};
+use polymix_ast::transforms::{self, Crossed};
+use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
 use polymix_deps::{dep_vector, DepElem, Podg};
 use polymix_ir::{Schedule, Scop};
 
@@ -35,12 +35,7 @@ pub fn nest_infos(scop: &Scop, schedules: &[Schedule], podg: &Podg, prog: &Progr
 }
 
 fn nest_info_of(scop: &Scop, schedules: &[Schedule], podg: &Podg, node: &Node) -> NestInfo {
-    let mut stmts = Vec::new();
-    node.visit_stmts(&mut |s| {
-        if !stmts.contains(&s.stmt_idx) {
-            stmts.push(s.stmt_idx);
-        }
-    });
+    let stmts = stmts_of(node);
     let depth = node_depth(node);
     let mut vectors = Vec::new();
     let mut endpoints = Vec::new();
@@ -256,6 +251,12 @@ fn mark_level(node: &mut Node, level: usize, target: usize, par: Par) {
 /// [`repair_jam_mark`]). Callers without dependence information (plain
 /// unroll of dependence-free nests) may pass empty slices, which keeps
 /// every mark.
+///
+/// A point loop that [`tile_nest`]'s sunk form distributed — recognisable
+/// by its copies sharing one variable — keeps its step: the certifier
+/// follows a tile controller through its point loops, and copies unrolled
+/// by different amounts would disagree about where a tile's iterations
+/// sit.
 pub fn register_tile(
     node: &mut Node,
     outer_factor: i64,
@@ -263,16 +264,35 @@ pub fn register_tile(
     vectors: &[(Vec<DepElem>, bool)],
     endpoints: &[(usize, usize)],
 ) {
+    let mut vars: Vec<usize> = Vec::new();
+    node.visit_loops_mut(&mut |l| vars.push(l.var));
+    let distributed: Vec<usize> = vars
+        .iter()
+        .filter(|v| vars.iter().filter(|w| w == v).count() > 1)
+        .copied()
+        .collect();
+    register_tile_in(node, (outer_factor, inner_factor), vectors, endpoints, &distributed);
+}
+
+fn register_tile_in(
+    node: &mut Node,
+    factors: (i64, i64),
+    vectors: &[(Vec<DepElem>, bool)],
+    endpoints: &[(usize, usize)],
+    distributed: &[usize],
+) {
+    let (outer_factor, inner_factor) = factors;
     match node {
         Node::Seq(xs) => xs
             .iter_mut()
-            .for_each(|x| register_tile(x, outer_factor, inner_factor, vectors, endpoints)),
-        Node::Guard(_, b) => register_tile(b, outer_factor, inner_factor, vectors, endpoints),
+            .for_each(|x| register_tile_in(x, factors, vectors, endpoints, distributed)),
+        Node::Guard(_, b) => register_tile_in(b, factors, vectors, endpoints, distributed),
         Node::Loop(l) => {
             // Innermost perfect pair: this loop + single child loop whose
             // body has no loops.
             let is_pair = matches!(&l.body, Node::Loop(inner) if node_depth(&inner.body) == 0);
-            if is_pair && outer_factor > 1 {
+            let rolled = distributed.contains(&l.var);
+            if is_pair && outer_factor > 1 && !rolled {
                 if let Some(jammed) = transforms::unroll_and_jam(l, outer_factor) {
                     if let Node::Loop(mut new_l) = jammed {
                         // Repair the inner mark while the jammed body is
@@ -295,7 +315,7 @@ pub fn register_tile(
                     }
                 }
             }
-            if node_depth(&l.body) == 0 && inner_factor > 1 && l.step == 1 {
+            if node_depth(&l.body) == 0 && inner_factor > 1 && l.step == 1 && !rolled {
                 // Bare innermost loop: plain unroll; on error keep the
                 // rolled loop (the transform is an optimization only).
                 if let Ok(Node::Loop(new_l)) = transforms::unroll(l, inner_factor) {
@@ -303,7 +323,7 @@ pub fn register_tile(
                 }
                 return;
             }
-            register_tile(&mut l.body, outer_factor, inner_factor, vectors, endpoints);
+            register_tile_in(&mut l.body, factors, vectors, endpoints, distributed);
         }
         Node::Stmt(_) => {}
     }
@@ -341,12 +361,9 @@ fn repair_jam_mark(
     if !matches!(inner.par, Par::Doall | Par::Reduction) {
         return;
     }
-    let mut inside: Vec<usize> = Vec::new();
+    let inside = stmts_of(&inner.body);
     let mut dims: Vec<usize> = Vec::new();
     inner.body.visit_stmts(&mut |s| {
-        if !inside.contains(&s.stmt_idx) {
-            inside.push(s.stmt_idx);
-        }
         if !dims.contains(&s.iter_exprs.len()) {
             dims.push(s.iter_exprs.len());
         }
@@ -541,16 +558,31 @@ pub fn tilable_prefix(vectors: &[(Vec<DepElem>, bool)], depth: usize) -> usize {
     m
 }
 
-/// Legality-aware tiling of one nest (Sec. IV-B):
+/// Legality-aware tiling of one nest (Sec. IV-B). Every statement
+/// should end up with its whole permutable band strip-mined; three forms
+/// get it there (DESIGN, "Tiling forms"):
 ///
-/// 1. If the outermost `m = tilable_prefix(...)` levels form a band of
-///    depth ≥ 2, try the *joint* (imperfect-nest capable) tiling first —
-///    this is what gives stencils their time tiles. The first band level
-///    uses `time_tile`, the rest `tile`.
-/// 2. Otherwise (or for the structure below the band) tile every maximal
-///    *perfect* chain of depth ≥ 2 whose levels are dependence-safe.
+/// 1. **joint** — if the outermost `m = tilable_prefix(...)` levels form
+///    a band of depth ≥ 2, the imperfect-nest capable clamping form is
+///    tried first, at the full band and then at shorter prefixes. This is
+///    what gives stencils their time tiles. The first band level uses
+///    `time_tile`, the rest `tile`.
+/// 2. **chains** — below the joint band (or from the root), every maximal
+///    perfect chain whose band is at least two deep and dependence-safe
+///    is strip-mined, tile loops above point loops.
+/// 3. **sunk** — where a chain ends in a `Seq` of sub-nests (a fused
+///    nest), its loops are strip-mined, their point loops distributed
+///    over the children and sunk below each child's own tile loops:
+///    "fuse the tile loops, distribute the point loops". Fusion then
+///    costs no statement a band level. Only done when no dependence runs
+///    from a later child to an earlier one inside a tile, and when some
+///    child reaches a band of depth 3 (see [`Tiler::distributes`]).
 ///
-/// Returns the tiled nest.
+/// `certifies` is asked about a nest that took the sunk form, as a
+/// program of its own; a `false` makes the stage fall back to forms 1–2,
+/// the tree this function produced before the sunk form existed. Appends
+/// the nest's [`TileReport`] to `prog.tiling` and returns the tiled nest.
+#[allow(clippy::too_many_arguments)]
 pub fn tile_nest(
     prog: &mut Program,
     nest: Node,
@@ -559,6 +591,7 @@ pub fn tile_nest(
     depth: usize,
     tile: i64,
     time_tile: i64,
+    certifies: &dyn Fn(&Program) -> bool,
 ) -> Node {
     let m = tilable_prefix(vectors, depth);
     // Try the joint (imperfect-capable) tiling at the full permutable
@@ -566,88 +599,282 @@ pub fn tile_nest(
     // the band blocks the full-depth form (it would be re-executed per
     // tile), but a 2-level joint tiling of, say, a fused (i, j) prefix is
     // still far better than none.
-    for band in (2..=m).rev() {
-        let mut sizes = vec![tile; band];
-        sizes[0] = time_tile;
-        if let Some(mut tiled) = transforms::tile_imperfect(prog, nest.clone(), &sizes) {
-            repair_ctrl_marks(&mut tiled, vectors, endpoints, 0, band, false);
-            // Tile any perfect chains left below the band's point loops.
-            return descend_tile_chains(prog, tiled, vectors, endpoints, 2 * band, band, tile);
-        }
+    let (nest, band) = (2..=m)
+        .rev()
+        .find_map(|band| {
+            let mut sizes = vec![tile; band];
+            sizes[0] = time_tile;
+            let mut tiled = transforms::tile_imperfect(prog, nest.clone(), &sizes)?;
+            repair_ctrl_marks(&mut tiled, vectors, endpoints, band);
+            Some((tiled, band))
+        })
+        .unwrap_or((nest, 0));
+    let attempt = |prog: &mut Program, may_sink: bool| {
+        let mut t = Tiler {
+            prog,
+            vectors,
+            endpoints,
+            tile,
+            joint: Vec::new(),
+            may_sink,
+            chains: false,
+            sunk: false,
+            strips: Vec::new(),
+        };
+        let tiled = t.below_joint(nest.clone(), band);
+        let form = match (t.sunk, band > 0, t.chains) {
+            (true, _, _) => TileForm::Sunk,
+            (_, true, _) => TileForm::Joint,
+            (_, _, true) => TileForm::Chains,
+            _ => TileForm::None,
+        };
+        let untiled = untiled_stmts(&tiled, &t.strips, false);
+        (tiled, TileReport { form, untiled })
+    };
+    let (mut tiled, mut report) = attempt(prog, true);
+    if report.form == TileForm::Sunk && !certifies(&prog.with_body(tiled.clone())) {
+        (tiled, report) = attempt(prog, false);
     }
-    // Fallback: tile perfect chains, checking per-chain legality.
-    tile_chains(prog, nest, vectors, endpoints, 0, tile)
+    prog.tiling.push(report);
+    tiled
 }
 
-/// Recursively tiles maximal perfect chains of depth ≥ 2 starting at
-/// loop level `level`, when the chain's levels are dependence-safe:
-/// every vector that is zero before the chain must be non-negative on the
-/// chain's levels.
-fn tile_chains(
-    prog: &mut Program,
-    node: Node,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    level: usize,
+/// A point loop waiting to be placed: its header, and what a tile loop
+/// hoisted above it may assume about its range.
+#[derive(Clone)]
+struct Point {
+    hdr: Loop,
+    crossed: Crossed,
+}
+
+/// Forms 2 and 3 of [`tile_nest`]: one walk over the nest below the joint
+/// band.
+struct Tiler<'a> {
+    prog: &'a mut Program,
+    vectors: &'a [(Vec<DepElem>, bool)],
+    endpoints: &'a [(usize, usize)],
     tile: i64,
-) -> Node {
-    match node {
-        Node::Seq(xs) => Node::Seq(
-            xs.into_iter()
-                .map(|x| tile_chains(prog, x, vectors, endpoints, level, tile))
-                .collect(),
-        ),
-        Node::Guard(g, b) => Node::Guard(
-            g,
-            Box::new(tile_chains(prog, *b, vectors, endpoints, level, tile)),
-        ),
-        Node::Stmt(s) => Node::Stmt(s),
-        Node::Loop(l) => {
-            let node = Node::Loop(l);
-            let len = transforms::band_depth(&node);
-            let legal = len >= 2 && chain_legal(vectors, endpoints, &node, level, len);
-            if legal {
-                let sizes = vec![tile; len];
-                // Tiling is an optimization: on error keep the chain
-                // untiled rather than aborting the pipeline.
-                if let Ok(mut tiled) = transforms::tile_band(prog, node.clone(), &sizes) {
-                    repair_ctrl_marks(&mut tiled, vectors, endpoints, level, len, true);
-                    return tiled;
-                }
+    /// `(tile variable, size)` of the levels the joint form strip-mined:
+    /// a loop at such a level is already a point loop.
+    joint: Vec<(usize, i64)>,
+    /// Whether form 3 may be used at all.
+    may_sink: bool,
+    chains: bool,
+    sunk: bool,
+    /// Variables of every tile loop and every point loop.
+    strips: Vec<usize>,
+}
+
+impl Tiler<'_> {
+    /// Walks past the `band` joint tile loops, then tiles what is below.
+    fn below_joint(&mut self, node: Node, band: usize) -> Node {
+        match node {
+            Node::Loop(mut l) if band > 0 => {
+                self.joint.push((l.var, l.step));
+                self.strips.push(l.var);
+                l.body = self.below_joint(l.body, band - 1);
+                Node::Loop(l)
             }
-            match node {
-                Node::Loop(mut l) => {
-                    l.body = tile_chains(prog, l.body, vectors, endpoints, level + 1, tile);
-                    Node::Loop(l)
+            other => self.tile_tree(other, 0, Vec::new()),
+        }
+    }
+
+    /// Tiles the subtree `node`, whose loops start at nest level `level`.
+    /// `points` are the point loops of the levels just above it
+    /// (`level - points.len() .. level`) that an enclosing distribution
+    /// handed down: they go directly around this subtree's own point
+    /// loops, below any tile loop made here.
+    fn tile_tree(&mut self, node: Node, level: usize, points: Vec<Point>) -> Node {
+        let chain = transforms::band_depth(&node);
+        if chain == 0 {
+            let inner = match node {
+                Node::Seq(xs) => Node::Seq(
+                    xs.into_iter()
+                        .map(|x| self.tile_tree(x, level, Vec::new()))
+                        .collect(),
+                ),
+                Node::Guard(g, b) => {
+                    Node::Guard(g, Box::new(self.tile_tree(*b, level, Vec::new())))
                 }
                 other => other,
-            }
+            };
+            return transforms::nest_under(points.into_iter().map(|p| p.hdr), inner);
         }
+        let (from, end) = (level - points.len(), level + chain);
+        // Chain levels from `fresh` on are not strip-mined yet.
+        let fresh = level.max(self.joint.len()).min(end);
+        let permutable = chain_legal(self.vectors, self.endpoints, &node, from, end - from);
+        let distributes = permutable && self.distributes(&node, from, fresh, end);
+        // A band is worth strip-mining from depth 2 on; one that reaches
+        // it only through handed-down point loops from depth 3 on, the
+        // bar `distributes` sets for making such bands at all.
+        let worth = end - from >= if points.is_empty() { 2 } else { 3 };
+        let strips = permutable && fresh < end && worth;
+        if !(distributes || strips) {
+            // Nothing to do for the chain as a whole: try it without the
+            // handed-down point loops, or without its first loop.
+            if !points.is_empty() {
+                let inner = self.tile_tree(node, level, Vec::new());
+                return transforms::nest_under(points.into_iter().map(|p| p.hdr), inner);
+            }
+            let Node::Loop(mut l) = node else { return node };
+            if level < self.joint.len() {
+                self.strips.push(l.var);
+            }
+            l.body = self.tile_tree(l.body, level + 1, Vec::new());
+            return Node::Loop(l);
+        }
+        let inside = stmts_of(&node);
+        let mut tiles: Vec<Loop> = Vec::new();
+        let mut points = points;
+        let mut cur = node;
+        for k in level..end {
+            let Node::Loop(mut l) = cur else { break };
+            cur = std::mem::replace(&mut l.body, Node::Seq(Vec::new()));
+            self.strips.push(l.var);
+            if let Some(&(tile_var, size)) = self.joint.get(k) {
+                let crossed = Crossed::point_loop(&l, tile_var, size);
+                points.push(Point { hdr: *l, crossed });
+                continue;
+            }
+            let crossed: Vec<_> = points.iter().map(|p| p.crossed.clone()).collect();
+            let (mut tile, mut point) = transforms::strip_mine(self.prog, &l, self.tile, &crossed);
+            if !tile_safe(self.vectors, self.endpoints, &inside, from, k, l.par) {
+                // The mark stays where its point-granularity argument
+                // holds (a distribution never gets here).
+                point.par = std::mem::replace(&mut tile.par, Par::Seq);
+            }
+            self.strips.push(tile.var);
+            let crossed = Crossed::tile_box(point.var, tile.var, self.tile);
+            points.push(Point { hdr: point, crossed });
+            tiles.push(tile);
+        }
+        let body = match cur {
+            Node::Seq(xs) if distributes => {
+                self.sunk = true;
+                Node::Seq(
+                    distribution_groups(xs)
+                        .into_iter()
+                        .map(|mut g| {
+                            let g = if g.len() == 1 { g.remove(0) } else { Node::Seq(g) };
+                            self.tile_tree(g, end, points.clone())
+                        })
+                        .collect(),
+                )
+            }
+            other => {
+                self.chains = true;
+                let inner = self.tile_tree(other, end, Vec::new());
+                transforms::nest_under(points.into_iter().map(|p| p.hdr), inner)
+            }
+        };
+        transforms::nest_under(tiles, body)
+    }
+
+    /// Whether the chain rooted at `node` (levels `from..end` with the
+    /// handed-down point loops, not yet strip-mined from `fresh` on) ends
+    /// in a `Seq` over which its point loops should be distributed:
+    ///
+    /// * some child must gain from it — reach, with the shared levels, a
+    ///   band of depth 3. A child one loop deep under one shared loop is
+    ///   a matrix–vector product: every matrix element is used once, and
+    ///   strip-mining would only cut its unit-stride stream into pieces;
+    /// * a loop strip-mined here is sequential or a `doall` whose mark
+    ///   survives on the tile loop. A reduction loop stays whole: the
+    ///   emitter tells the arrays a reduction region owns from the ones it
+    ///   privatizes by the region's own variable, and behind a tile loop
+    ///   the owned writes (correlation's `data[c1][c2]`) are indexed by
+    ///   the point loop's — the nest would fall back to sequential code;
+    /// * inside a tile all of one child's iterations run before the next
+    ///   child's, so no dependence still open at `from` may lead from a
+    ///   later child to an earlier one (true of doall prefixes, false of
+    ///   time loops).
+    fn distributes(&self, node: &Node, from: usize, fresh: usize, end: usize) -> bool {
+        let mut last = node;
+        let mut marks = Vec::new();
+        while let Node::Loop(l) = last {
+            marks.push(l.par);
+            last = &l.body;
+        }
+        let Node::Seq(children) = last else { return false };
+        if !self.may_sink || end - from + node_depth(last) < 3 {
+            return false;
+        }
+        let inside = stmts_of(node);
+        let level = end - marks.len();
+        if !(fresh..end).all(|k| match marks[k - level] {
+            Par::Seq => true,
+            Par::Doall => tile_safe(self.vectors, self.endpoints, &inside, from, k, Par::Doall),
+            _ => false,
+        }) {
+            return false;
+        }
+        let members: Vec<Vec<usize>> = distribution_groups(children)
+            .iter()
+            .map(|g| g.iter().flat_map(|c| stmts_of(c)).collect())
+            .collect();
+        let group = |s: usize| members.iter().position(|m| m.contains(&s));
+        self.vectors.iter().zip(self.endpoints).all(|((v, _), &(src, dst))| {
+            match (group(src), group(dst)) {
+                (Some(a), Some(b)) if a > b => carried_before(v, from),
+                _ => true,
+            }
+        })
     }
 }
 
-/// Descends past `skip` loop levels (the freshly created tile loops plus
-/// the clamped band) and tiles perfect chains in the interior; `base` is
-/// the nest level the interior starts at.
-fn descend_tile_chains(
-    prog: &mut Program,
-    node: Node,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    skip: usize,
-    base: usize,
-    tile: i64,
-) -> Node {
-    if skip == 0 {
-        return tile_chains(prog, node, vectors, endpoints, base, tile);
-    }
-    match node {
-        Node::Loop(mut l) => {
-            l.body = descend_tile_chains(prog, l.body, vectors, endpoints, skip - 1, base, tile);
-            Node::Loop(l)
+/// The children of a `Seq`, split the way a distribution treats them:
+/// every sub-nest is a group of its own, every run of loop-free
+/// neighbours one group, which gets one copy of the point loops.
+fn distribution_groups<T: std::borrow::Borrow<Node>>(xs: impl IntoIterator<Item = T>) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = Vec::new();
+    let mut in_run = false;
+    for x in xs {
+        let free = node_depth(x.borrow()) == 0;
+        match out.last_mut() {
+            Some(run) if free && in_run => run.push(x),
+            _ => out.push(vec![x]),
         }
-        other => tile_chains(prog, other, vectors, endpoints, base, tile),
+        in_run = free;
     }
+    out
+}
+
+/// Statement indices occurring under `node`.
+fn stmts_of(node: &Node) -> Vec<usize> {
+    let mut inside: Vec<usize> = Vec::new();
+    node.visit_stmts(&mut |s| {
+        if !inside.contains(&s.stmt_idx) {
+            inside.push(s.stmt_idx);
+        }
+    });
+    inside
+}
+
+/// Statements of `node` with a loop around them that is neither a tile
+/// loop nor a point loop (`strips` holds the variables of those).
+fn untiled_stmts(node: &Node, strips: &[usize], under_untiled: bool) -> usize {
+    match node {
+        Node::Seq(xs) => xs.iter().map(|x| untiled_stmts(x, strips, under_untiled)).sum(),
+        Node::Guard(_, b) => untiled_stmts(b, strips, under_untiled),
+        Node::Loop(l) => untiled_stmts(&l.body, strips, under_untiled || !strips.contains(&l.var)),
+        Node::Stmt(_) => usize::from(under_untiled),
+    }
+}
+
+/// True when the dependence is certainly carried by one of the levels
+/// before `from`: those loops stay around everything a rewrite at `from`
+/// moves, so it constrains nothing there.
+fn carried_before(v: &[DepElem], from: usize) -> bool {
+    for e in &v[..from.min(v.len())] {
+        if e.is_positive() {
+            return true;
+        }
+        if !e.is_nonneg() {
+            return false;
+        }
+    }
+    false
 }
 
 /// Legality of tiling the chain rooted at `node`: only dependences whose
@@ -661,12 +888,7 @@ fn chain_legal(
     from: usize,
     len: usize,
 ) -> bool {
-    let mut inside: Vec<usize> = Vec::new();
-    node.visit_stmts(&mut |s| {
-        if !inside.contains(&s.stmt_idx) {
-            inside.push(s.stmt_idx);
-        }
-    });
+    let inside = stmts_of(node);
     vectors.iter().zip(endpoints).all(|((v, _), &(src, dst))| {
         if !inside.contains(&src) || !inside.contains(&dst) {
             return true; // endpoint outside the chain: ordered elsewhere
@@ -679,82 +901,225 @@ fn chain_legal(
     })
 }
 
-/// Post-tiling repair of migrated parallel marks.
+/// Whether a tile loop made from the loop at nest level `dim` may keep
+/// that loop's annotation.
 ///
-/// `tile_band` / `tile_imperfect` move a point loop's annotation onto its
+/// `strip_mine` / `tile_imperfect` move a point loop's annotation onto its
 /// new tile controller, but point-level legality does not imply
 /// tile-granularity legality: a dependence carried by a *deeper* point
 /// level no longer orders cross-tile pairs, because that point loop now
 /// runs inside each tile task. (Pre-tiling, `doall` at level `d` may be
 /// justified by a carry at some sequential level `i < d`; after tiling,
 /// point level `i` sits *below* controller `d` and the discharge
-/// evaporates.) A controller at band dimension `from + j` may keep
-/// `Doall`/`Reduction` only when every dependence between statements of
-/// the tiled subtree that is not carried outside the band is zero at that
-/// dimension — reduction self-updates excepted for `Reduction`, which
+/// evaporates.) A controller may keep `Doall`/`Reduction` only when every
+/// dependence between the statements `inside` the tiled subtree that is
+/// not carried before level `from` — where the band starts — is zero at
+/// `dim`; reduction self-updates excepted for `Reduction`, which
 /// privatizes its accumulator per worker.
-///
-/// Demoted controllers fall back to sequential; with `restore_points`
-/// (perfect `tile_band` chains) the mark is re-applied to the matching
-/// point loop, where the original point-granularity argument still holds.
+fn tile_safe(
+    vectors: &[(Vec<DepElem>, bool)],
+    endpoints: &[(usize, usize)],
+    inside: &[usize],
+    from: usize,
+    dim: usize,
+    par: Par,
+) -> bool {
+    let exempt_reductions = match par {
+        Par::Doall => false,
+        Par::Reduction => true,
+        _ => return true,
+    };
+    vectors.iter().zip(endpoints).all(|((v, red), (src, dst))| {
+        !inside.contains(src)
+            || !inside.contains(dst)
+            || !v[..from.min(v.len())].iter().all(|e| e.is_zero())
+            || (exempt_reductions && *red)
+            || v.get(dim).copied().unwrap_or(DepElem::Const(0)).is_zero()
+    })
+}
+
+/// Post-tiling repair of the marks `tile_imperfect` moved onto the `band`
+/// joint tile loops at the root of `node`: a controller that is not
+/// [`tile_safe`] falls back to sequential.
 fn repair_ctrl_marks(
     node: &mut Node,
     vectors: &[(Vec<DepElem>, bool)],
     endpoints: &[(usize, usize)],
-    from: usize,
     band: usize,
-    restore_points: bool,
 ) {
-    let mut inside: Vec<usize> = Vec::new();
-    node.visit_stmts(&mut |s| {
-        if !inside.contains(&s.stmt_idx) {
-            inside.push(s.stmt_idx);
-        }
-    });
-    let relevant: Vec<(&[DepElem], bool)> = vectors
-        .iter()
-        .zip(endpoints)
-        .filter(|(_, (src, dst))| inside.contains(src) && inside.contains(dst))
-        .map(|((v, red), _)| (v.as_slice(), *red))
-        .filter(|(v, _)| v[..from.min(v.len())].iter().all(|e| e.is_zero()))
-        .collect();
+    let inside = stmts_of(node);
     let mut cur = &mut *node;
-    let mut saved: Vec<(usize, Par)> = Vec::new();
-    for j in 0..band {
+    for d in 0..band {
         let Node::Loop(l) = cur else { return };
-        let d = from + j;
-        let zero_at = |exempt_reductions: bool| {
-            relevant.iter().all(|(v, red)| {
-                (exempt_reductions && *red)
-                    || v.get(d).copied().unwrap_or(DepElem::Const(0)).is_zero()
-            })
-        };
-        let tile_safe = match l.par {
-            Par::Doall => zero_at(false),
-            Par::Reduction => zero_at(true),
-            _ => true,
-        };
-        if !tile_safe {
-            saved.push((j, l.par));
+        if !tile_safe(vectors, endpoints, &inside, 0, d, l.par) {
             l.par = Par::Seq;
-        }
-        cur = &mut l.body;
-    }
-    if !restore_points || saved.is_empty() {
-        return;
-    }
-    // `cur` now sits at the first point loop; band dimension `j`'s point
-    // loop is `j` levels further down the perfect chain.
-    let mut j = 0usize;
-    while let Node::Loop(l) = cur {
-        if let Some(&(_, p)) = saved.iter().find(|(k, _)| *k == j) {
-            l.par = p;
-        }
-        j += 1;
-        if j >= band {
-            return;
         }
         cur = &mut l.body;
     }
 }
 
+#[cfg(test)]
+mod tiling_tests {
+    use super::*;
+    use crate::from_poly::original_program;
+    use polymix_ast::interp::{alloc_arrays, execute};
+    use polymix_deps::build_podg;
+    use polymix_ir::builder::{con, ix, par, ScopBuilder};
+    use polymix_ir::{Expr, Scop};
+
+    /// `for i { for j: T[i][j] = 0;  for k, j: T[i][j] += A[i][k] * B[k][j] }`
+    /// — gemm as the affine stage fuses it: `i` is shared and carries
+    /// nothing.
+    fn fused_gemm() -> Scop {
+        let mut b = ScopBuilder::new("fg", &["N"], &[9]);
+        let t = b.array("T", &["N", "N"]);
+        let a = b.array("A", &["N", "N"]);
+        let bb = b.array("B", &["N", "N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        b.stmt("Z", t, &[ix("i"), ix("j")], Expr::Const(0.0));
+        b.exit();
+        b.enter("k", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        let prod = Expr::mul(b.rd(a, &[ix("i"), ix("k")]), b.rd(bb, &[ix("k"), ix("j")]));
+        let body = Expr::add(b.rd(t, &[ix("i"), ix("j")]), prod);
+        b.stmt("S", t, &[ix("i"), ix("j")], body);
+        b.exit();
+        b.exit();
+        b.exit();
+        b.finish().expect("well-formed SCoP")
+    }
+
+    /// `for i { for j: B[i][j] = A[i-1][j];  for k, j: A[i][j] += B[i][k] }`
+    /// — the later child feeds the earlier one at the next `i`.
+    fn backward_cross_child() -> Scop {
+        let mut b = ScopBuilder::new("bw", &["N"], &[9]);
+        b.assume_params_at_least(2);
+        let a = b.array("A", &["N", "N"]);
+        let bb = b.array("B", &["N", "N"]);
+        b.enter("i", con(1), par("N"));
+        b.enter("j", con(0), par("N"));
+        let body = b.rd(a, &[ix("i") - con(1), ix("j")]);
+        b.stmt("P", bb, &[ix("i"), ix("j")], body);
+        b.exit();
+        b.enter("k", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        let body = Expr::add(b.rd(a, &[ix("i"), ix("j")]), b.rd(bb, &[ix("i"), ix("k")]));
+        b.stmt("Q", a, &[ix("i"), ix("j")], body);
+        b.exit();
+        b.exit();
+        b.exit();
+        b.finish().expect("well-formed SCoP")
+    }
+
+    fn run(prog: &Program, n: i64) -> Vec<Vec<f64>> {
+        let mut arrays = alloc_arrays(&prog.scop, &[n]);
+        for (a, arr) in arrays.iter_mut().enumerate() {
+            for (k, x) in arr.iter_mut().enumerate() {
+                *x = ((k * 7 + a * 3) % 11) as f64;
+            }
+        }
+        execute(prog, &[n], &mut arrays);
+        arrays
+    }
+
+    /// Marks and tiles the SCoP's one nest with 4-wide tiles.
+    fn tiled(scop: &Scop, certifies: &dyn Fn(&Program) -> bool) -> Program {
+        let podg = build_podg(scop);
+        let schedules: Vec<_> = scop.statements.iter().map(|s| s.schedule.clone()).collect();
+        let mut prog = original_program(scop).expect("original program");
+        let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
+        let mut nest = prog.body.clone();
+        mark_parallelism(&mut nest, &info.vectors, info.depth, false);
+        prog.body = tile_nest(
+            &mut prog,
+            nest,
+            &info.vectors,
+            &info.endpoints,
+            info.depth,
+            4,
+            4,
+            certifies,
+        );
+        prog
+    }
+
+    /// Loops around each statement, outermost first, as `(step, par)`.
+    fn paths(node: &Node, above: &mut Vec<(i64, Par)>, out: &mut Vec<(usize, Vec<(i64, Par)>)>) {
+        match node {
+            Node::Seq(xs) => xs.iter().for_each(|x| paths(x, above, out)),
+            Node::Guard(_, b) => paths(b, above, out),
+            Node::Loop(l) => {
+                above.push((l.step, l.par));
+                paths(&l.body, above, out);
+                above.pop();
+            }
+            Node::Stmt(s) => out.push((s.stmt_idx, above.clone())),
+        }
+    }
+
+    #[test]
+    fn a_doall_prefix_is_strip_mined_and_its_point_loop_sunk_into_each_child() {
+        let scop = fused_gemm();
+        let prog = tiled(&scop, &|_| true);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1 }]);
+        let mut found = Vec::new();
+        paths(&prog.body, &mut Vec::new(), &mut found);
+        // Z: it { i { j } } — its own loop stays whole, a band of 2 is
+        // not worth a distribution.  S: it { kt, jt { i, k, j } }.
+        assert_eq!(found[0].1, [(4, Par::Doall), (1, Par::Seq), (1, Par::Seq)]);
+        let steps: Vec<i64> = found[1].1.iter().map(|(s, _)| *s).collect();
+        assert_eq!(steps, [4, 4, 4, 1, 1, 1]);
+        assert_eq!(found[1].1[0].1, Par::Doall);
+        let reference = original_program(&scop).expect("original program");
+        for n in [1, 3, 4, 9, 10] {
+            assert_eq!(run(&prog, n), run(&reference, n), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_backward_dependence_between_children_keeps_the_shared_loop_whole() {
+        let scop = backward_cross_child();
+        let prog = tiled(&scop, &|_| panic!("no sunk nest to ask about"));
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2 }]);
+        let Node::Loop(i) = &prog.body else { panic!("nest root is the shared loop") };
+        assert_eq!((i.step, i.name.as_str()), (1, "c1"));
+        let reference = original_program(&scop).expect("original program");
+        for n in [2, 5, 9] {
+            assert_eq!(run(&prog, n), run(&reference, n), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_sunk_nest_the_certifier_refuses_falls_back_to_chains() {
+        let scop = fused_gemm();
+        let asked = std::cell::Cell::new(0);
+        let prog = tiled(&scop, &|p| {
+            asked.set(asked.get() + 1);
+            assert_eq!(p.body.count_stmts(), 2);
+            false
+        });
+        assert_eq!(asked.get(), 1);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2 }]);
+        let reference = original_program(&scop).expect("original program");
+        assert_eq!(run(&prog, 9), run(&reference, 9));
+    }
+
+    #[test]
+    fn register_tiling_leaves_the_copies_of_a_distributed_point_loop_in_step() {
+        let scop = fused_gemm();
+        let mut prog = tiled(&scop, &|_| true);
+        let mut body = prog.body.clone();
+        register_tile(&mut body, 2, 2, &[], &[]);
+        prog.body = body;
+        let mut i_steps = Vec::new();
+        prog.body.visit_loops_mut(&mut |l| {
+            if l.name == "c1" {
+                i_steps.push(l.step);
+            }
+        });
+        assert_eq!(i_steps, [1, 1]);
+        let reference = original_program(&scop).expect("original program");
+        assert_eq!(run(&prog, 9), run(&reference, 9));
+    }
+}

@@ -1,10 +1,10 @@
 //! The end-to-end poly+AST flow (Algorithm 1).
 
 use crate::affine::affine_stage_with;
-use polymix_ast::tree::{Node, Program};
+use polymix_ast::tree::{Node, Par, Program};
 use polymix_codegen::from_poly::generate;
 use polymix_codegen::opt::{
-    mark_parallelism, nest_infos, register_tile, skew_nest_for_tilability, tile_nest,
+    mark_parallelism, nest_infos, node_depth, register_tile, skew_nest_for_tilability, tile_nest,
 };
 use polymix_deps::build_podg;
 use polymix_dl::Machine;
@@ -92,6 +92,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
             ),
         ));
     }
+    let certifies = |p: &Program| polymix_verify::certify(p).is_ok();
     let mut out = Vec::with_capacity(tops.len());
     for (mut nest, info) in tops.into_iter().zip(&infos) {
         // Stage 2: skewing for tilability (AST-level). A failed attempt
@@ -126,11 +127,27 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                 info.depth,
                 opts.tile,
                 opts.time_tile,
+                // Asked where the finished program is certified too, in
+                // debug builds; a release build goes by the stage's own
+                // dependence test (asking cost `compile` 10 % of a pass).
+                &|p| !cfg!(debug_assertions) || certifies(p),
             );
         }
         // Stage 5: intra-tile optimizations (register tiling).
         if opts.unroll.0 > 1 || opts.unroll.1 > 1 {
             register_tile(&mut nest, opts.unroll.0, opts.unroll.1, &vectors, &info.endpoints);
+        }
+        // A pipeline loop left over several sub-nests runs them as phases
+        // of each step. Whether the await cone covers every dependence
+        // between phases is the certifier's model, not something the
+        // vectors of stage 3 can say: ask, and on a no run the nest
+        // sequentially.
+        if phased_pipeline(&nest) && !certifies(&prog.with_body(nest.clone())) {
+            nest.visit_loops_mut(&mut |l| {
+                if l.par == Par::Pipeline {
+                    l.par = Par::Seq;
+                }
+            });
         }
         out.push(nest);
     }
@@ -147,11 +164,27 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
     Ok(prog)
 }
 
+/// True when some pipeline loop's body is a sequence with more than one
+/// sub-nest in it.
+fn phased_pipeline(node: &Node) -> bool {
+    match node {
+        Node::Seq(xs) => xs.iter().any(phased_pipeline),
+        Node::Guard(_, b) => phased_pipeline(b),
+        Node::Loop(l) => {
+            let phases = match &l.body {
+                Node::Seq(xs) => xs.iter().filter(|x| node_depth(x) > 0).count(),
+                _ => 0,
+            };
+            (l.par == Par::Pipeline && phases > 1) || phased_pipeline(&l.body)
+        }
+        Node::Stmt(_) => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use polymix_ast::interp::execute;
-    use polymix_ast::tree::Par;
     use polymix_polybench::{all_kernels, kernel_by_name};
 
     fn opts_small() -> PolyAstOptions {
@@ -252,6 +285,104 @@ mod tests {
                 }
             });
             assert!(found, "{name}: no doall parallelism found");
+        }
+    }
+
+    /// Visits every statement with the loops around it, outermost first.
+    fn each_stmt_path<'a>(
+        node: &'a Node,
+        above: &mut Vec<&'a polymix_ast::tree::Loop>,
+        f: &mut impl FnMut(&polymix_ast::tree::StmtNode, &[&'a polymix_ast::tree::Loop]),
+    ) {
+        match node {
+            Node::Seq(xs) => xs.iter().for_each(|x| each_stmt_path(x, above, f)),
+            Node::Guard(_, b) => each_stmt_path(b, above, f),
+            Node::Loop(l) => {
+                above.push(l);
+                each_stmt_path(&l.body, above, f);
+                above.pop();
+            }
+            Node::Stmt(s) => f(s, above),
+        }
+    }
+
+    /// Fusion must not cost a statement its tile: in the fused BLAS-3
+    /// nests every three-deep statement sits under three tile loops, and
+    /// the tile loop the nest's children share is the parallel one.
+    #[test]
+    fn fused_blas3_statements_keep_their_whole_band() {
+        use polymix_ast::tree::TileForm;
+        for name in ["2mm", "3mm", "gemm", "syrk"] {
+            let k = kernel_by_name(name).unwrap();
+            let prog = optimize_poly_ast(&(k.build)(), &PolyAstOptions::default()).expect("optimize");
+            assert!(
+                prog.tiling.iter().all(|r| r.form == TileForm::Sunk),
+                "{name}: {:?}",
+                prog.tiling
+            );
+            let mut deep = 0;
+            each_stmt_path(&prog.body, &mut Vec::new(), &mut |s, above| {
+                let tiles = above.iter().filter(|l| l.step == 32).count();
+                assert_eq!(above[0].par, Par::Doall, "{name}: outermost loop of {above:?}");
+                assert_eq!(above[0].step, 32, "{name}: outermost loop is a tile loop");
+                if s.iter_exprs.len() == 3 {
+                    deep += 1;
+                    assert_eq!((tiles, above.len()), (3, 6), "{name}: statement {}", s.stmt_idx);
+                }
+            });
+            assert!(deep >= 1, "{name}");
+        }
+    }
+
+    /// ISSUE 21, satellite 1: below a joint band the chains used to be
+    /// tiled one level too deep, and the point loop of the band's last
+    /// level was strip-mined a second time (`c2 = max(.., u1t, c2t)`).
+    #[test]
+    fn no_loop_level_is_strip_mined_twice() {
+        for name in ["fdtd-2d", "jacobi-2d-imper", "jacobi-1d-imper", "seidel-2d", "doitgen", "syrk"] {
+            let k = kernel_by_name(name).unwrap();
+            let opts = PolyAstOptions {
+                time_tile: 5,
+                ..Default::default()
+            };
+            let prog = optimize_poly_ast(&(k.build)(), &opts).expect("optimize");
+            each_stmt_path(&prog.body, &mut Vec::new(), &mut |_, above| {
+                for (d, l) in above.iter().enumerate() {
+                    let clamps = l
+                        .lo
+                        .exprs
+                        .iter()
+                        .filter(|be| {
+                            above[..d]
+                                .iter()
+                                .any(|t| t.step > 1 && be.expr == polymix_ast::tree::LinExpr::var(t.var))
+                        })
+                        .count();
+                    assert!(clamps <= 1, "{name}: loop {} is clamped by {clamps} tile loops", l.name);
+                }
+            });
+        }
+    }
+
+    /// ISSUE 21, satellite 2: with fusion off, fdtd-2d's time loop runs
+    /// four sub-nests as phases and its await cone does not cover the
+    /// dependence from the last phase back to the second. Release builds
+    /// used to return that program; the flow now asks the certifier and
+    /// runs the nest sequentially.
+    #[test]
+    fn an_uncovered_phased_pipeline_is_demoted() {
+        let k = kernel_by_name("fdtd-2d").unwrap();
+        for tiling in [true, false] {
+            let opts = PolyAstOptions {
+                fusion: false,
+                tiling,
+                time_tile: 5,
+                ..Default::default()
+            };
+            let prog = optimize_poly_ast(&(k.build)(), &opts).expect("optimize");
+            assert!(polymix_verify::certify(&prog).is_ok());
+            let mut body = prog.body.clone();
+            body.visit_loops_mut(&mut |l| assert_ne!(l.par, Par::Pipeline));
         }
     }
 

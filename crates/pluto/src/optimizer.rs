@@ -106,6 +106,9 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
                 info.depth,
                 opts.tile,
                 opts.time_tile,
+                // Asked in debug builds, like the certification of the
+                // finished program below.
+                &|p| !cfg!(debug_assertions) || polymix_verify::certify(p).is_ok(),
             );
             m
         } else {

@@ -94,6 +94,7 @@ mod tests {
             scop,
             body,
             n_vars: 1,
+            tiling: Vec::new(),
         }
     }
 
@@ -169,6 +170,7 @@ mod tests {
             scop,
             body,
             n_vars: 1,
+            tiling: Vec::new(),
         };
         let vm = lower(&p, &[64]).expect("lowers");
         let mut arrays = alloc_arrays(&p.scop, &[64]);
@@ -228,6 +230,7 @@ mod tests {
             scop,
             body,
             n_vars: 2,
+            tiling: Vec::new(),
         }
     }
 
@@ -414,6 +417,7 @@ mod tests {
                     }),
                 }),
                 n_vars: 1,
+                tiling: Vec::new(),
             }
         };
         let mut vm = lower(&p, &[16]).expect("lowers");

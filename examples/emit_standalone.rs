@@ -14,14 +14,7 @@ use polymix::polybench::kernel_by_name;
 fn main() {
     let kernel = kernel_by_name("gemm").unwrap();
     let scop = (kernel.build)();
-    let prog = match optimize_poly_ast(
-        &scop,
-        &PolyAstOptions {
-            tile: 32,
-            unroll: (2, 2),
-            ..Default::default()
-        },
-    ) {
+    let prog = match optimize_poly_ast(&scop, &PolyAstOptions::default()) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("gemm failed to optimize: {e}");

@@ -9,21 +9,26 @@ use polymix_bench::runner::Runner;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_polybench::kernel_by_name;
 
-fn runner() -> Runner {
+fn runner(threads: usize) -> Runner {
     Runner {
         work_dir: std::env::temp_dir().join("polymix-par-tests"),
-        threads: 4, // oversubscribed on small hosts: still exercises sync
+        threads,
         reps: 1,
         rustc_flags: vec!["-O".into()],
-        ..Runner::new(4)
+        ..Runner::new(threads)
     }
 }
 
 fn check(kernel: &str, variant: Variant, tolerance: f64) {
+    // Oversubscribed on small hosts: still exercises sync.
+    check_at(kernel, variant, tolerance, 4)
+}
+
+fn check_at(kernel: &str, variant: Variant, tolerance: f64, threads: usize) {
     let k = kernel_by_name(kernel).unwrap();
     let machine = Machine::nehalem();
     let params = k.dataset("small").params;
-    let r = runner();
+    let r = runner(threads);
     let native = build_variant(&k, Variant::Native, &machine).expect("native variant");
     let base = r
         .run(&k, &native, &params, &format!("{kernel}_native"))
@@ -49,6 +54,16 @@ fn doall_threads_gemm() {
 #[test]
 fn doall_threads_3mm() {
     check("3mm", Variant::PolyAst, 1e-12);
+}
+
+/// The sunk tiling form: one `doall` over the tile loop the fused
+/// children share, each worker running every child's tiles for its
+/// block of rows.
+#[test]
+fn doall_threads_over_shared_tile_loops() {
+    for kernel in ["2mm", "3mm", "gemm", "syrk"] {
+        check_at(kernel, Variant::PolyAst, 1e-12, 2);
+    }
 }
 
 #[test]

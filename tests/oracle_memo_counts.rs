@@ -35,9 +35,14 @@ fn adi_poly_ast_asks_each_question_once() {
     assert!(s.sample.asked >= 10 * s.sample.computed, "{s:?}");
 }
 
+/// 322 until ISSUE 21: the certifier is asked about a different tree now,
+/// 2mm in the sunk tiling form, and that walk needs two distinct systems
+/// fewer. (The sunk nest is also certified once inside the optimizer, in
+/// every profile; under this outer scope that asks again and computes
+/// nothing, which is why debug and release still agree on the count.)
 #[test]
 fn two_mm_pocc_asks_each_question_once() {
     let s = cell("2mm", Variant::Pocc);
-    assert_eq!((s.is_empty.computed, s.sample.computed), (322, 5), "{s:?}");
+    assert_eq!((s.is_empty.computed, s.sample.computed), (320, 5), "{s:?}");
     assert!(s.is_empty.asked > s.is_empty.computed, "{s:?}");
 }
