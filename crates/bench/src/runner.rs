@@ -189,9 +189,8 @@ pub fn emit_source(
 }
 
 /// [`emit_source`] with explicit tuned runtime knobs. The knobs feed
-/// [`EmitOptions`] directly, so the emitted kernel honors the same
-/// overrides the in-process runtime does — the tuner asserts this
-/// round-trip via the `// PIPE_BATCH` markers and `RunStats` fields.
+/// [`EmitOptions`] directly (a pipeline region's marker line names the
+/// `PIPE_BATCH` its source was emitted with).
 pub fn emit_source_with(
     kernel: &Kernel,
     prog: &Program,

@@ -1,103 +1,32 @@
-//! Doall execution over the persistent worker pool: one contiguous
-//! block of the range per worker (the `schedule(static)` OpenMP
-//! analogue; see [`crate::schedule::partition`]).
-//!
-//! Worker panics are contained at the worker boundary: the failing
-//! worker records a [`RuntimeError::WorkerPanic`] (first failure wins)
-//! and the primitive returns it after every worker has joined. Doall
-//! workers never wait on each other, so no poison broadcast is needed —
-//! the surviving workers simply finish their bounded spans.
+//! `par_for`: the doall over a half-open range, as a safe wrapper over
+//! [`kernel_rt::doall`] with its static schedule (one contiguous block
+//! per worker, the `schedule(static)` OpenMP analogue).
 
-use crate::error::{RunStats, RuntimeError};
-use crate::pool;
-use crate::schedule::{partition, Partition};
-use crate::sync::{payload_text, Fabric};
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::error::{FirstPanic, RuntimeError};
+use crate::kernel_rt;
 
-/// Runs `body(i)` for every `i` in `lo..hi` across `threads` workers with
-/// a static block distribution.
+/// Runs `body(i)` for every `i` in `lo..hi` across `threads` workers.
 ///
 /// `body` only receives disjoint indices, so it may mutate shared state
 /// partitioned by `i`; Rust-level sharing is the caller's problem — the
 /// closure must be `Sync` (it is called concurrently from many threads).
-pub fn par_for<F>(lo: i64, hi: i64, threads: usize, body: F) -> Result<RunStats, RuntimeError>
+/// A panicking body is reported as [`RuntimeError::WorkerPanic`] after
+/// every worker joined; the other workers finish their blocks.
+pub fn par_for<F>(lo: i64, hi: i64, threads: usize, body: F) -> Result<(), RuntimeError>
 where
     F: Fn(i64) + Sync,
 {
-    doall_cells(lo, hi, threads, |i| (i, 0), body)
-}
-
-/// [`par_for`] generalized with a mapping from the flat index to the
-/// logical grid cell reported in diagnostics — the wavefront executor
-/// runs diagonals through this.
-pub(crate) fn doall_cells<C, F>(
-    lo: i64,
-    hi: i64,
-    threads: usize,
-    cell_of: C,
-    body: F,
-) -> Result<RunStats, RuntimeError>
-where
-    C: Fn(i64) -> (i64, i64) + Sync,
-    F: Fn(i64) + Sync,
-{
-    let n = match hi.checked_sub(lo) {
-        Some(n) => n,
-        None => {
-            return Err(RuntimeError::Misuse(format!(
-                "index range [{lo}, {hi}) overflows i64 arithmetic"
-            )))
-        }
-    };
+    let n = hi.checked_sub(lo).ok_or_else(|| {
+        RuntimeError::Misuse(format!("index range [{lo}, {hi}) overflows i64 arithmetic"))
+    })?;
     if n <= 0 {
-        return Ok(RunStats::default());
+        return Ok(());
     }
-    let cap = u64::try_from(n)
-        .unwrap_or(u64::MAX)
-        .min(usize::MAX as u64) as usize;
-    let threads = threads.clamp(1, cap);
-    let fabric = Fabric::new(false, threads);
-    let part = partition(lo, hi, threads);
-    if threads == 1 {
-        span_worker(0, &part, &cell_of, &body, &fabric);
-    } else {
-        pool::execute(threads, &|t| span_worker(t, &part, &cell_of, &body, &fabric));
-    }
-    match fabric.into_failure() {
-        Some(err) => Err(err),
-        None => Ok(RunStats {
-            cells: n as u64,
-            workers: threads,
-        }),
-    }
-}
-
-/// Executes `worker`'s block, catching unwinds at the worker boundary
-/// and recording which cell was live when the panic unwound.
-fn span_worker<C, F>(worker: usize, part: &Partition, cell_of: &C, body: &F, fabric: &Fabric)
-where
-    C: Fn(i64) -> (i64, i64) + Sync,
-    F: Fn(i64) + Sync,
-{
-    let current: Cell<Option<(i64, i64)>> = Cell::new(None);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (a, b) = part.span(worker);
-        for i in a..b {
-            current.set(Some(cell_of(i)));
-            body(i);
-        }
-    }));
-    if let Err(payload) = outcome {
-        fabric.poison(
-            RuntimeError::WorkerPanic {
-                worker,
-                cell: current.get(),
-                payload: payload_text(payload.as_ref()),
-            },
-            &[],
-        );
-    }
+    let first = FirstPanic::default();
+    let clean = kernel_rt::doall(threads, lo, hi - 1, 1, None, |i| {
+        first.run(i, 0..1, |i, _| body(i))
+    });
+    first.outcome(clean)
 }
 
 #[cfg(test)]
@@ -108,13 +37,11 @@ mod tests {
     #[test]
     fn covers_every_index_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let stats = par_for(0, 100, 7, |i| {
+        par_for(0, 100, 7, |i| {
             hits[i as usize].fetch_add(1, Ordering::Relaxed);
         })
         .expect("clean run");
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(stats.cells, 100);
-        assert_eq!(stats.workers, 7);
     }
 
     #[test]
@@ -128,18 +55,21 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         })
         .expect("negative");
+        par_for(i64::MIN, i64::MIN, 4, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("empty at the bottom of i64");
         assert_eq!(count.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn more_threads_than_iterations() {
         let count = AtomicUsize::new(0);
-        let stats = par_for(0, 3, 64, |_| {
+        par_for(0, 3, 64, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         })
         .expect("clean run");
         assert_eq!(count.load(Ordering::Relaxed), 3);
-        assert_eq!(stats.workers, 3, "threads clamp to iteration count");
     }
 
     #[test]
@@ -151,9 +81,7 @@ mod tests {
         })
         .expect_err("panic must surface");
         match err {
-            RuntimeError::WorkerPanic {
-                cell, ref payload, ..
-            } => {
+            RuntimeError::WorkerPanic { cell, ref payload } => {
                 assert_eq!(cell, Some((42, 0)));
                 assert!(payload.contains("doall boom"), "{payload}");
             }
@@ -179,7 +107,6 @@ mod tests {
             matches!(
                 err,
                 RuntimeError::WorkerPanic {
-                    worker: 0,
                     cell: Some((3, 0)),
                     ..
                 }

@@ -3,8 +3,9 @@
 //! A [`FaultPlan`] is a value: [`FaultPlan::wrap`] turns a cell body
 //! into the same body preceded by seeded misbehaviour — a per-cell
 //! delay and an adversarial yield (to shake out ordering assumptions),
-//! a finite stall at one chosen cell (to exercise the watchdog), a
-//! panic at one chosen cell (to exercise poison containment). Every
+//! a finite stall at one chosen cell (to hold one worker while the
+//! others run ahead), a panic at one chosen cell (to exercise poison
+//! containment). Every
 //! decision is a splitmix-style hash of `(seed, i, j)`, so a failing
 //! schedule replays exactly from its seed — no wall-clock or OS
 //! randomness is consulted — and because the adapter only needs a cell
@@ -30,7 +31,7 @@ pub struct FaultPlan {
     /// Panic just before executing this cell.
     pub panic_at: Option<(i64, i64)>,
     /// Sleep this many milliseconds just before executing this cell —
-    /// a finite stall for the watchdog to catch.
+    /// a finite stall that lets the other workers run ahead.
     pub stall_ms_at: Option<((i64, i64), u64)>,
     /// Upper bound (exclusive) on a seeded per-cell delay in
     /// microseconds; 0 disables delays.

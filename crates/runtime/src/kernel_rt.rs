@@ -12,16 +12,20 @@
 //! module.
 //!
 //! Failure protocol: a worker panic is caught at the worker boundary
-//! ([`contained`]), raises [`POISONED`] and floods [`POISON`] through the
-//! region's counters, so no waiter spins forever on a dead neighbor.
-//! Every entry point then returns normally; the caller checks
-//! [`poisoned`] and discards the half-computed results.
+//! ([`contained`]), raises its region's failure flag and floods
+//! [`POISON`] through the region's counters, so no waiter spins forever
+//! on a dead neighbor. Every entry point returns whether its region ran
+//! clean (`false`: discard the half-computed results; a failed
+//! [`reduction`] has merged nothing). A failure is the region's own: a
+//! region started after another one failed runs normally. The panic also
+//! raises the process-wide [`POISONED`], which an emitted `main` checks
+//! instead of every return value.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 /// Flooded through a region's counters when one of its workers dies.
 pub const POISON: i64 = i64::MAX;
-/// Raised by the first worker panic of the process; never cleared here.
+/// Raised by every worker panic of the process; never cleared here.
 pub static POISONED: AtomicBool = AtomicBool::new(false);
 /// Polls of a counter before a waiter starts yielding its time slice.
 const SPIN_LIMIT: u32 = 1024;
@@ -57,30 +61,37 @@ impl P {
     }
 }
 
-/// Runs one worker inside the unwind boundary. A panic poisons the run:
-/// [`POISONED`] is raised, `counters` are flooded with [`POISON`] and a
-/// `runtime_error:` line goes to stderr. The worker returns `false` when
-/// it bailed out early because someone else poisoned the run.
-pub fn contained<F: FnOnce() -> bool>(counters: &[Pad], worker: F) {
+/// Runs one worker inside the unwind boundary. A panic fails the region:
+/// `failed` and [`POISONED`] are raised, `counters` are flooded with
+/// [`POISON`] and a `runtime_error:` line goes to stderr. The worker
+/// returns `false` when it bailed out early because another worker of
+/// its region failed.
+pub fn contained<F: FnOnce() -> bool>(failed: &AtomicBool, counters: &[Pad], worker: F) {
     if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker)) {
-        let what = match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
-            (Some(s), _) => s,
-            (_, Some(s)) => s.as_str(),
-            _ => "worker panic",
-        };
+        failed.store(true, Ordering::Release);
         POISONED.store(true, Ordering::Release);
         for c in counters {
             c.0.store(POISON, Ordering::Release);
         }
-        eprintln!("runtime_error: {what}");
+        eprintln!("runtime_error: {}", panic_text(p.as_ref()));
+    }
+}
+
+/// The text of a panic payload: `&str` and `String` payloads verbatim.
+pub fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
+    match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "worker panic",
     }
 }
 
 /// Waits until `ready(cell)`: bounded spin, then yield, so oversubscribed
 /// waiters cannot starve the thread they wait for. Returns `false` when
-/// the run was poisoned — the waiting worker must bail out. [`POISON`]
+/// the region `failed` — the waiting worker must bail out. [`POISON`]
 /// is tested before `ready`, so a flooded counter is never mistaken for
-/// progress or for a genuine pending count.
+/// progress or for a genuine pending count; the flag catches a flooded
+/// counter that a late decrement moved off [`POISON`].
 ///
 /// `on_block` runs once, when the spin budget is exhausted. Pipelines
 /// publish progress in batches and await in *both* directions, so a
@@ -88,7 +99,12 @@ pub fn contained<F: FnOnce() -> bool>(counters: &[Pad], worker: F) {
 /// blocked-waiter graph then follows the true data dependences (acyclic)
 /// and two workers can never each sit on an unpublished batch the other
 /// needs.
-fn wait(cell: &AtomicI64, ready: impl Fn(i64) -> bool, on_block: impl FnOnce()) -> bool {
+fn wait(
+    cell: &AtomicI64,
+    failed: &AtomicBool,
+    ready: impl Fn(i64) -> bool,
+    on_block: impl FnOnce(),
+) -> bool {
     let mut on_block = Some(on_block);
     let mut spins = 0u32;
     loop {
@@ -102,7 +118,7 @@ fn wait(cell: &AtomicI64, ready: impl Fn(i64) -> bool, on_block: impl FnOnce()) 
         if spins < SPIN_LIMIT {
             spins += 1;
             std::hint::spin_loop();
-        } else if poisoned() {
+        } else if failed.load(Ordering::Acquire) {
             return false;
         } else {
             if let Some(flush) = on_block.take() {
@@ -125,13 +141,13 @@ fn workers(threads: usize, units: i64) -> usize {
 /// exhausted (`g <= 0` derives ~8 chunks per worker: fine enough to
 /// rebalance a triangular nest, coarse enough that the cursor stays off
 /// the profile). One loop serves both: a static block is a single
-/// pre-assigned claim.
-fn for_chunks<F>(threads: usize, lo: i64, hi: i64, step: i64, grain: Option<i64>, body: F)
+/// pre-assigned claim. Returns whether no worker panicked.
+fn for_chunks<F>(threads: usize, lo: i64, hi: i64, step: i64, grain: Option<i64>, body: F) -> bool
 where
     F: Fn(usize, i64) + Sync,
 {
     if hi < lo {
-        return;
+        return true;
     }
     let iters = (hi - lo) / step + 1;
     let nthr = workers(threads, iters);
@@ -141,12 +157,12 @@ where
         Some(g) if g > 0 => g,
         Some(_) => (iters / (n * 8)).max(1),
     };
-    let cursor = AtomicI64::new(0);
-    let (cursor, body) = (&cursor, &body);
+    let (cursor, failed) = (AtomicI64::new(0), AtomicBool::new(false));
+    let (cursor, failed, body) = (&cursor, &failed, &body);
     std::thread::scope(|sc| {
         for t in 0..nthr {
             sc.spawn(move || {
-                contained(&[], || {
+                contained(failed, &[], || {
                     let claim = || cursor.fetch_add(chunk, Ordering::Relaxed);
                     let mut off = grain.map_or(t as i64 * chunk, |_| claim());
                     while off < iters {
@@ -166,25 +182,28 @@ where
             });
         }
     });
+    !failed.load(Ordering::Acquire)
 }
 
 /// Parallel loop over `lo..=hi` by `step` whose iterations are
 /// independent. `grain` selects the schedule, see `for_chunks`: `None`
 /// for rectangular nests (static blocks cost nothing), `Some` for nests
 /// whose per-iteration work varies with the loop variable (a static
-/// partition would load-imbalance them by design).
-pub fn doall<F>(threads: usize, lo: i64, hi: i64, step: i64, grain: Option<i64>, body: F)
+/// partition would load-imbalance them by design). Returns whether the
+/// region ran clean.
+pub fn doall<F>(threads: usize, lo: i64, hi: i64, step: i64, grain: Option<i64>, body: F) -> bool
 where
     F: Fn(i64) + Sync,
 {
-    for_chunks(threads, lo, hi, step, grain, |_, v| body(v));
+    for_chunks(threads, lo, hi, step, grain, |_, v| body(v))
 }
 
 /// Parallel loop over `lo..=hi` by `step` whose iterations only
 /// accumulate (`+=`) into the `reduced` arrays: every worker gets zeroed
 /// private copies, `body(value, copies)` receives its worker's copies in
 /// `reduced` order, and the copies are added into the arrays after the
-/// join, in worker order.
+/// join, in worker order — unless a worker panicked: then nothing is
+/// added and the call returns `false`.
 ///
 /// # Safety
 /// Every `(base, len)` of `reduced` must point to `len` valid `f64`s
@@ -196,7 +215,8 @@ pub unsafe fn reduction<F>(
     step: i64,
     reduced: &[(P, usize)],
     body: F,
-) where
+) -> bool
+where
     F: Fn(i64, &[P]) + Sync,
 {
     // One set of copies per possible worker; an idle worker's stay zero.
@@ -207,7 +227,9 @@ pub unsafe fn reduction<F>(
         .iter_mut()
         .map(|mine| mine.iter_mut().map(|c| P(c.as_mut_ptr())).collect())
         .collect();
-    for_chunks(threads, lo, hi, step, None, |t, v| body(v, &bases[t]));
+    if !for_chunks(threads, lo, hi, step, None, |t, v| body(v, &bases[t])) {
+        return false;
+    }
     for (a, &(base, _)) in reduced.iter().enumerate() {
         for mine in &copies {
             for (k, &x) in mine[a].iter().enumerate() {
@@ -217,6 +239,7 @@ pub unsafe fn reduction<F>(
             }
         }
     }
+    true
 }
 
 /// Point-to-point pipeline over an outer loop `lo..=hi` by `step` whose
@@ -237,6 +260,7 @@ pub unsafe fn reduction<F>(
 /// previous one, which covers the leftward migration of at most one grid
 /// step per phase. Progress is published every `batch` outer steps and
 /// after the last one; see `wait` for why batching cannot deadlock.
+/// Returns whether the region ran clean.
 #[allow(clippy::too_many_arguments)]
 pub fn pipeline<F>(
     threads: usize,
@@ -248,26 +272,28 @@ pub fn pipeline<F>(
     grid: i64,
     batch: i64,
     body: F,
-) where
+) -> bool
+where
     F: Fn(i64, i64, i64, i64) + Sync,
 {
     if hi < lo {
-        return;
+        return true;
     }
     let nthr = workers(threads, span / grid);
     let n = nthr as i64;
     let chunk = ((span + n - 1) / n + grid - 1) / grid * grid;
     let progress: Vec<Pad> = (0..nthr).map(|_| Pad(AtomicI64::new(-1))).collect();
-    let (progress, body) = (&progress[..], &body);
+    let failed = AtomicBool::new(false);
+    let (progress, failed, body) = (&progress[..], &failed, &body);
     std::thread::scope(|sc| {
         for t in 0..nthr {
             sc.spawn(move || {
-                contained(progress, || {
+                contained(failed, progress, || {
                     let own = &progress[t].0;
                     let (off_lo, off_hi) = (t as i64 * chunk, (t as i64 + 1) * chunk - 1);
                     let (mut outer, mut steps) = (lo, 0i64);
                     while outer <= hi {
-                        if poisoned() {
+                        if failed.load(Ordering::Acquire) {
                             return false;
                         }
                         let publish = (steps + 1) % batch == 0 || outer + step > hi;
@@ -277,10 +303,12 @@ pub fn pipeline<F>(
                             let flush = || {
                                 own.fetch_max(ph - 1, Ordering::AcqRel);
                             };
-                            if t > 0 && !wait(&progress[t - 1].0, |v| v >= ph, flush) {
+                            if t > 0 && !wait(&progress[t - 1].0, failed, |v| v >= ph, flush) {
                                 return false;
                             }
-                            if t + 1 < nthr && !wait(&progress[t + 1].0, |v| v >= ph - 1, flush) {
+                            if t + 1 < nthr
+                                && !wait(&progress[t + 1].0, failed, |v| v >= ph - 1, flush)
+                            {
                                 return false;
                             }
                             body(outer, phase, off_lo, off_hi);
@@ -296,6 +324,7 @@ pub fn pipeline<F>(
             });
         }
     });
+    !failed.load(Ordering::Acquire)
 }
 
 /// Wavefront doall over the tile origins `tiles`: tiles run in
@@ -308,8 +337,8 @@ pub fn pipeline<F>(
 /// await the previous diagonal's counter, run `body(u, v)`, then
 /// decrement their own diagonal's. Claiming in topological order makes
 /// the waits deadlock-free: the lowest claimed unfinished tile always
-/// has every predecessor finished.
-pub fn wavefront<F>(threads: usize, weight: i64, mut tiles: Vec<(i64, i64)>, body: F)
+/// has every predecessor finished. Returns whether the region ran clean.
+pub fn wavefront<F>(threads: usize, weight: i64, mut tiles: Vec<(i64, i64)>, body: F) -> bool
 where
     F: Fn(i64, i64) + Sync,
 {
@@ -324,19 +353,21 @@ where
         diag_of.push(unfinished.len() - 1);
         *unfinished[diag_of[k]].0.get_mut() += 1;
     }
-    let cursor = AtomicI64::new(0);
+    let (cursor, failed) = (AtomicI64::new(0), AtomicBool::new(false));
     let (tiles, diag_of, unfinished) = (&tiles[..], &diag_of[..], &unfinished[..]);
-    let (cursor, body) = (&cursor, &body);
+    let (cursor, failed, body) = (&cursor, &failed, &body);
     std::thread::scope(|sc| {
         for _ in 0..workers(threads, tiles.len() as i64) {
             sc.spawn(move || {
-                contained(unfinished, || loop {
+                contained(failed, unfinished, || loop {
                     let k = cursor.fetch_add(1, Ordering::Relaxed) as usize;
                     if k >= tiles.len() {
                         return true;
                     }
                     let d = diag_of[k];
-                    if poisoned() || (d > 0 && !wait(&unfinished[d - 1].0, |v| v <= 0, || ())) {
+                    if failed.load(Ordering::Acquire)
+                        || (d > 0 && !wait(&unfinished[d - 1].0, failed, |v| v <= 0, || ()))
+                    {
                         return false;
                     }
                     body(tiles[k].0, tiles[k].1);
@@ -345,4 +376,5 @@ where
             });
         }
     });
+    !failed.load(Ordering::Acquire)
 }

@@ -1,49 +1,40 @@
 //! # polymix-runtime
 //!
-//! The library-level parallel runtime backing the paper's Sec. IV-D
-//! extensions, used by examples and benchmarked directly (Fig. 6):
+//! The parallel runtime behind the paper's Sec. IV-D extensions, in one
+//! implementation: [`kernel_rt`], the file every emitted kernel carries,
+//! and five safe wrappers over its entry points for in-process callers
+//! (the vm's parallel dispatch, `fig6`, the benchmark's probes):
 //!
-//! * [`doall`] — a static-block scheduler for fully parallel loops (the
-//!   `omp parallel for` analogue);
-//! * [`reduction`] — array reductions with thread-private accumulators
-//!   (the proposed C array-reduction extension);
-//! * [`pipeline`] — point-to-point cross-iteration synchronization over a
-//!   2-D grid (the `#pragma omp await source(i-1,j) source(i,j-1)`
-//!   proposal), plus the [`pipeline::wavefront_2d`] executor it is compared
-//!   against in Fig. 6;
-//! * [`taskgraph`] — dependence counters over tiles for cones the two
-//!   fixed-shape executors cannot express.
+//! * [`par_for`] — the doall (`omp parallel for`), static blocks;
+//! * [`reduce_array`] — array reductions with thread-private
+//!   accumulators (the proposed C array-reduction extension);
+//! * [`pipeline_2d`] — point-to-point cross-iteration synchronization
+//!   over a 2-D grid (the `#pragma omp await source(i-1,j) source(i,j-1)`
+//!   proposal), and [`wavefront_2d`], the diagonal executor it is
+//!   compared against in Fig. 6;
+//! * [`taskgraph_2d`] — the wavefront for any lexicographically positive
+//!   set of dependence vectors (weighted diagonals).
 //!
-//! The crate has **one configuration**: no Cargo features, no
-//! environment variables, and one setting — the watchdog deadline of
-//! the two primitives that can wait.
-//!
-//! Workers come from a process-wide **persistent pool** (`pool.rs`):
-//! threads are spawned on first use and parked between jobs, so
-//! sweep-shaped workloads (thousands of small-grid invocations) pay the
-//! thread-spawn cost once instead of per call. Only a gang the pool
-//! cannot field (cap reached, thread spawn refused) runs on scoped
-//! threads spawned for the call. Doall ranges and pipeline columns are
-//! split into one static block per worker ([`partition`]); the
-//! pipeline's publish batch follows from the grid shape; waiters spin a
-//! fixed 1024 turns before yielding.
+//! The crate has **one configuration**: no Cargo feature, no environment
+//! variable, no setting. Only `kernel_rt` starts workers: every call
+//! scopes its own and joins them before it returns, so nothing outlives
+//! a call.
 //!
 //! ## Fault tolerance
 //!
-//! Every primitive returns `Result<RunStats, RuntimeError>`. A worker
-//! panic is caught at the worker boundary and broadcast as a poison
-//! value through the progress counters, so no waiter spins forever on a
-//! dead neighbor; the primitive reports
-//! [`RuntimeError::WorkerPanic`] after all workers joined. Arming
-//! [`RuntimeOptions::watchdog`] (off by default — hot paths pay
-//! nothing) additionally converts a wedged pipeline or tile graph into
-//! a diagnostic [`RuntimeError::Stalled`] listing the cells that never
-//! advanced. Adversarial grids whose extents overflow `i64` arithmetic
-//! are refused with [`RuntimeError::Misuse`].
+//! Every wrapper returns `Result<(), RuntimeError>`. A worker panic is
+//! caught at the worker boundary and flooded as a poison value through
+//! the call's own progress counters, so no waiter spins forever on a
+//! dead neighbor; the wrapper reports [`RuntimeError::WorkerPanic`] with
+//! the cell whose body panicked, after all workers joined. A failed
+//! reduction leaves its target untouched. The failure belongs to the
+//! call: the next call in the same process runs normally. Grids and
+//! ranges whose extents overflow `i64` arithmetic are refused with
+//! [`RuntimeError::Misuse`].
 //!
 //! Two always-compiled modules of *body adapters* test this machinery
-//! from the outside — they wrap the cell body, so the primitives carry
-//! no hooks and the same adapters run over [`kernel_rt`]:
+//! from the outside — they wrap the cell body, so the entry points carry
+//! no hooks:
 //!
 //! * [`fault_inject`] — a [`fault_inject::FaultPlan`] value puts seeded
 //!   per-cell delays, adversarial yields, a finite stall at a chosen
@@ -66,18 +57,11 @@ pub mod fault_inject;
 pub mod kernel_rt;
 pub mod order_check;
 pub mod pipeline;
-mod pool;
 #[cfg(test)]
 mod proptests;
 pub mod reduction;
-pub mod schedule;
-mod sync;
-pub mod taskgraph;
 
 pub use doall::par_for;
-pub use error::{RunStats, RuntimeError, RuntimeOptions};
-pub use pipeline::{pipeline_2d, pipeline_2d_opts, wavefront_2d, GridSweep};
+pub use error::RuntimeError;
+pub use pipeline::{pipeline_2d, taskgraph_2d, wavefront_2d, GridSweep};
 pub use reduction::reduce_array;
-pub use schedule::{partition, Partition};
-pub use sync::{CachePadded, POISON};
-pub use taskgraph::{taskgraph_2d, taskgraph_2d_opts, TileGraph};

@@ -1,12 +1,11 @@
-//! Property-based tests for the shared partition arithmetic
-//! (`schedule::partition`), which every parallel primitive trusts for
-//! worker span bounds. The properties: spans are in-bounds, mutually
-//! disjoint, and complete (they tile `[lo, hi)` exactly) — including at
-//! the extreme ends of `i64` where the old copy-pasted `lo + t * chunk`
-//! arithmetic could overflow.
+//! Property-based tests for the block split every doall and reduction
+//! trusts (`kernel_rt::for_chunks`, through [`par_for`]): each index of
+//! the range runs exactly once — including ranges at the extreme ends of
+//! `i64`, where `lo + t * chunk` arithmetic can overflow.
 
-use crate::schedule::partition;
+use crate::par_for;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// `i64` values biased toward the overflow-prone regions: near the two
 /// extremes, near zero, and at large power-of-two magnitudes.
@@ -23,38 +22,20 @@ fn wild_i64() -> impl Strategy<Value = i64> {
 
 proptest! {
     #[test]
-    fn partition_tiles_the_range_exactly(
-        a in wild_i64(),
-        b in wild_i64(),
-        threads in 1usize..64,
+    fn par_for_visits_each_index_once(
+        start in wild_i64(),
+        len in 0i64..200,
+        threads in 1usize..9,
     ) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        // partition()'s contract: callers have already validated that
-        // the extent fits i64 (the primitives refuse such grids).
-        prop_assume!(hi.checked_sub(lo).is_some());
-        let p = partition(lo, hi, threads);
-        let mut covered: i128 = 0;
-        let mut prev_end = lo;
-        for t in 0..threads {
-            let (sa, sb) = p.span(t);
-            if sa >= sb {
-                continue; // empty span
-            }
-            prop_assert!(sa >= lo && sb <= hi, "span ({sa}, {sb}) out of [{lo}, {hi})");
-            prop_assert!(sa >= prev_end, "span ({sa}, {sb}) overlaps previous end {prev_end}");
-            covered += (sb - sa) as i128;
-            prev_end = sb;
+        let lo = start.min(i64::MAX - len);
+        let hi = lo + len;
+        let hits: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+        par_for(lo, hi, threads, |i| {
+            hits[(i - lo) as usize].fetch_add(1, Ordering::Relaxed);
+        })
+        .map_err(|e| e.to_string())?;
+        for (k, h) in hits.iter().enumerate() {
+            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {} of [{}, {})", k, lo, hi);
         }
-        prop_assert_eq!(covered, (hi - lo) as i128, "spans must cover [{lo}, {hi}) exactly");
-    }
-
-    #[test]
-    fn partition_chunk_is_ceil_div(
-        n in 0i64..10_000,
-        threads in 1usize..64,
-    ) {
-        let p = partition(0, n, threads);
-        let t = threads as i64;
-        prop_assert_eq!(p.chunk(), n / t + i64::from(n % t != 0));
     }
 }

@@ -1,99 +1,46 @@
 //! Array reductions with thread-private accumulators — the C array-
-//! reduction OpenMP extension of Sec. IV-D.
+//! reduction OpenMP extension of Sec. IV-D — as a safe wrapper over
+//! [`kernel_rt::reduction`] that hides its raw pointers.
 
-use crate::error::{RunStats, RuntimeError};
-use crate::pool;
-use crate::schedule::partition;
-use crate::sync::{payload_text, CachePadded, Fabric};
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use crate::error::{FirstPanic, RuntimeError};
+use crate::kernel_rt::{self, P};
 
 /// Reduces into `target` over the iteration range `lo..hi`: each worker
 /// gets a zeroed private copy of `target`'s length, `body(i, local)`
-/// accumulates into it, and the private copies are summed into `target`
-/// under a lock after each worker finishes.
+/// accumulates into it, and the private copies are added into `target`
+/// after every worker joined.
 ///
-/// A worker panic is contained and returned as
-/// [`RuntimeError::WorkerPanic`]; on error, `target` may hold the
-/// contributions of workers that completed before the failure — callers
-/// that need a clean value should rebuild it from scratch (the bench
-/// layer re-runs sequentially).
+/// A panicking body is reported as [`RuntimeError::WorkerPanic`], and
+/// then no private copy is added: `target` is left as it was.
 pub fn reduce_array<F>(
     target: &mut [f64],
     lo: i64,
     hi: i64,
     threads: usize,
     body: F,
-) -> Result<RunStats, RuntimeError>
+) -> Result<(), RuntimeError>
 where
     F: Fn(i64, &mut [f64]) + Sync,
 {
-    let n = match hi.checked_sub(lo) {
-        Some(n) => n,
-        None => {
-            return Err(RuntimeError::Misuse(format!(
-                "index range [{lo}, {hi}) overflows i64 arithmetic"
-            )))
-        }
-    };
+    let n = hi.checked_sub(lo).ok_or_else(|| {
+        RuntimeError::Misuse(format!("index range [{lo}, {hi}) overflows i64 arithmetic"))
+    })?;
     if n <= 0 {
-        return Ok(RunStats::default());
+        return Ok(());
     }
-    let cap = u64::try_from(n)
-        .unwrap_or(u64::MAX)
-        .min(usize::MAX as u64) as usize;
-    let threads = threads.clamp(1, cap);
     let len = target.len();
-    let global = Mutex::new(target);
-    let fabric = Fabric::new(false, threads);
-    let part = partition(lo, hi, threads);
-    let worker = |t: usize| {
-        // The accumulator header sits on its own cache line; the heap
-        // buffer behind it is per-worker anyway, so no two workers write
-        // the same line during accumulation.
-        let mut local: CachePadded<Vec<f64>> = CachePadded::new(vec![0.0f64; len]);
-        let current: Cell<Option<i64>> = Cell::new(None);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (a, b) = part.span(t);
-            for i in a..b {
-                current.set(Some(i));
-                body(i, &mut local);
-            }
-        }));
-        match outcome {
-            Ok(()) => {
-                let mut g = global.lock().unwrap_or_else(|e| e.into_inner());
-                for (dst, src) in g.iter_mut().zip(local.iter()) {
-                    *dst += src;
-                }
-            }
-            Err(payload) => {
-                // A panicked worker's partial accumulator is discarded,
-                // never merged.
-                fabric.poison(
-                    RuntimeError::WorkerPanic {
-                        worker: t,
-                        cell: current.get().map(|i| (i, 0)),
-                        payload: payload_text(payload.as_ref()),
-                    },
-                    &[],
-                );
-            }
-        }
+    let first = FirstPanic::default();
+    let cell = |i: i64, copies: &[P]| {
+        // SAFETY: `copies[0]` is this worker's private copy of `len`
+        // cells, and a worker runs its iterations one at a time.
+        let local = unsafe { std::slice::from_raw_parts_mut(copies[0].get(), len) };
+        first.run(i, 0..1, |i, _| body(i, local))
     };
-    if threads == 1 {
-        worker(0);
-    } else {
-        pool::execute(threads, &worker);
-    }
-    match fabric.into_failure() {
-        Some(err) => Err(err),
-        None => Ok(RunStats {
-            cells: n as u64,
-            workers: threads,
-        }),
-    }
+    let reduced = [(P(target.as_mut_ptr()), len)];
+    // SAFETY: `target` is `len` valid cells, borrowed mutably for the
+    // whole call, so nothing else reaches them while the copies merge.
+    let clean = unsafe { kernel_rt::reduction(threads, lo, hi - 1, 1, &reduced, cell) };
+    first.outcome(clean)
 }
 
 #[cfg(test)]
@@ -149,7 +96,7 @@ mod tests {
 
     #[test]
     fn body_panic_is_contained() {
-        let mut acc = vec![0.0];
+        let mut acc = vec![7.0];
         let err = reduce_array(&mut acc, 0, 64, 4, |i, local| {
             if i == 17 {
                 panic!("reduce boom");
@@ -158,11 +105,12 @@ mod tests {
         })
         .expect_err("panic must surface");
         match err {
-            RuntimeError::WorkerPanic { cell, payload, .. } => {
+            RuntimeError::WorkerPanic { cell, payload } => {
                 assert_eq!(cell, Some((17, 0)));
                 assert!(payload.contains("reduce boom"), "{payload}");
             }
             other => panic!("unexpected: {other:?}"),
         }
+        assert_eq!(acc, vec![7.0], "a failed reduction merges no copy");
     }
 }

@@ -8,7 +8,7 @@
 //! the synchronization the doc comments promise.
 
 use polymix_runtime::fault_inject::FaultPlan;
-use polymix_runtime::kernel_rt::{doall, pipeline, reduction, wavefront, P};
+use polymix_runtime::kernel_rt::{doall, pipeline, reduction, wavefront, Pad, P};
 use polymix_runtime::order_check::OrderChecker;
 use polymix_runtime::GridSweep;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -326,4 +326,14 @@ fn wavefront_runs_each_diagonal_after_the_previous_one() {
     }
     // No tiles: returns without calling the body.
     wavefront(4, 1, Vec::new(), |_, _| unreachable!("no tiles"));
+}
+
+#[test]
+fn progress_counters_own_a_cache_line() {
+    // The pipeline's publish is the hottest cross-thread store of a
+    // kernel: two neighbors' counters must never share a line.
+    assert_eq!(std::mem::align_of::<Pad>(), 64);
+    let counters: Vec<Pad> = (0..2).map(|_| Pad(Default::default())).collect();
+    let (a, b) = (&counters[0] as *const Pad as usize, &counters[1] as *const Pad as usize);
+    assert!(b - a >= 64, "adjacent counters must not share a line");
 }

@@ -35,8 +35,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// every older entry on reload. Version 3: emitted sources call the
 /// pasted `kernel_rt` runtime; version-2 entries hold inline-protocol
 /// sources the kernel lint no longer accepts, so they are re-optimized
-/// rather than replayed.
-pub const CACHE_VERSION: u32 = 3;
+/// rather than replayed. Version 4: the pasted block's entry points
+/// report a per-call outcome; a parallel source of version 3 carries the
+/// old block, which the lint no longer accepts either.
+pub const CACHE_VERSION: u32 = 4;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

@@ -34,12 +34,10 @@ mod occurrence;
 mod walk;
 
 pub mod lint;
-pub mod taskgraph;
 pub mod violation;
 pub mod vmcert;
 
 pub use lint::verify_source;
-pub use taskgraph::certify_tile_graph;
 pub use vmcert::{certify_lowering, certify_lowering_from};
 pub use violation::{Certificate, Violation, ViolationKind};
 

@@ -27,11 +27,6 @@ pub enum ViolationKind {
     /// A `Wavefront` pair of loops orders some dependent pair backward
     /// across (or races it within) a diagonal.
     WavefrontUnsafe,
-    /// A tile-level task graph's counter/edge set fails to cover some
-    /// re-derived inter-tile dependence: a dependent tile pair is
-    /// reachable through no chain of graph edges, so the runtime could
-    /// execute it in either order.
-    TaskGraphUncovered,
     /// The emitted kernel source breaks the progress/poison protocol
     /// (missing await, raw store on progress, unguarded worker, ...).
     KernelLint,
@@ -57,7 +52,6 @@ impl ViolationKind {
             ViolationKind::ReductionUnsafe => "reduction-unsafe",
             ViolationKind::ReductionAccumulatorAliased => "reduction-accumulator-aliased",
             ViolationKind::WavefrontUnsafe => "wavefront-unsafe",
-            ViolationKind::TaskGraphUncovered => "taskgraph-uncovered",
             ViolationKind::KernelLint => "kernel-lint",
             ViolationKind::VmBounds => "vm-bounds",
             ViolationKind::LoweringMismatch => "lowering-mismatch",

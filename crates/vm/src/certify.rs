@@ -629,8 +629,8 @@ impl<'a> Certifier<'a> {
                 // across iterations.
                 (vec![forward], Some(acc), VmViolationKind::ReductionUnsafe)
             }
-            // A rectangular 2-level grid (pipeline / wavefront /
-            // taskgraph) guarantees that cell `(i, j)` runs after every
+            // A rectangular 2-level grid (pipeline / wavefront)
+            // guarantees that cell `(i, j)` runs after every
             // `(i' <= i, j' <= j)`: the only unordered pairs are
             // `di >= 1 ∧ dj <= -1`, so a conflict inside that cone is a
             // race.

@@ -1,9 +1,10 @@
 //! Bytecode execution: a sequential tree-walk over pre-resolved
-//! addresses, with parallel regions dispatched onto the persistent
-//! worker pool through the same primitives the emitted kernels use
-//! (`par_for` / `reduce_array` / `pipeline_2d` / `wavefront_2d` /
-//! `taskgraph_2d`), inheriting their panic containment and poison
-//! protocol.
+//! addresses, with parallel regions ([`Dispatch`]) handed to
+//! `polymix-runtime`'s wrappers (`par_for` / `reduce_array` /
+//! `pipeline_2d` / `wavefront_2d`) — the runtime emitted kernels carry,
+//! `kernel_rt`, behind a safe API. Each call reports its own failure,
+//! so a run that follows a failed one in the same process (the daemon,
+//! a sweep) dispatches normally.
 //!
 //! Every array access is bounds-checked by default; a bad address
 //! poisons the run (first failure wins) instead of corrupting the host
@@ -20,19 +21,34 @@
 use crate::lower::{CLoop, CNode, CompiledStmt, Instr, VmProgram};
 use crate::VmError;
 use polymix_ast::tree::Par;
-use polymix_runtime::{
-    par_for, pipeline_2d, reduce_array, taskgraph_2d, wavefront_2d, GridSweep, RuntimeError,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
+use polymix_runtime::{par_for, pipeline_2d, reduce_array, wavefront_2d, GridSweep, RuntimeError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// The kinds of parallel region the vm hands to `polymix-runtime` (at
+/// `threads > 1`, the outermost annotated loop), as [`run_counted`]
+/// counts them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dispatch {
+    /// A `Doall` loop, through `par_for`.
+    Doall,
+    /// A `Reduction` loop with one additive accumulator, through
+    /// `reduce_array`.
+    Reduction,
+    /// A `Pipeline` or `Wavefront` loop whose body is one inner loop with
+    /// bounds invariant in it, through `pipeline_2d` / `wavefront_2d`.
+    Grid,
+}
 
 /// Execution knobs for one run.
 #[derive(Clone, Copy, Debug)]
 pub struct VmOptions {
     /// Worker count for parallel regions (1 = fully sequential).
     pub threads: usize,
-    /// Dispatch `wavefront` loops through the dynamic counter-graph
-    /// runtime instead of diagonal barriers.
+    /// Inert: read by nothing. The task-graph runtime it selected is
+    /// gone (a wavefront loop always runs as `wavefront_2d`); the field
+    /// stays only because `benchmark/` still spells it, and goes with
+    /// `taskgraph_2d` in the benchmark-only change.
     pub taskgraph: bool,
     /// Trust the static proofs: skip the dynamic bounds check on
     /// accesses a passing [`crate::certify`] certificate proved
@@ -74,6 +90,8 @@ struct Ctx<'a> {
     opts: VmOptions,
     poisoned: AtomicBool,
     fail: Mutex<Option<String>>,
+    /// Regions handed to the runtime, indexed by `Dispatch as usize`.
+    dispatched: [AtomicU64; 3],
 }
 
 /// Executes a lowered program over the given buffers, sequentially.
@@ -87,6 +105,17 @@ pub fn run_opts(
     arrays: &mut [Vec<f64>],
     opts: VmOptions,
 ) -> Result<(), VmError> {
+    run_counted(vm, arrays, opts).map(|_| ())
+}
+
+/// [`run_opts`], also returning how many parallel regions of each kind
+/// the run handed to the runtime, indexed by `Dispatch as usize` (all
+/// zero at one thread).
+pub fn run_counted(
+    vm: &VmProgram,
+    arrays: &mut [Vec<f64>],
+    opts: VmOptions,
+) -> Result<[u64; 3], VmError> {
     // One structural validation at entry (statement table, array ids,
     // registers, loop variables); the per-instruction table checks in
     // the hot loop below are debug assertions only.
@@ -122,12 +151,13 @@ pub fn run_opts(
         },
         poisoned: AtomicBool::new(false),
         fail: Mutex::new(None),
+        dispatched: Default::default(),
     };
     let mut vars = vec![0i64; vm.n_vars.max(1)];
     let mut regs = vec![0.0f64; vm.max_regs.max(1)];
     let ok = ctx.exec(&vm.body, &ptrs, &mut vars, &mut regs, true);
     if ok && !ctx.poisoned.load(Ordering::Acquire) {
-        Ok(())
+        Ok(ctx.dispatched.map(AtomicU64::into_inner))
     } else {
         let detail = ctx
             .fail
@@ -157,6 +187,11 @@ impl Ctx<'_> {
             *g = Some(msg);
         }
         false
+    }
+
+    /// Counts one region handed to the runtime.
+    fn count(&self, kind: Dispatch) {
+        self.dispatched[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn runtime_failed(&self, what: &str, e: RuntimeError) -> bool {
@@ -249,6 +284,7 @@ impl Ctx<'_> {
     }
 
     fn par_doall(&self, l: &CLoop, arrs: &[Ptr], vars: &[i64]) -> bool {
+        self.count(Dispatch::Doall);
         let lo = l.lo.eval_lower(vars);
         let hi = l.hi.eval_upper(vars);
         let n = trips(lo, hi, l.step);
@@ -262,6 +298,7 @@ impl Ctx<'_> {
     }
 
     fn par_reduction(&self, l: &CLoop, arrs: &[Ptr], vars: &[i64]) -> bool {
+        self.count(Dispatch::Reduction);
         let Some(acc) = l.reduction_array else {
             return self.poison("runtime_error: vm reduction without accumulator".to_string());
         };
@@ -273,8 +310,8 @@ impl Ctx<'_> {
         let n = trips(lo, hi, l.step);
         // Safety: within the reduction every write to the accumulator is
         // redirected to the worker-private buffer below; the shared
-        // buffer is only merged into under `reduce_array`'s lock after
-        // the workers join, so this exclusive view never races.
+        // buffer is only merged into by `reduce_array` after the workers
+        // join, so this exclusive view never races.
         let target = unsafe { std::slice::from_raw_parts_mut(shared.p, shared.len) };
         let r = reduce_array(target, 0, n, self.opts.threads, |t, local| {
             let mut redirected = arrs.to_vec();
@@ -293,6 +330,7 @@ impl Ctx<'_> {
     }
 
     fn par_grid(&self, l: &CLoop, arrs: &[Ptr], vars: &[i64]) -> bool {
+        self.count(Dispatch::Grid);
         let CNode::Loop(inner) = &l.body else {
             return self.poison("runtime_error: vm grid region lost its inner loop".to_string());
         };
@@ -318,9 +356,6 @@ impl Ctx<'_> {
         };
         let r = match l.par {
             Par::Pipeline => pipeline_2d(grid, self.opts.threads, body),
-            _ if self.opts.taskgraph => {
-                taskgraph_2d(grid, self.opts.threads, &[(1, 0), (0, 1)], body)
-            }
             _ => wavefront_2d(grid, self.opts.threads, body),
         };
         match r {

@@ -13,9 +13,9 @@
 //! row-major addressing), so the two backends agree checksum-for-
 //! checksum; what changes is cost: lowering is microseconds and a run
 //! touches no subprocess, no lockfile, no filesystem. Parallel
-//! annotations dispatch onto the persistent worker pool through the
-//! same `polymix-runtime` primitives the emitted kernels use, with the
-//! same poison/containment story ([`exec`] module docs).
+//! annotations dispatch through `polymix-runtime`'s safe wrappers over
+//! `kernel_rt`, the runtime the emitted kernels carry, with the same
+//! poison/containment story ([`exec`] module docs).
 //!
 //! The backend exists for the measurement hot path: screening autotuner
 //! candidates and differential checks where a full emit → `rustc` →
@@ -29,7 +29,7 @@ pub use certify::{
     certify, certify_and_apply, AccessProof, AccessSite, VmCertificate, VmViolation,
     VmViolationKind,
 };
-pub use exec::{run, run_opts, VmOptions};
+pub use exec::{run, run_counted, run_opts, Dispatch, VmOptions};
 pub use lower::{
     lower, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram, UNMODELED_KNOBS,
 };
@@ -190,8 +190,8 @@ mod tests {
         assert_eq!(arrays[0][0], 100.0 + (64.0 * 65.0) / 2.0);
     }
 
-    /// 2-level nest with a flow dependence `(1, 0)`: pipeline, wavefront
-    /// and taskgraph dispatch must all reproduce the sequential result.
+    /// 2-level nest with a flow dependence `(1, 0)`: pipeline and
+    /// wavefront dispatch must both reproduce the sequential result.
     fn stencil_program(par_kind: Par) -> Program {
         let mut b = ScopBuilder::new("st", &["N"], &[6]);
         let a = b.array("A", &["N", "N"]);
@@ -245,32 +245,24 @@ mod tests {
             execute(&p, &[6], &mut a);
             a
         };
-        for (par_kind, taskgraph) in [
-            (Par::Pipeline, false),
-            (Par::Wavefront, false),
-            (Par::Wavefront, true),
-        ] {
+        for par_kind in [Par::Pipeline, Par::Wavefront] {
             let p = stencil_program(par_kind);
             let vm = lower(&p, &[6]).expect("lowers");
             let mut a = alloc_arrays(&p.scop, &[6]);
             for (k, x) in a[0].iter_mut().enumerate() {
                 *x = (k % 7) as f64;
             }
-            run_opts(
+            let dispatched = run_counted(
                 &vm,
                 &mut a,
                 VmOptions {
                     threads: 3,
-                    taskgraph,
                     ..VmOptions::default()
                 },
             )
             .expect("grid vm runs");
-            assert_eq!(
-                checksum(&reference),
-                checksum(&a),
-                "{par_kind:?} taskgraph={taskgraph}"
-            );
+            assert_eq!(dispatched, [0, 0, 1], "{par_kind:?}: one grid region");
+            assert_eq!(checksum(&reference), checksum(&a), "{par_kind:?}");
         }
     }
 
