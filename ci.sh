@@ -50,6 +50,16 @@ if git grep -n 'thread::scope\|thread::spawn\|thread::Builder\|Condvar' -- crate
     echo "polymix-runtime grew a second executor outside kernel_rt.rs"; exit 1
 fi
 
+# The tuner's unit is a program: the emitter's automatic publish batch
+# and doall grain are the only rules, so no runtime-knob override may come
+# back into the code under crates/ (quoted JSON keys in the legacy-config
+# test do not match these patterns).
+echo "== runtime knob gate =="
+if git grep -n -E 'pipeline_batch:|\.pipeline_batch|dyn_grain:|\.dyn_grain|unmodeled_knobs|EmitKnobs|UNMODELED_KNOBS' \
+    -- 'crates/*.rs'; then
+    echo "a deleted runtime knob is back"; exit 1
+fi
+
 # Static certification gate: every (kernel, variant) artifact the
 # sweeps measure — the transformed program and its emitted source —
 # must certify (schedule legality, annotation safety, source protocol
@@ -169,6 +179,15 @@ POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
 [ -s "$SMOKE_DIR/tuned/2mm.json" ] || { echo "tuner produced no config"; exit 1; }
 grep -q '"speedup_vs_native"' "$SMOKE_DIR/tuned/2mm.json" \
     || { echo "tuned config missing measurement fields"; exit 1; }
+# Every screened cell is a distinct program, and rustc confirms at most
+# one CONFIRM_TOP prefix per ranking plus the native baseline.
+VM_IDS=$(grep '"backend":"vm"' "$SMOKE_DIR/tune.jsonl" | sed 's/^{"id":"\([^"]*\)".*/\1/')
+[ -n "$VM_IDS" ] && [ -z "$(echo "$VM_IDS" | sort | uniq -d)" ] \
+    || { echo "tuner screened no cell, or one program twice: $VM_IDS"; exit 1; }
+CONFIRM_TOP=$(sed -n 's/^pub const CONFIRM_TOP: usize = \([0-9]*\);$/\1/p' crates/bench/src/autotune.rs)
+RUSTC_RECORDS=$(grep -c '"backend":"rustc"' "$SMOKE_DIR/tune.jsonl" || true)
+[ -n "$CONFIRM_TOP" ] && [ "$RUSTC_RECORDS" -le $((2 * CONFIRM_TOP + 1)) ] \
+    || { echo "tuner confirmed $RUSTC_RECORDS cells, CONFIRM_TOP '$CONFIRM_TOP'"; exit 1; }
 # Capture rather than pipe into `grep -q`: with pipefail, grep exiting
 # at first match SIGPIPEs table1 mid-print and fails a passing check.
 TUNED_OUT=$(POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \

@@ -2,38 +2,37 @@
 //!
 //! The paper's iterative column enumerates three fixed fusion
 //! structures; this module closes the loop properly: a measured-feedback
-//! search over *fusion structure × tile sizes × unroll factors ×
-//! runtime knobs* (pipeline publish batch, dynamic-schedule grain),
-//! driven through the crash-safe sweep executor so every measured cell is
+//! search over *fusion structure × tile sizes × unroll factors*, driven
+//! through the crash-safe sweep executor so every measured cell is
 //! cached, timed out, retried, and appended to the resumable JSONL log.
+//! A candidate is one program: the emitter's automatic pipeline batch
+//! and doall grain are the only runtime settings there are.
 //!
 //! The search is budgeted in *measured cells*, so candidate triage
 //! happens before anything is compiled:
 //!
-//! 1. **Prune** with the cache model: every candidate *structure* is
-//!    simulated at the kernel's `mini` dataset through the
-//!    [`polymix_cachesim`] hierarchy batch API; structures whose
-//!    weighted miss cost exceeds [`PRUNE_FACTOR`]× the best are dropped
-//!    unmeasured.
+//! 1. **Prune** with the cache model: every candidate is simulated at
+//!    the kernel's `mini` dataset through the [`polymix_cachesim`]
+//!    hierarchy batch API; candidates whose weighted miss cost exceeds
+//!    [`PRUNE_FACTOR`]× the best are dropped unmeasured.
 //! 2. **Rank** survivors with a transparent feature-based cost model
 //!    ([`Features`] / [`score`]): simulated miss cost, loop depth,
 //!    parallel-loop and synchronization-loop counts (the Par annotations
 //!    summarize the dependence-vector shape each structure ended up
 //!    with), and how well the tile footprint fits L1.
 //! 3. **Screen** the most promising candidates with the in-process
-//!    bytecode backend ([`crate::backend::vm_measure`]): each structure
-//!    expands into its runtime-knob variants until `budget` cells have
-//!    been chosen, and every chosen cell is interpreted without leaving
-//!    the process — no emit, no `rustc`, no spawn.
+//!    bytecode backend ([`crate::backend::vm_measure`]): the `budget`
+//!    best-ranked candidates are interpreted without leaving the
+//!    process — no emit, no `rustc`, no spawn.
 //! 4. **Confirm** the union of the [`CONFIRM_TOP`] fastest *screened*
 //!    candidates and the [`CONFIRM_TOP`] best *model-ranked* candidates
 //!    (plus one native-baseline cell for the speedup denominator) at
 //!    full fidelity through the rustc backend. The two rankings cover
 //!    each other's blind spots: interpreted wall time sees dynamic
 //!    behavior (fusion killing recomputation, guard overhead) that the
-//!    static model can only estimate, while the model sees
-//!    codegen-sensitive knobs (unroll factors feeding LLVM's
-//!    vectorizer) that interpreter op counts are structurally blind to.
+//!    static model can only estimate, while the model sees what an
+//!    unroll factor feeds LLVM's vectorizer, which interpreter op counts
+//!    are structurally blind to.
 //!    When the vm cannot model a kernel at all, every chosen candidate
 //!    falls back to rustc. The JSONL log keys on *(id, backend)*, so vm
 //!    screens and rustc confirmations of the same candidate never
@@ -48,7 +47,7 @@
 //! with a losing one.
 
 use crate::backend::vm_measure;
-use crate::runner::{emit_source_with, EmitKnobs, Runner};
+use crate::runner::{emit_source, Runner};
 use crate::sweep::{self, run_sweep, JobOutcome, JobWork, SweepConfig, SweepJob};
 use crate::variants::{build_variant, Variant};
 use polymix_ast::tree::{Node, Par, Program};
@@ -60,20 +59,24 @@ use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::{kernel_by_name, Group, Kernel};
 use std::path::{Path, PathBuf};
 
-/// Structures costing more than this factor times the cheapest
-/// simulated structure are pruned before compilation.
+/// Candidates costing more than this factor times the cheapest
+/// simulated candidate are pruned before compilation.
 pub const PRUNE_FACTOR: f64 = 2.0;
 
 /// Per-level miss costs (cycles-ish) weighting the simulated hierarchy:
 /// L1 miss, L2 miss. Only ratios matter for pruning/ranking.
 pub const LEVEL_COSTS: [f64; 2] = [1.0, 4.0];
 
-/// How many candidates *per ranking* (vm screen, cache model) are
+/// How many programs *per ranking* (vm screen, cache model) are
 /// confirmed at full rustc fidelity; the confirmation set is the union
-/// of both prefixes. Small on purpose: both rankings already ordered
-/// the whole budget, so confirmation only needs to absorb their
-/// respective blind spots around the top.
-pub const CONFIRM_TOP: usize = 3;
+/// of both prefixes, so at most `2 * CONFIRM_TOP` rustc cells beside
+/// the native baseline. Small on
+/// purpose: both rankings already ordered the whole budget, so
+/// confirmation only needs to absorb their respective blind spots
+/// around the top. The model's prefix is load-bearing for one reason:
+/// the vm executes an unrolled tree op for op, so it cannot see what
+/// LLVM gains from the unroll (DESIGN §12).
+pub const CONFIRM_TOP: usize = 2;
 
 /// The optimizer family of a candidate: which transformation flow and
 /// which fusion structure it enumerates.
@@ -120,8 +123,8 @@ impl OptFamily {
     }
 }
 
-/// One point of the search space: a transformation structure plus the
-/// runtime knobs threaded into the emitted program.
+/// One point of the search space: a transformation structure, and with
+/// it one emitted program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
     /// Optimizer family (fusion structure enumeration).
@@ -133,24 +136,14 @@ pub struct Candidate {
     pub time_tile: i64,
     /// Unroll-and-jam factors `(outer, inner)`.
     pub unroll: (i64, i64),
-    /// Pipeline publish batch override (`None` = emitter's automatic).
-    pub pipeline_batch: Option<i64>,
-    /// Dynamic-schedule chunk grain override (`None` = automatic).
-    pub dyn_grain: Option<i64>,
 }
 
 impl Candidate {
     /// Stable sweep-job id: the resume log keys on this, so it must
     /// encode every knob.
     pub fn id(&self, kernel: &str, dataset: &str) -> String {
-        let pb = self
-            .pipeline_batch
-            .map_or("auto".to_string(), |b| b.to_string());
-        let dg = self
-            .dyn_grain
-            .map_or("auto".to_string(), |g| g.to_string());
         format!(
-            "tune:{kernel}:{dataset}:{}:t{}:tt{}:u{}x{}:pb{pb}:dg{dg}",
+            "tune:{kernel}:{dataset}:{}:t{}:tt{}:u{}x{}",
             self.opt.name(),
             self.tile,
             self.time_tile,
@@ -158,28 +151,9 @@ impl Candidate {
             self.unroll.1,
         )
     }
-
-    /// The emitted-program knobs this candidate requests.
-    pub fn knobs(&self) -> EmitKnobs {
-        EmitKnobs {
-            pipeline_batch: self.pipeline_batch,
-            dyn_grain: self.dyn_grain,
-        }
-    }
-
-    /// This candidate with automatic runtime knobs. Candidates sharing
-    /// a structure run the *same* program and differ only in runtime
-    /// knobs, so they share one simulation.
-    fn structure(&self) -> Candidate {
-        Candidate {
-            pipeline_batch: None,
-            dyn_grain: None,
-            ..*self
-        }
-    }
 }
 
-/// Builds the transformed program for one candidate structure.
+/// Builds the transformed program for one candidate.
 pub fn build_candidate(
     kernel: &Kernel,
     c: &Candidate,
@@ -220,9 +194,8 @@ pub fn build_candidate(
     }
 }
 
-/// Enumerates the full candidate space for a kernel group, structure
-/// knobs crossed with runtime knobs. Deterministic order: the search
-/// (and therefore the resume log) depends on it.
+/// Enumerates the full candidate space for a kernel group. Deterministic
+/// order: the search (and therefore the resume log) depends on it.
 pub fn candidate_space(group: Group) -> Vec<Candidate> {
     let tiles: &[i64] = &[16, 32, 64];
     let time_tiles: &[i64] = if group == Group::Pipeline {
@@ -241,15 +214,12 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
             };
             for tt in tts {
                 for &unroll in unrolls {
-                    let base = Candidate {
+                    out.push(Candidate {
                         opt,
                         tile,
                         time_tile: tt,
                         unroll,
-                        pipeline_batch: None,
-                        dyn_grain: None,
-                    };
-                    out.extend(runtime_expansions(&base, group));
+                    });
                 }
             }
         }
@@ -257,29 +227,7 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
     out
 }
 
-/// Runtime-knob variants of one structure, defaults first. Kept small:
-/// runtime knobs don't change the memory trace, so measuring more than
-/// a handful per structure wastes budget the structure search needs.
-fn runtime_expansions(base: &Candidate, group: Group) -> Vec<Candidate> {
-    let mut out = vec![*base];
-    if group == Group::Pipeline {
-        out.push(Candidate {
-            pipeline_batch: Some(1),
-            ..*base
-        });
-        out.push(Candidate {
-            pipeline_batch: Some(8),
-            ..*base
-        });
-    }
-    out.push(Candidate {
-        dyn_grain: Some(4),
-        ..*base
-    });
-    out
-}
-
-/// The transparent ranking features of one candidate structure. Every
+/// The transparent ranking features of one candidate. Every
 /// term is printed by `tune` in verbose mode and documented in
 /// EXPERIMENTS.md — no opaque learned weights.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -372,19 +320,11 @@ pub struct TunedConfig {
 }
 
 impl TunedConfig {
-    /// One-line JSON. Option knobs are *omitted* when `None` (absent key
-    /// = automatic).
+    /// One-line JSON.
     pub fn to_json(&self) -> String {
-        let mut knobs = String::new();
-        if let Some(b) = self.candidate.pipeline_batch {
-            knobs.push_str(&format!(",\"pipeline_batch\":{b}"));
-        }
-        if let Some(g) = self.candidate.dyn_grain {
-            knobs.push_str(&format!(",\"dyn_grain\":{g}"));
-        }
         format!(
             "{{\"kernel\":\"{}\",\"dataset\":\"{}\",\"threads\":{},\"opt\":\"{}\",\
-             \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}]{knobs},\
+             \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}],\
              \"time_s\":{:e},\"gflops\":{:e},\"native_time_s\":{:e},\
              \"speedup_vs_native\":{:e},\"beats_native\":{}}}",
             sweep::json_escape(&self.kernel),
@@ -404,7 +344,8 @@ impl TunedConfig {
     }
 
     /// Parses [`TunedConfig::to_json`] output; `None` on any violation.
-    /// Unknown keys — the retired `taskgraph` of older files — are ignored.
+    /// Unknown keys — the retired `taskgraph`, `pool`, `pipeline_batch`
+    /// and `dyn_grain` of older files — are ignored.
     pub fn from_json(line: &str) -> Option<TunedConfig> {
         let rec = sweep::parse_record(line)?;
         let unroll = rec.arr_field("unroll")?;
@@ -416,8 +357,6 @@ impl TunedConfig {
             tile: rec.num_field("tile")? as i64,
             time_tile: rec.num_field("time_tile")? as i64,
             unroll: (unroll[0] as i64, unroll[1] as i64),
-            pipeline_batch: rec.num_field("pipeline_batch").map(|b| b as i64),
-            dyn_grain: rec.num_field("dyn_grain").map(|g| g as i64),
         };
         let speedup_vs_native = rec.num_field("speedup_vs_native")?;
         Some(TunedConfig {
@@ -486,7 +425,7 @@ pub struct TuneOutcome {
     pub measured: usize,
     /// Cells replayed from the resume log (baseline included).
     pub resumed: usize,
-    /// Structures dropped by the cache-model prune.
+    /// Candidates dropped by the cache-model prune.
     pub pruned: usize,
     /// Total candidates in the enumerated space.
     pub total_candidates: usize,
@@ -516,65 +455,54 @@ pub fn autotune_kernel(
     let space = candidate_space(kernel.group);
     let total_candidates = space.len();
 
-    // --- Stage 1: simulate each distinct *structure* once at mini. ---
-    let mut structures: Vec<Candidate> = Vec::new();
-    for c in &space {
-        if !structures.contains(&c.structure()) {
-            structures.push(c.structure());
-        }
-    }
+    // --- Stage 1: simulate every candidate once at mini. ---
     let progs: Vec<Option<Program>> = {
-        // Every structure is built from the same SCoP and asks about the
+        // Every candidate is built from the same SCoP and asks about the
         // same dependence polyhedra.
         let _memo = polymix_math::memo::scope();
         let build = |c| build_candidate(&kernel, c, machine).ok();
-        structures.iter().map(build).collect()
+        space.iter().map(build).collect()
     };
     let built: Vec<&Program> = progs.iter().flatten().collect();
     let configs = [CacheConfig::l1_nehalem(), CacheConfig::l2_nehalem()];
     let costs = batch_weighted_cost(&built, &mini, &configs, &LEVEL_COSTS);
-    // Re-align costs with the (sparse) structure list.
+    // Re-align costs with the (sparse) candidate list.
     let mut cost_iter = costs.into_iter();
-    let struct_costs: Vec<Option<f64>> = progs
+    let sim_costs: Vec<Option<f64>> = progs
         .iter()
         .map(|p| p.as_ref().map(|_| cost_iter.next().unwrap_or(f64::MAX)))
         .collect();
-    let min_cost = struct_costs
+    let min_cost = sim_costs
         .iter()
         .flatten()
         .copied()
         .fold(f64::MAX, f64::min);
 
-    // --- Stage 2: prune and rank structures. ---
-    let mut ranked: Vec<(usize, f64)> = Vec::new(); // (structure idx, score)
+    // --- Stage 2: prune and rank candidates. ---
+    let mut ranked: Vec<(usize, f64)> = Vec::new(); // (candidate idx, score)
     let mut pruned = 0usize;
-    for (si, cost) in struct_costs.iter().enumerate() {
-        let (Some(cost), Some(prog)) = (cost, &progs[si]) else {
-            pruned += 1; // structures that failed to build are "pruned"
+    for (ci, cost) in sim_costs.iter().enumerate() {
+        let (Some(cost), Some(prog)) = (cost, &progs[ci]) else {
+            pruned += 1; // candidates that failed to build are "pruned"
             continue;
         };
         if min_cost > 0.0 && *cost > PRUNE_FACTOR * min_cost {
             pruned += 1;
             continue;
         }
-        let f = features(prog, &structures[si], *cost);
-        ranked.push((si, score(&f, min_cost)));
+        let f = features(prog, &space[ci], *cost);
+        ranked.push((ci, score(&f, min_cost)));
     }
     // Stable sort: ties keep enumeration order, keeping the search
     // deterministic for the resume log.
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-    // --- Stage 3: expand the best structures into measured cells. ---
-    let budget = budget.max(1);
-    let mut chosen: Vec<Candidate> = Vec::new();
-    'fill: for &(si, _) in &ranked {
-        for c in runtime_expansions(&structures[si], kernel.group) {
-            if chosen.len() >= budget {
-                break 'fill;
-            }
-            chosen.push(c);
-        }
-    }
+    // --- Stage 3: the best-ranked candidates are the measured cells. ---
+    let chosen: Vec<Candidate> = ranked
+        .iter()
+        .take(budget.max(1))
+        .map(|&(ci, _)| space[ci])
+        .collect();
 
     // --- Stage 3b: screen every chosen candidate in-process. Same job
     // ids as the rustc confirmations below: the JSONL log and resume
@@ -592,7 +520,6 @@ pub fn autotune_kernel(
                 dataset: dataset.to_string(),
                 params: params.clone(),
                 work: JobWork::InProcess {
-                    unmodeled_knobs: crate::backend::vm_unmodeled_tags(&c.knobs()),
                     run: Box::new(move || {
                         let prog = build_candidate(&kc, &cc, &mc)?;
                         vm_measure(&kc, &prog, &pc, cc.opt.name(), threads, reps)
@@ -647,14 +574,7 @@ pub fn autotune_kernel(
             work: JobWork::Rustc {
                 source: Box::new(move || {
                     let prog = build_variant(&kc, Variant::Native, &Machine::host())?;
-                    Ok(emit_source_with(
-                        &kc,
-                        &prog,
-                        &pc,
-                        threads,
-                        reps,
-                        EmitKnobs::default(),
-                    ))
+                    Ok(emit_source(&kc, &prog, &pc, threads, reps))
                 }),
                 seq_source: None,
             },
@@ -673,7 +593,7 @@ pub fn autotune_kernel(
             work: JobWork::Rustc {
                 source: Box::new(move || {
                     let prog = build_candidate(&kc, &cc, &mc)?;
-                    Ok(emit_source_with(&kc, &prog, &pc, threads, reps, cc.knobs()))
+                    Ok(emit_source(&kc, &prog, &pc, threads, reps))
                 }),
                 // No sequential fallback: a degraded cell would not measure
                 // the candidate's parallel structure, so it must not win.
@@ -756,8 +676,6 @@ mod tests {
             tile: 32,
             time_tile: 5,
             unroll: (2, 2),
-            pipeline_batch: Some(8),
-            dyn_grain: None,
         }
     }
 
@@ -765,14 +683,11 @@ mod tests {
     fn candidate_ids_encode_every_knob() {
         let c = sample_candidate();
         let id = c.id("jacobi-2d-imper", "small");
-        assert_eq!(
-            id,
-            "tune:jacobi-2d-imper:small:polyast-fuse:t32:tt5:u2x2:pb8:dgauto"
-        );
-        // Two candidates differing only in a runtime knob get distinct
-        // ids — the resume log must never alias them.
+        assert_eq!(id, "tune:jacobi-2d-imper:small:polyast-fuse:t32:tt5:u2x2");
+        // Two candidates differing only in one knob get distinct ids —
+        // the resume log must never alias them.
         let c2 = Candidate {
-            pipeline_batch: Some(1),
+            unroll: (1, 1),
             ..c
         };
         assert_ne!(id, c2.id("jacobi-2d-imper", "small"));
@@ -794,13 +709,6 @@ mod tests {
         let line = cfg.to_json();
         let back = TunedConfig::from_json(&line).expect("parses");
         assert_eq!(back, cfg);
-        // None knobs are omitted keys and round-trip as None.
-        let mut cfg2 = cfg.clone();
-        cfg2.candidate.pipeline_batch = None;
-        let line2 = cfg2.to_json();
-        assert!(!line2.contains("pipeline_batch"), "{line2}");
-        let back2 = TunedConfig::from_json(&line2).expect("parses");
-        assert_eq!(back2.candidate.pipeline_batch, None);
     }
 
     #[test]
@@ -862,8 +770,8 @@ mod tests {
     }
 
     /// Pre-marker config lines (no `beats_native` key) derive the flag
-    /// from the recorded speedup, and the retired `taskgraph` and `pool`
-    /// keys of the committed `results/tuned/*.json` are ignored.
+    /// from the recorded speedup, and the retired `taskgraph`, `pool`,
+    /// `pipeline_batch` and `dyn_grain` keys of older files are ignored.
     #[test]
     fn legacy_configs_derive_beats_native_from_speedup() {
         let cfg = TunedConfig {
@@ -890,7 +798,12 @@ mod tests {
             .to_json()
             .replace(",\"time_s\"", ",\"taskgraph\":0,\"pool\":\"auto\",\"time_s\"");
         assert!(line3.contains("\"taskgraph\":0,\"pool\":\"auto\""), "{line3}");
-        assert_eq!(TunedConfig::from_json(&line3), Some(cfg));
+        assert_eq!(TunedConfig::from_json(&line3), Some(cfg.clone()));
+        let line4 = cfg
+            .to_json()
+            .replace("],\"time_s\"", "],\"pipeline_batch\":8,\"dyn_grain\":4,\"time_s\"");
+        assert!(line4.contains("\"pipeline_batch\":8,\"dyn_grain\":4"), "{line4}");
+        assert_eq!(TunedConfig::from_json(&line4), Some(cfg));
         for committed in [
             include_str!("../../../results/tuned/2mm.json"),
             include_str!("../../../results/tuned/gemm.json"),
@@ -905,16 +818,25 @@ mod tests {
         let a = candidate_space(Group::Doall);
         let b = candidate_space(Group::Doall);
         assert_eq!(a, b, "enumeration must be stable for the resume log");
-        // Pipeline-group spaces add time tiles and publish batches.
+        // 5 families x 3 tiles x 2 unrolls; pipeline-group spaces add
+        // 3 time tiles.
         let p = candidate_space(Group::Pipeline);
-        assert!(p.len() > a.len());
-        assert!(p.iter().any(|c| c.pipeline_batch == Some(8)));
-        assert!(a.iter().all(|c| c.pipeline_batch.is_none()), "doall: nothing to batch");
-        // Ids are unique across the space.
-        let mut ids: Vec<String> = p.iter().map(|c| c.id("k", "d")).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), p.len(), "ids must not alias");
+        assert_eq!((a.len(), p.len()), (30, 90));
+        // Every candidate is a distinct program: unique ids and unique
+        // (opt, tile, time_tile, unroll) tuples.
+        for space in [&a, &p] {
+            let mut ids: Vec<String> = space.iter().map(|c| c.id("k", "d")).collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), space.len(), "ids must not alias");
+            let mut tuples: Vec<_> = space
+                .iter()
+                .map(|c| (c.opt.name(), c.tile, c.time_tile, c.unroll))
+                .collect();
+            tuples.sort();
+            tuples.dedup();
+            assert_eq!(tuples.len(), space.len(), "no two candidates share a structure");
+        }
     }
 
     #[test]

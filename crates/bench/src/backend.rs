@@ -7,7 +7,7 @@
 //! comparable — the sweep log and cache keys still record which backend
 //! produced each number (see [`JobWork::backend`]).
 
-use crate::runner::{emit_source_with, EmitKnobs, RunResult};
+use crate::runner::{emit_source, RunResult};
 use crate::sweep::JobWork;
 use polymix_ast::tree::Program;
 use polymix_ir::PolymixError;
@@ -21,7 +21,7 @@ use std::time::Instant;
 /// when one cell is measured by both (`--backend both`).
 pub type ProgBuild = Arc<dyn Fn() -> Result<Program, PolymixError> + Send + Sync>;
 
-/// A way to turn one (kernel, params, knobs, program) cell into
+/// A way to turn one (kernel, params, program) cell into
 /// executable sweep work.
 pub trait Backend {
     /// Backend name as recorded in the JSONL log (`"rustc"` / `"vm"`).
@@ -33,7 +33,6 @@ pub trait Backend {
         kernel: &Kernel,
         params: &[i64],
         label: &str,
-        knobs: EmitKnobs,
         build: ProgBuild,
     ) -> JobWork;
 }
@@ -59,21 +58,20 @@ impl Backend for RustcBackend {
         kernel: &Kernel,
         params: &[i64],
         _label: &str,
-        knobs: EmitKnobs,
         build: ProgBuild,
     ) -> JobWork {
         let (threads, reps) = (self.threads, self.reps);
         let (k1, p1, b1) = (kernel.clone(), params.to_vec(), build.clone());
         let source = Box::new(move || {
             let prog = b1()?;
-            Ok(emit_source_with(&k1, &prog, &p1, threads, reps, knobs))
+            Ok(emit_source(&k1, &prog, &p1, threads, reps))
         });
         let seq_source: Option<Box<dyn FnOnce() -> Result<String, PolymixError> + Send>> =
             if self.seq_fallback {
                 let (k2, p2) = (kernel.clone(), params.to_vec());
                 Some(Box::new(move || {
                     let prog = build()?;
-                    Ok(emit_source_with(&k2, &prog, &p2, 1, reps, knobs))
+                    Ok(emit_source(&k2, &prog, &p2, 1, reps))
                 }))
             } else {
                 None
@@ -100,7 +98,6 @@ impl Backend for VmBackend {
         kernel: &Kernel,
         params: &[i64],
         label: &str,
-        knobs: EmitKnobs,
         build: ProgBuild,
     ) -> JobWork {
         let (threads, reps) = (self.threads, self.reps);
@@ -112,26 +109,8 @@ impl Backend for VmBackend {
                 let prog = build()?;
                 vm_measure(&kernel, &prog, &params, &label, threads, reps)
             }),
-            unmodeled_knobs: vm_unmodeled_tags(&knobs),
         }
     }
-}
-
-/// The subset of this cell's knob settings the bytecode backend cannot
-/// model (see [`polymix_vm::UNMODELED_KNOBS`]): active knobs in this
-/// list change the rustc artifact but not the lowered bytecode, so a vm
-/// screening number for the cell is blind to them. Recorded on the JSONL
-/// row so downstream analysis can tell which screened cells *needed* the
-/// rustc confirm pass.
-pub fn vm_unmodeled_tags(knobs: &EmitKnobs) -> Vec<&'static str> {
-    let mut tags = Vec::new();
-    if knobs.pipeline_batch.is_some() && polymix_vm::UNMODELED_KNOBS.contains(&"pipeline_batch") {
-        tags.push("pipeline_batch");
-    }
-    if knobs.dyn_grain.is_some() && polymix_vm::UNMODELED_KNOBS.contains(&"dyn_grain") {
-        tags.push("dyn_grain");
-    }
-    tags
 }
 
 /// Measures one transformed program with the bytecode interpreter,

@@ -7,7 +7,7 @@ use polymix_ast::pretty::render;
 use polymix_bench::autotune::{build_candidate, default_tuned_path, TunedConfig};
 use polymix_bench::backend::{select_backends, ProgBuild};
 use polymix_bench::report::{gf, Cli, Table};
-use polymix_bench::runner::{EmitKnobs, Runner};
+use polymix_bench::runner::Runner;
 use polymix_bench::sweep::{print_degraded_legend, run_sweep, SweepConfig, SweepJob};
 use polymix_bench::variants::{build_variant, Variant};
 use std::sync::Arc;
@@ -111,7 +111,7 @@ fn main() {
                 variant: variant.name().to_string(),
                 dataset: cli.dataset.clone(),
                 params: params.clone(),
-                work: b.work(&k, &params, variant.name(), EmitKnobs::default(), build.clone()),
+                work: b.work(&k, &params, variant.name(), build.clone()),
             });
         }
     }
@@ -120,14 +120,14 @@ fn main() {
         let build: ProgBuild = Arc::new(move || build_candidate(&kb, &cand, &mb));
         for b in &backends {
             jobs.push(SweepJob {
-                // The candidate id keys the binary cache and resume log, so
-                // a re-tuned config re-measures instead of replaying.
+                // The candidate id keys the resume log, so a re-tuned
+                // config re-measures instead of replaying.
                 id: format!("table1:tuned:{}:{}", cli.dataset, cand.id("2mm", &cli.dataset)),
                 kernel: k.name.to_string(),
                 variant: "tuned".to_string(),
                 dataset: cli.dataset.clone(),
                 params: params.clone(),
-                work: b.work(&k, &params, "tuned", cand.knobs(), build.clone()),
+                work: b.work(&k, &params, "tuned", build.clone()),
             });
         }
     }

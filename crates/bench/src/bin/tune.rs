@@ -1,7 +1,7 @@
 //! `tune` — the closed-loop autotuner CLI.
 //!
-//! Searches fusion structure × tile sizes × unroll factors × runtime
-//! knobs for each requested kernel with a two-fidelity loop: prune with
+//! Searches fusion structure × tile sizes × unroll factors for each
+//! requested kernel with a two-fidelity loop: prune with
 //! the cache model, screen the budgeted candidates through the
 //! in-process bytecode backend (no `rustc` on the screening path), then
 //! confirm the front-runners at full rustc fidelity and commit the
@@ -62,24 +62,17 @@ fn main() {
             Ok(outcome) => {
                 let c = &outcome.config;
                 println!(
-                    "  space {} candidates, {} structures pruned by the cache model, \
+                    "  space {} candidates, {} pruned by the cache model, \
                      {} measured fresh, {} resumed from the log",
                     outcome.total_candidates, outcome.pruned, outcome.measured, outcome.resumed
                 );
                 println!(
-                    "  winner: {} tile {} time_tile {} unroll {}x{} pipeline_batch {} \
-                     dyn_grain {}",
+                    "  winner: {} tile {} time_tile {} unroll {}x{}",
                     c.candidate.opt.name(),
                     c.candidate.tile,
                     c.candidate.time_tile,
                     c.candidate.unroll.0,
                     c.candidate.unroll.1,
-                    c.candidate
-                        .pipeline_batch
-                        .map_or("auto".into(), |b| b.to_string()),
-                    c.candidate
-                        .dyn_grain
-                        .map_or("auto".into(), |g| g.to_string()),
                 );
                 println!(
                     "  {:.4} GFLOP/s ({:.3e}s), {:.2}x vs native{}",

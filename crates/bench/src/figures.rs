@@ -4,7 +4,7 @@
 
 use crate::backend::{select_backends, ProgBuild};
 use crate::report::{gf, Cli, Table};
-use crate::runner::{EmitKnobs, Runner};
+use crate::runner::Runner;
 use crate::sweep::{print_degraded_legend, run_sweep, JobOutcome, SweepConfig, SweepJob};
 use crate::variants::{build_variant, variant_list, Variant};
 use polymix_dl::Machine;
@@ -45,7 +45,7 @@ pub fn run_group_figure(title: &str, group: Group) {
                     variant: v.name().to_string(),
                     dataset: cli.dataset.clone(),
                     params: params.clone(),
-                    work: b.work(k, &params, v.name(), EmitKnobs::default(), build.clone()),
+                    work: b.work(k, &params, v.name(), build.clone()),
                 });
             }
         }

@@ -25,7 +25,7 @@
 //!   binaries;
 //! * [`autotune`] — the closed-loop tuner (`tune` binary): a
 //!   measured-feedback search over fusion structure × tile sizes ×
-//!   unroll factors × runtime knobs, pruned by the cache model before
+//!   unroll factors, pruned by the cache model before
 //!   compilation and driven through the resumable sweep executor.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure; run e.g.

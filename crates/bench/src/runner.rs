@@ -163,18 +163,6 @@ impl Runner {
     }
 }
 
-/// Runtime-level knobs threaded from a tuned configuration into the
-/// emitted standalone program. `Default` reproduces [`emit_source`]'s
-/// behavior exactly (automatic batch, automatic grain), so existing
-/// sweeps are unaffected.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EmitKnobs {
-    /// Pipeline publish batch (`None` = emitter's automatic choice).
-    pub pipeline_batch: Option<i64>,
-    /// Dynamic-schedule chunk grain for doall regions (`None` = auto).
-    pub dyn_grain: Option<i64>,
-}
-
 /// Emits the standalone measurement program for `kernel`/`prog` at
 /// `params`. Standalone (rather than a [`Runner`] method) so sweep jobs
 /// can emit on worker threads without sharing the runner.
@@ -185,28 +173,12 @@ pub fn emit_source(
     threads: usize,
     reps: usize,
 ) -> String {
-    emit_source_with(kernel, prog, params, threads, reps, EmitKnobs::default())
-}
-
-/// [`emit_source`] with explicit tuned runtime knobs. The knobs feed
-/// [`EmitOptions`] directly (a pipeline region's marker line names the
-/// `PIPE_BATCH` its source was emitted with).
-pub fn emit_source_with(
-    kernel: &Kernel,
-    prog: &Program,
-    params: &[i64],
-    threads: usize,
-    reps: usize,
-    knobs: EmitKnobs,
-) -> String {
     let opts = EmitOptions {
         params: params.to_vec(),
         flops: (kernel.flops)(params),
         threads,
         init_rust: Some(kernel.init_rust(&prog.scop)),
         reps,
-        pipeline_batch: knobs.pipeline_batch,
-        dyn_grain: knobs.dyn_grain,
     };
     emit_rust(prog, &opts)
 }
@@ -268,17 +240,10 @@ pub struct CompileOutcome {
     pub freshly_compiled: bool,
 }
 
-/// Stable on-disk id for one (source, flags) cache entry.
-fn cache_id(src: &str, rustc_flags: &[String], label: &str) -> String {
-    let clean: String = label
-        .chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("{clean}_{:016x}", cache_key(src, rustc_flags))
-}
-
 /// Compiles `src` into the binary cache under `work_dir` (keyed by
 /// content + flags) unless already present, and returns the binary path.
+/// `label` only names the cell in error messages: two labels asking for
+/// the same source share one binary and one `rustc` run.
 ///
 /// Concurrency-safe across threads *and* processes sharing `work_dir`:
 /// a `create_new` lockfile elects exactly one compiler per id; everyone
@@ -292,7 +257,8 @@ pub fn ensure_compiled(
     timeout: Duration,
 ) -> Result<CompileOutcome, String> {
     std::fs::create_dir_all(work_dir).map_err(|e| e.to_string())?;
-    let id = cache_id(src, rustc_flags, label);
+    // The leading letter keeps the file stem a valid crate name.
+    let id = format!("k{:016x}", cache_key(src, rustc_flags));
     let src_path = work_dir.join(format!("{id}.rs"));
     let bin_path = work_dir.join(&id);
     let lock_path = work_dir.join(format!("{id}.lock"));
@@ -633,25 +599,6 @@ mod tests {
             cache_key("fn main() {}", &["-Cx".into()]),
             "flag boundaries must feed the key"
         );
-    }
-
-    /// The knob set is exactly these two fields — written out without
-    /// `..`, so a third knob cannot come back without touching this test
-    /// — and leaving both automatic is `emit_source`, byte for byte.
-    #[test]
-    fn automatic_knobs_are_emit_source() {
-        let knobs = EmitKnobs {
-            pipeline_batch: None,
-            dyn_grain: None,
-        };
-        let k = kernel_by_name("gemm").unwrap();
-        let params = k.dataset("mini").params;
-        let prog = build_variant(&k, Variant::PolyAst, &Machine::host()).expect("poly+ast variant");
-        for threads in [1, 4] {
-            let src = emit_source_with(&k, &prog, &params, threads, 1, knobs);
-            assert_eq!(src, emit_source(&k, &prog, &params, threads, 1));
-            assert!(!src.contains("// vect"), "{src}");
-        }
     }
 
     /// End-to-end smoke test: gemm through native and poly+ast must

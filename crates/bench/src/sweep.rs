@@ -55,12 +55,6 @@ pub enum JobWork {
         /// The measurement itself.
         #[allow(clippy::type_complexity)]
         run: Box<dyn FnOnce() -> Result<RunResult, PolymixError> + Send>,
-        /// Knobs active on this cell that the bytecode backend cannot
-        /// model (see [`polymix_vm::UNMODELED_KNOBS`]): the vm number
-        /// is blind to them, so a screened cell carrying any of these
-        /// tags *needs* the rustc confirm pass before its knob setting
-        /// can be trusted. Recorded on the JSONL row.
-        unmodeled_knobs: Vec<&'static str>,
     },
 }
 
@@ -119,9 +113,6 @@ pub struct JobOutcome {
     pub degraded: bool,
     /// Which backend produced `result` (`"rustc"` or `"vm"`).
     pub backend: &'static str,
-    /// Knob tags the measuring backend could not model (empty for
-    /// rustc cells and for resumed cells; see [`JobWork::InProcess`]).
-    pub unmodeled_knobs: Vec<&'static str>,
 }
 
 /// Execution policy for [`run_sweep`].
@@ -266,7 +257,6 @@ pub fn run_sweep(jobs: Vec<SweepJob>, runner: &Runner, cfg: &SweepConfig) -> Vec
                         resumed: true,
                         degraded: *degraded,
                         backend,
-                        unmodeled_knobs: Vec::new(),
                     }
                 } else {
                     let done = execute_job(job, runner, cfg, &measure);
@@ -303,7 +293,6 @@ fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Sema
     let backend = work.backend();
     let label = format!("{kernel}_{variant}");
     let mut degraded = false;
-    let mut unmodeled_knobs = Vec::new();
     let result = match work {
         JobWork::Rustc { source, seq_source } => {
             let mut result = run_one(source, &label, &kernel, &variant, runner, cfg, measure);
@@ -328,11 +317,10 @@ fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Sema
             }
             result
         }
-        JobWork::InProcess { run, unmodeled_knobs: tags } => {
+        JobWork::InProcess { run } => {
             // In-process measurement still serializes behind the
             // measurement semaphore; a panic inside the closure poisons
             // this cell only, never the sweep.
-            unmodeled_knobs = tags;
             measure.acquire();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
                 .unwrap_or_else(|_| {
@@ -356,7 +344,6 @@ fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Sema
         resumed: false,
         degraded,
         backend,
-        unmodeled_knobs,
     }
 }
 
@@ -473,13 +460,6 @@ fn record_line(o: &JobOutcome) -> String {
         ",\"degraded\":\"sequential\"".to_string()
     } else {
         String::new()
-    };
-    // The flat JSONL parser has no string arrays, so the tag list is
-    // one comma-joined string field, present only when non-empty.
-    let degraded = if o.unmodeled_knobs.is_empty() {
-        degraded
-    } else {
-        format!("{degraded},\"unmodeled_knobs\":\"{}\"", o.unmodeled_knobs.join(","))
     };
     match &o.result {
         Ok(r) => format!(
@@ -819,7 +799,6 @@ mod tests {
             resumed: false,
             degraded: false,
             backend: "rustc",
-            unmodeled_knobs: Vec::new(),
         }
     }
 

@@ -54,9 +54,10 @@ fn interrupted_search_resumes_without_remeasuring() {
     let runner = test_runner(dir.clone());
 
     // Uninterrupted search: BUDGET vm screens, then the native baseline
-    // plus BUDGET rustc confirmations (BUDGET <= CONFIRM_TOP, so every
-    // screened candidate confirms). `measured` counts candidate cells at
-    // both fidelities, excluding the baseline.
+    // plus BUDGET rustc confirmations. BUDGET (2) <= CONFIRM_TOP (2), so
+    // the model's prefix alone is every chosen program and each one
+    // confirms. `measured` counts candidate cells at both fidelities,
+    // excluding the baseline.
     let first = autotune_kernel("gemm", "mini", BUDGET, &runner, &cfg_with_log(log.clone()), &machine)
         .expect("first search succeeds");
     assert_eq!(

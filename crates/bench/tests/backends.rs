@@ -10,7 +10,7 @@
 
 use polymix_ast::tree::Program;
 use polymix_bench::backend::{vm_measure, vm_measure_checked};
-use polymix_bench::runner::{compile_and_run, emit_source_with, EmitKnobs};
+use polymix_bench::runner::{compile_and_run, emit_source};
 use polymix_bench::variants::{build_variant, variant_list, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::{checksum, kernel_by_name, Kernel};
@@ -162,7 +162,7 @@ fn vm_and_rustc_backends_agree_on_gemm() {
         let prog = build_variant(&k, v, &machine).expect("gemm variant builds");
         let vm = vm_measure(&k, &prog, &params, v.name(), 1, 1)
             .expect("vm executes gemm");
-        let src = emit_source_with(&k, &prog, &params, 1, 1, EmitKnobs::default());
+        let src = emit_source(&k, &prog, &params, 1, 1);
         let rustc = compile_and_run(&src, &dir, &flags, v.name()).expect("rustc cell runs");
         // The vm reports its checksum at full f64 precision; the rustc
         // binary prints `{:.6e}` (7 significant digits), so comparisons

@@ -91,7 +91,6 @@ fn vm_job(id: &str, checksum: f64) -> SweepJob {
                     gflops: 1.0,
                 })
             }),
-            unmodeled_knobs: Vec::new(),
         },
     }
 }
@@ -263,6 +262,25 @@ fn truncated_cached_binary_is_recompiled_not_trusted() {
     // it, recompiles, and succeeds.
     let r = compile_and_run(&src, &dir, &flags, "trunc").expect("recovers by recompiling");
     assert!((r.checksum - 3.5).abs() < 1e-12);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache keys on content: a label names the cell in errors, never
+/// the binary. Two tuner candidates that emit the same program (Pluto
+/// leaving a nest untouched emits the native source byte for byte)
+/// share one `rustc` run.
+#[test]
+fn one_source_under_two_labels_compiles_once() {
+    let dir = tmp_dir("labels");
+    let src = ok_src(5);
+    let flags: Vec<String> = vec![];
+    let first = ensure_compiled(&src, &dir, &flags, "gemm_native", Duration::from_secs(120))
+        .expect("first compile");
+    assert!(first.freshly_compiled);
+    let second = ensure_compiled(&src, &dir, &flags, "gemm_pluto-pocc", Duration::from_secs(120))
+        .expect("second lookup");
+    assert!(!second.freshly_compiled, "a second label must not recompile");
+    assert_eq!(second.bin_path, first.bin_path);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -683,7 +701,6 @@ fn resume_never_crosses_backends_for_the_same_id() {
     let vm_again = SweepJob {
         work: JobWork::InProcess {
             run: Box::new(|| panic!("resume must not re-execute")),
-            unmodeled_knobs: Vec::new(),
         },
         ..job("shared", String::new())
     };

@@ -47,17 +47,6 @@ pub struct EmitOptions {
     pub init_rust: Option<String>,
     /// Timing repetitions; the minimum time is reported.
     pub reps: usize,
-    /// Pipeline publish batch: progress is published/awaited every
-    /// this-many outer steps instead of every step. `None` derives the
-    /// batch from the loop's step (which encodes the tile size the DL
-    /// model chose): tiled outer loops already amortize per-step
-    /// synchronization over a whole tile row, so they get batch 1, while
-    /// untiled (step-1) pipelines batch up to 8 rows per publish.
-    pub pipeline_batch: Option<i64>,
-    /// Chunk-claiming grain for dynamically scheduled doalls. `None`
-    /// derives the grain at runtime from the span (targeting ~8 chunks
-    /// per worker, the same policy as `polymix-runtime`).
-    pub dyn_grain: Option<i64>,
 }
 
 impl Default for EmitOptions {
@@ -68,8 +57,6 @@ impl Default for EmitOptions {
             threads: 1,
             init_rust: None,
             reps: 1,
-            pipeline_batch: None,
-            dyn_grain: None,
         }
     }
 }
@@ -467,14 +454,13 @@ impl Emitter<'_> {
     /// Doall: static blocks for rectangular nests, dynamic chunk claiming
     /// for non-rectangular ones (per-iteration work that varies with the
     /// parallel variable would load-imbalance a static partition by
-    /// design).
+    /// design). The dynamic grain `Some(0)` lets the runtime derive it
+    /// from the trip count (~8 chunks per worker).
     fn doall(&mut self, l: &Loop) {
         let (kind, grain) = if nest_is_nonrectangular(l) {
-            // 0 lets the runtime derive the grain from the trip count.
-            let g = self.opts.dyn_grain.map_or(0, |g| g.max(1));
-            ("dynamic", format!("Some({g})"))
+            ("dynamic", "Some(0)")
         } else {
-            ("static", "None".to_string())
+            ("static", "None")
         };
         let v = self.var_name(l.var);
         let lo = self.bound(&l.lo, true);
@@ -654,11 +640,7 @@ impl Emitter<'_> {
         // The loop step encodes the tile size, so tiled pipelines (large
         // steps, per-step sync already amortized over a tile row) publish
         // every step while untiled ones batch several rows.
-        let batch = self
-            .opts
-            .pipeline_batch
-            .unwrap_or(8 / l.step.max(1))
-            .clamp(1, 8);
+        let batch = (8 / l.step.max(1)).clamp(1, 8);
         self.runtime_call(
             "pipeline",
             &format!(" (phases {}, PIPE_BATCH = {batch})", subs.len()),
@@ -1018,40 +1000,44 @@ mod tests {
         prog
     }
 
+    /// [`stencil_prog`] with the time loop stepping by `step`, the shape
+    /// a tiled time loop has.
+    fn stepped(mut prog: Program, step: i64) -> Program {
+        let mut outer = true;
+        prog.body.visit_loops_mut(&mut |l| {
+            if outer {
+                l.step = step;
+            }
+            outer = false;
+        });
+        prog
+    }
+
     #[test]
     fn pipeline_passes_phases_and_batch_to_the_runtime() {
-        let single = stencil_prog(&["A"], Par::Pipeline);
-        // Unit-step loop, no override: the batch derives from the step.
-        let src = emit_rust(&single, &opts(4));
+        // The batch derives from the step: an untiled (unit-step) loop
+        // publishes every 8 steps.
+        let src = emit_rust(&stencil_prog(&["A"], Par::Pipeline), &opts(4));
         let call = line_after(&src, "// pipeline region 0 (phases 1, PIPE_BATCH = 8)");
         assert!(
             call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 1, 1, 0i64.max({ let ")
                 && call.contains(" }), 1, 8, #[inline(never)] move |v_c1: i64, phase: i64, "),
             "{src}"
         );
-        let src1 = emit_rust(
-            &single,
-            &EmitOptions {
-                pipeline_batch: Some(1),
-                ..opts(4)
-            },
-        );
+        // A loop stepping by a whole tile already amortizes its sync.
+        let src8 = emit_rust(&stepped(stencil_prog(&["A"], Par::Pipeline), 8), &opts(4));
+        let call = line_after(&src8, "// pipeline region 0 (phases 1, PIPE_BATCH = 1)");
         assert!(
-            src1.contains("// pipeline region 0 (phases 1, PIPE_BATCH = 1)"),
-            "{src1}"
+            call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 8, 1, 0i64.max({ let ")
+                && call.contains(" }), 1, 1, #[inline(never)] move |v_c1: i64, phase: i64, "),
+            "{src8}"
         );
-        // Fused siblings are the same call with one phase per sibling
-        // (regression: they once dropped a tuned pipeline_batch).
-        let src2 = emit_rust(
-            &stencil_prog(&["A", "C"], Par::Pipeline),
-            &EmitOptions {
-                pipeline_batch: Some(4),
-                ..opts(4)
-            },
-        );
+        // Fused siblings are the same call with one phase per sibling,
+        // and take the same step-derived batch.
+        let src2 = emit_rust(&stepped(stencil_prog(&["A", "C"], Par::Pipeline), 2), &opts(4));
         let call = line_after(&src2, "// pipeline region 0 (phases 2, PIPE_BATCH = 4)");
         assert!(
-            call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 1, 2, 0i64.max({ let ")
+            call.starts_with("kernel_rt::pipeline(THREADS, (1), (P_N - 1), 2, 2, 0i64.max({ let ")
                 && call.contains(" }), 1, 4, #[inline(never)] move |v_c1: i64, phase: i64, "),
             "{src2}"
         );
@@ -1085,18 +1071,9 @@ mod tests {
             l.par = if outer { Par::Doall } else { Par::Seq };
             outer = false;
         });
-        // Automatic grain, then the tuner's override.
-        let auto = emit_rust(&prog, &opts(4));
-        let call = line_after(&auto, "// doall region 0 (dynamic schedule)");
-        assert!(call.contains(", 1, Some(0), move |"), "{auto}");
-        let tuned = emit_rust(
-            &prog,
-            &EmitOptions {
-                dyn_grain: Some(4),
-                ..opts(4)
-            },
-        );
-        let call = line_after(&tuned, "// doall region 0 (dynamic schedule)");
-        assert!(call.contains(", 1, Some(4), move |"), "{tuned}");
+        // Grain 0: the runtime derives it from the trip count.
+        let src = emit_rust(&prog, &opts(4));
+        let call = line_after(&src, "// doall region 0 (dynamic schedule)");
+        assert!(call.contains(", 1, Some(0), move |"), "{src}");
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::fault::Fault;
 use crate::proto::OptimizeRequest;
-use polymix_bench::runner::{emit_source_with, EmitKnobs};
+use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_with, Variant};
 use polymix_codegen::from_poly::original_program;
 use polymix_dl::Machine;
@@ -149,14 +149,7 @@ pub fn optimize(
     if cancelled() {
         return Err(OptError::cancelled("certification"));
     }
-    let src = emit_source_with(
-        kernel,
-        &prog,
-        &knobs.params,
-        threads,
-        reps,
-        EmitKnobs::default(),
-    );
+    let src = emit_source(kernel, &prog, &knobs.params, threads, reps);
     if cancelled() {
         return Err(OptError::cancelled("emission"));
     }
@@ -179,7 +172,7 @@ pub fn optimize(
 /// must not depend on the machinery it is backstopping.
 pub fn identity_source(kernel: &Kernel, scop: &Scop, params: &[i64], reps: usize) -> Result<String, String> {
     let prog = original_program(scop).map_err(|e| e.to_string())?;
-    Ok(emit_source_with(kernel, &prog, params, 1, reps, EmitKnobs::default()))
+    Ok(emit_source(kernel, &prog, params, 1, reps))
 }
 
 #[cfg(test)]

@@ -30,9 +30,7 @@ pub use certify::{
     VmViolationKind,
 };
 pub use exec::{run, run_counted, run_opts, Dispatch, VmOptions};
-pub use lower::{
-    lower, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram, UNMODELED_KNOBS,
-};
+pub use lower::{lower, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram};
 
 use std::fmt;
 

@@ -229,19 +229,6 @@ pub struct CLoop {
     pub body: CNode,
 }
 
-/// Measurement knobs the bytecode backend cannot model: they change the
-/// emitted-Rust artifact (and therefore rustc-backend cells) but leave
-/// the lowered bytecode byte-for-byte identical. A vm screening cell is
-/// blind to them, which is why the autotuner's rustc-confirm union is
-/// load-bearing (DESIGN.md §12).
-///
-/// * `pipeline_batch` / `dyn_grain` — runtime dispatch granularity of
-///   the emitted kernels; [`crate::VmOptions`] carries no equivalent.
-/// * `unroll` — unrolling is structural (the vm executes the unrolled
-///   tree), but its *payoff* is LLVM back-end vectorization of the
-///   emitted source, which the interpreter cannot reproduce.
-pub const UNMODELED_KNOBS: &[&str] = &["pipeline_batch", "dyn_grain", "unroll"];
-
 /// A lowered program: bytecode statement table plus compiled control
 /// tree, specialized to one parameter vector.
 #[derive(Clone, Debug)]
@@ -256,10 +243,6 @@ pub struct VmProgram {
     pub stmts: Vec<CompiledStmt>,
     /// Compiled control tree.
     pub body: CNode,
-    /// Knobs this backend is blind to (always [`UNMODELED_KNOBS`] for a
-    /// lowered program; carried on the program so sweep cells can be
-    /// tagged without reaching back into the crate).
-    pub unmodeled_knobs: &'static [&'static str],
 }
 
 impl VmProgram {
@@ -441,7 +424,6 @@ pub fn lower(prog: &Program, params: &[i64]) -> Result<VmProgram, VmError> {
             .collect(),
         stmts: lw.stmts,
         body,
-        unmodeled_knobs: UNMODELED_KNOBS,
     };
     // Structural validity is established here, once, instead of being
     // re-discovered access-by-access inside the execution hot loop.

@@ -6,7 +6,6 @@
 use polymix_ast::tree::Par;
 use polymix_vm::{
     certify, AccessSite, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram,
-    UNMODELED_KNOBS,
 };
 use proptest::prelude::*;
 
@@ -75,7 +74,6 @@ fn program() -> impl Strategy<Value = VmProgram> {
                 array_lens: vec![len],
                 stmts: vec![stmt],
                 body,
-                unmodeled_knobs: UNMODELED_KNOBS,
             }
         })
 }

@@ -7,7 +7,6 @@
 use polymix_ast::tree::Par;
 use polymix_vm::{
     certify, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram, VmViolationKind,
-    UNMODELED_KNOBS,
 };
 
 fn aff(terms: &[(u32, i64)], c: i64) -> AffExpr {
@@ -47,7 +46,6 @@ fn program(stores: [AffExpr; 2], bodies: impl Fn(usize) -> CNode) -> VmProgram {
         array_lens: vec![256],
         stmts: stores.map(stmt).to_vec(),
         body: for_loop(0, 0, 7, Par::Doall, CNode::Seq(vec![bodies(0), bodies(1)])),
-        unmodeled_knobs: UNMODELED_KNOBS,
     }
 }
 

@@ -30,7 +30,6 @@ fn main() {
             threads: 4,
             init_rust: Some(kernel.init_rust(&prog.scop)),
             reps: 3,
-            ..Default::default()
         },
     );
     print!("{src}");
