@@ -49,6 +49,14 @@ if git grep -n 'thread::scope\|thread::spawn\|thread::Builder\|Condvar' -- crate
     ':!crates/runtime/src/kernel_rt.rs'; then
     echo "polymix-runtime grew a second executor outside kernel_rt.rs"; exit 1
 fi
+# And one lowering of `Par`: the emitter's. The vm runs every loop in
+# schedule order, so it calls no runtime, starts no thread and shares no
+# buffer across threads (its test module still builds `Par::`-annotated
+# trees, which this does not match).
+if git grep -n -E 'polymix_runtime|thread::|unsafe impl (Send|Sync)|run_counted|rect_grid|reduction_array' \
+    -- crates/vm/src; then
+    echo "polymix-vm grew a parallel dispatch back"; exit 1
+fi
 
 # The tuner's unit is a program: the emitter's automatic publish batch
 # and doall grain are the only rules, so no runtime-knob override may come
@@ -123,7 +131,7 @@ done
 
 # Bytecode certification gate: every (kernel, variant) cell the vm
 # backend could measure is lowered at mini and run through the bytecode
-# certifier (bounds proofs + effect-summary cross-check). The audit must
+# certifier (bounds proofs). The audit must
 # certify every artifact AND prove every access it reached, of a nonzero
 # number — an all-skip run would pass vacuously, and an access left
 # unproven keeps its dynamic check on the elided fast path.
@@ -155,12 +163,17 @@ RECORDS=$(wc -l < "$SMOKE_DIR/table1.jsonl")
 # Backend smoke: the same table measured by both backends — 8 JSONL
 # records (one per variant per backend, keyed `(id, backend)`), with
 # both backend tags present so an interrupted `both` sweep can never
-# cross-satisfy a vm cell from a rustc record or vice versa.
+# cross-satisfy a vm cell from a rustc record or vice versa. The vm
+# measures one thread, so `both` takes `--threads 1` and refuses more
+# (exit 2) instead of putting a one-thread column in a wider table.
 echo "== backend smoke test =="
 POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
     cargo run --release -q -p polymix-bench --bin table1 -- \
-    --dataset mini --jobs 2 --run-timeout 120 --backend both \
+    --dataset mini --threads 1 --jobs 2 --run-timeout 120 --backend both \
     --results "$SMOKE_DIR/backends.jsonl" > /dev/null
+RC=0; cargo run --release -q -p polymix-bench --bin table1 -- \
+    --dataset mini --threads 2 --backend both > /dev/null 2>&1 || RC=$?
+[ "$RC" -eq 2 ] || { echo "table1 --backend both --threads 2 exited $RC, expected 2"; exit 1; }
 B_RECORDS=$(wc -l < "$SMOKE_DIR/backends.jsonl")
 [ "$B_RECORDS" -eq 8 ] || { echo "expected 8 backend records, got $B_RECORDS"; exit 1; }
 grep -q '"backend":"vm"' "$SMOKE_DIR/backends.jsonl" \

@@ -23,11 +23,14 @@
 //! 3. **Screen** the most promising candidates with the in-process
 //!    bytecode backend ([`crate::backend::vm_measure`]): the `budget`
 //!    best-ranked candidates are interpreted without leaving the
-//!    process — no emit, no `rustc`, no spawn.
-//! 4. **Confirm** the union of the [`CONFIRM_TOP`] fastest *screened*
-//!    candidates and the [`CONFIRM_TOP`] best *model-ranked* candidates
+//!    process — no emit, no `rustc`, no spawn — at one thread, since
+//!    the vm runs every loop in schedule order.
+//! 4. **Confirm** the union of the [`CONFIRM_TOP`] best *model-ranked*
+//!    candidates and the [`CONFIRM_TOP`] fastest *screened* candidates
+//!    that beat the model's picks by more than [`SCREEN_MARGIN`]
 //!    (plus one native-baseline cell for the speedup denominator) at
-//!    full fidelity through the rustc backend. The two rankings cover
+//!    full fidelity through the rustc backend, at the runner's thread
+//!    count. The two rankings cover
 //!    each other's blind spots: interpreted wall time sees dynamic
 //!    behavior (fusion killing recomputation, guard overhead) that the
 //!    static model can only estimate, while the model sees what an
@@ -69,14 +72,24 @@ pub const LEVEL_COSTS: [f64; 2] = [1.0, 4.0];
 
 /// How many programs *per ranking* (vm screen, cache model) are
 /// confirmed at full rustc fidelity; the confirmation set is the union
-/// of both prefixes, so at most `2 * CONFIRM_TOP` rustc cells beside
-/// the native baseline. Small on
+/// of both prefixes (the screen's cut by [`SCREEN_MARGIN`]), so at most
+/// `2 * CONFIRM_TOP` rustc cells beside the native baseline. Small on
 /// purpose: both rankings already ordered the whole budget, so
 /// confirmation only needs to absorb their respective blind spots
 /// around the top. The model's prefix is load-bearing for one reason:
 /// the vm executes an unrolled tree op for op, so it cannot see what
 /// LLVM gains from the unroll (DESIGN §12).
 pub const CONFIRM_TOP: usize = 2;
+
+/// How much faster than the model's own picks a screened candidate must
+/// interpret to be confirmed for its screen: `time · (1 + margin)` under
+/// the best model pick's time. Below that the vm's wall time ranks
+/// noise, not programs: gemm's five 64×64 structures at unroll 1×1
+/// interpret within 3 % of one another on a quiet 2-core host, while a
+/// burst of host load slows one screen by 30–50 % against its
+/// neighbours — so a plain fastest-first cut would compile zero, one or
+/// two extra programs per search, whichever the burst spared.
+pub const SCREEN_MARGIN: f64 = 0.25;
 
 /// The optimizer family of a candidate: which transformation flow and
 /// which fusion structure it enumerates.
@@ -431,6 +444,43 @@ pub struct TuneOutcome {
     pub total_candidates: usize,
 }
 
+/// The candidates the rustc stage confirms, as ascending indices into
+/// `chosen` (which is in model order, most promising first), from the
+/// healthy vm screens `(index, time_s)`: the model's first
+/// [`CONFIRM_TOP`], plus the [`CONFIRM_TOP`] fastest screens among those
+/// that beat the model's fastest-screening pick by more than
+/// [`SCREEN_MARGIN`]. If no model pick screened, the bar is open and the
+/// fastest screens join; if nothing screened (the vm lowered no
+/// candidate), every chosen candidate confirms. Ascending, so the rustc
+/// job sequence — and with it the resume log — does not depend on
+/// interpreter timing noise between runs.
+fn confirm_set(screened: &[(usize, f64)], chosen: usize) -> Vec<usize> {
+    if screened.is_empty() {
+        return (0..chosen).collect();
+    }
+    let model = 0..CONFIRM_TOP.min(chosen);
+    let bar = screened
+        .iter()
+        .filter(|(i, _)| model.contains(i))
+        .map(|&(_, t)| t)
+        .fold(f64::INFINITY, f64::min);
+    let mut faster: Vec<(usize, f64)> = screened
+        .iter()
+        .copied()
+        .filter(|&(_, t)| t * (1.0 + SCREEN_MARGIN) < bar)
+        .collect();
+    faster.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    let mut set: Vec<usize> = faster
+        .iter()
+        .take(CONFIRM_TOP)
+        .map(|&(i, _)| i)
+        .chain(model)
+        .collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 /// Runs the budgeted search for one kernel and returns the winner
 /// (without writing it anywhere; callers commit via
 /// [`TunedConfig::save`]).
@@ -504,15 +554,16 @@ pub fn autotune_kernel(
         .map(|&(ci, _)| space[ci])
         .collect();
 
-    // --- Stage 3b: screen every chosen candidate in-process. Same job
-    // ids as the rustc confirmations below: the JSONL log and resume
-    // lookups key on (id, backend), so the two fidelities never
-    // cross-satisfy each other.
+    // --- Stage 3b: screen every chosen candidate in-process, at one
+    // thread (the vm runs every loop in schedule order); the rustc
+    // confirmations below keep `runner.threads`. Same job ids: the
+    // JSONL log and resume lookups key on (id, backend), so the two
+    // fidelities never cross-satisfy each other.
     let vm_jobs: Vec<SweepJob> = chosen
         .iter()
         .map(|c| {
             let (kc, mc, pc, cc) = (kernel.clone(), machine.clone(), params.clone(), *c);
-            let (threads, reps) = (runner.threads, runner.reps);
+            let reps = runner.reps;
             SweepJob {
                 id: c.id(kernel_name, dataset),
                 kernel: kernel_name.to_string(),
@@ -522,7 +573,7 @@ pub fn autotune_kernel(
                 work: JobWork::InProcess {
                     run: Box::new(move || {
                         let prog = build_candidate(&kc, &cc, &mc)?;
-                        vm_measure(&kc, &prog, &pc, cc.opt.name(), threads, reps)
+                        vm_measure(&kc, &prog, &pc, cc.opt.name(), reps)
                     }),
                 },
             }
@@ -531,33 +582,12 @@ pub fn autotune_kernel(
     let vm_outcomes = run_sweep(vm_jobs, runner, cfg);
     // Rank the healthy screens; run_sweep returns submission order, so
     // index i is chosen[i].
-    let mut screened: Vec<(usize, f64)> = vm_outcomes
+    let screened: Vec<(usize, f64)> = vm_outcomes
         .iter()
         .enumerate()
         .filter_map(|(i, o)| o.result.as_ref().ok().map(|r| (i, r.time_s)))
         .collect();
-    screened.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    let confirm: Vec<usize> = if screened.is_empty() {
-        // The vm cannot model this kernel's candidates (lowering
-        // rejected them all): confirm everything at full fidelity.
-        (0..chosen.len()).collect()
-    } else {
-        // Union of the two rankings' prefixes. `chosen` is already in
-        // model order (most promising first), so its prefix *is* the
-        // model's top picks; the screened prefix adds the vm's. Kept in
-        // ascending index order so the rustc job sequence — and with it
-        // the resume log — does not depend on interpreter timing noise
-        // between runs.
-        let mut set: Vec<usize> = screened
-            .iter()
-            .take(CONFIRM_TOP)
-            .map(|&(i, _)| i)
-            .chain(0..CONFIRM_TOP.min(chosen.len()))
-            .collect();
-        set.sort_unstable();
-        set.dedup();
-        set
-    };
+    let confirm = confirm_set(&screened, chosen.len());
 
     // --- Stage 4: confirm the screened front-runners with rustc. ---
     let native_id = format!("tune:{kernel_name}:{dataset}:native");
@@ -691,6 +721,21 @@ mod tests {
             ..c
         };
         assert_ne!(id, c2.id("jacobi-2d-imper", "small"));
+    }
+
+    /// Screens inside the margin of the model's picks add nothing,
+    /// whichever of them timed fastest; a clear lead joins; a model
+    /// prefix that did not screen leaves the bar open.
+    #[test]
+    fn screens_join_the_confirm_set_only_past_the_margin() {
+        let tied = [(0, 3.9e-3), (1, 8.3e-3), (2, 3.8e-3), (3, 3.85e-3), (4, 4.2e-3)];
+        assert_eq!(confirm_set(&tied, 5), vec![0, 1]);
+        let lead = [(0, 3.9e-3), (1, 8.3e-3), (2, 2.0e-3), (3, 3.0e-3), (4, 2.5e-3)];
+        assert_eq!(confirm_set(&lead, 5), vec![0, 1, 2, 4]);
+        let no_model = [(2, 3.9e-3), (3, 3.8e-3), (4, 5.0e-3)];
+        assert_eq!(confirm_set(&no_model, 5), vec![0, 1, 2, 3]);
+        assert_eq!(confirm_set(&[], 3), vec![0, 1, 2]);
+        assert_eq!(confirm_set(&[(0, 1.0)], 1), vec![0]);
     }
 
     #[test]

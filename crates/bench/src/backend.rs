@@ -80,10 +80,10 @@ impl Backend for RustcBackend {
     }
 }
 
-/// The in-process bytecode backend.
+/// The in-process bytecode backend. It runs every loop sequentially, so
+/// its cells are one-thread measurements whatever the sweep's
+/// `--threads`; [`select_backends`] refuses to mix it into a wider table.
 pub struct VmBackend {
-    /// Worker threads for the interpreter's parallel regions.
-    pub threads: usize,
     /// Timing repetitions (best-of).
     pub reps: usize,
 }
@@ -100,22 +100,22 @@ impl Backend for VmBackend {
         label: &str,
         build: ProgBuild,
     ) -> JobWork {
-        let (threads, reps) = (self.threads, self.reps);
+        let reps = self.reps;
         let kernel = kernel.clone();
         let params = params.to_vec();
         let label = label.to_string();
         JobWork::InProcess {
             run: Box::new(move || {
                 let prog = build()?;
-                vm_measure(&kernel, &prog, &params, &label, threads, reps)
+                vm_measure(&kernel, &prog, &params, &label, reps)
             }),
         }
     }
 }
 
-/// Measures one transformed program with the bytecode interpreter,
-/// reproducing the emitted standalone program's measurement contract
-/// exactly: buffers are allocated and initialized **once**
+/// Measures one transformed program with the bytecode interpreter, at
+/// one thread, reproducing the emitted standalone program's measurement
+/// contract exactly: buffers are allocated and initialized **once**
 /// ([`Kernel::fresh_arrays`], the same policy `init_rust` emits), the
 /// kernel runs `reps` times on those same buffers with best-of timing
 /// (stencils keep relaxing across reps in both backends), and the
@@ -127,10 +127,9 @@ pub fn vm_measure(
     prog: &Program,
     params: &[i64],
     label: &str,
-    threads: usize,
     reps: usize,
 ) -> Result<RunResult, PolymixError> {
-    vm_measure_opts(kernel, prog, params, label, threads, reps, true)
+    vm_measure_opts(kernel, prog, params, label, reps, true)
 }
 
 /// [`vm_measure`] with the bounds checks forced back on: the
@@ -143,10 +142,9 @@ pub fn vm_measure_checked(
     prog: &Program,
     params: &[i64],
     label: &str,
-    threads: usize,
     reps: usize,
 ) -> Result<RunResult, PolymixError> {
-    vm_measure_opts(kernel, prog, params, label, threads, reps, false)
+    vm_measure_opts(kernel, prog, params, label, reps, false)
 }
 
 fn vm_measure_opts(
@@ -154,23 +152,21 @@ fn vm_measure_opts(
     prog: &Program,
     params: &[i64],
     label: &str,
-    threads: usize,
     reps: usize,
     elide: bool,
 ) -> Result<RunResult, PolymixError> {
     let mut vm = lower(prog, params)
         .map_err(|e| PolymixError::runner(kernel.name, label, e.to_string()))?;
     // The measurement gate: bytecode is only measured once the static
-    // certifier has proven every access in-bounds and every parallel
-    // dispatch race-free — and only then may the elided (proof-carrying)
-    // fast path replace the dynamic bounds checks.
+    // certifier has proven every access in-bounds — and only then may
+    // the elided (proof-carrying) fast path replace the dynamic bounds
+    // checks.
     certify_and_apply(&mut vm)
         .map_err(|e| PolymixError::runner(kernel.name, label, e.to_string()))?;
     let mut arrays = kernel.fresh_arrays(&prog.scop, params);
     let opts = VmOptions {
-        threads,
-        taskgraph: false,
         elide,
+        ..VmOptions::default()
     };
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
@@ -190,33 +186,40 @@ fn vm_measure_opts(
 }
 
 /// Resolves `--backend rustc|vm|both` into the backend set a driver
-/// should measure with. Unknown values fail loudly instead of silently
-/// measuring with the default fidelity.
+/// should measure with. Fails loudly instead of measuring something
+/// other than what was asked: on an unknown name, and on `vm` / `both`
+/// with `threads > 1`, since the vm measures one thread and its column
+/// would stand in an N-thread table. `table1` and the figures exit 2 on
+/// the error.
 pub fn select_backends(
     name: &str,
     threads: usize,
     reps: usize,
     seq_fallback: bool,
-) -> Vec<Box<dyn Backend>> {
-    match name {
-        "rustc" => vec![Box::new(RustcBackend {
+) -> Result<Vec<Box<dyn Backend>>, String> {
+    let rustc = || -> Box<dyn Backend> {
+        Box::new(RustcBackend {
             threads,
             reps,
             seq_fallback,
-        })],
-        "vm" => vec![Box::new(VmBackend { threads, reps })],
-        "both" => vec![
-            Box::new(RustcBackend {
-                threads,
-                reps,
-                seq_fallback,
-            }),
-            Box::new(VmBackend { threads, reps }),
-        ],
-        other => {
-            eprintln!("unknown --backend {other:?} (expected rustc, vm or both)");
-            std::process::exit(2);
+        })
+    };
+    let vm = || -> Result<Box<dyn Backend>, String> {
+        if threads > 1 {
+            return Err(format!(
+                "--backend {name} measures the vm at one thread; pass --threads 1 \
+                 (got --threads {threads})"
+            ));
         }
+        Ok(Box::new(VmBackend { reps }))
+    };
+    match name {
+        "rustc" => Ok(vec![rustc()]),
+        "vm" => Ok(vec![vm()?]),
+        "both" => Ok(vec![rustc(), vm()?]),
+        other => Err(format!(
+            "unknown --backend {other:?} (expected rustc, vm or both)"
+        )),
     }
 }
 
@@ -237,8 +240,7 @@ mod tests {
         let params = k.dataset("mini").params;
         let machine = Machine::host();
         let prog = build_variant(&k, Variant::Native, &machine).expect("native");
-        let r = vm_measure(&k, &prog, &params, "native", 1, 1)
-            .expect("vm measure");
+        let r = vm_measure(&k, &prog, &params, "native", 1).expect("vm measure");
         // Reference: run the kernel's sequential reference on fresh
         // buffers and reduce with the same checksum.
         let scop = (k.build)();
@@ -253,11 +255,24 @@ mod tests {
     #[test]
     fn backend_names_and_selection() {
         assert_eq!(RustcBackend { threads: 1, reps: 1, seq_fallback: false }.name(), "rustc");
-        assert_eq!(VmBackend { threads: 1, reps: 1 }.name(), "vm");
-        let both = select_backends("both", 2, 3, true);
+        assert_eq!(VmBackend { reps: 1 }.name(), "vm");
+        let both = select_backends("both", 1, 3, true).expect("one thread");
         assert_eq!(both.len(), 2);
         assert_eq!(both[0].name(), "rustc");
         assert_eq!(both[1].name(), "vm");
-        assert_eq!(select_backends("vm", 1, 1, false)[0].name(), "vm");
+        let vm = select_backends("vm", 1, 1, false).expect("one thread");
+        assert_eq!(vm[0].name(), "vm");
+    }
+
+    /// A vm column in an N-thread table would be a one-thread number
+    /// under an N-thread header: refused, as is an unknown name.
+    #[test]
+    fn vm_backends_refuse_more_than_one_thread() {
+        for name in ["vm", "both"] {
+            let err = select_backends(name, 2, 1, true).err().expect("refused");
+            assert!(err.contains("--threads 1"), "{name}: {err}");
+        }
+        assert_eq!(select_backends("rustc", 4, 1, true).expect("rustc").len(), 1);
+        assert!(select_backends("jit", 1, 1, true).is_err());
     }
 }

@@ -20,6 +20,14 @@ fn main() {
     let cli = Cli::parse();
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
+    // Default `--backend rustc` keeps exactly one job (and one JSONL
+    // record) per table row; `both` doubles them and appends a vm
+    // column.
+    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let k = kernel_by_name("2mm").expect("2mm kernel");
     let params = k.dataset(&cli.dataset).params;
     let scop = (k.build)();
@@ -96,10 +104,6 @@ fn main() {
     };
 
     let cfg = SweepConfig::from_cli(&cli);
-    // Default `--backend rustc` keeps exactly one job (and one JSONL
-    // record) per table row; `both` doubles them and appends a vm
-    // column.
-    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true);
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &(_, variant) in &entries {
         let (kb, mb) = (k.clone(), machine.clone());

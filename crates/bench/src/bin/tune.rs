@@ -3,9 +3,11 @@
 //! Searches fusion structure × tile sizes × unroll factors for each
 //! requested kernel with a two-fidelity loop: prune with
 //! the cache model, screen the budgeted candidates through the
-//! in-process bytecode backend (no `rustc` on the screening path), then
-//! confirm the front-runners at full rustc fidelity and commit the
-//! winner as `results/tuned/<kernel>.json` — unless the committed
+//! in-process bytecode backend (no `rustc` on the screening path; the vm
+//! runs every loop in schedule order, so the screen is a one-thread
+//! measurement whatever `--threads` says), then confirm the
+//! front-runners at full rustc fidelity with `--threads` workers and
+//! commit the winner as `results/tuned/<kernel>.json` — unless the committed
 //! config beats native and the new winner does not
 //! ([`polymix_bench::autotune::TunedConfig::save_guarded`]).
 //!

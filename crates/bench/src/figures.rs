@@ -20,7 +20,11 @@ pub fn run_group_figure(title: &str, group: Group) {
     let runner = Runner::new(cli.threads);
     let cfg = SweepConfig::from_cli(&cli);
     let variants = variant_list();
-    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true);
+    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
 
     println!("== {title} ==");
     println!(

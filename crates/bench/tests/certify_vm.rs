@@ -6,15 +6,18 @@
 //! measurement hot path.
 //!
 //! Adversarial direction: programmatically corrupted bytecode (widened
-//! bound, skewed address, relabeled annotation, mispointed accumulator)
-//! is rejected with the structured violation the corruption deserves —
+//! bound, skewed address, extreme coefficient) is rejected with the
+//! structured violation the corruption deserves —
 //! the certifier re-derives safety from the artifact, so every mutation
 //! class a lowering bug could produce must be caught.
 
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::all_kernels;
-use polymix_vm::{certify, lower, AccessSite, CLoop, CNode, VmProgram, VmViolationKind};
+use polymix_vm::{
+    certify, certify_and_apply, lower, run_opts, AccessSite, AffExpr, CBound, CLoop, CNode,
+    CompiledStmt, Instr, VmOptions, VmProgram, VmViolationKind,
+};
 
 const FAMILIES: [Variant; 3] = [Variant::Native, Variant::Pocc, Variant::PolyAst];
 
@@ -165,57 +168,48 @@ fn mutation_extreme_coefficient_is_rejected_without_aborting() {
     }
 }
 
-/// gemm's k-loop accumulates into `C[i][j]`: every iteration writes the
-/// same cell, so relabeling it doall is a race the bytecode footprints
-/// expose without consulting the AST certificate.
+/// The elided fast path strength-reduces a loop's addresses: it adds
+/// `Σcoeff·step` to each after every trip, including the last. On a
+/// certified one-trip loop (`lo = hi = 0`) the store `A[k·v + 5]` into
+/// `len 8` is in bounds whatever `k` is, yet the delta (`k = 2^62`,
+/// step 2) or the advance past the last trip (`k = i64::MAX`) leaves
+/// `i64`: neither value is ever read, so neither may abort.
 #[test]
-fn mutation_relabeled_doall_is_rejected() {
-    use polymix_ast::tree::Par;
-    let mut vm = lowered("gemm", Variant::Native, "mini");
-    let mut deepest: Option<*mut CLoop> = None;
-    for_each_loop(&mut vm.body, &mut |l| {
-        deepest = Some(l as *mut CLoop);
-    });
-    // Safety: the raw pointer is used immediately, before the tree moves.
-    unsafe {
-        let l = &mut *deepest.expect("a loop");
-        assert!(l.par != Par::Doall);
-        l.par = Par::Doall;
+fn elided_one_trip_loop_with_extreme_coefficient_runs_without_aborting() {
+    for (coef, step) in [(i64::MAX, 1), (1i64 << 62, 2)] {
+        let bound = || CBound {
+            exprs: vec![(AffExpr { terms: Vec::new(), c: 0 }, 1)],
+        };
+        let mut vm = VmProgram {
+            n_vars: 1,
+            max_regs: 1,
+            array_lens: vec![8],
+            stmts: vec![CompiledStmt {
+                code: vec![Instr::Const { dst: 0, val: 1.0 }],
+                result: 0,
+                store_array: 0,
+                store_addr: AffExpr {
+                    terms: vec![(0, coef)],
+                    c: 5,
+                },
+                store_proven: false,
+                n_regs: 1,
+            }],
+            body: CNode::Loop(Box::new(CLoop {
+                var: 0,
+                lo: bound(),
+                hi: bound(),
+                step,
+                body: CNode::Stmt(0),
+            })),
+        };
+        certify_and_apply(&mut vm).expect("the one trip stores A[5]: certified");
+        let mut arrays = vec![vec![0.0; 8]];
+        let opts = VmOptions {
+            elide: true,
+            ..VmOptions::default()
+        };
+        run_opts(&vm, &mut arrays, opts).expect("elided run");
+        assert_eq!(arrays[0][5], 1.0, "coefficient {coef}, step {step}");
     }
-    let cert = certify(&vm);
-    assert!(
-        cert.violations
-            .iter()
-            .any(|v| v.kind == VmViolationKind::DoallCarriesDep),
-        "{:?}",
-        cert.violations
-    );
-}
-
-/// Pointing a reduction loop's recorded accumulator at a different array
-/// breaks the additive-self-update shape the privatization relies on.
-#[test]
-fn mutation_wrong_accumulator_is_rejected() {
-    use polymix_ast::tree::Par;
-    // poly+ast marks covariance's accumulation loop as a reduction.
-    let mut vm = lowered("covariance", Variant::PolyAst, "mini");
-    let mut mutated = false;
-    let n_arrays = vm.array_lens.len() as u32;
-    for_each_loop(&mut vm.body, &mut |l| {
-        if l.par == Par::Reduction && !mutated {
-            if let Some(acc) = l.reduction_array {
-                l.reduction_array = Some((acc + 1) % n_arrays);
-                mutated = true;
-            }
-        }
-    });
-    assert!(mutated, "covariance poly+ast carries a reduction accumulator");
-    let cert = certify(&vm);
-    assert!(
-        cert.violations
-            .iter()
-            .any(|v| v.kind == VmViolationKind::ReductionUnsafe),
-        "{:?}",
-        cert.violations
-    );
 }

@@ -3,7 +3,7 @@
 //! The parallel runtime behind the paper's Sec. IV-D extensions, in one
 //! implementation: [`kernel_rt`], the file every emitted kernel carries,
 //! and five safe wrappers over its entry points for in-process callers
-//! (the vm's parallel dispatch, `fig6`, the benchmark's probes):
+//! (`fig6`, `examples/stencil_pipeline.rs` and the benchmark's probes):
 //!
 //! * [`par_for`] — the doall (`omp parallel for`), static blocks;
 //! * [`reduce_array`] — array reductions with thread-private

@@ -38,7 +38,7 @@ pub mod violation;
 pub mod vmcert;
 
 pub use lint::verify_source;
-pub use vmcert::{certify_lowering, certify_lowering_from};
+pub use vmcert::bytecode_certificate;
 pub use violation::{Certificate, Violation, ViolationKind};
 
 /// Cache-admission gate for the optimization service: an artifact may

@@ -34,8 +34,8 @@ pub enum ViolationKind {
     /// loop polyhedron (found by `polymix_vm::certify` during lowering
     /// translation validation).
     VmBounds,
-    /// The lowered bytecode disagrees with the transformed AST it was
-    /// lowered from (annotation census mismatch, structural invalidity).
+    /// The lowered bytecode fails structural validation (a statement,
+    /// array, register or loop variable outside its table).
     LoweringMismatch,
     /// The program shape is outside the certifier's model; nothing was
     /// proved for the affected dependence. Not an error by itself.

@@ -23,7 +23,7 @@
 //! panics, mirroring the no-abort contract of the compile pipeline.
 
 use crate::VmError;
-use polymix_ast::tree::{Bound, LinExpr, Node, Par, Program};
+use polymix_ast::tree::{Bound, LinExpr, Node, Program};
 use polymix_ir::expr::{BinOp, Expr, UnOp};
 use polymix_ir::Scop;
 
@@ -46,11 +46,6 @@ impl AffExpr {
             acc += k * vars[v as usize];
         }
         acc
-    }
-
-    /// True when the expression mentions variable `v`.
-    pub fn uses_var(&self, v: usize) -> bool {
-        self.terms.iter().any(|&(x, _)| x as usize == v)
     }
 
     fn from_lin(e: &LinExpr, params: &[i64], n_vars: usize) -> Result<AffExpr, VmError> {
@@ -138,10 +133,6 @@ impl CBound {
             .min()
             .unwrap_or(i64::MIN)
     }
-
-    fn uses_var(&self, v: usize) -> bool {
-        self.exprs.iter().any(|(e, _)| e.uses_var(v))
-    }
 }
 
 /// One register instruction of a compiled statement body.
@@ -192,7 +183,7 @@ pub struct CompiledStmt {
 pub enum CNode {
     /// Children in textual order.
     Seq(Vec<CNode>),
-    /// A (possibly parallel) counted loop.
+    /// A counted loop.
     Loop(Box<CLoop>),
     /// Body runs iff every expression is `>= 0`.
     Guard(Vec<AffExpr>, Box<CNode>),
@@ -200,7 +191,8 @@ pub enum CNode {
     Stmt(u32),
 }
 
-/// A compiled loop with its parallel-dispatch metadata.
+/// A compiled loop. Its AST `Par` annotation is dropped: the vm runs
+/// every loop sequentially in schedule order.
 #[derive(Clone, Debug)]
 pub struct CLoop {
     /// Loop variable id (slot in the variable frame).
@@ -211,20 +203,6 @@ pub struct CLoop {
     pub hi: CBound,
     /// Positive stride.
     pub step: i64,
-    /// Parallel annotation carried over from the AST.
-    pub par: Par,
-    /// For a `Reduction` loop: the accumulator array, when every
-    /// statement site under the loop is an *additive* self-update of
-    /// that one array (the shape [`reduce_array`]'s zero-init +
-    /// additive-merge privatization is exact for). `None` demotes the
-    /// dispatch to sequential.
-    ///
-    /// [`reduce_array`]: polymix_runtime::reduce_array
-    pub reduction_array: Option<u32>,
-    /// For `Pipeline`/`Wavefront`: true when the body is directly a
-    /// nested loop whose bounds are invariant in this loop's variable —
-    /// the rectangular 2-level shape the grid primitives accept.
-    pub rect_grid: bool,
     /// Loop body.
     pub body: CNode,
 }
@@ -342,11 +320,6 @@ impl VmProgram {
                 }
                 self.check_bound(&l.lo)?;
                 self.check_bound(&l.hi)?;
-                if let Some(acc) = l.reduction_array {
-                    if acc as usize >= self.array_lens.len() {
-                        return Err(format!("reduction accumulator {acc} out of range"));
-                    }
-                }
                 self.check_node(&l.body)
             }
             CNode::Stmt(k) => {
@@ -460,22 +433,11 @@ impl Lowerer<'_> {
                 let lo = CBound::from_bound(&l.lo, self.params, self.n_vars)?;
                 let hi = CBound::from_bound(&l.hi, self.params, self.n_vars)?;
                 let body = self.node(&l.body)?;
-                let reduction_array = if l.par == Par::Reduction {
-                    self.additive_reduction_array(&body)
-                } else {
-                    None
-                };
-                let rect_grid = matches!(l.par, Par::Pipeline | Par::Wavefront)
-                    && matches!(&body, CNode::Loop(inner)
-                        if !inner.lo.uses_var(l.var) && !inner.hi.uses_var(l.var));
                 Ok(CNode::Loop(Box::new(CLoop {
                     var: l.var,
                     lo,
                     hi,
                     step: l.step,
-                    par: l.par,
-                    reduction_array,
-                    rect_grid,
                     body,
                 })))
             }
@@ -645,57 +607,5 @@ impl Lowerer<'_> {
                 Ok(dst)
             }
         }
-    }
-
-    /// The single array every statement site under `node` additively
-    /// self-updates without reading elsewhere — the shape whose
-    /// privatization under zero-init + additive merge is exact.
-    fn additive_reduction_array(&self, node: &CNode) -> Option<u32> {
-        let mut sites = Vec::new();
-        collect_stmts(node, &mut sites);
-        let mut target: Option<u32> = None;
-        for idx in sites {
-            let cs = self.stmts.get(idx as usize)?;
-            let arr = cs.store_array;
-            if *target.get_or_insert(arr) != arr {
-                return None;
-            }
-            // The RHS must be `load(self-cell) + e` (either operand
-            // order) with no other read of the accumulator array.
-            let Some(Instr::Bin {
-                op: BinOp::Add,
-                a,
-                b,
-                ..
-            }) = cs.code.last()
-            else {
-                return None;
-            };
-            let self_load = |r: u16| {
-                cs.code.iter().any(|i| matches!(i, Instr::Load { dst, array, addr, .. }
-                    if *dst == r && *array == arr && *addr == cs.store_addr))
-            };
-            if !self_load(*a) && !self_load(*b) {
-                return None;
-            }
-            let acc_loads = cs
-                .code
-                .iter()
-                .filter(|i| matches!(i, Instr::Load { array, .. } if *array == arr))
-                .count();
-            if acc_loads != 1 {
-                return None;
-            }
-        }
-        target
-    }
-}
-
-fn collect_stmts(node: &CNode, out: &mut Vec<u32>) {
-    match node {
-        CNode::Seq(xs) => xs.iter().for_each(|x| collect_stmts(x, out)),
-        CNode::Loop(l) => collect_stmts(&l.body, out),
-        CNode::Guard(_, b) => collect_stmts(b, out),
-        CNode::Stmt(k) => out.push(*k),
     }
 }

@@ -3,7 +3,6 @@
 //! bytecode reaches must have been audited, and a `proven` verdict must
 //! mean no concrete address ever leaves the array.
 
-use polymix_ast::tree::Par;
 use polymix_vm::{
     certify, AccessSite, AffExpr, CBound, CLoop, CNode, CompiledStmt, Instr, VmProgram,
 };
@@ -62,9 +61,6 @@ fn program() -> impl Strategy<Value = VmProgram> {
                     },
                     hi: CBound { exprs: vec![(hi, 1)] },
                     step,
-                    par: Par::Seq,
-                    reduction_array: None,
-                    rect_grid: false,
                     body,
                 }));
             }
