@@ -22,7 +22,8 @@
 //!    with), and how well the tile footprint fits L1.
 //! 3. **Screen** the most promising candidates with the in-process
 //!    bytecode backend ([`crate::backend::vm_measure`]): the `budget`
-//!    best-ranked candidates are interpreted without leaving the
+//!    best-ranked candidates, less any whose loop tree equals a
+//!    better-ranked one's, are interpreted without leaving the
 //!    process — no emit, no `rustc`, no spawn — at one thread, since
 //!    the vm runs every loop in schedule order.
 //! 4. **Confirm** the union of the [`CONFIRM_TOP`] best *model-ranked*
@@ -481,6 +482,23 @@ fn confirm_set(screened: &[(usize, f64)], chosen: usize) -> Vec<usize> {
     set
 }
 
+/// The first `budget` of the `ranked` candidate indices, less every one
+/// whose built loop tree equals a better-ranked one's: the tuner measures
+/// programs, and the dropped slot is not refilled, so `budget` stays an
+/// upper bound on the cells measured.
+fn distinct_prefix(ranked: &[usize], progs: &[Option<Program>], budget: usize) -> Vec<usize> {
+    let mut trees: Vec<&Node> = Vec::new();
+    let mut out = Vec::new();
+    for &ci in ranked.iter().take(budget) {
+        let Some(prog) = &progs[ci] else { continue };
+        if !trees.contains(&&prog.body) {
+            trees.push(&prog.body);
+            out.push(ci);
+        }
+    }
+    out
+}
+
 /// Runs the budgeted search for one kernel and returns the winner
 /// (without writing it anywhere; callers commit via
 /// [`TunedConfig::save`]).
@@ -548,10 +566,10 @@ pub fn autotune_kernel(
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
     // --- Stage 3: the best-ranked candidates are the measured cells. ---
-    let chosen: Vec<Candidate> = ranked
-        .iter()
-        .take(budget.max(1))
-        .map(|&(ci, _)| space[ci])
+    let ranked: Vec<usize> = ranked.iter().map(|&(ci, _)| ci).collect();
+    let chosen: Vec<Candidate> = distinct_prefix(&ranked, &progs, budget.max(1))
+        .into_iter()
+        .map(|ci| space[ci])
         .collect();
 
     // --- Stage 3b: screen every chosen candidate in-process, at one
@@ -882,6 +900,36 @@ mod tests {
             tuples.dedup();
             assert_eq!(tuples.len(), space.len(), "no two candidates share a structure");
         }
+    }
+
+    /// The DL model declines jacobi-1d-imper's tiles at every size, so
+    /// its nine poly+AST 1×1 candidates (three tiles × three time tiles)
+    /// are one program: it is screened once, a different program ranked
+    /// behind it keeps its place, and no slot is refilled past the
+    /// budget.
+    #[test]
+    fn each_program_is_screened_once() {
+        let kernel = kernel_by_name("jacobi-1d-imper").expect("kernel");
+        let space = candidate_space(kernel.group);
+        let pick = |opt: OptFamily| -> Vec<usize> {
+            (0..space.len())
+                .filter(|&i| space[i].opt == opt && space[i].unroll == (1, 1))
+                .collect()
+        };
+        let (fused, pocc) = (pick(OptFamily::PolyAstFuse), pick(OptFamily::PlutoPocc));
+        assert_eq!(fused.len(), 9);
+        let machine = Machine::nehalem();
+        let progs: Vec<Option<Program>> = (0..space.len())
+            .map(|i| {
+                (fused.contains(&i) || i == pocc[0])
+                    .then(|| build_candidate(&kernel, &space[i], &machine).ok())
+                    .flatten()
+            })
+            .collect();
+        assert_eq!(distinct_prefix(&fused, &progs, 9), vec![fused[0]]);
+        let mixed = [fused[0], fused[1], pocc[0], fused[2]];
+        assert_eq!(distinct_prefix(&mixed, &progs, 4), vec![fused[0], pocc[0]]);
+        assert_eq!(distinct_prefix(&mixed, &progs, 2), vec![fused[0]]);
     }
 
     #[test]

@@ -629,7 +629,7 @@ pub fn tile_nest(
             _ => TileForm::None,
         };
         let untiled = untiled_stmts(&tiled, &t.strips, false);
-        (tiled, TileReport { form, untiled })
+        (tiled, TileReport { form, untiled, dl: None })
     };
     let (mut tiled, mut report) = attempt(prog, true);
     if report.form == TileForm::Sunk && !certifies(&prog.with_body(tiled.clone())) {
@@ -1062,7 +1062,7 @@ mod tiling_tests {
     fn a_doall_prefix_is_strip_mined_and_its_point_loop_sunk_into_each_child() {
         let scop = fused_gemm();
         let prog = tiled(&scop, &|_| true);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1 }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None }]);
         let mut found = Vec::new();
         paths(&prog.body, &mut Vec::new(), &mut found);
         // Z: it { i { j } } — its own loop stays whole, a band of 2 is
@@ -1081,7 +1081,7 @@ mod tiling_tests {
     fn a_backward_dependence_between_children_keeps_the_shared_loop_whole() {
         let scop = backward_cross_child();
         let prog = tiled(&scop, &|_| panic!("no sunk nest to ask about"));
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2 }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None }]);
         let Node::Loop(i) = &prog.body else { panic!("nest root is the shared loop") };
         assert_eq!((i.step, i.name.as_str()), (1, "c1"));
         let reference = original_program(&scop).expect("original program");
@@ -1100,7 +1100,7 @@ mod tiling_tests {
             false
         });
         assert_eq!(asked.get(), 1);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2 }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None }]);
         let reference = original_program(&scop).expect("original program");
         assert_eq!(run(&prog, 9), run(&reference, 9));
     }

@@ -21,12 +21,15 @@ fn identity_program(name: &str) -> Program {
     polymix_codegen::generate(&scop, &identity).expect("generate")
 }
 
+/// The poly+AST program at the pipeline group's tile sizes (32, time tile
+/// 5): tiles the DL model finds worth cutting, so the pipeline loop is a
+/// tile loop (at 4 × 4 with time tile 2 it declines seidel-2d's tiles).
 fn poly_ast_program(name: &str) -> Program {
     let k = kernel_by_name(name).expect("kernel");
     let scop = (k.build)();
     let opts = PolyAstOptions {
-        tile: 4,
-        time_tile: 2,
+        tile: 32,
+        time_tile: 5,
         ..Default::default()
     };
     optimize_poly_ast(&scop, &opts).expect("optimize")
