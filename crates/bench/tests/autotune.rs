@@ -9,7 +9,8 @@
 //! same log twice. With `BUDGET` candidates the log carries `BUDGET` vm
 //! screen cells, the native baseline, and (when the screens are
 //! healthy) `BUDGET` rustc confirmations, each keyed by `(id,
-//! backend)`.
+//! backend)`. (The search screens each distinct program once; gemm's two
+//! best-ranked candidates build different loop trees, so both stay.)
 
 use polymix_bench::autotune::autotune_kernel;
 use polymix_bench::runner::Runner;
