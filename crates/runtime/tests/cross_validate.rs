@@ -15,7 +15,7 @@
 //!   `Doall`) really races: executing the same grid as an unsynchronized
 //!   doall trips the order checker.
 
-use polymix_ast::tree::Par;
+use polymix_ast::tree::{Par, TileForm};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_polybench::kernel_by_name;
 use polymix_runtime::fault_inject::FaultPlan;
@@ -54,12 +54,18 @@ fn prefix_reference(ni: usize, nj: usize) -> Vec<f64> {
 fn certified_pipeline_program(name: &str) -> polymix_ast::tree::Program {
     let k = kernel_by_name(name).expect("kernel");
     let scop = (k.build)();
+    // The smallest tiles at which the DL model tiles the stencils.
     let opts = PolyAstOptions {
-        tile: 4,
-        time_tile: 2,
+        tile: 16,
+        time_tile: 8,
         ..Default::default()
     };
     let prog = optimize_poly_ast(&scop, &opts).expect("optimize");
+    assert!(
+        prog.tiling.iter().any(|r| r.form == TileForm::Joint),
+        "{name}: the time and space loops must be tiled jointly: {:?}",
+        prog.tiling
+    );
     let cert = verify_program(&prog);
     assert!(
         cert.is_certified(),

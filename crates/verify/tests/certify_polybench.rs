@@ -4,6 +4,7 @@
 //! These are all semantics-preserving by the interpreter oracle tests,
 //! so a violation here is a certifier bug, not a compiler bug.
 
+use polymix_ast::tree::TileForm;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_pluto::{optimize_pluto, schedule_with_fallback, Fusion, PlutoOptions, PlutoVariant};
 use polymix_polybench::{all_kernels, extended_kernels};
@@ -26,13 +27,29 @@ fn assert_certified(kernel: &str, label: &str, prog: &polymix_ast::tree::Program
     assert!(cert.deps_checked > 0 || cert.pairs_checked == 0);
 }
 
+/// The smallest tiles at which the DL model takes the tiles it takes at
+/// the harness's sizes: a 4 × 4 tile buys too little to be cut.
 fn opts_small() -> PolyAstOptions {
     PolyAstOptions {
-        tile: 4,
-        time_tile: 2,
+        tile: 16,
+        time_tile: 8,
         ..Default::default()
     }
 }
+
+/// A form each of these kernels' "default" programs must report, so that
+/// a decline cannot untile what this suite certifies.
+const TILED: [(&str, TileForm); 9] = [
+    ("gemm", TileForm::Sunk),
+    ("2mm", TileForm::Sunk),
+    ("syrk", TileForm::Sunk),
+    ("doitgen", TileForm::Sunk),
+    ("symm", TileForm::Joint),
+    ("adi", TileForm::Chains),
+    ("jacobi-2d-imper", TileForm::Joint),
+    ("seidel-2d", TileForm::Joint),
+    ("fdtd-2d", TileForm::Joint),
+];
 
 /// Satellite: the whole `maxfuse -> smartfuse -> nofuse -> identity`
 /// fallback chain yields certified schedules on all 22 kernels.
@@ -86,6 +103,16 @@ fn poly_ast_outputs_certify_on_all_kernels() {
         for (label, opts) in &variants {
             let prog = optimize_poly_ast(&scop, opts).expect("optimize");
             assert_certified(k.name, label, &prog);
+            if *label == "default" {
+                for (_, form) in TILED.iter().filter(|(n, _)| *n == k.name) {
+                    assert!(
+                        prog.tiling.iter().any(|r| r.form == *form),
+                        "{}: no {form:?} nest in {:?}",
+                        k.name,
+                        prog.tiling
+                    );
+                }
+            }
         }
     }
 }

@@ -50,7 +50,7 @@ fn main() {
         &scop,
         &PolyAstOptions {
             tile: 16,
-            time_tile: 4,
+            time_tile: 8,
             unroll: (1, 1),
             ..Default::default()
         },

@@ -4,6 +4,7 @@
 //! legality bugs the fixed PolyBench suite might miss.
 
 use polymix::ast::interp::{alloc_arrays, execute};
+use polymix::ast::tree::TileForm;
 use polymix::codegen::from_poly::original_program;
 use polymix::core::{optimize_poly_ast, PolyAstOptions};
 use polymix::ir::builder::{con, ix, par, ScopBuilder};
@@ -27,7 +28,7 @@ struct Spec {
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
     (
-        6i64..12,
+        6i64..24,
         prop::collection::vec((-1i64..=1, -1i64..=1), 1..4),
         any::<bool>(),
         any::<bool>(),
@@ -102,9 +103,12 @@ proptest! {
     fn poly_ast_preserves_random_kernels(spec in spec_strategy()) {
         let scop = build(&spec);
         let reference = run(&original_program(&scop).expect("original program"), spec.n);
+        // 8 × 4 tiles: the DL model declines 3 × 2 ones on every kernel
+        // here, and takes these wherever the consumer reads the producer's
+        // output transposed.
         let opt = optimize_poly_ast(&scop, &PolyAstOptions {
-            tile: 3,
-            time_tile: 2,
+            tile: 8,
+            time_tile: 4,
             unroll: (2, 2),
             ..Default::default()
         });
@@ -112,6 +116,10 @@ proptest! {
             Ok(p) => p,
             Err(e) => return Err(format!("spec {spec:?}: {e}")),
         };
+        prop_assert!(
+            !spec.transpose || opt.tiling.iter().any(|r| r.form == TileForm::Joint),
+            "spec {:?}: the transposed read is not tiled: {:?}", spec, opt.tiling
+        );
         let got = run(&opt, spec.n);
         prop_assert_eq!(&reference, &got, "spec {:?}", spec);
     }
