@@ -7,7 +7,7 @@ use polymix_codegen::opt::{
     mark_parallelism, nest_infos, node_depth, register_tile, skew_nest_for_tilability, tile_nest,
 };
 use polymix_deps::build_podg;
-use polymix_dl::{box_cost, CacheLevel, Machine, RefInfo};
+use polymix_dl::{tiling_costs, Machine, RefInfo, NOMINAL_EXTENT};
 use polymix_ir::error::PolymixError;
 use polymix_ir::{Schedule, Scop};
 
@@ -120,9 +120,10 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         // Stage 4: tiling for locality, where the DL model says it pays.
         if opts.tiling {
             let dl = (info.depth >= 2).then(|| {
-                let mut sizes = vec![opts.tile; info.depth];
-                sizes[0] = opts.time_tile;
-                tiling_costs(scop, &nest, &sizes, opts.machine.fusion_level())
+                let (refs, extents) = nest_refs(scop, &nest, info.depth);
+                let mut sizes = vec![opts.tile as f64; info.depth];
+                sizes[0] = opts.time_tile as f64;
+                tiling_costs(&refs, &extents, &sizes, opts.machine.fusion_level())
             });
             if dl.is_some_and(|(untiled, tiled)| tiled > TILE_PAYS * untiled) {
                 prog.tiling.push(TileReport {
@@ -185,24 +186,17 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
 /// this fraction of the untiled one: tiles must buy at least 25 %.
 const TILE_PAYS: f64 = 0.75;
 
-/// The extent every loop whose bounds involve a parameter or an outer
-/// loop is priced at: the decision must not hang on a dataset size.
-const NOMINAL_EXTENT: i64 = 1024;
-
-/// The DL model's `(untiled, tiled)` cost per iteration of `nest`, at
-/// `level` (DESIGN §19). Every reference is an access row composed with
-/// its statement's `iter_exprs`, one column per loop level above it;
-/// loop extents are constant where both bounds are, [`NOMINAL_EXTENT`]
-/// elsewhere. The untiled nest is priced over its whole iteration box,
-/// the tiled one over one tile of `sizes` (level by level, no larger than
-/// the loop), each at the largest inner sub-box that fits
-/// (`polymix_dl::box_cost`).
-fn tiling_costs(scop: &Scop, nest: &Node, sizes: &[i64], level: &CacheLevel) -> (f64, f64) {
+/// The references of a `depth`-deep `nest` and its loop extents, as the
+/// DL model prices them (`polymix_dl::tiling_costs`, DESIGN §19). Every
+/// reference is an access row composed with its statement's `iter_exprs`,
+/// one column per loop level above it; a level's extent is constant where
+/// both bounds are, [`NOMINAL_EXTENT`] elsewhere.
+fn nest_refs(scop: &Scop, nest: &Node, depth: usize) -> (Vec<RefInfo>, Vec<f64>) {
     fn walk<'a>(
         scop: &Scop,
         node: &'a Node,
         above: &mut Vec<&'a Loop>,
-        extents: &mut [i64],
+        extents: &mut [f64],
         refs: &mut Vec<RefInfo>,
     ) {
         match node {
@@ -210,11 +204,11 @@ fn tiling_costs(scop: &Scop, nest: &Node, sizes: &[i64], level: &CacheLevel) -> 
             Node::Guard(_, b) => walk(scop, b, above, extents, refs),
             Node::Loop(l) => {
                 let extent = match (l.lo.is_const(), l.hi.is_const()) {
-                    (Some(lo), Some(hi)) => (hi - lo + 1).max(1),
+                    (Some(lo), Some(hi)) => (hi - lo + 1).max(1) as f64,
                     _ => NOMINAL_EXTENT,
                 };
                 if let Some(e) = extents.get_mut(above.len()) {
-                    *e = (*e).max(extent);
+                    *e = e.max(extent);
                 }
                 above.push(l);
                 walk(scop, &l.body, above, extents, refs);
@@ -249,19 +243,10 @@ fn tiling_costs(scop: &Scop, nest: &Node, sizes: &[i64], level: &CacheLevel) -> 
             }
         }
     }
-    let mut extents = vec![1; sizes.len()];
+    let mut extents = vec![1.0; depth];
     let mut refs = Vec::new();
     walk(scop, nest, &mut Vec::new(), &mut extents, &mut refs);
-    let whole: Vec<f64> = extents.iter().map(|&e| e as f64).collect();
-    let tile: Vec<f64> = extents
-        .iter()
-        .zip(sizes)
-        .map(|(&e, &t)| e.min(t) as f64)
-        .collect();
-    (
-        box_cost(&refs, &whole, level),
-        box_cost(&refs, &tile, level),
-    )
+    (refs, extents)
 }
 
 /// True when some pipeline loop's body is a sequence with more than one

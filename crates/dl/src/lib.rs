@@ -7,11 +7,11 @@
 //! * [`model`] — distinct-lines estimation of a (tiled) loop nest, the
 //!   per-iteration `mem_cost`, its partial derivatives with respect to
 //!   tile sizes, the induced best permutation order (Sec. III-B1), and
-//!   the price of running a nest over a box of extents (`box_cost`, which
-//!   decides whether the poly+AST flow tiles a nest);
-//! * [`fusion`] — fusion profitability by comparing the minimum
-//!   `mem_cost` reachable within cache capacity before and after fusion
-//!   (Sec. III-B2);
+//!   the price of running a nest over a box of extents (`box_cost`), and
+//!   the tiled and untiled prices of a nest that decide whether the
+//!   poly+AST flow tiles it (`tiling_costs`);
+//! * [`fusion`] — fusion profitability by the same price: the fused nest
+//!   against the two distributed ones (Sec. III-B2);
 //! * [`machine`] — cache/TLB geometries, including Nehalem-like and
 //!   Power7-like presets matching the paper's two evaluation platforms.
 
@@ -19,6 +19,8 @@ pub mod fusion;
 pub mod machine;
 pub mod model;
 
-pub use fusion::{fusion_profitable, min_mem_cost, min_mem_cost_with_free};
+pub use fusion::fusion_profitable;
 pub use machine::{CacheLevel, Machine};
-pub use model::{box_cost, distinct_lines, mem_cost, permutation_priority, RefInfo};
+pub use model::{
+    box_cost, distinct_lines, mem_cost, permutation_priority, tiling_costs, RefInfo, NOMINAL_EXTENT,
+};
