@@ -27,6 +27,13 @@
 //! the same accessors so compiler-side differences between variants come
 //! only from loop structure — the property the paper's comparison
 //! depends on.
+//!
+//! The kernel runs on the logical row-major layout, except for arrays
+//! whose rows [`pads_rows`] pads: those run on a copy whose innermost
+//! rows are one cache line longer, filled from the logical array before
+//! the timer and, if the kernel writes it, copied back before the
+//! checksum. Initialization and checksum therefore always see the
+//! logical layout.
 
 use polymix_ast::tree::{Bound, LinExpr, Loop, Node, Par, Program};
 use polymix_ir::expr::{Expr, UnOp};
@@ -67,6 +74,24 @@ impl Default for EmitOptions {
 /// keep full control of the rustc flags.
 pub const KERNEL_RT: &str = include_str!("../../runtime/src/kernel_rt.rs");
 
+/// f64s in one 64-byte cache line: what a padded row grows by.
+const LINE: i64 = 8;
+
+/// f64s in 4 KiB, the set span of a 64-byte-line L1 of 32 KiB × 8 ways
+/// (Nehalem's, as `polymix-cachesim` models it) or 48 KiB × 12 ways:
+/// rows a multiple of it apart start on the same set.
+const SET_SPAN: i64 = 512;
+
+/// Whether emitted code pads an array's rows, given its extents at the
+/// emitted parameters: rank ≥ 2 and an innermost extent that is a
+/// multiple of 4 KiB. The DL model counts distinct lines against a
+/// level's capacity, as if the cache were fully associative; a tile of
+/// such rows maps every row onto the same few sets and thrashes. One
+/// extra line per row spreads them over the sets.
+fn pads_rows(extents: &[i64]) -> bool {
+    extents.len() >= 2 && extents.last().is_some_and(|&e| e > 0 && e % SET_SPAN == 0)
+}
+
 struct Emitter<'a> {
     prog: &'a Program,
     opts: &'a EmitOptions,
@@ -76,6 +101,13 @@ struct Emitter<'a> {
     region: usize,
     /// Whether any loop is emitted as a `kernel_rt` region.
     parallel: bool,
+    /// Per array whose rows are padded ([`pads_rows`]): its logical row
+    /// length and its padded row stride, as `usize` expressions.
+    rows: Vec<Option<(String, String)>>,
+    /// Per array, the rendered extent of each dimension of the storage
+    /// the kernel runs on: a padded array's innermost one is a line
+    /// longer. Every subscript and private copy reads these.
+    dims: Vec<Vec<String>>,
 }
 
 /// Emits the standalone Rust program.
@@ -91,7 +123,25 @@ pub fn emit_rust(prog: &Program, opts: &EmitOptions) -> String {
         names,
         region: 0,
         parallel: parallel && opts.threads > 1,
+        rows: Vec::new(),
+        dims: Vec::new(),
     };
+    for arr in &prog.scop.arrays {
+        let mut dims: Vec<String> = arr.dims.iter().map(|row| e.extent_expr(row)).collect();
+        let pad = pads_rows(&arr.extents(&opts.params));
+        let rows = match (arr.dims.last(), dims.last_mut()) {
+            (Some(last), Some(ext)) if pad => {
+                let mut last = last.clone();
+                last[opts.params.len()] += LINE;
+                let ld = e.extent_expr(&last);
+                let inner = std::mem::replace(ext, ld.clone());
+                Some((format!("{inner} as usize"), format!("{ld} as usize")))
+            }
+            _ => None,
+        };
+        e.dims.push(dims);
+        e.rows.push(rows);
+    }
     e.header();
     e.main();
     e.out
@@ -179,6 +229,11 @@ impl Emitter<'_> {
         format!("p_{}", sanitize(&self.prog.scop.arrays[a].name).to_lowercase())
     }
 
+    fn pad_name(&self, a: usize) -> String {
+        let name = sanitize(&self.prog.scop.arrays[a].name).to_lowercase();
+        format!("pad_{name}")
+    }
+
     fn var_name(&self, v: usize) -> String {
         self.names
             .get(&v)
@@ -221,15 +276,19 @@ impl Emitter<'_> {
                 }
             })
             .collect();
-        let mut it = parts.into_iter();
-        let first = it.next().expect("empty bound");
-        it.fold(first, |acc, x| {
-            if lower {
-                format!("{acc}.max({x})")
-            } else {
-                format!("{acc}.min({x})")
-            }
-        })
+        // The tree never builds an empty bound (`Bound::exprs`); were one
+        // to reach here, its loop runs no iteration, and the checksum
+        // against `native` reports the loss instead of an aborted sweep.
+        parts
+            .into_iter()
+            .reduce(|acc, x| {
+                if lower {
+                    format!("{acc}.max({x})")
+                } else {
+                    format!("{acc}.min({x})")
+                }
+            })
+            .unwrap_or_else(|| if lower { "i64::MAX" } else { "i64::MIN" }.to_string())
     }
 
     fn header(&mut self) {
@@ -288,7 +347,11 @@ impl Emitter<'_> {
         for ai in 0..scop.arrays.len() {
             let n = self.arr_name(ai);
             let p = self.ptr_name(ai);
-            self.line(&format!("let {p}: *mut f64 = {n}.as_mut_ptr();"));
+            let store = match self.rows[ai].clone() {
+                Some((inner, ld)) => self.pad_in(ai, &inner, &ld),
+                None => n,
+            };
+            self.line(&format!("let {p}: *mut f64 = {store}.as_mut_ptr();"));
             if self.parallel {
                 self.line(&format!("let s_{p} = kernel_rt::P({p});"));
             }
@@ -316,7 +379,7 @@ impl Emitter<'_> {
         self.line("if dt < best { best = dt; }");
         self.indent -= 1;
         self.line("}");
-        // Checksum over written arrays.
+        // Checksum over written arrays, each back in its logical layout.
         let mut written: Vec<usize> = Vec::new();
         for st in &scop.statements {
             if !written.contains(&st.write.array.0) {
@@ -324,6 +387,11 @@ impl Emitter<'_> {
             }
         }
         written.sort();
+        for &ai in &written {
+            if let Some((inner, ld)) = self.rows[ai].clone() {
+                self.pad_out(ai, &inner, &ld);
+            }
+        }
         self.line("let mut checksum = 0.0f64;");
         for ai in written {
             let n = self.arr_name(ai);
@@ -351,6 +419,36 @@ impl Emitter<'_> {
             .map(|row| self.extent_expr(row))
             .collect::<Vec<_>>()
             .join(" * ")
+    }
+
+    /// The length of the storage the kernel runs on: [`Self::extent_product`]
+    /// with a padded array's rows a line longer.
+    fn storage_len(&self, ai: usize) -> String {
+        if self.dims[ai].is_empty() {
+            return "1".to_string();
+        }
+        self.dims[ai].join(" * ")
+    }
+
+    /// Allocates array `ai`'s padded storage, fills it row by row (`inner`
+    /// long, `ld` apart) from the logical array and returns its name.
+    fn pad_in(&mut self, ai: usize, inner: &str, ld: &str) -> String {
+        let (n, store, len) = (self.arr_name(ai), self.pad_name(ai), self.storage_len(ai));
+        self.line(&format!(
+            "let mut {store}: Vec<f64> = vec![0.0f64; ({len}).max(1) as usize]; // rows of {n} padded by one line"
+        ));
+        self.line(&format!(
+            "for (r, row) in {n}.chunks_exact({inner}).enumerate() {{ {store}[r * {ld}..][..row.len()].copy_from_slice(row); }}"
+        ));
+        store
+    }
+
+    /// Copies array `ai`'s padded storage back into the logical array.
+    fn pad_out(&mut self, ai: usize, inner: &str, ld: &str) {
+        let (n, store) = (self.arr_name(ai), self.pad_name(ai));
+        self.line(&format!(
+            "for (r, row) in {n}.chunks_exact_mut({inner}).enumerate() {{ row.copy_from_slice(&{store}[r * {ld}..][..row.len()]); }}"
+        ));
     }
 
     fn extent_expr(&self, row: &[i64]) -> String {
@@ -580,7 +678,7 @@ impl Emitter<'_> {
         let privatized: Vec<String> = reduced
             .iter()
             .map(|&a| {
-                let len = self.extent_product(a);
+                let len = self.storage_len(a);
                 format!("(s_{}, ({len}).max(1) as usize)", self.ptr_name(a))
             })
             .collect();
@@ -769,9 +867,9 @@ impl Emitter<'_> {
         }
     }
 
-    /// Renders the row-major linearized index of an access.
+    /// Renders the row-major linearized index of an access into the
+    /// storage the kernel runs on (padded rows included).
     fn subscript(&self, array: usize, rows: &[Vec<i64>], d: usize) -> String {
-        let arr = &self.prog.scop.arrays[array];
         if rows.is_empty() {
             return "0".to_string();
         }
@@ -781,7 +879,7 @@ impl Emitter<'_> {
             if dim == 0 {
                 out = sub;
             } else {
-                let ext = self.extent_expr(&arr.dims[dim]);
+                let ext = &self.dims[array][dim];
                 out = format!("({out}) * {ext} + {sub}");
             }
         }
@@ -961,6 +1059,73 @@ mod tests {
             src.contains("let p_acc: *mut f64 = copies[0].get();"),
             "{src}"
         );
+    }
+
+    #[test]
+    fn rows_a_multiple_of_4_kib_are_padded_by_one_line() {
+        for (extents, padded) in [
+            (&[4, 512][..], true),
+            (&[4, 1024], true),
+            (&[2, 3, 512], true),
+            (&[4, 384], false),
+            (&[4, 1000], false),
+            (&[4, 96], false),
+            (&[4, 0], false),
+            (&[512], false),
+            (&[1024], false),
+        ] {
+            assert_eq!(pads_rows(extents), padded, "{extents:?}");
+        }
+        // C[j][k] += A[i][k] under a parallel i: C is privatized.
+        let mut b = ScopBuilder::new("rows", &["N"], &[16]);
+        let a = b.array("A", &["N", "N"]);
+        let c = b.array("C", &["N", "N"]);
+        let x = b.array("X", &["N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        b.enter("k", con(0), par("N"));
+        let rhs = IExpr::mul(b.rd(a, &[ix("i"), ix("k")]), b.rd(x, &[ix("k")]));
+        b.stmt_update("S", c, &[ix("j"), ix("k")], BinOp::Add, rhs);
+        b.exit();
+        b.exit();
+        b.exit();
+        let mut prog =
+            original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
+        let mut outer = true;
+        prog.body.visit_loops_mut(&mut |l| {
+            l.par = if outer { Par::Reduction } else { Par::Seq };
+            outer = false;
+        });
+        let at = |n: i64| {
+            emit_rust(
+                &prog,
+                &EmitOptions {
+                    params: vec![n],
+                    ..opts(4)
+                },
+            )
+        };
+        let src = at(512);
+        // The kernel runs on padded storage, filled from and copied back
+        // to the logical arrays; the 1-D X stays as it is.
+        for line in [
+            "let mut pad_a: Vec<f64> = vec![0.0f64; ((P_N) * (P_N + 8)).max(1) as usize]; // rows of a_a padded by one line",
+            "for (r, row) in a_a.chunks_exact((P_N) as usize).enumerate() { pad_a[r * (P_N + 8) as usize..][..row.len()].copy_from_slice(row); }",
+            "let p_a: *mut f64 = pad_a.as_mut_ptr();",
+            "let p_x: *mut f64 = a_x.as_mut_ptr();",
+            "for (r, row) in a_c.chunks_exact_mut((P_N) as usize).enumerate() { row.copy_from_slice(&pad_c[r * (P_N + 8) as usize..][..row.len()]); }",
+            // Subscripts use the padded stride, private copies its length.
+            "*p_c.add((((x1)) * (P_N + 8) + (x2)) as usize)",
+            "&[(s_p_c, ((P_N) * (P_N + 8)).max(1) as usize)]",
+        ] {
+            assert!(src.contains(line), "missing `{line}` in:\n{src}");
+        }
+        // A is only read: nothing to copy back.
+        assert!(!src.contains("a_a.chunks_exact_mut"), "{src}");
+        // Below the rule nothing is padded.
+        let src = at(384);
+        assert!(!src.contains("pad_") && !src.contains("+ 8)"), "{src}");
+        assert!(src.contains("p_a: *mut f64 = a_a.as_mut_ptr();"), "{src}");
     }
 
     #[test]

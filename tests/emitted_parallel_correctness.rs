@@ -5,9 +5,9 @@
 //! exercises exactly what the benchmark harness measures.
 
 use polymix::dl::Machine;
-use polymix_bench::runner::Runner;
+use polymix_bench::runner::{emit_source, Runner};
 use polymix_bench::variants::{build_variant, Variant};
-use polymix_polybench::kernel_by_name;
+use polymix_polybench::{checksum, kernel_by_name};
 
 fn runner(threads: usize) -> Runner {
     Runner {
@@ -95,4 +95,56 @@ fn wavefront_threads_seidel_baseline() {
 #[test]
 fn tiled_guarded_maxfuse_2mm() {
     check("2mm", Variant::PlutoMaxFuse, 1e-12);
+}
+
+/// Rows a multiple of 4 KiB long run on storage padded by one cache line
+/// (`polymix-codegen`'s emitter). At a 512-wide row both optimized
+/// variants must still print `native`'s checksum, on one thread and on
+/// two, where poly+ast's reduction regions privatize on padded storage
+/// (covariance's private `symmat` copies are padded themselves). `native`
+/// is emitted padded too, so every checksum is also held to the
+/// in-process reference run on the logical layout, to the 7 digits the
+/// binaries print.
+#[test]
+fn padded_rows_keep_native_checksums() {
+    let machine = Machine::nehalem();
+    for (kernel, params) in [
+        ("atax", vec![64, 512]),
+        ("mvt", vec![512]),
+        ("covariance", vec![32, 512]),
+    ] {
+        let k = kernel_by_name(kernel).unwrap();
+        let scop = (k.build)();
+        let mut arrays = k.fresh_arrays(&scop, &params);
+        (k.reference)(&params, &mut arrays);
+        let want = checksum(&scop, &arrays);
+        let native = build_variant(&k, Variant::Native, &machine).expect("native variant");
+        let base = runner(1)
+            .run(&k, &native, &params, &format!("{kernel}_native_padded"))
+            .unwrap_or_else(|e| panic!("{kernel} native: {e}"));
+        for variant in [Variant::PolyAst, Variant::Pocc] {
+            let prog = build_variant(&k, variant, &machine).expect("variant builds");
+            for threads in [1, 2] {
+                let src = emit_source(&k, &prog, &params, threads, 1);
+                assert!(src.contains("let mut pad_"), "{kernel}: no padded array");
+                if variant == Variant::PolyAst && threads > 1 {
+                    assert!(
+                        src.contains("kernel_rt::reduction("),
+                        "{kernel}: no reduction region to privatize"
+                    );
+                }
+                let got = runner(threads)
+                    .run(&k, &prog, &params, &format!("{kernel}_{variant:?}_padded"))
+                    .unwrap_or_else(|e| panic!("{kernel} {variant:?}: {e}"));
+                let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
+                assert!(
+                    rel(got.checksum, base.checksum) <= 1e-9 && rel(got.checksum, want) <= 1e-6,
+                    "{kernel} {variant:?} at {threads} threads: checksum {} vs native {} \
+                     and reference {want}",
+                    got.checksum,
+                    base.checksum
+                );
+            }
+        }
+    }
 }
