@@ -21,8 +21,8 @@ cargo test -q
 # crates whose library code has no `.expect(` left also deny that, so
 # their count stays at zero (ROADMAP item 5).
 echo "== clippy abort-site gate =="
-NO_EXPECT="polymix-cachesim polymix-codegen polymix-core polymix-deps polymix-pluto \
-polymix-runtime polymix-service polymix-verify polymix-vm"
+NO_EXPECT="polymix-ast polymix-cachesim polymix-codegen polymix-core polymix-deps polymix-dl \
+polymix-pluto polymix-runtime polymix-service polymix-verify polymix-vm"
 for c in polymix-math polymix-ir polymix-deps polymix-dl polymix-ast \
          polymix-codegen polymix-verify polymix-pluto polymix-core \
          polymix-runtime polymix-cachesim polymix-polybench polymix-vm \
@@ -85,7 +85,9 @@ echo "$CENSUS" | grep -Eq \
     || { echo "a parallel construct lost all its traffic"; exit 1; }
 # Same idea for the tiling stage: the audit sums what `tile_nest` reported
 # for every nest. Each of its three forms must still be taken somewhere,
-# and so must the DL model's decision not to tile (`declined`). The number
+# and so must the DL model's decision not to tile (`declined`) and the
+# point-loop ordering that puts a tile's vector loop innermost
+# (`reordered`). The number
 # of statements `tile_nest` left under a loop that was not strip-mined must
 # not rise above the committed one (325; 341 before the DL model declined
 # nests, which it counts none of; 459 before the sunk form) — lower it
@@ -94,8 +96,8 @@ TILING=$(echo "$VERIFY_OUT" | grep '^tiling: ') \
     || { echo "static audit printed no tiling census"; exit 1; }
 echo "$TILING"
 echo "$TILING" | grep -Eq \
-    '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* declined [1-9][0-9]* untiled-levels [0-9]+$' \
-    || { echo "a tiling form or the decline decision lost all its traffic"; exit 1; }
+    '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* declined [1-9][0-9]* reordered [1-9][0-9]* untiled-levels [0-9]+$' \
+    || { echo "a tiling form, the decline decision or the point-loop order lost all its traffic"; exit 1; }
 [ "${TILING##* }" -le 325 ] \
     || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 325"; exit 1; }
 # At `mini` no row is a multiple of 4 KiB, so the audit above sees no

@@ -408,6 +408,104 @@ pub fn wavefront(l: &Loop) -> Option<Node> {
     }))
 }
 
+/// Interchanges `outer` with the loop that is its whole body: the inner
+/// header moves out, the outer one in, and the body below both is kept.
+/// Their bounds are re-derived by Fourier–Motzkin on the pair:
+///
+/// * the new outer loop keeps the inner bounds that do not mention the
+///   outer variable, and takes each one that does with every matching
+///   outer bound substituted for it — bounds the pair's projection
+///   implies, so the loop may visit values with no inner iteration but
+///   never misses one;
+/// * the new inner loop keeps the outer bounds and takes each inner bound
+///   that mentioned it, solved for its variable — the exact range, so
+///   the pair visits the same iterations, in the other order.
+///
+/// Returns `None` when a guard or a sequence stands between the two
+/// loops, when a step is not 1 or a bound expression has a denominator,
+/// when an inner bound mentions the outer variable with a coefficient
+/// other than -1, 0 or 1, or when an outer bound mentions the inner
+/// variable. Legality is the caller's (see the module doc).
+pub fn interchange(outer: &Loop) -> Option<Node> {
+    let Node::Loop(inner) = &outer.body else {
+        return None;
+    };
+    let (o, i) = (outer.var, inner.var);
+    let unit = |b: &Bound| b.exprs.iter().all(|be| be.denom == 1);
+    let mentions = |b: &Bound, v: usize| b.exprs.iter().any(|be| be.expr.coeff_of(v) != 0);
+    if outer.step != 1
+        || inner.step != 1
+        || ![&outer.lo, &outer.hi, &inner.lo, &inner.hi].into_iter().all(unit)
+        || mentions(&outer.lo, i)
+        || mentions(&outer.hi, i)
+        || [&inner.lo, &inner.hi]
+            .into_iter()
+            .any(|b| b.exprs.iter().any(|be| be.expr.coeff_of(o).abs() > 1))
+    {
+        return None;
+    }
+    // A bound of the distinct expressions, first occurrence first.
+    let of = |exprs: Vec<LinExpr>| {
+        let mut out: Vec<BoundExpr> = Vec::with_capacity(exprs.len());
+        for expr in exprs {
+            if !out.iter().any(|be| be.expr == expr) {
+                out.push(BoundExpr { expr, denom: 1 });
+            }
+        }
+        Bound { exprs: out }
+    };
+    let (mut new_outer_lo, mut new_outer_hi) = (Vec::new(), Vec::new());
+    let (mut new_inner_lo, mut new_inner_hi): (Vec<LinExpr>, Vec<LinExpr>) = (
+        outer.lo.exprs.iter().map(|be| be.expr.clone()).collect(),
+        outer.hi.exprs.iter().map(|be| be.expr.clone()).collect(),
+    );
+    for (bound, lower) in [(&inner.lo, true), (&inner.hi, false)] {
+        let projected = if lower { &mut new_outer_lo } else { &mut new_outer_hi };
+        for be in &bound.exprs {
+            let r = &be.expr;
+            let a = r.coeff_of(o);
+            if a == 0 {
+                projected.push(r.clone());
+                continue;
+            }
+            // `i >= r` (lower) or `i <= r` (upper) with `r = e + a·o`: the
+            // extreme `o` on the side that keeps the bound valid.
+            let ends = if (a > 0) == lower { &outer.lo } else { &outer.hi };
+            projected.extend(ends.exprs.iter().map(|end| r.subst(o, &end.expr)));
+            // Solved for `o`: `i - e` when `r = e + o`, `e - i` when
+            // `r = e - o`; a lower end of `o` exactly when an upper bound
+            // grows with `o` or a lower one shrinks with it.
+            let solved = if a > 0 {
+                LinExpr::var(i).add_scaled(r, -1).add(&LinExpr::var(o))
+            } else {
+                r.add(&LinExpr::var(o)).add_scaled(&LinExpr::var(i), -1)
+            };
+            if lower == (a < 0) {
+                new_inner_lo.push(solved);
+            } else {
+                new_inner_hi.push(solved);
+            }
+        }
+    }
+    Some(Node::loop_(Loop {
+        var: i,
+        name: inner.name.clone(),
+        lo: of(new_outer_lo),
+        hi: of(new_outer_hi),
+        step: 1,
+        par: inner.par,
+        body: Node::loop_(Loop {
+            var: o,
+            name: outer.name.clone(),
+            lo: of(new_inner_lo),
+            hi: of(new_inner_hi),
+            step: 1,
+            par: outer.par,
+            body: inner.body.clone(),
+        }),
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,6 +683,133 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// symm's joint nest 1 at tile 4: `c1 = max(0, u0t) .. min(N - 2,
+    /// u0t + 3)` over `c2 = max(c1 + 1, u1t) .. min(N - 1, u1t + 3)`.
+    /// `S0` writes each point's visit number, which `S1` counts, so `A`
+    /// shows both the set of points visited and their order.
+    fn triangular_tiles(n: i64) -> Program {
+        let mut b = ScopBuilder::new("tri", &["N"], &[n]);
+        let a = b.array("A", &["N", "N"]);
+        let count = b.array("B", &["N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        let body = b.rd(count, &[con(0)]);
+        b.stmt("S0", a, &[ix("i"), ix("j")], body);
+        let body = Expr::add(b.rd(count, &[con(0)]), Expr::Const(1.0));
+        b.stmt("S1", count, &[con(0)], body);
+        b.exit();
+        b.exit();
+        let scop = b.finish().expect("well-formed SCoP");
+        let (u0t, u1t, c1, c2) = (0, 1, 2, 3);
+        let n_ = LinExpr::param(0);
+        let bound = |exprs: Vec<LinExpr>| Bound {
+            exprs: exprs.into_iter().map(|expr| BoundExpr { expr, denom: 1 }).collect(),
+        };
+        let stmt = |stmt_idx| {
+            Node::Stmt(StmtNode {
+                stmt_idx,
+                iter_exprs: vec![LinExpr::var(c1), LinExpr::var(c2)],
+            })
+        };
+        let header = |var, name: &str, lo, hi, step| Loop {
+            var,
+            name: name.into(),
+            lo: bound(lo),
+            hi: bound(hi),
+            step,
+            par: Par::Seq,
+            body: Node::Seq(vec![]),
+        };
+        let body = nest_under(
+            [
+                header(u0t, "u0t", vec![LinExpr::con(0)], vec![n_.plus(-2)], 4),
+                header(u1t, "u1t", vec![LinExpr::var(u0t).plus(1)], vec![n_.plus(-1)], 4),
+                header(
+                    c1,
+                    "c1",
+                    vec![LinExpr::con(0), LinExpr::var(u0t)],
+                    vec![n_.plus(-2), LinExpr::var(u0t).plus(3)],
+                    1,
+                ),
+                header(
+                    c2,
+                    "c2",
+                    vec![LinExpr::var(c1).plus(1), LinExpr::var(u1t)],
+                    vec![n_.plus(-1), LinExpr::var(u1t).plus(3)],
+                    1,
+                ),
+            ],
+            Node::Seq(vec![stmt(0), stmt(1)]),
+        );
+        Program {
+            scop,
+            body,
+            n_vars: 4,
+            tiling: Vec::new(),
+        }
+    }
+
+    /// The `c1` loop of [`triangular_tiles`], two loops below the root.
+    fn pair_root(p: &mut Program) -> &mut Node {
+        let Node::Loop(u0t) = &mut p.body else { panic!("u0t") };
+        let Node::Loop(u1t) = &mut u0t.body else { panic!("u1t") };
+        &mut u1t.body
+    }
+
+    #[test]
+    fn interchange_visits_a_triangular_pair_column_by_column() {
+        for n in [1, 2, 5, 8, 11] {
+            let original = triangular_tiles(n);
+            let mut p = triangular_tiles(n);
+            let root = pair_root(&mut p);
+            let Node::Loop(c1) = &*root else { panic!("c1") };
+            *root = interchange(c1).expect("unit coefficients");
+            let Node::Loop(c2) = &*root else { panic!("c2") };
+            let Node::Loop(c1) = &c2.body else { panic!("c1") };
+            assert_eq!((c2.name.as_str(), c1.name.as_str()), ("c2", "c1"));
+            // The triangle's edge moved into c1's upper bound.
+            assert!(c1.hi.exprs.iter().any(|be| be.expr == LinExpr::var(3).plus(-1)));
+            // Each tile's points, column by column, numbered in that order.
+            let mut want = vec![0.0; (n * n) as usize];
+            let mut visit = 0.0;
+            for u0t in (0..=n - 2).step_by(4) {
+                for u1t in (u0t + 1..=n - 1).step_by(4) {
+                    for j in u1t..=(n - 1).min(u1t + 3) {
+                        for i in u0t.max(0)..=(n - 2).min(u0t + 3).min(j - 1) {
+                            want[(i * n + j) as usize] = visit;
+                            visit += 1.0;
+                        }
+                    }
+                }
+            }
+            let run = |p: &Program| {
+                let mut arrays = alloc_arrays(&p.scop, &[n]);
+                execute(p, &[n], &mut arrays);
+                arrays
+            };
+            let (before, after) = (run(&original), run(&p));
+            assert_eq!(after[0], want, "n={n}");
+            assert_eq!(after[1], before[1], "n={n}: same number of points");
+            if n >= 5 {
+                assert_ne!(after[0], before[0], "n={n}: same order as before");
+            }
+        }
+    }
+
+    #[test]
+    fn interchange_refuses_a_coefficient_of_two_and_a_guard() {
+        let mut p = triangular_tiles(8);
+        let root = pair_root(&mut p);
+        let Node::Loop(c1) = root else { panic!("c1") };
+        assert!(interchange(c1).is_some());
+        let mut guarded = (**c1).clone();
+        guarded.body = Node::Guard(vec![LinExpr::con(0)], Box::new(guarded.body));
+        assert!(interchange(&guarded).is_none());
+        let Node::Loop(c2) = &mut c1.body else { panic!("c2") };
+        c2.lo.exprs[0].expr = LinExpr::var(2).scale(2);
+        assert!(interchange(c1).is_none());
     }
 }
 

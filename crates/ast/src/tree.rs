@@ -158,7 +158,9 @@ pub struct BoundExpr {
 /// A loop bound: `max` (lower) or `min` (upper) over affine expressions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Bound {
-    /// Component expressions; never empty.
+    /// Component expressions; never empty in a tree the optimizers build.
+    /// An empty one evaluates to no iteration: `i64::MAX` as a lower
+    /// bound, `i64::MIN` as an upper one.
     pub exprs: Vec<BoundExpr>,
 }
 
@@ -184,7 +186,7 @@ impl Bound {
                 -((-v).div_euclid(b.denom))
             })
             .max()
-            .expect("empty bound")
+            .unwrap_or(i64::MAX)
     }
 
     /// Evaluates as an upper bound (`min` of floor divisions).
@@ -193,7 +195,7 @@ impl Bound {
             .iter()
             .map(|b| b.expr.eval(vars, params).div_euclid(b.denom))
             .min()
-            .expect("empty bound")
+            .unwrap_or(i64::MIN)
     }
 
     /// Applies a function to every component expression.
@@ -262,6 +264,19 @@ pub struct Loop {
     pub par: Par,
     /// Loop body.
     pub body: Node,
+}
+
+impl Loop {
+    /// Whether the tile loop with variable `tile` and step `step` clamps
+    /// this loop to one tile, `[tile, tile + step - 1]`: a lower bound that
+    /// is the bare tile variable and an upper bound of it plus `step - 1`,
+    /// the point loop `strip_mine` and `tile_imperfect` make. A loop whose
+    /// bounds merely mention `tile` (an interchanged point loop of another
+    /// level) is not clamped by it.
+    pub fn clamped_by(&self, tile: usize, step: i64) -> bool {
+        let has = |b: &Bound, e: &LinExpr| b.exprs.iter().any(|be| be.denom == 1 && be.expr == *e);
+        has(&self.lo, &LinExpr::var(tile)) && has(&self.hi, &LinExpr::var(tile).plus(step - 1))
+    }
 }
 
 /// A statement instance: executes `scop.statements[stmt_idx]` with each
@@ -400,6 +415,10 @@ pub struct TileReport {
     /// compared before deciding whether to tile the nest; `None` where
     /// nothing was priced (the Pluto baseline tiles every band).
     pub dl: Option<(f64, f64)>,
+    /// Whether some tile's point loops were put in vector order
+    /// (`polymix_codegen::opt::order_point_loops`); the Pluto baseline
+    /// never asks.
+    pub reordered: bool,
 }
 
 impl Program {

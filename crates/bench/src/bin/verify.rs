@@ -19,12 +19,13 @@
 //!   (`regions: doall N reduction N pipeline N wavefront N`): a
 //!   construct whose count drops to zero has lost all its traffic; after
 //!   it, a census of what the tiling stage reported for every nest
-//!   (`tiling: joint N chains N sunk N declined N untiled-levels N`:
-//!   `declined` counts the nests the DL model judged not worth tiling,
-//!   and the last number the statements `tile_nest` left with a loop
-//!   around them that was not strip-mined): a form at zero is a
-//!   dead path of `tile_nest`, and `untiled-levels` going up means
-//!   statements lost tile coverage;
+//!   (`tiling: joint N chains N sunk N declined N reordered N
+//!   untiled-levels N`: `declined` counts the nests the DL model judged
+//!   not worth tiling, `reordered` the nests whose point loops were put
+//!   in vector order, and the last number the statements `tile_nest`
+//!   left with a loop around them that was not strip-mined): a form at
+//!   zero is a dead path of `tile_nest`, and `untiled-levels` going up
+//!   means statements lost tile coverage;
 //! * `--backend vm` audits the *lowered bytecode* instead of the
 //!   emitted source: each cell is lowered at the dataset's parameters
 //!   and run through the bytecode certifier (bounds proofs; the `pairs`
@@ -118,8 +119,9 @@ fn main() {
     let mut failures = 0usize;
     let mut census = [0usize; 4];
     // Nests per tiling form (joint, chains, sunk), nests the DL model
-    // declined to tile, then untiled statements.
-    let mut tiling = [0usize; 5];
+    // declined to tile, nests with reordered point loops, then untiled
+    // statements.
+    let mut tiling = [0usize; 6];
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
 
@@ -202,7 +204,8 @@ fn main() {
                     TileForm::Declined => tiling[3] += 1,
                     TileForm::None => {}
                 }
-                tiling[4] += r.untiled;
+                tiling[4] += usize::from(r.reordered);
+                tiling[5] += r.untiled;
             }
             // Certificate 3: protocol lint over the emitted source.
             let src = emit_source(&k, &prog, &params, 4, 1);
@@ -222,10 +225,10 @@ fn main() {
     } else {
         let [d, r, p, w] = census;
         println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
-        let [joint, chains, sunk, declined, untiled] = tiling;
+        let [joint, chains, sunk, declined, reordered, untiled] = tiling;
         println!(
             "tiling: joint {joint} chains {chains} sunk {sunk} declined {declined} \
-             untiled-levels {untiled}"
+             reordered {reordered} untiled-levels {untiled}"
         );
     }
     if failures > 0 {

@@ -299,11 +299,12 @@ fn register_tile_in(
                         // still a single loop (unrolling below may split
                         // it into a main/epilogue sequence).
                         repair_jam_mark(&mut new_l, outer_factor, vectors, endpoints);
-                        // Optionally unroll the (jammed) inner loop too;
-                        // an error keeps the merely jammed form.
+                        // Optionally unroll the (jammed) inner loop too,
+                        // unless it is a distributed copy; an error keeps
+                        // the merely jammed form.
                         if inner_factor > 1 {
                             if let Node::Loop(inner) = &new_l.body {
-                                if inner.step == 1 {
+                                if inner.step == 1 && !distributed.contains(&inner.var) {
                                     if let Ok(u) = transforms::unroll(inner, inner_factor) {
                                         new_l.body = u;
                                     }
@@ -629,7 +630,7 @@ pub fn tile_nest(
             _ => TileForm::None,
         };
         let untiled = untiled_stmts(&tiled, &t.strips, false);
-        (tiled, TileReport { form, untiled, dl: None })
+        (tiled, TileReport { form, untiled, dl: None, reordered: false })
     };
     let (mut tiled, mut report) = attempt(prog, true);
     if report.form == TileForm::Sunk && !certifies(&prog.with_body(tiled.clone())) {
@@ -958,6 +959,195 @@ fn repair_ctrl_marks(
     }
 }
 
+/// Orders the point loops of every tile of a tiled `nest` for the vector
+/// unit (DESIGN §19, "Point-loop order"). In each innermost run of point
+/// loops — unmarked loops a tile loop clamps to one tile, directly nested,
+/// with no loop below the last — it puts two loops at the bottom:
+///
+/// * innermost, a loop that carries no dependence inside the tile and
+///   along which every written reference is unit-stride; of several, the
+///   one with the most reads unit-stride or invariant along it;
+/// * right above it, a loop no written reference mentions: the one that
+///   carries the writes' reuse (gemm's i-k-j shape).
+///
+/// The other loops of the run keep their relative order, and a run whose
+/// dependences are not all componentwise non-negative on its levels is
+/// left alone — on such a band every permutation keeps every dependence,
+/// so the iterations that update one element keep their order and the
+/// results stay bit-identical. Tile loops never move. Runs before
+/// register tiling: every loop of step > 1 is a tile loop, and the point
+/// and untiled loops above a statement sit at its nest levels in order.
+/// Returns whether any run was reordered.
+pub fn order_point_loops(
+    scop: &Scop,
+    nest: &mut Node,
+    vectors: &[(Vec<DepElem>, bool)],
+    endpoints: &[(usize, usize)],
+) -> bool {
+    let run = PointRun {
+        scop,
+        vectors,
+        endpoints,
+    };
+    run.walk(nest, &mut Vec::new(), 0)
+}
+
+/// The context of [`order_point_loops`]' walk.
+struct PointRun<'a> {
+    scop: &'a Scop,
+    vectors: &'a [(Vec<DepElem>, bool)],
+    endpoints: &'a [(usize, usize)],
+}
+
+impl PointRun<'_> {
+    /// Reorders the runs below `node`, whose loops start at nest level
+    /// `level` under the tile loops `tiles` (`(variable, step)`).
+    fn walk(&self, node: &mut Node, tiles: &mut Vec<(usize, i64)>, level: usize) -> bool {
+        match node {
+            Node::Seq(xs) => xs
+                .iter_mut()
+                .fold(false, |moved, x| self.walk(x, tiles, level) | moved),
+            Node::Guard(_, b) => self.walk(b, tiles, level),
+            Node::Stmt(_) => false,
+            Node::Loop(l) if l.step > 1 => {
+                tiles.push((l.var, l.step));
+                let moved = self.walk(&mut l.body, tiles, level);
+                tiles.pop();
+                moved
+            }
+            Node::Loop(_) => {
+                let n = point_run(node, tiles);
+                if n >= 2 {
+                    return self.reorder(node, n, level);
+                }
+                let Node::Loop(l) = node else { return false };
+                self.walk(&mut l.body, tiles, level + 1)
+            }
+        }
+    }
+
+    /// Puts the vector loop innermost and the write-invariant loop above
+    /// it in the run of `n` point loops rooted at `node` (nest levels
+    /// `level..level + n`), if the run allows it.
+    fn reorder(&self, node: &mut Node, n: usize, level: usize) -> bool {
+        let mut vars = Vec::with_capacity(n);
+        let mut body = &*node;
+        for _ in 0..n {
+            let Node::Loop(l) = body else { return false };
+            vars.push(l.var);
+            body = &l.body;
+        }
+        let inside = stmts_of(body);
+        let open: Vec<&[DepElem]> = self
+            .vectors
+            .iter()
+            .zip(self.endpoints)
+            .filter(|(_, (src, dst))| inside.contains(src) && inside.contains(dst))
+            .map(|((v, _), _)| &v[..])
+            .filter(|v| !carried_before(v, level))
+            .collect();
+        let at = |v: &[DepElem], p: usize| v.get(level + p).copied().unwrap_or(DepElem::Const(0));
+        if !open.iter().all(|v| (0..n).all(|p| at(v, p).is_nonneg())) {
+            return false;
+        }
+        // Each reference's subscript rows as coefficients of the run's
+        // loops, with whether it is the statement's write.
+        let mut refs: Vec<(bool, Vec<Vec<i64>>)> = Vec::new();
+        body.visit_stmts(&mut |s| {
+            for (acc, write) in self.scop.statements[s.stmt_idx].accesses() {
+                let rows = acc
+                    .map
+                    .iter()
+                    .map(|row| {
+                        vars.iter()
+                            .map(|&v| s.iter_exprs.iter().zip(row).map(|(e, &r)| r * e.coeff_of(v)).sum())
+                            .collect()
+                    })
+                    .collect();
+                refs.push((write, rows));
+            }
+        });
+        let unit = |rows: &[Vec<i64>], p: usize| {
+            rows.split_last()
+                .is_some_and(|(last, rest)| last[p] == 1 && rest.iter().all(|r| r[p] == 0))
+        };
+        let invariant = |rows: &[Vec<i64>], p: usize| rows.iter().all(|r| r[p] == 0);
+        let writes = || refs.iter().filter(|(w, _)| *w).map(|(_, rows)| &rows[..]);
+        let carries = |p: usize| {
+            open.iter().any(|v| {
+                !at(v, p).is_zero() && !(0..n).any(|q| q != p && at(v, q).is_positive())
+            })
+        };
+        let Some(inner) = (0..n)
+            .filter(|&p| writes().all(|rows| unit(rows, p)) && !carries(p))
+            .max_by_key(|&p| {
+                refs.iter()
+                    .filter(|(w, rows)| !w && (unit(rows, p) || invariant(rows, p)))
+                    .count()
+            })
+        else {
+            return false;
+        };
+        let above = (0..n)
+            .rev()
+            .find(|&p| p != inner && writes().all(|rows| invariant(rows, p)));
+        let mut order: Vec<usize> = (0..n).filter(|&p| p != inner && Some(p) != above).collect();
+        order.extend(above);
+        order.push(inner);
+        if order.iter().copied().eq(0..n) {
+            return false;
+        }
+        // Adjacent interchanges, each target loop bubbled up to its place.
+        let mut moved = node.clone();
+        let mut cur: Vec<usize> = (0..n).collect();
+        for (k, &p) in order.iter().enumerate() {
+            let Some(mut j) = cur.iter().position(|&q| q == p) else { return false };
+            while j > k {
+                if interchange_at(&mut moved, j - 1).is_none() {
+                    return false;
+                }
+                cur.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        *node = moved;
+        true
+    }
+}
+
+/// Length of the run of point loops rooted at `node`: unmarked step-1
+/// loops, each clamped to one tile by one of `tiles`, each the whole body
+/// of the one above, with no loop below the last. 0 when `node` does not
+/// start such a run.
+fn point_run(node: &Node, tiles: &[(usize, i64)]) -> usize {
+    let clamped =
+        |l: &Loop| l.step == 1 && l.par == Par::Seq && tiles.iter().any(|&(t, s)| l.clamped_by(t, s));
+    let mut n = 0;
+    let mut cur = node;
+    while let Node::Loop(l) = cur {
+        if !clamped(l) {
+            return 0;
+        }
+        n += 1;
+        cur = &l.body;
+    }
+    if node_depth(cur) == 0 {
+        n
+    } else {
+        0
+    }
+}
+
+/// Interchanges the loop `depth` loops below `node` with its body loop.
+fn interchange_at(node: &mut Node, depth: usize) -> Option<()> {
+    let Node::Loop(l) = node else { return None };
+    if depth > 0 {
+        return interchange_at(&mut l.body, depth - 1);
+    }
+    *node = transforms::interchange(l)?;
+    Some(())
+}
+
 #[cfg(test)]
 mod tiling_tests {
     use super::*;
@@ -1062,7 +1252,7 @@ mod tiling_tests {
     fn a_doall_prefix_is_strip_mined_and_its_point_loop_sunk_into_each_child() {
         let scop = fused_gemm();
         let prog = tiled(&scop, &|_| true);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None, reordered: false }]);
         let mut found = Vec::new();
         paths(&prog.body, &mut Vec::new(), &mut found);
         // Z: it { i { j } } — its own loop stays whole, a band of 2 is
@@ -1081,7 +1271,7 @@ mod tiling_tests {
     fn a_backward_dependence_between_children_keeps_the_shared_loop_whole() {
         let scop = backward_cross_child();
         let prog = tiled(&scop, &|_| panic!("no sunk nest to ask about"));
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false }]);
         let Node::Loop(i) = &prog.body else { panic!("nest root is the shared loop") };
         assert_eq!((i.step, i.name.as_str()), (1, "c1"));
         let reference = original_program(&scop).expect("original program");
@@ -1100,7 +1290,7 @@ mod tiling_tests {
             false
         });
         assert_eq!(asked.get(), 1);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false }]);
         let reference = original_program(&scop).expect("original program");
         assert_eq!(run(&prog, 9), run(&reference, 9));
     }

@@ -4,7 +4,8 @@ use crate::affine::affine_stage_with;
 use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
 use polymix_codegen::from_poly::generate;
 use polymix_codegen::opt::{
-    mark_parallelism, nest_infos, node_depth, register_tile, skew_nest_for_tilability, tile_nest,
+    mark_parallelism, nest_infos, node_depth, order_point_loops, register_tile,
+    skew_nest_for_tilability, tile_nest,
 };
 use polymix_deps::build_podg;
 use polymix_dl::{tiling_costs, Machine, RefInfo, NOMINAL_EXTENT};
@@ -52,7 +53,8 @@ impl Default for PolyAstOptions {
 }
 
 /// Runs Algorithm 1: the DL-guided affine stage, then the AST stages
-/// (skewing for tilability → parallelization → tiling → intra-tile).
+/// (skewing for tilability → parallelization → tiling, with each tile's
+/// point loops put in vector order → intra-tile).
 ///
 /// Degrades gracefully: if the affine stage (or code generation on its
 /// schedules) fails, the statements' original schedules — the
@@ -130,6 +132,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                     form: TileForm::Declined,
                     untiled: 0,
                     dl,
+                    reordered: false,
                 });
             } else {
                 nest = tile_nest(
@@ -146,8 +149,11 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                     // pass).
                     &|p| !cfg!(debug_assertions) || certifies(p),
                 );
+                // Stage 4b: point loops in vector order inside each tile.
+                let reordered = order_point_loops(scop, &mut nest, &vectors, &info.endpoints);
                 if let Some(report) = prog.tiling.last_mut() {
                     report.dl = dl;
+                    report.reordered = reordered;
                 }
             }
         }
@@ -541,6 +547,49 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// Every nest whose point loops stage 4b reorders over the 25 kernels,
+    /// with the loops around each statement that moved, outermost first
+    /// (before: `c1 c2 c3`; EXPERIMENTS "Point-loop order"). At the
+    /// harness's tiles (32, time tile 5 for the pipeline group) and at the
+    /// oracles' ([`opts_small`]). gemm, 2mm, 3mm and doitgen are already
+    /// in vector order, and no stencil's tree may move.
+    #[test]
+    fn point_loop_order_census() {
+        let census = |opts_of: &dyn Fn(&Kernel) -> PolyAstOptions| {
+            let mut rows = Vec::new();
+            for k in all_kernels().into_iter().chain(polymix_polybench::extended_kernels()) {
+                let prog = optimize_poly_ast(&(k.build)(), &opts_of(&k)).expect("optimize");
+                let tops = match &prog.body {
+                    Node::Seq(xs) => xs.iter().collect(),
+                    other => vec![other],
+                };
+                for (nest, (report, top)) in prog.tiling.iter().zip(tops).enumerate() {
+                    let mut out = Vec::new();
+                    each_stmt_path(top, &mut Vec::new(), &mut |_, above| {
+                        let names: Vec<&str> =
+                            above.iter().filter(|l| l.step == 1).map(|l| l.name.as_str()).collect();
+                        if !names.is_sorted() {
+                            out.push(names.join(" "));
+                        }
+                    });
+                    assert_eq!(report.reordered, !out.is_empty(), "{} nest {nest}", k.name);
+                    rows.extend(out.into_iter().map(|o| format!("{} {nest}: {o}", k.name)));
+                }
+            }
+            rows
+        };
+        let harness = census(&|k| PolyAstOptions {
+            time_tile: if k.group == polymix_polybench::Group::Pipeline { 5 } else { 32 },
+            ..Default::default()
+        });
+        assert_eq!(
+            harness,
+            ["gemver 2: c2 c1", "symm 1: c2 c1 c3", "syr2k 0: c1 c3 c2", "syrk 0: c1 c3 c2"]
+        );
+        let oracle = census(&|_| opts_small());
+        assert_eq!(oracle, ["symm 1: c2 c1 c3", "syr2k 0: c1 c3 c2", "syrk 0: c1 c3 c2"]);
     }
 
     /// ISSUE 21, satellite 2: with fusion off, fdtd-2d's time loop runs

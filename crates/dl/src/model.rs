@@ -249,8 +249,9 @@ pub fn permutation_priority(refs: &[RefInfo], depth: usize, level: &CacheLevel) 
             })
             .count()
     };
-    // Innermost: smallest (stride penalty, derivative).
-    let inner = scored
+    // Innermost: smallest (stride penalty, derivative). An empty nest
+    // has no level to order.
+    let Some(inner) = scored
         .iter()
         .min_by(|a, b| {
             (penalty(a.0), a.1)
@@ -258,7 +259,9 @@ pub fn permutation_priority(refs: &[RefInfo], depth: usize, level: &CacheLevel) 
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
         .map(|&(k, _)| k)
-        .expect("empty nest");
+    else {
+        return Vec::new();
+    };
     // Remaining levels: outermost = largest derivative.
     let mut rest: Vec<(usize, f64)> = scored.into_iter().filter(|&(k, _)| k != inner).collect();
     rest.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -357,6 +360,11 @@ mod tests {
         let order = permutation_priority(&refs, 3, &level());
         // j (index 1) strides contiguously through C and B: innermost.
         assert_eq!(*order.last().unwrap(), 1, "order={order:?}");
+    }
+
+    #[test]
+    fn an_empty_nest_gets_an_empty_order() {
+        assert!(permutation_priority(&[], 0, &level()).is_empty());
     }
 
     #[test]

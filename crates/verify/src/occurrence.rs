@@ -28,10 +28,12 @@ pub(crate) struct LoopMeta {
     pub step: i64,
     /// Parallel annotation.
     pub par: Par,
-    /// AST variables mentioned by the lower bound — a point loop clamped
-    /// by a tile controller mentions the controller here, which is how
-    /// the walker picks the proxy row for an unsolvable tile level.
-    pub lo_vars: Vec<usize>,
+    /// Variables of the enclosing loops that clamp this one to one of
+    /// their tiles (`Loop::clamped_by`): how the walker picks the proxy
+    /// row for an unsolvable tile level. A loop whose bounds merely
+    /// mention a controller (an interchanged point loop of another
+    /// level) is not its proxy.
+    pub clamped_by: Vec<usize>,
 }
 
 /// One step of a root path.
@@ -101,21 +103,20 @@ fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<O
         Node::Loop(l) => {
             let id = *next_id;
             *next_id += 1;
-            let mut lo_vars: Vec<usize> = Vec::new();
-            for be in &l.lo.exprs {
-                for &(v, c) in &be.expr.var_coeffs {
-                    if c != 0 && !lo_vars.contains(&v) {
-                        lo_vars.push(v);
-                    }
-                }
-            }
+            let clamped_by = path
+                .iter()
+                .filter_map(|s| match s {
+                    PStep::Loop(t) if l.clamped_by(t.var, t.step) => Some(t.var),
+                    _ => None,
+                })
+                .collect();
             path.push(PStep::Loop(LoopMeta {
                 id,
                 var: l.var,
                 name: l.name.clone(),
                 step: l.step.max(1),
                 par: l.par,
-                lo_vars,
+                clamped_by,
             }));
             walk(&l.body, path, next_id, out);
             path.pop();

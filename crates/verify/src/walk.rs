@@ -174,12 +174,12 @@ impl<'a> PairWalk<'a> {
     }
 
     /// First loop at or after `steps[k]` (on one side's path suffix)
-    /// whose lower bound mentions `ctrl` and whose own variable is
-    /// solvable on that side — the clamped point loop governed by a tile
-    /// controller. Returns the row with the proxy loop's own lattice
-    /// step: an unrolled point loop spaces its real values that far
-    /// apart, and off-lattice polyhedron points must not be mistaken for
-    /// executions.
+    /// that the tile controller `ctrl` clamps to one tile,
+    /// `[ctrl, ctrl + step - 1]`, and whose own variable is solvable on
+    /// that side — the point loop `ctrl` governs. Returns the row with
+    /// the proxy loop's own lattice step: an unrolled point loop spaces
+    /// its real values that far apart, and off-lattice polyhedron points
+    /// must not be mistaken for executions.
     fn proxy_row(
         &self,
         suffix: &[&PStep],
@@ -188,7 +188,7 @@ impl<'a> PairWalk<'a> {
     ) -> Option<(Vec<i64>, i64, usize)> {
         for step in suffix {
             let PStep::Loop(l) = step else { continue };
-            if l.lo_vars.contains(&ctrl) {
+            if l.clamped_by.contains(&ctrl) {
                 if let Some(r) = self.lifted(l.var, src_side) {
                     return Some((r, l.step, l.id));
                 }

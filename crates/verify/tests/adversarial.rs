@@ -182,6 +182,30 @@ fn pipeline_relabeled_doall_is_rejected() {
     );
 }
 
+/// Annotation forgery under reordered point loops: symm's joint nest 1
+/// runs `redfor u0t, u1t, u2t { c2, c1, c3: acc[c2][c3] += .. }`, and
+/// `c2`'s lower bound `max(1, u0t + 1, u1t)` mentions `u0t` without being
+/// its point loop. Relabeled `doall`, `u0t` carries the accumulation over
+/// `c1` from tile to tile. A certifier that proxied `u0t` by the first
+/// loop mentioning it would read that dependence as tied at `u0t` (same
+/// `c2`) and certify the forgery.
+#[test]
+fn doall_over_a_reordered_tile_is_rejected_through_its_clamped_point_loop() {
+    let k = kernel_by_name("symm").expect("kernel");
+    let mut prog = optimize_poly_ast(&(k.build)(), &PolyAstOptions::default()).expect("optimize");
+    assert!(prog.tiling[1].reordered, "symm nest 1: {:?}", prog.tiling[1]);
+    assert!(verify_program(&prog).is_certified(), "baseline must pass");
+    let mut flipped = false;
+    prog.body.visit_loops_mut(&mut |l| {
+        if l.name == "u0t" && l.par == Par::Reduction {
+            l.par = Par::Doall;
+            flipped = true;
+        }
+    });
+    assert!(flipped, "symm lost its reduction tile loop");
+    assert_rejects(&prog, ViolationKind::DoallCarriesDep, "forged doall over reordered tile");
+}
+
 /// Emits `prog` for seidel-2d at four threads and checks that the
 /// source lints clean while every tampering in `mutations` (a label and
 /// a source rewrite) is rejected as a `KernelLint`.

@@ -148,3 +148,21 @@ fn padded_rows_keep_native_checksums() {
         }
     }
 }
+
+/// Point loops put in vector order inside their tiles (DESIGN §19):
+/// symm's nest 1 is a `redfor u0t` region whose privatized body now runs
+/// `c2 { c1 { c3 } }`, and syrk's and syr2k's deep tiles run
+/// `c1 { c3 { c2 } }`. On one thread every update of one element keeps
+/// its order, so the checksum is `native`'s exactly; on two, symm's
+/// private partial sums are added in another order.
+#[test]
+fn reordered_point_loops_keep_native_checksums() {
+    let machine = Machine::nehalem();
+    for (kernel, tolerance) in [("symm", 1e-9), ("syrk", 1e-12), ("syr2k", 1e-12)] {
+        let k = kernel_by_name(kernel).unwrap();
+        let prog = build_variant(&k, Variant::PolyAst, &machine).expect("variant builds");
+        assert!(prog.tiling.iter().any(|r| r.reordered), "{kernel}: {:?}", prog.tiling);
+        check_at(kernel, Variant::PolyAst, 0.0, 1);
+        check_at(kernel, Variant::PolyAst, tolerance, 2);
+    }
+}
