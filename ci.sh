@@ -57,6 +57,11 @@ if git grep -n -E 'polymix_runtime|thread::|unsafe impl (Send|Sync)|run_counted|
     -- crates/vm/src; then
     echo "polymix-vm grew a parallel dispatch back"; exit 1
 fi
+# And one peeling walk: both schedulers read and peel dependence states
+# through `polymix_deps::legality::Peeling`, not beside the PoDG's edges.
+if git grep -n -F 'podg.deps.iter().zip(' -- crates/core/src crates/pluto/src; then
+    echo "a scheduler grew a private dependence walk back"; exit 1
+fi
 
 # The tuner's unit is a program: the emitter's automatic publish batch
 # and doall grain are the only rules, so no runtime-knob override may come

@@ -57,6 +57,15 @@ impl LoopParallelism {
 /// `(vector, is_reduction_dep)`. Vectors already satisfied by an outer
 /// level (a component `>= 1` before `k`) are ignored, matching the
 /// paper's "not satisfied by the outer loops" filtering.
+///
+/// The filter drops every vector whose components before `k` are not all
+/// `0`, which is looser than [`polymix_deps::carried_before`]: `(0+, +)`
+/// counts as settled at level 1 although its pairs with a zero first
+/// component are carried there. `polymix-verify` re-proves every mark
+/// from the dependence polyhedra; the sound filter would drop all the
+/// doall regions of the Pluto variants of fdtd-2d and jacobi-2d-imper,
+/// which those proofs accept: `(0, 0+, 0+)` cannot tell a dependence
+/// carried at level 2 from one whose last two components are equal.
 pub fn classify_level(vectors: &[(Vec<DepElem>, bool)], k: usize) -> LoopParallelism {
     classify_level_in_nest(vectors, k, usize::MAX)
 }

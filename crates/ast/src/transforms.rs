@@ -166,57 +166,6 @@ pub fn nest_under(headers: impl IntoIterator<Item = Loop, IntoIter: DoubleEndedI
     headers.into_iter().rev().fold(body, |body, l| Node::loop_(Loop { body, ..l }))
 }
 
-/// Tiles the perfect band of `sizes.len()` loops rooted at `node`
-/// (which must be a `Loop` with `band_depth(node) >= sizes.len()`),
-/// producing `k` tile loops around `k` point loops:
-///
-/// ```text
-/// for x1t in lo1'..hi1' step T1          (relaxed bounds)
-///   …
-///     for x1 in max(lo1, x1t)..min(hi1, x1t+T1-1)
-///       …
-///         body
-/// ```
-///
-/// Triangular / skewed bands are handled by bound relaxation (tile loops
-/// may visit empty tiles; point loops clamp exactly). Parallelism
-/// annotations migrate to the tile loops. Returns a
-/// [`PolymixError::Transform`] on a non-loop node or insufficient band
-/// depth; callers keep (a clone of) the untransformed tree in that case.
-pub fn tile_band(prog: &mut Program, node: Node, sizes: &[i64]) -> Result<Node, PolymixError> {
-    let k = sizes.len();
-    if k < 1 {
-        return Err(PolymixError::transform("tile_band", "empty tile size list"));
-    }
-    let depth = band_depth(&node);
-    if depth < k {
-        return Err(PolymixError::transform(
-            "tile_band",
-            format!("band depth {depth} < requested {k}"),
-        ));
-    }
-    // Strip-mine the k loops outermost first: tile loop j is hoisted
-    // above the point loops of 0..j.
-    let mut crossed: Vec<Crossed> = Vec::with_capacity(k);
-    let (mut tiles, mut points) = (Vec::with_capacity(k), Vec::with_capacity(k));
-    let mut cur = node;
-    for &ts in sizes {
-        // band_depth(node) >= k guarantees k nested loops.
-        let Node::Loop(mut l) = cur else {
-            return Err(PolymixError::transform(
-                "tile_band",
-                "band ended early at a non-loop node",
-            ));
-        };
-        cur = std::mem::replace(&mut l.body, Node::Seq(vec![]));
-        let (tile, point) = strip_mine(prog, &l, ts, &crossed);
-        crossed.push(Crossed::tile_box(l.var, tile.var, ts));
-        tiles.push(tile);
-        points.push(point);
-    }
-    Ok(nest_under(tiles, nest_under(points, cur)))
-}
-
 /// Unrolls `loop_node` (a `Loop` with step 1) by `factor` using the
 /// guarded-epilogue scheme: the loop steps by `factor`, the body is
 /// replicated at offsets `0..factor`, and replicas past the first are
@@ -323,87 +272,6 @@ pub fn unroll_and_jam(l: &Loop, factor: i64) -> Option<Node> {
         body: Node::loop_(Loop {
             body: Node::Seq(replicas),
             ..inner
-        }),
-    }))
-}
-
-/// Wavefronts a perfect pair of loops: replaces `(u, v)` by `(w, v)` with
-/// `w = u + v`; the inner loop is marked [`Par::Doall`] (all iterations of
-/// a diagonal are independent once every dependence is non-negative in
-/// both dimensions). Requires the inner bounds to be invariant in `u`.
-/// Returns `None` when the shape does not allow it.
-pub fn wavefront(l: &Loop) -> Option<Node> {
-    let inner = match &l.body {
-        Node::Loop(i) => i.as_ref().clone(),
-        _ => return None,
-    };
-    if l.step != 1 || inner.step != 1 {
-        return None;
-    }
-    let invariant = |b: &Bound| b.exprs.iter().all(|be| be.expr.coeff_of(l.var) == 0);
-    if !invariant(&inner.lo) || !invariant(&inner.hi) {
-        return None;
-    }
-    let unit = |b: &Bound| b.exprs.iter().all(|be| be.denom == 1);
-    if !unit(&l.lo) || !unit(&l.hi) || !unit(&inner.lo) || !unit(&inner.hi) {
-        return None;
-    }
-    // w = u + v : bounds are cross sums (max+max / min+min distribute).
-    let cross = |a: &Bound, b: &Bound| Bound {
-        exprs: a
-            .exprs
-            .iter()
-            .flat_map(|x| {
-                b.exprs.iter().map(move |y| BoundExpr {
-                    expr: x.expr.add(&y.expr),
-                    denom: 1,
-                })
-            })
-            .collect(),
-    };
-    let w_lo = cross(&l.lo, &inner.lo);
-    let w_hi = cross(&l.hi, &inner.hi);
-    // Inner v: max(lo_v, w - hi_u) .. min(hi_v, w - lo_u). Note w is the
-    // *same variable slot* as u (reused), v keeps its slot.
-    let w_var = l.var;
-    let minus = |b: &Bound| -> Vec<BoundExpr> {
-        b.exprs
-            .iter()
-            .map(|be| BoundExpr {
-                expr: LinExpr::var(w_var).add_scaled(&be.expr, -1),
-                denom: 1,
-            })
-            .collect()
-    };
-    let mut v_lo = inner.lo.clone();
-    v_lo.exprs.extend(minus(&l.hi)); // v >= w - hi_u
-    let mut v_hi = inner.hi.clone();
-    v_hi.exprs.extend(minus(&l.lo)); // v <= w - lo_u
-    // Body: u = w - v.
-    let mut body = inner.body.clone();
-    body.subst_var(
-        l.var,
-        &LinExpr::var(w_var).add_scaled(&LinExpr::var(inner.var), -1),
-    );
-    // (subst_var on l.var already replaced u, and w reuses u's slot: the
-    //  substitution above must therefore happen on a *fresh* copy — it maps
-    //  old-u to w - v, and since w occupies u's slot the expression is
-    //  self-consistent at evaluation time.)
-    Some(Node::loop_(Loop {
-        var: w_var,
-        name: format!("w_{}", l.name),
-        lo: w_lo,
-        hi: w_hi,
-        step: 1,
-        par: Par::Seq,
-        body: Node::loop_(Loop {
-            var: inner.var,
-            name: inner.name.clone(),
-            lo: v_lo,
-            hi: v_hi,
-            step: 1,
-            par: Par::Doall,
-            body,
         }),
     }))
 }
@@ -553,6 +421,25 @@ mod tests {
         }
     }
 
+    /// Tiles the perfect band of `sizes.len()` loops at the root of
+    /// `p.body`: strip-mines them outermost first, tile loop `j` hoisted
+    /// above the point loops of `0..j`.
+    fn tile(p: &mut Program, sizes: &[i64]) {
+        let mut cur = std::mem::replace(&mut p.body, Node::Seq(vec![]));
+        let (mut crossed, mut tiles, mut points) = (Vec::new(), Vec::new(), Vec::new());
+        for &ts in sizes {
+            let Node::Loop(mut l) = cur else {
+                panic!("band shallower than {sizes:?}")
+            };
+            cur = std::mem::replace(&mut l.body, Node::Seq(vec![]));
+            let (tile, point) = strip_mine(p, &l, ts, &crossed);
+            crossed.push(Crossed::tile_box(l.var, tile.var, ts));
+            tiles.push(tile);
+            points.push(point);
+        }
+        p.body = nest_under(tiles, nest_under(points, cur));
+    }
+
     fn run_all_ones(p: &Program, n: i64) -> Vec<f64> {
         let mut arrays = alloc_arrays(&p.scop, &[n]);
         execute(p, &[n], &mut arrays);
@@ -569,8 +456,7 @@ mod tests {
     fn tiling_preserves_semantics_including_ragged_edges() {
         for n in [1, 3, 7, 8, 10] {
             let mut p = grid_program(n);
-            let body = p.body.clone();
-            p.body = tile_band(&mut p, body, &[3, 3]).expect("tile");
+            tile(&mut p, &[3, 3]);
             let out = run_all_ones(&p, n);
             assert_eq!(out, vec![1.0; (n * n) as usize], "n={n}");
         }
@@ -581,8 +467,7 @@ mod tests {
         // A[i][j] += 1 would double-count if tiles overlapped.
         let n = 10;
         let mut p = grid_program(n);
-        let body = p.body.clone();
-        p.body = tile_band(&mut p, body, &[4, 3]).expect("tile");
+        tile(&mut p, &[4, 3]);
         let out = run_all_ones(&p, n);
         assert!(out.iter().all(|&x| x == 1.0));
     }
@@ -593,8 +478,7 @@ mod tests {
         if let Node::Loop(l) = &mut p.body {
             l.par = Par::Doall;
         }
-        let body = p.body.clone();
-        p.body = tile_band(&mut p, body, &[2, 2]).expect("tile");
+        tile(&mut p, &[2, 2]);
         match &p.body {
             Node::Loop(t) => {
                 assert_eq!(t.par, Par::Doall);
@@ -614,8 +498,7 @@ mod tests {
         let out = run_all_ones(&p, n);
         assert_eq!(out, vec![1.0; (n * n) as usize]);
         // Now tile the skewed (triangular) band.
-        let body = p.body.clone();
-        p.body = tile_band(&mut p, body, &[4, 4]).expect("tile");
+        tile(&mut p, &[4, 4]);
         let out = run_all_ones(&p, n);
         assert_eq!(out, vec![1.0; (n * n) as usize]);
     }
@@ -660,28 +543,6 @@ mod tests {
         }
         if let Node::Loop(l) = &p.body {
             assert!(unroll_and_jam(l, 2).is_none());
-        }
-    }
-
-    #[test]
-    fn wavefront_preserves_semantics() {
-        for n in [1, 4, 7] {
-            let mut p = grid_program(n);
-            let w = match &p.body {
-                Node::Loop(l) => wavefront(l).expect("wavefrontable"),
-                _ => panic!(),
-            };
-            p.body = w;
-            let out = run_all_ones(&p, n);
-            assert_eq!(out, vec![1.0; (n * n) as usize], "n={n}");
-            // Inner loop must be doall.
-            if let Node::Loop(w) = &p.body {
-                if let Node::Loop(v) = &w.body {
-                    assert_eq!(v.par, Par::Doall);
-                } else {
-                    panic!();
-                }
-            }
         }
     }
 

@@ -6,7 +6,7 @@
 use polymix_ast::parallel::{outermost_parallel, LoopParallelism};
 use polymix_ast::transforms::{self, Crossed};
 use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
-use polymix_deps::{dep_vector, DepElem, Podg};
+use polymix_deps::{carried_before, dep_vector, DepElem, Podg};
 use polymix_ir::{Schedule, Scop};
 
 /// Dependence summary of one top-level loop nest of a generated program.
@@ -863,21 +863,6 @@ fn untiled_stmts(node: &Node, strips: &[usize], under_untiled: bool) -> usize {
     }
 }
 
-/// True when the dependence is certainly carried by one of the levels
-/// before `from`: those loops stay around everything a rewrite at `from`
-/// moves, so it constrains nothing there.
-fn carried_before(v: &[DepElem], from: usize) -> bool {
-    for e in &v[..from.min(v.len())] {
-        if e.is_positive() {
-            return true;
-        }
-        if !e.is_nonneg() {
-            return false;
-        }
-    }
-    false
-}
-
 /// Legality of tiling the chain rooted at `node`: only dependences whose
 /// endpoints are **both inside the chain** constrain it (cross-statement
 /// vectors compare unrelated distributed loops and would conservatively
@@ -894,8 +879,7 @@ fn chain_legal(
         if !inside.contains(&src) || !inside.contains(&dst) {
             return true; // endpoint outside the chain: ordered elsewhere
         }
-        let outer_zero = v[..from.min(v.len())].iter().all(|e| e.is_zero());
-        if !outer_zero {
+        if carried_before(v, from) {
             return true; // carried outside the chain: safe
         }
         (from..from + len).all(|k| v.get(k).copied().unwrap_or(DepElem::Const(0)).is_nonneg())
@@ -933,7 +917,7 @@ fn tile_safe(
     vectors.iter().zip(endpoints).all(|((v, red), (src, dst))| {
         !inside.contains(src)
             || !inside.contains(dst)
-            || !v[..from.min(v.len())].iter().all(|e| e.is_zero())
+            || carried_before(v, from)
             || (exempt_reductions && *red)
             || v.get(dim).copied().unwrap_or(DepElem::Const(0)).is_zero()
     })

@@ -12,7 +12,7 @@
 //! (skewing happens later, syntactically), and the permutation objective
 //! is the DL memory cost rather than minimal reuse distance.
 
-use polymix_deps::legality::{apply_loop_row, violates, DepState, RowEffect};
+use polymix_deps::legality::{odometer, Peeling};
 use polymix_deps::vectors::classify;
 use polymix_deps::{build_podg, sccs, DepElem, Podg};
 use polymix_dl::{fusion_profitable, permutation_priority, Machine, RefInfo};
@@ -45,14 +45,16 @@ pub fn affine_stage_with(
     a.finish()
 }
 
+/// How many iterator combinations Algorithm 4's search tries per group.
+const SEARCH_CAP: usize = 20_000;
+
 struct Affine<'a> {
     scop: &'a Scop,
-    podg: &'a Podg,
     machine: &'a Machine,
     enable_fusion: bool,
     /// DL-best iterator order per statement (outermost first).
     priorities: Vec<Vec<usize>>,
-    states: Vec<DepState>,
+    peel: Peeling<'a>,
     /// Chosen iterator per level, per statement.
     perm: Vec<Vec<usize>>,
     /// Sign (±1) per chosen level.
@@ -104,16 +106,10 @@ impl<'a> Affine<'a> {
         let n = scop.statements.len();
         Affine {
             scop,
-            podg,
             machine,
             enable_fusion,
             priorities,
-            states: podg
-                .deps
-                .iter()
-                .enumerate()
-                .map(|(i, d)| DepState::new(i, d))
-                .collect(),
+            peel: Peeling::new(podg),
             perm: vec![Vec::new(); n],
             signs: vec![Vec::new(); n],
             shifts: vec![Vec::new(); n],
@@ -133,15 +129,7 @@ impl<'a> Affine<'a> {
     /// Algorithm 2's recursion over levels. Errors when some group has
     /// no legal permutation assignment at a level.
     fn solve(&mut self, stmts: &[StmtId], level: usize) -> Result<(), PolymixError> {
-        let edges: Vec<(StmtId, StmtId)> = self
-            .podg
-            .deps
-            .iter()
-            .zip(&self.states)
-            .filter(|(_, st)| !st.satisfied)
-            .map(|(d, _)| (d.src, d.dst))
-            .filter(|(s, d)| stmts.contains(s) && stmts.contains(d))
-            .collect();
+        let edges = self.peel.edges(stmts);
         let comps = sccs(stmts, &edges);
 
         // Algorithm 5: pop the SCC of largest dimensionality, greedily
@@ -245,23 +233,20 @@ impl<'a> Affine<'a> {
         // negative constant distance would block later joint tiling —
         // retime whole groups forward (pure renumbering of distributed
         // loops, always legal across groups).
-        let pre_beta = self.states.clone();
         let mut planned: Vec<(Vec<StmtId>, Option<Vec<Pick>>)> = Vec::new();
         for group in &groups {
             let picks = if group.iter().all(|&s| self.exhausted(s)) {
                 None
             } else {
-                match self.find_picks(group) {
-                    Some(p) => Some(p),
-                    None => {
-                        return Err(PolymixError::scheduling(
-                            &self.scop.name,
-                            level,
-                            group.iter().map(|s| s.0).collect(),
-                            "no legal signed-permutation assignment",
-                        ));
-                    }
-                }
+                let picks = self.find_picks(group, SEARCH_CAP).ok_or_else(|| {
+                    PolymixError::scheduling(
+                        &self.scop.name,
+                        level,
+                        group.iter().map(|s| s.0).collect(),
+                        "no legal signed-permutation assignment",
+                    )
+                })?;
+                Some(picks)
             };
             planned.push((group.clone(), picks));
         }
@@ -270,41 +255,30 @@ impl<'a> Affine<'a> {
             self.matched[s.0] = None;
         }
         'align: for _ in 0..8 {
-            for (d, st) in self.podg.deps.iter().zip(&pre_beta) {
-                if st.satisfied {
-                    continue;
-                }
-                let src_g = planned.iter().position(|(g, _)| g.contains(&d.src));
-                let dst_g = planned.iter().position(|(g, _)| g.contains(&d.dst));
-                let (Some(sg), Some(dg)) = (src_g, dst_g) else {
+            for (d, st) in self.peel.open() {
+                // An end's group, its position there, and the group's picks.
+                let at = |s: StmtId| {
+                    planned
+                        .iter()
+                        .enumerate()
+                        .find_map(|(g, (members, picks))| {
+                            Some((g, members.iter().position(|&m| m == s)?, picks.as_ref()?))
+                        })
+                };
+                let (Some((sg, si, sp)), Some((dg, di, dp))) = (at(d.src), at(d.dst)) else {
                     continue;
                 };
                 if sg == dg {
                     continue;
                 }
-                let (Some(sp), Some(dp)) = (&planned[sg].1, &planned[dg].1) else {
-                    continue;
-                };
-                let (Some(si), Some(di)) = (
-                    planned[sg].0.iter().position(|&s| s == d.src),
-                    planned[dg].0.iter().position(|&s| s == d.dst),
-                ) else {
-                    continue;
-                };
                 let row_src = self.pick_row(d.src, &sp[si]);
-                let row_dst = self.pick_row(d.dst, &dp[di]);
-                let diff = d.diff_row(&row_src, &row_dst);
-                if let DepElem::Const(c) =
-                    classify(&st.remaining, &diff, &self.scop.default_params)
-                {
-                    if c < 0 {
-                        if let Some(dps) = planned[dg].1.as_mut() {
-                            for p in dps.iter_mut() {
-                                p.shift += -c;
-                            }
-                        }
-                        continue 'align;
+                let diff = d.diff_row(&row_src, &self.pick_row(d.dst, &dp[di]));
+                let params = &self.scop.default_params;
+                if let DepElem::Const(c @ ..=-1) = classify(&st.remaining, &diff, params) {
+                    for p in planned[dg].1.iter_mut().flatten() {
+                        p.shift -= c;
                     }
+                    continue 'align;
                 }
             }
             break;
@@ -313,7 +287,7 @@ impl<'a> Affine<'a> {
             for &s in &group {
                 self.betas[s.0].push(pos as i64);
             }
-            self.apply_beta_effects(stmts, &group);
+            self.peel.order_group(stmts, &group);
             let Some(picks) = picks else {
                 continue;
             };
@@ -322,7 +296,8 @@ impl<'a> Affine<'a> {
                 self.signs[s.0].push(p.sign);
                 self.shifts[s.0].push(p.shift);
             }
-            self.commit(&group, &picks);
+            let rows = self.pick_rows(&group, &picks);
+            self.peel.commit(&group, &rows);
             self.solve(&group, level + 1)?;
         }
         Ok(())
@@ -347,7 +322,7 @@ impl<'a> Affine<'a> {
     ///     it first — and is undone if any condition then fails.
     /// (3)–(5): [`Affine::fusion_conditions`].
     fn absorbs(&mut self, a: &[StmtId], b: &[StmtId]) -> bool {
-        if !self.shares_array(a, b) {
+        if !self.scop.shares_array(a, b) {
             return false;
         }
         if self.aligned_shared_access(a, b) {
@@ -375,13 +350,12 @@ impl<'a> Affine<'a> {
         if !self.fusion_profitable(a, b) {
             return false;
         }
-        if self.group_is_doall(a) && self.group_is_doall(b) && !self.merged_is_doall(a, b) {
+        let mut merged = [a, b].concat();
+        if self.is_doall(a) && self.is_doall(b) && !self.is_doall(&merged) {
             return false;
         }
-        let mut merged = a.to_vec();
-        merged.extend(b.iter().copied());
         merged.sort();
-        self.find_picks_top(&merged).is_some()
+        self.find_picks(&merged, 1).is_some()
     }
 
     /// Dimension matching for condition (2): sets `matched` for each
@@ -465,22 +439,6 @@ impl<'a> Affine<'a> {
             .or_else(|| self.priorities[s.0].iter().copied().find(free))
     }
 
-    fn shares_array(&self, a: &[StmtId], b: &[StmtId]) -> bool {
-        let arrays = |list: &[StmtId]| -> Vec<usize> {
-            let mut out = Vec::new();
-            for &s in list {
-                for (acc, _) in self.scop.statements[s.0].accesses() {
-                    if !out.contains(&acc.array.0) {
-                        out.push(acc.array.0);
-                    }
-                }
-            }
-            out
-        };
-        let aa = arrays(a);
-        arrays(b).iter().any(|x| aa.contains(x))
-    }
-
     /// Condition (3), the DL fusion-cost test.
     fn fusion_profitable(&self, a: &[StmtId], b: &[StmtId]) -> bool {
         let depth = |g: &[StmtId]| g.iter().map(|&s| self.dim(s)).max().unwrap_or(0);
@@ -512,214 +470,96 @@ impl<'a> Affine<'a> {
         out
     }
 
-    /// True when no unsatisfied internal dependence of the group is
-    /// carried by any legal row at the current level (approximated: by
-    /// the group's first legal pick).
-    fn group_is_doall(&self, g: &[StmtId]) -> bool {
-        let Some(picks) = self.find_picks(g) else {
+    /// True when no unsatisfied non-reduction dependence inside the
+    /// group is carried by any legal row at the current level
+    /// (approximated: by the group's first legal pick).
+    fn is_doall(&self, g: &[StmtId]) -> bool {
+        let Some(picks) = self.find_picks(g, SEARCH_CAP) else {
             return false;
         };
-        self.picks_are_doall(g, &picks)
+        let rows = self.pick_rows(g, &picks);
+        let params = &self.scop.default_params;
+        self.peel
+            .within(g)
+            .filter(|e| !e.dep.is_reduction)
+            .all(|e| e.distance(&rows, params) == DepElem::Const(0))
     }
 
-    fn merged_is_doall(&self, a: &[StmtId], b: &[StmtId]) -> bool {
-        let mut merged = a.to_vec();
-        merged.extend(b.iter().copied());
-        let Some(picks) = self.find_picks(&merged) else {
-            return false;
-        };
-        self.picks_are_doall(&merged, &picks)
-    }
-
-    fn picks_are_doall(&self, g: &[StmtId], picks: &[Pick]) -> bool {
-        for (d, st) in self.podg.deps.iter().zip(&self.states) {
-            if st.satisfied || d.is_reduction {
-                continue;
-            }
-            let (Some(si), Some(di)) = (
-                g.iter().position(|&s| s == d.src),
-                g.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.pick_row(d.src, &picks[si]);
-            let row_dst = self.pick_row(d.dst, &picks[di]);
-            let diff = d.diff_row(&row_src, &row_dst);
-            if classify(&st.remaining, &diff, &self.scop.default_params) != DepElem::Const(0) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Fusion probe: only the combination of every statement's next
-    /// iterator (top DL priority, or dimension matching's choice) is
-    /// tried — fusion must not derail the DL permutation choice further
-    /// (it would trade the very locality the model asked for).
-    fn find_picks_top(&self, group: &[StmtId]) -> Option<Vec<Pick>> {
-        let iters: Option<Vec<usize>> = group.iter().map(|&s| self.next_iter(s)).collect();
-        let iters = iters?;
-        for sign in [1i64, -1] {
-            let picks: Vec<Pick> = iters
-                .iter()
-                .map(|&it| Pick {
-                    iter: it,
-                    sign,
-                    shift: 0,
-                })
-                .collect();
-            if let Some(legalized) = self.legalize(group, picks) {
-                return Some(legalized);
-            }
-        }
-        None
-    }
-
-    /// Algorithm 4: search permutation combinations in DL-priority order,
-    /// legalizing with retiming and reversal.
-    fn find_picks(&self, group: &[StmtId]) -> Option<Vec<Pick>> {
-        // Remaining iterators per statement, in the order this level
-        // tries them.
+    /// Algorithm 4: search permutation combinations in DL-priority order
+    /// (dimension matching's choice first), legalizing with retiming and
+    /// reversal, and stop after `cap` combinations. Fusion probes pass 1:
+    /// only every statement's next iterator is tried — fusion must not
+    /// derail the DL permutation choice further (it would trade the very
+    /// locality the model asked for).
+    fn find_picks(&self, group: &[StmtId], cap: usize) -> Option<Vec<Pick>> {
         let cands: Vec<Vec<usize>> = group.iter().map(|&s| self.remaining(s)).collect();
-        if cands.iter().any(|c| c.is_empty()) {
-            return None;
-        }
-        let mut idx = vec![0usize; group.len()];
-        let mut explored = 0usize;
-        loop {
-            explored += 1;
-            if explored > 20_000 {
-                return None;
-            }
-            let iters: Vec<usize> = idx.iter().enumerate().map(|(g, &i)| cands[g][i]).collect();
-            // Try plain, then retimed, then reversed(+retimed).
-            for sign in [1i64, -1] {
-                let picks: Vec<Pick> = group
+        let lens: Vec<usize> = cands.iter().map(Vec::len).collect();
+        odometer(&lens, cap, |idx| {
+            // Plain, then reversed; either retimed by `legalize`.
+            [1i64, -1].into_iter().find_map(|sign| {
+                let picks = idx
                     .iter()
-                    .zip(&iters)
-                    .map(|(_, &it)| Pick {
-                        iter: it,
+                    .zip(&cands)
+                    .map(|(&i, c)| Pick {
+                        iter: c[i],
                         sign,
                         shift: 0,
                     })
                     .collect();
-                if let Some(legalized) = self.legalize(group, picks) {
-                    return Some(legalized);
-                }
-            }
-            // Odometer (ordered so low-priority-index combos come first).
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    return None;
-                }
-                idx[k] += 1;
-                if idx[k] < cands[k].len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
+                self.legalize(group, picks)
+            })
+        })
     }
 
     /// Retiming legalization: while some dependence is violated with a
     /// constant negative distance, shift the destination statement
     /// forward. Bounded; returns the legal picks or `None`.
     fn legalize(&self, group: &[StmtId], mut picks: Vec<Pick>) -> Option<Vec<Pick>> {
+        let params = &self.scop.default_params;
         for _round in 0..6 {
+            let mut rows = self.pick_rows(group, &picks);
             let mut violated = false;
-            for (d, st) in self.podg.deps.iter().zip(&self.states) {
-                if st.satisfied {
+            for e in self.peel.within(group) {
+                if !e.violated_by(&rows) {
                     continue;
                 }
-                let (Some(si), Some(di)) = (
-                    group.iter().position(|&s| s == d.src),
-                    group.iter().position(|&s| s == d.dst),
-                ) else {
-                    continue;
-                };
-                let row_src = self.pick_row(d.src, &picks[si]);
-                let row_dst = self.pick_row(d.dst, &picks[di]);
-                if violates(d, st, &row_src, &row_dst) {
-                    violated = true;
-                    if si == di {
-                        return None; // self-dep: retiming can't fix
-                    }
-                    // Shift destination forward by the worst violation.
-                    let diff = d.diff_row(&row_src, &row_dst);
-                    match classify(&st.remaining, &diff, &self.scop.default_params) {
-                        DepElem::Const(c) if c < 0 => picks[di].shift += -c,
-                        DepElem::NonPos | DepElem::Minus | DepElem::Star | DepElem::NonNeg => {
-                            return None; // non-constant violation
+                violated = true;
+                if e.src == e.dst {
+                    return None; // self-dep: retiming can't fix
+                }
+                // Shift destination forward by the worst violation.
+                match e.distance(&rows, params) {
+                    DepElem::Const(c) if c < 0 => picks[e.dst].shift -= c,
+                    _ => return None, // non-constant violation
+                }
+                rows[e.dst] = self.pick_row(group[e.dst], &picks[e.dst]);
+            }
+            if violated {
+                continue;
+            }
+            // Alignment pass (multidimensional retiming, the paper's
+            // c-coefficients): inter-statement dependences that are legal
+            // only thanks to β ordering but have *negative* constant
+            // distance at this row block later tiling — shift the
+            // destination forward to realign, unless that breaks another
+            // dependence.
+            'align: for _ in 0..6 {
+                let rows = self.pick_rows(group, &picks);
+                for e in self.peel.within(group).filter(|e| e.src != e.dst) {
+                    if let DepElem::Const(c @ ..=-1) = e.distance(&rows, params) {
+                        let mut trial = picks.clone();
+                        trial[e.dst].shift -= c;
+                        if self.peel.legal(group, &self.pick_rows(group, &trial)) {
+                            picks = trial;
+                            continue 'align;
                         }
-                        _ => return None,
                     }
                 }
+                break;
             }
-            if !violated {
-                // Alignment pass (multidimensional retiming, the paper's
-                // c-coefficients): inter-statement dependences that are
-                // legal only thanks to β ordering but have *negative*
-                // constant distance at this row block later tiling — shift
-                // the destination forward to realign.
-                'align: for _ in 0..6 {
-                    for (d, st) in self.podg.deps.iter().zip(&self.states) {
-                        if st.satisfied {
-                            continue;
-                        }
-                        let (Some(si), Some(di)) = (
-                            group.iter().position(|&s| s == d.src),
-                            group.iter().position(|&s| s == d.dst),
-                        ) else {
-                            continue;
-                        };
-                        if si == di {
-                            continue;
-                        }
-                        let row_src = self.pick_row(d.src, &picks[si]);
-                        let row_dst = self.pick_row(d.dst, &picks[di]);
-                        let diff = d.diff_row(&row_src, &row_dst);
-                        if let DepElem::Const(c) =
-                            classify(&st.remaining, &diff, &self.scop.default_params)
-                        {
-                            if c < 0 {
-                                let mut trial = picks.clone();
-                                trial[di].shift += -c;
-                                // The shift must not break any other dep.
-                                if self.all_legal(group, &trial) {
-                                    picks = trial;
-                                    continue 'align;
-                                }
-                            }
-                        }
-                    }
-                    break;
-                }
-                return Some(picks);
-            }
+            return Some(picks);
         }
         None
-    }
-
-    fn all_legal(&self, group: &[StmtId], picks: &[Pick]) -> bool {
-        for (d, st) in self.podg.deps.iter().zip(&self.states) {
-            if st.satisfied {
-                continue;
-            }
-            let (Some(si), Some(di)) = (
-                group.iter().position(|&s| s == d.src),
-                group.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.pick_row(d.src, &picks[si]);
-            let row_dst = self.pick_row(d.dst, &picks[di]);
-            if violates(d, st, &row_src, &row_dst) {
-                return false;
-            }
-        }
-        true
     }
 
     fn pick_row(&self, s: StmtId, p: &Pick) -> Vec<i64> {
@@ -731,33 +571,12 @@ impl<'a> Affine<'a> {
         row
     }
 
-    fn commit(&mut self, group: &[StmtId], picks: &[Pick]) {
-        for (di, d) in self.podg.deps.iter().enumerate() {
-            if self.states[di].satisfied {
-                continue;
-            }
-            let (Some(si), Some(ti)) = (
-                group.iter().position(|&s| s == d.src),
-                group.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.pick_row(d.src, &picks[si]);
-            let row_dst = self.pick_row(d.dst, &picks[ti]);
-            let eff = apply_loop_row(d, &mut self.states[di], &row_src, &row_dst);
-            debug_assert_ne!(eff, RowEffect::Violated, "committing illegal pick");
-        }
-    }
-
-    fn apply_beta_effects(&mut self, all: &[StmtId], group: &[StmtId]) {
-        for (d, st) in self.podg.deps.iter().zip(self.states.iter_mut()) {
-            if st.satisfied {
-                continue;
-            }
-            if group.contains(&d.src) && !group.contains(&d.dst) && all.contains(&d.dst) {
-                st.satisfied = true;
-            }
-        }
+    fn pick_rows(&self, group: &[StmtId], picks: &[Pick]) -> Vec<Vec<i64>> {
+        group
+            .iter()
+            .zip(picks)
+            .map(|(&s, p)| self.pick_row(s, p))
+            .collect()
     }
 
     fn finish(self) -> Result<Vec<Schedule>, PolymixError> {

@@ -1,10 +1,16 @@
 //! Level-by-level legality checking and satisfaction peeling.
 //!
-//! The schedulers (both the paper's Algorithm 2 and the Pluto baseline)
-//! fix schedule rows one loop level at a time, outermost first. For each
-//! dependence edge we keep a [`DepState`]: the *remaining* dependence
-//! polyhedron — the pairs of instances not yet strictly ordered by the
-//! rows fixed so far. Applying a new row either
+//! Both schedulers — the paper's Algorithm 2 (`polymix-core`) and the
+//! Pluto baseline (`polymix-pluto`) — fix schedule rows one loop level at
+//! a time, outermost first, with one skeleton: SCCs of the unsatisfied
+//! dependences, a fusion policy, one legal row per statement, then peel
+//! what the row satisfied. [`Peeling`] is that skeleton's bookkeeping, so
+//! the schedulers keep only what differs between them: the row objective
+//! and the fusion test.
+//!
+//! For each dependence edge a [`DepState`] keeps the *remaining*
+//! dependence polyhedron — the pairs of instances not yet strictly
+//! ordered by the rows fixed so far. Applying a new row either
 //!
 //! * **violates** the dependence (some remaining pair would be ordered
 //!   target-before-source),
@@ -12,14 +18,14 @@
 //! * leaves a smaller remaining polyhedron (pairs ordered equal at this
 //!   level, which deeper levels must order).
 
-use crate::depgraph::Dep;
+use crate::depgraph::{Dep, Podg};
+use crate::vectors::{classify, DepElem};
+use polymix_ir::scop::StmtId;
 use polymix_math::Polyhedron;
 
 /// Mutable satisfaction state of one dependence edge during scheduling.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DepState {
-    /// Index of the edge in the PoDG.
-    pub dep: usize,
     /// Remaining (not yet strictly ordered) instance pairs.
     pub remaining: Polyhedron,
     /// True once every pair is strictly ordered.
@@ -28,13 +34,149 @@ pub struct DepState {
 
 impl DepState {
     /// Initial state: nothing satisfied yet.
-    pub fn new(dep_idx: usize, dep: &Dep) -> DepState {
+    pub fn new(dep: &Dep) -> DepState {
         DepState {
-            dep: dep_idx,
             remaining: dep.poly.clone(),
             satisfied: false,
         }
     }
+}
+
+/// The states of every edge of a PoDG, in PoDG order, while a scheduler
+/// fixes rows level by level. A clone is a snapshot: Pluto keeps one as
+/// its band start.
+#[derive(Clone, Debug)]
+pub struct Peeling<'a> {
+    podg: &'a Podg,
+    states: Vec<DepState>,
+}
+
+/// An unsatisfied dependence with both endpoints in a group, as
+/// [`Peeling::within`] yields it.
+#[derive(Clone, Copy, Debug)]
+pub struct GroupDep<'a> {
+    /// The edge.
+    pub dep: &'a Dep,
+    /// Its state.
+    pub state: &'a DepState,
+    /// Position of the source statement in the group.
+    pub src: usize,
+    /// Position of the target statement in the group.
+    pub dst: usize,
+}
+
+impl GroupDep<'_> {
+    /// Whether one row per group member (`rows[i]` for statement `i` of
+    /// the group, layout `[iters | params | 1]`) orders a remaining pair
+    /// of the edge backwards.
+    pub fn violated_by(&self, rows: &[Vec<i64>]) -> bool {
+        violates(self.dep, self.state, &rows[self.src], &rows[self.dst])
+    }
+
+    /// The distance those rows give the remaining pairs: [`classify`] of
+    /// `θ_dst − θ_src`, with a constant sampled at `params`.
+    pub fn distance(&self, rows: &[Vec<i64>], params: &[i64]) -> DepElem {
+        let diff = self.dep.diff_row(&rows[self.src], &rows[self.dst]);
+        classify(&self.state.remaining, &diff, params)
+    }
+}
+
+impl<'a> Peeling<'a> {
+    /// Every edge unsatisfied.
+    pub fn new(podg: &'a Podg) -> Self {
+        Peeling {
+            podg,
+            states: podg.deps.iter().map(DepState::new).collect(),
+        }
+    }
+
+    /// The unsatisfied edges with their states, in PoDG order.
+    pub fn open(&self) -> impl Iterator<Item = (&'a Dep, &DepState)> + '_ {
+        self.podg
+            .deps
+            .iter()
+            .zip(&self.states)
+            .filter(|(_, st)| !st.satisfied)
+    }
+
+    /// The unsatisfied edges between statements of `stmts`: the input of
+    /// [`crate::sccs`] at this level.
+    pub fn edges(&self, stmts: &[StmtId]) -> Vec<(StmtId, StmtId)> {
+        self.open()
+            .map(|(d, _)| (d.src, d.dst))
+            .filter(|(s, d)| stmts.contains(s) && stmts.contains(d))
+            .collect()
+    }
+
+    /// The unsatisfied edges with both endpoints in `group`, in PoDG
+    /// order.
+    pub fn within<'g>(&'g self, group: &'g [StmtId]) -> impl Iterator<Item = GroupDep<'g>> + 'g {
+        self.open().filter_map(move |(dep, state)| {
+            Some(GroupDep {
+                dep,
+                state,
+                src: group.iter().position(|&s| s == dep.src)?,
+                dst: group.iter().position(|&s| s == dep.dst)?,
+            })
+        })
+    }
+
+    /// β ordering: `group` runs before the statements of `all` placed
+    /// after it, so every edge from it to one of them is satisfied. Edges
+    /// into earlier groups were satisfied when those were placed.
+    pub fn order_group(&mut self, all: &[StmtId], group: &[StmtId]) {
+        for (d, st) in self.podg.deps.iter().zip(&mut self.states) {
+            if group.contains(&d.src) && !group.contains(&d.dst) && all.contains(&d.dst) {
+                st.satisfied = true;
+            }
+        }
+    }
+
+    /// Whether one row per statement of `group` (as for
+    /// [`GroupDep::violated_by`]) violates no edge inside the group.
+    pub fn legal(&self, group: &[StmtId], rows: &[Vec<i64>]) -> bool {
+        self.within(group).all(|e| !e.violated_by(rows))
+    }
+
+    /// Applies legal rows (as for [`Peeling::legal`]) to every edge inside
+    /// the group: satisfied edges are peeled, the rest keep the pairs the
+    /// rows order equal.
+    pub fn commit(&mut self, group: &[StmtId], rows: &[Vec<i64>]) {
+        for (d, st) in self.podg.deps.iter().zip(&mut self.states) {
+            let (Some(si), Some(di)) = (
+                group.iter().position(|&s| s == d.src),
+                group.iter().position(|&s| s == d.dst),
+            ) else {
+                continue;
+            };
+            let eff = apply_loop_row(d, st, &rows[si], &rows[di]);
+            debug_assert_ne!(eff, RowEffect::Violated, "committing an illegal row");
+        }
+    }
+}
+
+/// The row searches' enumeration: every combination of one index below
+/// `lens[i]` per slot, slot 0 turning fastest, until `visit` returns
+/// `Some` (which is returned) or `cap` combinations have been visited.
+/// `None` when some slot has no index.
+pub fn odometer<T>(
+    lens: &[usize],
+    cap: usize,
+    mut visit: impl FnMut(&[usize]) -> Option<T>,
+) -> Option<T> {
+    if lens.contains(&0) {
+        return None;
+    }
+    let mut idx = vec![0usize; lens.len()];
+    for _ in 0..cap {
+        if let Some(found) = visit(&idx) {
+            return Some(found);
+        }
+        let k = idx.iter().zip(lens).position(|(&i, &n)| i + 1 < n)?;
+        idx[k] += 1;
+        idx[..k].fill(0);
+    }
+    None
 }
 
 /// Outcome of applying one schedule row to a dependence edge.
@@ -115,7 +257,7 @@ pub fn schedules_legal_for_dep(
     sched_src: &polymix_ir::Schedule,
     sched_dst: &polymix_ir::Schedule,
 ) -> bool {
-    let mut state = DepState::new(0, dep);
+    let mut state = DepState::new(dep);
     let max_k = sched_src.dim().max(sched_dst.dim());
     for k in 0..=max_k {
         let bs = sched_src.beta.get(k).copied().unwrap_or(0);
@@ -146,7 +288,7 @@ mod tests {
     use super::*;
     use crate::depgraph::build_podg;
     use polymix_ir::builder::{con, ix, par, ScopBuilder};
-    use polymix_ir::{Schedule, Scop};
+    use polymix_ir::{Expr, Schedule, Scop};
 
     /// `for i in 1..N: A[i] = A[i-1]` — serial chain.
     fn chain() -> Scop {
@@ -171,6 +313,108 @@ mod tests {
         b.exit();
         b.exit();
         b.finish().expect("well-formed SCoP")
+    }
+
+    /// `for i in 1..N: S0: A[i] = A[i-1]; S1: B[i] = A[i]; S2: C[i] =
+    /// B[i-1] + C[i-1]` — self edges on `S0` and `S2`, a distance-0 edge
+    /// `S0 → S1` and a distance-1 edge `S1 → S2`.
+    fn three_stmts() -> Scop {
+        let mut b = ScopBuilder::new("three", &["N"], &[8]);
+        let (a, bb, c) = (
+            b.array("A", &["N"]),
+            b.array("B", &["N"]),
+            b.array("C", &["N"]),
+        );
+        b.enter("i", con(1), par("N"));
+        let body = b.rd(a, &[ix("i") - con(1)]);
+        b.stmt("S0", a, &[ix("i")], body);
+        let body = b.rd(a, &[ix("i")]);
+        b.stmt("S1", bb, &[ix("i")], body);
+        let body = Expr::add(b.rd(bb, &[ix("i") - con(1)]), b.rd(c, &[ix("i") - con(1)]));
+        b.stmt("S2", c, &[ix("i")], body);
+        b.exit();
+        b.finish().expect("well-formed SCoP")
+    }
+
+    const ALL: [StmtId; 3] = [StmtId(0), StmtId(1), StmtId(2)];
+
+    /// Row `sign * i` for each statement of `three_stmts` (`[i | N | 1]`).
+    fn rows(signs: [i64; 3]) -> Vec<Vec<i64>> {
+        signs.iter().map(|&s| vec![s, 0, 0]).collect()
+    }
+
+    /// After row `i` peels every carried edge, only `S0 → S1` is left;
+    /// in the group `[S1, S0]` its source sits at position 1.
+    #[test]
+    fn within_yields_the_open_edges_inside_the_group_with_positions() {
+        let scop = three_stmts();
+        let podg = build_podg(&scop);
+        let mut peel = Peeling::new(&podg);
+        peel.commit(&ALL, &rows([1, 1, 1]));
+        let group = [StmtId(1), StmtId(0)];
+        let got: Vec<(StmtId, StmtId, usize, usize)> = peel
+            .within(&group)
+            .map(|e| (e.dep.src, e.dep.dst, e.src, e.dst))
+            .collect();
+        let want: Vec<(StmtId, StmtId, usize, usize)> = podg
+            .deps
+            .iter()
+            .filter(|d| d.src == StmtId(0) && d.dst == StmtId(1))
+            .map(|d| (d.src, d.dst, 1, 0))
+            .collect();
+        assert!(!want.is_empty() && got == want, "{got:?} != {want:?}");
+    }
+
+    #[test]
+    fn commit_leaves_every_state_as_apply_loop_row_would() {
+        let scop = three_stmts();
+        let podg = build_podg(&scop);
+        // `S1` retimed by one: `S0 → S1` is peeled, `S1 → S2` is not.
+        let group = [StmtId(2), StmtId(0), StmtId(1)];
+        let rows = vec![vec![1, 0, 0], vec![1, 0, 0], vec![1, 0, 1]];
+        let mut peel = Peeling::new(&podg);
+        peel.commit(&group, &rows);
+        let row = |s: StmtId| &rows[group.iter().position(|&g| g == s).unwrap()];
+        let want: Vec<DepState> = podg
+            .deps
+            .iter()
+            .map(|d| {
+                let mut st = DepState::new(d);
+                apply_loop_row(d, &mut st, row(d.src), row(d.dst));
+                st
+            })
+            .collect();
+        assert_eq!(peel.states, want);
+    }
+
+    #[test]
+    fn legal_agrees_with_violates_edge_by_edge() {
+        let scop = three_stmts();
+        let podg = build_podg(&scop);
+        let peel = Peeling::new(&podg);
+        let signs = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]];
+        let disagree: Vec<_> = signs
+            .into_iter()
+            .filter(|&sg| {
+                let rows = rows(sg);
+                let by_edge = podg.deps.iter().all(|d| {
+                    let st = DepState::new(d);
+                    !violates(d, &st, &rows[d.src.0], &rows[d.dst.0])
+                });
+                peel.legal(&ALL, &rows) != by_edge
+            })
+            .collect();
+        assert!(disagree.is_empty(), "{disagree:?}");
+    }
+
+    #[test]
+    fn a_cloned_snapshot_is_unaffected_by_a_later_commit() {
+        let scop = three_stmts();
+        let podg = build_podg(&scop);
+        let mut peel = Peeling::new(&podg);
+        let band = peel.clone();
+        peel.commit(&ALL, &rows([1, 1, 1]));
+        assert_eq!(band.states, Peeling::new(&podg).states);
     }
 
     #[test]
@@ -216,7 +460,7 @@ mod tests {
             .iter()
             .find(|d| d.kind == crate::depgraph::DepKind::Flow)
             .unwrap();
-        let mut st = DepState::new(0, flow);
+        let mut st = DepState::new(flow);
         // Row i on both sides: carried strictly (distance 1) -> Satisfied.
         let row_i = vec![1, 0, 0, 0]; // [i, j | N | 1]
         assert_eq!(
@@ -224,7 +468,7 @@ mod tests {
             RowEffect::Satisfied
         );
         // Fresh state, row j first: distance 0 -> Continue, then row i satisfies.
-        let mut st = DepState::new(0, flow);
+        let mut st = DepState::new(flow);
         let row_j = vec![0, 1, 0, 0];
         assert_eq!(
             apply_loop_row(flow, &mut st, &row_j, &row_j),
@@ -241,7 +485,7 @@ mod tests {
         let scop = chain();
         let g = build_podg(&scop);
         let d = &g.deps[0];
-        let mut st = DepState::new(0, d);
+        let mut st = DepState::new(d);
         let row_neg = vec![-1, 0, 0]; // -i
         assert_eq!(
             apply_loop_row(d, &mut st, &row_neg, &row_neg),
@@ -253,11 +497,11 @@ mod tests {
     fn beta_ordering() {
         let scop = chain();
         let g = build_podg(&scop);
-        let mut st = DepState::new(0, &g.deps[0]);
+        let mut st = DepState::new(&g.deps[0]);
         assert_eq!(apply_beta(&mut st, 0, 1), RowEffect::Satisfied);
-        let mut st = DepState::new(0, &g.deps[0]);
+        let mut st = DepState::new(&g.deps[0]);
         assert_eq!(apply_beta(&mut st, 1, 0), RowEffect::Violated);
-        let mut st = DepState::new(0, &g.deps[0]);
+        let mut st = DepState::new(&g.deps[0]);
         assert_eq!(apply_beta(&mut st, 2, 2), RowEffect::Continue);
     }
 

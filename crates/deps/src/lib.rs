@@ -9,7 +9,8 @@
 //! * [`scc`] computes strongly connected components of the PoDG restricted
 //!   to unsatisfied edges (the grouping Algorithm 2 recurses over),
 //! * [`legality`] checks candidate schedule rows against dependence
-//!   polyhedra and *peels* satisfied instances level by level,
+//!   polyhedra and *peels* satisfied instances level by level — the one
+//!   walk ([`Peeling`]) both schedulers fix their rows through,
 //! * [`vectors`] extracts dependence distance/direction vectors of the
 //!   transformed code, feeding the AST stage's parallelism detector and
 //!   skewing/tiling legality tests (Sec. IV-A/B).
@@ -26,6 +27,6 @@ pub mod scc;
 pub mod vectors;
 
 pub use depgraph::{build_podg, Dep, DepKind, Podg};
-pub use legality::{apply_beta, apply_loop_row, DepState, RowEffect};
+pub use legality::{apply_beta, apply_loop_row, DepState, Peeling, RowEffect};
 pub use scc::sccs;
-pub use vectors::{dep_vector, dep_vector_transformed, DepElem};
+pub use vectors::{carried_before, dep_vector, dep_vector_transformed, DepElem};

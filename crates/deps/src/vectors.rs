@@ -50,6 +50,23 @@ impl DepElem {
     }
 }
 
+/// True when the dependence with vector `v` is certainly carried by one
+/// of the levels before `from` — a run of `0` / `0+` components ending
+/// in a strictly positive one — so no loop at `from` or deeper sees it.
+/// A prefix that is not all `0` does not suffice: `(0+, +)` is open at
+/// level 1, its pairs with a zero first component are carried there.
+pub fn carried_before(v: &[DepElem], from: usize) -> bool {
+    for e in &v[..from.min(v.len())] {
+        if e.is_positive() {
+            return true;
+        }
+        if !e.is_nonneg() {
+            return false;
+        }
+    }
+    false
+}
+
 /// Classifies the affine form `row` (dependence space, trailing constant
 /// column) over the dependence polyhedron, using `sample_params` to find a
 /// candidate constant distance.
@@ -131,6 +148,21 @@ mod tests {
         b.exit();
         b.exit();
         b.finish().expect("well-formed SCoP")
+    }
+
+    /// A prefix settles a vector only when it ends in a strictly positive
+    /// component after `0`s and `0+`s.
+    #[test]
+    fn carried_before_needs_a_positive_component_after_a_nonneg_run() {
+        use DepElem::*;
+        let answers = [
+            carried_before(&[NonNeg, Plus], 1),
+            carried_before(&[NonNeg, Plus], 2),
+            carried_before(&[Const(0), Const(2), Minus], 2),
+            carried_before(&[Star, Plus], 2),
+            carried_before(&[Const(1)], 5),
+        ];
+        assert_eq!(answers, [false, true, true, false, true]);
     }
 
     #[test]

@@ -22,8 +22,7 @@ impl CacheLevel {
 }
 
 /// A machine description: the cache/TLB levels the DL model accounts for,
-/// plus core count and SIMD width used by the optimizer's parallelism and
-/// vectorization decisions.
+/// plus a core count (which only the `power7_model` projection reads).
 #[derive(Clone, Debug)]
 pub struct Machine {
     /// Human-readable name.
@@ -32,13 +31,11 @@ pub struct Machine {
     pub levels: Vec<CacheLevel>,
     /// Number of hardware cores to parallelize across.
     pub cores: usize,
-    /// f64 lanes per SIMD vector (2 for SSE2, 4 for AVX/VSX-pairs).
-    pub simd_lanes: usize,
 }
 
 impl Machine {
     /// An Intel Nehalem-like machine: 32 KB L1 (64 B lines), 256 KB L2,
-    /// 8 MB L3, 64-entry DTLB of 4 KB pages, 8 cores, SSE 2-lane f64.
+    /// 8 MB L3, 64-entry DTLB of 4 KB pages, 8 cores.
     pub fn nehalem() -> Machine {
         Machine {
             name: "nehalem".into(),
@@ -60,13 +57,12 @@ impl Machine {
                 },
             ],
             cores: 8,
-            simd_lanes: 2,
         }
     }
 
     /// An IBM Power7-like machine: 32 KB L1 (128 B lines), 256 KB L2,
     /// 4 MB local L3 slice, 512-entry TLB of 4 KB pages, 32 cores
-    /// (4 chips × 8), VSX 2-lane f64.
+    /// (4 chips × 8).
     pub fn power7() -> Machine {
         Machine {
             name: "power7".into(),
@@ -88,7 +84,6 @@ impl Machine {
                 },
             ],
             cores: 32,
-            simd_lanes: 2,
         }
     }
 
@@ -101,7 +96,6 @@ impl Machine {
         m.cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        m.simd_lanes = 4; // AVX2 f64 lanes on current x86-64 hosts
         m
     }
 

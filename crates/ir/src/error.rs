@@ -78,7 +78,7 @@ pub enum PolymixError {
     },
     /// An AST transformation could not be applied legally.
     Transform {
-        /// Transform name (`tile_band`, `unroll`, …).
+        /// Transform name (`unroll`, …).
         transform: String,
         detail: String,
     },
@@ -220,9 +220,9 @@ mod tests {
 
     #[test]
     fn display_carries_context() {
-        let e = PolymixError::transform("tile_band", "band depth 1 < requested 2");
+        let e = PolymixError::transform("unroll", "factor 0 < 1");
         assert_eq!(e.cell(), "error(transform)");
-        assert!(e.to_string().contains("tile_band"));
+        assert!(e.to_string().contains("unroll"));
         let e = PolymixError::runner("adi", "pocc", "compile failed");
         assert_eq!(e.stage().name(), "runner");
     }

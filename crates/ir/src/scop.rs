@@ -204,6 +204,19 @@ impl Scop {
         &self.statements[id.0]
     }
 
+    /// Whether some statement of `a` and some statement of `b` access one
+    /// array (the schedulers' fusion precondition).
+    pub fn shares_array(&self, a: &[StmtId], b: &[StmtId]) -> bool {
+        let arrays = |g: &[StmtId]| -> Vec<usize> {
+            g.iter()
+                .flat_map(|&s| self.stmt(s).accesses())
+                .map(|(acc, _)| acc.array.0)
+                .collect()
+        };
+        let aa = arrays(a);
+        arrays(b).iter().any(|x| aa.contains(x))
+    }
+
     /// Total floating point operations for concrete parameters, obtained
     /// by counting each statement's domain cardinality. Domain cardinality
     /// is computed by enumeration — use only for miniature datasets; the

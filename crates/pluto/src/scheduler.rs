@@ -9,9 +9,8 @@
 //! combinations it picks the one **minimizing the estimated reuse
 //! distance**, Pluto's objective.
 
-use polymix_deps::legality::{apply_loop_row, violates, DepState, RowEffect};
-use polymix_deps::vectors::classify;
-use polymix_deps::{build_podg, sccs, DepElem, Podg};
+use polymix_deps::legality::{odometer, Peeling};
+use polymix_deps::{build_podg, sccs, DepElem};
 use polymix_ir::error::PolymixError;
 use polymix_ir::scop::StmtId;
 use polymix_ir::{Schedule, Scop};
@@ -37,19 +36,13 @@ pub fn schedule_pluto(scop: &Scop, fusion: Fusion) -> Result<Vec<Schedule>, Poly
     let podg = build_podg(scop);
     let mut sched = Sched {
         scop,
-        podg: &podg,
         fusion,
-        states: podg
-            .deps
-            .iter()
-            .enumerate()
-            .map(|(i, d)| DepState::new(i, d))
-            .collect(),
+        peel: Peeling::new(&podg),
         rows: scop.statements.iter().map(|_| Vec::new()).collect(),
         betas: scop.statements.iter().map(|_| Vec::new()).collect(),
     };
     let all: Vec<StmtId> = (0..scop.statements.len()).map(StmtId).collect();
-    let band = sched.states.clone();
+    let band = sched.peel.clone();
     sched.solve(&all, 0, &band)?;
     sched.finish()
 }
@@ -117,17 +110,19 @@ pub fn schedule_with_fallback(scop: &Scop, requested: Fusion) -> FallbackSchedul
     }
 }
 
+/// How many row combinations one search scores.
+const SEARCH_CAP: usize = 20_000;
+
 struct Sched<'a> {
     scop: &'a Scop,
-    podg: &'a Podg,
     fusion: Fusion,
-    states: Vec<DepState>,
+    peel: Peeling<'a>,
     /// Chosen α rows per statement (statement-local iterator coefficients).
     rows: Vec<Vec<Vec<i64>>>,
     betas: Vec<Vec<i64>>,
 }
 
-impl Sched<'_> {
+impl<'a> Sched<'a> {
     fn dim(&self, s: StmtId) -> usize {
         self.scop.statements[s.0].dim
     }
@@ -147,42 +142,24 @@ impl Sched<'_> {
         &mut self,
         stmts: &[StmtId],
         level: usize,
-        band: &[DepState],
+        band: &Peeling<'a>,
     ) -> Result<(), PolymixError> {
-        // Partition into SCCs of the unsatisfied subgraph.
-        let edges: Vec<(StmtId, StmtId)> = self
-            .podg
-            .deps
-            .iter()
-            .zip(&self.states)
-            .filter(|(_, st)| !st.satisfied)
-            .map(|(d, _)| (d.src, d.dst))
-            .filter(|(s, d)| stmts.contains(s) && stmts.contains(d))
-            .collect();
-        let comps = sccs(stmts, &edges);
+        let comps = sccs(stmts, &self.peel.edges(stmts));
 
         // Greedy fusion of consecutive components.
         let mut groups: Vec<Vec<StmtId>> = Vec::new();
         for comp in comps {
-            let comp_exhausted = comp.iter().all(|&s| self.exhausted(s));
-            let can_try = match self.fusion {
-                Fusion::None => false,
-                Fusion::Max => true,
-                Fusion::Smart => true,
-            };
-            if can_try && !comp_exhausted {
-                if let Some(last_idx) = groups.len().checked_sub(1) {
-                    let last = &groups[last_idx];
+            if self.fusion != Fusion::None && !comp.iter().all(|&s| self.exhausted(s)) {
+                if let Some(last) = groups.last_mut() {
                     let last_ok = !last.iter().any(|&s| self.exhausted(s));
-                    let smart_ok = self.fusion == Fusion::Max
-                        || self.shares_array(last, &comp);
+                    let smart_ok =
+                        self.fusion == Fusion::Max || self.scop.shares_array(last, &comp);
                     if last_ok && smart_ok {
-                        let mut merged = last.clone();
-                        merged.extend(comp.iter().copied());
+                        let merged = [&last[..], &comp[..]].concat();
                         if self.find_rows(&merged, level, band).is_some()
-                            || self.find_rows(&merged, level, &self.states.clone()).is_some()
+                            || self.find_rows(&merged, level, &self.peel).is_some()
                         {
-                            groups[last_idx] = merged;
+                            *last = merged;
                             continue;
                         }
                     }
@@ -193,126 +170,63 @@ impl Sched<'_> {
 
         // Assign β and rows per group, then recurse.
         for (pos, group) in groups.into_iter().enumerate() {
-            // β at this level.
             for &s in &group {
                 self.betas[s.0].push(pos as i64);
             }
-            // Apply β ordering to cross-group dependence states: peeling
-            // happens implicitly — deps to later groups become satisfied,
-            // deps within the group continue.
-            self.apply_beta_effects(stmts, &group, level);
+            // β ordering satisfies the dependences to later groups; those
+            // within the group continue.
+            self.peel.order_group(stmts, &group);
             if group.iter().all(|&s| self.exhausted(s)) {
                 continue; // leaf (or group of leaves at identical depth 0)
             }
             // Try within the current band; on failure break the band
             // (snapshot the current states as the new band start).
             let (combo, child_band) = match self.find_rows(&group, level, band) {
-                Some(c) => (c, band.to_vec()),
-                None => {
-                    let fresh = self.states.clone();
-                    match self.find_rows(&group, level, &fresh) {
-                        Some(c) => (c, fresh),
-                        None => {
-                            return Err(PolymixError::scheduling(
-                                &self.scop.name,
-                                level,
-                                group.iter().map(|s| s.0).collect(),
-                                "no legal row combination, even after band break",
-                            ));
-                        }
+                Some(c) => (c, band.clone()),
+                None => match self.find_rows(&group, level, &self.peel) {
+                    Some(c) => (c, self.peel.clone()),
+                    None => {
+                        return Err(PolymixError::scheduling(
+                            &self.scop.name,
+                            level,
+                            group.iter().map(|s| s.0).collect(),
+                            "no legal row combination, even after band break",
+                        ));
                     }
-                }
+                },
             };
             // Commit the rows and peel the dependences.
-            for (&s, row) in group.iter().zip(&combo) {
-                self.rows[s.0].push(row.clone());
+            let full = self.full_rows(&combo);
+            for (&s, row) in group.iter().zip(combo) {
+                self.rows[s.0].push(row);
             }
-            self.commit_rows(&group, &combo);
+            self.peel.commit(&group, &full);
             self.solve(&group, level + 1, &child_band)?;
         }
         Ok(())
     }
 
-    fn shares_array(&self, a: &[StmtId], b: &[StmtId]) -> bool {
-        let arrays = |list: &[StmtId]| -> Vec<usize> {
-            let mut out = Vec::new();
-            for &s in list {
-                for (acc, _) in self.scop.statements[s.0].accesses() {
-                    if !out.contains(&acc.array.0) {
-                        out.push(acc.array.0);
-                    }
-                }
-            }
-            out
-        };
-        let aa = arrays(a);
-        arrays(b).iter().any(|x| aa.contains(x))
-    }
-
-    /// Marks dependences from this group to later groups as satisfied
-    /// (β ordering). Dependences into earlier groups were satisfied when
-    /// those groups were processed.
-    fn apply_beta_effects(&mut self, all: &[StmtId], group: &[StmtId], _level: usize) {
-        for (d, st) in self.podg.deps.iter().zip(self.states.iter_mut()) {
-            if st.satisfied {
-                continue;
-            }
-            let src_in = group.contains(&d.src);
-            let dst_in = group.contains(&d.dst);
-            if src_in && !dst_in && all.contains(&d.dst) {
-                // Source group runs before the (later) destination group.
-                st.satisfied = true;
-            }
-        }
-    }
-
     /// Searches for one legal row per statement of the group at `level`.
     /// Pure (states untouched). Returns the chosen (repaired) rows.
-    fn find_rows(&self, group: &[StmtId], level: usize, band: &[DepState]) -> Option<Vec<Vec<i64>>> {
-        // Candidate rows per statement.
+    fn find_rows(&self, group: &[StmtId], level: usize, band: &Peeling) -> Option<Vec<Vec<i64>>> {
         let cands: Vec<Vec<Vec<i64>>> = group
             .iter()
             .map(|&s| self.candidates(s, group.len()))
             .collect();
-        if cands.iter().any(|c| c.is_empty()) {
-            return None;
-        }
+        let lens: Vec<usize> = cands.iter().map(Vec::len).collect();
         // Bounded cartesian search, best score wins.
-        let mut idx = vec![0usize; group.len()];
         let mut best: Option<(i64, Vec<Vec<i64>>)> = None;
-        let mut explored = 0usize;
-        'outer: loop {
-            explored += 1;
-            if explored > 20_000 {
-                break;
-            }
-            let combo: Vec<Vec<i64>> = idx
-                .iter()
-                .enumerate()
-                .map(|(g, &i)| cands[g][i].clone())
-                .collect();
-            if let Some((score, repaired)) = self.try_combo(group, &combo, level, band) {
-                if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                    best = Some((score, repaired));
-                    if score == 0 {
-                        break 'outer;
-                    }
+        odometer(&lens, SEARCH_CAP, |idx| {
+            let combo: Vec<Vec<i64>> = idx.iter().zip(&cands).map(|(&i, c)| c[i].clone()).collect();
+            let (score, repaired) = self.try_combo(group, &combo, level, band)?;
+            if best.as_ref().is_none_or(|(b, _)| score < *b) {
+                best = Some((score, repaired));
+                if score == 0 {
+                    return Some(());
                 }
             }
-            // Odometer.
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    break 'outer;
-                }
-                idx[k] += 1;
-                if idx[k] < cands[k].len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
+            None
+        });
         best.map(|(_, combo)| combo)
     }
 
@@ -358,58 +272,52 @@ impl Sched<'_> {
         out
     }
 
-    /// Checks the combo's legality on the current states (without
-    /// mutating them), applying skew-repair when a dependence goes
-    /// backwards. Returns the reuse-distance score together with the
+    /// Checks the combo's legality (without touching any state),
+    /// applying skew-repair when a dependence goes backwards. Returns the
+    /// reuse-distance score on the current states together with the
     /// (possibly repaired) rows, or `None` if illegal even after repair.
     fn try_combo(
         &self,
         group: &[StmtId],
         combo: &[Vec<i64>],
         level: usize,
-        band: &[DepState],
+        band: &Peeling,
     ) -> Option<(i64, Vec<Vec<i64>>)> {
         let repaired = self.repair(group, combo, level, band)?;
-        let mut score = 0i64;
-        for (d, st) in self.podg.deps.iter().zip(&self.states) {
-            if st.satisfied {
-                continue;
-            }
-            let (Some(si), Some(di)) = (
-                group.iter().position(|&s| s == d.src),
-                group.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.full_row(d.src, &repaired[si]);
-            let row_dst = self.full_row(d.dst, &repaired[di]);
-            let diff = d.diff_row(&row_src, &row_dst);
-            score += match classify(&st.remaining, &diff, &self.scop.default_params) {
+        let full = self.full_rows(&repaired);
+        let params = &self.scop.default_params;
+        let reuse: i64 = self
+            .peel
+            .within(group)
+            .map(|e| match e.distance(&full, params) {
                 DepElem::Const(c) => c.abs(),
                 _ => 40,
-            };
-        }
+            })
+            .sum();
         // Prefer plain unit rows slightly (Pluto's cost also penalizes
         // skew magnitude).
-        for r in &repaired {
-            score += r.iter().map(|&c| c.abs()).sum::<i64>() - 1;
-        }
-        Some((score, repaired))
+        let skew: i64 = repaired
+            .iter()
+            .map(|r| r.iter().map(|&c| c.abs()).sum::<i64>() - 1)
+            .sum();
+        Some((reuse + skew, repaired))
     }
 
-    /// Attempts to make the combo legal by adding multiples of previously
-    /// fixed rows (uniform across the group). Deterministic: the caller
-    /// can re-run it to commit.
+    /// Attempts to make the combo legal on the band-start states (which
+    /// contain the current ones, so ordering legality is implied) by
+    /// adding multiples of previously fixed rows (uniform across the
+    /// group). Deterministic: the caller can re-run it to commit.
     fn repair(
         &self,
         group: &[StmtId],
         combo: &[Vec<i64>],
         level: usize,
-        band: &[DepState],
+        band: &Peeling,
     ) -> Option<Vec<Vec<i64>>> {
+        let legal = |rows: &[Vec<i64>]| band.legal(group, &self.full_rows(rows));
         let mut rows: Vec<Vec<i64>> = combo.to_vec();
         'attempt: for attempt in 0..=(2 * level.min(3)) {
-            if self.legal(group, &rows, band) {
+            if legal(&rows) {
                 return Some(rows);
             }
             // Add one more multiple of an earlier row to every statement.
@@ -426,61 +334,13 @@ impl Sched<'_> {
                 }
             }
         }
-        if self.legal(group, &rows, band) {
-            Some(rows)
-        } else {
-            None
-        }
+        legal(&rows).then_some(rows)
     }
 
-    /// Band legality: every internal dependence must be non-negative over
-    /// the *band-start* remaining polyhedron (which contains the current
-    /// remaining one, so ordering legality is implied).
-    fn legal(&self, group: &[StmtId], rows: &[Vec<i64>], band: &[DepState]) -> bool {
-        for (d, st) in self.podg.deps.iter().zip(band) {
-            if st.satisfied {
-                continue;
-            }
-            let (Some(si), Some(di)) = (
-                group.iter().position(|&s| s == d.src),
-                group.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.full_row(d.src, &rows[si]);
-            let row_dst = self.full_row(d.dst, &rows[di]);
-            if violates(d, st, &row_src, &row_dst) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Commits the (already repaired) rows: peels every internal dep.
-    fn commit_rows(&mut self, group: &[StmtId], combo: &[Vec<i64>]) {
-        for (di, d) in self.podg.deps.iter().enumerate() {
-            if self.states[di].satisfied {
-                continue;
-            }
-            let (Some(si), Some(ti)) = (
-                group.iter().position(|&s| s == d.src),
-                group.iter().position(|&s| s == d.dst),
-            ) else {
-                continue;
-            };
-            let row_src = self.full_row(d.src, &combo[si]);
-            let row_dst = self.full_row(d.dst, &combo[ti]);
-            let eff = apply_loop_row(d, &mut self.states[di], &row_src, &row_dst);
-            debug_assert_ne!(eff, RowEffect::Violated, "committing illegal row");
-        }
-    }
-
-    /// Widens a statement-local iterator row to `[iters | params | 1]`.
-    fn full_row(&self, _s: StmtId, row: &[i64]) -> Vec<i64> {
-        let p = self.scop.n_params();
-        let mut out = row.to_vec();
-        out.extend(std::iter::repeat(0).take(p + 1));
-        out
+    /// Widens statement-local iterator rows to `[iters | params | 1]`.
+    fn full_rows(&self, rows: &[Vec<i64>]) -> Vec<Vec<i64>> {
+        let zeros = vec![0; self.scop.n_params() + 1];
+        rows.iter().map(|r| [r.as_slice(), &zeros].concat()).collect()
     }
 
     /// Assembles the final `Schedule` per statement; the committed rows
