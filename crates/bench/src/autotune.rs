@@ -51,8 +51,8 @@
 //! with a losing one.
 
 use crate::backend::vm_measure;
-use crate::runner::{emit_source, Runner};
-use crate::sweep::{self, run_sweep, JobOutcome, JobWork, SweepConfig, SweepJob};
+use crate::runner::Runner;
+use crate::sweep::{self, run_sweep, rustc_work, JobOutcome, JobWork, SweepConfig, SweepJob};
 use crate::variants::{build_variant, Variant};
 use polymix_ast::tree::{Node, Par, Program};
 use polymix_cachesim::{batch_weighted_cost, CacheConfig};
@@ -182,7 +182,6 @@ pub fn build_candidate(
                 tile: c.tile,
                 time_tile: c.time_tile,
                 tiling: true,
-                parallelize: true,
                 doall_only: false,
                 unroll: c.unroll,
                 fusion: c.opt == OptFamily::PolyAstFuse,
@@ -609,44 +608,43 @@ pub fn autotune_kernel(
 
     // --- Stage 4: confirm the screened front-runners with rustc. ---
     let native_id = format!("tune:{kernel_name}:{dataset}:native");
+    // No sequential fallback: a degraded cell would not measure the
+    // candidate's parallel structure, so it must not win.
+    let (threads, reps) = (runner.threads, runner.reps);
     let mut jobs: Vec<SweepJob> = Vec::with_capacity(confirm.len() + 1);
-    {
-        let (kc, pc) = (kernel.clone(), params.clone());
-        let (threads, reps) = (runner.threads, runner.reps);
-        jobs.push(SweepJob {
-            id: native_id.clone(),
-            kernel: kernel_name.to_string(),
-            variant: "native".to_string(),
-            dataset: dataset.to_string(),
-            params: params.clone(),
-            work: JobWork::Rustc {
-                source: Box::new(move || {
-                    let prog = build_variant(&kc, Variant::Native, &Machine::host())?;
-                    Ok(emit_source(&kc, &prog, &pc, threads, reps))
-                }),
-                seq_source: None,
-            },
-        });
-    }
+    let kc = kernel.clone();
+    jobs.push(SweepJob {
+        id: native_id.clone(),
+        kernel: kernel_name.to_string(),
+        variant: "native".to_string(),
+        dataset: dataset.to_string(),
+        params: params.clone(),
+        work: rustc_work(
+            &kernel,
+            &params,
+            threads,
+            reps,
+            move || build_variant(&kc, Variant::Native, &Machine::host()),
+            false,
+        ),
+    });
     for &ci in &confirm {
         let c = &chosen[ci];
-        let (kc, mc, pc, cc) = (kernel.clone(), machine.clone(), params.clone(), *c);
-        let (threads, reps) = (runner.threads, runner.reps);
+        let (kc, mc, cc) = (kernel.clone(), machine.clone(), *c);
         jobs.push(SweepJob {
             id: c.id(kernel_name, dataset),
             kernel: kernel_name.to_string(),
             variant: c.opt.name().to_string(),
             dataset: dataset.to_string(),
             params: params.clone(),
-            work: JobWork::Rustc {
-                source: Box::new(move || {
-                    let prog = build_candidate(&kc, &cc, &mc)?;
-                    Ok(emit_source(&kc, &prog, &pc, threads, reps))
-                }),
-                // No sequential fallback: a degraded cell would not measure
-                // the candidate's parallel structure, so it must not win.
-                seq_source: None,
-            },
+            work: rustc_work(
+                &kernel,
+                &params,
+                threads,
+                reps,
+                move || build_candidate(&kc, &cc, &mc),
+                false,
+            ),
         });
     }
     let rustc_outcomes = run_sweep(jobs, runner, cfg);

@@ -3,14 +3,14 @@
 //! unroll-and-jam factors of the poly+AST flow on gemm and 2mm.
 
 use polymix_bench::report::{gf, Cli};
-use polymix_bench::runner::{emit_source, Runner};
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, JobWork, SweepConfig, SweepJob};
+use polymix_bench::runner::Runner;
+use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
     println!("== Register-tiling ablation (unroll-and-jam factor sweep) ==");
@@ -30,39 +30,24 @@ fn main() {
         };
         let params = k.dataset(&cli.dataset).params;
         for &(o, i) in &factors {
-            let (kc, mc, pc) = (k.clone(), machine.clone(), params.clone());
-            let (threads, reps) = (runner.threads, runner.reps);
-            let (ks, ms, ps) = (k.clone(), machine.clone(), params.clone());
+            let (kb, mb) = (k.clone(), machine.clone());
+            let build = move || {
+                optimize_poly_ast(
+                    &(kb.build)(),
+                    &PolyAstOptions {
+                        machine: mb.clone(),
+                        unroll: (o, i),
+                        ..Default::default()
+                    },
+                )
+            };
             jobs.push(SweepJob {
                 id: format!("unroll:{name}:{o}x{i}:{}", cli.dataset),
                 kernel: name.to_string(),
                 variant: format!("{o}x{i}"),
                 dataset: cli.dataset.clone(),
                 params: params.clone(),
-                work: JobWork::Rustc {
-                    source: Box::new(move || {
-                    let prog = optimize_poly_ast(
-                        &(kc.build)(),
-                        &PolyAstOptions {
-                            machine: mc,
-                            unroll: (o, i),
-                            ..Default::default()
-                        },
-                    )?;
-                    Ok(emit_source(&kc, &prog, &pc, threads, reps))
-                }),
-                seq_source: Some(Box::new(move || {
-                    let prog = optimize_poly_ast(
-                        &(ks.build)(),
-                        &PolyAstOptions {
-                            machine: ms,
-                            unroll: (o, i),
-                            ..Default::default()
-                        },
-                    )?;
-                    Ok(emit_source(&ks, &prog, &ps, 1, reps))
-                })),
-                },
+                work: rustc_work(&k, &params, runner.threads, runner.reps, build, true),
             });
         }
     }

@@ -7,8 +7,8 @@
 
 use polymix_ast::pretty::render;
 use polymix_bench::report::{gf, Cli, Table};
-use polymix_bench::runner::{emit_source, Runner};
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, JobWork, SweepConfig, SweepJob};
+use polymix_bench::runner::Runner;
+use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_ir::builder::{con, ix, par, ScopBuilder};
@@ -84,7 +84,7 @@ fn as_kernel(name: &'static str, build: fn() -> Scop, flops: fn(&[i64]) -> u64) 
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
     let kernels = [
@@ -121,21 +121,20 @@ fn main() {
             match prog {
                 Ok(p) => {
                     println!("-- {} — {suffix} chooses:\n{}", k.name, render(&p));
-                    let (kc, pc) = (k.clone(), params.clone());
-                    let (threads, reps) = (runner.threads, runner.reps);
-                    let (ks, ps, p2) = (k.clone(), params.clone(), p.clone());
                     jobs.push(SweepJob {
                         id: format!("fig5:{}:{suffix}:{}", k.name, cli.dataset),
                         kernel: k.name.to_string(),
                         variant: suffix.to_string(),
                         dataset: cli.dataset.clone(),
                         params: params.clone(),
-                        work: JobWork::Rustc {
-                            source: Box::new(move || Ok(emit_source(&kc, &p, &pc, threads, reps))),
-                            seq_source: Some(Box::new(move || {
-                                Ok(emit_source(&ks, &p2, &ps, 1, reps))
-                            })),
-                        },
+                        work: rustc_work(
+                            k,
+                            &params,
+                            runner.threads,
+                            runner.reps,
+                            move || Ok(p.clone()),
+                            true,
+                        ),
                     });
                     row.push(String::new());
                 }

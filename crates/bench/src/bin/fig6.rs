@@ -35,7 +35,7 @@ fn sweep(
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let (ni, nj) = match cli.dataset.as_str() {
         "mini" => (64usize, 64usize),
         "small" => (1000, 1000),

@@ -37,7 +37,7 @@ fn parallel_kind(prog: &polymix_ast::tree::Program) -> (&'static str, f64) {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let machine = Machine::power7();
     let configs = [
         CacheConfig::l1_power7(),

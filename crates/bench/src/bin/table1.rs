@@ -5,29 +5,19 @@
 
 use polymix_ast::pretty::render;
 use polymix_bench::autotune::{build_candidate, default_tuned_path, TunedConfig};
-use polymix_bench::backend::{select_backends, ProgBuild};
 use polymix_bench::report::{gf, Cli, Table};
 use polymix_bench::runner::Runner;
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, SweepConfig, SweepJob};
+use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
 use polymix_bench::variants::{build_variant, Variant};
-use std::sync::Arc;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["--tuned", "--tuned-config"]);
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
-    // Default `--backend rustc` keeps exactly one job (and one JSONL
-    // record) per table row; `both` doubles them and appends a vm
-    // column.
-    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
     let k = kernel_by_name("2mm").expect("2mm kernel");
     let params = k.dataset(&cli.dataset).params;
     let scop = (k.build)();
@@ -83,12 +73,9 @@ fn main() {
     // (written by the `tune` binary; `results/tuned/2mm.json` by
     // default, overridable with `--tuned-config <path>`). Opt-in so the
     // default table keeps exactly the paper's four variants.
-    let raw_args: Vec<String> = std::env::args().collect();
-    let tuned: Option<TunedConfig> = if raw_args.iter().any(|a| a == "--tuned") {
-        let path = raw_args
-            .iter()
-            .position(|a| a == "--tuned-config")
-            .and_then(|i| raw_args.get(i + 1))
+    let tuned: Option<TunedConfig> = if cli.has("--tuned") {
+        let path = cli
+            .value("--tuned-config")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(|| default_tuned_path("2mm"));
         let loaded = TunedConfig::load(&path);
@@ -104,80 +91,49 @@ fn main() {
     };
 
     let cfg = SweepConfig::from_cli(&cli);
+    let job = |id: String, variant: &str, work| SweepJob {
+        id,
+        kernel: k.name.to_string(),
+        variant: variant.to_string(),
+        dataset: cli.dataset.clone(),
+        params: params.clone(),
+        work,
+    };
+    let (threads, reps) = (runner.threads, runner.reps);
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &(_, variant) in &entries {
         let (kb, mb) = (k.clone(), machine.clone());
-        let build: ProgBuild = Arc::new(move || build_variant(&kb, variant, &mb));
-        for b in &backends {
-            jobs.push(SweepJob {
-                id: format!("table1:{}:{}", variant.name(), cli.dataset),
-                kernel: k.name.to_string(),
-                variant: variant.name().to_string(),
-                dataset: cli.dataset.clone(),
-                params: params.clone(),
-                work: b.work(&k, &params, variant.name(), build.clone()),
-            });
-        }
+        let build = move || build_variant(&kb, variant, &mb);
+        let work = rustc_work(&k, &params, threads, reps, build, true);
+        jobs.push(job(format!("table1:{}:{}", variant.name(), cli.dataset), variant.name(), work));
     }
     if let Some(tc) = &tuned {
         let (kb, mb, cand) = (k.clone(), machine.clone(), tc.candidate);
-        let build: ProgBuild = Arc::new(move || build_candidate(&kb, &cand, &mb));
-        for b in &backends {
-            jobs.push(SweepJob {
-                // The candidate id keys the resume log, so a re-tuned
-                // config re-measures instead of replaying.
-                id: format!("table1:tuned:{}:{}", cli.dataset, cand.id("2mm", &cli.dataset)),
-                kernel: k.name.to_string(),
-                variant: "tuned".to_string(),
-                dataset: cli.dataset.clone(),
-                params: params.clone(),
-                work: b.work(&k, &params, "tuned", build.clone()),
-            });
-        }
+        let build = move || build_candidate(&kb, &cand, &mb);
+        let work = rustc_work(&k, &params, threads, reps, build, true);
+        // The candidate id keys the resume log, so a re-tuned config
+        // re-measures instead of replaying.
+        let id = format!("table1:tuned:{}:{}", cli.dataset, cand.id("2mm", &cli.dataset));
+        jobs.push(job(id, "tuned", work));
     }
     let outcomes = run_sweep(jobs, &runner, &cfg);
-    let cell = |variant: &str, backend: &str| -> String {
-        match outcomes
-            .iter()
-            .find(|o| o.variant == variant && o.backend == backend)
-        {
+    let cell = |variant: &str| -> String {
+        match outcomes.iter().find(|o| o.variant == variant) {
             Some(o) => match &o.result {
                 Ok(r) => format!("{}{}", gf(r.gflops), if o.degraded { "†" } else { "" }),
                 Err(e) => {
-                    eprintln!("{variant} [{backend}]: {e}");
+                    eprintln!("{variant}: {e}");
                     e.cell()
                 }
             },
             None => "-".into(),
         }
     };
-    if backends.len() > 1 {
-        t = Table::new(&["variant", "GFLOP/s (rustc)", "GFLOP/s (vm)"]);
-        for (label, variant) in &entries {
-            t.row(vec![
-                (*label).into(),
-                cell(variant.name(), "rustc"),
-                cell(variant.name(), "vm"),
-            ]);
-        }
-        if let Some(tc) = &tuned {
-            t.row(vec![
-                format!("tuned ({})", tc.candidate.opt.name()),
-                cell("tuned", "rustc"),
-                cell("tuned", "vm"),
-            ]);
-        }
-    } else {
-        let bk = backends[0].name();
-        for (label, variant) in &entries {
-            t.row(vec![(*label).into(), cell(variant.name(), bk)]);
-        }
-        if let Some(tc) = &tuned {
-            t.row(vec![
-                format!("tuned ({})", tc.candidate.opt.name()),
-                cell("tuned", bk),
-            ]);
-        }
+    for (label, variant) in &entries {
+        t.row(vec![(*label).into(), cell(variant.name())]);
+    }
+    if let Some(tc) = &tuned {
+        t.row(vec![format!("tuned ({})", tc.candidate.opt.name()), cell("tuned")]);
     }
     println!("{}", t.render());
     print_degraded_legend(&outcomes);

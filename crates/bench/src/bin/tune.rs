@@ -31,21 +31,19 @@ use polymix_dl::Machine;
 use std::path::PathBuf;
 
 fn main() {
-    let cli = Cli::parse();
-    let args: Vec<String> = std::env::args().collect();
-    let grab = |key: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let kernels: Vec<String> = grab("--kernels")
-        .unwrap_or_else(|| "2mm".into())
+    let cli = Cli::parse(&["--kernels", "--budget", "--out"]);
+    let kernels: Vec<String> = cli
+        .value("--kernels")
+        .unwrap_or("2mm")
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let budget: usize = grab("--budget").and_then(|s| s.parse().ok()).unwrap_or(12);
-    let out_dir = PathBuf::from(grab("--out").unwrap_or_else(|| "results/tuned".into()));
+    let budget: usize = cli
+        .value("--budget")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(12);
+    let out_dir = PathBuf::from(cli.value("--out").unwrap_or("results/tuned"));
 
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);

@@ -2,34 +2,26 @@
 //! of a group through every variant on the parallel sweep executor,
 //! cross-validate checksums, report GFLOP/s.
 
-use crate::backend::{select_backends, ProgBuild};
 use crate::report::{gf, Cli, Table};
 use crate::runner::Runner;
-use crate::sweep::{print_degraded_legend, run_sweep, JobOutcome, SweepConfig, SweepJob};
+use crate::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
 use crate::variants::{build_variant, variant_list, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::{all_kernels, Group};
-use std::sync::Arc;
 
-/// Runs one figure: all kernels of `group` × all variants, measured by
-/// every backend `--backend` selects (default `rustc`; `both` renders
-/// one table per backend and cross-checks the checksums cell by cell).
+/// Runs one figure: all kernels of `group` × all variants, compiled by
+/// `rustc` and run.
 pub fn run_group_figure(title: &str, group: Group) {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
     let cfg = SweepConfig::from_cli(&cli);
     let variants = variant_list();
-    let backends = select_backends(&cli.backend, runner.threads, runner.reps, true)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
 
     println!("== {title} ==");
     println!(
-        "dataset: {}, threads: {}, jobs: {}, backend: {}, machine: {} (GFLOP/s, higher is better)",
-        cli.dataset, cli.threads, cfg.jobs, cli.backend, machine.name
+        "dataset: {}, threads: {}, jobs: {}, machine: {} (GFLOP/s, higher is better)",
+        cli.dataset, cli.threads, cfg.jobs, machine.name
     );
 
     let kernels: Vec<_> = all_kernels()
@@ -41,101 +33,72 @@ pub fn run_group_figure(title: &str, group: Group) {
         let params = k.dataset(&cli.dataset).params;
         for &v in &variants {
             let (kb, mb) = (k.clone(), machine.clone());
-            let build: ProgBuild = Arc::new(move || build_variant(&kb, v, &mb));
-            for b in &backends {
-                jobs.push(SweepJob {
-                    id: format!("{}:{}:{}", k.name, v.name(), cli.dataset),
-                    kernel: k.name.to_string(),
-                    variant: v.name().to_string(),
-                    dataset: cli.dataset.clone(),
-                    params: params.clone(),
-                    work: b.work(k, &params, v.name(), build.clone()),
-                });
-            }
+            jobs.push(SweepJob {
+                id: format!("{}:{}:{}", k.name, v.name(), cli.dataset),
+                kernel: k.name.to_string(),
+                variant: v.name().to_string(),
+                dataset: cli.dataset.clone(),
+                params: params.clone(),
+                work: rustc_work(
+                    k,
+                    &params,
+                    runner.threads,
+                    runner.reps,
+                    move || build_variant(&kb, v, &mb),
+                    true,
+                ),
+            });
         }
     }
     let outcomes = run_sweep(jobs, &runner, &cfg);
-    let by_key = |kernel: &str, v: Variant, backend: &str| -> Option<&JobOutcome> {
-        outcomes
-            .iter()
-            .find(|o| o.kernel == kernel && o.variant == v.name() && o.backend == backend)
-    };
 
-    for b in &backends {
-        let mut header: Vec<&str> = vec!["kernel"];
-        header.extend(variants.iter().map(|v| v.name()));
-        header.push("iterative*");
-        let mut table = Table::new(&header);
-
-        for k in &kernels {
-            let mut cells = vec![k.name.to_string()];
-            let mut checks: Vec<(Variant, f64)> = Vec::new();
-            let mut results: Vec<(Variant, f64, bool)> = Vec::new();
-            for &v in &variants {
-                match by_key(k.name, v, b.name()).map(|o| (&o.result, o.degraded)) {
-                    Some((Ok(r), degraded)) => {
-                        cells.push(format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" }));
-                        checks.push((v, r.checksum));
-                        results.push((v, r.gflops, degraded));
-                    }
-                    Some((Err(e), _)) => {
-                        // A failed kernel/variant records an `error(<stage>)`
-                        // cell and the figure renders on (see EXPERIMENTS.md).
-                        eprintln!("{}: {v:?} failed: {e}", k.name);
-                        cells.push(e.cell());
-                    }
-                    None => cells.push("-".into()),
+    let mut header: Vec<&str> = vec!["kernel"];
+    header.extend(variants.iter().map(|v| v.name()));
+    header.push("iterative*");
+    let mut table = Table::new(&header);
+    for k in &kernels {
+        let mut cells = vec![k.name.to_string()];
+        let mut checks: Vec<(Variant, f64)> = Vec::new();
+        let mut results: Vec<(Variant, f64, bool)> = Vec::new();
+        for &v in &variants {
+            match outcomes
+                .iter()
+                .find(|o| o.kernel == k.name && o.variant == v.name())
+                .map(|o| (&o.result, o.degraded))
+            {
+                Some((Ok(r), degraded)) => {
+                    cells.push(format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" }));
+                    checks.push((v, r.checksum));
+                    results.push((v, r.gflops, degraded));
                 }
-            }
-            cells.push(match iterative_best(&results) {
-                Some(best) => gf(best),
-                None => "-".into(),
-            });
-            // Cross-variant checksum validation (parallel runs may reorder
-            // reductions: tolerate relative FP noise).
-            if let Some((_, base)) = checks.first() {
-                for (v, c) in &checks[1..] {
-                    let rel = (c - base).abs() / base.abs().max(1.0);
-                    assert!(
-                        rel < 1e-6,
-                        "{} {v:?}: checksum {c} deviates from native {base}",
-                        k.name
-                    );
+                Some((Err(e), _)) => {
+                    // A failed kernel/variant records an `error(<stage>)`
+                    // cell and the figure renders on (see EXPERIMENTS.md).
+                    eprintln!("{}: {v:?} failed: {e}", k.name);
+                    cells.push(e.cell());
                 }
+                None => cells.push("-".into()),
             }
-            table.row(cells);
         }
-        if backends.len() > 1 {
-            println!("-- backend: {} --", b.name());
+        cells.push(match iterative_best(&results) {
+            Some(best) => gf(best),
+            None => "-".into(),
+        });
+        // Cross-variant checksum validation (parallel runs may reorder
+        // reductions: tolerate relative FP noise).
+        if let Some((_, base)) = checks.first() {
+            for (v, c) in &checks[1..] {
+                let rel = (c - base).abs() / base.abs().max(1.0);
+                assert!(
+                    rel < 1e-6,
+                    "{} {v:?}: checksum {c} deviates from native {base}",
+                    k.name
+                );
+            }
         }
-        println!("{}", table.render());
+        table.row(cells);
     }
-    // Inter-backend agreement: a vm cell and a rustc cell of the same
-    // job measured the same program over the same buffers — their
-    // checksums must agree or one backend is mis-executing.
-    if backends.len() > 1 {
-        let mut compared = 0usize;
-        for o in outcomes.iter().filter(|o| o.backend == "rustc") {
-            let (Ok(r), Some(JobOutcome { result: Ok(v), .. })) = (
-                &o.result,
-                outcomes
-                    .iter()
-                    .find(|p| p.id == o.id && p.backend == "vm"),
-            ) else {
-                continue;
-            };
-            let rel = (r.checksum - v.checksum).abs() / r.checksum.abs().max(1.0);
-            assert!(
-                rel < 1e-6,
-                "{}: vm checksum {} deviates from rustc {}",
-                o.id,
-                v.checksum,
-                r.checksum
-            );
-            compared += 1;
-        }
-        println!("backend agreement: {compared} cells cross-checked, all checksums match");
-    }
+    println!("{}", table.render());
     print_degraded_legend(&outcomes);
 }
 

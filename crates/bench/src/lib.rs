@@ -10,11 +10,9 @@
 //!   standalone Rust program, compile it with `rustc -O`, run it, parse
 //!   checksum / time / GFLOP/s (the reproduction's analogue of "compile
 //!   with ICC and run on the testbed");
-//! * [`backend`] — the measurement-backend seam (`--backend
-//!   rustc|vm|both`): the rustc round trip above, or the `polymix-vm`
-//!   bytecode interpreter measuring the same program in-process at a
-//!   fraction of the per-cell cost, with the backend recorded in every
-//!   results row;
+//! * [`backend`] — the `polymix-vm` bytecode interpreter measuring the
+//!   same program in-process at a fraction of the per-cell cost: the
+//!   tuner's screen (tables and figures measure compiled code only);
 //! * [`sweep`] — the crash-safe parallel sweep executor: a bounded
 //!   worker pool pipelining emit→compile→run over (kernel, variant,
 //!   dataset) jobs, with an exactly-once atomic binary cache, per-stage
@@ -43,7 +41,6 @@ pub mod sweep;
 pub mod variants;
 
 pub use autotune::{autotune_kernel, default_tuned_path, TuneOutcome, TunedConfig};
-pub use backend::{select_backends, Backend, RustcBackend, VmBackend};
 pub use report::Table;
 pub use runner::{compile_and_run, compile_and_run_with, RunResult, Runner};
 pub use sweep::{run_sweep, JobOutcome, JobWork, SweepConfig, SweepJob};

@@ -59,9 +59,28 @@ pub fn gf(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// The flags every measuring binary takes, each followed by its value.
+const SHARED_FLAGS: [&str; 8] = [
+    "--dataset",
+    "--threads",
+    "--jobs",
+    "--measure-jobs",
+    "--compile-timeout",
+    "--run-timeout",
+    "--retries",
+    "--results",
+];
+
+/// The argument following `key` in `args`, if `key` is there.
+fn value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == key)?;
+    args.get(i + 1).map(String::as_str)
+}
+
 /// Parses `--dataset <name>` / `--threads <n>` style CLI arguments with
-/// defaults; unknown arguments are ignored. The sweep flags (`--jobs`
-/// and friends) feed [`crate::sweep::SweepConfig::from_cli`].
+/// defaults. A flag the binary does not take is refused, so a retired
+/// flag can never silently measure something else. The sweep flags
+/// (`--jobs` and friends) feed [`crate::sweep::SweepConfig::from_cli`].
 pub struct Cli {
     /// Dataset name (default `small`).
     pub dataset: String,
@@ -82,42 +101,62 @@ pub struct Cli {
     pub retries: usize,
     /// JSONL results log path (`--results`); enables resume.
     pub results: Option<String>,
-    /// Measurement backend (`--backend rustc|vm|both`, default `rustc`):
-    /// `rustc` compiles and runs a standalone binary, `vm` interprets
-    /// the lowered bytecode in-process, `both` measures each cell twice
-    /// and cross-checks the checksums.
-    pub backend: String,
+    /// The arguments, for [`Cli::value`] and [`Cli::has`].
+    args: Vec<String>,
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().collect();
-        let grab = |key: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == key)
-                .and_then(|i| args.get(i + 1).cloned())
-        };
+    /// Parses `std::env::args`, accepting the shared flags and `own`,
+    /// the flags this binary reads itself; exits 2 naming any other.
+    pub fn parse(own: &[&str]) -> Cli {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse_args(&args, own).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Cli::parse`] over `args` (program name excluded): `Err` names
+    /// the first flag that is neither shared nor in `own`.
+    pub fn parse_args(args: &[String], own: &[&str]) -> Result<Cli, String> {
+        if let Some(bad) = args.iter().find(|a| {
+            a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()) && !own.contains(&a.as_str())
+        }) {
+            let mut known = SHARED_FLAGS.to_vec();
+            known.extend(own);
+            return Err(format!("unknown flag {bad} (takes {})", known.join(", ")));
+        }
         let num = |key: &str, default: usize| -> usize {
-            grab(key).and_then(|s| s.parse().ok()).unwrap_or(default)
-        };
-        Cli {
-            dataset: grab("--dataset").unwrap_or_else(|| "small".into()),
-            threads: grab("--threads")
+            value(args, key)
                 .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(4)
-                }),
+                .unwrap_or(default)
+        };
+        Ok(Cli {
+            dataset: value(args, "--dataset").unwrap_or("small").to_string(),
+            threads: num(
+                "--threads",
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4),
+            ),
             jobs: num("--jobs", 1),
             measure_jobs: num("--measure-jobs", 1),
             compile_timeout_s: num("--compile-timeout", 600) as u64,
             run_timeout_s: num("--run-timeout", 600) as u64,
             retries: num("--retries", 2),
-            results: grab("--results"),
-            backend: grab("--backend").unwrap_or_else(|| "rustc".into()),
-        }
+            results: value(args, "--results").map(str::to_string),
+            args: args.to_vec(),
+        })
+    }
+
+    /// The argument following `key`, if `key` was passed.
+    pub fn value(&self, key: &str) -> Option<&str> {
+        value(&self.args, key)
+    }
+
+    /// Whether the switch `key` was passed.
+    pub fn has(&self, key: &str) -> bool {
+        self.args.iter().any(|a| a == key)
     }
 }
 
@@ -142,6 +181,60 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["x".into()]);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A retired or misspelt flag is refused by name instead of being
+    /// ignored; every flag `ci.sh` passes is accepted.
+    #[test]
+    fn unknown_flags_are_refused_and_ci_flags_accepted() {
+        let err = Cli::parse_args(&args("--dataset mini --threads 1 --backend vm"), &[])
+            .err()
+            .expect("--backend is refused");
+        assert!(err.starts_with("unknown flag --backend"), "{err}");
+        assert!(
+            Cli::parse_args(&args("--tuned"), &[]).is_err(),
+            "own flags are declared"
+        );
+        let table1 = ["--tuned", "--tuned-config"];
+        let tune = ["--kernels", "--budget", "--out"];
+        for (line, own) in [
+            ("--dataset mini --jobs 2 --run-timeout 120 --results r.jsonl", &table1[..]),
+            ("--dataset mini --jobs 2 --run-timeout 120 --tuned --tuned-config t/2mm.json", &table1),
+            (
+                "--kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 --out t --results t.jsonl",
+                &tune,
+            ),
+        ] {
+            let cli = Cli::parse_args(&args(line), own).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", 2, 120));
+        }
+        let cli = Cli::parse_args(
+            &args("--measure-jobs 3 --compile-timeout 9 --retries 0 --threads 5"),
+            &[],
+        )
+        .expect("shared flags");
+        assert_eq!(
+            (
+                cli.measure_jobs,
+                cli.compile_timeout_s,
+                cli.retries,
+                cli.threads
+            ),
+            (3, 9, 0, 5)
+        );
+        let cli = Cli::parse_args(
+            &args("--kernels gemm,2mm --tuned"),
+            &["--kernels", "--tuned"],
+        )
+        .expect("own");
+        assert_eq!(
+            (cli.value("--kernels"), cli.has("--tuned"), cli.has("--out")),
+            (Some("gemm,2mm"), true, false)
+        );
     }
 
     #[test]

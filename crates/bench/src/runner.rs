@@ -203,12 +203,6 @@ pub fn compile_and_run(
 }
 
 /// [`compile_and_run`] with explicit per-stage wall-clock budgets.
-///
-/// A cached binary that fails to *execute* (spawn error, crash, garbage
-/// output) is assumed to be a stale or truncated artifact from an
-/// earlier, killed sweep: it is deleted, recompiled once, and rerun. A
-/// run *timeout* is never retried — rebuilding an infinite loop would
-/// only double the stall.
 pub fn compile_and_run_with(
     src: &str,
     work_dir: &std::path::Path,
@@ -217,12 +211,30 @@ pub fn compile_and_run_with(
     compile_timeout: Duration,
     run_timeout: Duration,
 ) -> Result<RunResult, String> {
-    let compiled = ensure_compiled(src, work_dir, rustc_flags, label, compile_timeout)?;
-    match run_binary(&compiled.bin_path, label, run_timeout) {
+    run_cached(
+        || ensure_compiled(src, work_dir, rustc_flags, label, compile_timeout),
+        |bin| run_binary(bin, label, run_timeout),
+    )
+}
+
+/// Compiles with `compile`, then runs the binary with `run`, under the
+/// stale-binary rule: a *cached* binary that fails other than by timeout
+/// (spawn error, crash, garbage output) is assumed to be a stale or
+/// truncated artifact from an earlier, killed sweep, so it is deleted,
+/// recompiled once, and rerun. A run *timeout* is never retried —
+/// rebuilding an infinite loop would only double the stall. The sweep
+/// passes a `run` that holds the measurement semaphore, so compiles
+/// stay outside it.
+pub(crate) fn run_cached(
+    compile: impl Fn() -> Result<CompileOutcome, String>,
+    run: impl Fn(&Path) -> Result<RunResult, String>,
+) -> Result<RunResult, String> {
+    let compiled = compile()?;
+    match run(&compiled.bin_path) {
         Err(e) if !compiled.freshly_compiled && !e.starts_with("timeout") => {
             let _ = std::fs::remove_file(&compiled.bin_path);
-            let rebuilt = ensure_compiled(src, work_dir, rustc_flags, label, compile_timeout)?;
-            run_binary(&rebuilt.bin_path, label, run_timeout)
+            compile()
+                .and_then(|rebuilt| run(&rebuilt.bin_path))
                 .map_err(|e2| format!("{e2} (cache invalidated after: {e})"))
         }
         other => other,

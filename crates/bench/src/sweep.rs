@@ -14,28 +14,36 @@
 //! and resume by skipping every already-recorded job.
 
 use crate::report::Cli;
-use crate::runner::{ensure_compiled, is_kernel_failure, run_binary, RunResult, Runner};
+use crate::runner::{
+    emit_source, ensure_compiled, is_kernel_failure, run_binary, run_cached, RunResult, Runner,
+};
+use polymix_ast::tree::Program;
 use polymix_ir::error::PolymixError;
+use polymix_polybench::Kernel;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// What a sweep job actually executes — the backend seam.
+/// Deferred emission of one job's standalone Rust source.
+pub type Source = Box<dyn FnOnce() -> Result<String, PolymixError> + Send>;
+
+/// What a sweep job executes.
 ///
-/// `Rustc` is the emit → `rustc -O` → spawn round trip (full fidelity);
-/// `InProcess` is a closure that measures without leaving the process
-/// (the `polymix-vm` bytecode backend). The JSONL log and the resume
-/// keys record which backend produced each cell, so vm and rustc
-/// measurements of the same job id never cross-satisfy each other.
+/// `Rustc` is the emit → `rustc -O` → spawn round trip that every table
+/// and figure measures; `InProcess` is a closure that measures without
+/// leaving the process (the tuner's `polymix-vm` screen). The JSONL log
+/// and the resume keys record which of the two produced each cell, so a
+/// vm screen and a rustc confirm of the same job id never cross-satisfy
+/// each other.
 pub enum JobWork {
-    /// Emit standalone Rust, compile, run as a subprocess.
+    /// Emit standalone Rust, compile, run as a subprocess. Built by
+    /// [`rustc_work`].
     Rustc {
         /// Builds the emitted Rust source for this job.
-        #[allow(clippy::type_complexity)]
-        source: Box<dyn FnOnce() -> Result<String, PolymixError> + Send>,
+        source: Source,
         /// Builds a *sequential* (single-thread) emission of the same
         /// kernel, used as the graceful-degradation fallback: when the
         /// primary run fails at the kernel level (poisoned runtime,
@@ -43,8 +51,7 @@ pub enum JobWork {
         /// [`crate::runner::is_kernel_failure`]), the job re-runs this
         /// source and records a `degraded(sequential)` measurement
         /// instead of an error cell. `None` disables degradation.
-        #[allow(clippy::type_complexity)]
-        seq_source: Option<Box<dyn FnOnce() -> Result<String, PolymixError> + Send>>,
+        seq_source: Option<Source>,
     },
     /// Measure in-process (no subprocess, no filesystem). The closure
     /// still runs under the measurement semaphore so in-process timing
@@ -65,6 +72,31 @@ impl JobWork {
             JobWork::Rustc { .. } => "rustc",
             JobWork::InProcess { .. } => "vm",
         }
+    }
+}
+
+/// The rustc job measuring the program `build` returns for `kernel` at
+/// `params`: emitted for `threads` workers with `reps` timing
+/// repetitions. With `degrade`, a kernel-level failure re-runs a
+/// one-thread emission of the same program and records it as
+/// `degraded(sequential)` (tables and figures); without, the failure is
+/// the cell (the tuner, where a sequential number must not win).
+pub fn rustc_work(
+    kernel: &Kernel,
+    params: &[i64],
+    threads: usize,
+    reps: usize,
+    build: impl Fn() -> Result<Program, PolymixError> + Send + Sync + 'static,
+    degrade: bool,
+) -> JobWork {
+    let build = Arc::new(build);
+    let emit = |workers: usize| -> Source {
+        let (kernel, params, build) = (kernel.clone(), params.to_vec(), Arc::clone(&build));
+        Box::new(move || Ok(emit_source(&kernel, &build()?, &params, workers, reps)))
+    };
+    JobWork::Rustc {
+        source: emit(threads),
+        seq_source: degrade.then(|| emit(1)),
     }
 }
 
@@ -355,10 +387,9 @@ fn kernel_failed(e: &PolymixError) -> bool {
 }
 
 /// Emit → compile → (semaphore) run for one source, with transient retry
-/// and cached-binary invalidation.
-#[allow(clippy::type_complexity)]
+/// and the stale-binary rule ([`run_cached`]).
 fn run_one(
-    source: Box<dyn FnOnce() -> Result<String, PolymixError> + Send>,
+    source: Source,
     label: &str,
     kernel: &str,
     variant: &str,
@@ -367,39 +398,26 @@ fn run_one(
     measure: &Semaphore,
 ) -> Result<RunResult, PolymixError> {
     let src = source()?;
-    let err = |detail: String| PolymixError::runner(kernel, variant, detail);
-    let compile = || {
-        with_retries(cfg.retries, || {
-            ensure_compiled(
-                &src,
-                &runner.work_dir,
-                &runner.rustc_flags,
-                label,
-                cfg.compile_timeout,
-            )
-        })
-    };
-    let compiled = compile().map_err(&err)?;
-    measure.acquire();
-    let ran = with_retries(cfg.retries, || {
-        run_binary(&compiled.bin_path, label, cfg.run_timeout)
-    });
-    let ran = match ran {
-        // A failing *cached* binary may be a truncated artifact from
-        // a killed earlier sweep: invalidate, recompile once, rerun.
-        // Timeouts are real results, not cache corruption.
-        Err(e) if !compiled.freshly_compiled && !e.starts_with("timeout") => {
-            let _ = std::fs::remove_file(&compiled.bin_path);
-            match compile() {
-                Ok(rebuilt) => run_binary(&rebuilt.bin_path, label, cfg.run_timeout)
-                    .map_err(|e2| format!("{e2} (cache invalidated after: {e})")),
-                Err(e2) => Err(format!("{e2} (cache invalidated after: {e})")),
-            }
-        }
-        other => other,
-    };
-    measure.release();
-    ran.map_err(err)
+    run_cached(
+        || {
+            with_retries(cfg.retries, || {
+                ensure_compiled(
+                    &src,
+                    &runner.work_dir,
+                    &runner.rustc_flags,
+                    label,
+                    cfg.compile_timeout,
+                )
+            })
+        },
+        |bin| {
+            measure.acquire();
+            let ran = with_retries(cfg.retries, || run_binary(bin, label, cfg.run_timeout));
+            measure.release();
+            ran
+        },
+    )
+    .map_err(|detail| PolymixError::runner(kernel, variant, detail))
 }
 
 /// Retries `f` on transient failures ([`is_transient`]) with
@@ -922,6 +940,34 @@ mod tests {
         assert!(loaded.contains_key(&key("old", "rustc")), "legacy default");
         assert!(!loaded.contains_key(&key("old", "vm")));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Tables and figures degrade to a one-thread emission of the same
+    /// program; the tuner does not degrade at all.
+    #[test]
+    fn rustc_work_carries_a_one_thread_source_only_when_degrading() {
+        use crate::variants::{build_variant, Variant};
+        use polymix_dl::Machine;
+        let k = polymix_polybench::kernel_by_name("gemm").expect("gemm");
+        let params = k.dataset("mini").params;
+        let prog = build_variant(&k, Variant::PolyAst, &Machine::host()).expect("builds");
+        let build = {
+            let k = k.clone();
+            move || build_variant(&k, Variant::PolyAst, &Machine::host())
+        };
+        let JobWork::Rustc { source, seq_source } = rustc_work(&k, &params, 4, 3, build.clone(), true)
+        else {
+            panic!("rustc_work built a non-rustc job");
+        };
+        let parallel = source().expect("emits");
+        let seq = seq_source.expect("degradation on")().expect("emits");
+        assert_eq!(parallel, emit_source(&k, &prog, &params, 4, 3));
+        assert_eq!(seq, emit_source(&k, &prog, &params, 1, 3));
+        assert_ne!(parallel, seq, "gemm's poly+ast source has a parallel region");
+        let JobWork::Rustc { seq_source, .. } = rustc_work(&k, &params, 4, 3, build, false) else {
+            panic!("rustc_work built a non-rustc job");
+        };
+        assert!(seq_source.is_none(), "degradation off");
     }
 
     #[test]

@@ -80,14 +80,22 @@ pub fn variant_list() -> Vec<Variant> {
     ]
 }
 
-/// Builds the optimized program for `kernel` under `variant` with the
-/// paper's knob settings: tile 32 everywhere, 5 for the outer time tile
-/// of the pipeline group; register tiling (2, 2) for the `vect`
-/// configuration and none for `poly+ast` (the paper tunes unroll-and-jam
+/// The paper's knob settings for `variant` on a kernel of `group`, as
+/// `(tile, time_tile, unroll)`: tile 32 everywhere, 5 for the outer time
+/// tile of the pipeline group; register tiling (2, 2) for the `vect`
+/// configuration and none elsewhere (the paper tunes unroll-and-jam
 /// factors empirically over {1,2,4,6,8}; on this reproduction's LLVM
 /// backend the guarded source-level unroll defeats auto-vectorization,
 /// so the tuned best is no unrolling — see the `ablation_unroll`
 /// experiment and EXPERIMENTS.md).
+pub fn paper_knobs(group: Group, variant: Variant) -> (i64, i64, (i64, i64)) {
+    let time_tile = if group == Group::Pipeline { 5 } else { 32 };
+    let unroll = if variant == Variant::PoccVect { (2, 2) } else { (1, 1) };
+    (32, time_tile, unroll)
+}
+
+/// Builds the optimized program for `kernel` under `variant` with the
+/// paper's knob settings ([`paper_knobs`]).
 ///
 /// Both optimizers degrade gracefully inside (fusion fallback chain,
 /// best-effort AST stages); an `Err` means the kernel could not be
@@ -97,9 +105,8 @@ pub fn build_variant(
     variant: Variant,
     machine: &Machine,
 ) -> Result<Program, PolymixError> {
-    let time_tile = if kernel.group == Group::Pipeline { 5 } else { 32 };
-    let unroll = if variant == Variant::PoccVect { (2, 2) } else { (1, 1) };
-    build_with(&(kernel.build)(), variant, 32, time_tile, unroll, machine)
+    let (tile, time_tile, unroll) = paper_knobs(kernel.group, variant);
+    build_with(&(kernel.build)(), variant, tile, time_tile, unroll, machine)
 }
 
 /// The one mapping from a [`Variant`] to optimizer options, with the
@@ -138,7 +145,6 @@ pub fn build_with(
                 tile,
                 time_tile,
                 tiling: true,
-                parallelize: true,
                 doall_only: variant == Variant::PolyAstDoallOnly,
                 unroll,
                 fusion: true,

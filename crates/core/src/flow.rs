@@ -25,8 +25,6 @@ pub struct PolyAstOptions {
     pub time_tile: i64,
     /// Enable the tiling stage.
     pub tiling: bool,
-    /// Enable the parallelization stage.
-    pub parallelize: bool,
     /// Restrict the parallelism detector to doall (Fig. 5's comparison
     /// mode: forgo reduction/pipeline parallelism).
     pub doall_only: bool,
@@ -44,7 +42,6 @@ impl Default for PolyAstOptions {
             tile: 32,
             time_tile: 32,
             tiling: true,
-            parallelize: true,
             doall_only: false,
             unroll: (1, 1),
             fusion: true,
@@ -116,9 +113,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         };
         // Stage 3: coarse-grain parallelization (doall / reduction /
         // pipeline at the outermost possible level).
-        if opts.parallelize {
-            mark_parallelism(&mut nest, &vectors, info.depth, opts.doall_only);
-        }
+        mark_parallelism(&mut nest, &vectors, info.depth, opts.doall_only);
         // Stage 4: tiling for locality, where the DL model says it pays.
         if opts.tiling {
             let dl = (info.depth >= 2).then(|| {
@@ -364,10 +359,6 @@ mod tests {
                 ..opts_small()
             },
             PolyAstOptions {
-                parallelize: false,
-                ..opts_small()
-            },
-            PolyAstOptions {
                 doall_only: true,
                 ..opts_small()
             },
@@ -386,7 +377,7 @@ mod tests {
                 // The parallel marks decide the form a shared loop takes
                 // (correlation's chains are sunk without a reduction mark),
                 // so the census holds where the marks are the default's.
-                if opts.tiling && opts.parallelize && !opts.doall_only {
+                if opts.tiling && !opts.doall_only {
                     assert_census(k.name, &prog);
                 }
                 let mut actual = k.fresh_arrays(&scop, &params);

@@ -5,11 +5,11 @@
 use crate::fault::Fault;
 use crate::proto::OptimizeRequest;
 use polymix_bench::runner::emit_source;
-use polymix_bench::variants::{build_with, Variant};
+use polymix_bench::variants::{build_with, paper_knobs, Variant};
 use polymix_codegen::from_poly::original_program;
 use polymix_dl::Machine;
 use polymix_ir::Scop;
-use polymix_polybench::{Group, Kernel};
+use polymix_polybench::Kernel;
 use std::time::Instant;
 
 /// A request with every knob resolved against the kernel's and
@@ -29,8 +29,9 @@ pub struct ResolvedKnobs {
     pub params: Vec<i64>,
 }
 
-/// Resolves a request's knobs against the paper defaults (tile 32, time
-/// tile 5 for the pipeline group, unroll (2,2) for `pocc+vect`). `Err`
+/// Resolves a request's knobs against the paper defaults
+/// ([`paper_knobs`]: tile 32, time tile 5 for the pipeline group, unroll
+/// (2,2) for `pocc+vect`). `Err`
 /// is a client-facing 400 detail.
 pub fn resolve_knobs(req: &OptimizeRequest, kernel: &Kernel, scop: &Scop) -> Result<ResolvedKnobs, String> {
     let variant =
@@ -62,11 +63,10 @@ pub fn resolve_knobs(req: &OptimizeRequest, kernel: &Kernel, scop: &Scop) -> Res
         }
         req.params.clone()
     };
-    let default_tt = if kernel.group == Group::Pipeline { 5 } else { 32 };
-    let default_unroll = if variant == Variant::PoccVect { (2, 2) } else { (1, 1) };
+    let (default_tile, default_tt, default_unroll) = paper_knobs(kernel.group, variant);
     Ok(ResolvedKnobs {
         variant,
-        tile: if req.tile > 0 { req.tile } else { 32 },
+        tile: if req.tile > 0 { req.tile } else { default_tile },
         time_tile: if req.time_tile > 0 { req.time_tile } else { default_tt },
         unroll: (
             if req.unroll.0 > 0 { req.unroll.0 } else { default_unroll.0 },
