@@ -62,6 +62,12 @@ fi
 if git grep -n -F 'podg.deps.iter().zip(' -- crates/core/src crates/pluto/src; then
     echo "a scheduler grew a private dependence walk back"; exit 1
 fi
+# And one dependence list for the AST stage: every stage reads the nest's
+# `polymix_deps::NestDep` records, each vector with its own endpoints, not
+# a vector/flag pair beside a separate endpoint slice.
+if git grep -n -F '(Vec<DepElem>, bool)' -- 'crates/*/src/*'; then
+    echo "an AST stage split the dependence list again"; exit 1
+fi
 
 # The tuner's unit is a program: the emitter's automatic publish batch
 # and doall grain are the only rules, so no runtime-knob override may come

@@ -24,5 +24,5 @@ pub mod transforms;
 pub mod tree;
 
 pub use interp::{alloc_arrays, execute, execute_traced, AccessEvent};
-pub use parallel::{classify_level, classify_level_in_nest, outermost_parallel, LoopParallelism};
+pub use parallel::{classify_level_in_nest, outermost_parallel};
 pub use tree::{Bound, LinExpr, Loop, Node, Par, Program, StmtNode};

@@ -289,6 +289,22 @@ pub struct StmtNode {
     pub iter_exprs: Vec<LinExpr>,
 }
 
+impl StmtNode {
+    /// The subscript rows `map` of one of the statement's references
+    /// (`polymix_ir::Access::map`, one row per array dimension) as
+    /// coefficients of the loops `vars`: row `r` becomes, for each `v`,
+    /// `Σ_m r[m] · iter_exprs[m].coeff_of(v)`.
+    pub fn subscript_coeffs(&self, map: &[Vec<i64>], vars: &[usize]) -> Vec<Vec<i64>> {
+        map.iter()
+            .map(|row| {
+                vars.iter()
+                    .map(|&v| self.iter_exprs.iter().zip(row).map(|(e, &r)| r * e.coeff_of(v)).sum())
+                    .collect()
+            })
+            .collect()
+    }
+}
+
 /// A node of the loop tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Node {

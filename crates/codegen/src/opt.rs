@@ -1,12 +1,21 @@
-//! Shared AST-stage helpers used by both optimizers (the Pluto-like
-//! baseline and the paper's poly+AST flow): per-nest dependence-vector
-//! extraction, skewing for tilability (Sec. IV-B), and parallelism
-//! marking (Sec. IV-A).
+//! The AST stages both optimizers (the Pluto-like baseline and the
+//! paper's poly+AST flow) run on each top-level nest of a generated
+//! program, and the driver that runs them ([`run_nests`]). Every stage
+//! decides from one list, the nest's dependence edges with their vectors
+//! ([`NestInfo`], [`NestDep`]):
+//!
+//! * extraction of that list, and skewing for tilability (Sec. IV-B);
+//! * parallelism marking (Sec. IV-A);
+//! * tiling in three forms — joint, chains, sunk ([`tile_nest`], DESIGN
+//!   §19) — with the repair of marks a tile loop may not keep;
+//! * point-loop order inside each tile ([`order_point_loops`]);
+//! * register tiling, unroll-and-jam with the repair of the jammed loop's
+//!   mark (Sec. IV-C, [`register_tile`]).
 
-use polymix_ast::parallel::{outermost_parallel, LoopParallelism};
+use polymix_ast::parallel::{classify_level_in_nest, outermost_parallel};
 use polymix_ast::transforms::{self, Crossed};
 use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
-use polymix_deps::{carried_before, dep_vector, DepElem, Podg};
+use polymix_deps::{build_podg, dep_vector_transformed, DepElem, NestDep, Podg};
 use polymix_ir::{Schedule, Scop};
 
 /// Dependence summary of one top-level loop nest of a generated program.
@@ -16,48 +25,81 @@ pub struct NestInfo {
     pub stmts: Vec<usize>,
     /// Maximum loop depth of the nest.
     pub depth: usize,
-    /// Dependence vectors (`(vector, is_reduction)`) of edges internal to
-    /// the nest, in the **transformed** loop coordinates.
-    pub vectors: Vec<(Vec<DepElem>, bool)>,
-    /// `(src statement, dst statement)` of each vector, aligned with
-    /// [`NestInfo::vectors`].
-    pub endpoints: Vec<(usize, usize)>,
+    /// The dependence edges internal to the nest, in PoDG order, with
+    /// their vectors in the **transformed** loop coordinates.
+    pub deps: Vec<NestDep>,
+}
+
+/// Runs one optimizer's AST stages over `prog`, the program generated
+/// from `schedules`: builds the PoDG, splits the top level into nests,
+/// computes each nest's [`NestInfo`] and hands every nest to `stage`,
+/// which returns it transformed; the results, in order, become the new
+/// body. `stage` gets the program (whose `tiling` record it extends) and
+/// the PoDG (skewing recomputes vectors from it).
+pub fn run_nests(
+    scop: &Scop,
+    schedules: &[Schedule],
+    prog: &mut Program,
+    mut stage: impl FnMut(&mut Program, &Podg, &NestInfo, Node) -> Node,
+) {
+    let podg = build_podg(scop);
+    let tops: Vec<Node> = match std::mem::replace(&mut prog.body, Node::Seq(vec![])) {
+        Node::Seq(xs) => xs,
+        other => vec![other],
+    };
+    let infos: Vec<NestInfo> = tops.iter().map(|n| nest_info(scop, schedules, &podg, n)).collect();
+    let mut out: Vec<Node> = tops
+        .into_iter()
+        .zip(&infos)
+        .map(|(nest, info)| stage(prog, &podg, info, nest))
+        .collect();
+    prog.body = match out.len() {
+        1 => out.remove(0),
+        _ => Node::Seq(out),
+    };
 }
 
 /// Splits the program's top level into nests and computes each nest's
-/// dependence vectors under the given final schedules.
+/// dependence list under the given final schedules.
 pub fn nest_infos(scop: &Scop, schedules: &[Schedule], podg: &Podg, prog: &Program) -> Vec<NestInfo> {
-    let top: Vec<&Node> = match &prog.body {
-        Node::Seq(xs) => xs.iter().collect(),
-        other => vec![other],
-    };
-    top.iter().map(|n| nest_info_of(scop, schedules, podg, n)).collect()
+    match &prog.body {
+        Node::Seq(xs) => xs.iter().map(|n| nest_info(scop, schedules, podg, n)).collect(),
+        other => vec![nest_info(scop, schedules, podg, other)],
+    }
 }
 
-fn nest_info_of(scop: &Scop, schedules: &[Schedule], podg: &Podg, node: &Node) -> NestInfo {
-    let stmts = stmts_of(node);
-    let depth = node_depth(node);
-    let mut vectors = Vec::new();
-    let mut endpoints = Vec::new();
-    for d in &podg.deps {
-        if stmts.contains(&d.src.0) && stmts.contains(&d.dst.0) {
-            let v = dep_vector(
-                d,
-                &schedules[d.src.0],
-                &schedules[d.dst.0],
-                depth,
-                &scop.default_params,
-            );
-            vectors.push((v, d.is_reduction));
-            endpoints.push((d.src.0, d.dst.0));
-        }
-    }
-    NestInfo {
-        stmts,
-        depth,
-        vectors,
-        endpoints,
-    }
+fn nest_info(scop: &Scop, schedules: &[Schedule], podg: &Podg, nest: &Node) -> NestInfo {
+    let (stmts, depth) = (stmts_of(nest), node_depth(nest));
+    let deps = nest_deps(scop, schedules, podg, &stmts, &identity(depth));
+    NestInfo { stmts, depth, deps }
+}
+
+/// The dependence list of the nest of `stmts`, each vector taken under the
+/// schedules composed with the row transform `cmat`
+/// ([`dep_vector_transformed`]).
+fn nest_deps(
+    scop: &Scop,
+    schedules: &[Schedule],
+    podg: &Podg,
+    stmts: &[usize],
+    cmat: &[Vec<i64>],
+) -> Vec<NestDep> {
+    podg.deps
+        .iter()
+        .filter(|d| stmts.contains(&d.src.0) && stmts.contains(&d.dst.0))
+        .map(|d| {
+            let (src, dst) = (d.src.0, d.dst.0);
+            let vector = dep_vector_transformed(d, &schedules[src], &schedules[dst], cmat, &scop.default_params);
+            NestDep { vector, reduction: d.is_reduction, src, dst }
+        })
+        .collect()
+}
+
+/// The `depth × depth` identity transform: the schedules' own levels.
+fn identity(depth: usize) -> Vec<Vec<i64>> {
+    (0..depth)
+        .map(|k| (0..depth).map(|j| i64::from(j == k)).collect())
+        .collect()
 }
 
 /// Maximum loop depth below `node` (counting nested loops on any path).
@@ -71,66 +113,36 @@ pub fn node_depth(node: &Node) -> usize {
 }
 
 /// Applies loop skewing so every dependence-vector element of the nest
-/// becomes non-negative where possible (the preprocessing loop tiling
-/// requires, Sec. IV-B). The search walks levels outermost-in; for a
-/// level with negative elements it tries skew factors `f ∈ 1..=4` against
-/// each outer pivot level, *recomputing the vectors exactly* from the
-/// dependence polyhedra after each tentative skew (abstract updates lose
-/// too much precision for direction-vector pivots). Returns the updated
-/// vectors, or `None` when some negative element cannot be repaired.
+/// `info` describes becomes non-negative where possible (the
+/// preprocessing loop tiling requires, Sec. IV-B). The search walks
+/// levels outermost-in; for a level with negative elements it tries skew
+/// factors `f ∈ 1..=4` against each outer pivot level, *recomputing the
+/// vectors exactly* from the dependence polyhedra after each tentative
+/// skew (abstract updates lose too much precision for direction-vector
+/// pivots). Returns the nest's dependence list with the vectors of the
+/// skewed loops, or `None` when some negative element cannot be repaired.
 ///
 /// The tree rewrite skews *every* loop at level `k` of the nest by the
 /// variable of its enclosing level-`j` loop.
-#[allow(clippy::too_many_arguments)]
 pub fn skew_nest_for_tilability(
     nest: &mut Node,
     scop: &Scop,
     schedules: &[Schedule],
     podg: &Podg,
-    stmts: &[usize],
-    depth: usize,
-) -> Option<Vec<(Vec<DepElem>, bool)>> {
-    use polymix_deps::dep_vector_transformed;
+    info: &NestInfo,
+) -> Option<Vec<NestDep>> {
+    let depth = info.depth;
     // Current row-combination matrix (identity = no skew yet).
-    let mut cmat: Vec<Vec<i64>> = (0..depth)
-        .map(|k| {
-            let mut r = vec![0i64; depth];
-            r[k] = 1;
-            r
-        })
-        .collect();
-    let deps: Vec<&polymix_deps::Dep> = podg
-        .deps
-        .iter()
-        .filter(|d| stmts.contains(&d.src.0) && stmts.contains(&d.dst.0))
-        .collect();
-    let compute = |cmat: &[Vec<i64>]| -> Vec<(Vec<DepElem>, bool)> {
+    let mut cmat = identity(depth);
+    let mut deps = info.deps.clone();
+    let bad_at = |deps: &[NestDep], k: usize| -> usize {
         deps.iter()
-            .map(|d| {
-                (
-                    dep_vector_transformed(
-                        d,
-                        &schedules[d.src.0],
-                        &schedules[d.dst.0],
-                        cmat,
-                        &scop.default_params,
-                    ),
-                    d.is_reduction,
-                )
-            })
-            .collect()
-    };
-    let mut vecs = compute(&cmat);
-    let bad_at = |vecs: &[(Vec<DepElem>, bool)], k: usize| -> usize {
-        vecs.iter()
-            .filter(|(v, _)| {
-                v[..k].iter().all(|e| e.is_nonneg()) && v[k].may_be_negative()
-            })
+            .filter(|d| d.vector[..k].iter().all(|e| e.is_nonneg()) && d.at(k).may_be_negative())
             .count()
     };
     for k in 1..depth {
         let mut guard = 0;
-        while bad_at(&vecs, k) > 0 {
+        while bad_at(&deps, k) > 0 {
             guard += 1;
             if guard > depth * 4 {
                 return None;
@@ -142,14 +154,14 @@ pub fn skew_nest_for_tilability(
                     for idx in 0..depth {
                         trial[k][idx] += f * cmat[j][idx];
                     }
-                    let tv = compute(&trial);
+                    let td = nest_deps(scop, schedules, podg, &info.stmts, &trial);
                     // Accept when this strictly reduces the bad count at k
                     // without breaking outer levels.
-                    let outer_ok = (0..k).all(|m| bad_at(&tv, m) == 0);
-                    if outer_ok && bad_at(&tv, k) < bad_at(&vecs, k) {
+                    let outer_ok = (0..k).all(|m| bad_at(&td, m) == 0);
+                    if outer_ok && bad_at(&td, k) < bad_at(&deps, k) {
                         apply_skew_at(nest, k, j, f)?;
                         cmat = trial;
-                        vecs = tv;
+                        deps = td;
                         fixed = true;
                         break 'search;
                     }
@@ -160,7 +172,7 @@ pub fn skew_nest_for_tilability(
             }
         }
     }
-    Some(vecs)
+    Some(deps)
 }
 
 /// Skews every level-`k` loop of the nest by `factor ×` the variable of
@@ -202,30 +214,22 @@ fn apply_skew_at(node: &mut Node, k: usize, j: usize, factor: i64) -> Option<()>
 /// "always use the loop parallelism at the outermost possible level
 /// regardless of kind"). When `doall_only` is set, only [`Par::Doall`]
 /// levels are considered (the comparison mode of Fig. 5).
-/// Returns the chosen `(level, kind)`.
+/// Returns the chosen `(level, annotation)`.
 pub fn mark_parallelism(
     nest: &mut Node,
-    vectors: &[(Vec<DepElem>, bool)],
+    deps: &[NestDep],
     depth: usize,
     doall_only: bool,
-) -> Option<(usize, LoopParallelism)> {
-    let found = if doall_only {
-        (0..depth).find_map(|k| {
-            let c = polymix_ast::parallel::classify_level_in_nest(vectors, k, depth);
-            (c == LoopParallelism::Doall).then_some((k, c))
-        })
+) -> Option<(usize, Par)> {
+    let (level, par) = if doall_only {
+        (0..depth)
+            .find(|&k| classify_level_in_nest(deps, k, depth) == Par::Doall)
+            .map(|k| (k, Par::Doall))
     } else {
-        outermost_parallel(vectors, depth)
+        outermost_parallel(deps, depth)
     }?;
-    let (level, kind) = found;
-    let par = match kind {
-        LoopParallelism::Doall => Par::Doall,
-        LoopParallelism::Reduction => Par::Reduction,
-        LoopParallelism::Pipeline | LoopParallelism::ReductionPipeline => Par::Pipeline,
-        LoopParallelism::Sequential => return None,
-    };
     mark_level(nest, 0, level, par);
-    Some(found)
+    Some((level, par))
 }
 
 fn mark_level(node: &mut Node, level: usize, target: usize, par: Par) {
@@ -247,10 +251,10 @@ fn mark_level(node: &mut Node, level: usize, target: usize, par: Par) {
 
 /// Applies register tiling (unroll-and-jam, Sec. IV-C) to every innermost
 /// perfect loop pair of the program whose bounds allow it, repairing the
-/// jammed inner loop's parallel annotation against `vectors` (see
-/// [`repair_jam_mark`]). Callers without dependence information (plain
-/// unroll of dependence-free nests) may pass empty slices, which keeps
-/// every mark.
+/// jammed inner loop's parallel annotation against the nest's dependence
+/// list `deps` (see [`repair_jam_mark`]). Callers without dependence
+/// information (plain unroll of dependence-free nests) may pass an empty
+/// list, which keeps every mark.
 ///
 /// A point loop that [`tile_nest`]'s sunk form distributed — recognisable
 /// by its copies sharing one variable — keeps its step: the certifier
@@ -261,8 +265,7 @@ pub fn register_tile(
     node: &mut Node,
     outer_factor: i64,
     inner_factor: i64,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
+    deps: &[NestDep],
 ) {
     let mut vars: Vec<usize> = Vec::new();
     node.visit_loops_mut(&mut |l| vars.push(l.var));
@@ -271,22 +274,16 @@ pub fn register_tile(
         .filter(|v| vars.iter().filter(|w| w == v).count() > 1)
         .copied()
         .collect();
-    register_tile_in(node, (outer_factor, inner_factor), vectors, endpoints, &distributed);
+    register_tile_in(node, (outer_factor, inner_factor), deps, &distributed);
 }
 
-fn register_tile_in(
-    node: &mut Node,
-    factors: (i64, i64),
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    distributed: &[usize],
-) {
+fn register_tile_in(node: &mut Node, factors: (i64, i64), deps: &[NestDep], distributed: &[usize]) {
     let (outer_factor, inner_factor) = factors;
     match node {
         Node::Seq(xs) => xs
             .iter_mut()
-            .for_each(|x| register_tile_in(x, factors, vectors, endpoints, distributed)),
-        Node::Guard(_, b) => register_tile_in(b, factors, vectors, endpoints, distributed),
+            .for_each(|x| register_tile_in(x, factors, deps, distributed)),
+        Node::Guard(_, b) => register_tile_in(b, factors, deps, distributed),
         Node::Loop(l) => {
             // Innermost perfect pair: this loop + single child loop whose
             // body has no loops.
@@ -298,7 +295,7 @@ fn register_tile_in(
                         // Repair the inner mark while the jammed body is
                         // still a single loop (unrolling below may split
                         // it into a main/epilogue sequence).
-                        repair_jam_mark(&mut new_l, outer_factor, vectors, endpoints);
+                        repair_jam_mark(&mut new_l, outer_factor, deps);
                         // Optionally unroll the (jammed) inner loop too,
                         // unless it is a distributed copy; an error keeps
                         // the merely jammed form.
@@ -324,7 +321,7 @@ fn register_tile_in(
                 }
                 return;
             }
-            register_tile_in(&mut l.body, factors, vectors, endpoints, distributed);
+            register_tile_in(&mut l.body, factors, deps, distributed);
         }
         Node::Stmt(_) => {}
     }
@@ -347,15 +344,10 @@ fn register_tile_in(
 /// Vector dimensions are transformed schedule levels, so the jammed
 /// pair's dimensions are recovered from the statements' own depth: for
 /// statements of schedule dimension `n` under an innermost pair the
-/// outer/inner loops sit at levels `n-2` and `n-1` (`dep_vector` pads
-/// levels past a statement's schedule with zeros). Statements of mixed
+/// outer/inner loops sit at levels `n-2` and `n-1` (a vector is `0` at
+/// levels past a statement's schedule). Statements of mixed
 /// depth under one pair are out of model and demote conservatively.
-fn repair_jam_mark(
-    jammed: &mut polymix_ast::tree::Loop,
-    outer_factor: i64,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-) {
+fn repair_jam_mark(jammed: &mut Loop, outer_factor: i64, deps: &[NestDep]) {
     let Node::Loop(inner) = &mut jammed.body else {
         return;
     };
@@ -373,11 +365,10 @@ fn repair_jam_mark(
         [n] if n >= 2 => Some((n - 2, n - 1)),
         _ => None,
     };
-    let hazardous = vectors.iter().zip(endpoints).any(|((v, red), (src, dst))| {
-        if !inside.contains(src) || !inside.contains(dst) {
-            return false; // endpoint outside the jammed block
-        }
-        if inner.par == Par::Reduction && *red {
+    // Only edges inside the jammed block matter (no prefix settles one:
+    // the equality test below asks for the enclosing levels itself).
+    let hazardous = deps.iter().filter(|d| d.open_in(&inside, 0)).any(|d| {
+        if inner.par == Par::Reduction && d.reduction {
             return false; // privatized accumulator self-update
         }
         let Some((dout, din)) = pair_dims else {
@@ -385,16 +376,16 @@ fn repair_jam_mark(
         };
         // Co-residence in one replica block needs equality at every
         // enclosing level and an outer distance inside the block.
-        let elsewhere_zero = v
+        let elsewhere_zero = d
+            .vector
             .iter()
             .enumerate()
             .all(|(k, e)| k == dout || k == din || e.is_zero());
-        let outer_in_block = match v.get(dout).copied().unwrap_or(DepElem::Const(0)) {
+        let outer_in_block = match d.at(dout) {
             DepElem::Const(c) => c != 0 && c.abs() < outer_factor,
             _ => true, // direction-only element: distance unbounded but >= 1 possible
         };
-        let inner_carries = !v.get(din).copied().unwrap_or(DepElem::Const(0)).is_zero();
-        elsewhere_zero && outer_in_block && inner_carries
+        elsewhere_zero && outer_in_block && !d.at(din).is_zero()
     });
     if hazardous {
         inner.par = Par::Seq;
@@ -438,23 +429,12 @@ mod tests {
         assert_eq!(infos.len(), 1);
         // There must be a negative element before skewing.
         assert!(infos[0]
-            .vectors
+            .deps
             .iter()
-            .any(|(v, _)| v.iter().any(|e| e.may_be_negative())));
+            .any(|d| d.vector.iter().any(|e| e.may_be_negative())));
         let mut body = prog.body.clone();
-        let stmts: Vec<usize> = infos[0].stmts.clone();
-        let fixed = skew_nest_for_tilability(
-            &mut body,
-            &scop,
-            &schedules,
-            &podg,
-            &stmts,
-            infos[0].depth,
-        )
-        .expect("skewable");
-        assert!(fixed
-            .iter()
-            .all(|(v, _)| v.iter().all(|e| e.is_nonneg())), "{fixed:?}");
+        let fixed = skew_nest_for_tilability(&mut body, &scop, &schedules, &podg, &infos[0]).expect("skewable");
+        assert!(fixed.iter().all(|d| d.vector.iter().all(|e| e.is_nonneg())), "{fixed:?}");
         prog.body = body;
         // Semantics preserved.
         let reference = {
@@ -493,10 +473,10 @@ mod tests {
         let prog = original_program(&scop).expect("original program");
         let infos = nest_infos(&scop, &schedules, &podg, &prog);
         let mut body = prog.body.clone();
-        let res = mark_parallelism(&mut body, &infos[0].vectors, infos[0].depth, false);
-        assert_eq!(res, Some((0, LoopParallelism::Pipeline)));
+        let res = mark_parallelism(&mut body, &infos[0].deps, infos[0].depth, false);
+        assert_eq!(res, Some((0, Par::Pipeline)));
         let mut body2 = prog.body.clone();
-        let res2 = mark_parallelism(&mut body2, &infos[0].vectors, infos[0].depth, true);
+        let res2 = mark_parallelism(&mut body2, &infos[0].deps, infos[0].depth, true);
         assert_eq!(res2.map(|(k, _)| k), Some(1));
         // The marks landed on the right loops.
         if let Node::Loop(l) = &body {
@@ -522,7 +502,7 @@ mod tests {
         b.exit();
         let scop = b.finish().expect("well-formed SCoP");
         let mut prog = original_program(&scop).expect("original program");
-        register_tile(&mut prog.body, 2, 4, &[], &[]);
+        register_tile(&mut prog.body, 2, 4, &[]);
         let mut arrays = alloc_arrays(&scop, &[9]);
         execute(&prog, &[9], &mut arrays);
         assert_eq!(arrays[0], vec![1.0; 81]);
@@ -538,25 +518,16 @@ mod tests {
         assert_eq!(infos.len(), 1);
         assert_eq!(infos[0].stmts, vec![0]);
         assert_eq!(infos[0].depth, 2);
-        assert!(!infos[0].vectors.is_empty());
+        assert!(!infos[0].deps.is_empty());
     }
 }
 
 /// Longest prefix of loop levels on which *every* dependence vector is
 /// non-negative — the outermost fully-permutable (tilable) band.
-pub fn tilable_prefix(vectors: &[(Vec<DepElem>, bool)], depth: usize) -> usize {
-    let mut m = 0;
-    for k in 0..depth {
-        let ok = vectors
-            .iter()
-            .all(|(v, _)| v.get(k).copied().unwrap_or(DepElem::Const(0)).is_nonneg());
-        if ok {
-            m = k + 1;
-        } else {
-            break;
-        }
-    }
-    m
+pub fn tilable_prefix(deps: &[NestDep], depth: usize) -> usize {
+    (0..depth)
+        .find(|&k| !deps.iter().all(|d| d.at(k).is_nonneg()))
+        .unwrap_or(depth)
 }
 
 /// Legality-aware tiling of one nest (Sec. IV-B). Every statement
@@ -583,18 +554,16 @@ pub fn tilable_prefix(vectors: &[(Vec<DepElem>, bool)], depth: usize) -> usize {
 /// program of its own; a `false` makes the stage fall back to forms 1–2,
 /// the tree this function produced before the sunk form existed. Appends
 /// the nest's [`TileReport`] to `prog.tiling` and returns the tiled nest.
-#[allow(clippy::too_many_arguments)]
 pub fn tile_nest(
     prog: &mut Program,
     nest: Node,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
+    deps: &[NestDep],
     depth: usize,
     tile: i64,
     time_tile: i64,
     certifies: &dyn Fn(&Program) -> bool,
 ) -> Node {
-    let m = tilable_prefix(vectors, depth);
+    let m = tilable_prefix(deps, depth);
     // Try the joint (imperfect-capable) tiling at the full permutable
     // band first, then at shorter prefixes: a statement shallower than
     // the band blocks the full-depth form (it would be re-executed per
@@ -606,15 +575,14 @@ pub fn tile_nest(
             let mut sizes = vec![tile; band];
             sizes[0] = time_tile;
             let mut tiled = transforms::tile_imperfect(prog, nest.clone(), &sizes)?;
-            repair_ctrl_marks(&mut tiled, vectors, endpoints, band);
+            repair_ctrl_marks(&mut tiled, deps, band);
             Some((tiled, band))
         })
         .unwrap_or((nest, 0));
     let attempt = |prog: &mut Program, may_sink: bool| {
         let mut t = Tiler {
             prog,
-            vectors,
-            endpoints,
+            deps,
             tile,
             joint: Vec::new(),
             may_sink,
@@ -652,8 +620,7 @@ struct Point {
 /// band.
 struct Tiler<'a> {
     prog: &'a mut Program,
-    vectors: &'a [(Vec<DepElem>, bool)],
-    endpoints: &'a [(usize, usize)],
+    deps: &'a [NestDep],
     tile: i64,
     /// `(tile variable, size)` of the levels the joint form strip-mined:
     /// a loop at such a level is already a point loop.
@@ -704,7 +671,7 @@ impl Tiler<'_> {
         let (from, end) = (level - points.len(), level + chain);
         // Chain levels from `fresh` on are not strip-mined yet.
         let fresh = level.max(self.joint.len()).min(end);
-        let permutable = chain_legal(self.vectors, self.endpoints, &node, from, end - from);
+        let permutable = chain_legal(self.deps, &node, from, end - from);
         let distributes = permutable && self.distributes(&node, from, fresh, end);
         // A band is worth strip-mining from depth 2 on; one that reaches
         // it only through handed-down point loops from depth 3 on, the
@@ -740,7 +707,7 @@ impl Tiler<'_> {
             }
             let crossed: Vec<_> = points.iter().map(|p| p.crossed.clone()).collect();
             let (mut tile, mut point) = transforms::strip_mine(self.prog, &l, self.tile, &crossed);
-            if !tile_safe(self.vectors, self.endpoints, &inside, from, k, l.par) {
+            if !tile_safe(self.deps, &inside, from, k, l.par) {
                 // The mark stays where its point-granularity argument
                 // holds (a distribution never gets here).
                 point.par = std::mem::replace(&mut tile.par, Par::Seq);
@@ -805,7 +772,7 @@ impl Tiler<'_> {
         let level = end - marks.len();
         if !(fresh..end).all(|k| match marks[k - level] {
             Par::Seq => true,
-            Par::Doall => tile_safe(self.vectors, self.endpoints, &inside, from, k, Par::Doall),
+            Par::Doall => tile_safe(self.deps, &inside, from, k, Par::Doall),
             _ => false,
         }) {
             return false;
@@ -815,12 +782,10 @@ impl Tiler<'_> {
             .map(|g| g.iter().flat_map(|c| stmts_of(c)).collect())
             .collect();
         let group = |s: usize| members.iter().position(|m| m.contains(&s));
-        self.vectors.iter().zip(self.endpoints).all(|((v, _), &(src, dst))| {
-            match (group(src), group(dst)) {
-                (Some(a), Some(b)) if a > b => carried_before(v, from),
-                _ => true,
-            }
-        })
+        self.deps
+            .iter()
+            .filter(|d| d.open_in(&inside, from))
+            .all(|d| group(d.src) <= group(d.dst))
     }
 }
 
@@ -867,23 +832,11 @@ fn untiled_stmts(node: &Node, strips: &[usize], under_untiled: bool) -> usize {
 /// endpoints are **both inside the chain** constrain it (cross-statement
 /// vectors compare unrelated distributed loops and would conservatively
 /// forbid everything), and only those not carried by an outer level.
-fn chain_legal(
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    node: &Node,
-    from: usize,
-    len: usize,
-) -> bool {
+fn chain_legal(deps: &[NestDep], node: &Node, from: usize, len: usize) -> bool {
     let inside = stmts_of(node);
-    vectors.iter().zip(endpoints).all(|((v, _), &(src, dst))| {
-        if !inside.contains(&src) || !inside.contains(&dst) {
-            return true; // endpoint outside the chain: ordered elsewhere
-        }
-        if carried_before(v, from) {
-            return true; // carried outside the chain: safe
-        }
-        (from..from + len).all(|k| v.get(k).copied().unwrap_or(DepElem::Const(0)).is_nonneg())
-    })
+    deps.iter()
+        .filter(|d| d.open_in(&inside, from))
+        .all(|d| (from..from + len).all(|k| d.at(k).is_nonneg()))
 }
 
 /// Whether a tile loop made from the loop at nest level `dim` may keep
@@ -901,42 +854,26 @@ fn chain_legal(
 /// not carried before level `from` — where the band starts — is zero at
 /// `dim`; reduction self-updates excepted for `Reduction`, which
 /// privatizes its accumulator per worker.
-fn tile_safe(
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    inside: &[usize],
-    from: usize,
-    dim: usize,
-    par: Par,
-) -> bool {
+fn tile_safe(deps: &[NestDep], inside: &[usize], from: usize, dim: usize, par: Par) -> bool {
     let exempt_reductions = match par {
         Par::Doall => false,
         Par::Reduction => true,
         _ => return true,
     };
-    vectors.iter().zip(endpoints).all(|((v, red), (src, dst))| {
-        !inside.contains(src)
-            || !inside.contains(dst)
-            || carried_before(v, from)
-            || (exempt_reductions && *red)
-            || v.get(dim).copied().unwrap_or(DepElem::Const(0)).is_zero()
-    })
+    deps.iter()
+        .filter(|d| d.open_in(inside, from))
+        .all(|d| (exempt_reductions && d.reduction) || d.at(dim).is_zero())
 }
 
 /// Post-tiling repair of the marks `tile_imperfect` moved onto the `band`
 /// joint tile loops at the root of `node`: a controller that is not
 /// [`tile_safe`] falls back to sequential.
-fn repair_ctrl_marks(
-    node: &mut Node,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-    band: usize,
-) {
+fn repair_ctrl_marks(node: &mut Node, deps: &[NestDep], band: usize) {
     let inside = stmts_of(node);
     let mut cur = &mut *node;
     for d in 0..band {
         let Node::Loop(l) = cur else { return };
-        if !tile_safe(vectors, endpoints, &inside, 0, d, l.par) {
+        if !tile_safe(deps, &inside, 0, d, l.par) {
             l.par = Par::Seq;
         }
         cur = &mut l.body;
@@ -962,25 +899,14 @@ fn repair_ctrl_marks(
 /// register tiling: every loop of step > 1 is a tile loop, and the point
 /// and untiled loops above a statement sit at its nest levels in order.
 /// Returns whether any run was reordered.
-pub fn order_point_loops(
-    scop: &Scop,
-    nest: &mut Node,
-    vectors: &[(Vec<DepElem>, bool)],
-    endpoints: &[(usize, usize)],
-) -> bool {
-    let run = PointRun {
-        scop,
-        vectors,
-        endpoints,
-    };
-    run.walk(nest, &mut Vec::new(), 0)
+pub fn order_point_loops(scop: &Scop, nest: &mut Node, deps: &[NestDep]) -> bool {
+    PointRun { scop, deps }.walk(nest, &mut Vec::new(), 0)
 }
 
 /// The context of [`order_point_loops`]' walk.
 struct PointRun<'a> {
     scop: &'a Scop,
-    vectors: &'a [(Vec<DepElem>, bool)],
-    endpoints: &'a [(usize, usize)],
+    deps: &'a [NestDep],
 }
 
 impl PointRun<'_> {
@@ -1022,16 +948,8 @@ impl PointRun<'_> {
             body = &l.body;
         }
         let inside = stmts_of(body);
-        let open: Vec<&[DepElem]> = self
-            .vectors
-            .iter()
-            .zip(self.endpoints)
-            .filter(|(_, (src, dst))| inside.contains(src) && inside.contains(dst))
-            .map(|((v, _), _)| &v[..])
-            .filter(|v| !carried_before(v, level))
-            .collect();
-        let at = |v: &[DepElem], p: usize| v.get(level + p).copied().unwrap_or(DepElem::Const(0));
-        if !open.iter().all(|v| (0..n).all(|p| at(v, p).is_nonneg())) {
+        let open: Vec<&NestDep> = self.deps.iter().filter(|d| d.open_in(&inside, level)).collect();
+        if !open.iter().all(|d| (0..n).all(|p| d.at(level + p).is_nonneg())) {
             return false;
         }
         // Each reference's subscript rows as coefficients of the run's
@@ -1039,16 +957,7 @@ impl PointRun<'_> {
         let mut refs: Vec<(bool, Vec<Vec<i64>>)> = Vec::new();
         body.visit_stmts(&mut |s| {
             for (acc, write) in self.scop.statements[s.stmt_idx].accesses() {
-                let rows = acc
-                    .map
-                    .iter()
-                    .map(|row| {
-                        vars.iter()
-                            .map(|&v| s.iter_exprs.iter().zip(row).map(|(e, &r)| r * e.coeff_of(v)).sum())
-                            .collect()
-                    })
-                    .collect();
-                refs.push((write, rows));
+                refs.push((write, s.subscript_coeffs(&acc.map, &vars)));
             }
         });
         let unit = |rows: &[Vec<i64>], p: usize| {
@@ -1058,8 +967,8 @@ impl PointRun<'_> {
         let invariant = |rows: &[Vec<i64>], p: usize| rows.iter().all(|r| r[p] == 0);
         let writes = || refs.iter().filter(|(w, _)| *w).map(|(_, rows)| &rows[..]);
         let carries = |p: usize| {
-            open.iter().any(|v| {
-                !at(v, p).is_zero() && !(0..n).any(|q| q != p && at(v, q).is_positive())
+            open.iter().any(|d| {
+                !d.at(level + p).is_zero() && !(0..n).any(|q| q != p && d.at(level + q).is_positive())
             })
         };
         let Some(inner) = (0..n)
@@ -1204,17 +1113,8 @@ mod tiling_tests {
         let mut prog = original_program(scop).expect("original program");
         let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
         let mut nest = prog.body.clone();
-        mark_parallelism(&mut nest, &info.vectors, info.depth, false);
-        prog.body = tile_nest(
-            &mut prog,
-            nest,
-            &info.vectors,
-            &info.endpoints,
-            info.depth,
-            4,
-            4,
-            certifies,
-        );
+        mark_parallelism(&mut nest, &info.deps, info.depth, false);
+        prog.body = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4, certifies);
         prog
     }
 
@@ -1284,7 +1184,7 @@ mod tiling_tests {
         let scop = fused_gemm();
         let mut prog = tiled(&scop, &|_| true);
         let mut body = prog.body.clone();
-        register_tile(&mut body, 2, 2, &[], &[]);
+        register_tile(&mut body, 2, 2, &[]);
         prog.body = body;
         let mut i_steps = Vec::new();
         prog.body.visit_loops_mut(&mut |l| {

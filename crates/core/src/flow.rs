@@ -1,13 +1,12 @@
 //! The end-to-end poly+AST flow (Algorithm 1).
 
 use crate::affine::affine_stage_with;
-use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
+use polymix_ast::tree::{Node, Par, Program, TileForm, TileReport};
 use polymix_codegen::from_poly::generate;
 use polymix_codegen::opt::{
-    mark_parallelism, nest_infos, node_depth, order_point_loops, register_tile,
+    mark_parallelism, node_depth, order_point_loops, register_tile, run_nests,
     skew_nest_for_tilability, tile_nest,
 };
-use polymix_deps::build_podg;
 use polymix_dl::{tiling_costs, Machine, RefInfo, NOMINAL_EXTENT};
 use polymix_ir::error::PolymixError;
 use polymix_ir::{Schedule, Scop};
@@ -74,46 +73,21 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
             (identity, p)
         }
     };
-    let podg = build_podg(scop);
-    let infos = nest_infos(scop, &schedules, &podg, &prog);
-
-    let tops: Vec<Node> = match std::mem::replace(&mut prog.body, Node::Seq(vec![])) {
-        Node::Seq(xs) => xs,
-        other => vec![other],
-    };
-    if tops.len() != infos.len() {
-        return Err(PolymixError::codegen(
-            &scop.name,
-            format!(
-                "top-level nest count {} does not match dependence info count {}",
-                tops.len(),
-                infos.len()
-            ),
-        ));
-    }
     let certifies = |p: &Program| polymix_verify::certify(p).is_ok();
-    let mut out = Vec::with_capacity(tops.len());
-    for (mut nest, info) in tops.into_iter().zip(&infos) {
+    run_nests(scop, &schedules, &mut prog, |prog, podg, info, mut nest| {
         // Stage 2: skewing for tilability (AST-level). A failed attempt
         // may leave partial skews behind, so work on a clone.
         let mut skewed = nest.clone();
-        let vectors = match skew_nest_for_tilability(
-            &mut skewed,
-            scop,
-            &schedules,
-            &podg,
-            &info.stmts,
-            info.depth,
-        ) {
-            Some(v) => {
+        let deps = match skew_nest_for_tilability(&mut skewed, scop, &schedules, podg, info) {
+            Some(deps) => {
                 nest = skewed;
-                v
+                deps
             }
-            None => info.vectors.clone(),
+            None => info.deps.clone(),
         };
         // Stage 3: coarse-grain parallelization (doall / reduction /
         // pipeline at the outermost possible level).
-        mark_parallelism(&mut nest, &vectors, info.depth, opts.doall_only);
+        mark_parallelism(&mut nest, &deps, info.depth, opts.doall_only);
         // Stage 4: tiling for locality, where the DL model says it pays.
         if opts.tiling {
             let dl = (info.depth >= 2).then(|| {
@@ -131,10 +105,9 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                 });
             } else {
                 nest = tile_nest(
-                    &mut prog,
+                    prog,
                     nest,
-                    &vectors,
-                    &info.endpoints,
+                    &deps,
                     info.depth,
                     opts.tile,
                     opts.time_tile,
@@ -145,7 +118,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                     &|p| !cfg!(debug_assertions) || certifies(p),
                 );
                 // Stage 4b: point loops in vector order inside each tile.
-                let reordered = order_point_loops(scop, &mut nest, &vectors, &info.endpoints);
+                let reordered = order_point_loops(scop, &mut nest, &deps);
                 if let Some(report) = prog.tiling.last_mut() {
                     report.dl = dl;
                     report.reordered = reordered;
@@ -154,7 +127,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         }
         // Stage 5: intra-tile optimizations (register tiling).
         if opts.unroll.0 > 1 || opts.unroll.1 > 1 {
-            register_tile(&mut nest, opts.unroll.0, opts.unroll.1, &vectors, &info.endpoints);
+            register_tile(&mut nest, opts.unroll.0, opts.unroll.1, &deps);
         }
         // A pipeline loop left over several sub-nests runs them as phases
         // of each step. Whether the await cone covers every dependence
@@ -168,12 +141,8 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                 }
             });
         }
-        out.push(nest);
-    }
-    prog.body = match out.len() {
-        1 => out.remove(0),
-        _ => Node::Seq(out),
-    };
+        nest
+    });
     // Mandatory debug-mode certification: re-derive the dependence
     // relation from the final transformed program and prove schedule
     // legality plus annotation safety, independently of the incremental
@@ -193,13 +162,7 @@ const TILE_PAYS: f64 = 0.75;
 /// one column per loop level above it; a level's extent is constant where
 /// both bounds are, [`NOMINAL_EXTENT`] elsewhere.
 fn nest_refs(scop: &Scop, nest: &Node, depth: usize) -> (Vec<RefInfo>, Vec<f64>) {
-    fn walk<'a>(
-        scop: &Scop,
-        node: &'a Node,
-        above: &mut Vec<&'a Loop>,
-        extents: &mut [f64],
-        refs: &mut Vec<RefInfo>,
-    ) {
+    fn walk(scop: &Scop, node: &Node, above: &mut Vec<usize>, extents: &mut [f64], refs: &mut Vec<RefInfo>) {
         match node {
             Node::Seq(xs) => xs.iter().for_each(|x| walk(scop, x, above, extents, refs)),
             Node::Guard(_, b) => walk(scop, b, above, extents, refs),
@@ -211,30 +174,14 @@ fn nest_refs(scop: &Scop, nest: &Node, depth: usize) -> (Vec<RefInfo>, Vec<f64>)
                 if let Some(e) = extents.get_mut(above.len()) {
                     *e = e.max(extent);
                 }
-                above.push(l);
+                above.push(l.var);
                 walk(scop, &l.body, above, extents, refs);
                 above.pop();
             }
             Node::Stmt(s) => {
                 for (acc, _) in scop.statements[s.stmt_idx].accesses() {
-                    let coeffs = acc
-                        .map
-                        .iter()
-                        .map(|row| {
-                            let mut c: Vec<i64> = above
-                                .iter()
-                                .map(|l| {
-                                    s.iter_exprs
-                                        .iter()
-                                        .zip(row)
-                                        .map(|(e, &r)| r * e.coeff_of(l.var))
-                                        .sum()
-                                })
-                                .collect();
-                            c.resize(extents.len(), 0);
-                            c
-                        })
-                        .collect();
+                    let mut coeffs = s.subscript_coeffs(&acc.map, above);
+                    coeffs.iter_mut().for_each(|c| c.resize(extents.len(), 0));
                     refs.push(RefInfo {
                         array: acc.array.0,
                         coeffs,
@@ -403,6 +350,28 @@ mod tests {
                 }
             });
             assert!(found, "{name}: no pipeline parallelism found");
+        }
+    }
+
+    /// Stage 2 skews the stencils' nests, and the list it hands on is the
+    /// nest's own: every edge keeps its endpoints and reduction flag, in
+    /// the nest's order; only the vectors are new.
+    #[test]
+    fn skewing_keeps_the_nest_dependence_list() {
+        for name in ["seidel-2d", "jacobi-2d-imper", "fdtd-2d"] {
+            let scop = (kernel_by_name(name).unwrap().build)();
+            let schedules = affine_stage_with(&scop, &Machine::nehalem(), true).expect("affine stage");
+            let prog = generate(&scop, &schedules).expect("generate");
+            let podg = polymix_deps::build_podg(&scop);
+            let infos = polymix_codegen::nest_infos(&scop, &schedules, &podg, &prog);
+            let [info] = &infos[..] else { panic!("{name}: one nest") };
+            let skewed = skew_nest_for_tilability(&mut prog.body.clone(), &scop, &schedules, &podg, info)
+                .expect("skewable");
+            let ends = |deps: &[polymix_deps::NestDep]| -> Vec<(usize, usize, bool)> {
+                deps.iter().map(|d| (d.src, d.dst, d.reduction)).collect()
+            };
+            assert_eq!(ends(&skewed), ends(&info.deps), "{name}");
+            assert_ne!(skewed, info.deps, "{name}: stage 2 skews the nest");
         }
     }
 

@@ -67,6 +67,37 @@ pub fn carried_before(v: &[DepElem], from: usize) -> bool {
     false
 }
 
+/// One dependence edge inside a loop nest, as the AST stage reads it: its
+/// vector in the nest's (transformed) loop coordinates, whether it is an
+/// associative-commutative self-update, and its source and target
+/// statements (indices into `scop.statements`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NestDep {
+    /// One element per loop level of the nest.
+    pub vector: Vec<DepElem>,
+    /// The edge is a reduction self-update.
+    pub reduction: bool,
+    /// Source statement.
+    pub src: usize,
+    /// Target statement.
+    pub dst: usize,
+}
+
+impl NestDep {
+    /// The component at level `k`; `0` past the vector's end (a level
+    /// neither endpoint has).
+    pub fn at(&self, k: usize) -> DepElem {
+        self.vector.get(k).copied().unwrap_or(DepElem::Const(0))
+    }
+
+    /// Whether the edge still constrains loops at level `from` or deeper
+    /// among the statements `stmts`: both endpoints are in `stmts` and no
+    /// level before `from` certainly carries it ([`carried_before`]).
+    pub fn open_in(&self, stmts: &[usize], from: usize) -> bool {
+        stmts.contains(&self.src) && stmts.contains(&self.dst) && !carried_before(&self.vector, from)
+    }
+}
+
 /// Classifies the affine form `row` (dependence space, trailing constant
 /// column) over the dependence polyhedron, using `sample_params` to find a
 /// candidate constant distance.
@@ -163,6 +194,34 @@ mod tests {
             carried_before(&[Const(1)], 5),
         ];
         assert_eq!(answers, [false, true, true, false, true]);
+    }
+
+    /// The open filter keeps an edge with both ends inside that no earlier
+    /// level settles. `(0+, +)` stays open at level 1: its pairs with a
+    /// zero first component are carried there. (The parallelism detector's
+    /// own filter, "every component before `k` is `0`", drops it.)
+    #[test]
+    fn the_open_filter_wants_both_ends_inside_and_no_settling_prefix() {
+        use DepElem::*;
+        let dep = |vector: Vec<DepElem>, src, dst| NestDep { vector, reduction: false, src, dst };
+        let list = [
+            dep(vec![Const(0), Const(1)], 0, 1),
+            dep(vec![Const(0), Const(1)], 0, 2),
+            dep(vec![Const(0), NonNeg, Plus, Minus], 1, 1),
+            dep(vec![NonNeg, Plus], 1, 0),
+            dep(vec![Star, Const(0)], 0, 0),
+        ];
+        let open = |from| -> Vec<usize> {
+            (0..list.len()).filter(|&i| list[i].open_in(&[0, 1], from)).collect()
+        };
+        // Statement 2 is outside the set at every level.
+        assert_eq!(open(0), [0, 2, 3, 4]);
+        assert_eq!(open(1), [0, 2, 3, 4]);
+        // From level 2 on, `(0, 1)` and `(0+, +)` are settled; `0, 0+, +`
+        // settles the third edge from level 3 on. A `*` settles nothing.
+        assert_eq!(open(2), [2, 4]);
+        assert_eq!(open(3), [4]);
+        assert_eq!((list[2].at(3), list[2].at(9)), (Minus, Const(0)));
     }
 
     #[test]

@@ -6,8 +6,7 @@ use crate::scheduler::{schedule_with_fallback, Fusion};
 use polymix_ast::transforms::band_depth;
 use polymix_ast::tree::{Node, Par, Program};
 use polymix_codegen::from_poly::generate;
-use polymix_codegen::opt::{mark_parallelism, nest_infos, register_tile, tile_nest, tilable_prefix};
-use polymix_deps::build_podg;
+use polymix_codegen::opt::{mark_parallelism, register_tile, run_nests, tilable_prefix, tile_nest};
 use polymix_ir::error::PolymixError;
 use polymix_ir::Scop;
 
@@ -70,39 +69,17 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
     let fallback = schedule_with_fallback(scop, fusion);
     let schedules = fallback.schedules;
     let mut prog = generate(scop, &schedules)?;
-    let podg = build_podg(scop);
-    let infos = nest_infos(scop, &schedules, &podg, &prog);
-
-    // Process each top-level nest independently.
-    let tops: Vec<Node> = match std::mem::replace(&mut prog.body, Node::Seq(vec![])) {
-        Node::Seq(xs) => xs,
-        other => vec![other],
-    };
-    if tops.len() != infos.len() {
-        return Err(PolymixError::codegen(
-            &scop.name,
-            format!(
-                "top-level nest count {} does not match dependence info count {}",
-                tops.len(),
-                infos.len()
-            ),
-        ));
-    }
-    let mut out = Vec::with_capacity(tops.len());
-    for (mut nest, info) in tops.into_iter().zip(&infos) {
+    run_nests(scop, &schedules, &mut prog, |prog, _, info, mut nest| {
         // 1. Parallelism detection on the *pre-tiling* loops. The
         //    baseline only exploits doall (the paper's critique): if the
         //    outermost level is not doall, it wavefronts tile loops later.
-        let outer_doall = mark_parallelism(&mut nest, &info.vectors, info.depth, true)
-            .map(|(k, _)| k);
+        let outer_doall = mark_parallelism(&mut nest, &info.deps, info.depth, true).map(|(k, _)| k);
         // 2. Tiling.
         let tiled_band = if opts.tiling {
-            let m = tilable_prefix(&info.vectors, info.depth);
             nest = tile_nest(
-                &mut prog,
+                prog,
                 nest,
-                &info.vectors,
-                &info.endpoints,
+                &info.deps,
                 info.depth,
                 opts.tile,
                 opts.time_tile,
@@ -110,7 +87,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
                 // finished program below.
                 &|p| !cfg!(debug_assertions) || polymix_verify::certify(p).is_ok(),
             );
-            m
+            tilable_prefix(&info.deps, info.depth)
         } else {
             0
         };
@@ -135,14 +112,10 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
             } else {
                 opts.unroll
             };
-            register_tile(&mut nest, o, i, &info.vectors, &info.endpoints);
+            register_tile(&mut nest, o, i, &info.deps);
         }
-        out.push(nest);
-    }
-    prog.body = match out.len() {
-        1 => out.remove(0),
-        _ => Node::Seq(out),
-    };
+        nest
+    });
     // Mandatory debug-mode certification of the baseline's output, on
     // the same terms as the poly+AST flow.
     #[cfg(debug_assertions)]

@@ -15,8 +15,9 @@ pub enum ViolationKind {
     /// dependence.
     DoallCarriesDep,
     /// A carried dependence of a `Pipeline` loop is not covered by the
-    /// `await_sources()` cone `{(-1, 0), (0, -1)}`: some dependent pair
-    /// moves backward in the outer phase or leftward in the grid column.
+    /// Sec. IV-D await cone: a cell `(i, j)` waits for `(i - 1, j)` and
+    /// `(i, j - 1)` only, and some dependent pair moves backward in the
+    /// outer phase or leftward in the grid column.
     PipelineConeUncovered,
     /// A `Reduction` loop carries a dependence that is not an
     /// associative-commutative self-update.
