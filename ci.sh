@@ -241,12 +241,22 @@ done
 [ -s "$ADDR_FILE" ] || { echo "daemon never wrote its address"; exit 1; }
 ADDR=$(cat "$ADDR_FILE")
 SRV() { cargo run --release -q -p polymix-service --bin polymix_service -- "$@"; }
-COLD_OUT=$(SRV req --addr "$ADDR" --kernel gemm)
+# Both gemm requests carry `--emit`: a hit must serve exactly the source
+# bytes the miss certified (the lines after the status line).
+SRV req --addr "$ADDR" --kernel gemm --emit > "$SMOKE_DIR/cold.out"
+COLD_OUT=$(head -n 1 "$SMOKE_DIR/cold.out")
 echo "$COLD_OUT" | grep -q 'served=miss' \
     || { echo "cold request did not optimize: $COLD_OUT"; exit 1; }
-WARM_OUT=$(SRV req --addr "$ADDR" --kernel gemm)
+SRV req --addr "$ADDR" --kernel gemm --emit > "$SMOKE_DIR/warm.out"
+WARM_OUT=$(head -n 1 "$SMOKE_DIR/warm.out")
 echo "$WARM_OUT" | grep -q 'served=hit' \
     || { echo "warm request was not served from the cache: $WARM_OUT"; exit 1; }
+tail -n +2 "$SMOKE_DIR/cold.out" > "$SMOKE_DIR/cold.rs"
+tail -n +2 "$SMOKE_DIR/warm.out" > "$SMOKE_DIR/warm.rs"
+grep -q 'fn main' "$SMOKE_DIR/cold.rs" \
+    || { echo "cold request returned no source"; exit 1; }
+cmp "$SMOKE_DIR/cold.rs" "$SMOKE_DIR/warm.rs" \
+    || { echo "the hit served other bytes than the miss certified"; exit 1; }
 PANIC_OUT=$(SRV req --addr "$ADDR" --kernel 2mm --inject panic)
 echo "$PANIC_OUT" | grep -q 'served=identity' \
     && echo "$PANIC_OUT" | grep -q 'degraded=1' \

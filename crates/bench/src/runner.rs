@@ -29,21 +29,33 @@ pub const DEFAULT_COMPILE_TIMEOUT: Duration = Duration::from_secs(600);
 /// Default wall-clock budget for one measured kernel run.
 pub const DEFAULT_RUN_TIMEOUT: Duration = Duration::from_secs(600);
 
-/// 64-bit FNV-1a. The binary cache key must be stable across rustc
-/// releases and sensitive to the compile flags, which rules out
+/// The FNV-1a offset basis, the standard starting value of [`fnv1a64`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `data`, starting from `basis` ([`FNV_OFFSET`], a
+/// second independent basis, or a running hash to continue). Every
+/// stable hash in the workspace is this one: the binary cache key, the
+/// service's canonical keys, request fingerprints and entry checksums
+/// must be stable across rustc releases, which rules out
 /// `DefaultHasher` (its algorithm is explicitly unspecified and has
 /// changed between releases, silently invalidating or — worse —
-/// aliasing cached binaries).
-fn fnv1a64(data: &[u8], mut hash: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
+/// aliasing cached keys).
+pub fn fnv1a64(data: &[u8], basis: u64) -> u64 {
+    let [hash] = fnv1a64_lanes(data, [basis]);
     hash
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// [`fnv1a64`] from each of `bases` in one pass over `data`. The lanes
+/// are independent, so their multiplies overlap instead of queueing.
+pub fn fnv1a64_lanes<const N: usize>(data: &[u8], mut bases: [u64; N]) -> [u64; N] {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in data {
+        for hash in &mut bases {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+    bases
+}
 
 /// Stable cache key over the emitted source and the rustc flags.
 fn cache_key(src: &str, rustc_flags: &[String]) -> u64 {

@@ -439,21 +439,60 @@ pub fn with_retries<T>(retries: usize, f: impl Fn() -> Result<T, String>) -> Res
 // JSONL results log.
 // ---------------------------------------------------------------------
 
-/// Escapes `s` for a JSON string literal.
+/// Escapes `s` for a JSON string literal. Each run of bytes that needs
+/// no escape is copied whole: the bytes escaped (`"`, `\`, below 0x20)
+/// are ASCII, so every run ends on a character boundary.
 pub fn json_escape(s: &str) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    while let Some(n) = find_special(&s.as_bytes()[run..], true) {
+        let (i, b) = (run + n, s.as_bytes()[run + n]);
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out
+}
+
+/// The index of the first `"` or `\` in `bytes` (or byte below 0x20,
+/// when `control`), tested eight bytes at a time. In a word, a byte `x`
+/// has its high bit set in `(x - k) & !x & 0x80` when `x < k` (`k` ≤
+/// 0x80); a borrow can mark bytes above a marked one but never below,
+/// so the lowest mark is the first match.
+fn find_special(bytes: &[u8], control: bool) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below = |w: u64, k: u64| w.wrapping_sub(ONES * k) & !w & HIGH;
+    let mut words = bytes.chunks_exact(8);
+    for (k, chunk) in words.by_ref().enumerate() {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let w = u64::from_le_bytes(word);
+        let mut marks =
+            below(w ^ (ONES * u64::from(b'"')), 1) | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if control {
+            marks |= below(w, 0x20);
+        }
+        if marks != 0 {
+            return Some(8 * k + marks.trailing_zeros() as usize / 8);
         }
     }
-    out
+    let tail = bytes.len() - words.remainder().len();
+    let special = |&b: &u8| b == b'"' || b == b'\\' || (control && b < 0x20);
+    words.remainder().iter().position(special).map(|n| tail + n)
 }
 
 /// Renders one outcome as its JSONL record.
@@ -656,7 +695,7 @@ impl Record {
 /// Parses one flat JSONL record; `None` on any syntax violation.
 pub fn parse_record(line: &str) -> Option<Record> {
     let mut p = Parser {
-        bytes: line.as_bytes(),
+        text: line,
         pos: 0,
     };
     p.skip_ws();
@@ -684,13 +723,13 @@ pub fn parse_record(line: &str) -> Option<Record> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Option<()> {
@@ -703,7 +742,7 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -729,26 +768,21 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
+                            let hex = self.text.get(self.pos..self.pos + 4)?;
                             self.pos += 4;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())?;
+                            let code = u32::from_str_radix(hex, 16).ok()?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return None,
                     }
                 }
-                lead => {
-                    // Consume one UTF-8 scalar (multi-byte safe). Only the
-                    // scalar's own bytes are decoded: validating the whole
-                    // rest of the line here made long strings (a served
-                    // kernel source) quadratic to parse. A lead byte's
-                    // leading ones are the scalar's length (none: ASCII).
-                    let len = (lead.leading_ones() as usize).max(1);
-                    let scalar = self.bytes.get(self.pos..self.pos + len)?;
-                    out.push(std::str::from_utf8(scalar).ok()?.chars().next()?);
-                    self.pos += len;
+                _ => {
+                    // Copy the run up to the next quote or backslash as
+                    // one slice: both are ASCII, so the run ends on a
+                    // character boundary of `text`.
+                    let run = find_special(&self.text.as_bytes()[self.pos..], false)?;
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -762,10 +796,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
+        self.text[start..self.pos].parse().ok()
     }
 
     fn value(&mut self) -> Option<Value> {
@@ -968,6 +999,70 @@ mod tests {
             panic!("rustc_work built a non-rustc job");
         };
         assert!(seq_source.is_none(), "degradation off");
+    }
+
+    /// The definition of [`json_escape`], one `char` at a time.
+    fn json_escape_by_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Seeded strings over every byte below 0x20, `"`, `\`, `/`, ASCII
+    /// and multi-byte UTF-8, plus the served source of every kernel: the
+    /// escape equals its definition and `parse_record` reads it back.
+    #[test]
+    fn json_escape_equals_its_definition_and_round_trips() {
+        use crate::variants::{build_variant, Variant};
+        use polymix_dl::Machine;
+        let alphabet: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '/', 'a', ' ', '}', 'é', '−', '𝛼'])
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut strings: Vec<String> = (0..2000)
+            .map(|_| {
+                let len = next(48);
+                (0..len).map(|_| alphabet[next(alphabet.len())]).collect()
+            })
+            .collect();
+        let kernels = polymix_polybench::all_kernels()
+            .into_iter()
+            .chain(polymix_polybench::extended_kernels());
+        for k in kernels {
+            let prog = build_variant(&k, Variant::PolyAst, &Machine::host()).expect("builds");
+            strings.push(emit_source(&k, &prog, &k.dataset("mini").params, 2, 1));
+        }
+        for s in &strings {
+            let escaped = json_escape(s);
+            assert_eq!(escaped, json_escape_by_char(s), "{s:?}");
+            let rec = parse_record(&format!("{{\"s\":\"{escaped}\"}}")).expect("parses");
+            assert_eq!(rec.str_field("s"), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn parse_record_skips_json_whitespace() {
+        let rec = parse_record("{\r\n  \"kernel\": \"gemm\",\n\t\"params\": [\n 1,\n 2\n ]\n}\n")
+            .expect("pretty-printed object parses");
+        assert_eq!(rec.str_field("kernel"), Some("gemm"));
+        assert_eq!(rec.arr_field("params"), Some(&[1.0, 2.0][..]));
     }
 
     #[test]

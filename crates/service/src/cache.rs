@@ -24,6 +24,7 @@
 //! read as an entry.
 
 use crate::canon::CanonicalKey;
+use polymix_bench::runner::{fnv1a64, FNV_OFFSET};
 use polymix_bench::sweep::{json_escape, parse_record};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -91,16 +92,6 @@ impl Corruption {
     }
 }
 
-fn fnv1a64(data: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
 /// Renders the on-disk bytes for `entry`.
 pub fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
     let mut payload = String::with_capacity(entry.source.len() + 256);
@@ -118,7 +109,7 @@ pub fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
     let _ = writeln!(
         out,
         "{MAGIC} v{CACHE_VERSION} crc={:016x} len={}",
-        fnv1a64(payload.as_bytes()),
+        fnv1a64(payload.as_bytes(), FNV_OFFSET),
         payload.len()
     );
     out.push_str(&payload);
@@ -156,7 +147,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, Corruption> {
         return Err(Corruption::Truncated);
     }
     let payload = &payload[..len];
-    if fnv1a64(payload.as_bytes()) != crc {
+    if fnv1a64(payload.as_bytes(), FNV_OFFSET) != crc {
         return Err(Corruption::ChecksumMismatch);
     }
     let rec = parse_record(payload).ok_or(Corruption::BadPayload)?;

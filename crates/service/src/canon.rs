@@ -14,8 +14,11 @@
 //! schedules, so including those three captures "dependence shape"
 //! without re-running the dependence analysis on the request path.
 
-use polymix_ir::{Expr, Scop};
+use polymix_bench::runner::{fnv1a64, fnv1a64_lanes, FNV_OFFSET};
+use polymix_ir::{BinOp, Expr, Scop, UnOp};
+use polymix_math::CmpOp;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Beyond this many structure parameters the permutation search
 /// (factorial) is not worth it; the key falls back to the declared
@@ -23,22 +26,10 @@ use std::fmt::Write as _;
 /// arrays/statements/iterators. PolyBench tops out at 4 parameters.
 const MAX_PERM_PARAMS: usize = 6;
 
-/// 64-bit FNV-1a (same construction as the bench binary cache, which
-/// needs stability across std releases; `DefaultHasher` is explicitly
-/// unspecified).
-fn fnv1a64(data: &[u8], mut hash: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 // Second, independent offset basis for the high half of the 128-bit
 // key (a single 64-bit hash over millions of cached shapes is too
-// collision-prone to gate replay of certified artifacts).
+// collision-prone to gate replay of certified artifacts); the low half
+// starts from the standard basis.
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 
 /// The structural identity of a SCoP: 128 bits over the canonical
@@ -67,11 +58,9 @@ impl CanonicalKey {
 
 /// Canonicalizes `scop` and returns its structural key.
 pub fn canonical_key(scop: &Scop) -> CanonicalKey {
-    let s = canonical_form(scop);
-    CanonicalKey {
-        hi: fnv1a64(s.as_bytes(), FNV_OFFSET_B),
-        lo: fnv1a64(s.as_bytes(), FNV_OFFSET_A),
-    }
+    let form = canonical_form(scop);
+    let [hi, lo] = fnv1a64_lanes(form.as_bytes(), [FNV_OFFSET_B, FNV_OFFSET]);
+    CanonicalKey { hi, lo }
 }
 
 /// The canonical serialization: the lexicographically smallest rendering
@@ -83,9 +72,10 @@ pub fn canonical_key(scop: &Scop) -> CanonicalKey {
 /// segments, and a segment's renderings differ only in their numbers,
 /// each followed by a separator, so none is a proper prefix of another:
 /// the smallest whole is found by keeping, segment by segment, the
-/// permutations whose segment is smallest. Usually the first array or
-/// two leave a single one, and a statement is rendered once, not `p!`
-/// times; permutations that survive every segment render identically.
+/// permutations whose segment is smallest, and appending that segment.
+/// Usually the first array or two leave a single one, and the rest is
+/// rendered once, for it, not `p!` times; permutations that survive
+/// every segment render identically.
 pub fn canonical_form(scop: &Scop) -> String {
     let p = scop.params.len();
     // Every permutation of `0..k` with `k` inserted at every place; above
@@ -99,11 +89,10 @@ pub fn canonical_form(scop: &Scop) -> String {
         };
         candidates = candidates.iter().flat_map(grown).collect();
     }
+    let mut out = String::with_capacity(1024);
     let (mut best, mut segment) = (String::new(), String::new());
-    for k in 0..segments(scop) {
-        if candidates.len() == 1 {
-            break;
-        }
+    let mut k = 0;
+    while k < segments(scop) && candidates.len() > 1 {
         let mut smallest = Vec::new();
         for perm in candidates {
             segment.clear();
@@ -117,13 +106,19 @@ pub fn canonical_form(scop: &Scop) -> String {
             smallest.push(perm);
         }
         candidates = smallest;
+        out.push_str(&best);
+        k += 1;
     }
-    serialize(scop, &candidates[0])
+    for k in k..segments(scop) {
+        push_segment(&mut out, scop, &candidates[0], k);
+    }
+    out
 }
 
 /// Serializes the SCoP structure with parameter columns reordered by
 /// `perm` (`perm[j]` = the original parameter shown in column `j`).
 /// Names never enter the output.
+#[cfg(test)]
 fn serialize(scop: &Scop, perm: &[usize]) -> String {
     let mut out = String::with_capacity(1024);
     for k in 0..segments(scop) {
@@ -142,11 +137,14 @@ fn segments(scop: &Scop) -> usize {
 /// separator.
 fn push_segment(out: &mut String, scop: &Scop, perm: &[usize], k: usize) {
     let Some(k) = k.checked_sub(1) else {
-        let _ = write!(out, "scop p={};", perm.len());
+        out.push_str("scop p=");
+        push_uint(out, perm.len());
+        out.push(';');
         // Parameter lower bounds travel with their column.
         for &orig in perm {
-            let lb = scop.param_lower_bounds.get(orig).copied().unwrap_or(1);
-            let _ = write!(out, "lb{lb};");
+            out.push_str("lb");
+            push_int(out, scop.param_lower_bounds.get(orig).copied().unwrap_or(1));
+            out.push(';');
         }
         return;
     };
@@ -156,33 +154,42 @@ fn push_segment(out: &mut String, scop: &Scop, perm: &[usize], k: usize) {
         for dim in &a.dims {
             push_param_row(out, dim, perm);
         }
-        let _ = write!(out, "b{};", a.elem_bytes);
+        out.push('b');
+        push_uint(out, a.elem_bytes);
+        out.push(';');
         return;
     };
     let st = &scop.statements[k / 4];
     let d = st.dim;
     match k % 4 {
         0 => {
-            let _ = write!(out, "stmt d={d};dom");
+            out.push_str("stmt d=");
+            push_uint(out, d);
+            out.push_str(";dom");
             // Constraint order is not structural: normalize by sorting the
-            // permuted renderings.
-            let mut rows: Vec<String> = st
+            // permuted renderings, each a range of one buffer.
+            let mut rows = String::new();
+            let mut ranges: Vec<Range<usize>> = st
                 .domain
                 .constraints()
                 .map(|c| {
-                    let mut r = String::new();
-                    let _ = write!(r, "{:?}", c.op);
-                    push_stmt_row(&mut r, c.row, d, perm);
-                    r
+                    let start = rows.len();
+                    rows.push_str(match c.op {
+                        CmpOp::Ge => "Ge",
+                        CmpOp::Eq => "Eq",
+                    });
+                    push_stmt_row(&mut rows, c.row, d, perm);
+                    start..rows.len()
                 })
                 .collect();
-            rows.sort();
-            for r in rows {
-                out.push_str(&r);
+            ranges.sort_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
+            for r in ranges {
+                out.push_str(&rows[r]);
             }
         }
         1 => {
-            let _ = write!(out, "w{}", st.write.array.0);
+            out.push('w');
+            push_uint(out, st.write.array.0);
             for row in &st.write.map {
                 push_stmt_row(out, row, d, perm);
             }
@@ -195,8 +202,8 @@ fn push_segment(out: &mut String, scop: &Scop, perm: &[usize], k: usize) {
         }
         _ => {
             out.push_str("sch b");
-            for b in &st.schedule.beta {
-                let _ = write!(out, "{b},");
+            for &b in &st.schedule.beta {
+                push_entry(out, b);
             }
             out.push('a');
             for r in 0..st.schedule.alpha.rows() {
@@ -211,13 +218,50 @@ fn push_segment(out: &mut String, scop: &Scop, perm: &[usize], k: usize) {
     }
 }
 
+/// Appends `v` in decimal, the digits `write!(out, "{v}")` appends,
+/// without the formatting machinery: the permutation search renders
+/// every integer of a segment once per surviving permutation.
+fn push_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_digits(out, v.unsigned_abs());
+}
+
+/// [`push_int`] for a count or an index.
+fn push_uint(out: &mut String, v: usize) {
+    push_digits(out, v as u64);
+}
+
+fn push_digits(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `v` followed by a comma: one entry of a rendered row.
+fn push_entry(out: &mut String, v: i64) {
+    push_int(out, v);
+    out.push(',');
+}
+
 /// A row laid out `[params | 1]`: permute the parameter segment.
 fn push_param_row(out: &mut String, row: &[i64], perm: &[usize]) {
     out.push('[');
     for &orig in perm {
-        let _ = write!(out, "{},", row.get(orig).copied().unwrap_or(0));
+        push_entry(out, row.get(orig).copied().unwrap_or(0));
     }
-    let _ = write!(out, "|{}]", row.last().copied().unwrap_or(0));
+    out.push('|');
+    push_int(out, row.last().copied().unwrap_or(0));
+    out.push(']');
 }
 
 /// A statement-local row `[iters | params | 1]` (or `[iters | params]`
@@ -227,16 +271,16 @@ fn push_param_row(out: &mut String, row: &[i64], perm: &[usize]) {
 fn push_stmt_row(out: &mut String, row: &[i64], d: usize, perm: &[usize]) {
     let p = perm.len();
     out.push('[');
-    for c in row.iter().take(d) {
-        let _ = write!(out, "{c},");
+    for &c in row.iter().take(d) {
+        push_entry(out, c);
     }
     out.push('|');
     for &orig in perm {
-        let _ = write!(out, "{},", row.get(d + orig).copied().unwrap_or(0));
+        push_entry(out, row.get(d + orig).copied().unwrap_or(0));
     }
     out.push('|');
-    for c in row.iter().skip(d + p) {
-        let _ = write!(out, "{c},");
+    for &c in row.iter().skip(d + p) {
+        push_entry(out, c);
     }
     out.push(']');
 }
@@ -244,42 +288,60 @@ fn push_stmt_row(out: &mut String, row: &[i64], d: usize, perm: &[usize]) {
 /// A row with no parameter columns (schedule α rows over iterators).
 fn push_plain_row(out: &mut String, row: &[i64]) {
     out.push('[');
-    for c in row {
-        let _ = write!(out, "{c},");
+    for &c in row {
+        push_entry(out, c);
     }
     out.push(']');
 }
 
 /// Expression skeleton: operators, array ids, subscript rows, literal
 /// bit patterns. Iterator indices are positional (already canonical);
-/// parameter references are shown at their permuted position.
+/// parameter references are shown at their permuted position. Operators
+/// are spelled as their `Debug` names.
 fn push_expr(out: &mut String, e: &Expr, d: usize, perm: &[usize]) {
     match e {
         Expr::Const(c) => {
-            let _ = write!(out, "c{:016x}", c.to_bits());
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            let bits = c.to_bits();
+            out.push('c');
+            let digit = |n: u64| char::from(HEX[(bits >> (4 * n)) as usize & 0xf]);
+            out.extend((0..16).rev().map(digit));
         }
         Expr::Iter(k) => {
-            let _ = write!(out, "i{k}");
+            out.push('i');
+            push_uint(out, *k);
         }
         Expr::Param(k) => {
-            let pos = perm.iter().position(|&o| o == *k).unwrap_or(*k);
-            let _ = write!(out, "p{pos}");
+            out.push('p');
+            push_uint(out, perm.iter().position(|&o| o == *k).unwrap_or(*k));
         }
         Expr::Read { array, subs } => {
-            let _ = write!(out, "r{}", array.0);
+            out.push('r');
+            push_uint(out, array.0);
             for row in subs {
                 push_stmt_row(out, row, d, perm);
             }
         }
         Expr::Bin(op, a, b) => {
-            let _ = write!(out, "({:?}", op);
+            out.push('(');
+            out.push_str(match op {
+                BinOp::Add => "Add",
+                BinOp::Sub => "Sub",
+                BinOp::Mul => "Mul",
+                BinOp::Div => "Div",
+            });
             push_expr(out, a, d, perm);
             out.push(' ');
             push_expr(out, b, d, perm);
             out.push(')');
         }
         Expr::Un(op, a) => {
-            let _ = write!(out, "({:?}", op);
+            out.push('(');
+            out.push_str(match op {
+                UnOp::Neg => "Neg",
+                UnOp::Sqrt => "Sqrt",
+                UnOp::Exp => "Exp",
+            });
             push_expr(out, a, d, perm);
             out.push(')');
         }
@@ -310,14 +372,14 @@ pub fn request_fingerprint(
     for v in params {
         let _ = write!(s, "{v},");
     }
-    fnv1a64(s.as_bytes(), FNV_OFFSET_A)
+    fnv1a64(s.as_bytes(), FNV_OFFSET)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use polymix_ir::{con, ix, par, ScopBuilder};
-    use polymix_polybench::all_kernels;
+    use polymix_polybench::{all_kernels, extended_kernels};
 
     /// The definition, by enumeration: every permutation serialized in
     /// full, the smallest string kept.
@@ -432,6 +494,46 @@ mod tests {
                 k.name
             );
         }
+    }
+
+    /// Every served kernel's key, as persisted in entry file names. A
+    /// key that moves orphans every entry written before it, so a change
+    /// that moves one must bump `CACHE_VERSION` and repin these.
+    #[test]
+    fn suite_keys_are_pinned() {
+        let pinned = [
+            ("2mm", "2c4ed131a718cb456db8bec60707a026"),
+            ("3mm", "7642869d6a4a18a1969778b21f6db156"),
+            ("adi", "4888b5d3b79d481e7b7b1d2f9a708f53"),
+            ("atax", "505d6e915d3bb70fc214bf99fb65592a"),
+            ("bicg", "a0cf6665602202c1e57c2f75a02fcd04"),
+            ("cholesky", "db35356de568cbb135905e824f2aaeee"),
+            ("correlation", "3e8a1a0ab90c3783aa213ada8e12493a"),
+            ("covariance", "8e667e4feabd0f1d0c5ff036974e5be6"),
+            ("doitgen", "f8ed7b189e23bfa60244c6987f65a40f"),
+            ("fdtd-2d", "2c8f3692b84532b37cdec8d6d1754b82"),
+            ("fdtd-apml", "f62cf09c19657719526c9ddb678c389c"),
+            ("gemm", "8c924b01eced215a86953e539d3fcbb7"),
+            ("gemver", "04b3b429ccfcd066413740fa98e29a6f"),
+            ("gesummv", "8e70136019e5e268c9113f2a74e26ce7"),
+            ("jacobi-1d-imper", "0408d8e01cf616203917c3d3d3e937b9"),
+            ("jacobi-2d-imper", "06612de24847ef7125735c5f52c0a322"),
+            ("mvt", "3b0fc89af1f1c10c12de396d9ef7429d"),
+            ("seidel-2d", "9ab8bf0e8d4cb8ea9f0ebb5ae106e1c5"),
+            ("symm", "cfd9cf3ba25a04140cbfb08d956dfbb7"),
+            ("syr2k", "4ee55508e324fdbe8b5f20e3ced81bd1"),
+            ("syrk", "971eca0cd7ebe82861af1953ac6494b1"),
+            ("trisolv", "d44a5945ca6923bde8a3533cca52c8fa"),
+            ("lu", "277ee4bf528463b3039c383202e1d636"),
+            ("trmm", "68c8c01bdc47a0ba67905bc15ead00a9"),
+            ("gramschmidt", "132dcfaf0e062622a84ef86fe6edfcc7"),
+        ];
+        let kernels = all_kernels().into_iter().chain(extended_kernels());
+        let keys: Vec<(&str, String)> = kernels
+            .map(|k| (k.name, canonical_key(&(k.build)()).hex()))
+            .collect();
+        let pinned: Vec<(&str, String)> = pinned.iter().map(|&(n, h)| (n, h.to_string())).collect();
+        assert_eq!(keys, pinned);
     }
 
     #[test]

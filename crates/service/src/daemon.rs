@@ -600,7 +600,11 @@ fn ok_body(
     t0: Instant,
     detail: &str,
 ) -> String {
-    let mut s = String::with_capacity(128 + source.map_or(0, str::len));
+    // Escape first, so `elapsed_ms` covers the whole body: on a hit,
+    // escaping the source is the daemon's largest cost.
+    let detail = (!detail.is_empty()).then(|| json_escape(detail));
+    let source = source.map(json_escape);
+    let mut s = String::with_capacity(128 + source.as_ref().map_or(0, String::len));
     let _ = write!(
         s,
         "{{\"status\":\"ok\",\"served\":\"{}\",\"key\":\"{}\",\"degraded\":{},\"elapsed_ms\":{:.3}",
@@ -609,11 +613,13 @@ fn ok_body(
         u8::from(degraded),
         t0.elapsed().as_secs_f64() * 1e3
     );
-    if !detail.is_empty() {
-        let _ = write!(s, ",\"detail\":\"{}\"", json_escape(detail));
+    if let Some(detail) = detail {
+        let _ = write!(s, ",\"detail\":\"{detail}\"");
     }
     if let Some(src) = source {
-        let _ = write!(s, ",\"source\":\"{}\"", json_escape(src));
+        s.push_str(",\"source\":\"");
+        s.push_str(&src);
+        s.push('"');
     }
     s.push('}');
     s

@@ -232,6 +232,31 @@ fn malformed_requests_get_400_not_a_hang() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A body pretty-printed over several lines (what `curl --data-binary
+/// @req.json` sends) is JSON like any other and is served.
+#[test]
+fn pretty_printed_request_body_is_served() {
+    use std::io::{BufReader, Write as _};
+    let (svc, dir) = start("pretty", |_| {});
+    let body = "{\r\n  \"kernel\": \"gemm\",\n  \"dataset\": \"mini\",\n  \"params\": [\n    8,\n    9,\n    10\n  ]\n}\n";
+    let mut stream = std::net::TcpStream::connect(svc.addr).expect("connect");
+    polymix_service::http::set_timeouts(&stream, Duration::from_secs(30), Duration::from_secs(30));
+    let head = format!(
+        "POST /optimize HTTP/1.1\r\nhost: polymix\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("send head");
+    stream.write_all(body.as_bytes()).expect("send body");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (code, resp) = polymix_service::http::read_response(&mut reader).expect("response");
+    assert_eq!(code, 200, "{resp}");
+    let rec = parse_record(&resp).expect("response parses");
+    assert_eq!(rec.str_field("status"), Some("ok"));
+    assert_eq!(rec.str_field("served"), Some("miss"));
+    svc.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn stats_health_and_clean_shutdown() {
     let (svc, dir) = start("stats", |_| {});
