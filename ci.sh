@@ -22,7 +22,7 @@ cargo test -q
 # their count stays at zero (ROADMAP item 5).
 echo "== clippy abort-site gate =="
 NO_EXPECT="polymix-ast polymix-bench polymix-cachesim polymix-codegen polymix-core polymix-deps \
-polymix-dl polymix-pluto polymix-runtime polymix-service polymix-verify polymix-vm"
+polymix-dl polymix-ir polymix-pluto polymix-runtime polymix-service polymix-verify polymix-vm"
 for c in polymix-math polymix-ir polymix-deps polymix-dl polymix-ast \
          polymix-codegen polymix-verify polymix-pluto polymix-core \
          polymix-runtime polymix-cachesim polymix-polybench polymix-vm \
@@ -67,6 +67,12 @@ fi
 # a vector/flag pair beside a separate endpoint slice.
 if git grep -n -F '(Vec<DepElem>, bool)' -- 'crates/*/src/*'; then
     echo "an AST stage split the dependence list again"; exit 1
+fi
+# And one rule for "settled by an outer level": each record holds the
+# level that carries it, and the detector, `open_in` and every tiling test
+# read that field, not a prefix walk of their own.
+if git grep -n -E 'carried_before\(|\.take\(k\)\.all\(\|[a-z_]+\| *[a-z_]+\.is_zero\(\)\)' -- 'crates/*/src/*'; then
+    echo "a second 'carried by an outer level' rule is back"; exit 1
 fi
 
 # The tuner's unit is a program: the emitter's automatic publish batch

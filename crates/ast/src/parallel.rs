@@ -18,21 +18,12 @@ use polymix_deps::NestDep;
 /// `k + 1 < depth` (the paper's "at least two-level pipeline parallelism"
 /// condition).
 ///
-/// Vectors already satisfied by an outer level are ignored, matching the
-/// paper's "not satisfied by the outer loops" filtering — by a filter of
-/// the detector's own, which drops every vector whose components before
-/// `k` are not all `0`. That is looser than [`NestDep::open_in`]: `(0+, +)`
-/// counts as settled at level 1 although its pairs with a zero first
-/// component are carried there. `polymix-verify` re-proves every mark
-/// from the dependence polyhedra; the sound filter would drop all the
-/// doall regions of the Pluto variants of fdtd-2d and jacobi-2d-imper,
-/// which those proofs accept: `(0, 0+, 0+)` cannot tell a dependence
-/// carried at level 2 from one whose last two components are equal.
+/// Records an outer level carries are ignored, the paper's "not
+/// satisfied by the outer loops": the detector reads each record's
+/// carried level ([`NestDep::open_at`]), like every other test of the
+/// AST stage.
 pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
-    let relevant: Vec<&NestDep> = deps
-        .iter()
-        .filter(|d| d.vector.iter().take(k).all(|e| e.is_zero()))
-        .collect();
+    let relevant: Vec<&NestDep> = deps.iter().filter(|d| d.open_at(k)).collect();
 
     // doall: every relevant vector has e_k == 0.
     if relevant.iter().all(|d| d.at(k).is_zero()) {
@@ -80,11 +71,12 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
 
 /// Finds the outermost parallel level of a nest of `depth` loops, with its
 /// annotation — the paper's strategy "use the loop parallelism at the
-/// outermost possible level regardless of kind".
-pub fn outermost_parallel(deps: &[NestDep], depth: usize) -> Option<(usize, Par)> {
+/// outermost possible level regardless of kind". With `doall_only`, only
+/// a [`Par::Doall`] level counts (the comparison mode of Fig. 5).
+pub fn outermost_parallel(deps: &[NestDep], depth: usize, doall_only: bool) -> Option<(usize, Par)> {
     (0..depth)
         .map(|k| (k, classify_level_in_nest(deps, k, depth)))
-        .find(|&(_, par)| par != Par::Seq)
+        .find(|&(_, par)| par == Par::Doall || (!doall_only && par != Par::Seq))
 }
 
 #[cfg(test)]
@@ -92,11 +84,11 @@ mod tests {
     use super::*;
     use polymix_deps::DepElem::{self, *};
 
-    /// A list of edges of one statement onto itself.
+    /// A list of records of one statement onto itself.
     fn deps(vectors: &[(&[DepElem], bool)]) -> Vec<NestDep> {
         vectors
             .iter()
-            .map(|&(v, reduction)| NestDep { vector: v.to_vec(), reduction, src: 0, dst: 0 })
+            .map(|&(v, reduction)| NestDep::new(v.to_vec(), reduction, 0, 0))
             .collect()
     }
 
@@ -159,9 +151,19 @@ mod tests {
 
     #[test]
     fn outer_satisfied_deps_are_ignored_inside() {
-        // Dep carried at level 0 doesn't serialize level 1.
-        let v = deps(&[(&[Const(1), Const(-5)], false)]);
-        assert_eq!(classify_level_in_nest(&v, 1, 2), Par::Doall);
+        // A record carried at level 0 doesn't serialize level 1, nor does
+        // the `(+, *)` half of a `(0+, +)` edge ...
+        for carried in [&[Const(1), Const(-5)][..], &[Plus, Star]] {
+            let v = deps(&[(carried, false)]);
+            assert_eq!(classify_level_in_nest(&v, 1, 2), Par::Doall);
+        }
+        // ... but its `(0, +)` half does, and so does a record whose
+        // first non-zero component is `0+`: level 0 leaves its pairs with
+        // a zero first component to level 1.
+        for open in [&[Const(0), Plus][..], &[NonNeg, Plus]] {
+            let v = deps(&[(&[Plus, Star], false), (open, false)]);
+            assert_eq!(classify_level_in_nest(&v, 1, 2), Par::Seq);
+        }
     }
 
     #[test]
@@ -169,10 +171,13 @@ mod tests {
         // Level 0 pipelines via the cone; without the next-level loop it
         // would fall through to level 1's doall.
         let v = deps(&[(&[Plus, Const(0)], false)]);
-        assert_eq!(outermost_parallel(&v, 2), Some((0, Par::Pipeline)));
-        assert_eq!(outermost_parallel(&v, 1), None); // no level to pipe over
+        assert_eq!(outermost_parallel(&v, 2, false), Some((0, Par::Pipeline)));
+        assert_eq!(outermost_parallel(&v, 1, false), None); // no level to pipe over
+
+        // Counting doall only, the scan goes on to level 1.
+        assert_eq!(outermost_parallel(&v, 2, true), Some((1, Par::Doall)));
         // Fully serial chain in one loop.
         let v = deps(&[(&[Star], false)]);
-        assert_eq!(outermost_parallel(&v, 1), None);
+        assert_eq!(outermost_parallel(&v, 1, false), None);
     }
 }

@@ -1,8 +1,8 @@
 //! The AST stages both optimizers (the Pluto-like baseline and the
 //! paper's poly+AST flow) run on each top-level nest of a generated
 //! program, and the driver that runs them ([`run_nests`]). Every stage
-//! decides from one list, the nest's dependence edges with their vectors
-//! ([`NestInfo`], [`NestDep`]):
+//! decides from one list, the nest's dependence records with their
+//! vectors and carried levels ([`NestInfo`], [`NestDep`]):
 //!
 //! * extraction of that list, and skewing for tilability (Sec. IV-B);
 //! * parallelism marking (Sec. IV-A);
@@ -12,11 +12,13 @@
 //! * register tiling, unroll-and-jam with the repair of the jammed loop's
 //!   mark (Sec. IV-C, [`register_tile`]).
 
-use polymix_ast::parallel::{classify_level_in_nest, outermost_parallel};
+use polymix_ast::parallel::outermost_parallel;
 use polymix_ast::transforms::{self, Crossed};
 use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
-use polymix_deps::{build_podg, dep_vector_transformed, DepElem, NestDep, Podg};
+use polymix_deps::{build_podg, dep_records, DepElem, NestDep, Podg};
 use polymix_ir::{Schedule, Scop};
+use polymix_math::IntMat;
+use std::ops::Range;
 
 /// Dependence summary of one top-level loop nest of a generated program.
 #[derive(Clone, Debug)]
@@ -25,8 +27,8 @@ pub struct NestInfo {
     pub stmts: Vec<usize>,
     /// Maximum loop depth of the nest.
     pub depth: usize,
-    /// The dependence edges internal to the nest, in PoDG order, with
-    /// their vectors in the **transformed** loop coordinates.
+    /// The records of the dependence edges internal to the nest, in PoDG
+    /// order, with their vectors in the **transformed** loop coordinates.
     pub deps: Vec<NestDep>,
 }
 
@@ -70,35 +72,18 @@ pub fn nest_infos(scop: &Scop, schedules: &[Schedule], podg: &Podg, prog: &Progr
 
 fn nest_info(scop: &Scop, schedules: &[Schedule], podg: &Podg, nest: &Node) -> NestInfo {
     let (stmts, depth) = (stmts_of(nest), node_depth(nest));
-    let deps = nest_deps(scop, schedules, podg, &stmts, &identity(depth));
+    let deps = nest_deps(scop, schedules, podg, &stmts, &IntMat::identity(depth));
     NestInfo { stmts, depth, deps }
 }
 
-/// The dependence list of the nest of `stmts`, each vector taken under the
-/// schedules composed with the row transform `cmat`
-/// ([`dep_vector_transformed`]).
-fn nest_deps(
-    scop: &Scop,
-    schedules: &[Schedule],
-    podg: &Podg,
-    stmts: &[usize],
-    cmat: &[Vec<i64>],
-) -> Vec<NestDep> {
+/// The dependence list of the nest of `stmts`: the records of each edge
+/// with both ends in it ([`dep_records`]), each vector taken under the
+/// schedules composed with the row transform `cmat`.
+fn nest_deps(scop: &Scop, schedules: &[Schedule], podg: &Podg, stmts: &[usize], cmat: &IntMat) -> Vec<NestDep> {
     podg.deps
         .iter()
         .filter(|d| stmts.contains(&d.src.0) && stmts.contains(&d.dst.0))
-        .map(|d| {
-            let (src, dst) = (d.src.0, d.dst.0);
-            let vector = dep_vector_transformed(d, &schedules[src], &schedules[dst], cmat, &scop.default_params);
-            NestDep { vector, reduction: d.is_reduction, src, dst }
-        })
-        .collect()
-}
-
-/// The `depth × depth` identity transform: the schedules' own levels.
-fn identity(depth: usize) -> Vec<Vec<i64>> {
-    (0..depth)
-        .map(|k| (0..depth).map(|j| i64::from(j == k)).collect())
+        .flat_map(|d| dep_records(d, &schedules[d.src.0], &schedules[d.dst.0], cmat, &scop.default_params))
         .collect()
 }
 
@@ -119,7 +104,7 @@ pub fn node_depth(node: &Node) -> usize {
 /// factors `f ∈ 1..=4` against each outer pivot level, *recomputing the
 /// vectors exactly* from the dependence polyhedra after each tentative
 /// skew (abstract updates lose too much precision for direction-vector
-/// pivots). Returns the nest's dependence list with the vectors of the
+/// pivots). Returns the nest's dependence list with the records of the
 /// skewed loops, or `None` when some negative element cannot be repaired.
 ///
 /// The tree rewrite skews *every* loop at level `k` of the nest by the
@@ -133,7 +118,7 @@ pub fn skew_nest_for_tilability(
 ) -> Option<Vec<NestDep>> {
     let depth = info.depth;
     // Current row-combination matrix (identity = no skew yet).
-    let mut cmat = identity(depth);
+    let mut cmat = IntMat::identity(depth);
     let mut deps = info.deps.clone();
     let bad_at = |deps: &[NestDep], k: usize| -> usize {
         deps.iter()
@@ -152,7 +137,7 @@ pub fn skew_nest_for_tilability(
                 for f in 1..=4i64 {
                     let mut trial = cmat.clone();
                     for idx in 0..depth {
-                        trial[k][idx] += f * cmat[j][idx];
+                        trial[(k, idx)] += f * cmat[(j, idx)];
                     }
                     let td = nest_deps(scop, schedules, podg, &info.stmts, &trial);
                     // Accept when this strictly reduces the bad count at k
@@ -221,13 +206,7 @@ pub fn mark_parallelism(
     depth: usize,
     doall_only: bool,
 ) -> Option<(usize, Par)> {
-    let (level, par) = if doall_only {
-        (0..depth)
-            .find(|&k| classify_level_in_nest(deps, k, depth) == Par::Doall)
-            .map(|k| (k, Par::Doall))
-    } else {
-        outermost_parallel(deps, depth)
-    }?;
+    let (level, par) = outermost_parallel(deps, depth, doall_only)?;
     mark_level(nest, 0, level, par);
     Some((level, par))
 }
@@ -365,7 +344,7 @@ fn repair_jam_mark(jammed: &mut Loop, outer_factor: i64, deps: &[NestDep]) {
         [n] if n >= 2 => Some((n - 2, n - 1)),
         _ => None,
     };
-    // Only edges inside the jammed block matter (no prefix settles one:
+    // Only records inside the jammed block matter (no level settles one:
     // the equality test below asks for the enclosing levels itself).
     let hazardous = deps.iter().filter(|d| d.open_in(&inside, 0)).any(|d| {
         if inner.par == Par::Reduction && d.reduction {
@@ -522,12 +501,22 @@ mod tests {
     }
 }
 
-/// Longest prefix of loop levels on which *every* dependence vector is
-/// non-negative — the outermost fully-permutable (tilable) band.
-pub fn tilable_prefix(deps: &[NestDep], depth: usize) -> usize {
-    (0..depth)
-        .find(|&k| !deps.iter().all(|d| d.at(k).is_nonneg()))
-        .unwrap_or(depth)
+/// Longest prefix of the `depth` loop levels of the nest of `stmts` that
+/// is [permutable] — the outermost fully-permutable (tilable) band.
+pub fn tilable_prefix(deps: &[NestDep], stmts: &[usize], depth: usize) -> usize {
+    (0..depth).take_while(|&k| permutable(deps, stmts, 0..k + 1)).count()
+}
+
+/// Whether the loop levels `levels` are fully permutable among the
+/// statements `stmts`: every record between them still
+/// [open](NestDep::open_in) at the band's first level is non-negative on
+/// each of its levels. Only records with **both ends inside** constrain
+/// it (cross-statement vectors compare unrelated distributed loops and
+/// would conservatively forbid everything).
+fn permutable(deps: &[NestDep], stmts: &[usize], levels: Range<usize>) -> bool {
+    deps.iter()
+        .filter(|d| d.open_in(stmts, levels.start))
+        .all(|d| levels.clone().all(|k| d.at(k).is_nonneg()))
 }
 
 /// Legality-aware tiling of one nest (Sec. IV-B). Every statement
@@ -563,7 +552,7 @@ pub fn tile_nest(
     time_tile: i64,
     certifies: &dyn Fn(&Program) -> bool,
 ) -> Node {
-    let m = tilable_prefix(deps, depth);
+    let m = tilable_prefix(deps, &stmts_of(&nest), depth);
     // Try the joint (imperfect-capable) tiling at the full permutable
     // band first, then at shorter prefixes: a statement shallower than
     // the band blocks the full-depth form (it would be re-executed per
@@ -671,7 +660,8 @@ impl Tiler<'_> {
         let (from, end) = (level - points.len(), level + chain);
         // Chain levels from `fresh` on are not strip-mined yet.
         let fresh = level.max(self.joint.len()).min(end);
-        let permutable = chain_legal(self.deps, &node, from, end - from);
+        let inside = stmts_of(&node);
+        let permutable = permutable(self.deps, &inside, from..end);
         let distributes = permutable && self.distributes(&node, from, fresh, end);
         // A band is worth strip-mining from depth 2 on; one that reaches
         // it only through handed-down point loops from depth 3 on, the
@@ -692,7 +682,6 @@ impl Tiler<'_> {
             l.body = self.tile_tree(l.body, level + 1, Vec::new());
             return Node::Loop(l);
         }
-        let inside = stmts_of(&node);
         let mut tiles: Vec<Loop> = Vec::new();
         let mut points = points;
         let mut cur = node;
@@ -828,17 +817,6 @@ fn untiled_stmts(node: &Node, strips: &[usize], under_untiled: bool) -> usize {
     }
 }
 
-/// Legality of tiling the chain rooted at `node`: only dependences whose
-/// endpoints are **both inside the chain** constrain it (cross-statement
-/// vectors compare unrelated distributed loops and would conservatively
-/// forbid everything), and only those not carried by an outer level.
-fn chain_legal(deps: &[NestDep], node: &Node, from: usize, len: usize) -> bool {
-    let inside = stmts_of(node);
-    deps.iter()
-        .filter(|d| d.open_in(&inside, from))
-        .all(|d| (from..from + len).all(|k| d.at(k).is_nonneg()))
-}
-
 /// Whether a tile loop made from the loop at nest level `dim` may keep
 /// that loop's annotation.
 ///
@@ -948,10 +926,10 @@ impl PointRun<'_> {
             body = &l.body;
         }
         let inside = stmts_of(body);
-        let open: Vec<&NestDep> = self.deps.iter().filter(|d| d.open_in(&inside, level)).collect();
-        if !open.iter().all(|d| (0..n).all(|p| d.at(level + p).is_nonneg())) {
+        if !permutable(self.deps, &inside, level..level + n) {
             return false;
         }
+        let open: Vec<&NestDep> = self.deps.iter().filter(|d| d.open_in(&inside, level)).collect();
         // Each reference's subscript rows as coefficients of the run's
         // loops, with whether it is the statement's write.
         let mut refs: Vec<(bool, Vec<Vec<i64>>)> = Vec::new();

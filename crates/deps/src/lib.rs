@@ -29,4 +29,4 @@ pub mod vectors;
 pub use depgraph::{build_podg, Dep, DepKind, Podg};
 pub use legality::{apply_beta, apply_loop_row, DepState, Peeling, RowEffect};
 pub use scc::sccs;
-pub use vectors::{carried_before, dep_vector, dep_vector_transformed, DepElem, NestDep};
+pub use vectors::{dep_records, DepElem, NestDep};

@@ -4,11 +4,14 @@
 //! polyhedra (Sec. IV): one element per loop level of the transformed
 //! nest, each a constant distance when uniform or a direction otherwise.
 //! Vectors are extracted from the dependence polyhedra by exact emptiness
-//! queries, so they are as precise as the polyhedral representation.
+//! queries, so they are as precise as the polyhedral representation, and
+//! each edge is split into records by the level that carries its pairs
+//! ([`dep_records`]).
 
 use crate::depgraph::Dep;
 use polymix_ir::Schedule;
-use polymix_math::Polyhedron;
+use polymix_math::{IntMat, Polyhedron};
+use std::borrow::Cow;
 
 /// One element of a dependence vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,31 +53,21 @@ impl DepElem {
     }
 }
 
-/// True when the dependence with vector `v` is certainly carried by one
-/// of the levels before `from` — a run of `0` / `0+` components ending
-/// in a strictly positive one — so no loop at `from` or deeper sees it.
-/// A prefix that is not all `0` does not suffice: `(0+, +)` is open at
-/// level 1, its pairs with a zero first component are carried there.
-pub fn carried_before(v: &[DepElem], from: usize) -> bool {
-    for e in &v[..from.min(v.len())] {
-        if e.is_positive() {
-            return true;
-        }
-        if !e.is_nonneg() {
-            return false;
-        }
-    }
-    false
-}
-
-/// One dependence edge inside a loop nest, as the AST stage reads it: its
-/// vector in the nest's (transformed) loop coordinates, whether it is an
-/// associative-commutative self-update, and its source and target
-/// statements (indices into `scop.statements`).
+/// One dependence record inside a loop nest, as the AST stage reads it:
+/// its vector in the nest's (transformed) loop coordinates, the level
+/// that carries it, whether it is an associative-commutative
+/// self-update, and its source and target statements (indices into
+/// `scop.statements`). One PoDG edge gives one record per level that
+/// may carry its pairs ([`dep_records`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NestDep {
     /// One element per loop level of the nest.
     pub vector: Vec<DepElem>,
+    /// The level that carries every pair of the record: its component
+    /// is `>= 1` there and `0` before. `None` when no loop level
+    /// certainly does — statement order carries an all-`0` vector, and a
+    /// first non-zero component that may be negative settles nothing.
+    pub carried: Option<usize>,
     /// The edge is a reduction self-update.
     pub reduction: bool,
     /// Source statement.
@@ -84,17 +77,33 @@ pub struct NestDep {
 }
 
 impl NestDep {
+    /// The record of `vector`, carried at its first non-zero component
+    /// when that component is `>= 1`.
+    pub fn new(vector: Vec<DepElem>, reduction: bool, src: usize, dst: usize) -> NestDep {
+        let carried = vector
+            .iter()
+            .position(|e| !e.is_zero())
+            .filter(|&k| vector[k].is_positive());
+        NestDep { vector, carried, reduction, src, dst }
+    }
+
     /// The component at level `k`; `0` past the vector's end (a level
     /// neither endpoint has).
     pub fn at(&self, k: usize) -> DepElem {
         self.vector.get(k).copied().unwrap_or(DepElem::Const(0))
     }
 
-    /// Whether the edge still constrains loops at level `from` or deeper
-    /// among the statements `stmts`: both endpoints are in `stmts` and no
-    /// level before `from` certainly carries it ([`carried_before`]).
+    /// Whether the record still constrains loops at level `from` or
+    /// deeper: no level before `from` carries it.
+    pub fn open_at(&self, from: usize) -> bool {
+        self.carried.is_none_or(|c| c >= from)
+    }
+
+    /// Whether the record still constrains loops at level `from` or
+    /// deeper among the statements `stmts`: both endpoints are in
+    /// `stmts` and it is [open](NestDep::open_at) at `from`.
     pub fn open_in(&self, stmts: &[usize], from: usize) -> bool {
-        stmts.contains(&self.src) && stmts.contains(&self.dst) && !carried_before(&self.vector, from)
+        stmts.contains(&self.src) && stmts.contains(&self.dst) && self.open_at(from)
     }
 }
 
@@ -138,22 +147,83 @@ pub fn classify(poly: &Polyhedron, row: &[i64], sample_params: &[i64]) -> DepEle
     }
 }
 
-/// Dependence vector of the edge under the (final) schedules, one element
-/// per common loop level `0..depth`: [`dep_vector_transformed`] under the
-/// identity transform. `sample_params` supplies concrete parameter values
-/// used only to *guess* constant distances (the guess is then verified
-/// parametrically).
-pub fn dep_vector(
+/// The records of the edge `dep` under the schedules composed with the
+/// row transform `cmat` (`cmat[(k, j)]` is the coefficient of original
+/// schedule level `j` in new level `k`: how AST-level skewing is modeled
+/// exactly). Each element is [`classify`]'s answer over its record's pairs.
+///
+/// The walk goes outermost-in over the pairs no level has carried yet.
+/// Where the first non-zero element is `0+`, the pairs split: those on
+/// which it is `>= 1` are a record carried there (`+` at that level), and
+/// those on which it is `0` are walked on from the next level. Any other
+/// first non-zero element ends the walk with one record, so an edge with
+/// no `0+` on its way is one record: the vector of the whole polyhedron.
+///
+/// An element no level of either schedule contributes to is `Const(0)`;
+/// one whose combined row does not fit `i64` is `Star` (unknown sign, not
+/// a wrapped distance).
+pub fn dep_records(
     dep: &Dep,
     sched_src: &Schedule,
     sched_dst: &Schedule,
-    depth: usize,
+    cmat: &IntMat,
     sample_params: &[i64],
-) -> Vec<DepElem> {
-    let identity: Vec<Vec<i64>> = (0..depth)
-        .map(|k| (0..depth).map(|j| i64::from(j == k)).collect())
+) -> Vec<NestDep> {
+    let levels = sched_src.dim().min(sched_dst.dim());
+    let base: Vec<Vec<i64>> = (0..cmat.cols().min(levels))
+        .map(|j| dep.diff_row(&sched_src.loop_row(j), &sched_dst.loop_row(j)))
         .collect();
-    dep_vector_transformed(dep, sched_src, sched_dst, &identity, sample_params)
+    // Each new level's difference row, or its element when that needs no
+    // question.
+    let rows: Vec<Result<Vec<i64>, DepElem>> = (0..cmat.rows())
+        .map(|k| {
+            let mut wide = vec![0i128; dep.poly.n_dims() + 1];
+            let mut any = false;
+            for (&c, b) in cmat.row(k).iter().zip(&base) {
+                if c != 0 {
+                    any = true;
+                    for (d, &b) in wide.iter_mut().zip(b) {
+                        *d += i128::from(c) * i128::from(b);
+                    }
+                }
+            }
+            if !any {
+                return Err(DepElem::Const(0));
+            }
+            wide.iter()
+                .map(|&d| i64::try_from(d).ok())
+                .collect::<Option<Vec<i64>>>()
+                .ok_or(DepElem::Star)
+        })
+        .collect();
+    let elem = |piece: &Polyhedron, k: usize| match &rows[k] {
+        Ok(row) => classify(piece, row, sample_params),
+        Err(e) => *e,
+    };
+    // `0` before level `k`, `head` at it, the rest classified on `piece`.
+    let record = |piece: &Polyhedron, k: usize, head: Option<DepElem>| {
+        let mut vector = vec![DepElem::Const(0); k];
+        vector.extend(head);
+        vector.extend((k + 1..rows.len()).map(|j| elem(piece, j)));
+        NestDep::new(vector, dep.is_reduction, dep.src.0, dep.dst.0)
+    };
+    let mut out = Vec::new();
+    let mut piece = Cow::Borrowed(&dep.poly);
+    for (k, row) in rows.iter().enumerate() {
+        match (elem(&piece, k), row) {
+            (e, _) if e.is_zero() => {}
+            (DepElem::NonNeg, Ok(row)) => {
+                out.push(record(&piece.and_ge(row, 1), k, Some(DepElem::Plus)));
+                piece = Cow::Owned(piece.and_eq0(row));
+            }
+            (e, _) => {
+                out.push(record(&piece, k, Some(e)));
+                return out;
+            }
+        }
+    }
+    out.push(record(&piece, rows.len(), None));
+    out
 }
 
 #[cfg(test)]
@@ -181,61 +251,107 @@ mod tests {
         b.finish().expect("well-formed SCoP")
     }
 
-    /// A prefix settles a vector only when it ends in a strictly positive
-    /// component after `0`s and `0+`s.
-    #[test]
-    fn carried_before_needs_a_positive_component_after_a_nonneg_run() {
-        use DepElem::*;
-        let answers = [
-            carried_before(&[NonNeg, Plus], 1),
-            carried_before(&[NonNeg, Plus], 2),
-            carried_before(&[Const(0), Const(2), Minus], 2),
-            carried_before(&[Star, Plus], 2),
-            carried_before(&[Const(1)], 5),
-        ];
-        assert_eq!(answers, [false, true, true, false, true]);
+    /// The vectors of the records of every flow edge of `scop`'s one
+    /// statement under `s` (`depth` levels, identity transform).
+    fn flow_vectors(scop: &Scop, s: &Schedule, depth: usize) -> Vec<Vec<DepElem>> {
+        build_podg(scop)
+            .deps
+            .iter()
+            .filter(|d| d.kind == DepKind::Flow)
+            .flat_map(|d| dep_records(d, s, s, &IntMat::identity(depth), &[6]))
+            .map(|r| r.vector)
+            .collect()
     }
 
-    /// The open filter keeps an edge with both ends inside that no earlier
-    /// level settles. `(0+, +)` stays open at level 1: its pairs with a
-    /// zero first component are carried there. (The parallelism detector's
-    /// own filter, "every component before `k` is `0`", drops it.)
+    /// A record is carried at its first non-zero component, and only when
+    /// that component is strictly positive.
+    #[test]
+    fn a_record_is_carried_at_its_first_nonzero_component_when_that_is_positive() {
+        use DepElem::*;
+        let carried = |v: &[DepElem]| NestDep::new(v.to_vec(), false, 0, 0).carried;
+        let answers = [
+            carried(&[NonNeg, Plus]),
+            carried(&[Plus, Minus]),
+            carried(&[Const(0), Const(2), Minus]),
+            carried(&[Star, Plus]),
+            carried(&[Const(0), Minus, Plus]),
+            carried(&[Const(0), Const(0)]),
+        ];
+        assert_eq!(answers, [None, Some(0), Some(1), None, None, None]);
+    }
+
+    /// The open filter keeps a record with both ends inside that no
+    /// earlier level carries. The two records of a `(0+, +)` edge, `(+, *)`
+    /// and `(0, +)`, leave it open at level 1 through the second.
     #[test]
     fn the_open_filter_wants_both_ends_inside_and_no_settling_prefix() {
         use DepElem::*;
-        let dep = |vector: Vec<DepElem>, src, dst| NestDep { vector, reduction: false, src, dst };
         let list = [
-            dep(vec![Const(0), Const(1)], 0, 1),
-            dep(vec![Const(0), Const(1)], 0, 2),
-            dep(vec![Const(0), NonNeg, Plus, Minus], 1, 1),
-            dep(vec![NonNeg, Plus], 1, 0),
-            dep(vec![Star, Const(0)], 0, 0),
+            NestDep::new(vec![Const(0), Const(1)], false, 0, 1),
+            NestDep::new(vec![Const(0), Const(1)], false, 0, 2),
+            NestDep::new(vec![Const(0), Const(0), Plus, Minus], false, 1, 1),
+            NestDep::new(vec![Plus, Star], false, 1, 0),
+            NestDep::new(vec![Const(0), Plus], false, 1, 0),
+            NestDep::new(vec![Star, Const(0)], false, 0, 0),
         ];
         let open = |from| -> Vec<usize> {
             (0..list.len()).filter(|&i| list[i].open_in(&[0, 1], from)).collect()
         };
         // Statement 2 is outside the set at every level.
-        assert_eq!(open(0), [0, 2, 3, 4]);
-        assert_eq!(open(1), [0, 2, 3, 4]);
-        // From level 2 on, `(0, 1)` and `(0+, +)` are settled; `0, 0+, +`
-        // settles the third edge from level 3 on. A `*` settles nothing.
-        assert_eq!(open(2), [2, 4]);
-        assert_eq!(open(3), [4]);
+        assert_eq!(open(0), [0, 2, 3, 4, 5]);
+        assert_eq!(open(1), [0, 2, 4, 5]);
+        // From level 2 on, `(0, 1)` and `(0, +)` are settled; the third
+        // record from level 3 on. A `*` settles nothing.
+        assert_eq!(open(2), [2, 5]);
+        assert_eq!(open(3), [5]);
         assert_eq!((list[2].at(3), list[2].at(9)), (Minus, Const(0)));
+    }
+
+    /// `for i, j: A[i][j] = 1;  for i { for j in 1..i+2: B[i][j-1] = A[j-1][0] }`:
+    /// under the statements' own schedules the flow edge reads `(0+, +)`
+    /// over its whole polyhedron. It becomes `(+, +)` carried at 0 (the
+    /// pairs `j <= i`) and `(0, +)` carried at 1 (the pairs `j = i + 1`).
+    #[test]
+    fn an_edge_whose_first_nonzero_component_is_nonneg_splits_there() {
+        let mut b = ScopBuilder::new("split", &["N"], &[6]);
+        b.assume_params_at_least(3);
+        let a = b.array("A", &["N", "N"]);
+        let o = b.array("B", &["N", "N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        b.stmt("S", a, &[ix("i"), ix("j")], polymix_ir::Expr::Const(1.0));
+        b.exit();
+        b.exit();
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(1), ix("i") + con(2));
+        let body = b.rd(a, &[ix("j") - con(1), con(0)]);
+        b.stmt("T", o, &[ix("i"), ix("j") - con(1)], body);
+        b.exit();
+        b.exit();
+        let scop = b.finish().expect("well-formed SCoP");
+        let g = build_podg(&scop);
+        let (s, t) = (&scop.statements[0].schedule, &scop.statements[1].schedule);
+        let flow = g.deps.iter().find(|d| d.kind == DepKind::Flow).expect("a flow edge");
+        let whole: Vec<DepElem> = (0..2)
+            .map(|k| classify(&flow.poly, &flow.diff_row(&s.loop_row(k), &t.loop_row(k)), &[6]))
+            .collect();
+        assert_eq!(whole, [DepElem::NonNeg, DepElem::Plus]);
+        let records = dep_records(flow, s, t, &IntMat::identity(2), &[6]);
+        let got: Vec<(Vec<DepElem>, Option<usize>)> =
+            records.into_iter().map(|r| (r.vector, r.carried)).collect();
+        assert_eq!(
+            got,
+            [
+                (vec![DepElem::Plus, DepElem::Plus], Some(0)),
+                (vec![DepElem::Const(0), DepElem::Plus], Some(1)),
+            ]
+        );
     }
 
     #[test]
     fn seidel_flow_distances_are_unit_vectors() {
         let scop = seidel_like();
-        let g = build_podg(&scop);
-        let s = &scop.statements[0].schedule;
-        let mut vecs: Vec<Vec<DepElem>> = g
-            .deps
-            .iter()
-            .filter(|d| d.kind == DepKind::Flow)
-            .map(|d| dep_vector(d, s, s, 2, &[6]))
-            .collect();
-        vecs.sort_by_key(|v| format!("{v:?}"));
+        let vecs = flow_vectors(&scop, &scop.statements[0].schedule, 2);
         assert!(vecs.contains(&vec![DepElem::Const(0), DepElem::Const(1)]));
         assert!(vecs.contains(&vec![DepElem::Const(1), DepElem::Const(0)]));
     }
@@ -262,7 +378,8 @@ mod tests {
             .deps
             .iter()
             .filter(|d| d.kind == DepKind::Flow)
-            .map(|d| dep_vector(d, sw, sr, 1, &[6]))
+            .flat_map(|d| dep_records(d, sw, sr, &IntMat::identity(1), &[6]))
+            .map(|r| r.vector)
             .collect();
         assert!(vecs.contains(&vec![DepElem::Plus]));
         assert!(vecs.contains(&vec![DepElem::Const(0)]));
@@ -271,26 +388,17 @@ mod tests {
     #[test]
     fn reversal_flips_distance_sign() {
         let scop = seidel_like();
-        let g = build_podg(&scop);
         let mut s = scop.statements[0].schedule.clone();
         s.reverse_level(0);
-        let has_minus = g
-            .deps
-            .iter()
-            .filter(|d| d.kind == DepKind::Flow)
-            .map(|d| dep_vector(d, &s, &s, 2, &[6]))
-            .any(|v| v[0] == DepElem::Const(-1));
-        assert!(has_minus);
+        assert!(flow_vectors(&scop, &s, 2).iter().any(|v| v[0] == DepElem::Const(-1)));
     }
 
     #[test]
     fn skewing_makes_all_elements_nonnegative() {
         let scop = seidel_like();
-        let g = build_podg(&scop);
         let mut s = scop.statements[0].schedule.clone();
         s.skew(1, 0, 1); // j' = i + j
-        for d in g.deps.iter().filter(|d| d.kind == DepKind::Flow) {
-            let v = dep_vector(d, &s, &s, 2, &[6]);
+        for v in flow_vectors(&scop, &s, 2) {
             assert!(v.iter().all(|e| e.is_nonneg()), "vector {v:?}");
         }
     }
@@ -306,54 +414,6 @@ mod tests {
         assert!(DepElem::Minus.may_be_negative());
         assert!(!DepElem::Const(1).may_be_negative());
     }
-}
-
-/// Dependence vector under the schedules *composed with* a row-transform
-/// matrix `cmat` (one row per target level; `cmat[k][j]` is the
-/// coefficient of original schedule level `j` in new level `k`). This is
-/// how AST-level skewing is modeled exactly: new level `k` computes
-/// `Σ_j cmat[k][j] · θ_j`, and each element is classified over the FULL
-/// dependence polyhedron — the classical distance/direction vector. (No
-/// peeling of pairs already separated at outer levels: tiling legality
-/// needs the complete vector, and the parallelism detector filters on
-/// zero prefixes itself.)
-///
-/// A level neither schedule has contributes nothing; an element with no
-/// contribution at all is `Const(0)`. An element whose combined row does
-/// not fit `i64` is `Star`: unknown sign, so skewing and tiling stay
-/// conservative instead of reading a wrapped distance.
-pub fn dep_vector_transformed(
-    dep: &Dep,
-    sched_src: &Schedule,
-    sched_dst: &Schedule,
-    cmat: &[Vec<i64>],
-    sample_params: &[i64],
-) -> Vec<DepElem> {
-    let levels = sched_src.dim().min(sched_dst.dim());
-    let base: Vec<Vec<i64>> = (0..cmat.len().min(levels))
-        .map(|j| dep.diff_row(&sched_src.loop_row(j), &sched_dst.loop_row(j)))
-        .collect();
-    cmat.iter()
-        .map(|row| {
-            let mut wide = vec![0i128; dep.poly.n_dims() + 1];
-            let mut any = false;
-            for (&c, b) in row.iter().zip(&base) {
-                if c != 0 {
-                    any = true;
-                    for (d, &b) in wide.iter_mut().zip(b) {
-                        *d += i128::from(c) * i128::from(b);
-                    }
-                }
-            }
-            if !any {
-                return DepElem::Const(0);
-            }
-            let diff: Option<Vec<i64>> = wide.iter().map(|&d| i64::try_from(d).ok()).collect();
-            diff.map_or(DepElem::Star, |diff| {
-                classify(&dep.poly, &diff, sample_params)
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -379,20 +439,23 @@ mod transformed_tests {
         let g = build_podg(&scop);
         let s = &scop.statements[0].schedule;
         let flow = g.deps.iter().find(|d| d.kind == DepKind::Flow).unwrap();
-        let ident = vec![vec![1, 0], vec![0, 1]];
-        let v0 = dep_vector_transformed(flow, s, s, &ident, &[6]);
-        assert_eq!(v0, vec![DepElem::Const(1), DepElem::Const(-1)]);
-        let skewed = vec![vec![1, 0], vec![1, 1]];
-        let v1 = dep_vector_transformed(flow, s, s, &skewed, &[6]);
-        assert_eq!(v1, vec![DepElem::Const(1), DepElem::Const(0)]);
+        let vectors = |rows: &[Vec<i64>]| -> Vec<Vec<DepElem>> {
+            dep_records(flow, s, s, &IntMat::from_rows(rows), &[6])
+                .into_iter()
+                .map(|r| r.vector)
+                .collect()
+        };
+        use DepElem::Const;
+        assert_eq!(vectors(&[vec![1, 0], vec![0, 1]]), [[Const(1), Const(-1)]]);
+        assert_eq!(vectors(&[vec![1, 0], vec![1, 1]]), [[Const(1), Const(0)]]);
         // Skew factor 2 overshoots to +1.
-        let skewed2 = vec![vec![1, 0], vec![2, 1]];
-        let v2 = dep_vector_transformed(flow, s, s, &skewed2, &[6]);
-        assert_eq!(v2, vec![DepElem::Const(1), DepElem::Const(1)]);
+        assert_eq!(vectors(&[vec![1, 0], vec![2, 1]]), [[Const(1), Const(1)]]);
     }
 
+    /// An edge with no `0+` before its first non-zero component gives one
+    /// record: every level classified over the whole polyhedron.
     #[test]
-    fn identity_transform_matches_dep_vector() {
+    fn an_unsplit_edge_is_one_record_with_the_whole_vector() {
         let mut b = ScopBuilder::new("id", &["N"], &[5]);
         let a = b.array("A", &["N", "N"]);
         b.enter("i", con(1), par("N"));
@@ -407,12 +470,12 @@ mod transformed_tests {
         let scop = b.finish().expect("well-formed SCoP");
         let g = build_podg(&scop);
         let s = &scop.statements[0].schedule;
-        let ident = vec![vec![1, 0], vec![0, 1]];
         for d in &g.deps {
-            assert_eq!(
-                dep_vector(d, s, s, 2, &[5]),
-                dep_vector_transformed(d, s, s, &ident, &[5])
-            );
+            let whole: Vec<DepElem> = (0..2)
+                .map(|k| classify(&d.poly, &d.diff_row(&s.loop_row(k), &s.loop_row(k)), &[5]))
+                .collect();
+            let records = dep_records(d, s, s, &IntMat::identity(2), &[5]);
+            assert_eq!(records, [NestDep::new(whole, d.is_reduction, 0, 0)]);
         }
     }
 }

@@ -37,8 +37,9 @@ fn a_constant_at_the_edge_of_i64_has_no_neighbour_to_compare_with() {
 #[test]
 fn an_overflowing_transformed_distance_row_is_star() {
     use polymix_deps::depgraph::{build_podg, DepKind};
-    use polymix_deps::vectors::dep_vector_transformed;
+    use polymix_deps::vectors::dep_records;
     use polymix_ir::builder::{con, ix, par, ScopBuilder};
+    use polymix_math::IntMat;
 
     let mut b = ScopBuilder::new("chain", &["N"], &[6]);
     b.assume_params_at_least(3);
@@ -57,14 +58,14 @@ fn an_overflowing_transformed_distance_row_is_star() {
     let src = scop.statements[0].schedule.clone();
     let mut dst = src.clone();
     dst.shift_level(0, &[0], 2);
+    let vectors = |scale: i64| -> Vec<Vec<DepElem>> {
+        dep_records(flow, &src, &dst, &IntMat::from_rows(&[vec![scale]]), &[6])
+            .into_iter()
+            .map(|r| r.vector)
+            .collect()
+    };
     // Distance 1 + 2 = 3 under the identity transform ...
-    assert_eq!(
-        dep_vector_transformed(flow, &src, &dst, &[vec![1]], &[6]),
-        vec![DepElem::Const(3)]
-    );
+    assert_eq!(vectors(1), [[DepElem::Const(3)]]);
     // ... and 3 * i64::MAX, which no `i64` holds, under the scaled one.
-    assert_eq!(
-        dep_vector_transformed(flow, &src, &dst, &[vec![i64::MAX]], &[6]),
-        vec![DepElem::Star]
-    );
+    assert_eq!(vectors(i64::MAX), [[DepElem::Star]]);
 }

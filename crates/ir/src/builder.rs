@@ -507,6 +507,15 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_statement_schedule_is_an_error_not_a_panic() {
+        let mut s = build_2mm();
+        assert_eq!(s.validate(), Ok(()));
+        s.statements[1].schedule.beta.push(0);
+        let err = s.validate().expect_err("an extra beta entry must be reported");
+        assert!(err.starts_with("S1: beta arity"), "{err}");
+    }
+
+    #[test]
     fn exit_without_loop_is_an_error() {
         let mut b = ScopBuilder::new("x", &["N"], &[4]);
         b.exit();

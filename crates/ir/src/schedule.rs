@@ -83,7 +83,8 @@ impl Schedule {
     }
 
     /// Asserts structural well-formedness and integer invertibility.
-    /// Test helper; pipeline code uses [`Schedule::check`] and reports.
+    /// Test helper; library code uses [`Schedule::check`] and reports.
+    #[cfg(test)]
     pub fn validate(&self) {
         self.check().expect("valid schedule");
     }
@@ -204,7 +205,7 @@ impl Schedule {
             alpha,
             gamma: vec![vec![0; p + 1]; d],
         };
-        s.validate();
+        debug_assert!(s.check().is_ok(), "a permutation schedule is valid");
         s
     }
 

@@ -268,7 +268,7 @@ impl Scop {
             if st.schedule.dim() != st.dim {
                 return Err(format!("S{si}: schedule arity mismatch"));
             }
-            st.schedule.validate();
+            st.schedule.check().map_err(|e| format!("S{si}: {e}"))?;
             let dom = self.instantiate_domain(st, params);
             for point in dom.enumerate() {
                 let iters = &point[..st.dim];

@@ -87,7 +87,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
                 // finished program below.
                 &|p| !cfg!(debug_assertions) || polymix_verify::certify(p).is_ok(),
             );
-            tilable_prefix(&info.deps, info.depth)
+            tilable_prefix(&info.deps, &info.stmts, info.depth)
         } else {
             0
         };
