@@ -22,7 +22,7 @@ cargo test -q
 # their count stays at zero (ROADMAP item 5).
 echo "== clippy abort-site gate =="
 NO_EXPECT="polymix-ast polymix-bench polymix-cachesim polymix-codegen polymix-core polymix-deps \
-polymix-dl polymix-ir polymix-pluto polymix-runtime polymix-service polymix-verify polymix-vm"
+polymix-dl polymix-ir polymix-math polymix-pluto polymix-runtime polymix-service polymix-verify polymix-vm"
 for c in polymix-math polymix-ir polymix-deps polymix-dl polymix-ast \
          polymix-codegen polymix-verify polymix-pluto polymix-core \
          polymix-runtime polymix-cachesim polymix-polybench polymix-vm \
@@ -100,6 +100,19 @@ echo "$CENSUS"
 echo "$CENSUS" | grep -Eq \
     '^regions: doall [1-9][0-9]* reduction [1-9][0-9]* pipeline [1-9][0-9]* wavefront [1-9][0-9]*$' \
     || { echo "a parallel construct lost all its traffic"; exit 1; }
+# The audit then counts, per kind, the outermost marks the emitter ran
+# sequentially instead of as a region (gemver poly+ast's reduction, whose
+# accumulator is read inside the loop; cholesky and trisolv poly+ast's
+# pipelines, whose bodies are not loops alone). None may rise
+# above the committed count: a new one is a mark the optimizer placed
+# and the emitter could not honour.
+FALLBACKS=$(echo "$VERIFY_OUT" | grep '^fallbacks: ') \
+    || { echo "static audit printed no fallback census"; exit 1; }
+echo "$FALLBACKS"
+read -r FB_R FB_P FB_W <<< "$(echo "$FALLBACKS" \
+    | sed -n 's/^fallbacks: reduction \([0-9]*\) pipeline \([0-9]*\) wavefront \([0-9]*\)$/\1 \2 \3/p')"
+[ -n "$FB_W" ] && [ "$FB_R" -le 1 ] && [ "$FB_P" -le 2 ] && [ "$FB_W" -le 0 ] \
+    || { echo "more parallel marks fell back to sequential code: $FALLBACKS (committed: 1 2 0)"; exit 1; }
 # Same idea for the tiling stage: the audit sums what `tile_nest` reported
 # for every nest. Each of its three forms must still be taken somewhere,
 # and so must the DL model's decision not to tile (`declined`) and the

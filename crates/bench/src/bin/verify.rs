@@ -17,8 +17,11 @@
 //! * without `--backend vm` the emitted sources are the four-thread
 //!   ones and a census of their runtime calls is printed at the end
 //!   (`regions: doall N reduction N pipeline N wavefront N`): a
-//!   construct whose count drops to zero has lost all its traffic; after
-//!   it, a census of what the tiling stage reported for every nest
+//!   construct whose count drops to zero has lost all its traffic; next,
+//!   how many outermost marks of each of the last three kinds the
+//!   emitter ran sequentially instead (`fallbacks: reduction N pipeline
+//!   N wavefront N`, per program the marks minus the calls); after
+//!   them, a census of what the tiling stage reported for every nest
 //!   (`tiling: joint N chains N sunk N declined N reordered N
 //!   untiled-levels N`: `declined` counts the nests the DL model judged
 //!   not worth tiling, `reordered` the nests whose point loops were put
@@ -36,7 +39,7 @@
 //! * exit status is 1 iff any audited artifact fails, 2 on a usage
 //!   error.
 
-use polymix_ast::tree::TileForm;
+use polymix_ast::tree::{Node, Par, TileForm};
 use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
@@ -69,6 +72,24 @@ fn audit(label: &str, cert: &Certificate, strict: bool, failures: &mut usize) {
         if v.kind.is_error() || strict {
             println!("      {v}");
         }
+    }
+}
+
+/// Adds to `marks` (in `polymix_verify::lint::KINDS` order) the loops
+/// of `node` marked parallel under no loop so marked: the ones the
+/// emitter turns into a region, or runs sequentially when it cannot.
+fn outermost_marks(node: &Node, marks: &mut [usize; 4]) {
+    match node {
+        Node::Seq(xs) => xs.iter().for_each(|x| outermost_marks(x, marks)),
+        Node::Guard(_, b) => outermost_marks(b, marks),
+        Node::Loop(l) => match l.par {
+            Par::Seq => outermost_marks(&l.body, marks),
+            Par::Doall => marks[0] += 1,
+            Par::Reduction => marks[1] += 1,
+            Par::Pipeline => marks[2] += 1,
+            Par::Wavefront => marks[3] += 1,
+        },
+        Node::Stmt(_) => {}
     }
 }
 
@@ -118,6 +139,8 @@ fn main() {
 
     let mut failures = 0usize;
     let mut census = [0usize; 4];
+    // Outermost marks the emitter ran sequentially, per kind.
+    let mut fallbacks = [0usize; 4];
     // Nests per tiling form (joint, chains, sunk), nests the DL model
     // declined to tile, nests with reordered point loops, then untiled
     // statements.
@@ -209,8 +232,12 @@ fn main() {
             }
             // Certificate 3: protocol lint over the emitted source.
             let src = emit_source(&k, &prog, &params, 4, 1);
-            for (calls, kind) in census.iter_mut().zip(polymix_verify::lint::KINDS) {
-                *calls += src.matches(&format!("kernel_rt::{kind}(")).count();
+            let mut marks = [0usize; 4];
+            outermost_marks(&prog.body, &mut marks);
+            for (i, kind) in polymix_verify::lint::KINDS.into_iter().enumerate() {
+                let calls = src.matches(&format!("kernel_rt::{kind}(")).count();
+                census[i] += calls;
+                fallbacks[i] += marks[i].saturating_sub(calls);
             }
             audit(
                 &format!("{label} (emitted source)"),
@@ -225,6 +252,8 @@ fn main() {
     } else {
         let [d, r, p, w] = census;
         println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
+        let [_, r, p, w] = fallbacks;
+        println!("fallbacks: reduction {r} pipeline {p} wavefront {w}");
         let [joint, chains, sunk, declined, reordered, untiled] = tiling;
         println!(
             "tiling: joint {joint} chains {chains} sunk {sunk} declined {declined} \

@@ -42,6 +42,6 @@ pub mod variants;
 
 pub use autotune::{autotune_kernel, default_tuned_path, TuneOutcome, TunedConfig};
 pub use report::Table;
-pub use runner::{compile_and_run, compile_and_run_with, RunResult, Runner};
+pub use runner::{compile_and_run, RunResult, Runner};
 pub use sweep::{run_sweep, JobOutcome, JobWork, SweepConfig, SweepJob};
 pub use variants::{build_variant, variant_list, Variant};

@@ -17,7 +17,6 @@
 
 use polymix_ast::tree::Program;
 use polymix_codegen::emit::{emit_rust, EmitOptions};
-use polymix_ir::error::PolymixError;
 use polymix_polybench::Kernel;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -98,7 +97,8 @@ pub struct RunResult {
     pub gflops: f64,
 }
 
-/// Compiles and runs emitted programs, caching binaries by source hash.
+/// Where and how a sweep compiles and runs emitted programs: the binary
+/// cache (keyed by source hash), workers, repetitions and rustc flags.
 pub struct Runner {
     /// Working directory for sources and binaries.
     pub work_dir: PathBuf,
@@ -108,9 +108,11 @@ pub struct Runner {
     pub reps: usize,
     /// Extra rustc flags (defaults to `-O -C target-cpu=native`).
     pub rustc_flags: Vec<String>,
-    /// Wall-clock budget for one `rustc` invocation.
+    /// Wall-clock budget for one `rustc` invocation, for a caller to hand
+    /// to [`SweepConfig`](crate::sweep::SweepConfig): the sweep reads the
+    /// config's.
     pub compile_timeout: Duration,
-    /// Wall-clock budget for one measured kernel run.
+    /// Wall-clock budget for one measured kernel run, likewise.
     pub run_timeout: Duration,
 }
 
@@ -151,28 +153,6 @@ impl Runner {
             run_timeout: DEFAULT_RUN_TIMEOUT,
         }
     }
-
-    /// Emits, compiles and runs `prog` for `kernel` at `params`. A
-    /// failure is a [`PolymixError::Runner`] carrying the kernel and
-    /// variant label, so sweep drivers can record it and continue.
-    pub fn run(
-        &self,
-        kernel: &Kernel,
-        prog: &Program,
-        params: &[i64],
-        label: &str,
-    ) -> Result<RunResult, PolymixError> {
-        let src = emit_source(kernel, prog, params, self.threads, self.reps);
-        compile_and_run_with(
-            &src,
-            &self.work_dir,
-            &self.rustc_flags,
-            label,
-            self.compile_timeout,
-            self.run_timeout,
-        )
-        .map_err(|detail| PolymixError::runner(kernel.name, label, detail))
-    }
 }
 
 /// Emits the standalone measurement program for `kernel`/`prog` at
@@ -196,36 +176,17 @@ pub fn emit_source(
 }
 
 /// Compiles `src` (cached by content hash) and executes it, parsing the
-/// `checksum:` / `time_s:` / `gflops:` lines. Uses the default stage
-/// timeouts; see [`compile_and_run_with`].
+/// `checksum:` / `time_s:` / `gflops:` lines, under the default stage
+/// timeouts.
 pub fn compile_and_run(
     src: &str,
     work_dir: &std::path::Path,
     rustc_flags: &[String],
     label: &str,
 ) -> Result<RunResult, String> {
-    compile_and_run_with(
-        src,
-        work_dir,
-        rustc_flags,
-        label,
-        DEFAULT_COMPILE_TIMEOUT,
-        DEFAULT_RUN_TIMEOUT,
-    )
-}
-
-/// [`compile_and_run`] with explicit per-stage wall-clock budgets.
-pub fn compile_and_run_with(
-    src: &str,
-    work_dir: &std::path::Path,
-    rustc_flags: &[String],
-    label: &str,
-    compile_timeout: Duration,
-    run_timeout: Duration,
-) -> Result<RunResult, String> {
     run_cached(
-        || ensure_compiled(src, work_dir, rustc_flags, label, compile_timeout),
-        |bin| run_binary(bin, label, run_timeout),
+        || ensure_compiled(src, work_dir, rustc_flags, label, DEFAULT_COMPILE_TIMEOUT),
+        |bin| run_binary(bin, label, DEFAULT_RUN_TIMEOUT),
     )
 }
 
@@ -632,17 +593,14 @@ mod tests {
         let k = kernel_by_name("gemm").unwrap();
         let params = k.dataset("small").params;
         let m = Machine::host();
-        let runner = Runner {
-            work_dir: std::env::temp_dir().join("polymix-bench-test"),
-            threads: 2,
-            reps: 1,
-            rustc_flags: vec!["-O".into()],
-            ..Runner::new(2)
+        let dir = std::env::temp_dir().join("polymix-bench-test");
+        let run = |v: Variant, label: &str| {
+            let prog = build_variant(&k, v, &m).expect("variant builds");
+            let src = emit_source(&k, &prog, &params, 2, 1);
+            compile_and_run(&src, &dir, &["-O".into()], label).unwrap()
         };
-        let native = build_variant(&k, Variant::Native, &m).expect("native variant");
-        let opt = build_variant(&k, Variant::PolyAst, &m).expect("poly+ast variant");
-        let r1 = runner.run(&k, &native, &params, "gemm_native").unwrap();
-        let r2 = runner.run(&k, &opt, &params, "gemm_polyast").unwrap();
+        let r1 = run(Variant::Native, "gemm_native");
+        let r2 = run(Variant::PolyAst, "gemm_polyast");
         let rel = (r1.checksum - r2.checksum).abs() / r1.checksum.abs().max(1.0);
         assert!(rel < 1e-9, "checksums {} vs {}", r1.checksum, r2.checksum);
         assert!(r1.gflops > 0.0 && r2.gflops > 0.0);

@@ -539,10 +539,8 @@ fn permutable(deps: &[NestDep], stmts: &[usize], levels: Range<usize>) -> bool {
 ///    from a later child to an earlier one inside a tile, and when some
 ///    child reaches a band of depth 3 (see [`Tiler::distributes`]).
 ///
-/// `certifies` is asked about a nest that took the sunk form, as a
-/// program of its own; a `false` makes the stage fall back to forms 1–2,
-/// the tree this function produced before the sunk form existed. Appends
-/// the nest's [`TileReport`] to `prog.tiling` and returns the tiled nest.
+/// Appends the nest's [`TileReport`] to `prog.tiling` and returns the
+/// tiled nest.
 pub fn tile_nest(
     prog: &mut Program,
     nest: Node,
@@ -550,7 +548,6 @@ pub fn tile_nest(
     depth: usize,
     tile: i64,
     time_tile: i64,
-    certifies: &dyn Fn(&Program) -> bool,
 ) -> Node {
     let m = tilable_prefix(deps, &stmts_of(&nest), depth);
     // Try the joint (imperfect-capable) tiling at the full permutable
@@ -568,32 +565,24 @@ pub fn tile_nest(
             Some((tiled, band))
         })
         .unwrap_or((nest, 0));
-    let attempt = |prog: &mut Program, may_sink: bool| {
-        let mut t = Tiler {
-            prog,
-            deps,
-            tile,
-            joint: Vec::new(),
-            may_sink,
-            chains: false,
-            sunk: false,
-            strips: Vec::new(),
-        };
-        let tiled = t.below_joint(nest.clone(), band);
-        let form = match (t.sunk, band > 0, t.chains) {
-            (true, _, _) => TileForm::Sunk,
-            (_, true, _) => TileForm::Joint,
-            (_, _, true) => TileForm::Chains,
-            _ => TileForm::None,
-        };
-        let untiled = untiled_stmts(&tiled, &t.strips, false);
-        (tiled, TileReport { form, untiled, dl: None, reordered: false })
+    let mut t = Tiler {
+        prog,
+        deps,
+        tile,
+        joint: Vec::new(),
+        chains: false,
+        sunk: false,
+        strips: Vec::new(),
     };
-    let (mut tiled, mut report) = attempt(prog, true);
-    if report.form == TileForm::Sunk && !certifies(&prog.with_body(tiled.clone())) {
-        (tiled, report) = attempt(prog, false);
-    }
-    prog.tiling.push(report);
+    let tiled = t.below_joint(nest, band);
+    let form = match (t.sunk, band > 0, t.chains) {
+        (true, _, _) => TileForm::Sunk,
+        (_, true, _) => TileForm::Joint,
+        (_, _, true) => TileForm::Chains,
+        _ => TileForm::None,
+    };
+    let untiled = untiled_stmts(&tiled, &t.strips, false);
+    t.prog.tiling.push(TileReport { form, untiled, dl: None, reordered: false });
     tiled
 }
 
@@ -614,8 +603,6 @@ struct Tiler<'a> {
     /// `(tile variable, size)` of the levels the joint form strip-mined:
     /// a loop at such a level is already a point loop.
     joint: Vec<(usize, i64)>,
-    /// Whether form 3 may be used at all.
-    may_sink: bool,
     chains: bool,
     sunk: bool,
     /// Variables of every tile loop and every point loop.
@@ -754,7 +741,7 @@ impl Tiler<'_> {
             last = &l.body;
         }
         let Node::Seq(children) = last else { return false };
-        if !self.may_sink || end - from + node_depth(last) < 3 {
+        if end - from + node_depth(last) < 3 {
             return false;
         }
         let inside = stmts_of(node);
@@ -1085,14 +1072,14 @@ mod tiling_tests {
     }
 
     /// Marks and tiles the SCoP's one nest with 4-wide tiles.
-    fn tiled(scop: &Scop, certifies: &dyn Fn(&Program) -> bool) -> Program {
+    fn tiled(scop: &Scop) -> Program {
         let podg = build_podg(scop);
         let schedules: Vec<_> = scop.statements.iter().map(|s| s.schedule.clone()).collect();
         let mut prog = original_program(scop).expect("original program");
         let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
         let mut nest = prog.body.clone();
         mark_parallelism(&mut nest, &info.deps, info.depth, false);
-        prog.body = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4, certifies);
+        prog.body = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4);
         prog
     }
 
@@ -1113,7 +1100,7 @@ mod tiling_tests {
     #[test]
     fn a_doall_prefix_is_strip_mined_and_its_point_loop_sunk_into_each_child() {
         let scop = fused_gemm();
-        let prog = tiled(&scop, &|_| true);
+        let prog = tiled(&scop);
         assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None, reordered: false }]);
         let mut found = Vec::new();
         paths(&prog.body, &mut Vec::new(), &mut found);
@@ -1132,7 +1119,7 @@ mod tiling_tests {
     #[test]
     fn a_backward_dependence_between_children_keeps_the_shared_loop_whole() {
         let scop = backward_cross_child();
-        let prog = tiled(&scop, &|_| panic!("no sunk nest to ask about"));
+        let prog = tiled(&scop);
         assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false }]);
         let Node::Loop(i) = &prog.body else { panic!("nest root is the shared loop") };
         assert_eq!((i.step, i.name.as_str()), (1, "c1"));
@@ -1143,24 +1130,9 @@ mod tiling_tests {
     }
 
     #[test]
-    fn a_sunk_nest_the_certifier_refuses_falls_back_to_chains() {
-        let scop = fused_gemm();
-        let asked = std::cell::Cell::new(0);
-        let prog = tiled(&scop, &|p| {
-            asked.set(asked.get() + 1);
-            assert_eq!(p.body.count_stmts(), 2);
-            false
-        });
-        assert_eq!(asked.get(), 1);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false }]);
-        let reference = original_program(&scop).expect("original program");
-        assert_eq!(run(&prog, 9), run(&reference, 9));
-    }
-
-    #[test]
     fn register_tiling_leaves_the_copies_of_a_distributed_point_loop_in_step() {
         let scop = fused_gemm();
-        let mut prog = tiled(&scop, &|_| true);
+        let mut prog = tiled(&scop);
         let mut body = prog.body.clone();
         register_tile(&mut body, 2, 2, &[]);
         prog.body = body;

@@ -73,7 +73,6 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
             (identity, p)
         }
     };
-    let certifies = |p: &Program| polymix_verify::certify(p).is_ok();
     run_nests(scop, &schedules, &mut prog, |prog, podg, info, mut nest| {
         // Stage 2: skewing for tilability (AST-level). A failed attempt
         // may leave partial skews behind, so work on a clone.
@@ -104,19 +103,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                     reordered: false,
                 });
             } else {
-                nest = tile_nest(
-                    prog,
-                    nest,
-                    &deps,
-                    info.depth,
-                    opts.tile,
-                    opts.time_tile,
-                    // Asked where the finished program is certified too,
-                    // in debug builds; a release build goes by the stage's
-                    // own dependence test (asking cost `compile` 10 % of a
-                    // pass).
-                    &|p| !cfg!(debug_assertions) || certifies(p),
-                );
+                nest = tile_nest(prog, nest, &deps, info.depth, opts.tile, opts.time_tile);
                 // Stage 4b: point loops in vector order inside each tile.
                 let reordered = order_point_loops(scop, &mut nest, &deps);
                 if let Some(report) = prog.tiling.last_mut() {
@@ -134,7 +121,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         // between phases is the certifier's model, not something the
         // vectors of stage 3 can say: ask, and on a no run the nest
         // sequentially.
-        if phased_pipeline(&nest) && !certifies(&prog.with_body(nest.clone())) {
+        if phased_pipeline(&nest) && polymix_verify::certify(&prog.with_body(nest.clone())).is_err() {
             nest.visit_loops_mut(&mut |l| {
                 if l.par == Par::Pipeline {
                     l.par = Par::Seq;
@@ -146,7 +133,8 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
     // Mandatory debug-mode certification: re-derive the dependence
     // relation from the final transformed program and prove schedule
     // legality plus annotation safety, independently of the incremental
-    // bookkeeping the stages above used.
+    // bookkeeping the stages above used. It is the one gate of the
+    // tiling stage's sunk form too (DESIGN §19).
     #[cfg(debug_assertions)]
     polymix_verify::certify(&prog)?;
     Ok(prog)

@@ -516,6 +516,26 @@ mod tests {
     }
 
     #[test]
+    fn a_domain_with_no_upper_bound_is_an_error_not_a_panic() {
+        let mut b = ScopBuilder::new("open", &["N"], &[4]);
+        let a = b.array("A", &["N"]);
+        b.enter("i", con(0), par("N"));
+        b.stmt("S", a, &[ix("i")], Expr::Const(0.0));
+        b.exit();
+        let mut s = b.finish().expect("well-formed SCoP");
+        assert_eq!(s.validate(), Ok(()));
+        // Keep every row but `N - 1 - i >= 0`, the one bounding `i` above.
+        let dom = &s.statements[0].domain;
+        let mut open = Polyhedron::universe(dom.n_dims());
+        for c in dom.constraints().filter(|c| c.coeff(0) >= 0) {
+            open.add(Constraint::ge(c.row.to_vec()));
+        }
+        s.statements[0].domain = open;
+        let err = s.validate().expect_err("an unbounded domain must be reported");
+        assert_eq!(err, "S0: domain unbounded at the default parameters");
+    }
+
+    #[test]
     fn exit_without_loop_is_an_error() {
         let mut b = ScopBuilder::new("x", &["N"], &[4]);
         b.exit();

@@ -333,7 +333,7 @@ mod tests {
         assert!(t.contains(&[2, 5]));
         assert!(!t.contains(&[2, 1]));
         assert!(!t.contains(&[2, 6]));
-        assert_eq!(t.enumerate().len(), 16);
+        assert_eq!(t.enumerate().expect("bounded").len(), 16);
     }
 
     #[test]

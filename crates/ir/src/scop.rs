@@ -218,15 +218,16 @@ impl Scop {
     }
 
     /// Total floating point operations for concrete parameters, obtained
-    /// by counting each statement's domain cardinality. Domain cardinality
-    /// is computed by enumeration — use only for miniature datasets; the
-    /// benchmark harness uses closed-form FLOP formulas instead.
-    pub fn flops_by_enumeration(&self, params: &[i64]) -> u64 {
+    /// by counting each statement's domain cardinality; `None` when some
+    /// domain is unbounded there. Domain cardinality is computed by
+    /// enumeration — use only for miniature datasets; the benchmark
+    /// harness uses closed-form FLOP formulas instead.
+    pub fn flops_by_enumeration(&self, params: &[i64]) -> Option<u64> {
         self.statements
             .iter()
             .map(|s| {
                 let dom = self.instantiate_domain(s, params);
-                dom.enumerate().len() as u64 * s.flops_per_instance()
+                Some(dom.enumerate()?.len() as u64 * s.flops_per_instance())
             })
             .sum()
     }
@@ -269,8 +270,9 @@ impl Scop {
                 return Err(format!("S{si}: schedule arity mismatch"));
             }
             st.schedule.check().map_err(|e| format!("S{si}: {e}"))?;
-            let dom = self.instantiate_domain(st, params);
-            for point in dom.enumerate() {
+            let points = self.instantiate_domain(st, params).enumerate();
+            let points = points.ok_or_else(|| format!("S{si}: domain unbounded at the default parameters"))?;
+            for point in points {
                 let iters = &point[..st.dim];
                 for (acc, is_write) in st.accesses() {
                     let subs = acc.eval(iters, params);

@@ -431,35 +431,31 @@ impl Polyhedron {
         Ok(p)
     }
 
-    /// Rational (hence integer-conservative) emptiness test: eliminates
-    /// every dimension and checks whether a contradictory constant
-    /// constraint remains. Thanks to gcd tightening, exact equality
-    /// substitution, and stratified-equality splitting (which recovers
-    /// the digit-wise structure of linearized array addresses such as
-    /// `N·i + j`), the test is exact on all sets built from
-    /// PolyBench-style programs, including two-copy conflict systems
-    /// over linearized addresses.
+    /// Rational (hence integer-conservative) emptiness test: bounds
+    /// propagation over the rows, then elimination of every dimension,
+    /// looking for a contradictory constant constraint. `true` is a
+    /// proof; `false` is "not proven empty". Both steps round to the
+    /// integers — propagated bounds to whole values, each row by the gcd
+    /// of its coefficients — so the test also refutes systems that have
+    /// rational points (`certifier_systems_are_proven_empty` holds the
+    /// shapes the certifiers rely on).
     ///
     /// Asked once per distinct system while a [`memo::scope`] is alive.
     pub fn is_empty(&self) -> bool {
         memo::is_empty(self, || self.compute_is_empty())
     }
 
-    /// Split, then hull, then greedy Fourier–Motzkin with a hull
-    /// reduction between steps. The interval hull is computed once per
-    /// state of the system: the box the split ends on is the one the
-    /// first reduction uses, and each later reduction tightens the box
-    /// the previous one left.
+    /// Hull, then greedy Fourier–Motzkin with a hull reduction between
+    /// steps. The interval hull is computed once per state of the
+    /// system: each reduction tightens the box the previous one left.
     fn compute_is_empty(&self) -> bool {
         // Fast path: an explicitly false constraint.
         if self.has_false_constant() {
             return true;
         }
-        let mut p = self.clone();
         let mut directed = Directed::default();
-        let hull = p.split_stratified_equalities(&mut directed);
-        let hull = hull.unwrap_or_else(|| p.interval_hull(&mut directed));
-        p.eliminate_many(hull, &mut directed)
+        let hull = self.interval_hull(&mut directed);
+        self.clone().eliminate_many(hull, &mut directed)
     }
 
     /// Eliminates every dimension; `true` when a contradiction shows on
@@ -622,72 +618,6 @@ impl Polyhedron {
         false
     }
 
-    /// Integer tightening of mixed-scale equalities (the Omega test's
-    /// equality stratification): a row `m·A(x) + L(x) == 0` whose
-    /// low-order part `L` (the terms not divisible by the dominant
-    /// coefficient `m`, plus the constant) provably lies in `(-m, m)`
-    /// forces `A(x) == 0` and `L(x) == 0` over the integers — the
-    /// rational relaxation keeps fractional solutions that mix the
-    /// strata. This is exactly the structure of linearized array
-    /// addresses (`N·i + j` with `0 <= j < N`), so without the split a
-    /// two-copy conflict system over such addresses is rationally
-    /// feasible even when no integer conflict exists. Applied to a
-    /// fixpoint so multi-level linearizations (`N²·i + N·j + k`) peel
-    /// one stratum per round.
-    ///
-    /// A round pays for an interval hull only when some equality has two
-    /// strata to split. Returns the hull of the system it leaves when
-    /// the last round computed one and split nothing.
-    fn split_stratified_equalities(&mut self, directed: &mut Directed) -> Option<Hull> {
-        let n = self.n_dims;
-        for _ in 0..8 {
-            if !self.constraints().any(|c| strata(c).is_some()) {
-                return None;
-            }
-            let hull = self.interval_hull(directed);
-            // The two halves of every row split this round, side by side.
-            let mut halves: Vec<i64> = Vec::new();
-            let mut kept = 0;
-            for i in 0..self.ops.len() {
-                let c = ConstraintRef {
-                    row: self.row(i),
-                    op: self.ops[i],
-                };
-                // Split when the low-order remainder stays inside (-m, m)
-                // over the hull: it and the high-order stratum (divided
-                // by m) must then each vanish.
-                let splits = strata(c).is_some_and(|m| {
-                    let at = halves.len();
-                    let is_high = |a: &i64| a % m == 0;
-                    let high = c.row[..n].iter();
-                    halves.extend(high.map(|a| if is_high(a) { a / m } else { 0 }));
-                    halves.push(0);
-                    let low = c.row[..n].iter();
-                    halves.extend(low.map(|a| if is_high(a) { 0 } else { *a }));
-                    halves.push(c.row[n]);
-                    let l = hull.range(&halves[at + n + 1..]);
-                    let splits = l.is_some_and(|(l_lo, l_hi)| l_lo > -m && l_hi < m);
-                    if !splits {
-                        halves.truncate(at);
-                    }
-                    splits
-                });
-                if !splits {
-                    self.move_row(i, kept);
-                    kept += 1;
-                }
-            }
-            if halves.is_empty() {
-                return Some(hull);
-            }
-            self.truncate(kept);
-            for half in halves.chunks_exact(n + 1) {
-                self.push_copy(half, CmpOp::Eq);
-            }
-        }
-        None
-    }
-
     /// Drops inequality rows dominated by another row with identical
     /// coefficients and a tighter constant. Rows are already
     /// gcd-normalized by [`Polyhedron::push_row`], so syntactic
@@ -826,14 +756,15 @@ impl Polyhedron {
     }
 
     /// Enumerates every integer point of a *bounded* polyhedron in
-    /// lexicographic order of its dimensions. Panics (via assert) if any
-    /// dimension turns out unbounded. Intended for tests and the
-    /// trace-driven cache simulator on miniature problem sizes.
-    pub fn enumerate(&self) -> Vec<Vec<i64>> {
+    /// lexicographic order of its dimensions; `None` when some dimension
+    /// turns out unbounded, or a projection or bound does not fit `i64`.
+    /// Intended for tests, validation and the trace-driven cache
+    /// simulator on miniature problem sizes.
+    pub fn enumerate(&self) -> Option<Vec<Vec<i64>>> {
         let mut out = Vec::new();
         let mut point = vec![0i64; self.n_dims];
-        self.enum_rec(0, &mut point, &mut out);
-        out
+        self.enum_rec(0, &mut point, &mut out)?;
+        Some(out)
     }
 
     /// `self` with `point[..d]` substituted and every dimension after
@@ -846,18 +777,16 @@ impl Polyhedron {
         p.project_keep(d + 1, self.n_dims)
     }
 
-    fn enum_rec(&self, d: usize, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
+    fn enum_rec(&self, d: usize, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) -> Option<()> {
         if d == self.n_dims {
             if self.contains(point) {
                 out.push(point.clone());
             }
-            return;
+            return Some(());
         }
-        let p = self
-            .slice_at(d, point)
-            .expect("enumerate: coefficient overflow");
+        let p = self.slice_at(d, point).ok()?;
         if p.has_false_constant() {
-            return;
+            return Some(());
         }
         let b = p.bounds(d, self.n_dims);
         let prefix: Vec<i64> = {
@@ -868,24 +797,15 @@ impl Polyhedron {
             }
             v
         };
-        let fits = "enumerate: bound overflows i64";
-        let lo = b
-            .lower
-            .iter()
-            .map(|e| e.eval_ceil(&prefix).expect(fits))
-            .max()
-            .expect("enumerate: dimension unbounded below");
-        let hi = b
-            .upper
-            .iter()
-            .map(|e| e.eval_floor(&prefix).expect(fits))
-            .min()
-            .expect("enumerate: dimension unbounded above");
+        let lo: Option<Vec<i64>> = b.lower.iter().map(|e| e.eval_ceil(&prefix)).collect();
+        let hi: Option<Vec<i64>> = b.upper.iter().map(|e| e.eval_floor(&prefix)).collect();
+        let (lo, hi) = (lo?.into_iter().max()?, hi?.into_iter().min()?);
         for v in lo..=hi {
             point[d] = v;
-            self.enum_rec(d + 1, point, out);
+            self.enum_rec(d + 1, point, out)?;
         }
         point[d] = 0;
+        Some(())
     }
 
     /// Returns some integer point of the polyhedron, or `None` if none
@@ -953,21 +873,6 @@ impl Polyhedron {
     }
 }
 
-/// The dominant coefficient `m` of an equality with two strata: some
-/// terms are multiples of `m > 1` and some are not. Only such a row can
-/// be split by [`Polyhedron::split_stratified_equalities`].
-fn strata(c: ConstraintRef<'_>) -> Option<i64> {
-    if c.op != CmpOp::Eq {
-        return None;
-    }
-    let coeffs = &c.row[..c.n_dims()];
-    // A dominant coefficient of `i64::MIN` has no `abs`; such a row is
-    // left unsplit.
-    let m = coeffs.iter().map(|a| a.unsigned_abs()).max()?;
-    let m = i64::try_from(m).ok().filter(|&m| m > 1)?;
-    coeffs.iter().any(|a| a % m != 0).then_some(m)
-}
-
 /// How the rows of a system use one dimension.
 #[derive(Clone, Copy, Default)]
 struct Uses {
@@ -1020,21 +925,6 @@ impl Hull {
             }
         }
         Some(acc)
-    }
-
-    /// The range of `row` over the box; `None` unless every dimension it
-    /// mentions is bounded on both sides.
-    fn range(&self, row: &[i64]) -> Option<(i64, i64)> {
-        let n = self.lo.len();
-        let mut range = (row[n], row[n]);
-        for (v, &a) in row[..n].iter().enumerate() {
-            if a != 0 {
-                let (t1, t2) = (a.saturating_mul(self.lo[v]?), a.saturating_mul(self.hi[v]?));
-                range.0 = range.0.saturating_add(t1.min(t2));
-                range.1 = range.1.saturating_add(t1.max(t2));
-            }
-        }
-        Some(range)
     }
 }
 
@@ -1170,7 +1060,7 @@ mod tests {
     #[test]
     fn enumeration_counts_triangle_points() {
         let t = triangle();
-        let pts = t.enumerate();
+        let pts = t.enumerate().expect("bounded");
         assert_eq!(pts.len(), 4 + 3 + 2 + 1);
         // Lexicographic order check.
         let mut sorted = pts.clone();
@@ -1221,7 +1111,7 @@ mod tests {
     fn fix_pins_dimension() {
         let t = triangle();
         let p = t.fix(0, 2);
-        let pts = p.enumerate();
+        let pts = p.enumerate().expect("bounded");
         assert_eq!(pts, vec![vec![2, 0], vec![2, 1], vec![2, 2]]);
     }
 
@@ -1288,13 +1178,13 @@ mod tests {
         assert_eq!(t.and_le(&row, 5), with(Constraint::ge(vec![-2, 1, 2])));
         assert_eq!(t.and_eq0(&row), with(Constraint::eq(vec![2, -1, 3])));
         let value = |p: &[i64]| 2 * p[0] - p[1] + 3;
-        let points = t.enumerate();
+        let points = t.enumerate().expect("bounded");
         let such_that = |keep: &dyn Fn(i64) -> bool| -> Vec<Vec<i64>> {
             points.iter().filter(|p| keep(value(p))).cloned().collect()
         };
-        assert_eq!(t.and_ge(&row, 5).enumerate(), such_that(&|v| v >= 5));
-        assert_eq!(t.and_le(&row, 5).enumerate(), such_that(&|v| v <= 5));
-        assert_eq!(t.and_eq0(&[1, -2, 0]).enumerate(), [[0, 0], [2, 1]]);
+        assert_eq!(t.and_ge(&row, 5).enumerate().expect("bounded"), such_that(&|v| v >= 5));
+        assert_eq!(t.and_le(&row, 5).enumerate().expect("bounded"), such_that(&|v| v <= 5));
+        assert_eq!(t.and_eq0(&[1, -2, 0]).enumerate().expect("bounded"), [[0, 0], [2, 1]]);
     }
 
     /// An obligation whose row does not fit `i64` is dropped: the result
@@ -1370,7 +1260,7 @@ mod tests {
         let mut half = Polyhedron::universe(2);
         half.add(Constraint::ge(vec![1, 0, -2])); // i >= 2
         let x = t.intersect(&half);
-        let pts = x.enumerate();
+        let pts = x.enumerate().expect("bounded");
         assert!(pts.iter().all(|p| p[0] >= 2));
         assert_eq!(pts.len(), 3 + 4);
     }
@@ -1384,13 +1274,13 @@ mod tests {
         p.add(Constraint::ge(vec![-1, 20])); // x <= 20 (implied)
         let sp = p.simplify();
         assert_eq!(sp.constraints().len(), 2, "{sp:?}");
-        assert_eq!(sp.enumerate(), p.enumerate());
+        assert_eq!(sp.enumerate().expect("bounded"), p.enumerate().expect("bounded"));
     }
 
     #[test]
     fn simplify_keeps_tight_triangular_constraints() {
         let t = triangle().simplify();
-        assert_eq!(t.enumerate().len(), 10);
+        assert_eq!(t.enumerate().expect("bounded").len(), 10);
         // i >= 0 is implied by j >= 0 ∧ j <= i: three rows remain.
         assert_eq!(t.constraints().len(), 3);
     }
@@ -1402,7 +1292,7 @@ mod tests {
         p.bound_const(0, 0, 5);
         let sp = p.simplify();
         assert!(sp.constraints().any(|c| c.op == CmpOp::Eq));
-        assert_eq!(sp.enumerate(), p.enumerate());
+        assert_eq!(sp.enumerate().expect("bounded"), p.enumerate().expect("bounded"));
     }
 
     #[test]
@@ -1412,7 +1302,7 @@ mod tests {
         p.bound_const(0, 0, 4);
         p.add(Constraint::ge(vec![-1, 1, 0])); // x >= t
         p.add(Constraint::ge(vec![1, -1, 3])); // x <= t + 3
-        assert_eq!(p.enumerate().len(), 16);
+        assert_eq!(p.enumerate().expect("bounded").len(), 16);
         let b = p.bounds(1, 2);
         assert_eq!(b.lower[0].eval_ceil(&[2, 0]), Some(2));
         assert_eq!(b.upper[0].eval_floor(&[2, 0]), Some(5));

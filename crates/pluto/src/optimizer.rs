@@ -76,17 +76,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
         let outer_doall = mark_parallelism(&mut nest, &info.deps, info.depth, true).map(|(k, _)| k);
         // 2. Tiling.
         let tiled_band = if opts.tiling {
-            nest = tile_nest(
-                prog,
-                nest,
-                &info.deps,
-                info.depth,
-                opts.tile,
-                opts.time_tile,
-                // Asked in debug builds, like the certification of the
-                // finished program below.
-                &|p| !cfg!(debug_assertions) || polymix_verify::certify(p).is_ok(),
-            );
+            nest = tile_nest(prog, nest, &info.deps, info.depth, opts.tile, opts.time_tile);
             tilable_prefix(&info.deps, &info.stmts, info.depth)
         } else {
             0

@@ -126,7 +126,7 @@ mod tests {
             let mut total = 0usize;
             for s in &scop.statements {
                 let dom = scop.instantiate_domain(s, &params);
-                total += dom.enumerate().len();
+                total += dom.enumerate().expect("bounded domain").len();
             }
             assert!(total > 0, "{} has empty domains", k.name);
         }

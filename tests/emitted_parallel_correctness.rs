@@ -4,19 +4,18 @@
 //! on every checksum. This compiles real binaries with rustc, so it
 //! exercises exactly what the benchmark harness measures.
 
+use polymix::ast::tree::Program;
 use polymix::dl::Machine;
-use polymix_bench::runner::{emit_source, Runner};
+use polymix_bench::runner::{compile_and_run, emit_source, RunResult};
 use polymix_bench::variants::{build_variant, Variant};
-use polymix_polybench::{checksum, kernel_by_name};
+use polymix_polybench::{checksum, kernel_by_name, Kernel};
 
-fn runner(threads: usize) -> Runner {
-    Runner {
-        work_dir: std::env::temp_dir().join("polymix-par-tests"),
-        threads,
-        reps: 1,
-        rustc_flags: vec!["-O".into()],
-        ..Runner::new(threads)
-    }
+/// Emits `prog` for `threads` workers, then compiles (cached by source
+/// hash) and runs it once.
+fn run(k: &Kernel, prog: &Program, params: &[i64], threads: usize, label: &str) -> RunResult {
+    let src = emit_source(k, prog, params, threads, 1);
+    let dir = std::env::temp_dir().join("polymix-par-tests");
+    compile_and_run(&src, &dir, &["-O".into()], label).unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
 fn check(kernel: &str, variant: Variant, tolerance: f64) {
@@ -28,15 +27,10 @@ fn check_at(kernel: &str, variant: Variant, tolerance: f64, threads: usize) {
     let k = kernel_by_name(kernel).unwrap();
     let machine = Machine::nehalem();
     let params = k.dataset("small").params;
-    let r = runner(threads);
     let native = build_variant(&k, Variant::Native, &machine).expect("native variant");
-    let base = r
-        .run(&k, &native, &params, &format!("{kernel}_native"))
-        .unwrap_or_else(|e| panic!("{kernel} native: {e}"));
+    let base = run(&k, &native, &params, threads, &format!("{kernel}_native"));
     let prog = build_variant(&k, variant, &machine).expect("variant builds");
-    let got = r
-        .run(&k, &prog, &params, &format!("{kernel}_{variant:?}"))
-        .unwrap_or_else(|e| panic!("{kernel} {variant:?}: {e}"));
+    let got = run(&k, &prog, &params, threads, &format!("{kernel}_{variant:?}"));
     let rel = (got.checksum - base.checksum).abs() / base.checksum.abs().max(1.0);
     assert!(
         rel <= tolerance,
@@ -119,9 +113,7 @@ fn padded_rows_keep_native_checksums() {
         (k.reference)(&params, &mut arrays);
         let want = checksum(&scop, &arrays);
         let native = build_variant(&k, Variant::Native, &machine).expect("native variant");
-        let base = runner(1)
-            .run(&k, &native, &params, &format!("{kernel}_native_padded"))
-            .unwrap_or_else(|e| panic!("{kernel} native: {e}"));
+        let base = run(&k, &native, &params, 1, &format!("{kernel}_native_padded"));
         for variant in [Variant::PolyAst, Variant::Pocc] {
             let prog = build_variant(&k, variant, &machine).expect("variant builds");
             for threads in [1, 2] {
@@ -133,9 +125,7 @@ fn padded_rows_keep_native_checksums() {
                         "{kernel}: no reduction region to privatize"
                     );
                 }
-                let got = runner(threads)
-                    .run(&k, &prog, &params, &format!("{kernel}_{variant:?}_padded"))
-                    .unwrap_or_else(|e| panic!("{kernel} {variant:?}: {e}"));
+                let got = run(&k, &prog, &params, threads, &format!("{kernel}_{variant:?}_padded"));
                 let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
                 assert!(
                     rel(got.checksum, base.checksum) <= 1e-9 && rel(got.checksum, want) <= 1e-6,

@@ -13,6 +13,7 @@ use polymix::math::IntMat;
 use polymix::pluto::scheduler::{schedule_pluto, schedule_with_fallback};
 use polymix::pluto::{optimize_pluto, Fusion, PlutoOptions, PlutoVariant};
 use polymix_bench::runner::Runner;
+use polymix_bench::sweep::{run_sweep, rustc_work, SweepConfig, SweepJob};
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
 use polymix_polybench::{kernel_by_name, Dataset, Group, InitSpec, Kernel};
@@ -172,16 +173,30 @@ fn sweep_records_failing_kernel_and_continues() {
 #[test]
 fn runner_failure_is_recorded_not_fatal() {
     let gemm = kernel_by_name("gemm").expect("gemm exists");
-    let machine = Machine::nehalem();
-    let prog = build_variant(&gemm, Variant::Native, &machine).expect("gemm builds");
     let params = gemm.dataset("mini").params;
+    let build = {
+        let gemm = gemm.clone();
+        move || build_variant(&gemm, Variant::Native, &Machine::nehalem())
+    };
+    let job = SweepJob {
+        id: "gemm_bad_flags".into(),
+        kernel: gemm.name.into(),
+        variant: "native".into(),
+        dataset: "mini".into(),
+        params: params.clone(),
+        work: rustc_work(&gemm, &params, 1, 2, build, true),
+    };
 
     let mut runner = Runner::new(1);
     runner.work_dir = std::env::temp_dir().join("polymix-fallback-runner-test");
     runner.rustc_flags = vec!["--definitely-not-a-flag".into()];
-    let err = runner
-        .run(&gemm, &prog, &params, "gemm_bad_flags")
+    let outcomes = run_sweep(vec![job], &runner, &SweepConfig::default());
+    assert_eq!(outcomes.len(), 1);
+    let err = outcomes[0]
+        .result
+        .as_ref()
         .expect_err("bogus rustc flag must fail the run");
     assert_eq!(err.stage(), Stage::Runner);
     assert_eq!(err.cell(), "error(runner)");
+    assert!(!outcomes[0].degraded, "a compile error is not a kernel failure");
 }
