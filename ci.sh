@@ -113,6 +113,21 @@ read -r FB_R FB_P FB_W <<< "$(echo "$FALLBACKS" \
     | sed -n 's/^fallbacks: reduction \([0-9]*\) pipeline \([0-9]*\) wavefront \([0-9]*\)$/\1 \2 \3/p')"
 [ -n "$FB_W" ] && [ "$FB_R" -le 1 ] && [ "$FB_P" -le 2 ] && [ "$FB_W" -le 0 ] \
     || { echo "more parallel marks fell back to sequential code: $FALLBACKS (committed: 1 2 0)"; exit 1; }
+# Register tiling: the audit counts the loops marked `jam: f` (each one
+# proven by the certifier's jam walk, or the audit above already failed
+# with `jam-unsafe`); none may be lost. It then counts the pipeline marks
+# the poly+AST flow turned sequential when the certifier refused a phased
+# pipeline; none may be added.
+JAMS=$(echo "$VERIFY_OUT" | grep '^jams: ') \
+    || { echo "static audit printed no jam count"; exit 1; }
+echo "$JAMS"
+[ "${JAMS#jams: }" -ge 16 ] \
+    || { echo "fewer loops are jammed: $JAMS (committed: 16)"; exit 1; }
+DEMOTED=$(echo "$VERIFY_OUT" | grep '^demoted: ') \
+    || { echo "static audit printed no demotion count"; exit 1; }
+echo "$DEMOTED"
+[ "${DEMOTED#demoted: }" -le 0 ] \
+    || { echo "more pipeline marks were demoted: $DEMOTED (committed: 0)"; exit 1; }
 # Same idea for the tiling stage: the audit sums what `tile_nest` reported
 # for every nest. Each of its three forms must still be taken somewhere,
 # and so must the DL model's decision not to tile (`declined`) and the

@@ -185,6 +185,7 @@ mod tests {
             hi: Bound::of(LinExpr::param(0).plus(-1)),
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: Node::Stmt(StmtNode {
                 stmt_idx: 0,
                 iter_exprs: vec![LinExpr::var(0)],
@@ -195,6 +196,7 @@ mod tests {
             body,
             n_vars: 1,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 

@@ -60,6 +60,21 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
         }
     }
 
+    // The emitter privatizes a reduction's whole accumulator array per
+    // worker: a statement under the loop that touches it other than by a
+    // reduction self-update carried here would see partial sums.
+    let accumulators: Vec<(usize, usize)> = relevant
+        .iter()
+        .filter(|d| d.reduction && !d.at(k).is_zero())
+        .map(|d| (d.src, d.array))
+        .collect();
+    if relevant.iter().any(|d| {
+        accumulators.iter().any(|&(_, a)| a == d.array)
+            && !(accumulators.contains(&(d.src, d.array)) && accumulators.contains(&(d.dst, d.array)))
+    }) {
+        reduction_ok = false;
+    }
+
     if pipeline_ok && any_pipeline_carried {
         Par::Pipeline
     } else if reduction_ok && any_reduction_carried {
@@ -88,7 +103,7 @@ mod tests {
     fn deps(vectors: &[(&[DepElem], bool)]) -> Vec<NestDep> {
         vectors
             .iter()
-            .map(|&(v, reduction)| NestDep::new(v.to_vec(), reduction, 0, 0))
+            .map(|&(v, reduction)| NestDep::new(v.to_vec(), reduction, 0, 0, 0))
             .collect()
     }
 
@@ -132,6 +147,18 @@ mod tests {
         // But a possibly-negative next level is not.
         let v = deps(&[(&[Plus, Star], false)]);
         assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Seq);
+    }
+
+    /// Statement 0 sums into array 0 along level 0; statement 1 reads that
+    /// accumulator in the same iteration. Privatized, it would read a
+    /// worker's partial sum: the level is not a reduction. A record on
+    /// another array between the two statements changes nothing.
+    #[test]
+    fn a_statement_that_touches_the_accumulator_refuses_the_reduction() {
+        let sum = NestDep::new(vec![Const(1), Const(0)], true, 0, 0, 0);
+        let read = |array| NestDep::new(vec![Const(0), Const(0)], false, 0, 1, array);
+        assert_eq!(classify_level_in_nest(&[sum.clone(), read(1)], 0, 2), Par::Reduction);
+        assert_eq!(classify_level_in_nest(&[sum, read(0)], 0, 2), Par::Seq);
     }
 
     #[test]

@@ -124,7 +124,12 @@ fn walk(
             } else {
                 format!(" step {}", l.step)
             };
-            let _ = writeln!(out, "{pad}{kw} {} = {lo} .. {hi}{step}:", l.name);
+            let jam = if l.jam > 1 {
+                format!(" jam {}", l.jam)
+            } else {
+                String::new()
+            };
+            let _ = writeln!(out, "{pad}{kw} {} = {lo} .. {hi}{step}{jam}:", l.name);
             walk(prog, &l.body, indent + 1, names, out);
         }
         Node::Stmt(s) => {
@@ -163,6 +168,7 @@ mod tests {
                 hi: Bound::of(LinExpr::param(0).plus(-1)),
                 step: 1,
                 par: crate::tree::Par::Doall,
+                jam: 1,
                 body: Node::Stmt(StmtNode {
                     stmt_idx: 0,
                     iter_exprs: vec![LinExpr::var(0)],
@@ -170,6 +176,7 @@ mod tests {
             }),
             n_vars: 1,
             tiling: Vec::new(),
+            demoted: 0,
         };
         let s = render(&prog);
         assert_eq!(s, "parfor i = 0 .. N - 1:\n  S(i)\n");
@@ -204,6 +211,7 @@ mod tests {
                 hi: Bound::of(LinExpr::param(0).plus(-1)),
                 step: 2,
                 par: crate::tree::Par::Seq,
+                jam: 1,
                 body: Node::Guard(
                     vec![LinExpr::var(0).plus(-1)],
                     Box::new(Node::Stmt(StmtNode {
@@ -214,6 +222,7 @@ mod tests {
             }),
             n_vars: 1,
             tiling: Vec::new(),
+            demoted: 0,
         };
         let s = render(&prog);
         assert!(s.contains("max(0, ceil(N - 8, 2))"), "{s}");

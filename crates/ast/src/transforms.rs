@@ -136,6 +136,7 @@ pub fn strip_mine(prog: &mut Program, l: &Loop, size: i64, crossed: &[Crossed]) 
         hi: relax_bound(&l.hi, crossed, false),
         step: size * l.step,
         par: l.par,
+        jam: 1,
         body: Node::Seq(vec![]),
     };
     let mut lo = l.lo.clone();
@@ -155,6 +156,7 @@ pub fn strip_mine(prog: &mut Program, l: &Loop, size: i64, crossed: &[Crossed]) 
         hi,
         step: l.step,
         par: Par::Seq,
+        jam: 1,
         body: Node::Seq(vec![]),
     };
     (tile, point)
@@ -217,62 +219,8 @@ pub fn unroll(l: &Loop, factor: i64) -> Result<Node, PolymixError> {
         hi: l.hi.clone(),
         step: factor,
         par: l.par,
+        jam: 1,
         body: Node::Seq(replicas),
-    }))
-}
-
-/// Unroll-and-jam: unrolls an outer loop of a perfect pair by `factor`
-/// and jams the replicated inner loops into one (register tiling,
-/// Sec. IV-C). Requires the inner loop's bounds to be invariant in the
-/// outer variable; returns `None` when the shape does not allow it.
-pub fn unroll_and_jam(l: &Loop, factor: i64) -> Option<Node> {
-    if factor < 1 {
-        return None;
-    }
-    if factor == 1 {
-        return Some(Node::loop_(l.clone()));
-    }
-    if l.step != 1 {
-        return None;
-    }
-    if l.hi.exprs.iter().any(|be| be.denom != 1) {
-        return None; // divided upper bound: replica guards inexpressible
-    }
-    let inner = match &l.body {
-        Node::Loop(i) => i.as_ref().clone(),
-        _ => return None,
-    };
-    let invariant = |b: &Bound| b.exprs.iter().all(|be| be.expr.coeff_of(l.var) == 0);
-    if !invariant(&inner.lo) || !invariant(&inner.hi) {
-        return None;
-    }
-    // Jammed inner body: replicas of inner.body at outer offsets.
-    let mut replicas = Vec::with_capacity(factor as usize);
-    for r in 0..factor {
-        let mut b = inner.body.clone();
-        if r > 0 {
-            b.subst_var(l.var, &LinExpr::var(l.var).plus(r));
-            let guards: Vec<LinExpr> = l
-                .hi
-                .exprs
-                .iter()
-                .map(|be| be.expr.add_scaled(&LinExpr::var(l.var), -1).plus(-r))
-                .collect();
-            b = Node::Guard(guards, Box::new(b));
-        }
-        replicas.push(b);
-    }
-    Some(Node::loop_(Loop {
-        var: l.var,
-        name: l.name.clone(),
-        lo: l.lo.clone(),
-        hi: l.hi.clone(),
-        step: factor,
-        par: l.par,
-        body: Node::loop_(Loop {
-            body: Node::Seq(replicas),
-            ..inner
-        }),
     }))
 }
 
@@ -362,6 +310,7 @@ pub fn interchange(outer: &Loop) -> Option<Node> {
         hi: of(new_outer_hi),
         step: 1,
         par: inner.par,
+        jam: 1,
         body: Node::loop_(Loop {
             var: o,
             name: outer.name.clone(),
@@ -369,6 +318,7 @@ pub fn interchange(outer: &Loop) -> Option<Node> {
             hi: of(new_inner_hi),
             step: 1,
             par: outer.par,
+            jam: 1,
             body: inner.body.clone(),
         }),
     }))
@@ -400,6 +350,7 @@ mod tests {
             hi: Bound::of(LinExpr::param(0).plus(-1)),
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: Node::loop_(Loop {
                 var: 1,
                 name: "j".into(),
@@ -407,6 +358,7 @@ mod tests {
                 hi: Bound::of(LinExpr::param(0).plus(-1)),
                 step: 1,
                 par: Par::Seq,
+                jam: 1,
                 body: Node::Stmt(StmtNode {
                     stmt_idx: 0,
                     iter_exprs: vec![LinExpr::var(0), LinExpr::var(1)],
@@ -418,6 +370,7 @@ mod tests {
             body,
             n_vars: 2,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 
@@ -518,34 +471,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unroll_and_jam_outer_by_two() {
-        for n in [4, 5, 7] {
-            let mut p = grid_program(n);
-            let jammed = match &p.body {
-                Node::Loop(l) => unroll_and_jam(l, 2).expect("jammable"),
-                _ => panic!(),
-            };
-            p.body = jammed;
-            let out = run_all_ones(&p, n);
-            assert_eq!(out, vec![1.0; (n * n) as usize], "n={n}");
-        }
-    }
-
-    #[test]
-    fn unroll_and_jam_refuses_triangular_inner() {
-        let mut p = grid_program(6);
-        // Make the inner loop bounds depend on i.
-        if let Node::Loop(l) = &mut p.body {
-            if let Node::Loop(j) = &mut l.body {
-                j.hi = Bound::of(LinExpr::var(0));
-            }
-        }
-        if let Node::Loop(l) = &p.body {
-            assert!(unroll_and_jam(l, 2).is_none());
-        }
-    }
-
     /// symm's joint nest 1 at tile 4: `c1 = max(0, u0t) .. min(N - 2,
     /// u0t + 3)` over `c2 = max(c1 + 1, u1t) .. min(N - 1, u1t + 3)`.
     /// `S0` writes each point's visit number, which `S1` counts, so `A`
@@ -581,6 +506,7 @@ mod tests {
             hi: bound(hi),
             step,
             par: Par::Seq,
+            jam: 1,
             body: Node::Seq(vec![]),
         };
         let body = nest_under(
@@ -609,6 +535,7 @@ mod tests {
             body,
             n_vars: 4,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 
@@ -830,6 +757,7 @@ pub fn tile_imperfect(prog: &mut Program, node: Node, sizes: &[i64]) -> Option<N
             hi,
             step: sizes[k],
             par: pars[k],
+            jam: 1,
             body,
         });
     }
@@ -900,6 +828,7 @@ mod imperfect_tests {
                 hi: Bound::of(LinExpr::param(1).plus(-1)),
                 step: 1,
                 par: Par::Seq,
+                jam: 1,
                 body: Node::Stmt(StmtNode {
                     stmt_idx,
                     iter_exprs: vec![LinExpr::var(0), LinExpr::var(var)],
@@ -913,6 +842,7 @@ mod imperfect_tests {
             hi: Bound::of(LinExpr::param(0).plus(-1)),
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: Node::Seq(vec![mk_inner(0, 1), mk_inner(1, 2)]),
         });
         Program {
@@ -920,6 +850,7 @@ mod imperfect_tests {
             body,
             n_vars: 3,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 
@@ -1023,6 +954,7 @@ mod sunk_tests {
             hi: Bound::of(LinExpr::param(hi_param).plus(-1)),
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: Node::Seq(vec![]),
         }
     }
@@ -1062,6 +994,7 @@ mod sunk_tests {
             body,
             n_vars: 3,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 

@@ -262,6 +262,13 @@ pub struct Loop {
     pub step: i64,
     /// Parallelism annotation.
     pub par: Par,
+    /// Unroll-and-jam factor (Sec. IV-C register tiling); 1 means none.
+    /// Like `par` it is a mark: the optimizer sets it, the certifier
+    /// proves it and the emitter realizes it — guard-free, where the loop
+    /// is emitted sequentially with no parallel region below it
+    /// (`polymix_codegen::emit`). Everything else runs the loop in its
+    /// original order.
+    pub jam: i64,
     /// Loop body.
     pub body: Node,
 }
@@ -337,6 +344,19 @@ impl Node {
         }
     }
 
+    /// Depth-first visit of every loop in the tree.
+    pub fn visit_loops(&self, f: &mut impl FnMut(&Loop)) {
+        match self {
+            Node::Seq(xs) => xs.iter().for_each(|x| x.visit_loops(f)),
+            Node::Loop(l) => {
+                f(l);
+                l.body.visit_loops(f);
+            }
+            Node::Guard(_, b) => b.visit_loops(f),
+            Node::Stmt(_) => {}
+        }
+    }
+
     /// Depth-first visit of every statement node.
     pub fn visit_stmts(&self, f: &mut impl FnMut(&StmtNode)) {
         match self {
@@ -398,6 +418,10 @@ pub struct Program {
     /// (empty for a program that never went through it). A record of
     /// the optimizer's decision: nothing executes or emits from it.
     pub tiling: Vec<TileReport>,
+    /// Pipeline marks the poly+AST flow turned sequential because the
+    /// certifier refused a phased pipeline (`polymix_core::flow`): a
+    /// record, like `tiling`.
+    pub demoted: usize,
 }
 
 /// The form the tiling stage gave one top-level nest
@@ -447,6 +471,7 @@ impl Program {
             body,
             n_vars: self.n_vars,
             tiling: Vec::new(),
+            demoted: 0,
         }
     }
 
@@ -521,6 +546,7 @@ mod tests {
             hi: Bound::of(LinExpr::var(0).plus(4)),
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: Node::Stmt(StmtNode {
                 stmt_idx: 0,
                 iter_exprs: vec![LinExpr::var(0), LinExpr::var(1)],

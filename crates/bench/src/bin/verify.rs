@@ -20,8 +20,12 @@
 //!   construct whose count drops to zero has lost all its traffic; next,
 //!   how many outermost marks of each of the last three kinds the
 //!   emitter ran sequentially instead (`fallbacks: reduction N pipeline
-//!   N wavefront N`, per program the marks minus the calls); after
-//!   them, a census of what the tiling stage reported for every nest
+//!   N wavefront N`, per program the marks minus the calls); then the
+//!   number of loops marked `jam: f` (`jams: N`, each one proven by the
+//!   certifier or the audit fails) and of pipeline marks the poly+AST
+//!   flow turned sequential because the certifier refused a phased
+//!   pipeline (`demoted: N`); after them, a census of what the tiling
+//!   stage reported for every nest
 //!   (`tiling: joint N chains N sunk N declined N reordered N
 //!   untiled-levels N`: `declined` counts the nests the DL model judged
 //!   not worth tiling, `reordered` the nests whose point loops were put
@@ -145,6 +149,8 @@ fn main() {
     // declined to tile, nests with reordered point loops, then untiled
     // statements.
     let mut tiling = [0usize; 6];
+    // Loops marked `jam: f`, and pipeline marks the flow demoted.
+    let (mut jams, mut demoted) = (0usize, 0usize);
     let mut vm_proven = 0usize;
     let mut vm_total = 0usize;
 
@@ -219,6 +225,8 @@ fn main() {
             // Certificates 1-2: schedule legality and annotation safety
             // re-derived from the final program.
             audit(&label, &verify_program(&prog), strict, &mut failures);
+            prog.body.visit_loops(&mut |l| jams += usize::from(l.jam > 1));
+            demoted += prog.demoted;
             for r in &prog.tiling {
                 match r.form {
                     TileForm::Joint => tiling[0] += 1,
@@ -254,6 +262,8 @@ fn main() {
         println!("regions: doall {d} reduction {r} pipeline {p} wavefront {w}");
         let [_, r, p, w] = fallbacks;
         println!("fallbacks: reduction {r} pipeline {p} wavefront {w}");
+        println!("jams: {jams}");
+        println!("demoted: {demoted}");
         let [joint, chains, sunk, declined, reordered, untiled] = tiling;
         println!(
             "tiling: joint {joint} chains {chains} sunk {sunk} declined {declined} \

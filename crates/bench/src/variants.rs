@@ -83,11 +83,10 @@ pub fn variant_list() -> Vec<Variant> {
 /// The paper's knob settings for `variant` on a kernel of `group`, as
 /// `(tile, time_tile, unroll)`: tile 32 everywhere, 5 for the outer time
 /// tile of the pipeline group; register tiling (2, 2) for the `vect`
-/// configuration and none elsewhere (the paper tunes unroll-and-jam
-/// factors empirically over {1,2,4,6,8}; on this reproduction's LLVM
-/// backend the guarded source-level unroll defeats auto-vectorization,
-/// so the tuned best is no unrolling — see the `ablation_unroll`
-/// experiment and EXPERIMENTS.md).
+/// configuration and `(1, 1)` elsewhere, which leaves poly+AST to pick
+/// its own jams from the machine's add latency (DESIGN §19, "Register
+/// tiling is a mark"; the paper tunes unroll-and-jam factors
+/// empirically over {1,2,4,6,8}).
 pub fn paper_knobs(group: Group, variant: Variant) -> (i64, i64, (i64, i64)) {
     let time_tile = if group == Group::Pipeline { 5 } else { 32 };
     let unroll = if variant == Variant::PoccVect { (2, 2) } else { (1, 1) };

@@ -101,6 +101,9 @@ struct Emitter<'a> {
     region: usize,
     /// Whether any loop is emitted as a `kernel_rt` region.
     parallel: bool,
+    /// The jammed loop being emitted, as `(variable, factor)`: every
+    /// statement below it is written once per replica.
+    jam: Option<(usize, i64)>,
     /// Per array whose rows are padded ([`pads_rows`]): its logical row
     /// length and its padded row stride, as `usize` expressions.
     rows: Vec<Option<(String, String)>>,
@@ -123,6 +126,7 @@ pub fn emit_rust(prog: &Program, opts: &EmitOptions) -> String {
         names,
         region: 0,
         parallel: parallel && opts.threads > 1,
+        jam: None,
         rows: Vec::new(),
         dims: Vec::new(),
     };
@@ -502,8 +506,41 @@ impl Emitter<'_> {
         }
     }
 
+    /// `l` as a plain loop — or, when it carries a `jam: f` mark, no
+    /// jam is being emitted around it and no parallel region would run
+    /// below it, as its unroll-and-jam: a main loop over blocks of `f`
+    /// iterations whose body writes every statement once per replica,
+    /// `r = 0..f` innermost, then the remainder loop. No replica carries
+    /// a guard. The certifier proves the jammed order (DESIGN §19).
     fn seq_loop(&mut self, l: &Loop) {
-        self.seq_loop_around(l, |e| e.node(&l.body));
+        let region_below = || {
+            let mut marked = false;
+            l.body.visit_loops(&mut |i| marked |= i.par != Par::Seq);
+            marked
+        };
+        if l.jam < 2 || self.jam.is_some() || (self.parallel && region_below()) {
+            self.seq_loop_around(l, |e| e.node(&l.body));
+            return;
+        }
+        let v = self.var_name(l.var);
+        let lo = self.bound(&l.lo, true);
+        let hi = self.bound(&l.hi, false);
+        self.line(&format!("let mut {v}: i64 = {lo};"));
+        self.line(&format!("let {v}_hi: i64 = {hi};"));
+        self.line(&format!("while {v} + {} <= {v}_hi {{", l.jam - 1));
+        self.indent += 1;
+        self.jam = Some((l.var, l.jam));
+        self.node(&l.body);
+        self.jam = None;
+        self.line(&format!("{v} += {};", l.jam));
+        self.indent -= 1;
+        self.line("}");
+        self.line(&format!("while {v} <= {v}_hi {{"));
+        self.indent += 1;
+        self.node(&l.body);
+        self.line(&format!("{v} += 1;"));
+        self.indent -= 1;
+        self.line("}");
     }
 
     /// `l` as a plain loop around whatever `body` emits.
@@ -717,6 +754,11 @@ impl Emitter<'_> {
             .collect();
         if subs.is_empty() || subs.len() != siblings.len() {
             // No inner loop structure to pipeline across: sequential.
+            self.line(&format!(
+                "// pipeline region {}: body not loops alone, sequential fallback",
+                self.region
+            ));
+            self.region += 1;
             self.seq_loop(l);
             return;
         }
@@ -822,6 +864,19 @@ impl Emitter<'_> {
     }
 
     fn stmt(&mut self, s: &polymix_ast::tree::StmtNode) {
+        let Some((var, f)) = self.jam else {
+            return self.stmt_once(s);
+        };
+        for r in 0..f {
+            let mut replica = s.clone();
+            for e in replica.iter_exprs.iter_mut() {
+                *e = e.subst(var, &LinExpr::var(var).plus(r));
+            }
+            self.stmt_once(&replica);
+        }
+    }
+
+    fn stmt_once(&mut self, s: &polymix_ast::tree::StmtNode) {
         let stmt = &self.prog.scop.statements[s.stmt_idx];
         self.line("{");
         self.indent += 1;

@@ -78,6 +78,7 @@ pub fn generate(scop: &Scop, schedules: &[Schedule]) -> Result<Program, PolymixE
         body: seq_or_single(nodes),
         n_vars: gen.next_var,
         tiling: Vec::new(),
+        demoted: 0,
     })
 }
 
@@ -260,6 +261,7 @@ impl Gen<'_> {
             hi,
             step: 1,
             par: Par::Seq,
+            jam: 1,
             body: seq_or_single(body_nodes),
         }))
     }

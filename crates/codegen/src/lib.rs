@@ -24,4 +24,6 @@ pub mod opt;
 
 pub use emit::{emit_rust, EmitOptions};
 pub use from_poly::{generate, original_program};
-pub use opt::{mark_parallelism, nest_infos, register_tile, run_nests, skew_nest_for_tilability, NestInfo};
+pub use opt::{
+    jam_nest, loop_levels, mark_parallelism, nest_infos, register_tile, run_nests, skew_nest_for_tilability, NestInfo,
+};

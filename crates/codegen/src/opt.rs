@@ -9,15 +9,17 @@
 //! * tiling in three forms — joint, chains, sunk ([`tile_nest`], DESIGN
 //!   §19) — with the repair of marks a tile loop may not keep;
 //! * point-loop order inside each tile ([`order_point_loops`]);
-//! * register tiling, unroll-and-jam with the repair of the jammed loop's
-//!   mark (Sec. IV-C, [`register_tile`]).
+//! * register tiling, a `jam` mark on the loop whose unroll-and-jam breaks
+//!   an add chain or a gather (Sec. IV-C, [`jam_nest`]), or on the outer
+//!   loop of each innermost pair by request ([`register_tile`]).
 
 use polymix_ast::parallel::outermost_parallel;
 use polymix_ast::transforms::{self, Crossed};
-use polymix_ast::tree::{Loop, Node, Par, Program, TileForm, TileReport};
+use polymix_ast::tree::{LinExpr, Loop, Node, Par, Program, StmtNode, TileForm, TileReport};
 use polymix_deps::{build_podg, dep_records, DepElem, NestDep, Podg};
 use polymix_ir::{Schedule, Scop};
 use polymix_math::IntMat;
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Dependence summary of one top-level loop nest of a generated program.
@@ -228,146 +230,274 @@ fn mark_level(node: &mut Node, level: usize, target: usize, par: Par) {
     }
 }
 
-/// Applies register tiling (unroll-and-jam, Sec. IV-C) to every innermost
-/// perfect loop pair of the program whose bounds allow it, repairing the
-/// jammed inner loop's parallel annotation against the nest's dependence
-/// list `deps` (see [`repair_jam_mark`]). Callers without dependence
-/// information (plain unroll of dependence-free nests) may pass an empty
-/// list, which keeps every mark.
-///
-/// A point loop that [`tile_nest`]'s sunk form distributed — recognisable
-/// by its copies sharing one variable — keeps its step: the certifier
-/// follows a tile controller through its point loops, and copies unrolled
-/// by different amounts would disagree about where a tile's iterations
-/// sit.
-pub fn register_tile(
-    node: &mut Node,
-    outer_factor: i64,
-    inner_factor: i64,
-    deps: &[NestDep],
-) {
-    let mut vars: Vec<usize> = Vec::new();
-    node.visit_loops_mut(&mut |l| vars.push(l.var));
-    let distributed: Vec<usize> = vars
-        .iter()
-        .filter(|v| vars.iter().filter(|w| w == v).count() > 1)
-        .copied()
-        .collect();
-    register_tile_in(node, (outer_factor, inner_factor), deps, &distributed);
+/// Loop variable → nest level of every loop of `nest` as it stands: its
+/// depth below the nest root, the level of its component in the nest's
+/// records. Taken before tiling: a loop keeps its variable through
+/// strip-mining, distribution and interchange, so after them the map
+/// still names the record level of every step-1 loop; tile loops are new
+/// variables and absent.
+pub fn loop_levels(nest: &Node) -> HashMap<usize, usize> {
+    fn walk(node: &Node, level: usize, out: &mut HashMap<usize, usize>) {
+        match node {
+            Node::Seq(xs) => xs.iter().for_each(|x| walk(x, level, out)),
+            Node::Guard(_, b) => walk(b, level, out),
+            Node::Loop(l) => {
+                out.insert(l.var, level);
+                walk(&l.body, level + 1, out);
+            }
+            Node::Stmt(_) => {}
+        }
+    }
+    let mut out = HashMap::new();
+    walk(nest, 0, &mut out);
+    out
 }
 
-fn register_tile_in(node: &mut Node, factors: (i64, i64), deps: &[NestDep], distributed: &[usize]) {
+/// Variables that several loops of `node` share: the copies of a point
+/// loop [`tile_nest`]'s sunk form distributed. The certifier follows a
+/// tile controller through its point loops, and copies unrolled by
+/// different amounts would disagree about where a tile's iterations sit,
+/// so [`register_tile`] leaves them as they are.
+fn distributed_vars(node: &Node) -> Vec<usize> {
+    let mut vars: Vec<usize> = Vec::new();
+    node.visit_loops(&mut |l| vars.push(l.var));
+    vars.iter()
+        .filter(|v| vars.iter().filter(|w| w == v).count() > 1)
+        .copied()
+        .collect()
+}
+
+/// Register tiling by request (Sec. IV-C): marks the outer loop of every
+/// innermost perfect pair `jam: outer_factor` where [`jam_ok`] allows it,
+/// and unrolls every innermost loop by `inner_factor` (guarded epilogue,
+/// [`transforms::unroll`]). `levels` is [`loop_levels`] of the nest
+/// before tiling. The copies of a distributed point loop keep their step
+/// and get no jam ([`distributed_vars`]).
+pub fn register_tile(
+    node: &mut Node,
+    (outer_factor, inner_factor): (i64, i64),
+    deps: &[NestDep],
+    levels: &HashMap<usize, usize>,
+) {
+    let copies = distributed_vars(node);
+    register_tile_in(node, (outer_factor, inner_factor), deps, levels, &copies);
+}
+
+fn register_tile_in(
+    node: &mut Node,
+    factors: (i64, i64),
+    deps: &[NestDep],
+    levels: &HashMap<usize, usize>,
+    copies: &[usize],
+) {
     let (outer_factor, inner_factor) = factors;
     match node {
         Node::Seq(xs) => xs
             .iter_mut()
-            .for_each(|x| register_tile_in(x, factors, deps, distributed)),
-        Node::Guard(_, b) => register_tile_in(b, factors, deps, distributed),
+            .for_each(|x| register_tile_in(x, factors, deps, levels, copies)),
+        Node::Guard(_, b) => register_tile_in(b, factors, deps, levels, copies),
         Node::Loop(l) => {
-            // Innermost perfect pair: this loop + single child loop whose
-            // body has no loops.
+            let rolled = copies.contains(&l.var);
             let is_pair = matches!(&l.body, Node::Loop(inner) if node_depth(&inner.body) == 0);
-            let rolled = distributed.contains(&l.var);
-            if is_pair && outer_factor > 1 && !rolled {
-                if let Some(jammed) = transforms::unroll_and_jam(l, outer_factor) {
-                    if let Node::Loop(mut new_l) = jammed {
-                        // Repair the inner mark while the jammed body is
-                        // still a single loop (unrolling below may split
-                        // it into a main/epilogue sequence).
-                        repair_jam_mark(&mut new_l, outer_factor, deps);
-                        // Optionally unroll the (jammed) inner loop too,
-                        // unless it is a distributed copy; an error keeps
-                        // the merely jammed form.
-                        if inner_factor > 1 {
-                            if let Node::Loop(inner) = &new_l.body {
-                                if inner.step == 1 && !distributed.contains(&inner.var) {
-                                    if let Ok(u) = transforms::unroll(inner, inner_factor) {
-                                        new_l.body = u;
-                                    }
-                                }
-                            }
-                        }
-                        *l = new_l;
-                        return;
-                    }
-                }
+            if is_pair && outer_factor > 1 && !rolled && jam_ok(l, outer_factor, deps, levels) {
+                l.jam = outer_factor;
             }
-            if node_depth(&l.body) == 0 && inner_factor > 1 && l.step == 1 && !rolled {
+            if node_depth(&l.body) == 0 {
                 // Bare innermost loop: plain unroll; on error keep the
                 // rolled loop (the transform is an optimization only).
-                if let Ok(Node::Loop(new_l)) = transforms::unroll(l, inner_factor) {
-                    **l = *new_l;
+                if inner_factor > 1 && l.step == 1 && !rolled {
+                    if let Ok(Node::Loop(new_l)) = transforms::unroll(l, inner_factor) {
+                        **l = *new_l;
+                    }
                 }
                 return;
             }
-            register_tile_in(&mut l.body, factors, deps, distributed);
+            register_tile_in(&mut l.body, factors, deps, levels, copies);
         }
         Node::Stmt(_) => {}
     }
 }
 
-/// Post-jam repair of the inner loop's parallel annotation.
+/// Register tiling the poly+AST flow chooses itself (Sec. IV-C, DESIGN
+/// §19 "Register tiling is a mark"): for every innermost loop whose body holds
+/// statements only, one jam of a loop above it that breaks what binds
+/// it. A statement of the body is
 ///
-/// Unroll-and-jam moves `outer_factor` consecutive outer iterations
-/// *inside* each iteration of the jammed inner loop. Before the jam,
-/// a dependence between outer iterations `i` and `i + k`
-/// (`0 < k < outer_factor`) was discharged by outer sequentiality no
-/// matter its inner component; afterwards both endpoints co-reside in
-/// one replica block, so a nonzero inner component means the *inner*
-/// loop now carries the dependence. A `Doall` or `Reduction` mark kept
-/// there from before the jam would let one worker's replica read
-/// another worker's half-updated cell (reduction-flagged self-updates
-/// stay exempt under `Reduction`: the emitter privatizes the
-/// accumulator per worker).
+/// * **chain-bound** when it updates an element the loop does not move:
+///   its sum is one chain of dependent adds, which the vector unit cannot
+///   split without reassociating;
+/// * **gather-bound** when a read's last subscript is fixed along the loop
+///   and another subscript moves with it: every vector load is a gather.
 ///
-/// Vector dimensions are transformed schedule levels, so the jammed
-/// pair's dimensions are recovered from the statements' own depth: for
-/// statements of schedule dimension `n` under an innermost pair the
-/// outer/inner loops sit at levels `n-2` and `n-1` (a vector is `0` at
-/// levels past a statement's schedule). Statements of mixed
-/// depth under one pair are out of model and demote conservatively.
-fn repair_jam_mark(jammed: &mut Loop, outer_factor: i64, deps: &[NestDep]) {
-    let Node::Loop(inner) = &mut jammed.body else {
-        return;
-    };
-    if !matches!(inner.par, Par::Doall | Par::Reduction) {
-        return;
+/// For the first such statement, the loop jammed (J) is the nearest
+/// enclosing one its write mentions; it must have step 1 (a tile loop
+/// never does), leave a gathered read invariant, and pass [`jam_ok`]. It
+/// may be one copy of a distributed point loop: the mark leaves its step
+/// alone, so the copies still agree on where a tile's iterations sit.
+/// The factor is the largest power of two `f` with `f ×` (statements of
+/// the body) at most the FP add latency `latency`: enough independent
+/// sums to keep the adder busy, no more. One jam per J (the first asked
+/// for), and none inside another. `levels` is [`loop_levels`] of the
+/// nest before tiling.
+pub fn jam_nest(
+    scop: &Scop,
+    nest: &mut Node,
+    deps: &[NestDep],
+    levels: &HashMap<usize, usize>,
+    latency: usize,
+) {
+    let mut picks: Vec<(usize, i64)> = Vec::new();
+    pick_jams(scop, nest, &mut Vec::new(), &mut 0, latency, &mut picks);
+    for pick in picks {
+        set_jam(nest, pick, deps, levels, false, &mut 0);
     }
-    let inside = stmts_of(&inner.body);
-    let mut dims: Vec<usize> = Vec::new();
-    inner.body.visit_stmts(&mut |s| {
-        if !dims.contains(&s.iter_exprs.len()) {
-            dims.push(s.iter_exprs.len());
+}
+
+/// Appends to `picks` the J and factor each innermost loop below `node`
+/// asks for, J as its pre-order position among the nest's loops (copies
+/// of a distributed loop share a variable, not a position); `above`
+/// holds the loops enclosing `node` with theirs, outermost first.
+fn pick_jams<'a>(
+    scop: &Scop,
+    node: &'a Node,
+    above: &mut Vec<(usize, &'a Loop)>,
+    next: &mut usize,
+    latency: usize,
+    picks: &mut Vec<(usize, i64)>,
+) {
+    match node {
+        Node::Seq(xs) => xs.iter().for_each(|x| pick_jams(scop, x, above, next, latency, picks)),
+        Node::Guard(_, b) => pick_jams(scop, b, above, next, latency, picks),
+        Node::Stmt(_) => {}
+        Node::Loop(l) => {
+            *next += 1;
+            let body: Option<Vec<&StmtNode>> = match &l.body {
+                Node::Stmt(s) => Some(vec![s]),
+                Node::Seq(xs) => xs
+                    .iter()
+                    .map(|x| match x {
+                        Node::Stmt(s) => Some(s),
+                        _ => None,
+                    })
+                    .collect(),
+                _ => None,
+            };
+            let Some(body) = body else {
+                above.push((*next - 1, l));
+                pick_jams(scop, &l.body, above, next, latency, picks);
+                above.pop();
+                return;
+            };
+            let most = (latency / body.len()) as i64;
+            let f = if most >= 2 { 1 << most.ilog2() } else { return };
+            let pick = body.iter().find_map(|s| {
+                let stmt = &scop.statements[s.stmt_idx];
+                let moves = |map: &[Vec<i64>], v: usize| {
+                    s.subscript_coeffs(map, &[v]).iter().any(|row| row[0] != 0)
+                };
+                let write = &stmt.write;
+                let reads: Vec<_> =
+                    stmt.accesses().into_iter().filter(|(_, w)| !w).map(|(a, _)| a).collect();
+                let chain = !moves(&write.map, l.var) && reads.contains(write);
+                let gathered = reads.iter().find(|a| {
+                    a.map.split_last().is_some_and(|(last, rest)| {
+                        !moves(std::slice::from_ref(last), l.var) && moves(rest, l.var)
+                    })
+                });
+                if !chain && gathered.is_none() {
+                    return None;
+                }
+                let &(id, j) = above.iter().rev().find(|(_, j)| moves(&write.map, j.var))?;
+                let fits = j.step == 1 && gathered.is_none_or(|a| !moves(&a.map, j.var));
+                fits.then_some((id, f))
+            });
+            picks.extend(pick);
         }
-    });
-    let pair_dims = match dims[..] {
-        [n] if n >= 2 => Some((n - 2, n - 1)),
-        _ => None,
-    };
-    // Only records inside the jammed block matter (no level settles one:
-    // the equality test below asks for the enclosing levels itself).
-    let hazardous = deps.iter().filter(|d| d.open_in(&inside, 0)).any(|d| {
-        if inner.par == Par::Reduction && d.reduction {
-            return false; // privatized accumulator self-update
+    }
+}
+
+/// Marks the loop at pre-order position `id` (counting from `*next`)
+/// `jam: f` if it is not jammed yet, no loop above or below it is, and
+/// [`jam_ok`] allows it.
+fn set_jam(
+    node: &mut Node,
+    (id, f): (usize, i64),
+    deps: &[NestDep],
+    levels: &HashMap<usize, usize>,
+    under_jam: bool,
+    next: &mut usize,
+) {
+    match node {
+        Node::Seq(xs) => xs
+            .iter_mut()
+            .for_each(|x| set_jam(x, (id, f), deps, levels, under_jam, next)),
+        Node::Guard(_, b) => set_jam(b, (id, f), deps, levels, under_jam, next),
+        Node::Stmt(_) => {}
+        Node::Loop(l) => {
+            *next += 1;
+            if *next - 1 != id {
+                let under_jam = under_jam || l.jam > 1;
+                return set_jam(&mut l.body, (id, f), deps, levels, under_jam, next);
+            }
+            let mut inner_jam = false;
+            l.body.visit_loops(&mut |i| inner_jam |= i.jam > 1);
+            if l.jam == 1 && !under_jam && !inner_jam && jam_ok(l, f, deps, levels) {
+                l.jam = f;
+            }
         }
-        let Some((dout, din)) = pair_dims else {
-            return true; // unmodeled shape: any internal dependence demotes
-        };
-        // Co-residence in one replica block needs equality at every
-        // enclosing level and an outer distance inside the block.
-        let elsewhere_zero = d
-            .vector
-            .iter()
-            .enumerate()
-            .all(|(k, e)| k == dout || k == din || e.is_zero());
-        let outer_in_block = match d.at(dout) {
-            DepElem::Const(c) => c != 0 && c.abs() < outer_factor,
-            _ => true, // direction-only element: distance unbounded but >= 1 possible
-        };
-        elsewhere_zero && outer_in_block && !d.at(din).is_zero()
-    });
-    if hazardous {
-        inner.par = Par::Seq;
+    }
+}
+
+/// Whether `j` may be jammed by `f`: a step-1 loop of known level whose
+/// body's loop bounds and guards do not mention it (each replica then
+/// runs the same inner iterations), and whose records allow it.
+///
+/// The jammed order runs the body once per block of `f` consecutive
+/// values of J, each statement replicated in place for the block's
+/// values, so two instances whose J values differ by 1 to `f - 1` may
+/// meet in one block: their order is then that of their positions in
+/// the body and their inner iterations, and only on a tie that of J.
+/// Every record still [open](NestDep::open_in) at J's level whose J
+/// component may take such a value must therefore be non-negative on
+/// every deeper level and run from a statement to itself or to a later
+/// one: then no deeper loop and no position puts the target first (a
+/// positive deeper component alone would not do — it may compare two
+/// sibling loops, which run one after the other). Reduction self-updates
+/// are records like any other: their sums keep their order and their
+/// bits.
+fn jam_ok(j: &Loop, f: i64, deps: &[NestDep], levels: &HashMap<usize, usize>) -> bool {
+    let Some(&level) = levels.get(&j.var) else { return false };
+    let mentions = |e: &LinExpr| e.coeff_of(j.var) != 0;
+    let mut invariant = true;
+    check_invariant(&j.body, &mentions, &mut invariant);
+    if j.step != 1 || !invariant {
+        return false;
+    }
+    let inside = stmts_of(&j.body);
+    let pos = |s: usize| inside.iter().position(|&t| t == s);
+    deps.iter().filter(|d| d.open_in(&inside, level)).all(|d| {
+        let e = d.at(level);
+        if e.is_zero() || matches!(e, DepElem::Const(c) if c >= f) {
+            return true;
+        }
+        (level + 1..d.vector.len()).all(|k| d.at(k).is_nonneg()) && pos(d.src) <= pos(d.dst)
+    })
+}
+
+/// Clears `ok` when a loop bound or guard below `node` satisfies
+/// `mentions`.
+fn check_invariant(node: &Node, mentions: &impl Fn(&LinExpr) -> bool, ok: &mut bool) {
+    match node {
+        Node::Seq(xs) => xs.iter().for_each(|x| check_invariant(x, mentions, ok)),
+        Node::Guard(gs, b) => {
+            *ok &= !gs.iter().any(mentions);
+            check_invariant(b, mentions, ok);
+        }
+        Node::Loop(l) => {
+            *ok &= !l.lo.exprs.iter().chain(&l.hi.exprs).any(|be| mentions(&be.expr));
+            check_invariant(&l.body, mentions, ok);
+        }
+        Node::Stmt(_) => {}
     }
 }
 
@@ -481,10 +611,114 @@ mod tests {
         b.exit();
         let scop = b.finish().expect("well-formed SCoP");
         let mut prog = original_program(&scop).expect("original program");
-        register_tile(&mut prog.body, 2, 4, &[]);
+        let levels = loop_levels(&prog.body);
+        register_tile(&mut prog.body, (2, 4), &[], &levels);
+        let Node::Loop(i) = &prog.body else { panic!("nest root") };
+        assert_eq!((i.jam, i.step), (2, 1));
         let mut arrays = alloc_arrays(&scop, &[9]);
         execute(&prog, &[9], &mut arrays);
         assert_eq!(arrays[0], vec![1.0; 81]);
+    }
+
+    /// `for i { for j: A[i][j] += 1 }` at `N = 9`.
+    fn grid() -> polymix_ir::Scop {
+        let mut b = ScopBuilder::new("grid", &["N"], &[9]);
+        let a = b.array("A", &["N", "N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        let body = Expr::add(b.rd(a, &[ix("i"), ix("j")]), Expr::Const(1.0));
+        b.stmt("S", a, &[ix("i"), ix("j")], body);
+        b.exit();
+        b.exit();
+        b.finish().expect("well-formed SCoP")
+    }
+
+    /// The one nest of `scop` with its records, as the AST stages see it.
+    fn nest_of(scop: &polymix_ir::Scop) -> (Node, Vec<NestDep>) {
+        let podg = build_podg(scop);
+        let schedules: Vec<_> = scop.statements.iter().map(|s| s.schedule.clone()).collect();
+        let prog = original_program(scop).expect("original program");
+        let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
+        (prog.body, info.deps)
+    }
+
+    /// Register tiling by request marks the outer loop of the pair and
+    /// leaves the tree's shape alone: the emitter realizes the jam.
+    #[test]
+    fn register_tile_jams_the_outer_loop_of_a_pair_by_two() {
+        let (mut body, deps) = nest_of(&grid());
+        let levels = loop_levels(&body);
+        register_tile(&mut body, (2, 1), &deps, &levels);
+        let Node::Loop(i) = &body else { panic!("nest root") };
+        let Node::Loop(j) = &i.body else { panic!("inner loop") };
+        assert_eq!((i.jam, i.step, j.jam, j.step), (2, 1, 1, 1));
+    }
+
+    /// A replica of a jammed loop must run the same inner iterations as
+    /// the others: an inner bound that mentions the jammed variable
+    /// refuses the jam.
+    #[test]
+    fn register_tile_refuses_a_jam_over_a_triangular_inner_loop() {
+        let (mut body, deps) = nest_of(&grid());
+        let levels = loop_levels(&body);
+        let Node::Loop(i) = &mut body else { panic!("nest root") };
+        let Node::Loop(j) = &mut i.body else { panic!("inner loop") };
+        j.hi = polymix_ast::tree::Bound::of(polymix_ast::tree::LinExpr::var(i.var));
+        register_tile(&mut body, (2, 1), &deps, &levels);
+        let Node::Loop(i) = &body else { panic!("nest root") };
+        assert_eq!(i.jam, 1);
+    }
+
+    /// `A[i][j] = A[i-1][j+1] + A[i][j-1]`: instances one `i` apart meet
+    /// in one block of a jam of `i`, the target at the earlier `j`.
+    #[test]
+    fn a_jam_whose_block_would_run_a_dependence_backward_is_refused() {
+        let (mut body, deps) = nest_of(&antidiag());
+        let levels = loop_levels(&body);
+        register_tile(&mut body, (2, 1), &deps, &levels);
+        let Node::Loop(i) = &body else { panic!("nest root") };
+        assert_eq!(i.jam, 1);
+    }
+
+    /// `for i { for j: y[i] += A[i][j] * x[j]; [z[i] += A[i][j]] }`: the
+    /// sum over `j` is one chain of adds, and the loop its write mentions,
+    /// `i`, is jammed by the largest power of two that fits the add
+    /// latency with the body's statements.
+    #[test]
+    fn the_selection_jams_the_loop_the_chain_s_write_mentions() {
+        let chain = |two: bool| {
+            let mut b = ScopBuilder::new("mv", &["N"], &[9]);
+            let (y, z) = (b.array("y", &["N"]), b.array("z", &["N"]));
+            let (a, x) = (b.array("A", &["N", "N"]), b.array("x", &["N"]));
+            b.enter("i", con(0), par("N"));
+            b.enter("j", con(0), par("N"));
+            let prod = Expr::mul(b.rd(a, &[ix("i"), ix("j")]), b.rd(x, &[ix("j")]));
+            let body = Expr::add(b.rd(y, &[ix("i")]), prod);
+            b.stmt("S", y, &[ix("i")], body);
+            if two {
+                let body = Expr::add(b.rd(z, &[ix("i")]), b.rd(a, &[ix("i"), ix("j")]));
+                b.stmt("T", z, &[ix("i")], body);
+            }
+            b.exit();
+            b.exit();
+            b.finish().expect("well-formed SCoP")
+        };
+        for (two, latency, f) in [(false, 4, 4), (true, 4, 2), (false, 3, 2), (true, 3, 1), (false, 1, 1)] {
+            let scop = chain(two);
+            let (mut body, deps) = nest_of(&scop);
+            let levels = loop_levels(&body);
+            jam_nest(&scop, &mut body, &deps, &levels, latency);
+            let Node::Loop(i) = &body else { panic!("nest root") };
+            let Node::Loop(j) = &i.body else { panic!("inner loop") };
+            assert_eq!((i.jam, j.jam), (f, 1), "two statements: {two}, latency {latency}");
+        }
+        // `A[i][j] += 1` updates an element that moves with `j`: no chain.
+        let scop = grid();
+        let (mut body, deps) = nest_of(&scop);
+        let levels = loop_levels(&body);
+        jam_nest(&scop, &mut body, &deps, &levels, 4);
+        let Node::Loop(i) = &body else { panic!("nest root") };
+        assert_eq!(i.jam, 1);
     }
 
     #[test]
@@ -1134,15 +1368,16 @@ mod tiling_tests {
         let scop = fused_gemm();
         let mut prog = tiled(&scop);
         let mut body = prog.body.clone();
-        register_tile(&mut body, 2, 2, &[]);
+        let levels = loop_levels(&original_program(&scop).expect("original program").body);
+        register_tile(&mut body, (2, 2), &[], &levels);
         prog.body = body;
-        let mut i_steps = Vec::new();
+        let mut i_loops = Vec::new();
         prog.body.visit_loops_mut(&mut |l| {
             if l.name == "c1" {
-                i_steps.push(l.step);
+                i_loops.push((l.step, l.jam));
             }
         });
-        assert_eq!(i_steps, [1, 1]);
+        assert_eq!(i_loops, [(1, 1), (1, 1)]);
         let reference = original_program(&scop).expect("original program");
         assert_eq!(run(&prog, 9), run(&reference, 9));
     }

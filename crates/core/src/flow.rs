@@ -4,8 +4,8 @@ use crate::affine::affine_stage_with;
 use polymix_ast::tree::{Node, Par, Program, TileForm, TileReport};
 use polymix_codegen::from_poly::generate;
 use polymix_codegen::opt::{
-    mark_parallelism, node_depth, order_point_loops, register_tile, run_nests,
-    skew_nest_for_tilability, tile_nest,
+    jam_nest, loop_levels, mark_parallelism, node_depth, order_point_loops, register_tile,
+    run_nests, skew_nest_for_tilability, tile_nest,
 };
 use polymix_dl::{tiling_costs, Machine, RefInfo, NOMINAL_EXTENT};
 use polymix_ir::error::PolymixError;
@@ -27,7 +27,10 @@ pub struct PolyAstOptions {
     /// Restrict the parallelism detector to doall (Fig. 5's comparison
     /// mode: forgo reduction/pipeline parallelism).
     pub doall_only: bool,
-    /// Register tiling (unroll-and-jam) factors `(outer, inner)`.
+    /// Register tiling factors `(outer, inner)`: a jam of the outer loop
+    /// of every innermost pair and an unroll of its inner loop. `(1, 1)`
+    /// leaves register tiling to the flow itself, which jams the loop
+    /// that breaks an add chain or a gather (`polymix_codegen::opt::jam_nest`).
     pub unroll: (i64, i64),
     /// Enable Algorithm 5's inter-SCC fusion (the `ablation_fusion`
     /// experiment turns this off).
@@ -87,6 +90,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         // Stage 3: coarse-grain parallelization (doall / reduction /
         // pipeline at the outermost possible level).
         mark_parallelism(&mut nest, &deps, info.depth, opts.doall_only);
+        let levels = loop_levels(&nest);
         // Stage 4: tiling for locality, where the DL model says it pays.
         if opts.tiling {
             let dl = (info.depth >= 2).then(|| {
@@ -112,9 +116,13 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                 }
             }
         }
-        // Stage 5: intra-tile optimizations (register tiling).
-        if opts.unroll.0 > 1 || opts.unroll.1 > 1 {
-            register_tile(&mut nest, opts.unroll.0, opts.unroll.1, &deps);
+        // Stage 5: intra-tile optimizations (register tiling): the
+        // requested factors, or the jams the machine's add latency asks
+        // for.
+        if opts.unroll == (1, 1) {
+            jam_nest(scop, &mut nest, &deps, &levels, opts.machine.fp_add_latency);
+        } else {
+            register_tile(&mut nest, opts.unroll, &deps, &levels);
         }
         // A pipeline loop left over several sub-nests runs them as phases
         // of each step. Whether the await cone covers every dependence
@@ -125,6 +133,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
             nest.visit_loops_mut(&mut |l| {
                 if l.par == Par::Pipeline {
                     l.par = Par::Seq;
+                    prog.demoted += 1;
                 }
             });
         }
@@ -557,8 +566,8 @@ mod tests {
             };
             let prog = optimize_poly_ast(&(k.build)(), &opts).expect("optimize");
             assert!(polymix_verify::certify(&prog).is_ok());
-            let mut body = prog.body.clone();
-            body.visit_loops_mut(&mut |l| assert_ne!(l.par, Par::Pipeline));
+            prog.body.visit_loops(&mut |l| assert_ne!(l.par, Par::Pipeline));
+            assert!(prog.demoted > 0, "the demotion is counted");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Dependence polyhedra and the polyhedral dependence graph (PoDG).
 
 use polymix_ir::schedule::Schedule;
-use polymix_ir::scop::{Access, Scop, Statement, StmtId};
+use polymix_ir::scop::{Access, ArrayId, Scop, Statement, StmtId};
 use polymix_math::{CmpOp, Constraint, Polyhedron};
 
 /// Classification of a data dependence by access kinds.
@@ -26,6 +26,8 @@ pub struct Dep {
     pub dst: StmtId,
     /// Kind by access classes.
     pub kind: DepKind,
+    /// The array both conflicting accesses touch.
+    pub array: ArrayId,
     /// Source statement depth.
     pub src_dim: usize,
     /// Target statement depth.
@@ -216,6 +218,7 @@ fn deps_for_pair(
                             src,
                             dst,
                             kind,
+                            array: a_src.array,
                             src_dim: dr,
                             dst_dim: ds,
                             poly: prefix.clone(),
@@ -248,6 +251,7 @@ fn deps_for_pair(
                     src,
                     dst,
                     kind,
+                    array: a_src.array,
                     src_dim: dr,
                     dst_dim: ds,
                     poly: strict,

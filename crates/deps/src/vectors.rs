@@ -74,17 +74,19 @@ pub struct NestDep {
     pub src: usize,
     /// Target statement.
     pub dst: usize,
+    /// Index of the array the edge's two accesses touch.
+    pub array: usize,
 }
 
 impl NestDep {
     /// The record of `vector`, carried at its first non-zero component
     /// when that component is `>= 1`.
-    pub fn new(vector: Vec<DepElem>, reduction: bool, src: usize, dst: usize) -> NestDep {
+    pub fn new(vector: Vec<DepElem>, reduction: bool, src: usize, dst: usize, array: usize) -> NestDep {
         let carried = vector
             .iter()
             .position(|e| !e.is_zero())
             .filter(|&k| vector[k].is_positive());
-        NestDep { vector, carried, reduction, src, dst }
+        NestDep { vector, carried, reduction, src, dst, array }
     }
 
     /// The component at level `k`; `0` past the vector's end (a level
@@ -205,7 +207,7 @@ pub fn dep_records(
         let mut vector = vec![DepElem::Const(0); k];
         vector.extend(head);
         vector.extend((k + 1..rows.len()).map(|j| elem(piece, j)));
-        NestDep::new(vector, dep.is_reduction, dep.src.0, dep.dst.0)
+        NestDep::new(vector, dep.is_reduction, dep.src.0, dep.dst.0, dep.array.0)
     };
     let mut out = Vec::new();
     let mut piece = Cow::Borrowed(&dep.poly);
@@ -268,7 +270,7 @@ mod tests {
     #[test]
     fn a_record_is_carried_at_its_first_nonzero_component_when_that_is_positive() {
         use DepElem::*;
-        let carried = |v: &[DepElem]| NestDep::new(v.to_vec(), false, 0, 0).carried;
+        let carried = |v: &[DepElem]| NestDep::new(v.to_vec(), false, 0, 0, 0).carried;
         let answers = [
             carried(&[NonNeg, Plus]),
             carried(&[Plus, Minus]),
@@ -287,12 +289,12 @@ mod tests {
     fn the_open_filter_wants_both_ends_inside_and_no_settling_prefix() {
         use DepElem::*;
         let list = [
-            NestDep::new(vec![Const(0), Const(1)], false, 0, 1),
-            NestDep::new(vec![Const(0), Const(1)], false, 0, 2),
-            NestDep::new(vec![Const(0), Const(0), Plus, Minus], false, 1, 1),
-            NestDep::new(vec![Plus, Star], false, 1, 0),
-            NestDep::new(vec![Const(0), Plus], false, 1, 0),
-            NestDep::new(vec![Star, Const(0)], false, 0, 0),
+            NestDep::new(vec![Const(0), Const(1)], false, 0, 1, 0),
+            NestDep::new(vec![Const(0), Const(1)], false, 0, 2, 0),
+            NestDep::new(vec![Const(0), Const(0), Plus, Minus], false, 1, 1, 0),
+            NestDep::new(vec![Plus, Star], false, 1, 0, 0),
+            NestDep::new(vec![Const(0), Plus], false, 1, 0, 0),
+            NestDep::new(vec![Star, Const(0)], false, 0, 0, 0),
         ];
         let open = |from| -> Vec<usize> {
             (0..list.len()).filter(|&i| list[i].open_in(&[0, 1], from)).collect()
@@ -475,7 +477,7 @@ mod transformed_tests {
                 .map(|k| classify(&d.poly, &d.diff_row(&s.loop_row(k), &s.loop_row(k)), &[5]))
                 .collect();
             let records = dep_records(d, s, s, &IntMat::identity(2), &[5]);
-            assert_eq!(records, [NestDep::new(whole, d.is_reduction, 0, 0)]);
+            assert_eq!(records, [NestDep::new(whole, d.is_reduction, 0, 0, d.array.0)]);
         }
     }
 }

@@ -31,6 +31,11 @@ pub struct Machine {
     pub levels: Vec<CacheLevel>,
     /// Number of hardware cores to parallelize across.
     pub cores: usize,
+    /// Cycles from one floating-point add to the next add that reads its
+    /// result: how many independent sums the core must keep in flight
+    /// to issue one add per cycle. Register tiling sizes its jams by it
+    /// (`polymix_codegen::opt::jam_nest`).
+    pub fp_add_latency: usize,
 }
 
 impl Machine {
@@ -57,6 +62,7 @@ impl Machine {
                 },
             ],
             cores: 8,
+            fp_add_latency: 4,
         }
     }
 
@@ -84,6 +90,7 @@ impl Machine {
                 },
             ],
             cores: 32,
+            fp_add_latency: 6,
         }
     }
 

@@ -6,7 +6,9 @@ use crate::scheduler::{schedule_with_fallback, Fusion};
 use polymix_ast::transforms::band_depth;
 use polymix_ast::tree::{Node, Par, Program};
 use polymix_codegen::from_poly::generate;
-use polymix_codegen::opt::{mark_parallelism, register_tile, run_nests, tilable_prefix, tile_nest};
+use polymix_codegen::opt::{
+    loop_levels, mark_parallelism, register_tile, run_nests, tilable_prefix, tile_nest,
+};
 use polymix_ir::error::PolymixError;
 use polymix_ir::Scop;
 
@@ -74,6 +76,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
         //    baseline only exploits doall (the paper's critique): if the
         //    outermost level is not doall, it wavefronts tile loops later.
         let outer_doall = mark_parallelism(&mut nest, &info.deps, info.depth, true).map(|(k, _)| k);
+        let levels = loop_levels(&nest);
         // 2. Tiling.
         let tiled_band = if opts.tiling {
             nest = tile_nest(prog, nest, &info.deps, info.depth, opts.tile, opts.time_tile);
@@ -95,14 +98,15 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
         // 4. Intra-tile vectorization permutation (`vect`): handled by
         //    keeping the innermost point loop stride-1; our point loops
         //    already preserve the schedule's order, so the vect variant
-        //    additionally unrolls (register-tiles) the innermost pair.
+        //    additionally register-tiles the innermost pair: a jam mark
+        //    on its outer loop, an unroll of its inner one.
         if opts.variant == PlutoVariant::PoccVect || opts.unroll.0 > 1 || opts.unroll.1 > 1 {
             let (o, i) = if opts.variant == PlutoVariant::PoccVect && opts.unroll == (1, 1) {
                 (2, 2)
             } else {
                 opts.unroll
             };
-            register_tile(&mut nest, o, i, &info.deps);
+            register_tile(&mut nest, (o, i), &info.deps, &levels);
         }
         nest
     });

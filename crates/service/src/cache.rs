@@ -38,8 +38,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// sources the kernel lint no longer accepts, so they are re-optimized
 /// rather than replayed. Version 4: the pasted block's entry points
 /// report a per-call outcome; a parallel source of version 3 carries the
-/// old block, which the lint no longer accepts either.
-pub const CACHE_VERSION: u32 = 4;
+/// old block, which the lint no longer accepts either. Version 5: loops
+/// carry `jam` marks the emitter realizes guard-free (poly+ast's own
+/// register tiling, `pocc+vect`'s (2, 2)), and a pipeline mark the
+/// emitter runs sequentially says so; a version-4 source for the same
+/// request is correct but is not what the optimizer now emits, so it is
+/// re-optimized rather than replayed.
+pub const CACHE_VERSION: u32 = 5;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

@@ -18,6 +18,9 @@
 //!    covered by the await cone `{(-1, 0), (0, -1)}`; `wavefront` pairs
 //!    must order every dependence forward across diagonals and race-free
 //!    within them.
+//!    A loop marked `jam: f` gets its own proof: the pairs 1 to `f - 1`
+//!    apart in it that the unroll-and-jam puts in one block must not run
+//!    backward below it (`PairWalk::run_jams`).
 //! 3. **Emitted-kernel audit** — a structural lint over the Rust source
 //!    produced by `polymix-codegen`, checking the progress/poison
 //!    protocol (see [`lint`]).
@@ -90,7 +93,11 @@ pub fn verify_program(prog: &Program) -> Certificate {
         for &si in ss {
             for &di in ds {
                 pairs += 1;
-                PairWalk::new(scop, dep, &occs[si], &occs[di], sample).run(&mut violations);
+                let (occ_s, occ_d) = (&occs[si], &occs[di]);
+                PairWalk::new(scop, dep, occ_s, occ_d, sample).run(&mut violations);
+                if occ_s.jams().any(|j| occ_d.jams().any(|k| k == j)) {
+                    PairWalk::new(scop, dep, occ_s, occ_d, sample).run_jams(&mut violations);
+                }
             }
         }
     }

@@ -159,12 +159,12 @@ pub fn verify_source(kernel: &str, source: &str) -> Certificate {
             )),
             (None, None) => {}
         }
-        // A reduction whose shape cannot be privatized declares the
-        // sequential fallback: plain loops follow, no runtime call.
+        // A region whose shape the emitter cannot hand to the runtime (a
+        // reduction it cannot privatize, a pipeline whose body is not
+        // loops alone) declares the sequential fallback: plain loops
+        // follow, no runtime call.
         marked = marker(line)
-            .filter(|(kind, label)| {
-                !(*kind == "reduction" && label.contains("sequential fallback"))
-            })
+            .filter(|(_, label)| !label.contains("sequential fallback"))
             .map(|(kind, label)| (kind, label, ln));
     }
 
@@ -182,7 +182,7 @@ mod tests {
     use super::*;
 
     /// A well-formed kernel: the runtime block, one region of every
-    /// kind, and a sequential-fallback reduction.
+    /// kind, and a sequential-fallback reduction and pipeline.
     fn good() -> String {
         format!(
             "{BLOCK_BEGIN}mod kernel_rt {{\n{KERNEL_RT}}}\n{BLOCK_END}{}",
@@ -200,6 +200,8 @@ kernel_rt::reduction(THREADS, (0), (P_N - 1), 1, &[(s_p_a, 4)], move |v_c1: i64,
 });
 // reduction region 3: shape not parallelizable, sequential fallback
 let mut v_c1: i64 = 0;
+// pipeline region 5: body not loops alone, sequential fallback
+let mut v_c2: i64 = 0;
 // wavefront region 4
 kernel_rt::wavefront(THREADS, 3, tiles, move |v_c1: i64, v_c2: i64| unsafe {
 });

@@ -28,6 +28,8 @@ pub(crate) struct LoopMeta {
     pub step: i64,
     /// Parallel annotation.
     pub par: Par,
+    /// Unroll-and-jam factor (1: none).
+    pub jam: i64,
     /// Variables of the enclosing loops that clamp this one to one of
     /// their tiles (`Loop::clamped_by`): how the walker picks the proxy
     /// row for an unsolvable tile level. A loop whose bounds merely
@@ -63,6 +65,16 @@ pub(crate) struct Occurrence {
     /// recovering the variable's value from the original iteration
     /// vector. Unsolvable vars (tile controllers) are absent.
     pub solved: HashMap<usize, Vec<i64>>,
+}
+
+impl Occurrence {
+    /// The ids of the jammed loops above the occurrence.
+    pub fn jams(&self) -> impl Iterator<Item = usize> + '_ {
+        self.path.iter().filter_map(|s| match s {
+            PStep::Loop(l) if l.jam > 1 => Some(l.id),
+            _ => None,
+        })
+    }
 }
 
 /// Collects every statement occurrence of the program body.
@@ -116,6 +128,7 @@ fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<O
                 name: l.name.clone(),
                 step: l.step.max(1),
                 par: l.par,
+                jam: l.jam,
                 clamped_by,
             }));
             walk(&l.body, path, next_id, out);

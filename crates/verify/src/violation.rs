@@ -28,6 +28,11 @@ pub enum ViolationKind {
     /// A `Wavefront` pair of loops orders some dependent pair backward
     /// across (or races it within) a diagonal.
     WavefrontUnsafe,
+    /// A loop's `jam: f` mark reorders a dependence: two dependent
+    /// instances 1 to `f - 1` iterations apart in the loop meet in one
+    /// block of the unroll-and-jam, where the target's position or inner
+    /// iteration comes first.
+    JamUnsafe,
     /// The emitted kernel source breaks the progress/poison protocol
     /// (missing await, raw store on progress, unguarded worker, ...).
     KernelLint,
@@ -53,6 +58,7 @@ impl ViolationKind {
             ViolationKind::ReductionUnsafe => "reduction-unsafe",
             ViolationKind::ReductionAccumulatorAliased => "reduction-accumulator-aliased",
             ViolationKind::WavefrontUnsafe => "wavefront-unsafe",
+            ViolationKind::JamUnsafe => "jam-unsafe",
             ViolationKind::KernelLint => "kernel-lint",
             ViolationKind::VmBounds => "vm-bounds",
             ViolationKind::LoweringMismatch => "lowering-mismatch",

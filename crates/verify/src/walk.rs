@@ -48,6 +48,15 @@ fn delta(dst: &[i64], src: &[i64]) -> Vec<i64> {
     dst.iter().zip(src).map(|(d, s)| d - s).collect()
 }
 
+/// The pairs of `remaining` tied at a level of row `r`: `r == 0`, or
+/// `0 <= r < m` when `r` is a proxy for a tile controller of step `m`.
+fn tied(remaining: &Polyhedron, r: &[i64], coarse_span: Option<i64>) -> Polyhedron {
+    match coarse_span {
+        None => remaining.and_eq0(r),
+        Some(m) => remaining.and_ge(r, 0).and_le(r, m - 1),
+    }
+}
+
 /// What happened at one common level.
 enum LevelOutcome {
     /// Every remaining pair is strictly ordered (or none remain).
@@ -284,6 +293,123 @@ impl<'a> PairWalk<'a> {
         }
     }
 
+    /// The row `level(dst) - level(src)` of the common loop `l`, with
+    /// the lattice step of its values and, when the row is a tile
+    /// controller's proxy, the controller's step; `None` when `l` has
+    /// neither an affine inverse nor a proxy on both sides.
+    fn level_row(
+        &self,
+        l: &LoopMeta,
+        rest_s: &[&PStep],
+        rest_d: &[&PStep],
+    ) -> Option<(Vec<i64>, i64, Option<i64>)> {
+        if let Some((rs, rd)) = self.lifted(l.var, true).zip(self.lifted(l.var, false)) {
+            return Some((delta(&rd, &rs), l.step, None));
+        }
+        let ps = self.proxy_row(rest_s, l.var, true);
+        let pd = self.proxy_row(rest_d, l.var, false);
+        ps.zip(pd).map(|((rs, f, _), (rd, _, _))| (delta(&rd, &rs), f, Some(l.step)))
+    }
+
+    /// The jam certificate: for every loop marked `jam: f` on both
+    /// paths, the dependent pairs tied at every common level above it and
+    /// `1..f` apart in it may meet in one block of the unroll-and-jam,
+    /// which runs the body's positions and inner iterations first and the
+    /// replica last. None of them may run backward below the jammed loop:
+    /// at each deeper common level they keep `r >= 0` (and descend on
+    /// `r == 0`), and where the paths part, the source's branch comes
+    /// first; pairs tied all the way meet in one statement, where the
+    /// replica order runs them forward. Parallel marks play no part: the
+    /// emitter realizes a jam only where the loop runs sequentially, and
+    /// the pairs a region reorders are the other certificates' business.
+    /// One set of emptiness questions per dependence and occurrence pair,
+    /// whatever `f` is.
+    pub fn run_jams(mut self, out: &mut Vec<Violation>) {
+        self.apply_guards();
+        let unguarded = |occ: &'a Occurrence| -> Vec<&'a PStep> {
+            occ.path.iter().filter(|s| !matches!(s, PStep::Guard { .. })).collect()
+        };
+        let (steps_s, steps_d) = (unguarded(self.occ_s), unguarded(self.occ_d));
+        for k in 0..steps_s.len().min(steps_d.len()) {
+            match (steps_s[k], steps_d[k]) {
+                (PStep::Seq { id: a, child: ca, .. }, PStep::Seq { id: b, child: cb, .. })
+                    if a == b && ca == cb => {}
+                (PStep::Loop(la), PStep::Loop(lb)) if la.id == lb.id => {
+                    let (rest_s, rest_d) = (&steps_s[k + 1..], &steps_d[k + 1..]);
+                    if la.jam > 1 {
+                        self.check_jam(la, rest_s, rest_d, out);
+                    }
+                    // Pairs ordered here are ordered in the jammed code
+                    // too; a level with no row keeps every pair.
+                    if let Some((r, _, coarse)) = self.level_row(la, rest_s, rest_d) {
+                        self.remaining = tied(&self.remaining, &r, coarse);
+                    }
+                    self.level += 1;
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// The pairs `1..jam` apart in the jammed loop `l`, walked down the
+    /// rest of both paths.
+    fn check_jam(&self, l: &LoopMeta, rest_s: &[&PStep], rest_d: &[&PStep], out: &mut Vec<Violation>) {
+        let unsafe_jam = |detail: String| {
+            let mut v = self.violation(
+                ViolationKind::JamUnsafe,
+                &l.name,
+                format!("jam {} of loop `{}`: {detail}", l.jam, l.name),
+                "drop the jam mark, or jam a loop these instances do not meet under",
+            );
+            v.level = self.level;
+            v
+        };
+        let Some((rs, rd)) = self.lifted(l.var, true).zip(self.lifted(l.var, false)) else {
+            out.push(unsafe_jam("the jammed loop's variable has no affine inverse".to_string()));
+            return;
+        };
+        let r = delta(&rd, &rs);
+        let mut part = self.remaining.and_ge(&r, 1).and_le(&r, l.jam - 1);
+        let mut k = 0;
+        while !part.is_empty() {
+            match (rest_s.get(k), rest_d.get(k)) {
+                // Tied everywhere: one statement, the replicas in order.
+                (None, None) => return,
+                (Some(PStep::Seq { id: a, child: ca, .. }), Some(PStep::Seq { id: b, child: cb, .. }))
+                    if a == b =>
+                {
+                    if ca < cb {
+                        return;
+                    }
+                    if ca > cb {
+                        out.push(unsafe_jam("the target's statement comes first in the body".to_string()));
+                        return;
+                    }
+                }
+                (Some(PStep::Loop(la)), Some(PStep::Loop(lb))) if la.id == lb.id => {
+                    let below = (&rest_s[k + 1..], &rest_d[k + 1..]);
+                    let Some((rk, lattice, coarse)) = self.level_row(la, below.0, below.1) else {
+                        out.push(unsafe_jam(format!("loop `{}` below it has no affine inverse", la.name)));
+                        return;
+                    };
+                    if !part.and_le(&rk, -lattice.max(1)).is_empty() {
+                        out.push(unsafe_jam(format!(
+                            "the dependence runs backward at loop `{}` within one block",
+                            la.name
+                        )));
+                        return;
+                    }
+                    part = tied(&part, &rk, coarse);
+                }
+                _ => {
+                    out.push(unsafe_jam("the two paths part outside the model".to_string()));
+                    return;
+                }
+            }
+            k += 1;
+        }
+    }
+
     fn handle_level(
         &mut self,
         l: &LoopMeta,
@@ -298,29 +424,16 @@ impl<'a> PairWalk<'a> {
             return LevelOutcome::Satisfied;
         }
 
-        let fine = self
-            .lifted(l.var, true)
-            .zip(self.lifted(l.var, false));
-        let (r, lattice, coarse_span) = match fine {
-            Some((rs, rd)) => (delta(&rd, &rs), l.step, None),
-            None => {
-                let ps = self.proxy_row(rest_s, l.var, true);
-                let pd = self.proxy_row(rest_d, l.var, false);
-                match ps.zip(pd) {
-                    Some(((rs, f, _), (rd, _, _))) => (delta(&rd, &rs), f, Some(l.step)),
-                    None => {
-                        out.push(self.violation(
-                            ViolationKind::Unsupported,
-                            &l.name,
-                            "loop variable has no affine inverse and no clamped point \
-                             loop to proxy it; nothing proved for this dependence"
-                                .to_string(),
-                            "",
-                        ));
-                        return LevelOutcome::Satisfied;
-                    }
-                }
-            }
+        let Some((r, lattice, coarse_span)) = self.level_row(l, rest_s, rest_d) else {
+            out.push(self.violation(
+                ViolationKind::Unsupported,
+                &l.name,
+                "loop variable has no affine inverse and no clamped point \
+                 loop to proxy it; nothing proved for this dependence"
+                    .to_string(),
+                "",
+            ));
+            return LevelOutcome::Satisfied;
         };
 
         self.trail.push((self.remaining.clone(), r.clone()));
@@ -361,10 +474,7 @@ impl<'a> PairWalk<'a> {
         }
 
         // Shrink: keep the tied pairs, discharge the strictly ordered.
-        self.remaining = match coarse_span {
-            None => self.remaining.and_eq0(&r),
-            Some(m) => self.remaining.and_ge(&r, 0).and_le(&r, m - 1),
-        };
+        self.remaining = tied(&self.remaining, &r, coarse_span);
         if self.remaining.is_empty() {
             LevelOutcome::Satisfied
         } else {

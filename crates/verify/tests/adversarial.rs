@@ -303,3 +303,55 @@ fn tampered_wavefront_kernel_is_rejected_by_source_lint() {
         })],
     );
 }
+
+/// Marks the loop `depth` loops below the root of the program's first
+/// nest `jam: f`.
+fn jam_loop(prog: &mut Program, depth: usize, f: i64) {
+    let mut node = match &mut prog.body {
+        Node::Seq(xs) => &mut xs[0],
+        other => other,
+    };
+    for _ in 0..depth {
+        let Node::Loop(l) = node else { panic!("no loop at depth {depth}") };
+        node = &mut l.body;
+    }
+    let Node::Loop(l) = node else { panic!("no loop at depth {depth}") };
+    l.jam = f;
+}
+
+/// seidel-2d reads `A[i-1][j+1]`, written one `i` earlier at a later
+/// `j`: jammed by 2, the block runs that target at inner iteration
+/// `j - 1`, before its source.
+#[test]
+fn a_jam_that_runs_a_dependence_backward_below_it_is_rejected() {
+    let mut prog = identity_program("seidel-2d");
+    assert!(verify_program(&prog).is_certified());
+    jam_loop(&mut prog, 1, 2);
+    assert_rejects(&prog, ViolationKind::JamUnsafe, "seidel-2d i jammed by 2");
+}
+
+/// jacobi-1d-imper's time loop runs `B = f(A)` then `A = B`; jammed by
+/// 2, the block runs the first statement for both time steps before the
+/// second, so step `t + 1` reads `A` before step `t` wrote it.
+#[test]
+fn a_jam_that_runs_a_later_statement_first_is_rejected() {
+    let mut prog = identity_program("jacobi-1d-imper");
+    jam_loop(&mut prog, 0, 2);
+    let cert = verify_program(&prog);
+    assert!(
+        cert.violations.iter().any(|v| v.kind == ViolationKind::JamUnsafe
+            && v.detail.contains("target's statement comes first")),
+        "{:?}",
+        cert.violations
+    );
+}
+
+/// A jam no dependence crosses certifies: gemm's outer `i` loop, whose
+/// instances 1 to 3 apart touch distinct rows of `C`.
+#[test]
+fn a_jam_no_dependence_crosses_is_certified() {
+    let mut prog = identity_program("gemm");
+    jam_loop(&mut prog, 0, 4);
+    let cert = verify_program(&prog);
+    assert!(cert.is_certified(), "{:?}", cert.violations);
+}

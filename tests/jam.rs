@@ -1,0 +1,109 @@
+//! Register tiling (DESIGN §19): the loops the optimizers mark `jam: f`,
+//! and what the emitter makes of them.
+//!
+//! No interpreter oracle can see a jam — the interpreter, the vm and
+//! the cache simulator run a jammed loop in its original order — so the
+//! second test compiles every jammed source with `rustc` at sizes where
+//! the remainder loop runs, and compares its checksum bits with those of
+//! the same program with the marks stripped.
+
+use polymix::ast::tree::Program;
+use polymix::dl::Machine;
+use polymix_bench::runner::{compile_and_run, emit_source};
+use polymix_bench::variants::{build_variant, Variant};
+use polymix_polybench::{all_kernels, extended_kernels, Kernel};
+use std::sync::OnceLock;
+
+type Jammed = (Kernel, Variant, Program, Vec<(String, i64)>);
+
+/// Every jammed program of the 25 kernels × [`Variant::ALL`] at the
+/// paper's knobs: kernel, variant, program and its marks. Built once for
+/// both tests.
+fn jammed() -> &'static [Jammed] {
+    static JAMMED: OnceLock<Vec<Jammed>> = OnceLock::new();
+    JAMMED.get_or_init(|| {
+        let machine = Machine::nehalem();
+        let mut out = Vec::new();
+        for k in all_kernels().into_iter().chain(extended_kernels()) {
+            for v in Variant::ALL {
+                let prog = build_variant(&k, v, &machine).expect("builds");
+                let mut marks = Vec::new();
+                prog.body.visit_loops(&mut |l| {
+                    if l.jam > 1 {
+                        marks.push((l.name.clone(), l.jam));
+                    }
+                });
+                if !marks.is_empty() {
+                    out.push((k.clone(), v, prog, marks));
+                }
+            }
+        }
+        out
+    })
+}
+
+/// The census of EXPERIMENTS "Breaking the add chain": poly+AST jams the
+/// loop whose write an add chain (atax, bicg, gesummv, mvt) or a gather
+/// (syrk, syr2k) leaves fixed, by the power of two that fits the FP add
+/// latency (4) with the statements under the innermost loop; `pocc+vect`
+/// jams the outer loop of its innermost pairs by 2 wherever the records
+/// allow it. gemm, 2mm and 3mm qualify for neither of poly+AST's reasons,
+/// and trisolv's triangular inner loop refuses a jam of `c1`.
+#[test]
+fn jam_census() {
+    let rows: Vec<String> = jammed()
+        .iter()
+        .flat_map(|(k, v, _, marks)| marks.iter().map(move |(name, f)| format!("{} {} {name} {f}", k.name, v.name())))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "2mm pocc+vect c1 2",
+            "3mm pocc+vect c1 2",
+            "atax poly+ast c1 4",
+            "atax poly+ast(doall) c1 4",
+            "bicg poly+ast c1 2",
+            "bicg poly+ast(doall) c1 2",
+            "fdtd-apml pocc+vect c2 2",
+            "gesummv poly+ast c1 2",
+            "gesummv poly+ast(doall) c1 2",
+            "mvt pocc+vect c1 2",
+            "mvt poly+ast c1 2",
+            "mvt poly+ast(doall) c1 2",
+            "syr2k poly+ast c1 4",
+            "syr2k poly+ast(doall) c1 4",
+            "syrk poly+ast c1 4",
+            "syrk poly+ast(doall) c1 4",
+        ]
+    );
+}
+
+/// Each jammed program's source, compiled at its `mini` sizes made odd
+/// (so no jammed trip count is a multiple of its factor and every
+/// remainder loop runs), prints the checksum bits of the same program
+/// with its marks stripped. The printed checksum is widened to the
+/// shortest form that round-trips, so equal text is equal bits.
+#[test]
+fn jammed_sources_print_the_checksum_bits_of_their_unjammed_program() {
+    let dir = std::env::temp_dir().join("polymix-jam-tests");
+    let run = |k: &Kernel, prog: &Program, params: &[i64], label: &str| {
+        let src = emit_source(k, prog, params, 1, 1);
+        let exact = src.replace(
+            "println!(\"checksum: {:.6e}\", checksum);",
+            "println!(\"checksum: {:e}\", checksum);",
+        );
+        assert_ne!(exact, src, "{label}: no checksum line to widen");
+        let r = compile_and_run(&exact, &dir, &["-O".into()], label).unwrap_or_else(|e| panic!("{label}: {e}"));
+        (src, r.checksum)
+    };
+    for (k, v, prog, _) in jammed() {
+        let params: Vec<i64> = k.dataset("mini").params.iter().map(|p| p | 1).collect();
+        let label = format!("{}_{}", k.name, v.name());
+        let mut plain = prog.clone();
+        plain.body.visit_loops_mut(&mut |l| l.jam = 1);
+        let (jam_src, jammed) = run(k, prog, &params, &label);
+        let (plain_src, unjammed) = run(k, &plain, &params, &format!("{label}_plain"));
+        assert_ne!(jam_src, plain_src, "{label}: the marks change nothing");
+        assert_eq!(jammed.to_bits(), unjammed.to_bits(), "{label}: {jammed:e} vs {unjammed:e}");
+    }
+}
