@@ -74,6 +74,12 @@ fi
 if git grep -n -E 'carried_before\(|\.take\(k\)\.all\(\|[a-z_]+\| *[a-z_]+\.is_zero\(\)\)' -- 'crates/*/src/*'; then
     echo "a second 'carried by an outer level' rule is back"; exit 1
 fi
+# And one realization of register tiling: both of its factors are `jam`
+# marks the emitter writes out guard-free, not a tree rewrite that steps a
+# point loop and guards its replicas.
+if git grep -n -E 'fn unroll\(|transforms::unroll' -- 'crates/*/src/*'; then
+    echo "a second register-tiling realization is back"; exit 1
+fi
 
 # The tuner's unit is a program: the emitter's automatic publish batch
 # and doall grain are the only rules, so no runtime-knob override may come
@@ -101,9 +107,9 @@ echo "$CENSUS" | grep -Eq \
     '^regions: doall [1-9][0-9]* reduction [1-9][0-9]* pipeline [1-9][0-9]* wavefront [1-9][0-9]*$' \
     || { echo "a parallel construct lost all its traffic"; exit 1; }
 # The audit then counts, per kind, the outermost marks the emitter ran
-# sequentially instead of as a region (gemver poly+ast's reduction, whose
-# accumulator is read inside the loop; cholesky and trisolv poly+ast's
-# pipelines, whose bodies are not loops alone). None may rise
+# sequentially instead of as a region (gemver's and trmm's poly+ast
+# reductions, whose shape the emitter cannot parallelize; cholesky, trisolv
+# and lu poly+ast's pipelines, whose bodies are not loops alone). None may rise
 # above the committed count: a new one is a mark the optimizer placed
 # and the emitter could not honour.
 FALLBACKS=$(echo "$VERIFY_OUT" | grep '^fallbacks: ') \
@@ -111,8 +117,8 @@ FALLBACKS=$(echo "$VERIFY_OUT" | grep '^fallbacks: ') \
 echo "$FALLBACKS"
 read -r FB_R FB_P FB_W <<< "$(echo "$FALLBACKS" \
     | sed -n 's/^fallbacks: reduction \([0-9]*\) pipeline \([0-9]*\) wavefront \([0-9]*\)$/\1 \2 \3/p')"
-[ -n "$FB_W" ] && [ "$FB_R" -le 1 ] && [ "$FB_P" -le 2 ] && [ "$FB_W" -le 0 ] \
-    || { echo "more parallel marks fell back to sequential code: $FALLBACKS (committed: 1 2 0)"; exit 1; }
+[ -n "$FB_W" ] && [ "$FB_R" -le 2 ] && [ "$FB_P" -le 3 ] && [ "$FB_W" -le 0 ] \
+    || { echo "more parallel marks fell back to sequential code: $FALLBACKS (committed: 2 3 0)"; exit 1; }
 # Register tiling: the audit counts the loops marked `jam: f` (each one
 # proven by the certifier's jam walk, or the audit above already failed
 # with `jam-unsafe`); none may be lost. It then counts the pipeline marks
@@ -121,8 +127,8 @@ read -r FB_R FB_P FB_W <<< "$(echo "$FALLBACKS" \
 JAMS=$(echo "$VERIFY_OUT" | grep '^jams: ') \
     || { echo "static audit printed no jam count"; exit 1; }
 echo "$JAMS"
-[ "${JAMS#jams: }" -ge 16 ] \
-    || { echo "fewer loops are jammed: $JAMS (committed: 16)"; exit 1; }
+[ "${JAMS#jams: }" -ge 66 ] \
+    || { echo "fewer loops are jammed: $JAMS (committed: 66)"; exit 1; }
 DEMOTED=$(echo "$VERIFY_OUT" | grep '^demoted: ') \
     || { echo "static audit printed no demotion count"; exit 1; }
 echo "$DEMOTED"
@@ -134,17 +140,17 @@ echo "$DEMOTED"
 # point-loop ordering that puts a tile's vector loop innermost
 # (`reordered`). The number
 # of statements `tile_nest` left under a loop that was not strip-mined must
-# not rise above the committed one (325; 341 before the DL model declined
-# nests, which it counts none of; 459 before the sunk form) — lower it
-# here when a change tiles more.
+# not rise above the committed one (386 over the 25 kernels; 325 over the
+# paper's 22, 341 before the DL model declined nests, which it counts none
+# of, 459 before the sunk form) — lower it here when a change tiles more.
 TILING=$(echo "$VERIFY_OUT" | grep '^tiling: ') \
     || { echo "static audit printed no tiling census"; exit 1; }
 echo "$TILING"
 echo "$TILING" | grep -Eq \
     '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* declined [1-9][0-9]* reordered [1-9][0-9]* untiled-levels [0-9]+$' \
     || { echo "a tiling form, the decline decision or the point-loop order lost all its traffic"; exit 1; }
-[ "${TILING##* }" -le 325 ] \
-    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 325"; exit 1; }
+[ "${TILING##* }" -le 386 ] \
+    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 386"; exit 1; }
 # At `mini` no row is a multiple of 4 KiB, so the audit above sees no
 # padded array. At `standard` these four kernels' 1024-wide rows run on
 # padded storage (`polymix-codegen`'s emitter), and the reduction

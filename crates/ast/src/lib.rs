@@ -7,9 +7,9 @@
 //! * [`tree`] — loop AST: loops with `max`/`min` affine bounds, guards,
 //!   statement instances carrying the (inverse-schedule) iterator
 //!   expressions, and parallelism annotations;
-//! * [`transforms`] — loop skewing, strip-mining, interchange, rectangular
-//!   band tiling, unrolling / unroll-and-jam (register tiling), and
-//!   wavefronting (for the baseline);
+//! * [`transforms`] — loop skewing, strip-mining, interchange and
+//!   rectangular band tiling (register tiling is a `jam` mark on a loop,
+//!   which the emitter realizes);
 //! * [`parallel`] — the doall / pipeline / reduction parallelism detector
 //!   of Sec. IV-A, driven by dependence vectors;
 //! * [`interp`] — a reference interpreter executing any program tree on

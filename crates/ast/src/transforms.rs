@@ -6,7 +6,6 @@
 //! equivalence tests verify the composition end-to-end.
 
 use crate::tree::{Bound, BoundExpr, LinExpr, Loop, Node, Par, Program};
-use polymix_ir::error::PolymixError;
 
 /// Length of the perfect loop band starting at `node`: the number of
 /// directly nested loops (each body exactly one loop) before hitting a
@@ -166,62 +165,6 @@ pub fn strip_mine(prog: &mut Program, l: &Loop, size: i64, crossed: &[Crossed]) 
 /// `body` is replaced).
 pub fn nest_under(headers: impl IntoIterator<Item = Loop, IntoIter: DoubleEndedIterator>, body: Node) -> Node {
     headers.into_iter().rev().fold(body, |body, l| Node::loop_(Loop { body, ..l }))
-}
-
-/// Unrolls `loop_node` (a `Loop` with step 1) by `factor` using the
-/// guarded-epilogue scheme: the loop steps by `factor`, the body is
-/// replicated at offsets `0..factor`, and replicas past the first are
-/// guarded by `hi - (v + r) >= 0` so ragged trip counts stay correct.
-/// Errors on a non-unit step or a divided upper bound; the caller keeps
-/// the original loop.
-pub fn unroll(l: &Loop, factor: i64) -> Result<Node, PolymixError> {
-    if factor < 1 {
-        return Err(PolymixError::transform(
-            "unroll",
-            format!("factor {factor} < 1"),
-        ));
-    }
-    if l.step != 1 {
-        return Err(PolymixError::transform(
-            "unroll",
-            format!("requires unit step, loop {} has step {}", l.name, l.step),
-        ));
-    }
-    if factor == 1 {
-        return Ok(Node::loop_(l.clone()));
-    }
-    if l.hi.exprs.iter().any(|be| be.denom != 1) {
-        return Err(PolymixError::transform(
-            "unroll",
-            format!("divided upper bound on loop {}", l.name),
-        ));
-    }
-    let mut replicas = Vec::with_capacity(factor as usize);
-    for r in 0..factor {
-        let mut b = l.body.clone();
-        if r > 0 {
-            b.subst_var(l.var, &LinExpr::var(l.var).plus(r));
-            // Guard: v + r <= hi  ⇔  hi - v - r >= 0 for every hi expr.
-            let guards: Vec<LinExpr> = l
-                .hi
-                .exprs
-                .iter()
-                .map(|be| be.expr.add_scaled(&LinExpr::var(l.var), -1).plus(-r))
-                .collect();
-            b = Node::Guard(guards, Box::new(b));
-        }
-        replicas.push(b);
-    }
-    Ok(Node::loop_(Loop {
-        var: l.var,
-        name: l.name.clone(),
-        lo: l.lo.clone(),
-        hi: l.hi.clone(),
-        step: factor,
-        par: l.par,
-        jam: 1,
-        body: Node::Seq(replicas),
-    }))
 }
 
 /// Interchanges `outer` with the loop that is its whole body: the inner
@@ -454,21 +397,6 @@ mod tests {
         tile(&mut p, &[4, 4]);
         let out = run_all_ones(&p, n);
         assert_eq!(out, vec![1.0; (n * n) as usize]);
-    }
-
-    #[test]
-    fn unroll_guarded_epilogue_is_exact() {
-        for n in [5, 8, 9] {
-            let mut p = grid_program(n);
-            // Unroll the inner j loop by 4.
-            if let Node::Loop(i) = &mut p.body {
-                if let Node::Loop(j) = &i.body {
-                    i.body = unroll(j, 4).expect("unroll");
-                }
-            }
-            let out = run_all_ones(&p, n);
-            assert_eq!(out, vec![1.0; (n * n) as usize], "n={n}");
-        }
     }
 
     /// symm's joint nest 1 at tile 4: `c1 = max(0, u0t) .. min(N - 2,

@@ -78,8 +78,9 @@ pub const LEVEL_COSTS: [f64; 2] = [1.0, 4.0];
 /// purpose: both rankings already ordered the whole budget, so
 /// confirmation only needs to absorb their respective blind spots
 /// around the top. The model's prefix is load-bearing for one reason:
-/// the vm executes an unrolled tree op for op, so it cannot see what
-/// LLVM gains from the unroll (DESIGN §12).
+/// a jam is invisible to the vm, which runs the loop in its original
+/// order, so it cannot see what LLVM gains from register tiling
+/// (DESIGN §12).
 pub const CONFIRM_TOP: usize = 2;
 
 /// How much faster than the model's own picks a screened candidate must

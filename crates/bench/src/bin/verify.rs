@@ -8,8 +8,9 @@
 //! verify [--dataset D] [--strict] [--variant NAME] [--backend vm] [kernel ... | file.rs ...]
 //! ```
 //!
-//! * positional kernel names restrict the sweep (default: all 22); a
-//!   name that is no kernel's exits 2 before anything is audited;
+//! * positional kernel names restrict the sweep (default: all 25, the
+//!   paper's 22 and the extended three); a name that is no kernel's
+//!   exits 2 before anything is audited;
 //! * positional `.rs` paths are audited as cached kernel sources (lint
 //!   only — the transformed AST is not recoverable from source);
 //! * `--variant` restricts to one variant display name (e.g. `pocc`);
@@ -47,7 +48,7 @@ use polymix_ast::tree::{Node, Par, TileForm};
 use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
-use polymix_polybench::all_kernels;
+use polymix_polybench::{all_kernels, extended_kernels};
 use polymix_verify::{bytecode_certificate, verify_program, verify_source, Certificate};
 
 fn audit(label: &str, cert: &Certificate, strict: bool, failures: &mut usize) {
@@ -157,7 +158,10 @@ fn main() {
     let (files, names): (Vec<&String>, Vec<&String>) =
         positional.iter().partition(|a| a.ends_with(".rs"));
     // A name that matches no kernel would audit nothing and exit 0.
-    let kernels = all_kernels();
+    let kernels: Vec<_> = all_kernels()
+        .into_iter()
+        .chain(extended_kernels())
+        .collect();
     for n in &names {
         if !kernels.iter().any(|k| k.name == **n) {
             eprintln!("verify: unknown kernel {n}");

@@ -17,7 +17,8 @@ pub enum Variant {
     Native,
     /// `pocc`: Pluto smart-fuse + tiling + doall-or-wavefront.
     Pocc,
-    /// `pocc+vect`: plus the intra-tile vectorization post-pass.
+    /// `pocc+vect`: `pocc` with register tiling at (2, 2)
+    /// ([`paper_knobs`]).
     PoccVect,
     /// `iterative`: best of the enumerated fusion structures (the
     /// harness runs all three and reports the best, mirroring PoCC's
@@ -133,8 +134,7 @@ pub fn build_with(
     };
     match variant {
         Variant::Native => original_program(scop),
-        Variant::Pocc => pluto(PlutoVariant::Pocc),
-        Variant::PoccVect => pluto(PlutoVariant::PoccVect),
+        Variant::Pocc | Variant::PoccVect => pluto(PlutoVariant::Pocc),
         Variant::IterativeMax | Variant::PlutoMaxFuse => pluto(PlutoVariant::MaxFuse),
         Variant::IterativeNo => pluto(PlutoVariant::NoFuse),
         Variant::PolyAst | Variant::PolyAstDoallOnly => optimize_poly_ast(

@@ -101,9 +101,10 @@ struct Emitter<'a> {
     region: usize,
     /// Whether any loop is emitted as a `kernel_rt` region.
     parallel: bool,
-    /// The jammed loop being emitted, as `(variable, factor)`: every
-    /// statement below it is written once per replica.
-    jam: Option<(usize, i64)>,
+    /// The jammed loops being emitted, outermost first, as `(variable,
+    /// factor)`: every statement below them is written once per element
+    /// of the product of their replicas.
+    jams: Vec<(usize, i64)>,
     /// Per array whose rows are padded ([`pads_rows`]): its logical row
     /// length and its padded row stride, as `usize` expressions.
     rows: Vec<Option<(String, String)>>,
@@ -126,7 +127,7 @@ pub fn emit_rust(prog: &Program, opts: &EmitOptions) -> String {
         names,
         region: 0,
         parallel: parallel && opts.threads > 1,
-        jam: None,
+        jams: Vec::new(),
         rows: Vec::new(),
         dims: Vec::new(),
     };
@@ -506,19 +507,21 @@ impl Emitter<'_> {
         }
     }
 
-    /// `l` as a plain loop — or, when it carries a `jam: f` mark, no
-    /// jam is being emitted around it and no parallel region would run
-    /// below it, as its unroll-and-jam: a main loop over blocks of `f`
-    /// iterations whose body writes every statement once per replica,
-    /// `r = 0..f` innermost, then the remainder loop. No replica carries
-    /// a guard. The certifier proves the jammed order (DESIGN §19).
+    /// `l` as a plain loop — or, when it carries a `jam: f` mark and no
+    /// parallel region would run below it, as its unroll-and-jam: a main
+    /// loop over blocks of `f` iterations whose body writes every
+    /// statement once per element of the product of the replicas of `l`
+    /// and of the jammed loops around it (`l`'s `r = 0..f` innermost),
+    /// then the remainder loop, which writes only the replicas of the
+    /// jams around `l`. No replica carries a guard. The certifier proves
+    /// each jam on its own, and the proofs compose (DESIGN §19).
     fn seq_loop(&mut self, l: &Loop) {
         let region_below = || {
             let mut marked = false;
             l.body.visit_loops(&mut |i| marked |= i.par != Par::Seq);
             marked
         };
-        if l.jam < 2 || self.jam.is_some() || (self.parallel && region_below()) {
+        if l.jam < 2 || (self.parallel && region_below()) {
             self.seq_loop_around(l, |e| e.node(&l.body));
             return;
         }
@@ -529,9 +532,9 @@ impl Emitter<'_> {
         self.line(&format!("let {v}_hi: i64 = {hi};"));
         self.line(&format!("while {v} + {} <= {v}_hi {{", l.jam - 1));
         self.indent += 1;
-        self.jam = Some((l.var, l.jam));
+        self.jams.push((l.var, l.jam));
         self.node(&l.body);
-        self.jam = None;
+        self.jams.pop();
         self.line(&format!("{v} += {};", l.jam));
         self.indent -= 1;
         self.line("}");
@@ -864,16 +867,25 @@ impl Emitter<'_> {
     }
 
     fn stmt(&mut self, s: &polymix_ast::tree::StmtNode) {
-        let Some((var, f)) = self.jam else {
+        if self.jams.is_empty() {
             return self.stmt_once(s);
-        };
-        for r in 0..f {
-            let mut replica = s.clone();
-            for e in replica.iter_exprs.iter_mut() {
-                *e = e.subst(var, &LinExpr::var(var).plus(r));
-            }
-            self.stmt_once(&replica);
         }
+        let mut replicas = vec![s.clone()];
+        for &(var, f) in &self.jams {
+            replicas = replicas
+                .iter()
+                .flat_map(|s| {
+                    (0..f).map(move |r| {
+                        let mut replica = s.clone();
+                        for e in replica.iter_exprs.iter_mut() {
+                            *e = e.subst(var, &LinExpr::var(var).plus(r));
+                        }
+                        replica
+                    })
+                })
+                .collect();
+        }
+        replicas.iter().for_each(|r| self.stmt_once(r));
     }
 
     fn stmt_once(&mut self, s: &polymix_ast::tree::StmtNode) {
@@ -1195,6 +1207,48 @@ mod tests {
         );
         assert!(src.contains("a_x[k] = 1.0"), "{src}");
         assert!(src.contains("for _rep in 0..3"), "{src}");
+    }
+
+    /// A jam inside a jam (`pocc+vect`'s (2, 2) on `i { j }`): the inner
+    /// main loop writes the statement once per element of the product of
+    /// both loops' replicas, the inner remainder once per replica of the
+    /// outer jam, and neither main loop holds a guard.
+    #[test]
+    fn a_jam_inside_a_jam_writes_the_product_of_the_replicas_unguarded() {
+        let mut b = ScopBuilder::new("grid", &["N"], &[16]);
+        let a = b.array("A", &["N", "N"]);
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(0), par("N"));
+        let rhs = IExpr::add(b.rd(a, &[ix("i"), ix("j")]), IExpr::Const(1.0));
+        b.stmt("S", a, &[ix("i"), ix("j")], rhs);
+        b.exit();
+        b.exit();
+        let mut prog =
+            original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
+        prog.body.visit_loops_mut(&mut |l| l.jam = 2);
+        let src = emit_rust(&prog, &opts(1));
+        // The lines from the one opening `head` to the first one after it
+        // that holds `end`.
+        let between = |head: &str, end: &str| -> Vec<&str> {
+            let lines: Vec<&str> = src.lines().map(str::trim).collect();
+            let at = lines
+                .iter()
+                .position(|l| *l == head)
+                .unwrap_or_else(|| panic!("no `{head}` in:\n{src}"));
+            let len = lines[at..]
+                .iter()
+                .position(|l| l.contains(end))
+                .expect("loop end");
+            lines[at..at + len].to_vec()
+        };
+        let writes = |lines: &[&str]| lines.iter().filter(|l| l.starts_with("*p_a.add(")).count();
+        let outer_main = between("while v_c1 + 1 <= v_c1_hi {", "v_c1 += 2;");
+        let inner_main = between("while v_c2 + 1 <= v_c2_hi {", "v_c2 += 2;");
+        assert!(!outer_main.iter().any(|l| l.starts_with("if ")), "{src}");
+        assert_eq!(writes(&inner_main), 4, "{src}");
+        assert_eq!(writes(&outer_main), 4 + 2, "{src}");
+        let all: Vec<&str> = src.lines().map(str::trim).collect();
+        assert_eq!(writes(&all), 4 + 2 + 2 + 1, "{src}");
     }
 
     /// A time loop over one inner loop per entry of `arrays`, the time

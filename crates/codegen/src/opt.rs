@@ -10,8 +10,9 @@
 //!   §19) — with the repair of marks a tile loop may not keep;
 //! * point-loop order inside each tile ([`order_point_loops`]);
 //! * register tiling, a `jam` mark on the loop whose unroll-and-jam breaks
-//!   an add chain or a gather (Sec. IV-C, [`jam_nest`]), or on the outer
-//!   loop of each innermost pair by request ([`register_tile`]).
+//!   an add chain or a gather (Sec. IV-C, [`jam_nest`]), or by request on
+//!   the outer loop of each innermost pair and on each innermost loop
+//!   ([`register_tile`]).
 
 use polymix_ast::parallel::outermost_parallel;
 use polymix_ast::transforms::{self, Crossed};
@@ -254,10 +255,11 @@ pub fn loop_levels(nest: &Node) -> HashMap<usize, usize> {
 }
 
 /// Variables that several loops of `node` share: the copies of a point
-/// loop [`tile_nest`]'s sunk form distributed. The certifier follows a
-/// tile controller through its point loops, and copies unrolled by
-/// different amounts would disagree about where a tile's iterations sit,
-/// so [`register_tile`] leaves them as they are.
+/// loop [`tile_nest`]'s sunk form distributed. [`register_tile`] leaves
+/// them unjammed, which keeps `pocc+vect`'s jams on the loops its
+/// register tiling has always covered (DESIGN §19, "Why marks survive").
+/// Most copies would pass [`jam_ok`]; jamming them is a separate change,
+/// to be measured.
 fn distributed_vars(node: &Node) -> Vec<usize> {
     let mut vars: Vec<usize> = Vec::new();
     node.visit_loops(&mut |l| vars.push(l.var));
@@ -268,11 +270,12 @@ fn distributed_vars(node: &Node) -> Vec<usize> {
 }
 
 /// Register tiling by request (Sec. IV-C): marks the outer loop of every
-/// innermost perfect pair `jam: outer_factor` where [`jam_ok`] allows it,
-/// and unrolls every innermost loop by `inner_factor` (guarded epilogue,
-/// [`transforms::unroll`]). `levels` is [`loop_levels`] of the nest
-/// before tiling. The copies of a distributed point loop keep their step
-/// and get no jam ([`distributed_vars`]).
+/// innermost perfect pair `jam: outer_factor` and every innermost loop
+/// `jam: inner_factor`, each where [`jam_ok`] allows it; a factor of 1
+/// marks nothing. The emitter realizes a jam inside a jam as the
+/// product of both (DESIGN §19). `levels` is [`loop_levels`] of the nest
+/// before tiling. The copies of a distributed point loop get no jam
+/// ([`distributed_vars`]).
 pub fn register_tile(
     node: &mut Node,
     (outer_factor, inner_factor): (i64, i64),
@@ -290,27 +293,19 @@ fn register_tile_in(
     levels: &HashMap<usize, usize>,
     copies: &[usize],
 ) {
-    let (outer_factor, inner_factor) = factors;
     match node {
         Node::Seq(xs) => xs
             .iter_mut()
             .for_each(|x| register_tile_in(x, factors, deps, levels, copies)),
         Node::Guard(_, b) => register_tile_in(b, factors, deps, levels, copies),
         Node::Loop(l) => {
-            let rolled = copies.contains(&l.var);
-            let is_pair = matches!(&l.body, Node::Loop(inner) if node_depth(&inner.body) == 0);
-            if is_pair && outer_factor > 1 && !rolled && jam_ok(l, outer_factor, deps, levels) {
-                l.jam = outer_factor;
-            }
-            if node_depth(&l.body) == 0 {
-                // Bare innermost loop: plain unroll; on error keep the
-                // rolled loop (the transform is an optimization only).
-                if inner_factor > 1 && l.step == 1 && !rolled {
-                    if let Ok(Node::Loop(new_l)) = transforms::unroll(l, inner_factor) {
-                        **l = *new_l;
-                    }
-                }
-                return;
+            let f = match &l.body {
+                Node::Loop(inner) if node_depth(&inner.body) == 0 => factors.0,
+                body if node_depth(body) == 0 => factors.1,
+                _ => 1,
+            };
+            if f > 1 && !copies.contains(&l.var) && jam_ok(l, f, deps, levels) {
+                l.jam = f;
             }
             register_tile_in(&mut l.body, factors, deps, levels, copies);
         }
@@ -614,7 +609,8 @@ mod tests {
         let levels = loop_levels(&prog.body);
         register_tile(&mut prog.body, (2, 4), &[], &levels);
         let Node::Loop(i) = &prog.body else { panic!("nest root") };
-        assert_eq!((i.jam, i.step), (2, 1));
+        let Node::Loop(j) = &i.body else { panic!("inner loop") };
+        assert_eq!((i.jam, i.step, j.jam, j.step), (2, 1, 4, 1));
         let mut arrays = alloc_arrays(&scop, &[9]);
         execute(&prog, &[9], &mut arrays);
         assert_eq!(arrays[0], vec![1.0; 81]);

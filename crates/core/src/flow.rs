@@ -28,7 +28,7 @@ pub struct PolyAstOptions {
     /// mode: forgo reduction/pipeline parallelism).
     pub doall_only: bool,
     /// Register tiling factors `(outer, inner)`: a jam of the outer loop
-    /// of every innermost pair and an unroll of its inner loop. `(1, 1)`
+    /// of every innermost pair and one of every innermost loop. `(1, 1)`
     /// leaves register tiling to the flow itself, which jams the loop
     /// that breaks an add chain or a gather (`polymix_codegen::opt::jam_nest`).
     pub unroll: (i64, i64),

@@ -12,7 +12,7 @@
 //! * **max-fuse** and **smart-fuse** fusion heuristics;
 //! * rectangular tiling of the permutable bands it constructs, wavefront
 //!   parallelization of the tile loops when no outer tile loop is doall,
-//!   and an optional intra-tile vectorization permutation (`vect`);
+//!   and optional register tiling by unroll-and-jam marks (`vect`);
 //! * an `iterative` mode that enumerates fusion structures and returns
 //!   every variant, for auto-tuning by the harness.
 //!

@@ -16,11 +16,9 @@ use polymix_ir::Scop;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlutoVariant {
     /// `pocc`: smart-fuse + tiling + coarse-grain parallelization with
-    /// wavefronting when no outer tile loop is parallel.
+    /// wavefronting when no outer tile loop is parallel (`pocc+vect` is
+    /// this variant with register tiling, [`PlutoOptions::unroll`]).
     Pocc,
-    /// `pocc+vect`: `pocc` plus an intra-tile permutation placing the
-    /// best vectorizable loop innermost.
-    PoccVect,
     /// Maximal fusion (the Fig. 2 comparison structure).
     MaxFuse,
     /// No fusion across SCCs.
@@ -39,7 +37,9 @@ pub struct PlutoOptions {
     pub time_tile: i64,
     /// Enable loop tiling.
     pub tiling: bool,
-    /// Unroll-and-jam factors `(outer, inner)` for register tiling.
+    /// Unroll-and-jam factors `(outer, inner)` for register tiling: the
+    /// outer loop of every innermost pair is marked `jam: outer`, every
+    /// innermost loop `jam: inner`, where the records allow it.
     pub unroll: (i64, i64),
 }
 
@@ -66,7 +66,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
     let fusion = match opts.variant {
         PlutoVariant::MaxFuse => Fusion::Max,
         PlutoVariant::NoFuse => Fusion::None,
-        _ => Fusion::Smart,
+        PlutoVariant::Pocc => Fusion::Smart,
     };
     let fallback = schedule_with_fallback(scop, fusion);
     let schedules = fallback.schedules;
@@ -95,19 +95,9 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
                 }
             }
         }
-        // 4. Intra-tile vectorization permutation (`vect`): handled by
-        //    keeping the innermost point loop stride-1; our point loops
-        //    already preserve the schedule's order, so the vect variant
-        //    additionally register-tiles the innermost pair: a jam mark
-        //    on its outer loop, an unroll of its inner one.
-        if opts.variant == PlutoVariant::PoccVect || opts.unroll.0 > 1 || opts.unroll.1 > 1 {
-            let (o, i) = if opts.variant == PlutoVariant::PoccVect && opts.unroll == (1, 1) {
-                (2, 2)
-            } else {
-                opts.unroll
-            };
-            register_tile(&mut nest, (o, i), &info.deps, &levels);
-        }
+        // 4. Register tiling (`pocc+vect`'s intra-tile step): jam marks
+        //    on the innermost pairs; none at (1, 1).
+        register_tile(&mut nest, opts.unroll, &info.deps, &levels);
         nest
     });
     // Mandatory debug-mode certification of the baseline's output, on

@@ -43,8 +43,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// register tiling, `pocc+vect`'s (2, 2)), and a pipeline mark the
 /// emitter runs sequentially says so; a version-4 source for the same
 /// request is correct but is not what the optimizer now emits, so it is
-/// re-optimized rather than replayed.
-pub const CACHE_VERSION: u32 = 5;
+/// re-optimized rather than replayed. Version 6: register tiling's inner
+/// factor is a `jam` mark too, so served `pocc+vect` sources and those of
+/// an explicit `unroll` request lose their guarded replicas; a version-5
+/// source is correct but is re-optimized for the same reason.
+pub const CACHE_VERSION: u32 = 6;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

@@ -16,6 +16,11 @@ use crate::fault::Fault;
 use polymix_bench::sweep::{json_escape, parse_record};
 use std::fmt::Write as _;
 
+/// The largest unroll-and-jam factor a request may ask for: the top of
+/// the paper's tuning range {1, 2, 4, 6, 8}. The emitter writes each
+/// statement once per replica, so the factor bounds the source's size.
+const MAX_UNROLL: i64 = 8;
+
 /// A parsed optimization request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OptimizeRequest {
@@ -33,7 +38,8 @@ pub struct OptimizeRequest {
     pub tile: i64,
     /// Time-loop tile size (0 = variant default).
     pub time_tile: i64,
-    /// Unroll-and-jam factors (0 = variant default).
+    /// Unroll-and-jam factors (0 = variant default; at most 8,
+    /// `MAX_UNROLL`).
     pub unroll: (i64, i64),
     /// Per-request deadline in milliseconds (0 = server default).
     pub deadline_ms: u64,
@@ -124,6 +130,9 @@ impl OptimizeRequest {
         req.unroll = (num("unroll_o") as i64, num("unroll_i") as i64);
         if req.tile < 0 || req.time_tile < 0 || req.unroll.0 < 0 || req.unroll.1 < 0 {
             return Err("negative tile/unroll knob".into());
+        }
+        if req.unroll.0 > MAX_UNROLL || req.unroll.1 > MAX_UNROLL {
+            return Err(format!("unroll factor above {MAX_UNROLL}"));
         }
         req.deadline_ms = num("deadline_ms").max(0.0) as u64;
         req.emit = num("emit") != 0.0;
@@ -258,6 +267,21 @@ mod tests {
         assert!(OptimizeRequest::from_json("{}").is_err(), "kernel required");
         assert!(OptimizeRequest::from_json("{\"kernel\":\"gemm\",\"inject\":\"zap\"}").is_err());
         assert!(OptimizeRequest::from_json("{\"kernel\":\"gemm\",\"tile\":-4}").is_err());
+    }
+
+    /// An unroll factor is a replica count the emitter writes out, so
+    /// one beyond the paper's range is refused before any optimizer runs.
+    #[test]
+    fn request_rejects_unroll_factors_above_eight() {
+        let req = |o: &str, i: &str| {
+            OptimizeRequest::from_json(&format!(
+                "{{\"kernel\":\"gemm\",\"unroll_o\":{o},\"unroll_i\":{i}}}"
+            ))
+        };
+        assert_eq!(req("8", "8").map(|r| r.unroll), Ok((8, 8)));
+        assert!(req("9", "1").is_err());
+        assert!(req("1", "1e9").is_err());
+        assert!(req("1e30", "2").is_err());
     }
 
     #[test]

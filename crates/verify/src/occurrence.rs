@@ -1,8 +1,9 @@
 //! Flattening the transformed AST into per-statement *occurrences*.
 //!
-//! An occurrence is one textual copy of a statement (unrolling and
-//! distribution create several) together with its root path — the exact
-//! sequence of `Seq` branches, loops and guards above it — and the
+//! An occurrence is one textual copy of a statement (distribution creates
+//! several; register tiling does not, since a jam's replicas are written
+//! by the emitter, not held in the tree) together with its root path —
+//! the exact sequence of `Seq` branches, loops and guards above it — and the
 //! statement's `iter_exprs`, which express the *original* iterators as
 //! affine functions of the AST loop variables. Inverting that system
 //! recovers each AST variable as an affine function of the original
@@ -266,7 +267,7 @@ mod tests {
         let solved = solve(&[e0, e1], 1);
         assert_eq!(solved.get(&7), Some(&vec![1, 0, 0, 0]));
         assert_eq!(solved.get(&9), Some(&vec![2, 1, 0, 0]));
-        // Unroll replica: x0 = v + 3  =>  v = x0 - 3.
+        // A shifted iterator: x0 = v + 3  =>  v = x0 - 3.
         let e = LinExpr::var(4).plus(3);
         let solved = solve(&[e], 0);
         assert_eq!(solved.get(&4), Some(&vec![1, -3]));

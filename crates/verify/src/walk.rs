@@ -10,11 +10,12 @@
 //! level(src)` over the dependence space `[x_src | y_dst | params | 1]`
 //! and queries Fourier-Motzkin emptiness on the violation polyhedron:
 //!
-//! * `remaining AND r <= -step` nonempty  =>  some dependent pair runs
-//!   backward at this level: a certificate-1 violation. (True pairs at a
-//!   common loop share the iteration lattice, so backward means at least
-//!   one full step.)
-//! * otherwise the pairs strictly ordered at this level (`r >= step`)
+//! * `remaining AND r <= -1` nonempty  =>  some dependent pair runs
+//!   backward at this level: a certificate-1 violation. (The optimizers
+//!   step only tile loops, whose variables are never solved; on any other
+//!   stepped loop `r <= -1` asks about a superset of the backward pairs,
+//!   so the check stays sound.)
+//! * otherwise the pairs strictly ordered at this level (`r >= 1`)
 //!   are discharged — execution order is lexicographic in the common
 //!   levels — and the walk continues on `remaining AND r == 0`.
 //!
@@ -182,45 +183,31 @@ impl<'a> PairWalk<'a> {
         }
     }
 
-    /// First loop at or after `steps[k]` (on one side's path suffix)
-    /// that the tile controller `ctrl` clamps to one tile,
+    /// The row of the first loop at or after `steps[k]` (on one side's
+    /// path suffix) that the tile controller `ctrl` clamps to one tile,
     /// `[ctrl, ctrl + step - 1]`, and whose own variable is solvable on
-    /// that side — the point loop `ctrl` governs. Returns the row with
-    /// the proxy loop's own lattice step: an unrolled point loop spaces
-    /// its real values that far apart, and off-lattice polyhedron points
-    /// must not be mistaken for executions.
-    fn proxy_row(
-        &self,
-        suffix: &[&PStep],
-        ctrl: usize,
-        src_side: bool,
-    ) -> Option<(Vec<i64>, i64, usize)> {
-        for step in suffix {
-            let PStep::Loop(l) = step else { continue };
-            if l.clamped_by.contains(&ctrl) {
-                if let Some(r) = self.lifted(l.var, src_side) {
-                    return Some((r, l.step, l.id));
-                }
-            }
-        }
-        None
+    /// that side — the point loop `ctrl` governs.
+    fn proxy_row(&self, suffix: &[&PStep], ctrl: usize, src_side: bool) -> Option<Vec<i64>> {
+        suffix.iter().find_map(|step| match step {
+            PStep::Loop(l) if l.clamped_by.contains(&ctrl) => self.lifted(l.var, src_side),
+            _ => None,
+        })
     }
 
     /// The grid-column row below a pipeline/wavefront level on one side:
-    /// the first deeper loop's value (paired with its lattice step and
-    /// node id), or its proxy when that loop is itself a tile controller.
-    /// The last element is the proxy span — `0` for a directly solved
-    /// column, the controller's step when the value only bounds the real
-    /// column to within one tile.
-    fn column_row(&self, suffix: &[&PStep], src_side: bool) -> Option<(Vec<i64>, i64, usize, i64)> {
+    /// the first deeper loop's value, or its proxy when that loop is
+    /// itself a tile controller, with the proxy span — `0` for a directly
+    /// solved column, the controller's step when the value only bounds
+    /// the real column to within one tile.
+    fn column_row(&self, suffix: &[&PStep], src_side: bool) -> Option<(Vec<i64>, i64)> {
         for (k, step) in suffix.iter().enumerate() {
             let PStep::Loop(l) = step else { continue };
             if let Some(r) = self.lifted(l.var, src_side) {
-                return Some((r, l.step, l.id, 0));
+                return Some((r, 0));
             }
             return self
                 .proxy_row(&suffix[k + 1..], l.var, src_side)
-                .map(|(r, f, id)| (r, f, id, l.step));
+                .map(|r| (r, l.step));
         }
         None
     }
@@ -293,22 +280,23 @@ impl<'a> PairWalk<'a> {
         }
     }
 
-    /// The row `level(dst) - level(src)` of the common loop `l`, with
-    /// the lattice step of its values and, when the row is a tile
-    /// controller's proxy, the controller's step; `None` when `l` has
-    /// neither an affine inverse nor a proxy on both sides.
+    /// The row `level(dst) - level(src)` of the common loop `l` and,
+    /// when the row is a tile controller's proxy, the controller's step;
+    /// `None` when `l` has neither an affine inverse nor a proxy on both
+    /// sides. Backward is `r <= -1` and carried `r >= 1`: the loops
+    /// with a row step by 1 (DESIGN §19, "Register tiling is a mark").
     fn level_row(
         &self,
         l: &LoopMeta,
         rest_s: &[&PStep],
         rest_d: &[&PStep],
-    ) -> Option<(Vec<i64>, i64, Option<i64>)> {
+    ) -> Option<(Vec<i64>, Option<i64>)> {
         if let Some((rs, rd)) = self.lifted(l.var, true).zip(self.lifted(l.var, false)) {
-            return Some((delta(&rd, &rs), l.step, None));
+            return Some((delta(&rd, &rs), None));
         }
         let ps = self.proxy_row(rest_s, l.var, true);
         let pd = self.proxy_row(rest_d, l.var, false);
-        ps.zip(pd).map(|((rs, f, _), (rd, _, _))| (delta(&rd, &rs), f, Some(l.step)))
+        ps.zip(pd).map(|(rs, rd)| (delta(&rd, &rs), Some(l.step)))
     }
 
     /// The jam certificate: for every loop marked `jam: f` on both
@@ -341,7 +329,7 @@ impl<'a> PairWalk<'a> {
                     }
                     // Pairs ordered here are ordered in the jammed code
                     // too; a level with no row keeps every pair.
-                    if let Some((r, _, coarse)) = self.level_row(la, rest_s, rest_d) {
+                    if let Some((r, coarse)) = self.level_row(la, rest_s, rest_d) {
                         self.remaining = tied(&self.remaining, &r, coarse);
                     }
                     self.level += 1;
@@ -388,11 +376,11 @@ impl<'a> PairWalk<'a> {
                 }
                 (Some(PStep::Loop(la)), Some(PStep::Loop(lb))) if la.id == lb.id => {
                     let below = (&rest_s[k + 1..], &rest_d[k + 1..]);
-                    let Some((rk, lattice, coarse)) = self.level_row(la, below.0, below.1) else {
+                    let Some((rk, coarse)) = self.level_row(la, below.0, below.1) else {
                         out.push(unsafe_jam(format!("loop `{}` below it has no affine inverse", la.name)));
                         return;
                     };
-                    if !part.and_le(&rk, -lattice.max(1)).is_empty() {
+                    if !part.and_le(&rk, -1).is_empty() {
                         out.push(unsafe_jam(format!(
                             "the dependence runs backward at loop `{}` within one block",
                             la.name
@@ -424,7 +412,7 @@ impl<'a> PairWalk<'a> {
             return LevelOutcome::Satisfied;
         }
 
-        let Some((r, lattice, coarse_span)) = self.level_row(l, rest_s, rest_d) else {
+        let Some((r, coarse_span)) = self.level_row(l, rest_s, rest_d) else {
             out.push(self.violation(
                 ViolationKind::Unsupported,
                 &l.name,
@@ -439,11 +427,8 @@ impl<'a> PairWalk<'a> {
         self.trail.push((self.remaining.clone(), r.clone()));
 
         // Certificate 1: no dependent pair may run backward at this
-        // level. Real pairs sit on the loop's (or proxy loop's) value
-        // lattice, so "backward" means at least one lattice step; the
-        // polyhedron's off-lattice points in `(-lattice, 0)` are not
-        // executions.
-        if !self.remaining.and_le(&r, -lattice.max(1)).is_empty() {
+        // level.
+        if !self.remaining.and_le(&r, -1).is_empty() {
             out.push(self.violation(
                 ViolationKind::IllegalOrder,
                 &l.name,
@@ -458,14 +443,11 @@ impl<'a> PairWalk<'a> {
         }
 
         // Certificate 2: annotation safety over the pre-shrink remainder
-        // (carried pairs included). Carried means at least one lattice
-        // step forward: with unrolled (step-f) loops the polyhedron holds
-        // spurious off-lattice points with `0 < r < f`, never real pairs.
-        let carried = lattice.max(1);
+        // (carried pairs included).
         let safe = match l.par {
             Par::Seq => true,
-            Par::Doall => self.check_doall(l, &r, carried, out),
-            Par::Reduction => self.check_reduction(l, &r, carried, out),
+            Par::Doall => self.check_doall(l, &r, out),
+            Par::Reduction => self.check_reduction(l, &r, out),
             Par::Pipeline => self.check_pipeline(l, &r, rest_s, rest_d, out),
             Par::Wavefront => self.check_wavefront(l, &r, rest_s, rest_d, out),
         };
@@ -482,8 +464,8 @@ impl<'a> PairWalk<'a> {
         }
     }
 
-    fn check_doall(&self, l: &LoopMeta, r: &[i64], carried: i64, out: &mut Vec<Violation>) -> bool {
-        if self.remaining.and_ge(r, carried).is_empty() {
+    fn check_doall(&self, l: &LoopMeta, r: &[i64], out: &mut Vec<Violation>) -> bool {
+        if self.remaining.and_ge(r, 1).is_empty() {
             return true;
         }
         out.push(self.violation(
@@ -496,16 +478,10 @@ impl<'a> PairWalk<'a> {
         false
     }
 
-    fn check_reduction(
-        &self,
-        l: &LoopMeta,
-        r: &[i64],
-        carried: i64,
-        out: &mut Vec<Violation>,
-    ) -> bool {
+    fn check_reduction(&self, l: &LoopMeta, r: &[i64], out: &mut Vec<Violation>) -> bool {
         // Reduction self-updates were discharged above; anything still
         // here must not be carried in either direction.
-        if self.remaining.and_ge(r, carried).is_empty() {
+        if self.remaining.and_ge(r, 1).is_empty() {
             return true;
         }
         out.push(self.violation(
@@ -580,26 +556,25 @@ impl<'a> PairWalk<'a> {
         // step, and progress counts (outer step, sibling) *phases*; the
         // right-neighbor await trails one phase. A dependent pair is
         // therefore covered when its leftward column movement is at most
-        // one block — at least `max_step` cells — per phase advance:
+        // one block — at least `span` cells — per phase advance:
         //
-        //     -rc  <=  max_step * dphase ,
+        //     -rc  <=  span * dphase ,
         //     dphase = nsib * (r / outer_step) + (sib_d - sib_s).
         //
         // Linearized with the conservative lower bound `nsib >= 1` and
         // scaled by the outer step, a pair is *uncovered* when
         //
-        //     step*rc + max_step*r  <=  -step*(max_step*dsib + margin)
+        //     step*rc + span*r  <=  -step*span*(dsib + 1)
         //
-        // where `margin` rounds up to the column lattice when both sides
-        // sit in the same (possibly unrolled) loop, and to the tile span
-        // when the column is a proxied controller (same-tile jitter never
-        // crosses a block boundary: the chunk is a step multiple), so
-        // off-lattice and same-tile polyhedron points are not mistaken
-        // for cross-thread executions.
+        // where `span` is the tile span when a column is a proxied
+        // controller (same-tile jitter never crosses a block boundary:
+        // the chunk is a step multiple), so same-tile polyhedron points
+        // are not mistaken for cross-thread executions, and 1 when both
+        // columns are solved loops, which step by 1.
         let cols = self
             .column_row(rest_s, true)
             .zip(self.column_row(rest_d, false));
-        let Some(((cs, fs, ids, hs), (cd, fd, idd, hd))) = cols else {
+        let Some(((cs, hs), (cd, hd))) = cols else {
             out.push(self.violation(
                 ViolationKind::Unsupported,
                 &l.name,
@@ -612,26 +587,17 @@ impl<'a> PairWalk<'a> {
         };
         let rc = delta(&cd, &cs);
         let step = l.step.max(1);
-        let max_step = fs.max(fd).max(hs).max(hd).max(1);
-        let margin = if hs == 0 && hd == 0 {
-            if ids == idd {
-                fs.max(1)
-            } else {
-                1
-            }
-        } else {
-            hs.max(hd)
-        };
+        let span = hs.max(hd).max(1);
         let dsib = sib_d as i64 - sib_s as i64;
         let w: Vec<i64> = rc
             .iter()
             .zip(r)
-            .map(|(c, rr)| step * c + max_step * rr)
+            .map(|(c, rr)| step * c + span * rr)
             .collect();
-        // Real pairs never run backward at a passed level; drop the
-        // off-lattice negative-`r` points before testing the cone.
+        // Real pairs never run backward at a passed level; keep the
+        // polyhedron to `r >= 0` before testing the cone.
         let fwd = self.remaining.and_ge(r, 0);
-        let uncovered = fwd.and_le(&w, -step * (max_step * dsib + margin));
+        let uncovered = fwd.and_le(&w, -step * span * (dsib + 1));
         if uncovered.is_empty() {
             return true;
         }
@@ -664,7 +630,7 @@ impl<'a> PairWalk<'a> {
         let cols = self
             .column_row(rest_s, true)
             .zip(self.column_row(rest_d, false));
-        let Some(((cs, _, _, _), (cd, _, _, _))) = cols else {
+        let Some(((cs, _), (cd, _))) = cols else {
             out.push(self.violation(
                 ViolationKind::Unsupported,
                 &l.name,

@@ -355,3 +355,33 @@ fn a_jam_no_dependence_crosses_is_certified() {
     let cert = verify_program(&prog);
     assert!(cert.is_certified(), "{:?}", cert.violations);
 }
+
+/// adi's row sweep updates `X[i1][i2]` from `B[i1][i2 - 1]` (S0), then
+/// `B[i1][i2]` (S1). In `pocc`'s tree both sit under the innermost `c3`,
+/// the one innermost loop of `pocc+vect`'s (2, 2) that register tiling
+/// leaves unjammed: jammed by 2, the block runs S0 at `c3 + 1` before S1
+/// at `c3` wrote the `B` it reads.
+#[test]
+fn a_forged_jam_on_adi_s_row_sweep_is_rejected() {
+    use polymix_pluto::{optimize_pluto, PlutoOptions};
+    let k = kernel_by_name("adi").expect("kernel");
+    let mut prog = optimize_pluto(&(k.build)(), &PlutoOptions::default()).expect("optimize");
+    assert!(verify_program(&prog).is_certified());
+    let mut forged = false;
+    prog.body.visit_loops_mut(&mut |l| {
+        if !forged && l.name == "c3" {
+            l.jam = 2;
+            forged = true;
+        }
+    });
+    assert!(forged, "no c3 loop in adi pocc");
+    let cert = verify_program(&prog);
+    assert!(
+        cert.violations
+            .iter()
+            .any(|v| v.kind == ViolationKind::JamUnsafe
+                && v.detail.contains("target's statement comes first")),
+        "{:?}",
+        cert.violations
+    );
+}

@@ -118,25 +118,27 @@ fn poly_ast_outputs_certify_on_all_kernels() {
 }
 
 /// Every Pluto baseline output certifies, including wavefronted tile
-/// nests and the vectorization variant's register tiling.
+/// nests and the vectorization variant's register tiling (`pocc` at
+/// `unroll: (2, 2)`, nested jams included).
 #[test]
 fn pluto_outputs_certify_on_all_kernels() {
     for k in every_kernel() {
         let scop = (k.build)();
-        for variant in [
-            PlutoVariant::Pocc,
-            PlutoVariant::PoccVect,
-            PlutoVariant::MaxFuse,
-            PlutoVariant::NoFuse,
+        for (variant, unroll) in [
+            (PlutoVariant::Pocc, (1, 1)),
+            (PlutoVariant::Pocc, (2, 2)),
+            (PlutoVariant::MaxFuse, (1, 1)),
+            (PlutoVariant::NoFuse, (1, 1)),
         ] {
             let opts = PlutoOptions {
                 variant,
                 tile: 4,
                 time_tile: 2,
+                unroll,
                 ..Default::default()
             };
             let prog = optimize_pluto(&scop, &opts).expect("optimize");
-            assert_certified(k.name, &format!("{variant:?}"), &prog);
+            assert_certified(k.name, &format!("{variant:?} {unroll:?}"), &prog);
         }
     }
 }
