@@ -10,8 +10,10 @@
 //!   §19) — with the repair of marks a tile loop may not keep;
 //! * point-loop order inside each tile ([`order_point_loops`]);
 //! * register tiling, a `jam` mark on the loop whose unroll-and-jam breaks
-//!   an add chain or a gather (Sec. IV-C, [`jam_nest`]), or by request on
-//!   the outer loop of each innermost pair and on each innermost loop
+//!   an add chain (at the innermost level or around a whole tile sweep)
+//!   or a gather, or on the row and vector loops of a register tile
+//!   (Sec. IV-C, [`jam_nest`]), or by request on the outer
+//!   loop of each innermost pair and on each innermost loop
 //!   ([`register_tile`]).
 
 use polymix_ast::parallel::outermost_parallel;
@@ -314,25 +316,43 @@ fn register_tile_in(
 }
 
 /// Register tiling the poly+AST flow chooses itself (Sec. IV-C, DESIGN
-/// §19 "Register tiling is a mark"): for every innermost loop whose body holds
-/// statements only, one jam of a loop above it that breaks what binds
-/// it. A statement of the body is
+/// §19 "Register tiling is a mark"): for every innermost loop V whose body
+/// holds statements only, the jams that break what binds it. A statement
+/// of the body is
 ///
-/// * **chain-bound** when it updates an element the loop does not move:
-///   its sum is one chain of dependent adds, which the vector unit cannot
-///   split without reassociating;
-/// * **gather-bound** when a read's last subscript is fixed along the loop
-///   and another subscript moves with it: every vector load is a gather.
+/// * **chain-bound** when it updates an element V does not move: its sum
+///   is one chain of dependent adds, which the vector unit cannot split
+///   without reassociating;
+/// * **gather-bound** when a read's last subscript is fixed along V and
+///   another subscript moves with it: every vector load is a gather.
 ///
 /// For the first such statement, the loop jammed (J) is the nearest
 /// enclosing one its write mentions; it must have step 1 (a tile loop
-/// never does), leave a gathered read invariant, and pass [`jam_ok`]. It
-/// may be one copy of a distributed point loop: the mark leaves its step
-/// alone, so the copies still agree on where a tile's iterations sit.
-/// The factor is the largest power of two `f` with `f ×` (statements of
+/// never does) and leave a gathered read invariant. It may be one copy of
+/// a distributed point loop: the mark leaves its step alone, so the copies
+/// still agree on where a tile's iterations sit. Where no statement is
+/// either, V is a vector loop (step 1, the write's last subscript moving
+/// with it), and the first updating statement picks one of two bindings:
+///
+/// * **register tile**: exactly one loop J above V also moves the write,
+///   and a step-1 loop between them leaves it invariant (gemm's `C[i][j]`
+///   under `i`, `k`, `j`). That loop carries the sum, so the `J × V`
+///   accumulators stay in registers across it; J must leave a read
+///   invariant (`B[k][j]`), which each replica of J then shares. J and V
+///   are jammed together, the factor split evenly between them, V taking
+///   the larger half;
+/// * **tile-wide chain**: the nearest step-1 loop C above V that leaves
+///   the write invariant while a loop between them moves it
+///   (correlation's `symmat[j1][j2]`, summed along `i` around a whole tile
+///   sweep). C is jammed, and each visit to a tile applies the updates of
+///   `f` values of C.
+///
+/// The factor `f` is the largest power of two with `f ×` (statements of
 /// the body) at most the FP add latency `latency`: enough independent
-/// sums to keep the adder busy, no more. One jam per J (the first asked
-/// for), and none inside another. `levels` is [`loop_levels`] of the
+/// sums to keep the adder busy, no more; a register tile needs `f ≥ 4`.
+/// Every jam must pass [`jam_ok`]; a binding's jams are set together or
+/// not at all, one per loop (the first asked for), and none inside
+/// another jam but its own binding's. `levels` is [`loop_levels`] of the
 /// nest before tiling.
 pub fn jam_nest(
     scop: &Scop,
@@ -341,24 +361,40 @@ pub fn jam_nest(
     levels: &HashMap<usize, usize>,
     latency: usize,
 ) {
-    let mut picks: Vec<(usize, i64)> = Vec::new();
+    let mut picks: Vec<Jams> = Vec::new();
     pick_jams(scop, nest, &mut Vec::new(), &mut 0, latency, &mut picks);
     for pick in picks {
-        set_jam(nest, pick, deps, levels, false, &mut 0);
+        let mut free = true;
+        for &(id, f) in &pick {
+            at_position(nest, id, false, &mut 0, &mut |l, under_jam| {
+                let mut inner_jam = false;
+                l.body.visit_loops(&mut |i| inner_jam |= i.jam > 1);
+                free &= l.jam == 1 && !under_jam && !inner_jam && jam_ok(l, f, deps, levels);
+            });
+        }
+        if free {
+            for &(id, f) in &pick {
+                at_position(nest, id, false, &mut 0, &mut |l, _| l.jam = f);
+            }
+        }
     }
 }
 
-/// Appends to `picks` the J and factor each innermost loop below `node`
-/// asks for, J as its pre-order position among the nest's loops (copies
-/// of a distributed loop share a variable, not a position); `above`
-/// holds the loops enclosing `node` with theirs, outermost first.
+/// One binding's jams, outermost first: each loop's pre-order position
+/// among the nest's loops and its factor.
+type Jams = Vec<(usize, i64)>;
+
+/// Appends to `picks` the jams each innermost loop below `node` asks for
+/// (copies of a distributed loop share a variable, not a position);
+/// `above` holds the loops enclosing `node` with their positions,
+/// outermost first.
 fn pick_jams<'a>(
     scop: &Scop,
     node: &'a Node,
     above: &mut Vec<(usize, &'a Loop)>,
     next: &mut usize,
     latency: usize,
-    picks: &mut Vec<(usize, i64)>,
+    picks: &mut Vec<Jams>,
 ) {
     match node {
         Node::Seq(xs) => xs.iter().for_each(|x| pick_jams(scop, x, above, next, latency, picks)),
@@ -385,60 +421,77 @@ fn pick_jams<'a>(
             };
             let most = (latency / body.len()) as i64;
             let f = if most >= 2 { 1 << most.ilog2() } else { return };
-            let pick = body.iter().find_map(|s| {
-                let stmt = &scop.statements[s.stmt_idx];
-                let moves = |map: &[Vec<i64>], v: usize| {
-                    s.subscript_coeffs(map, &[v]).iter().any(|row| row[0] != 0)
-                };
-                let write = &stmt.write;
-                let reads: Vec<_> =
-                    stmt.accesses().into_iter().filter(|(_, w)| !w).map(|(a, _)| a).collect();
-                let chain = !moves(&write.map, l.var) && reads.contains(write);
-                let gathered = reads.iter().find(|a| {
-                    a.map.split_last().is_some_and(|(last, rest)| {
-                        !moves(std::slice::from_ref(last), l.var) && moves(rest, l.var)
-                    })
-                });
-                if !chain && gathered.is_none() {
-                    return None;
-                }
-                let &(id, j) = above.iter().rev().find(|(_, j)| moves(&write.map, j.var))?;
-                let fits = j.step == 1 && gathered.is_none_or(|a| !moves(&a.map, j.var));
-                fits.then_some((id, f))
-            });
-            picks.extend(pick);
+            let (bound, vector): (Vec<_>, Vec<_>) = body
+                .iter()
+                .map(|s| stmt_jams(scop, s, (*next - 1, l), above, f))
+                .unzip();
+            picks.extend(bound.into_iter().chain(vector).flatten().next());
         }
     }
 }
 
-/// Marks the loop at pre-order position `id` (counting from `*next`)
-/// `jam: f` if it is not jammed yet, no loop above or below it is, and
-/// [`jam_ok`] allows it.
-fn set_jam(
+/// The jams statement `s` under the innermost loop `v` asks for, as
+/// [`jam_nest`] defines them: the one that breaks its chain or gather,
+/// and the register tile or tile-wide chain jam of a vector loop.
+fn stmt_jams(
+    scop: &Scop,
+    s: &StmtNode,
+    (vid, v): (usize, &Loop),
+    above: &[(usize, &Loop)],
+    f: i64,
+) -> (Option<Jams>, Option<Jams>) {
+    let stmt = &scop.statements[s.stmt_idx];
+    let moves = |map: &[Vec<i64>], var: usize| s.subscript_coeffs(map, &[var]).iter().any(|row| row[0] != 0);
+    let moves_last =
+        |map: &[Vec<i64>], var: usize| map.last().is_some_and(|last| moves(std::slice::from_ref(last), var));
+    let write = &stmt.write;
+    let reads: Vec<_> = stmt.accesses().into_iter().filter(|(_, w)| !w).map(|(a, _)| a).collect();
+    let update = reads.contains(write);
+    let chain = !moves(&write.map, v.var) && update;
+    let gathered = reads.iter().find(|a| !moves_last(&a.map, v.var) && moves(&a.map, v.var));
+    if chain || gathered.is_some() {
+        let j = above.iter().rev().find(|(_, j)| moves(&write.map, j.var));
+        let fits = |j: &Loop| j.step == 1 && gathered.is_none_or(|a| !moves(&a.map, j.var));
+        return (j.filter(|(_, j)| fits(j)).map(|&(id, _)| vec![(id, f)]), None);
+    }
+    if v.step != 1 || !moves_last(&write.map, v.var) || !update {
+        return (None, None);
+    }
+    // A vector loop: first the register tile, then the tile-wide chain.
+    let movers: Vec<usize> = (0..above.len()).filter(|&k| moves(&write.map, above[k].1.var)).collect();
+    if let [k] = movers[..] {
+        let (jid, j) = above[k];
+        let carried = above[k + 1..].iter().any(|(_, c)| c.step == 1);
+        if f >= 4 && carried && j.step == 1 && reads.iter().any(|a| !moves(&a.map, j.var)) {
+            let split = 1 << (f.ilog2() / 2);
+            return (None, Some(vec![(jid, split), (vid, f / split)]));
+        }
+    }
+    let sweep = (0..above.len())
+        .rev()
+        .find(|&k| above[k].1.step == 1 && !movers.contains(&k) && movers.iter().any(|&m| m > k));
+    (None, sweep.map(|k| vec![(above[k].0, f)]))
+}
+
+/// Calls `visit` on the loop at pre-order position `id` (counting from
+/// `*next`), with whether a loop above it is jammed.
+fn at_position(
     node: &mut Node,
-    (id, f): (usize, i64),
-    deps: &[NestDep],
-    levels: &HashMap<usize, usize>,
+    id: usize,
     under_jam: bool,
     next: &mut usize,
+    visit: &mut impl FnMut(&mut Loop, bool),
 ) {
     match node {
-        Node::Seq(xs) => xs
-            .iter_mut()
-            .for_each(|x| set_jam(x, (id, f), deps, levels, under_jam, next)),
-        Node::Guard(_, b) => set_jam(b, (id, f), deps, levels, under_jam, next),
+        Node::Seq(xs) => xs.iter_mut().for_each(|x| at_position(x, id, under_jam, next, visit)),
+        Node::Guard(_, b) => at_position(b, id, under_jam, next, visit),
         Node::Stmt(_) => {}
         Node::Loop(l) => {
             *next += 1;
-            if *next - 1 != id {
-                let under_jam = under_jam || l.jam > 1;
-                return set_jam(&mut l.body, (id, f), deps, levels, under_jam, next);
+            if *next - 1 == id {
+                return visit(l, under_jam);
             }
-            let mut inner_jam = false;
-            l.body.visit_loops(&mut |i| inner_jam |= i.jam > 1);
-            if l.jam == 1 && !under_jam && !inner_jam && jam_ok(l, f, deps, levels) {
-                l.jam = f;
-            }
+            at_position(&mut l.body, id, under_jam || l.jam > 1, next, visit);
         }
     }
 }
@@ -715,6 +768,105 @@ mod tests {
         jam_nest(&scop, &mut body, &deps, &levels, 4);
         let Node::Loop(i) = &body else { panic!("nest root") };
         assert_eq!(i.jam, 1);
+    }
+
+    /// A one-statement update `W[w] += A[r0] * C[r1]` under `loops`
+    /// (outermost first), every subscript a loop variable.
+    fn update(loops: &[&str], w: &[&str], r0: &[&str], r1: &[&str]) -> polymix_ir::Scop {
+        let mut b = ScopBuilder::new("upd", &["N"], &[9]);
+        let arr = |b: &mut ScopBuilder, name: &str, rank: usize| b.array(name, &vec!["N"; rank]);
+        let wa = arr(&mut b, "W", w.len());
+        let (a, c) = (arr(&mut b, "A", r0.len()), arr(&mut b, "C", r1.len()));
+        for v in loops {
+            b.enter(v, con(0), par("N"));
+        }
+        let subs = |xs: &[&str]| xs.iter().map(|&x| ix(x)).collect::<Vec<_>>();
+        let prod = Expr::mul(b.rd(a, &subs(r0)), b.rd(c, &subs(r1)));
+        let body = Expr::add(b.rd(wa, &subs(w)), prod);
+        b.stmt("S", wa, &subs(w), body);
+        loops.iter().for_each(|_| b.exit());
+        b.finish().expect("well-formed SCoP")
+    }
+
+    /// The jam factors of the nest's loops, outermost first, after the
+    /// selection at add latency `latency`.
+    fn selected(scop: &polymix_ir::Scop, latency: usize) -> Vec<i64> {
+        let (mut body, deps) = nest_of(scop);
+        let levels = loop_levels(&body);
+        jam_nest(scop, &mut body, &deps, &levels, latency);
+        let mut jams = Vec::new();
+        body.visit_loops(&mut |l| jams.push(l.jam));
+        jams
+    }
+
+    /// gemm's `C[i][j] += A[i][k] * B[k][j]` in `i, k, j` order: `i` is
+    /// the one other loop that moves the write, `k` carries the sum, and
+    /// `B` is invariant in `i`. The register tile jams `i` and `j`
+    /// together, the add latency's power of two split evenly with the
+    /// vector loop taking the larger half; under 4 there is no tile.
+    #[test]
+    fn the_selection_register_tiles_the_row_loop_with_the_vector_loop() {
+        let gemm = update(&["i", "k", "j"], &["i", "j"], &["i", "k"], &["k", "j"]);
+        let cases = [(4, [2, 1, 2]), (6, [2, 1, 2]), (8, [2, 1, 4]), (16, [4, 1, 4]), (3, [1, 1, 1])];
+        for (latency, jams) in cases {
+            assert_eq!(selected(&gemm, latency), jams, "latency {latency}");
+        }
+        // `k, i, j`: no loop between the row loop and the vector loop, so
+        // no register tile; the sum over `k` runs around the whole `i, j`
+        // sweep instead, a tile-wide chain.
+        let kij = update(&["k", "i", "j"], &["i", "j"], &["i", "k"], &["k", "j"]);
+        assert_eq!(selected(&kij, 4), [4, 1, 1]);
+    }
+
+    /// correlation's `symmat[j1][j2] += data[i][j1] * data[i][j2]` in
+    /// `i, j1, j2` order: `i` leaves the write invariant while `j1`, below
+    /// it, moves it — the chain runs around every sweep of `j1, j2`, and
+    /// `i` is jammed by the add latency's power of two.
+    #[test]
+    fn the_selection_jams_a_chain_that_runs_around_a_whole_sweep() {
+        let corr = update(&["i", "j1", "j2"], &["j1", "j2"], &["i", "j1"], &["i", "j2"]);
+        assert_eq!(selected(&corr, 4), [4, 1, 1]);
+        assert_eq!(selected(&corr, 6), [4, 1, 1]);
+    }
+
+    /// doitgen's `sum[r][q][p] += A[r][q][s] * C4[s][p]` in `r, q, s, p`
+    /// order: two loops besides `p` move the write, so it is no register
+    /// tile, and no loop that leaves the write invariant has one of them
+    /// between it and `p`, so it is no tile-wide chain either. The tree is
+    /// left alone.
+    #[test]
+    fn the_selection_leaves_a_write_two_loops_move_besides_the_vector_loop_alone() {
+        let doitgen = update(&["r", "q", "s", "p"], &["r", "q", "p"], &["r", "q", "s"], &["s", "p"]);
+        let (body, deps) = nest_of(&doitgen);
+        let mut jammed = body.clone();
+        jam_nest(&doitgen, &mut jammed, &deps, &loop_levels(&body), 4);
+        assert_eq!(jammed, body);
+    }
+
+    /// adi's row sweep `X[i][j] += X[i][j-1] * A[i][j]` under a time loop:
+    /// `t` leaves the write invariant while `i` moves it, so the selection
+    /// asks for a tile-wide chain jam of `t`. Instances one `t` apart meet
+    /// in one block with the read of `X[i][j-1]` at the later `t` due
+    /// before the write of `X[i][j-1]` at the earlier one — a record
+    /// `(+, 0, -1)` — and [`jam_ok`] refuses before the certifier has to.
+    #[test]
+    fn a_chain_jam_of_a_time_loop_that_carries_the_sweep_s_recurrence_is_refused() {
+        let mut b = ScopBuilder::new("sweep", &["N"], &[9]);
+        b.assume_params_at_least(2);
+        let (x, a) = (b.array("X", &["N", "N"]), b.array("A", &["N", "N"]));
+        b.enter("t", con(0), par("N"));
+        b.enter("i", con(0), par("N"));
+        b.enter("j", con(1), par("N"));
+        let prod = Expr::mul(b.rd(x, &[ix("i"), ix("j") - con(1)]), b.rd(a, &[ix("i"), ix("j")]));
+        let body = Expr::add(b.rd(x, &[ix("i"), ix("j")]), prod);
+        b.stmt("S", x, &[ix("i"), ix("j")], body);
+        (0..3).for_each(|_| b.exit());
+        let sweep = b.finish().expect("well-formed SCoP");
+        assert_eq!(selected(&sweep, 4), [1, 1, 1]);
+        let (body, deps) = nest_of(&sweep);
+        let Node::Loop(t) = &body else { panic!("nest root") };
+        assert!(!jam_ok(t, 4, &deps, &loop_levels(&body)));
+        assert!(deps.iter().any(|d| d.at(0).is_positive() && d.at(2).may_be_negative()));
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub struct PolyAstOptions {
     /// Register tiling factors `(outer, inner)`: a jam of the outer loop
     /// of every innermost pair and one of every innermost loop. `(1, 1)`
     /// leaves register tiling to the flow itself, which jams the loop
-    /// that breaks an add chain or a gather (`polymix_codegen::opt::jam_nest`).
+    /// that breaks an add chain or a gather, or a register tile's row and
+    /// vector loops (`polymix_codegen::opt::jam_nest`). A request jams the
+    /// innermost pair, which in a matrix product is the reduction loop
+    /// around the vector loop.
     pub unroll: (i64, i64),
     /// Enable Algorithm 5's inter-SCC fusion (the `ablation_fusion`
     /// experiment turns this off).

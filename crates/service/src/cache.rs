@@ -46,8 +46,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// re-optimized rather than replayed. Version 6: register tiling's inner
 /// factor is a `jam` mark too, so served `pocc+vect` sources and those of
 /// an explicit `unroll` request lose their guarded replicas; a version-5
-/// source is correct but is re-optimized for the same reason.
-pub const CACHE_VERSION: u32 = 6;
+/// source is correct but is re-optimized for the same reason. Version 7:
+/// poly+ast picks a register tile (gemm, 2mm, 3mm) and a tile-wide chain
+/// jam (correlation, covariance) itself, so their served sources change
+/// for unchanged requests; a version-6 source is re-optimized likewise.
+pub const CACHE_VERSION: u32 = 7;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

@@ -385,3 +385,47 @@ fn a_forged_jam_on_adi_s_row_sweep_is_rejected() {
         cert.violations
     );
 }
+
+/// The `(name, jam)` of every jammed loop of `prog`, in pre-order.
+fn jams(prog: &Program) -> Vec<(String, i64)> {
+    let mut out = Vec::new();
+    prog.body.visit_loops(&mut |l| {
+        if l.jam > 1 {
+            out.push((l.name.clone(), l.jam));
+        }
+    });
+    out
+}
+
+/// The flow's own register tiles certify: gemm's row loop `c1` and
+/// vector loop `c3` jammed together by 2 around the reduction loop `c2`,
+/// and correlation's `c1`, whose sum runs around every tile sweep of
+/// `symmat`, jammed by 4.
+#[test]
+fn the_selected_register_tile_and_tile_wide_chain_jams_certify() {
+    for (name, want) in [("gemm", vec![("c1", 2), ("c3", 2)]), ("correlation", vec![("c1", 4)])] {
+        let k = kernel_by_name(name).expect("kernel");
+        let prog = optimize_poly_ast(&(k.build)(), &PolyAstOptions::default()).expect("optimize");
+        let want: Vec<(String, i64)> = want.into_iter().map(|(n, f)| (n.to_string(), f)).collect();
+        assert_eq!(jams(&prog), want, "{name}");
+        let cert = verify_program(&prog);
+        assert!(cert.is_certified(), "{name}: {:?}", cert.violations);
+    }
+}
+
+/// adi's time loop `c1` leaves the last sweep's write `X[c2][c3]`
+/// invariant while `c2` moves it, so the selection asks for a tile-wide
+/// chain jam of it. The selection refuses it: each sweep's anti-dependence
+/// (`X[i1][i2 - 1]` read before the next step rewrites it) and the next
+/// step's first sweeps, which read what this step's later sweeps wrote,
+/// would run backward inside a block. Forged by 4, the certifier rejects
+/// it too.
+#[test]
+fn a_forged_chain_jam_of_adi_s_time_loop_is_rejected() {
+    let mut prog = poly_ast_program("adi");
+    assert_eq!(jams(&prog), []);
+    assert!(verify_program(&prog).is_certified());
+    jam_loop(&mut prog, 0, 4);
+    assert_eq!(jams(&prog), [("c1".to_string(), 4)]);
+    assert_rejects(&prog, ViolationKind::JamUnsafe, "adi c1 jammed by 4");
+}

@@ -42,13 +42,20 @@ fn jammed() -> &'static [Jammed] {
     })
 }
 
-/// The census of EXPERIMENTS "Breaking the add chain" and "Register
-/// tiling is one mark": poly+AST jams the loop whose write an add chain
-/// (atax, bicg, gesummv, mvt) or a gather (syrk, syr2k) leaves fixed, by
-/// the power of two that fits the FP add latency (4) with the statements
-/// under the innermost loop; gemm, 2mm and 3mm qualify for neither of
-/// its reasons, and trisolv's triangular inner loop refuses a jam of
-/// `c1`. `pocc+vect` (`pocc` at (2, 2)) jams by 2 the outer loop of each
+/// The census of EXPERIMENTS "Breaking the add chain", "Register tiling
+/// is one mark" and "The register tile is chosen": poly+AST jams the loop
+/// whose write an add chain (atax, bicg, gesummv, mvt) or a gather (syrk,
+/// syr2k) leaves fixed, by the power of two that fits the FP add latency
+/// (4) with the statements under the innermost loop, and trisolv's
+/// triangular inner loop refuses a jam of `c1`. Where neither binds, it
+/// jams the row loop `c1` and the vector loop `c3` of each product of
+/// gemm, 2mm and 3mm by 2 each (a register tile around the reduction loop
+/// `c2`), and correlation's and covariance's `c1` by 4 (a tile-wide
+/// chain). Under poly+ast(doall) those two run `c2, c1, c3`: a register
+/// tile of `c2`, which the `c3` bound `max(c2 [+ 1], c3t)` refuses.
+/// doitgen's write moves with three loops and is neither; adi's time loop
+/// asks for a tile-wide chain jam, refused because its sweeps' records run
+/// backward inside a block. `pocc+vect` (`pocc` at (2, 2)) jams by 2 the outer loop of each
 /// innermost pair and each innermost loop, wherever the records allow it
 /// and the loop is not a copy of a distributed point loop: 50 of the 53
 /// innermost loops its inner unroll rewrote before: all but adi's first
@@ -69,11 +76,33 @@ fn jam_census() {
             "2mm pocc+vect c2 2",
             "2mm pocc+vect c3 2",
             "2mm pocc+vect c3 2",
+            // Register tile: the row loop and the vector loop of each product, by 2 each.
+            "2mm poly+ast c1 2",
+            "2mm poly+ast c3 2",
+            "2mm poly+ast c1 2",
+            "2mm poly+ast c3 2",
+            "2mm poly+ast(doall) c1 2",
+            "2mm poly+ast(doall) c3 2",
+            "2mm poly+ast(doall) c1 2",
+            "2mm poly+ast(doall) c3 2",
             "3mm pocc+vect c1 2",
             "3mm pocc+vect c2 2",
             "3mm pocc+vect c3 2",
             "3mm pocc+vect c3 2",
             "3mm pocc+vect c3 2",
+            // Register tile: the row loop and the vector loop of each product, by 2 each.
+            "3mm poly+ast c1 2",
+            "3mm poly+ast c3 2",
+            "3mm poly+ast c1 2",
+            "3mm poly+ast c3 2",
+            "3mm poly+ast c1 2",
+            "3mm poly+ast c3 2",
+            "3mm poly+ast(doall) c1 2",
+            "3mm poly+ast(doall) c3 2",
+            "3mm poly+ast(doall) c1 2",
+            "3mm poly+ast(doall) c3 2",
+            "3mm poly+ast(doall) c1 2",
+            "3mm poly+ast(doall) c3 2",
             "adi pocc+vect c3 2",
             "adi pocc+vect c3 2",
             "adi pocc+vect c3 2",
@@ -92,16 +121,25 @@ fn jam_census() {
             "correlation pocc+vect c2 2",
             "correlation pocc+vect c3 2",
             "correlation pocc+vect c2 2",
+            // Tile-wide chain: the sum over `c1` runs around every tile sweep of the write.
+            "correlation poly+ast c1 4",
             "covariance pocc+vect c2 2",
             "covariance pocc+vect c2 2",
             "covariance pocc+vect c3 2",
             "covariance pocc+vect c2 2",
+            // Tile-wide chain: the sum over `c1` runs around every tile sweep of the write.
+            "covariance poly+ast c1 4",
             "doitgen pocc+vect c4 2",
             "doitgen pocc+vect c3 2",
             "fdtd-2d pocc+vect c3 2",
             "fdtd-apml pocc+vect c2 2",
             "fdtd-apml pocc+vect c3 2",
             "gemm pocc+vect c3 2",
+            // Register tile: the row loop and the vector loop of each product, by 2 each.
+            "gemm poly+ast c1 2",
+            "gemm poly+ast c3 2",
+            "gemm poly+ast(doall) c1 2",
+            "gemm poly+ast(doall) c3 2",
             "gemver pocc+vect c2 2",
             "gemver pocc+vect c2 2",
             "gesummv pocc+vect c2 2",
