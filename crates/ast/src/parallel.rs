@@ -4,19 +4,25 @@
 //! **doall** (no carried dependence), **pipeline** (all carried
 //! dependences forward in this level and non-negative in the next —
 //! runnable with point-to-point synchronization), or **reduction** (all
-//! carried dependences come from associative-commutative updates). A level
-//! that pipelines with reduction carries mixed in is a pipeline: the
-//! reductions need no ordering. Anything else is sequential.
+//! carried dependences come from associative-commutative updates, whose
+//! arrays the mark lists). A level that pipelines with reduction carries
+//! mixed in is a pipeline: the reductions need no ordering. Anything else
+//! is sequential.
+//!
+//! The vectors say what is legal; [`runnable`] says what the emitter can
+//! run. A level that passes the first and not the second is not marked.
 
-use crate::tree::Par;
+use crate::tree::{Loop, Node, Par};
 use polymix_deps::NestDep;
+use polymix_ir::{Access, Scop, Statement};
 
 /// Classifies loop level `k` of a nest of `depth` loops from the
 /// dependence list of the nest, as the annotation the level may carry
 /// ([`Par::Seq`] when none). Pipeline parallelism at level `k`
 /// synchronizes across levels `k` and `k+1`, so it requires
 /// `k + 1 < depth` (the paper's "at least two-level pipeline parallelism"
-/// condition).
+/// condition). A reduction lists the arrays of the reduction records
+/// carried at `k`: the ones its workers privatize.
 ///
 /// Records an outer level carries are ignored, the paper's "not
 /// satisfied by the outer loops": the detector reads each record's
@@ -33,7 +39,7 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
     let mut pipeline_ok = k + 1 < depth;
     let mut reduction_ok = true;
     let mut any_pipeline_carried = false;
-    let mut any_reduction_carried = false;
+    let mut reduced: Vec<usize> = Vec::new();
     for d in &relevant {
         let ek = d.at(k);
         if ek.is_zero() {
@@ -49,8 +55,8 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
         // pipelineable when it is strictly forward at k and non-negative
         // at k+1 (uniformity is not required for the await cone).
         if d.reduction {
-            any_reduction_carried = true;
             // A reduction dep needs no ordering at all.
+            reduced.push(d.array);
         } else if ek.is_positive() && d.at(k + 1).is_nonneg() {
             any_pipeline_carried = true;
             reduction_ok = false;
@@ -60,27 +66,64 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
         }
     }
 
-    // The emitter privatizes a reduction's whole accumulator array per
-    // worker: a statement under the loop that touches it other than by a
-    // reduction self-update carried here would see partial sums.
-    let accumulators: Vec<(usize, usize)> = relevant
-        .iter()
-        .filter(|d| d.reduction && !d.at(k).is_zero())
-        .map(|d| (d.src, d.array))
-        .collect();
-    if relevant.iter().any(|d| {
-        accumulators.iter().any(|&(_, a)| a == d.array)
-            && !(accumulators.contains(&(d.src, d.array)) && accumulators.contains(&(d.dst, d.array)))
-    }) {
-        reduction_ok = false;
-    }
-
     if pipeline_ok && any_pipeline_carried {
         Par::Pipeline
-    } else if reduction_ok && any_reduction_carried {
-        Par::Reduction
+    } else if reduction_ok && !reduced.is_empty() {
+        reduced.sort_unstable();
+        reduced.dedup();
+        Par::Reduction(reduced)
     } else {
         Par::Seq
+    }
+}
+
+/// Whether access `acc` of `stmt` is the self-pair of an additive update:
+/// the write or the read `A[f]` of `A[f] = A[f] + e`. Inside a reduction
+/// region every access to a listed array must be one. A worker's copy
+/// starts at zero and holds only its own partial sum, so any other read
+/// would see a partial sum, any other write would be lost or summed
+/// twice, and an update by another operator (`*=`) would not survive
+/// the combine, which adds.
+pub fn additive_self_pair(stmt: &Statement, acc: &Access) -> bool {
+    stmt.is_additive_update() && acc.array == stmt.write.array && acc.map == stmt.write.map
+}
+
+/// The sub-loops a pipeline loop runs as the phases of each of its
+/// steps: the loops of its body when the body is loops alone, one or a
+/// sequence of them. `None` otherwise: a statement beside them would have
+/// no phase to run in.
+pub fn pipeline_phases(l: &Loop) -> Option<Vec<&Loop>> {
+    let siblings: &[Node] = match &l.body {
+        Node::Seq(xs) => xs,
+        single => std::slice::from_ref(single),
+    };
+    let subs: Vec<&Loop> = siblings
+        .iter()
+        .filter_map(|x| match x {
+            Node::Loop(il) => Some(il.as_ref()),
+            _ => None,
+        })
+        .collect();
+    (!subs.is_empty() && subs.len() == siblings.len()).then_some(subs)
+}
+
+/// Whether the emitter can run loop `l` of `scop` as a region of kind
+/// `par`: a pipeline needs phases ([`pipeline_phases`]), and a reduction
+/// needs every access below `l` to a listed array to be an additive
+/// self-pair ([`additive_self_pair`]). Other marks always can.
+pub fn runnable(scop: &Scop, l: &Loop, par: &Par) -> bool {
+    match par {
+        Par::Pipeline => pipeline_phases(l).is_some(),
+        Par::Reduction(arrays) => {
+            let mut ok = true;
+            l.body.visit_stmts(&mut |s| {
+                let stmt = &scop.statements[s.stmt_idx];
+                let privatizable = |acc: &Access| !arrays.contains(&acc.array.0) || additive_self_pair(stmt, acc);
+                ok &= stmt.accesses().iter().all(|(acc, _)| privatizable(acc));
+            });
+            ok
+        }
+        _ => true,
     }
 }
 
@@ -91,13 +134,15 @@ pub fn classify_level_in_nest(deps: &[NestDep], k: usize, depth: usize) -> Par {
 pub fn outermost_parallel(deps: &[NestDep], depth: usize, doall_only: bool) -> Option<(usize, Par)> {
     (0..depth)
         .map(|k| (k, classify_level_in_nest(deps, k, depth)))
-        .find(|&(_, par)| par == Par::Doall || (!doall_only && par != Par::Seq))
+        .find(|(_, par)| *par == Par::Doall || (!doall_only && *par != Par::Seq))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::{Bound, LinExpr, StmtNode};
     use polymix_deps::DepElem::{self, *};
+    use polymix_ir::{con, ix, par, BinOp, ScopBuilder};
 
     /// A list of records of one statement onto itself.
     fn deps(vectors: &[(&[DepElem], bool)]) -> Vec<NestDep> {
@@ -149,25 +194,86 @@ mod tests {
         assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Seq);
     }
 
-    /// Statement 0 sums into array 0 along level 0; statement 1 reads that
-    /// accumulator in the same iteration. Privatized, it would read a
-    /// worker's partial sum: the level is not a reduction. A record on
-    /// another array between the two statements changes nothing.
+    /// The loop `for i { body }` of `scop`, its statements in order at
+    /// `i` = variable 0.
+    fn loop_over(scop: &Scop) -> Loop {
+        let stmt = |k| Node::Stmt(StmtNode { stmt_idx: k, iter_exprs: vec![LinExpr::var(0)] });
+        Loop {
+            var: 0,
+            name: "i".into(),
+            lo: Bound::con(0),
+            hi: Bound::of(LinExpr::param(0).plus(-1)),
+            step: 1,
+            par: Par::Seq,
+            jam: 1,
+            body: Node::Seq((0..scop.statements.len()).map(stmt).collect()),
+        }
+    }
+
+    /// `ACC[0] op= X[i]`, then `Y[i] = ACC[0]` or `Y[i] = X[i]`.
+    fn accumulate(op: BinOp, reads_acc: bool) -> (Scop, usize) {
+        let mut b = ScopBuilder::new("acc", &["N"], &[8]);
+        let x = b.array("X", &["N"]);
+        let acc = b.array("ACC", &[]);
+        let y = b.array("Y", &["N"]);
+        b.enter("i", con(0), par("N"));
+        let rhs = b.rd(x, &[ix("i")]);
+        b.stmt_update("S0", acc, &[], op, rhs);
+        let body = if reads_acc { b.rd(acc, &[]) } else { b.rd(x, &[ix("i")]) };
+        b.stmt("S1", y, &[ix("i")], body);
+        b.exit();
+        (b.finish().expect("well-formed SCoP"), acc.0)
+    }
+
+    /// A privatized accumulator holds a worker's partial sum: a statement
+    /// under the loop that reads it refuses the reduction, one that reads
+    /// another array does not, and an unlisted array is written in place.
+    /// Copies are combined by adding them, so a `*=` accumulator is
+    /// refused too.
     #[test]
     fn a_statement_that_touches_the_accumulator_refuses_the_reduction() {
-        let sum = NestDep::new(vec![Const(1), Const(0)], true, 0, 0, 0);
-        let read = |array| NestDep::new(vec![Const(0), Const(0)], false, 0, 1, array);
-        assert_eq!(classify_level_in_nest(&[sum.clone(), read(1)], 0, 2), Par::Reduction);
-        assert_eq!(classify_level_in_nest(&[sum, read(0)], 0, 2), Par::Seq);
+        let cases = [(BinOp::Add, false, true), (BinOp::Add, true, false), (BinOp::Mul, false, false)];
+        for (op, reads_acc, ok) in cases {
+            let (scop, acc) = accumulate(op, reads_acc);
+            let l = loop_over(&scop);
+            let got = runnable(&scop, &l, &Par::Reduction(vec![acc]));
+            assert_eq!(got, ok, "{op:?}, reads ACC: {reads_acc}");
+            assert!(runnable(&scop, &l, &Par::Reduction(vec![])));
+        }
+    }
+
+    /// A pipeline runs its body's loops as phases; a statement beside
+    /// them has none to run in.
+    #[test]
+    fn a_pipeline_runs_only_a_body_of_loops() {
+        let (scop, _) = accumulate(BinOp::Add, false);
+        let inner = loop_over(&scop);
+        let mut outer = inner.clone();
+        outer.body = Node::loop_(inner.clone());
+        assert!(runnable(&scop, &outer, &Par::Pipeline));
+        outer.body = Node::Seq(vec![Node::loop_(inner.clone()), inner.body.clone()]);
+        assert!(pipeline_phases(&outer).is_none());
+        assert!(!runnable(&scop, &outer, &Par::Pipeline));
+        assert!(runnable(&scop, &outer, &Par::Doall));
     }
 
     #[test]
     fn reduction_deps_allow_reduction_parallelism() {
         let v = deps(&[(&[Const(1), Const(0)], true)]);
-        assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Reduction);
+        assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Reduction(vec![0]));
         // Even non-uniform reduction carries are fine.
         let v = deps(&[(&[Plus, Star], true)]);
-        assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Reduction);
+        assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Reduction(vec![0]));
+        // The mark lists the arrays of the records carried at its level,
+        // sorted, once each; a record carried further in lists nothing.
+        let on = |array, vector: &[DepElem]| NestDep::new(vector.to_vec(), true, 0, 0, array);
+        let v = [
+            on(3, &[Const(1), Const(0)]),
+            on(1, &[Plus, Star]),
+            on(3, &[Const(2), Const(0)]),
+            on(2, &[Const(0), Const(1)]),
+        ];
+        assert_eq!(classify_level_in_nest(&v, 0, 2), Par::Reduction(vec![1, 3]));
     }
 
     #[test]

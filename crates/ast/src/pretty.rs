@@ -113,7 +113,7 @@ fn walk(
             let kw = match l.par {
                 Par::Seq => "for",
                 Par::Doall => "parfor",
-                Par::Reduction => "redfor",
+                Par::Reduction(_) => "redfor",
                 Par::Pipeline => "pipefor",
                 Par::Wavefront => "wavefor",
             };

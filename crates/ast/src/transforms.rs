@@ -134,7 +134,7 @@ pub fn strip_mine(prog: &mut Program, l: &Loop, size: i64, crossed: &[Crossed]) 
         lo: relax_bound(&l.lo, crossed, true),
         hi: relax_bound(&l.hi, crossed, false),
         step: size * l.step,
-        par: l.par,
+        par: l.par.clone(),
         jam: 1,
         body: Node::Seq(vec![]),
     };
@@ -252,7 +252,7 @@ pub fn interchange(outer: &Loop) -> Option<Node> {
         lo: of(new_outer_lo),
         hi: of(new_outer_hi),
         step: 1,
-        par: inner.par,
+        par: inner.par.clone(),
         jam: 1,
         body: Node::loop_(Loop {
             var: o,
@@ -260,7 +260,7 @@ pub fn interchange(outer: &Loop) -> Option<Node> {
             lo: of(new_inner_lo),
             hi: of(new_inner_hi),
             step: 1,
-            par: outer.par,
+            par: outer.par.clone(),
             jam: 1,
             body: inner.body.clone(),
         }),
@@ -662,8 +662,7 @@ pub fn tile_imperfect(prog: &mut Program, node: Node, sizes: &[i64]) -> Option<N
                 Node::Loop(l) => {
                     if level < pars.len() {
                         if l.par != Par::Seq {
-                            pars[level] = l.par;
-                            l.par = Par::Seq;
+                            pars[level] = std::mem::take(&mut l.par);
                         }
                         demote(&mut l.body, level + 1, pars);
                     }
@@ -684,7 +683,7 @@ pub fn tile_imperfect(prog: &mut Program, node: Node, sizes: &[i64]) -> Option<N
             lo,
             hi,
             step: sizes[k],
-            par: pars[k],
+            par: std::mem::take(&mut pars[k]),
             jam: 1,
             body,
         });

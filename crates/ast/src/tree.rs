@@ -227,15 +227,20 @@ impl Bound {
 }
 
 /// Parallelism annotation of a loop (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Par {
     /// Sequential.
     #[default]
     Seq,
     /// Fully parallel iterations.
     Doall,
-    /// Parallel modulo an associative-commutative reduction.
-    Reduction,
+    /// Parallel modulo additive reductions into the listed arrays (sorted
+    /// array indices): each worker accumulates into a zeroed private copy
+    /// of every one, summed into the shared array after the join; every
+    /// other array is written in place. The detector decides the list
+    /// ([`crate::parallel::classify_level_in_nest`]), the emitter runs it
+    /// and the certifier checks it.
+    Reduction(Vec<usize>),
     /// Cross-iteration forward dependences only: point-to-point pipeline.
     Pipeline,
     /// Execute this loop and its immediate inner loop as diagonal

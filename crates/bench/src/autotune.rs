@@ -275,7 +275,7 @@ pub fn features(prog: &Program, c: &Candidate, sim_cost: f64) -> Features {
             Node::Loop(l) => {
                 f.depth = f.depth.max(depth + 1);
                 match l.par {
-                    Par::Doall | Par::Reduction => f.par_loops += 1,
+                    Par::Doall | Par::Reduction(_) => f.par_loops += 1,
                     Par::Pipeline | Par::Wavefront => f.sync_loops += 1,
                     Par::Seq => {}
                 }

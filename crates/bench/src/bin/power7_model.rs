@@ -23,7 +23,7 @@ fn parallel_kind(prog: &polymix_ast::tree::Program) -> (&'static str, f64) {
     body.visit_loops_mut(&mut |l| {
         let (name, speedup) = match l.par {
             Par::Doall => ("doall", cores),
-            Par::Reduction => ("reduction", cores * 0.8),
+            Par::Reduction(_) => ("reduction", cores * 0.8),
             Par::Pipeline => ("pipeline", cores * 0.7),
             Par::Wavefront => ("wavefront", cores * 0.4),
             Par::Seq => ("seq", 1.0),

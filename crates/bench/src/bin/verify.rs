@@ -90,7 +90,7 @@ fn outermost_marks(node: &Node, marks: &mut [usize; 4]) {
         Node::Loop(l) => match l.par {
             Par::Seq => outermost_marks(&l.body, marks),
             Par::Doall => marks[0] += 1,
-            Par::Reduction => marks[1] += 1,
+            Par::Reduction(_) => marks[1] += 1,
             Par::Pipeline => marks[2] += 1,
             Par::Wavefront => marks[3] += 1,
         },

@@ -13,8 +13,9 @@
 //!
 //! * [`Par::Doall`] — `kernel_rt::doall`, static blocks or dynamic chunk
 //!   claiming;
-//! * [`Par::Reduction`] — `kernel_rt::reduction`, thread-private copies
-//!   of the reduced arrays, combined additively after the join;
+//! * [`Par::Reduction`] — `kernel_rt::reduction`, thread-private zeroed
+//!   copies of the arrays the mark lists, summed into the shared arrays
+//!   after the join; every other array is written in place;
 //! * [`Par::Pipeline`] — `kernel_rt::pipeline`, column blocks of the
 //!   next-inner loop(s) with point-to-point progress counters, the
 //!   OpenMP `await source(i-1,j) source(i,j-1)` analogue;
@@ -35,6 +36,7 @@
 //! checksum. Initialization and checksum therefore always see the
 //! logical layout.
 
+use polymix_ast::parallel::pipeline_phases;
 use polymix_ast::tree::{Bound, LinExpr, Loop, Node, Par, Program};
 use polymix_ir::expr::{Expr, UnOp};
 use std::collections::HashMap;
@@ -495,9 +497,9 @@ impl Emitter<'_> {
                     self.seq_loop(l);
                     return;
                 }
-                match l.par {
+                match &l.par {
                     Par::Doall => self.doall(l),
-                    Par::Reduction => self.reduction(l),
+                    Par::Reduction(reduced) => self.reduction(l, reduced),
                     Par::Pipeline => self.pipeline(l),
                     Par::Wavefront => self.wavefront(l),
                     Par::Seq => self.seq_loop(l),
@@ -612,106 +614,16 @@ impl Emitter<'_> {
         );
     }
 
-    /// Array-reduction execution with thread-private accumulators.
-    ///
-    /// Written arrays are classified per Sec. IV-D:
-    /// * **owner-indexed** — every write's address varies with the
-    ///   parallel variable with unit coefficient and depends on no inner
-    ///   loop variable: iterations own disjoint cells, so threads write
-    ///   the global array directly (e.g. `tmp[i] = 0; tmp[i] += …` under
-    ///   a parallel `i`);
-    /// * **reduced** — every write is an associative `+=` update whose
-    ///   address is invariant in the parallel variable: threads
-    ///   accumulate into zeroed private copies, combined additively after
-    ///   the join (e.g. `y[j] += …` under a parallel `i`).
-    ///
-    /// Anything else (mixed shapes, reads of partial reductions) falls
-    /// back to sequential execution of the loop — correctness first.
-    fn reduction(&mut self, l: &Loop) {
-        // ---- classification ----
-        let mut stmts: Vec<polymix_ast::tree::StmtNode> = Vec::new();
-        l.body.visit_stmts(&mut |s| stmts.push(s.clone()));
-        let depends_unit = |s: &polymix_ast::tree::StmtNode| -> bool {
-            // Some subscript row composes to exactly ±1·var (+ params).
-            let stmt = &self.prog.scop.statements[s.stmt_idx];
-            let d = stmt.dim;
-            let p = self.prog.scop.params.len();
-            stmt.write.map.iter().any(|row| {
-                let mut e = polymix_ast::tree::LinExpr::con(row[d + p]);
-                for (k, &c) in row[..d].iter().enumerate() {
-                    if c != 0 {
-                        e = e.add_scaled(&s.iter_exprs[k], c);
-                    }
-                }
-                e.var_coeffs.len() == 1
-                    && e.var_coeffs[0].0 == l.var
-                    && e.var_coeffs[0].1.abs() == 1
-            })
-        };
-        let invariant_in_var = |s: &polymix_ast::tree::StmtNode| -> bool {
-            let stmt = &self.prog.scop.statements[s.stmt_idx];
-            let d = stmt.dim;
-            stmt.write.map.iter().all(|row| {
-                let mut coeff = 0i64;
-                for (k, &c) in row[..d].iter().enumerate() {
-                    coeff += c * s.iter_exprs[k].coeff_of(l.var);
-                }
-                coeff == 0
-            })
-        };
-        let mut owned: Vec<usize> = Vec::new();
-        let mut reduced: Vec<usize> = Vec::new();
-        let mut ok = true;
-        let mut arrays_written: Vec<usize> = Vec::new();
-        for s in &stmts {
-            let a = self.prog.scop.statements[s.stmt_idx].write.array.0;
-            if !arrays_written.contains(&a) {
-                arrays_written.push(a);
-            }
-        }
-        for &a in &arrays_written {
-            let writers: Vec<&polymix_ast::tree::StmtNode> = stmts
-                .iter()
-                .filter(|s| self.prog.scop.statements[s.stmt_idx].write.array.0 == a)
-                .collect();
-            if writers.iter().all(|s| depends_unit(s)) {
-                owned.push(a);
-            } else if writers.iter().all(|s| {
-                self.prog.scop.statements[s.stmt_idx].is_reduction_update()
-                    && invariant_in_var(s)
-            }) {
-                reduced.push(a);
-            } else {
-                ok = false;
-            }
-        }
-        // Reduced arrays may only be read by their own update statements.
-        if ok {
-            'outer: for s in &stmts {
-                let stmt = &self.prog.scop.statements[s.stmt_idx];
-                for (read, is_write) in stmt.accesses() {
-                    if is_write {
-                        continue;
-                    }
-                    if reduced.contains(&read.array.0)
-                        && !(read.array == stmt.write.array && read.map == stmt.write.map)
-                    {
-                        ok = false;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        if !ok {
-            self.line(&format!(
-                "// reduction region {}: shape not parallelizable, sequential fallback",
-                self.region
-            ));
-            self.region += 1;
-            self.seq_loop(l);
-            return;
-        }
-        reduced.sort();
+    /// Array-reduction execution with thread-private accumulators
+    /// (Sec. IV-D): every worker adds into zeroed private copies of the
+    /// arrays `reduced` the mark lists, summed into the shared arrays
+    /// after the join, and writes every other array in place. The
+    /// detector lists the arrays whose reduction updates the loop carries
+    /// and marks the loop only where every access to them below it is an
+    /// additive self-update (`polymix_ast::parallel::runnable`); no other
+    /// dependence is carried, so no two iterations touch a cell written
+    /// in place.
+    fn reduction(&mut self, l: &Loop, reduced: &[usize]) {
         let v = self.var_name(l.var);
         let lo = self.bound(&l.lo, true);
         let hi = self.bound(&l.hi, false);
@@ -724,7 +636,7 @@ impl Emitter<'_> {
             .collect();
         self.runtime_call(
             "reduction",
-            &format!(" (reduced {reduced:?}, owner-indexed {owned:?})"),
+            &format!(" (reduced {reduced:?})"),
             &format!("{lo}, {hi}, {}, &[{}]", l.step, privatized.join(", ")),
             &format!("move |{v}: i64, copies: &[kernel_rt::P]|"),
             |e| {
@@ -744,19 +656,9 @@ impl Emitter<'_> {
     /// thread sweeps the outer dimension, running every sibling clamped
     /// to its block.
     fn pipeline(&mut self, l: &Loop) {
-        let siblings: &[Node] = match &l.body {
-            Node::Seq(xs) => xs,
-            single => std::slice::from_ref(single),
-        };
-        let subs: Vec<&Loop> = siblings
-            .iter()
-            .filter_map(|x| match x {
-                Node::Loop(il) => Some(il.as_ref()),
-                _ => None,
-            })
-            .collect();
-        if subs.is_empty() || subs.len() != siblings.len() {
-            // No inner loop structure to pipeline across: sequential.
+        let Some(subs) = pipeline_phases(l) else {
+            // No inner loop structure to pipeline across (a hand-built
+            // tree; the detector marks no such loop): sequential.
             self.line(&format!(
                 "// pipeline region {}: body not loops alone, sequential fallback",
                 self.region
@@ -764,7 +666,7 @@ impl Emitter<'_> {
             self.region += 1;
             self.seq_loop(l);
             return;
-        }
+        };
         let vo = self.var_name(l.var);
         let los: Vec<String> = subs.iter().map(|il| self.bound(&il.lo, true)).collect();
         let his: Vec<String> = subs.iter().map(|il| self.bound(&il.hi, false)).collect();
@@ -1013,7 +915,7 @@ mod tests {
     /// `simple_prog` with every loop annotated `par`.
     fn annotated(par: Par) -> Program {
         let mut prog = simple_prog();
-        prog.body.visit_loops_mut(&mut |l| l.par = par);
+        prog.body.visit_loops_mut(&mut |l| l.par = par.clone());
         prog
     }
 
@@ -1089,43 +991,41 @@ mod tests {
         assert!(src.contains("let p_y: *mut f64 = s_p_y.get();"), "{src}");
     }
 
+    /// A reduction region writes every array its mark does not list in
+    /// place: `y[i] += …` under a parallel `i` gets no private copy.
     #[test]
-    fn reduction_annotation_classifies_owner_indexed_writes() {
-        // y[i] += … under a parallel i is owner-indexed: threads write the
-        // global array directly, no private copies.
-        let src = emit_rust(&annotated(Par::Reduction), &opts(4));
-        let call = line_after(
-            &src,
-            "// reduction region 0 (reduced [], owner-indexed [1])",
-        );
+    fn reduction_annotation_writes_unlisted_arrays_in_place() {
+        let src = emit_rust(&annotated(Par::Reduction(vec![])), &opts(4));
+        let call = line_after(&src, "// reduction region 0 (reduced [])");
         assert!(call.starts_with("kernel_rt::reduction(THREADS, "), "{src}");
         assert!(call.contains(", &[], move |v_c1: i64, copies"), "{src}");
+        assert!(!src.contains("copies[0]"), "{src}");
     }
 
+    /// The arrays the mark lists, and only those, are privatized: under a
+    /// parallel `i`, `ACC[0] += X[i]` adds into a worker's copy of `ACC`
+    /// while `Y[i] = X[i]` writes the shared `Y`.
     #[test]
-    fn reduction_annotation_privatizes_true_reductions() {
-        // acc[0] += x[i]: the write address is invariant in the parallel
-        // variable, so thread-private accumulators are required.
+    fn reduction_annotation_privatizes_the_marks_list() {
         let mut b = ScopBuilder::new("sum", &["N"], &[16]);
         let x = b.array("X", &["N"]);
         let acc = b.array("ACC", &[]);
+        let y = b.array("Y", &["N"]);
         b.enter("i", con(0), par("N"));
         let rhs = b.rd(x, &[ix("i")]);
         b.stmt_update("S", acc, &[], BinOp::Add, rhs);
+        let copy = b.rd(x, &[ix("i")]);
+        b.stmt("T", y, &[ix("i")], copy);
         b.exit();
         let mut prog =
             original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
-        prog.body.visit_loops_mut(&mut |l| l.par = Par::Reduction);
+        prog.body.visit_loops_mut(&mut |l| l.par = Par::Reduction(vec![1]));
         let src = emit_rust(&prog, &opts(4));
-        let call = line_after(
-            &src,
-            "// reduction region 0 (reduced [1], owner-indexed [])",
-        );
-        assert!(call.contains("&[(s_p_acc, (1).max(1) as usize)]"), "{src}");
-        assert!(
-            src.contains("let p_acc: *mut f64 = copies[0].get();"),
-            "{src}"
-        );
+        let call = line_after(&src, "// reduction region 0 (reduced [1])");
+        assert!(call.contains(", &[(s_p_acc, (1).max(1) as usize)], move"), "{src}");
+        assert!(src.contains("let p_acc: *mut f64 = copies[0].get();"), "{src}");
+        assert!(!src.contains("copies[1]"), "{src}");
+        assert!(src.contains("let p_y: *mut f64 = s_p_y.get();"), "{src}");
     }
 
     #[test]
@@ -1160,7 +1060,7 @@ mod tests {
             original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
         let mut outer = true;
         prog.body.visit_loops_mut(&mut |l| {
-            l.par = if outer { Par::Reduction } else { Par::Seq };
+            l.par = if outer { Par::Reduction(vec![1]) } else { Par::Seq };
             outer = false;
         });
         let at = |n: i64| {
@@ -1268,7 +1168,7 @@ mod tests {
             original_program(&b.finish().expect("well-formed SCoP")).expect("original program");
         let mut outer = true;
         prog.body.visit_loops_mut(&mut |l| {
-            l.par = if outer { par_kind } else { Par::Seq };
+            l.par = if outer { par_kind.clone() } else { Par::Seq };
             outer = false;
         });
         prog

@@ -16,7 +16,7 @@
 //!   loop of each innermost pair and on each innermost loop
 //!   ([`register_tile`]).
 
-use polymix_ast::parallel::outermost_parallel;
+use polymix_ast::parallel::{outermost_parallel, runnable};
 use polymix_ast::transforms::{self, Crossed};
 use polymix_ast::tree::{LinExpr, Loop, Node, Par, Program, StmtNode, TileForm, TileReport};
 use polymix_deps::{build_podg, dep_records, DepElem, NestDep, Podg};
@@ -205,30 +205,34 @@ fn apply_skew_at(node: &mut Node, k: usize, j: usize, factor: i64) -> Option<()>
 /// regardless of kind"). When `doall_only` is set, only [`Par::Doall`]
 /// levels are considered (the comparison mode of Fig. 5).
 /// Returns the chosen `(level, annotation)`.
+///
+/// A level whose loops the emitter cannot run as the region its vectors
+/// allow ([`runnable`]) leaves the whole nest unmarked: a level further in
+/// would start its threads once per step of the loops above it.
 pub fn mark_parallelism(
+    scop: &Scop,
     nest: &mut Node,
     deps: &[NestDep],
     depth: usize,
     doall_only: bool,
 ) -> Option<(usize, Par)> {
     let (level, par) = outermost_parallel(deps, depth, doall_only)?;
-    mark_level(nest, 0, level, par);
+    let mut ok = true;
+    at_level(nest, level, &mut |l| ok &= runnable(scop, l, &par));
+    if !ok {
+        return None;
+    }
+    at_level(nest, level, &mut |l| l.par = par.clone());
     Some((level, par))
 }
 
-fn mark_level(node: &mut Node, level: usize, target: usize, par: Par) {
+/// Visits the loops `level` loops deep in `node`.
+fn at_level(node: &mut Node, level: usize, f: &mut impl FnMut(&mut Loop)) {
     match node {
-        Node::Seq(xs) => xs
-            .iter_mut()
-            .for_each(|x| mark_level(x, level, target, par)),
-        Node::Guard(_, b) => mark_level(b, level, target, par),
-        Node::Loop(l) => {
-            if level == target {
-                l.par = par;
-            } else {
-                mark_level(&mut l.body, level + 1, target, par);
-            }
-        }
+        Node::Seq(xs) => xs.iter_mut().for_each(|x| at_level(x, level, f)),
+        Node::Guard(_, b) => at_level(b, level, f),
+        Node::Loop(l) if level == 0 => f(l),
+        Node::Loop(l) => at_level(&mut l.body, level - 1, f),
         Node::Stmt(_) => {}
     }
 }
@@ -630,10 +634,10 @@ mod tests {
         let prog = original_program(&scop).expect("original program");
         let infos = nest_infos(&scop, &schedules, &podg, &prog);
         let mut body = prog.body.clone();
-        let res = mark_parallelism(&mut body, &infos[0].deps, infos[0].depth, false);
+        let res = mark_parallelism(&scop, &mut body, &infos[0].deps, infos[0].depth, false);
         assert_eq!(res, Some((0, Par::Pipeline)));
         let mut body2 = prog.body.clone();
-        let res2 = mark_parallelism(&mut body2, &infos[0].deps, infos[0].depth, true);
+        let res2 = mark_parallelism(&scop, &mut body2, &infos[0].deps, infos[0].depth, true);
         assert_eq!(res2.map(|(k, _)| k), Some(1));
         // The marks landed on the right loops.
         if let Node::Loop(l) = &body {
@@ -1065,7 +1069,7 @@ impl Tiler<'_> {
             }
             let crossed: Vec<_> = points.iter().map(|p| p.crossed.clone()).collect();
             let (mut tile, mut point) = transforms::strip_mine(self.prog, &l, self.tile, &crossed);
-            if !tile_safe(self.deps, &inside, from, k, l.par) {
+            if !tile_safe(self.deps, &inside, from, k, &l.par) {
                 // The mark stays where its point-granularity argument
                 // holds (a distribution never gets here).
                 point.par = std::mem::replace(&mut tile.par, Par::Seq);
@@ -1106,11 +1110,8 @@ impl Tiler<'_> {
     ///   a matrix–vector product: every matrix element is used once, and
     ///   strip-mining would only cut its unit-stride stream into pieces;
     /// * a loop strip-mined here is sequential or a `doall` whose mark
-    ///   survives on the tile loop. A reduction loop stays whole: the
-    ///   emitter tells the arrays a reduction region owns from the ones it
-    ///   privatizes by the region's own variable, and behind a tile loop
-    ///   the owned writes (correlation's `data[c1][c2]`) are indexed by
-    ///   the point loop's — the nest would fall back to sequential code;
+    ///   survives on the tile loop. A reduction loop stays whole: whether
+    ///   its nests gain from distribution is not measured;
     /// * inside a tile all of one child's iterations run before the next
     ///   child's, so no dependence still open at `from` may lead from a
     ///   later child to an earlier one (true of doall prefixes, false of
@@ -1119,7 +1120,7 @@ impl Tiler<'_> {
         let mut last = node;
         let mut marks = Vec::new();
         while let Node::Loop(l) = last {
-            marks.push(l.par);
+            marks.push(&l.par);
             last = &l.body;
         }
         let Node::Seq(children) = last else { return false };
@@ -1130,7 +1131,7 @@ impl Tiler<'_> {
         let level = end - marks.len();
         if !(fresh..end).all(|k| match marks[k - level] {
             Par::Seq => true,
-            Par::Doall => tile_safe(self.deps, &inside, from, k, Par::Doall),
+            Par::Doall => tile_safe(self.deps, &inside, from, k, &Par::Doall),
             _ => false,
         }) {
             return false;
@@ -1199,17 +1200,17 @@ fn untiled_stmts(node: &Node, strips: &[usize], under_untiled: bool) -> usize {
 /// evaporates.) A controller may keep `Doall`/`Reduction` only when every
 /// dependence between the statements `inside` the tiled subtree that is
 /// not carried before level `from` — where the band starts — is zero at
-/// `dim`; reduction self-updates excepted for `Reduction`, which
-/// privatizes its accumulator per worker.
-fn tile_safe(deps: &[NestDep], inside: &[usize], from: usize, dim: usize, par: Par) -> bool {
-    let exempt_reductions = match par {
-        Par::Doall => false,
-        Par::Reduction => true,
+/// `dim`; for `Reduction`, the reduction self-updates of the arrays it
+/// lists excepted, which it privatizes per worker.
+fn tile_safe(deps: &[NestDep], inside: &[usize], from: usize, dim: usize, par: &Par) -> bool {
+    let reduced: &[usize] = match par {
+        Par::Doall => &[],
+        Par::Reduction(arrays) => arrays,
         _ => return true,
     };
     deps.iter()
         .filter(|d| d.open_in(inside, from))
-        .all(|d| (exempt_reductions && d.reduction) || d.at(dim).is_zero())
+        .all(|d| (d.reduction && reduced.contains(&d.array)) || d.at(dim).is_zero())
 }
 
 /// Post-tiling repair of the marks `tile_imperfect` moved onto the `band`
@@ -1220,7 +1221,7 @@ fn repair_ctrl_marks(node: &mut Node, deps: &[NestDep], band: usize) {
     let mut cur = &mut *node;
     for d in 0..band {
         let Node::Loop(l) = cur else { return };
-        if !tile_safe(deps, &inside, 0, d, l.par) {
+        if !tile_safe(deps, &inside, 0, d, &l.par) {
             l.par = Par::Seq;
         }
         cur = &mut l.body;
@@ -1460,7 +1461,7 @@ mod tiling_tests {
         let mut prog = original_program(scop).expect("original program");
         let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
         let mut nest = prog.body.clone();
-        mark_parallelism(&mut nest, &info.deps, info.depth, false);
+        mark_parallelism(scop, &mut nest, &info.deps, info.depth, false);
         prog.body = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4);
         prog
     }
@@ -1471,7 +1472,7 @@ mod tiling_tests {
             Node::Seq(xs) => xs.iter().for_each(|x| paths(x, above, out)),
             Node::Guard(_, b) => paths(b, above, out),
             Node::Loop(l) => {
-                above.push((l.step, l.par));
+                above.push((l.step, l.par.clone()));
                 paths(&l.body, above, out);
                 above.pop();
             }

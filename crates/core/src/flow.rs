@@ -92,7 +92,7 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
         };
         // Stage 3: coarse-grain parallelization (doall / reduction /
         // pipeline at the outermost possible level).
-        mark_parallelism(&mut nest, &deps, info.depth, opts.doall_only);
+        mark_parallelism(scop, &mut nest, &deps, info.depth, opts.doall_only);
         let levels = loop_levels(&nest);
         // Stage 4: tiling for locality, where the DL model says it pays.
         if opts.tiling {
@@ -583,14 +583,33 @@ mod tests {
             let scop = (k.build)();
             let prog = optimize_poly_ast(&scop, &opts_small()).expect("optimize");
             let mut kinds = Vec::new();
-            let mut body = prog.body.clone();
-            body.visit_loops_mut(&mut |l| kinds.push(l.par));
+            prog.body.visit_loops(&mut |l| kinds.push(l.par.clone()));
             assert!(
-                kinds
-                    .iter()
-                    .any(|&p| p == Par::Reduction || p == Par::Doall),
+                kinds.iter().any(|p| matches!(p, Par::Reduction(_) | Par::Doall)),
                 "{name}: kinds {kinds:?}"
             );
+        }
+    }
+
+    /// `P[0] op= X[i]`: a sum is a reduction that privatizes `P`; a
+    /// product is not, because private copies are combined by adding
+    /// them, so its loop stays sequential.
+    #[test]
+    fn only_an_additive_accumulation_is_marked_a_reduction() {
+        use polymix_ir::{con, ix, par, BinOp, ScopBuilder};
+        for (op, mark) in [(BinOp::Add, Par::Reduction(vec![1])), (BinOp::Mul, Par::Seq)] {
+            let mut b = ScopBuilder::new("acc", &["N"], &[8]);
+            let x = b.array("X", &["N"]);
+            let p = b.array("P", &["N"]);
+            b.enter("i", con(0), par("N"));
+            let rhs = b.rd(x, &[ix("i")]);
+            b.stmt_update("S", p, &[con(0)], op, rhs);
+            b.exit();
+            let scop = b.finish().expect("well-formed SCoP");
+            let prog = optimize_poly_ast(&scop, &PolyAstOptions::default()).expect("optimize");
+            let mut marks = Vec::new();
+            prog.body.visit_loops(&mut |l| marks.push(l.par.clone()));
+            assert_eq!(marks, [mark], "{op:?}");
         }
     }
 }

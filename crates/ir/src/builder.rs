@@ -457,6 +457,8 @@ mod tests {
         assert!(s.statements[1].is_reduction_update()); // S: tmp += ...
         assert!(s.statements[2].is_reduction_update()); // T: D *= beta (mul update)
         assert!(s.statements[3].is_reduction_update()); // U: D += ...
+        let additive: Vec<bool> = s.statements.iter().map(|st| st.is_additive_update()).collect();
+        assert_eq!(additive, [false, true, false, true]);
     }
 
     #[test]

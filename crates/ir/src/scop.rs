@@ -172,6 +172,13 @@ impl Statement {
         };
         (self_read(lhs) && !reads_lhs(rhs)) || (self_read(rhs) && !reads_lhs(lhs))
     }
+
+    /// A reduction update whose operator is `+`: `A[f(x)] = A[f(x)] + e`,
+    /// the only kind a reduction region privatizes — its copies start at
+    /// zero and are summed into the shared array after the join.
+    pub fn is_additive_update(&self) -> bool {
+        matches!(self.body, Expr::Bin(crate::expr::BinOp::Add, ..)) && self.is_reduction_update()
+    }
 }
 
 /// A static control part: parameters, arrays and statements in textual

@@ -75,7 +75,7 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
         // 1. Parallelism detection on the *pre-tiling* loops. The
         //    baseline only exploits doall (the paper's critique): if the
         //    outermost level is not doall, it wavefronts tile loops later.
-        let outer_doall = mark_parallelism(&mut nest, &info.deps, info.depth, true).map(|(k, _)| k);
+        let outer_doall = mark_parallelism(scop, &mut nest, &info.deps, info.depth, true).map(|(k, _)| k);
         let levels = loop_levels(&nest);
         // 2. Tiling.
         let tiled_band = if opts.tiling {

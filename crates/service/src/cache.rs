@@ -50,7 +50,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// poly+ast picks a register tile (gemm, 2mm, 3mm) and a tile-wide chain
 /// jam (correlation, covariance) itself, so their served sources change
 /// for unchanged requests; a version-6 source is re-optimized likewise.
-pub const CACHE_VERSION: u32 = 7;
+/// Version 8: a reduction mark lists the arrays it privatizes, so every
+/// reduction marker line reads `(reduced [..])`; gemver's poly+ast
+/// reduction runs as a region, and cholesky, trisolv, lu and trmm
+/// poly+ast, whose marks the emitter ran sequentially, are unmarked. A
+/// version-7 source is re-optimized likewise.
+pub const CACHE_VERSION: u32 = 8;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

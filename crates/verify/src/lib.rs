@@ -13,11 +13,11 @@
 //!    (dependence, occurrence pair) is walked down the common loop nest
 //!    with Fourier–Motzkin emptiness queries on violation polyhedra.
 //! 2. **Parallel-annotation safety** — `doall` loops must carry nothing;
-//!    `reduction` loops only associative-commutative self-updates with a
-//!    non-aliased accumulator; `pipeline` carried dependences must be
-//!    covered by the await cone `{(-1, 0), (0, -1)}`; `wavefront` pairs
-//!    must order every dependence forward across diagonals and race-free
-//!    within them.
+//!    `reduction` loops only additive self-updates of the arrays the mark
+//!    privatizes, which nothing else under the loop touches; `pipeline`
+//!    carried dependences must be covered by the await cone
+//!    `{(-1, 0), (0, -1)}`; `wavefront` pairs must order every dependence
+//!    forward across diagonals and race-free within them.
 //!    A loop marked `jam: f` gets its own proof: the pairs 1 to `f - 1`
 //!    apart in it that the unroll-and-jam puts in one block must not run
 //!    backward below it (`PairWalk::run_jams`).
@@ -61,6 +61,7 @@ pub fn certify_for_cache(
 }
 
 use occurrence::{LoopMeta, Occurrence, PStep};
+use polymix_ast::parallel::additive_self_pair;
 use polymix_ast::tree::{Par, Program};
 use polymix_deps::build_podg;
 use polymix_ir::{PolymixError, Scop};
@@ -133,21 +134,13 @@ fn dedup(violations: &mut Vec<Violation>) {
     violations.sort_by_key(|v| !v.kind.is_error());
 }
 
-/// Coefficient of AST variable `v` in `row · (iter_exprs, params, 1)` —
-/// the subscript row composed with the materialized inverse schedule.
-fn subscript_coeff(row: &[i64], occ: &Occurrence, v: usize) -> i64 {
-    row.iter()
-        .zip(&occ.iter_exprs)
-        .map(|(&c, e)| c * e.coeff_of(v))
-        .sum()
-}
-
 /// The syntactic half of the reduction certificate: inside each
-/// `reduction` loop, an accumulator array (one whose reduction-update
-/// subscripts are invariant in the loop variable, i.e. whose self-update
-/// is actually carried) must not be touched by any other access — the
-/// emitter privatizes it per worker, so even same-iteration reads of the
-/// global array would observe partial sums.
+/// `reduction` loop, every access to an array the mark lists must be the
+/// self-pair of an additive update (`polymix_ast::parallel::
+/// additive_self_pair`). The emitter gives each worker zeroed private
+/// copies of those arrays and sums them into the shared ones after the
+/// join, so any other access would observe or clobber partial sums, and
+/// an update by another operator would be combined wrongly.
 fn reduction_alias_pass(scop: &Scop, occs: &[Occurrence], out: &mut Vec<Violation>) {
     // Reduction loops by the pre-order id `occurrence::collect` gave
     // them, each with its nesting depth and the occurrences under it.
@@ -158,67 +151,22 @@ fn reduction_alias_pass(scop: &Scop, occs: &[Occurrence], out: &mut Vec<Violatio
             _ => None,
         });
         for (depth, l) in enclosing.enumerate() {
-            if l.par == Par::Reduction {
+            if matches!(l.par, Par::Reduction(_)) {
                 let entry = loops.entry(l.id).or_insert((l, depth, Vec::new()));
                 entry.2.push(o);
             }
         }
     }
     for (l, depth, members) in loops.into_values() {
-        let (var, loop_name) = (l.var, &l.name);
-        // Accumulators: reduction-update writes invariant in the loop var.
-        let mut accums: Vec<(polymix_ir::ArrayId, String)> = Vec::new();
-        for o in &members {
-            let Some(stmt) = scop.statements.get(o.stmt) else {
-                continue;
-            };
-            if !stmt.is_reduction_update() {
-                continue;
-            }
-            let invariant = stmt
-                .write
-                .map
-                .iter()
-                .all(|row| subscript_coeff(row, o, var) == 0);
-            if invariant && !accums.iter().any(|(a, _)| *a == stmt.write.array) {
-                accums.push((stmt.write.array, stmt.name.clone()));
-            }
-        }
-        if accums.is_empty() {
-            continue;
-        }
+        let Par::Reduction(reduced) = &l.par else { continue };
+        let loop_name = &l.name;
         for o in &members {
             let Some(stmt) = scop.statements.get(o.stmt) else {
                 continue;
             };
             for (acc, is_write) in stmt.accesses() {
-                let Some((_, owner)) = accums.iter().find(|(a, _)| *a == acc.array) else {
+                if !reduced.contains(&acc.array.0) || additive_self_pair(stmt, &acc) {
                     continue;
-                };
-                let is_self_pair = stmt.is_reduction_update()
-                    && acc.array == stmt.write.array
-                    && acc.map == stmt.write.map;
-                if is_self_pair {
-                    continue;
-                }
-                // Domain-aware refinement: a same-statement access that
-                // provably never lands on the accumulator's cell (e.g.
-                // trmm's `B[k][j]` read under `k < i`) observes only
-                // state outside the privatized copy. Cross-iteration
-                // collisions through such an access are dependences and
-                // belong to the polyhedral certificates.
-                if stmt.is_reduction_update()
-                    && acc.array == stmt.write.array
-                    && acc.map.len() == stmt.write.map.len()
-                {
-                    let rows = acc.map.iter().zip(&stmt.write.map);
-                    let coincide = rows.fold(stmt.domain.clone(), |p, (r1, r2)| {
-                        let diff: Vec<i64> = r1.iter().zip(r2).map(|(a, b)| a - b).collect();
-                        p.and_eq0(&diff)
-                    });
-                    if coincide.is_empty() {
-                        continue;
-                    }
                 }
                 let arr = scop
                     .arrays
@@ -227,14 +175,14 @@ fn reduction_alias_pass(scop: &Scop, occs: &[Occurrence], out: &mut Vec<Violatio
                     .unwrap_or_else(|| format!("arr{}", acc.array.0));
                 out.push(Violation {
                     kind: ViolationKind::ReductionAccumulatorAliased,
-                    src: owner.clone(),
+                    src: stmt.name.clone(),
                     dst: stmt.name.clone(),
                     vector: Vec::new(),
                     level: depth,
                     loop_name: loop_name.clone(),
                     detail: format!(
-                        "accumulator `{arr}` of reduction loop `{loop_name}` is also {} \
-                         by `{}` outside the self-update",
+                        "accumulator `{arr}` of reduction loop `{loop_name}` is {} by `{}` \
+                         other than by an additive self-update",
                         if is_write { "written" } else { "read" },
                         stmt.name
                     ),

@@ -18,8 +18,12 @@
 //!   matching `kernel_rt::<kind>(` call, and no such call appears without
 //!   its marker (a pipeline cannot be relabeled a doall) or without the
 //!   runtime block;
-//! * a reduction marker that declares the `sequential fallback` (a shape
-//!   that cannot be privatized) is followed by plain loops instead.
+//! * only a pipeline marker may declare the `sequential fallback` (a
+//!   hand-built tree whose pipeline body is not loops alone; the detector
+//!   marks no such loop) and be followed by plain loops instead. The
+//!   emitter runs every reduction mark as a region, privatizing the
+//!   arrays the mark lists, so a reduction marker is always followed by
+//!   its call.
 //!
 //! Findings use [`ViolationKind::KernelLint`] with the region label in
 //! `loop_name`. The lint is purely syntactic: that the *annotation* a
@@ -159,12 +163,10 @@ pub fn verify_source(kernel: &str, source: &str) -> Certificate {
             )),
             (None, None) => {}
         }
-        // A region whose shape the emitter cannot hand to the runtime (a
-        // reduction it cannot privatize, a pipeline whose body is not
-        // loops alone) declares the sequential fallback: plain loops
-        // follow, no runtime call.
+        // A pipeline whose body is not loops alone declares the
+        // sequential fallback: plain loops follow, no runtime call.
         marked = marker(line)
-            .filter(|(_, label)| !label.contains("sequential fallback"))
+            .filter(|&(kind, label)| !(kind == "pipeline" && label.contains("sequential fallback")))
             .map(|(kind, label)| (kind, label, ln));
     }
 
@@ -182,7 +184,7 @@ mod tests {
     use super::*;
 
     /// A well-formed kernel: the runtime block, one region of every
-    /// kind, and a sequential-fallback reduction and pipeline.
+    /// kind, and a sequential-fallback pipeline.
     fn good() -> String {
         format!(
             "{BLOCK_BEGIN}mod kernel_rt {{\n{KERNEL_RT}}}\n{BLOCK_END}{}",
@@ -195,11 +197,9 @@ kernel_rt::doall(THREADS, (0), (P_N - 1), 1, Some(0), move |v_c1: i64| unsafe {
 // pipeline region 1 (phases 1, PIPE_BATCH = 8)
 kernel_rt::pipeline(THREADS, o_lo, o_hi, 1, 1, span, 1, 8, move |v_c1: i64, phase: i64, off_lo: i64, off_hi: i64| unsafe {
 });
-// reduction region 2 (reduced [0], owner-indexed [])
+// reduction region 2 (reduced [0])
 kernel_rt::reduction(THREADS, (0), (P_N - 1), 1, &[(s_p_a, 4)], move |v_c1: i64, copies: &[kernel_rt::P]| unsafe {
 });
-// reduction region 3: shape not parallelizable, sequential fallback
-let mut v_c1: i64 = 0;
 // pipeline region 5: body not loops alone, sequential fallback
 let mut v_c2: i64 = 0;
 // wavefront region 4
@@ -248,12 +248,12 @@ if kernel_rt::poisoned() { std::process::exit(101); }
     #[test]
     fn threading_outside_the_block_is_flagged() {
         let bare_spawn = good().replace(
-            "let mut v_c1: i64 = 0;",
+            "let mut v_c2: i64 = 0;",
             "std::thread::spawn(move || unsafe { body(0) });",
         );
         assert_flags(&bare_spawn, "`spawn` outside the kernel_rt block");
         let raw_store = good().replace(
-            "let mut v_c1: i64 = 0;",
+            "let mut v_c2: i64 = 0;",
             "progress[t].0.store(v, Ordering::Release);",
         );
         assert_flags(&raw_store, "`.store(` outside the kernel_rt block");
@@ -288,17 +288,20 @@ if kernel_rt::poisoned() { std::process::exit(101); }
 
     #[test]
     fn unprivatized_reduction_is_flagged() {
-        // A reduction region that runs plain loops without declaring the
-        // fallback, and one whose marker is the last line of the source.
-        let bad = good().replace(": shape not parallelizable, sequential fallback", "");
-        assert_flags(
-            &bad,
-            "reduction region marker is not followed by its kernel_rt::reduction",
-        );
-        let bad = format!(
-            "{}// reduction region 9 (reduced [0], owner-indexed [])",
-            good()
-        );
+        // A reduction region that runs plain loops, with or without
+        // declaring a fallback (only a pipeline has one), and one whose
+        // marker is the last line of the source.
+        for label in ["", ": shape not parallelizable, sequential fallback"] {
+            let bad = good().replace(
+                "// pipeline region 5: body not loops alone, sequential fallback",
+                &format!("// reduction region 5{label}"),
+            );
+            assert_flags(
+                &bad,
+                "reduction region marker is not followed by its kernel_rt::reduction",
+            );
+        }
+        let bad = format!("{}// reduction region 9 (reduced [0])", good());
         assert_flags(&bad, "reduction region marker is not followed");
     }
 }

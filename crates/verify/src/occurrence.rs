@@ -128,7 +128,7 @@ fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<O
                 var: l.var,
                 name: l.name.clone(),
                 step: l.step.max(1),
-                par: l.par,
+                par: l.par.clone(),
                 jam: l.jam,
                 clamped_by,
             }));

@@ -19,11 +19,11 @@ pub enum ViolationKind {
     /// `(i, j - 1)` only, and some dependent pair moves backward in the
     /// outer phase or leftward in the grid column.
     PipelineConeUncovered,
-    /// A `Reduction` loop carries a dependence that is not an
-    /// associative-commutative self-update.
+    /// A `Reduction` loop carries a dependence that is not a self-update
+    /// of an array it privatizes.
     ReductionUnsafe,
-    /// The accumulator of a reduction loop is also touched by a
-    /// non-reduction access inside the loop body.
+    /// An array a reduction loop privatizes is touched inside the loop
+    /// body other than by an additive self-update.
     ReductionAccumulatorAliased,
     /// A `Wavefront` pair of loops orders some dependent pair backward
     /// across (or races it within) a diagonal.

@@ -405,10 +405,16 @@ impl<'a> PairWalk<'a> {
         rest_d: &[&PStep],
         out: &mut Vec<Violation>,
     ) -> LevelOutcome {
-        // Reduction dependences are relaxed (privatized / reassociated)
-        // at reduction and pipeline levels; they need no ordering below
-        // either.
-        if self.dep.is_reduction && matches!(l.par, Par::Reduction | Par::Pipeline) {
+        // Reduction dependences are relaxed at a reduction level that
+        // privatizes their array (the alias pass proves the privatization
+        // additive) and reassociated at a pipeline level; they need no
+        // ordering below either.
+        let relaxed = match &l.par {
+            Par::Reduction(reduced) => reduced.contains(&self.dep.array.0),
+            Par::Pipeline => true,
+            _ => false,
+        };
+        if self.dep.is_reduction && relaxed {
             return LevelOutcome::Satisfied;
         }
 
@@ -447,7 +453,7 @@ impl<'a> PairWalk<'a> {
         let safe = match l.par {
             Par::Seq => true,
             Par::Doall => self.check_doall(l, &r, out),
-            Par::Reduction => self.check_reduction(l, &r, out),
+            Par::Reduction(_) => self.check_reduction(l, &r, out),
             Par::Pipeline => self.check_pipeline(l, &r, rest_s, rest_d, out),
             Par::Wavefront => self.check_wavefront(l, &r, rest_s, rest_d, out),
         };
@@ -488,11 +494,11 @@ impl<'a> PairWalk<'a> {
             ViolationKind::ReductionUnsafe,
             &l.name,
             format!(
-                "reduction loop `{}` carries a dependence that is not an \
-                 associative-commutative self-update",
+                "reduction loop `{}` carries a dependence that is not a \
+                 self-update of an array it privatizes",
                 l.name
             ),
-            "only `A[f] = A[f] + e` / `A[f] = A[f] * e` self-updates may be carried; \
+            "only `A[f] = A[f] + e` self-updates of a listed array may be carried; \
              demote the loop to sequential",
         ));
         false

@@ -10,6 +10,7 @@
 use polymix_ast::tree::{Node, Par, Program, StmtNode};
 use polymix_codegen::emit::{emit_rust, EmitOptions};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
+use polymix_ir::{con, ix, par, BinOp, ScopBuilder, SymAff};
 use polymix_polybench::kernel_by_name;
 use polymix_verify::{verify_program, verify_source, ViolationKind};
 
@@ -148,14 +149,90 @@ fn reversed_time_loop_is_rejected() {
 #[test]
 fn bogus_reduction_annotation_is_rejected() {
     let mut prog = identity_program("jacobi-1d-imper");
+    let arrays: Vec<usize> = (0..prog.scop.arrays.len()).collect();
+    mark_outermost(&mut prog, Par::Reduction(arrays));
+    assert_rejects(&prog, ViolationKind::ReductionUnsafe, "bogus reduction");
+}
+
+/// Marks the program's first loop `par`.
+fn mark_outermost(prog: &mut Program, par: Par) {
     let mut outer = true;
     prog.body.visit_loops_mut(&mut |l| {
         if outer {
-            l.par = Par::Reduction;
+            l.par = par.clone();
             outer = false;
         }
     });
-    assert_rejects(&prog, ViolationKind::ReductionUnsafe, "bogus reduction");
+}
+
+/// The identity program of `for i { for j { W[w] op= X[i][j] } }`, or of
+/// `for i { W[w] op= X[i][i] }` without `j`; `W` is array 1.
+fn accumulation(op: BinOp, w: &[SymAff], two_deep: bool) -> Program {
+    let mut b = ScopBuilder::new("acc", &["N"], &[8]);
+    let x = b.array("X", &["N", "N"]);
+    let acc = b.array("W", &["N", "N"][..w.len()]);
+    b.enter("i", con(0), par("N"));
+    let j = if two_deep {
+        b.enter("j", con(0), par("N"));
+        ix("j")
+    } else {
+        ix("i")
+    };
+    let rhs = b.rd(x, &[ix("i"), j]);
+    b.stmt_update("S", acc, w, op, rhs);
+    b.exit();
+    if two_deep {
+        b.exit();
+    }
+    let scop = b.finish().expect("well-formed SCoP");
+    let identity: Vec<_> = scop.statements.iter().map(|s| s.schedule.clone()).collect();
+    polymix_codegen::generate(&scop, &identity).expect("generate")
+}
+
+/// trmm's `B[i][j] += A[i][k] * B[j][k]` reads `B` off its own cell. The
+/// poly+AST flow used to mark its `c3` loop a reduction that privatizes
+/// `B`; a worker's copy is a zeroed whole array, so that read sees zeros
+/// where other rows of `B` are. The certifier accepted it (the read
+/// never lands on the written cell); the mark's list names `B`, and any
+/// access to a listed array but the additive self-pair is an alias.
+#[test]
+fn trmm_privatizing_the_array_it_reads_is_rejected() {
+    let k = kernel_by_name("trmm").expect("kernel");
+    let mut prog = optimize_poly_ast(&(k.build)(), &PolyAstOptions::default()).expect("optimize");
+    assert!(verify_program(&prog).is_certified(), "baseline must pass");
+    let mut forged = 0;
+    prog.body.visit_loops_mut(&mut |l| {
+        if l.name == "c3" {
+            l.par = Par::Reduction(vec![1]);
+            forged += 1;
+        }
+    });
+    assert_eq!(forged, 1, "trmm lost its c3 loop");
+    assert_rejects(&prog, ViolationKind::ReductionAccumulatorAliased, "trmm privatizing B");
+}
+
+/// `Y[i + j] += X[i][j]` carries its update at `i`. A reduction mark on
+/// `i` that does not privatize `Y` would have the workers race on it.
+#[test]
+fn a_reduction_that_omits_its_accumulator_is_rejected() {
+    let mut prog = accumulation(BinOp::Add, &[ix("i") + ix("j")], true);
+    mark_outermost(&mut prog, Par::Reduction(vec![1]));
+    assert!(verify_program(&prog).is_certified(), "privatizing Y certifies");
+    mark_outermost(&mut prog, Par::Reduction(vec![]));
+    assert_rejects(&prog, ViolationKind::ReductionUnsafe, "reduction omitting Y");
+}
+
+/// `P[0] *= X[i][i]` is a reduction update, but private copies start at
+/// zero and are combined by adding them: a product privatized that way
+/// leaves `P` as it was. Listed, it is an alias; unlisted, its carried
+/// update is unsafe.
+#[test]
+fn a_multiplicative_reduction_is_rejected() {
+    let mut prog = accumulation(BinOp::Mul, &[con(0)], false);
+    mark_outermost(&mut prog, Par::Reduction(vec![1]));
+    assert_rejects(&prog, ViolationKind::ReductionAccumulatorAliased, "forged *= reduction");
+    mark_outermost(&mut prog, Par::Reduction(vec![]));
+    assert_rejects(&prog, ViolationKind::ReductionUnsafe, "unlisted *= reduction");
 }
 
 /// Annotation forgery: relabeling a certified pipeline loop as doall
@@ -197,7 +274,7 @@ fn doall_over_a_reordered_tile_is_rejected_through_its_clamped_point_loop() {
     assert!(verify_program(&prog).is_certified(), "baseline must pass");
     let mut flipped = false;
     prog.body.visit_loops_mut(&mut |l| {
-        if l.name == "u0t" && l.par == Par::Reduction {
+        if l.name == "u0t" && matches!(l.par, Par::Reduction(_)) {
             l.par = Par::Doall;
             flipped = true;
         }

@@ -102,12 +102,12 @@ mod tests {
     /// schedule order, whatever it is marked.
     #[test]
     fn sequential_run_matches_interpreter() {
-        let annotations = [Par::Seq, Par::Doall, Par::Reduction, Par::Pipeline, Par::Wavefront];
+        let annotations = [Par::Seq, Par::Doall, Par::Reduction(vec![0]), Par::Pipeline, Par::Wavefront];
         for (params, par_kind) in [[5i64], [8], [1]]
             .into_iter()
-            .flat_map(|p| annotations.map(|a| (p, a)))
+            .flat_map(|p| annotations.clone().map(|a| (p, a)))
         {
-            let p = inc_program(par_kind);
+            let p = inc_program(par_kind.clone());
             let vm = lower(&p, &params).expect("lowers");
             let mut a = alloc_arrays(&p.scop, &params);
             let mut b = alloc_arrays(&p.scop, &params);

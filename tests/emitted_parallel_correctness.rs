@@ -71,6 +71,14 @@ fn reduction_threads_bicg() {
     check("bicg", Variant::PolyAst, 1e-9);
 }
 
+/// gemver's reduction mark sits on the tile loop `u0t`: it privatizes
+/// `x` and writes `A`, whose subscripts name only the point loops, in
+/// place.
+#[test]
+fn reduction_threads_gemver() {
+    check("gemver", Variant::PolyAst, 1e-9);
+}
+
 #[test]
 fn pipeline_threads_seidel() {
     check("seidel-2d", Variant::PolyAst, 1e-12);
