@@ -211,31 +211,40 @@ PROVEN=$(echo "$VM_OUT" | sed -n 's|^vm accesses proven: \([1-9][0-9]*\)/\([0-9]
 [ -n "$PROVEN" ] && [ "${PROVEN% *}" -eq "${PROVEN#* }" ] \
     || { echo "bytecode audit left accesses unproven: '$PROVEN'"; exit 1; }
 
-# Fast end-to-end sweep smoke test: one kernel through the parallel
+# Fast end-to-end sweep smoke test: two drivers through the parallel
 # executor (2 jobs, tmpdir cache, JSONL log), then the same invocation
-# again, which must resume every job from the log.
+# again, which must resume every job from the log and reprint the same
+# table byte for byte.
 echo "== sweep smoke test =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-for pass in run resume; do
-    echo "-- table1 mini sweep ($pass)"
-    POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
-        cargo run --release -q -p polymix-bench --bin table1 -- \
-        --dataset mini --jobs 2 --run-timeout 120 \
-        --results "$SMOKE_DIR/table1.jsonl" > /dev/null
+for spec in table1:4 fig5:6; do
+    BIN=${spec%:*} CELLS=${spec#*:}
+    for pass in run resume; do
+        echo "-- $BIN mini sweep ($pass)"
+        POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
+            cargo run --release -q -p polymix-bench --bin "$BIN" -- \
+            --dataset mini --jobs 2 --run-timeout 120 \
+            --results "$SMOKE_DIR/$BIN.jsonl" > "$SMOKE_DIR/$BIN.$pass.out"
+    done
+    # One record per cell from the first pass; the resume pass must add
+    # nothing (every job replayed from the log) and print the same table.
+    RECORDS=$(wc -l < "$SMOKE_DIR/$BIN.jsonl")
+    [ "$RECORDS" -eq "$CELLS" ] || { echo "$BIN: expected exactly $CELLS JSONL records, got $RECORDS"; exit 1; }
+    cmp "$SMOKE_DIR/$BIN.run.out" "$SMOKE_DIR/$BIN.resume.out" \
+        || { echo "$BIN: the resumed table differs from the measured one"; exit 1; }
 done
-# One record per variant from the first pass; the resume pass must add
-# nothing (every job replayed from the log).
-RECORDS=$(wc -l < "$SMOKE_DIR/table1.jsonl")
-[ "$RECORDS" -eq 4 ] || { echo "expected exactly 4 JSONL records, got $RECORDS"; exit 1; }
 
 # Tables and figures measure compiled code only, and a flag a binary
 # does not take is refused (exit 2) rather than ignored: the retired
-# `--backend vm` must not silently print a rustc table in its place.
+# `--backend vm` must not silently print a rustc table in its place, and
+# the retired `--measure-jobs` must not silently run one at a time.
 echo "== unknown flag gate =="
-RC=0; cargo run --release -q -p polymix-bench --bin table1 -- \
-    --dataset mini --backend vm > /dev/null 2>&1 || RC=$?
-[ "$RC" -eq 2 ] || { echo "table1 --backend vm exited $RC, expected 2"; exit 1; }
+for flag in "--backend vm" "--measure-jobs 2"; do
+    RC=0; cargo run --release -q -p polymix-bench --bin table1 -- \
+        --dataset mini $flag > /dev/null 2>&1 || RC=$?
+    [ "$RC" -eq 2 ] || { echo "table1 $flag exited $RC, expected 2"; exit 1; }
+done
 
 # Small-budget tuner smoke: one kernel at mini through the closed-loop
 # search, then `table1 --tuned` loading (and thereby parsing) the

@@ -11,34 +11,25 @@
 //! came from the same tiling gap in both columns, and `fusion: false` on
 //! fdtd-2d once returned a program the certifier rejects.
 
-use polymix_bench::report::{gf, Cli, Table};
-use polymix_bench::runner::Runner;
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
+use polymix_bench::figures::{cell, print_grid, Grid};
+use polymix_bench::report::Table;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_dl::Machine;
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse(&[]);
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
+    let grid = Grid::new(&[]);
     println!("== Fusion ablation (poly+AST with/without Algorithm 5 fusion) ==");
-    let mut t = Table::new(&["kernel", "fused GF/s", "unfused GF/s"]);
     let names = [
         "2mm", "3mm", "gemm", "syrk", "gesummv", "atax", "correlation", "fdtd-2d",
     ];
+    let kernels: Vec<_> = names.into_iter().filter_map(kernel_by_name).collect();
     // Both the variant build and the measurement run on sweep workers;
     // per-configuration failures become error cells and the sweep
     // continues with the remaining configurations.
-    let cfg = SweepConfig::from_cli(&cli);
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for name in names {
-        let Some(k) = kernel_by_name(name) else {
-            continue;
-        };
-        let params = k.dataset(&cli.dataset).params;
+    let mut jobs = Vec::new();
+    for k in &kernels {
         for fusion in [true, false] {
-            let (kb, mb) = (k.clone(), machine.clone());
+            let (kb, mb) = (k.clone(), grid.machine.clone());
             let build = move || {
                 optimize_poly_ast(
                     &(kb.build)(),
@@ -49,37 +40,15 @@ fn main() {
                     },
                 )
             };
-            jobs.push(SweepJob {
-                id: format!("fuse:{name}:{fusion}:{}", cli.dataset),
-                kernel: name.to_string(),
-                variant: format!("fusion={fusion}"),
-                dataset: cli.dataset.clone(),
-                params: params.clone(),
-                work: rustc_work(&k, &params, runner.threads, runner.reps, build, true),
-            });
+            let id = format!("fuse:{}:{fusion}:{}", k.name, grid.cli.dataset);
+            jobs.push(grid.job(id, k, &format!("fusion={fusion}"), build));
         }
     }
-    let outcomes = run_sweep(jobs, &runner, &cfg);
+    let outcomes = grid.run(jobs);
     let mut results = outcomes.iter();
-    for name in names {
-        if kernel_by_name(name).is_none() {
-            continue;
-        }
-        let mut cells = vec![name.to_string()];
-        for _ in 0..2 {
-            cells.push(match results.next().map(|o| (&o.result, o.degraded)) {
-                Some((Ok(r), degraded)) => {
-                    format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" })
-                }
-                Some((Err(e), _)) => {
-                    eprintln!("{name}: {e}");
-                    e.cell()
-                }
-                None => "-".into(),
-            });
-        }
-        t.row(cells);
+    let mut t = Table::new(&["kernel", "fused GF/s", "unfused GF/s"]);
+    for k in &kernels {
+        t.row(vec![k.name.to_string(), cell(results.next()), cell(results.next())]);
     }
-    println!("{}", t.render());
-    print_degraded_legend(&outcomes);
+    print_grid(&t, &outcomes);
 }

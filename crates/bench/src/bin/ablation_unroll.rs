@@ -1,77 +1,60 @@
 //! Register-tiling ablation (Sec. IV-C: "up to 2× additional performance
-//! improvement can be obtained by register tiling"): sweeps the
-//! unroll-and-jam factors of the poly+AST flow on gemm and 2mm.
+//! improvement can be obtained by register tiling"): the poly+AST flow on
+//! gemm, 2mm and syrk with no register tile (every `jam` mark of the
+//! flow's program cleared), with the tile the flow selects itself
+//! (`unroll: (1, 1)`), and with each requested unroll-and-jam factor.
 
-use polymix_bench::report::{gf, Cli};
-use polymix_bench::runner::Runner;
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
+use polymix_bench::figures::{cell, print_grid, Grid};
+use polymix_bench::report::Table;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_dl::Machine;
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse(&[]);
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
+    let grid = Grid::new(&[]);
     println!("== Register-tiling ablation (unroll-and-jam factor sweep) ==");
-    let factors: [(i64, i64); 5] = [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4)];
-    let names = ["gemm", "2mm", "syrk"];
-    let mut header: Vec<String> = vec!["kernel".into()];
-    header.extend(factors.iter().map(|(o, i)| format!("{o}x{i}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut t = polymix_bench::report::Table::new(&header_refs);
+    // (column, request): `none` is the unjammed baseline, the flow's
+    // program with every `jam` mark cleared; 1x1 requests nothing, so the
+    // flow's own selection stands.
+    let columns = [
+        ("none", None),
+        ("1x1", Some((1, 1))),
+        ("1x2", Some((1, 2))),
+        ("2x2", Some((2, 2))),
+        ("2x4", Some((2, 4))),
+        ("4x4", Some((4, 4))),
+    ];
+    let kernels: Vec<_> = ["gemm", "2mm", "syrk"].into_iter().filter_map(kernel_by_name).collect();
     // Per-configuration failures become error cells; the sweep continues
     // with the remaining configurations.
-    let cfg = SweepConfig::from_cli(&cli);
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for name in names {
-        let Some(k) = kernel_by_name(name) else {
-            continue;
-        };
-        let params = k.dataset(&cli.dataset).params;
-        for &(o, i) in &factors {
-            let (kb, mb) = (k.clone(), machine.clone());
+    let mut jobs = Vec::new();
+    for k in &kernels {
+        for &(column, request) in &columns {
+            let (kb, mb) = (k.clone(), grid.machine.clone());
             let build = move || {
-                optimize_poly_ast(
-                    &(kb.build)(),
-                    &PolyAstOptions {
-                        machine: mb.clone(),
-                        unroll: (o, i),
-                        ..Default::default()
-                    },
-                )
+                let options = PolyAstOptions {
+                    machine: mb.clone(),
+                    unroll: request.unwrap_or((1, 1)),
+                    ..Default::default()
+                };
+                let mut p = optimize_poly_ast(&(kb.build)(), &options)?;
+                if request.is_none() {
+                    p.body.visit_loops_mut(&mut |l| l.jam = 1);
+                }
+                Ok(p)
             };
-            jobs.push(SweepJob {
-                id: format!("unroll:{name}:{o}x{i}:{}", cli.dataset),
-                kernel: name.to_string(),
-                variant: format!("{o}x{i}"),
-                dataset: cli.dataset.clone(),
-                params: params.clone(),
-                work: rustc_work(&k, &params, runner.threads, runner.reps, build, true),
-            });
+            let id = format!("unroll:{}:{column}:{}", k.name, grid.cli.dataset);
+            jobs.push(grid.job(id, k, column, build));
         }
     }
-    let outcomes = run_sweep(jobs, &runner, &cfg);
+    let outcomes = grid.run(jobs);
+    let mut header = vec!["kernel"];
+    header.extend(columns.iter().map(|&(c, _)| if c == "1x1" { "1x1 (selection)" } else { c }));
+    let mut t = Table::new(&header);
     let mut results = outcomes.iter();
-    for name in names {
-        if kernel_by_name(name).is_none() {
-            continue;
-        }
-        let mut cells = vec![name.to_string()];
-        for _ in 0..factors.len() {
-            cells.push(match results.next().map(|o| (&o.result, o.degraded)) {
-                Some((Ok(r), degraded)) => {
-                    format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" })
-                }
-                Some((Err(e), _)) => {
-                    eprintln!("{name}: {e}");
-                    e.cell()
-                }
-                None => "-".into(),
-            });
-        }
+    for k in &kernels {
+        let mut cells = vec![k.name.to_string()];
+        cells.extend(columns.iter().map(|_| cell(results.next())));
         t.row(cells);
     }
-    println!("{}", t.render());
-    print_degraded_legend(&outcomes);
+    print_grid(&t, &outcomes);
 }

@@ -6,11 +6,9 @@
 //! an inner (or permuted) doall loop.
 
 use polymix_ast::pretty::render;
-use polymix_bench::report::{gf, Cli, Table};
-use polymix_bench::runner::Runner;
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
+use polymix_bench::figures::{cell, print_grid, Grid};
+use polymix_bench::report::Table;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_dl::Machine;
 use polymix_ir::builder::{con, ix, par, ScopBuilder};
 use polymix_ir::{BinOp, Expr, Scop};
 use polymix_polybench::kernel::{Dataset, Group, InitSpec, Kernel};
@@ -84,9 +82,7 @@ fn as_kernel(name: &'static str, build: fn() -> Scop, flops: fn(&[i64]) -> u64) 
 }
 
 fn main() {
-    let cli = Cli::parse(&[]);
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
+    let grid = Grid::new(&[]);
     let kernels = [
         as_kernel("fig5-copy", copy_scop, |p| (p[0] * p[0]) as u64),
         as_kernel("fig5-reduction", reduction_scop, |p| (2 * p[0] * p[0]) as u64),
@@ -95,23 +91,20 @@ fn main() {
         }),
     ];
     println!("== Fig. 5 — poly+AST vs doall-only parallelization ==");
-    let mut t = Table::new(&["pattern", "poly+ast GF/s", "doall-only GF/s"]);
     // Build (and print) the chosen loop structures serially — the
     // renders are part of the figure — then measure everything on the
     // parallel sweep executor. A failed configuration yields an error
     // cell; the other column and the remaining patterns still run.
-    let cfg = SweepConfig::from_cli(&cli);
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    let mut cells: Vec<Vec<String>> = Vec::new(); // row-major; "" = pending job
+    let mut jobs = Vec::new();
+    let mut rows: Vec<Vec<String>> = Vec::new(); // "" = pending job
     for k in &kernels {
         let scop = (k.build)();
-        let params = k.dataset(&cli.dataset).params;
         let mut row = vec![k.name.to_string()];
         for (doall_only, suffix) in [(false, "ours"), (true, "doall")] {
             let prog = optimize_poly_ast(
                 &scop,
                 &PolyAstOptions {
-                    machine: machine.clone(),
+                    machine: grid.machine.clone(),
                     tiling: false,
                     doall_only,
                     unroll: (1, 1),
@@ -121,21 +114,8 @@ fn main() {
             match prog {
                 Ok(p) => {
                     println!("-- {} — {suffix} chooses:\n{}", k.name, render(&p));
-                    jobs.push(SweepJob {
-                        id: format!("fig5:{}:{suffix}:{}", k.name, cli.dataset),
-                        kernel: k.name.to_string(),
-                        variant: suffix.to_string(),
-                        dataset: cli.dataset.clone(),
-                        params: params.clone(),
-                        work: rustc_work(
-                            k,
-                            &params,
-                            runner.threads,
-                            runner.reps,
-                            move || Ok(p.clone()),
-                            true,
-                        ),
-                    });
+                    let id = format!("fig5:{}:{suffix}:{}", k.name, grid.cli.dataset);
+                    jobs.push(grid.job(id, k, suffix, move || Ok(p.clone())));
                     row.push(String::new());
                 }
                 Err(e) => {
@@ -144,25 +124,16 @@ fn main() {
                 }
             }
         }
-        cells.push(row);
+        rows.push(row);
     }
-    let outcomes = run_sweep(jobs, &runner, &cfg);
+    let outcomes = grid.run(jobs);
     let mut results = outcomes.iter();
-    for row in &mut cells {
-        for cell in row.iter_mut().skip(1).filter(|c| c.is_empty()) {
-            *cell = match results.next().map(|o| (&o.result, o.degraded)) {
-                Some((Ok(r), degraded)) => {
-                    format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" })
-                }
-                Some((Err(e), _)) => {
-                    eprintln!("{e}");
-                    e.cell()
-                }
-                None => "-".into(),
-            };
+    let mut t = Table::new(&["pattern", "poly+ast GF/s", "doall-only GF/s"]);
+    for mut row in rows {
+        for c in row.iter_mut().filter(|c| c.is_empty()) {
+            *c = cell(results.next());
         }
-        t.row(row.clone());
+        t.row(row);
     }
-    println!("{}", t.render());
-    print_degraded_legend(&outcomes);
+    print_grid(&t, &outcomes);
 }

@@ -5,21 +5,17 @@
 
 use polymix_ast::pretty::render;
 use polymix_bench::autotune::{build_candidate, default_tuned_path, TunedConfig};
-use polymix_bench::report::{gf, Cli, Table};
-use polymix_bench::runner::Runner;
-use polymix_bench::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
+use polymix_bench::figures::{cell, print_grid, Grid};
+use polymix_bench::report::Table;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_dl::Machine;
 use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse(&["--tuned", "--tuned-config"]);
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
+    let grid = Grid::new(&["--tuned", "--tuned-config"]);
+    let (cli, machine) = (&grid.cli, &grid.machine);
     let k = kernel_by_name("2mm").expect("2mm kernel");
-    let params = k.dataset(&cli.dataset).params;
     let scop = (k.build)();
 
     // --- loop structures (Figs. 1–3), untiled for readability ---
@@ -59,7 +55,6 @@ fn main() {
         "== Table I — 2mm performance ({} dataset, {} threads) ==",
         cli.dataset, cli.threads
     );
-    let mut t = Table::new(&["variant", "GFLOP/s"]);
     let entries = [
         ("original", Variant::Native),
         ("pocc (maxfuse)", Variant::PlutoMaxFuse),
@@ -90,53 +85,27 @@ fn main() {
         None
     };
 
-    let cfg = SweepConfig::from_cli(&cli);
-    let job = |id: String, variant: &str, work| SweepJob {
-        id,
-        kernel: k.name.to_string(),
-        variant: variant.to_string(),
-        dataset: cli.dataset.clone(),
-        params: params.clone(),
-        work,
-    };
-    let (threads, reps) = (runner.threads, runner.reps);
-    let mut jobs: Vec<SweepJob> = Vec::new();
+    let mut jobs = Vec::new();
     for &(_, variant) in &entries {
         let (kb, mb) = (k.clone(), machine.clone());
-        let build = move || build_variant(&kb, variant, &mb);
-        let work = rustc_work(&k, &params, threads, reps, build, true);
-        jobs.push(job(format!("table1:{}:{}", variant.name(), cli.dataset), variant.name(), work));
+        let id = format!("table1:{}:{}", variant.name(), cli.dataset);
+        jobs.push(grid.job(id, &k, variant.name(), move || build_variant(&kb, variant, &mb)));
     }
     if let Some(tc) = &tuned {
         let (kb, mb, cand) = (k.clone(), machine.clone(), tc.candidate);
-        let build = move || build_candidate(&kb, &cand, &mb);
-        let work = rustc_work(&k, &params, threads, reps, build, true);
         // The candidate id keys the resume log, so a re-tuned config
         // re-measures instead of replaying.
         let id = format!("table1:tuned:{}:{}", cli.dataset, cand.id("2mm", &cli.dataset));
-        jobs.push(job(id, "tuned", work));
+        jobs.push(grid.job(id, &k, "tuned", move || build_candidate(&kb, &cand, &mb)));
     }
-    let outcomes = run_sweep(jobs, &runner, &cfg);
-    let cell = |variant: &str| -> String {
-        match outcomes.iter().find(|o| o.variant == variant) {
-            Some(o) => match &o.result {
-                Ok(r) => format!("{}{}", gf(r.gflops), if o.degraded { "†" } else { "" }),
-                Err(e) => {
-                    eprintln!("{variant}: {e}");
-                    e.cell()
-                }
-            },
-            None => "-".into(),
-        }
-    };
-    for (label, variant) in &entries {
-        t.row(vec![(*label).into(), cell(variant.name())]);
+    let outcomes = grid.run(jobs);
+    let mut labels: Vec<String> = entries.iter().map(|(label, _)| label.to_string()).collect();
+    labels.extend(tuned.map(|tc| format!("tuned ({})", tc.candidate.opt.name())));
+    let mut t = Table::new(&["variant", "GFLOP/s"]);
+    for (i, label) in labels.into_iter().enumerate() {
+        t.row(vec![label, cell(outcomes.get(i))]);
     }
-    if let Some(tc) = &tuned {
-        t.row(vec![format!("tuned ({})", tc.candidate.opt.name()), cell("tuned")]);
-    }
-    println!("{}", t.render());
-    print_degraded_legend(&outcomes);
+    print_grid(&t, &outcomes);
     println!("paper (Nehalem): original 2.4, PoCC 14, our flow 19 GF/s");
     println!("paper (Power7):  original 0.5, PoCC 29, our flow 62 GF/s");
 }

@@ -1,93 +1,149 @@
-//! Shared driver for the group figures (Figs. 7, 8, 9): run every kernel
-//! of a group through every variant on the parallel sweep executor,
-//! cross-validate checksums, report GFLOP/s.
+//! The GF/s grid every measuring table and figure shares — Table I,
+//! Fig. 5, Figs. 7–9 and the fusion and register-tiling ablations each
+//! measure rows × columns, every cell the GF/s of one rustc-compiled
+//! program. [`Grid::job`] makes a cell's sweep job, [`Grid::run`]
+//! measures the jobs and returns their outcomes in submission order, and
+//! [`cell`] renders one outcome. A driver keeps only its rows, columns
+//! and ids; Figs. 7–9 run through [`run_group_figure`] whole.
 
 use crate::report::{gf, Cli, Table};
-use crate::runner::Runner;
-use crate::sweep::{print_degraded_legend, run_sweep, rustc_work, SweepConfig, SweepJob};
+use crate::runner::{RunResult, Runner};
+use crate::sweep::{run_sweep, rustc_work, JobOutcome, SweepConfig, SweepJob};
 use crate::variants::{build_variant, variant_list, Variant};
+use polymix_ast::tree::Program;
 use polymix_dl::Machine;
-use polymix_polybench::{all_kernels, Group};
+use polymix_ir::error::PolymixError;
+use polymix_polybench::{all_kernels, Group, Kernel};
+
+/// A measuring driver's context: its command line, the machine model its
+/// programs are built for, and the runner that measures them.
+pub struct Grid {
+    /// The parsed command line (the shared flags and the driver's own).
+    pub cli: Cli,
+    /// The machine model every build is handed.
+    pub machine: Machine,
+    runner: Runner,
+}
+
+impl Grid {
+    /// Parses the command line, accepting the driver's `own` flags
+    /// besides the shared ones.
+    pub fn new(own: &[&str]) -> Grid {
+        let cli = Cli::parse(own);
+        let runner = Runner::new(cli.threads);
+        Grid {
+            cli,
+            machine: Machine::host(),
+            runner,
+        }
+    }
+
+    /// The job measuring the program `build` returns for `kernel` at the
+    /// command line's dataset, in column `column`, keyed by `id` in the
+    /// results log. A kernel-level failure degrades to a sequential
+    /// re-run, rendered `†`.
+    pub fn job(
+        &self,
+        id: String,
+        kernel: &Kernel,
+        column: &str,
+        build: impl Fn() -> Result<Program, PolymixError> + Send + Sync + 'static,
+    ) -> SweepJob {
+        let params = kernel.dataset(&self.cli.dataset).params;
+        let (threads, reps) = (self.runner.threads, self.runner.reps);
+        SweepJob {
+            id,
+            kernel: kernel.name.to_string(),
+            variant: column.to_string(),
+            dataset: self.cli.dataset.clone(),
+            work: rustc_work(kernel, &params, threads, reps, build, true),
+            params,
+        }
+    }
+
+    /// Measures `jobs` on the sweep executor; the outcomes come back in
+    /// submission order, which is how a driver matches them to cells.
+    pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<JobOutcome> {
+        run_sweep(jobs, &self.runner, &SweepConfig::from_cli(&self.cli))
+    }
+}
+
+/// Renders one outcome as a table cell: its GF/s, marked `†` when a
+/// sequential re-run stands in for a failed parallel one;
+/// `error(<stage>)` when it failed (the detail goes to stderr), and the
+/// figure renders on; `-` when there is none.
+pub fn cell(outcome: Option<&JobOutcome>) -> String {
+    let Some(o) = outcome else {
+        return "-".into();
+    };
+    match &o.result {
+        Ok(r) => format!("{}{}", gf(r.gflops), if o.degraded { "†" } else { "" }),
+        Err(e) => {
+            eprintln!("{} {}: {e}", o.kernel, o.variant);
+            e.cell()
+        }
+    }
+}
+
+/// Prints `table`, then the `†` legend when a cell of `outcomes` was
+/// measured by the sequential re-run, so no marker goes unexplained.
+pub fn print_grid(table: &Table, outcomes: &[JobOutcome]) {
+    println!("{}", table.render());
+    if outcomes.iter().any(|o| o.degraded) {
+        println!(
+            "† degraded(sequential): the parallel kernel failed and the cell \
+             reports a single-thread re-run (see EXPERIMENTS.md)"
+        );
+    }
+}
 
 /// Runs one figure: all kernels of `group` × all variants, compiled by
-/// `rustc` and run.
+/// `rustc` and run, with the `iterative*` column and a cross-variant
+/// checksum check.
 pub fn run_group_figure(title: &str, group: Group) {
-    let cli = Cli::parse(&[]);
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
-    let cfg = SweepConfig::from_cli(&cli);
-    let variants = variant_list();
-
+    let grid = Grid::new(&[]);
+    let (ds, variants) = (&grid.cli.dataset, variant_list());
     println!("== {title} ==");
     println!(
-        "dataset: {}, threads: {}, jobs: {}, machine: {} (GFLOP/s, higher is better)",
-        cli.dataset, cli.threads, cfg.jobs, machine.name
+        "dataset: {ds}, threads: {}, jobs: {}, machine: {} (GFLOP/s, higher is better)",
+        grid.cli.threads,
+        grid.cli.jobs.max(1),
+        grid.machine.name
     );
-
     let kernels: Vec<_> = all_kernels()
         .into_iter()
         .filter(|k| k.group == group)
         .collect();
-    let mut jobs: Vec<SweepJob> = Vec::new();
+    let mut jobs = Vec::new();
     for k in &kernels {
-        let params = k.dataset(&cli.dataset).params;
         for &v in &variants {
-            let (kb, mb) = (k.clone(), machine.clone());
-            jobs.push(SweepJob {
-                id: format!("{}:{}:{}", k.name, v.name(), cli.dataset),
-                kernel: k.name.to_string(),
-                variant: v.name().to_string(),
-                dataset: cli.dataset.clone(),
-                params: params.clone(),
-                work: rustc_work(
-                    k,
-                    &params,
-                    runner.threads,
-                    runner.reps,
-                    move || build_variant(&kb, v, &mb),
-                    true,
-                ),
-            });
+            let (kb, mb) = (k.clone(), grid.machine.clone());
+            let id = format!("{}:{}:{ds}", k.name, v.name());
+            jobs.push(grid.job(id, k, v.name(), move || build_variant(&kb, v, &mb)));
         }
     }
-    let outcomes = run_sweep(jobs, &runner, &cfg);
+    let outcomes = grid.run(jobs);
 
     let mut header: Vec<&str> = vec!["kernel"];
     header.extend(variants.iter().map(|v| v.name()));
     header.push("iterative*");
     let mut table = Table::new(&header);
-    for k in &kernels {
+    for (k, row) in kernels.iter().zip(outcomes.chunks(variants.len())) {
         let mut cells = vec![k.name.to_string()];
-        let mut checks: Vec<(Variant, f64)> = Vec::new();
-        let mut results: Vec<(Variant, f64, bool)> = Vec::new();
-        for &v in &variants {
-            match outcomes
-                .iter()
-                .find(|o| o.kernel == k.name && o.variant == v.name())
-                .map(|o| (&o.result, o.degraded))
-            {
-                Some((Ok(r), degraded)) => {
-                    cells.push(format!("{}{}", gf(r.gflops), if degraded { "†" } else { "" }));
-                    checks.push((v, r.checksum));
-                    results.push((v, r.gflops, degraded));
-                }
-                Some((Err(e), _)) => {
-                    // A failed kernel/variant records an `error(<stage>)`
-                    // cell and the figure renders on (see EXPERIMENTS.md).
-                    eprintln!("{}: {v:?} failed: {e}", k.name);
-                    cells.push(e.cell());
-                }
-                None => cells.push("-".into()),
-            }
-        }
-        cells.push(match iterative_best(&results) {
-            Some(best) => gf(best),
-            None => "-".into(),
-        });
+        cells.extend(row.iter().map(|o| cell(Some(o))));
+        let measured: Vec<(Variant, &RunResult, bool)> = variants
+            .iter()
+            .zip(row)
+            .filter_map(|(&v, o)| Some((v, o.result.as_ref().ok()?, o.degraded)))
+            .collect();
+        let results: Vec<_> = measured.iter().map(|&(v, r, d)| (v, r.gflops, d)).collect();
+        cells.push(iterative_best(&results).map_or_else(|| "-".into(), gf));
         // Cross-variant checksum validation (parallel runs may reorder
         // reductions: tolerate relative FP noise).
-        if let Some((_, base)) = checks.first() {
-            for (v, c) in &checks[1..] {
+        if let Some(((_, first, _), rest)) = measured.split_first() {
+            let base = first.checksum;
+            for (v, r, _) in rest {
+                let c = r.checksum;
                 let rel = (c - base).abs() / base.abs().max(1.0);
                 assert!(
                     rel < 1e-6,
@@ -98,8 +154,7 @@ pub fn run_group_figure(title: &str, group: Group) {
         }
         table.row(cells);
     }
-    println!("{}", table.render());
-    print_degraded_legend(&outcomes);
+    print_grid(&table, &outcomes);
 }
 
 /// The `iterative*` column: best over the enumerated fusion structures
@@ -130,6 +185,38 @@ fn iterative_best(results: &[(Variant, f64, bool)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn outcome(result: Result<RunResult, PolymixError>, degraded: bool) -> JobOutcome {
+        JobOutcome {
+            id: "gemm:poly+ast:mini".into(),
+            kernel: "gemm".into(),
+            variant: "poly+ast".into(),
+            dataset: "mini".into(),
+            params: vec![12, 12, 12],
+            result,
+            resumed: false,
+            degraded,
+            backend: "rustc",
+        }
+    }
+
+    /// A healthy cell is its GF/s, a sequential re-run is marked `†`, a
+    /// failure names its stage, and no outcome is `-`.
+    #[test]
+    fn cell_renders_every_outcome() {
+        let ok = || {
+            Ok(RunResult {
+                checksum: 1.5,
+                time_s: 0.001,
+                gflops: 12.345,
+            })
+        };
+        assert_eq!(cell(Some(&outcome(ok(), false))), "12.35");
+        assert_eq!(cell(Some(&outcome(ok(), true))), "12.35†");
+        let failed = outcome(Err(PolymixError::codegen("gemm", "no")), false);
+        assert_eq!(cell(Some(&failed)), "error(codegen)");
+        assert_eq!(cell(None), "-");
+    }
 
     /// Regression: the fastest enumerated structure is a degraded
     /// (sequential-fallback) measurement — it must not win the

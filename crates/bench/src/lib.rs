@@ -16,9 +16,12 @@
 //! * [`sweep`] — the crash-safe parallel sweep executor: a bounded
 //!   worker pool pipelining emit→compile→run over (kernel, variant,
 //!   dataset) jobs, with an exactly-once atomic binary cache, per-stage
-//!   timeouts, transient-failure retries, and an append-only JSONL
-//!   results log that makes interrupted sweeps resumable (`--jobs`,
-//!   `--measure-jobs`, `--results`);
+//!   timeouts, transient-failure retries, measured runs serialized
+//!   behind one lock, and an append-only JSONL results log that makes
+//!   interrupted sweeps resumable (`--jobs`, `--results`);
+//! * [`figures`] — the GF/s grid every measuring table and figure
+//!   shares: one function makes a measured cell's job, one renders its
+//!   outcome as a cell, and Figs. 7–9 run through it whole;
 //! * [`report`] — plain-text table rendering for the `fig*`/`table*`
 //!   binaries;
 //! * [`autotune`] — the closed-loop tuner (`tune` binary): a

@@ -60,11 +60,10 @@ pub fn gf(x: f64) -> String {
 }
 
 /// The flags every measuring binary takes, each followed by its value.
-const SHARED_FLAGS: [&str; 8] = [
+const SHARED_FLAGS: [&str; 7] = [
     "--dataset",
     "--threads",
     "--jobs",
-    "--measure-jobs",
     "--compile-timeout",
     "--run-timeout",
     "--retries",
@@ -88,11 +87,9 @@ pub struct Cli {
     /// parallelism).
     pub threads: usize,
     /// Sweep worker threads pipelining emit→compile→run (`--jobs`,
-    /// default 1 = the historical serial behavior).
+    /// default 1 = the historical serial behavior); the measured runs
+    /// stay one at a time.
     pub jobs: usize,
-    /// Concurrent measured runs (`--measure-jobs`, default 1 so parallel
-    /// compilation never perturbs timing).
-    pub measure_jobs: usize,
     /// Per-`rustc` wall-clock budget in seconds (`--compile-timeout`).
     pub compile_timeout_s: u64,
     /// Per-run wall-clock budget in seconds (`--run-timeout`).
@@ -140,7 +137,6 @@ impl Cli {
                     .unwrap_or(4),
             ),
             jobs: num("--jobs", 1),
-            measure_jobs: num("--measure-jobs", 1),
             compile_timeout_s: num("--compile-timeout", 600) as u64,
             run_timeout_s: num("--run-timeout", 600) as u64,
             retries: num("--retries", 2),
@@ -212,20 +208,15 @@ mod tests {
             let cli = Cli::parse_args(&args(line), own).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", 2, 120));
         }
-        let cli = Cli::parse_args(
-            &args("--measure-jobs 3 --compile-timeout 9 --retries 0 --threads 5"),
-            &[],
-        )
-        .expect("shared flags");
-        assert_eq!(
-            (
-                cli.measure_jobs,
-                cli.compile_timeout_s,
-                cli.retries,
-                cli.threads
-            ),
-            (3, 9, 0, 5)
-        );
+        let cli = Cli::parse_args(&args("--compile-timeout 9 --retries 0 --threads 5"), &[])
+            .expect("shared flags");
+        assert_eq!((cli.compile_timeout_s, cli.retries, cli.threads), (9, 0, 5));
+        // Measured runs serialize without a knob: the retired flag is
+        // refused like any other.
+        let err = Cli::parse_args(&args("--jobs 2 --measure-jobs 3"), &[])
+            .err()
+            .expect("--measure-jobs is refused");
+        assert!(err.starts_with("unknown flag --measure-jobs"), "{err}");
         let cli = Cli::parse_args(
             &args("--kernels gemm,2mm --tuned"),
             &["--kernels", "--tuned"],

@@ -196,7 +196,7 @@ pub fn compile_and_run(
 /// truncated artifact from an earlier, killed sweep, so it is deleted,
 /// recompiled once, and rerun. A run *timeout* is never retried —
 /// rebuilding an infinite loop would only double the stall. The sweep
-/// passes a `run` that holds the measurement semaphore, so compiles
+/// passes a `run` that holds the measurement lock, so compiles
 /// stay outside it.
 pub(crate) fn run_cached(
     compile: impl Fn() -> Result<CompileOutcome, String>,

@@ -6,7 +6,7 @@
 //! This module pipelines those stages across a bounded worker pool while
 //! keeping the things that must not be concurrent — the binary cache
 //! (exactly-once compiles, atomic publish; see [`crate::runner`]) and
-//! the *measured* runs (serialized behind a semaphore so parallel
+//! the *measured* runs (serialized behind one lock, so parallel
 //! compilation never perturbs timing) — safe.
 //!
 //! Results stream to an append-only JSONL log (one object per job), so
@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Deferred emission of one job's standalone Rust source.
@@ -54,7 +54,7 @@ pub enum JobWork {
         seq_source: Option<Source>,
     },
     /// Measure in-process (no subprocess, no filesystem). The closure
-    /// still runs under the measurement semaphore so in-process timing
+    /// still runs under the measurement lock so in-process timing
     /// is never perturbed by concurrent measured runs; there is no
     /// retry (nothing transient to retry) and no sequential
     /// degradation (a poisoned vm run is a real, deterministic result).
@@ -150,10 +150,9 @@ pub struct JobOutcome {
 /// Execution policy for [`run_sweep`].
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Worker threads pipelining emit → compile → run.
+    /// Worker threads pipelining emit → compile → run. Measured runs
+    /// take one lock, so they never overlap, whatever this is.
     pub jobs: usize,
-    /// Concurrent *measured* runs (default 1: timing fidelity).
-    pub measure_jobs: usize,
     /// Wall-clock budget per `rustc` invocation.
     pub compile_timeout: Duration,
     /// Wall-clock budget per measured run.
@@ -167,12 +166,11 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// Policy from the shared CLI flags (`--jobs`, `--measure-jobs`,
-    /// `--compile-timeout`, `--run-timeout`, `--retries`, `--results`).
+    /// Policy from the shared CLI flags (`--jobs`, `--compile-timeout`,
+    /// `--run-timeout`, `--retries`, `--results`).
     pub fn from_cli(cli: &Cli) -> SweepConfig {
         SweepConfig {
             jobs: cli.jobs.max(1),
-            measure_jobs: cli.measure_jobs.max(1),
             compile_timeout: Duration::from_secs(cli.compile_timeout_s.max(1)),
             run_timeout: Duration::from_secs(cli.run_timeout_s.max(1)),
             retries: cli.retries,
@@ -185,7 +183,6 @@ impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
             jobs: 1,
-            measure_jobs: 1,
             compile_timeout: crate::runner::DEFAULT_COMPILE_TIMEOUT,
             run_timeout: crate::runner::DEFAULT_RUN_TIMEOUT,
             retries: 2,
@@ -198,34 +195,6 @@ impl Default for SweepConfig {
 /// holding the queue or log lock must not wedge every other worker.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A counting semaphore gating the measured runs.
-struct Semaphore {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            permits: Mutex::new(permits),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut p = lock(&self.permits);
-        while *p == 0 {
-            p = self.cv.wait(p).unwrap_or_else(|e| e.into_inner());
-        }
-        *p -= 1;
-    }
-
-    fn release(&self) {
-        *lock(&self.permits) += 1;
-        self.cv.notify_one();
-    }
 }
 
 /// Transient failures worth a backoff-retry: the OS refused a spawn
@@ -264,7 +233,8 @@ pub fn run_sweep(jobs: Vec<SweepJob>, runner: &Runner, cfg: &SweepConfig) -> Vec
     let queue: Vec<Mutex<Option<SweepJob>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let outcomes: Vec<Mutex<Option<JobOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let measure = Semaphore::new(cfg.measure_jobs.max(1));
+    // Held around every measured run: one at a time, released on unwind.
+    let measure = Mutex::new(());
     let workers = cfg.jobs.clamp(1, n.max(1));
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -309,11 +279,11 @@ pub fn run_sweep(jobs: Vec<SweepJob>, runner: &Runner, cfg: &SweepConfig) -> Vec
         .collect()
 }
 
-/// One job's emit → compile → (semaphore) run pipeline, with transient
+/// One job's emit → compile → (locked) run pipeline, with transient
 /// retry, cached-binary invalidation, and — when the kernel itself
 /// fails and the job supplied a `seq_source` — a sequential degradation
 /// re-run recorded as a `degraded` measurement.
-fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Semaphore) -> JobOutcome {
+fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Mutex<()>) -> JobOutcome {
     let SweepJob {
         id,
         kernel,
@@ -351,19 +321,16 @@ fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Sema
         }
         JobWork::InProcess { run } => {
             // In-process measurement still serializes behind the
-            // measurement semaphore; a panic inside the closure poisons
-            // this cell only, never the sweep.
-            measure.acquire();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                .unwrap_or_else(|_| {
-                    Err(PolymixError::runner(
-                        &kernel,
-                        &variant,
-                        "runtime_error: in-process measurement panicked",
-                    ))
-                });
-            measure.release();
-            result
+            // measurement lock; a panic inside the closure poisons this
+            // cell only, never the sweep.
+            let _turn = lock(measure);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
+                Err(PolymixError::runner(
+                    &kernel,
+                    &variant,
+                    "runtime_error: in-process measurement panicked",
+                ))
+            })
         }
     };
     JobOutcome {
@@ -386,7 +353,7 @@ fn kernel_failed(e: &PolymixError) -> bool {
     matches!(e, PolymixError::Runner { detail, .. } if is_kernel_failure(detail))
 }
 
-/// Emit → compile → (semaphore) run for one source, with transient retry
+/// Emit → compile → (locked) run for one source, with transient retry
 /// and the stale-binary rule ([`run_cached`]).
 fn run_one(
     source: Source,
@@ -395,7 +362,7 @@ fn run_one(
     variant: &str,
     runner: &Runner,
     cfg: &SweepConfig,
-    measure: &Semaphore,
+    measure: &Mutex<()>,
 ) -> Result<RunResult, PolymixError> {
     let src = source()?;
     run_cached(
@@ -411,10 +378,8 @@ fn run_one(
             })
         },
         |bin| {
-            measure.acquire();
-            let ran = with_retries(cfg.retries, || run_binary(bin, label, cfg.run_timeout));
-            measure.release();
-            ran
+            let _turn = lock(measure);
+            with_retries(cfg.retries, || run_binary(bin, label, cfg.run_timeout))
         },
     )
     .map_err(|detail| PolymixError::runner(kernel, variant, detail))
@@ -623,18 +588,6 @@ fn parse_entry(line: &str) -> Option<((String, String), (Result<RunResult, Polym
     };
     let degraded = rec.str_field("degraded") == Some("sequential");
     Some(((id.to_string(), backend.to_string()), (result, degraded)))
-}
-
-/// Prints the `†` legend when any outcome in the sweep was measured via
-/// the sequential degradation path, so a rendered table is never left
-/// with an unexplained marker.
-pub fn print_degraded_legend(outcomes: &[JobOutcome]) {
-    if outcomes.iter().any(|o| o.degraded) {
-        println!(
-            "† degraded(sequential): the parallel kernel failed and the cell \
-             reports a single-thread re-run (see EXPERIMENTS.md)"
-        );
-    }
 }
 
 /// Reconstructs a stage-correct [`PolymixError`] from a log record, so a

@@ -712,3 +712,44 @@ fn resume_never_crosses_backends_for_the_same_id() {
     assert!((third[1].result.as_ref().expect("ok").checksum - 42.5).abs() < 1e-12);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Measured runs take one lock whatever `jobs` is: four workers never
+/// overlap two measurements, and a measurement that panics fails its own
+/// cell while the others still take their turn.
+#[test]
+fn measured_runs_take_one_lock_whatever_the_worker_count() {
+    let active = std::sync::Arc::new(AtomicUsize::new(0));
+    let peak = std::sync::Arc::new(AtomicUsize::new(0));
+    let jobs: Vec<SweepJob> = (0..6)
+        .map(|i| {
+            let (active, peak) = (active.clone(), peak.clone());
+            let run = move || {
+                peak.fetch_max(active.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                active.fetch_sub(1, Ordering::SeqCst);
+                assert!(i != 2, "measurement {i} panics");
+                Ok(RunResult {
+                    checksum: 1.0,
+                    time_s: 0.001,
+                    gflops: 1.0,
+                })
+            };
+            SweepJob {
+                work: JobWork::InProcess { run: Box::new(run) },
+                ..vm_job(&format!("m{i}"), 1.0)
+            }
+        })
+        .collect();
+    let cfg = SweepConfig {
+        jobs: 4,
+        ..SweepConfig::default()
+    };
+    let dir = tmp_dir("one-lock");
+    let outcomes = run_sweep(jobs, &test_runner(dir.clone()), &cfg);
+    assert_eq!(peak.load(Ordering::SeqCst), 1, "two measured runs overlapped");
+    assert_eq!(outcomes.len(), 6);
+    for (i, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.result.is_ok(), i != 2, "{}: {:?}", o.id, o.result);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

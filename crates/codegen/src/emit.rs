@@ -249,23 +249,9 @@ impl Emitter<'_> {
     }
 
     fn lin(&self, e: &LinExpr) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for &(v, c) in &e.var_coeffs {
-            parts.push(coef_term(c, &self.var_name(v), parts.is_empty()));
-        }
-        for &(p, c) in &e.param_coeffs {
-            parts.push(coef_term(c, &self.param_const(p), parts.is_empty()));
-        }
-        if e.c != 0 || parts.is_empty() {
-            if parts.is_empty() {
-                parts.push(format!("{}", e.c));
-            } else if e.c > 0 {
-                parts.push(format!(" + {}", e.c));
-            } else {
-                parts.push(format!(" - {}", -e.c));
-            }
-        }
-        parts.concat()
+        let vars = e.var_coeffs.iter().map(|&(v, c)| (c, self.var_name(v)));
+        let params = e.param_coeffs.iter().map(|&(p, c)| (c, self.param_const(p)));
+        affine(vars.chain(params), e.c)
     }
 
     fn bound(&self, b: &Bound, lower: bool) -> String {
@@ -460,22 +446,13 @@ impl Emitter<'_> {
 
     fn extent_expr(&self, row: &[i64]) -> String {
         let p = self.prog.scop.params.len();
-        let mut parts: Vec<String> = Vec::new();
-        for (k, &c) in row[..p].iter().enumerate() {
-            if c != 0 {
-                parts.push(coef_term(c, &self.param_const(k), parts.is_empty()));
-            }
-        }
-        if row[p] != 0 || parts.is_empty() {
-            if parts.is_empty() {
-                parts.push(format!("{}", row[p]));
-            } else if row[p] > 0 {
-                parts.push(format!(" + {}", row[p]));
-            } else {
-                parts.push(format!(" - {}", -row[p]));
-            }
-        }
-        format!("({})", parts.concat())
+        format!("({})", affine(self.param_terms(&row[..p]), row[p]))
+    }
+
+    /// The nonzero coefficients of `row`, one per parameter, with the
+    /// parameters' constant names.
+    fn param_terms<'a>(&'a self, row: &'a [i64]) -> impl Iterator<Item = (i64, String)> + 'a {
+        nonzero(row).map(|(k, c)| (c, self.param_const(k)))
     }
 
     fn node(&mut self, node: &Node) {
@@ -857,40 +834,38 @@ impl Emitter<'_> {
 
     fn subscript_row(&self, row: &[i64], d: usize) -> String {
         let p = self.prog.scop.params.len();
-        let mut parts: Vec<String> = Vec::new();
-        for (k, &c) in row[..d].iter().enumerate() {
-            if c != 0 {
-                parts.push(coef_term(c, &format!("x{k}"), parts.is_empty()));
-            }
-        }
-        for (k, &c) in row[d..d + p].iter().enumerate() {
-            if c != 0 {
-                parts.push(coef_term(c, &self.param_const(k), parts.is_empty()));
-            }
-        }
-        let cst = row[d + p];
-        if cst != 0 || parts.is_empty() {
-            if parts.is_empty() {
-                parts.push(format!("{cst}"));
-            } else if cst > 0 {
-                parts.push(format!(" + {cst}"));
-            } else {
-                parts.push(format!(" - {}", -cst));
-            }
-        }
-        format!("({})", parts.concat())
+        let dims = nonzero(&row[..d]).map(|(k, c)| (c, format!("x{k}")));
+        let terms = dims.chain(self.param_terms(&row[d..d + p]));
+        format!("({})", affine(terms, row[d + p]))
     }
 }
 
-fn coef_term(c: i64, name: &str, first: bool) -> String {
-    match (c, first) {
-        (1, true) => name.to_string(),
-        (-1, true) => format!("-{name}"),
-        (c, true) => format!("{c} * {name}"),
-        (1, false) => format!(" + {name}"),
-        (-1, false) => format!(" - {name}"),
-        (c, false) if c > 0 => format!(" + {c} * {name}"),
-        (c, false) => format!(" - {} * {name}", -c),
+/// The positions and values of `row`'s nonzero entries.
+fn nonzero(row: &[i64]) -> impl Iterator<Item = (usize, i64)> + '_ {
+    row.iter().enumerate().filter(|&(_, &c)| c != 0).map(|(k, &c)| (k, c))
+}
+
+/// Renders `Σ c·name + cst`, the one way every affine form is written: a
+/// unit coefficient is dropped, every term after the first joins with its
+/// sign, and the constant follows when it is nonzero or stands alone.
+fn affine(terms: impl IntoIterator<Item = (i64, String)>, cst: i64) -> String {
+    let mut out = String::new();
+    for (i, (c, name)) in terms.into_iter().enumerate() {
+        out += &match (c, i == 0) {
+            (1, true) => name,
+            (-1, true) => format!("-{name}"),
+            (c, true) => format!("{c} * {name}"),
+            (1, false) => format!(" + {name}"),
+            (-1, false) => format!(" - {name}"),
+            (c, false) if c > 0 => format!(" + {c} * {name}"),
+            (c, false) => format!(" - {} * {name}", -c),
+        };
+    }
+    match cst {
+        _ if out.is_empty() => cst.to_string(),
+        0 => out,
+        c if c > 0 => format!("{out} + {c}"),
+        c => format!("{out} - {}", -c),
     }
 }
 
