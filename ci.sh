@@ -131,8 +131,8 @@ read -r FB_R FB_P FB_W <<< "$(echo "$FALLBACKS" \
 JAMS=$(echo "$VERIFY_OUT" | grep '^jams: ') \
     || { echo "static audit printed no jam count"; exit 1; }
 echo "$JAMS"
-[ "${JAMS#jams: }" -ge 92 ] \
-    || { echo "fewer loops are jammed: $JAMS (committed: 92)"; exit 1; }
+[ "${JAMS#jams: }" -ge 94 ] \
+    || { echo "fewer loops are jammed: $JAMS (committed: 94)"; exit 1; }
 DEMOTED=$(echo "$VERIFY_OUT" | grep '^demoted: ') \
     || { echo "static audit printed no demotion count"; exit 1; }
 echo "$DEMOTED"
@@ -144,7 +144,8 @@ echo "$DEMOTED"
 # point-loop ordering that puts a tile's vector loop innermost
 # (`reordered`). The number
 # of statements `tile_nest` left under a loop that was not strip-mined must
-# not rise above the committed one (386 over the 25 kernels; 325 over the
+# not rise above the committed one (356 over the 25 kernels; 386 before a
+# nest tile_nest strip-mines nothing in was emitted untiled, 325 over the
 # paper's 22, 341 before the DL model declined nests, which it counts none
 # of, 459 before the sunk form) — lower it here when a change tiles more.
 TILING=$(echo "$VERIFY_OUT" | grep '^tiling: ') \
@@ -153,8 +154,19 @@ echo "$TILING"
 echo "$TILING" | grep -Eq \
     '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* declined [1-9][0-9]* reordered [1-9][0-9]* untiled-levels [0-9]+$' \
     || { echo "a tiling form, the decline decision or the point-loop order lost all its traffic"; exit 1; }
-[ "${TILING##* }" -le 386 ] \
-    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 386"; exit 1; }
+[ "${TILING##* }" -le 356 ] \
+    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 356"; exit 1; }
+# The next line counts the tiled nests per tile size the flow chose (16,
+# 32, 64) and the guard conjuncts guard separation took out of the emitted
+# trees: both 16 and 32 are still chosen somewhere (12 and 166 nests over
+# the 25 kernels), and no decided guard comes back (32).
+SIZES=$(echo "$VERIFY_OUT" | grep '^sizes: ') \
+    || { echo "static audit printed no tile-size census"; exit 1; }
+echo "$SIZES"
+echo "$SIZES" | grep -Eq '^sizes: 16 [1-9][0-9]* 32 [1-9][0-9]* 64 [0-9]+ guards-separated [0-9]+$' \
+    || { echo "a tile size lost all its traffic, or the size census is malformed: $SIZES"; exit 1; }
+[ "${SIZES##* }" -ge 32 ] \
+    || { echo "guards the bounds decide are tested again: guards-separated ${SIZES##* } < 32"; exit 1; }
 # At `mini` no row is a multiple of 4 KiB, so the audit above sees no
 # padded array. At `standard` these four kernels' 1024-wide rows run on
 # padded storage (`polymix-codegen`'s emitter), and the reduction

@@ -10,6 +10,8 @@
 //! * [`transforms`] — loop skewing, strip-mining, interchange and
 //!   rectangular band tiling (register tiling is a `jam` mark on a loop,
 //!   which the emitter realizes);
+//! * [`separate`] — guard separation: guards the loop bounds decide are
+//!   dropped, and a loop a guard splits is split at its threshold;
 //! * [`parallel`] — the doall / pipeline / reduction parallelism detector
 //!   of Sec. IV-A, driven by dependence vectors;
 //! * [`interp`] — a reference interpreter executing any program tree on
@@ -20,6 +22,7 @@
 pub mod interp;
 pub mod parallel;
 pub mod pretty;
+pub mod separate;
 pub mod transforms;
 pub mod tree;
 

@@ -435,8 +435,8 @@ pub struct Program {
 pub enum TileForm {
     /// No loop of the nest was strip-mined.
     None,
-    /// Not handed to the tiling stage: the DL model priced the tiled nest
-    /// less than 25 % below the untiled one (`TileReport::dl`).
+    /// Emitted untiled: no tree `tile_nest` built for the nest was priced
+    /// 25 % below the untiled one (`TileReport::dl`).
     Declined,
     /// Perfect chains strip-mined where they stand.
     Chains,
@@ -454,12 +454,18 @@ pub struct TileReport {
     /// Which form the nest took.
     pub form: TileForm,
     /// Statements of the nest `tile_nest` left with a loop around them
-    /// that was not strip-mined; 0 for a nest it was not handed.
+    /// that was not strip-mined; 0 for a nest emitted untiled.
     pub untiled: usize,
-    /// `(untiled, tiled)` DL costs per iteration the poly+AST flow
-    /// compared before deciding whether to tile the nest; `None` where
-    /// nothing was priced (the Pluto baseline tiles every band).
+    /// The DL prices per iteration of the trees the poly+AST flow
+    /// compared: the untiled nest's and the cheapest tiled one's; `None`
+    /// where nothing was priced (the Pluto baseline tiles every band).
     pub dl: Option<(f64, f64)>,
+    /// The tile size of the emitted tree's space levels; 0 for a nest
+    /// emitted untiled.
+    pub tile: i64,
+    /// Guard conjuncts the emitted tree no longer tests after guard
+    /// separation (`crate::separate`); the Pluto baseline never asks.
+    pub guards: usize,
     /// Whether some tile's point loops were put in vector order
     /// (`polymix_codegen::opt::order_point_loops`); the Pluto baseline
     /// never asks.

@@ -150,6 +150,9 @@ fn main() {
     // declined to tile, nests with reordered point loops, then untiled
     // statements.
     let mut tiling = [0usize; 6];
+    // Tiled nests per tile size (16, 32, 64), then guard conjuncts
+    // separation took out of the emitted trees.
+    let mut sizes = [0usize; 4];
     // Loops marked `jam: f`, and pipeline marks the flow demoted.
     let (mut jams, mut demoted) = (0usize, 0usize);
     let mut vm_proven = 0usize;
@@ -241,6 +244,10 @@ fn main() {
                 }
                 tiling[4] += usize::from(r.reordered);
                 tiling[5] += r.untiled;
+                if let Some(k) = [16, 32, 64].iter().position(|&t| t == r.tile) {
+                    sizes[k] += 1;
+                }
+                sizes[3] += r.guards;
             }
             // Certificate 3: protocol lint over the emitted source.
             let src = emit_source(&k, &prog, &params, 4, 1);
@@ -273,6 +280,8 @@ fn main() {
             "tiling: joint {joint} chains {chains} sunk {sunk} declined {declined} \
              reordered {reordered} untiled-levels {untiled}"
         );
+        let [s16, s32, s64, guards] = sizes;
+        println!("sizes: 16 {s16} 32 {s32} 64 {s64} guards-separated {guards}");
     }
     if failures > 0 {
         println!("verify: {failures} artifact(s) failed");

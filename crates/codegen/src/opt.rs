@@ -968,7 +968,8 @@ pub fn tile_nest(
         _ => TileForm::None,
     };
     let untiled = untiled_stmts(&tiled, &t.strips, false);
-    t.prog.tiling.push(TileReport { form, untiled, dl: None, reordered: false });
+    let tile = if form == TileForm::None { 0 } else { tile };
+    t.prog.tiling.push(TileReport { form, untiled, dl: None, reordered: false, tile, guards: 0 });
     tiled
 }
 
@@ -1484,7 +1485,7 @@ mod tiling_tests {
     fn a_doall_prefix_is_strip_mined_and_its_point_loop_sunk_into_each_child() {
         let scop = fused_gemm();
         let prog = tiled(&scop);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None, reordered: false }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Sunk, untiled: 1, dl: None, reordered: false, tile: 4, guards: 0 }]);
         let mut found = Vec::new();
         paths(&prog.body, &mut Vec::new(), &mut found);
         // Z: it { i { j } } — its own loop stays whole, a band of 2 is
@@ -1503,7 +1504,7 @@ mod tiling_tests {
     fn a_backward_dependence_between_children_keeps_the_shared_loop_whole() {
         let scop = backward_cross_child();
         let prog = tiled(&scop);
-        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false }]);
+        assert_eq!(prog.tiling, vec![TileReport { form: TileForm::Chains, untiled: 2, dl: None, reordered: false, tile: 4, guards: 0 }]);
         let Node::Loop(i) = &prog.body else { panic!("nest root is the shared loop") };
         assert_eq!((i.step, i.name.as_str()), (1, "c1"));
         let reference = original_program(&scop).expect("original program");

@@ -54,8 +54,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// reduction marker line reads `(reduced [..])`; gemver's poly+ast
 /// reduction runs as a region, and cholesky, trisolv, lu and trmm
 /// poly+ast, whose marks the emitter ran sequentially, are unmarked. A
-/// version-7 source is re-optimized likewise.
-pub const CACHE_VERSION: u32 = 8;
+/// version-7 source is re-optimized likewise. Version 9: poly+ast
+/// separates the guards its loop bounds decide and emits a nest it does
+/// not tile unskewed, so cholesky (split and jammed), jacobi-1d-imper,
+/// trisolv, symm, lu and gramschmidt are served other sources for
+/// unchanged requests; a version-8 source is re-optimized likewise.
+pub const CACHE_VERSION: u32 = 9;
 
 /// Header magic; anything else in position one is `NotAnEntry`.
 const MAGIC: &str = "polymix-cache";

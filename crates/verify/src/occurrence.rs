@@ -12,7 +12,7 @@
 //! whose value is a floor of a point variable) stay unsolved and are
 //! handled conservatively by the walker.
 
-use polymix_ast::tree::{LinExpr, Node, Par, Program};
+use polymix_ast::tree::{LinExpr, Loop, Node, Par, Program};
 use std::collections::HashMap;
 
 /// Identity and shape of one loop on a root path.
@@ -31,6 +31,11 @@ pub(crate) struct LoopMeta {
     pub par: Par,
     /// Unroll-and-jam factor (1: none).
     pub jam: i64,
+    /// The loop's bounds as `expr ≥ 0` rows over AST variables
+    /// (`d·var - lo ≥ 0`, `hi - d·var ≥ 0`): which instances a copy of a
+    /// statement under it runs, when a split loop left several (empty in
+    /// a program where every statement occurs once).
+    pub range: Vec<LinExpr>,
     /// Variables of the enclosing loops that clamp this one to one of
     /// their tiles (`Loop::clamped_by`): how the walker picks the proxy
     /// row for an unsolvable tile level. A loop whose bounds merely
@@ -60,6 +65,10 @@ pub(crate) enum PStep {
 pub(crate) struct Occurrence {
     /// Index into `scop.statements`.
     pub stmt: usize,
+    /// Whether the statement has other occurrences: then each runs only
+    /// the instances its loops' ranges admit (guard separation splits a
+    /// loop into pieces that share their body).
+    pub copied: bool,
     pub path: Vec<PStep>,
     pub iter_exprs: Vec<LinExpr>,
     /// AST var -> statement-local affine row `[x_0..x_{dim-1} | params | 1]`
@@ -83,14 +92,32 @@ pub(crate) fn collect(prog: &Program, n_params: usize) -> Vec<Occurrence> {
     let mut out = Vec::new();
     let mut path = Vec::new();
     let mut next_id = 0usize;
-    walk(&prog.body, &mut path, &mut next_id, &mut out);
+    // Loop ranges are kept only where some statement has several copies.
+    let mut seen = Vec::new();
+    let mut copies = false;
+    prog.body.visit_stmts(&mut |s| {
+        copies |= seen.contains(&s.stmt_idx);
+        seen.push(s.stmt_idx);
+    });
+    walk(&prog.body, copies, &mut path, &mut next_id, &mut out);
+    let stmts: Vec<usize> = out.iter().map(|o| o.stmt).collect();
     for occ in &mut out {
         occ.solved = solve(&occ.iter_exprs, n_params);
+        occ.copied = stmts.iter().filter(|&&s| s == occ.stmt).count() > 1;
     }
     out
 }
 
-fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<Occurrence>) {
+/// The bounds of `l` as `expr ≥ 0` rows: `d·var - e` for each lower bound
+/// `e / d`, `e - d·var` for each upper one.
+fn range(l: &Loop) -> Vec<LinExpr> {
+    let var = LinExpr::var(l.var);
+    let lower = l.lo.exprs.iter().map(|be| var.scale(be.denom).add_scaled(&be.expr, -1));
+    let upper = l.hi.exprs.iter().map(|be| be.expr.add_scaled(&var, -be.denom));
+    lower.chain(upper).collect()
+}
+
+fn walk(node: &Node, copies: bool, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<Occurrence>) {
     match node {
         Node::Seq(xs) => {
             let id = *next_id;
@@ -109,7 +136,7 @@ fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<O
                     child,
                     loop_sib,
                 });
-                walk(x, path, next_id, out);
+                walk(x, copies, path, next_id, out);
                 path.pop();
             }
         }
@@ -130,21 +157,23 @@ fn walk(node: &Node, path: &mut Vec<PStep>, next_id: &mut usize, out: &mut Vec<O
                 step: l.step.max(1),
                 par: l.par.clone(),
                 jam: l.jam,
+                range: if copies { range(l) } else { Vec::new() },
                 clamped_by,
             }));
-            walk(&l.body, path, next_id, out);
+            walk(&l.body, copies, path, next_id, out);
             path.pop();
         }
         Node::Guard(exprs, body) => {
             path.push(PStep::Guard {
                 exprs: exprs.clone(),
             });
-            walk(body, path, next_id, out);
+            walk(body, copies, path, next_id, out);
             path.pop();
         }
         Node::Stmt(s) => {
             out.push(Occurrence {
                 stmt: s.stmt_idx,
+                copied: false,
                 path: path.clone(),
                 iter_exprs: s.iter_exprs.clone(),
                 solved: HashMap::new(),

@@ -143,42 +143,45 @@ impl<'a> PairWalk<'a> {
         }
     }
 
-    /// Intersects the guards found along both paths into the remainder:
-    /// real executions satisfy them, so this only sharpens the model.
+    /// Intersects the guards found along both paths into the remainder,
+    /// and, for a statement with several occurrences, the ranges of the
+    /// loops above each: real executions satisfy them, so this only
+    /// sharpens the model. A row over a variable with no affine inverse
+    /// (a tile controller) is skipped.
     fn apply_guards(&mut self) {
         for (occ, src_side) in [(self.occ_s, true), (self.occ_d, false)] {
-            for step in &occ.path {
-                let PStep::Guard { exprs } = step else {
-                    continue;
-                };
-                'expr: for e in exprs {
-                    let dim = occ.iter_exprs.len();
-                    let np = self.scop.n_params();
-                    let mut local = vec![0i64; dim + np + 1];
-                    for &(v, c) in &e.var_coeffs {
-                        if c == 0 {
-                            continue;
-                        }
-                        let Some(sr) = occ.solved.get(&v) else {
-                            continue 'expr; // unsolvable var: skip this expr
-                        };
-                        for (j, &x) in sr.iter().enumerate() {
-                            local[j] += c * x;
-                        }
+            let rows = occ.path.iter().flat_map(|step| match step {
+                PStep::Guard { exprs } => &exprs[..],
+                PStep::Loop(l) if occ.copied => &l.range[..],
+                _ => &[],
+            });
+            'expr: for e in rows {
+                let dim = occ.iter_exprs.len();
+                let np = self.scop.n_params();
+                let mut local = vec![0i64; dim + np + 1];
+                for &(v, c) in &e.var_coeffs {
+                    if c == 0 {
+                        continue;
                     }
-                    for &(p, c) in &e.param_coeffs {
-                        if p < np {
-                            local[dim + p] += c;
-                        }
-                    }
-                    local[dim + np] += e.c;
-                    let lifted = if src_side {
-                        self.dep.lift_src_row(&local)
-                    } else {
-                        self.dep.lift_dst_row(&local)
+                    let Some(sr) = occ.solved.get(&v) else {
+                        continue 'expr; // unsolvable var: skip this expr
                     };
-                    self.remaining.add(Constraint::ge(lifted));
+                    for (j, &x) in sr.iter().enumerate() {
+                        local[j] += c * x;
+                    }
                 }
+                for &(p, c) in &e.param_coeffs {
+                    if p < np {
+                        local[dim + p] += c;
+                    }
+                }
+                local[dim + np] += e.c;
+                let lifted = if src_side {
+                    self.dep.lift_src_row(&local)
+                } else {
+                    self.dep.lift_dst_row(&local)
+                };
+                self.remaining.add(Constraint::ge(lifted));
             }
         }
     }

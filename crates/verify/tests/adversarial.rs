@@ -506,3 +506,69 @@ fn a_forged_chain_jam_of_adi_s_time_loop_is_rejected() {
     assert_eq!(jams(&prog), [("c1".to_string(), 4)]);
     assert_rejects(&prog, ViolationKind::JamUnsafe, "adi c1 jammed by 4");
 }
+
+/// The children of the one nest's root loop, as the poly+AST flow emits
+/// cholesky (`S0; c2: S1; c2: S3, k: S4; S2; c2: S5`) and lu (`c2: S1;
+/// c2: S0`).
+fn root_body(prog: &mut Program) -> &mut Vec<Node> {
+    let Node::Loop(l) = &mut prog.body else { panic!("one nest") };
+    let Node::Seq(xs) = &mut l.body else { panic!("a sequence under c1") };
+    xs
+}
+
+/// Guard separation splits lu's fused `c2` at `c1` into the piece of the
+/// `S1` updates and that of the `S0` divisions, which read what the
+/// updates of the same `c1` wrote: forged into reverse order, the pieces
+/// are rejected. cholesky's two pieces under one `c1` share no dependence
+/// (`S1` updates `tmpd`, `S3` and `S4` write `tmpo`, all read `A` only),
+/// so their order is free and the reversed tree certifies; moving the
+/// `S1` piece after `S2`, which reads `tmpd`, is rejected.
+#[test]
+fn split_pieces_forged_into_another_order_are_rejected_where_a_dependence_crosses() {
+    let build = |name: &str| {
+        let k = kernel_by_name(name).expect("kernel");
+        optimize_poly_ast(&(k.build)(), &PolyAstOptions::default()).expect("optimize")
+    };
+    let mut lu = build("lu");
+    assert!(verify_program(&lu).is_certified());
+    root_body(&mut lu).swap(0, 1);
+    assert_rejects(&lu, ViolationKind::IllegalOrder, "lu's c2 pieces reversed");
+    let cholesky = build("cholesky");
+    assert_eq!(jams(&cholesky), [("c2".to_string(), 4)]);
+    let mut reversed = cholesky.clone();
+    root_body(&mut reversed).swap(1, 2);
+    let cert = verify_program(&reversed);
+    assert!(cert.is_certified(), "{:?}", cert.violations);
+    let mut late = cholesky;
+    root_body(&mut late).swap(1, 3);
+    assert_rejects(&late, ViolationKind::IllegalOrder, "cholesky's S1 piece after S2");
+}
+
+/// Before guard separation, cholesky's fused `c2` runs `S3` and the `k`
+/// loop of `S4` under a guard `c2 ≥ ..` and `S1` under `c2 ≤ ..`. The
+/// selection refuses to jam it: the replicas of a jammed loop must run the
+/// same inner iterations, so no guard or bound below it may mention it.
+#[test]
+fn a_jam_of_cholesky_s_unsplit_c2_is_refused() {
+    use polymix_codegen::opt::{jam_nest, loop_levels, nest_infos};
+    fn mentioned(node: &Node, var: usize) -> bool {
+        match node {
+            Node::Seq(xs) => xs.iter().any(|x| mentioned(x, var)),
+            Node::Guard(gs, b) => gs.iter().any(|g| g.coeff_of(var) != 0) || mentioned(b, var),
+            Node::Loop(l) => mentioned(&l.body, var),
+            Node::Stmt(_) => false,
+        }
+    }
+    let k = kernel_by_name("cholesky").expect("kernel");
+    let scop = (k.build)();
+    let schedules = polymix_core::affine_stage(&scop, &polymix_dl::Machine::nehalem()).expect("affine stage");
+    let prog = polymix_codegen::generate(&scop, &schedules).expect("generate");
+    let mut guarded = false;
+    prog.body.visit_loops(&mut |l| guarded |= l.name == "c2" && mentioned(&l.body, l.var));
+    assert!(guarded, "a guard below c2 mentions it");
+    let podg = polymix_deps::build_podg(&scop);
+    let [info] = &nest_infos(&scop, &schedules, &podg, &prog)[..] else { panic!("one nest") };
+    let mut selected = prog.body.clone();
+    jam_nest(&scop, &mut selected, &info.deps, &loop_levels(&prog.body), 4);
+    assert_eq!(jams(&prog.with_body(selected)), []);
+}

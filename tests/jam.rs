@@ -44,7 +44,8 @@ fn jammed() -> &'static [Jammed] {
 
 /// The census of EXPERIMENTS "Breaking the add chain", "Register tiling
 /// is one mark" and "The register tile is chosen": poly+AST jams the loop
-/// whose write an add chain (atax, bicg, gesummv, mvt) or a gather (syrk,
+/// whose write an add chain (atax, bicg, gesummv, mvt, cholesky's `tmpo`
+/// update, once guard separation has split its `c2`) or a gather (syrk,
 /// syr2k) leaves fixed, by the power of two that fits the FP add latency
 /// (4) with the statements under the innermost loop, and trisolv's
 /// triangular inner loop refuses a jam of `c1`. Where neither binds, it
@@ -115,6 +116,10 @@ fn jam_census() {
             "bicg poly+ast c1 2",
             "bicg poly+ast(doall) c1 2",
             "cholesky pocc+vect c3 2",
+            // Guard separation splits the fused nest's c2 at c1: the piece of
+            // S3 and S4's k loop holds no guard, and its chain jams c2 by 4.
+            "cholesky poly+ast c2 4",
+            "cholesky poly+ast(doall) c2 4",
             "correlation pocc+vect c2 2",
             "correlation pocc+vect c1 2",
             "correlation pocc+vect c2 2",
