@@ -210,8 +210,14 @@ pub fn build_candidate(
 
 /// Enumerates the full candidate space for a kernel group. Deterministic
 /// order: the search (and therefore the resume log) depends on it.
+///
+/// poly+AST chooses the tile of every nest without a time loop itself,
+/// from the sizes up to its `tile` (`polymix_core::flow`, DESIGN §19), so
+/// outside the pipeline group its families take one tile, the largest,
+/// and the search does not decide that size a second time. The pipeline
+/// group's stencil nests take the caller's sizes, and keep all three.
 pub fn candidate_space(group: Group) -> Vec<Candidate> {
-    let tiles: &[i64] = &[16, 32, 64];
+    let all_tiles: &[i64] = &[16, 32, 64];
     let time_tiles: &[i64] = if group == Group::Pipeline {
         &[4, 5, 8]
     } else {
@@ -220,6 +226,12 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
     let unrolls: &[(i64, i64)] = &[(1, 1), (2, 2)];
     let mut out = Vec::new();
     for opt in OptFamily::all() {
+        let poly_ast = matches!(opt, OptFamily::PolyAstFuse | OptFamily::PolyAstNoFuse);
+        let tiles = if poly_ast && group != Group::Pipeline {
+            &all_tiles[2..]
+        } else {
+            all_tiles
+        };
         for &tile in tiles {
             let tts: Vec<i64> = if time_tiles.is_empty() {
                 vec![tile]
@@ -880,10 +892,22 @@ mod tests {
         let a = candidate_space(Group::Doall);
         let b = candidate_space(Group::Doall);
         assert_eq!(a, b, "enumeration must be stable for the resume log");
-        // 5 families x 3 tiles x 2 unrolls; pipeline-group spaces add
-        // 3 time tiles.
+        // 3 Pluto families x 3 tiles x 2 unrolls, and 2 poly+AST
+        // families x 1 tile x 2 unrolls; pipeline-group spaces give
+        // poly+AST all 3 tiles and add 3 time tiles.
         let p = candidate_space(Group::Pipeline);
-        assert_eq!((a.len(), p.len()), (30, 90));
+        assert_eq!((a.len(), p.len()), (22, 90));
+        let poly_ast_tiles = |space: &[Candidate]| {
+            let mut t: Vec<i64> = space
+                .iter()
+                .filter(|c| matches!(c.opt, OptFamily::PolyAstFuse | OptFamily::PolyAstNoFuse))
+                .map(|c| c.tile)
+                .collect();
+            t.sort();
+            t.dedup();
+            t
+        };
+        assert_eq!((poly_ast_tiles(&a), poly_ast_tiles(&p)), (vec![64], vec![16, 32, 64]));
         // Every candidate is a distinct program: unique ids and unique
         // (opt, tile, time_tile, unroll) tuples.
         for space in [&a, &p] {
