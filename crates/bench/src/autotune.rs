@@ -43,25 +43,20 @@
 //!    cross-satisfy each other on resume.
 //!
 //! The winner — minimum wall time among healthy (non-degraded,
-//! non-error) *rustc* cells — is committed as a one-line JSON config
-//! (`results/tuned/<kernel>.json`) that `table1 --tuned` and future
-//! sweeps can load. A winner that fails to beat the measured native
-//! baseline is marked `beats_native: 0`, and
-//! [`TunedConfig::save_guarded`] refuses to overwrite a beating config
-//! with a losing one.
+//! non-error) *rustc* cells — is returned as a [`TunedConfig`] and
+//! stored nowhere, like the paper's iterative column: the `tune` binary
+//! prints it, and the JSONL log is what makes a search resumable.
 
 use crate::backend::vm_measure;
 use crate::runner::Runner;
-use crate::sweep::{self, run_sweep, rustc_work, JobOutcome, JobWork, SweepConfig, SweepJob};
-use crate::variants::{build_variant, Variant};
+use crate::sweep::{run_sweep, rustc_work, JobOutcome, JobWork, SweepConfig, SweepJob};
+use crate::variants::{build_variant, build_with, Variant};
 use polymix_ast::tree::{Node, Par, Program};
 use polymix_cachesim::{batch_weighted_cost, CacheConfig};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_ir::error::PolymixError;
-use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::{kernel_by_name, Group, Kernel};
-use std::path::{Path, PathBuf};
 
 /// Candidates costing more than this factor times the cheapest
 /// simulated candidate are pruned before compilation.
@@ -121,7 +116,7 @@ impl OptFamily {
         ]
     }
 
-    /// Stable config-file name.
+    /// Stable name: the sweep variant and part of every job id.
     pub fn name(self) -> &'static str {
         match self {
             OptFamily::PolyAstFuse => "polyast-fuse",
@@ -130,11 +125,6 @@ impl OptFamily {
             OptFamily::PlutoMaxFuse => "pluto-maxfuse",
             OptFamily::PlutoNoFuse => "pluto-nofuse",
         }
-    }
-
-    /// Inverse of [`OptFamily::name`].
-    pub fn parse(s: &str) -> Option<OptFamily> {
-        OptFamily::all().into_iter().find(|o| o.name() == s)
     }
 }
 
@@ -168,44 +158,36 @@ impl Candidate {
     }
 }
 
-/// Builds the transformed program for one candidate.
+/// Builds the transformed program for one candidate: through
+/// [`build_with`] at the candidate's knobs, except for poly+AST without
+/// fusion, which is no [`Variant`].
 pub fn build_candidate(
     kernel: &Kernel,
     c: &Candidate,
     machine: &Machine,
 ) -> Result<Program, PolymixError> {
     let scop = (kernel.build)();
-    match c.opt {
-        OptFamily::PolyAstFuse | OptFamily::PolyAstNoFuse => optimize_poly_ast(
-            &scop,
-            &PolyAstOptions {
-                machine: machine.clone(),
-                tile: c.tile,
-                time_tile: c.time_tile,
-                tiling: true,
-                doall_only: false,
-                unroll: c.unroll,
-                fusion: c.opt == OptFamily::PolyAstFuse,
-            },
-        ),
-        OptFamily::PlutoPocc | OptFamily::PlutoMaxFuse | OptFamily::PlutoNoFuse => {
-            let pv = match c.opt {
-                OptFamily::PlutoMaxFuse => PlutoVariant::MaxFuse,
-                OptFamily::PlutoNoFuse => PlutoVariant::NoFuse,
-                _ => PlutoVariant::Pocc,
-            };
-            optimize_pluto(
+    let variant = match c.opt {
+        OptFamily::PolyAstFuse => Variant::PolyAst,
+        OptFamily::PlutoPocc => Variant::Pocc,
+        OptFamily::PlutoMaxFuse => Variant::PlutoMaxFuse,
+        OptFamily::PlutoNoFuse => Variant::IterativeNo,
+        OptFamily::PolyAstNoFuse => {
+            return optimize_poly_ast(
                 &scop,
-                &PlutoOptions {
-                    variant: pv,
+                &PolyAstOptions {
+                    machine: machine.clone(),
                     tile: c.tile,
                     time_tile: c.time_tile,
                     tiling: true,
+                    doall_only: false,
                     unroll: c.unroll,
+                    fusion: false,
                 },
             )
         }
-    }
+    };
+    build_with(&scop, variant, c.tile, c.time_tile, c.unroll, machine)
 }
 
 /// Enumerates the full candidate space for a kernel group. Deterministic
@@ -317,9 +299,7 @@ pub fn score(f: &Features, min_cost: f64) -> f64 {
         + 0.10 * f.tile_fit
 }
 
-/// A committed tuned configuration: the winning candidate plus its
-/// measurement, serialized as one flat JSON line (the schema is
-/// documented in EXPERIMENTS.md).
+/// A search's winner: the winning candidate plus its measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TunedConfig {
     /// Kernel name.
@@ -336,115 +316,14 @@ pub struct TunedConfig {
     pub gflops: f64,
     /// Native-baseline wall time from the same search, seconds.
     pub native_time_s: f64,
-    /// `native_time_s / time_s`.
+    /// `native_time_s / time_s`; below 1 the winner lost to native.
     pub speedup_vs_native: f64,
-    /// Whether the winner actually beat the measured native baseline.
-    /// A losing config is still recorded (the search's honest answer)
-    /// but marked, and [`TunedConfig::save_guarded`] will never replace
-    /// a beating config with it.
-    pub beats_native: bool,
-}
-
-impl TunedConfig {
-    /// One-line JSON.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kernel\":\"{}\",\"dataset\":\"{}\",\"threads\":{},\"opt\":\"{}\",\
-             \"tile\":{},\"time_tile\":{},\"unroll\":[{},{}],\
-             \"time_s\":{:e},\"gflops\":{:e},\"native_time_s\":{:e},\
-             \"speedup_vs_native\":{:e},\"beats_native\":{}}}",
-            sweep::json_escape(&self.kernel),
-            sweep::json_escape(&self.dataset),
-            self.threads,
-            self.candidate.opt.name(),
-            self.candidate.tile,
-            self.candidate.time_tile,
-            self.candidate.unroll.0,
-            self.candidate.unroll.1,
-            self.time_s,
-            self.gflops,
-            self.native_time_s,
-            self.speedup_vs_native,
-            u8::from(self.beats_native),
-        )
-    }
-
-    /// Parses [`TunedConfig::to_json`] output; `None` on any violation.
-    /// Unknown keys — the retired `taskgraph`, `pool`, `pipeline_batch`
-    /// and `dyn_grain` of older files — are ignored.
-    pub fn from_json(line: &str) -> Option<TunedConfig> {
-        let rec = sweep::parse_record(line)?;
-        let unroll = rec.arr_field("unroll")?;
-        if unroll.len() != 2 {
-            return None;
-        }
-        let candidate = Candidate {
-            opt: OptFamily::parse(rec.str_field("opt")?)?,
-            tile: rec.num_field("tile")? as i64,
-            time_tile: rec.num_field("time_tile")? as i64,
-            unroll: (unroll[0] as i64, unroll[1] as i64),
-        };
-        let speedup_vs_native = rec.num_field("speedup_vs_native")?;
-        Some(TunedConfig {
-            kernel: rec.str_field("kernel")?.to_string(),
-            dataset: rec.str_field("dataset")?.to_string(),
-            threads: rec.num_field("threads")? as usize,
-            candidate,
-            time_s: rec.num_field("time_s")?,
-            gflops: rec.num_field("gflops")?,
-            native_time_s: rec.num_field("native_time_s")?,
-            speedup_vs_native,
-            // Configs written before the marker existed derive it from
-            // the recorded speedup.
-            beats_native: rec
-                .num_field("beats_native")
-                .map(|v| v == 1.0)
-                .unwrap_or(speedup_vs_native >= 1.0),
-        })
-    }
-
-    /// Writes the config (one line + newline) to `path`, creating parent
-    /// directories.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, format!("{}\n", self.to_json()))
-    }
-
-    /// Loads a config written by [`TunedConfig::save`].
-    pub fn load(path: &Path) -> Option<TunedConfig> {
-        let text = std::fs::read_to_string(path).ok()?;
-        TunedConfig::from_json(text.lines().next()?)
-    }
-
-    /// The regression guard on the committed-config directory: a config
-    /// that beats native always commits, but a *losing* config never
-    /// replaces one that beats native — a tuned sweep loading the file
-    /// would silently regress below the untransformed baseline. Returns
-    /// whether the config was written.
-    pub fn save_guarded(&self, path: &Path) -> std::io::Result<bool> {
-        if !self.beats_native {
-            if let Some(existing) = TunedConfig::load(path) {
-                if existing.beats_native {
-                    return Ok(false);
-                }
-            }
-        }
-        self.save(path)?;
-        Ok(true)
-    }
-}
-
-/// Conventional location of a kernel's committed tuned config.
-pub fn default_tuned_path(kernel: &str) -> PathBuf {
-    PathBuf::from("results/tuned").join(format!("{kernel}.json"))
 }
 
 /// What a search did, for reporting and tests.
 #[derive(Clone, Debug)]
 pub struct TuneOutcome {
-    /// The committed winner.
+    /// The winner.
     pub config: TunedConfig,
     /// Candidate cells measured fresh this invocation (excludes the
     /// native baseline).
@@ -511,9 +390,7 @@ fn distinct_prefix(ranked: &[usize], progs: &[Option<Program>], budget: usize) -
     out
 }
 
-/// Runs the budgeted search for one kernel and returns the winner
-/// (without writing it anywhere; callers commit via
-/// [`TunedConfig::save`]).
+/// Runs the budgeted search for one kernel and returns the winner.
 ///
 /// Deterministic given a fixed results log: candidate enumeration,
 /// pruning and ranking depend only on the simulated model, and measured
@@ -716,7 +593,6 @@ pub fn autotune_kernel(
             gflops: wr.gflops,
             native_time_s: native.time_s,
             speedup_vs_native,
-            beats_native: speedup_vs_native >= 1.0,
         },
         measured,
         resumed,
@@ -765,126 +641,6 @@ mod tests {
         assert_eq!(confirm_set(&no_model, 5), vec![0, 1, 2, 3]);
         assert_eq!(confirm_set(&[], 3), vec![0, 1, 2]);
         assert_eq!(confirm_set(&[(0, 1.0)], 1), vec![0]);
-    }
-
-    #[test]
-    fn tuned_config_json_roundtrip() {
-        let cfg = TunedConfig {
-            kernel: "gemm".into(),
-            dataset: "small".into(),
-            threads: 8,
-            candidate: sample_candidate(),
-            time_s: 0.0042,
-            gflops: 21.5,
-            native_time_s: 0.02,
-            speedup_vs_native: 4.76,
-            beats_native: true,
-        };
-        let line = cfg.to_json();
-        let back = TunedConfig::from_json(&line).expect("parses");
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn tuned_config_save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("polymix-tuned-{}", std::process::id()));
-        let path = dir.join("gemm.json");
-        let cfg = TunedConfig {
-            kernel: "gemm".into(),
-            dataset: "small".into(),
-            threads: 4,
-            candidate: sample_candidate(),
-            time_s: 0.001,
-            gflops: 10.0,
-            native_time_s: 0.004,
-            speedup_vs_native: 4.0,
-            beats_native: true,
-        };
-        cfg.save(&path).expect("save creates parents");
-        assert_eq!(TunedConfig::load(&path), Some(cfg));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Regression (the shipped jacobi-2d config once recorded a 0.34×
-    /// "winner"): a losing config must not replace a committed config
-    /// that beats native, while losing-over-losing and
-    /// beating-over-anything still commit.
-    #[test]
-    fn save_guarded_refuses_to_regress_a_beating_config() {
-        let dir = std::env::temp_dir().join(format!("polymix-guard-{}", std::process::id()));
-        let path = dir.join("gemm.json");
-        let winning = TunedConfig {
-            kernel: "gemm".into(),
-            dataset: "small".into(),
-            threads: 4,
-            candidate: sample_candidate(),
-            time_s: 0.001,
-            gflops: 10.0,
-            native_time_s: 0.004,
-            speedup_vs_native: 4.0,
-            beats_native: true,
-        };
-        let losing = TunedConfig {
-            time_s: 0.012,
-            gflops: 0.8,
-            speedup_vs_native: 0.34,
-            beats_native: false,
-            ..winning.clone()
-        };
-        // A losing config commits onto an empty slot (marked, not hidden).
-        assert!(losing.save_guarded(&path).expect("io"));
-        assert_eq!(TunedConfig::load(&path), Some(losing.clone()));
-        // A beating config replaces it.
-        assert!(winning.save_guarded(&path).expect("io"));
-        assert_eq!(TunedConfig::load(&path), Some(winning.clone()));
-        // The losing config must now be refused.
-        assert!(!losing.save_guarded(&path).expect("io"));
-        assert_eq!(TunedConfig::load(&path), Some(winning));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Pre-marker config lines (no `beats_native` key) derive the flag
-    /// from the recorded speedup, and the retired `taskgraph`, `pool`,
-    /// `pipeline_batch` and `dyn_grain` keys of older files are ignored.
-    #[test]
-    fn legacy_configs_derive_beats_native_from_speedup() {
-        let cfg = TunedConfig {
-            kernel: "gemm".into(),
-            dataset: "small".into(),
-            threads: 4,
-            candidate: sample_candidate(),
-            time_s: 0.001,
-            gflops: 10.0,
-            native_time_s: 0.004,
-            speedup_vs_native: 0.34,
-            beats_native: false,
-        };
-        let line = cfg.to_json().replace(",\"beats_native\":0", "");
-        let back = TunedConfig::from_json(&line).expect("parses");
-        assert!(!back.beats_native, "0.34x must derive as losing");
-        let line2 = cfg
-            .to_json()
-            .replace(",\"beats_native\":0", "")
-            .replace("\"speedup_vs_native\":3.4e-1", "\"speedup_vs_native\":2.5e0");
-        let back2 = TunedConfig::from_json(&line2).expect("parses");
-        assert!(back2.beats_native, "2.5x must derive as beating");
-        let line3 = cfg
-            .to_json()
-            .replace(",\"time_s\"", ",\"taskgraph\":0,\"pool\":\"auto\",\"time_s\"");
-        assert!(line3.contains("\"taskgraph\":0,\"pool\":\"auto\""), "{line3}");
-        assert_eq!(TunedConfig::from_json(&line3), Some(cfg.clone()));
-        let line4 = cfg
-            .to_json()
-            .replace("],\"time_s\"", "],\"pipeline_batch\":8,\"dyn_grain\":4,\"time_s\"");
-        assert!(line4.contains("\"pipeline_batch\":8,\"dyn_grain\":4"), "{line4}");
-        assert_eq!(TunedConfig::from_json(&line4), Some(cfg));
-        for committed in [
-            include_str!("../../../results/tuned/2mm.json"),
-            include_str!("../../../results/tuned/gemm.json"),
-            include_str!("../../../results/tuned/jacobi-2d-imper.json"),
-        ] {
-            assert!(TunedConfig::from_json(committed.trim_end()).is_some(), "{committed}");
-        }
     }
 
     #[test]
@@ -978,13 +734,5 @@ mod tests {
             ..cheap
         };
         assert!(score(&cheap, 100.0) < score(&synchronous, 100.0));
-    }
-
-    #[test]
-    fn opt_family_names_roundtrip() {
-        for o in OptFamily::all() {
-            assert_eq!(OptFamily::parse(o.name()), Some(o));
-        }
-        assert_eq!(OptFamily::parse("nonsense"), None);
     }
 }

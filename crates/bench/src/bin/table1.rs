@@ -4,7 +4,6 @@
 //! of Figs. 1–3.
 
 use polymix_ast::pretty::render;
-use polymix_bench::autotune::{build_candidate, default_tuned_path, TunedConfig};
 use polymix_bench::figures::{cell, print_grid, Grid};
 use polymix_bench::report::Table;
 use polymix_bench::variants::{build_variant, Variant};
@@ -13,7 +12,7 @@ use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let grid = Grid::new(&["--tuned", "--tuned-config"]);
+    let grid = Grid::new(&[]);
     let (cli, machine) = (&grid.cli, &grid.machine);
     let k = kernel_by_name("2mm").expect("2mm kernel");
     let scop = (k.build)();
@@ -64,46 +63,16 @@ fn main() {
     // Per-variant failures become `error(<stage>)` rows via the sweep
     // executor; the table still renders with every other variant
     // measured.
-    // `--tuned` appends a row measuring the committed autotuner config
-    // (written by the `tune` binary; `results/tuned/2mm.json` by
-    // default, overridable with `--tuned-config <path>`). Opt-in so the
-    // default table keeps exactly the paper's four variants.
-    let tuned: Option<TunedConfig> = if cli.has("--tuned") {
-        let path = cli
-            .value("--tuned-config")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| default_tuned_path("2mm"));
-        let loaded = TunedConfig::load(&path);
-        if loaded.is_none() {
-            eprintln!(
-                "--tuned: no parseable config at {} (run the `tune` binary first)",
-                path.display()
-            );
-        }
-        loaded
-    } else {
-        None
-    };
-
     let mut jobs = Vec::new();
     for &(_, variant) in &entries {
         let (kb, mb) = (k.clone(), machine.clone());
         let id = format!("table1:{}:{}", variant.name(), cli.dataset);
         jobs.push(grid.job(id, &k, variant.name(), move || build_variant(&kb, variant, &mb)));
     }
-    if let Some(tc) = &tuned {
-        let (kb, mb, cand) = (k.clone(), machine.clone(), tc.candidate);
-        // The candidate id keys the resume log, so a re-tuned config
-        // re-measures instead of replaying.
-        let id = format!("table1:tuned:{}:{}", cli.dataset, cand.id("2mm", &cli.dataset));
-        jobs.push(grid.job(id, &k, "tuned", move || build_candidate(&kb, &cand, &mb)));
-    }
     let outcomes = grid.run(jobs);
-    let mut labels: Vec<String> = entries.iter().map(|(label, _)| label.to_string()).collect();
-    labels.extend(tuned.map(|tc| format!("tuned ({})", tc.candidate.opt.name())));
     let mut t = Table::new(&["variant", "GFLOP/s"]);
-    for (i, label) in labels.into_iter().enumerate() {
-        t.row(vec![label, cell(outcomes.get(i))]);
+    for (i, (label, _)) in entries.iter().enumerate() {
+        t.row(vec![label.to_string(), cell(outcomes.get(i))]);
     }
     print_grid(&t, &outcomes);
     println!("paper (Nehalem): original 2.4, PoCC 14, our flow 19 GF/s");

@@ -6,10 +6,8 @@
 //! in-process bytecode backend (no `rustc` on the screening path; the vm
 //! runs every loop in schedule order, so the screen is a one-thread
 //! measurement whatever `--threads` says), then confirm the
-//! front-runners at full rustc fidelity with `--threads` workers and
-//! commit the winner as `results/tuned/<kernel>.json` — unless the committed
-//! config beats native and the new winner does not
-//! ([`polymix_bench::autotune::TunedConfig::save_guarded`]).
+//! front-runners at full rustc fidelity with `--threads` workers, and
+//! print the winner. Nothing is written but the `--results` log.
 //!
 //! ```text
 //! cargo run --release -p polymix-bench --bin tune -- \
@@ -18,8 +16,7 @@
 //!
 //! Flags beyond the shared sweep set ([`Cli`]): `--kernels` (comma
 //! list, default `2mm`), `--budget` (measured candidate cells per
-//! kernel, default 12), `--out` (config directory, default
-//! `results/tuned`). `--results <log>` makes an interrupted search
+//! kernel, default 12). `--results <log>` makes an interrupted search
 //! resumable: re-running with the same log re-measures nothing already
 //! recorded.
 
@@ -28,10 +25,9 @@ use polymix_bench::report::Cli;
 use polymix_bench::runner::Runner;
 use polymix_bench::sweep::SweepConfig;
 use polymix_dl::Machine;
-use std::path::PathBuf;
 
 fn main() {
-    let cli = Cli::parse(&["--kernels", "--budget", "--out"]);
+    let cli = Cli::parse(&["--kernels", "--budget"]);
     let kernels: Vec<String> = cli
         .value("--kernels")
         .unwrap_or("2mm")
@@ -43,7 +39,6 @@ fn main() {
         .value("--budget")
         .and_then(|s| s.parse().ok())
         .unwrap_or(12);
-    let out_dir = PathBuf::from(cli.value("--out").unwrap_or("results/tuned"));
 
     let machine = Machine::host();
     let runner = Runner::new(cli.threads);
@@ -79,25 +74,12 @@ fn main() {
                     c.gflops,
                     c.time_s,
                     c.speedup_vs_native,
-                    if c.beats_native {
-                        ""
-                    } else {
+                    if c.speedup_vs_native < 1.0 {
                         " [does NOT beat native]"
+                    } else {
+                        ""
                     }
                 );
-                let path = out_dir.join(format!("{kernel}.json"));
-                match c.save_guarded(&path) {
-                    Ok(true) => println!("  committed {}", path.display()),
-                    Ok(false) => println!(
-                        "  NOT committed: {} holds a config that beats native and this \
-                         winner does not",
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("  {kernel}: failed to write {}: {e}", path.display());
-                        failures += 1;
-                    }
-                }
             }
             Err(e) => {
                 eprintln!("  {kernel}: tuning failed: {e}");

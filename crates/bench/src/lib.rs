@@ -43,7 +43,7 @@ pub mod runner;
 pub mod sweep;
 pub mod variants;
 
-pub use autotune::{autotune_kernel, default_tuned_path, TuneOutcome, TunedConfig};
+pub use autotune::{autotune_kernel, TuneOutcome, TunedConfig};
 pub use report::Table;
 pub use runner::{compile_and_run, RunResult, Runner};
 pub use sweep::{run_sweep, JobOutcome, JobWork, SweepConfig, SweepJob};

@@ -98,7 +98,7 @@ pub struct Cli {
     pub retries: usize,
     /// JSONL results log path (`--results`); enables resume.
     pub results: Option<String>,
-    /// The arguments, for [`Cli::value`] and [`Cli::has`].
+    /// The arguments, for [`Cli::value`].
     args: Vec<String>,
 }
 
@@ -149,11 +149,6 @@ impl Cli {
     pub fn value(&self, key: &str) -> Option<&str> {
         value(&self.args, key)
     }
-
-    /// Whether the switch `key` was passed.
-    pub fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
-    }
 }
 
 #[cfg(test)]
@@ -191,22 +186,29 @@ mod tests {
             .err()
             .expect("--backend is refused");
         assert!(err.starts_with("unknown flag --backend"), "{err}");
-        assert!(
-            Cli::parse_args(&args("--tuned"), &[]).is_err(),
-            "own flags are declared"
-        );
-        let table1 = ["--tuned", "--tuned-config"];
-        let tune = ["--kernels", "--budget", "--out"];
+        let tune = ["--kernels", "--budget"];
         for (line, own) in [
-            ("--dataset mini --jobs 2 --run-timeout 120 --results r.jsonl", &table1[..]),
-            ("--dataset mini --jobs 2 --run-timeout 120 --tuned --tuned-config t/2mm.json", &table1),
+            ("--dataset mini --jobs 2 --run-timeout 120 --results r.jsonl", &[][..]),
             (
-                "--kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 --out t --results t.jsonl",
+                "--kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 --results t.jsonl",
                 &tune,
             ),
         ] {
             let cli = Cli::parse_args(&args(line), own).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", 2, 120));
+        }
+        let cli = Cli::parse_args(&args("--kernels gemm,2mm --budget 6"), &tune).expect("own flags");
+        assert_eq!(cli.value("--kernels"), Some("gemm,2mm"));
+        // The tuner's winner is printed, not stored: the flags that wrote
+        // and read a config file are refused like any other.
+        for (line, own) in [
+            ("--dataset mini --tuned", &[][..]),
+            ("--dataset mini --tuned-config x", &[]),
+            ("--kernels 2mm --out x", &tune),
+        ] {
+            let flag = line.split_whitespace().nth(2).unwrap_or_default();
+            let err = Cli::parse_args(&args(line), own).err().unwrap_or_else(|| panic!("{line} accepted"));
+            assert!(err.starts_with(&format!("unknown flag {flag} ")), "{err}");
         }
         let cli = Cli::parse_args(&args("--compile-timeout 9 --retries 0 --threads 5"), &[])
             .expect("shared flags");
@@ -217,15 +219,6 @@ mod tests {
             .err()
             .expect("--measure-jobs is refused");
         assert!(err.starts_with("unknown flag --measure-jobs"), "{err}");
-        let cli = Cli::parse_args(
-            &args("--kernels gemm,2mm --tuned"),
-            &["--kernels", "--tuned"],
-        )
-        .expect("own");
-        assert_eq!(
-            (cli.value("--kernels"), cli.has("--tuned"), cli.has("--out")),
-            (Some("gemm,2mm"), true, false)
-        );
     }
 
     #[test]

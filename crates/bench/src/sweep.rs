@@ -606,9 +606,8 @@ fn error_for_stage(stage: &str, kernel: String, variant: String, detail: String)
 /// A parsed flat JSON object (string keys; string / number / array
 /// values) — exactly the shape [`record_line`] emits. Hand-rolled
 /// because the workspace is offline and dependency-free by policy.
-/// Shared with [`crate::autotune`] (tuned-config files) and
-/// `polymix-service` (wire protocol and persistent cache entries), which
-/// use the same flat-object grammar.
+/// Shared with `polymix-service` (wire protocol and persistent cache
+/// entries), which uses the same flat-object grammar.
 pub struct Record {
     fields: Vec<(String, Value)>,
 }

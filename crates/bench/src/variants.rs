@@ -111,7 +111,8 @@ pub fn build_variant(
 
 /// The one mapping from a [`Variant`] to optimizer options, with the
 /// tile and unroll knobs explicit: [`build_variant`] passes the paper's
-/// defaults, the optimization service whatever the request resolved to.
+/// defaults, the tuner its candidate's, the optimization service whatever
+/// the request resolved to.
 pub fn build_with(
     scop: &Scop,
     variant: Variant,

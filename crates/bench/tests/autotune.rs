@@ -69,7 +69,7 @@ fn interrupted_search_resumes_without_remeasuring() {
     assert_eq!(first.resumed, 0);
 
     // Scenario 1: the tuner was killed *after* the last measurement but
-    // before committing the config (the log is complete). Re-running
+    // before printing the winner (the log is complete). Re-running
     // with the same log must re-measure nothing and reproduce the
     // configuration bit-for-bit — every value replays from the log.
     let second = autotune_kernel("gemm", "mini", BUDGET, &runner, &cfg_with_log(log.clone()), &machine)
@@ -81,8 +81,7 @@ fn interrupted_search_resumes_without_remeasuring() {
         "all cells (vm screens, baseline, confirmations) replay"
     );
     assert_eq!(
-        second.config.to_json(),
-        first.config.to_json(),
+        second.config, first.config,
         "resumed search must converge to the identical tuned config"
     );
 
@@ -101,8 +100,8 @@ fn interrupted_search_resumes_without_remeasuring() {
     assert_eq!(third.measured, 1, "only the lost cell is re-measured");
     assert_eq!(third.resumed, 2 * BUDGET, "every surviving record replays");
     // The re-measured cell gets fresh timing, so the winner may legally
-    // differ — but the search must still commit a complete, parseable
-    // config for the same kernel/dataset.
+    // differ — but the search must still return a complete winner for
+    // the same kernel/dataset.
     assert_eq!(third.config.kernel, "gemm");
     assert_eq!(third.config.dataset, "mini");
     assert!(third.config.time_s > 0.0 && third.config.native_time_s > 0.0);

@@ -925,8 +925,8 @@ fn permutable(deps: &[NestDep], stmts: &[usize], levels: Range<usize>) -> bool {
 ///    from a later child to an earlier one inside a tile, and when some
 ///    child reaches a band of depth 3 (see [`Tiler::distributes`]).
 ///
-/// Appends the nest's [`TileReport`] to `prog.tiling` and returns the
-/// tiled nest.
+/// Returns the tiled nest and its [`TileReport`], which the caller
+/// appends to `prog.tiling` once it has settled the nest.
 pub fn tile_nest(
     prog: &mut Program,
     nest: Node,
@@ -934,7 +934,7 @@ pub fn tile_nest(
     depth: usize,
     tile: i64,
     time_tile: i64,
-) -> Node {
+) -> (Node, TileReport) {
     let m = tilable_prefix(deps, &stmts_of(&nest), depth);
     // Try the joint (imperfect-capable) tiling at the full permutable
     // band first, then at shorter prefixes: a statement shallower than
@@ -969,8 +969,7 @@ pub fn tile_nest(
     };
     let untiled = untiled_stmts(&tiled, &t.strips, false);
     let tile = if form == TileForm::None { 0 } else { tile };
-    t.prog.tiling.push(TileReport { form, untiled, dl: None, reordered: false, tile, guards: 0 });
-    tiled
+    (tiled, TileReport { form, untiled, dl: None, reordered: false, tile, guards: 0 })
 }
 
 /// A point loop waiting to be placed: its header, and what a tile loop
@@ -1463,7 +1462,9 @@ mod tiling_tests {
         let info = nest_infos(scop, &schedules, &podg, &prog).remove(0);
         let mut nest = prog.body.clone();
         mark_parallelism(scop, &mut nest, &info.deps, info.depth, false);
-        prog.body = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4);
+        let (body, report) = tile_nest(&mut prog, nest, &info.deps, info.depth, 4, 4);
+        prog.body = body;
+        prog.tiling.push(report);
         prog
     }
 

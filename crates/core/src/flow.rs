@@ -104,22 +104,22 @@ pub fn optimize_poly_ast(scop: &Scop, opts: &PolyAstOptions) -> Result<Program, 
                 _ => (plain.clone(), info.deps.clone()),
             };
             // Stage 4: tiling for locality, where the DL model says it pays.
-            if info.depth < 2 {
-                let mut nest = tile_nest(prog, tilable, &deps, info.depth, opts.tile, opts.time_tile);
-                let reordered = order_point_loops(scop, &mut nest, &deps);
-                if let Some(report) = prog.tiling.last_mut() {
-                    report.reordered = reordered;
-                }
-                (nest, deps)
-            } else if let Some(tiled) = tile_where_it_pays(prog, scop, opts, &plain, (&tilable, &deps), info) {
-                (tiled, deps)
+            let (nest, deps, report) = if info.depth < 2 {
+                let (mut nest, mut report) = tile_nest(prog, tilable, &deps, info.depth, opts.tile, opts.time_tile);
+                report.reordered = order_point_loops(scop, &mut nest, &deps);
+                (nest, deps, report)
             } else {
-                let (untiled, guards) = separate_guards(plain, scop, prog.n_vars, true);
-                if let Some(report) = prog.tiling.last_mut() {
-                    report.guards = guards;
+                match tile_where_it_pays(prog, scop, opts, &plain, (&tilable, &deps), info) {
+                    (Some(tiled), report) => (tiled, deps, report),
+                    (None, mut report) => {
+                        let (untiled, guards) = separate_guards(plain, scop, prog.n_vars, true);
+                        report.guards = guards;
+                        (untiled, info.deps.clone(), report)
+                    }
                 }
-                (untiled, info.deps.clone())
-            }
+            };
+            prog.tiling.push(report);
+            (nest, deps)
         };
         // Stage 5: intra-tile optimizations (register tiling): the
         // requested factors, or the jams the machine's add latency asks
@@ -168,8 +168,8 @@ const TILES: [i64; 3] = [64, 32, 16];
 /// `untiled`, is priced by [`price`]. Guards do not enter a price, so only
 /// the tree that is emitted has its guards separated. Returns the cheapest
 /// tiled tree, separated, when it costs at most [`TILE_PAYS`] of the
-/// untiled one; `None` when `untiled` is to be emitted. Pushes the nest's
-/// [`TileReport`] either way, with the two prices.
+/// untiled one; `None` when `untiled` is to be emitted. Returns the nest's
+/// [`TileReport`] beside either, with the two prices.
 ///
 /// A nest whose outermost loop carries a dependence other than a
 /// reduction (a time loop) is tiled at the caller's sizes only, and
@@ -186,7 +186,7 @@ fn tile_where_it_pays(
     untiled: &Node,
     (tilable, deps): (&Node, &[NestDep]),
     info: &NestInfo,
-) -> Option<Node> {
+) -> (Option<Node>, TileReport) {
     let level = opts.machine.fusion_level();
     let n_vars = prog.n_vars;
     let time = info.deps.iter().any(|d| !d.reduction && !d.at(0).is_zero());
@@ -201,9 +201,11 @@ fn tile_where_it_pays(
     for size in std::iter::once(opts.tile).chain(smaller) {
         prog.n_vars = n_vars;
         let first = if time { opts.time_tile } else { opts.time_tile.min(size) };
-        let mut tree = tile_nest(prog, tilable.clone(), deps, info.depth, size, first);
+        let (mut tree, mut report) = tile_nest(prog, tilable.clone(), deps, info.depth, size, first);
         // A tree that strip-mines nothing is the untiled nest, skewed.
-        let Some(mut report) = prog.tiling.pop().filter(|r| r.form != TileForm::None) else { continue };
+        if report.form == TileForm::None {
+            continue;
+        }
         report.reordered = order_point_loops(scop, &mut tree, deps);
         let cost = boxed.map_or_else(|| price(scop, &tree, level), |(_, tiled)| tiled);
         if best.as_ref().is_none_or(|(c, ..)| cost < *c) {
@@ -217,20 +219,19 @@ fn tile_where_it_pays(
             let (tree, guards) = separate_guards(tree, scop, vars, false);
             report.dl = Some((plain, cost));
             report.guards = guards;
-            prog.tiling.push(report);
-            Some(tree)
+            (Some(tree), report)
         }
         best => {
             prog.n_vars = n_vars;
-            prog.tiling.push(TileReport {
+            let declined = TileReport {
                 form: TileForm::Declined,
                 untiled: 0,
                 dl: best.map(|(cost, ..)| (plain, cost)),
                 reordered: false,
                 tile: 0,
                 guards: 0,
-            });
-            None
+            };
+            (None, declined)
         }
     }
 }

@@ -79,7 +79,9 @@ pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, Polym
         let levels = loop_levels(&nest);
         // 2. Tiling.
         let tiled_band = if opts.tiling {
-            nest = tile_nest(prog, nest, &info.deps, info.depth, opts.tile, opts.time_tile);
+            let (tiled, report) = tile_nest(prog, nest, &info.deps, info.depth, opts.tile, opts.time_tile);
+            nest = tiled;
+            prog.tiling.push(report);
             tilable_prefix(&info.deps, &info.stmts, info.depth)
         } else {
             0

@@ -3,7 +3,7 @@
 //! The body grammar is the sweep executor's flat-object JSONL grammar
 //! (string / number / number-array fields, no nesting), parsed by
 //! [`polymix_bench::sweep::parse_record`] on both ends — one parser for
-//! sweeps, tuned configs, cache entries and the service wire keeps the
+//! sweep logs, cache entries and the service wire keeps the
 //! offline workspace dependency-free.
 //!
 //! A request names a SCoP by kernel (the in-tree stand-in for shipping a
