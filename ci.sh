@@ -270,6 +270,10 @@ TUNE_OUT=$(POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
     --kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 \
     --results "$SMOKE_DIR/tune.jsonl")
 grep -q '^  winner: ' <<< "$TUNE_OUT" || { echo "tuner printed no winner"; exit 1; }
+# A winner never loses to native: when no confirm beats it, native wins.
+SPEEDUP=$(sed -n 's/.*, \([0-9.]*\)x vs native$/\1/p' <<< "$TUNE_OUT")
+[ -n "$SPEEDUP" ] && awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 1.00) }' \
+    || { echo "tuner printed a winner below native: '${SPEEDUP}x'"; exit 1; }
 # Every screened cell is a distinct program, and rustc confirms at most
 # one CONFIRM_TOP prefix per ranking plus the native baseline.
 VM_IDS=$(grep '"backend":"vm"' "$SMOKE_DIR/tune.jsonl" | sed 's/^{"id":"\([^"]*\)".*/\1/')

@@ -11,15 +11,14 @@
 //! The search is budgeted in *measured cells*, so candidate triage
 //! happens before anything is compiled:
 //!
-//! 1. **Prune** with the cache model: every candidate is simulated at
-//!    the kernel's `mini` dataset through the [`polymix_cachesim`]
-//!    hierarchy batch API; candidates whose weighted miss cost exceeds
-//!    [`PRUNE_FACTOR`]× the best are dropped unmeasured.
-//! 2. **Rank** survivors with a transparent feature-based cost model
-//!    ([`Features`] / [`score`]): simulated miss cost, loop depth,
-//!    parallel-loop and synchronization-loop counts (the Par annotations
-//!    summarize the dependence-vector shape each structure ended up
-//!    with), and how well the tile footprint fits L1.
+//! 1. **Build** every candidate once; one that fails to build is
+//!    dropped (counted in [`TuneOutcome::pruned`]). Every later stage
+//!    takes a clone of that program.
+//! 2. **Rank** them with a transparent structural score ([`Features`] /
+//!    [`score`]): loop depth, parallel-loop and synchronization-loop
+//!    counts (the Par annotations summarize the dependence-vector shape
+//!    each structure ended up with), and how well the tile footprint
+//!    fits L1.
 //! 3. **Screen** the most promising candidates with the in-process
 //!    bytecode backend ([`crate::backend::vm_measure`]): the `budget`
 //!    best-ranked candidates, less any whose loop tree equals a
@@ -29,44 +28,41 @@
 //! 4. **Confirm** the union of the [`CONFIRM_TOP`] best *model-ranked*
 //!    candidates and the [`CONFIRM_TOP`] fastest *screened* candidates
 //!    that beat the model's picks by more than [`SCREEN_MARGIN`]
-//!    (plus one native-baseline cell for the speedup denominator) at
-//!    full fidelity through the rustc backend, at the runner's thread
-//!    count. The two rankings cover
-//!    each other's blind spots: interpreted wall time sees dynamic
+//!    (plus one native-baseline cell) at full fidelity through the
+//!    rustc backend, at the runner's thread count. The two rankings
+//!    cover each other's blind spots: interpreted wall time sees dynamic
 //!    behavior (fusion killing recomputation, guard overhead) that the
-//!    static model can only estimate, while the model sees what an
+//!    static score can only estimate, while the score sees what an
 //!    unroll factor feeds LLVM's vectorizer, which interpreter op counts
 //!    are structurally blind to.
 //!    When the vm cannot model a kernel at all, every chosen candidate
 //!    falls back to rustc. The JSONL log keys on *(id, backend)*, so vm
 //!    screens and rustc confirmations of the same candidate never
 //!    cross-satisfy each other on resume.
+//! 5. **Pick** the healthy (non-degraded, non-error) *rustc* confirm
+//!    with the highest GF/s, or `native` when none beats it
+//!    ([`pick_winner`]).
 //!
-//! The winner — minimum wall time among healthy (non-degraded,
-//! non-error) *rustc* cells — is returned as a [`TunedConfig`] and
-//! stored nowhere, like the paper's iterative column: the `tune` binary
-//! prints it, and the JSONL log is what makes a search resumable.
+//! The winner is returned as a [`TunedConfig`] and stored nowhere, like
+//! the paper's iterative column: the `tune` binary prints it, and the
+//! JSONL log is what makes a search resumable.
 
 use crate::backend::vm_measure;
-use crate::runner::Runner;
-use crate::sweep::{run_sweep, rustc_work, JobOutcome, JobWork, SweepConfig, SweepJob};
+use crate::runner::{RunResult, Runner};
+use crate::sweep::{run_sweep, rustc_work, JobWork, SweepConfig, SweepJob};
 use crate::variants::{build_variant, build_with, Variant};
 use polymix_ast::tree::{Node, Par, Program};
-use polymix_cachesim::{batch_weighted_cost, CacheConfig};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_ir::error::PolymixError;
 use polymix_polybench::{kernel_by_name, Group, Kernel};
 
-/// Candidates costing more than this factor times the cheapest
-/// simulated candidate are pruned before compilation.
-pub const PRUNE_FACTOR: f64 = 2.0;
-
-/// Per-level miss costs (cycles-ish) weighting the simulated hierarchy:
-/// L1 miss, L2 miss. Only ratios matter for pruning/ranking.
+/// Per-level miss costs (cycles-ish) for the cache simulator: L1 miss,
+/// L2 miss. The tuner does not read them; `benchmark/`'s `tune` workload
+/// does, for its `cachesim.batch_cost` probe.
 pub const LEVEL_COSTS: [f64; 2] = [1.0, 4.0];
 
-/// How many programs *per ranking* (vm screen, cache model) are
+/// How many programs *per ranking* (vm screen, structural score) are
 /// confirmed at full rustc fidelity; the confirmation set is the union
 /// of both prefixes (the screen's cut by [`SCREEN_MARGIN`]), so at most
 /// `2 * CONFIRM_TOP` rustc cells beside the native baseline. Small on
@@ -235,13 +231,10 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
     out
 }
 
-/// The transparent ranking features of one candidate. Every
-/// term is printed by `tune` in verbose mode and documented in
-/// EXPERIMENTS.md — no opaque learned weights.
+/// The transparent ranking features of one candidate, documented with
+/// their weights in DESIGN §12 — no opaque learned weights.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Features {
-    /// Weighted miss cost from the cache-hierarchy simulation at `mini`.
-    pub sim_cost: f64,
     /// Maximum loop depth of the transformed program.
     pub depth: usize,
     /// Count of asynchronous parallel loops (doall + reduction).
@@ -256,12 +249,10 @@ pub struct Features {
     pub tile_fit: f64,
 }
 
-/// Extracts ranking features from a transformed program.
-pub fn features(prog: &Program, c: &Candidate, sim_cost: f64) -> Features {
-    let mut f = Features {
-        sim_cost,
-        ..Features::default()
-    };
+/// Extracts ranking features from a transformed program; L1 is
+/// `machine`'s primary level.
+pub fn features(prog: &Program, c: &Candidate, machine: &Machine) -> Features {
+    let mut f = Features::default();
     fn walk(node: &Node, depth: usize, f: &mut Features) {
         match node {
             Node::Seq(xs) => xs.iter().for_each(|x| walk(x, depth, f)),
@@ -280,23 +271,18 @@ pub fn features(prog: &Program, c: &Candidate, sim_cost: f64) -> Features {
     }
     walk(&prog.body, 0, &mut f);
     // Working-set proxy: a square tile of f64 per array actively tiled.
-    let l1 = CacheConfig::l1_nehalem().capacity_bytes as f64;
+    let l1 = machine.primary_level().capacity_bytes as f64;
     let footprint = (c.tile * c.tile * 8).max(1) as f64;
     f.tile_fit = (footprint / l1).ln().abs();
     f
 }
 
-/// Scalar rank (lower = more promising). Weights chosen so the
-/// simulated miss cost dominates and the structural terms break ties:
-/// `cost/min + 0.05·depth + 0.15·sync − 0.05·par + 0.10·tile_fit`.
-pub fn score(f: &Features, min_cost: f64) -> f64 {
-    let cost = if min_cost > 0.0 {
-        f.sim_cost / min_cost
-    } else {
-        1.0
-    };
-    cost + 0.05 * f.depth as f64 + 0.15 * f.sync_loops as f64 - 0.05 * f.par_loops as f64
-        + 0.10 * f.tile_fit
+/// Scalar rank (lower = more promising):
+/// `depth + 3·sync − par + 2·tile_fit`. The weights are integers so that
+/// the loop counts add exactly: two structures whose terms balance tie,
+/// and a tie keeps enumeration order.
+pub fn score(f: &Features) -> f64 {
+    (f.depth as f64 + 3.0 * f.sync_loops as f64 - f.par_loops as f64) + 2.0 * f.tile_fit
 }
 
 /// A search's winner: the winning candidate plus its measurement.
@@ -308,15 +294,18 @@ pub struct TunedConfig {
     pub dataset: String,
     /// Worker threads the search measured with.
     pub threads: usize,
-    /// The winning candidate.
-    pub candidate: Candidate,
-    /// Winning wall time (best-of-reps), seconds.
+    /// The winning candidate; `None` when no confirmed candidate beat
+    /// the native baseline, which then is the winner.
+    pub candidate: Option<Candidate>,
+    /// Winning wall time (best-of-reps), seconds, as the emitted program
+    /// prints it (to 1 µs).
     pub time_s: f64,
     /// Winning GFLOP/s.
     pub gflops: f64,
     /// Native-baseline wall time from the same search, seconds.
     pub native_time_s: f64,
-    /// `native_time_s / time_s`; below 1 the winner lost to native.
+    /// The winner's GF/s over native's: 1 when native wins, above 1
+    /// otherwise.
     pub speedup_vs_native: f64,
 }
 
@@ -330,7 +319,7 @@ pub struct TuneOutcome {
     pub measured: usize,
     /// Cells replayed from the resume log (baseline included).
     pub resumed: usize,
-    /// Candidates dropped by the cache-model prune.
+    /// Candidates that failed to build, and so were never ranked.
     pub pruned: usize,
     /// Total candidates in the enumerated space.
     pub total_candidates: usize,
@@ -390,13 +379,31 @@ fn distinct_prefix(ranked: &[usize], progs: &[Option<Program>], budget: usize) -
     out
 }
 
+/// Stage 5's pick from the healthy rustc confirms: the one with the
+/// highest GF/s, if it beats `native`'s, else `None` (native wins). GF/s
+/// decides because the emitted `main` computes it from the unrounded
+/// timer, while `time_s` is printed to 1 µs. Ties keep the earlier
+/// confirm, i.e. model order.
+fn pick_winner<'a>(
+    confirms: &'a [(Candidate, RunResult)],
+    native: &RunResult,
+) -> Option<&'a (Candidate, RunResult)> {
+    let mut best: Option<&(Candidate, RunResult)> = None;
+    for c in confirms {
+        if c.1.gflops > best.map_or(native.gflops, |b| b.1.gflops) {
+            best = Some(c);
+        }
+    }
+    best
+}
+
 /// Runs the budgeted search for one kernel and returns the winner.
 ///
-/// Deterministic given a fixed results log: candidate enumeration,
-/// pruning and ranking depend only on the simulated model, and measured
-/// cells replay from the log by id — so re-running an interrupted search
-/// with the same `cfg.results_path` re-measures nothing it already
-/// recorded and converges to the same configuration.
+/// Deterministic given a fixed results log: candidate enumeration and
+/// ranking depend only on the built programs, and measured cells replay
+/// from the log by id — so re-running an interrupted search with the
+/// same `cfg.results_path` re-measures nothing it already recorded and
+/// converges to the same configuration.
 pub fn autotune_kernel(
     kernel_name: &str,
     dataset: &str,
@@ -408,58 +415,43 @@ pub fn autotune_kernel(
     let kernel = kernel_by_name(kernel_name)
         .ok_or_else(|| PolymixError::build(kernel_name, "unknown kernel"))?;
     let params = kernel.dataset(dataset).params;
-    let mini = kernel.dataset("mini").params;
     let space = candidate_space(kernel.group);
     let total_candidates = space.len();
 
-    // --- Stage 1: simulate every candidate once at mini. ---
-    let progs: Vec<Option<Program>> = {
+    // --- Stage 1: build every candidate once. ---
+    let mut progs: Vec<Option<Program>> = {
         // Every candidate is built from the same SCoP and asks about the
         // same dependence polyhedra.
         let _memo = polymix_math::memo::scope();
         let build = |c| build_candidate(&kernel, c, machine).ok();
         space.iter().map(build).collect()
     };
-    let built: Vec<&Program> = progs.iter().flatten().collect();
-    let configs = [CacheConfig::l1_nehalem(), CacheConfig::l2_nehalem()];
-    let costs = batch_weighted_cost(&built, &mini, &configs, &LEVEL_COSTS);
-    // Re-align costs with the (sparse) candidate list.
-    let mut cost_iter = costs.into_iter();
-    let sim_costs: Vec<Option<f64>> = progs
-        .iter()
-        .map(|p| p.as_ref().map(|_| cost_iter.next().unwrap_or(f64::MAX)))
-        .collect();
-    let min_cost = sim_costs
-        .iter()
-        .flatten()
-        .copied()
-        .fold(f64::MAX, f64::min);
+    let pruned = progs.iter().filter(|p| p.is_none()).count();
 
-    // --- Stage 2: prune and rank candidates. ---
-    let mut ranked: Vec<(usize, f64)> = Vec::new(); // (candidate idx, score)
-    let mut pruned = 0usize;
-    for (ci, cost) in sim_costs.iter().enumerate() {
-        let (Some(cost), Some(prog)) = (cost, &progs[ci]) else {
-            pruned += 1; // candidates that failed to build are "pruned"
-            continue;
-        };
-        if min_cost > 0.0 && *cost > PRUNE_FACTOR * min_cost {
-            pruned += 1;
-            continue;
-        }
-        let f = features(prog, &space[ci], *cost);
-        ranked.push((ci, score(&f, min_cost)));
-    }
-    // Stable sort: ties keep enumeration order, keeping the search
-    // deterministic for the resume log.
+    // --- Stage 2: rank what built. Stable sort: ties keep enumeration
+    // order, keeping the search deterministic for the resume log.
+    let mut ranked: Vec<(usize, f64)> = progs
+        .iter()
+        .enumerate()
+        .filter_map(|(ci, p)| Some((ci, score(&features(p.as_ref()?, &space[ci], machine)))))
+        .collect();
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-    // --- Stage 3: the best-ranked candidates are the measured cells. ---
+    // --- Stage 3: the best-ranked distinct programs are the measured
+    // cells, each with its built program.
     let ranked: Vec<usize> = ranked.iter().map(|&(ci, _)| ci).collect();
-    let chosen: Vec<Candidate> = distinct_prefix(&ranked, &progs, budget.max(1))
+    let chosen: Vec<(Candidate, Program)> = distinct_prefix(&ranked, &progs, budget.max(1))
         .into_iter()
-        .map(|ci| space[ci])
+        .filter_map(|ci| Some((space[ci], progs[ci].take()?)))
         .collect();
+    let job = |c: &Candidate, work: JobWork| SweepJob {
+        id: c.id(kernel_name, dataset),
+        kernel: kernel_name.to_string(),
+        variant: c.opt.name().to_string(),
+        dataset: dataset.to_string(),
+        params: params.clone(),
+        work,
+    };
 
     // --- Stage 3b: screen every chosen candidate in-process, at one
     // thread (the vm runs every loop in schedule order); the rustc
@@ -468,22 +460,11 @@ pub fn autotune_kernel(
     // fidelities never cross-satisfy each other.
     let vm_jobs: Vec<SweepJob> = chosen
         .iter()
-        .map(|c| {
-            let (kc, mc, pc, cc) = (kernel.clone(), machine.clone(), params.clone(), *c);
+        .map(|(c, prog)| {
+            let (kc, pc, prog, name) = (kernel.clone(), params.clone(), prog.clone(), c.opt.name());
             let reps = runner.reps;
-            SweepJob {
-                id: c.id(kernel_name, dataset),
-                kernel: kernel_name.to_string(),
-                variant: c.opt.name().to_string(),
-                dataset: dataset.to_string(),
-                params: params.clone(),
-                work: JobWork::InProcess {
-                    run: Box::new(move || {
-                        let prog = build_candidate(&kc, &cc, &mc)?;
-                        vm_measure(&kc, &prog, &pc, cc.opt.name(), reps)
-                    }),
-                },
-            }
+            let run = Box::new(move || vm_measure(&kc, &prog, &pc, name, reps));
+            job(c, JobWork::InProcess { run })
         })
         .collect();
     let vm_outcomes = run_sweep(vm_jobs, runner, cfg);
@@ -504,7 +485,7 @@ pub fn autotune_kernel(
     let mut jobs: Vec<SweepJob> = Vec::with_capacity(confirm.len() + 1);
     let kc = kernel.clone();
     jobs.push(SweepJob {
-        id: native_id.clone(),
+        id: native_id,
         kernel: kernel_name.to_string(),
         variant: "native".to_string(),
         dataset: dataset.to_string(),
@@ -519,78 +500,50 @@ pub fn autotune_kernel(
         ),
     });
     for &ci in &confirm {
-        let c = &chosen[ci];
-        let (kc, mc, cc) = (kernel.clone(), machine.clone(), *c);
-        jobs.push(SweepJob {
-            id: c.id(kernel_name, dataset),
-            kernel: kernel_name.to_string(),
-            variant: c.opt.name().to_string(),
-            dataset: dataset.to_string(),
-            params: params.clone(),
-            work: rustc_work(
-                &kernel,
-                &params,
-                threads,
-                reps,
-                move || build_candidate(&kc, &cc, &mc),
-                false,
-            ),
-        });
+        let (c, prog) = &chosen[ci];
+        let prog = prog.clone();
+        let build = move || Ok(prog.clone());
+        jobs.push(job(c, rustc_work(&kernel, &params, threads, reps, build, false)));
     }
     let rustc_outcomes = run_sweep(jobs, runner, cfg);
 
-    // --- Stage 5: pick the winner — min wall time among healthy
-    // *full-fidelity* cells only; vm screens never decide directly.
-    let native = rustc_outcomes
+    // --- Stage 5: pick the winner among healthy *full-fidelity* cells
+    // only; vm screens never decide directly. Submission order again:
+    // the native baseline, then `confirm`.
+    let native_failed = || {
+        PolymixError::runner(kernel_name, "native", "native baseline failed to measure")
+    };
+    let (native_cell, confirm_cells) = rustc_outcomes.split_first().ok_or_else(native_failed)?;
+    let native = native_cell.result.as_ref().map_err(|_| native_failed())?;
+    let confirms: Vec<(Candidate, RunResult)> = confirm
         .iter()
-        .find(|o| o.id == native_id)
-        .and_then(|o| o.result.as_ref().ok())
-        .ok_or_else(|| {
-            PolymixError::runner(kernel_name, "native", "native baseline failed to measure")
-        })?;
-    let healthy = |o: &&JobOutcome| o.id != native_id && !o.degraded && o.result.is_ok();
-    let winner = rustc_outcomes
-        .iter()
-        .filter(healthy)
-        .min_by(|a, b| {
-            let (ta, tb) = (
-                a.result.as_ref().map(|r| r.time_s).unwrap_or(f64::MAX),
-                b.result.as_ref().map(|r| r.time_s).unwrap_or(f64::MAX),
-            );
-            ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .ok_or_else(|| {
-            PolymixError::runner(kernel_name, "tune", "no candidate measured successfully")
-        })?;
-    let wi = chosen
-        .iter()
-        .position(|c| c.id(kernel_name, dataset) == winner.id)
-        .ok_or_else(|| PolymixError::runner(kernel_name, "tune", "winner id out of space"))?;
-    let Ok(wr) = winner.result.clone() else {
+        .zip(confirm_cells)
+        .filter(|(_, o)| !o.degraded)
+        .filter_map(|(&ci, o)| Some((chosen[ci].0, o.result.clone().ok()?)))
+        .collect();
+    if confirms.is_empty() {
         return Err(PolymixError::runner(
             kernel_name,
             "tune",
-            "winner lost its measurement",
+            "no candidate measured successfully",
         ));
+    }
+    let (candidate, best, speedup_vs_native) = match pick_winner(&confirms, native) {
+        Some((c, r)) => (Some(*c), r, r.gflops / native.gflops),
+        None => (None, native, 1.0),
     };
-    let native = native.clone();
-    let outcomes: Vec<JobOutcome> = vm_outcomes.into_iter().chain(rustc_outcomes).collect();
-    let measured = outcomes.iter().filter(|o| !o.resumed).count()
-        - usize::from(outcomes.iter().any(|o| o.id == native_id && !o.resumed));
-    let resumed = outcomes.iter().filter(|o| o.resumed).count();
-    let speedup_vs_native = if wr.time_s > 0.0 {
-        native.time_s / wr.time_s
-    } else {
-        0.0
-    };
+    let outcomes = || vm_outcomes.iter().chain(&rustc_outcomes);
+    let resumed = outcomes().filter(|o| o.resumed).count();
+    // Fresh candidate cells: every fresh cell but the native baseline.
+    let measured = outcomes().filter(|o| !o.resumed).count() - usize::from(!native_cell.resumed);
     Ok(TuneOutcome {
         config: TunedConfig {
             kernel: kernel_name.to_string(),
             dataset: dataset.to_string(),
             threads: runner.threads,
-            candidate: chosen[wi],
-            time_s: wr.time_s,
-            gflops: wr.gflops,
+            candidate,
+            time_s: best.time_s,
+            gflops: best.gflops,
             native_time_s: native.time_s,
             speedup_vs_native,
         },
@@ -711,28 +664,51 @@ mod tests {
         assert_eq!(distinct_prefix(&mixed, &progs, 2), vec![fused[0]]);
     }
 
+    /// Fewer synchronizing loops and shallower nests rank first.
     #[test]
     fn score_prefers_cheap_shallow_parallel_structures() {
         let cheap = Features {
-            sim_cost: 100.0,
             depth: 3,
             par_loops: 2,
             sync_loops: 0,
             tile_fit: 0.1,
         };
-        let expensive = Features {
-            sim_cost: 190.0,
-            depth: 3,
-            par_loops: 2,
-            sync_loops: 0,
-            tile_fit: 0.1,
-        };
-        assert!(score(&cheap, 100.0) < score(&expensive, 100.0));
         let synchronous = Features {
             sync_loops: 2,
             par_loops: 0,
             ..cheap
         };
-        assert!(score(&cheap, 100.0) < score(&synchronous, 100.0));
+        let deep = Features { depth: 5, ..cheap };
+        assert!(score(&cheap) < score(&synchronous));
+        assert!(score(&cheap) < score(&deep));
+    }
+
+    fn run(time_s: f64, gflops: f64) -> RunResult {
+        RunResult {
+            checksum: 1.0,
+            time_s,
+            gflops,
+        }
+    }
+
+    /// Two confirms that both print `time_s` 1 µs are told apart by
+    /// their GF/s, and native wins when no confirm beats it.
+    #[test]
+    fn the_winner_is_decided_by_gflops_and_may_be_native() {
+        let (a, b) = (
+            sample_candidate(),
+            Candidate {
+                unroll: (1, 1),
+                ..sample_candidate()
+            },
+        );
+        let confirms = [(a, run(1e-6, 3.1)), (b, run(1e-6, 3.4))];
+        let winner = pick_winner(&confirms, &run(2e-6, 1.7));
+        assert_eq!(winner.map(|w| w.0), Some(b));
+        assert_eq!(pick_winner(&confirms, &run(1e-6, 3.4)), None, "a tie goes to native");
+        assert_eq!(pick_winner(&confirms, &run(0.0, 9.0)), None);
+        assert_eq!(pick_winner(&[], &run(1e-6, 1.0)), None);
+        let tied = [(a, run(1e-6, 3.4)), (b, run(1e-6, 3.4))];
+        assert_eq!(pick_winner(&tied, &run(1e-6, 1.0)).map(|w| w.0), Some(a));
     }
 }

@@ -13,6 +13,7 @@
 
 use polymix_bench::figures::{cell, print_grid, Grid};
 use polymix_bench::report::Table;
+use polymix_bench::variants::{paper_knobs, Variant};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_polybench::kernel_by_name;
 
@@ -25,9 +26,11 @@ fn main() {
     let kernels: Vec<_> = names.into_iter().filter_map(kernel_by_name).collect();
     // Both the variant build and the measurement run on sweep workers;
     // per-configuration failures become error cells and the sweep
-    // continues with the remaining configurations.
+    // continues with the remaining configurations. Both columns take the
+    // paper's knobs, so `fused` is the program `build_variant` ships.
     let mut jobs = Vec::new();
     for k in &kernels {
+        let (tile, time_tile, unroll) = paper_knobs(k.group, Variant::PolyAst);
         for fusion in [true, false] {
             let (kb, mb) = (k.clone(), grid.machine.clone());
             let build = move || {
@@ -35,6 +38,9 @@ fn main() {
                     &(kb.build)(),
                     &PolyAstOptions {
                         machine: mb.clone(),
+                        tile,
+                        time_tile,
+                        unroll,
                         fusion,
                         ..Default::default()
                     },

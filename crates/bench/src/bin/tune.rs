@@ -1,13 +1,14 @@
 //! `tune` — the closed-loop autotuner CLI.
 //!
 //! Searches fusion structure × tile sizes × unroll factors for each
-//! requested kernel with a two-fidelity loop: prune with
-//! the cache model, screen the budgeted candidates through the
+//! requested kernel with a two-fidelity loop: rank the built candidates
+//! by their structural score, screen the budgeted ones through the
 //! in-process bytecode backend (no `rustc` on the screening path; the vm
 //! runs every loop in schedule order, so the screen is a one-thread
 //! measurement whatever `--threads` says), then confirm the
 //! front-runners at full rustc fidelity with `--threads` workers, and
-//! print the winner. Nothing is written but the `--results` log.
+//! print the winner: the fastest confirm by GF/s, or `native` when no
+//! confirm beats it. Nothing is written but the `--results` log.
 //!
 //! ```text
 //! cargo run --release -p polymix-bench --bin tune -- \
@@ -57,28 +58,24 @@ fn main() {
             Ok(outcome) => {
                 let c = &outcome.config;
                 println!(
-                    "  space {} candidates, {} pruned by the cache model, \
+                    "  space {} candidates, {} failed to build, \
                      {} measured fresh, {} resumed from the log",
                     outcome.total_candidates, outcome.pruned, outcome.measured, outcome.resumed
                 );
+                match &c.candidate {
+                    Some(w) => println!(
+                        "  winner: {} tile {} time_tile {} unroll {}x{}",
+                        w.opt.name(),
+                        w.tile,
+                        w.time_tile,
+                        w.unroll.0,
+                        w.unroll.1,
+                    ),
+                    None => println!("  winner: native"),
+                }
                 println!(
-                    "  winner: {} tile {} time_tile {} unroll {}x{}",
-                    c.candidate.opt.name(),
-                    c.candidate.tile,
-                    c.candidate.time_tile,
-                    c.candidate.unroll.0,
-                    c.candidate.unroll.1,
-                );
-                println!(
-                    "  {:.4} GFLOP/s ({:.3e}s), {:.2}x vs native{}",
-                    c.gflops,
-                    c.time_s,
-                    c.speedup_vs_native,
-                    if c.speedup_vs_native < 1.0 {
-                        " [does NOT beat native]"
-                    } else {
-                        ""
-                    }
+                    "  {:.4} GFLOP/s ({:.3e}s), {:.2}x vs native",
+                    c.gflops, c.time_s, c.speedup_vs_native
                 );
             }
             Err(e) => {
