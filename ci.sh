@@ -224,9 +224,9 @@ PROVEN=$(echo "$VM_OUT" | sed -n 's|^vm accesses proven: \([1-9][0-9]*\)/\([0-9]
     || { echo "bytecode audit left accesses unproven: '$PROVEN'"; exit 1; }
 
 # Fast end-to-end sweep smoke test: two drivers through the parallel
-# executor (2 jobs, tmpdir cache, JSONL log), then the same invocation
-# again, which must resume every job from the log and reprint the same
-# table byte for byte.
+# executor (default worker count, tmpdir cache, JSONL log), then the same
+# invocation again, which must resume every job from the log and reprint
+# the same table byte for byte.
 echo "== sweep smoke test =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -236,7 +236,7 @@ for spec in table1:4 fig5:6; do
         echo "-- $BIN mini sweep ($pass)"
         POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
             cargo run --release -q -p polymix-bench --bin "$BIN" -- \
-            --dataset mini --jobs 2 --run-timeout 120 \
+            --dataset mini --run-timeout 120 \
             --results "$SMOKE_DIR/$BIN.jsonl" > "$SMOKE_DIR/$BIN.$pass.out"
     done
     # One record per cell from the first pass; the resume pass must add
@@ -267,7 +267,7 @@ done
 echo "== tuner smoke test =="
 TUNE_OUT=$(POLYMIX_BENCH_DIR="$SMOKE_DIR/cache" \
     cargo run --release -q -p polymix-bench --bin tune -- \
-    --kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 \
+    --kernels 2mm --dataset mini --budget 6 --run-timeout 120 \
     --results "$SMOKE_DIR/tune.jsonl")
 grep -q '^  winner: ' <<< "$TUNE_OUT" || { echo "tuner printed no winner"; exit 1; }
 # A winner never loses to native: when no confirm beats it, native wins.

@@ -13,12 +13,12 @@
 //! * [`backend`] — the `polymix-vm` bytecode interpreter measuring the
 //!   same program in-process at a fraction of the per-cell cost: the
 //!   tuner's screen (tables and figures measure compiled code only);
-//! * [`sweep`] — the crash-safe parallel sweep executor: a bounded
-//!   worker pool pipelining emit→compile→run over (kernel, variant,
-//!   dataset) jobs, with an exactly-once atomic binary cache, per-stage
-//!   timeouts, transient-failure retries, measured runs serialized
-//!   behind one lock, and an append-only JSONL results log that makes
-//!   interrupted sweeps resumable (`--jobs`, `--results`);
+//! * [`sweep`] — the crash-safe parallel sweep executor over (kernel,
+//!   variant, dataset) jobs: a bounded worker pool emits and compiles
+//!   every job into an exactly-once atomic binary cache, then the jobs
+//!   are measured one at a time, with per-stage timeouts,
+//!   transient-failure retries, and an append-only JSONL results log
+//!   that makes interrupted sweeps resumable (`--jobs`, `--results`);
 //! * [`figures`] — the GF/s grid every measuring table and figure
 //!   shares: one function makes a measured cell's job, one renders its
 //!   outcome as a cell, and Figs. 7–9 run through it whole;

@@ -86,9 +86,9 @@ pub struct Cli {
     /// Worker threads for the *measured* kernels (default: available
     /// parallelism).
     pub threads: usize,
-    /// Sweep worker threads pipelining emit→compile→run (`--jobs`,
-    /// default 1 = the historical serial behavior); the measured runs
-    /// stay one at a time.
+    /// Sweep worker threads that emit and compile (`--jobs`, default
+    /// [`crate::sweep::default_jobs`]); the measured runs stay one at a
+    /// time, after every compile.
     pub jobs: usize,
     /// Per-`rustc` wall-clock budget in seconds (`--compile-timeout`).
     pub compile_timeout_s: u64,
@@ -136,7 +136,7 @@ impl Cli {
                     .map(|n| n.get())
                     .unwrap_or(4),
             ),
-            jobs: num("--jobs", 1),
+            jobs: num("--jobs", crate::sweep::default_jobs()),
             compile_timeout_s: num("--compile-timeout", 600) as u64,
             run_timeout_s: num("--run-timeout", 600) as u64,
             retries: num("--retries", 2),
@@ -179,7 +179,9 @@ mod tests {
     }
 
     /// A retired or misspelt flag is refused by name instead of being
-    /// ignored; every flag `ci.sh` passes is accepted.
+    /// ignored; every flag `ci.sh` passes is accepted. `--jobs` and
+    /// [`SweepConfig::default`](crate::sweep::SweepConfig) share one
+    /// default, and an explicit count still wins.
     #[test]
     fn unknown_flags_are_refused_and_ci_flags_accepted() {
         let err = Cli::parse_args(&args("--dataset mini --threads 1 --backend vm"), &[])
@@ -187,16 +189,16 @@ mod tests {
             .expect("--backend is refused");
         assert!(err.starts_with("unknown flag --backend"), "{err}");
         let tune = ["--kernels", "--budget"];
+        let cores = crate::sweep::default_jobs();
         for (line, own) in [
-            ("--dataset mini --jobs 2 --run-timeout 120 --results r.jsonl", &[][..]),
-            (
-                "--kernels 2mm --dataset mini --budget 6 --jobs 2 --run-timeout 120 --results t.jsonl",
-                &tune,
-            ),
+            ("--dataset mini --run-timeout 120 --results r.jsonl", &[][..]),
+            ("--kernels 2mm --dataset mini --budget 6 --run-timeout 120 --results t.jsonl", &tune),
         ] {
             let cli = Cli::parse_args(&args(line), own).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", 2, 120));
+            assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", cores, 120));
         }
+        assert_eq!(crate::sweep::SweepConfig::default().jobs, cores);
+        assert_eq!(Cli::parse_args(&args("--jobs 2"), &[]).map(|c| c.jobs), Ok(2));
         let cli = Cli::parse_args(&args("--kernels gemm,2mm --budget 6"), &tune).expect("own flags");
         assert_eq!(cli.value("--kernels"), Some("gemm,2mm"));
         // The tuner's winner is printed, not stored: the flags that wrote

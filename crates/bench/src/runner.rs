@@ -184,25 +184,24 @@ pub fn compile_and_run(
     rustc_flags: &[String],
     label: &str,
 ) -> Result<RunResult, String> {
-    run_cached(
-        || ensure_compiled(src, work_dir, rustc_flags, label, DEFAULT_COMPILE_TIMEOUT),
-        |bin| run_binary(bin, label, DEFAULT_RUN_TIMEOUT),
-    )
+    let compile = || ensure_compiled(src, work_dir, rustc_flags, label, DEFAULT_COMPILE_TIMEOUT);
+    run_cached(compile(), compile, |bin| run_binary(bin, label, DEFAULT_RUN_TIMEOUT))
 }
 
-/// Compiles with `compile`, then runs the binary with `run`, under the
-/// stale-binary rule: a *cached* binary that fails other than by timeout
-/// (spawn error, crash, garbage output) is assumed to be a stale or
-/// truncated artifact from an earlier, killed sweep, so it is deleted,
-/// recompiled once, and rerun. A run *timeout* is never retried —
+/// Runs the binary `compiled` left with `run`, under the stale-binary
+/// rule: a *cached* binary that fails other than by timeout (spawn
+/// error, crash, garbage output) is assumed to be a stale or truncated
+/// artifact from an earlier, killed sweep, so it is deleted, rebuilt
+/// once with `compile`, and rerun. A run *timeout* is never retried —
 /// rebuilding an infinite loop would only double the stall. The sweep
-/// passes a `run` that holds the measurement lock, so compiles
-/// stay outside it.
+/// compiles every job before it measures any, so it hands in the
+/// outcome of that earlier compile.
 pub(crate) fn run_cached(
+    compiled: Result<CompileOutcome, String>,
     compile: impl Fn() -> Result<CompileOutcome, String>,
     run: impl Fn(&Path) -> Result<RunResult, String>,
 ) -> Result<RunResult, String> {
-    let compiled = compile()?;
+    let compiled = compiled?;
     match run(&compiled.bin_path) {
         Err(e) if !compiled.freshly_compiled && !e.starts_with("timeout") => {
             let _ = std::fs::remove_file(&compiled.bin_path);

@@ -3,11 +3,12 @@
 //! The paper's evaluation is measurement-heavy: every table and figure
 //! is a sweep over (kernel, variant, dataset) jobs, each of which must
 //! emit a standalone program, compile it with `rustc -O`, and run it.
-//! This module pipelines those stages across a bounded worker pool while
-//! keeping the things that must not be concurrent — the binary cache
-//! (exactly-once compiles, atomic publish; see [`crate::runner`]) and
-//! the *measured* runs (serialized behind one lock, so parallel
-//! compilation never perturbs timing) — safe.
+//! This module runs a sweep in two phases. Phase 1 emits and compiles
+//! every job on a bounded worker pool, sharing one binary cache
+//! (exactly-once compiles, atomic publish; see [`crate::runner`]).
+//! Phase 2 measures the jobs one at a time, in submission order, after
+//! every compile has finished, so no `rustc` of the sweep runs beside a
+//! measured kernel.
 //!
 //! Results stream to an append-only JSONL log (one object per job), so
 //! an interrupted sweep can be re-invoked with the same `--results` path
@@ -15,7 +16,8 @@
 
 use crate::report::Cli;
 use crate::runner::{
-    emit_source, ensure_compiled, is_kernel_failure, run_binary, run_cached, RunResult, Runner,
+    emit_source, ensure_compiled, is_kernel_failure, run_binary, run_cached, CompileOutcome,
+    RunResult, Runner,
 };
 use polymix_ast::tree::Program;
 use polymix_ir::error::PolymixError;
@@ -54,10 +56,10 @@ pub enum JobWork {
         seq_source: Option<Source>,
     },
     /// Measure in-process (no subprocess, no filesystem). The closure
-    /// still runs under the measurement lock so in-process timing
-    /// is never perturbed by concurrent measured runs; there is no
-    /// retry (nothing transient to retry) and no sequential
-    /// degradation (a poisoned vm run is a real, deterministic result).
+    /// runs in the sweep's measuring phase, alone, like a rustc job's
+    /// binary; there is no retry (nothing transient to retry) and no
+    /// sequential degradation (a poisoned vm run is a real,
+    /// deterministic result).
     InProcess {
         /// The measurement itself.
         #[allow(clippy::type_complexity)]
@@ -102,9 +104,9 @@ pub fn rustc_work(
 
 /// One (kernel, variant, dataset) measurement job.
 ///
-/// `work` runs on a worker thread (building the variant on the way); a
-/// build failure is recorded as that job's error cell without
-/// disturbing other jobs.
+/// A rustc job's source is emitted on a compile worker (building the
+/// variant on the way); a build failure is recorded as that job's error
+/// cell without disturbing other jobs.
 pub struct SweepJob {
     /// Stable unique key; the resume log skips (id, backend) pairs it
     /// has already seen.
@@ -150,8 +152,8 @@ pub struct JobOutcome {
 /// Execution policy for [`run_sweep`].
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Worker threads pipelining emit → compile → run. Measured runs
-    /// take one lock, so they never overlap, whatever this is.
+    /// Worker threads that emit and compile (default [`default_jobs`]).
+    /// Measuring is sequential whatever this is.
     pub jobs: usize,
     /// Wall-clock budget per `rustc` invocation.
     pub compile_timeout: Duration,
@@ -182,7 +184,7 @@ impl SweepConfig {
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
-            jobs: 1,
+            jobs: default_jobs(),
             compile_timeout: crate::runner::DEFAULT_COMPILE_TIMEOUT,
             run_timeout: crate::runner::DEFAULT_RUN_TIMEOUT,
             retries: 2,
@@ -191,8 +193,14 @@ impl Default for SweepConfig {
     }
 }
 
+/// The default compile worker count, for [`SweepConfig::default`] and
+/// `--jobs`: one per core the process may use (1 when unknown).
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Mutex lock that shrugs off poisoning: a worker that panicked while
-/// holding the queue or log lock must not wedge every other worker.
+/// holding a slot's lock must not wedge every other worker.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -206,10 +214,14 @@ pub fn is_transient(detail: &str) -> bool {
     detail.contains("spawn:") || detail.contains("lockfile") || detail.contains("wait:")
 }
 
-/// Runs every job through emit → compile → run on `cfg.jobs` workers and
-/// returns outcomes in submission order. Never panics on job failure:
-/// each failure becomes that job's `Err` outcome (and JSONL record) and
-/// the sweep continues.
+/// Runs every job and returns outcomes in submission order, in two
+/// phases. Phase 1 emits and compiles every fresh rustc job on
+/// `cfg.jobs` workers. Phase 2 then measures one job at a time, in
+/// submission order, while nothing else of the sweep runs, and appends
+/// each record to the log as the job finishes. Jobs the log already
+/// holds replay in neither phase. Never panics on job failure: each
+/// failure becomes that job's `Err` outcome (and JSONL record) and the
+/// sweep continues.
 pub fn run_sweep(jobs: Vec<SweepJob>, runner: &Runner, cfg: &SweepConfig) -> Vec<JobOutcome> {
     #[allow(clippy::type_complexity)]
     let recorded: HashMap<(String, String), (Result<RunResult, PolymixError>, bool)> = cfg
@@ -217,133 +229,195 @@ pub fn run_sweep(jobs: Vec<SweepJob>, runner: &Runner, cfg: &SweepConfig) -> Vec
         .as_deref()
         .map(load_results)
         .unwrap_or_default();
-    let log = cfg.results_path.as_ref().and_then(|p| {
+    let mut log = cfg.results_path.as_ref().and_then(|p| {
         if let Some(dir) = p.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         repair_log_tail(p);
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(p)
-            .map(Mutex::new)
-            .ok()
+        std::fs::OpenOptions::new().create(true).append(true).open(p).ok()
     });
-    let n = jobs.len();
-    let queue: Vec<Mutex<Option<SweepJob>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let outcomes: Vec<Mutex<Option<JobOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Phase 1: emit and compile every fresh rustc job.
+    let steps = par_map(jobs, cfg.jobs, |job| {
+        let cell = Cell {
+            id: job.id,
+            kernel: job.kernel,
+            variant: job.variant,
+            dataset: job.dataset,
+            params: job.params,
+            backend: job.work.backend(),
+        };
+        let prior = recorded.get(&(cell.id.clone(), cell.backend.to_string()));
+        let step = match (prior, job.work) {
+            (Some((prior, degraded)), _) => Step::Replay(prior.clone(), *degraded),
+            (None, JobWork::Rustc { source, seq_source }) => {
+                Step::Rustc(compile(source, &cell.label(), runner, cfg), seq_source)
+            }
+            (None, JobWork::InProcess { run }) => Step::InProcess(run),
+        };
+        (cell, step)
+    });
+    // Phase 2: measure, one job at a time.
+    steps
+        .into_iter()
+        .map(|(cell, step)| {
+            let (result, degraded) = match step {
+                Step::Replay(result, degraded) => return cell.outcome(result, true, degraded),
+                Step::Rustc(built, seq_source) => {
+                    measure_rustc(&cell, built, seq_source, runner, cfg)
+                }
+                Step::InProcess(run) => {
+                    // A panic inside the closure fails this cell only,
+                    // never the sweep.
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                        .unwrap_or_else(|_| {
+                            Err(PolymixError::runner(
+                                &cell.kernel,
+                                &cell.variant,
+                                "runtime_error: in-process measurement panicked",
+                            ))
+                        });
+                    (result, false)
+                }
+            };
+            let done = cell.outcome(result, false, degraded);
+            if let Some(f) = &mut log {
+                let _ = writeln!(f, "{}", record_line(&done));
+                let _ = f.flush();
+            }
+            done
+        })
+        .collect()
+}
+
+/// A job's reporting fields, carried from its [`SweepJob`] to its
+/// [`JobOutcome`].
+struct Cell {
+    id: String,
+    kernel: String,
+    variant: String,
+    dataset: String,
+    params: Vec<i64>,
+    backend: &'static str,
+}
+
+impl Cell {
+    /// Names the job in error messages and `rustc` diagnostics.
+    fn label(&self) -> String {
+        format!("{}_{}", self.kernel, self.variant)
+    }
+
+    fn outcome(
+        self,
+        result: Result<RunResult, PolymixError>,
+        resumed: bool,
+        degraded: bool,
+    ) -> JobOutcome {
+        JobOutcome {
+            id: self.id,
+            kernel: self.kernel,
+            variant: self.variant,
+            dataset: self.dataset,
+            params: self.params,
+            result,
+            resumed,
+            degraded,
+            backend: self.backend,
+        }
+    }
+}
+
+/// What phase 2 does with one job.
+enum Step {
+    /// Replay the logged result and its degraded flag.
+    Replay(Result<RunResult, PolymixError>, bool),
+    /// Run the binary phase 1 compiled, degrading to the sequential
+    /// source, if any, when the kernel fails.
+    Rustc(Result<Compiled, PolymixError>, Option<Source>),
+    /// Run the closure.
+    InProcess(Box<dyn FnOnce() -> Result<RunResult, PolymixError> + Send>),
+}
+
+/// One emitted source and what compiling it gave.
+struct Compiled {
+    src: String,
+    bin: Result<CompileOutcome, String>,
+}
+
+/// `f` over `items` on up to `workers` scoped threads; the results come
+/// back in input order.
+fn par_map<T: Send, R: Send>(items: Vec<T>, workers: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    // Held around every measured run: one at a time, released on unwind.
-    let measure = Mutex::new(());
-    let workers = cfg.jobs.clamp(1, n.max(1));
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..workers.clamp(1, n.max(1)) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let Some(item) = items.get(i).and_then(|m| lock(m).take()) else {
                     break;
-                }
-                let Some(job) = lock(&queue[i]).take() else {
-                    continue;
                 };
-                let backend = job.work.backend();
-                let key = (job.id.clone(), backend.to_string());
-                let outcome = if let Some((prior, degraded)) = recorded.get(&key) {
-                    JobOutcome {
-                        id: job.id,
-                        kernel: job.kernel,
-                        variant: job.variant,
-                        dataset: job.dataset,
-                        params: job.params,
-                        result: prior.clone(),
-                        resumed: true,
-                        degraded: *degraded,
-                        backend,
-                    }
-                } else {
-                    let done = execute_job(job, runner, cfg, &measure);
-                    if let Some(log) = &log {
-                        let mut f = lock(log);
-                        let _ = writeln!(f, "{}", record_line(&done));
-                        let _ = f.flush();
-                    }
-                    done
-                };
-                *lock(&outcomes[i]) = Some(outcome);
+                *lock(&out[i]) = Some(f(item));
             });
         }
     });
-    outcomes
-        .into_iter()
+    // Every slot is filled: a worker that panics re-raises out of the
+    // scope.
+    out.into_iter()
         .filter_map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
         .collect()
 }
 
-/// One job's emit → compile → (locked) run pipeline, with transient
-/// retry, cached-binary invalidation, and — when the kernel itself
-/// fails and the job supplied a `seq_source` — a sequential degradation
-/// re-run recorded as a `degraded` measurement.
-fn execute_job(job: SweepJob, runner: &Runner, cfg: &SweepConfig, measure: &Mutex<()>) -> JobOutcome {
-    let SweepJob {
-        id,
-        kernel,
-        variant,
-        dataset,
-        params,
-        work,
-    } = job;
-    let backend = work.backend();
-    let label = format!("{kernel}_{variant}");
-    let mut degraded = false;
-    let result = match work {
-        JobWork::Rustc { source, seq_source } => {
-            let mut result = run_one(source, &label, &kernel, &variant, runner, cfg, measure);
-            if let (Err(e), Some(seq)) = (&result, seq_source) {
-                if kernel_failed(e) {
-                    eprintln!(
-                        "{label}: parallel run failed ({e}); degrading to a sequential re-run"
-                    );
-                    let seq_label = format!("{label}_seq");
-                    match run_one(seq, &seq_label, &kernel, &variant, runner, cfg, measure) {
-                        Ok(r) => {
-                            result = Ok(r);
-                            degraded = true;
-                        }
-                        // Keep the original (more informative) parallel
-                        // failure as the job's error cell.
-                        Err(e2) => {
-                            eprintln!("{label}: sequential degradation also failed: {e2}")
-                        }
-                    }
-                }
+/// Emits `source` and compiles it into the binary cache, retrying
+/// transient failures. A compile error is kept for phase 2 to record.
+fn compile(
+    source: Source,
+    label: &str,
+    runner: &Runner,
+    cfg: &SweepConfig,
+) -> Result<Compiled, PolymixError> {
+    let src = source()?;
+    let bin = ensure(&src, label, runner, cfg);
+    Ok(Compiled { src, bin })
+}
+
+fn ensure(
+    src: &str,
+    label: &str,
+    runner: &Runner,
+    cfg: &SweepConfig,
+) -> Result<CompileOutcome, String> {
+    with_retries(cfg.retries, || {
+        ensure_compiled(src, &runner.work_dir, &runner.rustc_flags, label, cfg.compile_timeout)
+    })
+}
+
+/// Measures one rustc job, and, when the kernel itself fails and the job
+/// supplied a `seq_source`, compiles and runs that source instead and
+/// reports the result as `degraded`.
+fn measure_rustc(
+    cell: &Cell,
+    built: Result<Compiled, PolymixError>,
+    seq_source: Option<Source>,
+    runner: &Runner,
+    cfg: &SweepConfig,
+) -> (Result<RunResult, PolymixError>, bool) {
+    let label = cell.label();
+    let result = run_compiled(built, &label, cell, runner, cfg);
+    if let (Err(e), Some(seq)) = (&result, seq_source) {
+        if kernel_failed(e) {
+            eprintln!("{label}: parallel run failed ({e}); degrading to a sequential re-run");
+            let seq_label = format!("{label}_seq");
+            let seq_built = compile(seq, &seq_label, runner, cfg);
+            match run_compiled(seq_built, &seq_label, cell, runner, cfg) {
+                Ok(r) => return (Ok(r), true),
+                // Keep the original (more informative) parallel failure
+                // as the job's error cell.
+                Err(e2) => eprintln!("{label}: sequential degradation also failed: {e2}"),
             }
-            result
         }
-        JobWork::InProcess { run } => {
-            // In-process measurement still serializes behind the
-            // measurement lock; a panic inside the closure poisons this
-            // cell only, never the sweep.
-            let _turn = lock(measure);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
-                Err(PolymixError::runner(
-                    &kernel,
-                    &variant,
-                    "runtime_error: in-process measurement panicked",
-                ))
-            })
-        }
-    };
-    JobOutcome {
-        id,
-        kernel,
-        variant,
-        dataset,
-        params,
-        result,
-        resumed: false,
-        degraded,
-        backend,
     }
+    (result, false)
 }
 
 /// True when a job failure came from the kernel run itself (as opposed
@@ -353,36 +427,22 @@ fn kernel_failed(e: &PolymixError) -> bool {
     matches!(e, PolymixError::Runner { detail, .. } if is_kernel_failure(detail))
 }
 
-/// Emit → compile → (locked) run for one source, with transient retry
-/// and the stale-binary rule ([`run_cached`]).
-fn run_one(
-    source: Source,
+/// Runs a compiled binary with transient retry and the stale-binary rule
+/// ([`run_cached`]).
+fn run_compiled(
+    built: Result<Compiled, PolymixError>,
     label: &str,
-    kernel: &str,
-    variant: &str,
+    cell: &Cell,
     runner: &Runner,
     cfg: &SweepConfig,
-    measure: &Mutex<()>,
 ) -> Result<RunResult, PolymixError> {
-    let src = source()?;
+    let Compiled { src, bin } = built?;
     run_cached(
-        || {
-            with_retries(cfg.retries, || {
-                ensure_compiled(
-                    &src,
-                    &runner.work_dir,
-                    &runner.rustc_flags,
-                    label,
-                    cfg.compile_timeout,
-                )
-            })
-        },
-        |bin| {
-            let _turn = lock(measure);
-            with_retries(cfg.retries, || run_binary(bin, label, cfg.run_timeout))
-        },
+        bin,
+        || ensure(&src, label, runner, cfg),
+        |bin| with_retries(cfg.retries, || run_binary(bin, label, cfg.run_timeout)),
     )
-    .map_err(|detail| PolymixError::runner(kernel, variant, detail))
+    .map_err(|detail| PolymixError::runner(&cell.kernel, &cell.variant, detail))
 }
 
 /// Retries `f` on transient failures ([`is_transient`]) with

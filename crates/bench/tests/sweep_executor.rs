@@ -753,3 +753,92 @@ fn measured_runs_take_one_lock_whatever_the_worker_count() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The names in `dir` (none when it does not exist yet).
+fn dir_names(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|d| {
+            d.filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// The sweep compiles every job before it measures any: at four workers,
+/// each in-process measurement finds no `rustc` in flight (no temp
+/// artifact, no lockfile) and every rustc job's binary already
+/// published, wherever it stands in the submission order.
+#[test]
+fn no_measured_run_overlaps_a_compile() {
+    let dir = tmp_dir("two-phase");
+    let cache = dir.join("cache");
+    const RUSTC_JOBS: u32 = 4;
+    let mut jobs = Vec::new();
+    for tag in 0..RUSTC_JOBS {
+        let cache = cache.clone();
+        let run = move || {
+            let names = dir_names(&cache);
+            assert!(
+                !names.iter().any(|n| n.contains(".tmp.") || n.contains(".lock")),
+                "a compile is in flight: {names:?}"
+            );
+            let published = names.iter().filter(|n| !n.ends_with(".rs")).count();
+            assert_eq!(published, RUSTC_JOBS as usize, "unpublished binaries: {names:?}");
+            Ok(RunResult {
+                checksum: 1.0,
+                time_s: 0.001,
+                gflops: 1.0,
+            })
+        };
+        jobs.push(SweepJob {
+            work: JobWork::InProcess { run: Box::new(run) },
+            ..vm_job(&format!("v{tag}"), 1.0)
+        });
+        jobs.push(job(&format!("r{tag}"), ok_src(tag)));
+    }
+    let cfg = SweepConfig {
+        jobs: 4,
+        ..SweepConfig::default()
+    };
+    let outcomes = run_sweep(jobs, &test_runner(cache.clone()), &cfg);
+    assert_eq!(outcomes.len(), 2 * RUSTC_JOBS as usize);
+    for o in &outcomes {
+        assert!(o.result.is_ok(), "{}: {:?}", o.id, o.result);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fresh records reach the log in submission order at any worker count,
+/// not in the order the compiles finish.
+#[test]
+fn the_log_lists_fresh_jobs_in_submission_order() {
+    let dir = tmp_dir("log-order");
+    let log = dir.join("results.jsonl");
+    let cfg = SweepConfig {
+        jobs: 4,
+        results_path: Some(log.clone()),
+        ..SweepConfig::default()
+    };
+    let jobs = vec![
+        job("r1", ok_src(1)),
+        job("r2", ok_src(2)),
+        vm_job("v1", 1.5),
+        job("r3", ok_src(3)),
+        vm_job("v2", 2.5),
+        job("r4", ok_src(4)),
+    ];
+    let submitted: Vec<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let outcomes = run_sweep(jobs, &test_runner(dir.join("cache")), &cfg);
+    assert!(outcomes.iter().all(|o| o.result.is_ok() && !o.resumed));
+    let logged: Vec<String> = std::fs::read_to_string(&log)
+        .expect("log written")
+        .lines()
+        .filter_map(|l| {
+            polymix_bench::sweep::parse_record(l)
+                .and_then(|r| r.str_field("id").map(str::to_string))
+        })
+        .collect();
+    assert_eq!(logged, submitted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
