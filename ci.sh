@@ -144,7 +144,9 @@ echo "$DEMOTED"
 # point-loop ordering that puts a tile's vector loop innermost
 # (`reordered`). The number
 # of statements `tile_nest` left under a loop that was not strip-mined must
-# not rise above the committed one (356 over the 25 kernels; 386 before a
+# not rise above the committed one (299 over the 25 kernels with maximal
+# fusion audited once, as `iter(max)`; 356 while `pluto-maxfuse` audited
+# the same programs a second time; 386 before a
 # nest tile_nest strip-mines nothing in was emitted untiled, 325 over the
 # paper's 22, 341 before the DL model declined nests, which it counts none
 # of, 459 before the sunk form) — lower it here when a change tiles more.
@@ -154,11 +156,11 @@ echo "$TILING"
 echo "$TILING" | grep -Eq \
     '^tiling: joint [1-9][0-9]* chains [1-9][0-9]* sunk [1-9][0-9]* declined [1-9][0-9]* reordered [1-9][0-9]* untiled-levels [0-9]+$' \
     || { echo "a tiling form, the decline decision or the point-loop order lost all its traffic"; exit 1; }
-[ "${TILING##* }" -le 356 ] \
-    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 356"; exit 1; }
+[ "${TILING##* }" -le 299 ] \
+    || { echo "statements lost tile coverage: untiled-levels ${TILING##* } > 299"; exit 1; }
 # The next line counts the tiled nests per tile size the flow chose (16,
 # 32, 64) and the guard conjuncts guard separation took out of the emitted
-# trees: both 16 and 32 are still chosen somewhere (12 and 166 nests over
+# trees: both 16 and 32 are still chosen somewhere (12 and 150 nests over
 # the 25 kernels), and no decided guard comes back (32).
 SIZES=$(echo "$VERIFY_OUT" | grep '^sizes: ') \
     || { echo "static audit printed no tile-size census"; exit 1; }
@@ -260,6 +262,14 @@ for spec in "table1 --backend vm" "table1 --measure-jobs 2" "table1 --tuned" \
     RC=0; cargo run --release -q -p polymix-bench --bin "$BIN" -- \
         --dataset mini $FLAG > /dev/null 2>&1 || RC=$?
     [ "$RC" -eq 2 ] || { echo "$spec exited $RC, expected 2"; exit 1; }
+done
+# The daemon CLI refuses one too, before it binds or connects: a `serve`
+# that ignored the flag would block until the timeout (124), and a `req`
+# would fail to connect (1).
+for spec in "serve --addr 127.0.0.1:0" "req --addr 127.0.0.1:1"; do
+    RC=0; timeout 60 cargo run --release -q -p polymix-service --bin polymix_service -- \
+        $spec --no-such-flag > /dev/null 2>&1 || RC=$?
+    [ "$RC" -eq 2 ] || { echo "polymix_service $spec --no-such-flag exited $RC, expected 2"; exit 1; }
 done
 
 # Small-budget tuner smoke: one kernel at mini through the closed-loop

@@ -52,7 +52,6 @@ use crate::runner::{RunResult, Runner};
 use crate::sweep::{run_sweep, rustc_work, JobWork, SweepConfig, SweepJob};
 use crate::variants::{build_variant, build_with, Variant};
 use polymix_ast::tree::{Node, Par, Program};
-use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_ir::error::PolymixError;
 use polymix_polybench::{kernel_by_name, Group, Kernel};
@@ -84,52 +83,12 @@ pub const CONFIRM_TOP: usize = 2;
 /// two extra programs per search, whichever the burst spared.
 pub const SCREEN_MARGIN: f64 = 0.25;
 
-/// The optimizer family of a candidate: which transformation flow and
-/// which fusion structure it enumerates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OptFamily {
-    /// The paper's poly+AST flow with Algorithm 5 fusion.
-    PolyAstFuse,
-    /// poly+AST with inter-SCC fusion disabled.
-    PolyAstNoFuse,
-    /// Pluto smart-fuse (the `pocc` baseline).
-    PlutoPocc,
-    /// Pluto maximal fusion.
-    PlutoMaxFuse,
-    /// Pluto no fusion.
-    PlutoNoFuse,
-}
-
-impl OptFamily {
-    /// All families the search enumerates.
-    pub fn all() -> [OptFamily; 5] {
-        [
-            OptFamily::PolyAstFuse,
-            OptFamily::PolyAstNoFuse,
-            OptFamily::PlutoPocc,
-            OptFamily::PlutoMaxFuse,
-            OptFamily::PlutoNoFuse,
-        ]
-    }
-
-    /// Stable name: the sweep variant and part of every job id.
-    pub fn name(self) -> &'static str {
-        match self {
-            OptFamily::PolyAstFuse => "polyast-fuse",
-            OptFamily::PolyAstNoFuse => "polyast-nofuse",
-            OptFamily::PlutoPocc => "pluto-pocc",
-            OptFamily::PlutoMaxFuse => "pluto-maxfuse",
-            OptFamily::PlutoNoFuse => "pluto-nofuse",
-        }
-    }
-}
-
 /// One point of the search space: a transformation structure, and with
 /// it one emitted program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
-    /// Optimizer family (fusion structure enumeration).
-    pub opt: OptFamily,
+    /// Optimizer configuration: the flow and its fusion structure.
+    pub opt: Variant,
     /// Rectangular tile size.
     pub tile: i64,
     /// Outer (time) tile size for pipeline-group kernels; equals `tile`
@@ -154,36 +113,14 @@ impl Candidate {
     }
 }
 
-/// Builds the transformed program for one candidate: through
-/// [`build_with`] at the candidate's knobs, except for poly+AST without
-/// fusion, which is no [`Variant`].
+/// Builds the transformed program for one candidate: [`build_with`] at
+/// the candidate's knobs.
 pub fn build_candidate(
     kernel: &Kernel,
     c: &Candidate,
     machine: &Machine,
 ) -> Result<Program, PolymixError> {
-    let scop = (kernel.build)();
-    let variant = match c.opt {
-        OptFamily::PolyAstFuse => Variant::PolyAst,
-        OptFamily::PlutoPocc => Variant::Pocc,
-        OptFamily::PlutoMaxFuse => Variant::PlutoMaxFuse,
-        OptFamily::PlutoNoFuse => Variant::IterativeNo,
-        OptFamily::PolyAstNoFuse => {
-            return optimize_poly_ast(
-                &scop,
-                &PolyAstOptions {
-                    machine: machine.clone(),
-                    tile: c.tile,
-                    time_tile: c.time_tile,
-                    tiling: true,
-                    doall_only: false,
-                    unroll: c.unroll,
-                    fusion: false,
-                },
-            )
-        }
-    };
-    build_with(&scop, variant, c.tile, c.time_tile, c.unroll, machine)
+    build_with(&(kernel.build)(), c.opt, c.tile, c.time_tile, c.unroll, machine)
 }
 
 /// Enumerates the full candidate space for a kernel group. Deterministic
@@ -202,9 +139,17 @@ pub fn candidate_space(group: Group) -> Vec<Candidate> {
         &[]
     };
     let unrolls: &[(i64, i64)] = &[(1, 1), (2, 2)];
+    // poly+AST with and without fusion, then Pluto smart-, max- and no-fuse.
+    let families = [
+        Variant::PolyAst,
+        Variant::PolyAstNoFuse,
+        Variant::Pocc,
+        Variant::IterativeMax,
+        Variant::IterativeNo,
+    ];
     let mut out = Vec::new();
-    for opt in OptFamily::all() {
-        let poly_ast = matches!(opt, OptFamily::PolyAstFuse | OptFamily::PolyAstNoFuse);
+    for opt in families {
+        let poly_ast = matches!(opt, Variant::PolyAst | Variant::PolyAstNoFuse);
         let tiles = if poly_ast && group != Group::Pipeline {
             &all_tiles[2..]
         } else {
@@ -560,7 +505,7 @@ mod tests {
 
     fn sample_candidate() -> Candidate {
         Candidate {
-            opt: OptFamily::PolyAstFuse,
+            opt: Variant::PolyAst,
             tile: 32,
             time_tile: 5,
             unroll: (2, 2),
@@ -571,7 +516,7 @@ mod tests {
     fn candidate_ids_encode_every_knob() {
         let c = sample_candidate();
         let id = c.id("jacobi-2d-imper", "small");
-        assert_eq!(id, "tune:jacobi-2d-imper:small:polyast-fuse:t32:tt5:u2x2");
+        assert_eq!(id, "tune:jacobi-2d-imper:small:poly+ast:t32:tt5:u2x2");
         // Two candidates differing only in one knob get distinct ids —
         // the resume log must never alias them.
         let c2 = Candidate {
@@ -609,7 +554,7 @@ mod tests {
         let poly_ast_tiles = |space: &[Candidate]| {
             let mut t: Vec<i64> = space
                 .iter()
-                .filter(|c| matches!(c.opt, OptFamily::PolyAstFuse | OptFamily::PolyAstNoFuse))
+                .filter(|c| matches!(c.opt, Variant::PolyAst | Variant::PolyAstNoFuse))
                 .map(|c| c.tile)
                 .collect();
             t.sort();
@@ -643,12 +588,12 @@ mod tests {
     fn each_program_is_screened_once() {
         let kernel = kernel_by_name("jacobi-1d-imper").expect("kernel");
         let space = candidate_space(kernel.group);
-        let pick = |opt: OptFamily| -> Vec<usize> {
+        let pick = |opt: Variant| -> Vec<usize> {
             (0..space.len())
                 .filter(|&i| space[i].opt == opt && space[i].unroll == (1, 1))
                 .collect()
         };
-        let (fused, pocc) = (pick(OptFamily::PolyAstFuse), pick(OptFamily::PlutoPocc));
+        let (fused, pocc) = (pick(Variant::PolyAst), pick(Variant::Pocc));
         assert_eq!(fused.len(), 9);
         let machine = Machine::nehalem();
         let progs: Vec<Option<Program>> = (0..space.len())

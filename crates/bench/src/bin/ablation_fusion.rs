@@ -13,8 +13,7 @@
 
 use polymix_bench::figures::{cell, print_grid, Grid};
 use polymix_bench::report::Table;
-use polymix_bench::variants::{paper_knobs, Variant};
-use polymix_core::{optimize_poly_ast, PolyAstOptions};
+use polymix_bench::variants::{build_variant, Variant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
@@ -30,22 +29,9 @@ fn main() {
     // paper's knobs, so `fused` is the program `build_variant` ships.
     let mut jobs = Vec::new();
     for k in &kernels {
-        let (tile, time_tile, unroll) = paper_knobs(k.group, Variant::PolyAst);
-        for fusion in [true, false] {
+        for (fusion, variant) in [(true, Variant::PolyAst), (false, Variant::PolyAstNoFuse)] {
             let (kb, mb) = (k.clone(), grid.machine.clone());
-            let build = move || {
-                optimize_poly_ast(
-                    &(kb.build)(),
-                    &PolyAstOptions {
-                        machine: mb.clone(),
-                        tile,
-                        time_tile,
-                        unroll,
-                        fusion,
-                        ..Default::default()
-                    },
-                )
-            };
+            let build = move || build_variant(&kb, variant, &mb);
             let id = format!("fuse:{}:{fusion}:{}", k.name, grid.cli.dataset);
             jobs.push(grid.job(id, k, &format!("fusion={fusion}"), build));
         }

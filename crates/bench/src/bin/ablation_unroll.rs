@@ -2,11 +2,12 @@
 //! improvement can be obtained by register tiling"): the poly+AST flow on
 //! gemm, 2mm and syrk with no register tile (every `jam` mark of the
 //! flow's program cleared), with the tile the flow selects itself
-//! (`unroll: (1, 1)`), and with each requested unroll-and-jam factor.
+//! (`unroll: (1, 1)`), and with each requested unroll-and-jam factor,
+//! all at the paper's tile sizes.
 
 use polymix_bench::figures::{cell, print_grid, Grid};
 use polymix_bench::report::Table;
-use polymix_core::{optimize_poly_ast, PolyAstOptions};
+use polymix_bench::variants::{build_with, paper_knobs, Variant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
@@ -28,15 +29,12 @@ fn main() {
     // with the remaining configurations.
     let mut jobs = Vec::new();
     for k in &kernels {
+        let (tile, time_tile, _) = paper_knobs(k.group, Variant::PolyAst);
         for &(column, request) in &columns {
             let (kb, mb) = (k.clone(), grid.machine.clone());
             let build = move || {
-                let options = PolyAstOptions {
-                    machine: mb.clone(),
-                    unroll: request.unwrap_or((1, 1)),
-                    ..Default::default()
-                };
-                let mut p = optimize_poly_ast(&(kb.build)(), &options)?;
+                let (scop, unroll) = ((kb.build)(), request.unwrap_or((1, 1)));
+                let mut p = build_with(&scop, Variant::PolyAst, tile, time_tile, unroll, &mb)?;
                 if request.is_none() {
                     p.body.visit_loops_mut(&mut |l| l.jam = 1);
                 }

@@ -8,7 +8,7 @@ use polymix_bench::figures::{cell, print_grid, Grid};
 use polymix_bench::report::Table;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
+use polymix_pluto::{optimize_pluto, Fusion, PlutoOptions};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     match optimize_pluto(
         &scop,
         &PlutoOptions {
-            variant: PlutoVariant::MaxFuse,
+            fusion: Fusion::Max,
             tiling: false,
             ..Default::default()
         },
@@ -56,7 +56,7 @@ fn main() {
     );
     let entries = [
         ("original", Variant::Native),
-        ("pocc (maxfuse)", Variant::PlutoMaxFuse),
+        ("pocc (maxfuse)", Variant::IterativeMax),
         ("pocc (smartfuse)", Variant::Pocc),
         ("our flow", Variant::PolyAst),
     ];

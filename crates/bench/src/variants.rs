@@ -6,10 +6,12 @@ use polymix_core::error::PolymixError;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
 use polymix_dl::Machine;
 use polymix_ir::Scop;
-use polymix_pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
+use polymix_pluto::{optimize_pluto, Fusion, PlutoOptions};
 use polymix_polybench::{Group, Kernel};
 
-/// One experimental variant (paper Sec. V-A names in comments).
+/// One optimizer configuration: the experimental variants of the paper
+/// (Sec. V-A names in comments) and the tuner's search families. Its
+/// [`Variant::name`] is the only spelling of each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// `icc-auto` / `xlc-auto` analogue: the reference loop nest compiled
@@ -20,9 +22,10 @@ pub enum Variant {
     /// `pocc+vect`: `pocc` with register tiling at (2, 2)
     /// ([`paper_knobs`]).
     PoccVect,
-    /// `iterative`: best of the enumerated fusion structures (the
-    /// harness runs all three and reports the best, mirroring PoCC's
-    /// auto-tuning).
+    /// `iterative` member: Pluto with maximal fusion (the Fig. 2
+    /// structure, Table I's "pocc (maxfuse)" row). The figures report
+    /// `iterative` as the best of `pocc` and both members, mirroring
+    /// PoCC's auto-tuning.
     IterativeMax,
     /// `iterative` member: no fusion.
     IterativeNo,
@@ -30,13 +33,15 @@ pub enum Variant {
     PolyAst,
     /// `poly+ast` restricted to doall parallelism (Fig. 5 comparison).
     PolyAstDoallOnly,
-    /// Pluto with maximal fusion (the Fig. 2 structure for Table I).
-    PlutoMaxFuse,
+    /// `poly+ast` with Algorithm 5's inter-SCC fusion disabled (the
+    /// fusion ablation and a tuner family); not in [`Variant::ALL`].
+    PolyAstNoFuse,
 }
 
 impl Variant {
-    /// Every variant, in the order the audits walk them.
-    pub const ALL: [Variant; 8] = [
+    /// The paper's variants: what the audits walk (in this order) and the
+    /// service accepts.
+    pub const ALL: [Variant; 7] = [
         Variant::Native,
         Variant::Pocc,
         Variant::PoccVect,
@@ -44,7 +49,6 @@ impl Variant {
         Variant::IterativeNo,
         Variant::PolyAst,
         Variant::PolyAstDoallOnly,
-        Variant::PlutoMaxFuse,
     ];
 
     /// Display name matching the paper's figures.
@@ -57,12 +61,12 @@ impl Variant {
             Variant::IterativeNo => "iter(no)",
             Variant::PolyAst => "poly+ast",
             Variant::PolyAstDoallOnly => "poly+ast(doall)",
-            Variant::PlutoMaxFuse => "pluto-maxfuse",
+            Variant::PolyAstNoFuse => "poly+ast(nofuse)",
         }
     }
 
-    /// The variant whose [`Variant::name`] is `label` (the service's wire
-    /// spelling and the bins' `--variant` argument).
+    /// The variant of [`Variant::ALL`] whose [`Variant::name`] is `label`
+    /// (the service's wire spelling and the bins' `--variant` argument).
     pub fn parse(label: &str) -> Option<Variant> {
         Variant::ALL.into_iter().find(|v| v.name() == label)
     }
@@ -111,8 +115,8 @@ pub fn build_variant(
 
 /// The one mapping from a [`Variant`] to optimizer options, with the
 /// tile and unroll knobs explicit: [`build_variant`] passes the paper's
-/// defaults, the tuner its candidate's, the optimization service whatever
-/// the request resolved to.
+/// defaults, the tuner and the register-tiling ablation their own, the
+/// optimization service whatever the request resolved to.
 pub fn build_with(
     scop: &Scop,
     variant: Variant,
@@ -121,11 +125,11 @@ pub fn build_with(
     unroll: (i64, i64),
     machine: &Machine,
 ) -> Result<Program, PolymixError> {
-    let pluto = |pv: PlutoVariant| {
+    let pluto = |fusion| {
         optimize_pluto(
             scop,
             &PlutoOptions {
-                variant: pv,
+                fusion,
                 tile,
                 time_tile,
                 tiling: true,
@@ -135,10 +139,10 @@ pub fn build_with(
     };
     match variant {
         Variant::Native => original_program(scop),
-        Variant::Pocc | Variant::PoccVect => pluto(PlutoVariant::Pocc),
-        Variant::IterativeMax | Variant::PlutoMaxFuse => pluto(PlutoVariant::MaxFuse),
-        Variant::IterativeNo => pluto(PlutoVariant::NoFuse),
-        Variant::PolyAst | Variant::PolyAstDoallOnly => optimize_poly_ast(
+        Variant::Pocc | Variant::PoccVect => pluto(Fusion::Smart),
+        Variant::IterativeMax => pluto(Fusion::Max),
+        Variant::IterativeNo => pluto(Fusion::None),
+        Variant::PolyAst | Variant::PolyAstDoallOnly | Variant::PolyAstNoFuse => optimize_poly_ast(
             scop,
             &PolyAstOptions {
                 machine: machine.clone(),
@@ -147,7 +151,7 @@ pub fn build_with(
                 tiling: true,
                 doall_only: variant == Variant::PolyAstDoallOnly,
                 unroll,
-                fusion: true,
+                fusion: variant != Variant::PolyAstNoFuse,
             },
         ),
     }
@@ -188,5 +192,9 @@ mod tests {
             assert_eq!(Variant::parse(v.name()), Some(v));
         }
         assert_eq!(Variant::parse("pluto9000"), None);
+        // Maximal fusion is `iter(max)` alone, and poly+AST without
+        // fusion is neither audited nor served.
+        assert_eq!(Variant::parse("pluto-maxfuse"), None);
+        assert_eq!(Variant::parse("poly+ast(nofuse)"), None);
     }
 }

@@ -85,7 +85,7 @@ fn group_figures_key_cells_kernel_variant_dataset() {
 
 #[test]
 fn table1_keys_cells_by_variant_and_renders_every_outcome() {
-    let ids: Vec<String> = ["native", "pluto-maxfuse", "pocc"]
+    let ids: Vec<String> = ["native", "iter(max)", "pocc"]
         .iter()
         .map(|v| format!("table1:{v}:mini"))
         .collect();

@@ -1,6 +1,6 @@
 //! End-to-end baseline optimization: Pluto-style schedules, polyhedral
-//! code generation, tiling, wavefront-or-doall parallelization, and the
-//! optional intra-tile vectorization permutation.
+//! code generation, tiling, wavefront-or-doall parallelization, and
+//! optional register tiling by unroll-and-jam marks (`pocc+vect`).
 
 use crate::scheduler::{schedule_with_fallback, Fusion};
 use polymix_ast::transforms::band_depth;
@@ -12,24 +12,13 @@ use polymix_codegen::opt::{
 use polymix_ir::error::PolymixError;
 use polymix_ir::Scop;
 
-/// Which PoCC experimental variant to emulate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlutoVariant {
-    /// `pocc`: smart-fuse + tiling + coarse-grain parallelization with
-    /// wavefronting when no outer tile loop is parallel (`pocc+vect` is
-    /// this variant with register tiling, [`PlutoOptions::unroll`]).
-    Pocc,
-    /// Maximal fusion (the Fig. 2 comparison structure).
-    MaxFuse,
-    /// No fusion across SCCs.
-    NoFuse,
-}
-
 /// Baseline optimizer options.
 #[derive(Clone, Debug)]
 pub struct PlutoOptions {
-    /// Variant to emulate.
-    pub variant: PlutoVariant,
+    /// Fusion heuristic the scheduler starts its fallback chain from:
+    /// [`Fusion::Smart`] is PoCC's `pocc` (and, with register tiling,
+    /// `pocc+vect`); [`Fusion::Max`] the Fig. 2 structure.
+    pub fusion: Fusion,
     /// Rectangular tile size (the paper uses 32).
     pub tile: i64,
     /// Tile size of the outermost (time) band dimension (the paper uses 5
@@ -46,7 +35,7 @@ pub struct PlutoOptions {
 impl Default for PlutoOptions {
     fn default() -> Self {
         PlutoOptions {
-            variant: PlutoVariant::Pocc,
+            fusion: Fusion::Smart,
             tile: 32,
             time_tile: 5,
             tiling: true,
@@ -63,12 +52,7 @@ impl Default for PlutoOptions {
 /// legal program could be produced at all.
 pub fn optimize_pluto(scop: &Scop, opts: &PlutoOptions) -> Result<Program, PolymixError> {
     let _memo = polymix_math::memo::scope();
-    let fusion = match opts.variant {
-        PlutoVariant::MaxFuse => Fusion::Max,
-        PlutoVariant::NoFuse => Fusion::None,
-        PlutoVariant::Pocc => Fusion::Smart,
-    };
-    let fallback = schedule_with_fallback(scop, fusion);
+    let fallback = schedule_with_fallback(scop, opts.fusion);
     let schedules = fallback.schedules;
     let mut prog = generate(scop, &schedules)?;
     run_nests(scop, &schedules, &mut prog, |prog, _, info, mut nest| {
@@ -115,15 +99,11 @@ mod tests {
     use polymix_ast::interp::execute;
     use polymix_polybench::all_kernels;
 
-    /// The heavyweight oracle: every variant × every kernel must match
-    /// the reference bit-for-bit under sequential interpretation.
+    /// The heavyweight oracle: every fusion heuristic × every kernel must
+    /// match the reference bit-for-bit under sequential interpretation.
     #[test]
     fn pluto_variants_preserve_semantics_on_all_kernels() {
-        for variant in [
-            PlutoVariant::Pocc,
-            PlutoVariant::MaxFuse,
-            PlutoVariant::NoFuse,
-        ] {
+        for fusion in [Fusion::Smart, Fusion::Max, Fusion::None] {
             for k in all_kernels() {
                 let scop = (k.build)();
                 let params = k.dataset("mini").params;
@@ -131,7 +111,7 @@ mod tests {
                 (k.reference)(&params, &mut expected);
 
                 let opts = PlutoOptions {
-                    variant,
+                    fusion,
                     tile: 4,
                     time_tile: 2,
                     ..Default::default()
@@ -143,7 +123,7 @@ mod tests {
                     assert_eq!(
                         e, a,
                         "{:?} {} array {} ({}) mismatch",
-                        variant, k.name, ai, scop.arrays[ai].name
+                        fusion, k.name, ai, scop.arrays[ai].name
                     );
                 }
             }

@@ -201,7 +201,10 @@ pub fn gramschmidt() -> Kernel {
                 Dataset { name: "large", params: vec![512, 512] },
             ]
         },
-        init: InitSpec::generic(),
+        // The generic fill repeats a row of A every 1024 / gcd(M, 1024)
+        // rows (4 at M = 256, 32 at M = 96): boost the diagonal for full
+        // column rank, or a column's norm reaches zero.
+        init: InitSpec::diag(&[0]),
     }
 }
 
@@ -209,19 +212,27 @@ pub fn gramschmidt() -> Kernel {
 mod tests {
     use super::*;
 
+    /// At every size the sweeps run, every reference result is finite:
+    /// the generic fill is periodic in the flat index and repeats rows,
+    /// so a factorization whose input is not boosted can divide by zero
+    /// (gramschmidt's did at `standard`).
     #[test]
     fn extended_kernels_run_finite() {
         for k in [lu(), trmm(), gramschmidt()] {
             let scop = (k.build)();
-            let params = k.dataset("mini").params;
-            let mut arrays = k.fresh_arrays(&scop, &params);
-            (k.reference)(&params, &mut arrays);
-            for (ai, arr) in arrays.iter().enumerate() {
-                assert!(
-                    arr.iter().all(|x| x.is_finite()),
-                    "{} array {ai} non-finite",
-                    k.name
-                );
+            for ds in ["mini", "small", "standard"] {
+                let params = k.dataset(ds).params;
+                let mut arrays = k.fresh_arrays(&scop, &params);
+                (k.reference)(&params, &mut arrays);
+                for (ai, arr) in arrays.iter().enumerate() {
+                    assert!(
+                        arr.iter().all(|x| x.is_finite()),
+                        "{} {ds} array {ai} non-finite",
+                        k.name
+                    );
+                }
+                let sum = crate::checksum(&scop, &arrays);
+                assert!(sum.is_finite(), "{} {ds}: checksum {sum}", k.name);
             }
         }
     }

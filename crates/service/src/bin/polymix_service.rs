@@ -17,7 +17,8 @@
 //! ```
 //!
 //! `--addr-file` writes the bound `host:port` (after binding, so port 0
-//! works) for scripted discovery — the CI smoke test uses it.
+//! works) for scripted discovery — the CI smoke test uses it. A flag the
+//! subcommand does not take exits 2, naming it.
 
 use polymix_service::daemon::{Service, ServiceConfig};
 use polymix_service::proto::OptimizeRequest;
@@ -34,16 +35,56 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let has = |key: &str| args.iter().any(|a| a == key);
+    let client = ["--addr", "--timeout-s"];
+    let known: &[&str] = match cmd {
+        "serve" => &[
+            "--addr",
+            "--cache-dir",
+            "--shards",
+            "--workers",
+            "--queue-cap",
+            "--max-conns",
+            "--deadline-ms",
+            "--threads",
+            "--reps",
+            "--addr-file",
+            "--allow-inject",
+        ],
+        "req" => &[
+            "--addr",
+            "--timeout-s",
+            "--kernel",
+            "--variant",
+            "--dataset",
+            "--tile",
+            "--time-tile",
+            "--unroll-o",
+            "--unroll-i",
+            "--deadline-ms",
+            "--inject",
+            "--emit",
+        ],
+        "stats" | "health" | "shutdown" => &client,
+        other => {
+            eprintln!("unknown subcommand {other:?} (serve | req | stats | health | shutdown)");
+            std::process::exit(2);
+        }
+    };
+    if let Some(bad) = args
+        .iter()
+        .skip(2)
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {bad} for {cmd} (takes {})", known.join(", "));
+        std::process::exit(2);
+    }
     let code = match cmd {
         "serve" => serve(&grab, &has),
         "req" => req(&grab, &has),
         "stats" => client_op(&grab, |c| c.stats().map(Some)),
         "health" => client_op(&grab, |c| c.health().map(|()| Some("ok".into()))),
-        "shutdown" => client_op(&grab, |c| c.shutdown().map(|()| Some("ok".into()))),
-        other => {
-            eprintln!("unknown subcommand {other:?} (serve | req | stats | health | shutdown)");
-            2
-        }
+        // `shutdown`, the last subcommand `known` let through.
+        _ => client_op(&grab, |c| c.shutdown().map(|()| Some("ok".into()))),
     };
     std::process::exit(code);
 }

@@ -6,7 +6,7 @@
 
 use polymix_ast::tree::TileForm;
 use polymix_core::{optimize_poly_ast, PolyAstOptions};
-use polymix_pluto::{optimize_pluto, schedule_with_fallback, Fusion, PlutoOptions, PlutoVariant};
+use polymix_pluto::{optimize_pluto, schedule_with_fallback, Fusion, PlutoOptions};
 use polymix_polybench::{all_kernels, extended_kernels};
 
 fn every_kernel() -> Vec<polymix_polybench::Kernel> {
@@ -124,21 +124,21 @@ fn poly_ast_outputs_certify_on_all_kernels() {
 fn pluto_outputs_certify_on_all_kernels() {
     for k in every_kernel() {
         let scop = (k.build)();
-        for (variant, unroll) in [
-            (PlutoVariant::Pocc, (1, 1)),
-            (PlutoVariant::Pocc, (2, 2)),
-            (PlutoVariant::MaxFuse, (1, 1)),
-            (PlutoVariant::NoFuse, (1, 1)),
+        for (fusion, unroll) in [
+            (Fusion::Smart, (1, 1)),
+            (Fusion::Smart, (2, 2)),
+            (Fusion::Max, (1, 1)),
+            (Fusion::None, (1, 1)),
         ] {
             let opts = PlutoOptions {
-                variant,
+                fusion,
                 tile: 4,
                 time_tile: 2,
                 unroll,
                 ..Default::default()
             };
             let prog = optimize_pluto(&scop, &opts).expect("optimize");
-            assert_certified(k.name, &format!("{variant:?} {unroll:?}"), &prog);
+            assert_certified(k.name, &format!("{fusion:?} {unroll:?}"), &prog);
         }
     }
 }

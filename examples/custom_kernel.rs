@@ -22,7 +22,7 @@ use polymix::core::{optimize_poly_ast, PolyAstOptions};
 use polymix::deps::build_podg;
 use polymix::ir::builder::{con, ix, par, ScopBuilder};
 use polymix::ir::{Expr, Scop};
-use polymix::pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
+use polymix::pluto::{optimize_pluto, Fusion, PlutoOptions};
 
 fn build() -> Scop {
     let mut b = ScopBuilder::new("blur-scale", &["N", "M"], &[12, 12]);
@@ -81,7 +81,7 @@ fn main() {
     let baseline = optimize_pluto(
         &scop,
         &PlutoOptions {
-            variant: PlutoVariant::Pocc,
+            fusion: Fusion::Smart,
             tiling: false,
             ..Default::default()
         },

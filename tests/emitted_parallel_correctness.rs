@@ -96,7 +96,7 @@ fn wavefront_threads_seidel_baseline() {
 
 #[test]
 fn tiled_guarded_maxfuse_2mm() {
-    check("2mm", Variant::PlutoMaxFuse, 1e-12);
+    check("2mm", Variant::IterativeMax, 1e-12);
 }
 
 /// Rows a multiple of 4 KiB long run on storage padded by one cache line

@@ -11,7 +11,7 @@ use polymix::ir::error::Stage;
 use polymix::ir::{Expr, Scop};
 use polymix::math::IntMat;
 use polymix::pluto::scheduler::{schedule_pluto, schedule_with_fallback};
-use polymix::pluto::{optimize_pluto, Fusion, PlutoOptions, PlutoVariant};
+use polymix::pluto::{optimize_pluto, Fusion, PlutoOptions};
 use polymix_bench::runner::Runner;
 use polymix_bench::sweep::{run_sweep, rustc_work, SweepConfig, SweepJob};
 use polymix_bench::variants::{build_variant, Variant};
@@ -84,11 +84,11 @@ fn full_pluto_pipeline_degrades_instead_of_panicking() {
     let mut want = alloc_arrays(&scop, &params);
     execute(&reference, &params, &mut want);
 
-    for variant in [PlutoVariant::MaxFuse, PlutoVariant::Pocc, PlutoVariant::NoFuse] {
+    for fusion in [Fusion::Max, Fusion::Smart, Fusion::None] {
         let prog = optimize_pluto(
             &scop,
             &PlutoOptions {
-                variant,
+                fusion,
                 tile: 4,
                 time_tile: 4,
                 tiling: true,
@@ -98,7 +98,7 @@ fn full_pluto_pipeline_degrades_instead_of_panicking() {
         .expect("pipeline degrades, never dies");
         let mut got = alloc_arrays(&scop, &params);
         execute(&prog, &params, &mut got);
-        assert_eq!(got, want, "{variant:?} output diverged from reference");
+        assert_eq!(got, want, "{fusion:?} output diverged from reference");
     }
 }
 

@@ -56,7 +56,7 @@ fn pocc_vect_bitwise_on_awkward_sizes() {
 
 #[test]
 fn maxfuse_bitwise_on_awkward_sizes() {
-    check_all(Variant::PlutoMaxFuse, 5);
+    check_all(Variant::IterativeMax, 5);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use polymix::codegen::from_poly::original_program;
 use polymix::core::{optimize_poly_ast, PolyAstOptions};
 use polymix::ir::builder::{con, ix, par, ScopBuilder};
 use polymix::ir::{BinOp, Expr, Scop};
-use polymix::pluto::{optimize_pluto, PlutoOptions, PlutoVariant};
+use polymix::pluto::{optimize_pluto, Fusion, PlutoOptions};
 use proptest::prelude::*;
 
 /// Parameters of a random kernel.
@@ -128,19 +128,19 @@ proptest! {
     fn pluto_preserves_random_kernels(spec in spec_strategy()) {
         let scop = build(&spec);
         let reference = run(&original_program(&scop).expect("original program"), spec.n);
-        for variant in [PlutoVariant::Pocc, PlutoVariant::MaxFuse, PlutoVariant::NoFuse] {
+        for fusion in [Fusion::Smart, Fusion::Max, Fusion::None] {
             let opt = optimize_pluto(&scop, &PlutoOptions {
-                variant,
+                fusion,
                 tile: 3,
                 time_tile: 2,
                 ..Default::default()
             });
             let opt = match opt {
                 Ok(p) => p,
-                Err(e) => return Err(format!("spec {spec:?} variant {variant:?}: {e}")),
+                Err(e) => return Err(format!("spec {spec:?} fusion {fusion:?}: {e}")),
             };
             let got = run(&opt, spec.n);
-            prop_assert_eq!(&reference, &got, "spec {:?} variant {:?}", spec, variant);
+            prop_assert_eq!(&reference, &got, "spec {:?} fusion {:?}", spec, fusion);
         }
     }
 }
