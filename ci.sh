@@ -254,22 +254,37 @@ done
 # `--backend vm` must not silently print a rustc table in its place, the
 # retired `--measure-jobs` must not silently run one at a time, and the
 # tuner's winner is printed, not stored, so no flag writes or reads a
-# config file.
+# config file. One parser refuses every misread argument the same way,
+# before any work: a value that does not parse, a dataset some kernel
+# lacks, a kernel name that is no kernel, a sweep flag given to a binary
+# that does not sweep, any argument to one that takes none. No refused
+# run may leave a results log (`@R` stands for its path).
 echo "== unknown flag gate =="
-for spec in "table1 --backend vm" "table1 --measure-jobs 2" "table1 --tuned" \
-        "table1 --tuned-config x" "tune --out x"; do
-    BIN=${spec%% *} FLAG=${spec#* }
+REFUSED="$SMOKE_DIR/refused.jsonl"
+for spec in "table1 --dataset mini --backend vm --results @R" \
+        "table1 --dataset mini --measure-jobs 2 --results @R" \
+        "table1 --dataset mini --tuned --results @R" \
+        "table1 --dataset mini --tuned-config x --results @R" \
+        "tune --dataset mini --out x --results @R" \
+        "fig6 --jobs 2 --results @R" "table2 --bogus" \
+        "tune --budget 6x --results @R" "tune --kernels nosuch --results @R" \
+        "fig7 --dataset standrad --results @R" "verify --dataset standrad"; do
+    BIN=${spec%% *} ARGS=${spec#* }
     RC=0; cargo run --release -q -p polymix-bench --bin "$BIN" -- \
-        --dataset mini $FLAG > /dev/null 2>&1 || RC=$?
+        ${ARGS//@R/$REFUSED} > /dev/null 2>&1 || RC=$?
     [ "$RC" -eq 2 ] || { echo "$spec exited $RC, expected 2"; exit 1; }
+    [ ! -e "$REFUSED" ] || { echo "$spec wrote a results log"; exit 1; }
 done
-# The daemon CLI refuses one too, before it binds or connects: a `serve`
-# that ignored the flag would block until the timeout (124), and a `req`
-# would fail to connect (1).
-for spec in "serve --addr 127.0.0.1:0" "req --addr 127.0.0.1:1"; do
-    RC=0; timeout 60 cargo run --release -q -p polymix-service --bin polymix_service -- \
-        $spec --no-such-flag > /dev/null 2>&1 || RC=$?
-    [ "$RC" -eq 2 ] || { echo "polymix_service $spec --no-such-flag exited $RC, expected 2"; exit 1; }
+# The daemon CLI and the load soak refuse one too, before they bind or
+# connect: a `serve` or a soak that ignored it would run until the
+# timeout (124), and a `req` would fail to connect (1).
+for spec in "polymix_service serve --addr 127.0.0.1:0 --no-such-flag" \
+        "polymix_service req --addr 127.0.0.1:1 --no-such-flag" \
+        "polymix_service serve --addr 127.0.0.1:0 --workers two" \
+        "service_load --no-such-flag"; do
+    RC=0; timeout 60 cargo run --release -q -p polymix-service --bin ${spec%% *} -- \
+        ${spec#* } > /dev/null 2>&1 || RC=$?
+    [ "$RC" -eq 2 ] || { echo "$spec exited $RC, expected 2"; exit 1; }
 done
 
 # Small-budget tuner smoke: one kernel at mini through the closed-loop

@@ -17,7 +17,7 @@ use polymix_bench::variants::{build_variant, Variant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let grid = Grid::new(&[]);
+    let grid = Grid::parse(&[]);
     println!("== Fusion ablation (poly+AST with/without Algorithm 5 fusion) ==");
     let names = [
         "2mm", "3mm", "gemm", "syrk", "gesummv", "atax", "correlation", "fdtd-2d",
@@ -32,7 +32,7 @@ fn main() {
         for (fusion, variant) in [(true, Variant::PolyAst), (false, Variant::PolyAstNoFuse)] {
             let (kb, mb) = (k.clone(), grid.machine.clone());
             let build = move || build_variant(&kb, variant, &mb);
-            let id = format!("fuse:{}:{fusion}:{}", k.name, grid.cli.dataset);
+            let id = format!("fuse:{}:{fusion}:{}", k.name, grid.dataset);
             jobs.push(grid.job(id, k, &format!("fusion={fusion}"), build));
         }
     }

@@ -11,7 +11,7 @@ use polymix_bench::variants::{build_with, paper_knobs, Variant};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let grid = Grid::new(&[]);
+    let grid = Grid::parse(&[]);
     println!("== Register-tiling ablation (unroll-and-jam factor sweep) ==");
     // (column, request): `none` is the unjammed baseline, the flow's
     // program with every `jam` mark cleared; 1x1 requests nothing, so the
@@ -40,7 +40,7 @@ fn main() {
                 }
                 Ok(p)
             };
-            let id = format!("unroll:{}:{column}:{}", k.name, grid.cli.dataset);
+            let id = format!("unroll:{}:{column}:{}", k.name, grid.dataset);
             jobs.push(grid.job(id, k, column, build));
         }
     }

@@ -4,7 +4,7 @@
 //! misses. Runs gemm's update statement under all six loop permutations
 //! and several tile sizes.
 
-use polymix_bench::report::Table;
+use polymix_bench::report::{Cli, Spec, Table};
 use polymix_cachesim::{simulate, CacheConfig};
 use polymix_codegen::from_poly::generate;
 use polymix_dl::{mem_cost, CacheLevel, Machine, RefInfo};
@@ -32,6 +32,7 @@ fn perm_name(p: &[usize]) -> String {
 }
 
 fn main() {
+    Cli::parse(&Spec::values(&[]));
     let scop = matmul_update();
     let machine = Machine::nehalem();
     let level: &CacheLevel = machine.primary_level();

@@ -82,7 +82,7 @@ fn as_kernel(name: &'static str, build: fn() -> Scop, flops: fn(&[i64]) -> u64) 
 }
 
 fn main() {
-    let grid = Grid::new(&[]);
+    let grid = Grid::parse(&[]);
     let kernels = [
         as_kernel("fig5-copy", copy_scop, |p| (p[0] * p[0]) as u64),
         as_kernel("fig5-reduction", reduction_scop, |p| (2 * p[0] * p[0]) as u64),
@@ -114,7 +114,7 @@ fn main() {
             match prog {
                 Ok(p) => {
                     println!("-- {} — {suffix} chooses:\n{}", k.name, render(&p));
-                    let id = format!("fig5:{}:{suffix}:{}", k.name, grid.cli.dataset);
+                    let id = format!("fig5:{}:{suffix}:{}", k.name, grid.dataset);
                     jobs.push(grid.job(id, k, suffix, move || Ok(p.clone())));
                     row.push(String::new());
                 }

@@ -3,7 +3,7 @@
 //! one fill/drain; the wavefront pays an all-to-all barrier per diagonal
 //! plus ragged diagonal lengths — the gap grows with thread count.
 
-use polymix_bench::report::{Cli, Table};
+use polymix_bench::report::{usage, Cli, Spec, Table};
 use polymix_runtime::{pipeline_2d, wavefront_2d, GridSweep, RuntimeError};
 use std::time::Instant;
 
@@ -35,8 +35,9 @@ fn sweep(
 }
 
 fn main() {
-    let cli = Cli::parse(&[]);
-    let (ni, nj) = match cli.dataset.as_str() {
+    let cli = Cli::parse(&Spec::values(&["--dataset", "--threads"]));
+    let max_threads = cli.threads().unwrap_or_else(usage);
+    let (ni, nj) = match cli.dataset("small").unwrap_or_else(usage).as_str() {
         "mini" => (64usize, 64usize),
         "small" => (1000, 1000),
         _ => (4000, 4000),
@@ -51,7 +52,6 @@ fn main() {
     };
     let cells_per_sweep = grid.cells() as f64;
     let mut t = Table::new(&["threads", "pipeline Mcell/s", "wavefront Mcell/s", "speedup"]);
-    let max_threads = cli.threads;
     let mut any_degraded = false;
     let mut th = 1;
     while th <= max_threads {

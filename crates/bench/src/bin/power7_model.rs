@@ -7,7 +7,7 @@
 //! absolute numbers are not comparable to hardware GFLOP/s.
 
 use polymix_ast::tree::{Node, Par};
-use polymix_bench::report::{Cli, Table};
+use polymix_bench::report::{usage, Cli, Spec, Table};
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_cachesim::{simulate_hierarchy, CacheConfig};
 use polymix_dl::Machine;
@@ -37,7 +37,8 @@ fn parallel_kind(prog: &polymix_ast::tree::Program) -> (&'static str, f64) {
 }
 
 fn main() {
-    let cli = Cli::parse(&[]);
+    let cli = Cli::parse(&Spec::values(&["--dataset"]));
+    let dataset = cli.dataset("mini").unwrap_or_else(usage);
     let machine = Machine::power7();
     let configs = [
         CacheConfig::l1_power7(),
@@ -54,9 +55,8 @@ fn main() {
     let mut header: Vec<&str> = vec!["kernel"];
     header.extend(variants.iter().map(|v| v.name()));
     let mut t = Table::new(&header);
-    let dataset = if cli.dataset == "small" { "mini" } else { &cli.dataset };
     for k in all_kernels() {
-        let params = k.dataset(dataset).params;
+        let params = k.dataset(&dataset).params;
         let scop = (k.build)();
         let flops = (k.flops)(&params) as f64;
         let mut cells = vec![k.name.to_string()];

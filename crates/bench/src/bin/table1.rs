@@ -12,8 +12,8 @@ use polymix_pluto::{optimize_pluto, Fusion, PlutoOptions};
 use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let grid = Grid::new(&[]);
-    let (cli, machine) = (&grid.cli, &grid.machine);
+    let grid = Grid::parse(&[]);
+    let machine = &grid.machine;
     let k = kernel_by_name("2mm").expect("2mm kernel");
     let scop = (k.build)();
 
@@ -52,7 +52,7 @@ fn main() {
     // --- Table I: measured GFLOP/s ---
     println!(
         "== Table I — 2mm performance ({} dataset, {} threads) ==",
-        cli.dataset, cli.threads
+        grid.dataset, grid.runner.threads
     );
     let entries = [
         ("original", Variant::Native),
@@ -66,7 +66,7 @@ fn main() {
     let mut jobs = Vec::new();
     for &(_, variant) in &entries {
         let (kb, mb) = (k.clone(), machine.clone());
-        let id = format!("table1:{}:{}", variant.name(), cli.dataset);
+        let id = format!("table1:{}:{}", variant.name(), grid.dataset);
         jobs.push(grid.job(id, &k, variant.name(), move || build_variant(&kb, variant, &mb)));
     }
     let outcomes = grid.run(jobs);

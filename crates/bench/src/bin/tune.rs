@@ -15,46 +15,39 @@
 //!     --kernels 2mm,gemm,jacobi-2d-imper --dataset small --budget 12
 //! ```
 //!
-//! Flags beyond the shared sweep set ([`Cli`]): `--kernels` (comma
-//! list, default `2mm`), `--budget` (measured candidate cells per
-//! kernel, default 12). `--results <log>` makes an interrupted search
+//! Flags beyond a [`Grid`]'s: `--kernels` (comma list of kernel names,
+//! default `2mm`), `--budget` (measured candidate cells per kernel,
+//! default 12). `--results <log>` makes an interrupted search
 //! resumable: re-running with the same log re-measures nothing already
 //! recorded.
 
 use polymix_bench::autotune::autotune_kernel;
-use polymix_bench::report::Cli;
-use polymix_bench::runner::Runner;
-use polymix_bench::sweep::SweepConfig;
-use polymix_dl::Machine;
+use polymix_bench::figures::Grid;
+use polymix_bench::report::usage;
+use polymix_polybench::kernel_by_name;
 
 fn main() {
-    let cli = Cli::parse(&["--kernels", "--budget"]);
-    let kernels: Vec<String> = cli
+    let Grid { cli, dataset, machine, runner, sweep } = Grid::parse(&["--kernels", "--budget"]);
+    let kernels: Vec<&str> = cli
         .value("--kernels")
         .unwrap_or("2mm")
         .split(',')
-        .map(|s| s.trim().to_string())
+        .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect();
-    let budget: usize = cli
-        .value("--budget")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
-
-    let machine = Machine::host();
-    let runner = Runner::new(cli.threads);
-    let cfg = SweepConfig::from_cli(&cli);
+    if let Some(bad) = kernels.iter().find(|k| kernel_by_name(k).is_none()) {
+        return usage(format!("--kernels: {bad} is not a kernel"));
+    }
+    let budget = cli.count("--budget", 12).unwrap_or_else(usage);
     println!(
-        "== tune: {} kernel(s), dataset {}, budget {} measured cells each ==",
-        kernels.len(),
-        cli.dataset,
-        budget
+        "== tune: {} kernel(s), dataset {dataset}, budget {budget} measured cells each ==",
+        kernels.len()
     );
 
     let mut failures = 0usize;
     for kernel in &kernels {
         println!("-- {kernel} --");
-        match autotune_kernel(kernel, &cli.dataset, budget, &runner, &cfg, &machine) {
+        match autotune_kernel(kernel, &dataset, budget, &runner, &sweep, &machine) {
             Ok(outcome) => {
                 let c = &outcome.config;
                 println!(

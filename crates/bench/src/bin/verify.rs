@@ -45,6 +45,7 @@
 //!   error.
 
 use polymix_ast::tree::{Node, Par, TileForm};
+use polymix_bench::report::{usage, Cli, Spec};
 use polymix_bench::runner::emit_source;
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_dl::Machine;
@@ -99,48 +100,21 @@ fn outermost_marks(node: &Node, marks: &mut [usize; 4]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let grab = |key: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let dataset = grab("--dataset").unwrap_or_else(|| "mini".into());
-    let strict = args.iter().any(|a| a == "--strict");
-    let variant_filter = grab("--variant").map(|name| {
-        Variant::parse(&name).unwrap_or_else(|| {
-            eprintln!("verify: unknown --variant {name}");
-            std::process::exit(2);
-        })
+    let cli = Cli::parse(&Spec {
+        switches: &["--strict"],
+        positionals: true,
+        ..Spec::values(&["--dataset", "--variant", "--backend"])
     });
-    let backend = grab("--backend").unwrap_or_else(|| "rustc".into());
-    if backend != "rustc" && backend != "vm" {
-        eprintln!("verify: unknown --backend {backend} (expected rustc or vm)");
-        std::process::exit(2);
-    }
-    let vm_audit = backend == "vm";
-    let mut positional: Vec<&String> = Vec::new();
-    let mut skip = false;
-    for a in &args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a == "--dataset" || a == "--variant" || a == "--backend" {
-            skip = true;
-            continue;
-        }
-        if a == "--strict" {
-            continue;
-        }
-        // A retired or mistyped option must not be read as a kernel name
-        // (which would audit nothing and exit 0).
-        if a.starts_with("--") {
-            eprintln!("verify: unknown option {a}");
-            std::process::exit(2);
-        }
-        positional.push(a);
-    }
+    let dataset = cli.dataset("mini").unwrap_or_else(usage);
+    let strict = cli.switch("--strict");
+    let variant_filter = cli.value("--variant").map(|name| {
+        Variant::parse(name).unwrap_or_else(|| usage(format!("verify: unknown --variant {name}")))
+    });
+    let vm_audit = match cli.value("--backend").unwrap_or("rustc") {
+        "rustc" => false,
+        "vm" => true,
+        other => usage(format!("verify: unknown --backend {other} (rustc or vm)")),
+    };
 
     let mut failures = 0usize;
     let mut census = [0usize; 4];
@@ -159,17 +133,14 @@ fn main() {
     let mut vm_total = 0usize;
 
     let (files, names): (Vec<&String>, Vec<&String>) =
-        positional.iter().partition(|a| a.ends_with(".rs"));
+        cli.positionals().iter().partition(|a| a.ends_with(".rs"));
     // A name that matches no kernel would audit nothing and exit 0.
     let kernels: Vec<_> = all_kernels()
         .into_iter()
         .chain(extended_kernels())
         .collect();
-    for n in &names {
-        if !kernels.iter().any(|k| k.name == **n) {
-            eprintln!("verify: unknown kernel {n}");
-            std::process::exit(2);
-        }
+    if let Some(n) = names.iter().find(|n| kernels.iter().all(|k| k.name != n.as_str())) {
+        return usage(format!("verify: unknown kernel {n}"));
     }
     // Cached kernel sources: lint-only audit.
     for f in &files {

@@ -6,36 +6,45 @@
 //! [`cell`] renders one outcome. A driver keeps only its rows, columns
 //! and ids; Figs. 7–9 run through [`run_group_figure`] whole.
 
-use crate::report::{gf, Cli, Table};
+use crate::report::{gf, usage, Cli, Spec, Table};
 use crate::runner::{RunResult, Runner};
-use crate::sweep::{run_sweep, rustc_work, JobOutcome, SweepConfig, SweepJob};
+use crate::sweep::{run_sweep, rustc_work, JobOutcome, SweepConfig, SweepJob, SWEEP_FLAGS};
 use crate::variants::{build_variant, variant_list, Variant};
 use polymix_ast::tree::Program;
 use polymix_dl::Machine;
 use polymix_ir::error::PolymixError;
 use polymix_polybench::{all_kernels, Group, Kernel};
 
-/// A measuring driver's context: its command line, the machine model its
-/// programs are built for, and the runner that measures them.
+/// A measuring driver's context, read from its command line.
 pub struct Grid {
-    /// The parsed command line (the shared flags and the driver's own).
+    /// The command line, for the driver's own flags.
     pub cli: Cli,
+    /// The dataset every cell runs at (`--dataset`, default `small`).
+    pub dataset: String,
     /// The machine model every build is handed.
     pub machine: Machine,
-    runner: Runner,
+    /// The runner measuring every cell, on `--threads` workers.
+    pub runner: Runner,
+    /// The policy the [`SWEEP_FLAGS`] set.
+    pub sweep: SweepConfig,
 }
 
 impl Grid {
-    /// Parses the command line, accepting the driver's `own` flags
-    /// besides the shared ones.
-    pub fn new(own: &[&str]) -> Grid {
-        let cli = Cli::parse(own);
-        let runner = Runner::new(cli.threads);
-        Grid {
-            cli,
-            machine: Machine::host(),
-            runner,
-        }
+    /// Reads `--dataset`, `--threads`, the [`SWEEP_FLAGS`] and the
+    /// driver's `own` value flags; exits 2 on a refusal.
+    pub fn parse(own: &[&str]) -> Grid {
+        let flags = [&["--dataset", "--threads"][..], &SWEEP_FLAGS, own].concat();
+        let cli = Cli::parse(&Spec::values(&flags));
+        let read = |cli: Cli| -> Result<Grid, String> {
+            Ok(Grid {
+                dataset: cli.dataset("small")?,
+                machine: Machine::host(),
+                runner: Runner::new(cli.threads()?),
+                sweep: SweepConfig::from_cli(&cli)?,
+                cli,
+            })
+        };
+        read(cli).unwrap_or_else(usage)
     }
 
     /// The job measuring the program `build` returns for `kernel` at the
@@ -49,13 +58,13 @@ impl Grid {
         column: &str,
         build: impl Fn() -> Result<Program, PolymixError> + Send + Sync + 'static,
     ) -> SweepJob {
-        let params = kernel.dataset(&self.cli.dataset).params;
+        let params = kernel.dataset(&self.dataset).params;
         let (threads, reps) = (self.runner.threads, self.runner.reps);
         SweepJob {
             id,
             kernel: kernel.name.to_string(),
             variant: column.to_string(),
-            dataset: self.cli.dataset.clone(),
+            dataset: self.dataset.clone(),
             work: rustc_work(kernel, &params, threads, reps, build, true),
             params,
         }
@@ -64,7 +73,7 @@ impl Grid {
     /// Measures `jobs` on the sweep executor; the outcomes come back in
     /// submission order, which is how a driver matches them to cells.
     pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<JobOutcome> {
-        run_sweep(jobs, &self.runner, &SweepConfig::from_cli(&self.cli))
+        run_sweep(jobs, &self.runner, &self.sweep)
     }
 }
 
@@ -101,14 +110,12 @@ pub fn print_grid(table: &Table, outcomes: &[JobOutcome]) {
 /// `rustc` and run, with the `iterative*` column and a cross-variant
 /// checksum check.
 pub fn run_group_figure(title: &str, group: Group) {
-    let grid = Grid::new(&[]);
-    let (ds, variants) = (&grid.cli.dataset, variant_list());
+    let grid = Grid::parse(&[]);
+    let (ds, variants) = (&grid.dataset, variant_list());
     println!("== {title} ==");
     println!(
         "dataset: {ds}, threads: {}, jobs: {}, machine: {} (GFLOP/s, higher is better)",
-        grid.cli.threads,
-        grid.cli.jobs.max(1),
-        grid.machine.name
+        grid.runner.threads, grid.sweep.jobs, grid.machine.name
     );
     let kernels: Vec<_> = all_kernels()
         .into_iter()

@@ -23,7 +23,8 @@
 //!   shares: one function makes a measured cell's job, one renders its
 //!   outcome as a cell, and Figs. 7–9 run through it whole;
 //! * [`report`] — plain-text table rendering for the `fig*`/`table*`
-//!   binaries;
+//!   binaries, and the one command-line parser every binary declares
+//!   its flags to;
 //! * [`autotune`] — the closed-loop tuner (`tune` binary): a
 //!   measured-feedback search over fusion structure × tile sizes ×
 //!   unroll factors, ranked by a structural score before

@@ -1,4 +1,8 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering and the one command-line parser of the
+//! experiment and service binaries.
+
+use polymix_polybench::{all_kernels, extended_kernels};
+use std::str::FromStr;
 
 /// A simple column-aligned table.
 pub struct Table {
@@ -59,101 +63,151 @@ pub fn gf(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The flags every measuring binary takes, each followed by its value.
-const SHARED_FLAGS: [&str; 7] = [
-    "--dataset",
-    "--threads",
-    "--jobs",
-    "--compile-timeout",
-    "--run-timeout",
-    "--retries",
-    "--results",
-];
-
-/// The argument following `key` in `args`, if `key` is there.
-fn value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == key)?;
-    args.get(i + 1).map(String::as_str)
+/// What a binary's command line may hold; anything else is refused.
+#[derive(Clone, Copy)]
+pub struct Spec<'a> {
+    /// Flags followed by their value, e.g. `--dataset mini`.
+    pub values: &'a [&'a str],
+    /// Flags that stand alone, e.g. `--strict`.
+    pub switches: &'a [&'a str],
+    /// Whether arguments that are no flag are taken.
+    pub positionals: bool,
 }
 
-/// Parses `--dataset <name>` / `--threads <n>` style CLI arguments with
-/// defaults. A flag the binary does not take is refused, so a retired
-/// flag can never silently measure something else. The sweep flags
-/// (`--jobs` and friends) feed [`crate::sweep::SweepConfig::from_cli`].
+impl<'a> Spec<'a> {
+    /// A command line of value flags alone.
+    pub const fn values(values: &'a [&'a str]) -> Spec<'a> {
+        Spec {
+            values,
+            switches: &[],
+            positionals: false,
+        }
+    }
+}
+
+/// A command line checked against its [`Spec`]; a binary reads every
+/// value from it before any work and exits 2 on a refusal ([`usage`]).
+#[derive(Default)]
 pub struct Cli {
-    /// Dataset name (default `small`).
-    pub dataset: String,
-    /// Worker threads for the *measured* kernels (default: available
-    /// parallelism).
-    pub threads: usize,
-    /// Sweep worker threads that emit and compile (`--jobs`, default
-    /// [`crate::sweep::default_jobs`]); the measured runs stay one at a
-    /// time, after every compile.
-    pub jobs: usize,
-    /// Per-`rustc` wall-clock budget in seconds (`--compile-timeout`).
-    pub compile_timeout_s: u64,
-    /// Per-run wall-clock budget in seconds (`--run-timeout`).
-    pub run_timeout_s: u64,
-    /// Transient-failure retries (`--retries`, default 2).
-    pub retries: usize,
-    /// JSONL results log path (`--results`); enables resume.
-    pub results: Option<String>,
-    /// The arguments, for [`Cli::value`].
-    args: Vec<String>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(String, Option<String>)>,
+    positionals: Vec<String>,
+}
+
+/// Prints a usage error and exits 2.
+pub fn usage<T>(e: String) -> T {
+    eprintln!("{e}");
+    std::process::exit(2)
 }
 
 impl Cli {
-    /// Parses `std::env::args`, accepting the shared flags and `own`,
-    /// the flags this binary reads itself; exits 2 naming any other.
-    pub fn parse(own: &[&str]) -> Cli {
+    /// Parses `std::env::args` against `spec`; exits 2 naming the
+    /// argument on a refusal.
+    pub fn parse(spec: &Spec) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Cli::parse_args(&args, own).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        Cli::parse_args(&args, spec).unwrap_or_else(usage)
     }
 
-    /// [`Cli::parse`] over `args` (program name excluded): `Err` names
-    /// the first flag that is neither shared nor in `own`.
-    pub fn parse_args(args: &[String], own: &[&str]) -> Result<Cli, String> {
-        if let Some(bad) = args.iter().find(|a| {
-            a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()) && !own.contains(&a.as_str())
-        }) {
-            let mut known = SHARED_FLAGS.to_vec();
-            known.extend(own);
-            return Err(format!("unknown flag {bad} (takes {})", known.join(", ")));
-        }
-        let num = |key: &str, default: usize| -> usize {
-            value(args, key)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default)
+    /// [`Cli::parse`] for a binary whose first argument names one of
+    /// `commands` (the first when there is no argument), each with its
+    /// own spec.
+    pub fn parse_command<'c>(commands: &[(&'c str, Spec)]) -> (&'c str, Cli) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let name = args.first().map_or(commands[0].0, String::as_str);
+        let Some((cmd, spec)) = commands.iter().find(|(c, _)| *c == name) else {
+            let names: Vec<&str> = commands.iter().map(|(c, _)| *c).collect();
+            return usage(format!("unknown subcommand {name:?} (one of {names:?})"));
         };
-        Ok(Cli {
-            dataset: value(args, "--dataset").unwrap_or("small").to_string(),
-            threads: num(
-                "--threads",
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4),
-            ),
-            jobs: num("--jobs", crate::sweep::default_jobs()),
-            compile_timeout_s: num("--compile-timeout", 600) as u64,
-            run_timeout_s: num("--run-timeout", 600) as u64,
-            retries: num("--retries", 2),
-            results: value(args, "--results").map(str::to_string),
-            args: args.to_vec(),
-        })
+        let cli = Cli::parse_args(args.get(1..).unwrap_or_default(), spec)
+            .unwrap_or_else(|e| usage(format!("{cmd}: {e}")));
+        (cmd, cli)
     }
 
-    /// The argument following `key`, if `key` was passed.
+    /// [`Cli::parse`] over `args` (program name excluded): refuses an
+    /// undeclared or repeated flag, a value flag whose value is missing
+    /// or is itself a flag, and an undeclared positional.
+    pub fn parse_args(args: &[String], spec: &Spec) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            if !a.starts_with("--") {
+                if !spec.positionals {
+                    return Err(format!("unexpected argument {a:?} (takes no positional)"));
+                }
+                cli.positionals.push(a.clone());
+            } else if cli.flags.iter().any(|(k, _)| k == a) {
+                return Err(format!("{a} given twice"));
+            } else if spec.switches.contains(&a.as_str()) {
+                cli.flags.push((a.clone(), None));
+            } else if spec.values.contains(&a.as_str()) {
+                let v = rest.next().filter(|v| !v.starts_with("--"));
+                let v = v.ok_or_else(|| format!("{a} needs a value"))?;
+                cli.flags.push((a.clone(), Some(v.clone())));
+            } else {
+                let known = [spec.values, spec.switches].concat();
+                return Err(format!("unknown flag {a} (takes [{}])", known.join(", ")));
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The value given with `key`, if `key` was passed.
     pub fn value(&self, key: &str) -> Option<&str> {
-        value(&self.args, key)
+        self.flags.iter().find(|(k, _)| k == key)?.1.as_deref()
+    }
+
+    /// Whether the switch `key` was passed.
+    pub fn switch(&self, key: &str) -> bool {
+        self.flags.iter().any(|(k, v)| k == key && v.is_none())
+    }
+
+    /// The arguments that are no flag, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
+    }
+
+    /// The value of `key` parsed as `T`, `default` when absent.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.value(key) {
+            Some(v) => v.parse().map_err(|_| format!("{key} {v:?} does not parse")),
+            None => Ok(default),
+        }
+    }
+
+    /// [`Cli::get`] for a count, which must be at least one.
+    pub fn count<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: FromStr + PartialEq + From<u8>,
+    {
+        match self.get(key, default)? {
+            n if n == T::from(0) => Err(format!("{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// `--threads`: worker threads for the measured kernels, default one
+    /// per core the process may use.
+    pub fn threads(&self) -> Result<usize, String> {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        self.count("--threads", cores)
+    }
+
+    /// `--dataset`, `default` when absent: a name every kernel has,
+    /// since a kernel lacking it would run at another size.
+    pub fn dataset(&self, default: &str) -> Result<String, String> {
+        let name = self.value("--dataset").unwrap_or(default);
+        let mut kernels = all_kernels().into_iter().chain(extended_kernels());
+        match kernels.find(|k| k.try_dataset(name).is_none()) {
+            Some(k) => Err(format!("--dataset {name}: kernel {} lacks it", k.name)),
+            None => Ok(name.to_string()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{SweepConfig, SWEEP_FLAGS};
 
     #[test]
     fn table_renders_aligned() {
@@ -178,49 +232,147 @@ mod tests {
         line.split_whitespace().map(str::to_string).collect()
     }
 
+    /// The flags of a binary that sweeps: the grid drivers, plus
+    /// `extra` (`tune`'s own).
+    fn sweeping(extra: &[&'static str]) -> Vec<&'static str> {
+        [&["--dataset", "--threads"][..], &SWEEP_FLAGS, extra].concat()
+    }
+
+    fn parse(line: &str, values: &[&str]) -> Result<Cli, String> {
+        Cli::parse_args(&args(line), &Spec::values(values))
+    }
+
     /// A retired or misspelt flag is refused by name instead of being
-    /// ignored; every flag `ci.sh` passes is accepted. `--jobs` and
-    /// [`SweepConfig::default`](crate::sweep::SweepConfig) share one
-    /// default, and an explicit count still wins.
+    /// ignored; every flag line `ci.sh` passes parses to the values it
+    /// always did, and each sweep default is
+    /// [`SweepConfig::default`]'s.
     #[test]
     fn unknown_flags_are_refused_and_ci_flags_accepted() {
-        let err = Cli::parse_args(&args("--dataset mini --threads 1 --backend vm"), &[])
-            .err()
-            .expect("--backend is refused");
-        assert!(err.starts_with("unknown flag --backend"), "{err}");
-        let tune = ["--kernels", "--budget"];
-        let cores = crate::sweep::default_jobs();
-        for (line, own) in [
-            ("--dataset mini --run-timeout 120 --results r.jsonl", &[][..]),
-            ("--kernels 2mm --dataset mini --budget 6 --run-timeout 120 --results t.jsonl", &tune),
+        let (grid, tune) = (sweeping(&[]), sweeping(&["--kernels", "--budget"]));
+        let err = parse("--dataset mini --threads 1 --backend vm", &grid).err();
+        assert!(err.is_some_and(|e| e.starts_with("unknown flag --backend")));
+        let d = SweepConfig::default();
+        for (line, values) in [
+            ("--dataset mini --run-timeout 120 --results r.jsonl", &grid),
+            (
+                "--kernels 2mm --dataset mini --budget 6 --run-timeout 120 --results t.jsonl",
+                &tune,
+            ),
         ] {
-            let cli = Cli::parse_args(&args(line), own).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!((cli.dataset.as_str(), cli.jobs, cli.run_timeout_s), ("mini", cores, 120));
+            let cli = parse(line, values).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let cfg = SweepConfig::from_cli(&cli).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(cli.dataset("small").as_deref(), Ok("mini"));
+            assert_eq!(
+                (cfg.jobs, cfg.compile_timeout, cfg.retries),
+                (d.jobs, d.compile_timeout, d.retries)
+            );
+            assert_eq!(cfg.run_timeout, std::time::Duration::from_secs(120));
+            assert!(cfg.results_path.is_some());
         }
-        assert_eq!(crate::sweep::SweepConfig::default().jobs, cores);
-        assert_eq!(Cli::parse_args(&args("--jobs 2"), &[]).map(|c| c.jobs), Ok(2));
-        let cli = Cli::parse_args(&args("--kernels gemm,2mm --budget 6"), &tune).expect("own flags");
-        assert_eq!(cli.value("--kernels"), Some("gemm,2mm"));
-        // The tuner's winner is printed, not stored: the flags that wrote
-        // and read a config file are refused like any other.
-        for (line, own) in [
-            ("--dataset mini --tuned", &[][..]),
-            ("--dataset mini --tuned-config x", &[]),
+        let cli = parse("--kernels gemm,2mm --budget 6", &tune).expect("own flags");
+        assert_eq!(
+            (cli.value("--kernels"), cli.count("--budget", 12)),
+            (Some("gemm,2mm"), Ok(6))
+        );
+        let cli = parse(
+            "--jobs 2 --compile-timeout 9 --retries 0 --threads 5",
+            &grid,
+        )
+        .expect("sweep flags");
+        let cfg = SweepConfig::from_cli(&cli).expect("counts");
+        assert_eq!(
+            (cfg.jobs, cfg.compile_timeout.as_secs(), cfg.retries),
+            (2, 9, 0)
+        );
+        assert_eq!(cli.threads(), Ok(5));
+        // Flags of retired behaviour are refused like any other: the
+        // tuner's config files and the measured-run knob.
+        for (line, values) in [
+            ("--dataset mini --tuned", &grid),
+            ("--dataset mini --tuned-config x", &grid),
             ("--kernels 2mm --out x", &tune),
+            ("--jobs 2 --measure-jobs 3", &grid),
         ] {
             let flag = line.split_whitespace().nth(2).unwrap_or_default();
-            let err = Cli::parse_args(&args(line), own).err().unwrap_or_else(|| panic!("{line} accepted"));
+            let err = parse(line, values)
+                .err()
+                .unwrap_or_else(|| panic!("{line} accepted"));
             assert!(err.starts_with(&format!("unknown flag {flag} ")), "{err}");
         }
-        let cli = Cli::parse_args(&args("--compile-timeout 9 --retries 0 --threads 5"), &[])
-            .expect("shared flags");
-        assert_eq!((cli.compile_timeout_s, cli.retries, cli.threads), (9, 0, 5));
-        // Measured runs serialize without a knob: the retired flag is
-        // refused like any other.
-        let err = Cli::parse_args(&args("--jobs 2 --measure-jobs 3"), &[])
-            .err()
-            .expect("--measure-jobs is refused");
-        assert!(err.starts_with("unknown flag --measure-jobs"), "{err}");
+    }
+
+    /// Every misparse that used to run with a default, or ignore an
+    /// argument, is refused with the argument named.
+    #[test]
+    fn malformed_command_lines_are_refused_by_name() {
+        let (grid, fig6) = (sweeping(&[]), ["--dataset", "--threads"]);
+        for (line, values, said) in [
+            // a value flag with no value, or with a flag as its value
+            (
+                "--threads 2 --dataset",
+                &grid[..],
+                "--dataset needs a value",
+            ),
+            ("--dataset --threads 2", &grid, "--dataset needs a value"),
+            // a repeated flag
+            (
+                "--dataset mini --dataset small",
+                &grid,
+                "--dataset given twice",
+            ),
+            // a stray positional
+            ("mini", &grid, "unexpected argument \"mini\""),
+            // a sweep flag given to a binary that does not sweep
+            ("--jobs 4", &fig6, "unknown flag --jobs"),
+        ] {
+            let err = parse(line, values)
+                .err()
+                .unwrap_or_else(|| panic!("{line} accepted"));
+            assert!(err.starts_with(said), "{line}: {err}");
+        }
+        // a value that does not parse, and a zero count
+        for (line, said) in [
+            ("--threads two", "--threads \"two\" does not parse"),
+            ("--threads 0", "--threads must be at least 1"),
+            ("--jobs 0", "--jobs must be at least 1"),
+            ("--jobs 4x", "--jobs \"4x\" does not parse"),
+            ("--run-timeout 0", "--run-timeout must be at least 1"),
+            (
+                "--compile-timeout -1",
+                "--compile-timeout \"-1\" does not parse",
+            ),
+            ("--retries many", "--retries \"many\" does not parse"),
+        ] {
+            let cli = parse(line, &grid).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let err = cli
+                .threads()
+                .and(SweepConfig::from_cli(&cli).map(|_| 0))
+                .err();
+            assert_eq!(err.as_deref(), Some(said), "{line}");
+        }
+        // a dataset some kernel lacks; every kernel has the four sizes
+        let cli = parse("--dataset standrad", &grid).expect("a value");
+        assert!(cli
+            .dataset("small")
+            .is_err_and(|e| e.starts_with("--dataset standrad: kernel ")));
+        for name in ["mini", "small", "standard", "large"] {
+            assert_eq!(
+                parse("", &grid).and_then(|c| c.dataset(name)),
+                Ok(name.to_string())
+            );
+        }
+        // switches and positionals where declared
+        let spec = Spec {
+            values: &["--dataset"],
+            switches: &["--strict"],
+            positionals: true,
+        };
+        let cli =
+            Cli::parse_args(&args("gemm --strict --dataset mini atax"), &spec).expect("declared");
+        assert!(cli.switch("--strict") && !cli.switch("--dataset"));
+        assert_eq!(cli.positionals(), ["gemm", "atax"]);
+        let err = Cli::parse_args(&args("--strict --strict"), &spec).err();
+        assert_eq!(err.as_deref(), Some("--strict given twice"));
     }
 
     #[test]

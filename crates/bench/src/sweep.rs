@@ -152,7 +152,7 @@ pub struct JobOutcome {
 /// Execution policy for [`run_sweep`].
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Worker threads that emit and compile (default [`default_jobs`]).
+    /// Worker threads that emit and compile (default one per core).
     /// Measuring is sequential whatever this is.
     pub jobs: usize,
     /// Wall-clock budget per `rustc` invocation.
@@ -167,36 +167,42 @@ pub struct SweepConfig {
     pub results_path: Option<PathBuf>,
 }
 
+/// The flags that set a [`SweepConfig`], taken by the binaries that
+/// sweep (the [`crate::figures::Grid`] drivers and `tune`) alone.
+pub const SWEEP_FLAGS: [&str; 5] = [
+    "--jobs",
+    "--compile-timeout",
+    "--run-timeout",
+    "--retries",
+    "--results",
+];
+
 impl SweepConfig {
-    /// Policy from the shared CLI flags (`--jobs`, `--compile-timeout`,
-    /// `--run-timeout`, `--retries`, `--results`).
-    pub fn from_cli(cli: &Cli) -> SweepConfig {
-        SweepConfig {
-            jobs: cli.jobs.max(1),
-            compile_timeout: Duration::from_secs(cli.compile_timeout_s.max(1)),
-            run_timeout: Duration::from_secs(cli.run_timeout_s.max(1)),
-            retries: cli.retries,
-            results_path: cli.results.as_ref().map(PathBuf::from),
-        }
+    /// Policy from the [`SWEEP_FLAGS`] on `cli`, [`SweepConfig::default`]
+    /// for each one absent; `--jobs` and the timeouts (s) refuse zero.
+    pub fn from_cli(cli: &Cli) -> Result<SweepConfig, String> {
+        let base = SweepConfig::default();
+        let secs = |key, d: Duration| cli.count(key, d.as_secs()).map(Duration::from_secs);
+        Ok(SweepConfig {
+            jobs: cli.count("--jobs", base.jobs)?,
+            compile_timeout: secs("--compile-timeout", base.compile_timeout)?,
+            run_timeout: secs("--run-timeout", base.run_timeout)?,
+            retries: cli.get("--retries", base.retries)?,
+            results_path: cli.value("--results").map(PathBuf::from),
+        })
     }
 }
 
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
-            jobs: default_jobs(),
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             compile_timeout: crate::runner::DEFAULT_COMPILE_TIMEOUT,
             run_timeout: crate::runner::DEFAULT_RUN_TIMEOUT,
             retries: 2,
             results_path: None,
         }
     }
-}
-
-/// The default compile worker count, for [`SweepConfig::default`] and
-/// `--jobs`: one per core the process may use (1 when unknown).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Mutex lock that shrugs off poisoning: a worker that panicked while

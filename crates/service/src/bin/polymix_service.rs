@@ -18,26 +18,21 @@
 //!
 //! `--addr-file` writes the bound `host:port` (after binding, so port 0
 //! works) for scripted discovery — the CI smoke test uses it. A flag the
-//! subcommand does not take exits 2, naming it.
+//! subcommand does not take, or a value that does not parse, exits 2
+//! naming it, before the daemon binds or the client connects.
 
+use polymix_bench::report::{usage, Cli, Spec};
 use polymix_service::daemon::{Service, ServiceConfig};
+use polymix_service::fault::hide_injected_panics;
 use polymix_service::proto::OptimizeRequest;
 use polymix_service::{Client, Fault};
 use std::path::PathBuf;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cmd = args.get(1).map(String::as_str).unwrap_or("serve");
-    let grab = |key: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let has = |key: &str| args.iter().any(|a| a == key);
-    let client = ["--addr", "--timeout-s"];
-    let known: &[&str] = match cmd {
-        "serve" => &[
+    let serving = Spec {
+        switches: &["--allow-inject"],
+        ..Spec::values(&[
             "--addr",
             "--cache-dir",
             "--shards",
@@ -48,9 +43,11 @@ fn main() {
             "--threads",
             "--reps",
             "--addr-file",
-            "--allow-inject",
-        ],
-        "req" => &[
+        ])
+    };
+    let requesting = Spec {
+        switches: &["--emit"],
+        ..Spec::values(&[
             "--addr",
             "--timeout-s",
             "--kernel",
@@ -62,67 +59,48 @@ fn main() {
             "--unroll-i",
             "--deadline-ms",
             "--inject",
-            "--emit",
-        ],
-        "stats" | "health" | "shutdown" => &client,
-        other => {
-            eprintln!("unknown subcommand {other:?} (serve | req | stats | health | shutdown)");
-            std::process::exit(2);
-        }
+        ])
     };
-    if let Some(bad) = args
-        .iter()
-        .skip(2)
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        eprintln!("unknown flag {bad} for {cmd} (takes {})", known.join(", "));
-        std::process::exit(2);
-    }
+    let client = Spec::values(&["--addr", "--timeout-s"]);
+    let (cmd, cli) = Cli::parse_command(&[
+        ("serve", serving),
+        ("req", requesting),
+        ("stats", client),
+        ("health", client),
+        ("shutdown", client),
+    ]);
     let code = match cmd {
-        "serve" => serve(&grab, &has),
-        "req" => req(&grab, &has),
-        "stats" => client_op(&grab, |c| c.stats().map(Some)),
-        "health" => client_op(&grab, |c| c.health().map(|()| Some("ok".into()))),
-        // `shutdown`, the last subcommand `known` let through.
-        _ => client_op(&grab, |c| c.shutdown().map(|()| Some("ok".into()))),
+        "serve" => serve(&cli),
+        "req" => req(&cli),
+        "stats" => client_op(&cli, |c| c.stats().map(Some)),
+        "health" => client_op(&cli, |c| c.health().map(|()| Some("ok".into()))),
+        // `shutdown`, the last subcommand `parse_command` lets through.
+        _ => client_op(&cli, |c| c.shutdown().map(|()| Some("ok".into()))),
     };
     std::process::exit(code);
 }
 
-fn serve(grab: &dyn Fn(&str) -> Option<String>, has: &dyn Fn(&str) -> bool) -> i32 {
-    let num = |key: &str, default: usize| -> usize {
-        grab(key).and_then(|s| s.parse().ok()).unwrap_or(default)
-    };
-    let mut cfg = ServiceConfig {
-        addr: grab("--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
-        allow_inject: has("--allow-inject"),
-        ..ServiceConfig::default()
-    };
-    if let Some(dir) = grab("--cache-dir") {
-        cfg.cache_dir = PathBuf::from(dir);
-    }
-    cfg.shards = num("--shards", cfg.shards);
-    cfg.workers = num("--workers", cfg.workers);
-    cfg.queue_cap = num("--queue-cap", cfg.queue_cap);
-    cfg.max_conns = num("--max-conns", cfg.max_conns);
-    cfg.default_deadline_ms = num("--deadline-ms", cfg.default_deadline_ms as usize) as u64;
-    cfg.emit_threads = num("--threads", cfg.emit_threads);
-    cfg.reps = num("--reps", cfg.reps);
+/// The daemon configuration `cli` asks for.
+fn serve_config(cli: &Cli) -> Result<ServiceConfig, String> {
+    let d = ServiceConfig::default();
+    Ok(ServiceConfig {
+        addr: cli.value("--addr").unwrap_or("127.0.0.1:0").into(),
+        cache_dir: cli.value("--cache-dir").map_or(d.cache_dir, PathBuf::from),
+        shards: cli.count("--shards", d.shards)?,
+        workers: cli.count("--workers", d.workers)?,
+        queue_cap: cli.get("--queue-cap", d.queue_cap)?,
+        max_conns: cli.get("--max-conns", d.max_conns)?,
+        default_deadline_ms: cli.get("--deadline-ms", d.default_deadline_ms)?,
+        emit_threads: cli.count("--threads", d.emit_threads)?,
+        reps: cli.count("--reps", d.reps)?,
+        allow_inject: cli.switch("--allow-inject"),
+        ..d
+    })
+}
 
-    // Injected scheduler panics are contained per flight; keep their
-    // default-hook noise out of the daemon log while letting real
-    // panics print as usual.
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains("injected scheduler panic"));
-        if !injected {
-            previous(info);
-        }
-    }));
-
+fn serve(cli: &Cli) -> i32 {
+    let cfg = serve_config(cli).unwrap_or_else(usage);
+    hide_injected_panics();
     let service = match Service::start(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -131,8 +109,8 @@ fn serve(grab: &dyn Fn(&str) -> Option<String>, has: &dyn Fn(&str) -> bool) -> i
         }
     };
     println!("polymix-service listening on {}", service.addr);
-    if let Some(path) = grab("--addr-file") {
-        if let Err(e) = std::fs::write(&path, service.addr.to_string()) {
+    if let Some(path) = cli.value("--addr-file") {
+        if let Err(e) = std::fs::write(path, service.addr.to_string()) {
             eprintln!("error: could not write --addr-file {path}: {e}");
             service.stop();
             return 1;
@@ -143,33 +121,33 @@ fn serve(grab: &dyn Fn(&str) -> Option<String>, has: &dyn Fn(&str) -> bool) -> i
     0
 }
 
-fn req(grab: &dyn Fn(&str) -> Option<String>, has: &dyn Fn(&str) -> bool) -> i32 {
-    let mut request = OptimizeRequest {
-        kernel: grab("--kernel").unwrap_or_else(|| "gemm".into()),
-        emit: has("--emit"),
-        ..OptimizeRequest::default()
+/// The request `cli` asks for.
+fn request(cli: &Cli) -> Result<OptimizeRequest, String> {
+    let d = OptimizeRequest::default();
+    let inject = match cli.value("--inject") {
+        Some(spec) => Fault::parse(spec).ok_or(format!("unknown --inject directive {spec:?}"))?,
+        None => d.inject,
     };
-    if let Some(v) = grab("--variant") {
-        request.variant = v;
-    }
-    if let Some(d) = grab("--dataset") {
-        request.dataset = d;
-    }
-    let num = |key: &str| grab(key).and_then(|s| s.parse::<i64>().ok()).unwrap_or(0);
-    request.tile = num("--tile");
-    request.time_tile = num("--time-tile");
-    request.unroll = (num("--unroll-o"), num("--unroll-i"));
-    request.deadline_ms = num("--deadline-ms").max(0) as u64;
-    if let Some(spec) = grab("--inject") {
-        match Fault::parse(&spec) {
-            Some(f) => request.inject = f,
-            None => {
-                eprintln!("error: unknown --inject directive {spec:?}");
-                return 2;
-            }
-        }
-    }
-    client_op(grab, move |c| {
+    Ok(OptimizeRequest {
+        kernel: cli.value("--kernel").unwrap_or("gemm").into(),
+        variant: cli.value("--variant").map_or(d.variant, str::to_string),
+        dataset: cli.value("--dataset").map_or(d.dataset, str::to_string),
+        tile: cli.get("--tile", d.tile)?,
+        time_tile: cli.get("--time-tile", d.time_tile)?,
+        unroll: (
+            cli.get("--unroll-o", d.unroll.0)?,
+            cli.get("--unroll-i", d.unroll.1)?,
+        ),
+        deadline_ms: cli.get("--deadline-ms", d.deadline_ms)?,
+        emit: cli.switch("--emit"),
+        inject,
+        ..d
+    })
+}
+
+fn req(cli: &Cli) -> i32 {
+    let request = request(cli).unwrap_or_else(usage);
+    client_op(cli, move |c| {
         let resp = c.optimize(&request)?;
         let mut line = format!(
             "status={} served={} key={} degraded={} elapsed_ms={:.3}",
@@ -189,18 +167,12 @@ fn req(grab: &dyn Fn(&str) -> Option<String>, has: &dyn Fn(&str) -> bool) -> i32
     })
 }
 
-fn client_op(
-    grab: &dyn Fn(&str) -> Option<String>,
-    op: impl FnOnce(&mut Client) -> Result<Option<String>, String>,
-) -> i32 {
-    let Some(addr) = grab("--addr") else {
-        eprintln!("error: --addr <host:port> is required");
-        return 2;
+fn client_op(cli: &Cli, op: impl FnOnce(&mut Client) -> Result<Option<String>, String>) -> i32 {
+    let Some(addr) = cli.value("--addr") else {
+        return usage("error: --addr <host:port> is required".into());
     };
-    let timeout = grab("--timeout-s")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30u64);
-    let mut client = match Client::connect(addr.as_str(), Duration::from_secs(timeout)) {
+    let timeout = cli.count("--timeout-s", 30).unwrap_or_else(usage);
+    let mut client = match Client::connect(addr, Duration::from_secs(timeout)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");

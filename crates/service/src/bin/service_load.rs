@@ -20,8 +20,10 @@
 //! start unless `--keep-cache`); with `--addr` an external daemon is
 //! exercised — it must have been started with `--allow-inject`.
 
+use polymix_bench::report::{usage, Cli, Spec};
 use polymix_polybench::all_kernels;
 use polymix_service::daemon::{Service, ServiceConfig};
+use polymix_service::fault::hide_injected_panics;
 use polymix_service::proto::{OptimizeRequest, Served};
 use polymix_service::{Client, Fault};
 use std::path::PathBuf;
@@ -223,48 +225,35 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let grab = |key: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1).cloned())
+    let cli = Cli::parse(&Spec {
+        switches: &["--keep-cache"],
+        ..Spec::values(&[
+            "--requests",
+            "--conns",
+            "--cache-dir",
+            "--addr",
+            "--workers",
+            "--queue-cap",
+        ])
+    });
+    let d = ServiceConfig::default();
+    let cfg = ServiceConfig {
+        cache_dir: PathBuf::from(cli.value("--cache-dir").unwrap_or("results/service_cache_load")),
+        allow_inject: true,
+        workers: cli.count("--workers", d.workers).unwrap_or_else(usage),
+        queue_cap: cli.get("--queue-cap", d.queue_cap).unwrap_or_else(usage),
+        ..d
     };
-    let has = |key: &str| args.iter().any(|a| a == key);
-    let requests: usize = grab("--requests")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    let conns: usize = grab("--conns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .max(1);
-    let cache_dir = PathBuf::from(
-        grab("--cache-dir").unwrap_or_else(|| "results/service_cache_load".into()),
-    );
+    let requests: usize = cli.count("--requests", 10_000).unwrap_or_else(usage);
+    let conns: usize = cli.count("--conns", 8).unwrap_or_else(usage);
 
-    let (addr, service) = match grab("--addr") {
-        Some(a) => (a, None),
+    let (addr, service) = match cli.value("--addr") {
+        Some(a) => (a.to_string(), None),
         None => {
-            if !has("--keep-cache") {
-                let _ = std::fs::remove_dir_all(&cache_dir);
+            if !cli.switch("--keep-cache") {
+                let _ = std::fs::remove_dir_all(&cfg.cache_dir);
             }
-            let cfg = ServiceConfig {
-                cache_dir: cache_dir.clone(),
-                allow_inject: true,
-                workers: grab("--workers").and_then(|s| s.parse().ok()).unwrap_or(2),
-                queue_cap: grab("--queue-cap").and_then(|s| s.parse().ok()).unwrap_or(64),
-                ..ServiceConfig::default()
-            };
-            // Contained injected panics would otherwise spam stderr.
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|s| s.contains("injected scheduler panic"));
-                if !injected {
-                    previous(info);
-                }
-            }));
+            hide_injected_panics();
             match Service::start(cfg) {
                 Ok(s) => (s.addr.to_string(), Some(s)),
                 Err(e) => {

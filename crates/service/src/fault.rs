@@ -14,6 +14,20 @@
 
 use std::time::Duration;
 
+/// The payload of the panic [`Fault::Panic`] raises.
+pub const INJECTED_PANIC: &str = "injected scheduler panic";
+
+/// Installs a panic hook that keeps [`INJECTED_PANIC`], which the worker
+/// contains, off stderr and hands every other panic to the previous hook.
+pub fn hide_injected_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().downcast_ref::<&str>() != Some(&INJECTED_PANIC) {
+            previous(info);
+        }
+    }));
+}
+
 /// A parsed injection directive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Fault {
@@ -57,7 +71,7 @@ impl Fault {
     #[allow(clippy::panic)]
     pub fn apply_scheduling(&self, cancelled: &dyn Fn() -> bool) -> bool {
         match self {
-            Fault::Panic => panic!("injected scheduler panic"),
+            Fault::Panic => std::panic::panic_any(INJECTED_PANIC),
             Fault::Slow(ms) => {
                 let mut left = *ms;
                 while left > 0 {
