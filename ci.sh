@@ -62,6 +62,13 @@ fi
 if git grep -n -F 'podg.deps.iter().zip(' -- crates/core/src crates/pluto/src; then
     echo "a scheduler grew a private dependence walk back"; exit 1
 fi
+# And one assembly of a `2d+1` schedule: both schedulers commit rows and β
+# into `Peeling`, whose `schedules` builds every `Schedule`; neither writes
+# a `Schedule { .. }` literal or keeps a `finish` of its own (`\b` keeps
+# `FallbackSchedule {` out).
+if git grep -n -E '\bSchedule \{|fn finish\(' -- crates/core/src crates/pluto/src; then
+    echo "a scheduler assembles its own Schedule again"; exit 1
+fi
 # And one dependence list for the AST stage: every stage reads the nest's
 # `polymix_deps::NestDep` records, each vector with its own endpoints, not
 # a vector/flag pair beside a separate endpoint slice.

@@ -6,33 +6,27 @@
 //! throughput score. Shapes (who wins, by how much) are the deliverable;
 //! absolute numbers are not comparable to hardware GFLOP/s.
 
-use polymix_ast::tree::{Node, Par};
+use polymix_ast::tree::{Par, Program};
 use polymix_bench::report::{usage, Cli, Spec, Table};
 use polymix_bench::variants::{build_variant, Variant};
 use polymix_cachesim::{simulate_hierarchy, CacheConfig};
 use polymix_dl::Machine;
 use polymix_polybench::all_kernels;
 
-/// Fraction of the nest's work under a parallel construct, roughly: 1 if
-/// any top-level loop is parallel-annotated, else 0.
-fn parallel_kind(prog: &polymix_ast::tree::Program) -> (&'static str, f64) {
-    let mut best = ("seq", 1.0f64);
-    let mut body = prog.body.clone();
-    let machine = Machine::power7();
-    let cores = machine.cores as f64;
-    body.visit_loops_mut(&mut |l| {
-        let (name, speedup) = match l.par {
-            Par::Doall => ("doall", cores),
-            Par::Reduction(_) => ("reduction", cores * 0.8),
-            Par::Pipeline => ("pipeline", cores * 0.7),
-            Par::Wavefront => ("wavefront", cores * 0.4),
-            Par::Seq => ("seq", 1.0),
+/// The modeled parallel speedup on `cores` cores: that of the most
+/// parallel loop anywhere in the tree, 1 when every loop is sequential.
+fn parallel_speedup(prog: &Program, cores: f64) -> f64 {
+    let mut best = 1.0f64;
+    prog.body.visit_loops(&mut |l| {
+        let speedup = match l.par {
+            Par::Doall => cores,
+            Par::Reduction(_) => cores * 0.8,
+            Par::Pipeline => cores * 0.7,
+            Par::Wavefront => cores * 0.4,
+            Par::Seq => 1.0,
         };
-        if speedup > best.1 {
-            best = (name, speedup);
-        }
+        best = best.max(speedup);
     });
-    let _ = Node::Seq(vec![]);
     best
 }
 
@@ -73,7 +67,7 @@ fn main() {
             let mut arrays = k.fresh_arrays(&scop, &params);
             let h = simulate_hierarchy(&prog, &params, &mut arrays, &configs);
             let misses = h.weighted_cost(&costs);
-            let (_, speedup) = parallel_kind(&prog);
+            let speedup = parallel_speedup(&prog, machine.cores as f64);
             let score = flops / (flops + 4.0 * misses) * speedup;
             cells.push(format!("{score:.1}"));
         }

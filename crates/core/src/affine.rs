@@ -19,7 +19,6 @@ use polymix_dl::{fusion_profitable, permutation_priority, Machine, RefInfo};
 use polymix_ir::error::PolymixError;
 use polymix_ir::scop::StmtId;
 use polymix_ir::{Schedule, Scop};
-use polymix_math::IntMat;
 
 /// Runs Algorithms 2–5 and returns the per-statement schedules. Errors
 /// with [`PolymixError::Scheduling`] when no legal signed-permutation
@@ -42,7 +41,16 @@ pub fn affine_stage_with(
     let mut a = Affine::new(scop, &podg, machine, enable_fusion);
     let all: Vec<StmtId> = (0..scop.statements.len()).map(StmtId).collect();
     a.solve(&all, 0)?;
-    a.finish()
+    let schedules = a.peel.schedules()?;
+    if let Some(i) = schedules.iter().position(|s| !s.is_signed_permutation()) {
+        return Err(PolymixError::scheduling(
+            &scop.name,
+            0,
+            vec![i],
+            "affine stage produced non-permutation α",
+        ));
+    }
+    Ok(schedules)
 }
 
 /// How many iterator combinations Algorithm 4's search tries per group.
@@ -54,20 +62,16 @@ struct Affine<'a> {
     enable_fusion: bool,
     /// DL-best iterator order per statement (outermost first).
     priorities: Vec<Vec<usize>>,
+    /// The dependence states and the schedule under construction: one
+    /// [`Affine::pick_row`] per committed level.
     peel: Peeling<'a>,
-    /// Chosen iterator per level, per statement.
-    perm: Vec<Vec<usize>>,
-    /// Sign (±1) per chosen level.
-    signs: Vec<Vec<i64>>,
-    /// Constant retiming per chosen level.
-    shifts: Vec<Vec<i64>>,
-    betas: Vec<Vec<i64>>,
     /// The iterator dimension matching chose for a statement at the
     /// current level (`Affine::absorbs`), tried before its DL order.
     matched: Vec<Option<usize>>,
 }
 
-/// One statement's candidate assignment at a level.
+/// One statement's candidate assignment at a level: α row `sign · iter`,
+/// γ constant `shift`.
 #[derive(Clone, Debug)]
 struct Pick {
     iter: usize,
@@ -109,21 +113,9 @@ impl<'a> Affine<'a> {
             machine,
             enable_fusion,
             priorities,
-            peel: Peeling::new(podg),
-            perm: vec![Vec::new(); n],
-            signs: vec![Vec::new(); n],
-            shifts: vec![Vec::new(); n],
-            betas: vec![Vec::new(); n],
+            peel: Peeling::new(scop, podg),
             matched: vec![None; n],
         }
-    }
-
-    fn dim(&self, s: StmtId) -> usize {
-        self.scop.statements[s.0].dim
-    }
-
-    fn exhausted(&self, s: StmtId) -> bool {
-        self.perm[s.0].len() >= self.dim(s)
     }
 
     /// Algorithm 2's recursion over levels. Errors when some group has
@@ -145,13 +137,7 @@ impl<'a> Affine<'a> {
             let Some(seed_pos) = remaining
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, &c)| {
-                    comps[c]
-                        .iter()
-                        .map(|&s| self.dim(s) - self.perm[s.0].len().min(self.dim(s)))
-                        .max()
-                        .unwrap_or(0)
-                })
+                .max_by_key(|(_, &c)| comps[c].iter().map(|&s| self.peel.left(s)).max().unwrap_or(0))
                 .map(|(p, _)| p)
             else {
                 break;
@@ -159,7 +145,7 @@ impl<'a> Affine<'a> {
             let seed = remaining.remove(seed_pos);
             let mut members = vec![seed];
             let mut group: Vec<StmtId> = comps[seed].clone();
-            let seed_exhausted = group.iter().all(|&s| self.exhausted(s));
+            let seed_exhausted = group.iter().all(|&s| self.peel.exhausted(s));
             if self.enable_fusion && !seed_exhausted {
                 loop {
                     let mut changed = false;
@@ -170,7 +156,7 @@ impl<'a> Affine<'a> {
                         let others: Vec<usize> = (0..comps.len())
                             .filter(|c| !members.contains(c) && *c != cand)
                             .collect();
-                        let ok = !comp.iter().all(|&s| self.exhausted(s))
+                        let ok = !comp.iter().all(|&s| self.peel.exhausted(s))
                             && path_safe(&members, cand, &others, &reach)
                             && self.absorbs(&group, comp);
                         if ok {
@@ -235,7 +221,7 @@ impl<'a> Affine<'a> {
         // loops, always legal across groups).
         let mut planned: Vec<(Vec<StmtId>, Option<Vec<Pick>>)> = Vec::new();
         for group in &groups {
-            let picks = if group.iter().all(|&s| self.exhausted(s)) {
+            let picks = if group.iter().all(|&s| self.peel.exhausted(s)) {
                 None
             } else {
                 let picks = self.find_picks(group, SEARCH_CAP).ok_or_else(|| {
@@ -284,18 +270,10 @@ impl<'a> Affine<'a> {
             break;
         }
         for (pos, (group, picks)) in planned.into_iter().enumerate() {
-            for &s in &group {
-                self.betas[s.0].push(pos as i64);
-            }
-            self.peel.order_group(stmts, &group);
+            self.peel.place(stmts, &group, pos);
             let Some(picks) = picks else {
                 continue;
             };
-            for (&s, p) in group.iter().zip(&picks) {
-                self.perm[s.0].push(p.iter);
-                self.signs[s.0].push(p.sign);
-                self.shifts[s.0].push(p.shift);
-            }
             let rows = self.pick_rows(&group, &picks);
             self.peel.commit(&group, &rows);
             self.solve(&group, level + 1)?;
@@ -369,7 +347,7 @@ impl<'a> Affine<'a> {
             let found = self.priorities[sb.0]
                 .iter()
                 .copied()
-                .filter(|&it| !self.perm[sb.0].contains(&it) && Some(it) != innermost)
+                .filter(|&it| !self.peel.uses(sb, it) && Some(it) != innermost)
                 .find(|&it| {
                     a.iter().any(|&sa| {
                         self.next_iter(sa)
@@ -419,7 +397,7 @@ impl<'a> Affine<'a> {
     /// level tries them: dimension matching's choice first, then DL
     /// priority.
     fn remaining(&self, s: StmtId) -> Vec<usize> {
-        let free = |it: &usize| !self.perm[s.0].contains(it);
+        let free = |it: &usize| !self.peel.uses(s, *it);
         let first = self.matched[s.0].filter(free);
         first
             .into_iter()
@@ -433,7 +411,7 @@ impl<'a> Affine<'a> {
     }
 
     fn next_iter(&self, s: StmtId) -> Option<usize> {
-        let free = |it: &usize| !self.perm[s.0].contains(it);
+        let free = |it: &usize| !self.peel.uses(s, *it);
         self.matched[s.0]
             .filter(free)
             .or_else(|| self.priorities[s.0].iter().copied().find(free))
@@ -441,18 +419,22 @@ impl<'a> Affine<'a> {
 
     /// Condition (3), the DL fusion-cost test.
     fn fusion_profitable(&self, a: &[StmtId], b: &[StmtId]) -> bool {
-        let depth = |g: &[StmtId]| g.iter().map(|&s| self.dim(s)).max().unwrap_or(0);
         fusion_profitable(
             &self.group_refs(a),
-            depth(a),
+            self.depth(a),
             &self.group_refs(b),
-            depth(b),
+            self.depth(b),
             self.machine.fusion_level(),
         )
     }
 
+    /// The deepest statement dimensionality of a group.
+    fn depth(&self, g: &[StmtId]) -> usize {
+        g.iter().map(|&s| self.scop.statements[s.0].dim).max().unwrap_or(0)
+    }
+
     fn group_refs(&self, g: &[StmtId]) -> Vec<RefInfo> {
-        let depth = g.iter().map(|&s| self.dim(s)).max().unwrap_or(0);
+        let depth = self.depth(g);
         let mut out = Vec::new();
         for &s in g {
             let st = &self.scop.statements[s.0];
@@ -563,7 +545,7 @@ impl<'a> Affine<'a> {
     }
 
     fn pick_row(&self, s: StmtId, p: &Pick) -> Vec<i64> {
-        let d = self.dim(s);
+        let d = self.scop.statements[s.0].dim;
         let np = self.scop.n_params();
         let mut row = vec![0i64; d + np + 1];
         row[p.iter] = p.sign;
@@ -577,59 +559,6 @@ impl<'a> Affine<'a> {
             .zip(picks)
             .map(|(&s, p)| self.pick_row(s, p))
             .collect()
-    }
-
-    fn finish(self) -> Result<Vec<Schedule>, PolymixError> {
-        let np = self.scop.n_params();
-        let mut out = Vec::new();
-        for (i, stmt) in self.scop.statements.iter().enumerate() {
-            let d = stmt.dim;
-            let mut perm = self.perm[i].clone();
-            let mut signs = self.signs[i].clone();
-            let mut shifts = self.shifts[i].clone();
-            let mut betas = self.betas[i].clone();
-            while perm.len() < d {
-                let Some(free) = (0..d).find(|k| !perm.contains(k)) else {
-                    return Err(PolymixError::scheduling(
-                        &self.scop.name,
-                        perm.len(),
-                        vec![i],
-                        "permutation completion found no free iterator",
-                    ));
-                };
-                perm.push(free);
-                signs.push(1);
-                shifts.push(0);
-                betas.push(0);
-            }
-            let mut alpha = IntMat::zeros(d, d);
-            let mut gamma = vec![vec![0i64; np + 1]; d];
-            for (k, (&it, (&sg, &sh))) in
-                perm.iter().zip(signs.iter().zip(&shifts)).enumerate()
-            {
-                alpha[(k, it)] = sg;
-                gamma[k][np] = sh;
-            }
-            let mut beta = betas;
-            beta.truncate(d + 1);
-            while beta.len() < d + 1 {
-                beta.push(0);
-            }
-            let sched = Schedule { beta, alpha, gamma };
-            sched.check().map_err(|msg| {
-                PolymixError::scheduling(&self.scop.name, 0, vec![i], msg)
-            })?;
-            if !(sched.is_signed_permutation() || d == 0) {
-                return Err(PolymixError::scheduling(
-                    &self.scop.name,
-                    0,
-                    vec![i],
-                    "affine stage produced non-permutation α",
-                ));
-            }
-            out.push(sched);
-        }
-        Ok(out)
     }
 }
 
@@ -823,7 +752,7 @@ mod tests {
             let mut a = Affine::new(&scop, &podg, &machine, true);
             let n = scop.statements.len();
             for (sa, sb) in (0..n).flat_map(|x| (0..n).map(move |y| (StmtId(x), StmtId(y)))) {
-                if sa == sb || a.dim(sb) == 0 {
+                if sa == sb || scop.statements[sb.0].dim == 0 {
                     continue;
                 }
                 a.matched = vec![None; n];

@@ -4,9 +4,9 @@
 //! Pluto baseline (`polymix-pluto`) — fix schedule rows one loop level at
 //! a time, outermost first, with one skeleton: SCCs of the unsatisfied
 //! dependences, a fusion policy, one legal row per statement, then peel
-//! what the row satisfied. [`Peeling`] is that skeleton's bookkeeping, so
-//! the schedulers keep only what differs between them: the row objective
-//! and the fusion test.
+//! what the row satisfied. [`Peeling`] is that skeleton's bookkeeping and
+//! the schedule under construction, so the schedulers keep only what
+//! differs between them: the row objective and the fusion test.
 //!
 //! For each dependence edge a [`DepState`] keeps the *remaining*
 //! dependence polyhedron — the pairs of instances not yet strictly
@@ -20,8 +20,10 @@
 
 use crate::depgraph::{Dep, Podg};
 use crate::vectors::{classify, DepElem};
+use polymix_ir::error::PolymixError;
 use polymix_ir::scop::StmtId;
-use polymix_math::Polyhedron;
+use polymix_ir::{Schedule, Scop};
+use polymix_math::{IntMat, Polyhedron};
 
 /// Mutable satisfaction state of one dependence edge during scheduling.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,13 +44,20 @@ impl DepState {
     }
 }
 
-/// The states of every edge of a PoDG, in PoDG order, while a scheduler
-/// fixes rows level by level. A clone is a snapshot: Pluto keeps one as
-/// its band start.
+/// The states of every edge of a PoDG, in PoDG order, and the schedule
+/// under construction — each statement's committed rows and β — while a
+/// scheduler fixes rows level by level. A clone is a snapshot: Pluto
+/// keeps one as its band start.
 #[derive(Clone, Debug)]
 pub struct Peeling<'a> {
+    scop: &'a Scop,
     podg: &'a Podg,
     states: Vec<DepState>,
+    /// Committed rows per statement, outermost first, each over
+    /// `[iters | params | 1]`: α in the iterator columns, γ in the rest.
+    rows: Vec<Vec<Vec<i64>>>,
+    /// β per statement, one entry per [`Peeling::place`].
+    betas: Vec<Vec<i64>>,
 }
 
 /// An unsatisfied dependence with both endpoints in a group, as
@@ -82,12 +91,37 @@ impl GroupDep<'_> {
 }
 
 impl<'a> Peeling<'a> {
-    /// Every edge unsatisfied.
-    pub fn new(podg: &'a Podg) -> Self {
+    /// Every edge of `podg` (the PoDG of `scop`) unsatisfied, no row
+    /// committed.
+    pub fn new(scop: &'a Scop, podg: &'a Podg) -> Self {
+        let n = scop.statements.len();
         Peeling {
+            scop,
             podg,
             states: podg.deps.iter().map(DepState::new).collect(),
+            rows: vec![Vec::new(); n],
+            betas: vec![Vec::new(); n],
         }
+    }
+
+    /// The rows committed for `s` so far, outermost first.
+    pub fn rows(&self, s: StmtId) -> &[Vec<i64>] {
+        &self.rows[s.0]
+    }
+
+    /// How many of its rows `s` still lacks.
+    pub fn left(&self, s: StmtId) -> usize {
+        self.scop.statements[s.0].dim.saturating_sub(self.rows[s.0].len())
+    }
+
+    /// Whether `s` has all its rows.
+    pub fn exhausted(&self, s: StmtId) -> bool {
+        self.left(s) == 0
+    }
+
+    /// Whether some committed row of `s` reads its iterator `iter`.
+    pub fn uses(&self, s: StmtId, iter: usize) -> bool {
+        self.rows[s.0].iter().any(|r| r[iter] != 0)
     }
 
     /// The unsatisfied edges with their states, in PoDG order.
@@ -121,10 +155,14 @@ impl<'a> Peeling<'a> {
         })
     }
 
-    /// β ordering: `group` runs before the statements of `all` placed
-    /// after it, so every edge from it to one of them is satisfied. Edges
-    /// into earlier groups were satisfied when those were placed.
-    pub fn order_group(&mut self, all: &[StmtId], group: &[StmtId]) {
+    /// β ordering: gives every statement of `group` the β `pos` at this
+    /// level, so `group` runs before the statements of `all` placed after
+    /// it and every edge from it to one of them is satisfied. Edges into
+    /// earlier groups were satisfied when those were placed.
+    pub fn place(&mut self, all: &[StmtId], group: &[StmtId], pos: usize) {
+        for &s in group {
+            self.betas[s.0].push(pos as i64);
+        }
         for (d, st) in self.podg.deps.iter().zip(&mut self.states) {
             if group.contains(&d.src) && !group.contains(&d.dst) && all.contains(&d.dst) {
                 st.satisfied = true;
@@ -138,10 +176,14 @@ impl<'a> Peeling<'a> {
         self.within(group).all(|e| !e.violated_by(rows))
     }
 
-    /// Applies legal rows (as for [`Peeling::legal`]) to every edge inside
-    /// the group: satisfied edges are peeled, the rest keep the pairs the
-    /// rows order equal.
+    /// Commits legal rows (as for [`Peeling::legal`]), one per statement
+    /// of the group, as its next schedule row, and applies them to every
+    /// edge inside the group: satisfied edges are peeled, the rest keep
+    /// the pairs the rows order equal.
     pub fn commit(&mut self, group: &[StmtId], rows: &[Vec<i64>]) {
+        for (&s, row) in group.iter().zip(rows) {
+            self.rows[s.0].push(row.clone());
+        }
         for (d, st) in self.podg.deps.iter().zip(&mut self.states) {
             let (Some(si), Some(di)) = (
                 group.iter().position(|&s| s == d.src),
@@ -152,6 +194,50 @@ impl<'a> Peeling<'a> {
             let eff = apply_loop_row(d, st, &rows[si], &rows[di]);
             debug_assert_ne!(eff, RowEffect::Violated, "committing an illegal row");
         }
+    }
+
+    /// The `2d+1` schedule of every statement, in statement order: its
+    /// committed rows, completed with unit rows over the iterators no row
+    /// reads (β 0 each), split into α (iterator columns) and γ (parameter
+    /// and constant columns), with β cut or padded with zeros to `d + 1`.
+    /// Errors when completion runs out of iterators or a schedule fails
+    /// [`Schedule::check`].
+    pub fn schedules(&self) -> Result<Vec<Schedule>, PolymixError> {
+        let scop = self.scop;
+        let width = scop.n_params() + 1;
+        let mut out = Vec::with_capacity(scop.statements.len());
+        for (i, stmt) in scop.statements.iter().enumerate() {
+            let d = stmt.dim;
+            let mut rows = self.rows[i].clone();
+            let mut beta = self.betas[i].clone();
+            let mut free = (0..d).filter(|&k| !self.uses(StmtId(i), k));
+            while rows.len() < d {
+                let Some(k) = free.next() else {
+                    return Err(PolymixError::scheduling(
+                        &scop.name,
+                        rows.len(),
+                        vec![i],
+                        "row completion found no free iterator",
+                    ));
+                };
+                let mut unit = vec![0; d + width];
+                unit[k] = 1;
+                rows.push(unit);
+                beta.push(0);
+            }
+            beta.resize(d + 1, 0);
+            let alpha: Vec<Vec<i64>> = rows.iter().map(|r| r[..d].to_vec()).collect();
+            let sched = Schedule {
+                beta,
+                alpha: IntMat::from_rows(&alpha),
+                gamma: rows.iter().map(|r| r[d..].to_vec()).collect(),
+            };
+            sched
+                .check()
+                .map_err(|msg| PolymixError::scheduling(&scop.name, 0, vec![i], msg))?;
+            out.push(sched);
+        }
+        Ok(out)
     }
 }
 
@@ -349,7 +435,7 @@ mod tests {
     fn within_yields_the_open_edges_inside_the_group_with_positions() {
         let scop = three_stmts();
         let podg = build_podg(&scop);
-        let mut peel = Peeling::new(&podg);
+        let mut peel = Peeling::new(&scop, &podg);
         peel.commit(&ALL, &rows([1, 1, 1]));
         let group = [StmtId(1), StmtId(0)];
         let got: Vec<(StmtId, StmtId, usize, usize)> = peel
@@ -372,7 +458,7 @@ mod tests {
         // `S1` retimed by one: `S0 → S1` is peeled, `S1 → S2` is not.
         let group = [StmtId(2), StmtId(0), StmtId(1)];
         let rows = vec![vec![1, 0, 0], vec![1, 0, 0], vec![1, 0, 1]];
-        let mut peel = Peeling::new(&podg);
+        let mut peel = Peeling::new(&scop, &podg);
         peel.commit(&group, &rows);
         let row = |s: StmtId| &rows[group.iter().position(|&g| g == s).unwrap()];
         let want: Vec<DepState> = podg
@@ -391,7 +477,7 @@ mod tests {
     fn legal_agrees_with_violates_edge_by_edge() {
         let scop = three_stmts();
         let podg = build_podg(&scop);
-        let peel = Peeling::new(&podg);
+        let peel = Peeling::new(&scop, &podg);
         let signs = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1], [-1, -1, -1]];
         let disagree: Vec<_> = signs
             .into_iter()
@@ -411,10 +497,29 @@ mod tests {
     fn a_cloned_snapshot_is_unaffected_by_a_later_commit() {
         let scop = three_stmts();
         let podg = build_podg(&scop);
-        let mut peel = Peeling::new(&podg);
+        let mut peel = Peeling::new(&scop, &podg);
         let band = peel.clone();
         peel.commit(&ALL, &rows([1, 1, 1]));
-        assert_eq!(band.states, Peeling::new(&podg).states);
+        assert_eq!(band.states, Peeling::new(&scop, &podg).states);
+    }
+
+    /// One committed row `-j + 3` of a 2-d statement placed at β 1: the
+    /// completion adds the unit row of the unused iterator `i`, γ takes
+    /// each row's constant column and β is padded to `d + 1`.
+    #[test]
+    fn schedules_complete_rows_split_gamma_and_pad_beta() {
+        let scop = vertical_stencil();
+        let podg = build_podg(&scop);
+        let mut peel = Peeling::new(&scop, &podg);
+        let s = [StmtId(0)];
+        peel.place(&s, &s, 1);
+        peel.commit(&s, &[vec![0, -1, 0, 3]]);
+        assert!(!peel.exhausted(StmtId(0)) && peel.left(StmtId(0)) == 1);
+        let got = peel.schedules().expect("valid schedule");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].alpha, IntMat::from_rows(&[vec![0, -1], vec![1, 0]]));
+        assert_eq!(got[0].gamma, [[0, 3], [0, 0]]);
+        assert_eq!(got[0].beta, [1, 0, 0]);
     }
 
     #[test]

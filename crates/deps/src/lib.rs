@@ -10,7 +10,8 @@
 //!   to unsatisfied edges (the grouping Algorithm 2 recurses over),
 //! * [`legality`] checks candidate schedule rows against dependence
 //!   polyhedra and *peels* satisfied instances level by level — the one
-//!   walk ([`Peeling`]) both schedulers fix their rows through,
+//!   walk ([`Peeling`]) both schedulers fix their rows through, which also
+//!   holds the schedule under construction and builds every `Schedule`,
 //! * [`vectors`] extracts dependence distance/direction vectors of the
 //!   transformed code, feeding the AST stage's parallelism detector and
 //!   skewing/tiling legality tests (Sec. IV-A/B).

@@ -37,14 +37,12 @@ pub fn schedule_pluto(scop: &Scop, fusion: Fusion) -> Result<Vec<Schedule>, Poly
     let mut sched = Sched {
         scop,
         fusion,
-        peel: Peeling::new(&podg),
-        rows: scop.statements.iter().map(|_| Vec::new()).collect(),
-        betas: scop.statements.iter().map(|_| Vec::new()).collect(),
+        peel: Peeling::new(scop, &podg),
     };
     let all: Vec<StmtId> = (0..scop.statements.len()).map(StmtId).collect();
     let band = sched.peel.clone();
     sched.solve(&all, 0, &band)?;
-    sched.finish()
+    sched.peel.schedules()
 }
 
 /// Which fusion heuristics to try, most to least aggressive, starting
@@ -113,24 +111,16 @@ pub fn schedule_with_fallback(scop: &Scop, requested: Fusion) -> FallbackSchedul
 /// How many row combinations one search scores.
 const SEARCH_CAP: usize = 20_000;
 
+/// The scheduler's state. The schedule under construction lives in
+/// `peel` as full rows `[iters | params | 1]`; candidates and repairs
+/// have a zero constant column, so γ stays zero.
 struct Sched<'a> {
     scop: &'a Scop,
     fusion: Fusion,
     peel: Peeling<'a>,
-    /// Chosen α rows per statement (statement-local iterator coefficients).
-    rows: Vec<Vec<Vec<i64>>>,
-    betas: Vec<Vec<i64>>,
 }
 
 impl<'a> Sched<'a> {
-    fn dim(&self, s: StmtId) -> usize {
-        self.scop.statements[s.0].dim
-    }
-
-    fn exhausted(&self, s: StmtId) -> bool {
-        self.rows[s.0].len() >= self.dim(s)
-    }
-
     /// Recursively schedules `stmts` from loop level `level`.
     /// `band` is the dependence-state snapshot at the start of the
     /// current permutable band: rows must be non-negative on the *band*
@@ -149,9 +139,9 @@ impl<'a> Sched<'a> {
         // Greedy fusion of consecutive components.
         let mut groups: Vec<Vec<StmtId>> = Vec::new();
         for comp in comps {
-            if self.fusion != Fusion::None && !comp.iter().all(|&s| self.exhausted(s)) {
+            if self.fusion != Fusion::None && !comp.iter().all(|&s| self.peel.exhausted(s)) {
                 if let Some(last) = groups.last_mut() {
-                    let last_ok = !last.iter().any(|&s| self.exhausted(s));
+                    let last_ok = !last.iter().any(|&s| self.peel.exhausted(s));
                     let smart_ok =
                         self.fusion == Fusion::Max || self.scop.shares_array(last, &comp);
                     if last_ok && smart_ok {
@@ -170,13 +160,10 @@ impl<'a> Sched<'a> {
 
         // Assign β and rows per group, then recurse.
         for (pos, group) in groups.into_iter().enumerate() {
-            for &s in &group {
-                self.betas[s.0].push(pos as i64);
-            }
             // β ordering satisfies the dependences to later groups; those
             // within the group continue.
-            self.peel.order_group(stmts, &group);
-            if group.iter().all(|&s| self.exhausted(s)) {
+            self.peel.place(stmts, &group, pos);
+            if group.iter().all(|&s| self.peel.exhausted(s)) {
                 continue; // leaf (or group of leaves at identical depth 0)
             }
             // Try within the current band; on failure break the band
@@ -196,11 +183,7 @@ impl<'a> Sched<'a> {
                 },
             };
             // Commit the rows and peel the dependences.
-            let full = self.full_rows(&combo);
-            for (&s, row) in group.iter().zip(combo) {
-                self.rows[s.0].push(row);
-            }
-            self.peel.commit(&group, &full);
+            self.peel.commit(&group, &combo);
             self.solve(&group, level + 1, &child_band)?;
         }
         Ok(())
@@ -232,43 +215,38 @@ impl<'a> Sched<'a> {
 
     /// Candidate rows for statement `s`: unit iterators linearly
     /// independent of the chosen rows, then (for small groups) pairwise
-    /// sums of iterators, filtered for independence by rank.
+    /// sums of iterators, filtered for independence by rank of their
+    /// iterator columns. Full rows with a zero constant column.
     fn candidates(&self, s: StmtId, group_size: usize) -> Vec<Vec<i64>> {
-        let d = self.dim(s);
-        let chosen = &self.rows[s.0];
-        if chosen.len() >= d {
+        if self.peel.exhausted(s) {
             return Vec::new();
         }
+        let d = self.scop.statements[s.0].dim;
+        let chosen = self.peel.rows(s);
         let independent = |r: &Vec<i64>| -> bool {
             let mut m = IntMat::zeros(0, d);
             for c in chosen {
-                m.push_row(c);
+                m.push_row(&c[..d]);
             }
             let base = m.rank();
-            m.push_row(r);
+            m.push_row(&r[..d]);
             // An overflowing rank proves nothing: not a candidate.
             matches!((base, m.rank()), (Some(base), Some(with_r)) if with_r > base)
         };
-        let mut out: Vec<Vec<i64>> = Vec::new();
-        for i in 0..d {
-            let mut r = vec![0i64; d];
-            r[i] = 1;
-            if independent(&r) {
-                out.push(r);
+        let unit_sum = |its: &[usize]| {
+            let mut r = vec![0i64; d + self.scop.n_params() + 1];
+            for &i in its {
+                r[i] = 1;
             }
-        }
+            r
+        };
+        let mut out: Vec<Vec<i64>> = (0..d).map(|i| unit_sum(&[i])).collect();
         if group_size <= 4 {
             for i in 0..d {
-                for j in i + 1..d {
-                    let mut r = vec![0i64; d];
-                    r[i] = 1;
-                    r[j] = 1;
-                    if independent(&r) {
-                        out.push(r);
-                    }
-                }
+                out.extend((i + 1..d).map(|j| unit_sum(&[i, j])));
             }
         }
+        out.retain(independent);
         out
     }
 
@@ -284,18 +262,18 @@ impl<'a> Sched<'a> {
         band: &Peeling,
     ) -> Option<(i64, Vec<Vec<i64>>)> {
         let repaired = self.repair(group, combo, level, band)?;
-        let full = self.full_rows(&repaired);
         let params = &self.scop.default_params;
         let reuse: i64 = self
             .peel
             .within(group)
-            .map(|e| match e.distance(&full, params) {
+            .map(|e| match e.distance(&repaired, params) {
                 DepElem::Const(c) => c.abs(),
                 _ => 40,
             })
             .sum();
         // Prefer plain unit rows slightly (Pluto's cost also penalizes
-        // skew magnitude).
+        // skew magnitude). The sum runs over the full row, so a shift in
+        // its constant column would count too.
         let skew: i64 = repaired
             .iter()
             .map(|r| r.iter().map(|&c| c.abs()).sum::<i64>() - 1)
@@ -314,10 +292,9 @@ impl<'a> Sched<'a> {
         level: usize,
         band: &Peeling,
     ) -> Option<Vec<Vec<i64>>> {
-        let legal = |rows: &[Vec<i64>]| band.legal(group, &self.full_rows(rows));
         let mut rows: Vec<Vec<i64>> = combo.to_vec();
         'attempt: for attempt in 0..=(2 * level.min(3)) {
-            if legal(&rows) {
+            if band.legal(group, &rows) {
                 return Some(rows);
             }
             // Add one more multiple of an earlier row to every statement.
@@ -326,7 +303,7 @@ impl<'a> Sched<'a> {
                 return None;
             }
             for (g, &s) in group.iter().enumerate() {
-                let Some(prev) = self.rows[s.0].get(prev_level) else {
+                let Some(prev) = self.peel.rows(s).get(prev_level) else {
                     continue 'attempt;
                 };
                 for (dst, &p) in rows[g].iter_mut().zip(prev) {
@@ -334,64 +311,7 @@ impl<'a> Sched<'a> {
                 }
             }
         }
-        legal(&rows).then_some(rows)
-    }
-
-    /// Widens statement-local iterator rows to `[iters | params | 1]`.
-    fn full_rows(&self, rows: &[Vec<i64>]) -> Vec<Vec<i64>> {
-        let zeros = vec![0; self.scop.n_params() + 1];
-        rows.iter().map(|r| [r.as_slice(), &zeros].concat()).collect()
-    }
-
-    /// Assembles the final `Schedule` per statement; the committed rows
-    /// become α (with unit-completion if the search ended early), β is
-    /// padded, γ stays zero (the baseline uses no parametric retiming).
-    /// Errors if completion cannot produce a structurally valid schedule.
-    fn finish(mut self) -> Result<Vec<Schedule>, PolymixError> {
-        // The recursion only stops once every statement is exhausted, but
-        // be defensive: complete any missing rows with unused units.
-        let p = self.scop.n_params();
-        let mut out = Vec::new();
-        for (i, stmt) in self.scop.statements.iter().enumerate() {
-            let d = stmt.dim;
-            while self.rows[i].len() < d {
-                let used: Vec<usize> = (0..d)
-                    .filter(|&k| self.rows[i].iter().any(|r| r[k] != 0))
-                    .collect();
-                let Some(free) = (0..d).find(|k| !used.contains(k)) else {
-                    return Err(PolymixError::scheduling(
-                        &self.scop.name,
-                        self.rows[i].len(),
-                        vec![i],
-                        "row completion found no free iterator",
-                    ));
-                };
-                let mut r = vec![0i64; d];
-                r[free] = 1;
-                self.rows[i].push(r);
-                self.betas[i].push(0);
-            }
-            let mut beta = self.betas[i].clone();
-            beta.truncate(d + 1);
-            while beta.len() < d + 1 {
-                beta.push(0);
-            }
-            let alpha = if d == 0 {
-                IntMat::zeros(0, 0)
-            } else {
-                IntMat::from_rows(&self.rows[i])
-            };
-            let sched = Schedule {
-                beta,
-                alpha,
-                gamma: vec![vec![0; p + 1]; d],
-            };
-            sched.check().map_err(|msg| {
-                PolymixError::scheduling(&self.scop.name, 0, vec![i], msg)
-            })?;
-            out.push(sched);
-        }
-        Ok(out)
+        band.legal(group, &rows).then_some(rows)
     }
 }
 

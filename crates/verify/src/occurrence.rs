@@ -13,6 +13,7 @@
 //! handled conservatively by the walker.
 
 use polymix_ast::tree::{LinExpr, Loop, Node, Par, Program};
+use polymix_math::gcd;
 use std::collections::HashMap;
 
 /// Identity and shape of one loop on a root path.
@@ -182,32 +183,58 @@ fn walk(node: &Node, copies: bool, path: &mut Vec<PStep>, next_id: &mut usize, o
     }
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
+/// One equation of [`solve`]: AST-variable coefficients and the
+/// `[x | params | 1]` row they equal.
+type Equation = (Vec<i64>, Vec<i64>);
 
-fn normalize(row: &mut (Vec<i64>, Vec<i64>)) {
-    let mut g = 0i64;
-    for &x in row.0.iter().chain(row.1.iter()) {
-        g = gcd(g, x);
-    }
+/// `row · p − pivot · c` for the coefficients `p` and `c` of column
+/// `col` in `pivot` and `row`: the row with that column eliminated,
+/// divided by the gcd of its entries; `None` when a product or a
+/// difference overflows.
+fn eliminate(row: &Equation, pivot: &Equation, col: usize) -> Option<Equation> {
+    let (p, c) = (pivot.0[col], row.0[col]);
+    let comb = |a: &[i64], b: &[i64]| -> Option<Vec<i64>> {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| x.checked_mul(p)?.checked_sub(y.checked_mul(c)?))
+            .collect()
+    };
+    let (mut a, mut r) = (comb(&row.0, &pivot.0)?, comb(&row.1, &pivot.1)?);
+    let g = a.iter().chain(&r).fold(0, |g, &x| gcd(g, x));
     if g > 1 {
-        for x in row.0.iter_mut().chain(row.1.iter_mut()) {
+        for x in a.iter_mut().chain(r.iter_mut()) {
             *x /= g;
         }
     }
+    Some((a, r))
+}
+
+/// The equation `sum_v a_mv * v = x_m - params_m - c_m` of original
+/// iterator `m`; `None` when a coefficient overflows.
+fn equation(m: usize, e: &LinExpr, vars: &[usize], dim: usize, n_params: usize) -> Option<Equation> {
+    let mut a = vec![0i64; vars.len()];
+    for &(v, c) in &e.var_coeffs {
+        if let Some(j) = vars.iter().position(|&x| x == v) {
+            a[j] = a[j].checked_add(c)?;
+        }
+    }
+    let mut r = vec![0i64; dim + n_params + 1];
+    r[m] = 1;
+    for &(p, c) in &e.param_coeffs {
+        if p < n_params {
+            r[dim + p] = r[dim + p].checked_sub(c)?;
+        }
+    }
+    r[dim + n_params] = e.c.checked_neg()?;
+    Some((a, r))
 }
 
 /// Inverts `iter_exprs` (original iterators as affine functions of the
 /// AST vars) by fraction-free Gauss-Jordan elimination, returning each
 /// AST var as an integer affine row over `[x | params | 1]` where
-/// possible.
+/// possible. Every product and remainder is checked: an equation whose
+/// elimination overflows is dropped, so the variables it would have
+/// determined stay unsolved, never wrongly solved.
 fn solve(iter_exprs: &[LinExpr], n_params: usize) -> HashMap<usize, Vec<i64>> {
     let dim = iter_exprs.len();
     let mut vars: Vec<usize> = Vec::new();
@@ -218,66 +245,47 @@ fn solve(iter_exprs: &[LinExpr], n_params: usize) -> HashMap<usize, Vec<i64>> {
             }
         }
     }
-    let nv = vars.len();
-    let w = dim + n_params + 1;
-    // One equation per original iterator m:
-    //   sum_v a_mv * v  =  x_m - params_m - c_m
-    let mut rows: Vec<(Vec<i64>, Vec<i64>)> = Vec::with_capacity(dim);
-    for (m, e) in iter_exprs.iter().enumerate() {
-        let mut a = vec![0i64; nv];
-        for &(v, c) in &e.var_coeffs {
-            if let Some(j) = vars.iter().position(|&x| x == v) {
-                a[j] += c;
-            }
-        }
-        let mut r = vec![0i64; w];
-        r[m] += 1;
-        for &(p, c) in &e.param_coeffs {
-            if p < n_params {
-                r[dim + p] -= c;
-            }
-        }
-        r[w - 1] -= e.c;
-        rows.push((a, r));
-    }
-    let mut pivot_of: Vec<Option<usize>> = vec![None; nv];
+    // One equation per original iterator; `None` once dropped.
+    let mut rows: Vec<Option<Equation>> = iter_exprs
+        .iter()
+        .enumerate()
+        .map(|(m, e)| equation(m, e, &vars, dim, n_params))
+        .collect();
+    let mut pivot_of: Vec<Option<usize>> = vec![None; vars.len()];
     let mut used = vec![false; rows.len()];
-    for col in 0..nv {
-        let Some(pr) = (0..rows.len()).find(|&i| !used[i] && rows[i].0[col] != 0) else {
+    for (col, pivot_row) in pivot_of.iter_mut().enumerate() {
+        let Some((pr, pivot)) = rows.iter().enumerate().find_map(|(i, r)| {
+            let r = r.as_ref().filter(|r| !used[i] && r.0[col] != 0)?;
+            Some((i, r.clone()))
+        }) else {
             continue;
         };
         used[pr] = true;
-        pivot_of[col] = Some(pr);
-        let (pa, prh) = rows[pr].clone();
-        let p = pa[col];
-        for i in 0..rows.len() {
-            if i == pr || rows[i].0[col] == 0 {
-                continue;
+        *pivot_row = Some(pr);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if let Some(r) = row.as_ref().filter(|r| i != pr && r.0[col] != 0) {
+                *row = eliminate(r, &pivot, col);
             }
-            let c = rows[i].0[col];
-            for j in 0..nv {
-                rows[i].0[j] = rows[i].0[j] * p - pa[j] * c;
-            }
-            for j in 0..w {
-                rows[i].1[j] = rows[i].1[j] * p - prh[j] * c;
-            }
-            normalize(&mut rows[i]);
         }
     }
     let mut out = HashMap::new();
     for (col, &v) in vars.iter().enumerate() {
-        let Some(pr) = pivot_of[col] else { continue };
-        let (a, r) = &rows[pr];
+        let Some((a, r)) = pivot_of[col].and_then(|pr| rows[pr].as_ref()) else {
+            continue;
+        };
         let p = a[col];
         // Determined only when no free column leaks into the pivot row
         // and the solution is integral.
         if p == 0 || a.iter().enumerate().any(|(j, &c)| j != col && c != 0) {
             continue;
         }
-        if r.iter().any(|&x| x % p != 0) {
-            continue;
+        let exact: Option<Vec<i64>> = r
+            .iter()
+            .map(|&x| (x.checked_rem(p)? == 0).then(|| x / p))
+            .collect();
+        if let Some(row) = exact {
+            out.insert(v, row);
         }
-        out.insert(v, r.iter().map(|&x| x / p).collect());
     }
     out
 }
@@ -300,6 +308,43 @@ mod tests {
         let e = LinExpr::var(4).plus(3);
         let solved = solve(&[e], 0);
         assert_eq!(solved.get(&4), Some(&vec![1, -3]));
+    }
+
+    /// `x_m = sum_v c·v + k` for each `(terms, k)`.
+    fn system(eqs: &[(&[(usize, i64)], i64)]) -> Vec<LinExpr> {
+        eqs.iter()
+            .map(|&(terms, c)| LinExpr {
+                var_coeffs: terms.to_vec(),
+                param_coeffs: Vec::new(),
+                c,
+            })
+            .collect()
+    }
+
+    const BIG: i64 = (1 << 62) - 1;
+
+    /// Exact elimination determines no variable here (two equations,
+    /// and no unit vector lies in the row space of the coefficients);
+    /// wrapping arithmetic "solved" `v0 = 1 - x1`.
+    #[test]
+    fn an_overflowing_elimination_solves_nothing_wrongly() {
+        let eqs = system(&[
+            (&[(0, -2), (1, -(1 << 40)), (2, 1 << 40)], 0),
+            (&[(0, BIG), (2, 1 << 32)], 1),
+        ]);
+        assert_eq!(solve(&eqs, 0), HashMap::new());
+    }
+
+    /// The exact inverse has a denominator near 5·10^30, so no variable
+    /// is an integer row; unchecked elimination ended in `i64::MIN % -1`.
+    #[test]
+    fn an_overflowing_remainder_is_not_an_abort() {
+        let eqs = system(&[
+            (&[(0, -2), (2, BIG)], 2),
+            (&[(0, -2), (1, 1), (2, -1)], 2),
+            (&[(1, 1 << 40), (2, -1)], 2),
+        ]);
+        assert_eq!(solve(&eqs, 0), HashMap::new());
     }
 
     #[test]
