@@ -176,6 +176,16 @@ echo "$SIZES" | grep -Eq '^sizes: 16 [1-9][0-9]* 32 [1-9][0-9]* 64 [0-9]+ guards
     || { echo "a tile size lost all its traffic, or the size census is malformed: $SIZES"; exit 1; }
 [ "${SIZES##* }" -ge 32 ] \
     || { echo "guards the bounds decide are tested again: guards-separated ${SIZES##* } < 32"; exit 1; }
+# Last, how each distinct emptiness question of the audit ended (DESIGN
+# §18): refuted by the interval hull, answered "not empty" by the hull's
+# lower corner, or handed to Fourier–Motzkin. The corner answers 4 988
+# of the 14 128; at zero it has stopped firing, and every non-empty
+# answer pays for a full elimination again.
+EMPTINESS=$(echo "$VERIFY_OUT" | grep '^emptiness: ') \
+    || { echo "static audit printed no emptiness census"; exit 1; }
+echo "$EMPTINESS"
+echo "$EMPTINESS" | grep -Eq '^emptiness: hull [0-9]+ witness [1-9][0-9]* eliminated [0-9]+$' \
+    || { echo "the emptiness witness answered nothing: $EMPTINESS"; exit 1; }
 # At `mini` no row is a multiple of 4 KiB, so the audit above sees no
 # padded array. At `standard` these four kernels' 1024-wide rows run on
 # padded storage (`polymix-codegen`'s emitter), and the reduction

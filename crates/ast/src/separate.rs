@@ -42,7 +42,9 @@ pub fn separate_guards(nest: Node, scop: &Scop, n_vars: usize, split: bool) -> (
     };
     let mut ctx = Polyhedron::universe(n_vars + space.n_params);
     for (p, &lb) in scop.param_lower_bounds.iter().enumerate() {
-        ctx.add_ge(&space.row(&LinExpr::param(p)), lb);
+        if let Some(r) = space.row(&LinExpr::param(p)) {
+            ctx.add_ge(&r, lb);
+        }
     }
     let before = conjuncts(&nest);
     let sep = Separator { space, split };
@@ -73,28 +75,39 @@ struct Space {
 }
 
 impl Space {
-    fn row(&self, e: &LinExpr) -> Vec<i64> {
-        let mut r = vec![0; self.n_vars + self.n_params + 1];
-        for &(v, c) in &e.var_coeffs {
-            r[v] += c;
-        }
-        for &(p, c) in &e.param_coeffs {
-            r[self.n_vars + p] += c;
+    /// The row of `e`; `None` when a column does not fit `i64` (a
+    /// variable listed twice).
+    fn row(&self, e: &LinExpr) -> Option<Vec<i64>> {
+        let mut r = vec![0i64; self.n_vars + self.n_params + 1];
+        let params = e.param_coeffs.iter().map(|&(p, c)| (self.n_vars + p, c));
+        for (j, c) in e.var_coeffs.iter().copied().chain(params) {
+            r[j] = r[j].checked_add(c)?;
         }
         r[self.n_vars + self.n_params] = e.c;
-        r
+        Some(r)
     }
 
     /// `ctx` with the range of `l` added: `d·v ≥ e` for every lower bound
     /// `e / d`, `d·v ≤ e` for every upper one. A step above 1 is left
-    /// out, so the range is a superset of the values the loop takes.
+    /// out, so the range is a superset of the values the loop takes; so
+    /// is a bound whose row does not fit `i64`, which stays out of the
+    /// context as the vm's `loop_ctx` leaves it out: no guard is decided
+    /// and no loop split on a row that is not proven.
     fn with_range(&self, ctx: &Polyhedron, l: &Loop) -> Polyhedron {
         let mut out = ctx.clone();
         for (bound, sign) in [(&l.lo, -1), (&l.hi, 1)] {
             for be in &bound.exprs {
-                let mut r: Vec<i64> = self.row(&be.expr).iter().map(|c| sign * c).collect();
-                r[l.var] -= sign * be.denom;
-                out.add_ge(&r, 0);
+                let row = self.row(&be.expr).and_then(|r| {
+                    let mut r: Vec<i64> = r
+                        .iter()
+                        .map(|c| c.checked_mul(sign))
+                        .collect::<Option<_>>()?;
+                    r[l.var] = r[l.var].checked_sub(be.denom.checked_mul(sign)?)?;
+                    Some(r)
+                });
+                if let Some(r) = row {
+                    out.add_ge(&r, 0);
+                }
             }
         }
         out
@@ -102,12 +115,12 @@ impl Space {
 
     /// Whether `g ≥ 0` holds everywhere in `ctx`.
     fn implied(&self, ctx: &Polyhedron, g: &LinExpr) -> bool {
-        ctx.and_le(&self.row(g), -1).is_empty()
+        self.row(g).is_some_and(|r| ctx.and_le(&r, -1).is_empty())
     }
 
     /// Whether `g ≥ 0` holds nowhere in `ctx`.
     fn contradicted(&self, ctx: &Polyhedron, g: &LinExpr) -> bool {
-        ctx.and_ge(&self.row(g), 0).is_empty()
+        self.row(g).is_some_and(|r| ctx.and_ge(&r, 0).is_empty())
     }
 }
 
@@ -131,7 +144,9 @@ impl Separator {
                         return Vec::new();
                     }
                     if !self.space.implied(&inner, &g) {
-                        inner.add_ge(&self.space.row(&g), 0);
+                        if let Some(r) = self.space.row(&g) {
+                            inner.add_ge(&r, 0);
+                        }
                         kept.push(g);
                     }
                 }
@@ -336,6 +351,40 @@ mod tests {
         for n in [1, 2, 5, 9] {
             assert_eq!(run(&separated, n), run(&triangles(n, true), n), "N = {n}");
         }
+    }
+
+    /// A lower bound `j ≥ MIN·N` holds for every `j` the loop runs, but
+    /// its row `j - MIN·N ≥ 0` has no `i64` coefficient for `N`; wrapped
+    /// to `j + MIN·N ≥ 0` it contradicted `j ≤ N - 1`, and the loop went
+    /// with the statement under it. The row stays out of the context.
+    #[test]
+    fn a_bound_row_that_overflows_decides_nothing() {
+        let p = triangles(6, false);
+        let stmt = |k| {
+            Node::Stmt(StmtNode {
+                stmt_idx: k,
+                iter_exprs: vec![LinExpr::var(0), LinExpr::var(1)],
+            })
+        };
+        let min_n = LinExpr {
+            param_coeffs: vec![(0, i64::MIN)],
+            ..Default::default()
+        };
+        let j = Node::loop_(Loop {
+            var: 1,
+            name: "j".into(),
+            lo: Bound::of(min_n),
+            hi: Bound::of(LinExpr::param(0).plus(-1)),
+            step: 1,
+            par: Par::Seq,
+            jam: 1,
+            body: stmt(0),
+        });
+        let nest = Node::Seq(vec![j, stmt(1)]);
+        assert_eq!(
+            separate_guards(nest.clone(), &p.scop, p.n_vars, true),
+            (nest, 0)
+        );
     }
 
     /// Without splitting only what the bounds decide goes: `i ≥ 0`.

@@ -156,6 +156,9 @@ fn main() {
         std::process::exit(if failures > 0 { 1 } else { 0 });
     }
 
+    // One memo scope for the run: the census below counts each distinct
+    // emptiness question once, by how it ended.
+    let memo = polymix_math::memo::scope();
     let machine = Machine::host();
     for k in kernels {
         if !names.is_empty() && !names.iter().any(|n| **n == k.name) {
@@ -254,6 +257,11 @@ fn main() {
         let [s16, s32, s64, guards] = sizes;
         println!("sizes: 16 {s16} 32 {s32} 64 {s64} guards-separated {guards}");
     }
+    let e = memo.stats().emptiness;
+    println!(
+        "emptiness: hull {} witness {} eliminated {}",
+        e.hull, e.witness, e.eliminated
+    );
     if failures > 0 {
         println!("verify: {failures} artifact(s) failed");
         std::process::exit(1);

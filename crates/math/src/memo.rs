@@ -37,11 +37,35 @@ pub struct Tally {
     pub computed: u64,
 }
 
+/// How the computed emptiness questions ended (DESIGN §18); the three
+/// counts sum to `Stats::is_empty.computed`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Endings {
+    /// Refuted before any elimination: an explicitly false row, or the
+    /// first interval-hull reduction.
+    pub hull: u64,
+    /// Answered "not empty" by the hull's lower corner, a point of the
+    /// system.
+    pub witness: u64,
+    /// Handed to Fourier–Motzkin, whatever it concluded.
+    pub eliminated: u64,
+}
+
+/// One ending of [`Endings`].
+#[derive(Clone, Copy)]
+pub(crate) enum Ending {
+    Hull,
+    Witness,
+    Eliminated,
+}
+
 /// The tallies of both oracles; see [`Scope::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// [`Polyhedron::is_empty`].
     pub is_empty: Tally,
+    /// How the computed [`Polyhedron::is_empty`] questions ended.
+    pub emptiness: Endings,
     /// [`Polyhedron::sample`].
     pub sample: Tally,
 }
@@ -57,6 +81,7 @@ struct Table {
     /// Live [`Scope`] guards on this thread.
     guards: usize,
     is_empty: Memo<bool>,
+    emptiness: Endings,
     sample: Memo<Option<Vec<i64>>>,
 }
 
@@ -85,6 +110,7 @@ impl Scope {
         TABLE.with(|t| {
             t.borrow().as_ref().map_or(Stats::default(), |table| Stats {
                 is_empty: table.is_empty.tally,
+                emptiness: table.emptiness,
                 sample: table.sample.tally,
             })
         })
@@ -107,8 +133,22 @@ impl Drop for Scope {
     }
 }
 
-pub(crate) fn is_empty(p: &Polyhedron, compute: impl FnOnce() -> bool) -> bool {
-    answer(|t| &mut t.is_empty, p, compute)
+pub(crate) fn is_empty(p: &Polyhedron, compute: impl FnOnce() -> (bool, Ending)) -> bool {
+    let tallied = || {
+        let (empty, ending) = compute();
+        TABLE.with(|t| {
+            if let Some(table) = t.borrow_mut().as_mut() {
+                let e = &mut table.emptiness;
+                *match ending {
+                    Ending::Hull => &mut e.hull,
+                    Ending::Witness => &mut e.witness,
+                    Ending::Eliminated => &mut e.eliminated,
+                } += 1;
+            }
+        });
+        empty
+    };
+    answer(|t| &mut t.is_empty, p, tallied)
 }
 
 pub(crate) fn sample(

@@ -9,7 +9,7 @@
 
 use crate::fm;
 use crate::gcd::{normalize_eq_row, normalize_row};
-use crate::memo;
+use crate::memo::{self, Ending};
 use std::fmt;
 
 /// Constraint comparison operator, interpreted as `coeffs · x + c OP 0`.
@@ -76,24 +76,26 @@ impl ConstraintRef<'_> {
         self.row.len().saturating_sub(1)
     }
 
-    /// Evaluates `coeffs · point + c`, clamped to `i64`: computed in
-    /// `i128`, so the sign and zero-ness [`ConstraintRef::holds`] reads
-    /// survive coefficients at the edge of `i64`.
-    pub fn eval(&self, point: &[i64]) -> i64 {
+    /// Evaluates `coeffs · point + c` in `i128`, so the sign and
+    /// zero-ness [`ConstraintRef::holds`] reads survive coefficients at
+    /// the edge of `i64`. Each product fits; `None` when a partial sum
+    /// does not.
+    pub fn eval(&self, point: &[i64]) -> Option<i128> {
         assert_eq!(point.len(), self.n_dims(), "point arity mismatch");
-        let products = self.row.iter().zip(point);
-        let products = products.map(|(&a, &x)| i128::from(a) * i128::from(x));
-        let v = products.sum::<i128>() + i128::from(self.constant());
-        v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+        let mut products = self.row.iter().zip(point);
+        products.try_fold(i128::from(self.constant()), |acc, (&a, &x)| {
+            acc.checked_add(i128::from(a) * i128::from(x))
+        })
     }
 
-    /// True iff `point` satisfies the constraint.
+    /// True iff `point` satisfies the constraint. A value whose sum does
+    /// not fit `i128` is undecided and reads as "no": a point this
+    /// cannot vouch for is never a member.
     pub fn holds(&self, point: &[i64]) -> bool {
-        let v = self.eval(point);
-        match self.op {
+        self.eval(point).is_some_and(|v| match self.op {
             CmpOp::Ge => v >= 0,
             CmpOp::Eq => v == 0,
-        }
+        })
     }
 
     /// True when the constraint mentions dimension `d`.
@@ -139,7 +141,7 @@ impl fmt::Debug for ConstraintRef<'_> {
             } else if a == -1 {
                 write!(f, " - x{d}")?;
             } else {
-                write!(f, " - {}*x{d}", -a)?;
+                write!(f, " - {}*x{d}", a.unsigned_abs())?;
             }
         }
         let c = self.constant();
@@ -148,7 +150,7 @@ impl fmt::Debug for ConstraintRef<'_> {
         } else if c > 0 {
             write!(f, " + {c}")?;
         } else if c < 0 {
-            write!(f, " - {}", -c)?;
+            write!(f, " - {}", c.unsigned_abs())?;
         }
         match self.op {
             CmpOp::Ge => write!(f, " >= 0"),
@@ -445,34 +447,45 @@ impl Polyhedron {
         memo::is_empty(self, || self.compute_is_empty())
     }
 
-    /// Hull, then greedy Fourier–Motzkin with a hull reduction between
-    /// steps. The interval hull is computed once per state of the
-    /// system: each reduction tightens the box the previous one left.
-    fn compute_is_empty(&self) -> bool {
+    /// Hull, witness, then greedy Fourier–Motzkin with a hull reduction
+    /// between steps (DESIGN §18). The interval hull is computed once
+    /// per state of the system: each reduction tightens the box the
+    /// previous one left.
+    fn compute_is_empty(&self) -> (bool, Ending) {
         // Fast path: an explicitly false constraint.
         if self.has_false_constant() {
-            return true;
+            return (true, Ending::Hull);
         }
         let mut directed = Directed::default();
         let hull = self.interval_hull(&mut directed);
-        self.clone().eliminate_many(hull, &mut directed)
+        let mut p = self.clone();
+        if p.hull_reduce(&hull) {
+            return (true, Ending::Hull);
+        }
+        // Witness: an integer point of the system is what elimination
+        // would end on too — every step it takes keeps every integer
+        // point (gcd tightening and whole-valued bounds only cut
+        // rational ones) — so answering "not empty" here is its answer.
+        // Asked after the reduction, not before: most proofs end at the
+        // reduction, and they should not pay for a point.
+        if p.contains(&hull.corner()) {
+            return (false, Ending::Witness);
+        }
+        (p.eliminate_many(hull, &mut directed), Ending::Eliminated)
     }
 
     /// Eliminates every dimension; `true` when a contradiction shows on
-    /// the way, which proves the set empty. `hull` is the interval hull
-    /// of `self`.
+    /// the way, which proves the set empty. `self` has been reduced over
+    /// `hull`, its interval hull.
     ///
     /// Interval propagation alone often refutes the system (or proves
     /// most rows redundant) long before Fourier–Motzkin would, and on
     /// densely coupled systems — e.g. skewed wavefront remappings — FM
-    /// row growth is explosive without it, so the system is reduced over
-    /// its hull before the first step and after every one. When row
-    /// growth exceeds the cap, or a combined coefficient does not fit
-    /// `i64`, nothing is concluded: "not proven empty".
+    /// row growth is explosive without it, so the system is reduced
+    /// over its hull after every step. When row growth exceeds the cap,
+    /// or a combined coefficient does not fit `i64`, nothing is
+    /// concluded: "not proven empty".
     fn eliminate_many(mut self, mut hull: Hull, directed: &mut Directed) -> bool {
-        if self.hull_reduce(&hull) {
-            return true;
-        }
         let n = self.n_dims;
         let mut next = Polyhedron::universe(n);
         let mut remaining: Vec<usize> = (0..n).collect();
@@ -556,7 +569,7 @@ impl Polyhedron {
 
     /// Per-dimension interval hull by bounds propagation from the
     /// unbounded box; see [`Directed::tighten`].
-    fn interval_hull(&self, directed: &mut Directed) -> Hull {
+    pub(crate) fn interval_hull(&self, directed: &mut Directed) -> Hull {
         let mut hull = Hull {
             lo: vec![None; self.n_dims],
             hi: vec![None; self.n_dims],
@@ -901,7 +914,7 @@ impl Uses {
 }
 
 /// A per-dimension interval box; `None` is unbounded on that side.
-struct Hull {
+pub(crate) struct Hull {
     lo: Vec<Option<i64>>,
     hi: Vec<Option<i64>>,
     /// Propagation reached a fixpoint, not the sweep cap.
@@ -909,6 +922,12 @@ struct Hull {
 }
 
 impl Hull {
+    /// The box's lower corner: per dimension `lo`, else `hi`, else 0.
+    pub(crate) fn corner(&self) -> Vec<i64> {
+        let sides = self.lo.iter().zip(&self.hi);
+        sides.map(|(lo, hi)| lo.or(*hi).unwrap_or(0)).collect()
+    }
+
     /// The maximum (or minimum) of `row` over the box; `None` when some
     /// mentioned dimension is unbounded on the relevant side.
     fn extreme(&self, row: &[i64], want_max: bool) -> Option<i64> {
@@ -934,7 +953,7 @@ impl Hull {
 /// functions mention two or three dimensions of ten or twenty. The
 /// buffers are reused from one state of an emptiness proof to the next.
 #[derive(Default)]
-struct Directed {
+pub(crate) struct Directed {
     /// `(v, a_v)`, row after row.
     terms: Vec<(usize, i64)>,
     /// Per row: where its terms end, and `k`.
@@ -1055,6 +1074,33 @@ mod tests {
         assert!(t.contains(&[3, 3]));
         assert!(!t.contains(&[2, 3]));
         assert!(!t.contains(&[4, 0]));
+    }
+
+    /// A value whose sum does not fit `i128` is undecided, and an
+    /// undecided point is no member: on `MAX·x0 + (MAX−1)·x1 +
+    /// (MAX−2)·x2 ≥ 0` the sum at `[MAX; 3]` is about `3·2^126` (an
+    /// overflow panic in debug) and at `[-MAX; 3]` about `-3·2^126`,
+    /// which wrapped to a positive value, a false membership.
+    #[test]
+    fn a_value_beyond_i128_is_no_membership() {
+        let m = i64::MAX;
+        let mut p = Polyhedron::universe(3);
+        p.add(Constraint::ge(vec![m, m - 1, m - 2, 0]));
+        let c = p.constraints().next().expect("one row");
+        for pt in [[m; 3], [-m; 3]] {
+            assert_eq!(c.eval(&pt), None);
+            assert!(!c.holds(&pt) && !p.contains(&pt));
+        }
+        assert_eq!(c.eval(&[1, -1, 0]), Some(1));
+        assert!(p.contains(&[1, -1, 0]) && !p.contains(&[0, 0, -1]));
+    }
+
+    /// A row at the edge of `i64` prints: `-i64::MIN` has no `i64`.
+    #[test]
+    fn a_row_holding_min_prints() {
+        let c = Constraint::ge(vec![1, i64::MIN, i64::MIN]);
+        let min = i64::MIN.unsigned_abs();
+        assert_eq!(format!("{c:?}"), format!("x0 - {min}*x1 - {min} >= 0"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the polyhedral math substrate.
 
 use crate::matrix::IntMat;
-use crate::poly::{Constraint, Polyhedron};
+use crate::poly::{Constraint, Directed, Polyhedron};
 use proptest::prelude::*;
 
 /// A product of elementary row operations (swap, negate, add a small
@@ -185,6 +185,63 @@ proptest! {
     fn no_false_proof_over_two_copies(p in two_copies()) {
         let lied = p.is_empty() && !p.enumerate().expect("bounded").is_empty();
         prop_assert!(!lied, "is_empty lied for {p:?}");
+    }
+}
+
+/// A coefficient as the certifiers' rows hold them — zero, unit, two,
+/// small — or at the edge of `i64`, where an unchecked evaluation wraps.
+fn coefficient() -> impl Strategy<Value = i64> {
+    (0usize..10, 3i64..9).prop_map(|(k, small)| {
+        let edge = [i64::MAX / 2, i64::MIN, i64::MAX];
+        [0, 1, -1, 2, -2, small, -small, edge[0], edge[1], edge[2]][k]
+    })
+}
+
+/// A box `[-2, 2]` over 1 to 6 dimensions cut by up to four rows (each
+/// an equality or an inequality) drawn from [`coefficient`].
+fn bounded_system() -> impl Strategy<Value = Polyhedron> {
+    let row = (prop::collection::vec(coefficient(), 7..8), any::<bool>());
+    (1usize..7, prop::collection::vec(row, 0..5)).prop_map(|(n, rows)| {
+        let mut p = boxed(&vec![(-2, 2); n]);
+        for (mut row, eq) in rows {
+            row.truncate(n + 1);
+            if eq {
+                p.add_eq0(&row);
+            } else {
+                p.add_ge(&row, 0);
+            }
+        }
+        p
+    })
+}
+
+/// Every integer point of the box `[-2, 2]^n`: all of a
+/// [`bounded_system`]'s candidates, without the projections
+/// `enumerate` makes (which give up when a combination overflows).
+fn box_points(n: usize) -> Vec<Vec<i64>> {
+    let mut points = vec![Vec::new()];
+    for _ in 0..n {
+        let next = points
+            .iter()
+            .flat_map(|p| (-2..=2).map(move |x| p.iter().copied().chain([x]).collect::<Vec<_>>()));
+        points = next.collect();
+    }
+    points
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A proof is never refuted by a point, and a system that holds its
+    /// hull's lower corner is never called empty: the witness answers
+    /// only what elimination would have answered.
+    #[test]
+    fn the_witness_never_contradicts_a_proof(p in bounded_system()) {
+        let empty = p.is_empty();
+        let member = box_points(p.n_dims()).into_iter().find(|pt| p.contains(pt));
+        prop_assert!(!empty || member.is_none(), "is_empty lied for {p:?}: {member:?}");
+        let corner = p.interval_hull(&mut Directed::default()).corner();
+        prop_assert!(!p.contains(&corner) || !empty, "corner {corner:?} of {p:?}");
     }
 }
 

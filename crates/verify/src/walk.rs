@@ -40,13 +40,29 @@ use polymix_deps::Dep;
 use polymix_ir::Scop;
 use polymix_math::poly::{Constraint, Polyhedron};
 
-fn add_rows(a: &[i64], b: &[i64]) -> Vec<i64> {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
+/// `a + b`; `None` when an entry does not fit `i64`.
+fn add_rows(a: &[i64], b: &[i64]) -> Option<Vec<i64>> {
+    a.iter().zip(b).map(|(x, y)| x.checked_add(*y)).collect()
 }
 
-/// The row `level(dst) - level(src)` of one level.
-fn delta(dst: &[i64], src: &[i64]) -> Vec<i64> {
-    dst.iter().zip(src).map(|(d, s)| d - s).collect()
+/// The row `level(dst) - level(src)` of one level; `None` when an entry
+/// does not fit `i64`.
+fn delta(dst: &[i64], src: &[i64]) -> Option<Vec<i64>> {
+    dst.iter()
+        .zip(src)
+        .map(|(d, s)| d.checked_sub(*s))
+        .collect()
+}
+
+/// `p ∧ row ≤ bound`, or all of `p` when the row did not fit `i64`: the
+/// obligation's row is dropped, so the set is a superset of the intended
+/// one, whose emptiness still proves the obligation and whose
+/// non-emptiness reads as "not proven".
+fn and_le(p: &Polyhedron, row: Option<&[i64]>, bound: Option<i64>) -> Polyhedron {
+    match row.zip(bound) {
+        Some((row, bound)) => p.and_le(row, bound),
+        None => p.clone(),
+    }
 }
 
 /// The pairs of `remaining` tied at a level of row `r`: `r == 0`, or
@@ -167,15 +183,24 @@ impl<'a> PairWalk<'a> {
                         continue 'expr; // unsolvable var: skip this expr
                     };
                     for (j, &x) in sr.iter().enumerate() {
-                        local[j] += c * x;
+                        // A row that does not fit `i64` is skipped too.
+                        let Some(sum) = c.checked_mul(x).and_then(|cx| local[j].checked_add(cx))
+                        else {
+                            continue 'expr;
+                        };
+                        local[j] = sum;
                     }
                 }
-                for &(p, c) in &e.param_coeffs {
-                    if p < np {
-                        local[dim + p] += c;
-                    }
+                let constants = e.param_coeffs.iter().filter(|t| t.0 < np);
+                let constants = constants
+                    .map(|&(p, c)| (dim + p, c))
+                    .chain([(dim + np, e.c)]);
+                for (j, c) in constants {
+                    let Some(sum) = local[j].checked_add(c) else {
+                        continue 'expr;
+                    };
+                    local[j] = sum;
                 }
-                local[dim + np] += e.c;
                 let lifted = if src_side {
                     self.dep.lift_src_row(&local)
                 } else {
@@ -286,8 +311,10 @@ impl<'a> PairWalk<'a> {
     /// The row `level(dst) - level(src)` of the common loop `l` and,
     /// when the row is a tile controller's proxy, the controller's step;
     /// `None` when `l` has neither an affine inverse nor a proxy on both
-    /// sides. Backward is `r <= -1` and carried `r >= 1`: the loops
-    /// with a row step by 1 (DESIGN §19, "Register tiling is a mark").
+    /// sides, or the difference does not fit `i64` (then, as for a
+    /// variable whose solve overflowed, nothing is proved at `l`).
+    /// Backward is `r <= -1` and carried `r >= 1`: the loops with a row
+    /// step by 1 (DESIGN §19, "Register tiling is a mark").
     fn level_row(
         &self,
         l: &LoopMeta,
@@ -295,11 +322,12 @@ impl<'a> PairWalk<'a> {
         rest_d: &[&PStep],
     ) -> Option<(Vec<i64>, Option<i64>)> {
         if let Some((rs, rd)) = self.lifted(l.var, true).zip(self.lifted(l.var, false)) {
-            return Some((delta(&rd, &rs), None));
+            return delta(&rd, &rs).map(|r| (r, None));
         }
         let ps = self.proxy_row(rest_s, l.var, true);
         let pd = self.proxy_row(rest_d, l.var, false);
-        ps.zip(pd).map(|(rs, rd)| (delta(&rd, &rs), Some(l.step)))
+        let (rs, rd) = ps.zip(pd)?;
+        delta(&rd, &rs).map(|r| (r, Some(l.step)))
     }
 
     /// The jam certificate: for every loop marked `jam: f` on both
@@ -359,7 +387,12 @@ impl<'a> PairWalk<'a> {
             out.push(unsafe_jam("the jammed loop's variable has no affine inverse".to_string()));
             return;
         };
-        let r = delta(&rd, &rs);
+        let Some(r) = delta(&rd, &rs) else {
+            out.push(unsafe_jam(
+                "the jammed loop's row does not fit `i64`".to_string(),
+            ));
+            return;
+        };
         let mut part = self.remaining.and_ge(&r, 1).and_le(&r, l.jam - 1);
         let mut k = 0;
         while !part.is_empty() {
@@ -425,8 +458,8 @@ impl<'a> PairWalk<'a> {
             out.push(self.violation(
                 ViolationKind::Unsupported,
                 &l.name,
-                "loop variable has no affine inverse and no clamped point \
-                 loop to proxy it; nothing proved for this dependence"
+                "loop variable has no affine inverse that fits `i64` and no \
+                 clamped point loop to proxy it; nothing proved for this dependence"
                     .to_string(),
                 "",
             ));
@@ -594,19 +627,22 @@ impl<'a> PairWalk<'a> {
             ));
             return true;
         };
-        let rc = delta(&cd, &cs);
         let step = l.step.max(1);
         let span = hs.max(hd).max(1);
         let dsib = sib_d as i64 - sib_s as i64;
-        let w: Vec<i64> = rc
-            .iter()
-            .zip(r)
-            .map(|(c, rr)| step * c + span * rr)
-            .collect();
+        let w: Option<Vec<i64>> = delta(&cd, &cs).and_then(|rc| {
+            let terms = rc.iter().zip(r);
+            terms
+                .map(|(c, rr)| step.checked_mul(*c)?.checked_add(span.checked_mul(*rr)?))
+                .collect()
+        });
+        let bound = step
+            .checked_mul(span)
+            .and_then(|m| m.checked_mul(-(dsib + 1)));
         // Real pairs never run backward at a passed level; keep the
         // polyhedron to `r >= 0` before testing the cone.
         let fwd = self.remaining.and_ge(r, 0);
-        let uncovered = fwd.and_le(&w, -step * span * (dsib + 1));
+        let uncovered = and_le(&fwd, w.as_deref(), bound);
         if uncovered.is_empty() {
             return true;
         }
@@ -651,8 +687,8 @@ impl<'a> PairWalk<'a> {
             return true;
         };
         let rc = delta(&cd, &cs);
-        let diag = add_rows(r, &rc);
-        if !self.remaining.and_le(&diag, -1).is_empty() {
+        let diag = rc.as_deref().and_then(|rc| add_rows(r, rc));
+        if !and_le(&self.remaining, diag.as_deref(), Some(-1)).is_empty() {
             out.push(self.violation(
                 ViolationKind::WavefrontUnsafe,
                 &l.name,
@@ -664,7 +700,7 @@ impl<'a> PairWalk<'a> {
             ));
             return false;
         }
-        if !self.remaining.and_le(&rc, -1).is_empty() {
+        if !and_le(&self.remaining, rc.as_deref(), Some(-1)).is_empty() {
             out.push(self.violation(
                 ViolationKind::WavefrontUnsafe,
                 &l.name,
@@ -679,5 +715,165 @@ impl<'a> PairWalk<'a> {
             return false;
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::occurrence::LoopMeta;
+    use polymix_ast::tree::LinExpr;
+    use polymix_deps::DepKind;
+    use polymix_ir::builder::{con, ix, par, ScopBuilder};
+    use polymix_ir::{ArrayId, Expr, StmtId};
+
+    const MAX: i64 = i64::MAX;
+
+    /// `for x in 0..N: A[x] = 0`: one statement of depth 1.
+    fn scop() -> Scop {
+        let mut b = ScopBuilder::new("one", &["N"], &[8]);
+        let a = b.array("A", &["N"]);
+        b.enter("x", con(0), par("N"));
+        b.stmt("S0", a, &[ix("x")], Expr::Const(0.0));
+        b.exit();
+        b.finish().expect("well-formed SCoP")
+    }
+
+    /// The statement's instances `x` and `y = x + shift`, both in
+    /// `0..N`, over `[x | y | N | 1]`.
+    fn dep(shift: i64) -> Dep {
+        let mut poly = Polyhedron::universe(3);
+        for v in [0, 1] {
+            let mut row = vec![0; 4];
+            row[v] = 1;
+            poly.add_ge(&row, 0);
+            row[2] = -1;
+            poly.add_le(&row, -1);
+        }
+        poly.add_eq0(&[-1, 1, 0, -shift]);
+        Dep {
+            src: StmtId(0),
+            dst: StmtId(0),
+            kind: DepKind::Flow,
+            array: ArrayId(0),
+            src_dim: 1,
+            dst_dim: 1,
+            poly,
+            is_reduction: false,
+        }
+    }
+
+    fn level(id: usize, var: usize, step: i64, par: Par) -> PStep {
+        PStep::Loop(LoopMeta {
+            id,
+            var,
+            name: format!("c{var}"),
+            step,
+            par,
+            jam: 1,
+            range: Vec::new(),
+            clamped_by: Vec::new(),
+        })
+    }
+
+    /// The statement under `path`, its AST variable `v` recovered as the
+    /// local row `[x | N | 1]` of each `(v, row)`.
+    fn occ(path: Vec<PStep>, solved: &[(usize, [i64; 3])]) -> Occurrence {
+        Occurrence {
+            stmt: 0,
+            copied: false,
+            path,
+            iter_exprs: vec![LinExpr::var(0)],
+            solved: solved.iter().map(|&(v, r)| (v, r.to_vec())).collect(),
+        }
+    }
+
+    fn kinds(dep: &Dep, src: &Occurrence, dst: &Occurrence) -> Vec<ViolationKind> {
+        let scop = scop();
+        let mut out = Vec::new();
+        PairWalk::new(&scop, dep, src, dst, &[8]).run(&mut out);
+        out.into_iter().map(|v| v.kind).collect()
+    }
+
+    /// `delta`: the source's loop value `MIN·x` has no negation, so the
+    /// level has no row and nothing is proved there.
+    #[test]
+    fn a_level_row_that_overflows_proves_nothing() {
+        let path = || vec![level(0, 0, 1, Par::Seq)];
+        let src = occ(path(), &[(0, [i64::MIN, 0, 0])]);
+        let dst = occ(path(), &[(0, [1, 0, 0])]);
+        assert_eq!(kinds(&dep(1), &src, &dst), [ViolationKind::Unsupported]);
+    }
+
+    /// The row fold of `apply_guards`: the guard `2·w ≥ 0` with
+    /// `w = MAX·x` holds on every instance, and wrapped it read
+    /// `-2·x ≥ 0`, which cut away the backward pairs `y = x - 1`: a
+    /// false accept. The guard that does not fit is skipped.
+    #[test]
+    fn a_guard_row_that_overflows_is_skipped_not_wrapped() {
+        let guard = PStep::Guard {
+            exprs: vec![LinExpr {
+                var_coeffs: vec![(1, 2)],
+                ..Default::default()
+            }],
+        };
+        let src = occ(
+            vec![guard, level(0, 0, 1, Par::Seq)],
+            &[(0, [1, 0, 0]), (1, [MAX, 0, 0])],
+        );
+        let dst = occ(vec![level(0, 0, 1, Par::Seq)], &[(0, [1, 0, 0])]);
+        assert_eq!(kinds(&dep(-1), &src, &dst), [ViolationKind::IllegalOrder]);
+    }
+
+    /// `add_rows`: the diagonal of a wavefront whose outer and column
+    /// rows both have the constant `MAX/2 + 1` does not fit, so the
+    /// diagonal obligation reads "not proven".
+    #[test]
+    fn a_wavefront_diagonal_that_overflows_is_not_proven() {
+        let half = MAX / 2 + 1;
+        let path = || vec![level(0, 0, 1, Par::Wavefront), level(1, 1, 1, Par::Seq)];
+        let src = occ(path(), &[(0, [1, 0, 0]), (1, [1, 0, 0])]);
+        let dst = occ(path(), &[(0, [1, 0, half]), (1, [1, 0, half])]);
+        assert_eq!(kinds(&dep(1), &src, &dst), [ViolationKind::WavefrontUnsafe]);
+    }
+
+    /// `step·rc + span·r`: the column moves `MIN/2 - 1` left per outer
+    /// step, which does not fit `i64` once scaled by the step of 2 (it
+    /// wrapped to a large rightward move); the cone obligation reads
+    /// "not proven".
+    #[test]
+    fn a_pipeline_cone_row_that_overflows_is_not_proven() {
+        let path = || vec![level(0, 0, 2, Par::Pipeline), level(1, 1, 1, Par::Seq)];
+        let src = occ(path(), &[(0, [1, 0, 0]), (1, [0, 0, 0])]);
+        let dst = occ(path(), &[(0, [1, 0, 0]), (1, [0, 0, i64::MIN / 2 - 1])]);
+        assert_eq!(
+            kinds(&dep(1), &src, &dst),
+            [ViolationKind::PipelineConeUncovered]
+        );
+    }
+
+    /// `-step·span·(dsib + 1)`: a step of `MAX` over two fused sibling
+    /// phases has no bound in `i64`; the obligation reads "not proven".
+    #[test]
+    fn a_pipeline_cone_bound_that_overflows_is_not_proven() {
+        let phase = |loop_sib| PStep::Seq {
+            id: 9,
+            child: loop_sib,
+            loop_sib: Some(loop_sib),
+        };
+        let path = |sib| {
+            vec![
+                level(0, 0, MAX, Par::Pipeline),
+                phase(sib),
+                level(1 + sib, 1, 1, Par::Seq),
+            ]
+        };
+        // Both columns read 0: the cone row is `r` itself.
+        let src = occ(path(0), &[(0, [1, 0, 0]), (1, [0, 0, 0])]);
+        let dst = occ(path(1), &[(0, [1, 0, 0]), (1, [0, 0, 0])]);
+        assert_eq!(
+            kinds(&dep(1), &src, &dst),
+            [ViolationKind::PipelineConeUncovered]
+        );
     }
 }
